@@ -199,21 +199,6 @@ func runGantt(prefix string, p, n int, scheme, kernel string, bc cluster.Broadca
 	return nil
 }
 
-// parseCrash decodes a -crash rank@task directive into a chaos crash map.
-func parseCrash(spec string, p int) (map[int]int, error) {
-	var rank, task int
-	if _, err := fmt.Sscanf(spec, "%d@%d", &rank, &task); err != nil {
-		return nil, fmt.Errorf("crash spec %q: want rank@task, e.g. 5@10", spec)
-	}
-	if rank < 0 || rank >= p {
-		return nil, fmt.Errorf("crash spec %q: rank %d outside [0,%d)", spec, rank, p)
-	}
-	if task < 0 {
-		return nil, fmt.Errorf("crash spec %q: negative task index", spec)
-	}
-	return map[int]int{rank: task}, nil
-}
-
 // runGanttReal executes one real (numeric) factorization on the virtual
 // cluster with wall-clock tracing and writes the same CSV pair as the
 // simulated mode, plus working-set statistics from the release path.
@@ -242,7 +227,7 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 	if crash != "" {
 		// A crash directive without -chaos-seed gets a fault-free plan that
 		// only injects the crash itself.
-		cfg.CrashAtTask, err = parseCrash(crash, repl*d.Nodes())
+		cfg.CrashAtTask, err = chaos.ParseCrash(crash, repl*d.Nodes())
 		if err != nil {
 			return err
 		}
@@ -291,7 +276,7 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 	}
 	if rep.Broadcast == cluster.BroadcastTree {
 		fmt.Printf("per-node outgoing hops:")
-		for _, h := range rep.Stats.HopsByNode() {
+		for _, h := range rep.Stats.BySrc(cluster.Hops) {
 			fmt.Printf(" %d", h)
 		}
 		fmt.Println()

@@ -121,6 +121,29 @@ func (c Config) validate() error {
 	return nil
 }
 
+// ParseCrash decodes a "rank@task" crash directive for a p-node run into a
+// Config.CrashAtTask map — the one spelling the CLI flag and the service's
+// JobSpec share.
+func ParseCrash(spec string, p int) (map[int]int, error) {
+	var rank, task int
+	if _, err := fmt.Sscanf(spec, "%d@%d", &rank, &task); err != nil {
+		return nil, fmt.Errorf("crash spec %q: want rank@task, e.g. 5@10", spec)
+	}
+	if rank < 0 || rank >= p {
+		return nil, fmt.Errorf("crash spec %q: rank outside 0..%d", spec, p-1)
+	}
+	if task < 0 {
+		return nil, fmt.Errorf("crash spec %q: negative task index", spec)
+	}
+	return map[int]int{rank: task}, nil
+}
+
+// DeliveryFaults reports whether a plan built from c can disturb deliveries
+// at all — as opposed to a crash-only plan, which never needs the network seam.
+func (c Config) DeliveryFaults() bool {
+	return c.PDelay > 0 || c.PReorder > 0 || c.PDuplicate > 0 || c.PDrop > 0 || c.PDropRedeliver > 0
+}
+
 // DefaultConfig is a moderate all-faults mix for the given seed: occasional
 // delays, reorders and duplicates, a few permanent drops (healed by the
 // runtime's re-requests) and transient drops (redelivered by the transport).
@@ -158,8 +181,8 @@ type Event struct {
 }
 
 func (e Event) String() string {
-	return fmt.Sprintf("%s %d->%d tag(%d,%d)v%d ctrl=%v attempt=%d delay=%dus",
-		e.Kind, e.From, e.To, e.Tag.I, e.Tag.J, e.Tag.V, e.Ctrl, e.Attempt, e.DelayUS)
+	return fmt.Sprintf("%s %d->%d tag%v ctrl=%v attempt=%d delay=%dus",
+		e.Kind, e.From, e.To, e.Tag, e.Ctrl, e.Attempt, e.DelayUS)
 }
 
 // held is a message parked by a reorder fault, waiting for its swap partner.
@@ -260,7 +283,7 @@ func (p *Plan) note(ev Event) {
 	rec, epoch := p.rec, p.epoch
 	p.mu.Unlock()
 	if rec != nil {
-		tagStr := fmt.Sprintf("(%d,%d)v%d", ev.Tag.I, ev.Tag.J, ev.Tag.V)
+		tagStr := ev.Tag.String()
 		if ev.Ctrl {
 			tagStr = "req" + tagStr
 		}

@@ -9,10 +9,10 @@
 //
 // # Logical messages vs wire hops
 //
-// The cluster keeps two views of every broadcast. The logical view
-// (Stats.Messages, Stats.Bytes) counts one message from the publishing owner
-// to each consumer node, exactly the paper's model, regardless of how the
-// payload physically travels. The wire view (Stats.Hops, Stats.Forwards)
+// The cluster keeps two views of every broadcast in one ledger (see Counter).
+// The logical view (Messages, Bytes) counts one message from the publishing
+// owner to each consumer node, exactly the paper's model, regardless of how
+// the payload physically travels. The wire view (Hops, WireBytes, Forwards)
 // counts the physical transmissions on each link. Under BroadcastFlat the two
 // coincide. Under BroadcastTree the owner transmits only to its
 // ⌈log₂(k+1)⌉ binomial-tree children and recipients relay the shared payload
@@ -20,7 +20,7 @@
 // Equation (1)/(2) check — are untouched while the owner's NIC serialization
 // shrinks from k sends to ⌈log₂(k+1)⌉. Conservation: each wire hop serves
 // exactly one logical delivery (or one redelivery), so in a fault-free run
-// TotalHops = TotalMessages, decomposed as root sends + forwards +
+// Total(Hops) = Total(Messages), decomposed as root sends + forwards +
 // redeliveries; a fault-injecting network can only lose hops (a dropped
 // interior forward strands its subtree until re-request healing resends
 // directly), never mint them.
@@ -56,6 +56,10 @@ type Tag struct {
 	V    int32
 	Job  int32
 }
+
+// String renders the job-local tile version as "(i,j)vV", the label fault
+// traces and error messages share.
+func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 
 // Message is one tile in flight. SentAt is the wall-clock instant the sender
 // published it, so receivers can attribute transfer intervals in real-run
@@ -213,7 +217,7 @@ func (m *mailbox) close() {
 }
 
 // Network is the fault-injection seam. When a cluster is created with
-// NewWithNetwork, every point-to-point delivery — payload sends, control
+// Options.Net set, every point-to-point delivery — payload sends, control
 // requests and redeliveries alike — is routed through Deliver on its way to
 // the destination mailbox. The implementation decides the message's fate by
 // calling deliver zero or more times, immediately or later, from any
@@ -237,8 +241,8 @@ const (
 	// BroadcastTree routes the payload down a binomial tree: the owner sends
 	// to ⌈log₂(k+1)⌉ children and every recipient relays the shared payload
 	// to its own subtree (Comm.Forward), pipelining the broadcast across the
-	// recipients' NICs. Logical counters (Stats.Messages/Bytes) are
-	// unchanged; only the wire hops (Stats.Hops/Forwards) re-route.
+	// recipients' NICs. The logical counters (Messages, Bytes) are
+	// unchanged; only the wire hops (Hops, Forwards) re-route.
 	BroadcastTree
 )
 
@@ -257,36 +261,70 @@ type Options struct {
 	Broadcast BroadcastMode
 }
 
+// Counter names one column of the traffic ledger. Each plane keeps a P×P
+// (sender, destination) matrix per counter; what a transmission adds to which
+// of them is defined once, in ledgerOf.
+type Counter uint8
+
+const (
+	Messages     Counter = iota // logical owner→consumer tile messages: what Equations (1)/(2) predict
+	Bytes                       // payload bytes of Messages
+	Hops                        // physical transmissions on the link
+	WireBytes                   // payload bytes of Hops (every hop carries one tile)
+	Forwards                    // the Hops sent by tree relays
+	Requests                    // payload-free re-request control messages
+	Redeliveries                // the Messages re-sent to answer a Request; Messages − Redeliveries is the fault-free volume
+	Reduces                     // the Messages that carried reduction partials
+	ReduceBytes                 // the Bytes that carried reduction partials
+	numCounters
+)
+
+// byteValued marks the counters that grow by the payload's size rather than
+// by one.
+var byteValued = [numCounters]bool{Bytes: true, WireBytes: true, ReduceBytes: true}
+
+// kind classifies a transmission for the ledger.
+type kind uint8
+
+const (
+	kindData    kind = iota // SendAll: a published tile version
+	kindReduce              // SendReduce: a reduction partial
+	kindResend              // Resend: a redelivery answering a Request
+	kindForward             // Forward: a tree relay of someone else's broadcast
+	kindRequest             // Request: a payload-free control message
+	kindNote                // Notify: out-of-band membership notice
+)
+
+// ledgerOf is the single definition of what each kind of transmission adds
+// to the ledger: perDst counters grow at (sender, d) for every logical
+// destination d, perHop counters at (sender, h) for every node h the sender
+// physically transmits to. The two lists differ only under tree broadcast,
+// where the owner's hops reach just its binomial children while the logical
+// deliveries still name every consumer — and a relay's hops serve deliveries
+// the owner was already charged for. Notices touch nothing.
+var ledgerOf = [...]struct{ perDst, perHop []Counter }{
+	kindData:    {perDst: []Counter{Messages, Bytes}, perHop: []Counter{Hops, WireBytes}},
+	kindReduce:  {perDst: []Counter{Messages, Bytes, Reduces, ReduceBytes}, perHop: []Counter{Hops, WireBytes}},
+	kindResend:  {perDst: []Counter{Messages, Bytes, Redeliveries}, perHop: []Counter{Hops, WireBytes}},
+	kindForward: {perHop: []Counter{Hops, WireBytes, Forwards}},
+	kindRequest: {perDst: []Counter{Requests}},
+	kindNote:    {},
+}
+
 // plane is one job's private slice of the cluster: its own mailboxes and its
-// own traffic counters. Every concurrent factorization job runs on its own
+// own traffic ledger. Every concurrent factorization job runs on its own
 // plane over the shared node set, so jobs can never read each other's tiles,
 // aborting one job poisons only its plane, and every per-job Report keeps the
 // exact Equation (1)/(2) accounting a dedicated cluster would have produced.
 type plane struct {
-	inboxes      []*mailbox
-	messages     []atomic.Int64 // p*p logical counters, src*p+dst (owner→consumer)
-	bytes        []atomic.Int64
-	hops         []atomic.Int64 // p*p wire transmissions per physical link
-	wireBytes    []atomic.Int64 // bytes physically carried per link (one entry per hop)
-	forwards     []atomic.Int64 // wire hops sent by tree relays (subset of hops)
-	requests     []atomic.Int64 // control re-requests, src*p+dst
-	redeliveries []atomic.Int64 // payload re-sends answered by owners
-	reduces      []atomic.Int64 // reduction-partial sends (subset of messages)
-	reduceBytes  []atomic.Int64 // bytes of reduction partials (subset of bytes)
+	inboxes []*mailbox
+	ledger  []atomic.Int64 // numCounters P×P matrices, (counter*p+src)*p+dst
 }
 
 func newPlane(p int) *plane {
 	pl := &plane{
-		inboxes:      make([]*mailbox, p),
-		messages:     make([]atomic.Int64, p*p),
-		bytes:        make([]atomic.Int64, p*p),
-		hops:         make([]atomic.Int64, p*p),
-		wireBytes:    make([]atomic.Int64, p*p),
-		forwards:     make([]atomic.Int64, p*p),
-		requests:     make([]atomic.Int64, p*p),
-		redeliveries: make([]atomic.Int64, p*p),
-		reduces:      make([]atomic.Int64, p*p),
-		reduceBytes:  make([]atomic.Int64, p*p),
+		inboxes: make([]*mailbox, p),
+		ledger:  make([]atomic.Int64, int(numCounters)*p*p),
 	}
 	for i := range pl.inboxes {
 		pl.inboxes[i] = newMailbox()
@@ -315,15 +353,10 @@ type Cluster struct {
 	pool      tile.Pool // recycles send clones released by receivers
 }
 
-// New creates a cluster of p nodes with a faithful (fault-free) network.
+// New creates a cluster of p nodes with a faithful (fault-free) network and
+// flat broadcast.
 func New(p int) *Cluster {
-	return NewWithNetwork(p, nil)
-}
-
-// NewWithNetwork creates a cluster of p nodes whose deliveries are routed
-// through net; a nil net is the faithful network of New.
-func NewWithNetwork(p int, net Network) *Cluster {
-	return NewWithOptions(p, Options{Net: net})
+	return NewWithOptions(p, Options{})
 }
 
 // NewWithOptions creates a cluster of p nodes with the given network seam and
@@ -332,12 +365,7 @@ func NewWithOptions(p int, opt Options) *Cluster {
 	if p <= 0 {
 		panic(fmt.Sprintf("cluster: invalid node count %d", p))
 	}
-	c := &Cluster{
-		p:         p,
-		net:       opt.Net,
-		broadcast: opt.Broadcast,
-	}
-	return c
+	return &Cluster{p: p, net: opt.Net, broadcast: opt.Broadcast}
 }
 
 // Broadcast returns the cluster's broadcast transport mode.
@@ -366,16 +394,6 @@ func (c *Cluster) planeIfExists(job int32) *plane {
 		return pl.(*plane)
 	}
 	return nil
-}
-
-// dispatch hands one message to the network seam (or straight to the
-// destination mailbox on a faithful cluster).
-func (c *Cluster) dispatch(msg Message) {
-	if c.net != nil {
-		c.net.Deliver(msg, c.deliver)
-		return
-	}
-	c.deliver(msg)
 }
 
 // deliver enqueues msg at its destination — the mailbox of rank msg.To on
@@ -463,38 +481,38 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the cluster's node count.
 func (c *Comm) Size() int { return c.cluster.p }
 
-// Send delivers a tile to node dst asynchronously. The payload is cloned so
-// the sender may keep using its buffer. Self-sends are rejected: the runtime
-// must short-circuit local data.
-func (c *Comm) Send(dst int, tag Tag, payload *tile.Tile) {
-	c.sendAll([]int{dst}, tag, payload)
-}
-
 // SendAll publishes one tile version to every listed destination, cloning
 // the payload once for the whole broadcast instead of once per destination:
 // kernel inputs are read-only, so all recipients share the same immutable
 // buffer, which returns to the cluster's pool after the last Release. The
-// logical traffic counters count one point-to-point message per destination
-// regardless of the broadcast mode — the communication-volume semantics the
-// integration tests check are unchanged — while the wire hops follow the
-// cluster's BroadcastMode: flat fan-out from the owner, or a binomial tree
-// whose recipients relay the shared payload onward via Comm.Forward.
-// Destinations must be distinct; self-sends and duplicates are rejected
-// before any buffer is cloned, so a malformed destination list cannot leak a
-// pooled clone or half-dispatch the broadcast.
+// wire hops follow the cluster's BroadcastMode — flat fan-out from the owner,
+// or a binomial tree whose recipients relay the shared payload onward via
+// Comm.Forward — while the logical counters name every destination either
+// way, so the communication-volume semantics the integration tests check do
+// not depend on the mode. Destinations must be distinct and exclude the
+// sender: the runtime must short-circuit local data.
 func (c *Comm) SendAll(dsts []int, tag Tag, payload *tile.Tile) {
+	c.transmit(kindData, dsts, Message{Tag: tag}, payload)
+}
+
+// transmit is the cluster's one send path: every tile, relay hop, control
+// request and membership notice leaves a node through it. It checks the whole
+// destination list before a buffer is cloned or a hop dispatched — a panic
+// must leave no pooled clone with a refcount the receivers can never drain,
+// and no partially delivered broadcast — then stamps the sender's rank and
+// job epoch (receivers strip it in Recv), charges the ledger exactly what
+// ledgerOf lists for the kind, and hands every hop to the network seam;
+// notices alone go straight to the mailboxes.
+//
+// msg carries the tag and the kind's control fields. A non-nil payload is
+// cloned once and shared by every hop; a relay passes nil and msg already
+// holds the in-flight broadcast's shared payload, of which each hop takes one
+// more share (what Dup does) while the caller keeps its own.
+func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile) {
+	cl := c.cluster
 	if len(dsts) == 0 {
 		return
 	}
-	c.sendAll(dsts, tag, payload)
-}
-
-func (c *Comm) sendAll(dsts []int, tag Tag, payload *tile.Tile) {
-	cl := c.cluster
-	tag.Job = c.job // namespace the wire tag; receivers strip it in Recv
-	// Validate the full destination list before cloning or dispatching
-	// anything: a panic here must leave no pooled clone with a refcount the
-	// receivers can never drain, and no partially delivered broadcast.
 	for i, dst := range dsts {
 		if dst == c.rank {
 			panic("cluster: self-send; local data must not go through the network")
@@ -508,108 +526,73 @@ func (c *Comm) sendAll(dsts []int, tag Tag, payload *tile.Tile) {
 			}
 		}
 	}
-	cp := cl.pool.Clone(payload)
-	sh := &sharedPayload{pool: &cl.pool, t: cp}
-	now := time.Now()
-	// Count what is actually on the wire: cp is the transport's private
-	// clone, so the counters cannot diverge from the shipped bytes even if
-	// the caller mutates or resizes the original payload concurrently.
-	bytes := int64(cp.Bytes())
-	for _, dst := range dsts {
-		idx := c.rank*cl.p + dst
-		c.pl.messages[idx].Add(1)
-		c.pl.bytes[idx].Add(bytes)
-	}
-	if cl.broadcast == BroadcastTree && len(dsts) > 1 {
+	hops, subtrees := dsts, [][]int(nil)
+	switch {
+	case k == kindForward:
+		hops, subtrees = TreeFanout(dsts)
+	case k == kindData && cl.broadcast == BroadcastTree && len(dsts) > 1:
 		// The Forward subtrees ride inside in-flight messages long after this
 		// call returns, so they must not alias the caller's dsts slice —
 		// publishers reuse it as scratch. One private copy serves the whole
 		// tree: TreeFanout (here and in every downstream Forward) only ever
 		// hands out disjoint subranges of it.
-		children, subtrees := TreeFanout(append([]int(nil), dsts...))
-		sh.refs.Store(int32(len(children)))
-		for i, child := range children {
-			idx := c.rank*cl.p + child
-			c.pl.hops[idx].Add(1)
-			c.pl.wireBytes[idx].Add(bytes)
-			cl.dispatch(Message{From: c.rank, To: child, Tag: tag, Payload: cp,
-				SentAt: now, Forward: subtrees[i], shared: sh})
-		}
-		return
+		hops, subtrees = TreeFanout(append([]int(nil), dsts...))
 	}
-	sh.refs.Store(int32(len(dsts)))
+	if payload != nil {
+		msg.Payload = cl.pool.Clone(payload)
+		msg.shared = &sharedPayload{pool: &cl.pool, t: msg.Payload}
+	}
+	if msg.shared != nil {
+		msg.shared.refs.Add(int32(len(hops)))
+	}
+	// Count what is actually on the wire: a fresh payload is the transport's
+	// private clone, so the ledger cannot diverge from the shipped bytes even
+	// if the caller mutates or resizes its original concurrently.
+	var size int64
+	if msg.Payload != nil {
+		size = int64(msg.Payload.Bytes())
+	}
+	msg.From, msg.Tag.Job, msg.SentAt = c.rank, c.job, time.Now()
 	for _, dst := range dsts {
-		idx := c.rank*cl.p + dst
-		c.pl.hops[idx].Add(1)
-		c.pl.wireBytes[idx].Add(bytes)
-		cl.dispatch(Message{From: c.rank, To: dst, Tag: tag, Payload: cp, SentAt: now, shared: sh})
+		c.charge(ledgerOf[k].perDst, dst, size)
+	}
+	for i, hop := range hops {
+		c.charge(ledgerOf[k].perHop, hop, size)
+		msg.To = hop
+		if subtrees != nil {
+			msg.Forward = subtrees[i]
+		}
+		if cl.net != nil && k != kindNote {
+			cl.net.Deliver(msg, cl.deliver)
+		} else {
+			cl.deliver(msg)
+		}
+	}
+}
+
+// charge is the only place a traffic counter is incremented: each listed
+// counter's (this node, dst) entry grows by one, or by size when it is
+// byte-valued.
+func (c *Comm) charge(counters []Counter, dst int, size int64) {
+	p := c.cluster.p
+	for _, ctr := range counters {
+		n := int64(1)
+		if byteValued[ctr] {
+			n = size
+		}
+		c.pl.ledger[(int(ctr)*p+c.rank)*p+dst].Add(n)
 	}
 }
 
 // SendReduce ships one reduction partial — a layer's accumulator tile — to
 // the single node that combines it. Partials always flow up exactly one edge
-// of the binomial combine schedule (ReduceTree), so unlike SendAll there is
-// no fan-out and no relay: one clone, one hop, in either broadcast mode. The
-// send is a logical tile message like any other (Stats.Messages/Bytes) and
-// additionally counted in Stats.Reduces/ReduceBytes, so measurements can
-// split a replicated run's volume into panel-broadcast and reduction
-// traffic. It passes through the fault seam like every delivery; a lost
-// partial heals through the ordinary re-request path (Request/Resend from
-// the publisher's version cache).
+// of the binomial combine schedule (ReduceChildren), so unlike SendAll there is
+// no fan-out and no relay in either broadcast mode; their own counters let
+// measurements split a replicated run's volume into panel-broadcast and
+// reduction traffic. A lost partial heals through the ordinary re-request
+// path (Request/Resend from the publisher's version cache).
 func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile) {
-	if dst == c.rank {
-		panic("cluster: self-send; local data must not go through the network")
-	}
-	cl := c.cluster
-	if dst < 0 || dst >= cl.p {
-		panic(fmt.Sprintf("cluster: destination %d outside the %d-node cluster", dst, cl.p))
-	}
-	tag.Job = c.job
-	cp := cl.pool.Clone(payload)
-	sh := &sharedPayload{pool: &cl.pool, t: cp}
-	sh.refs.Store(1)
-	bytes := int64(cp.Bytes())
-	idx := c.rank*cl.p + dst
-	c.pl.messages[idx].Add(1)
-	c.pl.bytes[idx].Add(bytes)
-	c.pl.hops[idx].Add(1)
-	c.pl.wireBytes[idx].Add(bytes)
-	c.pl.reduces[idx].Add(1)
-	c.pl.reduceBytes[idx].Add(bytes)
-	cl.dispatch(Message{From: c.rank, To: dst, Tag: tag, Payload: cp, SentAt: time.Now(), shared: sh})
-}
-
-// ReduceTree returns the binomial combine schedule for a reduction over n
-// group members, member 0 being the root that accumulates the final value:
-// parent[s] is the member that adds member s's contribution into its own,
-// with parent[0] = -1. The tree is the mirror image of TreeFanout's
-// broadcast: member s sends to s − 2^⌊log₂ lowbit(s)⌋ (its binomial parent),
-// after absorbing its own children s + 2^j for every 2^j < lowbit(s). Both
-// the task graph (internal/dag), the real runtime, and the simulator derive
-// the combine order from this one schedule, which is what keeps their byte
-// accounting identical.
-func ReduceTree(n int) (parent []int) {
-	parent = make([]int, n)
-	parent[0] = -1
-	for s := 1; s < n; s++ {
-		parent[s] = s - s&(-s)
-	}
-	return parent
-}
-
-// ReduceChildren returns the members whose contributions member s absorbs,
-// in combine order (ascending), under the ReduceTree schedule for n members:
-// s + 2^j for every 2^j < lowbit(s) (with lowbit(0) unbounded) that stays
-// below n.
-func ReduceChildren(n, s int) []int {
-	var kids []int
-	for step := 1; s+step < n; step <<= 1 {
-		if s != 0 && step >= s&(-s) {
-			break
-		}
-		kids = append(kids, s+step)
-	}
-	return kids
+	c.transmit(kindReduce, []int{dst}, Message{Tag: tag}, payload)
 }
 
 // Forward relays a tree-broadcast message onward: the caller received msg
@@ -617,68 +600,19 @@ func ReduceChildren(n, s int) []int {
 // first delivery of the tag (re-forwarding a duplicate would double-count
 // the subtree's hops and deliveries). The subtree is split binomially again
 // — this node plays root for its Forward list — so the whole broadcast
-// completes in ⌈log₂(k+1)⌉ serial hops on every participant's NIC. Each
-// relayed hop shares the broadcast's refcounted payload, passes through the
-// fault seam like any delivery, and is counted as a wire hop and a forward,
-// never as a logical message: the paper's Equation (1)/(2) accounting
-// already charged the owner→consumer volume at SendAll time. Returns the
-// number of hops sent. The caller still owns its payload share and releases
-// it through the usual Message.Release path.
-func (c *Comm) Forward(msg Message) int {
-	if len(msg.Forward) == 0 {
-		return 0
-	}
-	cl := c.cluster
-	children, subtrees := TreeFanout(msg.Forward)
-	now := time.Now()
-	for i, child := range children {
-		idx := c.rank*cl.p + child
-		c.pl.hops[idx].Add(1)
-		c.pl.wireBytes[idx].Add(int64(msg.Payload.Bytes()))
-		c.pl.forwards[idx].Add(1)
-		hop := msg.Dup()
-		hop.From, hop.To, hop.SentAt, hop.Forward = c.rank, child, now, subtrees[i]
-		hop.Tag.Job = c.job // Recv stripped the namespace; restore it for the wire
-		cl.dispatch(hop)
-	}
-	return len(children)
-}
-
-// TreeFanout splits an ordered broadcast destination list into the binomial
-// tree rooted at the sender: children are the sender's direct recipients —
-// ⌈log₂(len(dsts)+1)⌉ of them — and subtrees[i] is the slice of dsts that
-// children[i] must relay onward (possibly empty). Every destination appears
-// exactly once across children and subtrees, and applying TreeFanout
-// recursively to each subtree reproduces the classic binomial broadcast:
-// with virtual ranks 0..k (sender = 0), rank 2^j receives from the sender
-// and covers ranks [2^j, min(2^{j+1}, k+1)). The subtree slices alias dsts.
-func TreeFanout(dsts []int) (children []int, subtrees [][]int) {
-	n := len(dsts) + 1 // participants: the sender plus every destination
-	for step := 1; step < n; step <<= 1 {
-		end := 2 * step
-		if end > n {
-			end = n
-		}
-		children = append(children, dsts[step-1])
-		subtrees = append(subtrees, dsts[step:end-1])
-	}
-	return children, subtrees
+// completes in ⌈log₂(k+1)⌉ serial hops on every participant's NIC. The
+// caller still owns its payload share and releases it through the usual
+// Message.Release path.
+func (c *Comm) Forward(msg Message) {
+	c.transmit(kindForward, msg.Forward, msg, nil)
 }
 
 // Request sends the control message of the arrival-timeout protocol: it asks
-// owner to re-send the published tile version tag to this node. Requests are
-// counted separately from tile messages (Stats.Requests), so the
-// communication-volume counters the paper's equations predict are untouched.
-// Like every delivery it passes through the fault seam, so a lost request is
-// healed by the requester's exponential backoff, not by the transport.
+// owner to re-send the published tile version tag to this node. Like every
+// delivery it passes through the fault seam, so a lost request is healed by
+// the requester's exponential backoff, not by the transport.
 func (c *Comm) Request(owner int, tag Tag) {
-	if owner == c.rank {
-		panic("cluster: self-request; local tiles are never re-requested")
-	}
-	cl := c.cluster
-	tag.Job = c.job
-	c.pl.requests[c.rank*cl.p+owner].Add(1)
-	cl.dispatch(Message{From: c.rank, To: owner, Tag: tag, Req: true, SentAt: time.Now()})
+	c.transmit(kindRequest, []int{owner}, Message{Tag: tag, Req: true}, nil)
 }
 
 // Notify broadcasts a membership notice about subject to every other node.
@@ -687,45 +621,25 @@ func (c *Comm) Request(owner int, tag Tag) {
 // fault-injection seam and go straight to the destination mailboxes, so a
 // chaotic network can delay or lose tiles but never the fact of a death —
 // the arrival-timeout escalation path covers detectors that do lose it.
-// Notices carry no payload and are excluded from every traffic counter the
-// paper's equations predict.
-func (c *Comm) Notify(kind NoteKind, subject int) {
-	if kind == NoteNone {
+func (c *Comm) Notify(note NoteKind, subject int) {
+	if note == NoteNone {
 		panic("cluster: Notify with NoteNone")
 	}
-	cl := c.cluster
-	now := time.Now()
-	for dst := 0; dst < cl.p; dst++ {
-		if dst == c.rank {
-			continue
+	peers := make([]int, 0, c.cluster.p-1)
+	for dst := 0; dst < c.cluster.p; dst++ {
+		if dst != c.rank {
+			peers = append(peers, dst)
 		}
-		cl.deliver(Message{From: c.rank, To: dst, Tag: Tag{Job: c.job},
-			Note: kind, NoteRank: subject, SentAt: now})
 	}
+	c.transmit(kindNote, peers, Message{Note: note, NoteRank: subject}, nil)
 }
 
 // Resend re-sends one published tile version to a single destination in
-// answer to a Request. It counts as a tile message (the wire really carries
-// the tile again), a wire hop, and additionally as a redelivery, so
-// measurements can recover the fault-free volume as Messages − Redeliveries.
-// Redeliveries are always direct, even under tree broadcast: the healing
-// path must not depend on relays that may themselves be faulty.
+// answer to a Request. Redeliveries are always direct, even under tree
+// broadcast: the healing path must not depend on relays that may themselves
+// be faulty.
 func (c *Comm) Resend(dst int, tag Tag, payload *tile.Tile) {
-	if dst == c.rank {
-		panic("cluster: self-send; local data must not go through the network")
-	}
-	cl := c.cluster
-	tag.Job = c.job
-	cp := cl.pool.Clone(payload)
-	sh := &sharedPayload{pool: &cl.pool, t: cp}
-	sh.refs.Store(1)
-	idx := c.rank*cl.p + dst
-	c.pl.messages[idx].Add(1)
-	c.pl.hops[idx].Add(1)
-	c.pl.wireBytes[idx].Add(int64(cp.Bytes()))
-	c.pl.redeliveries[idx].Add(1)
-	c.pl.bytes[idx].Add(int64(cp.Bytes()))
-	cl.dispatch(Message{From: c.rank, To: dst, Tag: tag, Payload: cp, SentAt: time.Now(), shared: sh})
+	c.transmit(kindResend, []int{dst}, Message{Tag: tag}, payload)
 }
 
 // Abort poisons this endpoint's job: every mailbox of the job's plane
@@ -748,231 +662,94 @@ func (c *Comm) Recv() (Message, bool) {
 	return msg, ok
 }
 
-// Stats is a snapshot of the traffic counters. Messages counts every tile
-// payload sent in the logical (owner→consumer) view, including redeliveries
-// of the arrival-timeout protocol; Redeliveries counts just those re-sends,
-// so Messages − Redeliveries is the primary (fault-free-equivalent) volume
-// Equations (1)/(2) predict — in both broadcast modes. Hops counts the
-// physical transmissions per link and Forwards the subset sent by tree
-// relays: under BroadcastFlat, Hops equals Messages and Forwards is zero;
-// under BroadcastTree each wire hop still serves exactly one logical
-// delivery, so TotalHops = TotalMessages on a faithful network, with the
-// owner's share of the hops shrunk to ⌈log₂(k+1)⌉ per broadcast. Requests
-// counts the payload-free control messages; MailboxPeak is each node's
-// inbound queue high-water mark — the backpressure an unbounded mailbox
-// would otherwise hide.
+// Stats is a snapshot of one plane's traffic ledger (see Counter for the
+// columns and the package comment for how they relate) plus MailboxPeak, each
+// node's inbound queue high-water mark — the backpressure an unbounded
+// mailbox would otherwise hide.
 type Stats struct {
-	P            int
-	Messages     [][]int64 // [src][dst], logical owner→consumer
-	Bytes        [][]int64
-	Hops         [][]int64 // [src][dst], physical wire transmissions
-	WireBytes    [][]int64 // [src][dst], bytes physically carried (one tile per hop)
-	Forwards     [][]int64 // [src][dst], tree relay hops (subset of Hops)
-	Requests     [][]int64
-	Redeliveries [][]int64
-	Reduces      [][]int64 // [src][dst], reduction-partial sends (subset of Messages)
-	ReduceBytes  [][]int64 // [src][dst], reduction-partial bytes (subset of Bytes)
-	MailboxPeak  []int
+	P           int
+	MailboxPeak []int
+	table       []int64 // the plane's ledger at snapshot time, same layout
 }
 
-// Stats snapshots the per-pair traffic counters of the default plane
-// (job 0) — the whole cluster's traffic for every single-job caller.
+// Stats snapshots the traffic ledger of the default plane (job 0) — the
+// whole cluster's traffic for every single-job caller.
 func (c *Cluster) Stats() Stats {
 	return c.JobStats(0)
 }
 
-// JobStats snapshots the per-pair traffic counters of one job's plane: the
-// exact accounting a dedicated cluster would have produced for that job,
-// unpolluted by its co-tenants. A job that was never opened returns zeroed
-// counters.
+// JobStats snapshots the traffic ledger of one job's plane: the exact
+// accounting a dedicated cluster would have produced for that job, unpolluted
+// by its co-tenants. A job that was never opened returns zeroed counters.
 func (c *Cluster) JobStats(job int32) Stats {
-	pl := c.planeIfExists(job)
 	s := Stats{
-		P:            c.p,
-		Messages:     make([][]int64, c.p),
-		Bytes:        make([][]int64, c.p),
-		Hops:         make([][]int64, c.p),
-		WireBytes:    make([][]int64, c.p),
-		Forwards:     make([][]int64, c.p),
-		Requests:     make([][]int64, c.p),
-		Redeliveries: make([][]int64, c.p),
-		Reduces:      make([][]int64, c.p),
-		ReduceBytes:  make([][]int64, c.p),
-		MailboxPeak:  make([]int, c.p),
+		P:           c.p,
+		MailboxPeak: make([]int, c.p),
+		table:       make([]int64, int(numCounters)*c.p*c.p),
 	}
-	for i := 0; i < c.p; i++ {
-		s.Messages[i] = make([]int64, c.p)
-		s.Bytes[i] = make([]int64, c.p)
-		s.Hops[i] = make([]int64, c.p)
-		s.WireBytes[i] = make([]int64, c.p)
-		s.Forwards[i] = make([]int64, c.p)
-		s.Requests[i] = make([]int64, c.p)
-		s.Redeliveries[i] = make([]int64, c.p)
-		s.Reduces[i] = make([]int64, c.p)
-		s.ReduceBytes[i] = make([]int64, c.p)
-		if pl == nil {
-			continue
+	if pl := c.planeIfExists(job); pl != nil {
+		for i, m := range pl.inboxes {
+			s.MailboxPeak[i] = m.highWater()
 		}
-		s.MailboxPeak[i] = pl.inboxes[i].highWater()
-		for j := 0; j < c.p; j++ {
-			s.Messages[i][j] = pl.messages[i*c.p+j].Load()
-			s.Bytes[i][j] = pl.bytes[i*c.p+j].Load()
-			s.Hops[i][j] = pl.hops[i*c.p+j].Load()
-			s.WireBytes[i][j] = pl.wireBytes[i*c.p+j].Load()
-			s.Forwards[i][j] = pl.forwards[i*c.p+j].Load()
-			s.Requests[i][j] = pl.requests[i*c.p+j].Load()
-			s.Redeliveries[i][j] = pl.redeliveries[i*c.p+j].Load()
-			s.Reduces[i][j] = pl.reduces[i*c.p+j].Load()
-			s.ReduceBytes[i][j] = pl.reduceBytes[i*c.p+j].Load()
+		for i := range pl.ledger {
+			s.table[i] = pl.ledger[i].Load()
 		}
 	}
 	return s
 }
 
-// TotalMessages returns the total number of tile messages sent.
-func (s Stats) TotalMessages() int64 {
+// matrix returns counter c's P×P block of the table, row-major [src][dst].
+func (s Stats) matrix(c Counter) []int64 {
+	n := s.P * s.P
+	return s.table[int(c)*n : int(c)*n+n]
+}
+
+// At returns counter c on the (src, dst) link.
+func (s Stats) At(c Counter, src, dst int) int64 {
+	return s.matrix(c)[src*s.P+dst]
+}
+
+// Total returns counter c summed over every link.
+func (s Stats) Total(c Counter) int64 {
 	var t int64
-	for _, row := range s.Messages {
-		for _, v := range row {
-			t += v
-		}
+	for _, v := range s.matrix(c) {
+		t += v
 	}
 	return t
 }
 
-// TotalBytes returns the total bytes sent.
-func (s Stats) TotalBytes() int64 {
-	var t int64
-	for _, row := range s.Bytes {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// TotalRequests returns the total number of control re-requests sent.
-func (s Stats) TotalRequests() int64 {
-	var t int64
-	for _, row := range s.Requests {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// TotalRedeliveries returns the total number of payload re-sends.
-func (s Stats) TotalRedeliveries() int64 {
-	var t int64
-	for _, row := range s.Redeliveries {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// TotalHops returns the total number of physical wire transmissions.
-func (s Stats) TotalHops() int64 {
-	var t int64
-	for _, row := range s.Hops {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// TotalForwards returns the total number of tree relay hops.
-func (s Stats) TotalForwards() int64 {
-	var t int64
-	for _, row := range s.Forwards {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// TotalWireBytes returns the bytes physically carried across all links —
-// equal to TotalBytes on a faithful flat-broadcast network, and diverging
-// from it only through tree relays (which re-carry the payload) and
-// redeliveries.
-func (s Stats) TotalWireBytes() int64 {
-	var t int64
-	for _, row := range s.WireBytes {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// TotalReduces returns the total number of reduction-partial sends.
-func (s Stats) TotalReduces() int64 {
-	var t int64
-	for _, row := range s.Reduces {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// TotalReduceBytes returns the total bytes of reduction partials.
-func (s Stats) TotalReduceBytes() int64 {
-	var t int64
-	for _, row := range s.ReduceBytes {
-		for _, v := range row {
-			t += v
-		}
-	}
-	return t
-}
-
-// WireSentByNode returns the bytes each node's outgoing NIC carried.
-func (s Stats) WireSentByNode() []int64 {
+// BySrc returns counter c summed per sending node: what each node's outgoing
+// NIC carried (Hops, WireBytes — the quantity tree broadcast shrinks at the
+// roots), published (Messages), relayed (Forwards), asked for (Requests) or
+// re-served (Redeliveries).
+func (s Stats) BySrc(c Counter) []int64 {
 	out := make([]int64, s.P)
-	for i, row := range s.WireBytes {
-		for _, v := range row {
-			out[i] += v
-		}
+	for i, v := range s.matrix(c) {
+		out[i/s.P] += v
 	}
 	return out
 }
 
-// WireRecvByNode returns the bytes each node's incoming NIC carried — the
+// ByDst returns counter c summed per receiving node — for WireBytes, the
 // per-node communication volume the replicated distributions shrink.
-func (s Stats) WireRecvByNode() []int64 {
+func (s Stats) ByDst(c Counter) []int64 {
 	out := make([]int64, s.P)
-	for _, row := range s.WireBytes {
-		for j, v := range row {
-			out[j] += v
-		}
+	for i, v := range s.matrix(c) {
+		out[i%s.P] += v
 	}
 	return out
 }
 
-// SentByNode returns the number of logical messages sent by each node.
-func (s Stats) SentByNode() []int64 {
-	out := make([]int64, s.P)
-	for i, row := range s.Messages {
-		for _, v := range row {
-			out[i] += v
-		}
-	}
-	return out
-}
-
-// HopsByNode returns the number of wire transmissions each node's outgoing
-// NIC serialized — the quantity tree broadcast shrinks at the roots.
-func (s Stats) HopsByNode() []int64 {
-	out := make([]int64, s.P)
-	for i, row := range s.Hops {
-		for _, v := range row {
-			out[i] += v
-		}
-	}
-	return out
-}
+// Shorthands kept for the callers that predate Total/BySrc/ByDst: commands,
+// examples, the service and the benchmark — and, for the two Wire…ByNode
+// views, TestSimAndRealByteAccountingAgree, which pins sim = real byte
+// accounting and is deliberately left byte-for-byte unedited.
+func (s Stats) TotalMessages() int64    { return s.Total(Messages) }
+func (s Stats) TotalBytes() int64       { return s.Total(Bytes) }
+func (s Stats) TotalWireBytes() int64   { return s.Total(WireBytes) }
+func (s Stats) TotalHops() int64        { return s.Total(Hops) }
+func (s Stats) TotalForwards() int64    { return s.Total(Forwards) }
+func (s Stats) TotalReduces() int64     { return s.Total(Reduces) }
+func (s Stats) TotalReduceBytes() int64 { return s.Total(ReduceBytes) }
+func (s Stats) WireSentByNode() []int64 { return s.BySrc(WireBytes) }
+func (s Stats) WireRecvByNode() []int64 { return s.ByDst(WireBytes) }

@@ -17,7 +17,7 @@ func TestSendRecv(t *testing.T) {
 	c := New(2)
 	defer c.Close()
 	c0, c1 := c.Comm(0), c.Comm(1)
-	c0.Send(1, Tag{I: 3, J: 4}, payload(7))
+	c0.SendAll([]int{1}, Tag{I: 3, J: 4}, payload(7))
 	msg, ok := c1.Recv()
 	if !ok {
 		t.Fatal("Recv failed")
@@ -34,7 +34,7 @@ func TestSendClonesPayload(t *testing.T) {
 	c := New(2)
 	defer c.Close()
 	p := payload(1)
-	c.Comm(0).Send(1, Tag{}, p)
+	c.Comm(0).SendAll([]int{1}, Tag{}, p)
 	p.Fill(99) // mutate after send
 	msg, _ := c.Comm(1).Recv()
 	if msg.Payload.At(0, 0) != 1 {
@@ -46,7 +46,7 @@ func TestFIFOOrder(t *testing.T) {
 	c := New(2)
 	defer c.Close()
 	for i := 0; i < 10; i++ {
-		c.Comm(0).Send(1, Tag{I: int32(i)}, payload(float64(i)))
+		c.Comm(0).SendAll([]int{1}, Tag{I: int32(i)}, payload(float64(i)))
 	}
 	for i := 0; i < 10; i++ {
 		msg, ok := c.Comm(1).Recv()
@@ -59,12 +59,12 @@ func TestFIFOOrder(t *testing.T) {
 func TestCounters(t *testing.T) {
 	c := New(3)
 	defer c.Close()
-	c.Comm(0).Send(1, Tag{}, payload(0))
-	c.Comm(0).Send(1, Tag{}, payload(0))
-	c.Comm(2).Send(0, Tag{}, payload(0))
+	c.Comm(0).SendAll([]int{1}, Tag{}, payload(0))
+	c.Comm(0).SendAll([]int{1}, Tag{}, payload(0))
+	c.Comm(2).SendAll([]int{0}, Tag{}, payload(0))
 	s := c.Stats()
-	if s.Messages[0][1] != 2 || s.Messages[2][0] != 1 || s.Messages[1][0] != 0 {
-		t.Fatalf("message counters wrong: %+v", s.Messages)
+	if s.At(Messages, 0, 1) != 2 || s.At(Messages, 2, 0) != 1 || s.At(Messages, 1, 0) != 0 {
+		t.Fatalf("message counters wrong: %+v", s.matrix(Messages))
 	}
 	if s.TotalMessages() != 3 {
 		t.Fatalf("TotalMessages = %d, want 3", s.TotalMessages())
@@ -72,9 +72,9 @@ func TestCounters(t *testing.T) {
 	if s.TotalBytes() != 3*32 {
 		t.Fatalf("TotalBytes = %d, want 96", s.TotalBytes())
 	}
-	sent := s.SentByNode()
+	sent := s.BySrc(Messages)
 	if sent[0] != 2 || sent[1] != 0 || sent[2] != 1 {
-		t.Fatalf("SentByNode = %v", sent)
+		t.Fatalf("BySrc(Messages) = %v", sent)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestDrainAfterClose(t *testing.T) {
 	// Messages already enqueued are lost after close only if unread before;
 	// here we enqueue then close then read: the mailbox keeps queued data.
 	c := New(2)
-	c.Comm(0).Send(1, Tag{I: 1}, payload(5))
+	c.Comm(0).SendAll([]int{1}, Tag{I: 1}, payload(5))
 	c.Close()
 	msg, ok := c.Comm(1).Recv()
 	if !ok || msg.Tag.I != 1 {
@@ -117,7 +117,7 @@ func TestConcurrentSenders(t *testing.T) {
 			defer wg.Done()
 			comm := c.Comm(src)
 			for i := 0; i < per; i++ {
-				comm.Send(0, Tag{I: int32(src), J: int32(i)}, payload(0))
+				comm.SendAll([]int{0}, Tag{I: int32(src), J: int32(i)}, payload(0))
 			}
 		}(src)
 	}
@@ -149,7 +149,7 @@ func TestPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(0) },
 		func() { c.Comm(5) },
-		func() { c.Comm(0).Send(0, Tag{}, payload(0)) },
+		func() { c.Comm(0).SendAll([]int{0}, Tag{}, payload(0)) },
 	} {
 		func() {
 			defer func() {
@@ -159,5 +159,105 @@ func TestPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestLedger pins the whole ledger for every kind of transmission: the exact
+// delta of every counter on every link, zeros included — so a relay that
+// started counting logical messages, a request that started counting hops, or
+// a notice that touched anything at all fails here — and that traffic on one
+// job's plane never shows in another's.
+func TestLedger(t *testing.T) {
+	const (
+		p          = 4
+		jobA, jobB = 1, 2
+	)
+	sz := int64(payload(0).Bytes())
+	type link struct{ src, dst int }
+	type delta map[Counter]map[link]int64
+	on := func(v int64, links ...link) map[link]int64 {
+		m := map[link]int64{}
+		for _, l := range links {
+			m[l] = v
+		}
+		return m
+	}
+	all := []link{{0, 1}, {0, 2}, {0, 3}}
+	cases := []struct {
+		name  string
+		mode  BroadcastMode
+		setup func(c *Cluster) Message // traffic excluded from the delta; its result feeds act
+		act   func(c *Cluster, m Message)
+		want  delta
+		lands int // messages the action puts into job A's mailboxes
+	}{
+		{"SendAll flat", BroadcastFlat, nil,
+			func(c *Cluster, _ Message) { c.JobComm(jobA, 0).SendAll([]int{1, 2, 3}, Tag{I: 1}, payload(1)) },
+			delta{Messages: on(1, all...), Bytes: on(sz, all...), Hops: on(1, all...), WireBytes: on(sz, all...)}, 3},
+		{"SendAll tree", BroadcastTree, nil,
+			func(c *Cluster, _ Message) { c.JobComm(jobA, 0).SendAll([]int{1, 2, 3}, Tag{I: 1}, payload(1)) },
+			// k=3: the owner transmits to its binomial children 1 and 2 only.
+			delta{Messages: on(1, all...), Bytes: on(sz, all...), Hops: on(1, all[:2]...), WireBytes: on(sz, all[:2]...)}, 2},
+		{"Forward", BroadcastTree,
+			func(c *Cluster) Message {
+				c.JobComm(jobA, 0).SendAll([]int{1, 2, 3}, Tag{I: 1}, payload(1))
+				m, _ := c.JobComm(jobA, 2).Recv() // carries the subtree {3}
+				return m
+			},
+			func(c *Cluster, m Message) { c.JobComm(jobA, 2).Forward(m); m.Release() },
+			delta{Hops: on(1, link{2, 3}), WireBytes: on(sz, link{2, 3}), Forwards: on(1, link{2, 3})}, 1},
+		{"SendReduce", BroadcastTree, nil,
+			func(c *Cluster, _ Message) { c.JobComm(jobA, 1).SendReduce(0, Tag{I: 1}, payload(1)) },
+			delta{Messages: on(1, link{1, 0}), Bytes: on(sz, link{1, 0}), Hops: on(1, link{1, 0}),
+				WireBytes: on(sz, link{1, 0}), Reduces: on(1, link{1, 0}), ReduceBytes: on(sz, link{1, 0})}, 1},
+		{"Resend", BroadcastTree, nil,
+			func(c *Cluster, _ Message) { c.JobComm(jobA, 0).Resend(1, Tag{I: 1}, payload(1)) },
+			delta{Messages: on(1, link{0, 1}), Bytes: on(sz, link{0, 1}), Hops: on(1, link{0, 1}),
+				WireBytes: on(sz, link{0, 1}), Redeliveries: on(1, link{0, 1})}, 1},
+		{"Request", BroadcastFlat, nil,
+			func(c *Cluster, _ Message) { c.JobComm(jobA, 1).Request(0, Tag{I: 1}) },
+			delta{Requests: on(1, link{1, 0})}, 1},
+		{"Notify", BroadcastFlat, nil,
+			func(c *Cluster, _ Message) { c.JobComm(jobA, 0).Notify(NoteDown, 2) },
+			delta{}, 3},
+	}
+	queued := func(c *Cluster) int {
+		n := 0
+		for _, m := range c.plane(jobA).inboxes {
+			m.mu.Lock()
+			n += len(m.queue)
+			m.mu.Unlock()
+		}
+		return n
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewWithOptions(p, Options{Broadcast: tc.mode})
+			defer c.Close()
+			c.JobComm(jobB, 0) // open the co-tenant's plane
+			var m Message
+			if tc.setup != nil {
+				m = tc.setup(c)
+			}
+			before, q0 := c.JobStats(jobA), queued(c)
+			tc.act(c, m)
+			after := c.JobStats(jobA)
+			if got := queued(c) - q0; got != tc.lands {
+				t.Errorf("%d messages landed, want %d", got, tc.lands)
+			}
+			for ctr := Counter(0); ctr < numCounters; ctr++ {
+				for src := 0; src < p; src++ {
+					for dst := 0; dst < p; dst++ {
+						got := after.At(ctr, src, dst) - before.At(ctr, src, dst)
+						if want := tc.want[ctr][link{src, dst}]; got != want {
+							t.Errorf("counter %d on %d→%d grew by %d, want %d", ctr, src, dst, got, want)
+						}
+					}
+				}
+				if other := c.JobStats(jobB).Total(ctr); other != 0 {
+					t.Errorf("counter %d leaked %d into the co-tenant's plane", ctr, other)
+				}
+			}
+		})
 	}
 }

@@ -9,12 +9,12 @@ func TestMailboxHighWater(t *testing.T) {
 	c := New(2)
 	defer c.Close()
 	for i := 0; i < 5; i++ {
-		c.Comm(0).Send(1, Tag{I: int32(i)}, payload(0))
+		c.Comm(0).SendAll([]int{1}, Tag{I: int32(i)}, payload(0))
 	}
 	// Drain two, then refill: the peak must remember the worst instant.
 	c.Comm(1).Recv()
 	c.Comm(1).Recv()
-	c.Comm(0).Send(1, Tag{I: 5}, payload(0))
+	c.Comm(0).SendAll([]int{1}, Tag{I: 5}, payload(0))
 	s := c.Stats()
 	if s.MailboxPeak[1] != 5 {
 		t.Fatalf("MailboxPeak[1] = %d, want 5", s.MailboxPeak[1])
@@ -49,16 +49,16 @@ func TestRequestResendCounters(t *testing.T) {
 	ans.Release()
 
 	s := c.Stats()
-	if s.Requests[1][0] != 1 || s.TotalRequests() != 1 {
-		t.Fatalf("request counters wrong: %+v", s.Requests)
+	if s.At(Requests, 1, 0) != 1 || s.Total(Requests) != 1 {
+		t.Fatalf("request counters wrong: %+v", s.matrix(Requests))
 	}
 	// The redelivery counts as a real message AND as a redelivery, so
 	// Messages − Redeliveries recovers the fault-free volume.
-	if s.Messages[0][1] != 1 || s.Redeliveries[0][1] != 1 || s.TotalRedeliveries() != 1 {
-		t.Fatalf("redelivery counters wrong: msgs=%+v redeliveries=%+v", s.Messages, s.Redeliveries)
+	if s.At(Messages, 0, 1) != 1 || s.At(Redeliveries, 0, 1) != 1 || s.Total(Redeliveries) != 1 {
+		t.Fatalf("redelivery counters wrong: msgs=%+v redeliveries=%+v", s.matrix(Messages), s.matrix(Redeliveries))
 	}
-	if s.Bytes[0][1] != int64(payload(9).Bytes()) {
-		t.Fatalf("resend bytes not counted: %+v", s.Bytes)
+	if s.At(Bytes, 0, 1) != int64(payload(9).Bytes()) {
+		t.Fatalf("resend bytes not counted: %+v", s.matrix(Bytes))
 	}
 }
 
@@ -103,9 +103,9 @@ func (n *recordingNet) Deliver(msg Message, deliver func(Message)) {
 
 func TestNetworkSeamSeesEveryDelivery(t *testing.T) {
 	net := &recordingNet{}
-	c := NewWithNetwork(2, net)
+	c := NewWithOptions(2, Options{Net: net})
 	defer c.Close()
-	c.Comm(0).Send(1, Tag{}, payload(1))
+	c.Comm(0).SendAll([]int{1}, Tag{}, payload(1))
 	c.Comm(1).Request(0, Tag{})
 	c.Comm(0).Resend(1, Tag{}, payload(2))
 	if net.seen != 3 {
@@ -116,8 +116,8 @@ func TestNetworkSeamSeesEveryDelivery(t *testing.T) {
 func TestNetworkDropCountsButNeverArrives(t *testing.T) {
 	released := make(chan struct{}, 1)
 	net := &recordingNet{drop: true, released: func() { released <- struct{}{} }}
-	c := NewWithNetwork(2, net)
-	c.Comm(0).Send(1, Tag{I: 1}, payload(3))
+	c := NewWithOptions(2, Options{Net: net})
+	c.Comm(0).SendAll([]int{1}, Tag{I: 1}, payload(3))
 	// Counters are incremented at send time, before the network decides:
 	// injected faults never disturb the Eq (1)/(2) quantities.
 	if got := c.Stats().TotalMessages(); got != 1 {
@@ -132,9 +132,9 @@ func TestNetworkDropCountsButNeverArrives(t *testing.T) {
 
 func TestNetworkDuplicateSharesRefcount(t *testing.T) {
 	net := &recordingNet{dup: true}
-	c := NewWithNetwork(2, net)
+	c := NewWithOptions(2, Options{Net: net})
 	defer c.Close()
-	c.Comm(0).Send(1, Tag{I: 7}, payload(4))
+	c.Comm(0).SendAll([]int{1}, Tag{I: 7}, payload(4))
 	m1, ok1 := c.Comm(1).Recv()
 	m2, ok2 := c.Comm(1).Recv()
 	if !ok1 || !ok2 {

@@ -126,8 +126,8 @@ func TestSendAllTreeDelivers(t *testing.T) {
 	if want := int64(log2Ceil(p)); rootSends != want {
 		t.Fatalf("root transmitted %d hops, want ⌈log₂(k+1)⌉ = %d", rootSends, want)
 	}
-	if hops := s.HopsByNode(); hops[0] != int64(log2Ceil(p)) {
-		t.Fatalf("HopsByNode[0] = %d, want %d", hops[0], log2Ceil(p))
+	if hops := s.BySrc(Hops); hops[0] != int64(log2Ceil(p)) {
+		t.Fatalf("BySrc(Hops)[0] = %d, want %d", hops[0], log2Ceil(p))
 	}
 }
 
@@ -307,11 +307,11 @@ func TestForwardCountsHopsNotMessages(t *testing.T) {
 	c.Comm(2).Forward(msg)
 	msg.Release()
 	s := c.Stats()
-	if s.Messages[2][1]+s.Messages[2][3] != 0 {
-		t.Fatalf("relay counted as logical message: %+v", s.Messages)
+	if s.At(Messages, 2, 1)+s.At(Messages, 2, 3) != 0 {
+		t.Fatalf("relay counted as logical message: %+v", s.matrix(Messages))
 	}
-	if s.Messages[0][1] != 1 || s.Messages[0][2] != 1 || s.Messages[0][3] != 1 {
-		t.Fatalf("logical messages not owner→consumer: %+v", s.Messages)
+	if s.At(Messages, 0, 1) != 1 || s.At(Messages, 0, 2) != 1 || s.At(Messages, 0, 3) != 1 {
+		t.Fatalf("logical messages not owner→consumer: %+v", s.matrix(Messages))
 	}
 	if s.TotalForwards() == 0 {
 		t.Fatal("forwarded hops not counted")

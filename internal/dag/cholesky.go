@@ -73,13 +73,13 @@ func (g *Cholesky) TaskOf(id int) Task {
 	case id < g.trsmBase:
 		return Task{Kind: POTRF, L: int32(id), I: int32(id), J: int32(id)}
 	case id < g.syrkBase:
-		l, off := g.locate(g.s1, id-g.trsmBase)
+		l, off := locate(g.s1, id-g.trsmBase)
 		return Task{Kind: TRSMChol, L: int32(l), I: int32(l + 1 + off)}
 	case id < g.gemmBase:
-		l, off := g.locate(g.s1, id-g.syrkBase)
+		l, off := locate(g.s1, id-g.syrkBase)
 		return Task{Kind: SYRK, L: int32(l), I: int32(l + 1 + off)}
 	default:
-		l, off := g.locate(g.s3, id-g.gemmBase)
+		l, off := locate(g.s3, id-g.gemmBase)
 		// Find di with C(di,2) <= off < C(di+1,2).
 		di := 1
 		for (di+1)*di/2 <= off {
@@ -88,19 +88,6 @@ func (g *Cholesky) TaskOf(id int) Task {
 		j := off - di*(di-1)/2
 		return Task{Kind: GEMMChol, L: int32(l), I: int32(l + 1 + di), J: int32(l + 1 + j)}
 	}
-}
-
-func (g *Cholesky) locate(prefix []int, id int) (l, off int) {
-	lo, hi := 0, len(prefix)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if prefix[mid] <= id {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, id - prefix[lo]
 }
 
 // Dependencies implements Graph.

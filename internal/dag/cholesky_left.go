@@ -88,30 +88,16 @@ func (g *CholeskyLeft) TaskOf(id int) Task {
 	case id < g.trsmBase:
 		return Task{Kind: POTRF, L: int32(id), I: int32(id), J: int32(id)}
 	case id < g.syrkBase:
-		k, off := locatePrefixOff(g.s1, id-g.trsmBase)
+		k, off := locate(g.s1, id-g.trsmBase)
 		return Task{Kind: TRSMChol, L: int32(k), I: int32(k + 1 + off)}
 	case id < g.gemmBase:
-		k, j := locatePrefixOff(g.tri, id-g.syrkBase)
+		k, j := locate(g.tri, id-g.syrkBase)
 		return Task{Kind: SYRK, L: int32(j), I: int32(k)}
 	default:
-		i, rest := locatePrefixOff(g.tet, id-g.gemmBase)
-		k, j := locatePrefixOff(g.tri, rest)
+		i, rest := locate(g.tet, id-g.gemmBase)
+		k, j := locate(g.tri, rest)
 		return Task{Kind: GEMMChol, L: int32(j), I: int32(i), J: int32(k)}
 	}
-}
-
-// locatePrefixOff finds the largest l with prefix[l] <= v and the remainder.
-func locatePrefixOff(prefix []int, v int) (l, off int) {
-	lo, hi := 0, len(prefix)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if prefix[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, v - prefix[lo]
 }
 
 // Dependencies implements Graph.

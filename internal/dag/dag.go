@@ -136,3 +136,20 @@ type SizedGraph interface {
 	Graph
 	OutputBytes(t Task, b int) int
 }
+
+// locate inverts a prefix-sum table, the step every graph's TaskOf shares:
+// it returns the largest l with prefix[l] <= v — searched over
+// [0, len(prefix)-2], since the last entry is the grand total — and the
+// offset v - prefix[l] within that block.
+func locate(prefix []int, v int) (l, off int) {
+	lo, hi := 0, len(prefix)-1
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if prefix[mid] <= v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, v - prefix[lo]
+}

@@ -71,39 +71,16 @@ func (g *LU) TaskOf(id int) Task {
 	case id < g.trsmColBase:
 		return Task{Kind: GETRF, L: int32(id), I: int32(id), J: int32(id)}
 	case id < g.trsmRowBase:
-		l, off := g.locate1(id - g.trsmColBase)
+		l, off := locate(g.s1, id-g.trsmColBase)
 		return Task{Kind: TRSMCol, L: int32(l), I: int32(l + 1 + off)}
 	case id < g.gemmBase:
-		l, off := g.locate1(id - g.trsmRowBase)
+		l, off := locate(g.s1, id-g.trsmRowBase)
 		return Task{Kind: TRSMRow, L: int32(l), I: int32(l + 1 + off)}
 	default:
-		rel := id - g.gemmBase
-		l := g.locatePrefix(g.s2, rel)
-		rel -= g.s2[l]
+		l, rel := locate(g.s2, id-g.gemmBase)
 		w := g.mt - 1 - l
 		return Task{Kind: GEMMLU, L: int32(l), I: int32(l + 1 + rel/w), J: int32(l + 1 + rel%w)}
 	}
-}
-
-// locate1 finds (l, offset) such that id = s1[l] + offset with offset in
-// [0, mt-1-l).
-func (g *LU) locate1(id int) (l, off int) {
-	l = g.locatePrefix(g.s1, id)
-	return l, id - g.s1[l]
-}
-
-// locatePrefix binary-searches the largest l with prefix[l] <= id.
-func (g *LU) locatePrefix(prefix []int, id int) int {
-	lo, hi := 0, len(prefix)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if prefix[mid] <= id {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Dependencies implements Graph.

@@ -19,7 +19,7 @@ const (
 	// ReduceAdd combines two members of a tile's reduction group: it adds the
 	// child layer's accumulator into its binomial parent's buffer (the
 	// canonical tile itself when the parent is the group root). The combine
-	// schedule is cluster.ReduceTree, shared with the runtime and the
+	// schedule is cluster.ReduceChildren's, shared with the runtime and the
 	// simulator.
 	ReduceAdd
 )
@@ -172,7 +172,7 @@ func (g *ReplicatedLU) gemmTask(l int, i, j int32) Task {
 }
 
 // lastChild returns the largest binomial child of group member s in a group
-// of n members (cluster.ReduceTree schedule), or -1.
+// of n members (cluster.ReduceChildren schedule), or -1.
 func lastChild(n, s int) int {
 	kids := cluster.ReduceChildren(n, s)
 	if len(kids) == 0 {
@@ -218,21 +218,17 @@ func (g *ReplicatedLU) TaskOf(id int) Task {
 	case id < g.trsmColBase:
 		return Task{Kind: GETRF, L: int32(id), I: int32(id), J: int32(id)}
 	case id < g.trsmRowBase:
-		l, off := g.locate1(id - g.trsmColBase)
+		l, off := locate(g.s1, id-g.trsmColBase)
 		return Task{Kind: TRSMCol, L: int32(l), I: int32(l + 1 + off)}
 	case id < g.gemmBase:
-		l, off := g.locate1(id - g.trsmRowBase)
+		l, off := locate(g.s1, id-g.trsmRowBase)
 		return Task{Kind: TRSMRow, L: int32(l), I: int32(l + 1 + off)}
 	case id < g.redBase:
-		rel := id - g.gemmBase
-		l := locatePrefix(g.s2, rel)
-		rel -= g.s2[l]
+		l, rel := locate(g.s2, id-g.gemmBase)
 		w := g.mt - 1 - l
 		return g.gemmTask(l, int32(l+1+rel/w), int32(l+1+rel%w))
 	default:
-		rel := id - g.redBase
-		k := locatePrefix(g.s3, rel)
-		rel -= g.s3[k]
+		k, rel := locate(g.s3, id-g.redBase)
 		nr := g.nRed(k)
 		pos, s := rel/nr, rel%nr+1
 		i, j := k, k
@@ -245,25 +241,6 @@ func (g *ReplicatedLU) TaskOf(id int) Task {
 		}
 		return Task{Kind: ReduceAdd, L: int32(s), I: int32(i), J: int32(j)}
 	}
-}
-
-func (g *ReplicatedLU) locate1(id int) (l, off int) {
-	l = locatePrefix(g.s1, id)
-	return l, id - g.s1[l]
-}
-
-// locatePrefix binary-searches the largest l with prefix[l] <= id.
-func locatePrefix(prefix []int, id int) int {
-	lo, hi := 0, len(prefix)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if prefix[mid] <= id {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // lastCanonicalWriter visits the task producing the final pre-panel version

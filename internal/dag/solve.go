@@ -106,18 +106,8 @@ func (l *solveLayout) taskOf(id int) Task {
 		i := id - l.bcopyBase
 		return Task{Kind: BCOPY, L: int32(i), I: int32(i)}
 	case id < l.btrsmBase:
-		rel := id - l.bgemmBase
-		lo, hi := 0, l.mt
-		for lo+1 < hi {
-			mid := (lo + hi) / 2
-			if l.s1[mid] <= rel {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		i := lo
-		j := rel - l.s1[i] + i + 1
+		i, off := locate(l.s1, id-l.bgemmBase)
+		j := off + i + 1
 		return Task{Kind: BGEMM, L: int32(j), I: int32(i), J: int32(j)}
 	default:
 		i := id - l.btrsmBase

@@ -103,10 +103,7 @@ func (e *engine) markDead(rank int, gossip bool) {
 	}
 	adopter := hetero.Fastest(e.speeds, func(r int) bool { return !e.dead[r] }, e.comm.Size())
 	e.adoptedBy[rank] = adopter
-	if e.rec != nil {
-		e.rec.RecordFault("node-down", rank, adopter,
-			fmt.Sprintf("adopter %d", adopter), time.Since(e.epoch).Seconds())
-	}
+	e.fault("node-down", rank, adopter, fmt.Sprintf("adopter %d", adopter))
 	// The dead node's delivery debts transfer to its adopter: restart the
 	// retry budget of every version the dead node owed us, so the countdown
 	// that condemned the corpse is not held against the heir while it
@@ -141,10 +138,7 @@ func (e *engine) adoptNode(rank int) {
 		}
 	})
 	n := e.adoptTasks(tasks, false)
-	if e.rec != nil {
-		e.rec.RecordFault("adopt", e.rank, rank,
-			fmt.Sprintf("%d tasks", n), time.Since(e.epoch).Seconds())
-	}
+	e.fault("adopt", e.rank, rank, fmt.Sprintf("%d tasks", n))
 }
 
 // adoptChain speculatively adopts the producer chain of one overdue tile
@@ -189,11 +183,7 @@ func (e *engine) adoptChain(tag cluster.Tag) {
 		return
 	}
 	n := e.adoptTasks(chain, true)
-	if e.rec != nil {
-		e.rec.RecordFault("speculate", e.rank, lag,
-			fmt.Sprintf("%d tasks for (%d,%d)v%d", n, tag.I, tag.J, tag.V),
-			time.Since(e.epoch).Seconds())
-	}
+	e.fault("speculate", e.rank, lag, fmt.Sprintf("%d tasks for %v", n, tag))
 	// Every tag the chain will produce locally stops escalating its (alive)
 	// owner toward presumed death: the replay is already racing the wire.
 	for _, t := range chain {
@@ -265,10 +255,7 @@ func (e *engine) fulfillLocal(netTag cluster.Tag, out *tile.Tile) {
 		}
 	}
 	for _, idx := range w {
-		e.remaining[idx]--
-		if e.remaining[idx] == 0 {
-			e.pushReady(idx)
-		}
+		e.release(idx)
 	}
 	delete(e.waiters, netTag)
 	if p, ok := e.pending[netTag]; ok {
@@ -377,7 +364,6 @@ func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
 				}
 				if target := e.liveOwner(e.owner(di, dj)); target >= 0 && target != e.rank {
 					e.comm.Request(target, vtag)
-					e.reRequests++
 				}
 			}
 		})

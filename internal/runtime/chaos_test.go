@@ -172,9 +172,9 @@ func checkConservation(t *testing.T, label string, rep *Report, plan *chaos.Plan
 	if hops > msgs {
 		t.Errorf("%s: conservation violated: %d wire hops > %d logical messages", label, hops, msgs)
 	}
-	if s.TotalForwards()+s.TotalRedeliveries() > hops {
+	if s.TotalForwards()+s.Total(cluster.Redeliveries) > hops {
 		t.Errorf("%s: forwards %d + redeliveries %d exceed total hops %d",
-			label, s.TotalForwards(), s.TotalRedeliveries(), hops)
+			label, s.TotalForwards(), s.Total(cluster.Redeliveries), hops)
 	}
 	drops := 0
 	if plan != nil {
@@ -220,13 +220,13 @@ func TestChaosRegressionG2DBC23(t *testing.T) {
 
 	checkCounters := func(t *testing.T, label string, base, got *Report, pred float64) {
 		t.Helper()
-		p := len(base.Stats.Messages)
+		p := base.Stats.P
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
-				eff := got.Stats.Messages[i][j] - got.Stats.Redeliveries[i][j]
-				if eff != base.Stats.Messages[i][j] {
+				eff := got.Stats.At(cluster.Messages, i, j) - got.Stats.At(cluster.Redeliveries, i, j)
+				if eff != base.Stats.At(cluster.Messages, i, j) {
 					t.Errorf("%s: pair %d->%d effective messages %d != fault-free %d",
-						label, i, j, eff, base.Stats.Messages[i][j])
+						label, i, j, eff, base.Stats.At(cluster.Messages, i, j))
 				}
 			}
 		}
@@ -234,7 +234,7 @@ func TestChaosRegressionG2DBC23(t *testing.T) {
 		// redeliveries; the closed-form prediction additionally upper-bounds
 		// the effective volume (it is asymptotic in mt, so only the upper
 		// side is tight at this matrix size).
-		eff := float64(got.Stats.TotalMessages() - got.Stats.TotalRedeliveries())
+		eff := float64(got.Stats.TotalMessages() - got.Stats.Total(cluster.Redeliveries))
 		if eff > pred {
 			t.Errorf("%s: effective volume %v above prediction %v", label, eff, pred)
 		}
@@ -334,9 +334,9 @@ func TestChaosDropHealsViaReRequest(t *testing.T) {
 					t.Errorf("healing not accounted: re-requests=%d recovered=%d redelivered=%d",
 						reReq, recovered, redelivered)
 				}
-				if rep.Stats.TotalRequests() == 0 || rep.Stats.TotalRedeliveries() == 0 {
+				if rep.Stats.Total(cluster.Requests) == 0 || rep.Stats.Total(cluster.Redeliveries) == 0 {
 					t.Errorf("cluster counters missed the healing: requests=%d redeliveries=%d",
-						rep.Stats.TotalRequests(), rep.Stats.TotalRedeliveries())
+						rep.Stats.Total(cluster.Requests), rep.Stats.Total(cluster.Redeliveries))
 				}
 				checkConservation(t, "drop-heal", rep, plan)
 				peaked := false
@@ -473,13 +473,13 @@ func checkEffective(t *testing.T, label string, base, got *Report) {
 	if base == nil || got == nil {
 		return
 	}
-	p := len(base.Stats.Messages)
+	p := base.Stats.P
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			eff := got.Stats.Messages[i][j] - got.Stats.Redeliveries[i][j]
-			if eff != base.Stats.Messages[i][j] {
+			eff := got.Stats.At(cluster.Messages, i, j) - got.Stats.At(cluster.Redeliveries, i, j)
+			if eff != base.Stats.At(cluster.Messages, i, j) {
 				t.Errorf("%s: pair %d->%d effective messages %d != fault-free %d",
-					label, i, j, eff, base.Stats.Messages[i][j])
+					label, i, j, eff, base.Stats.At(cluster.Messages, i, j))
 			}
 		}
 	}

@@ -117,18 +117,18 @@ func (d *dispatcher) take(slot int) (jb job, ok bool, waitStart, waitEnd time.Ti
 	return jb, ok, waitStart, waitEnd
 }
 
-// purge drops every queued-but-unstarted job after an abort and returns how
-// many were dropped, so the event loop can settle its in-flight count and
+// purge drops every queued-but-unstarted job after an abort and returns
+// them, so the event loop can settle its in-flight and dispatch counts and
 // exit once the already-running kernels drain.
-func (d *dispatcher) purge() int {
+func (d *dispatcher) purge() []job {
 	d.mu.Lock()
-	n := 0
+	var dropped []job
 	for w := range d.deques {
-		n += len(d.deques[w])
+		dropped = append(dropped, d.deques[w]...)
 		d.deques[w] = nil
 	}
 	d.mu.Unlock()
-	return n
+	return dropped
 }
 
 // close wakes every blocked worker; take returns ok == false once the deques

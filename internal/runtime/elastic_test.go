@@ -30,19 +30,41 @@ func ownedTaskCount(g dag.Graph, d dist.Distribution, rank int) int {
 // checkAdoption asserts the migration is visible in the report: the victim
 // is marked dead, the expected adopter re-ran a positive number of its
 // tasks, and nobody else adopted anything (the deterministic rule must not
-// split the work).
-func checkAdoption(t *testing.T, rep *Report, victim, adopter int) {
+// split the work). The kernel counts must balance too: the victim reports
+// the kernels it ran before dying — its dispatch count, not its ownership —
+// and across the cluster every task of g ran once natively, except those the
+// victim never reached, plus once per adoption or speculation.
+func checkAdoption(t *testing.T, rep *Report, g dag.Graph, d dist.Distribution, victim, adopter int) {
 	t.Helper()
 	if !rep.Resilience[victim].Died {
 		t.Errorf("victim %d not reported dead", victim)
 	}
+	replayed := 0
 	for rank, rs := range rep.Resilience {
+		replayed += rs.Adopted + rs.Speculative
 		switch {
 		case rank == adopter && rs.Adopted == 0:
 			t.Errorf("adopter %d reports no adopted tasks", adopter)
 		case rank != adopter && rs.Adopted != 0:
 			t.Errorf("node %d adopted %d tasks; only %d should adopt", rank, rs.Adopted, adopter)
 		}
+	}
+	dispatched := 0
+	for _, n := range rep.Sched[victim].DispatchedByKind {
+		dispatched += n
+	}
+	owned := ownedTaskCount(g, d, victim)
+	if ran := rep.TasksPerNode[victim]; ran != dispatched || ran >= owned {
+		t.Errorf("victim %d reports %d executed kernels; it dispatched %d of the %d it owned before dying",
+			victim, ran, dispatched, owned)
+	}
+	total := 0
+	for _, n := range rep.TasksPerNode {
+		total += n
+	}
+	if want := g.NumTasks() - (owned - rep.TasksPerNode[victim]) + replayed; total != want {
+		t.Errorf("%d kernels executed cluster-wide, want %d = %d tasks - %d the victim never ran + %d replayed",
+			total, want, g.NumTasks(), owned-rep.TasksPerNode[victim], replayed)
 	}
 }
 
@@ -88,7 +110,7 @@ func TestElasticCrashRecovery(t *testing.T) {
 						return err
 					}
 					identicalLU(t, "elastic run", base, fact, mt)
-					checkAdoption(t, rep, victim, 0)
+					checkAdoption(t, rep, g, d, victim, 0)
 					return nil
 				})
 				if err != nil {
@@ -127,7 +149,7 @@ func TestElasticCrashRecoveryWorkers4(t *testing.T) {
 					return err
 				}
 				identicalLU(t, "elastic workers=4", base, fact, mt)
-				checkAdoption(t, rep, victim, 0)
+				checkAdoption(t, rep, g, d, victim, 0)
 				return nil
 			})
 			if err != nil {
@@ -169,7 +191,7 @@ func TestElasticCrashAfterPublish(t *testing.T) {
 					return err
 				}
 				identicalLU(t, "crash after publish", base, fact, mt)
-				checkAdoption(t, rep, victim, 0)
+				checkAdoption(t, rep, g, d, victim, 0)
 				return nil
 			})
 			if err != nil {
@@ -206,7 +228,7 @@ func TestElasticCholeskyCrash(t *testing.T) {
 					return err
 				}
 				identicalCholesky(t, "elastic Cholesky", base, fact, mt)
-				checkAdoption(t, rep, victim, 0)
+				checkAdoption(t, rep, g, d, victim, 0)
 				return nil
 			})
 			if err != nil {
@@ -244,7 +266,7 @@ func TestElasticSpeedsPickFastestAdopter(t *testing.T) {
 			return err
 		}
 		identicalLU(t, "hetero adopter", base, fact, mt)
-		checkAdoption(t, rep, victim, fastest)
+		checkAdoption(t, rep, g, d, victim, fastest)
 		return nil
 	})
 	if err != nil {
@@ -331,8 +353,8 @@ func TestReRequestBudgetExhausted(t *testing.T) {
 		!strings.Contains(tickErr.Error(), "tile (0,0) v0") {
 		t.Fatalf("error does not name the budget, owner, and tile: %v", tickErr)
 	}
-	if e.reRequests != 3 {
-		t.Fatalf("sent %d re-requests before giving up, want exactly the budget of 3", e.reRequests)
+	if sent := cl.Stats().BySrc(cluster.Requests)[1]; sent != 3 {
+		t.Fatalf("sent %d re-requests before giving up, want exactly the budget of 3", sent)
 	}
 }
 
@@ -416,16 +438,17 @@ func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
 	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay}); err != nil {
 		t.Fatal(err)
 	}
-	if e.forwarded != 0 {
-		t.Fatalf("heal with no forward list relayed %d hops", e.forwarded)
+	forwarded := func() int64 { return cl.Stats().BySrc(cluster.Forwards)[1] }
+	if forwarded() != 0 {
+		t.Fatalf("heal with no forward list relayed %d hops", forwarded())
 	}
 	// The delayed original arrives with its subtree: it is a payload
 	// duplicate, but its Forward obligation is fresh and must be honored.
 	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay.Clone(), Forward: []int{3}}); err != nil {
 		t.Fatal(err)
 	}
-	if e.forwarded != 1 {
-		t.Fatalf("late original's forward obligation not honored: forwarded = %d, want 1", e.forwarded)
+	if forwarded() != 1 {
+		t.Fatalf("late original's forward obligation not honored: forwarded = %d, want 1", forwarded())
 	}
 	if !e.relayed[tag] {
 		t.Fatal("relay ledger did not record the forwarded tag")
@@ -434,7 +457,7 @@ func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
 	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay.Clone(), Forward: []int{2}}); err != nil {
 		t.Fatal(err)
 	}
-	if e.forwarded != 1 {
-		t.Fatalf("duplicate re-relayed: forwarded = %d, want 1", e.forwarded)
+	if forwarded() != 1 {
+		t.Fatalf("duplicate re-relayed: forwarded = %d, want 1", forwarded())
 	}
 }

@@ -136,8 +136,8 @@ type Options struct {
 	// above 1 model multi-core nodes; correctness is guaranteed by the task
 	// graph for any value, and final factors are bit-identical across worker
 	// counts (kernels run whole tasks; the parallel GEMM preserves FP order).
-	// Workers <= 0 — including the zero value — is normalized to 1 by Run,
-	// the single normalization point; newEngine assumes a positive count.
+	// Workers <= 0 — including the zero value — is normalized to 1 (see
+	// normalize); newEngine assumes a positive count.
 	Workers int
 	// Recorder, when non-nil, receives every kernel interval and message of
 	// the run (wall-clock seconds since the run started) for the
@@ -146,8 +146,7 @@ type Options struct {
 	// Chaos, when non-nil, installs the plan as the cluster's network layer:
 	// every delivery (tiles, requests, redeliveries) passes through its
 	// seeded fault decisions. A plan drives exactly one run; build a fresh
-	// plan from the same chaos.Config to reproduce it. Setting Chaos also
-	// defaults ArrivalTimeout so drops heal instead of hanging.
+	// plan from the same chaos.Config to reproduce it.
 	Chaos *chaos.Plan
 	// ArrivalTimeout arms the re-request protocol: an awaited remote tile
 	// version not delivered within this duration is re-requested from its
@@ -161,7 +160,7 @@ type Options struct {
 	// cluster.BroadcastTree, which relays each broadcast down a binomial
 	// tree so the owner's NIC serializes ⌈log₂(k+1)⌉ sends instead of k.
 	// Final factors are bit-identical across modes; only the wire routing
-	// (Report.Stats.Hops/Forwards) changes.
+	// (the cluster.Hops and cluster.Forwards counters of Report.Stats) changes.
 	Broadcast cluster.BroadcastMode
 	// Elastic arms ownership migration: a node that crashes mid-run no
 	// longer aborts the whole factorization. The dying node announces
@@ -178,7 +177,7 @@ type Options struct {
 	Elastic bool
 	// Speeds gives the relative node speeds (internal/hetero's model) the
 	// elastic adopter rule consults; nil means homogeneous. Length must be
-	// the node count when set.
+	// the node count when set, and setting it without Elastic is rejected.
 	Speeds []float64
 	// MaxReRequests caps how many times one awaited tile version is
 	// re-requested before the node gives up on its owner: zero means the
@@ -193,7 +192,7 @@ type Options struct {
 	// overdue version's producer chain itself, at demoted scheduler
 	// priority (sched.Demote), racing the laggard. Whichever copy lands
 	// first wins; the other drops as an idempotent duplicate. Zero disables
-	// speculation.
+	// speculation; non-zero without Elastic is rejected.
 	LagReRequests int
 	// Cluster, when non-nil, runs the job over this existing shared cluster
 	// instead of creating a private one: the engines use the job-scoped
@@ -202,14 +201,14 @@ type Options struct {
 	// count must equal the distribution's. The run closes only its own job
 	// plane when it finishes (or aborts, or is cancelled); the shared
 	// cluster and its other tenants stay up. The broadcast mode and network
-	// seam come from the shared cluster, so Options.Broadcast and the
-	// delivery side of Options.Chaos are ignored — chaos crash injection
+	// seam are the shared cluster's: a Broadcast naming another mode, or a
+	// Chaos plan with delivery faults, is rejected — chaos crash injection
 	// (CrashTask) still applies per job. The caller is responsible for
 	// cluster.DropJob once it has archived the job's Report.
 	Cluster *cluster.Cluster
 	// Job is this run's tile-namespace epoch on the shared Cluster: every
 	// message travels under it, so concurrent jobs' identically-numbered
-	// tiles can never collide. Ignored (effectively 0) without Cluster.
+	// tiles can never collide. Non-zero without Cluster is rejected.
 	Job int32
 	// Context, when non-nil, is the run's cancellation seam: once it is
 	// done, the run aborts — the job's cluster plane is poisoned exactly as
@@ -226,6 +225,55 @@ type Options struct {
 	// order consistently wherever they meet one queue. Must lie in
 	// [0, sched.MaxBand].
 	PriorityBand int
+}
+
+// defaultArrivalTimeout arms the re-request protocol for runs that need it
+// (Chaos, Elastic) but did not choose a timeout.
+const defaultArrivalTimeout = 250 * time.Millisecond
+
+// normalize is the single point where Options are defaulted and cross-checked
+// for a run under distribution d: every default the engines rely on is applied
+// here, and a field that would otherwise be silently ignored — it needs another
+// one that is unset, or contradicts the shared cluster — is rejected by name.
+func (opt *Options) normalize(d dist.Distribution) error {
+	P, cl := d.Nodes(), opt.Cluster
+	switch {
+	case opt.PriorityBand < 0 || opt.PriorityBand > sched.MaxBand:
+		return fmt.Errorf("runtime: priority band %d outside [0, %d]", opt.PriorityBand, sched.MaxBand)
+	case !opt.Elastic && (opt.Speeds != nil || opt.LagReRequests != 0):
+		return errors.New("runtime: Speeds and LagReRequests steer elastic adoption; set Options.Elastic or leave them unset")
+	case opt.Speeds != nil && len(opt.Speeds) != P:
+		return fmt.Errorf("runtime: %d speeds for %d nodes", len(opt.Speeds), P)
+	case cl == nil && opt.Job != 0:
+		return fmt.Errorf("runtime: job %d names a namespace of a shared cluster, but Options.Cluster is nil", opt.Job)
+	case cl != nil && cl.Nodes() != P:
+		return fmt.Errorf("runtime: distribution %s wants %d nodes but the shared cluster has %d", d.Name(), P, cl.Nodes())
+	case cl != nil && opt.Broadcast != cluster.BroadcastFlat && opt.Broadcast != cl.Broadcast():
+		return fmt.Errorf("runtime: %s broadcast requested on a shared cluster built for %s broadcast", opt.Broadcast, cl.Broadcast())
+	case cl != nil && opt.Chaos != nil && opt.Chaos.Config().DeliveryFaults():
+		return errors.New("runtime: a chaos plan with delivery faults needs the network seam, which belongs to the shared cluster; only crash injection (CrashAtTask) applies per job")
+	}
+	if opt.Workers <= 0 {
+		opt.Workers = 1
+	}
+	if cl != nil {
+		// The substrate is the shared cluster's: its broadcast transport and
+		// network seam apply to every tenant.
+		opt.Broadcast = cl.Broadcast()
+	}
+	switch {
+	case opt.ArrivalTimeout < 0:
+		opt.ArrivalTimeout = 0 // forced off, even under chaos
+	case opt.ArrivalTimeout == 0 && opt.Chaos != nil:
+		opt.ArrivalTimeout = defaultArrivalTimeout // so drops heal instead of hanging
+	}
+	if opt.Elastic && opt.ArrivalTimeout == 0 {
+		// Elastic recovery is built on the re-request protocol (published
+		// caches, arrival deadlines, escalation); it cannot be disabled
+		// underneath it.
+		opt.ArrivalTimeout = defaultArrivalTimeout
+	}
+	return nil
 }
 
 // Report summarizes one distributed execution.
@@ -260,9 +308,9 @@ type Report struct {
 	// Options.ArrivalTimeout).
 	Resilience []ResilienceStats
 	// Broadcast is the transport mode the run used (flat fan-out or
-	// binomial tree); the wire-level consequences are in Stats.Hops and
-	// Stats.Forwards, and ForwardedPerNode counts the relay hops each node
-	// sent on behalf of other owners' broadcasts. All zero under flat mode.
+	// binomial tree); the wire-level consequences are in Stats (cluster.Hops,
+	// cluster.Forwards), and ForwardedPerNode is the latter per sender: the
+	// relay hops each node sent for other owners' broadcasts. Zero when flat.
 	Broadcast        cluster.BroadcastMode
 	ForwardedPerNode []int
 	// Elapsed is the wall-clock duration of the distributed run.
@@ -274,10 +322,10 @@ type Report struct {
 type ResilienceStats struct {
 	// ReRequests counts the cluster.Request control messages this node sent
 	// after an awaited tile version missed its arrival deadline (retries
-	// under backoff count individually).
+	// under backoff count individually): its row of Stats' Requests counter.
 	ReRequests int
 	// Redelivered counts the re-requests this node answered from its
-	// published-version cache as the owner, each a cluster.Resend.
+	// published-version cache, each a cluster.Resend: its Redeliveries row.
 	Redelivered int
 	// Recovered counts the awaited tile versions that arrived only after
 	// this node re-requested them — deliveries the timeout path healed.
@@ -333,51 +381,21 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	collect func(i, j int, t *tile.Tile)) (*Report, error) {
 
-	if opt.Workers <= 0 {
-		opt.Workers = 1
-	}
-	if opt.PriorityBand < 0 || opt.PriorityBand > sched.MaxBand {
-		return nil, fmt.Errorf("runtime: priority band %d outside [0, %d]", opt.PriorityBand, sched.MaxBand)
+	P := d.Nodes()
+	if err := opt.normalize(d); err != nil {
+		return nil, err
 	}
 	ver, err := prevalidate(g, d)
 	if err != nil {
 		return nil, err
 	}
-	P := d.Nodes()
-	if opt.Elastic && opt.Speeds != nil && len(opt.Speeds) != P {
-		return nil, fmt.Errorf("runtime: %d speeds for %d nodes", len(opt.Speeds), P)
-	}
-	var net cluster.Network
-	if opt.Chaos != nil {
-		net = opt.Chaos
-		if opt.ArrivalTimeout == 0 {
-			opt.ArrivalTimeout = 250 * time.Millisecond
+	cl, shared := opt.Cluster, opt.Cluster != nil
+	if !shared {
+		copt := cluster.Options{Broadcast: opt.Broadcast}
+		if opt.Chaos != nil {
+			copt.Net = opt.Chaos
 		}
-	}
-	if opt.ArrivalTimeout < 0 {
-		opt.ArrivalTimeout = 0
-	}
-	if opt.Elastic && opt.ArrivalTimeout == 0 {
-		// Elastic recovery is built on the re-request protocol (published
-		// caches, arrival deadlines, escalation); it cannot be disabled
-		// underneath it.
-		opt.ArrivalTimeout = 250 * time.Millisecond
-	}
-	shared := opt.Cluster != nil
-	var cl *cluster.Cluster
-	if shared {
-		cl = opt.Cluster
-		if cl.Nodes() != P {
-			return nil, fmt.Errorf("runtime: distribution %s wants %d nodes but the shared cluster has %d",
-				d.Name(), P, cl.Nodes())
-		}
-		// The substrate is the shared cluster's: its broadcast transport and
-		// network seam apply to every tenant. Per-job chaos still injects
-		// crashes (CrashTask), but its delivery faults would need the seam.
-		opt.Broadcast = cl.Broadcast()
-	} else {
-		opt.Job = 0
-		cl = cluster.NewWithOptions(P, cluster.Options{Net: net, Broadcast: opt.Broadcast})
+		cl = cluster.NewWithOptions(P, copt)
 	}
 
 	start := time.Now()
@@ -464,29 +482,38 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 		return nil, fmt.Errorf("runtime: %w", errors.Join(nodeErrs...))
 	}
 
+	// The job's ledger is the one count of its traffic: the per-node relay,
+	// re-request and redelivery figures below are its per-sender sums, not
+	// separate tallies kept by the engines.
+	stats := cl.JobStats(opt.Job)
+	forwards, requests, redeliveries := stats.BySrc(cluster.Forwards),
+		stats.BySrc(cluster.Requests), stats.BySrc(cluster.Redeliveries)
 	rep := &Report{
-		Stats:                cl.JobStats(opt.Job),
+		Stats:                stats,
 		TasksPerNode:         make([]int, P),
 		FlopsPerNode:         make([]float64, P),
 		OwnedTilesPerNode:    make([]int, P),
 		ReceivedTilesPerNode: make([]int, P),
 		PeakTilesPerNode:     make([]int, P),
+		Sched:                make([]SchedStats, P),
+		MailboxPeakPerNode:   stats.MailboxPeak,
+		Resilience:           make([]ResilienceStats, P),
 		Broadcast:            opt.Broadcast,
 		ForwardedPerNode:     make([]int, P),
 		Elapsed:              elapsed,
 	}
-	rep.MailboxPeakPerNode = rep.Stats.MailboxPeak
-	rep.Sched = make([]SchedStats, P)
-	rep.Resilience = make([]ResilienceStats, P)
 	for rank, e := range engines {
-		rep.TasksPerNode[rank] = len(e.owned)
 		rep.FlopsPerNode[rank] = e.flops
 		rep.OwnedTilesPerNode[rank] = e.ownedTiles
 		rep.ReceivedTilesPerNode[rank] = e.recvTotal
 		rep.PeakTilesPerNode[rank] = e.peakTiles
+		// Kernels executed = kernels dispatched: abortLocal takes purged jobs
+		// back out, so a node that died mid-run reports what it ran, not
+		// what it owned.
 		byKind := make(map[string]int, len(e.dispatched))
 		for kind, n := range e.dispatched {
 			byKind[kind.String()] = n
+			rep.TasksPerNode[rank] += n
 		}
 		busy := make([]float64, len(e.busy))
 		for w, ns := range e.busy {
@@ -501,14 +528,14 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 			DispatchedByKind:  byKind,
 		}
 		rep.Resilience[rank] = ResilienceStats{
-			ReRequests:  e.reRequests,
-			Redelivered: int(e.redelivered.Load()),
+			ReRequests:  int(requests[rank]),
+			Redelivered: int(redeliveries[rank]),
 			Recovered:   e.recovered,
 			Adopted:     e.adopted,
 			Speculative: e.speculative,
 			Died:        e.died,
 		}
-		rep.ForwardedPerNode[rank] = e.forwarded + int(e.forwardedLate.Load())
+		rep.ForwardedPerNode[rank] = int(forwards[rank])
 	}
 
 	if collect != nil {
@@ -617,12 +644,6 @@ type engine struct {
 	ownedTiles int
 	recvTotal  int
 	peakTiles  int
-	// forwarded counts the tree-broadcast hops this node relayed onward
-	// (Comm.Forward calls happen in the event loop; the post-loop absorber
-	// adds its own under forwardedLate, which is atomic because the report
-	// may be read while the absorber still drains).
-	forwarded     int
-	forwardedLate atomic.Int64
 
 	// disp fans dispatched jobs out to the worker goroutines through
 	// per-worker deques with stealing; busy accumulates per-slot kernel
@@ -655,11 +676,12 @@ type engine struct {
 	seen      map[cluster.Tag]bool
 	pending   map[cluster.Tag]*pendingWait
 	// relayed marks tree-broadcast tags whose Forward obligation this node
-	// has honored. It is deliberately separate from seen: a redelivery
-	// healed via Resend (no Forward list) marks a tag seen, but the late
-	// original copy still carries the subtree and must be relayed exactly
-	// once — keying the relay dedup on seen would swallow it and strand the
-	// subtree behind its members' own re-request timeouts.
+	// has honored. It is deliberately separate from seen: when an interior
+	// relay hop dropped the original copy and a Resend heal (no Forward
+	// list) landed first, the tag is seen, but the late original is a
+	// payload duplicate that still carries the subtree and must be relayed
+	// exactly once — keying the relay dedup on seen used to swallow it and
+	// strand the subtree behind its members' own re-request timeouts.
 	relayed map[cluster.Tag]bool
 
 	// Elastic recovery (armed by Options.Elastic): dead tracks crashed and
@@ -686,13 +708,7 @@ type engine struct {
 	taskByTag   map[cluster.Tag]dag.Task // producer task of every output version (lazy)
 	adopted     int                      // Resilience.Adopted
 	speculative int                      // Resilience.Speculative
-
-	// Resilience observability (Report.Resilience). redelivered is atomic
-	// because the late request server increments it concurrently with the
-	// report read.
-	reRequests  int
-	recovered   int
-	redelivered atomic.Int64
+	recovered   int                      // Resilience.Recovered
 }
 
 // pendingWait is the re-request state of one awaited remote tile version.
@@ -966,9 +982,9 @@ func (e *engine) run() error {
 	done, inflight := 0, 0
 	// abortLocal handles this node's own failures (kernel error, protocol
 	// violation, injected crash): dispatching stops and queued-but-unstarted
-	// jobs are purged from the deques — their completions will never come, so
-	// the in-flight count drops with them — and only already-running kernels
-	// are awaited. A *peer* abort deliberately does not purge: jobs already
+	// jobs are purged from the deques — they will never run, so the in-flight
+	// and per-kind dispatch counts drop with them — and only already-running
+	// kernels are awaited. A *peer* abort deliberately does not purge: jobs already
 	// dealt to the deques were dispatched before the poison arrived and still
 	// run (completions suppressed), so a node that was about to fail on its
 	// own reports its kernel error instead of the bystander sentinel
@@ -976,7 +992,10 @@ func (e *engine) run() error {
 	abortLocal := func(err error) {
 		aborted = true
 		abortErr = err
-		inflight -= e.disp.purge()
+		for _, jb := range e.disp.purge() {
+			inflight--
+			e.dispatched[jb.task.Kind]--
+		}
 	}
 	for {
 		if !aborted {
@@ -992,11 +1011,7 @@ func (e *engine) run() error {
 						// error under elastic recovery.
 						e.died = true
 						e.comm.Notify(cluster.NoteDown, e.rank)
-						if e.rec != nil {
-							e.rec.RecordFault("crash", e.rank, e.rank,
-								fmt.Sprintf("task %d", dispatchCount),
-								time.Since(e.epoch).Seconds())
-						}
+						e.fault("crash", e.rank, e.rank, fmt.Sprintf("task %d", dispatchCount))
 						abortLocal(nil)
 					} else {
 						e.comm.Abort()
@@ -1109,7 +1124,7 @@ func (e *engine) run() error {
 	// consumer slower than us may still re-request tile versions we
 	// published, and must get them even though our event loop is gone. The
 	// server deliberately touches only the published cache (under pubMu) and
-	// atomic counters — never the recorder or plain engine fields, which the
+	// the cluster — never the recorder or plain engine fields, which the
 	// report reads concurrently.
 	// crashed covers every abort, including an elastic death: a dead node
 	// answers no requests and relays nothing — that silence is exactly what
@@ -1125,16 +1140,12 @@ func (e *engine) run() error {
 				continue
 			}
 			// A tree-broadcast hop that lands after our event loop finished
-			// still carries its subtree's deliveries: relay it (once — the
-			// relayed map, now touched only by this goroutine, tracks the
-			// per-tag forward obligation) before releasing our own share, so
-			// a fast consumer never strands the slow subtree behind it. The
-			// dedup is keyed on relayed, not seen: a tag healed into seen by
-			// a Resend redelivery (which carries no Forward list) must not
-			// swallow the late original copy's relay duty.
-			if !crashed && len(ev.msg.Forward) > 0 && !e.relayed[ev.msg.Tag] {
-				e.relayed[ev.msg.Tag] = true
-				e.forwardedLate.Add(int64(e.comm.Forward(ev.msg)))
+			// still carries its subtree's deliveries: relay it (the relayed
+			// map is now touched only by this goroutine) before releasing our
+			// own share, so a fast consumer never strands the slow subtree
+			// behind it.
+			if !crashed {
+				e.relay(ev.msg)
 			}
 			ev.msg.Release()
 		}
@@ -1198,18 +1209,13 @@ func (e *engine) onTick() error {
 			}
 		}
 		e.comm.Request(target, tag)
-		e.reRequests++
 		p.attempts++
 		p.backoff *= 2
 		if maxB := 8 * e.arrival; p.backoff > maxB {
 			p.backoff = maxB
 		}
 		p.deadline = now.Add(p.backoff)
-		if e.rec != nil {
-			e.rec.RecordFault("re-request", e.rank, target,
-				fmt.Sprintf("(%d,%d)v%d", tag.I, tag.J, tag.V),
-				time.Since(e.epoch).Seconds())
-		}
+		e.fault("re-request", e.rank, target, tag.String())
 	}
 	return nil
 }
@@ -1228,11 +1234,17 @@ func (e *engine) answerRequest(msg cluster.Message, live bool) {
 		return
 	}
 	e.comm.Resend(msg.From, msg.Tag, cached)
-	e.redelivered.Add(1)
-	if live && e.rec != nil {
-		e.rec.RecordFault("redeliver", e.rank, msg.From,
-			fmt.Sprintf("(%d,%d)v%d", msg.Tag.I, msg.Tag.J, msg.Tag.V),
-			time.Since(e.epoch).Seconds())
+	if live {
+		e.fault("redeliver", e.rank, msg.From, msg.Tag.String())
+	}
+}
+
+// fault puts one injected fault or recovery action on the run's trace, when
+// one is being recorded. Event-loop only: the post-loop absorber must not
+// touch the recorder.
+func (e *engine) fault(kind string, from, to int, what string) {
+	if e.rec != nil {
+		e.rec.RecordFault(kind, from, to, what, time.Since(e.epoch).Seconds())
 	}
 }
 
@@ -1248,6 +1260,24 @@ func (e *engine) noteStall(start, end time.Time) {
 		e.rec.RecordStall(e.rank,
 			start.Sub(e.epoch).Seconds(), end.Sub(e.epoch).Seconds(),
 			1/float64(e.workers))
+	}
+}
+
+// relay honors msg's tree-broadcast Forward obligation, exactly once per tag
+// (see the relayed field for why the dedup is not the payload dedup).
+func (e *engine) relay(msg cluster.Message) {
+	if len(msg.Forward) > 0 && !e.relayed[msg.Tag] {
+		e.relayed[msg.Tag] = true
+		e.comm.Forward(msg)
+	}
+}
+
+// release resolves one dependency of owned task idx — a local predecessor's
+// completion or an awaited version's arrival — and queues the task once none
+// remain.
+func (e *engine) release(idx int) {
+	if e.remaining[idx]--; e.remaining[idx] == 0 {
+		e.pushReady(idx)
 	}
 }
 
@@ -1300,10 +1330,7 @@ func (e *engine) onComplete(idx int) {
 			// Same-side local successor: released directly (cross-side local
 			// edges go through fulfillLocal below, via the waiter the
 			// consumer registered on netTag).
-			e.remaining[li]--
-			if e.remaining[li] == 0 {
-				e.pushReady(li)
-			}
+			e.release(li)
 		}
 		si, sj := e.g.OutputTile(s)
 		sOwner := e.owner(si, sj)
@@ -1403,19 +1430,10 @@ func (e *engine) onArrival(msg cluster.Message) error {
 		e.answerRequest(msg, true)
 		return nil
 	}
-	// Honor the tree-broadcast relay obligation before any payload dedup, so
-	// the subtree's arrivals pipeline behind ours instead of behind our
-	// kernel work. The obligation is deduplicated by the relayed map, not by
-	// the recv/seen payload dedup below: when an interior relay hop dropped
-	// the original copy and a Resend heal (which carries no Forward list)
-	// landed first, the late original is a payload duplicate that still owes
-	// its subtree a relay — keying relays on the payload dedup used to
-	// swallow it and strand every downstream consumer behind its own
-	// re-request timeout.
-	if len(msg.Forward) > 0 && !e.relayed[msg.Tag] {
-		e.relayed[msg.Tag] = true
-		e.forwarded += e.comm.Forward(msg)
-	}
+	// Relay before any payload dedup, so the subtree's arrivals pipeline
+	// behind ours instead of behind our kernel work — and because a payload
+	// duplicate may still owe its subtree a relay (see relayed).
+	e.relay(msg)
 	if prev, dup := e.recv[msg.Tag]; dup {
 		identical := prev.Payload.EqualApprox(msg.Payload, 0)
 		msg.Release()
@@ -1443,11 +1461,7 @@ func (e *engine) onArrival(msg cluster.Message) error {
 				// This version arrived only after we re-requested it: the
 				// timeout path healed a lost delivery.
 				e.recovered++
-				if e.rec != nil {
-					e.rec.RecordFault("recovered", msg.From, e.rank,
-						fmt.Sprintf("(%d,%d)v%d", msg.Tag.I, msg.Tag.J, msg.Tag.V),
-						time.Since(e.epoch).Seconds())
-				}
+				e.fault("recovered", msg.From, e.rank, msg.Tag.String())
 			}
 			delete(e.pending, msg.Tag)
 		}
@@ -1467,10 +1481,7 @@ func (e *engine) onArrival(msg cluster.Message) error {
 		msg.Release()
 	}
 	for _, idx := range e.waiters[msg.Tag] {
-		e.remaining[idx]--
-		if e.remaining[idx] == 0 {
-			e.pushReady(idx)
-		}
+		e.release(idx)
 	}
 	delete(e.waiters, msg.Tag)
 	return nil

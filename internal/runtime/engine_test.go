@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
@@ -111,10 +112,7 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Errorf("owned tiles sum %d, want %d", totalOwned, mt*mt)
 	}
 	for rank, recvd := range rep.ReceivedTilesPerNode {
-		var msgs int64
-		for src := 0; src < rep.Stats.P; src++ {
-			msgs += rep.Stats.Messages[src][rank]
-		}
+		msgs := rep.Stats.ByDst(cluster.Messages)[rank]
 		if int64(recvd) != msgs {
 			t.Errorf("node %d holds %d received tiles but got %d messages", rank, recvd, msgs)
 		}

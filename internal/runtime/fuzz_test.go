@@ -227,7 +227,7 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 		if pay == nil {
 			t.Fatalf("no published snapshot for awaited tag %v", tag)
 		}
-		sender.Send(rank, tag, pay)
+		sender.SendAll([]int{rank}, tag, pay)
 		msg, ok := cl.Comm(rank).Recv()
 		if !ok {
 			t.Fatal("mailbox closed mid-test")

@@ -84,11 +84,11 @@ func TestTreeBroadcastG2DBC23(t *testing.T) {
 		s := rep.Stats
 		// Logical accounting is transport-independent, per pair: the tree
 		// must not disturb the quantities the paper's Eq (1)/(2) predict.
-		for i := range s.Messages {
-			for j := range s.Messages[i] {
-				if s.Messages[i][j] != flatRep.Stats.Messages[i][j] {
+		for i := 0; i < s.P; i++ {
+			for j := 0; j < s.P; j++ {
+				if s.At(cluster.Messages, i, j) != flatRep.Stats.At(cluster.Messages, i, j) {
 					t.Fatalf("workers=%d: pair %d->%d logical messages %d != flat %d",
-						workers, i, j, s.Messages[i][j], flatRep.Stats.Messages[i][j])
+						workers, i, j, s.At(cluster.Messages, i, j), flatRep.Stats.At(cluster.Messages, i, j))
 				}
 			}
 		}

@@ -336,25 +336,11 @@ func (s *Server) validate(spec *JobSpec) error {
 		return fmt.Errorf("%w: scheme %q unusable for P=%d: %v", ErrRejected, spec.Scheme, spec.P, err)
 	}
 	if spec.Crash != "" {
-		if _, _, err := parseCrash(spec.Crash, spec.P); err != nil {
+		if _, err := chaos.ParseCrash(spec.Crash, spec.P); err != nil {
 			return fmt.Errorf("%w: %v", ErrRejected, err)
 		}
 	}
 	return nil
-}
-
-// parseCrash parses "rank@task" crash injection specs.
-func parseCrash(s string, P int) (rank, task int, err error) {
-	if _, err := fmt.Sscanf(s, "%d@%d", &rank, &task); err != nil {
-		return 0, 0, fmt.Errorf("crash spec %q: want \"rank@task\"", s)
-	}
-	if rank < 0 || rank >= P {
-		return 0, 0, fmt.Errorf("crash spec %q: rank outside 0..%d", s, P-1)
-	}
-	if task < 0 {
-		return 0, 0, fmt.Errorf("crash spec %q: negative task index", s)
-	}
-	return rank, task, nil
 }
 
 // band maps a job priority to the cross-job scheduler band: non-negative
@@ -385,8 +371,8 @@ func (s *Server) Submit(spec JobSpec) (JobID, error) {
 	}
 	var plan *chaos.Plan
 	if spec.Crash != "" {
-		rank, task, _ := parseCrash(spec.Crash, spec.P)
-		p, err := chaos.New(chaos.Config{Seed: spec.ChaosSeed, CrashAtTask: map[int]int{rank: task}})
+		crashAt, _ := chaos.ParseCrash(spec.Crash, spec.P) // validate already accepted it
+		p, err := chaos.New(chaos.Config{Seed: spec.ChaosSeed, CrashAtTask: crashAt})
 		if err != nil {
 			s.mu.Lock()
 			s.rejected++
