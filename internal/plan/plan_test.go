@@ -1,0 +1,78 @@
+package plan
+
+import (
+	"strings"
+	"testing"
+
+	"anybc/internal/dag"
+	"anybc/internal/dist"
+)
+
+// TestCompileLayout checks the index spaces of a small plan from the inside:
+// the per-node ranges partition tasks, tiles and slots; every tile's writer
+// list is dense in versions; every slot sits in its consumer's range and is
+// the one its producer's destination list names. (The task-by-task
+// comparison with the Graph interface, over every graph the runtime
+// executes, is internal/runtime's TestPlanEqualsGraph.)
+func TestCompileLayout(t *testing.T) {
+	g, d := dag.NewLU(5), dist.NewTwoDBC(2, 2)
+	p, err := Compile(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumTasks() != g.NumTasks() || p.Nodes() != 4 {
+		t.Fatalf("%d tasks on %d nodes", p.NumTasks(), p.Nodes())
+	}
+	for _, off := range [][]int32{p.nodeOff, p.tileOff, p.slotOff} {
+		if len(off) != 5 || off[0] != 0 {
+			t.Fatalf("range table %v does not start at 0 with one range per node", off)
+		}
+	}
+	if int(p.nodeOff[4]) != len(p.task) || int(p.tileOff[4]) != len(p.tileI) || int(p.slotOff[4]) != len(p.slotProd) {
+		t.Fatal("per-node ranges do not cover the tables")
+	}
+	if len(p.tileI) != 25 {
+		t.Fatalf("%d tiles, LU(5) writes 25", len(p.tileI))
+	}
+	for tl := int32(0); tl < int32(len(p.tileI)); tl++ {
+		for v := int32(0); v < p.wrOff[tl+1]-p.wrOff[tl]; v++ {
+			w := p.writer[p.wrOff[tl]+v]
+			if w < 0 || p.out[w] != tl || p.ver[w] != v {
+				t.Fatalf("tile %d version %d: writer %d", tl, v, w)
+			}
+			if got := p.Producer(p.tileI[tl], p.tileJ[tl], v); got != w {
+				t.Fatalf("Producer(%d,%d,v%d) = %d, want %d", p.tileI[tl], p.tileJ[tl], v, got, w)
+			}
+		}
+	}
+	if p.Producer(0, 0, 9) != -1 || p.Producer(7, 0, 0) != -1 || p.Producer(-1, 0, 0) != -1 {
+		t.Fatal("Producer invented a task for a version or tile nobody writes")
+	}
+	for rank := 0; rank < 4; rank++ {
+		lo, hi := p.Slots(rank)
+		for s := lo; s < hi; s++ {
+			prod := p.SlotProducer(s)
+			if p.Owner(prod) == rank || p.SlotAt(prod, rank) != s {
+				t.Fatalf("slot %d of node %d: producer %d of node %d names slot %d", s, rank, prod, p.Owner(prod), p.SlotAt(prod, rank))
+			}
+			for _, w := range p.Waiters(s) {
+				if p.Owner(w) != rank {
+					t.Fatalf("slot %d of node %d releases task %d of node %d", s, rank, w, p.Owner(w))
+				}
+			}
+		}
+	}
+}
+
+func TestCompileRejectsOwnerOutOfRange(t *testing.T) {
+	_, err := Compile(dag.NewCholesky(3), badDist{})
+	if err == nil || !strings.Contains(err.Error(), "outside 0..1") {
+		t.Fatalf("expected out-of-range owner error, got %v", err)
+	}
+}
+
+type badDist struct{}
+
+func (badDist) Name() string       { return "bad" }
+func (badDist) Nodes() int         { return 2 }
+func (badDist) Owner(i, j int) int { return i + j }

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"anybc/internal/cluster"
-	"anybc/internal/dag"
 	"anybc/internal/hetero"
 	"anybc/internal/sched"
 	"anybc/internal/tile"
@@ -124,19 +123,52 @@ func (e *engine) markDead(rank int, gossip bool) {
 	}
 }
 
-// adoptNode migrates the dead rank's entire task set onto this node. The
-// whole set — not just tasks with unreceived outputs — because this node
-// cannot know which outputs other consumers are still missing; replaying
-// everything is always safe (duplicates drop idempotently) and keeps the
-// migration decision local.
-func (e *engine) adoptNode(rank int) {
-	var tasks []dag.Task
-	dag.ForEachTask(e.g, func(t dag.Task) {
-		oi, oj := e.g.OutputTile(t)
-		if e.owner(oi, oj) == rank {
-			tasks = append(tasks, t)
+// liveDsts filters the static destination list of plan task pt through what
+// only the run knows: a destination that died is replaced by its adopter,
+// one nobody has adopted yet (or that this node adopted itself) is skipped —
+// the eventual adopter pulls the version via Request from our published
+// cache — and a speculative replay never feeds a lagging-but-alive node its
+// own output. The successor's original rank otherwise consumes the version
+// over the wire regardless of whether a copy of the task also runs here:
+// adopting a task — fully or speculatively — never cancels the delivery to
+// the rank that still natively awaits it.
+func (e *engine) liveDsts(pt int32, adopted bool) []int {
+	origOwner := -1
+	if adopted {
+		origOwner = e.pl.Owner(pt)
+	}
+	live := e.dstScratch[:0]
+next:
+	for _, rank := range e.pl.Dsts(pt) {
+		dst := e.liveOwner(rank)
+		if dst == e.rank || dst < 0 {
+			continue
 		}
-	})
+		if adopted && dst == origOwner && !e.dead[origOwner] {
+			continue
+		}
+		for _, have := range live {
+			if have == dst {
+				continue next
+			}
+		}
+		live = append(live, dst)
+	}
+	e.dstScratch = live
+	return live
+}
+
+// adoptNode migrates the dead rank's entire task set — its share of the plan
+// — onto this node. The whole set, not just tasks with unreceived outputs,
+// because this node cannot know which outputs other consumers are still
+// missing; replaying everything is always safe (duplicates drop idempotently)
+// and keeps the migration decision local.
+func (e *engine) adoptNode(rank int) {
+	lo, hi := e.pl.Tasks(rank)
+	tasks := make([]int32, 0, hi-lo)
+	for t := lo; t < hi; t++ {
+		tasks = append(tasks, t)
+	}
 	n := e.adoptTasks(tasks, false)
 	e.fault("adopt", e.rank, rank, fmt.Sprintf("%d tasks", n))
 }
@@ -148,34 +180,31 @@ func (e *engine) adoptNode(rank int) {
 // (sched.Demote) so it never starves this node's own critical path, and its
 // outputs are never sent back to the laggard.
 func (e *engine) adoptChain(tag cluster.Tag) {
-	root, ok := e.producerOf(tag)
-	if !ok {
+	root := e.pl.Producer(tag.I, tag.J, tag.V)
+	if root < 0 {
 		return
 	}
-	lag := e.owner(int(tag.I), int(tag.J))
-	visited := make(map[int]bool)
-	var chain []dag.Task
-	var walk func(t dag.Task)
-	walk = func(t dag.Task) {
-		id := e.g.ID(t)
-		if visited[id] {
+	lag := e.pl.Owner(root)
+	visited := make(map[int32]bool)
+	var chain []int32
+	var walk func(t int32)
+	walk = func(t int32) {
+		if visited[t] {
 			return
 		}
-		visited[id] = true
-		if _, mine := e.localIdx[id]; mine {
+		visited[t] = true
+		if _, mine := e.local(t); mine {
 			return // native, or adopted by an earlier migration
 		}
-		e.g.Dependencies(t, func(dep dag.Task) {
-			di, dj := e.g.OutputTile(dep)
-			if e.owner(di, dj) != lag {
-				return // non-laggard inputs resolve via recv or Request
+		for _, dep := range e.pl.Deps(t) {
+			if e.pl.Owner(dep) != lag {
+				continue // non-laggard inputs resolve via recv or Request
 			}
-			dtag := cluster.Tag{I: int32(di), J: int32(dj), V: e.ver[e.g.ID(dep)]}
-			if _, held := e.recv[dtag]; held {
-				return // payload at hand: the chain cuts here
+			if e.holds(dep) {
+				continue // payload at hand: the chain cuts here
 			}
 			walk(dep)
-		})
+		}
 		chain = append(chain, t) // post-order: dependencies first
 	}
 	walk(root)
@@ -187,36 +216,53 @@ func (e *engine) adoptChain(tag cluster.Tag) {
 	// Every tag the chain will produce locally stops escalating its (alive)
 	// owner toward presumed death: the replay is already racing the wire.
 	for _, t := range chain {
-		oi, oj := e.g.OutputTile(t)
-		ptag := cluster.Tag{I: int32(oi), J: int32(oj), V: e.ver[e.g.ID(t)]}
-		if p := e.pending[ptag]; p != nil {
+		if p := e.pending[e.tagOf(t)]; p != nil {
 			p.speculated = true
 		}
 	}
 }
 
-// producerOf returns the task producing the given versioned tag, building
-// the tag→task index lazily on the first adoption (the happy path never pays
-// for it).
-func (e *engine) producerOf(tag cluster.Tag) (dag.Task, bool) {
-	if e.taskByTag == nil {
-		e.taskByTag = make(map[cluster.Tag]dag.Task, e.g.NumTasks())
-		dag.ForEachTask(e.g, func(t dag.Task) {
-			oi, oj := e.g.OutputTile(t)
-			e.taskByTag[cluster.Tag{I: int32(oi), J: int32(oj), V: e.ver[e.g.ID(t)]}] = t
-		})
-	}
-	t, ok := e.taskByTag[tag]
-	return t, ok
+// holds reports whether plan task t's output version is retained in recv.
+func (e *engine) holds(t int32) bool {
+	s := e.slotOf(t)
+	return s >= 0 && e.recv[s].Payload != nil
 }
 
-// stashPublished materializes one of this node's own published versions as a
-// synthetic arrival, so an adopted consumer reads the immutable snapshot
-// instead of the live in-place buffer (which later native writers advance).
-// The version is guaranteed cached: the node whose task was adopted consumed
-// it remotely, so it was broadcast — and every broadcast is snapshotted.
-func (e *engine) stashPublished(vtag cluster.Tag) {
-	if _, held := e.recv[vtag]; held {
+// slotFor returns the local slot of plan task t's output version, appending
+// one when neither the plan nor an earlier adoption gave this node any: an
+// adopted task may consume a version that was never addressed here.
+func (e *engine) slotFor(t int32) int32 {
+	if s := e.slotOf(t); s >= 0 {
+		return s
+	}
+	s := int32(len(e.recv))
+	e.recv = append(e.recv, cluster.Message{})
+	e.readers = append(e.readers, 0)
+	e.fed = append(e.fed, false)
+	e.xslot[t] = s
+	return s
+}
+
+// replayTile returns the local index of this node's replay buffer for an
+// adopted plan tile, reserving an empty one on first use.
+func (e *engine) replayTile(tl int32) int32 {
+	k, ok := e.xtile[tl]
+	if !ok {
+		k = int32(len(e.tiles))
+		e.tiles = append(e.tiles, nil)
+		e.xtile[tl] = k
+	}
+	return k
+}
+
+// stashPublished materializes a version this node itself published as a
+// synthetic arrival in local slot s, so an adopted consumer reads the
+// immutable snapshot instead of the live in-place buffer (which later
+// writers advance). The version is guaranteed cached: a task on another
+// node consumed it, so it was broadcast — and every broadcast is
+// snapshotted.
+func (e *engine) stashPublished(vtag cluster.Tag, s int32) {
+	if e.recv[s].Payload != nil {
 		return
 	}
 	e.pubMu.Lock()
@@ -225,39 +271,39 @@ func (e *engine) stashPublished(vtag cluster.Tag) {
 	if cached == nil {
 		panic(fmt.Sprintf("runtime: node %d: adopted task needs local version %v that was never published", e.rank, vtag))
 	}
-	e.recv[vtag] = cluster.Message{From: e.rank, To: e.rank, Tag: vtag, Payload: cached}
+	e.retain(s, cluster.Message{From: e.rank, To: e.rank, Tag: vtag, Payload: cached})
 	e.seen[vtag] = true
 }
 
 // fulfillLocal is the synthetic-arrival half of adoption: when a completed
 // task's output version has same-node consumers that registered to await it
 // as a network arrival (native tasks waiting on a now-adopted producer, or
-// adopted tasks waiting on a native one), it stashes a snapshot into recv,
-// marks the tag seen, and releases the waiters — exactly what onArrival
-// would have done had the version crossed the wire. Waiters and pending are
-// consumed here, so a stale copy arriving later (a pre-crash in-flight send,
-// or a laggard finally answering) drops through the ordinary duplicate
-// paths without double-decrementing any dependency count.
-func (e *engine) fulfillLocal(netTag cluster.Tag, out *tile.Tile) {
+// adopted tasks waiting on a producer of the other side), it stashes a
+// snapshot into the version's slot, marks the tag seen, and releases the
+// waiters — exactly what onArrival would have done had the version crossed
+// the wire. Waiters and pending are consumed here, so a stale copy arriving
+// later (a pre-crash in-flight send, or a laggard finally answering) drops
+// through the ordinary duplicate paths without double-decrementing any
+// dependency count.
+func (e *engine) fulfillLocal(pt int32, netTag cluster.Tag, out *tile.Tile) {
 	if e.seen[netTag] {
 		return // the version arrived over the wire first; waiters were fed then
 	}
-	w := e.waiters[netTag]
-	if len(w) == 0 && e.readers[netTag] == 0 {
+	s := e.slotOf(pt)
+	if s < 0 {
+		return
+	}
+	waiting := len(e.xwait[s]) > 0 ||
+		(!e.fed[s] && int(s) < e.nslot && len(e.pl.Waiters(e.slotLo+s)) > 0)
+	if !waiting && e.readers[s] == 0 {
 		return
 	}
 	e.seen[netTag] = true
-	if e.readers[netTag] > 0 {
+	if e.readers[s] > 0 && e.recv[s].Payload == nil {
 		// Snapshot: out is advanced in place by the tile's later writers.
-		e.recv[netTag] = cluster.Message{From: e.rank, To: e.rank, Tag: netTag, Payload: out.Clone()}
-		if held := e.ownedTiles + len(e.recv); held > e.peakTiles {
-			e.peakTiles = held
-		}
+		e.retain(s, cluster.Message{From: e.rank, To: e.rank, Tag: netTag, Payload: out.Clone()})
 	}
-	for _, idx := range w {
-		e.release(idx)
-	}
-	delete(e.waiters, netTag)
+	e.feed(s)
 	if p, ok := e.pending[netTag]; ok {
 		if p.attempts > 0 {
 			e.recovered++
@@ -266,172 +312,173 @@ func (e *engine) fulfillLocal(netTag cluster.Tag, out *tile.Tile) {
 	}
 }
 
-// adoptTasks wires the given tasks into this engine's scheduling state and
-// returns how many were actually added (tasks already native or previously
-// adopted are skipped). demote selects the speculative priority band.
+// adoptTasks wires the given plan tasks into this engine's scheduling state
+// and returns how many were actually added (tasks already native or
+// previously adopted are skipped). demote selects the speculative priority
+// band. Everything it needs — predecessors, input references, writer chains
+// — it reads from the original owner's share of the plan.
 //
 // Pass 1 registers every task (so intra-set dependency resolution sees the
 // whole closure regardless of order); pass 2 resolves each task's
 // dependencies and input tiles:
 //
-//   - a dependency adopted here releases its consumer directly at completion
-//     (both sides replay in place on the regenerated buffers);
-//   - a native dependency feeds the adopted consumer a published snapshot —
+//   - a dependency adopted here from the same node releases its consumer
+//     directly at completion (both sides replay in place on the regenerated
+//     buffers, ordered exactly as on the original owner);
+//   - any other dependency produced here — a native task, or one adopted
+//     from another node — feeds the adopted consumer a published snapshot:
 //     immediately when already completed, via fulfillLocal otherwise;
 //   - anything else is awaited exactly like a network arrival, with an
 //     immediate Request because the version may never have been addressed to
 //     this node in the original schedule.
-func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
+func (e *engine) adoptTasks(tasks []int32, demote bool) int {
+	if e.xidx == nil {
+		e.xidx = make(map[int32]int)
+		e.xtile = make(map[int32]int32)
+		e.xslot = make(map[int32]int32)
+		e.xwait = make(map[int32][]int)
+	}
+	pl := e.pl
 	added := make([]int, 0, len(tasks))
-	for _, t := range tasks {
-		id := e.g.ID(t)
-		if _, ok := e.localIdx[id]; ok {
+	for _, pt := range tasks {
+		if _, ok := e.local(pt); ok {
 			continue
 		}
-		idx := len(e.owned)
-		e.owned = append(e.owned, t)
-		e.localIdx[id] = idx
-		e.adoptedSet[id] = true
-		key := sched.Band(sched.Key(t), e.band)
+		idx := e.n + len(e.xtask)
+		e.xtask = append(e.xtask, pt)
+		e.xidx[pt] = idx
+		key := sched.Band(pl.Key(pt), e.band)
 		if demote {
 			key = sched.Demote(key)
 		}
-		e.keys = append(e.keys, key)
+		e.xkey = append(e.xkey, key)
+		e.xins = append(e.xins, nil)
 		e.remaining = append(e.remaining, 0)
 		e.completed = append(e.completed, false)
-		e.ins = append(e.ins, nil)
-		e.inbuf = append(e.inbuf, nil)
 		e.total++
 		added = append(added, idx)
 	}
 	now := time.Now()
 	for _, idx := range added {
-		t := e.owned[idx]
-		oi, oj := e.g.OutputTile(t)
-		outTag := cluster.Tag{I: int32(oi), J: int32(oj)}
+		pt := e.task(idx)
+		from, otile := pl.Owner(pt), pl.Out(pt)
+		// sameSide: produced here by a task adopted from the same node.
+		sameSide := func(t int32) (li int, here, same bool) {
+			li, here = e.local(t)
+			return li, here, here && li >= e.n && pl.Owner(t) == from
+		}
 
 		// Dependency accounting: how many release events this task awaits,
 		// and through which path each arrives.
-		var selfPrev dag.Task
-		hasSelfPrev := false
-		rem := int32(0)
-		e.g.Dependencies(t, func(dep dag.Task) {
-			did := e.g.ID(dep)
-			di, dj := e.g.OutputTile(dep)
-			if di == oi && dj == oj {
-				hasSelfPrev = true
+		selfPrev, rem := int32(-1), int32(0)
+		for _, dep := range pl.Deps(pt) {
+			if pl.Out(dep) == otile {
 				selfPrev = dep
 			}
-			vtag := cluster.Tag{I: int32(di), J: int32(dj), V: e.ver[did]}
-			if li, ok := e.localIdx[did]; ok {
-				if e.adoptedSet[did] {
-					// Same side: released directly when the producer
-					// completes here (onComplete's same-side branch).
-					if !e.completed[li] {
-						rem++
-					}
-					return
-				}
-				// Native producer, adopted consumer: fed through
-				// fulfillLocal at its completion; nothing to await if it
-				// already ran (the snapshot is stashed by the input-tile
-				// sweep below).
+			li, here, same := sameSide(dep)
+			switch {
+			case same:
+				// Released directly when the producer completes here
+				// (onComplete's same-side branch).
 				if !e.completed[li] {
-					e.waiters[vtag] = append(e.waiters[vtag], idx)
 					rem++
 				}
-				return
-			}
-			if di == oi && dj == oj {
+			case !here && pl.Out(dep) == otile:
 				// Chain cut below this writer: the received predecessor
 				// version seeds the replay buffer (below); nothing to await.
-				return
-			}
-			if _, held := e.recv[vtag]; held {
-				return // payload at hand
-			}
-			// Await it like a network arrival, requesting immediately — in
-			// the original schedule this version may never have been
-			// addressed to us, so no broadcast is coming.
-			e.waiters[vtag] = append(e.waiters[vtag], idx)
-			rem++
-			delete(e.seen, vtag) // let a re-requested copy back in
-			if e.pending[vtag] == nil {
-				e.pending[vtag] = &pendingWait{
-					deadline:   now.Add(e.arrival),
-					backoff:    e.arrival,
-					speculated: demote,
+			case e.holds(dep):
+				// Payload at hand.
+			case here && e.completed[li]:
+				// Already produced here on the other side: the input sweep
+				// below stashes its published snapshot.
+			default:
+				// Await it like a network arrival: fed through fulfillLocal
+				// when a task of the other side produces it here, otherwise
+				// requested immediately — in the original schedule this
+				// version may never have been addressed to us, so no
+				// broadcast is coming.
+				s := e.slotFor(dep)
+				e.xwait[s] = append(e.xwait[s], idx)
+				rem++
+				vtag := e.tagOf(dep)
+				delete(e.seen, vtag) // let a re-requested copy back in
+				if !here && e.pending[vtag] == nil {
+					e.pending[vtag] = &pendingWait{
+						deadline:   now.Add(e.arrival),
+						backoff:    e.arrival,
+						speculated: demote,
+					}
+					if target := e.liveOwner(pl.Owner(dep)); target >= 0 && target != e.rank {
+						e.comm.Request(target, vtag)
+					}
 				}
-				if target := e.liveOwner(e.owner(di, dj)); target >= 0 && target != e.rank {
-					e.comm.Request(target, vtag)
-				}
 			}
-		})
+		}
 		e.remaining[idx] = rem
 
 		// Replay buffer for the output tile: the first adopted writer
 		// regenerates it from gen; a chain cut below the first writer seeds
 		// it from the received predecessor version; an adopted previous
-		// writer leaves creation to its own step (it completes before this
-		// task can dispatch, and dispatch resolves buffers lazily).
-		if _, ok := e.tiles[outTag]; !ok {
-			if !hasSelfPrev {
-				e.tiles[outTag] = e.gen(oi, oj)
-			} else if pid := e.g.ID(selfPrev); !e.adoptedSet[pid] {
-				ptag := cluster.Tag{I: int32(oi), J: int32(oj), V: e.ver[pid]}
-				m, held := e.recv[ptag]
-				if !held {
-					panic(fmt.Sprintf("runtime: node %d: writer chain of %v cut without predecessor %v at hand", e.rank, t, ptag))
+		// writer created it in its own step.
+		if k := e.replayTile(otile); e.tiles[k] == nil {
+			if selfPrev < 0 {
+				e.tiles[k] = e.gen(pl.TileCoords(otile))
+			} else if _, _, same := sameSide(selfPrev); !same {
+				if !e.holds(selfPrev) {
+					panic(fmt.Sprintf("runtime: node %d: writer chain of %v cut without predecessor %v at hand",
+						e.rank, pl.Task(pt), e.tagOf(selfPrev)))
 				}
-				e.tiles[outTag] = m.Payload.Clone()
+				e.tiles[k] = e.recv[e.slotOf(selfPrev)].Payload.Clone()
 			}
 		}
 
-		// Input references, in InputTiles visit order, mirroring newEngine:
-		// reader counts are per input tile here, await registrations per
-		// dependency above.
-		var refs []inputRef
-		e.g.InputTiles(t, func(i, j int) {
-			base := cluster.Tag{I: int32(i), J: int32(j)}
-			v, produced := dag.InputVersion(e.g, e.ver, t, i, j)
-			if !produced {
-				// Initial contents — prevalidate guarantees only a tile's
-				// owner reads those, so this is a tile of the adopted rank:
-				// regenerate it deterministically.
-				if _, ok := e.tiles[base]; !ok {
-					e.tiles[base] = e.gen(i, j)
+		// Input references in local indices, from the original owner's: a
+		// tile of that node names the version its latest writer among the
+		// dependencies produced (or the initial contents), a slot of that
+		// node names its producer.
+		refs := make([]int32, 0, len(pl.Inputs(pt)))
+		for _, ref := range pl.Inputs(pt) {
+			tl, producer := ref, int32(-1)
+			if ref < 0 {
+				producer = pl.SlotProducer(^ref)
+				tl = pl.Out(producer)
+			} else {
+				for _, dep := range pl.Deps(pt) {
+					if pl.Out(dep) == tl && (producer < 0 || pl.Version(dep) > pl.Version(producer)) {
+						producer = dep
+					}
 				}
-				refs = append(refs, inputRef{tag: base})
-				return
 			}
-			vtag := cluster.Tag{I: int32(i), J: int32(j), V: v}
-			producer, ok := e.producerOf(vtag)
-			if !ok {
-				panic(fmt.Sprintf("runtime: node %d: no producer for input %v of adopted %v", e.rank, vtag, t))
+			if producer < 0 {
+				// Initial contents — the plan guarantees only a tile's owner
+				// reads those, so this is a tile of the adopted rank:
+				// regenerate it deterministically.
+				k := e.replayTile(tl)
+				if e.tiles[k] == nil {
+					e.tiles[k] = e.gen(pl.TileCoords(tl))
+				}
+				refs = append(refs, k)
+				continue
 			}
-			pid := e.g.ID(producer)
-			if e.adoptedSet[pid] {
+			li, here, same := sameSide(producer)
+			if same || tl == otile {
 				// In-chain: read the replayed in-place buffer, aliased with
-				// the writer chain exactly as on the original owner.
-				refs = append(refs, inputRef{tag: base})
-				return
+				// the writer chain exactly as on the original owner — or the
+				// seeded buffer of a chain cut, which holds this version.
+				refs = append(refs, e.replayTile(tl))
+				continue
 			}
-			if i == oi && j == oj {
-				// Chain cut: the seeded replay buffer holds this version.
-				refs = append(refs, inputRef{tag: base})
-				return
+			// Snapshot read: a version produced here on the other side
+			// (stashed from the published cache) or a remote version
+			// (recv-held or awaited).
+			s := e.slotFor(producer)
+			refs = append(refs, ^s)
+			e.readers[s]++
+			if here && e.completed[li] {
+				e.stashPublished(e.tagOf(producer), s)
 			}
-			// Snapshot read: a native version (stashed from the published
-			// cache) or a remote version (recv-held or awaited).
-			refs = append(refs, inputRef{remote: true, tag: vtag})
-			e.readers[vtag]++
-			if li, mine := e.localIdx[pid]; mine && e.completed[li] {
-				e.stashPublished(vtag)
-			}
-			return
-		})
-		e.ins[idx] = refs
-		e.inbuf[idx] = make([]*tile.Tile, len(refs))
+		}
+		e.xins[idx-e.n] = refs
 
 		if rem == 0 {
 			e.pushReady(idx)

@@ -89,9 +89,15 @@ func TestEngineReadyQueueIsNotLIFO(t *testing.T) {
 	defer cl.Close()
 	e := testEngine(t, 0, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel)
 
-	trsm := e.localIdx[g.ID(dag.Task{Kind: dag.TRSMRow, L: 0, I: 1})]
-	gemm := e.localIdx[g.ID(dag.Task{Kind: dag.GEMMLU, L: 0, I: 1, J: 1})]
-	getrf1 := e.localIdx[g.ID(dag.Task{Kind: dag.GETRF, L: 1})]
+	// One node owns everything, so a task's local index is its position in
+	// the plan.
+	localIdx := map[dag.Task]int{}
+	for idx := 0; idx < e.n; idx++ {
+		localIdx[e.pl.Task(e.task(idx))] = idx
+	}
+	trsm := localIdx[dag.Task{Kind: dag.TRSMRow, L: 0, I: 1}]
+	gemm := localIdx[dag.Task{Kind: dag.GEMMLU, L: 0, I: 1, J: 1}]
+	getrf1 := localIdx[dag.Task{Kind: dag.GETRF, L: 1, I: 1, J: 1}]
 
 	// Push in an order LIFO would invert: the last push is the lowest
 	// priority, the first push the highest.
@@ -101,14 +107,14 @@ func TestEngineReadyQueueIsNotLIFO(t *testing.T) {
 	want := []int{trsm, gemm, getrf1}
 	for i, w := range want {
 		if got := int(e.ready.Pop()); got != w {
-			t.Fatalf("pop %d = task %v, want %v", i, e.owned[got], e.owned[w])
+			t.Fatalf("pop %d = task %v, want %v", i, e.pl.Task(e.task(got)), e.pl.Task(e.task(w)))
 		}
 	}
 	// The engine's precomputed keys must be the shared policy's keys — the
 	// same numbers the simulator orders by.
-	for idx, task := range e.owned {
-		if e.keys[idx] != sched.Key(task) {
-			t.Fatalf("engine key for %v = %d, sched.Key = %d", task, e.keys[idx], sched.Key(task))
+	for idx := 0; idx < e.n; idx++ {
+		if task := e.pl.Task(e.task(idx)); e.key(idx) != sched.Key(task) {
+			t.Fatalf("engine key for %v = %d, sched.Key = %d", task, e.key(idx), sched.Key(task))
 		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // job is one fully-resolved kernel execution: the event loop resolves the
-// task's input tiles (from maps only it may touch) at feed time, so workers
+// task's input tiles (from tables only it may touch) at feed time, so workers
 // never read engine state. The task itself rides in the job (not just its
-// index) because elastic adoption appends to the engine's owned-task slice
+// index) because elastic adoption appends to the engine's task tables
 // mid-run — workers must not index a slice the event loop may be growing.
 type job struct {
 	idx    int

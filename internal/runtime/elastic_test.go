@@ -327,13 +327,8 @@ func TestReRequestBudgetExhausted(t *testing.T) {
 	d := dist.NewTwoDBC(2, 2)
 	cl := cluster.New(4)
 	defer cl.Close()
-	ver, err := prevalidate(g, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(1, cl.Comm(1), g, d, 3, GenDiagDominant(4, 3, 1), LUKernel,
-		Options{Workers: 1, ArrivalTimeout: time.Millisecond, MaxReRequests: 3},
-		ver, time.Now())
+	e := testEngineOpt(t, 1, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel,
+		Options{Workers: 1, ArrivalTimeout: time.Millisecond, MaxReRequests: 3})
 
 	tag := cluster.Tag{I: 0, J: 0, V: 0} // owned by rank 0, never delivered
 	e.pending[tag] = &pendingWait{backoff: time.Millisecond}
@@ -367,13 +362,8 @@ func TestReRequestBudgetEscalatesWhenElastic(t *testing.T) {
 	d := dist.NewTwoDBC(2, 2)
 	cl := cluster.New(4)
 	defer cl.Close()
-	ver, err := prevalidate(g, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(1, cl.Comm(1), g, d, 3, GenDiagDominant(4, 3, 1), LUKernel,
-		Options{Workers: 1, ArrivalTimeout: time.Millisecond, MaxReRequests: 2, Elastic: true},
-		ver, time.Now())
+	e := testEngineOpt(t, 1, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel,
+		Options{Workers: 1, ArrivalTimeout: time.Millisecond, MaxReRequests: 2, Elastic: true})
 
 	tag := cluster.Tag{I: 0, J: 0, V: 0} // owned by rank 0
 	e.pending[tag] = &pendingWait{backoff: time.Millisecond}
@@ -392,7 +382,7 @@ func TestReRequestBudgetEscalatesWhenElastic(t *testing.T) {
 	if e.adoptedBy[0] != 1 {
 		t.Fatalf("adopter of the presumed-dead owner = %d, want 1 (lowest alive rank)", e.adoptedBy[0])
 	}
-	if len(e.adoptedSet) == 0 {
+	if len(e.xtask) == 0 {
 		t.Fatal("no tasks migrated off the presumed-dead owner")
 	}
 	if p := e.pending[tag]; p != nil && p.attempts != 0 {

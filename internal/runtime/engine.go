@@ -30,10 +30,12 @@
 // versions — legal in general task graphs, even though the right-looking
 // factorizations only ever ship final versions — is simply sent once per
 // (version, consumer node) pair, and receivers key their copies by the full
-// versioned tag. Run prevalidates the (graph, distribution) pair and returns
-// a descriptive error for anything the protocol cannot serve: unserialized
-// writers of one tile, remote reads of initial tile contents, or local reads
-// of an intermediate version that race the next in-place update.
+// versioned tag. Run compiles the (graph, distribution) pair into a
+// plan.Plan first — one graph walk, shared read-only by every engine — and
+// compilation returns a descriptive error for anything the protocol cannot
+// serve: unserialized writers of one tile, remote reads of initial tile
+// contents, or local reads of an intermediate version that race the next
+// in-place update. RunPlan executes a plan compiled earlier.
 //
 // # Tile lifetime
 //
@@ -99,6 +101,7 @@ import (
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
+	"anybc/internal/plan"
 	"anybc/internal/sched"
 	"anybc/internal/tile"
 	"anybc/internal/trace"
@@ -137,7 +140,7 @@ type Options struct {
 	// graph for any value, and final factors are bit-identical across worker
 	// counts (kernels run whole tasks; the parallel GEMM preserves FP order).
 	// Workers <= 0 — including the zero value — is normalized to 1 (see
-	// normalize); newEngine assumes a positive count.
+	// normalize); newEngine assumes normalized options.
 	Workers int
 	// Recorder, when non-nil, receives every kernel interval and message of
 	// the run (wall-clock seconds since the run started) for the
@@ -228,8 +231,12 @@ type Options struct {
 }
 
 // defaultArrivalTimeout arms the re-request protocol for runs that need it
-// (Chaos, Elastic) but did not choose a timeout.
-const defaultArrivalTimeout = 250 * time.Millisecond
+// (Chaos, Elastic) but did not choose a timeout; defaultMaxReRequests is the
+// retry budget of one awaited tile version when Options.MaxReRequests is zero.
+const (
+	defaultArrivalTimeout = 250 * time.Millisecond
+	defaultMaxReRequests  = 50
+)
 
 // normalize is the single point where Options are defaulted and cross-checked
 // for a run under distribution d: every default the engines rely on is applied
@@ -255,6 +262,9 @@ func (opt *Options) normalize(d dist.Distribution) error {
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
+	}
+	if opt.MaxReRequests == 0 {
+		opt.MaxReRequests = defaultMaxReRequests
 	}
 	if cl != nil {
 		// The substrate is the shared cluster's: its broadcast transport and
@@ -376,17 +386,30 @@ type SchedStats struct {
 // Run executes graph g on a fresh virtual cluster with the given tile
 // distribution, initial tile generator and kernel. It returns the final tile
 // contents via collect: after all nodes finish, collect is called once for
-// every tile with its final payload.
+// every tile with its final payload. Run is plan.Compile followed by RunPlan;
+// callers that run one (graph, distribution) pair repeatedly compile once and
+// call RunPlan.
 func Run(g dag.Graph, d dist.Distribution, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	collect func(i, j int, t *tile.Tile)) (*Report, error) {
 
-	P := d.Nodes()
-	if err := opt.normalize(d); err != nil {
-		return nil, err
-	}
-	ver, err := prevalidate(g, d)
+	pl, err := plan.Compile(g, d)
 	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	return RunPlan(pl, b, gen, kern, opt, collect)
+}
+
+// RunPlan executes a compiled plan: every engine reads its share of pl and
+// allocates only its per-run mutable state, so set-up costs O(P) allocations
+// plus the owned tiles gen creates, whatever the task count. pl is not
+// modified and may serve any number of concurrent runs.
+func RunPlan(pl *plan.Plan, b int,
+	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
+	collect func(i, j int, t *tile.Tile)) (*Report, error) {
+
+	P := pl.Nodes()
+	if err := opt.normalize(pl.Dist()); err != nil {
 		return nil, err
 	}
 	cl, shared := opt.Cluster, opt.Cluster != nil
@@ -404,7 +427,7 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 	}
 	engines := make([]*engine, P)
 	for rank := 0; rank < P; rank++ {
-		engines[rank] = newEngine(rank, cl.JobComm(opt.Job, rank), g, d, b, gen, kern, opt, ver, start)
+		engines[rank] = newEngine(rank, cl.JobComm(opt.Job, rank), pl, b, gen, kern, opt, start)
 	}
 
 	// Cancellation seam: a context that ends before the run does poisons
@@ -551,16 +574,8 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 			}
 			return -1
 		}
-		var collectErr error
-		seen := map[cluster.Tag]bool{}
-		dag.ForEachTask(g, func(t dag.Task) {
-			i, j := g.OutputTile(t)
-			tag := cluster.Tag{I: int32(i), J: int32(j)}
-			if seen[tag] {
-				return
-			}
-			seen[tag] = true
-			owner := d.Owner(i, j)
+		for rank := range engines {
+			owner := rank
 			for engines[owner].died {
 				a := adopterOf(owner)
 				if a < 0 || a == owner {
@@ -568,19 +583,18 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 				}
 				owner = a
 			}
-			final := engines[owner].tiles[tag]
-			if final == nil && collectErr == nil {
-				// Backstop: a dead node's work was never adopted — the run
-				// cannot produce complete factors.
-				collectErr = fmt.Errorf("runtime: tile (%d,%d) lost: owner %d died and no survivor adopted its tasks",
-					i, j, d.Owner(i, j))
-			}
-			if final != nil {
+			lo, hi := pl.Tiles(rank)
+			for tl := lo; tl < hi; tl++ {
+				i, j := pl.TileCoords(tl)
+				final := engines[owner].tileOf(tl)
+				if final == nil {
+					// Backstop: a dead node's work was never adopted — the
+					// run cannot produce complete factors.
+					return nil, fmt.Errorf("runtime: tile (%d,%d) lost: owner %d died and no survivor adopted its tasks",
+						i, j, rank)
+				}
 				collect(i, j, final)
 			}
-		})
-		if collectErr != nil {
-			return nil, collectErr
 		}
 	}
 	return rep, nil
@@ -594,51 +608,45 @@ type event struct {
 	msg       cluster.Message
 }
 
-// inputRef locates one input tile of an owned task: the owner-side in-place
-// buffer for local tiles (keyed by coordinates, version 0), or a received
-// versioned copy for remote tiles.
-type inputRef struct {
-	remote bool
-	tag    cluster.Tag
-}
-
 type engine struct {
 	rank    int
 	comm    *cluster.Comm
-	g       dag.Graph
-	redg    dag.ReduceGraph // non-nil when g schedules replication reductions
+	pl      *plan.Plan // shared, read-only
 	owner   func(i, j int) int
 	gen     func(i, j int) *tile.Tile
 	b       int
 	kern    Kernel
 	workers int
-	band    int     // cross-job priority band applied to every task key
-	ver     []int32 // per-task output versions (shared, read-only)
+	band    int // cross-job priority band applied to every task key
 	rec     *trace.Recorder
 	epoch   time.Time
 
-	owned     []dag.Task
-	localIdx  map[int]int // graph task id -> index in owned
-	remaining []int32
-	ins       [][]inputRef // per owned task, in InputTiles visit order
-	inbuf     [][]*tile.Tile
-	waiters   map[cluster.Tag][]int
-	// tiles holds the owned tiles, keyed at version 0: the in-place buffers
-	// the owner's writer chain updates. recv holds received remote versions,
-	// each retained (and its message released back to the cluster pool) until
-	// readers[tag] consumers have run.
-	tiles   map[cluster.Tag]*tile.Tile
-	recv    map[cluster.Tag]cluster.Message
-	readers map[cluster.Tag]int32
-	// dstList/dstSeen are reusable scratch for collecting the distinct
-	// destination nodes of one completion's broadcast.
-	dstList []int
-	dstSeen []bool
+	// This node's share of the plan: tasks [lo, lo+n), tiles from tileLo,
+	// slots from slotLo. Every per-run table below is a flat slice indexed by
+	// (plan index − range start); local task indices >= n, tile indices and
+	// slot indices past the plan's ranges belong to elastic adoption
+	// (adopt.go), which appends to the same slices.
+	lo, tileLo, slotLo int32
+	inLo               int32 // plan.InputBase(lo): where this node's share of inbuf starts
+	n                  int
+	remaining          []int32
+	// tiles holds the owned tiles: the in-place buffers the owner's writer
+	// chain updates. recv holds the received remote version of each slot,
+	// retained (and its message released back to the cluster pool) until
+	// readers[slot] consumers have run; fed marks slots whose plan waiters
+	// were released, so a re-delivery never releases them twice. held counts
+	// the retained slots.
+	tiles   []*tile.Tile
+	recv    []cluster.Message
+	readers []int32
+	fed     []bool
+	nslot   int // slots the plan gives this node
+	held    int
+	inbuf   []*tile.Tile // one flat backing array for every task's kernel-input slice
 
 	// ready is the node's dispatch queue: the shared critical-path priority
-	// heap of package sched, keyed by the precomputed per-task keys.
+	// heap of package sched, keyed by the plan's per-task keys.
 	ready sched.Heap
-	keys  []int64 // per owned task, sched.Key of the task
 
 	flops      float64
 	ownedTiles int
@@ -676,12 +684,14 @@ type engine struct {
 	seen      map[cluster.Tag]bool
 	pending   map[cluster.Tag]*pendingWait
 	// relayed marks tree-broadcast tags whose Forward obligation this node
-	// has honored. It is deliberately separate from seen: when an interior
-	// relay hop dropped the original copy and a Resend heal (no Forward
-	// list) landed first, the tag is seen, but the late original is a
-	// payload duplicate that still carries the subtree and must be relayed
-	// exactly once — keying the relay dedup on seen used to swallow it and
-	// strand the subtree behind its members' own re-request timeouts.
+	// has honored; it exists only once a message carrying a Forward list
+	// arrived, i.e. under tree broadcast. It is deliberately separate from
+	// seen: when an interior relay hop dropped the original copy and a
+	// Resend heal (no Forward list) landed first, the tag is seen, but the
+	// late original is a payload duplicate that still carries the subtree
+	// and must be relayed exactly once — keying the relay dedup on seen used
+	// to swallow it and strand the subtree behind its members' own
+	// re-request timeouts.
 	relayed map[cluster.Tag]bool
 
 	// Elastic recovery (armed by Options.Elastic): dead tracks crashed and
@@ -689,10 +699,11 @@ type engine struct {
 	// node's tasks (the deterministic hetero.Fastest rule, so every node
 	// agrees without coordination), peerDone the completion barrier that
 	// keeps every node's event loop serving re-requests and adoptions until
-	// the whole cluster has finished. completed/adoptedSet/taskByTag back
-	// the adoption state machine in adopt.go; total is the node's current
-	// completion target (owned tasks plus adoptions). maxReq/lagReq are the
-	// retry budgets of Options.
+	// the whole cluster has finished. total is the node's current completion
+	// target (owned tasks plus adoptions); completed and the x-tables back
+	// the adoption state machine in adopt.go — the x-tables exist only once
+	// this node adopted something. maxReq/lagReq are the retry budgets of
+	// Options.
 	elastic     bool
 	speeds      []float64
 	maxReq      int
@@ -703,12 +714,18 @@ type engine struct {
 	doneSent    bool
 	died        bool
 	total       int
-	completed   []bool                   // per owned index: task has finished here
-	adoptedSet  map[int]bool             // graph task id -> adopted into this engine
-	taskByTag   map[cluster.Tag]dag.Task // producer task of every output version (lazy)
-	adopted     int                      // Resilience.Adopted
-	speculative int                      // Resilience.Speculative
-	recovered   int                      // Resilience.Recovered
+	completed   []bool          // per local task: it has finished here
+	xtask       []int32         // plan task of adopted local task n+k
+	xkey        []int64         // its scheduler key (demoted when speculative)
+	xins        [][]int32       // its input references, in local tile/slot indices
+	xidx        map[int32]int   // plan task -> adopted local task
+	xtile       map[int32]int32 // adopted plan tile -> local tile
+	xslot       map[int32]int32 // producer plan task -> local slot created by adoption
+	xwait       map[int32][]int // local slot -> adopted tasks (and late registrations) it releases
+	dstScratch  []int           // live destinations of one completion
+	adopted     int             // Resilience.Adopted
+	speculative int             // Resilience.Speculative
+	recovered   int             // Resilience.Recovered
 }
 
 // pendingWait is the re-request state of one awaited remote tile version.
@@ -719,32 +736,43 @@ type pendingWait struct {
 	speculated bool // an adoption already races this tag; never escalate it
 }
 
-func newEngine(rank int, comm *cluster.Comm, g dag.Graph, d dist.Distribution,
-	b int, gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
-	ver []int32, epoch time.Time) *engine {
+// newEngine allocates rank's per-run mutable state, sized from its share of
+// the plan; opt must be normalized. Nothing here walks the graph, and the
+// resilience and elastic tables exist only when their layer is armed.
+func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
+	b int, gen func(i, j int) *tile.Tile, kern Kernel, opt Options, epoch time.Time) *engine {
 
+	lo, hi := pl.Tasks(rank)
+	tileLo, tileHi := pl.Tiles(rank)
+	slotLo, slotHi := pl.Slots(rank)
 	e := &engine{
 		rank:       rank,
 		comm:       comm,
-		g:          g,
-		owner:      d.Owner,
+		pl:         pl,
+		owner:      pl.Dist().Owner,
 		gen:        gen,
 		b:          b,
 		kern:       kern,
 		workers:    opt.Workers,
 		band:       opt.PriorityBand,
-		ver:        ver,
 		rec:        opt.Recorder,
 		epoch:      epoch,
-		localIdx:   make(map[int]int),
-		waiters:    make(map[cluster.Tag][]int),
-		tiles:      make(map[cluster.Tag]*tile.Tile),
-		recv:       make(map[cluster.Tag]cluster.Message),
-		readers:    make(map[cluster.Tag]int32),
-		dstList:    make([]int, 0, comm.Size()),
-		dstSeen:    make([]bool, comm.Size()),
+		lo:         lo,
+		tileLo:     tileLo,
+		slotLo:     slotLo,
+		inLo:       pl.InputBase(lo),
+		n:          int(hi - lo),
+		remaining:  make([]int32, hi-lo),
+		tiles:      make([]*tile.Tile, tileHi-tileLo),
+		recv:       make([]cluster.Message, slotHi-slotLo),
+		readers:    append([]int32(nil), pl.SlotReaders(slotLo, slotHi)...),
+		fed:        make([]bool, slotHi-slotLo),
+		nslot:      int(slotHi - slotLo),
+		inbuf:      make([]*tile.Tile, pl.InputBase(hi)-pl.InputBase(lo)),
 		dispatched: make(map[dag.Kind]int),
 		ready:      sched.NewHeap(sched.CriticalPath.Tie()),
+		disp:       newDispatcher(opt.Workers),
+		busy:       make([]int64, opt.Workers),
 		chaos:      opt.Chaos,
 		arrival:    opt.ArrivalTimeout,
 		elastic:    opt.Elastic,
@@ -752,15 +780,14 @@ func newEngine(rank int, comm *cluster.Comm, g dag.Graph, d dist.Distribution,
 		maxReq:     opt.MaxReRequests,
 		lagReq:     opt.LagReRequests,
 	}
-	e.redg, _ = g.(dag.ReduceGraph)
-	// opt.Workers is already normalized (Run is the only normalization
-	// point); direct constructors must pass a positive count.
-	e.disp = newDispatcher(e.workers)
-	e.busy = make([]int64, e.workers)
-	if e.maxReq == 0 {
-		e.maxReq = 50
+	for t := lo; t < hi; t++ {
+		e.remaining[t-lo] = pl.NumDeps(t)
 	}
-	e.relayed = make(map[cluster.Tag]bool)
+	for tl := tileLo; tl < tileHi; tl++ {
+		e.tiles[tl-tileLo] = gen(pl.TileCoords(tl))
+	}
+	e.ownedTiles = len(e.tiles)
+	e.peakTiles = e.ownedTiles
 	if e.arrival > 0 {
 		e.resilient = true
 		e.published = make(map[cluster.Tag]*tile.Tile)
@@ -775,68 +802,114 @@ func newEngine(rank int, comm *cluster.Comm, g dag.Graph, d dist.Distribution,
 			e.adoptedBy[n] = -1
 		}
 		e.peerDone = make([]bool, P)
-		e.adoptedSet = make(map[int]bool)
-	}
-	// Discover owned tasks and materialize owned tiles.
-	dag.ForEachTask(g, func(t dag.Task) {
-		oi, oj := g.OutputTile(t)
-		if d.Owner(oi, oj) != rank {
-			return
-		}
-		idx := len(e.owned)
-		e.owned = append(e.owned, t)
-		e.localIdx[g.ID(t)] = idx
-		tag := cluster.Tag{I: int32(oi), J: int32(oj)}
-		if _, ok := e.tiles[tag]; !ok {
-			e.tiles[tag] = gen(oi, oj)
-			e.ownedTiles++
-		}
-	})
-	e.peakTiles = e.ownedTiles
-	// Dependency bookkeeping: local deps resolve through successor visits,
-	// remote deps through versioned tile arrivals.
-	e.remaining = make([]int32, len(e.owned))
-	e.completed = make([]bool, len(e.owned))
-	e.ins = make([][]inputRef, len(e.owned))
-	e.keys = make([]int64, len(e.owned))
-	for idx, t := range e.owned {
-		e.keys[idx] = sched.Band(sched.Key(t), e.band)
-		e.remaining[idx] = int32(e.g.NumDependencies(t))
-		e.g.Dependencies(t, func(dep dag.Task) {
-			di, dj := e.g.OutputTile(dep)
-			if d.Owner(di, dj) != rank {
-				tag := cluster.Tag{I: int32(di), J: int32(dj), V: ver[e.g.ID(dep)]}
-				e.waiters[tag] = append(e.waiters[tag], idx)
-			}
-		})
-		// Resolve each input tile to its local buffer or the versioned remote
-		// copy the task consumes, and count consumers per remote version so
-		// copies can be released after their last reader.
-		e.g.InputTiles(t, func(i, j int) {
-			if d.Owner(i, j) == rank {
-				e.ins[idx] = append(e.ins[idx], inputRef{tag: cluster.Tag{I: int32(i), J: int32(j)}})
-				return
-			}
-			v, _ := dag.InputVersion(e.g, ver, t, i, j)
-			tag := cluster.Tag{I: int32(i), J: int32(j), V: v}
-			e.ins[idx] = append(e.ins[idx], inputRef{remote: true, tag: tag})
-			e.readers[tag]++
-		})
-	}
-	// One flat backing array for every task's kernel-input slice, so dispatch
-	// allocates nothing per task.
-	refsTotal := 0
-	for _, refs := range e.ins {
-		refsTotal += len(refs)
-	}
-	flat := make([]*tile.Tile, refsTotal)
-	e.inbuf = make([][]*tile.Tile, len(e.owned))
-	off := 0
-	for idx, refs := range e.ins {
-		e.inbuf[idx] = flat[off : off+len(refs) : off+len(refs)]
-		off += len(refs)
+		e.completed = make([]bool, e.n)
+		e.dstScratch = make([]int, 0, P)
 	}
 	return e
+}
+
+// task returns the plan task behind local task idx: one of this node's own,
+// or one it adopted.
+func (e *engine) task(idx int) int32 {
+	if idx < e.n {
+		return e.lo + int32(idx)
+	}
+	return e.xtask[idx-e.n]
+}
+
+// local returns the local index of plan task t, if it runs here: natively,
+// or because this node adopted it.
+func (e *engine) local(t int32) (int, bool) {
+	if t >= e.lo && t < e.lo+int32(e.n) {
+		return int(t - e.lo), true
+	}
+	idx, ok := e.xidx[t]
+	return idx, ok
+}
+
+// key returns the dispatch key of local task idx in this run's priority band.
+func (e *engine) key(idx int) int64 {
+	if idx < e.n {
+		return sched.Band(e.pl.Key(e.lo+int32(idx)), e.band)
+	}
+	return e.xkey[idx-e.n]
+}
+
+// tagOf returns the versioned wire tag of plan task t's output.
+func (e *engine) tagOf(t int32) cluster.Tag {
+	i, j := e.pl.TileCoords(e.pl.Out(t))
+	return cluster.Tag{I: int32(i), J: int32(j), V: e.pl.Version(t)}
+}
+
+// tileOf returns this node's buffer of a plan tile — one it owns, or a
+// replay buffer of a tile it adopted — or nil when it holds none.
+func (e *engine) tileOf(tl int32) *tile.Tile {
+	if k := tl - e.tileLo; k >= 0 && int(k) < e.ownedTiles {
+		return e.tiles[k]
+	}
+	if k, ok := e.xtile[tl]; ok {
+		return e.tiles[k]
+	}
+	return nil
+}
+
+// slotOf returns the local slot holding plan task t's output version on this
+// node, or -1 when nothing here awaits it.
+func (e *engine) slotOf(t int32) int32 {
+	if s := e.pl.SlotAt(t, e.rank); s >= 0 {
+		return s - e.slotLo
+	}
+	if s, ok := e.xslot[t]; ok {
+		return s
+	}
+	return -1
+}
+
+// inputs returns the input references of local task idx and the bases its
+// tile (ref >= 0) and slot (^ref) indices are relative to: plan indices for
+// a native task, local ones for an adopted task.
+func (e *engine) inputs(idx int) (refs []int32, tileBase, slotBase int32) {
+	if idx < e.n {
+		return e.pl.Inputs(e.lo + int32(idx)), e.tileLo, e.slotLo
+	}
+	return e.xins[idx-e.n], 0, 0
+}
+
+// feed releases everything waiting on local slot s: once, the tasks the plan
+// lists for it, and whatever adoption registered since.
+func (e *engine) feed(s int32) {
+	if !e.fed[s] {
+		e.fed[s] = true
+		if int(s) < e.nslot {
+			for _, t := range e.pl.Waiters(e.slotLo + s) {
+				e.release(int(t - e.lo))
+			}
+		}
+	}
+	if w := e.xwait[s]; len(w) > 0 {
+		delete(e.xwait, s)
+		for _, idx := range w {
+			e.release(idx)
+		}
+	}
+}
+
+// retain stores msg as local slot s's received copy.
+func (e *engine) retain(s int32, msg cluster.Message) {
+	e.recv[s] = msg
+	e.held++
+	if held := e.ownedTiles + e.held; held > e.peakTiles {
+		e.peakTiles = held
+	}
+}
+
+// drop releases local slot s's received copy, if one is retained.
+func (e *engine) drop(s int32) {
+	if e.recv[s].Payload != nil {
+		e.recv[s].Release()
+		e.recv[s] = cluster.Message{}
+		e.held--
+	}
 }
 
 // run executes this node's share of the graph and returns when every owned
@@ -851,7 +924,7 @@ func newEngine(rank int, comm *cluster.Comm, g dag.Graph, d dist.Distribution,
 // barrier is what guarantees a death always finds its deterministic adopter
 // still inside an event loop, never already exited.
 func (e *engine) run() error {
-	e.total = len(e.owned)
+	e.total = e.n
 	if e.total == 0 && !e.elastic {
 		return nil
 	}
@@ -890,8 +963,8 @@ func (e *engine) run() error {
 					e.noteStall(waitStart, waitEnd)
 				}
 				start := time.Now()
-				// jb.task, not e.owned[jb.idx]: elastic adoption appends to
-				// owned from the event loop while workers run.
+				// The task rides in the job: elastic adoption grows the
+				// engine's task tables from the event loop while workers run.
 				err := e.kern(jb.task, jb.out, jb.inputs)
 				end := time.Now()
 				e.busy[slot] += end.Sub(start).Nanoseconds()
@@ -904,8 +977,8 @@ func (e *engine) run() error {
 		}(w)
 	}
 
-	for idx := range e.owned {
-		if e.remaining[idx] == 0 {
+	for idx, rem := range e.remaining {
+		if rem == 0 {
 			e.pushReady(idx)
 		}
 	}
@@ -918,9 +991,10 @@ func (e *engine) run() error {
 	// started with none. The sweep period is floored at 1ms: a sub-2ns
 	// ArrivalTimeout used to truncate to a zero ticker period and panic.
 	var tick <-chan time.Time
-	if e.resilient && (len(e.waiters) > 0 || e.elastic) {
+	if e.resilient && (e.nslot > 0 || e.elastic) {
 		deadline := time.Now().Add(e.arrival)
-		for tag := range e.waiters {
+		for s := 0; s < e.nslot; s++ {
+			tag := e.tagOf(e.pl.SlotProducer(e.slotLo + int32(s)))
 			e.pending[tag] = &pendingWait{deadline: deadline, backoff: e.arrival}
 		}
 		period := e.arrival / 2
@@ -943,7 +1017,7 @@ func (e *engine) run() error {
 
 	// feed moves ready tasks from the priority heap to the worker deques,
 	// resolving each task's input tiles here in the event loop (the recv and
-	// tiles maps are event-loop-owned). feedCap bounds dispatched-but-
+	// tiles tables are event-loop-owned). feedCap bounds dispatched-but-
 	// unfinished work: with several workers each may hold one running task
 	// plus one prefetched deque entry, giving idle workers something to
 	// steal; a single worker gets no prefetch, so its dispatch order is
@@ -953,23 +1027,30 @@ func (e *engine) run() error {
 		feedCap = 1
 	}
 	dispatch := func(idx int) {
-		t := e.owned[idx]
+		pt := e.task(idx)
+		t := e.pl.Task(pt)
 		e.dispatched[t.Kind]++
-		oi, oj := e.g.OutputTile(t)
-		out := e.tiles[cluster.Tag{I: int32(oi), J: int32(oj)}]
+		out := e.tileOf(e.pl.Out(pt))
 		if out == nil {
 			panic(fmt.Sprintf("runtime: node %d: output tile of %v missing", e.rank, t))
 		}
-		inputs := e.inbuf[idx]
-		for k, ref := range e.ins[idx] {
+		refs, tileBase, slotBase := e.inputs(idx)
+		var inputs []*tile.Tile
+		if idx < e.n {
+			at := int(e.pl.InputBase(pt) - e.inLo)
+			inputs = e.inbuf[at : at+len(refs) : at+len(refs)]
+		} else {
+			inputs = make([]*tile.Tile, len(refs))
+		}
+		for k, ref := range refs {
 			var in *tile.Tile
-			if ref.remote {
-				in = e.recv[ref.tag].Payload
+			if ref < 0 {
+				in = e.recv[^ref-slotBase].Payload
 			} else {
-				in = e.tiles[ref.tag]
+				in = e.tiles[ref-tileBase]
 			}
 			if in == nil {
-				panic(fmt.Sprintf("runtime: node %d: input tile %v of %v missing", e.rank, ref.tag, t))
+				panic(fmt.Sprintf("runtime: node %d: input %d of %v missing", e.rank, k, t))
 			}
 			inputs[k] = in
 		}
@@ -1072,12 +1153,12 @@ func (e *engine) run() error {
 						// error is a correctness failure, not a crash —
 						// elastic recovery never masks it.
 						e.comm.Abort()
-						abortLocal(fmt.Errorf("%v: %w", e.owned[ev.completed], ev.err))
+						abortLocal(fmt.Errorf("%v: %w", e.pl.Task(e.task(ev.completed)), ev.err))
 					} else if errors.Is(abortErr, ErrPeerAborted) {
 						// This node failed too, it just noticed the peer's
 						// poison first: its own kernel error is the better
 						// root cause than the bystander sentinel.
-						abortErr = fmt.Errorf("%v: %w", e.owned[ev.completed], ev.err)
+						abortErr = fmt.Errorf("%v: %w", e.pl.Task(e.task(ev.completed)), ev.err)
 					}
 				} else if !aborted {
 					e.onComplete(ev.completed)
@@ -1113,10 +1194,9 @@ func (e *engine) run() error {
 	// retained in recv whose consumer tasks will never execute; the workers
 	// are joined, so release them here or their pooled buffers leak — on a
 	// shared cluster, permanently. A completed run's last-reader release
-	// already emptied the map, making this a no-op.
-	for tag, m := range e.recv {
-		m.Release()
-		delete(e.recv, tag)
+	// already emptied every slot, making this a no-op.
+	for s := range e.recv {
+		e.drop(int32(s))
 	}
 	// Absorb (and release) any late messages until the cluster is closed, so
 	// remote senders and our receiver goroutine can always make progress. In
@@ -1267,6 +1347,9 @@ func (e *engine) noteStall(start, end time.Time) {
 // (see the relayed field for why the dedup is not the payload dedup).
 func (e *engine) relay(msg cluster.Message) {
 	if len(msg.Forward) > 0 && !e.relayed[msg.Tag] {
+		if e.relayed == nil {
+			e.relayed = make(map[cluster.Tag]bool)
+		}
 		e.relayed[msg.Tag] = true
 		e.comm.Forward(msg)
 	}
@@ -1284,96 +1367,69 @@ func (e *engine) release(idx int) {
 // pushReady queues owned task idx for dispatch under its critical-path key
 // and tracks the ready-queue high-water mark.
 func (e *engine) pushReady(idx int) {
-	e.ready.Push(e.keys[idx], int32(idx))
+	e.ready.Push(e.key(idx), int32(idx))
 	if n := e.ready.Len(); n > e.readyPeak {
 		e.readyPeak = n
 	}
 }
 
 // onComplete publishes a finished task: releases local successors, sends the
-// output tile version once to every distinct remote consumer node, and
-// releases received tiles whose last local consumer just ran.
+// output tile version once to every distinct remote consumer node — the
+// plan's static destination list, passed to the cluster as is on a run
+// without elastic recovery — and releases received tiles whose last local
+// consumer just ran.
 //
 // Under elastic recovery the completion may belong to an adopted task, and
 // the node may host both halves of a dependency edge that used to cross the
 // wire. Local successors split by side: a successor on the same side as the
-// producer (both native, or both adopted — reading the producer's in-place
-// buffer) is released directly; a successor on the other side registered a
-// waiter on the versioned tag at adoption time and is fed through
-// fulfillLocal, which stashes a snapshot exactly as if the tag had arrived
-// over the network — one release path per edge, so a racing stale arrival
-// can never double-decrement a dependency count.
+// producer (both native, or both adopted from the same node — the plan's
+// same-node successor list, reading the producer's in-place buffer exactly
+// as on the original owner) is released directly; a successor on the other
+// side registered a waiter on the version's slot at adoption time and is fed
+// through fulfillLocal, which stashes a snapshot exactly as if the tag had
+// arrived over the network — one release path per edge, so a racing stale
+// arrival can never double-decrement a dependency count.
 func (e *engine) onComplete(idx int) {
-	t := e.owned[idx]
-	e.completed[idx] = true
-	e.flops += e.g.Flops(t, e.b)
-	oi, oj := e.g.OutputTile(t)
-	v := e.ver[e.g.ID(t)]
-	out := e.tiles[cluster.Tag{I: int32(oi), J: int32(oj)}]
-	netTag := cluster.Tag{I: int32(oi), J: int32(oj), V: v}
+	pl, pt := e.pl, e.task(idx)
+	e.flops += pl.Graph().Flops(pl.Task(pt), e.b)
+	out := e.tileOf(pl.Out(pt))
+	netTag := e.tagOf(pt)
 
-	tAdopted := e.adoptedSet[e.g.ID(t)]
-	origOwner := e.owner(oi, oj)
-	if tAdopted {
-		if sched.Demoted(e.keys[idx]) {
+	dsts := pl.Dsts(pt)
+	hadRemote := len(dsts) > 0
+	if idx < e.n {
+		for _, s := range pl.Succs(pt) {
+			e.release(int(s - e.lo))
+		}
+	} else {
+		if sched.Demoted(e.key(idx)) {
 			e.speculative++
 		} else {
 			e.adopted++
 		}
+		for _, s := range pl.Succs(pt) {
+			if li, ok := e.xidx[s]; ok {
+				e.release(li)
+			}
+		}
+		// An adopted task's remote consumers are every successor this node
+		// does not natively own: those on its original node included.
+		hadRemote = len(pl.Succs(pt)) > 0 || len(dsts) > 1 || (len(dsts) == 1 && dsts[0] != e.rank)
 	}
-
-	hadRemote := false
-	e.dstList = e.dstList[:0]
-	e.g.Successors(t, func(s dag.Task) {
-		sid := e.g.ID(s)
-		if li, ok := e.localIdx[sid]; ok && e.adoptedSet[sid] == tAdopted {
-			// Same-side local successor: released directly (cross-side local
-			// edges go through fulfillLocal below, via the waiter the
-			// consumer registered on netTag).
-			e.release(li)
-		}
-		si, sj := e.g.OutputTile(s)
-		sOwner := e.owner(si, sj)
-		if sOwner == e.rank {
-			return // natively local edge: no wire delivery in any schedule
-		}
-		// The successor's original rank consumes this version over the wire
-		// regardless of whether a copy of the task also runs here: adopting a
-		// task — fully or speculatively — never cancels the delivery to the
-		// rank that still natively awaits it (a speculated successor's owner
-		// is alive and computing; skipping it would strand its native copy
-		// with a version that was never broadcast and so can never heal).
-		hadRemote = true
-		dst := e.liveOwner(sOwner)
-		if dst == e.rank || dst < 0 {
-			// Our own adoptee, or owned by a dead node nobody has adopted
-			// yet: its eventual adopter pulls the version via Request from
-			// our published cache.
-			return
-		}
-		if tAdopted && dst == origOwner && !e.dead[origOwner] {
-			// Speculative replay of a lagging-but-alive node's task: never
-			// feed the original owner its own output.
-			return
-		}
-		if !e.dstSeen[dst] {
-			e.dstSeen[dst] = true
-			e.dstList = append(e.dstList, dst)
-		}
-	})
-	if len(e.dstList) > 0 {
-		if e.redg != nil && len(e.dstList) == 1 && e.redg.ReducePartial(t) {
+	if e.elastic {
+		e.completed[idx] = true
+		dsts = e.liveDsts(pt, idx >= e.n)
+	}
+	if len(dsts) > 0 {
+		if len(dsts) == 1 && pl.Reduce(pt) {
 			// Reduction partial: the accumulator's only remote consumer is the
 			// combine on its binomial parent's node, a point-to-point shipment
 			// counted as reduction traffic rather than a broadcast.
-			e.comm.SendReduce(e.dstList[0], netTag, out)
+			e.comm.SendReduce(dsts[0], netTag, out)
 		} else {
 			// One broadcast, one clone: every consumer node shares the same
 			// immutable payload (see cluster.SendAll).
-			e.comm.SendAll(e.dstList, netTag, out)
-		}
-		for _, dst := range e.dstList {
-			e.dstSeen[dst] = false
+			e.comm.SendAll(dsts, netTag, out)
 		}
 	}
 	if e.published != nil && hadRemote {
@@ -1388,22 +1444,20 @@ func (e *engine) onComplete(idx int) {
 		e.pubMu.Unlock()
 	}
 	if e.elastic {
-		e.fulfillLocal(netTag, out)
+		e.fulfillLocal(pt, netTag, out)
 	}
 
 	// Last-reader release: drop received copies this task consumed once no
 	// other local task still needs them, returning their buffers to the
 	// cluster pool.
-	for _, ref := range e.ins[idx] {
-		if !ref.remote {
+	refs, _, slotBase := e.inputs(idx)
+	for _, ref := range refs {
+		if ref >= 0 {
 			continue
 		}
-		if e.readers[ref.tag]--; e.readers[ref.tag] <= 0 {
-			delete(e.readers, ref.tag)
-			if m, ok := e.recv[ref.tag]; ok {
-				m.Release()
-				delete(e.recv, ref.tag)
-			}
+		s := ^ref - slotBase
+		if e.readers[s]--; e.readers[s] <= 0 {
+			e.drop(s)
 		}
 	}
 }
@@ -1434,8 +1488,12 @@ func (e *engine) onArrival(msg cluster.Message) error {
 	// behind ours instead of behind our kernel work — and because a payload
 	// duplicate may still owe its subtree a relay (see relayed).
 	e.relay(msg)
-	if prev, dup := e.recv[msg.Tag]; dup {
-		identical := prev.Payload.EqualApprox(msg.Payload, 0)
+	slot := int32(-1)
+	if pt := e.pl.Producer(msg.Tag.I, msg.Tag.J, msg.Tag.V); pt >= 0 {
+		slot = e.slotOf(pt)
+	}
+	if slot >= 0 && e.recv[slot].Payload != nil {
+		identical := e.recv[slot].Payload.EqualApprox(msg.Payload, 0)
 		msg.Release()
 		if identical {
 			e.dupDrops++
@@ -1447,7 +1505,7 @@ func (e *engine) onArrival(msg cluster.Message) error {
 		// Resilient transports may duplicate or redeliver: a tag whose first
 		// copy was already consumed and released is long gone from recv, so
 		// remember every tag ever arrived and drop the stragglers here —
-		// idempotently, like the recv-keyed duplicates above.
+		// idempotently, like the retained duplicates above.
 		if e.seen[msg.Tag] {
 			msg.Release()
 			e.dupDrops++
@@ -1472,17 +1530,13 @@ func (e *engine) onArrival(msg cluster.Message) error {
 			msg.SentAt.Sub(e.epoch).Seconds(), time.Since(e.epoch).Seconds(),
 			msg.Payload.Bytes())
 	}
-	if e.readers[msg.Tag] > 0 {
-		e.recv[msg.Tag] = msg
-		if held := e.ownedTiles + len(e.recv); held > e.peakTiles {
-			e.peakTiles = held
-		}
+	if slot >= 0 && e.readers[slot] > 0 {
+		e.retain(slot, msg)
 	} else {
 		msg.Release()
 	}
-	for _, idx := range e.waiters[msg.Tag] {
-		e.release(idx)
+	if slot >= 0 {
+		e.feed(slot)
 	}
-	delete(e.waiters, msg.Tag)
 	return nil
 }

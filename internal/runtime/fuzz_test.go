@@ -3,7 +3,6 @@ package runtime
 import (
 	"sort"
 	"testing"
-	"time"
 
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
@@ -57,7 +56,7 @@ func chainScenario() protoScenario {
 			}
 			return 1
 		}},
-		b: 1,
+		b:   1,
 		gen: func(i, j int) *tile.Tile { return tile.New(1, 1) },
 		kern: func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 			if int(task.I)%2 == 0 {
@@ -143,25 +142,20 @@ func byteAt(data []byte, k int) byte {
 // payload (the pool's refcounts are live because the messages come from a
 // real Comm).
 func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
-	ver, err := prevalidate(sc.g, sc.d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps, finals := sequentialSnapshots(t, sc, ver)
+	snaps, finals := sequentialSnapshots(t, sc, dag.OutputVersions(sc.g))
 
 	cl := cluster.New(sc.d.Nodes())
 	defer cl.Close()
-	e := newEngine(rank, cl.Comm(rank), sc.g, sc.d, sc.b, sc.gen, sc.kern,
-		Options{Workers: 1}, ver, time.Now())
-	if len(e.owned) == 0 {
+	e := testEngine(t, rank, cl, sc.g, sc.d, sc.b, sc.gen, sc.kern)
+	if e.n == 0 {
 		t.Fatalf("rank %d owns nothing; scenario proves nothing", rank)
 	}
 
 	// Deterministic base order of awaited arrivals, then a fuzz-driven
 	// Fisher–Yates shuffle.
 	var tags []cluster.Tag
-	for tag := range e.waiters {
-		tags = append(tags, tag)
+	for s := 0; s < e.nslot; s++ {
+		tags = append(tags, e.tagOf(e.pl.SlotProducer(e.slotLo+int32(s))))
 	}
 	sort.Slice(tags, func(a, b int) bool {
 		x, y := tags[a], tags[b]
@@ -183,15 +177,15 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 		for !e.ready.Empty() {
 			idx := int(e.ready.Pop())
 			popped++
-			tk := e.owned[idx]
-			oi, oj := sc.g.OutputTile(tk)
-			out := e.tiles[cluster.Tag{I: int32(oi), J: int32(oj)}]
+			tk := e.pl.Task(e.task(idx))
+			out := e.tileOf(e.pl.Out(e.task(idx)))
 			var inputs []*tile.Tile
-			for _, ref := range e.ins[idx] {
-				if ref.remote {
-					inputs = append(inputs, e.recv[ref.tag].Payload)
+			refs, tileBase, slotBase := e.inputs(idx)
+			for _, ref := range refs {
+				if ref < 0 {
+					inputs = append(inputs, e.recv[^ref-slotBase].Payload)
 				} else {
-					inputs = append(inputs, e.tiles[ref.tag])
+					inputs = append(inputs, e.tiles[ref-tileBase])
 				}
 			}
 			if err := sc.kern(tk, out, inputs); err != nil {
@@ -206,8 +200,8 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 		}
 	}
 
-	for idx := range e.owned {
-		if e.remaining[idx] == 0 {
+	for idx, rem := range e.remaining {
+		if rem == 0 {
 			e.pushReady(idx)
 		}
 	}
@@ -255,22 +249,28 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 		pump()
 	}
 
-	if popped != len(e.owned) {
-		t.Fatalf("completed %d of %d owned tasks after all deliveries", popped, len(e.owned))
+	if popped != e.n {
+		t.Fatalf("completed %d of %d owned tasks after all deliveries", popped, e.n)
 	}
-	for idx := range e.owned {
-		if e.remaining[idx] != 0 {
-			t.Fatalf("task %v still has %d unresolved deps", e.owned[idx], e.remaining[idx])
+	for idx, rem := range e.remaining {
+		if rem != 0 {
+			t.Fatalf("task %v still has %d unresolved deps", e.pl.Task(e.task(idx)), rem)
 		}
 	}
-	if len(e.recv) != 0 || len(e.readers) != 0 {
-		t.Fatalf("release leak: %d retained tiles, %d reader counts after completion",
-			len(e.recv), len(e.readers))
+	openReaders := 0
+	for _, n := range e.readers {
+		if n > 0 {
+			openReaders++
+		}
 	}
-	for tag, got := range e.tiles {
-		want := finals[[2]int{int(tag.I), int(tag.J)}]
-		if !got.EqualApprox(want, 0) {
-			t.Fatalf("owned tile (%d,%d) diverged from the sequential factorization", tag.I, tag.J)
+	if e.held != 0 || openReaders != 0 {
+		t.Fatalf("release leak: %d retained tiles, %d reader counts after completion",
+			e.held, openReaders)
+	}
+	for k, got := range e.tiles {
+		i, j := e.pl.TileCoords(e.tileLo + int32(k))
+		if !got.EqualApprox(finals[[2]int{i, j}], 0) {
+			t.Fatalf("owned tile (%d,%d) diverged from the sequential factorization", i, j)
 		}
 	}
 }

@@ -1,0 +1,308 @@
+package runtime
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"anybc/internal/core"
+	"anybc/internal/dag"
+	"anybc/internal/dist"
+	"anybc/internal/matrix"
+	"anybc/internal/plan"
+	"anybc/internal/sched"
+	"anybc/internal/tile"
+)
+
+// countingGraph wraps a built-in graph and counts the structural visits per
+// task. It renumbers the tasks in dag.ForEachTask order, so the generic
+// ForEachTask fallback (increasing id) replays the inner graph's own
+// topological order and the plan compiled through the wrapper is the plan of
+// the inner graph.
+type countingGraph struct {
+	dag.Graph
+	order             []dag.Task
+	id                map[dag.Task]int
+	deps, succs, tins []int // visits per task id
+}
+
+// countingReduceGraph keeps the wrapped graph's reduce routing visible.
+type countingReduceGraph struct {
+	*countingGraph
+	redg dag.ReduceGraph
+}
+
+func (g countingReduceGraph) ReducePartial(t dag.Task) bool { return g.redg.ReducePartial(t) }
+
+func newCountingGraph(inner dag.Graph) (dag.Graph, *countingGraph) {
+	c := &countingGraph{Graph: inner, id: map[dag.Task]int{}}
+	dag.ForEachTask(inner, func(t dag.Task) {
+		c.id[t] = len(c.order)
+		c.order = append(c.order, t)
+	})
+	n := len(c.order)
+	c.deps, c.succs, c.tins = make([]int, n), make([]int, n), make([]int, n)
+	if redg, ok := inner.(dag.ReduceGraph); ok {
+		return countingReduceGraph{c, redg}, c
+	}
+	return c, c
+}
+
+func (c *countingGraph) ID(t dag.Task) int      { return c.id[t] }
+func (c *countingGraph) TaskOf(id int) dag.Task { return c.order[id] }
+func (c *countingGraph) Dependencies(t dag.Task, visit func(dag.Task)) {
+	c.deps[c.id[t]]++
+	c.Graph.Dependencies(t, visit)
+}
+func (c *countingGraph) Successors(t dag.Task, visit func(dag.Task)) {
+	c.succs[c.id[t]]++
+	c.Graph.Successors(t, visit)
+}
+func (c *countingGraph) InputTiles(t dag.Task, visit func(i, j int)) {
+	c.tins[c.id[t]]++
+	c.Graph.InputTiles(t, visit)
+}
+
+// visits returns the largest per-task count and the total over the three
+// structural walks.
+func (c *countingGraph) visits() (most, total int) {
+	for _, counts := range [][]int{c.deps, c.succs, c.tins} {
+		for _, n := range counts {
+			most = max(most, n)
+			total += n
+		}
+	}
+	return most, total
+}
+
+// planCase is one (graph, distribution) pair the runtime executes, with the
+// distribution wrapper of its public entry point.
+type planCase struct {
+	name string
+	g    dag.Graph
+	d    dist.Distribution
+}
+
+// planCases: every graph constructor of internal/dag the runtime executes ×
+// the four scheme families, at two sizes.
+func planCases(t *testing.T) []planCase {
+	t.Helper()
+	gcrm, err := core.New(core.GCRM, 7, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := []dist.Distribution{dist.NewTwoDBC(2, 3), dist.NewG2DBC(5), dist.NewSBCPair(4), gcrm}
+	var cases []planCase
+	for _, base := range schemes {
+		for _, mt := range []int{4, 7} {
+			add := func(g dag.Graph, d dist.Distribution) {
+				cases = append(cases, planCase{fmt.Sprintf("%s/mt=%d/%s", g.Name(), mt, d.Name()), g, d})
+			}
+			add(dag.NewLU(mt), base)
+			add(dag.NewCholesky(mt), base)
+			add(dag.NewCholeskyLeft(mt), base)
+			for _, c := range []int{1, 2} {
+				add(dag.NewReplicatedLU(mt, c), dist.NewReplicated(base, c, mt))
+			}
+			add(dag.NewLUSolve(mt, 2), solveDist{Distribution: base, mt: mt})
+			add(dag.NewCholeskySolve(mt, 2), solveDist{Distribution: base, mt: mt})
+			add(dag.NewSYRKOp(mt, 3), syrkDist{Distribution: base, mt: mt})
+			add(dag.NewGEMMOp(mt, mt-1, 3), gemmDist{Distribution: base, mt: mt, nt: mt - 1})
+		}
+	}
+	return cases
+}
+
+// TestPlanEqualsGraph is the plan-equivalence property: task by task, the
+// compiled plan holds exactly what the Graph interface yields — owner,
+// version, dependency count and predecessors, input references in InputTiles
+// order, same-node successors and distinct remote destinations in Successors
+// first-visit order, the reduce flag, the scheduler key — and every slot its
+// producer, waiters and reader count. Compile visits Dependencies,
+// Successors and InputTiles at most once per task.
+func TestPlanEqualsGraph(t *testing.T) {
+	for _, c := range planCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			g, d := c.g, c.d
+			counted, counts := newCountingGraph(g)
+			pl, err := plan.Compile(counted, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if most, _ := counts.visits(); most > 1 {
+				t.Fatalf("Compile visited one task's dependencies, successors or input tiles %d times", most)
+			}
+			if pl.NumTasks() != g.NumTasks() || pl.Nodes() != d.Nodes() {
+				t.Fatalf("plan has %d tasks on %d nodes, graph %d on %d", pl.NumTasks(), pl.Nodes(), g.NumTasks(), d.Nodes())
+			}
+			ver := dag.OutputVersions(g)
+			redg, _ := g.(dag.ReduceGraph)
+			ownerOf := func(tk dag.Task) int { return d.Owner(g.OutputTile(tk)) }
+
+			// Each node's tasks, in ForEachTask order.
+			owned := make([][]dag.Task, d.Nodes())
+			dag.ForEachTask(g, func(tk dag.Task) { owned[ownerOf(tk)] = append(owned[ownerOf(tk)], tk) })
+			planOf := map[dag.Task]int32{}
+			for rank := range owned {
+				lo, hi := pl.Tasks(rank)
+				if int(hi-lo) != len(owned[rank]) {
+					t.Fatalf("node %d: plan gives %d tasks, graph %d", rank, hi-lo, len(owned[rank]))
+				}
+				for k, tk := range owned[rank] {
+					if pl.Task(lo+int32(k)) != tk {
+						t.Fatalf("node %d task %d = %v, ForEachTask order gives %v", rank, k, pl.Task(lo+int32(k)), tk)
+					}
+					planOf[tk] = lo + int32(k)
+				}
+			}
+			coords := func(tl int32) [2]int { i, j := pl.TileCoords(tl); return [2]int{i, j} }
+			waiters := map[int32][]int32{} // slot -> expected waiters
+			readers := map[int32]int32{}
+
+			dag.ForEachTask(g, func(tk dag.Task) {
+				pt, rank := planOf[tk], ownerOf(tk)
+				oi, oj := g.OutputTile(tk)
+				if pl.Owner(pt) != rank || coords(pl.Out(pt)) != [2]int{oi, oj} {
+					t.Fatalf("%v: plan owner %d tile %v, graph owner %d tile (%d,%d)", tk, pl.Owner(pt), coords(pl.Out(pt)), rank, oi, oj)
+				}
+				if tlo, thi := pl.Tiles(rank); pl.Out(pt) < tlo || pl.Out(pt) >= thi {
+					t.Fatalf("%v: output tile %d outside node %d's tiles [%d,%d)", tk, pl.Out(pt), rank, tlo, thi)
+				}
+				if pl.Version(pt) != ver[g.ID(tk)] {
+					t.Fatalf("%v: plan version %d, OutputVersions %d", tk, pl.Version(pt), ver[g.ID(tk)])
+				}
+				if pl.Producer(int32(oi), int32(oj), pl.Version(pt)) != pt {
+					t.Fatalf("%v: Producer of its own output version is task %d", tk, pl.Producer(int32(oi), int32(oj), pl.Version(pt)))
+				}
+				if pl.Key(pt) != sched.Key(tk) || pl.Reduce(pt) != (redg != nil && redg.ReducePartial(tk)) {
+					t.Fatalf("%v: key %d reduce %v", tk, pl.Key(pt), pl.Reduce(pt))
+				}
+
+				if int(pl.NumDeps(pt)) != g.NumDependencies(tk) {
+					t.Fatalf("%v: %d dependencies in the plan, NumDependencies %d", tk, pl.NumDeps(pt), g.NumDependencies(tk))
+				}
+				k := 0
+				g.Dependencies(tk, func(dep dag.Task) {
+					if pl.Deps(pt)[k] != planOf[dep] {
+						t.Fatalf("%v: dependency %d is %v, graph gives %v", tk, k, pl.Task(pl.Deps(pt)[k]), dep)
+					}
+					k++
+					if ownerOf(dep) != rank {
+						slot := pl.SlotAt(planOf[dep], rank)
+						waiters[slot] = append(waiters[slot], pt)
+					}
+				})
+
+				refs := pl.Inputs(pt)
+				k = 0
+				g.InputTiles(tk, func(i, j int) {
+					if k >= len(refs) {
+						t.Fatalf("%v: %d input references, graph visits more", tk, len(refs))
+					}
+					ref := refs[k]
+					k++
+					if d.Owner(i, j) == rank {
+						if ref < 0 || coords(ref) != [2]int{i, j} {
+							t.Fatalf("%v: local input (%d,%d) compiled to ref %d", tk, i, j, ref)
+						}
+						return
+					}
+					v, produced := dag.InputVersion(g, ver, tk, i, j)
+					if ref >= 0 || !produced {
+						t.Fatalf("%v: remote input (%d,%d) compiled to ref %d (produced %v)", tk, i, j, ref, produced)
+					}
+					if slo, shi := pl.Slots(rank); ^ref < slo || ^ref >= shi {
+						t.Fatalf("%v: slot %d outside node %d's slots [%d,%d)", tk, ^ref, rank, slo, shi)
+					}
+					producer := pl.SlotProducer(^ref)
+					if coords(pl.Out(producer)) != [2]int{i, j} || pl.Version(producer) != v {
+						t.Fatalf("%v: remote input (%d,%d)v%d compiled to the output of %v", tk, i, j, v, pl.Task(producer))
+					}
+					readers[^ref]++
+				})
+				if k != len(refs) {
+					t.Fatalf("%v: %d input references, graph visits %d", tk, len(refs), k)
+				}
+
+				var succs []int32
+				var dsts []int
+				g.Successors(tk, func(s dag.Task) {
+					so := ownerOf(s)
+					if so == rank {
+						succs = append(succs, planOf[s])
+						return
+					}
+					for _, have := range dsts {
+						if have == so {
+							return
+						}
+					}
+					dsts = append(dsts, so)
+				})
+				if !slices.Equal(pl.Succs(pt), succs) {
+					t.Fatalf("%v: same-node successors %v, graph gives %v", tk, pl.Succs(pt), succs)
+				}
+				if !slices.Equal(pl.Dsts(pt), dsts) {
+					t.Fatalf("%v: destinations %v, Successors first-visit order gives %v", tk, pl.Dsts(pt), dsts)
+				}
+				for _, dst := range dsts {
+					slot := pl.SlotAt(pt, dst)
+					if slo, shi := pl.Slots(dst); slot < slo || slot >= shi || pl.SlotProducer(slot) != pt {
+						t.Fatalf("%v: node %d awaits it in slot %d (its slots [%d,%d))", tk, dst, slot, slo, shi)
+					}
+				}
+			})
+
+			slots := 0
+			for rank := 0; rank < d.Nodes(); rank++ {
+				lo, hi := pl.Slots(rank)
+				slots += int(hi - lo)
+				for s := lo; s < hi; s++ {
+					if !slices.Equal(pl.Waiters(s), waiters[s]) {
+						t.Fatalf("slot %d: waiters %v, the dependencies give %v", s, pl.Waiters(s), waiters[s])
+					}
+					if pl.SlotReaders(s, s+1)[0] != readers[s] {
+						t.Fatalf("slot %d: %d readers, the input references give %d", s, pl.SlotReaders(s, s+1)[0], readers[s])
+					}
+				}
+			}
+			if slots != len(waiters) {
+				t.Fatalf("%d slots, %d awaited (node, producer) pairs", slots, len(waiters))
+			}
+		})
+	}
+}
+
+// TestRunPlanNeverWalksTheGraph: a fault-free RunPlan reads structure from
+// the plan alone — not one Dependencies, Successors or InputTiles visit —
+// and produces the factors Run does, bit for bit.
+func TestRunPlanNeverWalksTheGraph(t *testing.T) {
+	const mt, b = 8, 4
+	d := dist.NewG2DBC(5)
+	want, wantRep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 5), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted, counts := newCountingGraph(dag.NewLU(mt))
+	pl, err := plan.Compile(counted, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, compiled := counts.visits()
+	for run := 0; run < 2; run++ { // a plan serves any number of runs
+		got := matrix.NewDense(mt, mt, b)
+		rep, err := RunPlan(pl, b, GenDiagDominant(mt, b, 5), LUKernel, Options{Workers: 2},
+			func(i, j int, tl *tile.Tile) { got.SetTile(i, j, tl.Clone()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, total := counts.visits(); total != compiled {
+			t.Fatalf("RunPlan made %d structural graph visits", total-compiled)
+		}
+		identicalLU(t, fmt.Sprintf("RunPlan %d", run), want, got, mt)
+		if rep.Stats.TotalMessages() != wantRep.Stats.TotalMessages() || rep.Stats.TotalBytes() != wantRep.Stats.TotalBytes() {
+			t.Fatalf("RunPlan sent %d messages / %d bytes, Run %d / %d", rep.Stats.TotalMessages(),
+				rep.Stats.TotalBytes(), wantRep.Stats.TotalMessages(), wantRep.Stats.TotalBytes())
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
+	"anybc/internal/plan"
 	"anybc/internal/tile"
 	"anybc/internal/trace"
 )
@@ -42,10 +43,10 @@ func newTestGraph(tiles int, tasks []testTask) *testGraph {
 	return g
 }
 
-func (g *testGraph) Name() string          { return "test" }
-func (g *testGraph) Tiles() int            { return g.tiles }
-func (g *testGraph) NumTasks() int         { return len(g.tasks) }
-func (g *testGraph) ID(t dag.Task) int     { return int(t.I) }
+func (g *testGraph) Name() string           { return "test" }
+func (g *testGraph) Tiles() int             { return g.tiles }
+func (g *testGraph) NumTasks() int          { return len(g.tasks) }
+func (g *testGraph) ID(t dag.Task) int      { return int(t.I) }
 func (g *testGraph) TaskOf(id int) dag.Task { return dag.Task{Kind: kTest, I: int32(id)} }
 
 func (g *testGraph) Dependencies(t dag.Task, visit func(dag.Task)) {
@@ -249,9 +250,9 @@ func TestPrevalidateUnorderedIntermediateRead(t *testing.T) {
 	// A local reader of an intermediate version with no ordering against the
 	// next in-place writer: the read races the overwrite.
 	g := newTestGraph(2, []testTask{
-		{out: [2]int{0, 0}},                                     // W0
+		{out: [2]int{0, 0}}, // W0
 		{out: [2]int{1, 0}, deps: []int{0}, ins: [][2]int{{0, 0}}}, // reader of v0
-		{out: [2]int{0, 0}, deps: []int{0}},                     // W1, unordered wrt reader
+		{out: [2]int{0, 0}, deps: []int{0}},                        // W1, unordered wrt reader
 	})
 	d := testDist{p: 1, owner: func(i, j int) int { return 0 }}
 	_, err := Run(g, d, 1, func(i, j int) *tile.Tile { return tile.New(1, 1) },
@@ -259,6 +260,37 @@ func TestPrevalidateUnorderedIntermediateRead(t *testing.T) {
 		Options{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "next writer") {
 		t.Fatalf("expected unordered-read error, got %v", err)
+	}
+}
+
+// TestPrevalidateMalformedGraphs: the two graph defects the engines used to
+// meet mid-run — a panic on a missing input buffer, a wait for a tile nobody
+// sends — are compile errors now.
+func TestPrevalidateMalformedGraphs(t *testing.T) {
+	run := func(g dag.Graph, d testDist) error {
+		_, err := Run(g, d, 1, func(i, j int) *tile.Tile { return tile.New(1, 1) },
+			func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error { return nil },
+			Options{}, nil)
+		return err
+	}
+	// A local read of a tile no task writes: no node materializes it.
+	unwritten := newTestGraph(2, []testTask{
+		{out: [2]int{0, 0}, ins: [][2]int{{0, 1}}},
+	})
+	err := run(unwritten, testDist{p: 1, owner: func(i, j int) int { return 0 }})
+	if err == nil || !strings.Contains(err.Error(), "no task writes") {
+		t.Fatalf("expected unwritten-tile error, got %v", err)
+	}
+	// A remote dependency the producer does not list as a successor: its
+	// output would never be sent.
+	oneWay := newTestGraph(2, []testTask{
+		{out: [2]int{0, 0}},
+		{out: [2]int{1, 0}, deps: []int{0}, ins: [][2]int{{0, 0}}},
+	})
+	oneWay.succ[0] = nil
+	err = run(oneWay, testDist{p: 2, owner: func(i, j int) int { return i }})
+	if err == nil || !strings.Contains(err.Error(), "does not list it as a successor") {
+		t.Fatalf("expected one-way-dependency error, got %v", err)
 	}
 }
 
@@ -271,9 +303,9 @@ func TestPrevalidateOwnerOutOfRange(t *testing.T) {
 	}
 }
 
-// TestPrevalidateAcceptsBuiltinGraphs: every built-in graph family passes
-// prevalidation under representative distributions (each paired with the
-// same wrapper the public entry points use).
+// TestPrevalidateAcceptsBuiltinGraphs: every built-in graph family compiles
+// — a compiled plan is a validated one — under representative distributions
+// (each paired with the same wrapper the public entry points use).
 func TestPrevalidateAcceptsBuiltinGraphs(t *testing.T) {
 	d := dist.NewG2DBC(5)
 	cases := []struct {
@@ -289,7 +321,7 @@ func TestPrevalidateAcceptsBuiltinGraphs(t *testing.T) {
 		{dag.NewGEMMOp(4, 4, 4), gemmDist{Distribution: d, mt: 4, nt: 4}},
 	}
 	for _, c := range cases {
-		if _, err := prevalidate(c.g, c.d); err != nil {
+		if _, err := plan.Compile(c.g, c.d); err != nil {
 			t.Errorf("%s rejected: %v", c.g.Name(), err)
 		}
 	}

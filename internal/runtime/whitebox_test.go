@@ -7,19 +7,42 @@ import (
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
+	"anybc/internal/plan"
 	"anybc/internal/tile"
 )
 
-// testEngine builds one engine the way Run does, including the shared
-// output-version table.
-func testEngine(t *testing.T, rank int, cl *cluster.Cluster, g dag.Graph,
+// testEngine builds one single-worker engine the way RunPlan does.
+func testEngine(t testing.TB, rank int, cl *cluster.Cluster, g dag.Graph,
 	d dist.Distribution, b int, gen func(i, j int) *tile.Tile, kern Kernel) *engine {
 	t.Helper()
-	ver, err := prevalidate(g, d)
+	return testEngineOpt(t, rank, cl, g, d, b, gen, kern, Options{Workers: 1})
+}
+
+// testEngineOpt builds one engine the way RunPlan does: compiled plan,
+// normalized options.
+func testEngineOpt(t testing.TB, rank int, cl *cluster.Cluster, g dag.Graph,
+	d dist.Distribution, b int, gen func(i, j int) *tile.Tile, kern Kernel, opt Options) *engine {
+	t.Helper()
+	pl, err := plan.Compile(g, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newEngine(rank, cl.Comm(rank), g, d, b, gen, kern, Options{Workers: 1}, ver, time.Now())
+	if err := opt.normalize(d); err != nil {
+		t.Fatal(err)
+	}
+	return newEngine(rank, cl.Comm(rank), pl, b, gen, kern, opt, time.Now())
+}
+
+// unfedSlots counts the slots whose plan waiters are still to be released —
+// the flat counterpart of the old waiters map's length.
+func (e *engine) unfedSlots() int {
+	n := 0
+	for _, fed := range e.fed {
+		if !fed {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDuplicateArrivalIdempotent exercises the protocol guard: re-delivery
@@ -44,7 +67,7 @@ func TestDuplicateArrivalIdempotent(t *testing.T) {
 	if err := e.onArrival(msg); err != nil {
 		t.Fatal(err)
 	}
-	waitersBefore := len(e.waiters)
+	waitersBefore := e.unfedSlots()
 	remainingBefore := append([]int32(nil), e.remaining...)
 	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: msg.Tag, Payload: pay.Clone()}); err != nil {
 		t.Fatalf("identical re-delivery returned error: %v", err)
@@ -55,8 +78,8 @@ func TestDuplicateArrivalIdempotent(t *testing.T) {
 	if e.recvTotal != 1 {
 		t.Fatalf("recvTotal = %d, want 1 (duplicate must not count as a delivery)", e.recvTotal)
 	}
-	if len(e.waiters) != waitersBefore {
-		t.Fatalf("waiters changed on duplicate: %d -> %d", waitersBefore, len(e.waiters))
+	if e.unfedSlots() != waitersBefore {
+		t.Fatalf("waiters changed on duplicate: %d -> %d", waitersBefore, e.unfedSlots())
 	}
 	for idx, rem := range e.remaining {
 		if rem != remainingBefore[idx] {
@@ -107,8 +130,8 @@ func TestUnconsumedArrivalDropped(t *testing.T) {
 	if err := e.onArrival(msg); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.recv) != 0 {
-		t.Fatalf("unconsumed arrival retained: %d tiles", len(e.recv))
+	if e.held != 0 {
+		t.Fatalf("unconsumed arrival retained: %d tiles", e.held)
 	}
 	if e.recvTotal != 1 {
 		t.Fatalf("recvTotal = %d, want 1", e.recvTotal)
@@ -127,19 +150,20 @@ func TestEngineOwnedDiscovery(t *testing.T) {
 	total := 0
 	for rank := 0; rank < d.Nodes(); rank++ {
 		e := testEngine(t, rank, cl, g, d, 4, gen, CholeskyKernel)
-		total += len(e.owned)
-		for _, task := range e.owned {
+		total += e.n
+		for idx := 0; idx < e.n; idx++ {
+			task := e.pl.Task(e.task(idx))
 			oi, oj := g.OutputTile(task)
 			if d.Owner(oi, oj) != rank {
 				t.Fatalf("engine %d owns task %v with owner %d", rank, task, d.Owner(oi, oj))
 			}
-			tag := cluster.Tag{I: int32(oi), J: int32(oj)}
-			if e.tiles[tag] == nil {
-				t.Fatalf("engine %d did not materialize tile %v", rank, tag)
+			if e.tileOf(e.pl.Out(e.task(idx))) == nil {
+				t.Fatalf("engine %d did not materialize tile (%d,%d)", rank, oi, oj)
 			}
 		}
 		// Remaining counts must equal NumDependencies.
-		for idx, task := range e.owned {
+		for idx := 0; idx < e.n; idx++ {
+			task := e.pl.Task(e.task(idx))
 			if int(e.remaining[idx]) != g.NumDependencies(task) {
 				t.Fatalf("engine %d task %v remaining %d != deps %d",
 					rank, task, e.remaining[idx], g.NumDependencies(task))
@@ -147,9 +171,10 @@ func TestEngineOwnedDiscovery(t *testing.T) {
 		}
 		// Reader counts cover exactly the remote input references.
 		remoteRefs := 0
-		for _, refs := range e.ins {
+		for idx := 0; idx < e.n; idx++ {
+			refs, _, _ := e.inputs(idx)
 			for _, ref := range refs {
-				if ref.remote {
+				if ref < 0 {
 					remoteRefs++
 				}
 			}
@@ -171,14 +196,14 @@ func TestEngineOwnedDiscovery(t *testing.T) {
 func TestEmptyEngineRuns(t *testing.T) {
 	g := dag.NewLU(2)
 	// Distribution mapping everything to node 0 of 3.
-	d := dist.NewTwoDBC(1, 1)
+	d := testDist{p: 3, owner: func(i, j int) int { return 0 }}
 	cl := cluster.New(3)
 	defer cl.Close()
 	e := testEngine(t, 2, cl, g, d, 3, GenDiagDominant(2, 3, 1), LUKernel)
 	if err := e.run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.owned) != 0 {
+	if e.n != 0 {
 		t.Fatal("node 2 owns tasks under a single-node distribution")
 	}
 }

@@ -18,8 +18,10 @@
 // descriptively and immediately: backpressure is an error the client sees,
 // never a silent wedge.
 //
-// Repeated shapes skip their precomputation through a PatternCache keyed on
-// (scheme, P, mt) — the cmd/patterndb idea promoted into the serving path.
+// Repeated shapes skip their precomputation through a PatternCache of
+// distributions, keyed (scheme, P), and compiled execution plans, keyed
+// (kind, mt, scheme, P) — the cmd/patterndb idea promoted into the serving
+// path.
 package serve
 
 import (
@@ -476,16 +478,12 @@ func (s *Server) runJob(j *job, memReserved int64) {
 	close(j.done)
 }
 
-// execute runs the factorization itself: cached distribution and graph, the
-// job's namespace on the shared cluster, the job's cancellation context and
-// priority band.
+// execute runs the factorization itself: the cached execution plan of the
+// job's shape, the job's namespace on the shared cluster, the job's
+// cancellation context and priority band.
 func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	spec := j.spec
-	d, err := s.cache.Dist(spec.Scheme, spec.P)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := s.cache.Graph(spec.Kind, spec.Mt)
+	pl, err := s.cache.Plan(spec.Kind, spec.Mt, spec.Scheme, spec.P)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -502,7 +500,7 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	case KindLU:
 		gen := runtime.GenDiagDominant(spec.Mt, spec.B, spec.Seed)
 		out := matrix.NewDense(spec.Mt, spec.Mt, spec.B)
-		rep, err := runtime.Run(g, d, spec.B, gen, runtime.LUKernel, opt, func(i, jj int, t *tile.Tile) {
+		rep, err := runtime.RunPlan(pl, spec.B, gen, runtime.LUKernel, opt, func(i, jj int, t *tile.Tile) {
 			out.SetTile(i, jj, t.Clone())
 		})
 		if err != nil {
@@ -512,7 +510,7 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	case KindCholesky:
 		gen := runtime.GenSPD(spec.Mt, spec.B, spec.Seed)
 		out := matrix.NewSymmetricLower(spec.Mt, spec.B)
-		rep, err := runtime.Run(g, d, spec.B, gen, runtime.CholeskyKernel, opt, func(i, jj int, t *tile.Tile) {
+		rep, err := runtime.RunPlan(pl, spec.B, gen, runtime.CholeskyKernel, opt, func(i, jj int, t *tile.Tile) {
 			out.Tile(i, jj).CopyFrom(t)
 		})
 		if err != nil {

@@ -132,7 +132,7 @@ func TestConcurrentLUBitIdentical(t *testing.T) {
 	if st.Completed != jobs || st.Failed != 0 || st.Rejected != 0 {
 		t.Errorf("stats: %+v", st)
 	}
-	// One distribution and one graph construction serve all 8 jobs.
+	// One distribution and one plan construction serve all 8 jobs.
 	if st.CacheMisses != 2 || st.CacheHits < 2*(jobs-1) {
 		t.Errorf("pattern cache: %d hits, %d misses", st.CacheHits, st.CacheMisses)
 	}
