@@ -160,11 +160,12 @@ type mailbox struct {
 	cond   *sync.Cond
 	queue  []Message
 	peak   int
+	from   []int // messages ever queued, by sender rank (Comm.Heard)
 	closed bool
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
+func newMailbox(p int) *mailbox {
+	m := &mailbox{from: make([]int, p)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -176,6 +177,7 @@ func (m *mailbox) put(msg Message) bool {
 	ok := !m.closed
 	if ok {
 		m.queue = append(m.queue, msg)
+		m.from[msg.From]++
 		if len(m.queue) > m.peak {
 			m.peak = len(m.queue)
 		}
@@ -190,6 +192,13 @@ func (m *mailbox) highWater() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.peak
+}
+
+// heard returns how many messages sender src has had queued here so far.
+func (m *mailbox) heard(src int) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.from[src]
 }
 
 // get blocks until a message is available or the mailbox is closed.
@@ -327,7 +336,7 @@ func newPlane(p int) *plane {
 		ledger:  make([]atomic.Int64, int(numCounters)*p*p),
 	}
 	for i := range pl.inboxes {
-		pl.inboxes[i] = newMailbox()
+		pl.inboxes[i] = newMailbox(p)
 	}
 	return pl
 }
@@ -651,6 +660,13 @@ func (c *Comm) Resend(dst int, tag Tag, payload *tile.Tile) {
 func (c *Comm) Abort() {
 	c.pl.close()
 }
+
+// Heard returns how many messages of any kind — data, relays, requests,
+// notices — sender src has had delivered to this endpoint's mailbox so far,
+// read or not: the liveness evidence a failure detector weighs silence
+// against. It counts deliveries, not sends, so what the fault seam drops or
+// still delays is not heard.
+func (c *Comm) Heard(src int) int { return c.pl.inboxes[c.rank].heard(src) }
 
 // Recv blocks until a message of this endpoint's job arrives; ok is false
 // once the job's plane is closed and the mailbox drained. The job epoch is

@@ -1,180 +1,19 @@
 package dag
 
-// ForEachTask visits every task of the graph in a valid topological order
-// (increasing iteration ℓ, panel kernels before updates within an
-// iteration). Dependencies always point from earlier-visited tasks to
-// later-visited ones.
+// ForEachTask visits every task of the graph in a valid topological order:
+// dependencies always point from earlier-visited tasks to later-visited
+// ones. A graph whose ids are not themselves such an order (the closed-form
+// LU and Cholesky, numbered kind by kind) supplies one through a ForEachTask
+// method; any other graph — every Built one, numbered in program order, and
+// external graphs, which must guarantee the same — is visited by increasing
+// id.
 func ForEachTask(g Graph, visit func(Task)) {
-	mt := g.Tiles()
-	switch gg := g.(type) {
-	case *LUSolve:
-		ForEachTask(gg.LU, visit)
-		forEachSolveTask(mt, visit)
+	if o, ok := g.(interface{ ForEachTask(visit func(Task)) }); ok {
+		o.ForEachTask(visit)
 		return
-	case *CholeskySolve:
-		ForEachTask(gg.Cholesky, visit)
-		forEachSolveTask(mt, visit)
-		return
-	case *GEMMOp:
-		for i := 0; i < gg.mt; i++ {
-			for k := 0; k < gg.kt; k++ {
-				visit(Task{Kind: GemmA, L: int32(k), I: int32(i)})
-			}
-		}
-		for k := 0; k < gg.kt; k++ {
-			for j := 0; j < gg.nt; j++ {
-				visit(Task{Kind: GemmB, L: int32(k), J: int32(j)})
-			}
-		}
-		for k := 0; k < gg.kt; k++ {
-			for i := 0; i < gg.mt; i++ {
-				for j := 0; j < gg.nt; j++ {
-					visit(Task{Kind: GemmUpd, L: int32(k), I: int32(i), J: int32(j)})
-				}
-			}
-		}
-		return
-	case *SYRKOp:
-		for i := 0; i < mt; i++ {
-			for k := 0; k < gg.kt; k++ {
-				visit(Task{Kind: AInit, L: int32(k), I: int32(i)})
-			}
-		}
-		for k := 0; k < gg.kt; k++ {
-			for i := 0; i < mt; i++ {
-				visit(Task{Kind: SYRKUpd, L: int32(k), I: int32(i)})
-				for j := 0; j < i; j++ {
-					visit(Task{Kind: GEMMUpd, L: int32(k), I: int32(i), J: int32(j)})
-				}
-			}
-		}
-		return
-	case *LU:
-		for l := 0; l < mt; l++ {
-			l32 := int32(l)
-			visit(Task{Kind: GETRF, L: l32, I: l32, J: l32})
-			for i := l + 1; i < mt; i++ {
-				visit(Task{Kind: TRSMCol, L: l32, I: int32(i)})
-				visit(Task{Kind: TRSMRow, L: l32, I: int32(i)})
-			}
-			for i := l + 1; i < mt; i++ {
-				for j := l + 1; j < mt; j++ {
-					visit(Task{Kind: GEMMLU, L: l32, I: int32(i), J: int32(j)})
-				}
-			}
-		}
-	case *ReplicatedLU:
-		// Per iteration: first the reductions finalizing the panel's tiles
-		// (they consume earlier iterations' partial updates), then the panel
-		// kernels, then the trailing updates. Within one tile's reduction
-		// group, deeper binomial members combine before their parents
-		// (depth = popcount of the member index) and siblings ascend.
-		redOrder := func(n int) []int {
-			order := make([]int, 0, n-1)
-			for depth := 31; depth > 0; depth-- {
-				for s := 1; s < n; s++ {
-					if popcount(s) == depth {
-						order = append(order, s)
-					}
-				}
-			}
-			return order
-		}
-		forTile := func(k int, visitTile func(i, j int)) {
-			visitTile(k, k)
-			for i := k + 1; i < mt; i++ {
-				visitTile(i, k)
-			}
-			for j := k + 1; j < mt; j++ {
-				visitTile(k, j)
-			}
-		}
-		for l := 0; l < mt; l++ {
-			l32 := int32(l)
-			if n := gg.nRed(l) + 1; n > 1 {
-				order := redOrder(n)
-				forTile(l, func(i, j int) {
-					for _, s := range order {
-						visit(Task{Kind: ReduceAdd, L: int32(s), I: int32(i), J: int32(j)})
-					}
-				})
-			}
-			visit(Task{Kind: GETRF, L: l32, I: l32, J: l32})
-			for i := l + 1; i < mt; i++ {
-				visit(Task{Kind: TRSMCol, L: l32, I: int32(i)})
-				visit(Task{Kind: TRSMRow, L: l32, I: int32(i)})
-			}
-			for i := l + 1; i < mt; i++ {
-				for j := l + 1; j < mt; j++ {
-					visit(gg.gemmTask(l, int32(i), int32(j)))
-				}
-			}
-		}
-		return
-	case *CholeskyLeft:
-		for k := 0; k < mt; k++ {
-			k32 := int32(k)
-			for j := 0; j < k; j++ {
-				visit(Task{Kind: SYRK, L: int32(j), I: k32})
-			}
-			visit(Task{Kind: POTRF, L: k32, I: k32, J: k32})
-			for i := k + 1; i < mt; i++ {
-				for j := 0; j < k; j++ {
-					visit(Task{Kind: GEMMChol, L: int32(j), I: int32(i), J: k32})
-				}
-				visit(Task{Kind: TRSMChol, L: k32, I: int32(i)})
-			}
-		}
-		return
-	case *Cholesky:
-		for l := 0; l < mt; l++ {
-			l32 := int32(l)
-			visit(Task{Kind: POTRF, L: l32, I: l32, J: l32})
-			for i := l + 1; i < mt; i++ {
-				visit(Task{Kind: TRSMChol, L: l32, I: int32(i)})
-			}
-			for i := l + 1; i < mt; i++ {
-				visit(Task{Kind: SYRK, L: l32, I: int32(i)})
-				for j := l + 1; j < i; j++ {
-					visit(Task{Kind: GEMMChol, L: l32, I: int32(i), J: int32(j)})
-				}
-			}
-		}
-	default:
-		// Generic fallback: ids in increasing order are topological for the
-		// built-in graphs; external graphs must guarantee the same.
-		for id := 0; id < g.NumTasks(); id++ {
-			visit(g.TaskOf(id))
-		}
 	}
-}
-
-// popcount returns the number of set bits — the depth of a member in the
-// binomial reduce tree (each parent hop strips the lowest set bit).
-func popcount(x int) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
-// forEachSolveTask visits the solve-phase tasks in topological order:
-// forward substitution by increasing RHS row, then backward substitution by
-// decreasing row.
-func forEachSolveTask(mt int, visit func(Task)) {
-	for i := 0; i < mt; i++ {
-		for j := 0; j < i; j++ {
-			visit(Task{Kind: FGEMM, L: int32(j), I: int32(i), J: int32(j)})
-		}
-		visit(Task{Kind: FTRSM, L: int32(i), I: int32(i)})
-	}
-	for i := mt - 1; i >= 0; i-- {
-		visit(Task{Kind: BCOPY, L: int32(i), I: int32(i)})
-		for j := mt - 1; j > i; j-- {
-			visit(Task{Kind: BGEMM, L: int32(j), I: int32(i), J: int32(j)})
-		}
-		visit(Task{Kind: BTRSM, L: int32(i), I: int32(i)})
+	for id := 0; id < g.NumTasks(); id++ {
+		visit(g.TaskOf(id))
 	}
 }
 

@@ -41,6 +41,31 @@ func NewCholesky(mt int) *Cholesky {
 // Name implements Graph.
 func (g *Cholesky) Name() string { return "Cholesky" }
 
+// Program returns the factorization as a sequential task stream; like LU's,
+// its closed forms are checked against what Build infers from it.
+func (g *Cholesky) Program() Program {
+	return Program{Name: g.Name(), Tiles: g.mt, Tasks: g.ForEachTask,
+		OutputTile: g.OutputTile, InputTiles: g.InputTiles, Flops: g.Flops}
+}
+
+// ForEachTask visits the tasks in program order: per iteration the panel,
+// then each trailing row's SYRK followed by its GEMMs.
+func (g *Cholesky) ForEachTask(visit func(Task)) {
+	for l := 0; l < g.mt; l++ {
+		l32 := int32(l)
+		visit(Task{Kind: POTRF, L: l32, I: l32, J: l32})
+		for i := l + 1; i < g.mt; i++ {
+			visit(Task{Kind: TRSMChol, L: l32, I: int32(i)})
+		}
+		for i := l + 1; i < g.mt; i++ {
+			visit(Task{Kind: SYRK, L: l32, I: int32(i)})
+			for j := l + 1; j < i; j++ {
+				visit(Task{Kind: GEMMChol, L: l32, I: int32(i), J: int32(j)})
+			}
+		}
+	}
+}
+
 // Tiles implements Graph.
 func (g *Cholesky) Tiles() int { return g.mt }
 

@@ -1,8 +1,15 @@
-// Package dag describes the task graphs of the tiled right-looking LU and
-// Cholesky factorizations — the DAGs that Chameleon submits to StarPU. Tasks,
-// dependencies and successors are all computed structurally from the task
-// coordinates (kind, iteration, row, column); nothing is stored per edge, so
-// graphs with tens of millions of tasks occupy only a few prefix-sum arrays.
+// Package dag describes the task graphs of the tiled factorizations and
+// kernels — the DAGs that Chameleon submits to StarPU. An algorithm is a
+// Program: its tasks in sequential order, each naming the tile it writes and
+// the tiles it reads. Build infers every dependency from that order, the way
+// the runtime the paper ran on does at submission, and stores the edges.
+//
+// The right-looking LU and Cholesky are Programs too, but the graphs the
+// simulator and the runtime execute for them are closed forms: tasks,
+// dependencies and successors computed from the task coordinates (kind,
+// iteration, row, column), nothing stored per edge, so a paper-scale graph
+// of hundreds of thousands of tasks occupies a few prefix-sum arrays. Their
+// algebra is checked against Build of their own programs.
 //
 // Dependencies encode both data flow and the in-place owner-computes
 // serialization: the update of tile (i, j) at iteration ℓ must follow its
@@ -137,7 +144,7 @@ type SizedGraph interface {
 	OutputBytes(t Task, b int) int
 }
 
-// locate inverts a prefix-sum table, the step every graph's TaskOf shares:
+// locate inverts a prefix-sum table, the step both closed forms' TaskOf share:
 // it returns the largest l with prefix[l] <= v — searched over
 // [0, len(prefix)-2], since the last entry is the grand total — and the
 // offset v - prefix[l] within that block.

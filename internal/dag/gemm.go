@@ -31,135 +31,62 @@ const (
 // counts the paper's LU metric is built from. The G-2DBC pattern therefore
 // minimizes GEMM communication for any P, just as it does for LU.
 type GEMMOp struct {
-	mt, nt, kt     int
-	bBase, updBase int
+	*Built
+	mt, nt, kt int
 }
 
-// NewGEMMOp builds the product task graph.
+// NewGEMMOp builds the product task graph. GemmA stores (i, k) in (I, L);
+// GemmB stores (k, j) in (L, J); GemmUpd stores (i, j, k) in (I, J, L).
 func NewGEMMOp(mt, nt, kt int) *GEMMOp {
 	if mt <= 0 || nt <= 0 || kt <= 0 {
 		panic(fmt.Sprintf("dag: invalid GEMM shape %dx%dx%d", mt, nt, kt))
 	}
-	g := &GEMMOp{mt: mt, nt: nt, kt: kt}
-	g.bBase = mt * kt
-	g.updBase = g.bBase + kt*nt
-	return g
+	return &GEMMOp{mt: mt, nt: nt, kt: kt, Built: Build(Program{
+		Name:  "GEMM",
+		Tiles: mt, // the C row dimension
+		Tasks: func(submit func(Task)) {
+			for i := 0; i < mt; i++ {
+				for k := 0; k < kt; k++ {
+					submit(Task{Kind: GemmA, L: int32(k), I: int32(i)})
+				}
+			}
+			for k := 0; k < kt; k++ {
+				for j := 0; j < nt; j++ {
+					submit(Task{Kind: GemmB, L: int32(k), J: int32(j)})
+				}
+			}
+			for k := 0; k < kt; k++ {
+				for i := 0; i < mt; i++ {
+					for j := 0; j < nt; j++ {
+						submit(Task{Kind: GemmUpd, L: int32(k), I: int32(i), J: int32(j)})
+					}
+				}
+			}
+		},
+		OutputTile: func(t Task) (int, int) {
+			switch t.Kind {
+			case GemmA:
+				return int(t.I), nt + int(t.L)
+			case GemmB:
+				return mt + int(t.L), int(t.J)
+			default:
+				return int(t.I), int(t.J)
+			}
+		},
+		InputTiles: func(t Task, visit func(i, j int)) {
+			if t.Kind == GemmUpd {
+				visit(int(t.I), nt+int(t.L))
+				visit(mt+int(t.L), int(t.J))
+			}
+		},
+		Flops: func(t Task, b int) float64 {
+			if t.Kind != GemmUpd {
+				return 0
+			}
+			return tile.FlopsGemm(b)
+		},
+	})}
 }
-
-// Name implements Graph.
-func (g *GEMMOp) Name() string { return "GEMM" }
-
-// Tiles implements Graph (the C row dimension).
-func (g *GEMMOp) Tiles() int { return g.mt }
 
 // Shape returns (mt, nt, kt).
 func (g *GEMMOp) Shape() (mt, nt, kt int) { return g.mt, g.nt, g.kt }
-
-// NumTasks implements Graph.
-func (g *GEMMOp) NumTasks() int { return g.updBase + g.mt*g.nt*g.kt }
-
-// ID implements Graph. GemmA stores (i, k) in (I, L); GemmB stores (k, j) in
-// (L, J); GemmUpd stores (i, j, k) in (I, J, L).
-func (g *GEMMOp) ID(t Task) int {
-	switch t.Kind {
-	case GemmA:
-		return int(t.I)*g.kt + int(t.L)
-	case GemmB:
-		return g.bBase + int(t.L)*g.nt + int(t.J)
-	case GemmUpd:
-		return g.updBase + (int(t.I)*g.nt+int(t.J))*g.kt + int(t.L)
-	default:
-		panic(fmt.Sprintf("dag: task %v is not a GEMM task", t))
-	}
-}
-
-// TaskOf implements Graph.
-func (g *GEMMOp) TaskOf(id int) Task {
-	switch {
-	case id < g.bBase:
-		return Task{Kind: GemmA, L: int32(id % g.kt), I: int32(id / g.kt)}
-	case id < g.updBase:
-		rel := id - g.bBase
-		return Task{Kind: GemmB, L: int32(rel / g.nt), J: int32(rel % g.nt)}
-	default:
-		rel := id - g.updBase
-		k := rel % g.kt
-		cell := rel / g.kt
-		return Task{Kind: GemmUpd, L: int32(k), I: int32(cell / g.nt), J: int32(cell % g.nt)}
-	}
-}
-
-// Dependencies implements Graph.
-func (g *GEMMOp) Dependencies(t Task, visit func(Task)) {
-	if t.Kind != GemmUpd {
-		return
-	}
-	visit(Task{Kind: GemmA, L: t.L, I: t.I})
-	visit(Task{Kind: GemmB, L: t.L, J: t.J})
-	if t.L > 0 {
-		visit(Task{Kind: GemmUpd, L: t.L - 1, I: t.I, J: t.J})
-	}
-}
-
-// NumDependencies implements Graph.
-func (g *GEMMOp) NumDependencies(t Task) int {
-	if t.Kind != GemmUpd {
-		return 0
-	}
-	if t.L > 0 {
-		return 3
-	}
-	return 2
-}
-
-// Successors implements Graph.
-func (g *GEMMOp) Successors(t Task, visit func(Task)) {
-	switch t.Kind {
-	case GemmA:
-		for j := 0; j < g.nt; j++ {
-			visit(Task{Kind: GemmUpd, L: t.L, I: t.I, J: int32(j)})
-		}
-	case GemmB:
-		for i := 0; i < g.mt; i++ {
-			visit(Task{Kind: GemmUpd, L: t.L, I: int32(i), J: t.J})
-		}
-	case GemmUpd:
-		if int(t.L) < g.kt-1 {
-			visit(Task{Kind: GemmUpd, L: t.L + 1, I: t.I, J: t.J})
-		}
-	}
-}
-
-// OutputTile implements Graph.
-func (g *GEMMOp) OutputTile(t Task) (int, int) {
-	switch t.Kind {
-	case GemmA:
-		return int(t.I), g.nt + int(t.L)
-	case GemmB:
-		return g.mt + int(t.L), int(t.J)
-	default:
-		return int(t.I), int(t.J)
-	}
-}
-
-// InputTiles implements Graph.
-func (g *GEMMOp) InputTiles(t Task, visit func(i, j int)) {
-	if t.Kind != GemmUpd {
-		return
-	}
-	visit(int(t.I), g.nt+int(t.L))
-	visit(g.mt+int(t.L), int(t.J))
-}
-
-// Flops implements Graph.
-func (g *GEMMOp) Flops(t Task, b int) float64 {
-	if t.Kind != GemmUpd {
-		return 0
-	}
-	return tile.FlopsGemm(b)
-}
-
-// TotalFlops implements Graph.
-func (g *GEMMOp) TotalFlops(b int) float64 {
-	return float64(g.mt*g.nt*g.kt) * tile.FlopsGemm(b)
-}

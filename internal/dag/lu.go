@@ -41,6 +41,33 @@ func NewLU(mt int) *LU {
 // Name implements Graph.
 func (g *LU) Name() string { return "LU" }
 
+// Program returns the factorization as a sequential task stream. The closed
+// forms below are what Build infers from it (TestClosedFormsMatchInference);
+// they are kept because a paper-scale graph is simulated without being
+// stored.
+func (g *LU) Program() Program {
+	return Program{Name: g.Name(), Tiles: g.mt, Tasks: g.ForEachTask,
+		OutputTile: g.OutputTile, InputTiles: g.InputTiles, Flops: g.Flops}
+}
+
+// ForEachTask visits the tasks in program order: the loop nest of the type
+// comment, the two solves of a row index adjacent.
+func (g *LU) ForEachTask(visit func(Task)) {
+	for l := 0; l < g.mt; l++ {
+		l32 := int32(l)
+		visit(Task{Kind: GETRF, L: l32, I: l32, J: l32})
+		for i := l + 1; i < g.mt; i++ {
+			visit(Task{Kind: TRSMCol, L: l32, I: int32(i)})
+			visit(Task{Kind: TRSMRow, L: l32, I: int32(i)})
+		}
+		for i := l + 1; i < g.mt; i++ {
+			for j := l + 1; j < g.mt; j++ {
+				visit(Task{Kind: GEMMLU, L: l32, I: int32(i), J: int32(j)})
+			}
+		}
+	}
+}
+
 // Tiles implements Graph.
 func (g *LU) Tiles() int { return g.mt }
 

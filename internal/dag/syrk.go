@@ -30,171 +30,69 @@ const (
 // symmetric distributions (SBC, GCR&M) beat 2DBC on this kernel: the
 // per-sweep volume is proportional to z̄ − 1.
 type SYRKOp struct {
-	mt, kt int
-	// id layout: AInit (mt·kt), then SYRKUpd (mt·kt), then GEMMUpd
-	// (mt(mt-1)/2 · kt).
-	syrkBase, gemmBase int
+	*Built
+	kt int
 }
 
-// NewSYRKOp builds the SYRK task graph.
+// NewSYRKOp builds the SYRK task graph. GEMMUpd tasks store (i, j) in I/J
+// and the sweep k in L; AInit and SYRKUpd store the row in I and the sweep
+// in L.
 func NewSYRKOp(mt, kt int) *SYRKOp {
 	if mt <= 0 || kt <= 0 {
 		panic(fmt.Sprintf("dag: invalid SYRK shape mt=%d kt=%d", mt, kt))
 	}
-	g := &SYRKOp{mt: mt, kt: kt}
-	g.syrkBase = mt * kt
-	g.gemmBase = g.syrkBase + mt*kt
-	return g
+	return &SYRKOp{kt: kt, Built: Build(Program{
+		Name:  "SYRK",
+		Tiles: mt, // the C dimension
+		Tasks: func(submit func(Task)) {
+			for i := 0; i < mt; i++ {
+				for k := 0; k < kt; k++ {
+					submit(Task{Kind: AInit, L: int32(k), I: int32(i)})
+				}
+			}
+			for k := 0; k < kt; k++ {
+				for i := 0; i < mt; i++ {
+					submit(Task{Kind: SYRKUpd, L: int32(k), I: int32(i)})
+					for j := 0; j < i; j++ {
+						submit(Task{Kind: GEMMUpd, L: int32(k), I: int32(i), J: int32(j)})
+					}
+				}
+			}
+		},
+		// AInit "writes" its A tile (publishing it); the updates write C
+		// tiles.
+		OutputTile: func(t Task) (int, int) {
+			switch t.Kind {
+			case AInit:
+				return int(t.I), mt + int(t.L)
+			case SYRKUpd:
+				return int(t.I), int(t.I)
+			default:
+				return int(t.I), int(t.J)
+			}
+		},
+		InputTiles: func(t Task, visit func(i, j int)) {
+			switch t.Kind {
+			case AInit:
+			case SYRKUpd:
+				visit(int(t.I), mt+int(t.L))
+			default:
+				visit(int(t.I), mt+int(t.L))
+				visit(int(t.J), mt+int(t.L))
+			}
+		},
+		Flops: func(t Task, b int) float64 {
+			switch t.Kind {
+			case AInit:
+				return 0
+			case SYRKUpd:
+				return tile.FlopsSyrk(b)
+			default:
+				return tile.FlopsGemm(b)
+			}
+		},
+	})}
 }
-
-// Name implements Graph.
-func (g *SYRKOp) Name() string { return "SYRK" }
-
-// Tiles implements Graph (the C dimension).
-func (g *SYRKOp) Tiles() int { return g.mt }
 
 // Panels returns kt, the number of A tile columns.
 func (g *SYRKOp) Panels() int { return g.kt }
-
-// NumTasks implements Graph.
-func (g *SYRKOp) NumTasks() int { return g.gemmBase + g.mt*(g.mt-1)/2*g.kt }
-
-// ID implements Graph. GEMMUpd tasks store (i, j) in I/J and the sweep k in
-// L; AInit and SYRKUpd store the row in I and the sweep in L.
-func (g *SYRKOp) ID(t Task) int {
-	i, j, k := int(t.I), int(t.J), int(t.L)
-	switch t.Kind {
-	case AInit:
-		return i*g.kt + k
-	case SYRKUpd:
-		return g.syrkBase + i*g.kt + k
-	case GEMMUpd:
-		return g.gemmBase + (i*(i-1)/2+j)*g.kt + k
-	default:
-		panic(fmt.Sprintf("dag: task %v is not a SYRK task", t))
-	}
-}
-
-// TaskOf implements Graph.
-func (g *SYRKOp) TaskOf(id int) Task {
-	switch {
-	case id < g.syrkBase:
-		return Task{Kind: AInit, L: int32(id % g.kt), I: int32(id / g.kt)}
-	case id < g.gemmBase:
-		rel := id - g.syrkBase
-		return Task{Kind: SYRKUpd, L: int32(rel % g.kt), I: int32(rel / g.kt)}
-	default:
-		rel := id - g.gemmBase
-		k := rel % g.kt
-		cell := rel / g.kt
-		i := 1
-		for (i+1)*i/2 <= cell {
-			i++
-		}
-		j := cell - i*(i-1)/2
-		return Task{Kind: GEMMUpd, L: int32(k), I: int32(i), J: int32(j)}
-	}
-}
-
-// Dependencies implements Graph.
-func (g *SYRKOp) Dependencies(t Task, visit func(Task)) {
-	i, j, k := t.I, t.J, t.L
-	switch t.Kind {
-	case AInit:
-	case SYRKUpd:
-		visit(Task{Kind: AInit, L: k, I: i})
-		if k > 0 {
-			visit(Task{Kind: SYRKUpd, L: k - 1, I: i})
-		}
-	case GEMMUpd:
-		visit(Task{Kind: AInit, L: k, I: i})
-		visit(Task{Kind: AInit, L: k, I: j})
-		if k > 0 {
-			visit(Task{Kind: GEMMUpd, L: k - 1, I: i, J: j})
-		}
-	}
-}
-
-// NumDependencies implements Graph.
-func (g *SYRKOp) NumDependencies(t Task) int {
-	switch t.Kind {
-	case AInit:
-		return 0
-	case SYRKUpd:
-		if t.L > 0 {
-			return 2
-		}
-		return 1
-	default:
-		if t.L > 0 {
-			return 3
-		}
-		return 2
-	}
-}
-
-// Successors implements Graph.
-func (g *SYRKOp) Successors(t Task, visit func(Task)) {
-	i, j, k := t.I, t.J, t.L
-	switch t.Kind {
-	case AInit:
-		visit(Task{Kind: SYRKUpd, L: k, I: i})
-		for j2 := int32(0); j2 < i; j2++ {
-			visit(Task{Kind: GEMMUpd, L: k, I: i, J: j2})
-		}
-		for i2 := i + 1; int(i2) < g.mt; i2++ {
-			visit(Task{Kind: GEMMUpd, L: k, I: i2, J: i})
-		}
-	case SYRKUpd:
-		if int(k) < g.kt-1 {
-			visit(Task{Kind: SYRKUpd, L: k + 1, I: i})
-		}
-	case GEMMUpd:
-		if int(k) < g.kt-1 {
-			visit(Task{Kind: GEMMUpd, L: k + 1, I: i, J: j})
-		}
-	}
-}
-
-// OutputTile implements Graph. AInit "writes" its A tile (publishing it);
-// the updates write C tiles.
-func (g *SYRKOp) OutputTile(t Task) (int, int) {
-	switch t.Kind {
-	case AInit:
-		return int(t.I), g.mt + int(t.L)
-	case SYRKUpd:
-		return int(t.I), int(t.I)
-	default:
-		return int(t.I), int(t.J)
-	}
-}
-
-// InputTiles implements Graph.
-func (g *SYRKOp) InputTiles(t Task, visit func(i, j int)) {
-	switch t.Kind {
-	case AInit:
-	case SYRKUpd:
-		visit(int(t.I), g.mt+int(t.L))
-	default:
-		visit(int(t.I), g.mt+int(t.L))
-		visit(int(t.J), g.mt+int(t.L))
-	}
-}
-
-// Flops implements Graph.
-func (g *SYRKOp) Flops(t Task, b int) float64 {
-	switch t.Kind {
-	case AInit:
-		return 0
-	case SYRKUpd:
-		return tile.FlopsSyrk(b)
-	default:
-		return tile.FlopsGemm(b)
-	}
-}
-
-// TotalFlops implements Graph.
-func (g *SYRKOp) TotalFlops(b int) float64 {
-	return float64(g.mt*g.kt)*tile.FlopsSyrk(b) +
-		float64(g.mt*(g.mt-1)/2*g.kt)*tile.FlopsGemm(b)
-}

@@ -110,7 +110,7 @@ func (e *engine) markDead(rank int, gossip bool) {
 	now := time.Now()
 	for tag, p := range e.pending {
 		if e.owner(int(tag.I), int(tag.J)) == rank {
-			p.attempts = 0
+			p.attempts, p.silent = 0, 0
 			p.backoff = e.arrival
 			p.deadline = now.Add(e.arrival)
 		}

@@ -182,12 +182,15 @@ type Options struct {
 	// elastic adopter rule consults; nil means homogeneous. Length must be
 	// the node count when set, and setting it without Elastic is rejected.
 	Speeds []float64
-	// MaxReRequests caps how many times one awaited tile version is
-	// re-requested before the node gives up on its owner: zero means the
-	// default (50), negative means unlimited (the pre-cap behavior). On an
-	// exhausted budget a non-elastic node fails with ErrUndelivered naming
-	// the owner, tag, and retry count; an elastic node instead presumes the
-	// owner dead, gossips cluster.NoteDown, and adopts its work.
+	// MaxReRequests caps how many times in a row one awaited tile version is
+	// re-requested from an owner that stays silent — no message of any kind
+	// from it reaching this node in between (cluster.Comm.Heard) — before
+	// the node gives up on that owner: zero means the default (50), negative
+	// means unlimited (the pre-cap behavior). An owner that is heard from is
+	// merely late and is asked again on a fresh budget. On an exhausted
+	// budget a non-elastic node fails with ErrUndelivered naming the owner,
+	// tag, and retry count; an elastic node instead presumes the owner dead,
+	// gossips cluster.NoteDown, and adopts its work.
 	MaxReRequests int
 	// LagReRequests, in elastic mode, is the re-request attempt count after
 	// which a still-alive but lagging owner's unfinished work becomes
@@ -733,6 +736,8 @@ type pendingWait struct {
 	deadline   time.Time
 	backoff    time.Duration
 	attempts   int
+	silent     int  // requests in a row the target stayed silent through: what the budget caps
+	heardAt    int  // Comm.Heard of the target when the tag was last found overdue
 	speculated bool // an adoption already races this tag; never escalate it
 }
 
@@ -1241,7 +1246,8 @@ func (e *engine) run() error {
 // past its deadline from its owner (or, once the owner is dead, from its
 // adopter), doubling the deadline each retry (capped) so a genuinely slow
 // producer is not hammered. The sweep is also the failure detector of last
-// resort: a tag whose retry budget (Options.MaxReRequests) runs dry fails
+// resort: a tag whose retry budget (Options.MaxReRequests) runs dry — that
+// many requests in a row with its owner never heard from — fails
 // the node with ErrUndelivered on a plain resilient run, or — under elastic
 // recovery — presumes the silent owner dead, gossips cluster.NoteDown, and
 // restarts the budget against the adopter. Before that point, a lagging but
@@ -1261,10 +1267,20 @@ func (e *engine) onTick() error {
 			p.deadline = now.Add(p.backoff)
 			continue
 		}
-		if p.attempts >= e.maxReq && e.maxReq > 0 && !p.speculated {
+		if heard := e.comm.Heard(target); heard != p.heardAt {
+			// Something from the target has reached this node since this
+			// version was last found overdue: the target is alive and
+			// reachable, so the version is late, not lost for good — every
+			// awaited version's clock starts at run start, long before most
+			// producers run. Keep asking (a dropped delivery heals no other
+			// way), but only requests into unbroken silence count against
+			// the budget.
+			p.silent, p.heardAt = 0, heard
+		}
+		if p.silent >= e.maxReq && e.maxReq > 0 && !p.speculated {
 			if !e.elastic {
 				return fmt.Errorf("node %d: tile (%d,%d) v%d from node %d undelivered after %d re-requests: %w",
-					e.rank, tag.I, tag.J, tag.V, target, p.attempts, ErrUndelivered)
+					e.rank, tag.I, tag.J, tag.V, target, p.silent, ErrUndelivered)
 			}
 			// Elastic escalation: the target has ignored the whole budget —
 			// presume it dead, tell everyone, and start a fresh budget
@@ -1290,6 +1306,7 @@ func (e *engine) onTick() error {
 		}
 		e.comm.Request(target, tag)
 		p.attempts++
+		p.silent++
 		p.backoff *= 2
 		if maxB := 8 * e.arrival; p.backoff > maxB {
 			p.backoff = maxB

@@ -23,18 +23,3 @@ func ExampleRun() {
 	// 2DBC(23x1): 26026 messages; G-2DBC: 9719 messages
 	// G-2DBC faster: true (speedup 2.9x)
 }
-
-// ExampleEstimate cross-checks the analytic roofline model against the
-// event-driven simulation.
-func ExampleEstimate() {
-	g := dag.NewLU(40)
-	d := dist.NewG2DBC(16)
-	m := simulate.PaperMachine()
-	a := simulate.Estimate(g, 500, d, m)
-	res, _ := simulate.Run(g, 500, d, m, simulate.Options{})
-	fmt.Printf("analytic lower bound holds: %v\n", res.Makespan >= a.Makespan()*0.999)
-	fmt.Printf("message counts agree: %v\n", a.Messages == res.Messages)
-	// Output:
-	// analytic lower bound holds: true
-	// message counts agree: true
-}

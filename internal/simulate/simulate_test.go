@@ -196,27 +196,6 @@ func TestG2DBCBeats2DBCForPrimeP(t *testing.T) {
 	}
 }
 
-func TestAnalyticBounds(t *testing.T) {
-	g := dag.NewLU(20)
-	d := dist.NewG2DBC(9)
-	m := PaperMachine()
-	res, err := Run(g, 500, d, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Estimate(g, 500, d, m)
-	if a.Messages != res.Messages {
-		t.Errorf("analytic messages %d != simulated %d", a.Messages, res.Messages)
-	}
-	// The analytic makespan is a lower bound (up to NIC-imbalance slack).
-	if res.Makespan < a.ComputeTime-1e-12 || res.Makespan < a.CriticalPath-1e-12 {
-		t.Errorf("simulated makespan %v below analytic bounds %+v", res.Makespan, a)
-	}
-	if a.GFlops(g.TotalFlops(500)) < res.GFlops()-1e-9 {
-		t.Errorf("analytic GFlops below simulated")
-	}
-}
-
 func TestEfficiencyInRange(t *testing.T) {
 	g := dag.NewLU(16)
 	m := testMachine()
