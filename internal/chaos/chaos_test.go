@@ -67,7 +67,7 @@ func TestConfigValidation(t *testing.T) {
 		{PDelay: -0.1},
 		{PReorder: 1.5},
 		{PDrop: 0.5, PDropRedeliver: 0.4, PDuplicate: 0.2}, // classes sum to 1.1
-		{PDrop: 1},                                         // retries could never heal
+		{PDrop: 1}, // retries could never heal
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -484,9 +484,6 @@ type Comm struct {
 	pl      *plane
 }
 
-// Rank returns this endpoint's node id.
-func (c *Comm) Rank() int { return c.rank }
-
 // Size returns the cluster's node count.
 func (c *Comm) Size() int { return c.cluster.p }
 
@@ -595,11 +592,11 @@ func (c *Comm) charge(counters []Counter, dst int, size int64) {
 
 // SendReduce ships one reduction partial — a layer's accumulator tile — to
 // the single node that combines it. Partials always flow up exactly one edge
-// of the binomial combine schedule (ReduceChildren), so unlike SendAll there is
-// no fan-out and no relay in either broadcast mode; their own counters let
-// measurements split a replicated run's volume into panel-broadcast and
-// reduction traffic. A lost partial heals through the ordinary re-request
-// path (Request/Resend from the publisher's version cache).
+// of the binomial combine schedule (dag.ReplicatedLU's), so unlike SendAll
+// there is no fan-out and no relay in either broadcast mode; their own
+// counters let measurements split a replicated run's volume into
+// panel-broadcast and reduction traffic. A lost partial heals through the
+// ordinary re-request path (Request/Resend from the publisher's version cache).
 func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile) {
 	c.transmit(kindReduce, []int{dst}, Message{Tag: tag}, payload)
 }
@@ -757,9 +754,7 @@ func (s Stats) ByDst(c Counter) []int64 {
 }
 
 // Shorthands kept for the callers that predate Total/BySrc/ByDst: commands,
-// examples, the service and the benchmark — and, for the two Wire…ByNode
-// views, TestSimAndRealByteAccountingAgree, which pins sim = real byte
-// accounting and is deliberately left byte-for-byte unedited.
+// examples, the service and the benchmark.
 func (s Stats) TotalMessages() int64    { return s.Total(Messages) }
 func (s Stats) TotalBytes() int64       { return s.Total(Bytes) }
 func (s Stats) TotalWireBytes() int64   { return s.Total(WireBytes) }
@@ -767,5 +762,3 @@ func (s Stats) TotalHops() int64        { return s.Total(Hops) }
 func (s Stats) TotalForwards() int64    { return s.Total(Forwards) }
 func (s Stats) TotalReduces() int64     { return s.Total(Reduces) }
 func (s Stats) TotalReduceBytes() int64 { return s.Total(ReduceBytes) }
-func (s Stats) WireSentByNode() []int64 { return s.BySrc(WireBytes) }
-func (s Stats) WireRecvByNode() []int64 { return s.ByDst(WireBytes) }

@@ -20,23 +20,3 @@ func TreeFanout(dsts []int) (children []int, subtrees [][]int) {
 	}
 	return children, subtrees
 }
-
-// ReduceChildren defines the binomial combine schedule of a reduction over n
-// group members, member 0 being the root that accumulates the final value —
-// the mirror image of TreeFanout's broadcast. It returns the members whose
-// contributions member s absorbs, in combine order (ascending): s + 2^j for
-// every 2^j < lowbit(s) (with lowbit(0) unbounded) that stays below n; member
-// s in turn sends to its binomial parent s − lowbit(s). The task graph
-// (internal/dag), the real runtime and the simulator all derive the combine
-// order from this one schedule, which is what keeps their byte accounting
-// identical.
-func ReduceChildren(n, s int) []int {
-	var kids []int
-	for step := 1; s+step < n; step <<= 1 {
-		if s != 0 && step >= s&(-s) {
-			break
-		}
-		kids = append(kids, s+step)
-	}
-	return kids
-}

@@ -19,8 +19,8 @@ const (
 	// ReduceAdd combines two members of a tile's reduction group: it adds the
 	// child layer's accumulator into its binomial parent's buffer (the
 	// canonical tile itself when the parent is the group root). The combine
-	// schedule is cluster.ReduceChildren's, shared with the runtime and the
-	// simulator.
+	// schedule is forEachTask's; the runtime and the simulator only follow
+	// the edges it produces.
 	ReduceAdd
 )
 
@@ -131,8 +131,8 @@ func (g *ReplicatedLU) member(k, s int) int {
 // updates), then the panel kernels, then the trailing updates — a canonical
 // GEMMLU when the iteration's layer is the tile's canonical layer, a partial
 // GEMMPart into the layer's accumulator otherwise. Within one tile's
-// reduction group, member s folds into its binomial parent s − lowbit(s)
-// (cluster.ReduceChildren's schedule), deeper members before their parents
+// reduction group, member s folds into its binomial parent s − lowbit(s),
+// deeper members before their parents
 // (depth = popcount of the member index) and siblings ascending.
 func (g *ReplicatedLU) forEachTask(submit func(Task)) {
 	mt := g.mt

@@ -78,7 +78,7 @@ func TestSimAndRealByteAccountingAgree(t *testing.T) {
 			if got, want := st.TotalHops(), res.Hops; got != want {
 				t.Errorf("hops: real %d, sim %d", got, want)
 			}
-			sent, recv := st.WireSentByNode(), st.WireRecvByNode()
+			sent, recv := st.BySrc(cluster.WireBytes), st.ByDst(cluster.WireBytes)
 			for node := range sent {
 				if sent[node] != res.SentBytes[node] {
 					t.Errorf("node %d sent: real %d, sim %d", node, sent[node], res.SentBytes[node])

@@ -1,4 +1,4 @@
-// Elastic recovery: ownership migration off dead nodes, and speculative
+// The elastic layer: ownership migration off dead nodes, and speculative
 // replay of lagging ones (Options.Elastic / Options.LagReRequests).
 //
 // The design rests on three invariants the normal protocol already provides:
@@ -36,50 +36,202 @@ import (
 	"anybc/internal/tile"
 )
 
-// peersSettled reports whether every peer has announced completion or death —
-// the exit condition of the elastic barrier. A node's own doneSent already
-// set peerDone[rank].
-func (e *engine) peersSettled() bool {
-	for r := range e.peerDone {
-		if r == e.rank {
-			continue
+// elastic is the layer's state, built only under Options.Elastic — which also
+// arms resilience, so e.res is never nil here. The package comment lists the
+// core's call points; the resilience sweep escalates into liveOwner, markDead
+// and speculate, and the layer reaches resilience through its methods alone.
+type elastic struct {
+	e      *engine
+	gen    func(i, j int) *tile.Tile // regenerates a dead node's initial tiles
+	speeds []float64                 // Options.Speeds: the adopter rule's input
+	lagReq int                       // Options.LagReRequests
+
+	// dead tracks crashed and presumed-dead peers, adoptedBy the survivor
+	// that re-runs each dead node's tasks (the deterministic hetero.Fastest
+	// rule, so every node agrees without coordination), peerDone the
+	// completion barrier that keeps every node's event loop serving
+	// re-requests and adoptions until the whole cluster has finished.
+	dead      []bool
+	adoptedBy []int
+	peerDone  []bool
+	doneSent  bool
+	died      bool   // this node crashed (Resilience.Died)
+	completed []bool // per local task: it has finished here
+
+	// The adoption tables, filled only once this node adopted something:
+	// adopted local task n+k is xtask[k]; the maps translate plan indices the
+	// plan never gave this node into the local slices adoption appended to.
+	// (Tiles need no translation: newElastic stretches the core's tile table
+	// over the whole plan, and a replay buffer sits at its tile's plan index.)
+	xtask []adoptedTask
+	xidx  map[int32]int   // plan task -> adopted local task
+	xslot map[int32]int32 // producer plan task -> local slot created by adoption
+	xwait map[int32][]int // local slot -> adopted tasks (and late registrations) it releases
+
+	dstScratch  []int // live destinations of one completion
+	adopted     int   // Resilience.Adopted
+	speculative int   // Resilience.Speculative
+}
+
+// adoptedTask is one task this node runs on another's behalf.
+type adoptedTask struct {
+	pt  int32   // the plan task
+	key int64   // its scheduler key (demoted when speculative)
+	ins []int32 // its input references: plan tile indices, local slot indices
+}
+
+func newElastic(e *engine, gen func(i, j int) *tile.Tile, opt Options) *elastic {
+	P := e.comm.Size()
+	el := &elastic{
+		e:          e,
+		gen:        gen,
+		speeds:     opt.Speeds,
+		lagReq:     opt.LagReRequests,
+		dead:       make([]bool, P),
+		adoptedBy:  make([]int, P),
+		peerDone:   make([]bool, P),
+		completed:  make([]bool, e.n),
+		dstScratch: make([]int, 0, P),
+		xidx:       make(map[int32]int),
+		xslot:      make(map[int32]int32),
+		xwait:      make(map[int32][]int),
+	}
+	for n := range el.adoptedBy {
+		el.adoptedBy[n] = -1
+	}
+	_, tiles := e.pl.Tiles(P - 1)
+	all := make([]*tile.Tile, tiles)
+	copy(all[e.tileLo:], e.tiles)
+	e.tiles, e.tileLo = all, 0
+	return el
+}
+
+// at returns the adoption record of local task idx >= n.
+func (el *elastic) at(idx int) *adoptedTask { return &el.xtask[idx-el.e.n] }
+
+// local returns the local index of plan task t, if it runs here: natively,
+// or because this node adopted it.
+func (el *elastic) local(t int32) (int, bool) {
+	if e := el.e; t >= e.lo && t < e.lo+int32(e.n) {
+		return int(t - e.lo), true
+	}
+	idx, ok := el.xidx[t]
+	return idx, ok
+}
+
+// slotOf returns the local slot adoption created for plan task t's output
+// version, or -1.
+func (el *elastic) slotOf(t int32) int32 {
+	if s, ok := el.xslot[t]; ok {
+		return s
+	}
+	return -1
+}
+
+// feedWaiters releases the adopted tasks (and late registrations) waiting on
+// local slot s.
+func (el *elastic) feedWaiters(s int32) {
+	if w := el.xwait[s]; len(w) > 0 {
+		delete(el.xwait, s)
+		for _, idx := range w {
+			el.e.release(idx)
 		}
-		if !e.peerDone[r] && !e.dead[r] {
+	}
+}
+
+// barrier is the elastic exit condition, asked once this node has finished
+// everything it owns or adopted. It is a barrier, not a local count: the node
+// broadcasts cluster.NoteDone (once — adoption may raise the completion
+// target again, and a stale NoteDone is harmless because every node stays in
+// its loop until the whole cluster settles) and keeps its event loop alive —
+// answering re-requests, relaying tree hops, and above all remaining
+// adoptable work-capacity — until every peer is done or dead. That is what
+// guarantees a death always finds its deterministic adopter still inside an
+// event loop, never already exited.
+func (el *elastic) barrier() bool {
+	if !el.doneSent {
+		el.doneSent = true
+		el.peerDone[el.e.rank] = true
+		el.e.comm.Notify(cluster.NoteDone, el.e.rank)
+	}
+	for r := range el.peerDone {
+		if !el.peerDone[r] && !el.dead[r] {
 			return false
 		}
 	}
 	return true
 }
 
-// onNote handles a membership notice from the out-of-band plane.
-func (e *engine) onNote(msg cluster.Message) {
-	if !e.elastic {
-		return
+// die is this node's injected crash, just before its owned task at: announce
+// it out-of-band and fall silent — no more dispatch, no publications, no
+// request answering. The cluster is NOT poisoned; the survivors' adopter
+// replays our tasks and the run completes without us.
+func (el *elastic) die(at int) {
+	e := el.e
+	el.died = true
+	e.comm.Notify(cluster.NoteDown, e.rank)
+	e.fault("crash", e.rank, e.rank, fmt.Sprintf("task %d", at))
+}
+
+// complete is the completion call point: it returns the live destination
+// list and whether any remote consumer exists at all.
+//
+// The node may host both halves of a dependency edge that used to cross the
+// wire. Local successors split by side: a successor on the same side as the
+// producer (both native, or both adopted from the same node — the plan's
+// same-node successor list, reading the producer's in-place buffer exactly
+// as on the original owner) is released directly; a successor on the other
+// side registered a waiter on the version's slot at adoption time and is fed
+// through fulfillLocal, which stashes a snapshot exactly as if the tag had
+// arrived over the network — one release path per edge, so a racing stale
+// arrival can never double-decrement a dependency count.
+func (el *elastic) complete(idx int, pt int32, tag cluster.Tag, out *tile.Tile) ([]int, bool) {
+	e, pl := el.e, el.e.pl
+	dsts := pl.Dsts(pt)
+	hadRemote, adopted := len(dsts) > 0, idx >= e.n
+	if adopted {
+		if sched.Demoted(el.at(idx).key) {
+			el.speculative++
+		} else {
+			el.adopted++
+		}
+		for _, s := range pl.Succs(pt) {
+			if li, ok := el.xidx[s]; ok {
+				e.release(li)
+			}
+		}
+		// An adopted task's remote consumers are every successor this node
+		// does not natively own: those on its original node included.
+		hadRemote = len(pl.Succs(pt)) > 0 || len(dsts) > 1 || (len(dsts) == 1 && dsts[0] != e.rank)
 	}
+	el.completed[idx] = true
+	el.fulfillLocal(pt, tag, out)
+	return el.liveDsts(pt, adopted), hadRemote
+}
+
+// onNote handles a membership notice from the out-of-band plane.
+func (el *elastic) onNote(msg cluster.Message) {
 	switch msg.Note {
 	case cluster.NoteDone:
-		e.peerDone[msg.NoteRank] = true
+		el.peerDone[msg.NoteRank] = true
 	case cluster.NoteDown:
-		if msg.NoteRank == e.rank {
+		if msg.NoteRank == el.e.rank {
 			// A peer presumed us dead — a false positive, since we are
 			// demonstrably alive. Keep computing: the adopter's replay
 			// produces bit-identical duplicates of everything we publish,
 			// so the split view converges idempotently.
 			return
 		}
-		e.markDead(msg.NoteRank, false)
+		el.markDead(msg.NoteRank, false)
 	}
 }
 
 // liveOwner maps a rank through the adoption chain to whoever now produces
 // (and re-serves) its tile versions: the rank itself while alive, its adopter
 // once dead, or -1 when a dead rank has no adopter yet.
-func (e *engine) liveOwner(rank int) int {
-	if !e.elastic {
-		return rank
-	}
-	for e.dead[rank] {
-		next := e.adoptedBy[rank]
+func (el *elastic) liveOwner(rank int) int {
+	for el.dead[rank] {
+		next := el.adoptedBy[rank]
 		if next < 0 || next == rank {
 			return -1
 		}
@@ -92,34 +244,24 @@ func (e *engine) liveOwner(rank int) int {
 // (gossip=true; the dying node announces itself, so crash notes are not
 // re-gossiped), deterministically selects the adopter, and — when that is
 // this node — migrates the dead node's tasks here.
-func (e *engine) markDead(rank int, gossip bool) {
-	if rank == e.rank || e.dead[rank] {
+func (el *elastic) markDead(rank int, gossip bool) {
+	e := el.e
+	if rank == e.rank || el.dead[rank] {
 		return
 	}
-	e.dead[rank] = true
+	el.dead[rank] = true
 	if gossip {
 		e.comm.Notify(cluster.NoteDown, rank)
 	}
-	adopter := hetero.Fastest(e.speeds, func(r int) bool { return !e.dead[r] }, e.comm.Size())
-	e.adoptedBy[rank] = adopter
+	adopter := hetero.Fastest(el.speeds, func(r int) bool { return !el.dead[r] }, e.comm.Size())
+	el.adoptedBy[rank] = adopter
 	e.fault("node-down", rank, adopter, fmt.Sprintf("adopter %d", adopter))
-	// The dead node's delivery debts transfer to its adopter: restart the
-	// retry budget of every version the dead node owed us, so the countdown
-	// that condemned the corpse is not held against the heir while it
-	// replays.
-	now := time.Now()
-	for tag, p := range e.pending {
-		if e.owner(int(tag.I), int(tag.J)) == rank {
-			p.attempts, p.silent = 0, 0
-			p.backoff = e.arrival
-			p.deadline = now.Add(e.arrival)
-		}
-	}
-	if adopter == e.rank && !e.peerDone[rank] {
+	e.res.restart(rank)
+	if adopter == e.rank && !el.peerDone[rank] {
 		// A rank that announced completion before being presumed dead left a
 		// complete published cache behind; only an incomplete rank's tasks
 		// need re-running.
-		e.adoptNode(rank)
+		el.adoptNode(rank)
 	}
 }
 
@@ -132,19 +274,20 @@ func (e *engine) markDead(rank int, gossip bool) {
 // over the wire regardless of whether a copy of the task also runs here:
 // adopting a task — fully or speculatively — never cancels the delivery to
 // the rank that still natively awaits it.
-func (e *engine) liveDsts(pt int32, adopted bool) []int {
+func (el *elastic) liveDsts(pt int32, adopted bool) []int {
+	e := el.e
 	origOwner := -1
 	if adopted {
 		origOwner = e.pl.Owner(pt)
 	}
-	live := e.dstScratch[:0]
+	live := el.dstScratch[:0]
 next:
 	for _, rank := range e.pl.Dsts(pt) {
-		dst := e.liveOwner(rank)
+		dst := el.liveOwner(rank)
 		if dst == e.rank || dst < 0 {
 			continue
 		}
-		if adopted && dst == origOwner && !e.dead[origOwner] {
+		if adopted && dst == origOwner && !el.dead[origOwner] {
 			continue
 		}
 		for _, have := range live {
@@ -154,7 +297,7 @@ next:
 		}
 		live = append(live, dst)
 	}
-	e.dstScratch = live
+	el.dstScratch = live
 	return live
 }
 
@@ -163,28 +306,36 @@ next:
 // because this node cannot know which outputs other consumers are still
 // missing; replaying everything is always safe (duplicates drop idempotently)
 // and keeps the migration decision local.
-func (e *engine) adoptNode(rank int) {
+func (el *elastic) adoptNode(rank int) {
+	e := el.e
 	lo, hi := e.pl.Tasks(rank)
 	tasks := make([]int32, 0, hi-lo)
 	for t := lo; t < hi; t++ {
 		tasks = append(tasks, t)
 	}
-	n := e.adoptTasks(tasks, false)
+	n := el.adoptTasks(tasks, false)
 	e.fault("adopt", e.rank, rank, fmt.Sprintf("%d tasks", n))
 }
 
-// adoptChain speculatively adopts the producer chain of one overdue tile
-// version whose owner is alive but lagging: the closure of the producer's
+// speculate is the overdue sweep's call point for a version whose owner lag
+// has been asked for it attempts times: once that reaches
+// Options.LagReRequests and lag is not known dead — alive but lagging — it
+// speculatively adopts the version's producer chain, racing the laggard
+// (whichever copy lands first wins; the loser drops as an idempotent
+// duplicate), and reports true. The chain is the closure of the producer's
 // ancestors within the laggard's own tasks, cut wherever a version is
 // already at hand in recv. The replay runs at demoted priority
 // (sched.Demote) so it never starves this node's own critical path, and its
 // outputs are never sent back to the laggard.
-func (e *engine) adoptChain(tag cluster.Tag) {
+func (el *elastic) speculate(tag cluster.Tag, lag, attempts int) bool {
+	e := el.e
+	if el.lagReq <= 0 || attempts < el.lagReq || el.dead[lag] {
+		return false
+	}
 	root := e.pl.Producer(tag.I, tag.J, tag.V)
 	if root < 0 {
-		return
+		return true
 	}
-	lag := e.pl.Owner(root)
 	visited := make(map[int32]bool)
 	var chain []int32
 	var walk func(t int32)
@@ -193,14 +344,14 @@ func (e *engine) adoptChain(tag cluster.Tag) {
 			return
 		}
 		visited[t] = true
-		if _, mine := e.local(t); mine {
+		if _, mine := el.local(t); mine {
 			return // native, or adopted by an earlier migration
 		}
 		for _, dep := range e.pl.Deps(t) {
 			if e.pl.Owner(dep) != lag {
 				continue // non-laggard inputs resolve via recv or Request
 			}
-			if e.holds(dep) {
+			if el.holds(dep) {
 				continue // payload at hand: the chain cuts here
 			}
 			walk(dep)
@@ -209,29 +360,29 @@ func (e *engine) adoptChain(tag cluster.Tag) {
 	}
 	walk(root)
 	if len(chain) == 0 {
-		return
+		return true
 	}
-	n := e.adoptTasks(chain, true)
+	n := el.adoptTasks(chain, true)
 	e.fault("speculate", e.rank, lag, fmt.Sprintf("%d tasks for %v", n, tag))
 	// Every tag the chain will produce locally stops escalating its (alive)
 	// owner toward presumed death: the replay is already racing the wire.
 	for _, t := range chain {
-		if p := e.pending[e.tagOf(t)]; p != nil {
-			p.speculated = true
-		}
+		e.res.raced(e.tagOf(t))
 	}
+	return true
 }
 
 // holds reports whether plan task t's output version is retained in recv.
-func (e *engine) holds(t int32) bool {
-	s := e.slotOf(t)
-	return s >= 0 && e.recv[s].Payload != nil
+func (el *elastic) holds(t int32) bool {
+	s := el.e.slotOf(t)
+	return s >= 0 && el.e.recv[s].Payload != nil
 }
 
 // slotFor returns the local slot of plan task t's output version, appending
 // one when neither the plan nor an earlier adoption gave this node any: an
 // adopted task may consume a version that was never addressed here.
-func (e *engine) slotFor(t int32) int32 {
+func (el *elastic) slotFor(t int32) int32 {
+	e := el.e
 	if s := e.slotOf(t); s >= 0 {
 		return s
 	}
@@ -239,20 +390,8 @@ func (e *engine) slotFor(t int32) int32 {
 	e.recv = append(e.recv, cluster.Message{})
 	e.readers = append(e.readers, 0)
 	e.fed = append(e.fed, false)
-	e.xslot[t] = s
+	el.xslot[t] = s
 	return s
-}
-
-// replayTile returns the local index of this node's replay buffer for an
-// adopted plan tile, reserving an empty one on first use.
-func (e *engine) replayTile(tl int32) int32 {
-	k, ok := e.xtile[tl]
-	if !ok {
-		k = int32(len(e.tiles))
-		e.tiles = append(e.tiles, nil)
-		e.xtile[tl] = k
-	}
-	return k
 }
 
 // stashPublished materializes a version this node itself published as a
@@ -261,18 +400,17 @@ func (e *engine) replayTile(tl int32) int32 {
 // writers advance). The version is guaranteed cached: a task on another
 // node consumed it, so it was broadcast — and every broadcast is
 // snapshotted.
-func (e *engine) stashPublished(vtag cluster.Tag, s int32) {
+func (el *elastic) stashPublished(vtag cluster.Tag, s int32) {
+	e := el.e
 	if e.recv[s].Payload != nil {
 		return
 	}
-	e.pubMu.Lock()
-	cached := e.published[vtag]
-	e.pubMu.Unlock()
+	cached := e.res.cached(vtag)
 	if cached == nil {
 		panic(fmt.Sprintf("runtime: node %d: adopted task needs local version %v that was never published", e.rank, vtag))
 	}
 	e.retain(s, cluster.Message{From: e.rank, To: e.rank, Tag: vtag, Payload: cached})
-	e.seen[vtag] = true
+	e.res.admit(vtag, -1)
 }
 
 // fulfillLocal is the synthetic-arrival half of adoption: when a completed
@@ -285,31 +423,25 @@ func (e *engine) stashPublished(vtag cluster.Tag, s int32) {
 // later (a pre-crash in-flight send, or a laggard finally answering) drops
 // through the ordinary duplicate paths without double-decrementing any
 // dependency count.
-func (e *engine) fulfillLocal(pt int32, netTag cluster.Tag, out *tile.Tile) {
-	if e.seen[netTag] {
-		return // the version arrived over the wire first; waiters were fed then
-	}
+func (el *elastic) fulfillLocal(pt int32, netTag cluster.Tag, out *tile.Tile) {
+	e := el.e
 	s := e.slotOf(pt)
 	if s < 0 {
 		return
 	}
-	waiting := len(e.xwait[s]) > 0 ||
+	waiting := len(el.xwait[s]) > 0 ||
 		(!e.fed[s] && int(s) < e.nslot && len(e.pl.Waiters(e.slotLo+s)) > 0)
 	if !waiting && e.readers[s] == 0 {
 		return
 	}
-	e.seen[netTag] = true
+	if !e.res.admit(netTag, -1) {
+		return // the version arrived over the wire first; waiters were fed then
+	}
 	if e.readers[s] > 0 && e.recv[s].Payload == nil {
 		// Snapshot: out is advanced in place by the tile's later writers.
 		e.retain(s, cluster.Message{From: e.rank, To: e.rank, Tag: netTag, Payload: out.Clone()})
 	}
 	e.feed(s)
-	if p, ok := e.pending[netTag]; ok {
-		if p.attempts > 0 {
-			e.recovered++
-		}
-		delete(e.pending, netTag)
-	}
 }
 
 // adoptTasks wires the given plan tasks into this engine's scheduling state
@@ -331,31 +463,22 @@ func (e *engine) fulfillLocal(pt int32, netTag cluster.Tag, out *tile.Tile) {
 //   - anything else is awaited exactly like a network arrival, with an
 //     immediate Request because the version may never have been addressed to
 //     this node in the original schedule.
-func (e *engine) adoptTasks(tasks []int32, demote bool) int {
-	if e.xidx == nil {
-		e.xidx = make(map[int32]int)
-		e.xtile = make(map[int32]int32)
-		e.xslot = make(map[int32]int32)
-		e.xwait = make(map[int32][]int)
-	}
-	pl := e.pl
+func (el *elastic) adoptTasks(tasks []int32, demote bool) int {
+	e, pl := el.e, el.e.pl
 	added := make([]int, 0, len(tasks))
 	for _, pt := range tasks {
-		if _, ok := e.local(pt); ok {
+		if _, ok := el.local(pt); ok {
 			continue
 		}
-		idx := e.n + len(e.xtask)
-		e.xtask = append(e.xtask, pt)
-		e.xidx[pt] = idx
+		idx := e.n + len(el.xtask)
 		key := sched.Band(pl.Key(pt), e.band)
 		if demote {
 			key = sched.Demote(key)
 		}
-		e.xkey = append(e.xkey, key)
-		e.xins = append(e.xins, nil)
-		e.remaining = append(e.remaining, 0)
-		e.completed = append(e.completed, false)
-		e.total++
+		el.xtask = append(el.xtask, adoptedTask{pt: pt, key: key})
+		el.xidx[pt] = idx
+		e.remaining = append(e.remaining, 0) // raises the core's completion target
+		el.completed = append(el.completed, false)
 		added = append(added, idx)
 	}
 	now := time.Now()
@@ -364,7 +487,7 @@ func (e *engine) adoptTasks(tasks []int32, demote bool) int {
 		from, otile := pl.Owner(pt), pl.Out(pt)
 		// sameSide: produced here by a task adopted from the same node.
 		sameSide := func(t int32) (li int, here, same bool) {
-			li, here = e.local(t)
+			li, here = el.local(t)
 			return li, here, here && li >= e.n && pl.Owner(t) == from
 		}
 
@@ -380,15 +503,15 @@ func (e *engine) adoptTasks(tasks []int32, demote bool) int {
 			case same:
 				// Released directly when the producer completes here
 				// (onComplete's same-side branch).
-				if !e.completed[li] {
+				if !el.completed[li] {
 					rem++
 				}
 			case !here && pl.Out(dep) == otile:
 				// Chain cut below this writer: the received predecessor
 				// version seeds the replay buffer (below); nothing to await.
-			case e.holds(dep):
+			case el.holds(dep):
 				// Payload at hand.
-			case here && e.completed[li]:
+			case here && el.completed[li]:
 				// Already produced here on the other side: the input sweep
 				// below stashes its published snapshot.
 			default:
@@ -397,18 +520,13 @@ func (e *engine) adoptTasks(tasks []int32, demote bool) int {
 				// requested immediately — in the original schedule this
 				// version may never have been addressed to us, so no
 				// broadcast is coming.
-				s := e.slotFor(dep)
-				e.xwait[s] = append(e.xwait[s], idx)
+				s := el.slotFor(dep)
+				el.xwait[s] = append(el.xwait[s], idx)
 				rem++
 				vtag := e.tagOf(dep)
-				delete(e.seen, vtag) // let a re-requested copy back in
-				if !here && e.pending[vtag] == nil {
-					e.pending[vtag] = &pendingWait{
-						deadline:   now.Add(e.arrival),
-						backoff:    e.arrival,
-						speculated: demote,
-					}
-					if target := e.liveOwner(pl.Owner(dep)); target >= 0 && target != e.rank {
+				e.res.readmit(vtag) // let a re-requested copy back in
+				if !here && e.res.expect(vtag, now, demote) {
+					if target := el.liveOwner(pl.Owner(dep)); target >= 0 && target != e.rank {
 						e.comm.Request(target, vtag)
 					}
 				}
@@ -420,19 +538,19 @@ func (e *engine) adoptTasks(tasks []int32, demote bool) int {
 		// regenerates it from gen; a chain cut below the first writer seeds
 		// it from the received predecessor version; an adopted previous
 		// writer created it in its own step.
-		if k := e.replayTile(otile); e.tiles[k] == nil {
+		if e.tiles[otile] == nil {
 			if selfPrev < 0 {
-				e.tiles[k] = e.gen(pl.TileCoords(otile))
+				e.tiles[otile] = el.gen(pl.TileCoords(otile))
 			} else if _, _, same := sameSide(selfPrev); !same {
-				if !e.holds(selfPrev) {
+				if !el.holds(selfPrev) {
 					panic(fmt.Sprintf("runtime: node %d: writer chain of %v cut without predecessor %v at hand",
 						e.rank, pl.Task(pt), e.tagOf(selfPrev)))
 				}
-				e.tiles[k] = e.recv[e.slotOf(selfPrev)].Payload.Clone()
+				e.tiles[otile] = e.recv[e.slotOf(selfPrev)].Payload.Clone()
 			}
 		}
 
-		// Input references in local indices, from the original owner's: a
+		// Input references for this node, from the original owner's: a
 		// tile of that node names the version its latest writer among the
 		// dependencies produced (or the initial contents), a slot of that
 		// node names its producer.
@@ -453,11 +571,10 @@ func (e *engine) adoptTasks(tasks []int32, demote bool) int {
 				// Initial contents — the plan guarantees only a tile's owner
 				// reads those, so this is a tile of the adopted rank:
 				// regenerate it deterministically.
-				k := e.replayTile(tl)
-				if e.tiles[k] == nil {
-					e.tiles[k] = e.gen(pl.TileCoords(tl))
+				if e.tiles[tl] == nil {
+					e.tiles[tl] = el.gen(pl.TileCoords(tl))
 				}
-				refs = append(refs, k)
+				refs = append(refs, tl)
 				continue
 			}
 			li, here, same := sameSide(producer)
@@ -465,24 +582,46 @@ func (e *engine) adoptTasks(tasks []int32, demote bool) int {
 				// In-chain: read the replayed in-place buffer, aliased with
 				// the writer chain exactly as on the original owner — or the
 				// seeded buffer of a chain cut, which holds this version.
-				refs = append(refs, e.replayTile(tl))
+				refs = append(refs, tl)
 				continue
 			}
 			// Snapshot read: a version produced here on the other side
 			// (stashed from the published cache) or a remote version
 			// (recv-held or awaited).
-			s := e.slotFor(producer)
+			s := el.slotFor(producer)
 			refs = append(refs, ^s)
 			e.readers[s]++
-			if here && e.completed[li] {
-				e.stashPublished(e.tagOf(producer), s)
+			if here && el.completed[li] {
+				el.stashPublished(e.tagOf(producer), s)
 			}
 		}
-		e.xins[idx-e.n] = refs
+		el.at(idx).ins = refs
 
 		if rem == 0 {
 			e.pushReady(idx)
 		}
 	}
 	return len(added)
+}
+
+// finalHolder returns the rank whose engine holds rank's tiles when the run
+// is gathered: a tile whose owner crashed lives on in its adopter's replay
+// buffers, and any surviving engine's adoption table locates it. A rank
+// merely presumed dead (false positive) finished its own tiles, so the remap
+// follows only engines that really died.
+func finalHolder(engines []*engine, rank int) int {
+	for engines[rank].el.died {
+		adopter := -1
+		for _, e := range engines {
+			if by := e.el.adoptedBy[rank]; by >= 0 {
+				adopter = by
+				break
+			}
+		}
+		if adopter < 0 || adopter == rank {
+			break
+		}
+		rank = adopter
+	}
+	return rank
 }

@@ -331,11 +331,11 @@ func TestReRequestBudgetExhausted(t *testing.T) {
 		Options{Workers: 1, ArrivalTimeout: time.Millisecond, MaxReRequests: 3})
 
 	tag := cluster.Tag{I: 0, J: 0, V: 0} // owned by rank 0, never delivered
-	e.pending[tag] = &pendingWait{backoff: time.Millisecond}
+	e.res.pending[tag] = &pendingWait{backoff: time.Millisecond}
 	var tickErr error
 	for i := 0; i < 10 && tickErr == nil; i++ {
-		e.pending[tag].deadline = time.Now().Add(-time.Second)
-		tickErr = e.onTick()
+		e.res.pending[tag].deadline = time.Now().Add(-time.Second)
+		tickErr = e.res.onTick()
 	}
 	if tickErr == nil {
 		t.Fatal("an owner ignoring a finite retry budget did not fail the sweep")
@@ -366,26 +366,26 @@ func TestReRequestBudgetEscalatesWhenElastic(t *testing.T) {
 		Options{Workers: 1, ArrivalTimeout: time.Millisecond, MaxReRequests: 2, Elastic: true})
 
 	tag := cluster.Tag{I: 0, J: 0, V: 0} // owned by rank 0
-	e.pending[tag] = &pendingWait{backoff: time.Millisecond}
+	e.res.pending[tag] = &pendingWait{backoff: time.Millisecond}
 	for i := 0; i < 5; i++ {
-		e.pending[tag].deadline = time.Now().Add(-time.Second)
-		if err := e.onTick(); err != nil {
+		e.res.pending[tag].deadline = time.Now().Add(-time.Second)
+		if err := e.res.onTick(); err != nil {
 			t.Fatalf("elastic sweep errored instead of escalating: %v", err)
 		}
-		if e.dead[0] {
+		if e.el.dead[0] {
 			break
 		}
 	}
-	if !e.dead[0] {
+	if !e.el.dead[0] {
 		t.Fatal("exhausted budget did not presume the silent owner dead")
 	}
-	if e.adoptedBy[0] != 1 {
-		t.Fatalf("adopter of the presumed-dead owner = %d, want 1 (lowest alive rank)", e.adoptedBy[0])
+	if e.el.adoptedBy[0] != 1 {
+		t.Fatalf("adopter of the presumed-dead owner = %d, want 1 (lowest alive rank)", e.el.adoptedBy[0])
 	}
-	if len(e.xtask) == 0 {
+	if len(e.el.xtask) == 0 {
 		t.Fatal("no tasks migrated off the presumed-dead owner")
 	}
-	if p := e.pending[tag]; p != nil && p.attempts != 0 {
+	if p := e.res.pending[tag]; p != nil && p.attempts != 0 {
 		t.Fatalf("retry budget not reset after adoption: attempts = %d", p.attempts)
 	}
 }
@@ -440,7 +440,7 @@ func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
 	if forwarded() != 1 {
 		t.Fatalf("late original's forward obligation not honored: forwarded = %d, want 1", forwarded())
 	}
-	if !e.relayed[tag] {
+	if !e.hops.relayed[tag] {
 		t.Fatal("relay ledger did not record the forwarded tag")
 	}
 	// A further duplicate carrying a forward list must not relay again.

@@ -79,10 +79,21 @@ func GenSPD(mt, b int, seed int64) func(i, j int) *tile.Tile {
 // It returns the factored matrix (gathered from all nodes) and the execution
 // report.
 func FactorLU(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.Dense, *Report, error) {
-	g := dag.NewLU(mt)
-	out := matrix.NewDense(mt, mt, b)
-	rep, err := Run(g, d, b, gen, LUKernel, opt, func(i, j int, t *tile.Tile) {
-		out.SetTile(i, j, t.Clone())
+	return runDense(dag.NewLU(mt), d, mt, mt, b, gen, LUKernel, opt)
+}
+
+// runDense runs g and gathers its result: the mt×nt leading block of the
+// graph's tile index range, as a dense matrix. Whatever a graph stores past
+// that block — operand tiles, layer accumulators — is input or scratch and is
+// not gathered.
+func runDense(g dag.Graph, d dist.Distribution, mt, nt, b int,
+	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
+
+	out := matrix.NewDense(mt, nt, b)
+	rep, err := Run(g, d, b, gen, kern, opt, func(i, j int, t *tile.Tile) {
+		if i < mt && j < nt {
+			out.SetTile(i, j, t.Clone())
+		}
 	})
 	if err != nil {
 		return nil, nil, err
@@ -97,43 +108,37 @@ func FactorLU(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt
 // tiles are gathered into the result. With c = 1 the schedule — and hence the
 // factored matrix, bit for bit — is that of FactorLU on base.
 func FactorLUReplicated(mt, b, c int, base dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.Dense, *Report, error) {
-	g := dag.NewReplicatedLU(mt, c)
-	d := dist.NewReplicated(base, c, mt)
 	repGen := func(i, j int) *tile.Tile {
 		if j >= mt {
 			return tile.New(b, b) // layer accumulator: starts at zero
 		}
 		return gen(i, j)
 	}
-	out := matrix.NewDense(mt, mt, b)
-	rep, err := Run(g, d, b, repGen, LUKernel, opt, func(i, j int, t *tile.Tile) {
-		if j < mt { // accumulators are scratch, not part of the factors
-			out.SetTile(i, j, t.Clone())
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
+	return runDense(dag.NewReplicatedLU(mt, c), dist.NewReplicated(base, c, mt), mt, mt, b, repGen, LUKernel, opt)
 }
 
 // FactorCholesky runs the distributed tiled Cholesky factorization of the
 // lower-stored SPD matrix defined by gen.
 func FactorCholesky(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.SymmetricLower, *Report, error) {
-	return factorCholeskyGraph(dag.NewCholesky(mt), mt, b, d, gen, opt)
+	return runLower(dag.NewCholesky(mt), d, mt, b, gen, CholeskyKernel, opt)
 }
 
 // FactorCholeskyLeft runs the left-looking Cholesky variant distributedly;
 // results are bitwise identical to FactorCholesky, only the schedule (and
 // hence the communication timing) differs.
 func FactorCholeskyLeft(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.SymmetricLower, *Report, error) {
-	return factorCholeskyGraph(dag.NewCholeskyLeft(mt), mt, b, d, gen, opt)
+	return runLower(dag.NewCholeskyLeft(mt), d, mt, b, gen, CholeskyKernel, opt)
 }
 
-func factorCholeskyGraph(g dag.Graph, mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.SymmetricLower, *Report, error) {
+// runLower is runDense for a lower-stored symmetric mt×mt result.
+func runLower(g dag.Graph, d dist.Distribution, mt, b int,
+	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.SymmetricLower, *Report, error) {
+
 	out := matrix.NewSymmetricLower(mt, b)
-	rep, err := Run(g, d, b, gen, CholeskyKernel, opt, func(i, j int, t *tile.Tile) {
-		out.Tile(i, j).CopyFrom(t)
+	rep, err := Run(g, d, b, gen, kern, opt, func(i, j int, t *tile.Tile) {
+		if j < mt {
+			out.Tile(i, j).CopyFrom(t)
+		}
 	})
 	if err != nil {
 		return nil, nil, err

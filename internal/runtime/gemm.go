@@ -52,7 +52,6 @@ func GEMMKernel(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 func GEMM(mt, nt, kt, b int, d dist.Distribution,
 	genC, genA, genB func(i, j int) *tile.Tile, opt Options) (*matrix.Dense, *Report, error) {
 
-	g := dag.NewGEMMOp(mt, nt, kt)
 	gen := func(i, j int) *tile.Tile {
 		switch {
 		case i >= mt:
@@ -63,15 +62,5 @@ func GEMM(mt, nt, kt, b int, d dist.Distribution,
 			return genC(i, j)
 		}
 	}
-	out := matrix.NewDense(mt, nt, b)
-	rep, err := Run(g, gemmDist{Distribution: d, mt: mt, nt: nt}, b, gen, GEMMKernel, opt,
-		func(i, j int, t *tile.Tile) {
-			if i < mt && j < nt {
-				out.SetTile(i, j, t.Clone())
-			}
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
+	return runDense(dag.NewGEMMOp(mt, nt, kt), gemmDist{Distribution: d, mt: mt, nt: nt}, mt, nt, b, gen, GEMMKernel, opt)
 }

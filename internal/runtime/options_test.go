@@ -30,6 +30,7 @@ func TestOptionsRejectMeaninglessCombinations(t *testing.T) {
 		{"Job without Cluster", Options{Job: 3}, "Options.Cluster is nil"},
 		{"Speeds without Elastic", Options{Speeds: []float64{1, 1, 1, 2}}, "Options.Elastic"},
 		{"LagReRequests without Elastic", Options{LagReRequests: 2}, "Options.Elastic"},
+		{"negative ArrivalTimeout", Options{ArrivalTimeout: -1}, "negative ArrivalTimeout"},
 		{"Broadcast against the shared cluster's mode",
 			Options{Cluster: flat, Job: 1, Broadcast: cluster.BroadcastTree}, "tree broadcast requested"},
 		{"delivery faults on a shared cluster",

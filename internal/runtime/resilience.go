@@ -1,0 +1,300 @@
+package runtime
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"anybc/internal/cluster"
+	"anybc/internal/tile"
+)
+
+// resilience is the re-request layer's state, built only when the normalized
+// Options.ArrivalTimeout is positive (see the package comment). The elastic
+// layer reaches it through its methods alone.
+type resilience struct {
+	e       *engine
+	arrival time.Duration
+	maxReq  int // Options.MaxReRequests
+
+	// published caches the tile versions this node broadcast, so re-requests
+	// can be answered even after the publishing task's buffer was updated in
+	// place — or after this node's event loop finished (the post-loop server
+	// reads it, hence the mutex).
+	pubMu     sync.Mutex
+	published map[cluster.Tag]*tile.Tile
+	// seen marks tags that already arrived once, so duplicates landing after
+	// the last-reader release still drop idempotently. pending carries the
+	// re-request state of each awaited tag.
+	seen    map[cluster.Tag]bool
+	pending map[cluster.Tag]*pendingWait
+
+	recovered int // Resilience.Recovered
+
+	// served closes once the post-loop server (engine.absorb) has answered
+	// the last request its mailbox held; RunPlan waits on it before it
+	// snapshots the traffic ledger, which every answer charges.
+	served chan struct{}
+}
+
+// pendingWait is the re-request state of one awaited remote tile version.
+type pendingWait struct {
+	deadline   time.Time
+	backoff    time.Duration
+	attempts   int
+	silent     int  // requests in a row the target stayed silent through: what the budget caps
+	heardAt    int  // Comm.Heard of the target when the tag was last found overdue
+	speculated bool // an adoption already races this tag; never escalate it
+}
+
+// relayLedger marks the tree-broadcast tags whose Forward obligation a node
+// has honored. It is the one piece of duplicate tolerance every engine
+// carries, armed or not — a shared cluster's network seam may duplicate hops
+// under a job that armed nothing — so the core holds it by value; the map
+// appears with the first Forward-carrying message, and flat runs never
+// allocate it. It is deliberately separate from resilience.seen: when an
+// interior relay hop dropped the original copy and a Resend heal (no Forward
+// list) landed first, the tag is seen, but the late original is a payload
+// duplicate that still carries the subtree and must be relayed exactly once —
+// keying the relay dedup on seen used to swallow it and strand the subtree
+// behind its members' own re-request timeouts.
+type relayLedger struct{ relayed map[cluster.Tag]bool }
+
+// first reports whether tag's Forward obligation is still owed, and marks it
+// honored. Touched by the event loop, then — only after it ended — by the
+// post-loop absorber.
+func (l *relayLedger) first(tag cluster.Tag) bool {
+	if l.relayed[tag] {
+		return false
+	}
+	if l.relayed == nil {
+		l.relayed = make(map[cluster.Tag]bool)
+	}
+	l.relayed[tag] = true
+	return true
+}
+
+func newResilience(e *engine, opt Options) *resilience {
+	return &resilience{
+		e:         e,
+		arrival:   opt.ArrivalTimeout,
+		maxReq:    opt.MaxReRequests,
+		published: make(map[cluster.Tag]*tile.Tile),
+		seen:      make(map[cluster.Tag]bool),
+		pending:   make(map[cluster.Tag]*pendingWait),
+		served:    make(chan struct{}),
+	}
+}
+
+// start arms the protocol at the top of the event loop: every awaited remote
+// tile version gets an arrival clock, and the returned ticker — half the
+// timeout — drives the overdue sweep. It returns nil when nothing is awaited
+// and nothing ever will be; elastic nodes always get a ticker, because
+// adoption registers new awaited tags mid-run even on a node that started
+// with none. The sweep period is floored at 1ms: a sub-2ns ArrivalTimeout
+// used to truncate to a zero ticker period and panic.
+func (r *resilience) start() *time.Ticker {
+	e := r.e
+	if e.nslot == 0 && e.el == nil {
+		return nil
+	}
+	now := time.Now()
+	for s := 0; s < e.nslot; s++ {
+		r.await(e.tagOf(e.pl.SlotProducer(e.slotLo+int32(s))), now)
+	}
+	period := r.arrival / 2
+	if period < time.Millisecond {
+		period = time.Millisecond
+	}
+	return time.NewTicker(period)
+}
+
+// await starts — or, for a tag already awaited, restarts — tag's arrival
+// clock on a fresh retry budget.
+func (r *resilience) await(tag cluster.Tag, now time.Time) *pendingWait {
+	p := r.pending[tag]
+	if p == nil {
+		p = &pendingWait{}
+		r.pending[tag] = p
+	}
+	p.attempts, p.silent = 0, 0
+	p.backoff, p.deadline = r.arrival, now.Add(r.arrival)
+	return p
+}
+
+// admit is the arrival call point. Resilient transports may duplicate or
+// redeliver, and a tag whose first copy was already consumed and released is
+// long gone from recv: every tag that ever arrived is remembered, and admit
+// reports false for the stragglers so they drop idempotently, like retained
+// duplicates. A first arrival ends the tag's wait, counted as recovered when
+// it came only after this node re-requested it: the timeout path healed a
+// lost delivery. from is the delivering rank, or -1 when an adoption replay
+// produced the version on this node — nothing crossed the wire, so nothing
+// goes on the trace.
+func (r *resilience) admit(tag cluster.Tag, from int) bool {
+	if r.seen[tag] {
+		return false
+	}
+	r.seen[tag] = true
+	if p, ok := r.pending[tag]; ok {
+		delete(r.pending, tag)
+		if p.attempts > 0 {
+			r.recovered++
+			if from >= 0 {
+				r.e.fault("recovered", from, r.e.rank, tag.String())
+			}
+		}
+	}
+	return true
+}
+
+// The four methods below, with admit and cached, are the elastic layer's
+// whole access: adoption changes what this node awaits, and from whom.
+
+// readmit forgets that tag ever arrived: an adopted consumer needs the
+// version again after its first copy was consumed and released, so the next
+// copy must be taken in, not dropped as a straggler.
+func (r *resilience) readmit(tag cluster.Tag) { delete(r.seen, tag) }
+
+// expect starts tag's arrival clock unless it already runs, and reports
+// whether it started one. speculated marks a wait a speculative replay
+// already races.
+func (r *resilience) expect(tag cluster.Tag, now time.Time, speculated bool) bool {
+	if r.pending[tag] != nil {
+		return false
+	}
+	r.await(tag, now).speculated = speculated
+	return true
+}
+
+// restart transfers a dead owner's delivery debts to its adopter: the retry
+// budget of every version owner owed this node starts afresh, so the
+// countdown that condemned the corpse is not held against the heir while it
+// replays.
+func (r *resilience) restart(owner int) {
+	now := time.Now()
+	for tag := range r.pending {
+		if r.e.pl.Dist().Owner(int(tag.I), int(tag.J)) == owner {
+			r.await(tag, now)
+		}
+	}
+}
+
+// raced stops tag's wait from ever escalating its (alive) owner toward
+// presumed death: a speculative replay will produce the version here.
+func (r *resilience) raced(tag cluster.Tag) {
+	if p := r.pending[tag]; p != nil {
+		p.speculated = true
+	}
+}
+
+// publish snapshots a version this node just broadcast: out is updated in
+// place by the tile's later writers, so the broadcast content must be
+// preserved separately. The core calls it whenever any remote consumer
+// exists — even one whose death (or speculative skip) emptied today's
+// destination list — because that consumer's adopter may still re-request
+// the version.
+func (r *resilience) publish(tag cluster.Tag, out *tile.Tile) {
+	snapshot := out.Clone()
+	r.pubMu.Lock()
+	r.published[tag] = snapshot
+	r.pubMu.Unlock()
+}
+
+// cached returns the published snapshot of tag, or nil.
+func (r *resilience) cached(tag cluster.Tag) *tile.Tile {
+	r.pubMu.Lock()
+	defer r.pubMu.Unlock()
+	return r.published[tag]
+}
+
+// answer serves one version re-request from the published cache. A request
+// for a version not yet published is dropped: the normal broadcast at
+// completion covers it, and the requester's backoff retries if that
+// broadcast is the delivery that gets lost. live distinguishes the event
+// loop (which may record the redelivery) from the post-loop server (which
+// must not touch the recorder).
+func (r *resilience) answer(msg cluster.Message, live bool) {
+	cached := r.cached(msg.Tag)
+	if cached == nil {
+		return
+	}
+	r.e.comm.Resend(msg.From, msg.Tag, cached)
+	if live {
+		r.e.fault("redeliver", r.e.rank, msg.From, msg.Tag.String())
+	}
+}
+
+// onTick sweeps the awaited remote tile versions and re-requests every one
+// past its deadline from its owner (or, once the owner is dead, from its
+// adopter), doubling the deadline each retry (capped) so a genuinely slow
+// producer is not hammered. The sweep is also the failure detector of last
+// resort: a tag whose retry budget (Options.MaxReRequests) runs dry — that
+// many requests in a row with its owner never heard from — fails
+// the node with ErrUndelivered on a plain resilient run, or — under elastic
+// recovery — presumes the silent owner dead, gossips cluster.NoteDown, and
+// restarts the budget against the adopter. Before that point, a lagging but
+// answering owner's chain can be adopted speculatively (Options.LagReRequests).
+func (r *resilience) onTick() error {
+	e, el := r.e, r.e.el
+	now := time.Now()
+	for tag, p := range r.pending {
+		if now.Before(p.deadline) {
+			continue
+		}
+		origOwner := e.pl.Dist().Owner(int(tag.I), int(tag.J))
+		target := origOwner
+		if el != nil {
+			target = el.liveOwner(origOwner)
+		}
+		if target == e.rank || target < 0 {
+			// We are the adopter ourselves (the replay will fulfill this tag
+			// locally), or the dead owner has no adopter to ask: requesting
+			// is pointless, just keep the deadline moving.
+			p.deadline = now.Add(p.backoff)
+			continue
+		}
+		if heard := e.comm.Heard(target); heard != p.heardAt {
+			// Something from the target has reached this node since this
+			// version was last found overdue: the target is alive and
+			// reachable, so the version is late, not lost for good — every
+			// awaited version's clock starts at run start, long before most
+			// producers run. Keep asking (a dropped delivery heals no other
+			// way), but only requests into unbroken silence count against
+			// the budget.
+			p.silent, p.heardAt = 0, heard
+		}
+		if p.silent >= r.maxReq && r.maxReq > 0 && !p.speculated {
+			if el == nil {
+				return fmt.Errorf("node %d: tile (%d,%d) v%d from node %d undelivered after %d re-requests: %w",
+					e.rank, tag.I, tag.J, tag.V, target, p.silent, ErrUndelivered)
+			}
+			// Elastic escalation: the target has ignored the whole budget —
+			// presume it dead, tell everyone, and start a fresh budget
+			// against whoever adopts it (markDead restarts every wait the
+			// dead node owed us).
+			el.markDead(target, true)
+			if target = el.liveOwner(origOwner); target == e.rank || target < 0 {
+				continue
+			}
+		}
+		if el != nil && !p.speculated && el.speculate(tag, origOwner, p.attempts) {
+			p.speculated = true
+			if _, still := r.pending[tag]; !still {
+				// The chain replay fulfilled the tag synchronously (every
+				// input was already at hand); nothing left to re-request.
+				continue
+			}
+		}
+		e.comm.Request(target, tag)
+		p.attempts++
+		p.silent++
+		p.backoff *= 2
+		if maxB := 8 * r.arrival; p.backoff > maxB {
+			p.backoff = maxB
+		}
+		p.deadline = now.Add(p.backoff)
+		e.fault("re-request", e.rank, target, tag.String())
+	}
+	return nil
+}

@@ -1,0 +1,614 @@
+// Package runtime implements the task-based distributed execution engine —
+// the role StarPU plays under Chameleon in the paper. The application only
+// supplies a task graph (package dag) and a tile→node map (package dist); the
+// engine then applies the owner-computes rule, tracks dependencies, infers
+// all inter-node communications, and executes the real numeric kernels on
+// every virtual node concurrently.
+//
+// # One core, three armed-only layers
+//
+// The package is cut along the static/dynamic line of hybrid scheduling
+// (Donfack–Grigori–Gropp–Kale): what a run can know before it starts is
+// compile-time data in a plan.Plan, and the core engine (engine.go) only
+// indexes flat slices by it. The core is the whole fault-free path, the one
+// the paper's evaluation exercises. Each node runs an event loop: local task
+// completions release local successors; completions whose output some remote
+// node consumes push that tile to each distinct consumer node as one
+// point-to-point message; tile arrivals — deduplicated against the retained
+// copy, their tree-broadcast relays forwarded once per tag — release the
+// tasks waiting on them; local and peer aborts and context cancellation wind
+// it down; RunPlan gathers the result. Mailboxes are
+// unbounded and the graph is acyclic, so execution is deadlock-free.
+//
+// Whatever reacts to faults is a concrete component the core holds as a
+// nil-able pointer, built by newEngine only when the normalized Options arm
+// it and called at a few named points:
+//
+//   - resilience (resilience.go; ArrivalTimeout > 0, which Chaos and Elastic
+//     default): the engine stops assuming the network delivers. Each awaited
+//     remote tile version carries a deadline, and one that misses it is
+//     re-requested from its owner with a cluster.Request under exponential
+//     backoff (onTick). Owners cache the versions they published (publish) and
+//     answer from the cache with cluster.Resend (answer) — also after their
+//     own event loop has finished, so a slow consumer can always heal; RunPlan
+//     joins those post-loop servers before it snapshots Report.Stats. Arrivals
+//     dedupe by tag (admit). A permanently dropped delivery costs latency,
+//     never a hang; Report.Resilience counts re-requests, redeliveries and
+//     recoveries.
+//   - elastic (elastic.go; Options.Elastic): a node that dies mid-run no
+//     longer aborts the factorization — a deterministically chosen survivor
+//     adopts its unfinished tasks and republishes their outputs under the
+//     original versioned tags, and a lagging owner's work can be replayed
+//     speculatively at demoted priority. Call points: membership notices
+//     (onNote), every completion (complete: same-node fulfilment and the
+//     destination filter), local indices past the plan's ranges (at, slotOf,
+//     feedWaiters) and the loop's exit condition (barrier).
+//   - crashInjection (crash.go; a Chaos plan that names the rank): the
+//     dispatch count at which the node dies.
+//
+// "Is this layer armed?" has one spelling, layer != nil, decided in one
+// place, Options.normalize. Under Options{} all three are nil.
+//
+// # Scheduling
+//
+// Ready tasks dispatch through the critical-path priority heap of package
+// sched — the same policy and heap the discrete-event simulator uses — so
+// panel kernels (GETRF/POTRF) and triangular solves of low iterations never
+// starve behind freshly released trailing updates, and real makespans track
+// what the simulator predicts. Report.Sched exposes per-node scheduler
+// observability: stall time (a free worker with nothing ready — waiting on
+// communication or predecessors), the ready-queue high-water mark, and
+// dispatch counts by kernel kind.
+//
+// # Versioned tile protocol
+//
+// Every published tile travels under a cluster.Tag carrying its write epoch
+// (dag.OutputVersions): version 0 is the tile's first write, and each later
+// in-place update increments it. A tile that remote nodes consume at several
+// versions — legal in general task graphs, even though the right-looking
+// factorizations only ever ship final versions — is simply sent once per
+// (version, consumer node) pair, and receivers key their copies by the full
+// versioned tag. Run compiles the (graph, distribution) pair into a
+// plan.Plan first — one graph walk, shared read-only by every engine — and
+// compilation returns a descriptive error for anything the protocol cannot
+// serve: unserialized writers of one tile, remote reads of initial tile
+// contents, or local reads of an intermediate version that race the next
+// in-place update. RunPlan executes a plan compiled earlier.
+//
+// # Tile lifetime
+//
+// Received tiles are reference-counted by their number of local consumer
+// tasks and released as soon as the last consumer's kernel has run, so a
+// node's working set is bounded by what is genuinely in flight rather than
+// growing with the whole run's traffic (the block-lifetime discipline of
+// DBCSR-style runtimes). Report.PeakTilesPerNode exposes the high-water mark.
+//
+// Communication allocates once per published tile version, not once per
+// destination: a completion broadcasts its output through cluster.SendAll,
+// every consumer node shares the same immutable clone, and the buffer
+// returns to the cluster's shape-keyed pool (tile.Pool) when the last
+// consumer releases it — so steady-state runs recycle a small set of
+// message buffers instead of churning one allocation per message.
+//
+// # Failure propagation
+//
+// The first kernel error on any node aborts the whole run: the failing node
+// stops dispatching, suppresses the failed task's publication (no post-error
+// tile reaches a remote consumer), and poisons the cluster so every peer
+// blocked on tiles that will never be produced wakes up promptly. Run then
+// reports the errors of all failing nodes joined together, with nodes that
+// merely aborted on a peer's behalf folded in as context.
+//
+// # Tracing
+//
+// When Options.Recorder is set, the run records wall-clock kernel intervals
+// (per node and worker slot) and message departure/arrival times into a
+// trace.Recorder, so real executions feed the same Gantt, utilization and
+// CSV machinery as the simulator. Injected faults and the recovery actions
+// they trigger are recorded alongside as trace.FaultEvents.
+package runtime
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"anybc/internal/chaos"
+	"anybc/internal/cluster"
+	"anybc/internal/dag"
+	"anybc/internal/dist"
+	"anybc/internal/plan"
+	"anybc/internal/sched"
+	"anybc/internal/tile"
+	"anybc/internal/trace"
+)
+
+// Kernel applies one task: out is the task's output tile (updated in place),
+// inputs are the tiles listed by Graph.InputTiles in visit order.
+type Kernel func(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error
+
+// ErrPeerAborted is the error a node reports when it abandoned its remaining
+// tasks because another node poisoned the cluster after a kernel failure.
+// Run folds these into the failing nodes' root-cause errors rather than
+// repeating one line per bystander rank.
+var ErrPeerAborted = errors.New("aborted: a peer node failed")
+
+// ErrUndelivered is the error a node reports when an awaited remote tile
+// version stayed undelivered through the full re-request retry budget
+// (Options.MaxReRequests): the owner is unreachable or permanently silent.
+// Without a retry cap a crashed owner used to produce an endless Request
+// storm that only an external watchdog could end; with the cap the node
+// fails descriptively instead — or, under Options.Elastic, presumes the
+// owner dead and adopts its work rather than failing at all.
+var ErrUndelivered = errors.New("tile version undelivered: re-request retry budget exhausted")
+
+// ErrCanceled is the error Run returns when Options.Context was cancelled
+// before the run completed: the job's cluster plane was poisoned, every
+// engine wound down, and the partial factors were discarded. It wraps
+// context.Canceled (and the deadline variant satisfies errors.Is against
+// context.DeadlineExceeded through the joined cause).
+var ErrCanceled = errors.New("run canceled")
+
+// Options tunes the engine.
+type Options struct {
+	// Workers is the number of concurrent kernel executors per node. Values
+	// above 1 model multi-core nodes; correctness is guaranteed by the task
+	// graph for any value, and final factors are bit-identical across worker
+	// counts (kernels run whole tasks; the parallel GEMM preserves FP order).
+	// Workers <= 0 — including the zero value — is normalized to 1 (see
+	// normalize); newEngine assumes normalized options.
+	Workers int
+	// Recorder, when non-nil, receives every kernel interval and message of
+	// the run (wall-clock seconds since the run started) for the
+	// Gantt/utilization analyses of package trace.
+	Recorder *trace.Recorder
+	// Chaos, when non-nil, installs the plan as the cluster's network layer:
+	// every delivery (tiles, requests, redeliveries) passes through its
+	// seeded fault decisions. A plan drives exactly one run; build a fresh
+	// plan from the same chaos.Config to reproduce it.
+	Chaos *chaos.Plan
+	// ArrivalTimeout arms the re-request protocol (the resilience layer): an
+	// awaited remote tile version not delivered within this duration is
+	// re-requested from its owner, with exponential backoff between retries.
+	// Zero leaves the protocol off unless Chaos or Elastic is set (then it
+	// defaults to 250ms); negative is rejected.
+	ArrivalTimeout time.Duration
+	// Broadcast selects the transport for published tiles:
+	// cluster.BroadcastFlat (default, the paper's point-to-point model) or
+	// cluster.BroadcastTree, which relays each broadcast down a binomial
+	// tree so the owner's NIC serializes ⌈log₂(k+1)⌉ sends instead of k.
+	// Final factors are bit-identical across modes; only the wire routing
+	// (the cluster.Hops and cluster.Forwards counters of Report.Stats) changes.
+	Broadcast cluster.BroadcastMode
+	// Elastic arms ownership migration: a node that crashes mid-run no
+	// longer aborts the whole factorization. The dying node announces
+	// itself (cluster.NoteDown), a deterministically chosen survivor — the
+	// fastest alive node under Speeds, ties to the lowest rank — adopts the
+	// dead node's tasks by replaying them from the initial tile generator
+	// and the published-version caches of the surviving owners, and
+	// republishes the results under the original versioned tags, so
+	// downstream consumers cannot tell the migration happened. Elastic
+	// implies the re-request protocol; ArrivalTimeout is defaulted when
+	// unset. Exactly-once delivery is not required: replayed kernels are
+	// deterministic, so duplicate publications drop idempotently and final
+	// factors stay bit-identical to a crash-free run.
+	Elastic bool
+	// Speeds gives the relative node speeds (internal/hetero's model) the
+	// elastic adopter rule consults; nil means homogeneous. Length must be
+	// the node count when set, and setting it without Elastic is rejected.
+	Speeds []float64
+	// MaxReRequests caps how many times in a row one awaited tile version is
+	// re-requested from an owner that stays silent — no message of any kind
+	// from it reaching this node in between (cluster.Comm.Heard) — before
+	// the node gives up on that owner: zero means the default (50), negative
+	// means unlimited (the pre-cap behavior). An owner that is heard from is
+	// merely late and is asked again on a fresh budget. On an exhausted
+	// budget a non-elastic node fails with ErrUndelivered naming the owner,
+	// tag, and retry count; an elastic node instead presumes the owner dead,
+	// gossips cluster.NoteDown, and adopts its work.
+	MaxReRequests int
+	// LagReRequests, in elastic mode, is the re-request attempt count after
+	// which a still-alive but lagging owner's unfinished work becomes
+	// eligible for speculative adoption: the waiting node replays the
+	// overdue version's producer chain itself, at demoted scheduler
+	// priority (sched.Demote), racing the laggard. Whichever copy lands
+	// first wins; the other drops as an idempotent duplicate. Zero disables
+	// speculation; non-zero without Elastic is rejected.
+	LagReRequests int
+	// Cluster, when non-nil, runs the job over this existing shared cluster
+	// instead of creating a private one: the engines use the job-scoped
+	// endpoints of Job (cluster.JobComm), so many concurrent Runs multiplex
+	// one substrate — the multi-tenant service's mode. The cluster's node
+	// count must equal the distribution's. The run closes only its own job
+	// plane when it finishes (or aborts, or is cancelled); the shared
+	// cluster and its other tenants stay up. The broadcast mode and network
+	// seam are the shared cluster's: a Broadcast naming another mode, or a
+	// Chaos plan with delivery faults, is rejected — chaos crash injection
+	// (CrashTask) still applies per job. The caller is responsible for
+	// cluster.DropJob once it has archived the job's Report.
+	Cluster *cluster.Cluster
+	// Job is this run's tile-namespace epoch on the shared Cluster: every
+	// message travels under it, so concurrent jobs' identically-numbered
+	// tiles can never collide. Non-zero without Cluster is rejected.
+	Job int32
+	// Context, when non-nil, is the run's cancellation seam: once it is
+	// done, the run aborts — the job's cluster plane is poisoned exactly as
+	// by comm.Abort, every engine winds down promptly, all in-flight pooled
+	// payloads drain back to the cluster pool, and Run returns ErrCanceled.
+	// On a shared cluster only this job's namespace is poisoned; other
+	// tenants are untouched.
+	Context context.Context
+	// PriorityBand places every task key of this run in a cross-job
+	// scheduler priority band (sched.Band): band 0 — the default — is the
+	// most urgent, higher bands sort strictly after every lower band while
+	// preserving their internal critical-path order. The multi-tenant
+	// service maps job priorities to bands so co-scheduled jobs' tasks
+	// order consistently wherever they meet one queue. Must lie in
+	// [0, sched.MaxBand].
+	PriorityBand int
+}
+
+// defaultArrivalTimeout arms the re-request protocol for runs that need it
+// (Chaos, Elastic) but did not choose a timeout; defaultMaxReRequests is the
+// retry budget of one awaited tile version when Options.MaxReRequests is zero.
+const (
+	defaultArrivalTimeout = 250 * time.Millisecond
+	defaultMaxReRequests  = 50
+)
+
+// normalize is the single point where Options are defaulted and cross-checked
+// for a run under distribution d: every default the engines rely on is applied
+// here, and a field that would otherwise be silently ignored — it needs another
+// one that is unset, or contradicts the shared cluster — is rejected by name.
+// It is also where a run's layers are decided, once: newEngine builds the
+// resilience layer iff the normalized ArrivalTimeout is positive, the elastic
+// layer iff Elastic is set, and crash injection iff Chaos names the rank.
+func (opt *Options) normalize(d dist.Distribution) error {
+	P, cl := d.Nodes(), opt.Cluster
+	switch {
+	case opt.PriorityBand < 0 || opt.PriorityBand > sched.MaxBand:
+		return fmt.Errorf("runtime: priority band %d outside [0, %d]", opt.PriorityBand, sched.MaxBand)
+	case opt.ArrivalTimeout < 0:
+		return fmt.Errorf("runtime: negative ArrivalTimeout %v; zero leaves the re-request protocol off", opt.ArrivalTimeout)
+	case !opt.Elastic && (opt.Speeds != nil || opt.LagReRequests != 0):
+		return errors.New("runtime: Speeds and LagReRequests steer elastic adoption; set Options.Elastic or leave them unset")
+	case opt.Speeds != nil && len(opt.Speeds) != P:
+		return fmt.Errorf("runtime: %d speeds for %d nodes", len(opt.Speeds), P)
+	case cl == nil && opt.Job != 0:
+		return fmt.Errorf("runtime: job %d names a namespace of a shared cluster, but Options.Cluster is nil", opt.Job)
+	case cl != nil && cl.Nodes() != P:
+		return fmt.Errorf("runtime: distribution %s wants %d nodes but the shared cluster has %d", d.Name(), P, cl.Nodes())
+	case cl != nil && opt.Broadcast != cluster.BroadcastFlat && opt.Broadcast != cl.Broadcast():
+		return fmt.Errorf("runtime: %s broadcast requested on a shared cluster built for %s broadcast", opt.Broadcast, cl.Broadcast())
+	case cl != nil && opt.Chaos != nil && opt.Chaos.Config().DeliveryFaults():
+		return errors.New("runtime: a chaos plan with delivery faults needs the network seam, which belongs to the shared cluster; only crash injection (CrashAtTask) applies per job")
+	}
+	if opt.Workers <= 0 {
+		opt.Workers = 1
+	}
+	if opt.MaxReRequests == 0 {
+		opt.MaxReRequests = defaultMaxReRequests
+	}
+	if cl != nil {
+		// The substrate is the shared cluster's: its broadcast transport and
+		// network seam apply to every tenant.
+		opt.Broadcast = cl.Broadcast()
+	}
+	if opt.ArrivalTimeout == 0 && (opt.Chaos != nil || opt.Elastic) {
+		// Under chaos, so drops heal instead of hanging; under Elastic because
+		// recovery is built on the re-request protocol (published caches,
+		// arrival deadlines, escalation) and cannot run without it.
+		opt.ArrivalTimeout = defaultArrivalTimeout
+	}
+	return nil
+}
+
+// Report summarizes one distributed execution.
+type Report struct {
+	// Stats holds the communication counters of the virtual network.
+	Stats cluster.Stats
+	// TasksPerNode counts the kernels each node executed.
+	TasksPerNode []int
+	// FlopsPerNode sums the flops each node executed.
+	FlopsPerNode []float64
+	// OwnedTilesPerNode and ReceivedTilesPerNode describe each node's memory
+	// traffic: tiles it owns under the distribution, and remote tile versions
+	// delivered to it over the run. Received tiles are released after their
+	// last local consumer runs, so their count bounds traffic, not residency.
+	OwnedTilesPerNode    []int
+	ReceivedTilesPerNode []int
+	// PeakTilesPerNode is each node's working-set high-water mark: the
+	// maximum number of tiles (owned + received-and-not-yet-released) the
+	// node held at any instant. It is at most OwnedTilesPerNode +
+	// ReceivedTilesPerNode, and strictly below it whenever tile release
+	// reclaimed memory mid-run.
+	PeakTilesPerNode []int
+	// Sched holds each node's scheduler observability counters.
+	Sched []SchedStats
+	// MailboxPeakPerNode is each node's mailbox high-water mark: the most
+	// messages ever queued undelivered at once. The queues are unbounded, so
+	// this is the only visibility into transport backpressure — a peak far
+	// above the worker count means senders outpace the node's event loop.
+	MailboxPeakPerNode []int
+	// Resilience holds each node's fault-healing counters. All zero unless
+	// the arrival-timeout re-request protocol was armed (Options.Chaos or
+	// Options.ArrivalTimeout).
+	Resilience []ResilienceStats
+	// Broadcast is the transport mode the run used (flat fan-out or
+	// binomial tree); the wire-level consequences are in Stats (cluster.Hops,
+	// cluster.Forwards), and ForwardedPerNode is the latter per sender: the
+	// relay hops each node sent for other owners' broadcasts. Zero when flat.
+	Broadcast        cluster.BroadcastMode
+	ForwardedPerNode []int
+	// Elapsed is the wall-clock duration of the distributed run.
+	Elapsed time.Duration
+}
+
+// ResilienceStats describes one node's participation in the arrival-timeout
+// re-request protocol over a run.
+type ResilienceStats struct {
+	// ReRequests counts the cluster.Request control messages this node sent
+	// after an awaited tile version missed its arrival deadline (retries
+	// under backoff count individually): its row of Stats' Requests counter.
+	ReRequests int
+	// Redelivered counts the re-requests this node answered from its
+	// published-version cache, each a cluster.Resend: its Redeliveries row.
+	Redelivered int
+	// Recovered counts the awaited tile versions that arrived only after
+	// this node re-requested them — deliveries the timeout path healed.
+	Recovered int
+	// Adopted counts the dead-node tasks this node re-ran as the elastic
+	// adopter: the migration that let the run finish despite the crash.
+	Adopted int
+	// Speculative counts the lagging-node tasks this node re-ran
+	// speculatively (Options.LagReRequests) while their owner was still
+	// alive.
+	Speculative int
+	// Died reports that this node crashed mid-run (injected or presumed);
+	// its unfinished work was adopted by a survivor.
+	Died bool
+}
+
+// SchedStats describes one node's scheduling behaviour over a run.
+type SchedStats struct {
+	// StallSeconds is the node's starvation integral in capacity-seconds:
+	// each worker that sits idle with nothing dispatchable contributes its
+	// idle wall-clock weighted by 1/Workers, so one idle worker out of four
+	// accrues a quarter of what a fully idle node does. Time lost waiting on
+	// remote tile arrivals or local predecessor completions rather than on
+	// compute; a node whose stall time dominates its kernel time is
+	// communication-bound. Idle tails after the node's last task are not
+	// counted, matching the single-worker accounting of earlier versions.
+	StallSeconds float64
+	// WorkerBusySeconds is the wall-clock each worker slot spent inside
+	// kernels — the per-worker utilization behind StallSeconds.
+	WorkerBusySeconds []float64
+	// StealsPerWorker counts, per worker slot, the tasks the slot took from
+	// another worker's deque because its own ran dry (intra-node work
+	// stealing). Always zero with a single worker.
+	StealsPerWorker []int
+	// ReadyPeak is the high-water mark of the node's ready queue: how much
+	// dispatchable work was queued behind the busy workers at the worst
+	// instant. Persistently small peaks mean the node is starved; large
+	// peaks mean it is the bottleneck.
+	ReadyPeak int
+	// DuplicateDrops counts identical re-delivered tile versions that were
+	// dropped idempotently instead of crashing the node (see onArrival). Zero
+	// on a faithful network; chaos duplicates, redeliveries racing a late
+	// original and adoption replays all make it non-zero.
+	DuplicateDrops int
+	// DispatchedByKind counts dispatched kernels per task-kind name.
+	DispatchedByKind map[string]int
+}
+
+// Run executes graph g on a fresh virtual cluster with the given tile
+// distribution, initial tile generator and kernel. It returns the final tile
+// contents via collect: after all nodes finish, collect is called once for
+// every tile with its final payload. Run is plan.Compile followed by RunPlan;
+// callers that run one (graph, distribution) pair repeatedly compile once and
+// call RunPlan.
+func Run(g dag.Graph, d dist.Distribution, b int,
+	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
+	collect func(i, j int, t *tile.Tile)) (*Report, error) {
+
+	pl, err := plan.Compile(g, d)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	return RunPlan(pl, b, gen, kern, opt, collect)
+}
+
+// RunPlan executes a compiled plan: every engine reads its share of pl and
+// allocates only its per-run mutable state, so set-up costs O(P) allocations
+// plus the owned tiles gen creates, whatever the task count. pl is not
+// modified and may serve any number of concurrent runs.
+func RunPlan(pl *plan.Plan, b int,
+	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
+	collect func(i, j int, t *tile.Tile)) (*Report, error) {
+
+	P := pl.Nodes()
+	if err := opt.normalize(pl.Dist()); err != nil {
+		return nil, err
+	}
+	cl := opt.Cluster
+	if cl == nil {
+		copt := cluster.Options{Broadcast: opt.Broadcast}
+		if opt.Chaos != nil {
+			copt.Net = opt.Chaos
+		}
+		cl = cluster.NewWithOptions(P, copt)
+	}
+
+	start := time.Now()
+	if opt.Chaos != nil && opt.Recorder != nil {
+		opt.Chaos.Bind(opt.Recorder, start)
+	}
+	engines := make([]*engine, P)
+	for rank := 0; rank < P; rank++ {
+		engines[rank] = newEngine(rank, cl.JobComm(opt.Job, rank), pl, b, gen, kern, opt, start)
+	}
+
+	// Cancellation seam: a context that ends before the run does poisons
+	// this job's plane — exactly comm.Abort's failure surface, so every
+	// engine winds down through the ordinary abort path and, on a shared
+	// cluster, no other tenant notices.
+	runDone := make(chan struct{})
+	var cancelled atomic.Bool
+	if opt.Context != nil {
+		go func() {
+			select {
+			case <-opt.Context.Done():
+				cancelled.Store(true)
+				cl.CloseJob(opt.Job)
+			case <-runDone:
+			}
+		}()
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, P)
+	for rank := 0; rank < P; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			errs[rank] = engines[rank].run()
+		}(rank)
+	}
+	wg.Wait()
+	close(runDone)
+	if opt.Chaos != nil {
+		// Release any reorder holds still parked in the fault plan so their
+		// payload shares drain before the pool is abandoned.
+		opt.Chaos.Flush()
+	}
+	// Closing the job's plane is all the teardown there is: on a private
+	// cluster it is the only plane, on a shared one the other tenants stay up.
+	cl.CloseJob(opt.Job)
+	elapsed := time.Since(start)
+	// Quiescence before the snapshot: with resilience armed each engine's
+	// post-loop server outlives run() and may still be answering queued
+	// re-requests (cluster.Resend charges the ledger). The plane is closed, so
+	// every server drains what its mailbox holds and exits; only then is the
+	// ledger final.
+	for _, e := range engines {
+		if e.res != nil {
+			<-e.res.served
+		}
+	}
+
+	// Report every node's failure, not just the lowest rank's. Nodes that
+	// aborted because a peer poisoned the cluster carry ErrPeerAborted; when
+	// a root-cause kernel error exists they are folded into one summary line
+	// instead of repeated per rank.
+	var nodeErrs []error
+	peerAborts := 0
+	for rank, err := range errs {
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, ErrPeerAborted) {
+			peerAborts++
+			continue
+		}
+		nodeErrs = append(nodeErrs, fmt.Errorf("node %d: %w", rank, err))
+	}
+	if cancelled.Load() && (len(nodeErrs) > 0 || peerAborts > 0) {
+		// The context ended the run: the nodes' ErrPeerAborted noise is the
+		// cancellation's own doing, so report the cancellation itself. A run
+		// that happened to finish cleanly before the poison landed (no node
+		// errors at all) still counts as completed, not cancelled.
+		return nil, fmt.Errorf("runtime: %w: %w", ErrCanceled, context.Cause(opt.Context))
+	}
+	if len(nodeErrs) == 0 && peerAborts > 0 {
+		// Should not happen (some node poisoned the cluster), but never
+		// swallow an abort silently.
+		nodeErrs = append(nodeErrs, ErrPeerAborted)
+	}
+	if len(nodeErrs) > 0 {
+		if peerAborts > 0 {
+			nodeErrs = append(nodeErrs, fmt.Errorf("%d node(s) aborted: %w", peerAborts, ErrPeerAborted))
+		}
+		return nil, fmt.Errorf("runtime: %w", errors.Join(nodeErrs...))
+	}
+
+	// The job's ledger is the one count of its traffic: the per-node relay,
+	// re-request and redelivery figures below are its per-sender sums, not
+	// separate tallies kept by the engines.
+	stats := cl.JobStats(opt.Job)
+	forwards, requests, redeliveries := stats.BySrc(cluster.Forwards),
+		stats.BySrc(cluster.Requests), stats.BySrc(cluster.Redeliveries)
+	rep := &Report{
+		Stats:                stats,
+		TasksPerNode:         make([]int, P),
+		FlopsPerNode:         make([]float64, P),
+		OwnedTilesPerNode:    make([]int, P),
+		ReceivedTilesPerNode: make([]int, P),
+		PeakTilesPerNode:     make([]int, P),
+		Sched:                make([]SchedStats, P),
+		MailboxPeakPerNode:   stats.MailboxPeak,
+		Resilience:           make([]ResilienceStats, P),
+		Broadcast:            opt.Broadcast,
+		ForwardedPerNode:     make([]int, P),
+		Elapsed:              elapsed,
+	}
+	for rank, e := range engines {
+		rep.FlopsPerNode[rank] = e.flops
+		rep.OwnedTilesPerNode[rank] = e.ownedTiles
+		rep.ReceivedTilesPerNode[rank] = e.recvTotal
+		rep.PeakTilesPerNode[rank] = e.peakTiles
+		// Kernels executed = kernels dispatched: abortLocal takes purged jobs
+		// back out, so a node that died mid-run reports what it ran, not
+		// what it owned.
+		byKind := make(map[string]int, len(e.dispatched))
+		for kind, n := range e.dispatched {
+			byKind[kind.String()] = n
+			rep.TasksPerNode[rank] += n
+		}
+		busy := make([]float64, len(e.busy))
+		for w, ns := range e.busy {
+			busy[w] = float64(ns) / 1e9
+		}
+		rep.Sched[rank] = SchedStats{
+			StallSeconds:      float64(e.stallNanos.Load()) / 1e9 / float64(e.workers),
+			WorkerBusySeconds: busy,
+			StealsPerWorker:   append([]int(nil), e.disp.steals...),
+			ReadyPeak:         e.readyPeak,
+			DuplicateDrops:    e.dupDrops,
+			DispatchedByKind:  byKind,
+		}
+		rs := &rep.Resilience[rank]
+		rs.ReRequests, rs.Redelivered = int(requests[rank]), int(redeliveries[rank])
+		if e.res != nil {
+			rs.Recovered = e.res.recovered
+		}
+		if e.el != nil {
+			rs.Adopted, rs.Speculative, rs.Died = e.el.adopted, e.el.speculative, e.el.died
+		}
+		rep.ForwardedPerNode[rank] = int(forwards[rank])
+	}
+
+	if collect != nil {
+		for rank := range engines {
+			holder := rank
+			if engines[rank].el != nil {
+				holder = finalHolder(engines, rank)
+			}
+			lo, hi := pl.Tiles(rank)
+			for tl := lo; tl < hi; tl++ {
+				i, j := pl.TileCoords(tl)
+				final := engines[holder].tileOf(tl)
+				if final == nil {
+					// Backstop: a dead node's work was never adopted — the
+					// run cannot produce complete factors.
+					return nil, fmt.Errorf("runtime: tile (%d,%d) lost: owner %d died and no survivor adopted its tasks",
+						i, j, rank)
+				}
+				collect(i, j, final)
+			}
+		}
+	}
+	return rep, nil
+}

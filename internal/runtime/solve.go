@@ -79,20 +79,6 @@ func solveGen(mt, b, nrhs int, genA func(i, j int) *tile.Tile, genB func(i int) 
 	}
 }
 
-// GenRHS adapts a (global row, rhs column) element generator to an RHS tile
-// generator.
-func GenRHS(b, nrhs int, at func(gi, k int) float64) func(i int) *tile.Tile {
-	return func(ti int) *tile.Tile {
-		t := tile.New(b, nrhs)
-		for i := 0; i < b; i++ {
-			for k := 0; k < nrhs; k++ {
-				t.Set(i, k, at(ti*b+i, k))
-			}
-		}
-		return t
-	}
-}
-
 // SolveLU distributedly factorizes the matrix defined by genA and solves
 // A·X = B for the right-hand side defined by genB, all under one
 // owner-computes schedule on a fresh virtual cluster. It returns X and the

@@ -49,22 +49,11 @@ func SYRKKernel(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 func SYRK(mt, kt, b int, d dist.Distribution, genC func(i, j int) *tile.Tile,
 	genA func(i, k int) *tile.Tile, opt Options) (*matrix.SymmetricLower, *Report, error) {
 
-	g := dag.NewSYRKOp(mt, kt)
 	gen := func(i, j int) *tile.Tile {
 		if j >= mt {
 			return genA(i, j-mt)
 		}
 		return genC(i, j)
 	}
-	out := matrix.NewSymmetricLower(mt, b)
-	rep, err := Run(g, syrkDist{Distribution: d, mt: mt}, b, gen, SYRKKernel, opt,
-		func(i, j int, t *tile.Tile) {
-			if j < mt {
-				out.Tile(i, j).CopyFrom(t)
-			}
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
+	return runLower(dag.NewSYRKOp(mt, kt), syrkDist{Distribution: d, mt: mt}, mt, b, gen, SYRKKernel, opt)
 }

@@ -120,9 +120,9 @@ func TestBisectionDepartTime(t *testing.T) {
 	}}
 	m := Machine{
 		Workers:            1,
-		FlopsPerWorker:     1,  // dur = 1 flop / 1 flop/s = 1s
-		LinkBandwidth:      8,  // 8 bytes / 8 B/s = 1s per NIC pass
-		BisectionBandwidth: 4,  // + 2s fabric crossing, serialized
+		FlopsPerWorker:     1, // dur = 1 flop / 1 flop/s = 1s
+		LinkBandwidth:      8, // 8 bytes / 8 B/s = 1s per NIC pass
+		BisectionBandwidth: 4, // + 2s fabric crossing, serialized
 		Latency:            0,
 	}
 	rec := &trace.Recorder{}

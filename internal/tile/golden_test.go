@@ -140,9 +140,9 @@ func TestGoldenGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 7}, {23, 24, 25}, // below the small-path cutoff
-		{33, 17, 9}, {64, 8, 241},  // crossing gemmMR/gemmNR/gemmKC edges
-		{67, 45, 251},              // odd everything, k past one KC panel
-		{130, 257, 65},             // m past two MC panels, n past many strips
+		{33, 17, 9}, {64, 8, 241}, // crossing gemmMR/gemmNR/gemmKC edges
+		{67, 45, 251},  // odd everything, k past one KC panel
+		{130, 257, 65}, // m past two MC panels, n past many strips
 		{5, 300, 300}, {300, 5, 300},
 	}
 	for _, s := range shapes {
