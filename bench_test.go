@@ -11,14 +11,12 @@ package anybc
 // value), so the benchmark log doubles as a summary of the reproduction.
 
 import (
-	gort "runtime"
 	"testing"
 
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/experiments"
 	"anybc/internal/gcrm"
-	"anybc/internal/runtime"
 	"anybc/internal/simulate"
 )
 
@@ -252,42 +250,6 @@ func (g gemmWrap) Owner(i, j int) int {
 	default:
 		return g.Distribution.Owner(i, j)
 	}
-}
-
-// BenchmarkRuntimeLU44 runs a real (numeric) LU factorization on the paper's
-// full 44-node PlaFRIM cluster size under G-2DBC and reports the memory
-// effect of reference-counted tile release: the cluster-wide peak tile
-// working set against the keep-everything footprint the runtime had before
-// received tiles were released after their last consumer.
-//
-// The per-node worker count follows GOMAXPROCS (minimum 2, so the stealing
-// path always runs), making `go test -bench RuntimeLU44 -cpu 1,4` the
-// multi-core scaling measurement: compare the per-op wall times across the
-// -cpu entries.
-func BenchmarkRuntimeLU44(b *testing.B) {
-	const mt, bs = 24, 8
-	workers := gort.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	d := dist.NewG2DBC(44)
-	gen := runtime.GenDiagDominant(mt, bs, 17)
-	var rep *runtime.Report
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, rep, err = runtime.FactorLU(mt, bs, d, gen, runtime.Options{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	peak, foot := 0, 0
-	for n, pk := range rep.PeakTilesPerNode {
-		peak += pk
-		foot += rep.OwnedTilesPerNode[n] + rep.ReceivedTilesPerNode[n]
-	}
-	b.ReportMetric(float64(peak), "tiles-peak(P=44)")
-	b.ReportMetric(float64(foot), "tiles-footprint(P=44)")
-	b.ReportMetric(float64(rep.Stats.TotalMessages()), "msgs(P=44)")
 }
 
 // BenchmarkConstructionG2DBC measures pattern-construction cost: building

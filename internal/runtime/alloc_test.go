@@ -12,10 +12,10 @@ import (
 )
 
 // TestRunAllocBudget pins what compiling once bought on the overhead-bound
-// shape (mt=24, b=8, G-2DBC(44), Workers=2 — BenchmarkRuntimeLU44's and the
-// lu-overhead workload's): a whole FactorLU call, plan compile included,
-// stays under factorAllocBudget allocations (118 697 before the plan), and
-// the engines' set-up allocates per node, not per task.
+// shape (mt=24, b=8, G-2DBC(44), Workers=2 — the lu-overhead workload's): a
+// whole FactorLU call, plan compile included, stays under factorAllocBudget
+// allocations (118 697 before the plan), and the engines' set-up allocates
+// per node, not per task.
 func TestRunAllocBudget(t *testing.T) {
 	const mt, b, P = 24, 8, 44
 	d := dist.NewG2DBC(P)

@@ -154,10 +154,12 @@ var ErrCanceled = errors.New("run canceled")
 
 // Options tunes the engine.
 type Options struct {
-	// Workers is the number of concurrent kernel executors per node. Values
-	// above 1 model multi-core nodes; correctness is guaranteed by the task
-	// graph for any value, and final factors are bit-identical across worker
-	// counts (kernels run whole tasks; the parallel GEMM preserves FP order).
+	// Workers is the number of concurrent kernel executors per node, and the
+	// only intra-node parallelism there is: a kernel runs sequentially on the
+	// worker that dispatched it, so a run computes on at most P × Workers
+	// cores. Values above 1 model multi-core nodes; correctness is guaranteed
+	// by the task graph for any value, and final factors are bit-identical
+	// across worker counts (each task is one whole sequential kernel).
 	// Workers <= 0 — including the zero value — is normalized to 1 (see
 	// normalize); newEngine assumes normalized options.
 	Workers int

@@ -406,29 +406,3 @@ func TestPriorityOrdering(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkServeLU44x8 measures the acceptance workload: 8 concurrent
-// 4×4-tile LU tenants over one shared 4-node cluster, per iteration.
-func BenchmarkServeLU44x8(b *testing.B) {
-	srv, err := New(Config{P: 4, B: 8, MaxConcurrent: 8, Workers: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ids := make([]JobID, 8)
-		for j := range ids {
-			id, err := srv.Submit(JobSpec{Kind: KindLU, Mt: 4, Seed: int64(j)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids[j] = id
-		}
-		for _, id := range ids {
-			if err := srv.Wait(context.Background(), id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}

@@ -1,11 +1,5 @@
 package tile
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 // Cache blocking parameters of the panel-blocked GEMM. One packed B panel is
 // gemmKC×n (streamed once per k-panel), one packed A panel is gemmMC×gemmKC
 // and stays L2-resident while the microkernel sweeps the B panel. The
@@ -20,12 +14,6 @@ const (
 // microkernel's throughput and the direct loops win (empirically ~24³ on
 // amd64; the distributed tests run tiles as small as 4×4).
 const gemmSmallVolume = 24 * 24 * 24
-
-// gemmParMinVolume is the m·n·k volume above which gemmView fans the gemmMC
-// row panels of one k-panel out across goroutines. Each spawned worker costs
-// a goroutine handoff plus its own packed-A buffer, so only multiplies with
-// several panels' worth of microkernel work per worker can win it back.
-const gemmParMinVolume = 128 * 128 * 128
 
 // opView is a read-only view of op(X) for a row-major operand X: plain
 // (i,j) ↦ data[i*ld+j] access, or the transposed view (i,j) ↦ data[j*ld+i].
@@ -133,44 +121,18 @@ func packB(dst []float64, b opView, kk, kb, n int) {
 	}
 }
 
-// gemmWorkers decides the fan-out of one gemmView call: capped by GOMAXPROCS
-// (the kernel should not oversubscribe what the engine's task-level workers
-// already use) and by the number of gemmMC row panels (finer splitting than
-// one panel per worker buys nothing).
-func gemmWorkers(m, n, k int) int {
-	if m*n*k < gemmParMinVolume {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if np := (m + gemmMC - 1) / gemmMC; w > np {
-		w = np
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // gemmView computes C[0:m][0:n] += alpha · op(A) · op(B) over packed panels,
 // where C is the row-major block cdata with leading dimension ldc. All four
 // transpose combinations route through here; the packing stage absorbs the
 // layout differences so one microkernel serves them all.
 //
-// Large multiplies run the gemmMC row panels of each k-panel on up to
-// GOMAXPROCS goroutines. Both paths execute the identical per-panel sweep
-// with the identical serial kk loop, so every C element sees the same
-// floating-point operation order regardless of the worker count — results
-// are bit-identical across GOMAXPROCS settings.
+// The sweep is sequential on the calling goroutine, like a Chameleon kernel
+// on its StarPU worker: a run's parallelism is its P × Workers kernel
+// callers, and a kernel never adds to it.
 func gemmView(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int) {
 	nStrips := (n + gemmNR - 1) / gemmNR
 	bp := getPack(gemmKC * nStrips * gemmNR)
 	defer putPack(bp)
-
-	if workers := gemmWorkers(m, n, k); workers > 1 {
-		gemmViewParallel(alpha, a, b, m, n, k, cdata, ldc, bp.Data, workers)
-		return
-	}
-
 	ap := getPack(gemmMC * gemmKC)
 	defer putPack(ap)
 	for kk := 0; kk < k; kk += gemmKC {
@@ -190,50 +152,9 @@ func gemmView(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int)
 	}
 }
 
-// gemmViewParallel is gemmView's multi-core path: per k-panel, B is packed
-// once (shared read-only by everyone), then workers goroutines pull gemmMC
-// row panels off an atomic counter, each packing A into its own pooled
-// buffer. Row panels write disjoint C rows, so the only synchronization is
-// the panel counter and the per-k-panel join; the serial kk loop preserves
-// the exact FP accumulation order of the single-threaded path.
-func gemmViewParallel(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int, bp []float64, workers int) {
-	nPanels := (m + gemmMC - 1) / gemmMC
-	for kk := 0; kk < k; kk += gemmKC {
-		kb := k - kk
-		if kb > gemmKC {
-			kb = gemmKC
-		}
-		packB(bp, b, kk, kb, n)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				ap := getPack(gemmMC * gemmKC)
-				defer putPack(ap)
-				for {
-					p := int(next.Add(1)) - 1
-					if p >= nPanels {
-						return
-					}
-					ii := p * gemmMC
-					ib := m - ii
-					if ib > gemmMC {
-						ib = gemmMC
-					}
-					packA(ap.Data, a, ii, ib, kk, kb)
-					gemmPanelSweep(alpha, ap.Data, bp, ii, ib, kb, n, cdata, ldc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
-
 // gemmPanelSweep runs the microkernel over one packed A panel (rows
 // [ii, ii+ib), depth kb) against the full packed B panel, accumulating into
-// C rows [ii, ii+ib). Shared by the serial and parallel drivers.
+// C rows [ii, ii+ib).
 func gemmPanelSweep(alpha float64, ap, bp []float64, ii, ib, kb, n int, cdata []float64, ldc int) {
 	for i0 := 0; i0 < ib; i0 += gemmMR {
 		rows := ib - i0
