@@ -42,9 +42,8 @@ import (
 // and speculate, and the layer reaches resilience through its methods alone.
 type elastic struct {
 	e      *engine
-	gen    func(i, j int) *tile.Tile // regenerates a dead node's initial tiles
-	speeds []float64                 // Options.Speeds: the adopter rule's input
-	lagReq int                       // Options.LagReRequests
+	speeds []float64 // Options.Speeds: the adopter rule's input
+	lagReq int       // Options.LagReRequests
 
 	// dead tracks crashed and presumed-dead peers, adoptedBy the survivor
 	// that re-runs each dead node's tasks (the deterministic hetero.Fastest
@@ -80,11 +79,10 @@ type adoptedTask struct {
 	ins []int32 // its input references: plan tile indices, local slot indices
 }
 
-func newElastic(e *engine, gen func(i, j int) *tile.Tile, opt Options) *elastic {
+func newElastic(e *engine, opt Options) *elastic {
 	P := e.comm.Size()
 	el := &elastic{
 		e:          e,
-		gen:        gen,
 		speeds:     opt.Speeds,
 		lagReq:     opt.LagReRequests,
 		dead:       make([]bool, P),
@@ -99,10 +97,10 @@ func newElastic(e *engine, gen func(i, j int) *tile.Tile, opt Options) *elastic 
 	for n := range el.adoptedBy {
 		el.adoptedBy[n] = -1
 	}
+	// Stretch the (still empty — run generates it) tile table over the whole
+	// plan, so an adopted tile's replay buffer sits at its plan index.
 	_, tiles := e.pl.Tiles(P - 1)
-	all := make([]*tile.Tile, tiles)
-	copy(all[e.tileLo:], e.tiles)
-	e.tiles, e.tileLo = all, 0
+	e.tiles, e.tileLo = make([]*tile.Tile, tiles), 0
 	return el
 }
 
@@ -540,7 +538,7 @@ func (el *elastic) adoptTasks(tasks []int32, demote bool) int {
 		// writer created it in its own step.
 		if e.tiles[otile] == nil {
 			if selfPrev < 0 {
-				e.tiles[otile] = el.gen(pl.TileCoords(otile))
+				e.tiles[otile] = e.gen(pl.TileCoords(otile))
 			} else if _, _, same := sameSide(selfPrev); !same {
 				if !el.holds(selfPrev) {
 					panic(fmt.Sprintf("runtime: node %d: writer chain of %v cut without predecessor %v at hand",
@@ -572,7 +570,7 @@ func (el *elastic) adoptTasks(tasks []int32, demote bool) int {
 				// reads those, so this is a tile of the adopted rank:
 				// regenerate it deterministically.
 				if e.tiles[tl] == nil {
-					e.tiles[tl] = el.gen(pl.TileCoords(tl))
+					e.tiles[tl] = e.gen(pl.TileCoords(tl))
 				}
 				refs = append(refs, tl)
 				continue

@@ -2,7 +2,10 @@ package runtime
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
@@ -115,6 +118,66 @@ func TestMemoryAccounting(t *testing.T) {
 		msgs := rep.Stats.ByDst(cluster.Messages)[rank]
 		if int64(recvd) != msgs {
 			t.Errorf("node %d holds %d received tiles but got %d messages", rank, recvd, msgs)
+		}
+	}
+}
+
+// TestNodesGenerateSideBySide: every node fills its own tiles on its own
+// goroutine. Each node's first gen call waits until all P nodes have made
+// theirs, which only ends if the P generations overlap; the factors must
+// still be the sequential ones and every tile generated exactly once.
+func TestNodesGenerateSideBySide(t *testing.T) {
+	const mt, b = 6, 4
+	d := dist.NewTwoDBC(2, 2)
+	P := d.Nodes()
+	base := GenDiagDominant(mt, b, 3)
+	var (
+		first    = make([]sync.Once, P)
+		arrived  sync.WaitGroup
+		calls    atomic.Int64
+		overlaps atomic.Bool
+	)
+	arrived.Add(P)
+	all := make(chan struct{})
+	go func() { arrived.Wait(); close(all) }()
+	overlaps.Store(true)
+	gen := func(i, j int) *tile.Tile {
+		calls.Add(1)
+		first[d.Owner(i, j)].Do(func() {
+			arrived.Done()
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				overlaps.Store(false)
+			}
+		})
+		return base(i, j)
+	}
+	got, rep, err := FactorLU(mt, b, d, gen, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !overlaps.Load() {
+		t.Fatal("a node's generation waited for another's to finish: gen still runs serially")
+	}
+	if n := calls.Load(); n != mt*mt {
+		t.Errorf("gen called %d times for %d tiles", n, mt*mt)
+	}
+	want := matrix.NewDiagDominant(mt, b, 3)
+	if err := matrix.FactorLU(want); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < mt; i++ {
+		for j := 0; j < mt; j++ {
+			if !got.Tile(i, j).EqualApprox(want.Tile(i, j), 0) {
+				t.Fatalf("tile (%d,%d) differs from sequential", i, j)
+			}
+		}
+	}
+	for rank, n := range rep.OwnedTilesPerNode {
+		if lo, hi := mt*mt/P, (mt*mt+P-1)/P; n < lo || n > hi || rep.PeakTilesPerNode[rank] < n {
+			t.Errorf("node %d: %d owned tiles (peak %d), want %d..%d and peak at least that",
+				rank, n, rep.PeakTilesPerNode[rank], lo, hi)
 		}
 	}
 }

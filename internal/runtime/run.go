@@ -412,6 +412,11 @@ type SchedStats struct {
 // every tile with its final payload. Run is plan.Compile followed by RunPlan;
 // callers that run one (graph, distribution) pair repeatedly compile once and
 // call RunPlan.
+//
+// gen is called concurrently — each node generates the tiles it owns on its
+// own goroutine, and under Options.Elastic a survivor regenerates a dead
+// node's — and must be a pure function of (i, j). collect is called from the
+// calling goroutine, one tile at a time.
 func Run(g dag.Graph, d dist.Distribution, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	collect func(i, j int, t *tile.Tile)) (*Report, error) {
@@ -426,7 +431,8 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 // RunPlan executes a compiled plan: every engine reads its share of pl and
 // allocates only its per-run mutable state, so set-up costs O(P) allocations
 // plus the owned tiles gen creates, whatever the task count. pl is not
-// modified and may serve any number of concurrent runs.
+// modified and may serve any number of concurrent runs. gen and collect are
+// called as Run describes.
 func RunPlan(pl *plan.Plan, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	collect func(i, j int, t *tile.Tile)) (*Report, error) {

@@ -18,8 +18,8 @@ func testEngine(t testing.TB, rank int, cl *cluster.Cluster, g dag.Graph,
 	return testEngineOpt(t, rank, cl, g, d, b, gen, kern, Options{Workers: 1})
 }
 
-// testEngineOpt builds one engine the way RunPlan does: compiled plan,
-// normalized options.
+// testEngineOpt builds one engine the way RunPlan does — compiled plan,
+// normalized options — and fills its tiles as the first step of run would.
 func testEngineOpt(t testing.TB, rank int, cl *cluster.Cluster, g dag.Graph,
 	d dist.Distribution, b int, gen func(i, j int) *tile.Tile, kern Kernel, opt Options) *engine {
 	t.Helper()
@@ -30,7 +30,9 @@ func testEngineOpt(t testing.TB, rank int, cl *cluster.Cluster, g dag.Graph,
 	if err := opt.normalize(d); err != nil {
 		t.Fatal(err)
 	}
-	return newEngine(rank, cl.Comm(rank), pl, b, gen, kern, opt, time.Now())
+	e := newEngine(rank, cl.Comm(rank), pl, b, gen, kern, opt, time.Now())
+	e.generate()
+	return e
 }
 
 // unfedSlots counts the slots whose plan waiters are still to be released —

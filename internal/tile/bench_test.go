@@ -41,59 +41,64 @@ func BenchmarkKernelGemmTransB500(b *testing.B) {
 	b.ReportMetric(FlopsGemm(500)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
-func BenchmarkKernelSyrk500(b *testing.B) {
-	x, _, z := benchTiles(b, 500)
+func benchSyrk(b *testing.B, n int) {
+	x, _, z := benchTiles(b, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Syrk(Lower, NoTrans, -1, x, 1, z)
 	}
-	b.ReportMetric(FlopsSyrk(500)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+	b.ReportMetric(FlopsSyrk(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
-func BenchmarkKernelTrsm500(b *testing.B) {
+func BenchmarkKernelSyrk128(b *testing.B) { benchSyrk(b, 128) }
+func BenchmarkKernelSyrk500(b *testing.B) { benchSyrk(b, 500) }
+
+func benchTrsm(b *testing.B, n int, side Side, uplo Uplo, trans Trans, diag Diag) {
 	rng := rand.New(rand.NewSource(2))
-	a := New(500, 500)
+	a := New(n, n)
 	a.Random(rng)
-	for i := 0; i < 500; i++ {
+	for i := 0; i < n; i++ {
 		a.Set(i, i, 3)
 	}
-	x := New(500, 500)
+	x := New(n, n)
 	x.Random(rng)
+	// Solve a fresh copy each time: solving in place over and over drives the
+	// values into overflow or denormals, and the benchmark would time those.
+	work := New(n, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Trsm(Left, Lower, NoTrans, NonUnit, 1, a, x)
+		work.CopyFrom(x)
+		Trsm(side, uplo, trans, diag, 1, a, work)
 	}
-	b.ReportMetric(FlopsTrsm(500)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+	b.ReportMetric(FlopsTrsm(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
-func BenchmarkKernelTrsmRight500(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	a := New(500, 500)
-	a.Random(rng)
-	for i := 0; i < 500; i++ {
-		a.Set(i, i, 3)
-	}
-	x := New(500, 500)
-	x.Random(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Trsm(Right, Upper, NoTrans, NonUnit, 1, a, x)
-	}
-	b.ReportMetric(FlopsTrsm(500)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
-}
+func BenchmarkKernelTrsm500(b *testing.B)      { benchTrsm(b, 500, Left, Lower, NoTrans, NonUnit) }
+func BenchmarkKernelTrsmRight500(b *testing.B) { benchTrsm(b, 500, Right, Upper, NoTrans, NonUnit) }
 
-func BenchmarkKernelPotrf500(b *testing.B) {
+// The three variants the factorizations issue, at the benchmark's tile sizes
+// (bench/: lu-compute runs b=256, chol-p23 b=128): LU's row panel (Left,
+// Lower, NoTrans, Unit) and column panel (Right, Upper, NoTrans, NonUnit),
+// Cholesky's panel (Right, Lower, TransT, NonUnit).
+func BenchmarkKernelTrsmLURow128(b *testing.B)    { benchTrsm(b, 128, Left, Lower, NoTrans, Unit) }
+func BenchmarkKernelTrsmLURow256(b *testing.B)    { benchTrsm(b, 256, Left, Lower, NoTrans, Unit) }
+func BenchmarkKernelTrsmLUCol128(b *testing.B)    { benchTrsm(b, 128, Right, Upper, NoTrans, NonUnit) }
+func BenchmarkKernelTrsmLUCol256(b *testing.B)    { benchTrsm(b, 256, Right, Upper, NoTrans, NonUnit) }
+func BenchmarkKernelTrsmCholesky128(b *testing.B) { benchTrsm(b, 128, Right, Lower, TransT, NonUnit) }
+func BenchmarkKernelTrsmCholesky256(b *testing.B) { benchTrsm(b, 256, Right, Lower, TransT, NonUnit) }
+
+func benchPotrf(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(3))
-	src := New(500, 500)
-	for i := 0; i < 500; i++ {
+	src := New(n, n)
+	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			v := 2*rng.Float64() - 1
 			src.Set(i, j, v)
 			src.Set(j, i, v)
 		}
-		src.Set(i, i, 600)
+		src.Set(i, i, float64(n)+100)
 	}
-	work := New(500, 500)
+	work := New(n, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		work.CopyFrom(src)
@@ -101,17 +106,20 @@ func BenchmarkKernelPotrf500(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(FlopsPotrf(500)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+	b.ReportMetric(FlopsPotrf(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
-func BenchmarkKernelGetrf500(b *testing.B) {
+func BenchmarkKernelPotrf128(b *testing.B) { benchPotrf(b, 128) }
+func BenchmarkKernelPotrf500(b *testing.B) { benchPotrf(b, 500) }
+
+func benchGetrf(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(4))
-	src := New(500, 500)
+	src := New(n, n)
 	src.Random(rng)
-	for i := 0; i < 500; i++ {
-		src.Set(i, i, 600)
+	for i := 0; i < n; i++ {
+		src.Set(i, i, float64(n)+100)
 	}
-	work := New(500, 500)
+	work := New(n, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		work.CopyFrom(src)
@@ -119,5 +127,8 @@ func BenchmarkKernelGetrf500(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(FlopsGetrf(500)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+	b.ReportMetric(FlopsGetrf(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
+
+func BenchmarkKernelGetrf256(b *testing.B) { benchGetrf(b, 256) }
+func BenchmarkKernelGetrf500(b *testing.B) { benchGetrf(b, 500) }

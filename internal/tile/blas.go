@@ -30,6 +30,14 @@ const (
 	Unit
 )
 
+// flipped returns the other triangle: where a transpose moves uplo's.
+func (u Uplo) flipped() Uplo {
+	if u == Lower {
+		return Upper
+	}
+	return Lower
+}
+
 func opDims(t Trans, a *Tile) (rows, cols int) {
 	if t == NoTrans {
 		return a.Rows, a.Cols
@@ -184,15 +192,9 @@ func Syrk(uplo Uplo, trans Trans, alpha float64, a *Tile, beta float64, c *Tile)
 	ad, lda := a.Data, a.Cols
 	if trans == TransT {
 		buf := getPack(n * k)
-		t := buf.Data
-		for l := 0; l < k; l++ {
-			src := a.Row(l)
-			for i, v := range src {
-				t[i*k+l] = v
-			}
-		}
-		ad, lda = t, k
 		defer putPack(buf)
+		transposeInto(buf.Data, k, a.Data, a.Cols, k, n)
+		ad, lda = buf.Data, k
 	}
 	syrkView(uplo, alpha, ad, lda, n, k, c.Data, c.Cols)
 }
@@ -289,10 +291,12 @@ func syrkView(uplo Uplo, alpha float64, ad []float64, lda, n, k int, cdata []flo
 // where A is triangular per uplo/diag. This is the panel-solve kernel: LU
 // uses (Left, Lower, NoTrans, Unit) for row panels and (Right, Upper,
 // NoTrans, NonUnit) for column panels; Cholesky uses (Right, Lower, TransT,
-// NonUnit). All four side/uplo paths are blocked (trsm_blocked.go): scalar
-// substitution runs only on trsmNB×trsmNB diagonal blocks and the remaining
-// O(n²·rhs) work is packed GEMM. With alpha == 0, B is zero-filled and
-// returned without reading A (matching Gemm's beta == 0 contract).
+// NonUnit). Tiles past trsmNB are solved by recursive halving
+// (trsm_blocked.go): substitution runs only on diagonal blocks of at most
+// trsmNB rows and the remaining O(n²·rhs) work is packed GEMM; the diagonal
+// scales by its reciprocal there, where a small tile's plain substitution
+// divides. With alpha == 0, B is zero-filled and returned without reading A
+// (matching Gemm's beta == 0 contract).
 func Trsm(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b *Tile) {
 	if a.Rows != a.Cols {
 		panic("tile: Trsm needs a square triangular tile")
@@ -311,11 +315,19 @@ func Trsm(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b *Til
 			b.Data[i] *= alpha
 		}
 	}
-	// Work on op(A) directly: for TransT pack the transpose once into a
-	// pooled buffer so every inner loop runs over contiguous rows of the
-	// effective matrix. Transposing a triangular matrix flips its uplo.
-	ad, lda := a.Data, a.Cols
 	effUplo := uplo
+	if trans == TransT {
+		effUplo = uplo.flipped()
+	}
+	if n > trsmNB {
+		trsmBlockedView(side, effUplo, diag, opView{data: a.Data, ld: a.Cols, trans: trans == TransT},
+			n, b.Data, b.Cols, b.Rows, b.Cols)
+		return
+	}
+	// A small tile: plain substitution over op(A) as a dense row-major
+	// matrix — for TransT the transpose, packed once into a pooled buffer so
+	// every inner loop runs over contiguous rows.
+	ad, lda := a.Data, a.Cols
 	if trans == TransT {
 		buf := getPack(n * n)
 		t := buf.Data
@@ -327,11 +339,6 @@ func Trsm(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b *Til
 		}
 		ad, lda = t, n
 		defer putPack(buf)
-		if uplo == Lower {
-			effUplo = Upper
-		} else {
-			effUplo = Lower
-		}
 	}
-	trsmBlockedView(side, effUplo, diag, ad, lda, n, b.Data, b.Cols, b.Rows, b.Cols)
+	trsmScalarView(side, effUplo, diag, ad, lda, n, b.Data, b.Cols, b.Rows, b.Cols)
 }

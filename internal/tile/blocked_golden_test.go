@@ -11,17 +11,21 @@ import (
 // Golden tests for the blocked kernel rewrites against the retained scalar
 // reference kernels (ref_test.go): every side/uplo/trans/diag combination on
 // odd, non-multiple-of-nb sizes that straddle all the blocking boundaries
-// (trsmNB, factorNB, getrfRecCut, syrkBlock, syrkDiagMinDepth, gemmKC), so
-// interior blocks, edge blocks and the scalar fallbacks are all exercised.
-// The references are the exact implementations the blocked code replaced;
-// golden_test.go separately checks both against naive triple loops.
+// (trsmNB, factorRecCut, syrkBlock, syrkDiagMinDepth, gemmKC), so interior
+// blocks, edge blocks and the scalar fallbacks are all exercised, under every
+// microkernel this CPU runs (testKernels). The references are the exact
+// implementations the blocked code replaced; golden_test.go separately checks
+// both against naive triple loops.
 
-// blockedSizes cross every blocking boundary: 1 and 7 purely scalar, 63/65
-// straddle factorNB=48 and syrkBlock=64, 129 crosses multiple trsmNB=24 and
-// factorNB panels, 500 is the paper's tile size (past gemmKC=240 in depth).
-var blockedSizes = []int{1, 7, 63, 65, 129, 500}
+// blockedSizes cross every blocking boundary: 1 and 7 purely scalar; 25 is
+// the first size past trsmNB=24 and splits oddly (16 + 9); 40 splits into
+// two halves that are both substitution bases (24 + 16); 63/65 straddle
+// syrkBlock=64; 129 and 257 recurse several levels and are no multiple of
+// any kernel's nr; 500 is the paper's tile size (past gemmKC=240 in depth).
+var blockedSizes = []int{1, 7, 25, 40, 63, 65, 129, 257, 500}
 
 func TestGoldenTrsmBlockedVsRef(t *testing.T) {
+	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range blockedSizes {
 		m := n/2 + 1 // odd, non-multiple of every block size
@@ -29,27 +33,37 @@ func TestGoldenTrsmBlockedVsRef(t *testing.T) {
 			for _, uplo := range []Uplo{Lower, Upper} {
 				for _, trans := range []Trans{NoTrans, TransT} {
 					for _, diag := range []Diag{NonUnit, Unit} {
-						for _, alpha := range []float64{1.25, 1, 0} {
+						alphas := []float64{1.25, 1, 0}
+						if n > 129 {
+							alphas = alphas[:1] // scaling is size-blind; spare the O(n³) references
+						}
+						for _, alpha := range alphas {
 							a := New(n, n)
 							a.Random(rng)
+							// Neither the triangle uplo does not name nor a
+							// unit diagonal's stored values may be read:
+							// poison both.
 							for i := 0; i < n; i++ {
+								for j := 0; j < n; j++ {
+									if (uplo == Lower && j > i) || (uplo == Upper && j < i) {
+										a.Set(i, j, math.NaN())
+									}
+								}
 								if diag == Unit {
-									// The stored diagonal must be ignored.
-									a.Set(i, i, 1e30)
+									a.Set(i, i, math.NaN())
 								} else {
 									a.Set(i, i, 2+rng.Float64())
 								}
 							}
-							var b *Tile
+							var b0 *Tile
 							if side == Left {
-								b = New(n, m)
+								b0 = New(n, m)
 							} else {
-								b = New(m, n)
+								b0 = New(m, n)
 							}
-							b.Random(rng)
-							want := b.Clone()
+							b0.Random(rng)
+							want := b0.Clone()
 							trsmRef(side, uplo, trans, diag, alpha, a, want)
-							Trsm(side, uplo, trans, diag, alpha, a, b)
 							// Relative bound: triangular solutions can grow
 							// with n, and the two orderings accumulate
 							// roundoff proportional to the solution scale.
@@ -60,9 +74,14 @@ func TestGoldenTrsmBlockedVsRef(t *testing.T) {
 								}
 							}
 							tol := 1e-12 * float64(n) * scale
-							if d := maxAbsDiff(b, want); d > tol || math.IsNaN(d) {
-								t.Fatalf("Trsm(%v,%v,%v,%v) n=%d m=%d alpha=%g: max diff vs reference %g",
-									side, uplo, trans, diag, n, m, alpha, d)
+							for _, mk := range kernels {
+								micro = mk
+								b := b0.Clone()
+								Trsm(side, uplo, trans, diag, alpha, a, b)
+								if d := maxAbsDiff(b, want); d > tol {
+									t.Fatalf("[%s] Trsm(%v,%v,%v,%v) n=%d m=%d alpha=%g: max diff vs reference %g",
+										mk.name, side, uplo, trans, diag, n, m, alpha, d)
+								}
 							}
 						}
 					}
@@ -72,28 +91,41 @@ func TestGoldenTrsmBlockedVsRef(t *testing.T) {
 	}
 }
 
-// TestGoldenTrsmAlphaZero: alpha == 0 must zero-fill B without reading A,
-// even when the old contents of B are non-finite (the Gemm beta == 0
-// contract, which the scale-by-zero path of the reference leaked NaN
-// through).
+// TestGoldenTrsmAlphaZero: alpha == 0 must zero-fill B without reading A —
+// here all NaN — even when the old contents of B are non-finite (the Gemm
+// beta == 0 contract, which the scale-by-zero path of the reference leaked
+// NaN through), on the small path and the recursive one, from both sides.
 func TestGoldenTrsmAlphaZero(t *testing.T) {
-	a := New(65, 65)
-	a.Eye()
-	b := New(65, 33)
-	for i := range b.Data {
-		b.Data[i] = math.NaN()
-	}
-	Trsm(Left, Lower, NoTrans, NonUnit, 0, a, b)
-	for i, v := range b.Data {
-		if v != 0 {
-			t.Fatalf("alpha=0 left B[%d] = %g, want 0", i, v)
+	for _, n := range []int{7, 65} {
+		for _, side := range []Side{Left, Right} {
+			for _, trans := range []Trans{NoTrans, TransT} {
+				a := New(n, n)
+				b := New(n, 33)
+				if side == Right {
+					b = New(33, n)
+				}
+				for _, x := range []*Tile{a, b} {
+					for i := range x.Data {
+						x.Data[i] = math.NaN()
+					}
+				}
+				Trsm(side, Lower, trans, NonUnit, 0, a, b)
+				for i, v := range b.Data {
+					if v != 0 {
+						t.Fatalf("n=%d side=%v trans=%v: alpha=0 left B[%d] = %g, want 0", n, side, trans, i, v)
+					}
+				}
+			}
 		}
 	}
 }
 
 func TestGoldenSyrkBlockedVsRef(t *testing.T) {
+	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(22))
-	for _, n := range blockedSizes {
+	// SYRK's blocking is syrkBlock and gemmKC alone: the sizes blockedSizes
+	// adds for the recursive solves and factorizations buy nothing here.
+	for _, n := range []int{1, 7, 63, 65, 129, 500} {
 		for _, k := range []int{1, 31, 65, 241} {
 			for _, uplo := range []Uplo{Lower, Upper} {
 				for _, trans := range []Trans{NoTrans, TransT} {
@@ -104,14 +136,19 @@ func TestGoldenSyrkBlockedVsRef(t *testing.T) {
 							a = New(k, n)
 						}
 						a.Random(rng)
-						c := New(n, n)
-						c.Random(rng)
-						want := c.Clone()
-						syrkRef(uplo, trans, alpha, a, beta, want)
-						Syrk(uplo, trans, alpha, a, beta, c)
-						if d := maxAbsDiff(c, want); d > 1e-12*float64(k+1) || math.IsNaN(d) {
-							t.Fatalf("Syrk(%v,%v) n=%d k=%d alpha=%g beta=%g: max diff vs reference %g",
-								uplo, trans, n, k, alpha, beta, d)
+						c0 := New(n, n)
+						c0.Random(rng)
+						for _, mk := range kernels {
+							// syrkRef's rectangles run the packed GEMM too:
+							// reference and rewrite share the kernel.
+							micro = mk
+							want, c := c0.Clone(), c0.Clone()
+							syrkRef(uplo, trans, alpha, a, beta, want)
+							Syrk(uplo, trans, alpha, a, beta, c)
+							if d := maxAbsDiff(c, want); d > 1e-12*float64(k+1) {
+								t.Fatalf("[%s] Syrk(%v,%v) n=%d k=%d alpha=%g beta=%g: max diff vs reference %g",
+									mk.name, uplo, trans, n, k, alpha, beta, d)
+							}
 						}
 					}
 				}
@@ -121,44 +158,54 @@ func TestGoldenSyrkBlockedVsRef(t *testing.T) {
 }
 
 func TestGoldenGetrfBlockedVsRef(t *testing.T) {
+	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range blockedSizes {
-		a := domTile(rng, n)
-		want := a.Clone()
+		orig := domTile(rng, n)
+		want := orig.Clone()
 		if err := getrfRef(want); err != nil {
 			t.Fatalf("n=%d: reference: %v", n, err)
 		}
-		if err := Getrf(a); err != nil {
-			t.Fatalf("n=%d: blocked: %v", n, err)
-		}
-		// Diagonally dominant input: both factorizations are stable and the
-		// factors agree to roundoff accumulated over n updates.
-		if d := maxAbsDiff(a, want); d > 1e-11*float64(n+1) || math.IsNaN(d) {
-			t.Fatalf("Getrf n=%d: max factor diff vs reference %g", n, d)
+		for _, mk := range kernels {
+			micro = mk
+			a := orig.Clone()
+			if err := Getrf(a); err != nil {
+				t.Fatalf("[%s] n=%d: blocked: %v", mk.name, n, err)
+			}
+			// Diagonally dominant input: both factorizations are stable and
+			// the factors agree to roundoff accumulated over n updates.
+			if d := maxAbsDiff(a, want); d > 1e-11*float64(n+1) {
+				t.Fatalf("[%s] Getrf n=%d: max factor diff vs reference %g", mk.name, n, d)
+			}
 		}
 	}
 }
 
 func TestGoldenPotrfBlockedVsRef(t *testing.T) {
+	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range blockedSizes {
-		a := spdTile(rng, n)
-		orig := a.Clone()
-		want := a.Clone()
+		orig := spdTile(rng, n)
+		want := orig.Clone()
 		if err := potrfRef(want); err != nil {
 			t.Fatalf("n=%d: reference: %v", n, err)
 		}
-		if err := Potrf(a); err != nil {
-			t.Fatalf("n=%d: blocked: %v", n, err)
-		}
-		if d := maxAbsDiff(a, want); d > 1e-11*float64(n+1) || math.IsNaN(d) {
-			t.Fatalf("Potrf n=%d: max factor diff vs reference %g", n, d)
-		}
-		// The strictly upper triangle must be untouched by the blocked paths.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if a.At(i, j) != orig.At(i, j) {
-					t.Fatalf("Potrf n=%d: modified upper element (%d,%d)", n, i, j)
+		for _, mk := range kernels {
+			micro = mk
+			a := orig.Clone()
+			if err := Potrf(a); err != nil {
+				t.Fatalf("[%s] n=%d: blocked: %v", mk.name, n, err)
+			}
+			if d := maxAbsDiff(a, want); d > 1e-11*float64(n+1) {
+				t.Fatalf("[%s] Potrf n=%d: max factor diff vs reference %g", mk.name, n, d)
+			}
+			// The strictly upper triangle must be untouched by the blocked
+			// paths.
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if a.At(i, j) != orig.At(i, j) {
+						t.Fatalf("[%s] Potrf n=%d: modified upper element (%d,%d)", mk.name, n, i, j)
+					}
 				}
 			}
 		}
@@ -168,7 +215,7 @@ func TestGoldenPotrfBlockedVsRef(t *testing.T) {
 // TestBlockedFactorErrorOffsets: a failure deep inside a later panel must
 // report the *global* pivot/minor index, not the panel-local one.
 func TestBlockedFactorErrorOffsets(t *testing.T) {
-	n := 129 // three factorNB panels
+	n := 129 // recursion several levels deep
 	a := New(n, n)
 	a.Eye()
 	for i := 0; i < n; i++ {

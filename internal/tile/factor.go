@@ -23,15 +23,15 @@ var ErrShape = errors.New("tile: invalid tile shape")
 // triangle of A holds L; the strictly upper triangle is left untouched.
 // This is the diagonal-tile kernel of the tiled Cholesky factorization.
 //
-// The implementation is blocked (factor_blocked.go): scalar Cholesky runs
-// only on factorNB-wide diagonal blocks; the panel solve goes through the
-// blocked TRSM and the trailing update through the packed SYRK/GEMM
-// microkernel machinery.
+// The implementation is recursive (factor_blocked.go): scalar Cholesky runs
+// only on diagonal blocks of at most factorRecCut rows; the off-diagonal
+// solve goes through the blocked TRSM and the trailing update through the
+// packed SYRK/GEMM microkernel machinery.
 func Potrf(a *Tile) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("%w: Potrf needs a square tile, got %dx%d", ErrShape, a.Rows, a.Cols)
 	}
-	return potrfBlocked(a)
+	return potrfView(a.Data, a.Cols, a.Rows, 0)
 }
 
 // Getrf computes the unpivoted LU factorization A = L·U in place: on return
@@ -40,14 +40,15 @@ func Potrf(a *Tile) error {
 // analysis covers the right-looking unpivoted variant; callers must supply
 // matrices for which pivoting is unnecessary (e.g. diagonally dominant).
 //
-// The implementation is blocked (factor_blocked.go): a recursive scalar
-// panel factorization, a blocked-TRSM row-panel solve, and a packed-GEMM
-// trailing update carry the O(n³) bulk at the microkernel's rate.
+// The implementation is recursive (factor_blocked.go): scalar LU runs only on
+// diagonal blocks of at most factorRecCut rows; two blocked-TRSM solves and a
+// packed-GEMM trailing update per split carry the O(n³) bulk at the
+// microkernel's rate.
 func Getrf(a *Tile) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("%w: Getrf needs a square tile, got %dx%d", ErrShape, a.Rows, a.Cols)
 	}
-	return getrfBlocked(a)
+	return getrfView(a.Data, a.Cols, a.Rows, 0)
 }
 
 // Flops returns the floating-point operation counts of the four kernels for

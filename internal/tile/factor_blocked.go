@@ -5,89 +5,61 @@ import (
 	"math"
 )
 
-// Blocked LAPACK-style panel factorizations. Both kernels process the tile in
-// factorNB-wide steps: a narrow panel is factored by (recursive) scalar code,
-// the row/column panel is solved by the blocked TRSM, and the trailing
-// submatrix — where all the O(n³) work lives — is updated through the packed
-// GEMM microkernel (gemmView) or, for Cholesky, the SYRK view that itself
-// routes its rectangle through gemmView.
+// Recursive factorizations. Unpivoted LU and Cholesky need no tall panel —
+// nothing is searched for down a column — so both split the square tile in
+// two on the diagonal: factor the leading block, solve the off-diagonal
+// blocks against it with the blocked TRSM, update the trailing block through
+// the packed GEMM (gemmView) or the SYRK view that routes its rectangles
+// through it, and factor the trailing block. Every flop outside the
+// factorRecCut-sized diagonal blocks runs in a TRSM or GEMM as large as the
+// split allows.
 
-// factorNB is the panel width of the blocked GETRF/POTRF. With nb ≪ n the
-// scalar share of the work is O(nb·n²) against the O(n³) microkernel bulk;
-// 48 measured best at the paper's tile size (64 and 96 are within a few
-// percent, narrower panels start starving the trailing GEMM of depth).
-const factorNB = 48
+// factorRecCut is the diagonal block size at which the recursion stops and
+// the scalar loops take over.
+const factorRecCut = 16
 
-// getrfRecCut is the panel width below which the recursive LU panel
-// factorization switches to the plain scalar loops.
-const getrfRecCut = 16
+// splitPoint halves n on a multiple of 8, so the blocks of a recursive
+// factorization or solve meet on a microkernel strip.
+func splitPoint(n int) int { return (n/2 + 7) &^ 7 }
 
-// getrfBlocked is the blocked right-looking unpivoted LU driver behind Getrf.
-func getrfBlocked(a *Tile) error {
-	n := a.Rows
-	ad, lda := a.Data, a.Cols
-	for k := 0; k < n; k += factorNB {
-		kb := factorNB
-		if kb > n-k {
-			kb = n - k
-		}
-		// Factor the tall (n-k)×kb panel in place.
-		if err := getrfPanelView(ad[k*lda+k:], lda, n-k, kb, k); err != nil {
-			return err
-		}
-		if k+kb < n {
-			// Row panel: A[k:k+kb, k+kb:n] = L11⁻¹ · A[k:k+kb, k+kb:n].
-			trsmBlockedView(Left, Lower, Unit, ad[k*lda+k:], lda, kb,
-				ad[k*lda+k+kb:], lda, kb, n-k-kb)
-			// Trailing update: A22 -= A21 · A12, the microkernel bulk.
-			gemmView(-1,
-				opView{data: ad[(k+kb)*lda+k:], ld: lda},
-				opView{data: ad[k*lda+k+kb:], ld: lda},
-				n-k-kb, n-k-kb, kb, ad[(k+kb)*lda+k+kb:], lda)
-		}
+// getrfView is the recursive unpivoted LU behind Getrf, over the n×n view
+// ad/lda. off is the global pivot offset for error reporting.
+func getrfView(ad []float64, lda, n, off int) error {
+	if n <= factorRecCut {
+		return getrfScalarView(ad, lda, n, off)
 	}
-	return nil
-}
-
-// getrfPanelView factors the rows×cols (rows ≥ cols) panel at ad/lda by
-// recursive halving, so even the panel's own O(rows·cols²) bulk runs as
-// packed GEMM. off is the global pivot offset for error reporting.
-func getrfPanelView(ad []float64, lda, rows, cols, off int) error {
-	if cols <= getrfRecCut {
-		return getrfScalarView(ad, lda, rows, cols, off)
-	}
-	c1 := cols / 2
-	if err := getrfPanelView(ad, lda, rows, c1, off); err != nil {
+	n1 := splitPoint(n)
+	n2 := n - n1
+	if err := getrfView(ad, lda, n1, off); err != nil {
 		return err
 	}
-	// A01 = L00⁻¹ · A01 over the factored left half's unit-lower triangle.
-	trsmScalarView(Left, Lower, Unit, ad, lda, c1, ad[c1:], lda, c1, cols-c1)
-	// A11 -= A10 · A01 (rows ≥ cols > c1, so the trailing block is nonempty).
-	gemmView(-1,
-		opView{data: ad[c1*lda:], ld: lda},
-		opView{data: ad[c1:], ld: lda},
-		rows-c1, cols-c1, c1, ad[c1*lda+c1:], lda)
-	return getrfPanelView(ad[c1*lda+c1:], lda, rows-c1, cols-c1, off+c1)
+	a11 := opView{data: ad, ld: lda}
+	a12, a21, a22 := ad[n1:], ad[n1*lda:], ad[n1*lda+n1:]
+	// A12 = L11⁻¹·A12 and A21 = A21·U11⁻¹, then A22 −= A21·A12.
+	trsmBlockedView(Left, Lower, Unit, a11, n1, a12, lda, n1, n2)
+	trsmBlockedView(Right, Upper, NonUnit, a11, n1, a21, lda, n2, n1)
+	gemmView(-1, opView{data: a21, ld: lda}, opView{data: a12, ld: lda}, n2, n2, n1, a22, lda)
+	return getrfView(a22, lda, n2, off+n1)
 }
 
-// getrfScalarView is the scalar right-looking LU of a rows×cols (rows ≥ cols)
-// panel — the innermost factorization the blocked/recursive drivers bottom
-// out in, and (over a full square view) the original unblocked kernel.
-func getrfScalarView(ad []float64, lda, rows, cols, off int) error {
-	for k := 0; k < cols; k++ {
+// getrfScalarView is the scalar right-looking LU of the n×n diagonal block at
+// ad/lda the recursion bottoms out in — and, over a full view, the original
+// unblocked kernel.
+func getrfScalarView(ad []float64, lda, n, off int) error {
+	for k := 0; k < n; k++ {
 		p := ad[k*lda+k]
 		if p == 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 			return fmt.Errorf("%w (step %d, pivot %g)", ErrZeroPivot, off+k+1, p)
 		}
-		ak := ad[k*lda : k*lda+cols]
-		for i := k + 1; i < rows; i++ {
-			ai := ad[i*lda : i*lda+cols]
+		ak := ad[k*lda : k*lda+n]
+		for i := k + 1; i < n; i++ {
+			ai := ad[i*lda : i*lda+n]
 			f := ai[k] / p
 			ai[k] = f
 			if f == 0 {
 				continue
 			}
-			for j := k + 1; j < cols; j++ {
+			for j := k + 1; j < n; j++ {
 				ai[j] -= f * ak[j]
 			}
 		}
@@ -95,66 +67,49 @@ func getrfScalarView(ad []float64, lda, rows, cols, off int) error {
 	return nil
 }
 
-// potrfBlocked is the blocked right-looking Cholesky driver behind Potrf.
-// Only the lower triangle is read and written.
-func potrfBlocked(a *Tile) error {
-	n := a.Rows
-	ad, lda := a.Data, a.Cols
-	for k := 0; k < n; k += factorNB {
-		kb := factorNB
-		if kb > n-k {
-			kb = n - k
-		}
-		if err := potrfScalarView(ad[k*lda+k:], lda, kb, k); err != nil {
-			return err
-		}
-		if k+kb < n {
-			// Column panel: A[k+kb:n, k:k+kb] = A[k+kb:n, k:k+kb] · L11⁻ᵀ.
-			// Transpose the freshly factored diagonal block into a pooled
-			// buffer so the solve runs on an effective upper triangle with
-			// contiguous rows.
-			buf := getPack(kb * kb)
-			t := buf.Data
-			diagBase := ad[k*lda+k:]
-			for i := 0; i < kb; i++ {
-				for j := 0; j <= i; j++ {
-					t[j*kb+i] = diagBase[i*lda+j]
-				}
-			}
-			trsmBlockedView(Right, Upper, NonUnit, t, kb, kb,
-				ad[(k+kb)*lda+k:], lda, n-k-kb, kb)
-			putPack(buf)
-			// Trailing update: A22 -= P·Pᵀ on the lower triangle, through the
-			// SYRK view (off-diagonal rectangles are packed GEMM).
-			syrkView(Lower, -1, ad[(k+kb)*lda+k:], lda, n-k-kb, kb,
-				ad[(k+kb)*lda+k+kb:], lda)
-		}
+// potrfView is the recursive Cholesky behind Potrf, over the n×n view
+// ad/lda. Only the lower triangle is read and written. off is the global
+// leading-minor offset for error reporting.
+func potrfView(ad []float64, lda, n, off int) error {
+	if n <= factorRecCut {
+		return potrfScalarView(ad, lda, n, off)
 	}
-	return nil
+	n1 := splitPoint(n)
+	n2 := n - n1
+	if err := potrfView(ad, lda, n1, off); err != nil {
+		return err
+	}
+	a21, a22 := ad[n1*lda:], ad[n1*lda+n1:]
+	// A21 = A21·L11⁻ᵀ — the upper triangle L11ᵀ is the transposed view of the
+	// factored leading block — then A22 −= A21·A21ᵀ on the lower triangle.
+	trsmBlockedView(Right, Upper, NonUnit, opView{data: ad, ld: lda, trans: true}, n1, a21, lda, n2, n1)
+	syrkView(Lower, -1, a21, lda, n2, n1, a22, lda)
+	return potrfView(a22, lda, n2, off+n1)
 }
 
 // potrfScalarView is the scalar Cholesky of the nb×nb diagonal block at
 // ad/lda (lower triangle only) — and, over a full view, the original
-// unblocked kernel. off is the global leading-minor offset for errors.
+// unblocked kernel — row by row: L[i][j] is A[i][j] less the dot product of
+// the finished parts of rows i and j, so every inner loop runs along two
+// contiguous rows and nothing strides down a column. off is the global
+// leading-minor offset for errors.
 func potrfScalarView(ad []float64, lda, nb, off int) error {
-	for k := 0; k < nb; k++ {
-		d := ad[k*lda+k]
-		if d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-			return fmt.Errorf("%w (leading minor %d, pivot %g)", ErrNotPositiveDefinite, off+k+1, d)
-		}
-		d = math.Sqrt(d)
-		ad[k*lda+k] = d
-		for i := k + 1; i < nb; i++ {
-			ad[i*lda+k] /= d
-		}
-		for j := k + 1; j < nb; j++ {
-			f := ad[j*lda+k]
-			if f == 0 {
+	for i := 0; i < nb; i++ {
+		ri := ad[i*lda : i*lda+i+1]
+		for j := 0; j <= i; j++ {
+			rj := ad[j*lda : j*lda+j+1]
+			s := ri[j]
+			for l, v := range rj[:j] {
+				s -= ri[l] * v
+			}
+			if j < i {
+				ri[j] = s / rj[j]
 				continue
 			}
-			for i := j; i < nb; i++ {
-				ad[i*lda+j] -= ad[i*lda+k] * f
+			if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+				return fmt.Errorf("%w (leading minor %d, pivot %g)", ErrNotPositiveDefinite, off+i+1, s)
 			}
+			ri[i] = math.Sqrt(s)
 		}
 	}
 	return nil

@@ -3,17 +3,54 @@ package tile
 // Cache blocking parameters of the panel-blocked GEMM. One packed B panel is
 // gemmKC×n (streamed once per k-panel), one packed A panel is gemmMC×gemmKC
 // and stays L2-resident while the microkernel sweeps the B panel. The
-// microkernel tile itself is gemmMR×gemmNR (per-architecture constants, see
-// kernel_*.go) and accumulates in registers over the full panel depth.
+// microkernel tile itself is micro.mr×micro.nr — the shape of the kernel
+// selected at start-up, see microKernel — and accumulates in registers over
+// the full panel depth.
 const (
-	gemmMC = 64  // rows of op(A) per packed panel
+	gemmMC = 64  // rows of op(A) per packed panel; a multiple of every kernel's mr
 	gemmKC = 240 // panel depth shared by the packed A and B panels
 )
 
-// gemmSmallDim: below this m·n·k volume the packing overhead outweighs the
-// microkernel's throughput and the direct loops win (empirically ~24³ on
-// amd64; the distributed tests run tiles as small as 4×4).
-const gemmSmallVolume = 24 * 24 * 24
+// gemmSmallVolume: below this m·n·k volume the packing overhead outweighs the
+// microkernel's throughput and the direct loops win (the distributed tests
+// run tiles as small as 4×4). One constant for every kernel: on square b×b×b
+// updates the packed path takes over between b=12 and b=16 under the 4×8 and
+// the 8×16 kernel alike (b=8: 0.53 µs direct against 0.38 / 0.82 µs packed;
+// b=12: 1.6 against 1.7 / 1.2; b=16: 3.6 against 0.8 / 0.6; b=24: 11.5
+// against 2.0 / 2.6 — a tile narrower than the kernel is all edge).
+const gemmSmallVolume = 16 * 16 * 16
+
+// microKernel is one register-tiled block update of the packed GEMM,
+// C[0:mr][0:nr] += alpha · Σ_l ap[l·mr+r] · bp[l·nr+c] over depth kb, where C
+// starts at c[0] with leading dimension ldc. ap is an mr-interleaved packed A
+// strip, bp an nr-interleaved packed B strip (packStrips). Each
+// architecture lists its kernels in microKernels (kernel_*.go), widest first.
+type microKernel struct {
+	name      string
+	mr, nr    int
+	run       func(ap, bp []float64, kb int, alpha float64, c []float64, ldc int)
+	supported bool // by this CPU and OS, probed once at start-up
+	vector    bool // the CPU also runs the vector helpers beside it (solveRow, transposeVec)
+}
+
+// micro is the kernel every packed GEMM runs: the first supported entry of
+// microKernels. It is a function of the CPU alone and is assigned once, here;
+// the tests reassign it to run every supported kernel on the same box.
+var micro = widestMicroKernel()
+
+func widestMicroKernel() microKernel {
+	for _, k := range microKernels {
+		if k.supported {
+			return k
+		}
+	}
+	panic("tile: no supported microkernel") // every table ends in a scalar entry
+}
+
+// MicroKernelName identifies the GEMM microkernel selected at start-up, for
+// benchmark metadata: results are only comparable across boxes that ran the
+// same kernel.
+func MicroKernelName() string { return micro.name }
 
 // opView is a read-only view of op(X) for a row-major operand X: plain
 // (i,j) ↦ data[i*ld+j] access, or the transposed view (i,j) ↦ data[j*ld+i].
@@ -22,6 +59,24 @@ type opView struct {
 	data  []float64
 	ld    int
 	trans bool
+}
+
+// at returns the offset of op(X)[i][j] in the view's data.
+func (v opView) at(i, j int) int {
+	if v.trans {
+		return j*v.ld + i
+	}
+	return i*v.ld + j
+}
+
+// sub returns the view of op(X)[i:, j:].
+func (v opView) sub(i, j int) opView {
+	return opView{data: v.data[v.at(i, j):], ld: v.ld, trans: v.trans}
+}
+
+// transposed returns the view of op(X)ᵀ.
+func (v opView) transposed() opView {
+	return opView{data: v.data, ld: v.ld, trans: !v.trans}
 }
 
 // packPool recycles pack/transpose scratch through the shape-keyed tile pool
@@ -36,88 +91,35 @@ func getPack(n int) *Tile { return packPool.Get(1, n) }
 
 func putPack(t *Tile) { packPool.Put(t) }
 
-// packA writes rows [ii, ii+ib) × depth [kk, kk+kb) of op(A) into dst as
-// gemmMR-row strips: strip s holds rows ii+s·MR .. interleaved by depth,
-// dst[s·MR·kb + l·MR + r] = op(A)[ii+s·MR+r][kk+l], zero-padded to full
-// strips so the microkernel never reads past the matrix edge.
-func packA(dst []float64, a opView, ii, ib, kk, kb int) {
-	idx := 0
-	for i0 := 0; i0 < ib; i0 += gemmMR {
-		rows := ib - i0
-		if rows > gemmMR {
-			rows = gemmMR
-		}
-		if !a.trans {
-			for r := 0; r < rows; r++ {
-				src := a.data[(ii+i0+r)*a.ld+kk : (ii+i0+r)*a.ld+kk+kb]
-				d := idx + r
-				for l := 0; l < kb; l++ {
-					dst[d] = src[l]
-					d += gemmMR
-				}
-			}
-			if rows < gemmMR {
-				for l := 0; l < kb; l++ {
-					for r := rows; r < gemmMR; r++ {
-						dst[idx+l*gemmMR+r] = 0
-					}
-				}
-			}
-		} else {
+// packStrips writes rows [i0, i0+cnt) × depth [kk, kk+kb) of op(X) into dst
+// as w-row strips interleaved by depth: strip s holds rows i0+s·w ..,
+// dst[s·w·kb + l·w + r] = op(X)[i0+s·w+r][kk+l], zero-padded to full strips so
+// the microkernel never reads past the matrix edge. With w = mr this is the
+// packed A panel; the packed B panel (nr-column strips of op(B), interleaved
+// by depth) is the same layout of op(B)ᵀ's rows, so gemmView packs both here.
+func packStrips(dst []float64, x opView, i0, cnt, kk, kb, w int) {
+	for ; cnt > 0; i0, cnt = i0+w, cnt-w {
+		strip := dst[:kb*w]
+		dst = dst[kb*w:]
+		rows := min(cnt, w)
+		if x.trans {
+			// op(X) rows run down the columns of X: each depth step copies
+			// one contiguous run of X's row kk+l.
 			for l := 0; l < kb; l++ {
-				src := a.data[(kk+l)*a.ld+ii+i0 : (kk+l)*a.ld+ii+i0+rows]
-				d := idx + l*gemmMR
-				for r := 0; r < rows; r++ {
-					dst[d+r] = src[r]
-				}
-				for r := rows; r < gemmMR; r++ {
-					dst[d+r] = 0
-				}
+				d := strip[l*w : l*w+w]
+				copy(d, x.data[(kk+l)*x.ld+i0:(kk+l)*x.ld+i0+rows])
+				clear(d[rows:])
 			}
+			continue
 		}
-		idx += kb * gemmMR
-	}
-}
-
-// packB writes depth [kk, kk+kb) × all n columns of op(B) into dst as
-// gemmNR-column strips: dst[t·NR·kb + l·NR + c] = op(B)[kk+l][t·NR+c],
-// zero-padded on the last strip.
-func packB(dst []float64, b opView, kk, kb, n int) {
-	idx := 0
-	for j0 := 0; j0 < n; j0 += gemmNR {
-		cols := n - j0
-		if cols > gemmNR {
-			cols = gemmNR
-		}
-		if !b.trans {
+		// op(X) rows are X's rows, contiguous along the depth: the strip is
+		// their transpose.
+		transposeInto(strip, w, x.data[i0*x.ld+kk:], x.ld, rows, kb)
+		if rows < w {
 			for l := 0; l < kb; l++ {
-				src := b.data[(kk+l)*b.ld+j0 : (kk+l)*b.ld+j0+cols]
-				d := idx + l*gemmNR
-				for c := 0; c < cols; c++ {
-					dst[d+c] = src[c]
-				}
-				for c := cols; c < gemmNR; c++ {
-					dst[d+c] = 0
-				}
-			}
-		} else {
-			for c := 0; c < cols; c++ {
-				src := b.data[(j0+c)*b.ld+kk : (j0+c)*b.ld+kk+kb]
-				d := idx + c
-				for l := 0; l < kb; l++ {
-					dst[d] = src[l]
-					d += gemmNR
-				}
-			}
-			if cols < gemmNR {
-				for l := 0; l < kb; l++ {
-					for c := cols; c < gemmNR; c++ {
-						dst[idx+l*gemmNR+c] = 0
-					}
-				}
+				clear(strip[l*w+rows : l*w+w])
 			}
 		}
-		idx += kb * gemmNR
 	}
 }
 
@@ -130,8 +132,9 @@ func packB(dst []float64, b opView, kk, kb, n int) {
 // on its StarPU worker: a run's parallelism is its P × Workers kernel
 // callers, and a kernel never adds to it.
 func gemmView(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int) {
-	nStrips := (n + gemmNR - 1) / gemmNR
-	bp := getPack(gemmKC * nStrips * gemmNR)
+	mk := &micro
+	nStrips := (n + mk.nr - 1) / mk.nr
+	bp := getPack(gemmKC * nStrips * mk.nr)
 	defer putPack(bp)
 	ap := getPack(gemmMC * gemmKC)
 	defer putPack(ap)
@@ -140,14 +143,14 @@ func gemmView(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int)
 		if kb > gemmKC {
 			kb = gemmKC
 		}
-		packB(bp.Data, b, kk, kb, n)
+		packStrips(bp.Data, b.transposed(), 0, n, kk, kb, mk.nr)
 		for ii := 0; ii < m; ii += gemmMC {
 			ib := m - ii
 			if ib > gemmMC {
 				ib = gemmMC
 			}
-			packA(ap.Data, a, ii, ib, kk, kb)
-			gemmPanelSweep(alpha, ap.Data, bp.Data, ii, ib, kb, n, cdata, ldc)
+			packStrips(ap.Data, a, ii, ib, kk, kb, mk.mr)
+			gemmPanelSweep(mk, alpha, ap.Data, bp.Data, ii, ib, kb, n, cdata, ldc)
 		}
 	}
 }
@@ -155,60 +158,53 @@ func gemmView(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int)
 // gemmPanelSweep runs the microkernel over one packed A panel (rows
 // [ii, ii+ib), depth kb) against the full packed B panel, accumulating into
 // C rows [ii, ii+ib).
-func gemmPanelSweep(alpha float64, ap, bp []float64, ii, ib, kb, n int, cdata []float64, ldc int) {
-	for i0 := 0; i0 < ib; i0 += gemmMR {
+func gemmPanelSweep(mk *microKernel, alpha float64, ap, bp []float64, ii, ib, kb, n int, cdata []float64, ldc int) {
+	mr, nr := mk.mr, mk.nr
+	for i0 := 0; i0 < ib; i0 += mr {
 		rows := ib - i0
-		if rows > gemmMR {
-			rows = gemmMR
+		if rows > mr {
+			rows = mr
 		}
 		aps := ap[i0*kb:]
-		for j0 := 0; j0 < n; j0 += gemmNR {
+		for j0 := 0; j0 < n; j0 += nr {
 			cols := n - j0
-			if cols > gemmNR {
-				cols = gemmNR
+			if cols > nr {
+				cols = nr
 			}
 			bps := bp[j0*kb:]
-			if rows == gemmMR && cols == gemmNR {
-				microKernel(aps, bps, kb, alpha, cdata[(ii+i0)*ldc+j0:], ldc)
-			} else {
-				// Edge tile: compute into a zeroed scratch block and
-				// fold only the in-bounds part into C.
-				var scratch [gemmMR * gemmNR]float64
-				microKernel(aps, bps, kb, alpha, scratch[:], gemmNR)
-				for r := 0; r < rows; r++ {
-					crow := cdata[(ii+i0+r)*ldc+j0 : (ii+i0+r)*ldc+j0+cols]
-					srow := scratch[r*gemmNR : r*gemmNR+cols]
-					for c := range crow {
-						crow[c] += srow[c]
-					}
-				}
+			if rows == mr && cols == nr {
+				mk.run(aps, bps, kb, alpha, cdata[(ii+i0)*ldc+j0:], ldc)
+				continue
+			}
+			// Edge tile: the kernel updates a full mr×nr scratch copy of the
+			// in-bounds part of C, which is then stored back — the same
+			// operations on every element as an interior tile's, so a C
+			// element's bits do not depend on which kernel shape made it an
+			// edge.
+			var scratch [microTileMax]float64
+			for r := 0; r < rows; r++ {
+				copy(scratch[r*nr:r*nr+cols], cdata[(ii+i0+r)*ldc+j0:])
+			}
+			mk.run(aps, bps, kb, alpha, scratch[:], nr)
+			for r := 0; r < rows; r++ {
+				copy(cdata[(ii+i0+r)*ldc+j0:(ii+i0+r)*ldc+j0+cols], scratch[r*nr:])
 			}
 		}
 	}
 }
 
-// microScalar is the architecture-independent microkernel: a plain-Go
-// gemmMR×gemmNR register block over the packed strips. The asm kernels
-// replace it where available; it also serves the edge cases of archs whose
-// preferred shape has no scalar specialization.
-func microScalar(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
-	var acc [gemmMR * gemmNR]float64
-	for l := 0; l < kb; l++ {
-		as := ap[l*gemmMR : l*gemmMR+gemmMR : l*gemmMR+gemmMR]
-		bs := bp[l*gemmNR : l*gemmNR+gemmNR : l*gemmNR+gemmNR]
-		for r := 0; r < gemmMR; r++ {
-			ar := as[r]
-			row := acc[r*gemmNR : r*gemmNR+gemmNR : r*gemmNR+gemmNR]
-			for j := 0; j < gemmNR; j++ {
-				row[j] += ar * bs[j]
-			}
+// transposeInto writes the transpose of the rows×cols row-major block src
+// (leading dimension lds) into dst (leading dimension ldd):
+// dst[c·ldd+r] = src[r·lds+c].
+func transposeInto(dst []float64, ldd int, src []float64, lds, rows, cols int) {
+	r4, c4 := transposeVec(dst, ldd, src, lds, rows, cols)
+	for r := 0; r < rows; r++ {
+		c := 0
+		if r < r4 {
+			c = c4
 		}
-	}
-	for r := 0; r < gemmMR; r++ {
-		crow := c[r*ldc : r*ldc+gemmNR : r*ldc+gemmNR]
-		row := acc[r*gemmNR : r*gemmNR+gemmNR : r*gemmNR+gemmNR]
-		for j := 0; j < gemmNR; j++ {
-			crow[j] += alpha * row[j]
+		for ; c < cols; c++ {
+			dst[c*ldd+r] = src[r*lds+c]
 		}
 	}
 }

@@ -9,10 +9,12 @@ import (
 // Golden tests for the blocked kernel rewrites: every Gemm/Syrk/Trsm variant
 // on non-square and odd-sized tiles, compared element-wise against the
 // straightforward triple-loop references below. The sizes deliberately cross
-// the blocking boundaries (gemmMR/gemmNR strips, gemmMC row panels, gemmKC
-// depth panels, syrkBlock columns, trsmRB rows) so edge and interior paths
-// are both exercised — the blocked implementations cannot silently change
-// numerics without failing here.
+// the blocking boundaries (every microkernel's mr/nr strips, gemmMC row
+// panels, gemmKC depth panels, syrkBlock columns, trsmRB rows) so edge and
+// interior paths are both exercised — the blocked implementations cannot
+// silently change numerics without failing here. Each case is computed under
+// every microkernel this CPU runs (testKernels), not only the one start-up
+// selected.
 
 // naiveSyrk is the reference three-loop rank-k update, writing only the uplo
 // triangle.
@@ -123,10 +125,17 @@ func naiveTrsm(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b
 	return x
 }
 
+// maxAbsDiff is the largest element-wise distance between got and want; a
+// NaN on one side alone is an infinite distance, so no tolerance lets a
+// leaked NaN through.
 func maxAbsDiff(got, want *Tile) float64 {
 	m := 0.0
 	for i := range got.Data {
-		if d := math.Abs(got.Data[i] - want.Data[i]); d > m {
+		d := math.Abs(got.Data[i] - want.Data[i])
+		if math.IsNaN(d) {
+			return math.Inf(1)
+		}
+		if d > m {
 			m = d
 		}
 	}
@@ -137,10 +146,12 @@ func maxAbsDiff(got, want *Tile) float64 {
 // straddle the panel boundaries, with accumulating, scaling and overwriting
 // beta values.
 func TestGoldenGemm(t *testing.T) {
+	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{
-		{1, 1, 1}, {3, 5, 7}, {23, 24, 25}, // below the small-path cutoff
-		{33, 17, 9}, {64, 8, 241}, // crossing gemmMR/gemmNR/gemmKC edges
+		{1, 1, 1}, {3, 5, 7}, {15, 16, 17}, // below the small-path cutoff
+		{16, 16, 16}, {23, 24, 25}, // just past it
+		{33, 17, 9}, {64, 8, 241}, // crossing mr/nr/gemmKC edges
 		{67, 45, 251},  // odd everything, k past one KC panel
 		{130, 257, 65}, // m past two MC panels, n past many strips
 		{5, 300, 300}, {300, 5, 300},
@@ -161,13 +172,17 @@ func TestGoldenGemm(t *testing.T) {
 					}
 					a.Random(rng)
 					b.Random(rng)
-					c := New(m, n)
-					c.Random(rng)
-					want := naiveGemm(ta, tb, alpha, a, b, beta, c)
-					Gemm(ta, tb, alpha, a, b, beta, c)
-					if d := maxAbsDiff(c, want); d > 1e-12*float64(k+1) {
-						t.Fatalf("Gemm(%v,%v) m=%d n=%d k=%d alpha=%g beta=%g: max diff %g",
-							ta, tb, m, n, k, alpha, beta, d)
+					c0 := New(m, n)
+					c0.Random(rng)
+					want := naiveGemm(ta, tb, alpha, a, b, beta, c0)
+					for _, mk := range kernels {
+						micro = mk
+						c := c0.Clone()
+						Gemm(ta, tb, alpha, a, b, beta, c)
+						if d := maxAbsDiff(c, want); d > 1e-12*float64(k+1) {
+							t.Fatalf("[%s] Gemm(%v,%v) m=%d n=%d k=%d alpha=%g beta=%g: max diff %g",
+								mk.name, ta, tb, m, n, k, alpha, beta, d)
+						}
 					}
 				}
 			}
@@ -179,26 +194,30 @@ func TestGoldenGemm(t *testing.T) {
 // contents are NaN/Inf (the 0·NaN bug the zero-fill path fixes), on both the
 // small and the blocked path.
 func TestGoldenGemmBetaZeroNaN(t *testing.T) {
+	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(12))
 	for _, s := range [][3]int{{4, 4, 4}, {67, 45, 251}} {
 		m, n, k := s[0], s[1], s[2]
 		a, b := New(m, k), New(k, n)
 		a.Random(rng)
 		b.Random(rng)
-		c := New(m, n)
-		for i := range c.Data {
-			c.Data[i] = math.NaN()
-		}
-		c.Set(0, 0, math.Inf(1))
 		zero := New(m, n)
 		want := naiveGemm(NoTrans, NoTrans, 1.5, a, b, 0, zero)
-		Gemm(NoTrans, NoTrans, 1.5, a, b, 0, c)
-		for i, v := range c.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("m=%d: beta=0 leaked non-finite old C at %d", m, i)
+		for _, mk := range kernels {
+			micro = mk
+			c := New(m, n)
+			for i := range c.Data {
+				c.Data[i] = math.NaN()
 			}
-			if math.Abs(v-want.Data[i]) > 1e-12*float64(k) {
-				t.Fatalf("m=%d: beta=0 wrong value at %d", m, i)
+			c.Set(0, 0, math.Inf(1))
+			Gemm(NoTrans, NoTrans, 1.5, a, b, 0, c)
+			for i, v := range c.Data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("[%s] m=%d: beta=0 leaked non-finite old C at %d", mk.name, m, i)
+				}
+				if math.Abs(v-want.Data[i]) > 1e-12*float64(k) {
+					t.Fatalf("[%s] m=%d: beta=0 wrong value at %d", mk.name, m, i)
+				}
 			}
 		}
 	}
@@ -207,6 +226,7 @@ func TestGoldenGemmBetaZeroNaN(t *testing.T) {
 // TestGoldenSyrk: both triangles × both transposes on odd non-square
 // op(A) shapes crossing syrkBlock and gemmKC, including beta = 0 over NaN.
 func TestGoldenSyrk(t *testing.T) {
+	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(13))
 	shapes := [][2]int{{1, 1}, {7, 5}, {33, 65}, {65, 241}, {130, 33}, {129, 127}}
 	for _, s := range shapes {
@@ -220,28 +240,31 @@ func TestGoldenSyrk(t *testing.T) {
 						a = New(k, n)
 					}
 					a.Random(rng)
-					c := New(n, n)
-					c.Random(rng)
+					orig := New(n, n)
+					orig.Random(rng)
 					if beta == 0 {
 						// The triangle must be overwritten even over NaN.
-						for i := range c.Data {
-							c.Data[i] = math.NaN()
+						for i := range orig.Data {
+							orig.Data[i] = math.NaN()
 						}
 					}
-					orig := c.Clone()
-					want := naiveSyrk(uplo, trans, alpha, a, beta, c)
-					Syrk(uplo, trans, alpha, a, beta, c)
-					for i := 0; i < n; i++ {
-						for j := 0; j < n; j++ {
-							inTri := (uplo == Lower && j <= i) || (uplo == Upper && j >= i)
-							got, ref := c.At(i, j), want.At(i, j)
-							if inTri {
-								if math.IsNaN(got) || math.Abs(got-ref) > 1e-12*float64(k+1) {
-									t.Fatalf("Syrk(%v,%v) n=%d k=%d beta=%g wrong at (%d,%d): got %g want %g",
-										uplo, trans, n, k, beta, i, j, got, ref)
+					want := naiveSyrk(uplo, trans, alpha, a, beta, orig)
+					for _, mk := range kernels {
+						micro = mk
+						c := orig.Clone()
+						Syrk(uplo, trans, alpha, a, beta, c)
+						for i := 0; i < n; i++ {
+							for j := 0; j < n; j++ {
+								inTri := (uplo == Lower && j <= i) || (uplo == Upper && j >= i)
+								got, ref := c.At(i, j), want.At(i, j)
+								if inTri {
+									if math.IsNaN(got) || math.Abs(got-ref) > 1e-12*float64(k+1) {
+										t.Fatalf("[%s] Syrk(%v,%v) n=%d k=%d beta=%g wrong at (%d,%d): got %g want %g",
+											mk.name, uplo, trans, n, k, beta, i, j, got, ref)
+									}
+								} else if o := orig.At(i, j); got != o && !(math.IsNaN(got) && math.IsNaN(o)) {
+									t.Fatalf("[%s] Syrk(%v,%v) n=%d touched (%d,%d) outside triangle", mk.name, uplo, trans, n, i, j)
 								}
-							} else if o := orig.At(i, j); got != o && !(math.IsNaN(got) && math.IsNaN(o)) {
-								t.Fatalf("Syrk(%v,%v) n=%d touched (%d,%d) outside triangle", uplo, trans, n, i, j)
 							}
 						}
 					}
@@ -255,6 +278,7 @@ func TestGoldenSyrk(t *testing.T) {
 // non-square B, against the substitution reference, including row counts
 // around the trsmRB blocking.
 func TestGoldenTrsm(t *testing.T) {
+	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(14))
 	shapes := [][2]int{{1, 1}, {5, 3}, {33, 7}, {67, 45}, {64, 129}} // (n, other dim)
 	for _, s := range shapes {
@@ -274,19 +298,23 @@ func TestGoldenTrsm(t *testing.T) {
 								a.Set(i, i, 2+rng.Float64())
 							}
 						}
-						var b *Tile
+						var b0 *Tile
 						if side == Left {
-							b = New(n, m)
+							b0 = New(n, m)
 						} else {
-							b = New(m, n)
+							b0 = New(m, n)
 						}
-						b.Random(rng)
+						b0.Random(rng)
 						alpha := 1.25
-						want := naiveTrsm(side, uplo, trans, diag, alpha, a, b)
-						Trsm(side, uplo, trans, diag, alpha, a, b)
-						if d := maxAbsDiff(b, want); d > 1e-9 {
-							t.Fatalf("Trsm(%v,%v,%v,%v) n=%d m=%d: max diff %g",
-								side, uplo, trans, diag, n, m, d)
+						want := naiveTrsm(side, uplo, trans, diag, alpha, a, b0)
+						for _, mk := range kernels {
+							micro = mk
+							b := b0.Clone()
+							Trsm(side, uplo, trans, diag, alpha, a, b)
+							if d := maxAbsDiff(b, want); d > 1e-9 {
+								t.Fatalf("[%s] Trsm(%v,%v,%v,%v) n=%d m=%d: max diff %g",
+									mk.name, side, uplo, trans, diag, n, m, d)
+							}
 						}
 					}
 				}

@@ -2,48 +2,117 @@
 
 package tile
 
-// The amd64 microkernel shape: a 4×8 block of C accumulated in eight YMM
-// registers by the AVX2+FMA kernel (kernel_amd64.s). CPUs without AVX2/FMA
-// (or builds where the OS masks YMM state) fall back to the scalar block.
-const (
-	gemmMR = 4
-	gemmNR = 8
-)
+// The amd64 microkernels, widest first. The AVX-512 kernel holds an 8×16
+// block of C in sixteen ZMM registers, the AVX2+FMA kernel a 4×8 block in
+// eight YMM registers (both in kernel_amd64.s); CPUs with neither (or an OS
+// that masks the vector state) run the scalar 4×8 block. Both assembly
+// kernels compute every C element as one FMA chain over the depth in order
+// and fold alpha in with one more FMA, so they produce identical bits; the
+// scalar block rounds each product and sum separately and does not.
+var microKernels = []microKernel{
+	{name: "avx512 8x16", mr: 8, nr: 16, supported: cpuHasAVX512F() && cpuHasAVX2FMA(), vector: true,
+		run: func(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
+			fmaMicro8x16(&ap[0], &bp[0], kb, alpha, &c[0], ldc)
+		}},
+	{name: "avx2+fma 4x8", mr: 4, nr: 8, supported: cpuHasAVX2FMA(), vector: true,
+		run: func(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
+			fmaMicro4x8(&ap[0], &bp[0], kb, alpha, &c[0], ldc)
+		}},
+	{name: "scalar 4x8", mr: scalarMR, nr: scalarNR, supported: true, run: microScalar},
+}
 
-// hasAVX2FMA is probed once at startup via CPUID/XGETBV.
-var hasAVX2FMA = cpuHasAVX2FMA()
+// microTileMax is the largest mr·nr in the table: the size of the packed
+// GEMM's edge-tile scratch block.
+const microTileMax = 8 * 16
 
-// cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA3
-// (implemented in kernel_amd64.s).
+// cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA3, by
+// CPUID/XGETBV (implemented in kernel_amd64.s).
 func cpuHasAVX2FMA() bool
+
+// cpuHasAVX512F reports whether the CPU supports AVX-512 Foundation and the
+// OS saves the opmask and ZMM state (XCR0 & 0xE6), by CPUID/XGETBV
+// (implemented in kernel_amd64.s).
+func cpuHasAVX512F() bool
 
 // fmaMicro4x8 computes C[r][0:8] += alpha·Σ_l ap[l·4+r]·bp[l·8+0:8] for
 // r = 0..3, where C starts at c with leading dimension ldc (elements).
-// Implemented in kernel_amd64.s; requires AVX2+FMA.
+// Implemented in kernel_amd64.s; requires AVX2+FMA and kb ≥ 0.
 //
 //go:noescape
 func fmaMicro4x8(ap, bp *float64, kb int, alpha float64, c *float64, ldc int)
 
-// MicroKernelName identifies the GEMM microkernel selected at startup, for
-// benchmark metadata: results are only comparable across boxes that ran the
-// same kernel.
-func MicroKernelName() string {
-	if hasAVX2FMA {
-		return "avx2+fma 4x8"
+// fmaMicro8x16 computes C[r][0:16] += alpha·Σ_l ap[l·8+r]·bp[l·16+0:16] for
+// r = 0..7. Implemented in kernel_amd64.s; requires AVX-512F and kb ≥ 0.
+//
+//go:noescape
+func fmaMicro8x16(ap, bp *float64, kb int, alpha float64, c *float64, ldc int)
+
+// fmaSolveRow computes y[0:n] = (y[0:n] − Σ_{l<k} a[l]·x[l·ldx+0:n])·s for n
+// a multiple of 4. Implemented in kernel_amd64.s; requires AVX2+FMA.
+//
+//go:noescape
+func fmaSolveRow(y *float64, n int, a *float64, k int, x *float64, ldx int, s float64)
+
+// transpose4x4 writes dst[c·ldd+r] = src[r·lds+c] for r < rows, c < cols, both
+// multiples of 4. Implemented in kernel_amd64.s; requires AVX2.
+//
+//go:noescape
+func transpose4x4(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+
+// solveRow is one row of a substitution (see solveRowScalar): the AVX2+FMA
+// kernel takes the columns it can, four at a time, the Go loop the rest.
+func solveRow(y, a, x []float64, ldx int, s float64) {
+	n4 := 0
+	if micro.vector && len(a) > 0 {
+		if n4 = len(y) &^ 3; n4 > 0 {
+			fmaSolveRow(&y[0], n4, &a[0], len(a), &x[0], ldx, s)
+		}
 	}
-	return "scalar 4x8"
+	if n4 < len(y) {
+		solveRowScalar(y[n4:], a, x[n4:], ldx, s)
+	}
 }
 
-// MicroKernelAccelerated reports whether the SIMD microkernel is in use
-// (false on CPUs or builds where the runtime fell back to the scalar block).
-func MicroKernelAccelerated() bool { return hasAVX2FMA }
-
-// microKernel applies one gemmMR×gemmNR register-tiled block update over
-// packed strips ap (MR-interleaved) and bp (NR-interleaved).
-func microKernel(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
-	if hasAVX2FMA && kb > 0 {
-		fmaMicro4x8(&ap[0], &bp[0], kb, alpha, &c[0], ldc)
-		return
+// transposeVec transposes the leading part of src whose extents are
+// multiples of 4 into dst with the AVX2 kernel and returns those extents;
+// transposeInto finishes the fringe.
+func transposeVec(dst []float64, ldd int, src []float64, lds, rows, cols int) (r4, c4 int) {
+	if !micro.vector || rows < 4 || cols < 4 {
+		return 0, 0
 	}
-	microScalar(ap, bp, kb, alpha, c, ldc)
+	r4, c4 = rows&^3, cols&^3
+	// Eight source columns at a time: each pass reads whole cache lines of
+	// src and runs down eight rows of dst front to back.
+	for c := 0; c < c4; c += 8 {
+		transpose4x4(&dst[c*ldd], ldd, &src[c], lds, r4, min(8, c4-c))
+	}
+	return r4, c4
+}
+
+const (
+	scalarMR = 4
+	scalarNR = 8
+)
+
+// microScalar is the plain-Go 4×8 register block over the packed strips.
+func microScalar(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
+	var acc [scalarMR * scalarNR]float64
+	for l := 0; l < kb; l++ {
+		as := ap[l*scalarMR : l*scalarMR+scalarMR : l*scalarMR+scalarMR]
+		bs := bp[l*scalarNR : l*scalarNR+scalarNR : l*scalarNR+scalarNR]
+		for r := 0; r < scalarMR; r++ {
+			ar := as[r]
+			row := acc[r*scalarNR : r*scalarNR+scalarNR : r*scalarNR+scalarNR]
+			for j := 0; j < scalarNR; j++ {
+				row[j] += ar * bs[j]
+			}
+		}
+	}
+	for r := 0; r < scalarMR; r++ {
+		crow := c[r*ldc : r*ldc+scalarNR : r*ldc+scalarNR]
+		row := acc[r*scalarNR : r*scalarNR+scalarNR : r*scalarNR+scalarNR]
+		for j := 0; j < scalarNR; j++ {
+			crow[j] += alpha * row[j]
+		}
+	}
 }

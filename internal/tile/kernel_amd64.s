@@ -113,3 +113,290 @@ writeback:
 
 	VZEROUPPER
 	RET
+
+// func cpuHasAVX512F() bool
+//
+// AVX-512 Foundation (leaf 7 EBX bit 16) with the OS saving opmask and
+// ZMM state: OSXSAVE and XCR0 bits 1:2 (XMM, YMM) and 5:7 (opmask, ZMM
+// high halves, ZMM16-31), mask 0xE6.
+TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $(1<<27), CX // OSXSAVE
+	JZ   no512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $(1<<16), BX // AVX512F
+	JZ   no512
+	MOVB $1, ret+0(FP)
+	RET
+
+no512:
+	MOVB $0, ret+0(FP)
+	RET
+
+// One depth step of the 8×16 kernel: the packed B strip's 16 columns in
+// Z16:Z17, each of the packed A strip's 8 rows broadcast in turn and
+// multiplied into that row's two accumulators.
+#define STEP8x16(aoff, boff) \
+	VMOVUPD      boff(DI), Z16; \
+	VMOVUPD      (boff+64)(DI), Z17; \
+	VBROADCASTSD aoff(SI), Z18; \
+	VFMADD231PD  Z16, Z18, Z0; \
+	VFMADD231PD  Z17, Z18, Z1; \
+	VBROADCASTSD (aoff+8)(SI), Z19; \
+	VFMADD231PD  Z16, Z19, Z2; \
+	VFMADD231PD  Z17, Z19, Z3; \
+	VBROADCASTSD (aoff+16)(SI), Z20; \
+	VFMADD231PD  Z16, Z20, Z4; \
+	VFMADD231PD  Z17, Z20, Z5; \
+	VBROADCASTSD (aoff+24)(SI), Z21; \
+	VFMADD231PD  Z16, Z21, Z6; \
+	VFMADD231PD  Z17, Z21, Z7; \
+	VBROADCASTSD (aoff+32)(SI), Z22; \
+	VFMADD231PD  Z16, Z22, Z8; \
+	VFMADD231PD  Z17, Z22, Z9; \
+	VBROADCASTSD (aoff+40)(SI), Z23; \
+	VFMADD231PD  Z16, Z23, Z10; \
+	VFMADD231PD  Z17, Z23, Z11; \
+	VBROADCASTSD (aoff+48)(SI), Z24; \
+	VFMADD231PD  Z16, Z24, Z12; \
+	VFMADD231PD  Z17, Z24, Z13; \
+	VBROADCASTSD (aoff+56)(SI), Z25; \
+	VFMADD231PD  Z16, Z25, Z14; \
+	VFMADD231PD  Z17, Z25, Z15
+
+// One row of the 8×16 write-back: C[r][0:16] += alpha·(lo:hi), alpha
+// broadcast in Z18.
+#define WRITE8x16(lo, hi) \
+	VMOVUPD     (DX), Z16; \
+	VMOVUPD     64(DX), Z17; \
+	VFMADD231PD lo, Z18, Z16; \
+	VFMADD231PD hi, Z18, Z17; \
+	VMOVUPD     Z16, (DX); \
+	VMOVUPD     Z17, 64(DX); \
+	ADDQ        R8, DX
+
+// func fmaMicro8x16(ap, bp *float64, kb int, alpha float64, c *float64, ldc int)
+//
+// The AVX-512 microkernel: an 8×16 block of C lives in Z0..Z15 (row r in
+// Z(2r):Z(2r+1)) while the loop streams one packed A strip (8-interleaved)
+// and one packed B strip (16-interleaved), 16 FMAs per depth step. Every C
+// element is one FMA chain over the depth in order, then one FMA folding
+// alpha in — operation for operation what fmaMicro4x8 does per element, so
+// the two kernels produce the same bits.
+TEXT ·fmaMicro8x16(SB), NOSPLIT, $0-48
+	MOVQ ap+0(FP), SI
+	MOVQ bp+8(FP), DI
+	MOVQ kb+16(FP), CX
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R8
+	SHLQ $3, R8 // leading dimension in bytes
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+
+	MOVQ CX, BX
+	SHRQ $2, BX // depth steps, four at a time
+	JZ   tail512
+
+loop512x4:
+	STEP8x16(0, 0)
+	STEP8x16(64, 128)
+	STEP8x16(128, 256)
+	STEP8x16(192, 384)
+	ADDQ $256, SI
+	ADDQ $512, DI
+	DECQ BX
+	JNZ  loop512x4
+
+tail512:
+	ANDQ $3, CX
+	JZ   writeback512
+
+loop512:
+	STEP8x16(0, 0)
+	ADDQ $64, SI
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  loop512
+
+writeback512:
+	VBROADCASTSD alpha+24(FP), Z18
+	WRITE8x16(Z0, Z1)
+	WRITE8x16(Z2, Z3)
+	WRITE8x16(Z4, Z5)
+	WRITE8x16(Z6, Z7)
+	WRITE8x16(Z8, Z9)
+	WRITE8x16(Z10, Z11)
+	WRITE8x16(Z12, Z13)
+	WRITE8x16(Z14, Z15)
+
+	VZEROUPPER
+	RET
+
+// func fmaSolveRow(y *float64, n int, a *float64, k int, x *float64, ldx int, s float64)
+//
+// One row of a forward/backward substitution, AVX2+FMA:
+//
+//	y[0:n] = (y[0:n] − Σ_{l<k} a[l]·x[l·ldx + 0:n]) · s
+//
+// for n a multiple of 4. Sixteen columns of y sit in Y0..Y3 while the l loop
+// walks down the k rows of x, so y is loaded and stored once per row solve
+// however deep the sum; a 4-column loop finishes the row.
+TEXT ·fmaSolveRow(SB), NOSPLIT, $0-56
+	MOVQ y+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ a+16(FP), SI
+	MOVQ k+24(FP), R9
+	MOVQ x+32(FP), DX
+	MOVQ ldx+40(FP), R8
+	SHLQ $3, R8 // row stride of x in bytes
+	VBROADCASTSD s+48(FP), Y6
+
+cols16:
+	CMPQ CX, $16
+	JLT  cols4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    SI, R10 // &a[l]
+	MOVQ    DX, R11 // &x[l·ldx + column]
+	MOVQ    R9, BX
+	TESTQ   BX, BX
+	JZ      store16
+
+depth16:
+	VBROADCASTSD (R10), Y4
+	VFNMADD231PD (R11), Y4, Y0
+	VFNMADD231PD 32(R11), Y4, Y1
+	VFNMADD231PD 64(R11), Y4, Y2
+	VFNMADD231PD 96(R11), Y4, Y3
+	ADDQ         $8, R10
+	ADDQ         R8, R11
+	DECQ         BX
+	JNZ          depth16
+
+store16:
+	VMULPD  Y6, Y0, Y0
+	VMULPD  Y6, Y1, Y1
+	VMULPD  Y6, Y2, Y2
+	VMULPD  Y6, Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, CX
+	JMP     cols16
+
+cols4:
+	CMPQ CX, $4
+	JLT  solved
+	VMOVUPD (DI), Y0
+	MOVQ    SI, R10
+	MOVQ    DX, R11
+	MOVQ    R9, BX
+	TESTQ   BX, BX
+	JZ      store4
+
+depth4:
+	VBROADCASTSD (R10), Y4
+	VFNMADD231PD (R11), Y4, Y0
+	ADDQ         $8, R10
+	ADDQ         R8, R11
+	DECQ         BX
+	JNZ          depth4
+
+store4:
+	VMULPD  Y6, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+	JMP     cols4
+
+solved:
+	VZEROUPPER
+	RET
+
+// func transpose4x4(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+//
+// dst[c·ldd + r] = src[r·lds + c] for r < rows, c < cols, both multiples of
+// 4: 4×4 blocks through AVX2 unpack/permute, four source rows streamed per
+// pass.
+TEXT ·transpose4x4(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ lds+24(FP), R9
+	MOVQ rows+32(FP), R10
+	MOVQ cols+40(FP), R11
+	SHLQ $3, R8 // strides in bytes
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R12 // 3·lds
+	LEAQ (R8)(R8*2), R13 // 3·ldd
+
+rowblock:
+	CMPQ R10, $4
+	JLT  transposed
+	MOVQ SI, AX // source cursor: rows r..r+3, column c
+	MOVQ DI, DX // destination cursor: rows c..c+3, column r
+	MOVQ R11, CX
+
+colblock:
+	CMPQ CX, $4
+	JLT  nextrows
+	VMOVUPD    (AX), Y0
+	VMOVUPD    (AX)(R9*1), Y1
+	VMOVUPD    (AX)(R9*2), Y2
+	VMOVUPD    (AX)(R12*1), Y3
+	VUNPCKLPD  Y1, Y0, Y4 // r0c0 r1c0 r0c2 r1c2
+	VUNPCKHPD  Y1, Y0, Y5 // r0c1 r1c1 r0c3 r1c3
+	VUNPCKLPD  Y3, Y2, Y6 // r2c0 r3c0 r2c2 r3c2
+	VUNPCKHPD  Y3, Y2, Y7 // r2c1 r3c1 r2c3 r3c3
+	VPERM2F128 $0x20, Y6, Y4, Y0 // column c
+	VPERM2F128 $0x20, Y7, Y5, Y1 // column c+1
+	VPERM2F128 $0x31, Y6, Y4, Y2 // column c+2
+	VPERM2F128 $0x31, Y7, Y5, Y3 // column c+3
+	VMOVUPD    Y0, (DX)
+	VMOVUPD    Y1, (DX)(R8*1)
+	VMOVUPD    Y2, (DX)(R8*2)
+	VMOVUPD    Y3, (DX)(R13*1)
+	ADDQ       $32, AX
+	LEAQ       (DX)(R8*4), DX
+	SUBQ       $4, CX
+	JMP        colblock
+
+nextrows:
+	LEAQ (SI)(R9*4), SI
+	ADDQ $32, DI
+	SUBQ $4, R10
+	JMP  rowblock
+
+transposed:
+	VZEROUPPER
+	RET

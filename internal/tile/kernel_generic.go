@@ -2,25 +2,28 @@
 
 package tile
 
-// Generic microkernel shape: 2×4 keeps all eight accumulators in registers
+// The one generic microkernel: 2×4 keeps all eight accumulators in registers
 // on any 16-register FP architecture.
-const (
-	gemmMR = 2
-	gemmNR = 4
-)
+var microKernels = []microKernel{
+	{name: "scalar 2x4", mr: 2, nr: 4, supported: true, run: microScalar2x4},
+}
 
-// MicroKernelName identifies the GEMM microkernel selected at startup, for
-// benchmark metadata.
-func MicroKernelName() string { return "scalar 2x4" }
+// No vector helpers off amd64: a substitution row and a transpose are the
+// plain loops.
+func solveRow(y, a, x []float64, ldx int, s float64) { solveRowScalar(y, a, x, ldx, s) }
 
-// MicroKernelAccelerated reports whether a SIMD microkernel is in use;
-// always false on architectures without an assembly kernel.
-func MicroKernelAccelerated() bool { return false }
+func transposeVec(dst []float64, ldd int, src []float64, lds, rows, cols int) (r4, c4 int) {
+	return 0, 0
+}
 
-// microKernel applies one 2×4 register-tiled block update over packed strips
-// ap (MR-interleaved) and bp (NR-interleaved): eight independent multiply-add
-// chains, enough ILP to saturate a scalar FPU.
-func microKernel(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
+// microTileMax is the largest mr·nr in the table: the size of the packed
+// GEMM's edge-tile scratch block.
+const microTileMax = 2 * 4
+
+// microScalar2x4 applies one 2×4 register-tiled block update over packed
+// strips ap (2-interleaved) and bp (4-interleaved): eight independent
+// multiply-add chains, enough ILP to saturate a scalar FPU.
+func microScalar2x4(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
 	var c00, c01, c02, c03, c10, c11, c12, c13 float64
 	for l := 0; l < kb; l++ {
 		as := ap[l*2 : l*2+2 : l*2+2]

@@ -39,7 +39,13 @@ func (p *Pool) Put(t *Tile) {
 		return
 	}
 	p.puts.Add(1)
-	e, _ := p.m.LoadOrStore(poolKey(t.Rows, t.Cols), &sync.Pool{})
+	// Load first: LoadOrStore's argument is built — allocated — on every
+	// call, needed or not, and a shape's free list is new only once.
+	key := poolKey(t.Rows, t.Cols)
+	e, ok := p.m.Load(key)
+	if !ok {
+		e, _ = p.m.LoadOrStore(key, &sync.Pool{})
+	}
 	e.(*sync.Pool).Put(t)
 }
 

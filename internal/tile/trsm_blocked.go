@@ -1,115 +1,128 @@
 package tile
 
-// Blocked triangular solve. The n×n triangular operand is processed in
-// trsmNB-wide diagonal blocks: only the nb×nb block straddling the diagonal
-// is solved by scalar substitution, every off-diagonal contribution is a
-// packed GEMM through gemmView/microKernel — the same left-looking
-// formulation LAPACK's xTRSM uses, so the O(n²·rhs) bulk runs at the
-// microkernel's rate while the scalar work shrinks to O(nb·n·rhs).
+// Blocked triangular solve by recursive halving. The triangle is split in
+// two, one half is solved, its contribution to the other half's right-hand
+// side is one packed GEMM through gemmView, and the other half is solved —
+// so a solved panel of X is packed O(log(n/nb)) times on the way up instead
+// of once per nb-wide step as in a left-looking sweep, and every GEMM is as
+// large as the split allows. Halves of at most trsmNB rows are solved by
+// substitution one row at a time (solveRow): the row sits in vector
+// registers while the sum over the rows already solved streams by.
 //
-// All drivers operate on the *effective* operand: the caller has already
-// folded any transpose into the (ad, lda) view (flipping uplo), so only the
-// four (side, effUplo) cases remain.
+// Only the left side has a driver. X·E = B is Eᵀ·Xᵀ = Bᵀ, so the right side
+// transposes B into a pooled scratch block, solves from the left against the
+// transposed view of the triangle (which costs nothing: opView carries the
+// flag into the packing) and transposes back — the rows the substitution
+// vectorises over are then B's long columns.
 
-// trsmNB is the width of the diagonal blocks the blocked TRSM solves by
-// scalar substitution; everything off-diagonal goes through the packed GEMM.
-// Small enough that the scalar share (~nb/n of the flops) stays minor at the
-// paper's tile size, large enough that each GEMM panel amortizes packing.
+// trsmNB bounds the diagonal blocks solved by substitution. Whole tiles this
+// small never reach the blocked driver (Trsm); inside it the recursion stops
+// splitting here: small enough that the substitution's share (~nb/n of the
+// flops, at about half the packed GEMM's rate) stays minor at the paper's
+// tile sizes, large enough that the smallest GEMM still amortizes packing.
 const trsmNB = 24
 
 // trsmRB is the row-block width of the right-side scalar substitution: each
-// row of the triangular operand streams once per block of B rows instead of
-// once per row.
+// row of the triangular operand streams once per block of B rows.
 const trsmRB = 8
 
 // trsmBlockedView solves a triangular system in place over dense views:
 //
-//	side == Left:  A · X = B, A is n×n, B/X is brows×bcols with brows == n
-//	side == Right: X · A = B, A is n×n, B/X is brows×bcols with bcols == n
+//	side == Left:  E · X = B, E is n×n, B/X is brows×bcols with brows == n
+//	side == Right: X · E = B, E is n×n, B/X is brows×bcols with bcols == n
 //
-// where A is the effUplo triangle (diag per diag) of the row-major view
-// ad/lda and B occupies the row-major view bd/ldb. Any transpose has been
-// folded into the view by the caller.
-func trsmBlockedView(side Side, effUplo Uplo, diag Diag, ad []float64, lda, n int, bd []float64, ldb, brows, bcols int) {
-	if n <= trsmNB {
-		trsmScalarView(side, effUplo, diag, ad, lda, n, bd, ldb, brows, bcols)
+// where E is the uplo triangle (diag per diag) of the view e — any transpose
+// is folded into the view by the caller, flipping uplo — and B occupies the
+// row-major view bd/ldb.
+func trsmBlockedView(side Side, uplo Uplo, diag Diag, e opView, n int, bd []float64, ldb, brows, bcols int) {
+	if side == Left {
+		trsmLeft(uplo, diag, e, n, bd, ldb, bcols)
 		return
 	}
-	switch {
-	case side == Left && effUplo == Lower:
-		// Forward block substitution: subtract the already-solved rows, then
-		// solve the diagonal block.
-		for k0 := 0; k0 < n; k0 += trsmNB {
-			k1 := k0 + trsmNB
-			if k1 > n {
-				k1 = n
-			}
-			if k0 > 0 {
-				gemmView(-1,
-					opView{data: ad[k0*lda:], ld: lda},
-					opView{data: bd, ld: ldb},
-					k1-k0, bcols, k0, bd[k0*ldb:], ldb)
-			}
-			trsmScalarView(Left, Lower, diag, ad[k0*lda+k0:], lda, k1-k0,
-				bd[k0*ldb:], ldb, k1-k0, bcols)
+	buf := getPack(n * brows)
+	defer putPack(buf)
+	transposeInto(buf.Data, brows, bd, ldb, brows, n)
+	trsmLeft(uplo.flipped(), diag, e.transposed(), n, buf.Data, brows, brows)
+	transposeInto(bd, ldb, buf.Data, brows, n, brows)
+}
+
+// trsmLeft solves E·X = B in place for the n×n triangle E and the n×bcols
+// block B at bd/ldb.
+func trsmLeft(uplo Uplo, diag Diag, e opView, n int, bd []float64, ldb, bcols int) {
+	if n <= trsmNB {
+		trsmLeftRows(uplo, diag, e, n, bd, ldb, bcols)
+		return
+	}
+	n1 := splitPoint(n)
+	n2 := n - n1
+	top, bottom := bd, bd[n1*ldb:]
+	if uplo == Lower {
+		// [E11 0; E21 E22]: X1 first, then B2 −= E21·X1.
+		trsmLeft(uplo, diag, e, n1, top, ldb, bcols)
+		gemmView(-1, e.sub(n1, 0), opView{data: top, ld: ldb}, n2, bcols, n1, bottom, ldb)
+		trsmLeft(uplo, diag, e.sub(n1, n1), n2, bottom, ldb, bcols)
+		return
+	}
+	// [E11 E12; 0 E22]: X2 first, then B1 −= E12·X2.
+	trsmLeft(uplo, diag, e.sub(n1, n1), n2, bottom, ldb, bcols)
+	gemmView(-1, e.sub(0, n1), opView{data: bottom, ld: ldb}, n1, bcols, n2, top, ldb)
+	trsmLeft(uplo, diag, e, n1, top, ldb, bcols)
+}
+
+// trsmLeftRows is the substitution base of trsmLeft (n ≤ trsmNB): row i of X
+// is row i of B minus E's row i against the rows already solved, scaled by
+// the reciprocal of the diagonal.
+func trsmLeftRows(uplo Uplo, diag Diag, e opView, n int, bd []float64, ldb, bcols int) {
+	var gathered [trsmNB]float64
+	for step := 0; step < n; step++ {
+		// Row i depends on the solved rows [lo, hi).
+		i, lo, hi := step, 0, step
+		if uplo == Upper {
+			i = n - 1 - step
+			lo, hi = i+1, n
 		}
-	case side == Left && effUplo == Upper:
-		// Backward block substitution, bottom block first.
-		for k1 := n; k1 > 0; k1 -= trsmNB {
-			k0 := k1 - trsmNB
-			if k0 < 0 {
-				k0 = 0
+		var coef []float64
+		if e.trans {
+			// E's row i runs down a column of the stored matrix.
+			coef = gathered[:hi-lo]
+			for l := range coef {
+				coef[l] = e.data[(lo+l)*e.ld+i]
 			}
-			if k1 < n {
-				gemmView(-1,
-					opView{data: ad[k0*lda+k1:], ld: lda},
-					opView{data: bd[k1*ldb:], ld: ldb},
-					k1-k0, bcols, n-k1, bd[k0*ldb:], ldb)
-			}
-			trsmScalarView(Left, Upper, diag, ad[k0*lda+k0:], lda, k1-k0,
-				bd[k0*ldb:], ldb, k1-k0, bcols)
+		} else {
+			coef = e.data[i*e.ld+lo : i*e.ld+hi]
 		}
-	case side == Right && effUplo == Lower:
-		// X·A = B with A lower: column blocks right to left; each block first
-		// subtracts the contribution of the already-solved columns to its
-		// right, B[:, k0:k1] -= X[:, k1:n] · A[k1:n, k0:k1].
-		for k1 := n; k1 > 0; k1 -= trsmNB {
-			k0 := k1 - trsmNB
-			if k0 < 0 {
-				k0 = 0
-			}
-			if k1 < n {
-				gemmView(-1,
-					opView{data: bd[k1:], ld: ldb},
-					opView{data: ad[k1*lda+k0:], ld: lda},
-					brows, k1-k0, n-k1, bd[k0:], ldb)
-			}
-			trsmScalarView(Right, Lower, diag, ad[k0*lda+k0:], lda, k1-k0,
-				bd[k0:], ldb, brows, k1-k0)
+		s := 1.0
+		if diag == NonUnit {
+			s = 1 / e.data[e.at(i, i)]
 		}
-	default: // side == Right && effUplo == Upper
-		// Column blocks left to right: B[:, k0:k1] -= X[:, 0:k0] · A[0:k0, k0:k1].
-		for k0 := 0; k0 < n; k0 += trsmNB {
-			k1 := k0 + trsmNB
-			if k1 > n {
-				k1 = n
-			}
-			if k0 > 0 {
-				gemmView(-1,
-					opView{data: bd, ld: ldb},
-					opView{data: ad[k0:], ld: lda},
-					brows, k1-k0, k0, bd[k0:], ldb)
-			}
-			trsmScalarView(Right, Upper, diag, ad[k0*lda+k0:], lda, k1-k0,
-				bd[k0:], ldb, brows, k1-k0)
+		solveRow(bd[i*ldb:i*ldb+bcols], coef, bd[lo*ldb:], ldb, s)
+	}
+}
+
+// solveRowScalar is one row of a substitution in plain Go:
+//
+//	y = (y − Σ_l a[l] · x[l·ldx : l·ldx+len(y)]) · s
+//
+// solveRow (kernel_*.go) is this, vectorised where the CPU allows.
+func solveRowScalar(y, a, x []float64, ldx int, s float64) {
+	for l, f := range a {
+		xl := x[l*ldx : l*ldx+len(y)]
+		for j := range y {
+			y[j] -= f * xl[j]
+		}
+	}
+	if s != 1 {
+		for j := range y {
+			y[j] *= s
 		}
 	}
 }
 
-// trsmScalarView is the substitution solve the blocked driver applies to
-// nb×nb diagonal blocks (and that small whole tiles fall through to). The
-// left side streams B rows; the right side runs trsmRB row blocks so every
-// triangular row loads once per block of B rows.
+// trsmScalarView is the plain-Go substitution solve of whole small tiles
+// (n ≤ trsmNB, which Trsm keeps away from the blocked driver), over a dense
+// row-major effective triangle ad/lda. The left side streams B rows; the
+// right side runs trsmRB row blocks so every triangular row loads once per
+// block of B rows.
 func trsmScalarView(side Side, effUplo Uplo, diag Diag, ad []float64, lda, n int, bd []float64, ldb, brows, bcols int) {
 	switch {
 	case side == Left && effUplo == Lower:
