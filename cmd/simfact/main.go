@@ -350,9 +350,8 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 			if rs.Died {
 				fmt.Printf("node %d died mid-run\n", node)
 			}
-			if rs.Adopted > 0 || rs.Speculative > 0 {
-				fmt.Printf("node %d migration: adopted %d tasks, speculatively replayed %d\n",
-					node, rs.Adopted, rs.Speculative)
+			if rs.Adopted > 0 {
+				fmt.Printf("node %d migration: adopted %d tasks\n", node, rs.Adopted)
 			}
 		}
 		f, err := os.Create(prefix + "-faults.csv")

@@ -32,6 +32,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -123,10 +125,14 @@ func (c Config) validate() error {
 
 // ParseCrash decodes a "rank@task" crash directive for a p-node run into a
 // Config.CrashAtTask map — the one spelling the CLI flag and the service's
-// JobSpec share.
+// JobSpec share. Anything but exactly two integers around one '@' is
+// rejected: the spec arrives over HTTP, and a trailing ",9@20" must not be
+// dropped silently.
 func ParseCrash(spec string, p int) (map[int]int, error) {
-	var rank, task int
-	if _, err := fmt.Sscanf(spec, "%d@%d", &rank, &task); err != nil {
+	rankText, taskText, _ := strings.Cut(spec, "@")
+	rank, errRank := strconv.Atoi(rankText)
+	task, errTask := strconv.Atoi(taskText)
+	if errRank != nil || errTask != nil {
 		return nil, fmt.Errorf("crash spec %q: want rank@task, e.g. 5@10", spec)
 	}
 	if rank < 0 || rank >= p {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +210,32 @@ func TestCrashLookupAndRecording(t *testing.T) {
 	p.RecordCrash(2, 5)
 	if c := p.Counts()["crash"]; c != 1 {
 		t.Fatalf("crash count = %d, want 1", c)
+	}
+}
+
+// TestParseCrash: exactly "rank@task" parses; everything else — a second
+// directive, trailing text, a third field, surrounding space — is rejected
+// whole instead of parsed as far as it goes.
+func TestParseCrash(t *testing.T) {
+	if got, err := ParseCrash("5@10", 23); err != nil || len(got) != 1 || got[5] != 10 {
+		t.Fatalf(`ParseCrash("5@10", 23) = %v, %v; want map[5:10]`, got, err)
+	}
+	for _, tc := range []struct{ spec, want string }{
+		{"junk", "want rank@task"},
+		{"", "want rank@task"},
+		{"5@", "want rank@task"},
+		{"@10", "want rank@task"},
+		{"5@10,9@20", "want rank@task"},
+		{"5@10xyz", "want rank@task"},
+		{"1@2@3", "want rank@task"},
+		{"5@10 ", "want rank@task"},
+		{"23@1", "rank outside 0..22"},
+		{"-1@1", "rank outside 0..22"},
+		{"1@-2", "negative task"},
+	} {
+		if got, err := ParseCrash(tc.spec, 23); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseCrash(%q, 23) = %v, %v; want an error naming %q", tc.spec, got, err, tc.want)
+		}
 	}
 }
 

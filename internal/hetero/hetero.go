@@ -137,30 +137,6 @@ func (m *Mapped) Owner(i, j int) int { return m.pat.Owner(i, j) }
 // Pattern implements dist.PatternDistribution.
 func (m *Mapped) Pattern() *pattern.Pattern { return m.pat }
 
-// Fastest returns the fastest alive node under the given relative speed
-// model: the alive rank with the highest speed, ties broken toward the
-// lowest rank so every observer picks the same node. A nil speeds slice is
-// the homogeneous model (all speeds equal), which degenerates to the lowest
-// alive rank. Returns -1 when no rank in [0, p) is alive. The runtime uses
-// this as the deterministic adopter rule when a node dies: all survivors
-// must independently agree on who re-runs the dead node's tasks.
-func Fastest(speeds []float64, alive func(rank int) bool, p int) int {
-	best, bestSpeed := -1, 0.0
-	for n := 0; n < p; n++ {
-		if !alive(n) {
-			continue
-		}
-		v := 1.0
-		if speeds != nil {
-			v = speeds[n]
-		}
-		if best < 0 || v > bestSpeed {
-			best, bestSpeed = n, v
-		}
-	}
-	return best
-}
-
 // Imbalance measures how far a pattern's per-node cell shares deviate from
 // the speed-proportional ideal: max_n share_n / idealShare_n − 1. Zero means
 // perfectly speed-proportional load.

@@ -180,31 +180,3 @@ func TestImbalancePanics(t *testing.T) {
 	}()
 	Imbalance(d.Pattern(), []float64{1, 2, 3})
 }
-
-// TestFastest pins the deterministic adopter rule the elastic runtime relies
-// on: the highest-speed alive rank wins, ties break toward the lowest rank,
-// a nil speed model degenerates to the lowest alive rank, and an empty alive
-// set yields -1 — every survivor evaluating the rule on the same view must
-// name the same adopter.
-func TestFastest(t *testing.T) {
-	all := func(int) bool { return true }
-	cases := []struct {
-		name   string
-		speeds []float64
-		alive  func(int) bool
-		p      int
-		want   int
-	}{
-		{"homogeneous picks lowest rank", nil, all, 4, 0},
-		{"homogeneous skips the dead", nil, func(r int) bool { return r != 0 }, 4, 1},
-		{"fastest wins", []float64{1, 3, 2, 1}, all, 4, 1},
-		{"tie breaks to lowest rank", []float64{2, 1, 2, 2}, all, 4, 0},
-		{"dead fastest falls back", []float64{1, 3, 2, 1}, func(r int) bool { return r != 1 }, 4, 2},
-		{"nobody alive", nil, func(int) bool { return false }, 4, -1},
-	}
-	for _, c := range cases {
-		if got := Fastest(c.speeds, c.alive, c.p); got != c.want {
-			t.Errorf("%s: Fastest = %d, want %d", c.name, got, c.want)
-		}
-	}
-}

@@ -340,11 +340,11 @@ func TestChaosDropHealsViaReRequest(t *testing.T) {
 				}
 				checkConservation(t, "drop-heal", rep, plan)
 				peaked := false
-				for _, peak := range rep.MailboxPeakPerNode {
+				for _, peak := range rep.Stats.MailboxPeak {
 					peaked = peaked || peak > 0
 				}
-				if len(rep.MailboxPeakPerNode) != d.Nodes() || !peaked {
-					t.Errorf("mailbox high-water marks missing: %v", rep.MailboxPeakPerNode)
+				if len(rep.Stats.MailboxPeak) != d.Nodes() || !peaked {
+					t.Errorf("mailbox high-water marks missing: %v", rep.Stats.MailboxPeak)
 				}
 				return nil
 			})

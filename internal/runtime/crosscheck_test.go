@@ -113,8 +113,8 @@ func TestEngineReadyQueueIsNotLIFO(t *testing.T) {
 	// The engine's precomputed keys must be the shared policy's keys — the
 	// same numbers the simulator orders by.
 	for idx := 0; idx < e.n; idx++ {
-		if task := e.pl.Task(e.task(idx)); e.key(idx) != sched.Key(task) {
-			t.Fatalf("engine key for %v = %d, sched.Key = %d", task, e.key(idx), sched.Key(task))
+		if task, key := e.pl.Task(e.task(idx)), e.pl.Key(e.task(idx)); key != sched.Key(task) {
+			t.Fatalf("engine key for %v = %d, sched.Key = %d", task, key, sched.Key(task))
 		}
 	}
 }

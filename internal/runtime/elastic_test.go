@@ -27,53 +27,56 @@ func ownedTaskCount(g dag.Graph, d dist.Distribution, rank int) int {
 	return n
 }
 
-// checkAdoption asserts the migration is visible in the report: the victim
-// is marked dead, the expected adopter re-ran a positive number of its
-// tasks, and nobody else adopted anything (the deterministic rule must not
-// split the work). The kernel counts must balance too: the victim reports
-// the kernels it ran before dying — its dispatch count, not its ownership —
-// and across the cluster every task of g ran once natively, except those the
-// victim never reached, plus once per adoption or speculation.
-func checkAdoption(t *testing.T, rep *Report, g dag.Graph, d dist.Distribution, victim, adopter int) {
+// checkAdoption asserts the migration is visible in the report: every victim
+// is marked dead, the expected adopter re-ran exactly the victims' shares of
+// the plan, and nobody else adopted anything (the deterministic rule must not
+// split the work). The kernel counts must balance too: a victim reports the
+// kernels it ran before dying — its dispatch count, not its ownership — and
+// across the cluster every task of g ran once natively, except those a victim
+// never reached, plus once per adoption.
+func checkAdoption(t *testing.T, rep *Report, g dag.Graph, d dist.Distribution, adopter int, victims ...int) {
 	t.Helper()
-	if !rep.Resilience[victim].Died {
-		t.Errorf("victim %d not reported dead", victim)
+	shares, unreached := 0, 0
+	for _, victim := range victims {
+		if !rep.Resilience[victim].Died {
+			t.Errorf("victim %d not reported dead", victim)
+		}
+		dispatched := 0
+		for _, n := range rep.Sched[victim].DispatchedByKind {
+			dispatched += n
+		}
+		owned := ownedTaskCount(g, d, victim)
+		if ran := rep.TasksPerNode[victim]; ran != dispatched || ran >= owned {
+			t.Errorf("victim %d reports %d executed kernels; it dispatched %d of the %d it owned before dying",
+				victim, ran, dispatched, owned)
+		}
+		shares += owned
+		unreached += owned - rep.TasksPerNode[victim]
 	}
-	replayed := 0
 	for rank, rs := range rep.Resilience {
-		replayed += rs.Adopted + rs.Speculative
 		switch {
-		case rank == adopter && rs.Adopted == 0:
-			t.Errorf("adopter %d reports no adopted tasks", adopter)
+		case rank == adopter && rs.Adopted != shares:
+			t.Errorf("adopter %d re-ran %d tasks, want the victims' whole shares: %d", adopter, rs.Adopted, shares)
 		case rank != adopter && rs.Adopted != 0:
 			t.Errorf("node %d adopted %d tasks; only %d should adopt", rank, rs.Adopted, adopter)
 		}
-	}
-	dispatched := 0
-	for _, n := range rep.Sched[victim].DispatchedByKind {
-		dispatched += n
-	}
-	owned := ownedTaskCount(g, d, victim)
-	if ran := rep.TasksPerNode[victim]; ran != dispatched || ran >= owned {
-		t.Errorf("victim %d reports %d executed kernels; it dispatched %d of the %d it owned before dying",
-			victim, ran, dispatched, owned)
 	}
 	total := 0
 	for _, n := range rep.TasksPerNode {
 		total += n
 	}
-	if want := g.NumTasks() - (owned - rep.TasksPerNode[victim]) + replayed; total != want {
-		t.Errorf("%d kernels executed cluster-wide, want %d = %d tasks - %d the victim never ran + %d replayed",
-			total, want, g.NumTasks(), owned-rep.TasksPerNode[victim], replayed)
+	if want := g.NumTasks() - unreached + shares; total != want {
+		t.Errorf("%d kernels executed cluster-wide, want %d = %d tasks - %d the victims never ran + %d replayed",
+			total, want, g.NumTasks(), unreached, shares)
 	}
 }
 
 // TestElasticCrashRecovery is the acceptance test of the elastic tentpole:
 // on the paper's flagship 23-node G-2DBC distribution, a node killed
-// mid-factorization must not abort the run — the deterministic adopter
-// (lowest alive rank under the homogeneous speed model) re-runs its tasks,
-// republishes under the original versioned tags, and the run completes with
-// factors bit-identical to a crash-free run, on both broadcast transports.
+// mid-factorization must not abort the run — the deterministic adopter (the
+// lowest alive rank) re-runs its tasks, republishes under the original
+// versioned tags, and the run completes with factors bit-identical to a
+// crash-free run, on both broadcast transports.
 // A light permanent-drop mix rides along so the Request/Resend healing and
 // the adoption machinery are exercised together, per pinned seed.
 func TestElasticCrashRecovery(t *testing.T) {
@@ -110,7 +113,7 @@ func TestElasticCrashRecovery(t *testing.T) {
 						return err
 					}
 					identicalLU(t, "elastic run", base, fact, mt)
-					checkAdoption(t, rep, g, d, victim, 0)
+					checkAdoption(t, rep, g, d, 0, victim)
 					return nil
 				})
 				if err != nil {
@@ -149,7 +152,7 @@ func TestElasticCrashRecoveryWorkers4(t *testing.T) {
 					return err
 				}
 				identicalLU(t, "elastic workers=4", base, fact, mt)
-				checkAdoption(t, rep, g, d, victim, 0)
+				checkAdoption(t, rep, g, d, 0, victim)
 				return nil
 			})
 			if err != nil {
@@ -191,7 +194,7 @@ func TestElasticCrashAfterPublish(t *testing.T) {
 					return err
 				}
 				identicalLU(t, "crash after publish", base, fact, mt)
-				checkAdoption(t, rep, g, d, victim, 0)
+				checkAdoption(t, rep, g, d, 0, victim)
 				return nil
 			})
 			if err != nil {
@@ -228,7 +231,7 @@ func TestElasticCholeskyCrash(t *testing.T) {
 					return err
 				}
 				identicalCholesky(t, "elastic Cholesky", base, fact, mt)
-				checkAdoption(t, rep, g, d, victim, 0)
+				checkAdoption(t, rep, g, d, 0, victim)
 				return nil
 			})
 			if err != nil {
@@ -238,81 +241,49 @@ func TestElasticCholeskyCrash(t *testing.T) {
 	}
 }
 
-// TestElasticSpeedsPickFastestAdopter: with a heterogeneous speed model the
-// deterministic adopter rule must pick the fastest survivor, not the lowest
-// rank — every node evaluates hetero.Fastest on the same gossip, so exactly
-// one node adopts.
-func TestElasticSpeedsPickFastestAdopter(t *testing.T) {
-	const mt, b = 8, 4
-	const victim = 2
-	const fastest = 3
-	d := dist.NewTwoDBC(2, 2)
+// TestElasticTwoDeathsOneAdopter pins two dead owners: ranks 5 and 9 die a
+// third and two thirds of the way through their owned tasks, so rank 0 adopts
+// two whole shares side by side — two per-rank bases in its adoption tables,
+// and a version one share produces for the other is a snapshot delivered to
+// the consumer share's own slot, never a direct release ("adopted from the
+// same node" is what releases directly, not "adopted"). A light
+// permanent-drop mix rides along. The adopter's own death is not covered:
+// see ROADMAP item 6a.
+func TestElasticTwoDeathsOneAdopter(t *testing.T) {
+	const mt, b = 12, 4
+	victims := []int{5, 9}
+	d := dist.NewG2DBC(23)
 	g := dag.NewLU(mt)
-	crashAt := ownedTaskCount(g, d, victim) / 2
-
-	base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 33), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	crashes := map[int]int{
+		victims[0]: ownedTaskCount(g, d, victims[0]) / 3,
+		victims[1]: 2 * ownedTaskCount(g, d, victims[1]) / 3,
 	}
-	speeds := []float64{1, 1, 1, 2.5} // rank 3 is the designated heir
-	cfg := chaos.Config{Seed: 7, CrashAtTask: map[int]int{victim: crashAt}}
-	opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, 1)
-	opt.Elastic = true
-	opt.Speeds = speeds
-	dumpChaosArtifacts(t, "elastic-speeds", rec, plan)
-	err = runWithDeadline(t, func() error {
-		fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 33), opt)
+	for _, workers := range []int{1, 4} {
+		base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 35), Options{Workers: workers})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		identicalLU(t, "hetero adopter", base, fact, mt)
-		checkAdoption(t, rep, g, d, victim, fastest)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("hetero-adopter run failed: %v", err)
-	}
-}
-
-// TestElasticLagSpeculation drives the lagging-node path: every delivery is
-// delayed far past the arrival timeout, so consumers exhaust the small
-// LagReRequests budget and speculatively replay the laggard's producer
-// chains at demoted priority instead of idling. The originals land later and
-// must drop as idempotent duplicates — factors stay bit-identical and the
-// report counts the speculative re-executions.
-func TestElasticLagSpeculation(t *testing.T) {
-	const mt, b = 8, 4
-	d := dist.NewTwoDBC(2, 2)
-	base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 34), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := chaos.Config{Seed: 11, PDelay: 1.0, MaxDelay: 80 * time.Millisecond}
-	opt, plan, rec := chaosOpts(t, cfg, 2*time.Millisecond, 1)
-	opt.Elastic = true
-	opt.LagReRequests = 2
-	opt.MaxReRequests = -1 // never presume a merely slow node dead here
-	dumpChaosArtifacts(t, "lag-speculation", rec, plan)
-	err = runWithDeadline(t, func() error {
-		fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 34), opt)
-		if err != nil {
-			return err
+		for _, mode := range broadcastModes {
+			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
+				cfg := chaos.Config{Seed: 17, PDrop: 0.05, CrashAtTask: crashes}
+				opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, workers)
+				opt.Broadcast = mode
+				opt.Elastic = true
+				dumpChaosArtifacts(t, fmt.Sprintf("two-deaths-%s-workers%d", mode, workers), rec, plan)
+				err := runWithDeadline(t, func() error {
+					fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 35), opt)
+					if err != nil {
+						return err
+					}
+					identicalLU(t, "two deaths", base, fact, mt)
+					checkAdoption(t, rep, g, d, 0, victims...)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("run with two dead owners failed instead of recovering: %v", err)
+				}
+			})
 		}
-		identicalLU(t, "speculative run", base, fact, mt)
-		spec := 0
-		for _, rs := range rep.Resilience {
-			spec += rs.Speculative
-			if rs.Died {
-				t.Errorf("a lagging node was reported dead; speculation must not kill")
-			}
-		}
-		if spec == 0 {
-			t.Error("80ms delays against a 2ms timeout triggered no speculation")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("lag-speculation run failed: %v", err)
 	}
 }
 

@@ -39,12 +39,11 @@ type resilience struct {
 
 // pendingWait is the re-request state of one awaited remote tile version.
 type pendingWait struct {
-	deadline   time.Time
-	backoff    time.Duration
-	attempts   int
-	silent     int  // requests in a row the target stayed silent through: what the budget caps
-	heardAt    int  // Comm.Heard of the target when the tag was last found overdue
-	speculated bool // an adoption already races this tag; never escalate it
+	deadline time.Time
+	backoff  time.Duration
+	attempts int
+	silent   int // requests in a row the target stayed silent through: what the budget caps
+	heardAt  int // Comm.Heard of the target when the tag was last found overdue
 }
 
 // relayLedger marks the tree-broadcast tags whose Forward obligation a node
@@ -111,7 +110,7 @@ func (r *resilience) start() *time.Ticker {
 
 // await starts — or, for a tag already awaited, restarts — tag's arrival
 // clock on a fresh retry budget.
-func (r *resilience) await(tag cluster.Tag, now time.Time) *pendingWait {
+func (r *resilience) await(tag cluster.Tag, now time.Time) {
 	p := r.pending[tag]
 	if p == nil {
 		p = &pendingWait{}
@@ -119,7 +118,6 @@ func (r *resilience) await(tag cluster.Tag, now time.Time) *pendingWait {
 	}
 	p.attempts, p.silent = 0, 0
 	p.backoff, p.deadline = r.arrival, now.Add(r.arrival)
-	return p
 }
 
 // admit is the arrival call point. Resilient transports may duplicate or
@@ -148,7 +146,7 @@ func (r *resilience) admit(tag cluster.Tag, from int) bool {
 	return true
 }
 
-// The four methods below, with admit and cached, are the elastic layer's
+// The three methods below, with admit and cached, are the elastic layer's
 // whole access: adoption changes what this node awaits, and from whom.
 
 // readmit forgets that tag ever arrived: an adopted consumer needs the
@@ -157,13 +155,12 @@ func (r *resilience) admit(tag cluster.Tag, from int) bool {
 func (r *resilience) readmit(tag cluster.Tag) { delete(r.seen, tag) }
 
 // expect starts tag's arrival clock unless it already runs, and reports
-// whether it started one. speculated marks a wait a speculative replay
-// already races.
-func (r *resilience) expect(tag cluster.Tag, now time.Time, speculated bool) bool {
+// whether it started one.
+func (r *resilience) expect(tag cluster.Tag, now time.Time) bool {
 	if r.pending[tag] != nil {
 		return false
 	}
-	r.await(tag, now).speculated = speculated
+	r.await(tag, now)
 	return true
 }
 
@@ -180,20 +177,11 @@ func (r *resilience) restart(owner int) {
 	}
 }
 
-// raced stops tag's wait from ever escalating its (alive) owner toward
-// presumed death: a speculative replay will produce the version here.
-func (r *resilience) raced(tag cluster.Tag) {
-	if p := r.pending[tag]; p != nil {
-		p.speculated = true
-	}
-}
-
 // publish snapshots a version this node just broadcast: out is updated in
 // place by the tile's later writers, so the broadcast content must be
 // preserved separately. The core calls it whenever any remote consumer
-// exists — even one whose death (or speculative skip) emptied today's
-// destination list — because that consumer's adopter may still re-request
-// the version.
+// exists — even one whose death emptied today's destination list — because
+// that consumer's adopter may still re-request the version.
 func (r *resilience) publish(tag cluster.Tag, out *tile.Tile) {
 	snapshot := out.Clone()
 	r.pubMu.Lock()
@@ -233,8 +221,7 @@ func (r *resilience) answer(msg cluster.Message, live bool) {
 // many requests in a row with its owner never heard from — fails
 // the node with ErrUndelivered on a plain resilient run, or — under elastic
 // recovery — presumes the silent owner dead, gossips cluster.NoteDown, and
-// restarts the budget against the adopter. Before that point, a lagging but
-// answering owner's chain can be adopted speculatively (Options.LagReRequests).
+// restarts the budget against the adopter.
 func (r *resilience) onTick() error {
 	e, el := r.e, r.e.el
 	now := time.Now()
@@ -264,7 +251,7 @@ func (r *resilience) onTick() error {
 			// the budget.
 			p.silent, p.heardAt = 0, heard
 		}
-		if p.silent >= r.maxReq && r.maxReq > 0 && !p.speculated {
+		if p.silent >= r.maxReq && r.maxReq > 0 {
 			if el == nil {
 				return fmt.Errorf("node %d: tile (%d,%d) v%d from node %d undelivered after %d re-requests: %w",
 					e.rank, tag.I, tag.J, tag.V, target, p.silent, ErrUndelivered)
@@ -275,14 +262,6 @@ func (r *resilience) onTick() error {
 			// dead node owed us).
 			el.markDead(target, true)
 			if target = el.liveOwner(origOwner); target == e.rank || target < 0 {
-				continue
-			}
-		}
-		if el != nil && !p.speculated && el.speculate(tag, origOwner, p.attempts) {
-			p.speculated = true
-			if _, still := r.pending[tag]; !still {
-				// The chain replay fulfilled the tag synchronously (every
-				// input was already at hand); nothing left to re-request.
 				continue
 			}
 		}

@@ -37,12 +37,12 @@
 //     recoveries.
 //   - elastic (elastic.go; Options.Elastic): a node that dies mid-run no
 //     longer aborts the factorization — a deterministically chosen survivor
-//     adopts its unfinished tasks and republishes their outputs under the
-//     original versioned tags, and a lagging owner's work can be replayed
-//     speculatively at demoted priority. Call points: membership notices
-//     (onNote), every completion (complete: same-node fulfilment and the
-//     destination filter), local indices past the plan's ranges (at, slotOf,
-//     feedWaiters) and the loop's exit condition (barrier).
+//     adopts its share of the plan and republishes the outputs under the
+//     original versioned tags. Call points: membership notices (onNote),
+//     every completion (complete: same-node fulfilment and the destination
+//     filter), every arrival (deliver: a version may sit in several local
+//     slots), local indices past the plan's ranges (xtask, inputBase, feed)
+//     and the loop's exit condition (barrier).
 //   - crashInjection (crash.go; a Chaos plan that names the rank): the
 //     dispatch count at which the node dies.
 //
@@ -121,7 +121,6 @@ import (
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/plan"
-	"anybc/internal/sched"
 	"anybc/internal/tile"
 	"anybc/internal/trace"
 )
@@ -176,7 +175,9 @@ type Options struct {
 	// awaited remote tile version not delivered within this duration is
 	// re-requested from its owner, with exponential backoff between retries.
 	// Zero leaves the protocol off unless Chaos or Elastic is set (then it
-	// defaults to 250ms); negative is rejected.
+	// defaults to 250ms); negative is rejected. No product caller sets it —
+	// it stays a field because, with MaxReRequests, it sizes a fault budget
+	// that tests pin at 1ms: the default would turn them into minutes.
 	ArrivalTimeout time.Duration
 	// Broadcast selects the transport for published tiles:
 	// cluster.BroadcastFlat (default, the paper's point-to-point model) or
@@ -188,20 +189,16 @@ type Options struct {
 	// Elastic arms ownership migration: a node that crashes mid-run no
 	// longer aborts the whole factorization. The dying node announces
 	// itself (cluster.NoteDown), a deterministically chosen survivor — the
-	// fastest alive node under Speeds, ties to the lowest rank — adopts the
-	// dead node's tasks by replaying them from the initial tile generator
-	// and the published-version caches of the surviving owners, and
-	// republishes the results under the original versioned tags, so
-	// downstream consumers cannot tell the migration happened. Elastic
-	// implies the re-request protocol; ArrivalTimeout is defaulted when
-	// unset. Exactly-once delivery is not required: replayed kernels are
-	// deterministic, so duplicate publications drop idempotently and final
-	// factors stay bit-identical to a crash-free run.
+	// lowest alive rank — adopts the dead node's whole share of the plan by
+	// replaying its tasks from the initial tile generator and the
+	// published-version caches of the surviving owners, and republishes the
+	// results under the original versioned tags, so downstream consumers
+	// cannot tell the migration happened. Elastic implies the re-request
+	// protocol; ArrivalTimeout is defaulted when unset. Exactly-once delivery
+	// is not required: replayed kernels are deterministic, so duplicate
+	// publications drop idempotently and final factors stay bit-identical to
+	// a crash-free run.
 	Elastic bool
-	// Speeds gives the relative node speeds (internal/hetero's model) the
-	// elastic adopter rule consults; nil means homogeneous. Length must be
-	// the node count when set, and setting it without Elastic is rejected.
-	Speeds []float64
 	// MaxReRequests caps how many times in a row one awaited tile version is
 	// re-requested from an owner that stays silent — no message of any kind
 	// from it reaching this node in between (cluster.Comm.Heard) — before
@@ -210,16 +207,10 @@ type Options struct {
 	// merely late and is asked again on a fresh budget. On an exhausted
 	// budget a non-elastic node fails with ErrUndelivered naming the owner,
 	// tag, and retry count; an elastic node instead presumes the owner dead,
-	// gossips cluster.NoteDown, and adopts its work.
+	// gossips cluster.NoteDown, and adopts its work. Like ArrivalTimeout it
+	// has no product caller and stays for the tests that pin the budget's
+	// semantics at two or three requests.
 	MaxReRequests int
-	// LagReRequests, in elastic mode, is the re-request attempt count after
-	// which a still-alive but lagging owner's unfinished work becomes
-	// eligible for speculative adoption: the waiting node replays the
-	// overdue version's producer chain itself, at demoted scheduler
-	// priority (sched.Demote), racing the laggard. Whichever copy lands
-	// first wins; the other drops as an idempotent duplicate. Zero disables
-	// speculation; non-zero without Elastic is rejected.
-	LagReRequests int
 	// Cluster, when non-nil, runs the job over this existing shared cluster
 	// instead of creating a private one: the engines use the job-scoped
 	// endpoints of Job (cluster.JobComm), so many concurrent Runs multiplex
@@ -243,14 +234,6 @@ type Options struct {
 	// On a shared cluster only this job's namespace is poisoned; other
 	// tenants are untouched.
 	Context context.Context
-	// PriorityBand places every task key of this run in a cross-job
-	// scheduler priority band (sched.Band): band 0 — the default — is the
-	// most urgent, higher bands sort strictly after every lower band while
-	// preserving their internal critical-path order. The multi-tenant
-	// service maps job priorities to bands so co-scheduled jobs' tasks
-	// order consistently wherever they meet one queue. Must lie in
-	// [0, sched.MaxBand].
-	PriorityBand int
 }
 
 // defaultArrivalTimeout arms the re-request protocol for runs that need it
@@ -271,14 +254,8 @@ const (
 func (opt *Options) normalize(d dist.Distribution) error {
 	P, cl := d.Nodes(), opt.Cluster
 	switch {
-	case opt.PriorityBand < 0 || opt.PriorityBand > sched.MaxBand:
-		return fmt.Errorf("runtime: priority band %d outside [0, %d]", opt.PriorityBand, sched.MaxBand)
 	case opt.ArrivalTimeout < 0:
 		return fmt.Errorf("runtime: negative ArrivalTimeout %v; zero leaves the re-request protocol off", opt.ArrivalTimeout)
-	case !opt.Elastic && (opt.Speeds != nil || opt.LagReRequests != 0):
-		return errors.New("runtime: Speeds and LagReRequests steer elastic adoption; set Options.Elastic or leave them unset")
-	case opt.Speeds != nil && len(opt.Speeds) != P:
-		return fmt.Errorf("runtime: %d speeds for %d nodes", len(opt.Speeds), P)
 	case cl == nil && opt.Job != 0:
 		return fmt.Errorf("runtime: job %d names a namespace of a shared cluster, but Options.Cluster is nil", opt.Job)
 	case cl != nil && cl.Nodes() != P:
@@ -330,11 +307,6 @@ type Report struct {
 	PeakTilesPerNode []int
 	// Sched holds each node's scheduler observability counters.
 	Sched []SchedStats
-	// MailboxPeakPerNode is each node's mailbox high-water mark: the most
-	// messages ever queued undelivered at once. The queues are unbounded, so
-	// this is the only visibility into transport backpressure — a peak far
-	// above the worker count means senders outpace the node's event loop.
-	MailboxPeakPerNode []int
 	// Resilience holds each node's fault-healing counters. All zero unless
 	// the arrival-timeout re-request protocol was armed (Options.Chaos or
 	// Options.ArrivalTimeout).
@@ -365,10 +337,6 @@ type ResilienceStats struct {
 	// Adopted counts the dead-node tasks this node re-ran as the elastic
 	// adopter: the migration that let the run finish despite the crash.
 	Adopted int
-	// Speculative counts the lagging-node tasks this node re-ran
-	// speculatively (Options.LagReRequests) while their owner was still
-	// alive.
-	Speculative int
 	// Died reports that this node crashed mid-run (injected or presumed);
 	// its unfinished work was adopted by a survivor.
 	Died bool
@@ -556,7 +524,6 @@ func RunPlan(pl *plan.Plan, b int,
 		ReceivedTilesPerNode: make([]int, P),
 		PeakTilesPerNode:     make([]int, P),
 		Sched:                make([]SchedStats, P),
-		MailboxPeakPerNode:   stats.MailboxPeak,
 		Resilience:           make([]ResilienceStats, P),
 		Broadcast:            opt.Broadcast,
 		ForwardedPerNode:     make([]int, P),
@@ -593,7 +560,7 @@ func RunPlan(pl *plan.Plan, b int,
 			rs.Recovered = e.res.recovered
 		}
 		if e.el != nil {
-			rs.Adopted, rs.Speculative, rs.Died = e.el.adopted, e.el.speculative, e.el.died
+			rs.Adopted, rs.Died = e.el.adopted, e.el.died
 		}
 		rep.ForwardedPerNode[rank] = int(forwards[rank])
 	}

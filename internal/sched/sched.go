@@ -15,11 +15,7 @@
 // while a delayed GEMM only delays itself.
 package sched
 
-import (
-	"fmt"
-
-	"anybc/internal/dag"
-)
+import "anybc/internal/dag"
 
 // Policy selects how ready tasks are ordered.
 type Policy int
@@ -104,48 +100,6 @@ func (p Policy) Key(t dag.Task) int64 {
 	}
 	return Key(t)
 }
-
-// demoteBit is far above every bit Key can set ((L*4+kind)<<subBits | sub
-// stays below 2^50 for any feasible matrix), so demoted keys form a second
-// band that sorts strictly after all native keys.
-const demoteBit = int64(1) << 55
-
-// Demote returns key moved into the low-priority band: a demoted key orders
-// after every undemoted Key, while demoted keys keep their relative
-// critical-path order. The runtime uses it for speculatively adopted tasks —
-// re-executions of a lagging peer's work that must never starve the node's
-// own critical path.
-func Demote(key int64) int64 { return key | demoteBit }
-
-// Demoted reports whether key is in the low-priority band of Demote.
-func Demoted(key int64) bool { return key&demoteBit != 0 }
-
-// bandShift places the cross-job priority band above the demote bit, so the
-// band is the major order: every key of band b — demoted or not — sorts
-// strictly before every key of band b+1, and within one band natives still
-// precede demoted speculation. The multi-tenant service maps job priorities
-// to bands, so when tasks of different jobs ever share one dispatch queue the
-// higher-priority job's whole schedule preempts the lower one's.
-const bandShift = 56
-
-// MaxBand is the largest priority band Band accepts (band 0 is the most
-// urgent; keys stay positive for every band up to it).
-const MaxBand = 62
-
-// Band returns key moved into cross-job priority band b: band 0 (the
-// default — Band(key, 0) == key) is the most urgent, higher bands sort
-// strictly after every key of every lower band while preserving their
-// internal critical-path and demotion order. b outside [0, MaxBand] panics;
-// the runtime validates Options.PriorityBand before engines are built.
-func Band(key int64, b int) int64 {
-	if b < 0 || b > MaxBand {
-		panic(fmt.Sprintf("sched: priority band %d outside [0, %d]", b, MaxBand))
-	}
-	return key | int64(b)<<bandShift
-}
-
-// BandOf returns the cross-job priority band of key.
-func BandOf(key int64) int { return int(key >> bandShift) }
 
 // Tie selects how a Heap orders ids whose keys compare equal.
 type Tie int

@@ -137,34 +137,3 @@ func TestHeapRandomizedAgainstSort(t *testing.T) {
 		}
 	}
 }
-
-// TestDemoteBand: Demote moves a key into a band that sorts after every
-// native key while preserving relative order inside the band, Demoted
-// classifies the bands, and demotion is idempotent — the properties the
-// elastic runtime's speculative replays rely on to never starve a node's own
-// critical path.
-func TestDemoteBand(t *testing.T) {
-	lo, hi := int64(1), (int64(1)<<50)-1 // hi bounds every feasible native key
-	if !Demoted(Demote(lo)) || Demoted(lo) {
-		t.Fatal("Demoted misclassifies the bands")
-	}
-	if Demote(Demote(lo)) != Demote(lo) {
-		t.Fatal("Demote is not idempotent")
-	}
-	if Demote(lo) <= hi {
-		t.Fatal("a demoted key does not sort after the largest native key")
-	}
-	if Demote(lo) >= Demote(hi) {
-		t.Fatal("demotion does not preserve relative order")
-	}
-	var h Heap
-	h.Push(Demote(lo), 0)
-	h.Push(hi, 1)
-	h.Push(lo, 2)
-	h.Push(Demote(hi), 3)
-	for i, want := range []int32{2, 1, 0, 3} {
-		if got := h.Pop(); got != want {
-			t.Fatalf("pop %d = %d, want %d", i, got, want)
-		}
-	}
-}

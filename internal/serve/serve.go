@@ -38,7 +38,6 @@ import (
 	"anybc/internal/cluster"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
-	"anybc/internal/sched"
 	"anybc/internal/tile"
 )
 
@@ -47,6 +46,9 @@ const (
 	KindLU       = "lu"
 	KindCholesky = "cholesky"
 )
+
+// maxWorkers caps a job's per-node worker request.
+const maxWorkers = 16
 
 // ErrRejected marks a submission the admission controller turned away —
 // malformed spec, a shape the service can never run, or a full queue. The
@@ -99,10 +101,10 @@ type JobSpec struct {
 	// is reproducible (and bit-identical to a solo runtime run of the same
 	// seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Priority orders admission: higher priorities start first. Negative
-	// priorities additionally demote the job's task keys into a background
-	// scheduler band (sched.Band), so background work orders after
-	// foreground work wherever their tasks meet one queue.
+	// Priority orders admission, and only admission: among queued jobs higher
+	// priorities start first, submission order breaking ties. Every run has
+	// its own engines and ready queues, so two running jobs' tasks never meet
+	// in one.
 	Priority int `json:"priority,omitempty"`
 	// Workers is the per-node worker count; zero means the service default.
 	Workers int `json:"workers,omitempty"`
@@ -167,8 +169,6 @@ type Config struct {
 	// Workers is the default per-node worker count for jobs that leave
 	// Spec.Workers zero (default 1).
 	Workers int
-	// MaxWorkers caps per-job worker requests (default 16).
-	MaxWorkers int
 	// Broadcast selects the shared cluster's transport.
 	Broadcast cluster.BroadcastMode
 	// Net is the shared cluster's fault-injection seam (nil = faithful).
@@ -191,9 +191,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = 16
-	}
 	return c
 }
 
@@ -201,7 +198,6 @@ func (c Config) withDefaults() Config {
 type job struct {
 	id       JobID
 	spec     JobSpec
-	band     int
 	crash    *chaos.Plan
 	state    JobState
 	err      error
@@ -322,8 +318,8 @@ func (s *Server) validate(spec *JobSpec) error {
 	if spec.Workers == 0 {
 		spec.Workers = s.cfg.Workers
 	}
-	if spec.Workers < 0 || spec.Workers > s.cfg.MaxWorkers {
-		return fmt.Errorf("%w: workers = %d outside 1..%d", ErrRejected, spec.Workers, s.cfg.MaxWorkers)
+	if spec.Workers < 0 || spec.Workers > maxWorkers {
+		return fmt.Errorf("%w: workers = %d outside 1..%d", ErrRejected, spec.Workers, maxWorkers)
 	}
 	if s.cfg.MemBudgetBytes > 0 {
 		if est := jobBytes(spec.Mt, spec.B); est > s.cfg.MemBudgetBytes {
@@ -343,20 +339,6 @@ func (s *Server) validate(spec *JobSpec) error {
 		}
 	}
 	return nil
-}
-
-// band maps a job priority to the cross-job scheduler band: non-negative
-// priorities share the foreground band 0, negative priorities fall into
-// successively later background bands.
-func band(priority int) int {
-	if priority >= 0 {
-		return 0
-	}
-	b := -priority
-	if b > sched.MaxBand {
-		b = sched.MaxBand
-	}
-	return b
 }
 
 // Submit validates spec and enqueues the job, returning its id. Rejections
@@ -402,7 +384,6 @@ func (s *Server) Submit(spec JobSpec) (JobID, error) {
 	j := &job{
 		id:     s.nextID,
 		spec:   spec,
-		band:   band(spec.Priority),
 		crash:  plan,
 		state:  StateQueued,
 		submit: time.Now(),
@@ -479,8 +460,8 @@ func (s *Server) runJob(j *job, memReserved int64) {
 }
 
 // execute runs the factorization itself: the cached execution plan of the
-// job's shape, the job's namespace on the shared cluster, the job's
-// cancellation context and priority band.
+// job's shape, the job's namespace on the shared cluster and the job's
+// cancellation context.
 func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	spec := j.spec
 	pl, err := s.cache.Plan(spec.Kind, spec.Mt, spec.Scheme, spec.P)
@@ -488,13 +469,12 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 		return nil, nil, err
 	}
 	opt := runtime.Options{
-		Workers:      spec.Workers,
-		Cluster:      s.cl,
-		Job:          int32(j.id),
-		Context:      j.ctx,
-		PriorityBand: j.band,
-		Elastic:      spec.Elastic,
-		Chaos:        j.crash,
+		Workers: spec.Workers,
+		Cluster: s.cl,
+		Job:     int32(j.id),
+		Context: j.ctx,
+		Elastic: spec.Elastic,
+		Chaos:   j.crash,
 	}
 	switch spec.Kind {
 	case KindLU:

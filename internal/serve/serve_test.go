@@ -12,7 +12,6 @@ import (
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
-	"anybc/internal/sched"
 )
 
 func newTestServer(t testing.TB, cfg Config) *Server {
@@ -310,6 +309,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"workers negative", JobSpec{Kind: KindLU, Mt: 4, Workers: -1}, "workers"},
 		{"workers huge", JobSpec{Kind: KindLU, Mt: 4, Workers: 999}, "workers"},
 		{"crash junk", JobSpec{Kind: KindLU, Mt: 4, Crash: "junk"}, "crash spec"},
+		{"crash two directives", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@2,3@4"}, "crash spec"},
+		{"crash trailing text", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@2xyz"}, "crash spec"},
+		{"crash third field", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@2@3"}, "crash spec"},
+		{"crash trailing space", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@2 "}, "crash spec"},
 		{"crash bad rank", JobSpec{Kind: KindLU, Mt: 4, Crash: "9@1"}, "rank outside"},
 		{"crash negative task", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@-2"}, "negative task"},
 	}
@@ -380,8 +383,7 @@ func TestChaosTenantCrash(t *testing.T) {
 	drainPool(t, srv)
 }
 
-// TestPriorityOrdering pins the admission queue's comparator and the
-// priority→scheduler-band mapping.
+// TestPriorityOrdering pins the admission queue's comparator.
 func TestPriorityOrdering(t *testing.T) {
 	var q jobQueue
 	for i, pri := range []int{0, 5, -3, 5} {
@@ -395,14 +397,6 @@ func TestPriorityOrdering(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("pop order %v, want %v", order, want)
-		}
-	}
-
-	for _, tc := range []struct{ pri, band int }{
-		{7, 0}, {0, 0}, {-1, 1}, {-5, 5}, {-1000, sched.MaxBand},
-	} {
-		if got := band(tc.pri); got != tc.band {
-			t.Errorf("band(%d) = %d, want %d", tc.pri, got, tc.band)
 		}
 	}
 }
