@@ -313,17 +313,13 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 		fmt.Printf(" %d", s.ReadyPeak)
 	}
 	fmt.Println()
-	fmt.Printf("per-node worker busy / steals:")
+	fmt.Printf("per-node worker busy:")
 	for _, s := range rep.Sched {
 		busy := 0.0
 		for _, b := range s.WorkerBusySeconds {
 			busy += b
 		}
-		steals := 0
-		for _, n := range s.StealsPerWorker {
-			steals += n
-		}
-		fmt.Printf(" %.3fs/%d", busy, steals)
+		fmt.Printf(" %.3fs", busy)
 	}
 	fmt.Println()
 	fmt.Printf("dispatched by kind: %v", dispatched)

@@ -30,10 +30,7 @@ const (
 // mt·kt·(x̄_C − 1) + kt·nt·(ȳ_C − 1): exactly the row/column distinct-node
 // counts the paper's LU metric is built from. The G-2DBC pattern therefore
 // minimizes GEMM communication for any P, just as it does for LU.
-type GEMMOp struct {
-	*Built
-	mt, nt, kt int
-}
+type GEMMOp struct{ *Built }
 
 // NewGEMMOp builds the product task graph. GemmA stores (i, k) in (I, L);
 // GemmB stores (k, j) in (L, J); GemmUpd stores (i, j, k) in (I, J, L).
@@ -41,7 +38,7 @@ func NewGEMMOp(mt, nt, kt int) *GEMMOp {
 	if mt <= 0 || nt <= 0 || kt <= 0 {
 		panic(fmt.Sprintf("dag: invalid GEMM shape %dx%dx%d", mt, nt, kt))
 	}
-	return &GEMMOp{mt: mt, nt: nt, kt: kt, Built: Build(Program{
+	return &GEMMOp{Build(Program{
 		Name:  "GEMM",
 		Tiles: mt, // the C row dimension
 		Tasks: func(submit func(Task)) {
@@ -87,6 +84,3 @@ func NewGEMMOp(mt, nt, kt int) *GEMMOp {
 		},
 	})}
 }
-
-// Shape returns (mt, nt, kt).
-func (g *GEMMOp) Shape() (mt, nt, kt int) { return g.mt, g.nt, g.kt }

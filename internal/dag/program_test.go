@@ -114,6 +114,22 @@ func TestBuiltGraphProperties(t *testing.T) {
 	}
 }
 
+// TestFlopsDependOnKindAlone holds all eight graphs to what runtime.RunPlan
+// relies on when it prices a node's work as (kernels dispatched per kind) ×
+// (flops of that kind): a task's flop count is a function of its kind and the
+// tile size, never of its indices.
+func TestFlopsDependOnKindAlone(t *testing.T) {
+	const b = 8
+	for _, g := range append(builtGraphs(), graphs(5)...) {
+		ForEachTask(g, func(task Task) {
+			if got, want := g.Flops(Task{Kind: task.Kind}, b), g.Flops(task, b); got != want {
+				t.Fatalf("%s mt=%d: Flops(%v) = %g, but %g for its kind alone",
+					g.Name(), g.Tiles(), task, want, got)
+			}
+		})
+	}
+}
+
 // TestBuildDuplicates pins what Build does with a program that repeats
 // itself. A task reading the tile it also writes, or the same tile twice,
 // gets one edge per producer — every consumer of Dependencies counts one

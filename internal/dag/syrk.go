@@ -29,10 +29,7 @@ const (
 // column i of C — a colrow communication pattern, which is exactly why
 // symmetric distributions (SBC, GCR&M) beat 2DBC on this kernel: the
 // per-sweep volume is proportional to z̄ − 1.
-type SYRKOp struct {
-	*Built
-	kt int
-}
+type SYRKOp struct{ *Built }
 
 // NewSYRKOp builds the SYRK task graph. GEMMUpd tasks store (i, j) in I/J
 // and the sweep k in L; AInit and SYRKUpd store the row in I and the sweep
@@ -41,7 +38,7 @@ func NewSYRKOp(mt, kt int) *SYRKOp {
 	if mt <= 0 || kt <= 0 {
 		panic(fmt.Sprintf("dag: invalid SYRK shape mt=%d kt=%d", mt, kt))
 	}
-	return &SYRKOp{kt: kt, Built: Build(Program{
+	return &SYRKOp{Build(Program{
 		Name:  "SYRK",
 		Tiles: mt, // the C dimension
 		Tasks: func(submit func(Task)) {
@@ -93,6 +90,3 @@ func NewSYRKOp(mt, kt int) *SYRKOp {
 		},
 	})}
 }
-
-// Panels returns kt, the number of A tile columns.
-func (g *SYRKOp) Panels() int { return g.kt }

@@ -354,7 +354,7 @@ func rebalance(P, r int, pat *pattern.Pattern, a *assignment, loads []int) {
 		if loads[pMax]-loads[pMin] <= 1 {
 			return
 		}
-		// Steal from any maximally loaded node the cell that costs pMin the
+		// Take from any maximally loaded node the cell that costs pMin the
 		// fewest new colrows; among equals prefer the most-loaded donor.
 		bestI, bestJ, bestScore := -1, -1, -1
 		for i := 0; i < r; i++ {

@@ -3,8 +3,8 @@
 // analogue of the paper's "the pattern is computed once and for all", and the
 // static half of the hybrid static/dynamic split of Donfack–Grigori–Gropp–
 // Kale: placement, dependency counts, input resolution and message routing
-// are fixed ahead of time; only what a run decides (dispatch order, stealing,
-// fault recovery) stays dynamic.
+// are fixed ahead of time; only what a run decides (dispatch order, which
+// worker runs a task, fault recovery) stays dynamic.
 //
 // Compile walks the graph once. Everything it learns lands in a handful of
 // backing slices — no per-task slice, no map — so a plan can be shared,
@@ -78,8 +78,9 @@ type Plan struct {
 	waitOff, wait []int32 // per slot, the consumer node's tasks it releases
 }
 
-// Graph returns the compiled graph. Engines consult it only for what depends
-// on a run's tile size (Flops), never for structure.
+// Graph returns the compiled graph. No engine consults it; RunPlan asks it for
+// what depends on a run's tile size (Flops, once per task kind), never for
+// structure.
 func (p *Plan) Graph() dag.Graph { return p.g }
 
 // Dist returns the compiled distribution.

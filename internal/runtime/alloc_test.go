@@ -47,7 +47,7 @@ func TestRunAllocBudget(t *testing.T) {
 		}
 		setup := testing.AllocsPerRun(3, func() {
 			for rank := 0; rank < P; rank++ {
-				newEngine(rank, cl.Comm(rank), pl, b, func(i, j int) *tile.Tile { return shared }, LUKernel, opt, time.Time{})
+				newEngine(rank, cl.Comm(rank), pl, func(i, j int) *tile.Tile { return shared }, LUKernel, opt, time.Time{})
 			}
 		})
 		if setup > perNode*P {

@@ -418,9 +418,10 @@ func TestChaosCrashSoak(t *testing.T) {
 }
 
 // TestChaosWorkStealingWorkers4 runs the chaos suite with 4 workers per
-// node, so the intra-node stealing path is exercised under faults (drops,
-// delays, reorders, duplicates) rather than shipping tested only at the 1–2
-// workers the other chaos suites pin. Factors must stay bit-identical to the
+// node, so the node's shared queue and its prefetch are exercised under
+// faults (drops, delays, reorders, duplicates) rather than shipping tested
+// only at the 1–2 workers the other chaos suites pin. (The name predates the
+// single queue: there is no stealing.) Factors must stay bit-identical to the
 // fault-free run and the effective message volume must match it exactly.
 func TestChaosWorkStealingWorkers4(t *testing.T) {
 	const mt, b = 10, 4

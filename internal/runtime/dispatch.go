@@ -20,95 +20,61 @@ type job struct {
 	inputs []*tile.Tile
 }
 
-// dispatcher is the node's intra-node work-stealing layer between the event
-// loop's critical-path heap and the worker goroutines. The event loop pops
-// tasks off the shared sched.Heap in priority order and pushes them to
-// per-worker deques; each worker consumes its own deque front-to-back, and a
-// worker whose deque runs dry steals from the back of the fullest peer deque
-// — the coldest, least-urgent entry — so the victim keeps both its
-// critical-path front and the cache affinity of its recently fed tail. This
-// is the hybrid static/dynamic recipe of Donfack–Grigori–Gropp–Kale: static
-// owner-computes placement across nodes, dynamic stealing within one.
+// dispatcher is the node's one queue between the event loop's critical-path
+// heap and the worker goroutines: the event loop pops tasks off the shared
+// sched.Heap in priority order and appends them, and whichever worker is free
+// takes the front — the most urgent queued job. This is the dynamic half of
+// the hybrid static/dynamic recipe of Donfack–Grigori–Gropp–Kale: static
+// owner-computes placement across nodes, one shared queue the node's threads
+// pull from within one.
 //
-// One mutex guards all deques. Deques hold at most a couple of prefetched
-// jobs each (the event loop feeds at most workers+lookahead in flight), so a
-// fine-grained lock-free deque would buy nothing here.
+// A mutex and a condition variable, not a buffered channel: the queue holds at
+// most feedCap jobs, purge must hand the unstarted ones back after an abort,
+// and the channel measured 4 % slower on the one multi-worker benchmark
+// workload (lu-overhead).
 type dispatcher struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	deques [][]job
+	queue  []job
 	closed bool
-	rr     int   // rotating tie-break cursor for equal-length deques
-	steals []int // per worker slot: jobs taken from another worker's deque
 }
 
-func newDispatcher(workers int) *dispatcher {
-	d := &dispatcher{
-		deques: make([][]job, workers),
-		steals: make([]int, workers),
-	}
+func newDispatcher() *dispatcher {
+	d := &dispatcher{}
 	d.cond = sync.NewCond(&d.mu)
 	return d
 }
 
-// push appends jb to the shortest deque — ties broken by a rotating cursor,
-// so equal-length deques share arrivals round-robin — and wakes one sleeping
-// worker. Jobs arrive in heap priority order, so deque position encodes
-// urgency: front = hottest, back = coldest.
+// push appends jb and wakes one sleeping worker. Jobs arrive in heap priority
+// order, so queue position encodes urgency: front = hottest.
 func (d *dispatcher) push(jb job) {
 	d.mu.Lock()
-	n := len(d.deques)
-	best, bestLen := 0, int(^uint(0)>>1)
-	for off := 0; off < n; off++ {
-		w := (d.rr + off) % n
-		if l := len(d.deques[w]); l < bestLen {
-			best, bestLen = w, l
-		}
-	}
-	d.rr = (best + 1) % n
-	d.deques[best] = append(d.deques[best], jb)
+	d.queue = append(d.queue, jb)
 	d.mu.Unlock()
 	d.cond.Signal()
 }
 
-// take returns the next job for worker slot: the front of its own deque,
-// else a steal from the back of the fullest other deque. It blocks while
-// every deque is empty; ok reports false once the dispatcher is closed and
-// drained. When the call had to block, waitStart/waitEnd bound the starved
-// interval (first block to job obtained) — the worker-side signal the
-// idle-weighted stall accounting integrates; both are zero when a job was
-// available immediately, and the interval is discarded by the caller when
-// ok is false (the wait that ends in shutdown is not starvation).
-func (d *dispatcher) take(slot int) (jb job, ok bool, waitStart, waitEnd time.Time) {
+// take returns the front of the queue. It blocks while the queue is empty; ok
+// reports false once the dispatcher is closed and drained. When the call had
+// to block, waitStart/waitEnd bound the starved interval (first block to job
+// obtained) — the worker-side signal the idle-weighted stall accounting
+// integrates; both are zero when a job was available immediately, and the
+// interval is discarded by the caller when ok is false (the wait that ends in
+// shutdown is not starvation).
+func (d *dispatcher) take() (jb job, ok bool, waitStart, waitEnd time.Time) {
 	d.mu.Lock()
-	for {
-		if q := d.deques[slot]; len(q) > 0 {
-			jb = q[0]
-			d.deques[slot] = q[1:]
-			ok = true
-			break
-		}
-		victim, vlen := -1, 0
-		for w := range d.deques {
-			if w != slot && len(d.deques[w]) > vlen {
-				victim, vlen = w, len(d.deques[w])
-			}
-		}
-		if victim >= 0 {
-			q := d.deques[victim]
-			jb = q[len(q)-1]
-			d.deques[victim] = q[:len(q)-1]
-			d.steals[slot]++
-			ok = true
-			break
-		}
-		if d.closed {
-			break
-		}
+	for len(d.queue) == 0 && !d.closed {
 		if waitStart.IsZero() {
 			waitStart = time.Now()
 		}
 		d.cond.Wait()
+	}
+	if len(d.queue) > 0 {
+		// Shift down rather than re-slice: the queue is a few jobs long (the
+		// event loop keeps at most feedCap in flight), and its array is reused
+		// for the whole run.
+		jb, ok = d.queue[0], true
+		d.queue = d.queue[:copy(d.queue, d.queue[1:])]
 	}
 	d.mu.Unlock()
 	if ok && !waitStart.IsZero() {
@@ -122,17 +88,14 @@ func (d *dispatcher) take(slot int) (jb job, ok bool, waitStart, waitEnd time.Ti
 // exit once the already-running kernels drain.
 func (d *dispatcher) purge() []job {
 	d.mu.Lock()
-	var dropped []job
-	for w := range d.deques {
-		dropped = append(dropped, d.deques[w]...)
-		d.deques[w] = nil
-	}
+	dropped := d.queue
+	d.queue = nil
 	d.mu.Unlock()
 	return dropped
 }
 
-// close wakes every blocked worker; take returns ok == false once the deques
-// are drained.
+// close wakes every blocked worker; take returns ok == false once the queue
+// is drained.
 func (d *dispatcher) close() {
 	d.mu.Lock()
 	d.closed = true

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -125,39 +126,87 @@ func TestBitIdenticalFactorsAcrossWorkers(t *testing.T) {
 	})
 }
 
-// TestDispatcherStealPolicy is the whitebox contract of the intra-node
-// stealing layer: push balances onto the shortest deque round-robin, an
-// owner consumes its own deque front-first (priority order), and a starved
-// worker steals the BACK of the fullest victim deque — the coldest entry —
-// leaving the victim its critical-path front.
-func TestDispatcherStealPolicy(t *testing.T) {
-	d := newDispatcher(3)
+// TestDispatcherFIFO is the whitebox contract of the node's one queue: jobs
+// come out in push order whichever worker takes them, purge hands back
+// exactly the unstarted ones, and take after close drains what is queued
+// before it reports !ok.
+func TestDispatcherFIFO(t *testing.T) {
+	d := newDispatcher()
+	take := func(wantIdx int) {
+		t.Helper()
+		jb, ok, waitStart, _ := d.take()
+		if !ok {
+			t.Fatalf("take: dispatcher closed before task %d", wantIdx)
+		}
+		if jb.idx != wantIdx {
+			t.Fatalf("take = task %d, want %d", jb.idx, wantIdx)
+		}
+		if !waitStart.IsZero() {
+			t.Fatalf("take of the queued task %d reported a wait", wantIdx)
+		}
+	}
 	for i := 0; i < 6; i++ {
 		d.push(job{idx: i})
 	}
-	// Round-robin placement: w0=[0,3] w1=[1,4] w2=[2,5].
-	take := func(slot, wantIdx int) {
-		t.Helper()
-		jb, ok, _, _ := d.take(slot)
-		if !ok {
-			t.Fatalf("take(%d): dispatcher closed early", slot)
-		}
-		if jb.idx != wantIdx {
-			t.Fatalf("take(%d) = task %d, want %d", slot, jb.idx, wantIdx)
-		}
+	take(0)
+	take(1)
+	take(2)
+	dropped := d.purge()
+	if len(dropped) != 3 || dropped[0].idx != 3 || dropped[1].idx != 4 || dropped[2].idx != 5 {
+		t.Fatalf("purge returned %v, want the unstarted tasks 3, 4, 5", dropped)
 	}
-	take(0, 0) // own front
-	take(0, 3) // own front again
-	take(0, 4) // own deque dry: steal the BACK of the fullest victim (w1=[1,4])
-	if d.steals[0] != 1 || d.steals[1] != 0 || d.steals[2] != 0 {
-		t.Fatalf("steals = %v, want [1 0 0]", d.steals)
+	if again := d.purge(); len(again) != 0 {
+		t.Fatalf("second purge returned %d jobs", len(again))
 	}
-	take(1, 1) // victim kept its front
-	take(2, 2)
-	take(2, 5)
+	d.push(job{idx: 6})
+	d.push(job{idx: 7})
 	d.close()
-	if _, ok, _, _ := d.take(0); ok {
+	take(6)
+	take(7)
+	if _, ok, _, _ := d.take(); ok {
 		t.Fatal("take on a closed, drained dispatcher returned a job")
+	}
+
+	// Several workers on one queue: every job is taken exactly once, and each
+	// worker sees the jobs it got in push order.
+	const workers, jobs = 4, 200
+	d = newDispatcher()
+	taken := make([][]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				jb, ok, _, _ := d.take()
+				if !ok {
+					return
+				}
+				taken[w] = append(taken[w], jb.idx)
+			}
+		}(w)
+	}
+	for i := 0; i < jobs; i++ {
+		d.push(job{idx: i})
+	}
+	d.close()
+	wg.Wait()
+	seen := make([]bool, jobs)
+	for w, got := range taken {
+		for k, idx := range got {
+			if seen[idx] {
+				t.Fatalf("task %d taken twice", idx)
+			}
+			seen[idx] = true
+			if k > 0 && idx < got[k-1] {
+				t.Fatalf("worker %d took task %d after task %d", w, idx, got[k-1])
+			}
+		}
+	}
+	for idx, ok := range seen {
+		if !ok {
+			t.Fatalf("task %d never taken", idx)
+		}
 	}
 }
 
@@ -176,9 +225,6 @@ func TestWorkersNormalizedOnce(t *testing.T) {
 		}
 		if got := len(rep.Sched[0].WorkerBusySeconds); got != 1 {
 			t.Fatalf("Workers=%d ran with %d worker slots, want 1", workers, got)
-		}
-		if got := len(rep.Sched[0].StealsPerWorker); got != 1 {
-			t.Fatalf("Workers=%d reports %d steal counters, want 1", workers, got)
 		}
 	}
 }

@@ -264,6 +264,8 @@ func (el *elastic) liveOwner(rank int) int {
 // (gossip=true; the dying node announces itself, so crash notes are not
 // re-gossiped), deterministically selects the adopter — the lowest alive
 // rank — and, when that is this node, migrates the dead node's tasks here.
+// The shares the dead rank had itself adopted pass to the same adopter: every
+// dead rank is re-run by the lowest alive one, whoever held it before.
 func (el *elastic) markDead(rank int, gossip bool) {
 	e := el.e
 	if rank == e.rank || el.dead[rank] {
@@ -277,15 +279,21 @@ func (el *elastic) markDead(rank int, gossip bool) {
 	for el.dead[adopter] {
 		adopter++ // this node is alive, so the scan ends
 	}
-	el.adoptedBy[rank] = adopter
 	e.fault("node-down", rank, adopter, fmt.Sprintf("adopter %d", adopter))
-	e.res.restart(rank)
-	if adopter == e.rank && !el.peerDone[rank] {
-		// A rank that announced completion before being presumed dead left a
-		// complete published cache behind; only an incomplete rank's tasks
-		// need re-running.
-		n := el.adoptTasks(rank)
-		e.fault("adopt", e.rank, rank, fmt.Sprintf("%d tasks", n))
+	for ward, dead := range el.dead {
+		if !dead || el.adoptedBy[ward] == adopter {
+			continue
+		}
+		// rank itself, or a share whose adopter rank was until it died.
+		el.adoptedBy[ward] = adopter
+		e.res.restart(ward)
+		if adopter == e.rank && !el.peerDone[ward] {
+			// A rank that announced completion before being presumed dead left a
+			// complete published cache behind; only an incomplete rank's tasks
+			// need re-running.
+			n := el.adoptTasks(ward)
+			e.fault("adopt", e.rank, ward, fmt.Sprintf("%d tasks", n))
+		}
 	}
 }
 

@@ -29,11 +29,13 @@ func ownedTaskCount(g dag.Graph, d dist.Distribution, rank int) int {
 
 // checkAdoption asserts the migration is visible in the report: every victim
 // is marked dead, the expected adopter re-ran exactly the victims' shares of
-// the plan, and nobody else adopted anything (the deterministic rule must not
-// split the work). The kernel counts must balance too: a victim reports the
-// kernels it ran before dying — its dispatch count, not its ownership — and
-// across the cluster every task of g ran once natively, except those a victim
-// never reached, plus once per adoption.
+// the plan, and no other survivor adopted anything (the deterministic rule
+// must not split the work; a victim may have adopted before it died in turn,
+// and then the adopter is the survivor at the end of that chain). The kernel
+// counts must balance too: a victim reports the kernels it ran before dying —
+// its dispatch count, not its ownership — and across the cluster every task
+// of g ran once natively, except those a victim never reached, plus once per
+// adoption.
 func checkAdoption(t *testing.T, rep *Report, g dag.Graph, d dist.Distribution, adopter int, victims ...int) {
 	t.Helper()
 	shares, unreached := 0, 0
@@ -57,7 +59,7 @@ func checkAdoption(t *testing.T, rep *Report, g dag.Graph, d dist.Distribution, 
 		switch {
 		case rank == adopter && rs.Adopted != shares:
 			t.Errorf("adopter %d re-ran %d tasks, want the victims' whole shares: %d", adopter, rs.Adopted, shares)
-		case rank != adopter && rs.Adopted != 0:
+		case rank != adopter && !rs.Died && rs.Adopted != 0:
 			t.Errorf("node %d adopted %d tasks; only %d should adopt", rank, rs.Adopted, adopter)
 		}
 	}
@@ -247,8 +249,7 @@ func TestElasticCholeskyCrash(t *testing.T) {
 // and a version one share produces for the other is a snapshot delivered to
 // the consumer share's own slot, never a direct release ("adopted from the
 // same node" is what releases directly, not "adopted"). A light
-// permanent-drop mix rides along. The adopter's own death is not covered:
-// see ROADMAP item 6a.
+// permanent-drop mix rides along.
 func TestElasticTwoDeathsOneAdopter(t *testing.T) {
 	const mt, b = 12, 4
 	victims := []int{5, 9}
@@ -283,6 +284,61 @@ func TestElasticTwoDeathsOneAdopter(t *testing.T) {
 					t.Fatalf("run with two dead owners failed instead of recovering: %v", err)
 				}
 			})
+		}
+	}
+}
+
+// TestElasticAdopterDies pins the death of the adopter itself: the shares a
+// dead rank had adopted pass, with its own, to the next lowest alive rank.
+// Ranks 5 and 0 die a third and two thirds of the way through their dispatches
+// — rank 0 while it replays rank 5's share, or before rank 5 dies at all,
+// depending on the interleaving — and rank 1 must end up re-running both
+// shares whole; then ranks 0 and 1, with rank 2 the survivor. Before the fix
+// every request for a ward's versions went to a new adopter that had taken
+// the dead adopter's plan share only, and the run hung.
+func TestElasticAdopterDies(t *testing.T) {
+	const mt, b = 12, 4
+	d := dist.NewG2DBC(23)
+	g := dag.NewLU(mt)
+	for _, tc := range []struct {
+		victims  []int
+		survivor int
+	}{
+		{[]int{5, 0}, 1},
+		{[]int{0, 1}, 2},
+	} {
+		victims := tc.victims
+		crashes := map[int]int{
+			victims[0]: ownedTaskCount(g, d, victims[0]) / 3,
+			victims[1]: 2 * ownedTaskCount(g, d, victims[1]) / 3,
+		}
+		for _, workers := range []int{1, 4} {
+			base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 37), Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range broadcastModes {
+				name := fmt.Sprintf("dead=%d,%d/%s/workers=%d", victims[0], victims[1], mode, workers)
+				t.Run(name, func(t *testing.T) {
+					cfg := chaos.Config{Seed: 19, PDrop: 0.05, CrashAtTask: crashes}
+					opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, workers)
+					opt.Broadcast = mode
+					opt.Elastic = true
+					dumpChaosArtifacts(t, fmt.Sprintf("adopter-dies-%d-%d-%s-workers%d", victims[0], victims[1], mode, workers), rec, plan)
+					err := runWithDeadline(t, func() error {
+						fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 37), opt)
+						if err != nil {
+							return err
+						}
+						identicalLU(t, "adopter dies", base, fact, mt)
+						checkAdoption(t, rep, g, d, tc.survivor, victims...)
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("run whose adopter died failed instead of recovering: %v", err)
+					}
+				})
+			}
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestLayersArmedOnlyWhenAsked(t *testing.T) {
 			cl := cluster.New(d.Nodes())
 			defer cl.Close()
 			for rank := 0; rank < d.Nodes(); rank++ {
-				e := newEngine(rank, cl.Comm(rank), pl, b, GenDiagDominant(mt, b, 5), LUKernel, opt, time.Now())
+				e := newEngine(rank, cl.Comm(rank), pl, GenDiagDominant(mt, b, 5), LUKernel, opt, time.Now())
 				if got := e.res != nil; got != tc.res {
 					t.Errorf("rank %d: resilience built = %v, want %v", rank, got, tc.res)
 				}

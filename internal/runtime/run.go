@@ -356,9 +356,10 @@ type SchedStats struct {
 	// WorkerBusySeconds is the wall-clock each worker slot spent inside
 	// kernels — the per-worker utilization behind StallSeconds.
 	WorkerBusySeconds []float64
-	// StealsPerWorker counts, per worker slot, the tasks the slot took from
-	// another worker's deque because its own ran dry (intra-node work
-	// stealing). Always zero with a single worker.
+	// StealsPerWorker is always nil: a node's workers pull from one shared
+	// queue, so there is no other worker's queue to take from. The field stays
+	// declared only because bench/factor.go ranges over it and the benchmark's
+	// files are frozen to a PR of their own (ROADMAP item 5).
 	StealsPerWorker []int
 	// ReadyPeak is the high-water mark of the node's ready queue: how much
 	// dispatchable work was queued behind the busy workers at the worst
@@ -424,7 +425,7 @@ func RunPlan(pl *plan.Plan, b int,
 	}
 	engines := make([]*engine, P)
 	for rank := 0; rank < P; rank++ {
-		engines[rank] = newEngine(rank, cl.JobComm(opt.Job, rank), pl, b, gen, kern, opt, start)
+		engines[rank] = newEngine(rank, cl.JobComm(opt.Job, rank), pl, gen, kern, opt, start)
 	}
 
 	// Cancellation seam: a context that ends before the run does poisons
@@ -529,18 +530,28 @@ func RunPlan(pl *plan.Plan, b int,
 		ForwardedPerNode:     make([]int, P),
 		Elapsed:              elapsed,
 	}
+	// Every graph's Flops depends on the task's kind alone (package dag holds
+	// all of them to it), so the graph is asked once per kind that ran.
+	kindFlops := make(map[dag.Kind]float64)
 	for rank, e := range engines {
-		rep.FlopsPerNode[rank] = e.flops
 		rep.OwnedTilesPerNode[rank] = e.ownedTiles
 		rep.ReceivedTilesPerNode[rank] = e.recvTotal
 		rep.PeakTilesPerNode[rank] = e.peakTiles
 		// Kernels executed = kernels dispatched: abortLocal takes purged jobs
 		// back out, so a node that died mid-run reports what it ran, not
 		// what it owned.
-		byKind := make(map[string]int, len(e.dispatched))
-		for kind, n := range e.dispatched {
-			byKind[kind.String()] = n
-			rep.TasksPerNode[rank] += n
+		byKind := make(map[string]int)
+		for k, n := range e.dispatched {
+			if n == 0 {
+				continue
+			}
+			kind := dag.Kind(k)
+			if _, asked := kindFlops[kind]; !asked {
+				kindFlops[kind] = pl.Graph().Flops(dag.Task{Kind: kind}, b)
+			}
+			byKind[kind.String()] = int(n)
+			rep.TasksPerNode[rank] += int(n)
+			rep.FlopsPerNode[rank] += float64(n) * kindFlops[kind]
 		}
 		busy := make([]float64, len(e.busy))
 		for w, ns := range e.busy {
@@ -549,7 +560,6 @@ func RunPlan(pl *plan.Plan, b int,
 		rep.Sched[rank] = SchedStats{
 			StallSeconds:      float64(e.stallNanos.Load()) / 1e9 / float64(e.workers),
 			WorkerBusySeconds: busy,
-			StealsPerWorker:   append([]int(nil), e.disp.steals...),
 			ReadyPeak:         e.readyPeak,
 			DuplicateDrops:    e.dupDrops,
 			DispatchedByKind:  byKind,

@@ -30,7 +30,7 @@ func testEngineOpt(t testing.TB, rank int, cl *cluster.Cluster, g dag.Graph,
 	if err := opt.normalize(d); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(rank, cl.Comm(rank), pl, b, gen, kern, opt, time.Now())
+	e := newEngine(rank, cl.Comm(rank), pl, gen, kern, opt, time.Now())
 	e.generate(rank)
 	return e
 }

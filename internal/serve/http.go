@@ -104,7 +104,6 @@ type resultBody struct {
 	Messages      int64   `json:"messages"`
 	Bytes         int64   `json:"bytes"`
 	WireBytes     int64   `json:"wireBytes"`
-	ElapsedSteps  int64   `json:"elapsedSteps,omitempty"`
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -113,14 +113,6 @@ func (r *Result) GFlops() float64 {
 	return r.TotalFlops / r.Makespan / 1e9
 }
 
-// GFlopsPerNode returns the per-node simulated performance in GFlop/s.
-func (r *Result) GFlopsPerNode() float64 {
-	if len(r.BusyTime) == 0 {
-		return 0
-	}
-	return r.GFlops() / float64(len(r.BusyTime))
-}
-
 // Efficiency returns the mean worker utilization in [0, 1]: busy time over
 // makespan × workers.
 func (r *Result) Efficiency(m Machine) float64 {
