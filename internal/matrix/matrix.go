@@ -33,6 +33,34 @@ func NewDense(mt, nt, b int) *Dense {
 	return d
 }
 
+// DenseFromTiles builds the mt×nt matrix of the given b×b tiles, listed row
+// by row — (0,0), (0,1), … — without copying them: the matrix adopts the
+// tiles and the slice, which the caller gives up. A missing, nil or
+// mis-shaped tile is a bug in the caller and panics, naming the tile.
+func DenseFromTiles(mt, nt, b int, tiles []*tile.Tile) *Dense {
+	if mt <= 0 || nt <= 0 || b <= 0 {
+		panic(fmt.Sprintf("matrix: invalid shape mt=%d nt=%d b=%d", mt, nt, b))
+	}
+	if len(tiles) != mt*nt {
+		panic(fmt.Sprintf("matrix: %d tiles given for an %d×%d tile matrix", len(tiles), mt, nt))
+	}
+	for k, t := range tiles {
+		checkAdopted(t, b, k/nt, k%nt)
+	}
+	return &Dense{MT: mt, NT: nt, B: b, tiles: tiles}
+}
+
+// checkAdopted panics unless t can serve as b×b tile (i, j) of an adopted
+// matrix.
+func checkAdopted(t *tile.Tile, b, i, j int) {
+	switch {
+	case t == nil:
+		panic(fmt.Sprintf("matrix: tile (%d,%d) is nil", i, j))
+	case t.Rows != b || t.Cols != b || len(t.Data) != b*b:
+		panic(fmt.Sprintf("matrix: tile (%d,%d) is %d×%d over %d elements, want %d×%d", i, j, t.Rows, t.Cols, len(t.Data), b, b))
+	}
+}
+
 // Tile returns tile (i, j) (0-based tile coordinates).
 func (d *Dense) Tile(i, j int) *tile.Tile {
 	return d.tiles[i*d.NT+j]
@@ -64,7 +92,7 @@ func (d *Dense) Set(gi, gj int, v float64) {
 
 // Clone returns a deep copy.
 func (d *Dense) Clone() *Dense {
-	c := NewDense(d.MT, d.NT, d.B)
+	c := &Dense{MT: d.MT, NT: d.NT, B: d.B, tiles: make([]*tile.Tile, len(d.tiles))}
 	for i, t := range d.tiles {
 		c.tiles[i] = t.Clone()
 	}
@@ -109,6 +137,26 @@ func NewSymmetricLower(mt, b int) *SymmetricLower {
 	return s
 }
 
+// SymmetricLowerFromTiles is DenseFromTiles for the lower-stored symmetric
+// mt×mt matrix: the tiles (i, j), i ≥ j, listed row by row — (0,0), (1,0),
+// (1,1), (2,0), … — are adopted, not copied.
+func SymmetricLowerFromTiles(mt, b int, tiles []*tile.Tile) *SymmetricLower {
+	if mt <= 0 || b <= 0 {
+		panic(fmt.Sprintf("matrix: invalid shape mt=%d b=%d", mt, b))
+	}
+	if len(tiles) != mt*(mt+1)/2 {
+		panic(fmt.Sprintf("matrix: %d tiles given for the lower triangle of an %d×%d tile matrix", len(tiles), mt, mt))
+	}
+	k := 0
+	for i := 0; i < mt; i++ {
+		for j := 0; j <= i; j++ {
+			checkAdopted(tiles[k], b, i, j)
+			k++
+		}
+	}
+	return &SymmetricLower{MT: mt, B: b, tiles: tiles}
+}
+
 // Tile returns stored tile (i, j), requiring i ≥ j.
 func (s *SymmetricLower) Tile(i, j int) *tile.Tile {
 	if i < j {
@@ -150,7 +198,7 @@ func (s *SymmetricLower) Set(gi, gj int, v float64) {
 
 // Clone returns a deep copy.
 func (s *SymmetricLower) Clone() *SymmetricLower {
-	c := NewSymmetricLower(s.MT, s.B)
+	c := &SymmetricLower{MT: s.MT, B: s.B, tiles: make([]*tile.Tile, len(s.tiles))}
 	for i, t := range s.tiles {
 		c.tiles[i] = t.Clone()
 	}

@@ -2,8 +2,11 @@ package matrix
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"anybc/internal/tile"
 )
 
 func TestDenseAccessors(t *testing.T) {
@@ -50,6 +53,62 @@ func TestSymmetricAccessors(t *testing.T) {
 		}
 	}()
 	s.Tile(0, 1)
+}
+
+// TestFromTilesAdoptsAndRejects: the adopting constructors keep the very
+// tiles they are given, in the documented order, and name the tile when one
+// is missing, nil or of another shape.
+func TestFromTilesAdoptsAndRejects(t *testing.T) {
+	const mt, nt, b = 3, 2, 4
+	tiles := make([]*tile.Tile, mt*nt)
+	for k := range tiles {
+		tiles[k] = tile.New(b, b)
+	}
+	d := DenseFromTiles(mt, nt, b, tiles)
+	for i := 0; i < mt; i++ {
+		for j := 0; j < nt; j++ {
+			if d.Tile(i, j) != tiles[i*nt+j] {
+				t.Fatalf("Dense tile (%d,%d) is not the tile given for it", i, j)
+			}
+		}
+	}
+	lower := tiles[:mt*(mt+1)/2]
+	s := SymmetricLowerFromTiles(mt, b, lower)
+	for i, k := 0, 0; i < mt; i++ {
+		for j := 0; j <= i; j, k = j+1, k+1 {
+			if s.Tile(i, j) != lower[k] {
+				t.Fatalf("SymmetricLower tile (%d,%d) is not the tile given for it", i, j)
+			}
+		}
+	}
+
+	with := func(k int, bad *tile.Tile) []*tile.Tile {
+		c := append([]*tile.Tile(nil), tiles...)
+		c[k] = bad
+		return c
+	}
+	for name, tc := range map[string]struct {
+		build func()
+		want  string
+	}{
+		"dense nil":        {func() { DenseFromTiles(mt, nt, b, with(3, nil)) }, "tile (1,1) is nil"},
+		"dense shape":      {func() { DenseFromTiles(mt, nt, b, with(4, tile.New(b, b+1))) }, "tile (2,0) is 4×5"},
+		"dense short data": {func() { DenseFromTiles(mt, nt, b, with(0, &tile.Tile{Rows: b, Cols: b})) }, "tile (0,0) is 4×4 over 0 elements"},
+		"dense count":      {func() { DenseFromTiles(mt, nt, b, tiles[:5]) }, "5 tiles given for an 3×2"},
+		"dense dims":       {func() { DenseFromTiles(0, nt, b, nil) }, "invalid shape"},
+		"lower nil":        {func() { SymmetricLowerFromTiles(mt, b, with(4, nil)[:6]) }, "tile (2,1) is nil"},
+		"lower shape":      {func() { SymmetricLowerFromTiles(mt, b, with(2, tile.New(b+1, b))[:6]) }, "tile (1,1) is 5×4"},
+		"lower count":      {func() { SymmetricLowerFromTiles(mt, b, tiles[:5]) }, "5 tiles given for the lower triangle"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want one containing %q", name, msg, tc.want)
+				}
+			}()
+			tc.build()
+		}()
+	}
 }
 
 func TestFillFunc(t *testing.T) {

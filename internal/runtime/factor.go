@@ -6,6 +6,7 @@ import (
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
+	"anybc/internal/plan"
 	"anybc/internal/tile"
 )
 
@@ -47,7 +48,9 @@ func CholeskyKernel(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 	return nil
 }
 
-// GenDense adapts a global element generator to a tile generator.
+// GenDense adapts a global element generator to a tile generator: the
+// generic, one-call-per-element adapter. The two matrices the factorizations
+// are run on have row-at-a-time generators of their own below.
 func GenDense(b int, at func(gi, gj int) float64) func(i, j int) *tile.Tile {
 	return func(ti, tj int) *tile.Tile {
 		t := tile.New(b, b)
@@ -61,17 +64,19 @@ func GenDense(b int, at func(gi, gj int) float64) func(i, j int) *tile.Tile {
 }
 
 // GenDiagDominant returns a tile generator for the diagonally dominant LU
-// test matrix of matrix.NewDiagDominant.
+// test matrix of matrix.NewDiagDominant: GenDense over matrix.DiagDominantAt,
+// value for value.
 func GenDiagDominant(mt, b int, seed int64) func(i, j int) *tile.Tile {
 	m := mt * b
-	return GenDense(b, func(gi, gj int) float64 { return matrix.DiagDominantAt(seed, m, gi, gj) })
+	return func(i, j int) *tile.Tile { return matrix.DiagDominantTile(seed, m, b, i, j) }
 }
 
 // GenSPD returns a tile generator for the SPD Cholesky test matrix of
-// matrix.NewSPD (lower-triangle tiles; diagonal tiles are mirrored).
+// matrix.NewSPD — GenDense over matrix.SPDAt, value for value: diagonal tiles
+// are full, tiles above the diagonal mirror the ones below.
 func GenSPD(mt, b int, seed int64) func(i, j int) *tile.Tile {
 	m := mt * b
-	return GenDense(b, func(gi, gj int) float64 { return matrix.SPDAt(seed, m, gi, gj) })
+	return func(i, j int) *tile.Tile { return matrix.SPDTile(seed, m, b, i, j) }
 }
 
 // FactorLU runs the distributed tiled unpivoted LU factorization of the
@@ -82,23 +87,70 @@ func FactorLU(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt
 	return runDense(dag.NewLU(mt), d, mt, mt, b, gen, LUKernel, opt)
 }
 
-// runDense runs g and gathers its result: the mt×nt leading block of the
-// graph's tile index range, as a dense matrix. Whatever a graph stores past
-// that block — operand tiles, layer accumulators — is input or scratch and is
-// not gathered.
-func runDense(g dag.Graph, d dist.Distribution, mt, nt, b int,
-	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
+// gather executes pl and returns the final tiles slot selects, each at the
+// index slot gives it (negative: not wanted — an operand, an accumulator).
+// This is the one place a run's result is assembled, and it copies nothing:
+// RunPlan's collect hands every final tile over by ownership, so the result is
+// made of the very buffers the engines updated in place.
+func gather(pl *plan.Plan, b int, gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
+	n int, slot func(i, j int) int) ([]*tile.Tile, *Report, error) {
 
-	out := matrix.NewDense(mt, nt, b)
-	rep, err := Run(g, d, b, gen, kern, opt, func(i, j int, t *tile.Tile) {
-		if i < mt && j < nt {
-			out.SetTile(i, j, t.Clone())
+	tiles := make([]*tile.Tile, n)
+	rep, err := RunPlan(pl, b, gen, kern, opt, func(i, j int, t *tile.Tile) {
+		if k := slot(i, j); k >= 0 {
+			tiles[k] = t
 		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, rep, nil
+	return tiles, rep, nil
+}
+
+// RunPlanDense executes pl and returns the mt×nt leading block of its tile
+// index range as a dense matrix made of the run's own final tiles. Whatever
+// the graph stores past that block — operand tiles, layer accumulators — is
+// input or scratch and is not gathered.
+func RunPlanDense(pl *plan.Plan, mt, nt, b int,
+	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
+
+	tiles, rep, err := gather(pl, b, gen, kern, opt, mt*nt, func(i, j int) int {
+		if i < mt && j < nt {
+			return i*nt + j
+		}
+		return -1
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return matrix.DenseFromTiles(mt, nt, b, tiles), rep, nil
+}
+
+// RunPlanLower is RunPlanDense for a lower-stored symmetric mt×mt result.
+func RunPlanLower(pl *plan.Plan, mt, b int,
+	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.SymmetricLower, *Report, error) {
+
+	tiles, rep, err := gather(pl, b, gen, kern, opt, mt*(mt+1)/2, func(i, j int) int {
+		if j <= i && i < mt {
+			return i*(i+1)/2 + j
+		}
+		return -1
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return matrix.SymmetricLowerFromTiles(mt, b, tiles), rep, nil
+}
+
+// runDense compiles (g, d) and gathers the run's mt×nt result.
+func runDense(g dag.Graph, d dist.Distribution, mt, nt, b int,
+	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
+
+	pl, err := compile(g, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return RunPlanDense(pl, mt, nt, b, gen, kern, opt)
 }
 
 // FactorLUReplicated runs the replicated (2.5D-style) distributed LU
@@ -134,14 +186,9 @@ func FactorCholeskyLeft(mt, b int, d dist.Distribution, gen func(i, j int) *tile
 func runLower(g dag.Graph, d dist.Distribution, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.SymmetricLower, *Report, error) {
 
-	out := matrix.NewSymmetricLower(mt, b)
-	rep, err := Run(g, d, b, gen, kern, opt, func(i, j int, t *tile.Tile) {
-		if j < mt {
-			out.Tile(i, j).CopyFrom(t)
-		}
-	})
+	pl, err := compile(g, d)
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, rep, nil
+	return RunPlanLower(pl, mt, b, gen, kern, opt)
 }

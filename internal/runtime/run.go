@@ -90,6 +90,12 @@
 // consumer releases it — so steady-state runs recycle a small set of
 // message buffers instead of churning one allocation per message.
 //
+// Owned tiles are never pooled and never copied: gen allocates each one, the
+// owner's kernels update it in place for the whole run, and it leaves with the
+// result — collect is handed the buffer itself, and FactorLU, FactorCholesky
+// and the service build the matrix they return out of those buffers (gather,
+// factor.go). A call therefore allocates its matrix exactly once.
+//
 // # Failure propagation
 //
 // The first kernel error on any node aborts the whole run: the failing node
@@ -384,17 +390,34 @@ type SchedStats struct {
 //
 // gen is called concurrently — each node generates the tiles it owns on its
 // own goroutine, and under Options.Elastic a survivor regenerates a dead
-// node's — and must be a pure function of (i, j). collect is called from the
-// calling goroutine, one tile at a time.
+// node's — and must be a pure function of (i, j) that returns a fresh tile
+// per call: the engine takes the tile as the owner's storage and its kernels
+// update it in place.
+//
+// collect is called from the calling goroutine, one tile at a time, exactly
+// once per tile, and owns what it receives: the engines are finished, nothing
+// else refers to the tile, and it is the buffer the last kernel wrote — after
+// an elastic crash, the adopter's. Keeping the pointer is the cheap way to
+// keep the result; a caller that wants a copy makes one.
 func Run(g dag.Graph, d dist.Distribution, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	collect func(i, j int, t *tile.Tile)) (*Report, error) {
 
+	pl, err := compile(g, d)
+	if err != nil {
+		return nil, err
+	}
+	return RunPlan(pl, b, gen, kern, opt, collect)
+}
+
+// compile is plan.Compile with the error every entry point of this package
+// reports for a pair the protocol cannot serve.
+func compile(g dag.Graph, d dist.Distribution) (*plan.Plan, error) {
 	pl, err := plan.Compile(g, d)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	return RunPlan(pl, b, gen, kern, opt, collect)
+	return pl, nil
 }
 
 // RunPlan executes a compiled plan: every engine reads its share of pl and

@@ -103,18 +103,21 @@ func runSolve(g dag.Graph, mt, b, nrhs int, d dist.Distribution,
 	genA func(i, j int) *tile.Tile, genB func(i int) *tile.Tile,
 	kern Kernel, opt Options) (matrix.RHS, *Report, error) {
 
-	x := matrix.NewRHS(mt, b, nrhs)
-	sd := solveDist{Distribution: d, mt: mt}
-	rep, err := Run(g, sd, b, solveGen(mt, b, nrhs, genA, genB), kern, opt,
-		func(i, j int, t *tile.Tile) {
-			if j == mt+1 {
-				x[i].CopyFrom(t)
-			}
-		})
+	pl, err := compile(g, solveDist{Distribution: d, mt: mt})
 	if err != nil {
 		return nil, nil, err
 	}
-	return x, rep, nil
+	// X is the run's own workspace column, handed over like any result.
+	x, rep, err := gather(pl, b, solveGen(mt, b, nrhs, genA, genB), kern, opt, mt, func(i, j int) int {
+		if j == mt+1 {
+			return i
+		}
+		return -1
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return matrix.RHS(x), rep, nil
 }
 
 var _ dist.Distribution = solveDist{}

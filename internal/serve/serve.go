@@ -38,7 +38,6 @@ import (
 	"anybc/internal/cluster"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
-	"anybc/internal/tile"
 )
 
 // Job kinds.
@@ -479,20 +478,14 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	switch spec.Kind {
 	case KindLU:
 		gen := runtime.GenDiagDominant(spec.Mt, spec.B, spec.Seed)
-		out := matrix.NewDense(spec.Mt, spec.Mt, spec.B)
-		rep, err := runtime.RunPlan(pl, spec.B, gen, runtime.LUKernel, opt, func(i, jj int, t *tile.Tile) {
-			out.SetTile(i, jj, t.Clone())
-		})
+		out, rep, err := runtime.RunPlanDense(pl, spec.Mt, spec.Mt, spec.B, gen, runtime.LUKernel, opt)
 		if err != nil {
 			return nil, nil, err
 		}
 		return &Result{Dense: out}, rep, nil
 	case KindCholesky:
 		gen := runtime.GenSPD(spec.Mt, spec.B, spec.Seed)
-		out := matrix.NewSymmetricLower(spec.Mt, spec.B)
-		rep, err := runtime.RunPlan(pl, spec.B, gen, runtime.CholeskyKernel, opt, func(i, jj int, t *tile.Tile) {
-			out.Tile(i, jj).CopyFrom(t)
-		})
+		out, rep, err := runtime.RunPlanLower(pl, spec.Mt, spec.B, gen, runtime.CholeskyKernel, opt)
 		if err != nil {
 			return nil, nil, err
 		}

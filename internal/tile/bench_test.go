@@ -19,27 +19,50 @@ func benchTiles(b *testing.B, n int) (*Tile, *Tile, *Tile) {
 	return x, y, z
 }
 
-func benchGemm(b *testing.B, n int) {
+func benchGemm(b *testing.B, n int, transB Trans) {
 	x, y, z := benchTiles(b, n)
 	b.SetBytes(int64(24 * n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(NoTrans, NoTrans, -1, x, y, 1, z)
+		Gemm(NoTrans, transB, -1, x, y, 1, z)
 	}
 	b.ReportMetric(FlopsGemm(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
-func BenchmarkKernelGemm128(b *testing.B) { benchGemm(b, 128) }
-func BenchmarkKernelGemm500(b *testing.B) { benchGemm(b, 500) }
+func BenchmarkKernelGemm128(b *testing.B)       { benchGemm(b, 128, NoTrans) }
+func BenchmarkKernelGemm256(b *testing.B)       { benchGemm(b, 256, NoTrans) }
+func BenchmarkKernelGemm500(b *testing.B)       { benchGemm(b, 500, NoTrans) }
+func BenchmarkKernelGemmTransB256(b *testing.B) { benchGemm(b, 256, TransT) }
+func BenchmarkKernelGemmTransB500(b *testing.B) { benchGemm(b, 500, TransT) }
 
-func BenchmarkKernelGemmTransB500(b *testing.B) {
-	x, y, z := benchTiles(b, 500)
+// coldRingBytes is the least a cold benchmark's ring of tiles holds: past
+// every private cache of the box, so each call finds its three operands where
+// a factorization's kernels find theirs — wherever the last writer left them.
+const coldRingBytes = 64 << 20
+
+// benchGemmCold is benchGemm over a ring of distinct (A, B, C) triples: no
+// call touches a tile an earlier one left in cache. A triple's C is only ever
+// a C, so its values grow linearly with the laps, never into overflow.
+func benchGemmCold(b *testing.B, n int, transB Trans) {
+	rng := rand.New(rand.NewSource(1))
+	triples := (coldRingBytes + 24*n*n - 1) / (24 * n * n)
+	ring := make([]*Tile, 3*triples)
+	for i := range ring {
+		ring[i] = New(n, n)
+		ring[i].Random(rng)
+	}
+	b.SetBytes(int64(24 * n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(NoTrans, TransT, -1, x, y, 1, z)
+		t := ring[3*(i%triples):]
+		Gemm(NoTrans, transB, -1, t[0], t[1], 1, t[2])
 	}
-	b.ReportMetric(FlopsGemm(500)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+	b.ReportMetric(FlopsGemm(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
+
+func BenchmarkKernelGemmCold128(b *testing.B)       { benchGemmCold(b, 128, NoTrans) }
+func BenchmarkKernelGemmCold256(b *testing.B)       { benchGemmCold(b, 256, NoTrans) }
+func BenchmarkKernelGemmColdTransB256(b *testing.B) { benchGemmCold(b, 256, TransT) }
 
 func benchSyrk(b *testing.B, n int) {
 	x, _, z := benchTiles(b, n)

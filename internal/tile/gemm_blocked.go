@@ -97,21 +97,23 @@ func putPack(t *Tile) { packPool.Put(t) }
 // the microkernel never reads past the matrix edge. With w = mr this is the
 // packed A panel; the packed B panel (nr-column strips of op(B), interleaved
 // by depth) is the same layout of op(B)ᵀ's rows, so gemmView packs both here.
+//
+// Either way the source is read the way it lies in memory, whole rows of X
+// front to back, and on amd64 the rows a later step reads are asked for ahead
+// of it (transposeBlocks, dealRuns): a kernel inside a factorization finds its
+// operand tiles in no cache, and rows a leading dimension apart are a stride
+// the hardware prefetcher does not follow. The strided side of the
+// transposition is the packed panel, which is being written and stays
+// cache-resident for the sweep.
 func packStrips(dst []float64, x opView, i0, cnt, kk, kb, w int) {
+	if x.trans {
+		packDepthRows(dst, x.data[kk*x.ld+i0:], x.ld, cnt, kb, w)
+		return
+	}
 	for ; cnt > 0; i0, cnt = i0+w, cnt-w {
 		strip := dst[:kb*w]
 		dst = dst[kb*w:]
 		rows := min(cnt, w)
-		if x.trans {
-			// op(X) rows run down the columns of X: each depth step copies
-			// one contiguous run of X's row kk+l.
-			for l := 0; l < kb; l++ {
-				d := strip[l*w : l*w+w]
-				copy(d, x.data[(kk+l)*x.ld+i0:(kk+l)*x.ld+i0+rows])
-				clear(d[rows:])
-			}
-			continue
-		}
 		// op(X) rows are X's rows, contiguous along the depth: the strip is
 		// their transpose.
 		transposeInto(strip, w, x.data[i0*x.ld+kk:], x.ld, rows, kb)
@@ -119,6 +121,34 @@ func packStrips(dst []float64, x opView, i0, cnt, kk, kb, w int) {
 			for l := 0; l < kb; l++ {
 				clear(strip[l*w+rows : l*w+w])
 			}
+		}
+	}
+}
+
+// packDepthRows is packStrips where op(X)'s rows run down the columns of X,
+// so depth step l of every strip lies in one row of X: src[l·ld : l·ld+cnt].
+// Each such row is read once, front to back, and dealt out w elements to a
+// strip; walked strip by strip, the same bytes are runs of w elements a whole
+// row of X apart.
+func packDepthRows(dst, src []float64, ld, cnt, kb, w int) {
+	full := cnt / w * w
+	for l := 0; l < kb; l++ {
+		row := src[l*ld : l*ld+cnt]
+		dealRow(dst[l*w:], kb*w, row[:full], w, ld)
+		if rem := row[full:]; len(rem) > 0 {
+			d := dst[full*kb+l*w:][:w]
+			clear(d[copy(d, rem):])
+		}
+	}
+}
+
+// dealRowScalar writes dst[s·stride + r] = row[s·w + r] for every whole run of
+// w elements in row: one depth step of every full strip of a packed panel.
+func dealRowScalar(dst []float64, stride int, row []float64, w int) {
+	for s := 0; s*w < len(row); s++ {
+		d, run := dst[s*stride:][:w], row[s*w:][:w]
+		for r, v := range run { // w is 2 to 8 here: shorter than a copy call
+			d[r] = v
 		}
 	}
 }

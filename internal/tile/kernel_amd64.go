@@ -53,11 +53,19 @@ func fmaMicro8x16(ap, bp *float64, kb int, alpha float64, c *float64, ldc int)
 //go:noescape
 func fmaSolveRow(y *float64, n int, a *float64, k int, x *float64, ldx int, s float64)
 
-// transpose4x4 writes dst[c·ldd+r] = src[r·lds+c] for r < rows, c < cols, both
-// multiples of 4. Implemented in kernel_amd64.s; requires AVX2.
+// transposeBlocks writes dst[c·ldd+r] = src[r·lds+c] for r < rows, c < cols,
+// both multiples of 4, prefetching the source rows below the ones it reads.
+// Implemented in kernel_amd64.s; requires AVX2.
 //
 //go:noescape
-func transpose4x4(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+func transposeBlocks(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+
+// dealRuns writes dst[s·stride+r] = src[s·w+r] for s < n, r < w, prefetching
+// src[ahead:] as it goes. Implemented in kernel_amd64.s; requires AVX2, w a
+// positive multiple of 8 and n > 0.
+//
+//go:noescape
+func dealRuns(dst *float64, stride int, src *float64, w, n, ahead int)
 
 // solveRow is one row of a substitution (see solveRowScalar): the AVX2+FMA
 // kernel takes the columns it can, four at a time, the Go loop the rest.
@@ -81,13 +89,40 @@ func transposeVec(dst []float64, ldd int, src []float64, lds, rows, cols int) (r
 		return 0, 0
 	}
 	r4, c4 = rows&^3, cols&^3
-	// Eight source columns at a time: each pass reads whole cache lines of
-	// src and runs down eight rows of dst front to back.
+	if ldd <= 16 {
+		// Destination rows of at most two cache lines, back to back — a
+		// packed strip: the block stays in L1 in whatever order it is
+		// written, and one call streams each source row whole.
+		transposeBlocks(&dst[0], ldd, &src[0], lds, r4, c4)
+		return r4, c4
+	}
+	// A wide destination (the right-side TRSM's whole block): eight source
+	// columns at a time, so each pass reads whole cache lines of src and runs
+	// down eight rows of dst front to back instead of striding across all of
+	// them.
 	for c := 0; c < c4; c += 8 {
-		transpose4x4(&dst[c*ldd], ldd, &src[c], lds, r4, min(8, c4-c))
+		transposeBlocks(&dst[c*ldd], ldd, &src[c], lds, r4, min(8, c4-c))
 	}
 	return r4, c4
 }
+
+// dealRow deals one source row out over the strips of a packed panel (see
+// dealRowScalar): the AVX2 kernel at the widths the assembly kernels pack B
+// to, asking ahead for the row packAhead depth steps on.
+func dealRow(dst []float64, stride int, row []float64, w, ld int) {
+	if n := len(row) / w; micro.vector && w%8 == 0 && n > 0 {
+		dealRuns(&dst[0], stride, &row[0], w, n, packAhead*ld)
+		return
+	}
+	dealRowScalar(dst, stride, row, w)
+}
+
+// packAhead is how many depth steps — rows of X, ld apart — dealRow asks
+// ahead: far enough that a row dealt in tens of nanoseconds is requested a
+// last-level-cache latency early (2 to 8 measure alike on the development box,
+// 0 and 16 a third slower), near enough that a 240-step panel misses only on
+// its first few rows.
+const packAhead = 4
 
 const (
 	scalarMR = 4

@@ -45,6 +45,22 @@ TEXT ·fmaMicro4x8(SB), NOSPLIT, $0-48
 	MOVQ ldc+40(FP), R8
 	SHLQ $3, R8 // leading dimension in bytes
 
+	// Ask for the C block now, so its lines arrive under the depth loop
+	// rather than stalling the write-back: a row is 64 bytes, on one line
+	// or across two.
+	MOVQ DX, AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 56(AX)
+	ADDQ R8, AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 56(AX)
+	ADDQ R8, AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 56(AX)
+	ADDQ R8, AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 56(AX)
+
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -200,6 +216,19 @@ TEXT ·fmaMicro8x16(SB), NOSPLIT, $0-48
 	MOVQ ldc+40(FP), R8
 	SHLQ $3, R8 // leading dimension in bytes
 
+	// Ask for the C block now (see fmaMicro4x8): a row is 128 bytes, on two
+	// lines or across three.
+	MOVQ DX, AX
+	MOVQ $8, BX
+
+prefetch512:
+	PREFETCHT0 (AX)
+	PREFETCHT0 64(AX)
+	PREFETCHT0 120(AX)
+	ADDQ R8, AX
+	DECQ BX
+	JNZ  prefetch512
+
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -343,12 +372,42 @@ solved:
 	VZEROUPPER
 	RET
 
-// func transpose4x4(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+// One 4×4 block of the transpose: rows r..r+3 of the source at AX, written as
+// rows c..c+3 of the destination at DX; both cursors move on to the next four
+// source columns. The unpacks interleave rows 0,1 into Y4 = r0c0 r1c0 r0c2 r1c2
+// and Y5 = r0c1 r1c1 r0c3 r1c3, rows 2,3 likewise into Y6, Y7; the permutes
+// join matching 128-bit halves into columns c (Y0) to c+3 (Y3).
+#define TRANSPOSE4x4 \
+	VMOVUPD    (AX), Y0; \
+	VMOVUPD    (AX)(R9*1), Y1; \
+	VMOVUPD    (AX)(R9*2), Y2; \
+	VMOVUPD    (AX)(R12*1), Y3; \
+	VUNPCKLPD  Y1, Y0, Y4; \
+	VUNPCKHPD  Y1, Y0, Y5; \
+	VUNPCKLPD  Y3, Y2, Y6; \
+	VUNPCKHPD  Y3, Y2, Y7; \
+	VPERM2F128 $0x20, Y6, Y4, Y0; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x31, Y6, Y4, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3; \
+	VMOVUPD    Y0, (DX); \
+	VMOVUPD    Y1, (DX)(R8*1); \
+	VMOVUPD    Y2, (DX)(R8*2); \
+	VMOVUPD    Y3, (DX)(R13*1); \
+	ADDQ       $32, AX; \
+	LEAQ       (DX)(R8*4), DX
+
+// func transposeBlocks(dst *float64, ldd int, src *float64, lds int, rows, cols int)
 //
 // dst[c·ldd + r] = src[r·lds + c] for r < rows, c < cols, both multiples of
-// 4: 4×4 blocks through AVX2 unpack/permute, four source rows streamed per
-// pass.
-TEXT ·transpose4x4(SB), NOSPLIT, $0-48
+// 4. Four source rows are streamed front to back per pass, and for every cache
+// line a pass reads it asks for the same line of the four rows under it:
+// source rows lie lds apart, a stride the hardware prefetcher does not follow,
+// and the pass that needs them — this call's next, or the next call's first
+// when a caller walks down a matrix strip by strip — starts a few hundred
+// cycles later. Past the last row the prefetch names memory that may not be the
+// caller's; a prefetch is a hint and never a load.
+TEXT ·transposeBlocks(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ src+16(FP), SI
@@ -363,40 +422,73 @@ TEXT ·transpose4x4(SB), NOSPLIT, $0-48
 rowblock:
 	CMPQ R10, $4
 	JLT  transposed
-	MOVQ SI, AX // source cursor: rows r..r+3, column c
-	MOVQ DI, DX // destination cursor: rows c..c+3, column r
+	MOVQ SI, AX          // source cursor: rows r..r+3, column c
+	LEAQ (SI)(R9*4), SI  // rows r+4..r+7: the next pass, prefetched by this one
+	MOVQ SI, BX
+	MOVQ DI, DX          // destination cursor: rows c..c+3, column r
 	MOVQ R11, CX
 
-colblock:
+colblock8:
+	CMPQ CX, $8
+	JLT  colblock4
+	PREFETCHT0 (BX)
+	PREFETCHT0 (BX)(R9*1)
+	PREFETCHT0 (BX)(R9*2)
+	PREFETCHT0 (BX)(R12*1)
+	ADDQ       $64, BX
+	TRANSPOSE4x4
+	TRANSPOSE4x4
+	SUBQ       $8, CX
+	JMP        colblock8
+
+colblock4:
 	CMPQ CX, $4
 	JLT  nextrows
-	VMOVUPD    (AX), Y0
-	VMOVUPD    (AX)(R9*1), Y1
-	VMOVUPD    (AX)(R9*2), Y2
-	VMOVUPD    (AX)(R12*1), Y3
-	VUNPCKLPD  Y1, Y0, Y4 // r0c0 r1c0 r0c2 r1c2
-	VUNPCKHPD  Y1, Y0, Y5 // r0c1 r1c1 r0c3 r1c3
-	VUNPCKLPD  Y3, Y2, Y6 // r2c0 r3c0 r2c2 r3c2
-	VUNPCKHPD  Y3, Y2, Y7 // r2c1 r3c1 r2c3 r3c3
-	VPERM2F128 $0x20, Y6, Y4, Y0 // column c
-	VPERM2F128 $0x20, Y7, Y5, Y1 // column c+1
-	VPERM2F128 $0x31, Y6, Y4, Y2 // column c+2
-	VPERM2F128 $0x31, Y7, Y5, Y3 // column c+3
-	VMOVUPD    Y0, (DX)
-	VMOVUPD    Y1, (DX)(R8*1)
-	VMOVUPD    Y2, (DX)(R8*2)
-	VMOVUPD    Y3, (DX)(R13*1)
-	ADDQ       $32, AX
-	LEAQ       (DX)(R8*4), DX
-	SUBQ       $4, CX
-	JMP        colblock
+	TRANSPOSE4x4
 
 nextrows:
-	LEAQ (SI)(R9*4), SI
 	ADDQ $32, DI
 	SUBQ $4, R10
 	JMP  rowblock
 
 transposed:
+	VZEROUPPER
+	RET
+
+// func dealRuns(dst *float64, stride int, src *float64, w, n, ahead int)
+//
+// dst[s·stride + r] = src[s·w + r] for s < n, r < w, w a multiple of 8: one
+// contiguous source row dealt out in runs of w. Each cache line read is paired
+// with a prefetch of the line `ahead` elements further on — the row a later
+// call will deal — which, like transposeBlocks', may name memory past the
+// caller's.
+TEXT ·dealRuns(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ stride+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ w+24(FP), R9
+	MOVQ n+32(FP), R10
+	MOVQ ahead+40(FP), R11
+	SHLQ $3, R8 // in bytes
+	SHLQ $3, R11
+
+run:
+	MOVQ DI, DX
+	MOVQ R9, CX
+
+line:
+	PREFETCHT0 (SI)(R11*1)
+	VMOVUPD    (SI), Y0
+	VMOVUPD    32(SI), Y1
+	VMOVUPD    Y0, (DX)
+	VMOVUPD    Y1, 32(DX)
+	ADDQ       $64, SI
+	ADDQ       $64, DX
+	SUBQ       $8, CX
+	JNZ        line
+	ADDQ       R8, DI
+	DECQ       R10
+	JNZ        run
+
 	VZEROUPPER
 	RET

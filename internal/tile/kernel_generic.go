@@ -16,6 +16,10 @@ func transposeVec(dst []float64, ldd int, src []float64, lds, rows, cols int) (r
 	return 0, 0
 }
 
+func dealRow(dst []float64, stride int, row []float64, w, ld int) {
+	dealRowScalar(dst, stride, row, w)
+}
+
 // microTileMax is the largest mr·nr in the table: the size of the packed
 // GEMM's edge-tile scratch block.
 const microTileMax = 2 * 4

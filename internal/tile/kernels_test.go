@@ -52,7 +52,9 @@ func TestMicroKernelProbe(t *testing.T) {
 // by the same operations in the same order — one FMA chain over each depth
 // panel, one FMA folding alpha in, edge tiles through the same kernel on a
 // scratch copy — so whatever their register shape, Gemm must return the same
-// bits under each. Sizes cross every mr/nr, gemmMC and gemmKC edge.
+// bits under each. Sizes cross every mr/nr, gemmMC and gemmKC edge; the first
+// is interior blocks only, so the last one's C prefetch — no part of those
+// operations — starts on the last rows of its tile.
 func TestMicroKernelsBitIdentical(t *testing.T) {
 	var vector []microKernel
 	for _, k := range testKernels(t) {
@@ -66,7 +68,7 @@ func TestMicroKernelsBitIdentical(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(31))
 	shapes := [][3]int{
-		{24, 24, 24}, {33, 17, 29}, {64, 16, 240}, {65, 17, 241},
+		{16, 32, 16}, {24, 24, 24}, {33, 17, 29}, {64, 16, 240}, {65, 17, 241},
 		{67, 45, 251}, {130, 257, 65}, {7, 300, 300}, {300, 9, 481}, {256, 256, 256},
 	}
 	for _, s := range shapes {
@@ -100,6 +102,61 @@ func TestMicroKernelsBitIdentical(t *testing.T) {
 							if v != first.Data[i] {
 								t.Fatalf("Gemm(%v,%v) m=%d n=%d k=%d alpha=%g beta=%g: element (%d,%d) is %x under %s, %x under %s",
 									ta, tb, m, n, k, alpha, beta, i/n, i%n, v, mk.name, first.Data[i], vector[0].name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackStripsLayout holds packStrips to its documented layout,
+// dst[s·w·kb + l·w + r] = op(X)[i0+s·w+r][kk+l] with zero padding up to full
+// strips, for both orientations of X and every strip width a kernel of the
+// table packs to — under each kernel this CPU runs, since the vector helpers
+// behind the two traversals are chosen by it. X is a window of a wider matrix
+// (ld > its columns, the way SYRK carves sub-panels), the row range starts
+// off zero and ends ragged, the depth range is a partial panel off zero.
+func TestPackStripsLayout(t *testing.T) {
+	kernels := testKernels(t)
+	rng := rand.New(rand.NewSource(33))
+	const ld, i0, kk = 83, 3, 5
+	x := randomTile(rng, 80, ld)
+	for _, shape := range microKernels {
+		for _, w := range []int{shape.mr, shape.nr} {
+			for _, cnt := range []int{1, w - 1, w, w + 1, 3*w + 5} {
+				for _, kb := range []int{1, 7, 8, 21} {
+					for _, trans := range []bool{false, true} {
+						v := opView{data: x.Data, ld: ld, trans: trans}
+						strips := (cnt + w - 1) / w
+						for _, mk := range kernels {
+							micro = mk
+							// One guard element on each side, poisoned like
+							// the buffer: packStrips writes every element of
+							// its strips and nothing else.
+							buf := make([]float64, strips*w*kb+2)
+							for i := range buf {
+								buf[i] = -7
+							}
+							packStrips(buf[1:len(buf)-1], v, i0, cnt, kk, kb, w)
+							if buf[0] != -7 || buf[len(buf)-1] != -7 {
+								t.Fatalf("[%s] w=%d cnt=%d kb=%d trans=%v: wrote outside the strips", mk.name, w, cnt, kb, trans)
+							}
+							dst := buf[1:]
+							for s := 0; s < strips; s++ {
+								for l := 0; l < kb; l++ {
+									for r := 0; r < w; r++ {
+										want := 0.0
+										if s*w+r < cnt {
+											want = x.Data[v.at(i0+s*w+r, kk+l)]
+										}
+										if got := dst[s*w*kb+l*w+r]; got != want {
+											t.Fatalf("[%s] w=%d cnt=%d kb=%d trans=%v: strip %d depth %d row %d is %g, want %g",
+												mk.name, w, cnt, kb, trans, s, l, r, got, want)
+										}
+									}
+								}
 							}
 						}
 					}

@@ -48,11 +48,10 @@ func (t *Tile) Set(i, j int, v float64) { t.Data[i*t.Cols+j] = v }
 // Row returns the row-i slice, aliasing the tile's storage.
 func (t *Tile) Row(i int) []float64 { return t.Data[i*t.Cols : (i+1)*t.Cols] }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The copy's storage is allocated from the
+// source's contents, so it is written once, not cleared and then overwritten.
 func (t *Tile) Clone() *Tile {
-	c := New(t.Rows, t.Cols)
-	copy(c.Data, t.Data)
-	return c
+	return &Tile{Rows: t.Rows, Cols: t.Cols, Data: append([]float64(nil), t.Data...)}
 }
 
 // CopyFrom overwrites t with the contents of src (dimensions must match).
