@@ -158,7 +158,8 @@ func (m Message) Dup() Message {
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []Message
+	queue  []Message // queue[head:] is waiting; the consumed prefix is zeroed
+	head   int
 	peak   int
 	from   []int // messages ever queued, by sender rank (Comm.Heard)
 	closed bool
@@ -176,10 +177,17 @@ func (m *mailbox) put(msg Message) bool {
 	m.mu.Lock()
 	ok := !m.closed
 	if ok {
+		if len(m.queue) == cap(m.queue) && m.head > len(m.queue)/2 {
+			// Full, and mostly consumed: slide the waiting messages down
+			// rather than grow, so the array stays bounded by the backlog.
+			n := copy(m.queue, m.queue[m.head:])
+			clear(m.queue[n:])
+			m.queue, m.head = m.queue[:n], 0
+		}
 		m.queue = append(m.queue, msg)
 		m.from[msg.From]++
-		if len(m.queue) > m.peak {
-			m.peak = len(m.queue)
+		if n := len(m.queue) - m.head; n > m.peak {
+			m.peak = n
 		}
 	}
 	m.mu.Unlock()
@@ -205,16 +213,20 @@ func (m *mailbox) heard(src int) int {
 func (m *mailbox) get() (Message, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
+	for m.head == len(m.queue) && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.queue) == 0 {
+	if m.head == len(m.queue) {
 		return Message{}, false
 	}
-	msg := m.queue[0]
+	msg := m.queue[m.head]
 	// Avoid retaining payloads through the backing array.
-	m.queue[0] = Message{}
-	m.queue = m.queue[1:]
+	m.queue[m.head] = Message{}
+	if m.head++; m.head == len(m.queue) {
+		// Drained: rewind, so a mailbox that keeps up with its senders reuses
+		// one small array for the whole run instead of re-growing it.
+		m.queue, m.head = m.queue[:0], 0
+	}
 	return msg, true
 }
 

@@ -225,7 +225,7 @@ func TestLedger(t *testing.T) {
 		n := 0
 		for _, m := range c.plane(jobA).inboxes {
 			m.mu.Lock()
-			n += len(m.queue)
+			n += len(m.queue) - m.head
 			m.mu.Unlock()
 		}
 		return n
@@ -259,5 +259,49 @@ func TestLedger(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMailboxReusesItsArray: a mailbox whose receiver keeps up rewinds to the
+// start of its array whenever it drains, so put never re-grows it (get used to
+// re-slice the front away for good, and append reallocated over and over:
+// growslice under put was 2 % of an overhead-bound factorization's CPU); and
+// one that never drains slides its backlog down instead of growing without
+// bound.
+func TestMailboxReusesItsArray(t *testing.T) {
+	m := newMailbox(2)
+	round := func(burst int) {
+		for k := 0; k < burst; k++ {
+			m.put(Message{From: 1, Tag: Tag{I: int32(k)}})
+		}
+		for k := 0; k < burst; k++ {
+			if msg, ok := m.get(); !ok || msg.Tag.I != int32(k) {
+				t.Fatalf("get %d of a burst of %d = %v, %v", k, burst, msg.Tag, ok)
+			}
+		}
+	}
+	round(8) // warm: the array now holds a burst
+	if allocs := testing.AllocsPerRun(100, func() { round(1); round(8); round(3) }); allocs != 0 {
+		t.Errorf("put/get rounds on a warm mailbox allocate %.0f objects, want 0", allocs)
+	}
+
+	// A standing backlog of 5 under a long stream: FIFO order holds across the
+	// slides, and the array stays a small multiple of the backlog.
+	const backlog, stream = 5, 10000
+	next := int32(0)
+	for k := 0; k < stream; k++ {
+		m.put(Message{From: 1, Tag: Tag{V: int32(k)}})
+		if k >= backlog {
+			if msg, _ := m.get(); msg.Tag.V != next {
+				t.Fatalf("get = version %d, want %d", msg.Tag.V, next)
+			}
+			next++
+		}
+	}
+	if c := cap(m.queue); c > 8*backlog {
+		t.Errorf("array grew to %d slots under a standing backlog of %d", c, backlog)
+	}
+	if m.highWater() != 8 {
+		t.Errorf("high-water mark %d, want the warm-up burst's 8", m.highWater())
 	}
 }

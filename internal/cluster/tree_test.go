@@ -136,13 +136,12 @@ func TestSendAllTreeDelivers(t *testing.T) {
 func tryRecv(c *Cluster, node int) (Message, bool) {
 	inbox := c.plane(0).inboxes[node]
 	inbox.mu.Lock()
-	defer inbox.mu.Unlock()
-	if len(inbox.queue) == 0 {
+	empty := inbox.head == len(inbox.queue)
+	inbox.mu.Unlock()
+	if empty {
 		return Message{}, false
 	}
-	msg := inbox.queue[0]
-	inbox.queue = inbox.queue[1:]
-	return msg, true
+	return inbox.get()
 }
 
 // TestSendAllForwardSurvivesCallerScratchReuse pins the aliasing contract

@@ -3,8 +3,8 @@
 package runtime
 
 // factorAllocBudget is TestRunAllocBudget's threshold on one FactorLU call of
-// the lu-overhead shape: the ≈ 5.4k objects the call makes (1152 of them the
+// the lu-overhead shape: the ≈ 4.1k objects the call makes (1152 of them the
 // matrix's 576 tiles, which the result is then built from), plus a quarter.
-const factorAllocBudget = 6800
+const factorAllocBudget = 5100
 
 const raceBuild = false

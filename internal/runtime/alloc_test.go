@@ -25,6 +25,7 @@ func TestRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("FactorLU allocates %.0f objects per call", perCall)
 	if perCall > factorAllocBudget {
 		t.Errorf("FactorLU allocates %.0f objects per call, budget %d", perCall, factorAllocBudget)
 	}

@@ -4,7 +4,7 @@ import "anybc/internal/chaos"
 
 // crashInjection is the chaos plan's node death, built only for a rank the
 // plan names: the node dies just before its owned task number at. What dying
-// means is the event loop's business (see run).
+// means is the core's business (see engine.pop).
 type crashInjection struct {
 	plan       *chaos.Plan
 	at         int
@@ -12,8 +12,7 @@ type crashInjection struct {
 }
 
 // due reports — and logs in the fault plan — that the node dies now, before
-// the dispatch the event loop is about to make; otherwise it counts that
-// dispatch.
+// the task a worker is about to pop; otherwise it counts that pop.
 func (c *crashInjection) due(rank int) bool {
 	if c.dispatched == c.at {
 		c.plan.RecordCrash(rank, c.at)

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -124,90 +123,6 @@ func TestBitIdenticalFactorsAcrossWorkers(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestDispatcherFIFO is the whitebox contract of the node's one queue: jobs
-// come out in push order whichever worker takes them, purge hands back
-// exactly the unstarted ones, and take after close drains what is queued
-// before it reports !ok.
-func TestDispatcherFIFO(t *testing.T) {
-	d := newDispatcher()
-	take := func(wantIdx int) {
-		t.Helper()
-		jb, ok, waitStart, _ := d.take()
-		if !ok {
-			t.Fatalf("take: dispatcher closed before task %d", wantIdx)
-		}
-		if jb.idx != wantIdx {
-			t.Fatalf("take = task %d, want %d", jb.idx, wantIdx)
-		}
-		if !waitStart.IsZero() {
-			t.Fatalf("take of the queued task %d reported a wait", wantIdx)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		d.push(job{idx: i})
-	}
-	take(0)
-	take(1)
-	take(2)
-	dropped := d.purge()
-	if len(dropped) != 3 || dropped[0].idx != 3 || dropped[1].idx != 4 || dropped[2].idx != 5 {
-		t.Fatalf("purge returned %v, want the unstarted tasks 3, 4, 5", dropped)
-	}
-	if again := d.purge(); len(again) != 0 {
-		t.Fatalf("second purge returned %d jobs", len(again))
-	}
-	d.push(job{idx: 6})
-	d.push(job{idx: 7})
-	d.close()
-	take(6)
-	take(7)
-	if _, ok, _, _ := d.take(); ok {
-		t.Fatal("take on a closed, drained dispatcher returned a job")
-	}
-
-	// Several workers on one queue: every job is taken exactly once, and each
-	// worker sees the jobs it got in push order.
-	const workers, jobs = 4, 200
-	d = newDispatcher()
-	taken := make([][]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				jb, ok, _, _ := d.take()
-				if !ok {
-					return
-				}
-				taken[w] = append(taken[w], jb.idx)
-			}
-		}(w)
-	}
-	for i := 0; i < jobs; i++ {
-		d.push(job{idx: i})
-	}
-	d.close()
-	wg.Wait()
-	seen := make([]bool, jobs)
-	for w, got := range taken {
-		for k, idx := range got {
-			if seen[idx] {
-				t.Fatalf("task %d taken twice", idx)
-			}
-			seen[idx] = true
-			if k > 0 && idx < got[k-1] {
-				t.Fatalf("worker %d took task %d after task %d", w, idx, got[k-1])
-			}
-		}
-	}
-	for idx, ok := range seen {
-		if !ok {
-			t.Fatalf("task %d never taken", idx)
-		}
-	}
 }
 
 // TestWorkersNormalizedOnce: Run is the single normalization point for

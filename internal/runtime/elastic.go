@@ -42,8 +42,8 @@ type elastic struct {
 	// dead tracks crashed and presumed-dead peers, adoptedBy the survivor
 	// that re-runs each dead node's tasks (the lowest alive rank, so every
 	// node agrees without coordination), peerDone the completion barrier
-	// that keeps every node's event loop serving re-requests and adoptions
-	// until the whole cluster has finished.
+	// that keeps every node's run serving re-requests and adoptions until the
+	// whole cluster has finished.
 	dead      []bool
 	adoptedBy []int
 	peerDone  []bool
@@ -166,12 +166,12 @@ func (el *elastic) inputBase(pt int32) int32 {
 // barrier is the elastic exit condition, asked once this node has finished
 // everything it owns or adopted. It is a barrier, not a local count: the node
 // broadcasts cluster.NoteDone (once — adoption may raise the completion
-// target again, and a stale NoteDone is harmless because every node stays in
-// its loop until the whole cluster settles) and keeps its event loop alive —
-// answering re-requests, relaying tree hops, and above all remaining
-// adoptable work-capacity — until every peer is done or dead. That is what
-// guarantees a death always finds its deterministic adopter still inside an
-// event loop, never already exited.
+// target again, and a stale NoteDone is harmless because no node's run is
+// over until the whole cluster settles) and keeps its workers alive — asleep,
+// while the receiver answers re-requests and relays tree hops, but above all
+// remaining adoptable work-capacity — until every peer is done or dead. That
+// is what guarantees a death always finds its deterministic adopter with
+// workers to wake, never already exited.
 func (el *elastic) barrier() bool {
 	if !el.doneSent {
 		el.doneSent = true

@@ -4,23 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"anybc/internal/chaos"
 	"anybc/internal/cluster"
+	"anybc/internal/dag"
 	"anybc/internal/plan"
 	"anybc/internal/sched"
 	"anybc/internal/tile"
 	"anybc/internal/trace"
 )
 
-type event struct {
-	// Exactly one of completed/msg is meaningful. err carries the kernel
-	// failure of the completed task, if any.
-	completed int // local task index, or -1
-	err       error
-	msg       cluster.Message
+// job is one resolved kernel execution: whoever pops a task looks its output
+// and input tiles up under the node lock, so the kernel — which runs outside
+// it — reads no engine state.
+type job struct {
+	idx    int
+	task   dag.Task
+	out    *tile.Tile
+	inputs []*tile.Tile
 }
 
 // engine is one node's core; whatever reacts to faults lives in the three
@@ -34,6 +36,26 @@ type engine struct {
 	workers int
 	rec     *trace.Recorder
 	epoch   time.Time
+
+	// mu is the node. Every field below it, and everything the three layers
+	// hold, is touched only with it held, and whoever holds it — a worker
+	// publishing the task it just ran, the receiver delivering a message, run
+	// taking a resilience tick — is the node's event loop for that moment.
+	// Kernels and comm.Recv run outside it; the one lock ever taken under it is
+	// a destination mailbox's (a send), never the other way round.
+	mu sync.Mutex
+	// Workers that found nothing ready sleep on cond; idle counts the sleepers
+	// nobody has signalled yet. running counts kernels executing now, done the
+	// tasks finished. stopped ends dispatch for good — this node failed or
+	// died, or a peer did — with err what run reports. over is the end of the
+	// run itself (see settle), stamped overAt; finished closes with it.
+	cond          sync.Cond
+	idle          int
+	running, done int
+	stopped, over bool
+	err           error
+	overAt        time.Time
+	finished      chan struct{}
 
 	// This node's share of the plan: tasks [lo, lo+n), tiles from tileLo,
 	// slots from slotLo. Every per-run table below is a flat slice indexed by
@@ -67,17 +89,14 @@ type engine struct {
 	recvTotal  int
 	peakTiles  int
 
-	// disp is the one queue the worker goroutines pull dispatched jobs from;
-	// busy accumulates per-slot kernel nanoseconds (each slot writes only its
-	// own entry, read after the workers join).
-	disp *dispatcher
+	// busy accumulates per-slot kernel nanoseconds: each worker writes only its
+	// own entry, outside the lock, and it is read after the workers join.
 	busy []int64
 
 	// Scheduler observability (Report.Sched). stallNanos accumulates the
-	// workers' starved wall-clock (atomically — every worker adds its own
-	// wait spans); the report divides by the worker count to get the
+	// workers' idle spans; the report divides by the worker count to get the
 	// idle-weighted StallSeconds.
-	stallNanos atomic.Int64
+	stallNanos int64
 	readyPeak  int
 	dupDrops   int
 	dispatched [1 << 8]int32 // kernels dispatched, indexed by dag.Kind (a uint8)
@@ -119,9 +138,10 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 		nslot:     int(slotHi - slotLo),
 		inbuf:     make([]*tile.Tile, pl.InputBase(hi)-pl.InputBase(lo)),
 		ready:     sched.NewHeap(sched.CriticalPath.Tie()),
-		disp:      newDispatcher(),
 		busy:      make([]int64, opt.Workers),
+		finished:  make(chan struct{}),
 	}
+	e.cond.L = &e.mu
 	for t := lo; t < hi; t++ {
 		e.remaining[t-lo] = pl.NumDeps(t)
 	}
@@ -241,26 +261,20 @@ func (e *engine) drop(s int32) {
 // is still outstanding means a peer failed, and ErrPeerAborted is returned.
 // With the elastic layer armed the exit condition is its completion barrier,
 // not the local count (see elastic.barrier).
+//
+// The node is its Workers worker goroutines plus one receiver: there is no
+// loop goroutine between them. run seeds the heap, starts them, takes the
+// resilience layer's ticks when it is armed, and waits.
 func (e *engine) run() error {
 	// First, and even on a node with no task (the gather reads its tiles).
 	e.generate(e.rank)
 	if e.n == 0 && e.res == nil {
-		// Nothing to run. (An armed node still enters the loop: its post-loop
-		// server and, under elastic, its adoptable capacity must exist.)
+		// Nothing to run. (An armed node still starts: its late-request server
+		// and, under elastic, its adoptable capacity must exist.)
 		return nil
 	}
 
-	events := make(chan event, e.workers+4)
-	recvDone := e.receive(events)
-	var workerWG sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		workerWG.Add(1)
-		go func(slot int) {
-			defer workerWG.Done()
-			e.work(slot, events)
-		}(w)
-	}
-
+	e.mu.Lock()
 	for idx, rem := range e.remaining {
 		if rem == 0 {
 			e.pushReady(idx)
@@ -275,179 +289,145 @@ func (e *engine) run() error {
 			tick = ticker.C
 		}
 	}
+	// Every worker's first job is popped here, before the receiver exists to
+	// bring in a peer's abort: a node about to fail on a root task of its own
+	// then reports that error, however much faster the peer failed.
+	var workers sync.WaitGroup
+	for slot := 0; slot < e.workers; slot++ {
+		jb, ok := e.pop()
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			e.work(slot, jb, ok)
+		}()
+	}
+	e.settle()
+	e.mu.Unlock()
+	go e.receive()
 
-	feedCap := e.feedCap()
-	var abortErr error
-	aborted := false
-	recvClosed := recvDone // nilled after firing so the select stops spinning
-	done, inflight := 0, 0
-	// abortLocal handles this node's own failures (kernel error, protocol
-	// violation, injected crash): dispatching stops and queued-but-unstarted
-	// jobs are purged from the queue — they will never run, so the in-flight
-	// and per-kind dispatch counts drop with them — and only already-running
-	// kernels are awaited. A *peer* abort deliberately does not purge: jobs already
-	// in the queue were dispatched before the poison arrived and still
-	// run (completions suppressed), so a node that was about to fail on its
-	// own reports its kernel error instead of the bystander sentinel
-	// regardless of how goroutine scheduling interleaved push and abort.
-	abortLocal := func(err error) {
-		aborted = true
-		abortErr = err
-		for _, jb := range e.disp.purge() {
-			inflight--
-			e.dispatched[jb.task.Kind]--
-		}
-	}
-	// fail is a node failure the whole run must see — a kernel error, a
-	// protocol violation, an exhausted retry budget, an injected crash without
-	// elastic recovery: poison the cluster so peers blocked on tiles we will
-	// never produce wake up, then wind down locally.
-	fail := func(err error) {
-		e.comm.Abort()
-		abortLocal(err)
-	}
 	for {
-		if !aborted {
-			for !e.ready.Empty() && inflight < feedCap {
-				if e.crash != nil && e.crash.due(e.rank) {
-					if e.el != nil {
-						// Crashing is not an error under elastic recovery: the
-						// node falls silent and the survivors adopt its work.
-						e.el.die(e.crash.at)
-						abortLocal(nil)
-					} else {
-						fail(fmt.Errorf("node %d died before its owned task %d: %w",
-							e.rank, e.crash.at, chaos.ErrInjectedCrash))
-					}
-					break
-				}
-				e.dispatch(int(e.ready.Pop()))
-				inflight++
-			}
-			// len(remaining) is the completion target: the owned tasks plus
-			// whatever the elastic layer adopted since.
-			if !aborted && done == len(e.remaining) && (e.el == nil || e.el.barrier()) {
-				break
-			}
-		}
-		if aborted && inflight == 0 {
-			// Abort: nothing running anymore, nothing will be dispatched.
-			break
-		}
 		select {
-		case ev := <-events:
-			switch {
-			case ev.completed < 0:
-				if aborted {
-					ev.msg.Release()
-				} else if err := e.onArrival(ev.msg); err != nil {
-					// Protocol violation (conflicting duplicate delivery):
-					// fail this node descriptively instead of panicking.
-					fail(err)
-				}
-			default:
-				inflight--
-				done++
-				if ev.err != nil {
-					err := fmt.Errorf("%v: %w", e.pl.Task(e.task(ev.completed)), ev.err)
-					if !aborted {
-						// First local kernel failure: the root cause. The
-						// failed task's output is never published. A kernel
-						// error is a correctness failure, not a crash —
-						// elastic recovery never masks it.
-						fail(err)
-					} else if errors.Is(abortErr, ErrPeerAborted) {
-						// This node failed too, it just noticed the peer's
-						// poison first: its own kernel error is the better
-						// root cause than the bystander sentinel.
-						abortErr = err
-					}
-				} else if !aborted {
-					e.onComplete(ev.completed)
-				}
-				// Completions after the abort are suppressed entirely: no
-				// successor release, no sends.
-			}
-		case <-recvClosed:
-			recvClosed = nil
-			if !aborted {
-				// The cluster was poisoned while we still have unfinished
-				// work: a peer failed. No purge — already-dispatched jobs
-				// drain through the workers (see abortLocal), and their
-				// completions bring inflight to zero.
-				aborted = true
-				abortErr = ErrPeerAborted
-			}
 		case <-tick:
-			if !aborted {
+			e.mu.Lock()
+			if !e.stopped && !e.over {
 				if err := e.res.onTick(); err != nil {
 					// Retry budget exhausted on a non-elastic run.
-					fail(err)
+					e.fail(err)
 				}
+				e.wake() // an escalation may have adopted ready tasks
+				e.settle()
 			}
+			e.mu.Unlock()
+		case <-e.finished:
+			workers.Wait()
+			return e.err
 		}
 	}
-	e.disp.close()
-	workerWG.Wait()
-	// An aborted (or cancelled, or crashed) run leaves received tiles
-	// retained in recv whose consumer tasks will never execute; the workers
-	// are joined, so release them here or their pooled buffers leak — on a
-	// shared cluster, permanently. A completed run's last-reader release
-	// already emptied every slot, making this a no-op.
+}
+
+// fail is a node failure the whole run must see — a kernel error, a protocol
+// violation, an exhausted retry budget, an injected crash without elastic
+// recovery: poison the cluster so peers blocked on tiles we will never produce
+// wake up, and stop dispatching (running kernels are awaited: settle).
+func (e *engine) fail(err error) {
+	e.comm.Abort()
+	e.stopped, e.err = true, err
+}
+
+// settle ends the run once its exit condition holds: every task — owned, or
+// adopted since; len(remaining) counts both — has finished and, under elastic,
+// the completion barrier is open; or dispatch has stopped and the last running
+// kernel is back. No kernel runs at that instant, so the received tiles an
+// aborted run still retains — their consumers will never execute — are
+// released here, or their pooled buffers leak; on a shared cluster,
+// permanently. (A completed run's last-reader releases already emptied every
+// slot.) Whoever changed the state calls it, before giving up the lock.
+func (e *engine) settle() {
+	switch {
+	case e.over:
+		return
+	case e.stopped:
+		if e.running > 0 {
+			return
+		}
+	case e.done < len(e.remaining) || (e.el != nil && !e.el.barrier()):
+		return
+	}
+	e.over, e.overAt = true, time.Now()
 	for s := range e.recv {
 		e.drop(int32(s))
 	}
-	go e.absorb(events, recvDone, aborted)
-	return abortErr
+	close(e.finished)
+	e.idle = 0
+	e.cond.Broadcast()
 }
 
-// feedCap bounds dispatched-but-unfinished work: with several workers, one
-// running task each plus as many queued behind them, so a worker that
-// finishes finds its next job without a round trip through the event loop; a
-// single worker gets no prefetch, so its dispatch order is exactly the heap's
-// priority order (the sim-vs-real crosscheck pins it).
-func (e *engine) feedCap() int {
-	if e.workers == 1 {
-		return 1
+// receive is the node's one communication goroutine: it blocks in Recv outside
+// the lock and delivers each message under it, so a tree relay or a re-request
+// never waits behind a kernel. It outlives the run as its absorber — remote
+// senders can always make progress — until the job's plane closes and the
+// mailbox is drained, which is what RunPlan waits for (resilience.served)
+// before it snapshots the ledger every late answer charges. After the run it
+// touches only the published cache, the relay ledger and the cluster, never
+// the recorder or the engine fields the report reads meanwhile. A plane that
+// closes while work is still outstanding means a peer failed: dispatch stops,
+// running kernels finish, and a kernel error of our own that surfaces after
+// all still replaces the bystander sentinel (finish).
+func (e *engine) receive() {
+	if e.res != nil {
+		defer close(e.res.served)
 	}
-	return 2 * e.workers
-}
-
-// receive starts the goroutine that forwards network messages into the event
-// loop; the returned channel closes once the cluster itself has been closed
-// (shutdown or abort) and the mailbox is drained.
-func (e *engine) receive(events chan<- event) <-chan struct{} {
-	recvDone := make(chan struct{})
-	go func() {
-		defer close(recvDone)
-		for {
-			msg, ok := e.comm.Recv()
-			if !ok {
-				return
-			}
-			events <- event{completed: -1, msg: msg}
-		}
-	}()
-	return recvDone
-}
-
-// work is one worker slot's loop: it takes the front of the node's queue and
-// reports each kernel's outcome as an event. A blocked take that eventually
-// yields a job is a starvation span, charged to the node's idle-weighted
-// stall account; the final wait that ends in shutdown is not (the node is
-// done, not starved).
-func (e *engine) work(slot int, events chan<- event) {
 	for {
-		jb, ok, waitStart, waitEnd := e.disp.take()
-		if !ok {
+		msg, open := e.comm.Recv()
+		e.mu.Lock()
+		switch {
+		case !open:
+			if !e.stopped && !e.over {
+				e.stopped, e.err = true, ErrPeerAborted
+			}
+		case e.stopped:
+			// Aborted, or dead under elastic recovery: a dead node answers no
+			// requests and relays nothing — that silence is exactly what the
+			// survivors' escalation and adoption must overcome.
+			msg.Release()
+		case !e.over:
+			if err := e.onArrival(msg); err != nil {
+				// Protocol violation (conflicting duplicate delivery): fail
+				// this node descriptively instead of panicking.
+				e.fail(err)
+			}
+			e.wake()
+		case msg.Req:
+			// A consumer slower than us may still re-request what we published.
+			if e.res != nil {
+				e.res.answer(msg)
+			}
+		case msg.Note == cluster.NoteNone:
+			// A tree-broadcast hop that lands late still carries its subtree's
+			// deliveries: relay it before releasing our own share, so a fast
+			// consumer never strands the slow subtree behind it.
+			e.relay(msg)
+			msg.Release()
+		}
+		e.settle()
+		e.mu.Unlock()
+		if !open {
 			return
 		}
-		if !waitStart.IsZero() {
-			e.noteStall(waitStart, waitEnd)
-		}
+	}
+}
+
+// work is one worker slot's life: run a kernel outside the lock, then — as the
+// node's event loop for that moment — publish the task and pop the next one
+// itself. While work is ready a task costs no hand-off to another goroutine.
+func (e *engine) work(slot int, jb job, ok bool) {
+	if !ok {
+		e.mu.Lock()
+		jb, ok = e.next()
+		e.mu.Unlock()
+	}
+	for ok {
 		start := time.Now()
-		// The task rides in the job: elastic adoption grows the engine's task
-		// tables from the event loop while workers run.
 		err := e.kern(jb.task, jb.out, jb.inputs)
 		end := time.Now()
 		e.busy[slot] += end.Sub(start).Nanoseconds()
@@ -455,14 +435,101 @@ func (e *engine) work(slot int, events chan<- event) {
 			e.rec.RecordTask(e.rank, slot, jb.task,
 				start.Sub(e.epoch).Seconds(), end.Sub(e.epoch).Seconds())
 		}
-		events <- event{completed: jb.idx, err: err}
+		e.mu.Lock()
+		e.finish(jb, err)
+		jb, ok = e.next()
+		e.mu.Unlock()
 	}
 }
 
-// dispatch moves local task idx from the priority heap to the workers' queue,
-// resolving its input tiles here in the event loop (the recv and tiles tables
-// are event-loop-owned).
-func (e *engine) dispatch(idx int) {
+// finish accounts for a kernel that returned. After dispatch stopped, a
+// completion is suppressed entirely: no successor release, no sends.
+func (e *engine) finish(jb job, err error) {
+	e.running--
+	e.done++
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%v: %w", jb.task, err)
+		if !e.stopped {
+			// First local kernel failure: the root cause. The failed task's
+			// output is never published. A kernel error is a correctness
+			// failure, not a crash — elastic recovery never masks it.
+			e.fail(err)
+		} else if errors.Is(e.err, ErrPeerAborted) {
+			// This node failed too, it just noticed the peer's poison first:
+			// its own kernel error is the better root cause than the
+			// bystander sentinel.
+			e.err = err
+		}
+	case !e.stopped:
+		e.onComplete(jb.idx)
+	}
+}
+
+// next hands the calling worker its next job, putting it to sleep while
+// nothing is ready; ok is false once the run is over. The sleep is the node's
+// stall account, whether it ends in a job or at the run's last instant (a
+// worker a serial chain never reaches sleeps through the whole of it).
+func (e *engine) next() (jb job, ok bool) {
+	var since time.Time // when this worker went idle
+	for {
+		if jb, ok = e.pop(); ok {
+			if !since.IsZero() {
+				e.noteStall(since, time.Now())
+			}
+			e.wake() // the completion may have released more than this worker takes
+			return jb, true
+		}
+		if e.settle(); e.over {
+			if !since.IsZero() {
+				e.noteStall(since, e.overAt)
+			}
+			return job{}, false
+		}
+		if since.IsZero() {
+			since = time.Now()
+		}
+		e.idle++
+		e.cond.Wait()
+	}
+}
+
+// wake rouses one sleeping worker per ready task. Callers that just popped for
+// themselves call it afterwards, so a completion that releases one successor —
+// which the finishing worker keeps — signals nobody.
+func (e *engine) wake() {
+	for n := min(e.idle, e.ready.Len()); n > 0; n-- {
+		e.idle--
+		e.cond.Signal()
+	}
+}
+
+// pop takes the most urgent ready task off the heap and resolves it for the
+// caller to run; ok is false when nothing is ready or dispatch has stopped.
+// The crash injection is asked once per pop, and a death settles here, in
+// whichever goroutine saw it.
+func (e *engine) pop() (jb job, ok bool) {
+	if e.stopped || e.ready.Empty() {
+		return job{}, false
+	}
+	if e.crash != nil && e.crash.due(e.rank) {
+		if e.el != nil {
+			// Crashing is not an error under elastic recovery: the node falls
+			// silent and the survivors adopt its work.
+			e.el.die(e.crash.at)
+			e.stopped = true
+		} else {
+			e.fail(fmt.Errorf("node %d died before its owned task %d: %w",
+				e.rank, e.crash.at, chaos.ErrInjectedCrash))
+		}
+		return job{}, false
+	}
+	e.running++
+	return e.resolve(int(e.ready.Pop())), true
+}
+
+// resolve looks up the tiles local task idx's kernel reads and writes.
+func (e *engine) resolve(idx int) job {
 	pt := e.task(idx)
 	t := e.pl.Task(pt)
 	e.dispatched[t.Kind]++
@@ -490,64 +557,24 @@ func (e *engine) dispatch(idx int) {
 		}
 		inputs[k] = in
 	}
-	e.disp.push(job{idx: idx, task: t, out: out, inputs: inputs})
-}
-
-// absorb outlives run: it releases late messages until the cluster is closed,
-// so remote senders and the receiver goroutine can always make progress. With
-// resilience armed it doubles as the late request server — a consumer slower
-// than us may still re-request tile versions we published, and must get them
-// even though our event loop is gone — and signals RunPlan once the last
-// queued request is answered. It touches only the resilience layer's
-// published cache, the relay ledger and the cluster — never the recorder or
-// the engine fields the report reads concurrently. crashed covers every abort, including an elastic death: a
-// dead node answers no requests and relays nothing — that silence is exactly
-// what the survivors' escalation and adoption must overcome.
-func (e *engine) absorb(events chan event, recvDone <-chan struct{}, crashed bool) {
-	if e.res != nil {
-		defer close(e.res.served)
-	}
-	go func() {
-		<-recvDone
-		close(events)
-	}()
-	for ev := range events {
-		switch msg := ev.msg; {
-		case msg.Note != cluster.NoteNone:
-		case crashed:
-			msg.Release()
-		case msg.Req:
-			if e.res != nil {
-				e.res.answer(msg, false)
-			}
-		default:
-			// A tree-broadcast hop that lands after our event loop finished
-			// still carries its subtree's deliveries: relay it before
-			// releasing our own share, so a fast consumer never strands the
-			// slow subtree behind it.
-			e.relay(msg)
-			msg.Release()
-		}
-	}
+	return job{idx: idx, task: t, out: out, inputs: inputs}
 }
 
 // fault puts one injected fault or recovery action on the run's trace, when
-// one is being recorded. Event-loop only: the post-loop absorber must not
-// touch the recorder.
+// one is being recorded — while the run lasts: what the receiver does after it
+// must not touch the recorder.
 func (e *engine) fault(kind string, from, to int, what string) {
 	if e.rec != nil {
 		e.rec.RecordFault(kind, from, to, what, time.Since(e.epoch).Seconds())
 	}
 }
 
-// noteStall charges one worker's starved interval to the node's stall
-// account: StallSeconds integrates idle-worker-time weighted by 1/workers,
-// so a node with one of four workers starved accrues a quarter of what a
-// fully idle node does (the pre-weighting accounting charged full wall-clock
-// whenever any worker was free). Called from worker goroutines; the nanos
-// accumulate atomically and the recorder locks internally.
+// noteStall charges one worker's idle interval to the node's stall account:
+// StallSeconds integrates idle-worker-time weighted by 1/workers, so a node
+// with one of four workers idle accrues a quarter of what a fully idle node
+// does. The report and the recorder are the same account.
 func (e *engine) noteStall(start, end time.Time) {
-	e.stallNanos.Add(end.Sub(start).Nanoseconds())
+	e.stallNanos += end.Sub(start).Nanoseconds()
 	if e.rec != nil {
 		e.rec.RecordStall(e.rank,
 			start.Sub(e.epoch).Seconds(), end.Sub(e.epoch).Seconds(),
@@ -655,7 +682,7 @@ func (e *engine) onArrival(msg cluster.Message) error {
 	if msg.Req {
 		// A consumer's re-request for a version we published (no payload).
 		if e.res != nil {
-			e.res.answer(msg, true)
+			e.res.answer(msg)
 		}
 		return nil
 	}

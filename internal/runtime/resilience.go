@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"anybc/internal/cluster"
@@ -19,9 +18,7 @@ type resilience struct {
 
 	// published caches the tile versions this node broadcast, so re-requests
 	// can be answered even after the publishing task's buffer was updated in
-	// place — or after this node's event loop finished (the post-loop server
-	// reads it, hence the mutex).
-	pubMu     sync.Mutex
+	// place — or after this node's run is over (engine.receive).
 	published map[cluster.Tag]*tile.Tile
 	// seen marks tags that already arrived once, so duplicates landing after
 	// the last-reader release still drop idempotently. pending carries the
@@ -31,9 +28,9 @@ type resilience struct {
 
 	recovered int // Resilience.Recovered
 
-	// served closes once the post-loop server (engine.absorb) has answered
-	// the last request its mailbox held; RunPlan waits on it before it
-	// snapshots the traffic ledger, which every answer charges.
+	// served closes once the receiver (engine.receive) has answered the last
+	// request its mailbox held; RunPlan waits on it before it snapshots the
+	// traffic ledger, which every answer charges.
 	served chan struct{}
 }
 
@@ -60,8 +57,7 @@ type pendingWait struct {
 type relayLedger struct{ relayed map[cluster.Tag]bool }
 
 // first reports whether tag's Forward obligation is still owed, and marks it
-// honored. Touched by the event loop, then — only after it ended — by the
-// post-loop absorber.
+// honored. Only the receiver goroutine relays, during the run and after it.
 func (l *relayLedger) first(tag cluster.Tag) bool {
 	if l.relayed[tag] {
 		return false
@@ -85,7 +81,7 @@ func newResilience(e *engine, opt Options) *resilience {
 	}
 }
 
-// start arms the protocol at the top of the event loop: every awaited remote
+// start arms the protocol as the run starts: every awaited remote
 // tile version gets an arrival clock, and the returned ticker — half the
 // timeout — drives the overdue sweep. It returns nil when nothing is awaited
 // and nothing ever will be; elastic nodes always get a ticker, because
@@ -183,32 +179,24 @@ func (r *resilience) restart(owner int) {
 // exists — even one whose death emptied today's destination list — because
 // that consumer's adopter may still re-request the version.
 func (r *resilience) publish(tag cluster.Tag, out *tile.Tile) {
-	snapshot := out.Clone()
-	r.pubMu.Lock()
-	r.published[tag] = snapshot
-	r.pubMu.Unlock()
+	r.published[tag] = out.Clone()
 }
 
 // cached returns the published snapshot of tag, or nil.
-func (r *resilience) cached(tag cluster.Tag) *tile.Tile {
-	r.pubMu.Lock()
-	defer r.pubMu.Unlock()
-	return r.published[tag]
-}
+func (r *resilience) cached(tag cluster.Tag) *tile.Tile { return r.published[tag] }
 
 // answer serves one version re-request from the published cache. A request
 // for a version not yet published is dropped: the normal broadcast at
 // completion covers it, and the requester's backoff retries if that
-// broadcast is the delivery that gets lost. live distinguishes the event
-// loop (which may record the redelivery) from the post-loop server (which
-// must not touch the recorder).
-func (r *resilience) answer(msg cluster.Message, live bool) {
+// broadcast is the delivery that gets lost. Only a node whose run is not over
+// records the redelivery: after it, the recorder is the caller's.
+func (r *resilience) answer(msg cluster.Message) {
 	cached := r.cached(msg.Tag)
 	if cached == nil {
 		return
 	}
 	r.e.comm.Resend(msg.From, msg.Tag, cached)
-	if live {
+	if !r.e.over {
 		r.e.fault("redeliver", r.e.rank, msg.From, msg.Tag.String())
 	}
 }

@@ -11,14 +11,20 @@
 // (Donfack–Grigori–Gropp–Kale): what a run can know before it starts is
 // compile-time data in a plan.Plan, and the core engine (engine.go) only
 // indexes flat slices by it. The core is the whole fault-free path, the one
-// the paper's evaluation exercises. Each node runs an event loop: local task
-// completions release local successors; completions whose output some remote
-// node consumes push that tile to each distinct consumer node as one
-// point-to-point message; tile arrivals — deduplicated against the retained
-// copy, their tree-broadcast relays forwarded once per tag — release the
-// tasks waiting on them; local and peer aborts and context cancellation wind
-// it down; RunPlan gathers the result. Mailboxes are
-// unbounded and the graph is acyclic, so execution is deadlock-free.
+// the paper's evaluation exercises. A node is what it is under StarPU: Workers
+// worker goroutines and one communication goroutine, around one lock that
+// guards the node's state — there is no loop goroutine between them. A worker
+// that finishes a kernel takes the lock and publishes the task itself: the
+// completion releases local successors, and an output some remote node
+// consumes goes to each distinct consumer node as one point-to-point message;
+// then it pops its next task off the priority heap and computes again. The
+// receiver delivers tile arrivals under the same lock — deduplicated against
+// the retained copy, their tree-broadcast relays forwarded once per tag —
+// which release the tasks waiting on them and wake a sleeping worker for
+// each. Local and peer aborts and context cancellation wind the node down;
+// RunPlan gathers the result. Kernels and the blocking receive run outside
+// the lock, mailboxes are unbounded and the graph is acyclic, so execution is
+// deadlock-free.
 //
 // Whatever reacts to faults is a concrete component the core holds as a
 // nil-able pointer, built by newEngine only when the normalized Options arm
@@ -30,11 +36,11 @@
 //     re-requested from its owner with a cluster.Request under exponential
 //     backoff (onTick). Owners cache the versions they published (publish) and
 //     answer from the cache with cluster.Resend (answer) — also after their
-//     own event loop has finished, so a slow consumer can always heal; RunPlan
-//     joins those post-loop servers before it snapshots Report.Stats. Arrivals
-//     dedupe by tag (admit). A permanently dropped delivery costs latency,
-//     never a hang; Report.Resilience counts re-requests, redeliveries and
-//     recoveries.
+//     own run is over, since the receiver stays behind as the node's absorber,
+//     so a slow consumer can always heal; RunPlan joins the receivers before
+//     it snapshots Report.Stats. Arrivals dedupe by tag (admit). A permanently
+//     dropped delivery costs latency, never a hang; Report.Resilience counts
+//     re-requests, redeliveries and recoveries.
 //   - elastic (elastic.go; Options.Elastic): a node that dies mid-run no
 //     longer aborts the factorization — a deterministically chosen survivor
 //     adopts its share of the plan and republishes the outputs under the
@@ -42,9 +48,11 @@
 //     every completion (complete: same-node fulfilment and the destination
 //     filter), every arrival (deliver: a version may sit in several local
 //     slots), local indices past the plan's ranges (xtask, inputBase, feed)
-//     and the loop's exit condition (barrier).
+//     and the run's exit condition (barrier).
 //   - crashInjection (crash.go; a Chaos plan that names the rank): the
-//     dispatch count at which the node dies.
+//     pop count at which the node dies.
+//
+// Every method of the three is called with the node lock held.
 //
 // "Is this layer armed?" has one spelling, layer != nil, decided in one
 // place, Options.normalize. Under Options{} all three are nil.
@@ -52,13 +60,14 @@
 // # Scheduling
 //
 // Ready tasks dispatch through the critical-path priority heap of package
-// sched — the same policy and heap the discrete-event simulator uses — so
-// panel kernels (GETRF/POTRF) and triangular solves of low iterations never
-// starve behind freshly released trailing updates, and real makespans track
-// what the simulator predicts. Report.Sched exposes per-node scheduler
-// observability: stall time (a free worker with nothing ready — waiting on
-// communication or predecessors), the ready-queue high-water mark, and
-// dispatch counts by kernel kind.
+// sched — the same policy and heap the discrete-event simulator uses — and a
+// free worker pops it directly, whatever Workers is: nothing is queued ahead
+// between the heap and a worker, so panel kernels (GETRF/POTRF) and triangular
+// solves of low iterations never start behind trailing updates that were
+// merely ready earlier, and real makespans track what the simulator predicts.
+// Report.Sched exposes per-node scheduler observability: stall time (a free
+// worker with nothing ready — waiting on communication or predecessors), the
+// ready-queue high-water mark, and dispatch counts by kernel kind.
 //
 // # Versioned tile protocol
 //
@@ -350,14 +359,17 @@ type ResilienceStats struct {
 
 // SchedStats describes one node's scheduling behaviour over a run.
 type SchedStats struct {
-	// StallSeconds is the node's starvation integral in capacity-seconds:
-	// each worker that sits idle with nothing dispatchable contributes its
-	// idle wall-clock weighted by 1/Workers, so one idle worker out of four
-	// accrues a quarter of what a fully idle node does. Time lost waiting on
-	// remote tile arrivals or local predecessor completions rather than on
-	// compute; a node whose stall time dominates its kernel time is
-	// communication-bound. Idle tails after the node's last task are not
-	// counted, matching the single-worker accounting of earlier versions.
+	// StallSeconds is idle-worker time while the node's run is not over,
+	// divided by Workers: each worker that finds nothing ready contributes the
+	// wall-clock until it gets a task — or until the instant the node's own run
+	// is over (its last task finished; under Elastic, the completion barrier
+	// open), for a worker that gets none: on a serial chain the finishing
+	// worker keeps the chain, and the other W−1 sleep through all of it. One
+	// idle worker out of four accrues a quarter of what a fully idle node
+	// does. It is time lost waiting on remote tile arrivals or local
+	// predecessor completions rather than on compute; a node whose stall time
+	// dominates its kernel time is communication-bound. Nothing after the
+	// node's own run is counted, however long its peers still compute.
 	StallSeconds float64
 	// WorkerBusySeconds is the wall-clock each worker slot spent inside
 	// kernels — the per-worker utilization behind StallSeconds.
@@ -489,9 +501,9 @@ func RunPlan(pl *plan.Plan, b int,
 	cl.CloseJob(opt.Job)
 	elapsed := time.Since(start)
 	// Quiescence before the snapshot: with resilience armed each engine's
-	// post-loop server outlives run() and may still be answering queued
-	// re-requests (cluster.Resend charges the ledger). The plane is closed, so
-	// every server drains what its mailbox holds and exits; only then is the
+	// receiver outlives run() and may still be answering queued re-requests
+	// (cluster.Resend charges the ledger). The plane is closed, so every
+	// receiver drains what its mailbox holds and exits; only then is the
 	// ledger final.
 	for _, e := range engines {
 		if e.res != nil {
@@ -560,9 +572,9 @@ func RunPlan(pl *plan.Plan, b int,
 		rep.OwnedTilesPerNode[rank] = e.ownedTiles
 		rep.ReceivedTilesPerNode[rank] = e.recvTotal
 		rep.PeakTilesPerNode[rank] = e.peakTiles
-		// Kernels executed = kernels dispatched: abortLocal takes purged jobs
-		// back out, so a node that died mid-run reports what it ran, not
-		// what it owned.
+		// Kernels executed = kernels dispatched: a task is counted when a
+		// worker pops it to run it, so a node that died mid-run reports what
+		// it ran, not what it owned.
 		byKind := make(map[string]int)
 		for k, n := range e.dispatched {
 			if n == 0 {
@@ -581,7 +593,7 @@ func RunPlan(pl *plan.Plan, b int,
 			busy[w] = float64(ns) / 1e9
 		}
 		rep.Sched[rank] = SchedStats{
-			StallSeconds:      float64(e.stallNanos.Load()) / 1e9 / float64(e.workers),
+			StallSeconds:      float64(e.stallNanos) / 1e9 / float64(e.workers),
 			WorkerBusySeconds: busy,
 			ReadyPeak:         e.readyPeak,
 			DuplicateDrops:    e.dupDrops,

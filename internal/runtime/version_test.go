@@ -17,11 +17,15 @@ import (
 const kTest dag.Kind = 200
 
 // testTask describes one task of a hand-built graph: its output tile, the
-// ids of its direct dependencies, and the tiles it reads.
+// ids of its direct dependencies, and the tiles it reads. iter and panel place
+// it in the dispatch order (sched.Key): lower iterations first, and within one
+// a panel before everything else.
 type testTask struct {
-	out  [2]int
-	deps []int
-	ins  [][2]int
+	out   [2]int
+	deps  []int
+	ins   [][2]int
+	iter  int32
+	panel bool
 }
 
 // testGraph is a literal dag.Graph for protocol tests: ids are topological
@@ -43,11 +47,17 @@ func newTestGraph(tiles int, tasks []testTask) *testGraph {
 	return g
 }
 
-func (g *testGraph) Name() string           { return "test" }
-func (g *testGraph) Tiles() int             { return g.tiles }
-func (g *testGraph) NumTasks() int          { return len(g.tasks) }
-func (g *testGraph) ID(t dag.Task) int      { return int(t.I) }
-func (g *testGraph) TaskOf(id int) dag.Task { return dag.Task{Kind: kTest, I: int32(id)} }
+func (g *testGraph) Name() string      { return "test" }
+func (g *testGraph) Tiles() int        { return g.tiles }
+func (g *testGraph) NumTasks() int     { return len(g.tasks) }
+func (g *testGraph) ID(t dag.Task) int { return int(t.I) }
+func (g *testGraph) TaskOf(id int) dag.Task {
+	t := dag.Task{Kind: kTest, L: g.tasks[id].iter, I: int32(id)}
+	if g.tasks[id].panel {
+		t.Kind = dag.GETRF
+	}
+	return t
+}
 
 func (g *testGraph) Dependencies(t dag.Task, visit func(dag.Task)) {
 	for _, d := range g.tasks[t.I].deps {
