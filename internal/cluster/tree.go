@@ -9,14 +9,22 @@ package cluster
 // with virtual ranks 0..k (sender = 0), rank 2^j receives from the sender
 // and covers ranks [2^j, min(2^{j+1}, k+1)). The subtree slices alias dsts.
 func TreeFanout(dsts []int) (children []int, subtrees [][]int) {
-	n := len(dsts) + 1 // participants: the sender plus every destination
-	for step := 1; step < n; step <<= 1 {
-		end := 2 * step
-		if end > n {
-			end = n
-		}
-		children = append(children, dsts[step-1])
-		subtrees = append(subtrees, dsts[step:end-1])
+	for step := 1; step <= len(dsts); step <<= 1 {
+		child, end := TreeChild(len(dsts), step)
+		children = append(children, dsts[child])
+		subtrees = append(subtrees, dsts[child+1:end])
 	}
 	return children, subtrees
+}
+
+// TreeChild is the tree's shape by position, for a caller that holds its
+// destinations in place and wants no slices built: of k ordered destinations,
+// the sender's recipient at doubling step 1, 2, 4, … ≤ k is the one at index
+// child, and it relays to the destinations at [child+1, end).
+func TreeChild(k, step int) (child, end int) {
+	end = 2*step - 1
+	if end > k {
+		end = k
+	}
+	return step - 1, end
 }

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"math"
 
 	"anybc/internal/tile"
 )
@@ -105,8 +106,12 @@ func (g *Cholesky) TaskOf(id int) Task {
 		return Task{Kind: SYRK, L: int32(l), I: int32(l + 1 + off)}
 	default:
 		l, off := locate(g.s3, id-g.gemmBase)
-		// Find di with C(di,2) <= off < C(di+1,2).
-		di := 1
+		// Find di with C(di,2) <= off < C(di+1,2): the root of the quadratic,
+		// then a step either way for what rounding left.
+		di := int((1 + math.Sqrt(float64(1+8*off))) / 2)
+		for di*(di-1)/2 > off {
+			di--
+		}
 		for (di+1)*di/2 <= off {
 			di++
 		}

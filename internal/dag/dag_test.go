@@ -31,6 +31,17 @@ func TestNumTasks(t *testing.T) {
 	}
 }
 
+// TestCholeskyTaskOfAtScale: the GEMM id is inverted through a square root;
+// hold it to ID over every row offset a paper-scale graph has.
+func TestCholeskyTaskOfAtScale(t *testing.T) {
+	g := NewCholesky(120)
+	for id := 0; id < g.NumTasks(); id++ {
+		if back := g.ID(g.TaskOf(id)); back != id {
+			t.Fatalf("ID(TaskOf(%d)) = %d (%v)", id, back, g.TaskOf(id))
+		}
+	}
+}
+
 func TestIDRoundtrip(t *testing.T) {
 	for mt := 1; mt <= 9; mt++ {
 		for _, g := range graphs(mt) {

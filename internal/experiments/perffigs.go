@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"anybc/internal/dag"
 	"anybc/internal/dist"
@@ -48,19 +51,59 @@ func simulateOne(cfg SimConfig, symmetric bool, n int, d dist.Distribution) (Per
 	}, nil
 }
 
-// sweep simulates each distribution at every N of the config.
-func sweep(cfg SimConfig, symmetric bool, ds []dist.Distribution) ([]PerfPoint, error) {
-	var out []PerfPoint
-	for _, n := range cfg.Ns {
-		for _, d := range ds {
-			pt, err := simulateOne(cfg, symmetric, n, d)
-			if err != nil {
-				return nil, err
+// simPoint is one independent simulation of a figure: distribution d at
+// matrix size n, reported under node count p (0: d's own).
+type simPoint struct {
+	n int
+	d dist.Distribution
+	p int
+}
+
+// simulateAll runs the points on at most GOMAXPROCS goroutines — each point
+// builds its own graph, diagonal resolver and simulator state, so they share
+// nothing that is written — and returns their results in the order given; of
+// several failures, the first in that order. Points are started from the
+// back: sweeps list the largest matrix last, and the longest job should not
+// be the one left running alone.
+func simulateAll(cfg SimConfig, symmetric bool, pts []simPoint) ([]PerfPoint, error) {
+	out := make([]PerfPoint, len(pts))
+	errs := make([]error, len(pts))
+	var started atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(pts)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := len(pts) - int(started.Add(1))
+				if i < 0 {
+					return
+				}
+				out[i], errs[i] = simulateOne(cfg, symmetric, pts[i].n, pts[i].d)
+				if pts[i].p != 0 {
+					out[i].P = pts[i].p
+				}
 			}
-			out = append(out, pt)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// sweep simulates each distribution at every N of the config.
+func sweep(cfg SimConfig, symmetric bool, ds []dist.Distribution) ([]PerfPoint, error) {
+	var pts []simPoint
+	for _, n := range cfg.Ns {
+		for _, d := range ds {
+			pts = append(pts, simPoint{n: n, d: d})
+		}
+	}
+	return simulateAll(cfg, symmetric, pts)
 }
 
 // Figure1 reproduces Figure 1: LU performance of 2DBC with different grid
@@ -106,42 +149,30 @@ var ScalingPs = []int{16, 20, 21, 22, 23, 25, 28, 30, 31, 32, 35, 36, 39}
 // Figure7a reproduces Figure 7a: LU strong scaling at fixed N — the best
 // 2DBC using at most P nodes versus G-2DBC on all P.
 func Figure7a(cfg SimConfig, ps []int) ([]PerfPoint, error) {
-	var out []PerfPoint
+	var pts []simPoint
 	for _, p := range ps {
-		dbc := dist.Best2DBCAtMost(p)
-		for _, d := range []dist.Distribution{dbc, dist.NewG2DBC(p)} {
-			pt, err := simulateOne(cfg, false, cfg.ScalingN, d)
-			if err != nil {
-				return nil, err
-			}
-			// Key scaling series by the *available* node count.
-			pt.P = p
-			out = append(out, pt)
-		}
+		// Key scaling series by the *available* node count.
+		pts = append(pts,
+			simPoint{n: cfg.ScalingN, d: dist.Best2DBCAtMost(p), p: p},
+			simPoint{n: cfg.ScalingN, d: dist.NewG2DBC(p), p: p})
 	}
-	return out, nil
+	return simulateAll(cfg, false, pts)
 }
 
 // Figure7b reproduces Figure 7b: Cholesky strong scaling at fixed N — the
 // best SBC using at most P nodes versus GCR&M on all P.
 func Figure7b(cfg SimConfig, ps []int) ([]PerfPoint, error) {
-	var out []PerfPoint
+	var pts []simPoint
 	for _, p := range ps {
-		sbc := dist.BestSBCAtMost(p)
 		gcrmD, err := GCRMDistribution(p, cfg.GCRMSearch)
 		if err != nil {
 			return nil, err
 		}
-		for _, d := range []dist.Distribution{dist.Distribution(sbc), gcrmD} {
-			pt, err := simulateOne(cfg, true, cfg.ScalingN, d)
-			if err != nil {
-				return nil, err
-			}
-			pt.P = p
-			out = append(out, pt)
-		}
+		pts = append(pts,
+			simPoint{n: cfg.ScalingN, d: dist.BestSBCAtMost(p), p: p},
+			simPoint{n: cfg.ScalingN, d: gcrmD, p: p})
 	}
-	return out, nil
+	return simulateAll(cfg, true, pts)
 }
 
 // Figure11 reproduces Figure 11: Cholesky with at most P = 31 nodes — GCR&M

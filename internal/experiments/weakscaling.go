@@ -3,9 +3,7 @@ package experiments
 import (
 	"math"
 
-	"anybc/internal/dag"
 	"anybc/internal/dist"
-	"anybc/internal/simulate"
 )
 
 // WeakScaling is an extension of the paper's strong-scaling study
@@ -15,7 +13,7 @@ import (
 // quality; G-2DBC keeps it flat in P — the "any number of nodes" property
 // under the weak-scaling lens.
 func WeakScaling(cfg SimConfig, baseN, baseP int, ps []int) ([]PerfPoint, error) {
-	var out []PerfPoint
+	var pts []simPoint
 	for _, p := range ps {
 		n := int(float64(baseN) * math.Sqrt(float64(p)/float64(baseP)))
 		// Round to a whole number of tiles.
@@ -23,20 +21,9 @@ func WeakScaling(cfg SimConfig, baseN, baseP int, ps []int) ([]PerfPoint, error)
 		if mt < 2 {
 			mt = 2
 		}
-		g := dag.NewLU(mt)
-		for _, d := range []dist.Distribution{dist.Best2DBCAtMost(p), dist.NewG2DBC(p)} {
-			res, err := simulate.Run(g, cfg.B, d, cfg.Machine, simulate.Options{})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, PerfPoint{
-				N: mt * cfg.B, P: p, Series: d.Name(),
-				GFlops:   res.GFlops(),
-				PerNode:  res.GFlops() / float64(d.Nodes()),
-				Messages: res.Messages,
-				Makespan: res.Makespan,
-			})
-		}
+		pts = append(pts,
+			simPoint{n: mt * cfg.B, d: dist.Best2DBCAtMost(p), p: p},
+			simPoint{n: mt * cfg.B, d: dist.NewG2DBC(p), p: p})
 	}
-	return out, nil
+	return simulateAll(cfg, false, pts)
 }

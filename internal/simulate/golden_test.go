@@ -1,7 +1,6 @@
 package simulate
 
 import (
-	"bufio"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -14,10 +13,8 @@ import (
 	"testing"
 
 	"anybc/internal/cluster"
-	"anybc/internal/core"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
-	"anybc/internal/gcrm"
 	"anybc/internal/trace"
 )
 
@@ -146,15 +143,11 @@ func TestGoldenTimelines(t *testing.T) {
 		}
 		return
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var want []string
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		want = append(want, sc.Text())
-	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	if len(want) != len(got) {
 		t.Fatalf("%s holds %d rows, the table has %d", path, len(want), len(got))
 	}
@@ -171,28 +164,23 @@ func TestGoldenPaperPair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two mt=100 simulations")
 	}
-	const mt, b, p = 100, 500, 23
-	dChol, err := core.New(core.GCRM, p, core.Options{
-		GCRMSearch: gcrm.SearchOptions{Seeds: 10, SizeFactor: 4, BaseSeed: 1, Parallel: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lu, chol, dLU, dChol := paperPair(t)
 	for _, c := range []struct {
 		g        dag.Graph
 		d        dist.Distribution
 		makespan float64
 		messages int64
 	}{
-		{dag.NewLU(mt), dist.NewG2DBC(p), 3.888064666666993, 38679},
-		{dag.NewCholesky(mt), dChol, 2.2683042499999617, 25729},
+		{lu, dLU, 3.888064666666993, 38679},
+		{chol, dChol, 2.2683042499999617, 25729},
 	} {
-		res, err := Run(c.g, b, c.d, PaperMachine(), Options{})
+		res, err := Run(c.g, 500, c.d, PaperMachine(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Makespan != c.makespan || res.Messages != c.messages {
-			t.Errorf("%s(%d) on %s: makespan %v, %d messages; golden %v, %d",
-				c.g.Name(), mt, c.d.Name(), res.Makespan, res.Messages, c.makespan, c.messages)
+			t.Errorf("%s(100) on %s: makespan %v, %d messages; golden %v, %d",
+				c.g.Name(), c.d.Name(), res.Makespan, res.Messages, c.makespan, c.messages)
 		}
 	}
 }

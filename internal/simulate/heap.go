@@ -1,80 +1,95 @@
 package simulate
 
-// eventKind discriminates simulator events.
-type eventKind uint8
-
-const (
-	evTaskDone eventKind = iota
-	evArrival
-)
-
-// event is one scheduled simulator event. For evTaskDone, node is the
-// executing node and task the completing task id. For evArrival, node is the
-// destination and task the producing task id (the arrival delivers that
-// task's output tile); forward, when non-empty, is the binomial subtree of
-// nodes the recipient must relay the tile to (tree-broadcast mode).
+// event is one scheduled simulator event.
+//
+// node ≥ 0: a kernel completes on that node; at is its slot in sim.running.
+// node < 0: a hop lands. ^node is the delivery record it carries and at the
+// position, in the record's destination list, of the node it lands on.
 type event struct {
-	time    float64
-	seq     uint64 // tie-break for determinism
-	kind    eventKind
-	node    int32
-	task    int32
-	forward []int
+	time float64
+	seq  uint64 // push order: ties in time pop in the order they were pushed
+	node int32
+	at   int32
 }
 
-// eventHeap is a binary min-heap on (time, seq).
-type eventHeap struct {
+// earlier is the queue's order: 1 if e pops before o, else 0. The order is
+// total — no two events share a seq — so the pop sequence is a function of the
+// pushes alone, whatever the heap's shape: that is the contract every golden
+// makespan rests on. It is computed without a branch because the outcome is
+// close to random: as a branch it mispredicted at every level of a sift.
+func earlier(e, o *event) int {
+	var lt, eq, sl int
+	if e.time < o.time {
+		lt = 1
+	}
+	if e.time == o.time {
+		eq = 1
+	}
+	if e.seq < o.seq {
+		sl = 1
+	}
+	return lt | eq&sl
+}
+
+// eventQueue is a 4-ary min-heap on (time, seq). Both sifts move a hole and
+// write the travelling event once, where a swap would write it at every level.
+type eventQueue struct {
 	items []event
 	seq   uint64
 }
 
-func (h *eventHeap) push(e event) {
-	h.seq++
-	e.seq = h.seq
-	h.items = append(h.items, e)
-	i := len(h.items) - 1
+func (q *eventQueue) push(e event) {
+	q.seq++
+	e.seq = q.seq
+	q.items = append(q.items, e)
+	items := q.items
+	i := len(items) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		if earlier(&e, &items[parent]) == 0 {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = e
 }
 
-func (h *eventHeap) less(a, b int) bool {
-	if h.items[a].time != h.items[b].time {
-		return h.items[a].time < h.items[b].time
-	}
-	return h.items[a].seq < h.items[b].seq
-}
-
-func (h *eventHeap) pop() event {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
+func (q *eventQueue) pop() event {
+	top := q.items[0]
+	n := len(q.items) - 1
+	last := q.items[n]
+	q.items = q.items[:n]
+	items := q.items
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.items) && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(h.items) && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		first := 4*i + 1
+		if first >= n {
 			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		min := first
+		if first+4 <= n {
+			a := first + earlier(&items[first+1], &items[first])
+			b := first + 2 + earlier(&items[first+3], &items[first+2])
+			min = a + (b-a)*earlier(&items[b], &items[a])
+		} else {
+			for c := first + 1; c < n; c++ {
+				min += (c - min) * earlier(&items[c], &items[min])
+			}
+		}
+		if earlier(&items[min], &last) == 0 {
+			break
+		}
+		items[i] = items[min]
+		i = min
+	}
+	if n > 0 {
+		items[i] = last
 	}
 	return top
 }
 
-func (h *eventHeap) empty() bool { return len(h.items) == 0 }
+func (q *eventQueue) empty() bool { return len(q.items) == 0 }
 
 // The per-node ready queues are sched.Heap: the same deterministic priority
 // heap (and the same critical-path key) the real runtime dispatches with.

@@ -67,11 +67,6 @@ func (m Machine) Validate() error {
 	return nil
 }
 
-// NodeFlops returns the aggregate kernel throughput of one node in flop/s.
-func (m Machine) NodeFlops() float64 {
-	return float64(m.Workers) * m.FlopsPerWorker
-}
-
 // Result summarizes one simulated execution.
 type Result struct {
 	// Makespan is the simulated wall-clock time in seconds.
@@ -111,17 +106,4 @@ func (r *Result) GFlops() float64 {
 		return 0
 	}
 	return r.TotalFlops / r.Makespan / 1e9
-}
-
-// Efficiency returns the mean worker utilization in [0, 1]: busy time over
-// makespan × workers.
-func (r *Result) Efficiency(m Machine) float64 {
-	if r.Makespan <= 0 || len(r.BusyTime) == 0 {
-		return 0
-	}
-	busy := 0.0
-	for _, b := range r.BusyTime {
-		busy += b
-	}
-	return busy / (r.Makespan * float64(len(r.BusyTime)*m.Workers))
 }

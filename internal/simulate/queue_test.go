@@ -1,0 +1,147 @@
+package simulate
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"anybc/internal/cluster"
+	"anybc/internal/dag"
+	"anybc/internal/dist"
+)
+
+// TestEventQueuePopsInTimeSeqOrder holds the queue to its contract against a
+// sorted reference: whatever is pushed — few distinct times, so most events
+// tie — and however pushes and pops interleave, pop returns the pending event
+// that is least on (time, seq).
+func TestEventQueuePopsInTimeSeqOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 300; round++ {
+		var q eventQueue
+		var pending []event
+		pushes := 1 + rng.Intn(400)
+		distinct := 1 + rng.Intn(12)
+		for pushed := 0; pushed < pushes || len(pending) > 0; {
+			if pushed < pushes && (len(pending) == 0 || rng.Intn(5) < 3) {
+				e := event{time: float64(rng.Intn(distinct)) / 4, node: int32(pushed), at: int32(round)}
+				q.push(e)
+				e.seq = q.seq
+				pending = append(pending, e)
+				pushed++
+				continue
+			}
+			sort.Slice(pending, func(a, b int) bool { return earlier(&pending[a], &pending[b]) == 1 })
+			want := pending[0]
+			pending = pending[1:]
+			if got := q.pop(); got != want {
+				t.Fatalf("round %d: popped %+v, the least pending event is %+v", round, got, want)
+			}
+		}
+		if !q.empty() {
+			t.Fatalf("round %d: queue not empty after popping every push", round)
+		}
+	}
+}
+
+// TestPoolsDrainWhenRunReturns: delivery records (whose destination ranges
+// are the tree hops' relay lists) and running-kernel slots live only while
+// something is in flight, so a finished run holds every one on its free list.
+func TestPoolsDrainWhenRunReturns(t *testing.T) {
+	for _, mode := range []cluster.BroadcastMode{cluster.BroadcastFlat, cluster.BroadcastTree} {
+		s, err := newSim(dag.NewLU(12), 16, dist.NewG2DBC(23), testMachine(), Options{Broadcast: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.records) == 0 || len(s.idle) != len(s.records) {
+			t.Errorf("mode %v: %d of %d delivery records on the free list", mode, len(s.idle), len(s.records))
+		}
+		for d, r := range s.records {
+			if r.pending != 0 || len(r.dests) != 0 || len(r.edges) != 0 {
+				t.Errorf("mode %v: record %d returned with pending=%d, %d dests, %d edges", mode, d, r.pending, len(r.dests), len(r.edges))
+			}
+		}
+		if len(s.running) == 0 || len(s.idleRunning) != len(s.running) {
+			t.Errorf("mode %v: %d of %d running slots on the free list", mode, len(s.idleRunning), len(s.running))
+		}
+		for node, at := range s.position {
+			if at != -1 {
+				t.Errorf("mode %v: node %d still holds position %d of a finished walk", mode, node, at)
+			}
+		}
+	}
+}
+
+// TestRouteFilesTheOwnerFilteredWalk: what route files under a destination is,
+// element for element, what walking the producer's successors and keeping the
+// ones that destination owns yields — the walk every arrival used to repeat —
+// and the destinations are the distinct remote owners in first-visit order.
+func TestRouteFilesTheOwnerFilteredWalk(t *testing.T) {
+	g, d := dag.NewLU(12), dist.NewG2DBC(23)
+	s, err := newSim(g, 16, d, testMachine(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var messages int64
+	dag.ForEachTask(g, func(task dag.Task) {
+		src := s.ownerOf[g.ID(task)]
+		var wantDests []int32
+		g.Successors(task, func(succ dag.Task) {
+			owner := s.ownerOf[g.ID(succ)]
+			if owner == src {
+				return
+			}
+			for _, seen := range wantDests {
+				if seen == owner {
+					return
+				}
+			}
+			wantDests = append(wantDests, owner)
+		})
+		messages += int64(len(wantDests))
+		rec := s.route(task, src)
+		if len(wantDests) == 0 {
+			if rec >= 0 {
+				t.Fatalf("%v: a record for a task with no remote consumer", task)
+			}
+			return
+		}
+		r := &s.records[rec]
+		if len(r.dests) != len(wantDests) || r.pending != len(wantDests) {
+			t.Fatalf("%v: %d destinations (pending %d), want %v", task, len(r.dests), r.pending, wantDests)
+		}
+		for at, dst := range r.dests {
+			if dst.node != wantDests[at] {
+				t.Fatalf("%v: destination %d is node %d, first-visit order gives %v", task, at, dst.node, wantDests)
+			}
+			var want []int32
+			g.Successors(task, func(succ dag.Task) {
+				if id := int32(g.ID(succ)); s.ownerOf[id] == dst.node {
+					want = append(want, id)
+				}
+			})
+			var got []int32
+			for e := dst.head; e >= 0; e = r.edges[e].next {
+				got = append(got, r.edges[e].id)
+				if key := s.policy.Key(g.TaskOf(int(r.edges[e].id))); r.edges[e].key != key {
+					t.Fatalf("%v → node %d: edge to task %d filed under key %d, its key is %d", task, dst.node, r.edges[e].id, r.edges[e].key, key)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v → node %d: filed %v, the filtered walk gives %v", task, dst.node, got, want)
+			}
+		}
+		for at := range wantDests {
+			s.deliver(rec, at)
+		}
+	})
+	if s.res.Messages != messages || messages != dag.CommVolumeTiles(g, d.Owner) {
+		t.Fatalf("route counted %d messages, the walks %d, the structural count is %d", s.res.Messages, messages, dag.CommVolumeTiles(g, d.Owner))
+	}
+	if len(s.idle) != len(s.records) {
+		t.Fatalf("%d of %d records back after every delivery", len(s.idle), len(s.records))
+	}
+}

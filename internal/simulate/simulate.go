@@ -62,247 +62,279 @@ type Options struct {
 // exactly like the real runtime, serializes each node's outgoing and incoming
 // NIC, and overlaps communication with computation.
 func Run(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*Result, error) {
+	s, err := newSim(g, b, d, m, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.run(); err != nil {
+		return nil, err
+	}
+	return s.res, nil
+}
+
+// sim is the state of one run. Memory is the two per-task tables (owner and
+// outstanding dependencies), O(P) node state, and three pools that grow to
+// the peak of what is in flight and no further: queued events, running
+// kernels, and delivery records.
+type sim struct {
+	g      dag.Graph
+	b      int
+	m      Machine
+	rec    *trace.Recorder
+	policy sched.Policy
+	tree   bool
+	redg   dag.ReduceGraph // nil: the graph ships no reduction partials
+	// Message sizes: graphs with heterogeneous tile sizes (the
+	// factor-and-solve graphs) report them through SizedGraph unless an
+	// explicit uniform override is set; sized is nil otherwise.
+	sized     dag.SizedGraph
+	tileBytes int
+	rate      []float64 // flop/s of one worker, by node
+
+	// By task id. Dependency counts are int32: wide fan-in tasks (solve and
+	// GEMM graphs) can exceed 127 predecessors, which an int8 would silently
+	// wrap into a bogus "dependency deadlock".
+	ownerOf   []int32
+	remaining []int32
+
+	// By node.
+	ready       []sched.Heap
+	freeWorkers []int
+	nicOut      []float64
+	nicIn       []float64
+	slotFree    [][]float64 // worker-slot bookkeeping for Gantt traces (only when recording)
+	fabricFree  float64     // shared-fabric serialization point (bisection cap)
+
+	events eventQueue
+	// running holds the task of every kernel in flight, so that its
+	// completion has the task in hand instead of inverting an id.
+	running     []dag.Task
+	idleRunning []int32
+	deliveries
+	visit func(dag.Task) // s.file, bound once: a method value allocates
+
+	done int
+	// res is its own allocation: a Result inside sim would keep the whole
+	// run's tables reachable for as long as the caller holds it.
+	res *Result
+}
+
+func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*sim, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	P := d.Nodes()
 	n := g.NumTasks()
-	tileBytes := opt.TileBytes
-	if tileBytes == 0 {
-		tileBytes = 8 * b * b
+	s := &sim{g: g, b: b, m: m, rec: opt.Recorder, policy: opt.Scheduler.policy(),
+		tree: opt.Broadcast == cluster.BroadcastTree, tileBytes: opt.TileBytes, res: &Result{}}
+	if s.tileBytes == 0 {
+		s.tileBytes = 8 * b * b
+		s.sized, _ = g.(dag.SizedGraph)
 	}
-	// Per-task message sizes: graphs with heterogeneous tile sizes (the
-	// factor-and-solve graphs) report them through SizedGraph unless an
-	// explicit uniform override is set.
-	sizeOf := func(t dag.Task) int { return tileBytes }
-	if sized, ok := g.(dag.SizedGraph); ok && opt.TileBytes == 0 {
-		sizeOf = func(t dag.Task) int { return sized.OutputBytes(t, b) }
+	s.redg, _ = g.(dag.ReduceGraph)
+	s.visit = s.file
+
+	s.rate = make([]float64, P)
+	for node := range s.rate {
+		s.rate[node] = m.FlopsPerWorker
 	}
-	redg, _ := g.(dag.ReduceGraph)
-	speed := func(node int) float64 { return 1 }
 	if opt.NodeSpeed != nil {
 		if len(opt.NodeSpeed) != P {
 			return nil, fmt.Errorf("simulate: %d node speeds for %d nodes", len(opt.NodeSpeed), P)
 		}
-		for n, v := range opt.NodeSpeed {
+		for node, v := range opt.NodeSpeed {
 			if v <= 0 {
-				return nil, fmt.Errorf("simulate: node %d speed %g", n, v)
+				return nil, fmt.Errorf("simulate: node %d speed %g", node, v)
 			}
+			s.rate[node] = m.FlopsPerWorker * v
 		}
-		speed = func(node int) float64 { return opt.NodeSpeed[node] }
 	}
 
-	// Owner of every task, by task id. Dependency counts are int32: wide
-	// fan-in tasks (solve and GEMM graphs) can exceed 127 predecessors, which
-	// an int8 would silently wrap into a bogus "dependency deadlock".
-	ownerOf := make([]int32, n)
-	remaining := make([]int32, n)
+	s.ownerOf = make([]int32, n)
+	s.remaining = make([]int32, n)
 	dag.ForEachTask(g, func(t dag.Task) {
 		id := g.ID(t)
 		oi, oj := g.OutputTile(t)
-		ownerOf[id] = int32(d.Owner(oi, oj))
-		remaining[id] = int32(g.NumDependencies(t))
+		s.ownerOf[id] = int32(d.Owner(oi, oj))
+		s.remaining[id] = int32(g.NumDependencies(t))
 	})
 
-	// Per-node state.
-	ready := make([]sched.Heap, P)
-	for i := range ready {
-		ready[i] = sched.NewHeap(opt.Scheduler.policy().Tie())
+	s.ready = make([]sched.Heap, P)
+	s.freeWorkers = make([]int, P)
+	for node := range s.ready {
+		s.ready[node] = sched.NewHeap(s.policy.Tie())
+		s.freeWorkers[node] = m.Workers
 	}
-	freeWorkers := make([]int, P)
-	nicOut := make([]float64, P)
-	nicIn := make([]float64, P)
-	fabricFree := 0.0 // shared-fabric serialization point (bisection cap)
-	busy := make([]float64, P)
-	tasksRun := make([]int, P)
-	for i := range freeWorkers {
-		freeWorkers[i] = m.Workers
-	}
-	// Worker-slot bookkeeping for Gantt traces (only when recording).
-	var slotFree [][]float64
-	if opt.Recorder != nil {
-		slotFree = make([][]float64, P)
-		for i := range slotFree {
-			slotFree[i] = make([]float64, m.Workers)
+	s.nicOut = make([]float64, P)
+	s.nicIn = make([]float64, P)
+	if s.rec != nil {
+		s.slotFree = make([][]float64, P)
+		for node := range s.slotFree {
+			s.slotFree[node] = make([]float64, m.Workers)
 		}
 	}
-
-	policy := opt.Scheduler.policy()
-
-	var events eventHeap
-	var result Result
-	result.BusyTime = busy
-	result.TasksPerNode = tasksRun
-	result.TotalFlops = g.TotalFlops(b)
-	result.SentBytes = make([]int64, P)
-	result.RecvBytes = make([]int64, P)
-
-	dispatch := func(node int, now float64) {
-		for freeWorkers[node] > 0 && !ready[node].Empty() {
-			id := ready[node].Pop()
-			freeWorkers[node]--
-			t := g.TaskOf(int(id))
-			dur := g.Flops(t, b) / (m.FlopsPerWorker * speed(node))
-			busy[node] += dur
-			tasksRun[node]++
-			if opt.Recorder != nil {
-				slot := 0
-				for s, free := range slotFree[node] {
-					if free <= now+1e-15 {
-						slot = s
-						break
-					}
-				}
-				slotFree[node][slot] = now + dur
-				opt.Recorder.RecordTask(node, slot, t, now, now+dur)
-			}
-			events.push(event{time: now + dur, kind: evTaskDone, node: int32(node), task: id})
-		}
+	s.position = make([]int32, P)
+	for node := range s.position {
+		s.position[node] = -1
 	}
 
-	// release queues a task without dispatching: successors of one completion
-	// (or one arrival) become ready at the same instant, so the dispatch
-	// decision is made once over the full set — priority picks among all of
-	// them, exactly as the real engine's dispatch loop runs after its release
-	// sweep.
-	release := func(id int) {
-		node := int(ownerOf[id])
-		ready[node].Push(policy.Key(g.TaskOf(id)), int32(id))
-	}
+	s.res.BusyTime = make([]float64, P)
+	s.res.TasksPerNode = make([]int, P)
+	s.res.TotalFlops = g.TotalFlops(b)
+	s.res.SentBytes = make([]int64, P)
+	s.res.RecvBytes = make([]int64, P)
+	return s, nil
+}
 
+func (s *sim) run() error {
 	// Seed: tasks with no dependencies.
-	for id := 0; id < n; id++ {
-		if remaining[id] == 0 {
-			release(id)
+	for id := range s.remaining {
+		if s.remaining[id] == 0 {
+			s.release(int32(id), s.policy.Key(s.g.TaskOf(id)))
 		}
 	}
-	for node := 0; node < P; node++ {
-		dispatch(node, 0)
+	for node := range s.ready {
+		s.dispatch(node, 0)
 	}
+	for !s.events.empty() {
+		ev := s.events.pop()
+		if ev.node >= 0 {
+			s.complete(int(ev.node), ev.at, ev.time)
+		} else {
+			s.arrive(^ev.node, int(ev.at), ev.time)
+		}
+		if ev.time > s.res.Makespan {
+			s.res.Makespan = ev.time
+		}
+	}
+	if n := len(s.remaining); s.done != n {
+		return fmt.Errorf("simulate: executed %d of %d tasks — dependency deadlock", s.done, n)
+	}
+	return nil
+}
 
-	// sendHop models one physical transmission src→dst: sender NIC
-	// serialization, then latency, then receiver NIC, with the optional
-	// shared-fabric cap in between. forward is the binomial subtree the
-	// recipient must relay onward when the hop arrives (tree mode only).
-	// task identifies the producer whose output tile the hop carries.
-	sendHop := func(src, dst int, task int32, forward []int, msgBytes int, now float64) {
-		transferTime := float64(msgBytes) / m.LinkBandwidth
-		depart := max64(now, nicOut[src])
-		sendEnd := depart + transferTime
-		nicOut[src] = sendEnd
-		if m.BisectionBandwidth > 0 {
-			// The message also crosses the shared fabric.
-			fabricEnd := max64(sendEnd, fabricFree) + float64(msgBytes)/m.BisectionBandwidth
-			fabricFree = fabricEnd
-			sendEnd = fabricEnd
-		}
-		recvEnd := max64(sendEnd+m.Latency, nicIn[dst]) + transferTime
-		nicIn[dst] = recvEnd
-		result.Hops++
-		result.SentBytes[src] += int64(msgBytes)
-		result.RecvBytes[dst] += int64(msgBytes)
-		if opt.Recorder != nil {
-			// depart is the instant the message starts leaving the
-			// sender NIC — not sendEnd-transferTime, which the fabric
-			// serialization would shift forward.
-			opt.Recorder.RecordMessage(src, dst, depart, recvEnd, msgBytes)
-		}
-		events.push(event{time: recvEnd, kind: evArrival, node: int32(dst), task: task, forward: forward})
-	}
+// release queues a task whose last dependency was just met, without
+// dispatching: successors of one completion (or one arrival) become ready at
+// the same instant, so the dispatch decision is made once over the full set —
+// priority picks among all of them, exactly as the real engine's dispatch
+// loop runs after its release sweep.
+func (s *sim) release(id int32, key int64) {
+	s.ready[s.ownerOf[id]].Push(key, id)
+}
 
-	done := 0
-	var sentTo []int // scratch: distinct remote consumers of one completion
-	for !events.empty() {
-		ev := events.pop()
-		now := ev.time
-		switch ev.kind {
-		case evTaskDone:
-			done++
-			node := int(ev.node)
-			freeWorkers[node]++
-			t := g.TaskOf(int(ev.task))
-			src := int(ownerOf[ev.task])
-			sentTo = sentTo[:0]
-			g.Successors(t, func(s dag.Task) {
-				sid := g.ID(s)
-				dst := int(ownerOf[sid])
-				if dst == src {
-					remaining[sid]--
-					if remaining[sid] == 0 {
-						release(sid)
-					}
-					return
-				}
-				for _, d := range sentTo {
-					if d == dst {
-						return
-					}
-				}
-				sentTo = append(sentTo, dst)
-			})
-			if len(sentTo) > 0 {
-				// Logical accounting is mode-independent: one owner→consumer
-				// message per destination, the Equation (1)/(2) quantity.
-				msgBytes := sizeOf(t)
-				result.Messages += int64(len(sentTo))
-				result.Bytes += int64(msgBytes) * int64(len(sentTo))
-				if redg != nil && len(sentTo) == 1 && redg.ReducePartial(t) {
-					// Reduction partial shipping to its binomial parent — the
-					// same single-destination routing the real runtime's
-					// Comm.SendReduce takes, counted identically.
-					result.Reduces++
-					result.ReduceBytes += int64(msgBytes)
-				}
-				if opt.Broadcast == cluster.BroadcastTree && len(sentTo) > 1 {
-					children, subtrees := cluster.TreeFanout(sentTo)
-					for i, child := range children {
-						// Subtrees alias the sentTo scratch, which the next
-						// completion reuses — copy each hop's relay list.
-						sendHop(src, child, ev.task, append([]int(nil), subtrees[i]...), msgBytes, now)
-					}
-				} else {
-					for _, dst := range sentTo {
-						sendHop(src, dst, ev.task, nil, msgBytes, now)
-					}
+func (s *sim) dispatch(node int, now float64) {
+	for s.freeWorkers[node] > 0 && !s.ready[node].Empty() {
+		id := s.ready[node].Pop()
+		s.freeWorkers[node]--
+		t := s.g.TaskOf(int(id))
+		dur := s.g.Flops(t, s.b) / s.rate[node]
+		s.res.BusyTime[node] += dur
+		s.res.TasksPerNode[node]++
+		if s.rec != nil {
+			worker := 0
+			for w, free := range s.slotFree[node] {
+				if free <= now+1e-15 {
+					worker = w
+					break
 				}
 			}
-			dispatch(node, now)
-		case evArrival:
-			// A tree hop carries its subtree's relay obligation: the
-			// recipient's NIC starts forwarding the moment the tile lands,
-			// pipelining the rest of the broadcast behind this hop.
-			if len(ev.forward) > 0 {
-				msgBytes := sizeOf(g.TaskOf(int(ev.task)))
-				children, subtrees := cluster.TreeFanout(ev.forward)
-				for i, child := range children {
-					result.Forwards++
-					sendHop(int(ev.node), child, ev.task, subtrees[i], msgBytes, now)
-				}
+			s.slotFree[node][worker] = now + dur
+			s.rec.RecordTask(node, worker, t, now, now+dur)
+		}
+		var slot int32
+		if last := len(s.idleRunning) - 1; last >= 0 {
+			slot, s.idleRunning = s.idleRunning[last], s.idleRunning[:last]
+		} else {
+			slot = int32(len(s.running))
+			s.running = append(s.running, dag.Task{})
+		}
+		s.running[slot] = t
+		s.events.push(event{time: now + dur, node: int32(node), at: slot})
+	}
+}
+
+// complete ends the kernel in running[slot] on node: its local successors are
+// released, its output tile leaves for every remote consumer, and the freed
+// worker picks its next task.
+func (s *sim) complete(node int, slot int32, now float64) {
+	s.done++
+	s.freeWorkers[node]++
+	t := s.running[slot]
+	s.idleRunning = append(s.idleRunning, slot)
+	if d := s.route(t, int32(node)); d >= 0 {
+		k := len(s.records[d].dests)
+		if s.tree && k > 1 {
+			s.fanout(node, d, 0, k, now)
+		} else {
+			for at := 0; at < k; at++ {
+				s.sendHop(node, d, at, at+1, now)
 			}
-			// The arrival delivers the output tile of producer ev.task to
-			// node ev.node: every successor of the producer owned by that
-			// node had this tile as its one remote dependency from ev.task.
-			producer := g.TaskOf(int(ev.task))
-			g.Successors(producer, func(s dag.Task) {
-				sid := g.ID(s)
-				if int(ownerOf[sid]) != int(ev.node) {
-					return
-				}
-				remaining[sid]--
-				if remaining[sid] == 0 {
-					release(sid)
-				}
-			})
-			dispatch(int(ev.node), now)
-		}
-		if now > result.Makespan {
-			result.Makespan = now
 		}
 	}
-	if done != n {
-		return nil, fmt.Errorf("simulate: executed %d of %d tasks — dependency deadlock", done, n)
+	s.dispatch(node, now)
+}
+
+// arrive lands a hop of delivery d on the node at position at of its
+// destination list: the tile it carries was the one remote input every task
+// filed under that destination was waiting on from this producer.
+func (s *sim) arrive(d int32, at int, now float64) {
+	// A tree hop carries its subtree's relay obligation: the recipient's
+	// NIC starts forwarding the moment the tile lands, pipelining the rest
+	// of the broadcast behind this hop.
+	dst := s.records[d].dests[at]
+	node, end := int(dst.node), int(dst.relayEnd)
+	if end > at+1 {
+		s.res.Forwards += s.fanout(node, d, at+1, end, now)
 	}
-	return &result, nil
+	s.deliver(d, at)
+	s.dispatch(node, now)
+}
+
+// fanout sends the tile of delivery d from src down the binomial tree over
+// the record's destinations [lo, hi) — the same tree, by position, that
+// cluster.TreeFanout builds for the real runtime — and returns the number of
+// hops src transmitted.
+func (s *sim) fanout(src int, d int32, lo, hi int, now float64) int64 {
+	hops := int64(0)
+	for step := 1; step <= hi-lo; step <<= 1 {
+		child, end := cluster.TreeChild(hi-lo, step)
+		s.sendHop(src, d, lo+child, lo+end, now)
+		hops++
+	}
+	return hops
+}
+
+// sendHop models one physical transmission of delivery d from src to the
+// record's destination at: sender NIC serialization, then latency, then
+// receiver NIC, with the optional shared-fabric cap in between. [at+1, end)
+// is what the recipient must relay onward when the hop arrives.
+func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
+	r := &s.records[d]
+	r.dests[at].relayEnd = int32(end)
+	dst, msgBytes := int(r.dests[at].node), r.bytes
+	m := &s.m
+	transferTime := float64(msgBytes) / m.LinkBandwidth
+	depart := max64(now, s.nicOut[src])
+	sendEnd := depart + transferTime
+	s.nicOut[src] = sendEnd
+	if m.BisectionBandwidth > 0 {
+		// The message also crosses the shared fabric.
+		fabricEnd := max64(sendEnd, s.fabricFree) + float64(msgBytes)/m.BisectionBandwidth
+		s.fabricFree = fabricEnd
+		sendEnd = fabricEnd
+	}
+	recvEnd := max64(sendEnd+m.Latency, s.nicIn[dst]) + transferTime
+	s.nicIn[dst] = recvEnd
+	s.res.Hops++
+	s.res.SentBytes[src] += int64(msgBytes)
+	s.res.RecvBytes[dst] += int64(msgBytes)
+	if s.rec != nil {
+		// depart is the instant the message starts leaving the sender NIC
+		// — not sendEnd-transferTime, which the fabric serialization would
+		// shift forward.
+		s.rec.RecordMessage(src, dst, depart, recvEnd, msgBytes)
+	}
+	s.events.push(event{time: recvEnd, node: ^d, at: int32(at)})
 }
 
 func max64(a, b float64) float64 {

@@ -46,14 +46,15 @@ func TestRecorderConsistency(t *testing.T) {
 	if kb["GETRF"] <= 0 || kb["GEMM"] <= 0 {
 		t.Fatalf("KindBreakdown = %v", kb)
 	}
-	// Utilization consistent with Result.Efficiency.
+	// Mean utilization is the run's busy time over its worker capacity.
 	u := rec.Utilization(m.Workers, d.Nodes())
-	sum := 0.0
-	for _, v := range u {
+	sum, total := 0.0, 0.0
+	for n, v := range u {
 		sum += v
+		total += res.BusyTime[n]
 	}
-	if eff := res.Efficiency(m); math.Abs(sum/float64(len(u))-eff) > 1e-9 {
-		t.Fatalf("mean utilization %v vs efficiency %v", sum/float64(len(u)), eff)
+	if eff := total / (res.Makespan * float64(d.Nodes()*m.Workers)); eff <= 0 || eff > 1 || math.Abs(sum/float64(len(u))-eff) > 1e-9 {
+		t.Fatalf("mean utilization %v vs busy share %v", sum/float64(len(u)), eff)
 	}
 }
 
