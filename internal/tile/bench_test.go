@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -27,6 +28,21 @@ func benchGemm(b *testing.B, n int, transB Trans) {
 		Gemm(NoTrans, transB, -1, x, y, 1, z)
 	}
 	b.ReportMetric(FlopsGemm(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
+// BenchmarkKernelGemmSmall times the tile sizes that fit in L1 and are read
+// in place (lu-overhead runs b=8, serve-mix b=32) and the first one that is
+// packed, for LU's NN update and Cholesky's NT update.
+func BenchmarkKernelGemmSmall(b *testing.B) {
+	for _, n := range []int{8, 16, 32, 64} {
+		for _, tb := range []Trans{NoTrans, TransT} {
+			name := fmt.Sprintf("b=%d/NN", n)
+			if tb == TransT {
+				name = fmt.Sprintf("b=%d/NT", n)
+			}
+			b.Run(name, func(b *testing.B) { benchGemm(b, n, tb) })
+		}
+	}
 }
 
 func BenchmarkKernelGemm128(b *testing.B)       { benchGemm(b, 128, NoTrans) }

@@ -46,9 +46,9 @@ func opDims(t Trans, a *Tile) (rows, cols int) {
 }
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C, the general tile update
-// kernel (the dominant task of both factorizations). Large tiles go through
-// the cache-blocked, register-tiled panel kernel (gemm_blocked.go); small
-// tiles use direct loops where packing overhead would dominate.
+// kernel (the dominant task of both factorizations), through the
+// register-tiled GEMM core (gemm_blocked.go): small tiles read in place,
+// large ones packed into panels first.
 func Gemm(transA, transB Trans, alpha float64, a, b *Tile, beta float64, c *Tile) {
 	m, k := opDims(transA, a)
 	k2, n := opDims(transB, b)
@@ -70,78 +70,10 @@ func Gemm(transA, transB Trans, alpha float64, a, b *Tile, beta float64, c *Tile
 	if alpha == 0 {
 		return
 	}
-	if m*n*k < gemmSmallVolume {
-		gemmSmall(transA, transB, alpha, a, b, c, m, n, k)
-		return
-	}
 	gemmView(alpha,
 		opView{data: a.Data, ld: a.Cols, trans: transA == TransT},
 		opView{data: b.Data, ld: b.Cols, trans: transB == TransT},
 		m, n, k, c.Data, c.Cols)
-}
-
-// gemmSmall handles tiles too small to amortize panel packing: the direct
-// loop orders, row-sliced where the layout allows.
-func gemmSmall(transA, transB Trans, alpha float64, a, b *Tile, c *Tile, m, n, k int) {
-	switch {
-	case transA == NoTrans && transB == NoTrans:
-		// i-k-j order with row slices: streams B and C rows.
-		for i := 0; i < m; i++ {
-			ci := c.Row(i)
-			ai := a.Row(i)
-			for l := 0; l < k; l++ {
-				s := alpha * ai[l]
-				if s == 0 {
-					continue
-				}
-				bl := b.Row(l)
-				for j := 0; j < n; j++ {
-					ci[j] += s * bl[j]
-				}
-			}
-		}
-	case transA == NoTrans && transB == TransT:
-		// C[i][j] += alpha * dot(A row i, B row j).
-		for i := 0; i < m; i++ {
-			ci := c.Row(i)
-			ai := a.Row(i)
-			for j := 0; j < n; j++ {
-				bj := b.Row(j)
-				s := 0.0
-				for l := 0; l < k; l++ {
-					s += ai[l] * bj[l]
-				}
-				ci[j] += alpha * s
-			}
-		}
-	case transA == TransT && transB == NoTrans:
-		for l := 0; l < k; l++ {
-			al := a.Row(l)
-			bl := b.Row(l)
-			for i := 0; i < m; i++ {
-				s := alpha * al[i]
-				if s == 0 {
-					continue
-				}
-				ci := c.Row(i)
-				for j := 0; j < n; j++ {
-					ci[j] += s * bl[j]
-				}
-			}
-		}
-	default: // TransT, TransT
-		for i := 0; i < m; i++ {
-			ci := c.Row(i)
-			for j := 0; j < n; j++ {
-				bj := b.Row(j)
-				s := 0.0
-				for l := 0; l < k; l++ {
-					s += a.At(l, i) * bj[l]
-				}
-				ci[j] += alpha * s
-			}
-		}
-	}
 }
 
 // syrkBlock is the column-block width of the SYRK driver: off-diagonal

@@ -9,7 +9,7 @@ import (
 // nothing is searched for down a column — so both split the square tile in
 // two on the diagonal: factor the leading block, solve the off-diagonal
 // blocks against it with the blocked TRSM, update the trailing block through
-// the packed GEMM (gemmView) or the SYRK view that routes its rectangles
+// the GEMM core (gemmView) or the SYRK view that routes its rectangles
 // through it, and factor the trailing block. Every flop outside the
 // factorRecCut-sized diagonal blocks runs in a TRSM or GEMM as large as the
 // split allows.

@@ -11,31 +11,39 @@ const (
 	gemmKC = 240 // panel depth shared by the packed A and B panels
 )
 
-// gemmSmallVolume: below this m·n·k volume the packing overhead outweighs the
-// microkernel's throughput and the direct loops win (the distributed tests
-// run tiles as small as 4×4). One constant for every kernel: on square b×b×b
-// updates the packed path takes over between b=12 and b=16 under the 4×8 and
-// the 8×16 kernel alike (b=8: 0.53 µs direct against 0.38 / 0.82 µs packed;
-// b=12: 1.6 against 1.7 / 1.2; b=16: 3.6 against 0.8 / 0.6; b=24: 11.5
-// against 2.0 / 2.6 — a tile narrower than the kernel is all edge).
-const gemmSmallVolume = 16 * 16 * 16
+// gemmDirectMax bounds the updates gemmView runs on operands in place: m, n
+// and k all at most this, so op(A), op(B) and C fit in a 32 KB L1 together
+// and the kernel's strided reads hit it. It also sizes gemmDirect's stack
+// buffers, which hold gemmDirectMax depth steps. Measured on square updates
+// (DESIGN.md §6): in place is faster than packed up to b=32 and, hot, up to
+// b=96, but a bound of 64 doubles the transposed-B buffer every small NT
+// update clears, and at b=128 reading in place is no faster, cold or hot.
+const gemmDirectMax = 32
 
-// microKernel is one register-tiled block update of the packed GEMM,
-// C[0:mr][0:nr] += alpha · Σ_l ap[l·mr+r] · bp[l·nr+c] over depth kb, where C
-// starts at c[0] with leading dimension ldc. ap is an mr-interleaved packed A
-// strip, bp an nr-interleaved packed B strip (packStrips). Each
-// architecture lists its kernels in microKernels (kernel_*.go), widest first.
+// microKernel is one register-tiled block update of the GEMM,
+// C[r][0:nr] += alpha · Σ_l a[r·rsA + l·csA] · b[l·ldb + 0:nr] for r < mr
+// over depth kb, where C starts at c[0] with leading dimension ldc. Element
+// (r, l) of op(A) is read at a[r·rsA + l·csA] and depth row l of op(B) at
+// b[l·ldb], so one signature covers packed strips (packStrips: A rsA = 1,
+// csA = mr; B ldb = nr), operands read where they lie (A rsA = ld, csA = 1,
+// or transposed rsA = 1, csA = ld; B ldb = ld) and any mix of the two. Each
+// architecture lists its kernels in microKernels (kernel_*.go), widest
+// first, and its run method calls the routine kind names.
 type microKernel struct {
 	name      string
+	kind      kernelKind
 	mr, nr    int
-	run       func(ap, bp []float64, kb int, alpha float64, c []float64, ldc int)
 	supported bool // by this CPU and OS, probed once at start-up
 	vector    bool // the CPU also runs the vector helpers beside it (solveRow, transposeVec)
 }
 
-// micro is the kernel every packed GEMM runs: the first supported entry of
-// microKernels. It is a function of the CPU alone and is assigned once, here;
-// the tests reassign it to run every supported kernel on the same box.
+// kernelKind names a microkernel routine for run's dispatch.
+type kernelKind uint8
+
+// micro is the kernel the GEMM runs: the first supported entry of
+// microKernels (directKernel may pick a narrower one with the same bits). It
+// is a function of the CPU alone and is assigned once, here; the tests
+// reassign it to run every supported kernel on the same box.
 var micro = widestMicroKernel()
 
 func widestMicroKernel() microKernel {
@@ -96,7 +104,8 @@ func putPack(t *Tile) { packPool.Put(t) }
 // dst[s·w·kb + l·w + r] = op(X)[i0+s·w+r][kk+l], zero-padded to full strips so
 // the microkernel never reads past the matrix edge. With w = mr this is the
 // packed A panel; the packed B panel (nr-column strips of op(B), interleaved
-// by depth) is the same layout of op(B)ᵀ's rows, so gemmView packs both here.
+// by depth) is the same layout of op(B)ᵀ's rows, so gemmPacked packs both
+// here, and gemmDirect copies the strips and blocks it cannot read in place.
 //
 // Either way the source is read the way it lies in memory, whole rows of X
 // front to back, and on amd64 the rows a later step reads are asked for ahead
@@ -153,15 +162,109 @@ func dealRowScalar(dst []float64, stride int, row []float64, w int) {
 	}
 }
 
-// gemmView computes C[0:m][0:n] += alpha · op(A) · op(B) over packed panels,
-// where C is the row-major block cdata with leading dimension ldc. All four
-// transpose combinations route through here; the packing stage absorbs the
-// layout differences so one microkernel serves them all.
+// gemmView computes C[0:m][0:n] += alpha · op(A) · op(B), where C is the
+// row-major block cdata with leading dimension ldc; all four transpose
+// combinations route through here. An update that fits in L1
+// (gemmDirectMax) runs the microkernel on its operands where they lie
+// (gemmDirect), a larger one on packed panels (gemmPacked). Both compute
+// each C element as the same FMA chain over each depth panel, so the path
+// never shows in the bits.
 //
 // The sweep is sequential on the calling goroutine, like a Chameleon kernel
 // on its StarPU worker: a run's parallelism is its P × Workers kernel
 // callers, and a kernel never adds to it.
 func gemmView(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int) {
+	if k == 0 {
+		return
+	}
+	if m <= gemmDirectMax && n <= gemmDirectMax && k <= gemmDirectMax {
+		gemmDirect(alpha, a, b, m, n, k, cdata, ldc)
+		return
+	}
+	gemmPacked(alpha, a, b, m, n, k, cdata, ldc)
+}
+
+// gemmDirect is gemmView reading its operands in place: no pack buffers and
+// no packPool traffic, for k ≤ gemmDirectMax. The kernel reads whole mr-row
+// blocks of op(A) and whole nr-column strips of op(B), and past an operand's
+// last row or column lies memory that is not its own, so three things are
+// copied into zero-padded stack buffers first: a strip of op(B) narrower
+// than nr, every strip of a transposed B (its depth rows are not
+// contiguous), and the last block of op(A) when m is not a multiple of mr.
+// Each buffer lives in the function that fills it (directCopiedStrips,
+// directEdgeBlock, microEdge): Go zeroes a stack array where it is declared
+// and sizes a frame for all of a function's arrays, and an update that
+// copies nothing should pay for neither.
+func gemmDirect(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int) {
+	mk := directKernel(n)
+	nr := mk.nr
+	j0 := 0
+	if !b.trans {
+		for ; j0+nr <= n; j0 += nr {
+			directStrip(mk, alpha, a, b.data[j0:], b.ld, m, k, cdata[j0:], ldc, nr)
+		}
+	}
+	if j0 < n {
+		directCopiedStrips(mk, alpha, a, b, j0, m, n, k, cdata, ldc)
+	}
+}
+
+// directCopiedStrips is gemmDirect over columns [j0, n), each strip of op(B)
+// copied into a buffer first.
+func directCopiedStrips(mk *microKernel, alpha float64, a, b opView, j0, m, n, k int, cdata []float64, ldc int) {
+	var strip [gemmDirectMax * microNRMax]float64
+	nr := mk.nr
+	for ; j0 < n; j0 += nr {
+		cols := min(nr, n-j0)
+		packStrips(strip[:], b.transposed(), j0, cols, 0, k, nr)
+		directStrip(mk, alpha, a, strip[:], nr, m, k, cdata[j0:], ldc, cols)
+	}
+}
+
+// directStrip runs mk down the cols-wide strip of C at c (cols ≤ nr) against
+// the strip of op(B) at b/ldb, reading op(A) in place block by block.
+func directStrip(mk *microKernel, alpha float64, a opView, b []float64, ldb, m, k int, c []float64, ldc, cols int) {
+	mr := mk.mr
+	rsA, csA := a.ld, 1
+	if a.trans {
+		rsA, csA = 1, a.ld
+	}
+	i0 := 0
+	for ; i0+mr <= m; i0 += mr {
+		microTile(mk, a.data[a.at(i0, 0):], rsA, csA, b, ldb, k, alpha, c[i0*ldc:], ldc, mr, cols)
+	}
+	if i0 < m {
+		directEdgeBlock(mk, alpha, a, i0, m, b, ldb, k, c[i0*ldc:], ldc, cols)
+	}
+}
+
+// directEdgeBlock is directStrip's last m−i0 < mr rows, op(A)'s copied into
+// a zero-padded block first.
+func directEdgeBlock(mk *microKernel, alpha float64, a opView, i0, m int, b []float64, ldb, k int, c []float64, ldc, cols int) {
+	var edge [microMRMax * gemmDirectMax]float64
+	packStrips(edge[:], a, i0, m-i0, 0, k, mk.mr)
+	microTile(mk, edge[:], 1, mk.mr, b, ldb, k, alpha, c, ldc, m-i0, cols)
+}
+
+// directKernel is the kernel gemmDirect runs on an n-column update: micro,
+// or for C narrower than micro's strips the narrowest kernel of the table
+// that computes micro's bits — on an AVX-512 CPU the AVX2 4×8 block, so an
+// 8-column tile is whole blocks rather than one half-empty edge.
+func directKernel(n int) *microKernel {
+	if n < micro.nr {
+		for i := len(microKernels) - 1; i >= 0; i-- {
+			if k := &microKernels[i]; k.supported && k.vector == micro.vector {
+				return k
+			}
+		}
+	}
+	return &micro
+}
+
+// gemmPacked is gemmView over packed panels: for each gemmKC-deep panel, all
+// of op(B) is packed into nr-column strips, then op(A) gemmMC rows at a time
+// into mr-row strips that the microkernel sweeps against it.
+func gemmPacked(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int) {
 	mk := &micro
 	nStrips := (n + mk.nr - 1) / mk.nr
 	bp := getPack(gemmKC * nStrips * mk.nr)
@@ -169,16 +272,10 @@ func gemmView(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int)
 	ap := getPack(gemmMC * gemmKC)
 	defer putPack(ap)
 	for kk := 0; kk < k; kk += gemmKC {
-		kb := k - kk
-		if kb > gemmKC {
-			kb = gemmKC
-		}
+		kb := min(gemmKC, k-kk)
 		packStrips(bp.Data, b.transposed(), 0, n, kk, kb, mk.nr)
 		for ii := 0; ii < m; ii += gemmMC {
-			ib := m - ii
-			if ib > gemmMC {
-				ib = gemmMC
-			}
+			ib := min(gemmMC, m-ii)
 			packStrips(ap.Data, a, ii, ib, kk, kb, mk.mr)
 			gemmPanelSweep(mk, alpha, ap.Data, bp.Data, ii, ib, kb, n, cdata, ldc)
 		}
@@ -191,35 +288,36 @@ func gemmView(alpha float64, a, b opView, m, n, k int, cdata []float64, ldc int)
 func gemmPanelSweep(mk *microKernel, alpha float64, ap, bp []float64, ii, ib, kb, n int, cdata []float64, ldc int) {
 	mr, nr := mk.mr, mk.nr
 	for i0 := 0; i0 < ib; i0 += mr {
-		rows := ib - i0
-		if rows > mr {
-			rows = mr
-		}
-		aps := ap[i0*kb:]
 		for j0 := 0; j0 < n; j0 += nr {
-			cols := n - j0
-			if cols > nr {
-				cols = nr
-			}
-			bps := bp[j0*kb:]
-			if rows == mr && cols == nr {
-				mk.run(aps, bps, kb, alpha, cdata[(ii+i0)*ldc+j0:], ldc)
-				continue
-			}
-			// Edge tile: the kernel updates a full mr×nr scratch copy of the
-			// in-bounds part of C, which is then stored back — the same
-			// operations on every element as an interior tile's, so a C
-			// element's bits do not depend on which kernel shape made it an
-			// edge.
-			var scratch [microTileMax]float64
-			for r := 0; r < rows; r++ {
-				copy(scratch[r*nr:r*nr+cols], cdata[(ii+i0+r)*ldc+j0:])
-			}
-			mk.run(aps, bps, kb, alpha, scratch[:], nr)
-			for r := 0; r < rows; r++ {
-				copy(cdata[(ii+i0+r)*ldc+j0:(ii+i0+r)*ldc+j0+cols], scratch[r*nr:])
-			}
+			microTile(mk, ap[i0*kb:], 1, mr, bp[j0*kb:], nr, kb, alpha, cdata[(ii+i0)*ldc+j0:], ldc, min(mr, ib-i0), min(nr, n-j0))
 		}
+	}
+}
+
+// microTile runs mk on the rows×cols block of C at c, rows ≤ mr and
+// cols ≤ nr, with the kernel's operand arguments.
+func microTile(mk *microKernel, a []float64, rsA, csA int, b []float64, ldb, kb int, alpha float64, c []float64, ldc, rows, cols int) {
+	if rows == mk.mr && cols == mk.nr {
+		mk.run(a, rsA, csA, b, ldb, kb, alpha, c, ldc)
+		return
+	}
+	microEdge(mk, a, rsA, csA, b, ldb, kb, alpha, c, ldc, rows, cols)
+}
+
+// microEdge is microTile on a block short of the kernel's shape: the kernel
+// updates a full mr×nr scratch copy of the block's in-bounds part of C,
+// which is then stored back — the same operations on every element as an
+// interior block's, so a C element's bits do not depend on which kernel
+// shape made it an edge.
+func microEdge(mk *microKernel, a []float64, rsA, csA int, b []float64, ldb, kb int, alpha float64, c []float64, ldc, rows, cols int) {
+	var scratch [microMRMax * microNRMax]float64
+	nr := mk.nr
+	for r := 0; r < rows; r++ {
+		copy(scratch[r*nr:r*nr+cols], c[r*ldc:])
+	}
+	mk.run(a, rsA, csA, b, ldb, kb, alpha, scratch[:], nr)
+	for r := 0; r < rows; r++ {
+		copy(c[r*ldc:r*ldc+cols], scratch[r*nr:])
 	}
 }
 

@@ -47,10 +47,10 @@ func TestPrefetchNeverLoads(t *testing.T) {
 		ap, bp := randomTile(rng, kb, mk.mr), randomTile(rng, kb, mk.nr)
 		c0 := randomTile(rng, mk.mr, mk.nr)
 		want := c0.Clone()
-		mk.run(ap.Data, bp.Data, kb, -1, want.Data, mk.nr)
+		mk.run(ap.Data, 1, mk.mr, bp.Data, mk.nr, kb, -1, want.Data, mk.nr)
 		c := guardedFloats(t, mk.mr*mk.nr)
 		copy(c, c0.Data)
-		mk.run(ap.Data, bp.Data, kb, -1, c, mk.nr)
+		mk.run(ap.Data, 1, mk.mr, bp.Data, mk.nr, kb, -1, c, mk.nr)
 		for i, v := range c {
 			if v != want.Data[i] {
 				t.Fatalf("[%s] C element %d is %g next to the guard page, %g away from it", mk.name, i, v, want.Data[i])
@@ -77,6 +77,61 @@ func TestPrefetchNeverLoads(t *testing.T) {
 					if v != ref[i] {
 						t.Fatalf("[%s] w=%d trans=%v: packed element %d is %g next to the guard page, %g away from it",
 							mk.name, w, trans, i, v, ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// guardedTile is a copy of src whose last element is the last float64 before
+// the guard page.
+func guardedTile(t *testing.T, src *Tile) *Tile {
+	t.Helper()
+	g := &Tile{Rows: src.Rows, Cols: src.Cols, Data: guardedFloats(t, len(src.Data))}
+	copy(g.Data, src.Data)
+	return g
+}
+
+// TestDirectGemmStaysInsideItsOperands: the in-place path reads op(A) and
+// op(B) where they lie, so a block or strip the kernel would read whole past
+// an operand's last row or column must have been copied first. Every Gemm
+// here runs in place with A, B and C each ending at a guard page — edge
+// strips narrower than either kernel's nr (an 8-column edge under the 8×16
+// kernel at n = 24, n = 5), an edge block of m = 5 rows, depth 1 — and must
+// fault nowhere and return what it returns on ordinary memory.
+func TestDirectGemmStaysInsideItsOperands(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("the in-place GEMM touched memory past an operand: %v", r)
+		}
+	}()
+	rng := rand.New(rand.NewSource(35))
+	shapes := [][3]int{{8, 8, 8}, {5, 9, 3}, {16, 24, 7}, {5, 8, 1}, {13, 5, 1}, {32, 32, 32}, {29, 31, 17}}
+	for _, mk := range testKernels(t) {
+		micro = mk
+		for _, s := range shapes {
+			m, n, k := s[0], s[1], s[2]
+			for _, ta := range []Trans{NoTrans, TransT} {
+				for _, tb := range []Trans{NoTrans, TransT} {
+					a, b := randomTile(rng, m, k), randomTile(rng, k, n)
+					if ta == TransT {
+						a = randomTile(rng, k, m)
+					}
+					if tb == TransT {
+						b = randomTile(rng, n, k)
+					}
+					c0 := randomTile(rng, m, n)
+					want := c0.Clone()
+					Gemm(ta, tb, -1, a, b, 1, want)
+					c := guardedTile(t, c0)
+					Gemm(ta, tb, -1, guardedTile(t, a), guardedTile(t, b), 1, c)
+					for i, v := range c.Data {
+						if v != want.Data[i] {
+							t.Fatalf("[%s] Gemm(%v,%v) %dx%dx%d: C element %d is %g next to the guard pages, %g away from them",
+								mk.name, ta, tb, m, n, k, i, v, want.Data[i])
+						}
 					}
 				}
 			}

@@ -10,20 +10,34 @@ package tile
 // and fold alpha in with one more FMA, so they produce identical bits; the
 // scalar block rounds each product and sum separately and does not.
 var microKernels = []microKernel{
-	{name: "avx512 8x16", mr: 8, nr: 16, supported: cpuHasAVX512F() && cpuHasAVX2FMA(), vector: true,
-		run: func(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
-			fmaMicro8x16(&ap[0], &bp[0], kb, alpha, &c[0], ldc)
-		}},
-	{name: "avx2+fma 4x8", mr: 4, nr: 8, supported: cpuHasAVX2FMA(), vector: true,
-		run: func(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
-			fmaMicro4x8(&ap[0], &bp[0], kb, alpha, &c[0], ldc)
-		}},
-	{name: "scalar 4x8", mr: scalarMR, nr: scalarNR, supported: true, run: microScalar},
+	{name: "avx512 8x16", kind: kernelAVX512, mr: 8, nr: 16, supported: cpuHasAVX512F() && cpuHasAVX2FMA(), vector: true},
+	{name: "avx2+fma 4x8", kind: kernelAVX2, mr: 4, nr: 8, supported: cpuHasAVX2FMA(), vector: true},
+	{name: "scalar 4x8", kind: kernelScalar, mr: scalarMR, nr: scalarNR, supported: true},
 }
 
-// microTileMax is the largest mr·nr in the table: the size of the packed
-// GEMM's edge-tile scratch block.
-const microTileMax = 8 * 16
+const (
+	kernelAVX512 kernelKind = iota
+	kernelAVX2
+	kernelScalar
+)
+
+// run calls the kernel's routine on the mr×nr block of C at c. A switch and
+// not a function value, so the compiler sees that no operand escapes: the
+// in-place path's stack buffers stay on the stack.
+func (k *microKernel) run(a []float64, rsA, csA int, b []float64, ldb, kb int, alpha float64, c []float64, ldc int) {
+	switch k.kind {
+	case kernelAVX512:
+		fmaMicro8x16(&a[0], rsA, csA, &b[0], ldb, kb, alpha, &c[0], ldc)
+	case kernelAVX2:
+		fmaMicro4x8(&a[0], rsA, csA, &b[0], ldb, kb, alpha, &c[0], ldc)
+	default:
+		microScalar(a, rsA, csA, b, ldb, kb, alpha, c, ldc)
+	}
+}
+
+// microMRMax and microNRMax are the largest mr and nr in the table: they
+// size the GEMM's edge-tile scratch block and the in-place path's buffers.
+const microMRMax, microNRMax = 8, 16
 
 // cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA3, by
 // CPUID/XGETBV (implemented in kernel_amd64.s).
@@ -34,18 +48,18 @@ func cpuHasAVX2FMA() bool
 // (implemented in kernel_amd64.s).
 func cpuHasAVX512F() bool
 
-// fmaMicro4x8 computes C[r][0:8] += alpha·Σ_l ap[l·4+r]·bp[l·8+0:8] for
-// r = 0..3, where C starts at c with leading dimension ldc (elements).
-// Implemented in kernel_amd64.s; requires AVX2+FMA and kb ≥ 0.
+// fmaMicro4x8 computes C[r][0:8] += alpha·Σ_l a[r·rsA+l·csA]·b[l·ldb+0:8]
+// for r = 0..3, where C starts at c with leading dimension ldc (all strides
+// in elements). Implemented in kernel_amd64.s; requires AVX2+FMA and kb ≥ 0.
 //
 //go:noescape
-func fmaMicro4x8(ap, bp *float64, kb int, alpha float64, c *float64, ldc int)
+func fmaMicro4x8(a *float64, rsA, csA int, b *float64, ldb, kb int, alpha float64, c *float64, ldc int)
 
-// fmaMicro8x16 computes C[r][0:16] += alpha·Σ_l ap[l·8+r]·bp[l·16+0:16] for
-// r = 0..7. Implemented in kernel_amd64.s; requires AVX-512F and kb ≥ 0.
+// fmaMicro8x16 computes C[r][0:16] += alpha·Σ_l a[r·rsA+l·csA]·b[l·ldb+0:16]
+// for r = 0..7. Implemented in kernel_amd64.s; requires AVX-512F and kb ≥ 0.
 //
 //go:noescape
-func fmaMicro8x16(ap, bp *float64, kb int, alpha float64, c *float64, ldc int)
+func fmaMicro8x16(a *float64, rsA, csA int, b *float64, ldb, kb int, alpha float64, c *float64, ldc int)
 
 // fmaSolveRow computes y[0:n] = (y[0:n] − Σ_{l<k} a[l]·x[l·ldx+0:n])·s for n
 // a multiple of 4. Implemented in kernel_amd64.s; requires AVX2+FMA.
@@ -129,14 +143,14 @@ const (
 	scalarNR = 8
 )
 
-// microScalar is the plain-Go 4×8 register block over the packed strips.
-func microScalar(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
+// microScalar is the plain-Go 4×8 register block over strided operands (see
+// microKernel).
+func microScalar(a []float64, rsA, csA int, b []float64, ldb, kb int, alpha float64, c []float64, ldc int) {
 	var acc [scalarMR * scalarNR]float64
 	for l := 0; l < kb; l++ {
-		as := ap[l*scalarMR : l*scalarMR+scalarMR : l*scalarMR+scalarMR]
-		bs := bp[l*scalarNR : l*scalarNR+scalarNR : l*scalarNR+scalarNR]
+		bs := b[l*ldb : l*ldb+scalarNR : l*ldb+scalarNR]
 		for r := 0; r < scalarMR; r++ {
-			ar := as[r]
+			ar := a[r*rsA+l*csA]
 			row := acc[r*scalarNR : r*scalarNR+scalarNR : r*scalarNR+scalarNR]
 			for j := 0; j < scalarNR; j++ {
 				row[j] += ar * bs[j]

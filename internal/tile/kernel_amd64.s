@@ -31,19 +31,28 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func fmaMicro4x8(ap, bp *float64, kb int, alpha float64, c *float64, ldc int)
+// func fmaMicro4x8(a *float64, rsA, csA int, b *float64, ldb, kb int, alpha float64, c *float64, ldc int)
 //
 // The register-tiled GEMM microkernel: a 4×8 block of C lives in Y0..Y7
-// while the loop streams one packed A strip (4-interleaved) and one packed
-// B strip (8-interleaved), issuing 8 FMAs per depth step. The write-back
-// folds alpha in: C[r][0:8] += alpha·acc[r].
-TEXT ·fmaMicro4x8(SB), NOSPLIT, $0-48
-	MOVQ ap+0(FP), SI
-	MOVQ bp+8(FP), DI
-	MOVQ kb+16(FP), CX
-	MOVQ c+32(FP), DX
-	MOVQ ldc+40(FP), R8
-	SHLQ $3, R8 // leading dimension in bytes
+// while the loop walks the depth, issuing 8 FMAs per step. Element (r, l) of
+// op(A) is read at a[r·rsA + l·csA] and depth row l of op(B) at b[l·ldb], so
+// the same loop runs a packed A strip (rsA = 1, csA = 4), a packed B strip
+// (ldb = 8) or either operand in place. The write-back folds alpha in:
+// C[r][0:8] += alpha·acc[r].
+TEXT ·fmaMicro4x8(SB), NOSPLIT, $0-72
+	MOVQ a+0(FP), SI
+	MOVQ rsA+8(FP), R9
+	MOVQ csA+16(FP), R10
+	MOVQ b+24(FP), DI
+	MOVQ ldb+32(FP), R11
+	MOVQ kb+40(FP), CX
+	MOVQ c+56(FP), DX
+	MOVQ ldc+64(FP), R8
+	SHLQ $3, R9 // strides in bytes
+	SHLQ $3, R10
+	SHLQ $3, R11
+	SHLQ $3, R8
+	LEAQ (R9)(R9*2), R12 // 3·rsA
 
 	// Ask for the C block now, so its lines arrive under the depth loop
 	// rather than stalling the write-back: a row is 64 bytes, on one line
@@ -79,22 +88,22 @@ loop:
 	VBROADCASTSD (SI), Y10
 	VFMADD231PD  Y8, Y10, Y0
 	VFMADD231PD  Y9, Y10, Y1
-	VBROADCASTSD 8(SI), Y11
+	VBROADCASTSD (SI)(R9*1), Y11
 	VFMADD231PD  Y8, Y11, Y2
 	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 16(SI), Y12
+	VBROADCASTSD (SI)(R9*2), Y12
 	VFMADD231PD  Y8, Y12, Y4
 	VFMADD231PD  Y9, Y12, Y5
-	VBROADCASTSD 24(SI), Y13
+	VBROADCASTSD (SI)(R12*1), Y13
 	VFMADD231PD  Y8, Y13, Y6
 	VFMADD231PD  Y9, Y13, Y7
-	ADDQ         $32, SI
-	ADDQ         $64, DI
+	ADDQ         R10, SI
+	ADDQ         R11, DI
 	DECQ         CX
 	JNZ          loop
 
 writeback:
-	VBROADCASTSD alpha+24(FP), Y10
+	VBROADCASTSD alpha+48(FP), Y10
 
 	VMOVUPD     (DX), Y11
 	VMOVUPD     32(DX), Y12
@@ -158,36 +167,40 @@ no512:
 	MOVB $0, ret+0(FP)
 	RET
 
-// One depth step of the 8×16 kernel: the packed B strip's 16 columns in
-// Z16:Z17, each of the packed A strip's 8 rows broadcast in turn and
-// multiplied into that row's two accumulators.
-#define STEP8x16(aoff, boff) \
-	VMOVUPD      boff(DI), Z16; \
-	VMOVUPD      (boff+64)(DI), Z17; \
-	VBROADCASTSD aoff(SI), Z18; \
+// One depth step of the 8×16 kernel: depth row l of op(B)'s 16 columns in
+// Z16:Z17, each of op(A)'s 8 rows broadcast in turn — row r at SI + r·rsA,
+// from the four stride multiples R9 = rsA, R12 = 3·rsA, R13 = 5·rsA and
+// AX = 7·rsA — and multiplied into that row's two accumulators; then both
+// operands step one depth on.
+#define STEP8x16 \
+	VMOVUPD      (DI), Z16; \
+	VMOVUPD      64(DI), Z17; \
+	VBROADCASTSD (SI), Z18; \
 	VFMADD231PD  Z16, Z18, Z0; \
 	VFMADD231PD  Z17, Z18, Z1; \
-	VBROADCASTSD (aoff+8)(SI), Z19; \
+	VBROADCASTSD (SI)(R9*1), Z19; \
 	VFMADD231PD  Z16, Z19, Z2; \
 	VFMADD231PD  Z17, Z19, Z3; \
-	VBROADCASTSD (aoff+16)(SI), Z20; \
+	VBROADCASTSD (SI)(R9*2), Z20; \
 	VFMADD231PD  Z16, Z20, Z4; \
 	VFMADD231PD  Z17, Z20, Z5; \
-	VBROADCASTSD (aoff+24)(SI), Z21; \
+	VBROADCASTSD (SI)(R12*1), Z21; \
 	VFMADD231PD  Z16, Z21, Z6; \
 	VFMADD231PD  Z17, Z21, Z7; \
-	VBROADCASTSD (aoff+32)(SI), Z22; \
+	VBROADCASTSD (SI)(R9*4), Z22; \
 	VFMADD231PD  Z16, Z22, Z8; \
 	VFMADD231PD  Z17, Z22, Z9; \
-	VBROADCASTSD (aoff+40)(SI), Z23; \
+	VBROADCASTSD (SI)(R13*1), Z23; \
 	VFMADD231PD  Z16, Z23, Z10; \
 	VFMADD231PD  Z17, Z23, Z11; \
-	VBROADCASTSD (aoff+48)(SI), Z24; \
+	VBROADCASTSD (SI)(R12*2), Z24; \
 	VFMADD231PD  Z16, Z24, Z12; \
 	VFMADD231PD  Z17, Z24, Z13; \
-	VBROADCASTSD (aoff+56)(SI), Z25; \
+	VBROADCASTSD (SI)(AX*1), Z25; \
 	VFMADD231PD  Z16, Z25, Z14; \
-	VFMADD231PD  Z17, Z25, Z15
+	VFMADD231PD  Z17, Z25, Z15; \
+	ADDQ         R10, SI; \
+	ADDQ         R11, DI
 
 // One row of the 8×16 write-back: C[r][0:16] += alpha·(lo:hi), alpha
 // broadcast in Z18.
@@ -200,21 +213,27 @@ no512:
 	VMOVUPD     Z17, 64(DX); \
 	ADDQ        R8, DX
 
-// func fmaMicro8x16(ap, bp *float64, kb int, alpha float64, c *float64, ldc int)
+// func fmaMicro8x16(a *float64, rsA, csA int, b *float64, ldb, kb int, alpha float64, c *float64, ldc int)
 //
 // The AVX-512 microkernel: an 8×16 block of C lives in Z0..Z15 (row r in
-// Z(2r):Z(2r+1)) while the loop streams one packed A strip (8-interleaved)
-// and one packed B strip (16-interleaved), 16 FMAs per depth step. Every C
-// element is one FMA chain over the depth in order, then one FMA folding
-// alpha in — operation for operation what fmaMicro4x8 does per element, so
-// the two kernels produce the same bits.
-TEXT ·fmaMicro8x16(SB), NOSPLIT, $0-48
-	MOVQ ap+0(FP), SI
-	MOVQ bp+8(FP), DI
-	MOVQ kb+16(FP), CX
-	MOVQ c+32(FP), DX
-	MOVQ ldc+40(FP), R8
-	SHLQ $3, R8 // leading dimension in bytes
+// Z(2r):Z(2r+1)) while the loop walks the depth, 16 FMAs per step, reading
+// its operands with fmaMicro4x8's strides. Every C element is one FMA chain
+// over the depth in order, then one FMA folding alpha in — operation for
+// operation what fmaMicro4x8 does per element, so the two kernels produce
+// the same bits.
+TEXT ·fmaMicro8x16(SB), NOSPLIT, $0-72
+	MOVQ a+0(FP), SI
+	MOVQ rsA+8(FP), R9
+	MOVQ csA+16(FP), R10
+	MOVQ b+24(FP), DI
+	MOVQ ldb+32(FP), R11
+	MOVQ kb+40(FP), CX
+	MOVQ c+56(FP), DX
+	MOVQ ldc+64(FP), R8
+	SHLQ $3, R9 // strides in bytes
+	SHLQ $3, R10
+	SHLQ $3, R11
+	SHLQ $3, R8
 
 	// Ask for the C block now (see fmaMicro4x8): a row is 128 bytes, on two
 	// lines or across three.
@@ -228,6 +247,10 @@ prefetch512:
 	ADDQ R8, AX
 	DECQ BX
 	JNZ  prefetch512
+
+	LEAQ (R9)(R9*2), R12 // 3·rsA
+	LEAQ (R9)(R9*4), R13 // 5·rsA
+	LEAQ (R12)(R9*4), AX // 7·rsA
 
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
@@ -251,12 +274,10 @@ prefetch512:
 	JZ   tail512
 
 loop512x4:
-	STEP8x16(0, 0)
-	STEP8x16(64, 128)
-	STEP8x16(128, 256)
-	STEP8x16(192, 384)
-	ADDQ $256, SI
-	ADDQ $512, DI
+	STEP8x16
+	STEP8x16
+	STEP8x16
+	STEP8x16
 	DECQ BX
 	JNZ  loop512x4
 
@@ -265,14 +286,12 @@ tail512:
 	JZ   writeback512
 
 loop512:
-	STEP8x16(0, 0)
-	ADDQ $64, SI
-	ADDQ $128, DI
+	STEP8x16
 	DECQ CX
 	JNZ  loop512
 
 writeback512:
-	VBROADCASTSD alpha+24(FP), Z18
+	VBROADCASTSD alpha+48(FP), Z18
 	WRITE8x16(Z0, Z1)
 	WRITE8x16(Z2, Z3)
 	WRITE8x16(Z4, Z5)

@@ -5,7 +5,12 @@ package tile
 // The one generic microkernel: 2×4 keeps all eight accumulators in registers
 // on any 16-register FP architecture.
 var microKernels = []microKernel{
-	{name: "scalar 2x4", mr: 2, nr: 4, supported: true, run: microScalar2x4},
+	{name: "scalar 2x4", mr: 2, nr: 4, supported: true},
+}
+
+// run calls the one kernel (see the amd64 run for why this is a method).
+func (k *microKernel) run(a []float64, rsA, csA int, b []float64, ldb, kb int, alpha float64, c []float64, ldc int) {
+	microScalar2x4(a, rsA, csA, b, ldb, kb, alpha, c, ldc)
 }
 
 // No vector helpers off amd64: a substitution row and a transpose are the
@@ -20,19 +25,18 @@ func dealRow(dst []float64, stride int, row []float64, w, ld int) {
 	dealRowScalar(dst, stride, row, w)
 }
 
-// microTileMax is the largest mr·nr in the table: the size of the packed
-// GEMM's edge-tile scratch block.
-const microTileMax = 2 * 4
+// microMRMax and microNRMax are the largest mr and nr in the table: they
+// size the GEMM's edge-tile scratch block and the in-place path's buffers.
+const microMRMax, microNRMax = 2, 4
 
-// microScalar2x4 applies one 2×4 register-tiled block update over packed
-// strips ap (2-interleaved) and bp (4-interleaved): eight independent
-// multiply-add chains, enough ILP to saturate a scalar FPU.
-func microScalar2x4(ap, bp []float64, kb int, alpha float64, c []float64, ldc int) {
+// microScalar2x4 applies one 2×4 register-tiled block update over strided
+// operands (see microKernel): eight independent multiply-add chains, enough
+// ILP to saturate a scalar FPU.
+func microScalar2x4(a []float64, rsA, csA int, b []float64, ldb, kb int, alpha float64, c []float64, ldc int) {
 	var c00, c01, c02, c03, c10, c11, c12, c13 float64
 	for l := 0; l < kb; l++ {
-		as := ap[l*2 : l*2+2 : l*2+2]
-		bs := bp[l*4 : l*4+4 : l*4+4]
-		a0, a1 := as[0], as[1]
+		bs := b[l*ldb : l*ldb+4 : l*ldb+4]
+		a0, a1 := a[l*csA], a[rsA+l*csA]
 		b0, b1, b2, b3 := bs[0], bs[1], bs[2], bs[3]
 		c00 += a0 * b0
 		c01 += a0 * b1

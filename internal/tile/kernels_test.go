@@ -1,6 +1,10 @@
 package tile
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -35,8 +39,8 @@ func TestMicroKernelProbe(t *testing.T) {
 		t.Fatalf("the table must end in a scalar kernel every CPU runs, got %+v", last.name)
 	}
 	for i, k := range microKernels {
-		if gemmMC%k.mr != 0 || k.mr*k.nr > microTileMax {
-			t.Errorf("%s: %d×%d does not fit gemmMC=%d / microTileMax=%d", k.name, k.mr, k.nr, gemmMC, microTileMax)
+		if gemmMC%k.mr != 0 || k.mr > microMRMax || k.nr > microNRMax {
+			t.Errorf("%s: %d×%d does not fit gemmMC=%d / microMRMax×microNRMax=%d×%d", k.name, k.mr, k.nr, gemmMC, microMRMax, microNRMax)
 		}
 		if i > 0 && k.mr*k.nr > microKernels[i-1].mr*microKernels[i-1].nr {
 			t.Errorf("%s is wider than %s before it", k.name, microKernels[i-1].name)
@@ -46,68 +50,165 @@ func TestMicroKernelProbe(t *testing.T) {
 		t.Fatalf("MicroKernelName() = %q, the widest supported entry is %q", got, want)
 	}
 	t.Logf("selected microkernel: %s", MicroKernelName())
+	t.Logf("in-place path: updates with m, n, k ≤ %d read their operands in place (b=8 under %s, b=32 under %s), larger ones are packed",
+		gemmDirectMax, directKernel(8).name, directKernel(32).name)
 }
 
-// TestMicroKernelsBitIdentical: the assembly kernels compute every C element
-// by the same operations in the same order — one FMA chain over each depth
-// panel, one FMA folding alpha in, edge tiles through the same kernel on a
-// scratch copy — so whatever their register shape, Gemm must return the same
-// bits under each. Sizes cross every mr/nr, gemmMC and gemmKC edge; the first
-// is interior blocks only, so the last one's C prefetch — no part of those
-// operations — starts on the last rows of its tile.
-func TestMicroKernelsBitIdentical(t *testing.T) {
-	var vector []microKernel
-	for _, k := range testKernels(t) {
-		if k.vector {
-			vector = append(vector, k)
+// TestSmallGemmAllocatesNothing: an update the in-place path takes needs no
+// heap — its buffers are on the stack and nothing is drawn from packPool —
+// for LU's NN update and Cholesky's NT update at the two small tile sizes the
+// benchmark runs, under each kernel this CPU runs.
+func TestSmallGemmAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, mk := range testKernels(t) {
+		micro = mk
+		for _, b := range []int{8, 32} {
+			x, y, z := randomTile(rng, b, b), randomTile(rng, b, b), randomTile(rng, b, b)
+			for _, tb := range []Trans{NoTrans, TransT} {
+				gets := packPool.gets.Load()
+				if allocs := testing.AllocsPerRun(100, func() { Gemm(NoTrans, tb, -1e-3, x, y, 1, z) }); allocs != 0 {
+					t.Errorf("[%s] Gemm(NoTrans, %v) at b=%d: %g allocations per call", mk.name, tb, b, allocs)
+				}
+				if n := packPool.gets.Load() - gets; n != 0 {
+					t.Errorf("[%s] Gemm(NoTrans, %v) at b=%d: %d packPool.Get calls", mk.name, tb, b, n)
+				}
+			}
 		}
 	}
-	if len(vector) < 2 {
-		t.Skipf("needs two assembly kernels to compare, this CPU runs %d", len(vector))
-	}
+}
 
-	rng := rand.New(rand.NewSource(31))
-	shapes := [][3]int{
-		{16, 32, 16}, {24, 24, 24}, {33, 17, 29}, {64, 16, 240}, {65, 17, 241},
-		{67, 45, 251}, {130, 257, 65}, {7, 300, 300}, {300, 9, 481}, {256, 256, 256},
-	}
-	for _, s := range shapes {
+// TestMicroKernelsBitIdentical: every path of the GEMM core computes a C
+// element by the same operations in the same order — one FMA chain over each
+// depth panel, one FMA folding alpha in, edge blocks through the same kernel
+// on a scratch copy — so under one kernel, reading the operands in place
+// (gemmDirect, wherever k allows it) and packing them (gemmPacked) must give
+// Gemm's bits exactly, and the assembly kernels, whatever their register
+// shape, must give each other's. For m·n·k ≥ 4096 the vector kernels' bits
+// are also pinned to the packed path's before the in-place path existed
+// (parentDigests); below that, Gemm used to round each product and sum
+// separately and no longer does.
+func TestMicroKernelsBitIdentical(t *testing.T) {
+	kernels := testKernels(t)
+	for _, s := range bitShapes {
 		m, n, k := s[0], s[1], s[2]
+		digests := make([]hash.Hash64, len(kernels))
+		for i := range digests {
+			digests[i] = fnv.New64a()
+		}
 		for _, ta := range []Trans{NoTrans, TransT} {
 			for _, tb := range []Trans{NoTrans, TransT} {
-				for _, coef := range [][2]float64{{-1, 1}, {1.25, 0.75}, {0.3, 0}} {
+				a, b, c0 := gemmCase(m, n, k, ta, tb)
+				for _, coef := range gemmCoefs {
 					alpha, beta := coef[0], coef[1]
-					a, b := New(m, k), New(k, n)
-					if ta == TransT {
-						a = New(k, m)
-					}
-					if tb == TransT {
-						b = New(n, k)
-					}
-					a.Random(rng)
-					b.Random(rng)
-					c0 := New(m, n)
-					c0.Random(rng)
-
-					var first *Tile
-					for _, mk := range vector {
+					var vector *Tile // the first vector kernel's output
+					var vectorName string
+					for i, mk := range kernels {
 						micro = mk
-						c := c0.Clone()
-						Gemm(ta, tb, alpha, a, b, beta, c)
-						if first == nil {
-							first = c
-							continue
-						}
-						for i, v := range c.Data {
-							if v != first.Data[i] {
-								t.Fatalf("Gemm(%v,%v) m=%d n=%d k=%d alpha=%g beta=%g: element (%d,%d) is %x under %s, %x under %s",
-									ta, tb, m, n, k, alpha, beta, i/n, i%n, v, mk.name, first.Data[i], vector[0].name)
+						got := c0.Clone()
+						Gemm(ta, tb, alpha, a, b, beta, got)
+						hashBits(digests[i], got)
+						same := func(other string, want *Tile) {
+							t.Helper()
+							for e, v := range got.Data {
+								if math.Float64bits(v) != math.Float64bits(want.Data[e]) {
+									t.Fatalf("[%s] Gemm(%v,%v) m=%d n=%d k=%d alpha=%g beta=%g: element (%d,%d) is %x, %s gives %x",
+										mk.name, ta, tb, m, n, k, alpha, beta, e/n, e%n, v, other, want.Data[e])
+								}
 							}
+						}
+						same("the packed path", gemmBy(gemmPacked, ta, tb, alpha, a, b, beta, c0))
+						if k <= gemmDirectMax {
+							same("the in-place path", gemmBy(gemmDirect, ta, tb, alpha, a, b, beta, c0))
+						}
+						if mk.vector {
+							if vector == nil {
+								vector, vectorName = got, mk.name
+							}
+							same(vectorName, vector)
 						}
 					}
 				}
 			}
 		}
+		want, pinned := parentDigests[s]
+		if m*n*k >= 4096 && !pinned {
+			t.Fatalf("%v has no parent digest", s)
+		}
+		for i, mk := range kernels {
+			if got := digests[i].Sum64(); pinned && mk.vector && got != want {
+				t.Errorf("[%s] %dx%dx%d: digest %#016x, the packed path's before the in-place path read %#016x", mk.name, m, n, k, got, want)
+			}
+		}
+	}
+}
+
+// gemmBy returns a copy of c after Gemm with gemmView's choice of path made
+// by the caller: path is gemmPacked or gemmDirect.
+func gemmBy(path func(float64, opView, opView, int, int, int, []float64, int), ta, tb Trans, alpha float64, a, b *Tile, beta float64, c *Tile) *Tile {
+	c = c.Clone()
+	Gemm(ta, tb, 0, a, b, beta, c) // beta's scaling and nothing else
+	m, k := opDims(ta, a)
+	_, n := opDims(tb, b)
+	path(alpha, opView{data: a.Data, ld: a.Cols, trans: ta == TransT}, opView{data: b.Data, ld: b.Cols, trans: tb == TransT}, m, n, k, c.Data, c.Cols)
+	return c
+}
+
+// parentDigests: hashBits of every Gemm output of a bitShapes case with
+// m·n·k ≥ 4096 — four transpose pairs times gemmCoefs — computed by the
+// packed path under the AVX-512 kernel before the in-place path was added.
+var parentDigests = map[[3]int]uint64{
+	{16, 16, 16}:    0x5a54bb1c5df824d2,
+	{32, 32, 32}:    0xa57786ee367f3f98,
+	{33, 31, 17}:    0x4171627016f5fa5c,
+	{64, 64, 64}:    0x35e0f2293171b089,
+	{16, 32, 16}:    0xa6a7c36f65137e33,
+	{24, 24, 24}:    0x7d7c1bfd5fb67905,
+	{33, 17, 29}:    0x1b65e43d60ecb971,
+	{64, 16, 240}:   0x6038e5722d685565,
+	{65, 17, 241}:   0x3f2872f3a30f9801,
+	{67, 45, 251}:   0x88d0e65c8d969869,
+	{130, 257, 65}:  0x28ac57b20681d2b2,
+	{7, 300, 300}:   0x97f17004d5ed5e42,
+	{300, 9, 481}:   0x0fbfbdd55a9ab903,
+	{256, 256, 256}: 0x188ce3d55c787394,
+}
+
+// bitShapes are the Gemm shapes TestMicroKernelsBitIdentical holds to one
+// set of bits: square and ragged tiles the in-place path takes, and sizes
+// that cross every mr/nr, gemmMC and gemmKC edge of the packed one.
+// {16, 32, 16} is interior blocks only under either assembly kernel, so the
+// last block's C prefetch — no part of the arithmetic — starts on the last
+// rows of its tile.
+var bitShapes = [][3]int{
+	{4, 4, 4}, {8, 8, 1}, {8, 8, 8}, {5, 9, 3}, {16, 16, 16}, {32, 32, 32}, {33, 31, 17}, {64, 64, 64},
+	{16, 32, 16}, {24, 24, 24}, {33, 17, 29}, {64, 16, 240}, {65, 17, 241},
+	{67, 45, 251}, {130, 257, 65}, {7, 300, 300}, {300, 9, 481}, {256, 256, 256},
+}
+
+// gemmCase returns the operands of the m×n×k Gemm(ta, tb) case, drawn from a
+// generator seeded by the case alone, so its values are the same whichever
+// cases ran before it — and in whichever tree.
+func gemmCase(m, n, k int, ta, tb Trans) (a, b, c *Tile) {
+	rng := rand.New(rand.NewSource(int64(m)<<40 | int64(n)<<20 | int64(k)<<2 | int64(ta)<<1 | int64(tb)))
+	ar, ac, br, bc := m, k, k, n
+	if ta == TransT {
+		ar, ac = k, m
+	}
+	if tb == TransT {
+		br, bc = n, k
+	}
+	return randomTile(rng, ar, ac), randomTile(rng, br, bc), randomTile(rng, m, n)
+}
+
+// gemmCoefs are the (alpha, beta) pairs every case runs with.
+var gemmCoefs = [][2]float64{{-1, 1}, {1.25, 0.75}, {0.3, 0}}
+
+// hashBits folds the bits of t's elements into h.
+func hashBits(h hash.Hash64, t *Tile) {
+	var buf [8]byte
+	for _, v := range t.Data {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
 	}
 }
 

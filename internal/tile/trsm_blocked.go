@@ -2,7 +2,7 @@ package tile
 
 // Blocked triangular solve by recursive halving. The triangle is split in
 // two, one half is solved, its contribution to the other half's right-hand
-// side is one packed GEMM through gemmView, and the other half is solved —
+// side is one GEMM through gemmView, and the other half is solved —
 // so a solved panel of X is packed O(log(n/nb)) times on the way up instead
 // of once per nb-wide step as in a left-looking sweep, and every GEMM is as
 // large as the split allows. Halves of at most trsmNB rows are solved by
