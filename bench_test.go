@@ -189,69 +189,6 @@ func BenchmarkFigure12(b *testing.B) {
 	perfBench(b, experiments.Figure12, "SBC(8x8,P=32)")
 }
 
-// BenchmarkExtensionWeakScaling runs the weak-scaling study (constant
-// memory per node): G-2DBC keeps per-node efficiency flat where 2DBC
-// staircases.
-func BenchmarkExtensionWeakScaling(b *testing.B) {
-	cfg := experiments.QuickSimConfig()
-	var pts []experiments.PerfPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.WeakScaling(cfg, 25000, 16, []int{16, 23, 31, 36})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		if p.P == 23 {
-			b.ReportMetric(p.PerNode, "GF/s/node(P=23,"+p.Series+")")
-		}
-	}
-}
-
-// BenchmarkExtensionGEMM simulates the plain matrix product (the kernel of
-// the Section II-A lower bounds) for P=23: the G-2DBC advantage extends to
-// GEMM, whose volume is governed by the same x̄/ȳ metric as LU.
-func BenchmarkExtensionGEMM(b *testing.B) {
-	const mt = 50
-	g := dag.NewGEMMOp(mt, mt, mt)
-	m := simulate.PaperMachine()
-	wrap := func(d dist.Distribution) dist.Distribution {
-		return gemmWrap{Distribution: d, mt: mt}
-	}
-	var bad, good float64
-	for i := 0; i < b.N; i++ {
-		r1, err := simulate.Run(g, 500, wrap(dist.NewTwoDBC(23, 1)), m, simulate.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err := simulate.Run(g, 500, wrap(dist.NewG2DBC(23)), m, simulate.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bad, good = r1.GFlops(), r2.GFlops()
-	}
-	b.ReportMetric(bad, "GF/s(2DBC-23x1)")
-	b.ReportMetric(good, "GF/s(G-2DBC-23)")
-}
-
-// gemmWrap co-distributes the GEMM operands (mirrors runtime.GEMM placement).
-type gemmWrap struct {
-	dist.Distribution
-	mt int
-}
-
-func (g gemmWrap) Owner(i, j int) int {
-	switch {
-	case i >= g.mt:
-		return g.Distribution.Owner(i-g.mt, j)
-	case j >= g.mt:
-		return g.Distribution.Owner(i, j-g.mt)
-	default:
-		return g.Distribution.Owner(i, j)
-	}
-}
-
 // BenchmarkConstructionG2DBC measures pattern-construction cost: building
 // the G-2DBC pattern is trivial even for large P (the paper notes pattern
 // construction is a non-issue and can be done once and for all).
@@ -269,65 +206,6 @@ func BenchmarkConstructionGCRMSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkExtensionSYRK simulates the symmetric rank-k update under 2DBC,
-// SBC and GCR&M (an extension beyond the paper's figures; SC22 predicts
-// SBC-class schemes win).
-func BenchmarkExtensionSYRK(b *testing.B) {
-	cfg := experiments.QuickSimConfig()
-	cfg.Ns = []int{25000}
-	cfg.GCRMSearch = benchSearchOpts()
-	var pts []experiments.PerfPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.SyrkComparison(cfg, 23)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		b.ReportMetric(p.GFlops, "GF/s("+p.Series+")")
-	}
-}
-
-// BenchmarkExtensionSTS simulates Cholesky at P=35 with the explicit
-// Steiner-triple-system pattern against GCR&M and the SBC fallback — the
-// explicit-pattern answer to the paper's open question.
-func BenchmarkExtensionSTS(b *testing.B) {
-	cfg := experiments.QuickSimConfig()
-	cfg.Ns = []int{50000}
-	cfg.GCRMSearch = benchSearchOpts()
-	var pts []experiments.PerfPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.STSComparison(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		b.ReportMetric(p.GFlops, "GF/s("+p.Series+")")
-	}
-}
-
-// BenchmarkAblationVariant compares right- and left-looking Cholesky under
-// the same GCR&M distribution: same communication volume, different overlap.
-func BenchmarkAblationVariant(b *testing.B) {
-	cfg := experiments.QuickSimConfig()
-	cfg.GCRMSearch = benchSearchOpts()
-	var right, left experiments.PerfPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		right, left, err = experiments.VariantComparison(cfg, 23, 25000)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(right.GFlops, "GF/s(right-looking)")
-	b.ReportMetric(left.GFlops, "GF/s(left-looking)")
-	b.ReportMetric(float64(right.Messages), "msgs(right)")
-	b.ReportMetric(float64(left.Messages), "msgs(left)")
 }
 
 // BenchmarkAblationScheduler compares the simulator's two ready-queue
@@ -386,8 +264,7 @@ func BenchmarkAblationDiagonal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Dynamic rule.
 		dres := dist.NewDiagResolver("dyn", res.Pattern.Clone())
-		loads := dres.Loads(64)
-		dynamicSpread = spread(loads)
+		dynamicSpread = spread(tileLoads(dres, 64))
 		// Static rule: diagonal cell fixed to the first node on its colrow.
 		static := res.Pattern.Clone()
 		for dcell := 0; dcell < static.Rows(); dcell++ {
@@ -399,10 +276,22 @@ func BenchmarkAblationDiagonal(b *testing.B) {
 			}
 		}
 		sres := dist.NewDiagResolver("static", static)
-		staticSpread = spread(sres.Loads(64))
+		staticSpread = spread(tileLoads(sres, 64))
 	}
 	b.ReportMetric(dynamicSpread, "spread(dynamic)")
 	b.ReportMetric(staticSpread, "spread(static)")
+}
+
+// tileLoads counts the tiles of the lower extent×extent triangle each node
+// owns.
+func tileLoads(d dist.Distribution, extent int) []int64 {
+	loads := make([]int64, d.Nodes())
+	for i := 0; i < extent; i++ {
+		for j := 0; j <= i; j++ {
+			loads[d.Owner(i, j)]++
+		}
+	}
+	return loads
 }
 
 func spread(loads []int64) float64 {

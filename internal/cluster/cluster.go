@@ -697,12 +697,6 @@ type Stats struct {
 	table       []int64 // the plane's ledger at snapshot time, same layout
 }
 
-// Stats snapshots the traffic ledger of the default plane (job 0) — the
-// whole cluster's traffic for every single-job caller.
-func (c *Cluster) Stats() Stats {
-	return c.JobStats(0)
-}
-
 // JobStats snapshots the traffic ledger of one job's plane: the exact
 // accounting a dedicated cluster would have produced for that job, unpolluted
 // by its co-tenants. A job that was never opened returns zeroed counters.
@@ -755,17 +749,7 @@ func (s Stats) BySrc(c Counter) []int64 {
 	return out
 }
 
-// ByDst returns counter c summed per receiving node — for WireBytes, the
-// per-node communication volume the replicated distributions shrink.
-func (s Stats) ByDst(c Counter) []int64 {
-	out := make([]int64, s.P)
-	for i, v := range s.matrix(c) {
-		out[i%s.P] += v
-	}
-	return out
-}
-
-// Shorthands kept for the callers that predate Total/BySrc/ByDst: commands,
+// Shorthands kept for the callers that predate Total/BySrc: commands,
 // examples, the service and the benchmark.
 func (s Stats) TotalMessages() int64    { return s.Total(Messages) }
 func (s Stats) TotalBytes() int64       { return s.Total(Bytes) }

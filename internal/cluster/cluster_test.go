@@ -9,7 +9,9 @@ import (
 
 func payload(v float64) *tile.Tile {
 	t := tile.New(2, 2)
-	t.Fill(v)
+	for i := range t.Data {
+		t.Data[i] = v
+	}
 	return t
 }
 
@@ -35,7 +37,7 @@ func TestSendClonesPayload(t *testing.T) {
 	defer c.Close()
 	p := payload(1)
 	c.Comm(0).SendAll([]int{1}, Tag{}, p)
-	p.Fill(99) // mutate after send
+	p.Set(0, 0, 99) // mutate after send
 	msg, _ := c.Comm(1).Recv()
 	if msg.Payload.At(0, 0) != 1 {
 		t.Fatal("payload not cloned at send time")
@@ -62,7 +64,7 @@ func TestCounters(t *testing.T) {
 	c.Comm(0).SendAll([]int{1}, Tag{}, payload(0))
 	c.Comm(0).SendAll([]int{1}, Tag{}, payload(0))
 	c.Comm(2).SendAll([]int{0}, Tag{}, payload(0))
-	s := c.Stats()
+	s := c.JobStats(0)
 	if s.At(Messages, 0, 1) != 2 || s.At(Messages, 2, 0) != 1 || s.At(Messages, 1, 0) != 0 {
 		t.Fatalf("message counters wrong: %+v", s.matrix(Messages))
 	}
@@ -138,7 +140,7 @@ func TestConcurrentSenders(t *testing.T) {
 	if received != 3*per {
 		t.Fatalf("received %d of %d messages", received, 3*per)
 	}
-	if got := c.Stats().TotalMessages(); got != 3*per {
+	if got := c.JobStats(0).TotalMessages(); got != 3*per {
 		t.Fatalf("counter %d, want %d", got, 3*per)
 	}
 }

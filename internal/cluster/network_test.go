@@ -15,7 +15,7 @@ func TestMailboxHighWater(t *testing.T) {
 	c.Comm(1).Recv()
 	c.Comm(1).Recv()
 	c.Comm(0).SendAll([]int{1}, Tag{I: 5}, payload(0))
-	s := c.Stats()
+	s := c.JobStats(0)
 	if s.MailboxPeak[1] != 5 {
 		t.Fatalf("MailboxPeak[1] = %d, want 5", s.MailboxPeak[1])
 	}
@@ -48,7 +48,7 @@ func TestRequestResendCounters(t *testing.T) {
 	}
 	ans.Release()
 
-	s := c.Stats()
+	s := c.JobStats(0)
 	if s.At(Requests, 1, 0) != 1 || s.Total(Requests) != 1 {
 		t.Fatalf("request counters wrong: %+v", s.matrix(Requests))
 	}
@@ -120,7 +120,7 @@ func TestNetworkDropCountsButNeverArrives(t *testing.T) {
 	c.Comm(0).SendAll([]int{1}, Tag{I: 1}, payload(3))
 	// Counters are incremented at send time, before the network decides:
 	// injected faults never disturb the Eq (1)/(2) quantities.
-	if got := c.Stats().TotalMessages(); got != 1 {
+	if got := c.JobStats(0).TotalMessages(); got != 1 {
 		t.Fatalf("dropped message not counted at send time: %d", got)
 	}
 	<-released // the drop must Release the payload back toward the pool
@@ -147,7 +147,7 @@ func TestNetworkDuplicateSharesRefcount(t *testing.T) {
 	m1.Release()
 	m2.Release()
 	// Only one logical message was sent.
-	if got := c.Stats().TotalMessages(); got != 1 {
+	if got := c.JobStats(0).TotalMessages(); got != 1 {
 		t.Fatalf("duplicate inflated the counter: %d", got)
 	}
 }

@@ -114,7 +114,7 @@ func TestSendAllTreeDelivers(t *testing.T) {
 			t.Fatalf("node %d received %d deliveries, want 1", d, got[d])
 		}
 	}
-	s := c.Stats()
+	s := c.JobStats(0)
 	k := int64(p - 1)
 	if s.TotalMessages() != k {
 		t.Fatalf("logical messages %d, want k=%d", s.TotalMessages(), k)
@@ -223,7 +223,7 @@ func TestSendAllValidatesBeforeDispatch(t *testing.T) {
 				}()
 				// Validation fired before dispatch: nothing was counted and
 				// nothing reached the valid destinations earlier in the list.
-				if got := c.Stats().TotalMessages(); got != 0 {
+				if got := c.JobStats(0).TotalMessages(); got != 0 {
 					t.Fatalf("half-dispatched broadcast: %d messages counted", got)
 				}
 				for node := 1; node < 4; node++ {
@@ -305,7 +305,7 @@ func TestForwardCountsHopsNotMessages(t *testing.T) {
 	}
 	c.Comm(2).Forward(msg)
 	msg.Release()
-	s := c.Stats()
+	s := c.JobStats(0)
 	if s.At(Messages, 2, 1)+s.At(Messages, 2, 3) != 0 {
 		t.Fatalf("relay counted as logical message: %+v", s.matrix(Messages))
 	}
@@ -329,7 +329,7 @@ func TestSendAllCountsCloneBytes(t *testing.T) {
 	p := tile.New(4, 4)
 	c.Comm(0).SendAll([]int{1}, Tag{}, p)
 	want := int64(p.Bytes())
-	if got := c.Stats().TotalBytes(); got != want {
+	if got := c.JobStats(0).TotalBytes(); got != want {
 		t.Fatalf("TotalBytes = %d, want %d (the shipped clone's size)", got, want)
 	}
 }

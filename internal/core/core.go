@@ -1,8 +1,7 @@
 // Package core is the high-level façade over the paper's contribution: it
 // names the four distribution schemes (2DBC, G-2DBC, SBC, GCR&M), constructs
-// them uniformly for any node count, reports their communication costs, and
-// recommends a scheme for a given workload — the entry point examples and
-// command-line tools build on.
+// them uniformly for any node count, and reports their communication costs —
+// the entry point examples and command-line tools build on.
 //
 // The scheme implementations live in the focused packages: dist (2DBC,
 // G-2DBC, SBC, diagonal resolution), gcrm (the Greedy ColRow & Matching
@@ -110,16 +109,6 @@ func Describe(d dist.Distribution) Report {
 		r.CostCholesky = p.CostCholesky()
 	}
 	return r
-}
-
-// Recommend returns the paper's recommendation for P nodes: G-2DBC for
-// non-symmetric factorizations (LU), GCR&M for symmetric ones (Cholesky) —
-// both valid for every P, with costs at or below the classical schemes.
-func Recommend(P int, symmetric bool, opt Options) (dist.Distribution, error) {
-	if symmetric {
-		return New(GCRM, P, opt)
-	}
-	return New(G2DBC, P, opt)
 }
 
 // Pattern extracts the underlying pattern of a distribution, or nil.

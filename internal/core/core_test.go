@@ -126,24 +126,3 @@ func TestLoadPatternFile(t *testing.T) {
 		t.Error("missing pattern file accepted")
 	}
 }
-
-func TestRecommend(t *testing.T) {
-	lu, err := Recommend(23, false, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Pattern(lu) == nil || lu.Nodes() != 23 {
-		t.Error("non-symmetric recommendation broken")
-	}
-	ch, err := Recommend(23, true, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Nodes() != 23 {
-		t.Error("symmetric recommendation broken")
-	}
-	// The symmetric recommendation must beat the G-2DBC symmetric cost.
-	if got, g2 := Describe(ch).CostCholesky, Describe(lu).CostLU-1; got >= g2 {
-		t.Errorf("GCR&M cost %v not below G-2DBC symmetric cost %v", got, g2)
-	}
-}

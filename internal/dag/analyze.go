@@ -39,26 +39,6 @@ func CriticalPathFlops(g Graph, b int) float64 {
 	return cp
 }
 
-// CriticalPathLength returns the longest path measured in task count.
-func CriticalPathLength(g Graph) int {
-	longest := make([]int32, g.NumTasks())
-	cp := int32(0)
-	ForEachTask(g, func(t Task) {
-		best := int32(0)
-		g.Dependencies(t, func(d Task) {
-			if v := longest[g.ID(d)]; v > best {
-				best = v
-			}
-		})
-		v := best + 1
-		longest[g.ID(t)] = v
-		if v > cp {
-			cp = v
-		}
-	})
-	return int(cp)
-}
-
 // CommVolumeTiles returns the exact number of tile transfers the
 // owner-computes rule induces for graph g under the tile→node map owner:
 // for every task output consumed by tasks on other nodes, the tile version

@@ -1,8 +1,10 @@
-// Package dag describes the task graphs of the tiled factorizations and
-// kernels — the DAGs that Chameleon submits to StarPU. An algorithm is a
-// Program: its tasks in sequential order, each naming the tile it writes and
-// the tiles it reads. Build infers every dependency from that order, the way
-// the runtime the paper ran on does at submission, and stores the edges.
+// Package dag describes the task graphs of the tiled factorizations — the
+// DAGs that Chameleon submits to StarPU. There are five: right-looking LU and
+// Cholesky, each of them followed by its triangular solves (LUSolve,
+// CholeskySolve), and the replicated 2.5D LU (ReplicatedLU). An algorithm is
+// a Program: its tasks in sequential order, each naming the tile it writes
+// and the tiles it reads. Build infers every dependency from that order, the
+// way the runtime the paper ran on does at submission, and stores the edges.
 //
 // The right-looking LU and Cholesky are Programs too, but the graphs the
 // simulator and the runtime execute for them are closed forms: tasks,
@@ -61,18 +63,6 @@ func (k Kind) String() string {
 		return "SYRK"
 	case GEMMChol:
 		return "GEMM-sym"
-	case AInit:
-		return "A-init"
-	case SYRKUpd:
-		return "SYRK-upd"
-	case GEMMUpd:
-		return "GEMM-upd"
-	case GemmA:
-		return "A-publish"
-	case GemmB:
-		return "B-publish"
-	case GemmUpd:
-		return "GEMM-acc"
 	case GEMMPart:
 		return "GEMM-part"
 	case ReduceAdd:

@@ -165,6 +165,14 @@ func TestInputTilesAreProducedByDeps(t *testing.T) {
 	}
 }
 
+// unitFlops weighs every task of a graph at one flop, so CriticalPathFlops
+// measures the longest path in tasks.
+type unitFlops struct{ Graph }
+
+func (u unitFlops) Flops(Task, int) float64        { return 1 }
+func (u unitFlops) ForEachTask(visit func(t Task)) { ForEachTask(u.Graph, visit) }
+func criticalPathTasks(g Graph) int                { return int(CriticalPathFlops(unitFlops{g}, 1)) }
+
 func TestCriticalPathLength(t *testing.T) {
 	// Right-looking LU and Cholesky both have the dependency spine
 	// FACT(l) → TRSM(l, l+1) → UPDATE(l, l+1, l+1) → FACT(l+1),
@@ -172,7 +180,7 @@ func TestCriticalPathLength(t *testing.T) {
 	for mt := 1; mt <= 10; mt++ {
 		for _, g := range graphs(mt) {
 			want := 3*(mt-1) + 1
-			if got := CriticalPathLength(g); got != want {
+			if got := criticalPathTasks(g); got != want {
 				t.Errorf("%s mt=%d: critical path %d tasks, want %d", g.Name(), mt, got, want)
 			}
 		}

@@ -84,7 +84,7 @@ func TestLUDAGExecutesCorrectly(t *testing.T) {
 	for _, mt := range []int{1, 2, 3, 5, 8} {
 		for trial := 0; trial < 3; trial++ {
 			orig := matrix.NewDiagDominant(mt, 6, int64(mt*10+trial))
-			a := orig.Clone()
+			a := matrix.NewDiagDominant(mt, 6, int64(mt*10+trial))
 			g := NewLU(mt)
 			runRandomOrder(t, g, rng, func(task Task) error { return applyLU(a, task) })
 			if res := matrix.ResidualLU(orig, a); res > 1e-11 {
@@ -99,7 +99,7 @@ func TestCholeskyDAGExecutesCorrectly(t *testing.T) {
 	for _, mt := range []int{1, 2, 3, 5, 8} {
 		for trial := 0; trial < 3; trial++ {
 			orig := matrix.NewSPD(mt, 6, int64(mt*10+trial))
-			a := orig.Clone()
+			a := matrix.NewSPD(mt, 6, int64(mt*10+trial))
 			g := NewCholesky(mt)
 			runRandomOrder(t, g, rng, func(task Task) error { return applyChol(a, task) })
 			if res := matrix.ResidualCholesky(orig, a); res > 1e-11 {

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// builtGraphs returns the six graphs Build derives from a Program, at sizes
+// builtGraphs returns the three graphs Build derives from a Program, at sizes
 // covering every degenerate corner (one tile, fewer iterations than layers).
 func builtGraphs() []Graph {
 	var gs []Graph
 	for mt := 1; mt <= 6; mt++ {
-		gs = append(gs, NewCholeskyLeft(mt), NewLUSolve(mt, 2), NewCholeskySolve(mt, 1),
-			NewSYRKOp(mt, 3), NewGEMMOp(mt, 2, 3))
+		gs = append(gs, NewLUSolve(mt, 2), NewCholeskySolve(mt, 1))
 		for c := 1; c <= 4; c++ {
 			gs = append(gs, NewReplicatedLU(mt, c))
 		}

@@ -43,7 +43,7 @@ type ReduceGraph interface {
 // binomial reduction folds the accumulators into the canonical tile right
 // before its panel kernel.
 //
-// Tile coordinate space (the GEMMOp extended-coordinate idiom):
+// Tile coordinate space (accumulators as extra tile columns):
 //
 //	(i, j), j < mt            canonical tile — holds A(i,j), updated in place
 //	                          by the canonical layer's GEMMs and the reduce
@@ -92,9 +92,6 @@ func NewReplicatedLU(mt, c int) *ReplicatedLU {
 	})
 	return g
 }
-
-// Replication returns the layer count c.
-func (g *ReplicatedLU) Replication() int { return g.c }
 
 // layer returns the layer responsible for iteration l's updates (and panel).
 func (g *ReplicatedLU) layer(l int) int { return l % g.c }

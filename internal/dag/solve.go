@@ -128,37 +128,25 @@ func withSolve(fact Program, nrhs int, panel func(i, j int) (int, int)) Program 
 // full distributed solution of A·X = B under one owner-computes schedule.
 // RHS tile i is owned by the owner of diagonal tile (i, i); wrap the matrix
 // distribution accordingly (see runtime.SolveLU).
-type LUSolve struct {
-	*Built
-	nrhs int
-}
+type LUSolve struct{ *Built }
 
 // NewLUSolve builds the factor-and-solve graph for an mt×mt tile matrix and
 // nrhs right-hand-side columns.
 func NewLUSolve(mt, nrhs int) *LUSolve {
 	p := withSolve(NewLU(mt).Program(), nrhs, func(i, j int) (int, int) { return i, j })
-	return &LUSolve{Build(p), nrhs}
+	return &LUSolve{Build(p)}
 }
-
-// NRHS returns the number of right-hand-side columns.
-func (g *LUSolve) NRHS() int { return g.nrhs }
 
 // CholeskySolve is the combined graph of a Cholesky factorization followed
 // by the two triangular substitutions (L·Y = B, then Lᵀ·X = Y) for nrhs
 // right-hand-side columns. The backward phase reads the transposed panel
 // tiles (j, i), so only the lower triangle is ever touched, as in the
 // factorization itself.
-type CholeskySolve struct {
-	*Built
-	nrhs int
-}
+type CholeskySolve struct{ *Built }
 
 // NewCholeskySolve builds the factor-and-solve graph for the lower triangle
 // of an mt×mt tile matrix and nrhs right-hand-side columns.
 func NewCholeskySolve(mt, nrhs int) *CholeskySolve {
 	p := withSolve(NewCholesky(mt).Program(), nrhs, func(i, j int) (int, int) { return j, i })
-	return &CholeskySolve{Build(p), nrhs}
+	return &CholeskySolve{Build(p)}
 }
-
-// NRHS returns the number of right-hand-side columns.
-func (g *CholeskySolve) NRHS() int { return g.nrhs }

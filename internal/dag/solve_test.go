@@ -181,13 +181,12 @@ func TestLUSolveExecutesCorrectly(t *testing.T) {
 		rhs := a.MulRHS(xTrue)
 
 		// Sequential reference through matrix package.
-		ref := a.Clone()
+		ref := matrix.NewDiagDominant(mt, b, 3)
 		if err := matrix.FactorLU(ref); err != nil {
 			t.Fatal(err)
 		}
-		refX := rhs.Clone()
-		matrix.SolveLU(ref, refX)
-		if d := refX.MaxAbsDiff(xTrue); d > 1e-9 {
+		matrix.SolveLU(ref, rhs)
+		if d := rhs.MaxAbsDiff(xTrue); d > 1e-9 {
 			t.Fatalf("mt=%d: sequential solve error %g", mt, d)
 		}
 
@@ -232,8 +231,8 @@ func TestSolveCriticalPath(t *testing.T) {
 	// The solve phase extends the critical path: forward then backward
 	// substitution add at least 2·mt tasks beyond the factorization spine.
 	for _, mt := range []int{2, 5, 8} {
-		base := CriticalPathLength(NewLU(mt))
-		withSolve := CriticalPathLength(NewLUSolve(mt, 1))
+		base := criticalPathTasks(NewLU(mt))
+		withSolve := criticalPathTasks(NewLUSolve(mt, 1))
 		if withSolve < base+2*mt {
 			t.Errorf("mt=%d: solve critical path %d, want >= %d", mt, withSolve, base+2*mt)
 		}

@@ -15,40 +15,14 @@ func TestOutputVersionsLU(t *testing.T) {
 	})
 }
 
-// TestOutputVersionsCholesky: same identity for both Cholesky variants,
-// whose diagonal tiles pass through SYRK updates before POTRF.
+// TestOutputVersionsCholesky: the same identity for Cholesky, whose diagonal
+// tiles pass through SYRK updates before POTRF.
 func TestOutputVersionsCholesky(t *testing.T) {
-	for _, g := range []Graph{NewCholesky(6), NewCholeskyLeft(6)} {
-		ver := OutputVersions(g)
-		ForEachTask(g, func(task Task) {
-			want := task.L
-			switch task.Kind {
-			case POTRF:
-				// POTRF(l) follows SYRK(0..l-1) on tile (l, l).
-				want = task.L
-			case TRSMChol:
-				// TRSM(l, i) follows GEMM/SYRK writes of iterations < l.
-				want = task.L
-			}
-			if got := ver[g.ID(task)]; got != want {
-				t.Fatalf("%s %v: version %d, want %d", g.Name(), task, got, want)
-			}
-		})
-	}
-}
-
-// TestOutputVersionsGEMM: publish tasks produce version 0; the accumulation
-// chain on each C tile increments once per k step.
-func TestOutputVersionsGEMM(t *testing.T) {
-	g := NewGEMMOp(3, 4, 5)
+	g := NewCholesky(6)
 	ver := OutputVersions(g)
 	ForEachTask(g, func(task Task) {
-		want := int32(0)
-		if task.Kind == GemmUpd {
-			want = task.L
-		}
-		if got := ver[g.ID(task)]; got != want {
-			t.Fatalf("%v: version %d, want %d", task, got, want)
+		if got := ver[g.ID(task)]; got != task.L {
+			t.Fatalf("%v: version %d, want iteration %d", task, got, task.L)
 		}
 	})
 }

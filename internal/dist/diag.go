@@ -128,26 +128,3 @@ func (d *DiagResolver) resolve(i, j, cd int) int {
 	d.assigned[[2]int{i, j}] = best
 	return best
 }
-
-// Loads returns a copy of the per-node tile loads over the lower triangle of
-// extent×extent tiles, resolving any not-yet-assigned diagonal tiles first.
-// Useful for load-balance diagnostics and tests.
-func (d *DiagResolver) Loads(extent int) []int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.grow(extent)
-	// Loads cover extent d.extent which may exceed the request; recompute
-	// exactly for the requested extent.
-	out := make([]int64, len(d.load))
-	for i := 0; i < extent; i++ {
-		for j := 0; j <= i; j++ {
-			ci, cj := i%d.r, j%d.r
-			v := d.pat.At(ci, cj)
-			if v == pattern.Undefined {
-				v = d.assigned[[2]int{i, j}]
-			}
-			out[v]++
-		}
-	}
-	return out
-}

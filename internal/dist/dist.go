@@ -100,26 +100,3 @@ func TryCostCholesky(d Distribution) (float64, bool) {
 	}
 	return p.CostCholesky(), true
 }
-
-// CostLU returns the LU communication cost metric of d's pattern. It panics
-// when d exposes no pattern and exists for CLI and test paths that validated
-// the distribution first; everything else should call TryCostLU.
-func CostLU(d Distribution) float64 {
-	T, ok := TryCostLU(d)
-	if !ok {
-		panic(fmt.Sprintf("dist: %s does not expose a pattern", d.Name()))
-	}
-	return T
-}
-
-// CostCholesky returns the Cholesky (colrow) communication cost metric of
-// d's pattern. It panics when d exposes no pattern and exists for CLI and
-// test paths that validated the distribution first; everything else should
-// call TryCostCholesky.
-func CostCholesky(d Distribution) float64 {
-	T, ok := TryCostCholesky(d)
-	if !ok {
-		panic(fmt.Sprintf("dist: %s does not expose a pattern", d.Name()))
-	}
-	return T
-}

@@ -37,14 +37,3 @@ func TestPatternAccessorsCommaOk(t *testing.T) {
 		t.Fatalf("TryCostCholesky(G-2DBC) = %v, %v; want %v, true", T, ok, p.CostCholesky())
 	}
 }
-
-// TestCostPanicsOnlyForOpaque: the panicking wrappers stay for CLI paths that
-// validated first, and still panic loudly for pattern-less distributions.
-func TestCostPanicsOnlyForOpaque(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CostLU(opaque) did not panic")
-		}
-	}()
-	CostLU(opaque{})
-}

@@ -59,7 +59,7 @@ func ExampleNewSBCPair() {
 func ExampleNewSTS() {
 	d := dist.NewSTS(9)
 	fmt.Printf("%s cost=%.0f colrow0=%d\n",
-		d.Name(), d.Pattern().CostCholesky(), d.Pattern().ColrowDistinct(0))
+		d.Name(), d.Pattern().CostCholesky(), d.Pattern().ColrowDistincts()[0])
 	// Output:
 	// STS(9x9,P=12) cost=4 colrow0=4
 }

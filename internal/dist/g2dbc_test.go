@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -55,7 +56,7 @@ func TestG2DBCLemma1(t *testing.T) {
 		if p.NumNodes() != P {
 			t.Fatalf("P=%d: pattern has %d nodes", P, p.NumNodes())
 		}
-		if !p.IsBalanced() {
+		if p.BalanceSpread() != 0 {
 			t.Fatalf("P=%d: pattern not balanced (spread %d)", P, p.BalanceSpread())
 		}
 		want := b * (b - 1)
@@ -102,7 +103,7 @@ func TestG2DBCLemma2(t *testing.T) {
 	}
 	for P := 1; P <= max; P++ {
 		d := NewG2DBC(P)
-		if T, bound := CostLU(d), CostBound(P); T > bound+1e-9 {
+		if T, bound := d.Pattern().CostLU(), CostBound(P); T > bound+1e-9 {
 			t.Fatalf("P=%d: T = %v exceeds bound %v", P, T, bound)
 		}
 	}
@@ -118,7 +119,7 @@ func TestG2DBCReducesTo2DBC(t *testing.T) {
 			t.Fatalf("P=%d: expected c=0, got c=%d", P, c)
 		}
 		want := NewTwoDBC(b, a)
-		if !d.Pattern().Equal(want.Pattern()) {
+		if !reflect.DeepEqual(d.Pattern(), want.Pattern()) {
 			t.Errorf("P=%d: G-2DBC pattern differs from 2DBC %dx%d", P, b, a)
 		}
 	}
@@ -143,7 +144,7 @@ func TestG2DBCTableIa(t *testing.T) {
 		if got := d.Pattern().Dims(); got != c.dims {
 			t.Errorf("P=%d: dims %s, want %s", c.p, got, c.dims)
 		}
-		if got := CostLU(d); math.Abs(got-c.cost) > 5e-4 {
+		if got := d.Pattern().CostLU(); math.Abs(got-c.cost) > 5e-4 {
 			t.Errorf("P=%d: cost %v, want %v", c.p, got, c.cost)
 		}
 	}

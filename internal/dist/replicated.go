@@ -45,12 +45,6 @@ func (d *Replicated) Name() string {
 // Nodes implements Distribution: c layers of the base grid.
 func (d *Replicated) Nodes() int { return d.c * d.base.Nodes() }
 
-// Base returns the per-layer base distribution.
-func (d *Replicated) Base() Distribution { return d.base }
-
-// Replication returns the layer count c.
-func (d *Replicated) Replication() int { return d.c }
-
 // Owner implements Distribution over the extended coordinate space.
 func (d *Replicated) Owner(i, j int) int {
 	if j < d.mt {
@@ -62,16 +56,4 @@ func (d *Replicated) Owner(i, j int) int {
 	}
 	q := j/d.mt - 1
 	return q*d.base.Nodes() + d.base.Owner(i, j%d.mt)
-}
-
-// Group returns the owner group of canonical tile (i, j): the c nodes — one
-// per layer — holding either the canonical tile or one of its layer
-// accumulators, in layer order. With c = 1 the group is the single base
-// owner.
-func (d *Replicated) Group(i, j int) []int {
-	g := make([]int, d.c)
-	for q := 0; q < d.c; q++ {
-		g[q] = q*d.base.Nodes() + d.base.Owner(i, j)
-	}
-	return g
 }

@@ -188,9 +188,3 @@ func (d *SBC) Owner(i, j int) int { return d.res.Owner(i, j) }
 
 // Pattern implements PatternDistribution; diagonal cells are Undefined.
 func (d *SBC) Pattern() *pattern.Pattern { return d.res.Pattern() }
-
-// PatternSize returns r, the SBC pattern dimension.
-func (d *SBC) PatternSize() int { return d.r }
-
-// Kind returns which P family the distribution belongs to.
-func (d *SBC) Kind() SBCKind { return d.kind }

@@ -125,7 +125,7 @@ func TestSBCTableIb(t *testing.T) {
 		if got := d.Pattern().Dims(); got != c.dims {
 			t.Errorf("P=%d: dims %s, want %s", c.p, got, c.dims)
 		}
-		if got := CostCholesky(d); math.Abs(got-c.cost) > 1e-12 {
+		if got := d.Pattern().CostCholesky(); math.Abs(got-c.cost) > 1e-12 {
 			t.Errorf("P=%d: cost %v, want %v", c.p, got, c.cost)
 		}
 	}
@@ -151,7 +151,7 @@ func TestBestSBCAtMost(t *testing.T) {
 // communication-free).
 func TestSBCOwnerSymmetric(t *testing.T) {
 	d := NewSBCPair(5)
-	r := d.PatternSize()
+	r := d.Pattern().Rows()
 	for i := 0; i < 3*r; i++ {
 		for j := 0; j <= i; j++ {
 			o := d.Owner(i, j)

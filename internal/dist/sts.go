@@ -111,6 +111,3 @@ func (d *STS) Owner(i, j int) int { return d.res.Owner(i, j) }
 
 // Pattern implements PatternDistribution; diagonal cells are Undefined.
 func (d *STS) Pattern() *pattern.Pattern { return d.res.Pattern() }
-
-// PatternSize returns r.
-func (d *STS) PatternSize() int { return d.r }

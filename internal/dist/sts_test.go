@@ -117,7 +117,7 @@ func TestSTSBeatsAlternativesAtP35(t *testing.T) {
 
 func TestSTSOwnerOnColrow(t *testing.T) {
 	d := NewSTS(9)
-	r := d.PatternSize()
+	r := d.Pattern().Rows()
 	for i := 0; i < 2*r; i++ {
 		for j := 0; j <= i; j++ {
 			o := d.Owner(i, j)

@@ -89,15 +89,3 @@ func Best2DBCAtMost(P int) *TwoDBC {
 	}
 	return NewTwoDBC(bestR, bestC)
 }
-
-// All2DBCGrids returns every (r, c) with r·c = P and r ≥ c, largest r first —
-// the "all possible ways to write P as P = rc" enumerated in Figure 4.
-func All2DBCGrids(P int) []*TwoDBC {
-	var out []*TwoDBC
-	for c := 1; c*c <= P; c++ {
-		if P%c == 0 {
-			out = append(out, NewTwoDBC(P/c, c))
-		}
-	}
-	return out
-}

@@ -33,13 +33,13 @@ func TestTwoDBCCost(t *testing.T) {
 	// T = r + c for any 2DBC grid.
 	for _, g := range [][2]int{{1, 1}, {2, 3}, {4, 4}, {23, 1}, {7, 3}} {
 		d := NewTwoDBC(g[0], g[1])
-		if got, want := CostLU(d), float64(g[0]+g[1]); got != want {
-			t.Errorf("CostLU(2DBC %dx%d) = %v, want %v", g[0], g[1], got, want)
+		if got, want := d.Pattern().CostLU(), float64(g[0]+g[1]); got != want {
+			t.Errorf("T(2DBC %dx%d) = %v, want %v", g[0], g[1], got, want)
 		}
 		if err := d.Pattern().Validate(); err != nil {
 			t.Errorf("2DBC %dx%d pattern invalid: %v", g[0], g[1], err)
 		}
-		if !d.Pattern().IsBalanced() {
+		if d.Pattern().BalanceSpread() != 0 {
 			t.Errorf("2DBC %dx%d pattern not balanced", g[0], g[1])
 		}
 	}
@@ -84,7 +84,7 @@ func TestBest2DBCTableIa(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := Best2DBC(c.p)
-		if got := CostLU(d); got != c.cost {
+		if got := d.Pattern().CostLU(); got != c.cost {
 			t.Errorf("Table Ia: cost of best 2DBC for P=%d = %v, want %v", c.p, got, c.cost)
 		}
 	}
@@ -103,19 +103,6 @@ func TestBest2DBCAtMost(t *testing.T) {
 	r, c = d.Grid()
 	if r != 6 || c != 6 {
 		t.Errorf("Best2DBCAtMost(36) = %dx%d, want 6x6", r, c)
-	}
-}
-
-func TestAll2DBCGrids(t *testing.T) {
-	grids := All2DBCGrids(12)
-	if len(grids) != 3 { // 12x1, 6x2, 4x3
-		t.Fatalf("All2DBCGrids(12) returned %d grids, want 3", len(grids))
-	}
-	for _, g := range grids {
-		r, c := g.Grid()
-		if r*c != 12 || r < c {
-			t.Errorf("unexpected grid %dx%d", r, c)
-		}
 	}
 }
 

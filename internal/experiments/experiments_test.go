@@ -291,112 +291,6 @@ func TestCommValidation(t *testing.T) {
 	}
 }
 
-func TestSyrkComparisonShape(t *testing.T) {
-	cfg := QuickSimConfig()
-	cfg.Ns = []int{25000}
-	cfg.GCRMSearch = quickSearch()
-	pts, err := SyrkComparison(cfg, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	byScheme := map[string]PerfPoint{}
-	for _, p := range pts {
-		byScheme[p.Series] = p
-	}
-	// Symmetric schemes must beat the degenerate 2DBC at the prime P.
-	dbc := byScheme["2DBC(23x1)"]
-	for name, p := range byScheme {
-		if name == "2DBC(23x1)" {
-			continue
-		}
-		if p.GFlops <= dbc.GFlops {
-			t.Errorf("SYRK: %s (%.0f) did not beat 2DBC (%.0f)", name, p.GFlops, dbc.GFlops)
-		}
-	}
-}
-
-func TestSTSComparisonShape(t *testing.T) {
-	cfg := QuickSimConfig()
-	// At small N the extra nodes don't pay off yet (as in the paper's
-	// Figures 11/12); test at the size where the crossover has happened.
-	cfg.Ns = []int{50000}
-	cfg.GCRMSearch = quickSearch()
-	pts, err := STSComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	var sts, sbc PerfPoint
-	for _, p := range pts {
-		if strings.HasPrefix(p.Series, "STS") {
-			sts = p
-		}
-		if strings.HasPrefix(p.Series, "SBC") {
-			sbc = p
-		}
-	}
-	if sts.P != 35 || sbc.P != 32 {
-		t.Fatalf("unexpected node counts: STS P=%d, SBC P=%d", sts.P, sbc.P)
-	}
-	if sts.GFlops <= sbc.GFlops {
-		t.Errorf("STS(35) %.0f not above SBC(32) %.0f", sts.GFlops, sbc.GFlops)
-	}
-}
-
-func TestWeakScaling(t *testing.T) {
-	cfg := QuickSimConfig()
-	// A reasonable per-node base size; too small and 23 nodes cannot be fed.
-	pts, err := WeakScaling(cfg, 25000, 16, []int{16, 23, 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 6 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	// N must grow with P.
-	nByP := map[int]int{}
-	for _, p := range pts {
-		nByP[p.P] = p.N
-	}
-	if !(nByP[16] < nByP[23] && nByP[23] < nByP[25]) {
-		t.Errorf("weak-scaling sizes not increasing: %v", nByP)
-	}
-	// At P=23 the G-2DBC point must beat the 2DBC fallback in total GF/s.
-	var g2, dbc float64
-	for _, p := range pts {
-		if p.P == 23 {
-			if strings.HasPrefix(p.Series, "G-2DBC") {
-				g2 = p.GFlops
-			} else {
-				dbc = p.GFlops
-			}
-		}
-	}
-	if g2 <= dbc {
-		t.Errorf("weak scaling at P=23: G-2DBC %.0f not above 2DBC %.0f", g2, dbc)
-	}
-}
-
-func TestVariantComparison(t *testing.T) {
-	cfg := QuickSimConfig()
-	cfg.GCRMSearch = quickSearch()
-	right, left, err := VariantComparison(cfg, 10, 12500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if right.Messages != left.Messages {
-		t.Errorf("variants sent different volumes: %d vs %d", right.Messages, left.Messages)
-	}
-	if right.GFlops <= 0 || left.GFlops <= 0 {
-		t.Error("non-positive throughput")
-	}
-}
-
 func TestRenderers(t *testing.T) {
 	var b strings.Builder
 	RenderTableIa(&b, TableIa([]int{23, 36}))
@@ -451,12 +345,6 @@ func TestRenderers(t *testing.T) {
 	PerfCSV(&b, pts)
 	if !strings.Contains(b.String(), "gflops") {
 		t.Error("PerfCSV missing header")
-	}
-	if s := Summary(pts); !strings.Contains(s, "N=12500") {
-		t.Errorf("Summary = %q", s)
-	}
-	if s := Summary(nil); s != "no data" {
-		t.Errorf("Summary(nil) = %q", s)
 	}
 }
 

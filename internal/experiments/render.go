@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"text/tabwriter"
 
 	"anybc/internal/gcrm"
@@ -127,26 +126,4 @@ func CandidateCSV(w io.Writer, all []gcrm.Candidate) {
 	for _, c := range all {
 		fmt.Fprintf(w, "%d,%d,%.6f\n", c.R, c.Seed, c.Cost)
 	}
-}
-
-// Summary returns a one-line comparison of the first and best series of a
-// performance sweep at its largest N — convenient for EXPERIMENTS.md.
-func Summary(pts []PerfPoint) string {
-	if len(pts) == 0 {
-		return "no data"
-	}
-	maxN := 0
-	for _, p := range pts {
-		if p.N > maxN {
-			maxN = p.N
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "N=%d:", maxN)
-	for _, p := range pts {
-		if p.N == maxN {
-			fmt.Fprintf(&b, " %s=%.0fGF/s", p.Series, p.GFlops)
-		}
-	}
-	return b.String()
 }

@@ -3,8 +3,10 @@ package gcrm
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"anybc/internal/lowerbound"
 	"anybc/internal/pattern"
 )
 
@@ -84,7 +86,7 @@ func TestBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Equal(b) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different patterns")
 	}
 }
@@ -116,7 +118,7 @@ func TestSearchBeatsOrMatchesSBC(t *testing.T) {
 		if res.Cost > sbcLaw+0.6 {
 			t.Errorf("P=%d: GCR&M cost %.3f too far above SBC law %.3f", P, res.Cost, sbcLaw)
 		}
-		if limit := EmpiricalLowerLimit(P); res.Cost < limit-0.5 {
+		if limit := lowerbound.GCRMEmpiricalLaw(P); res.Cost < limit-0.5 {
 			t.Errorf("P=%d: GCR&M cost %.3f below the empirical limit %.3f — metric bug?",
 				P, res.Cost, limit)
 		}
@@ -184,7 +186,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("parallel search diverged: (%v,%d,%d) vs (%v,%d,%d)",
 			a.Cost, a.R, a.Seed, b.Cost, b.R, b.Seed)
 	}
-	if !a.Pattern.Equal(b.Pattern) {
+	if !reflect.DeepEqual(a.Pattern, b.Pattern) {
 		t.Fatal("parallel search produced a different pattern")
 	}
 }
@@ -211,9 +213,11 @@ func TestFeasibleSizes(t *testing.T) {
 	}
 }
 
+// TestEmpiricalLowerLimit: the limit GCR&M costs are held to above is
+// √(3P/2), the value the paper observes for regular patterns.
 func TestEmpiricalLowerLimit(t *testing.T) {
-	if got := EmpiricalLowerLimit(6); math.Abs(got-3) > 1e-12 {
-		t.Errorf("EmpiricalLowerLimit(6) = %v, want 3", got)
+	if got := lowerbound.GCRMEmpiricalLaw(6); math.Abs(got-3) > 1e-12 {
+		t.Errorf("GCRMEmpiricalLaw(6) = %v, want 3", got)
 	}
 }
 

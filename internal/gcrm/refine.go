@@ -38,12 +38,6 @@ func Refine(pat *pattern.Pattern, maxPasses int, rng *rand.Rand) int {
 			loads[p]++
 		}
 	}
-	maxLoad := 0
-	for _, l := range loads {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
 
 	moved := 0
 	for pass := 0; pass < maxPasses; pass++ {

@@ -177,10 +177,3 @@ func search(P int, opts SearchOptions, keepAll bool) (*Result, []Candidate, erro
 		Cost:    evals[best].Cost,
 	}, all, nil
 }
-
-// EmpiricalLowerLimit returns √(3P/2), the empirical lower limit the paper
-// observes for GCR&M pattern costs (Section V-B), derived from regular
-// patterns with v = 3 colrows per node and l = 6 cells.
-func EmpiricalLowerLimit(P int) float64 {
-	return math.Sqrt(3 * float64(P) / 2)
-}

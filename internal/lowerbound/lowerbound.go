@@ -12,20 +12,6 @@ package lowerbound
 
 import "math"
 
-// GEMMSeq returns the IOLB bound (Olivry et al., PLDI 2020) on two-level
-// memory traffic for the product of an m×k by a k×n matrix: m·n·k/√M.
-func GEMMSeq(m, n, k, M float64) float64 {
-	return m * n * k / math.Sqrt(M)
-}
-
-// SYRKSeq returns the symmetric-rank-update bound of Beaumont et al.
-// (SPAA 2022) for C = A·Aᵀ with A of size m×n: (1/√2)·m²n/(2√M)… the paper
-// states (1/√2)·m²n/√M relative to the classical m²n/(2√M); we expose the
-// tight constant from the survey: m²n/(√2·√M).
-func SYRKSeq(m, n, M float64) float64 {
-	return m * m * n / (math.Sqrt2 * math.Sqrt(M))
-}
-
 // LUSeq returns the Kwasniewski et al. (PPoPP 2021) bound for LU
 // factorization of an m×m matrix in the two-level setting: (2/3)·m³/√M.
 func LUSeq(m, M float64) float64 {
@@ -38,27 +24,10 @@ func CholeskySeq(m, M float64) float64 {
 	return m * m * m / (3 * math.Sqrt2 * math.Sqrt(M))
 }
 
-// GEMMPerNode returns the Irony–Toledo–Tiskin per-node bound for parallel
-// matrix multiplication under fair data distribution: Ω(m²/√P); 2DBC attains
-// 2m²/√P, which is the value returned here as the reference constant.
-func GEMMPerNode(m float64, P int) float64 {
-	return 2 * m * m / math.Sqrt(float64(P))
-}
-
 // LUPerNode returns the COnfLUX per-node communication bound for parallel LU
 // under fair distribution: m²/√P + O(m²/P); the dominant term is returned.
 func LUPerNode(m float64, P int) float64 {
 	return m * m / math.Sqrt(float64(P))
-}
-
-// GEMMPerNodeRepl returns the memory-parameterized per-node bound for
-// parallel matrix multiplication with replication factor c on P nodes
-// (M ≈ c·m²/P per node): the 2.5D bound Ω(m²/√(cP)) of Irony–Toledo–Tiskin,
-// with the same reference constant as GEMMPerNode. c = 1 reduces to
-// GEMMPerNode exactly; raising c buys a √c reduction until the memory-
-// independent latency floor takes over at c = P^(1/3).
-func GEMMPerNodeRepl(m float64, P, c int) float64 {
-	return 2 * m * m / math.Sqrt(float64(c)*float64(P))
 }
 
 // LUPerNodeRepl returns the memory-parameterized COnfLUX per-node bound for

@@ -29,10 +29,6 @@ func (g *Graph) AddEdge(l, r int) {
 	g.adj[l] = append(g.adj[l], int32(r))
 }
 
-// Left and Right return the side sizes.
-func (g *Graph) Left() int  { return g.nLeft }
-func (g *Graph) Right() int { return g.nRight }
-
 const none = int32(-1)
 
 // MaxMatching computes a maximum matching and returns, for each left vertex,

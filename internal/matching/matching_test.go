@@ -9,7 +9,7 @@ import (
 // bruteMax computes the maximum matching size by exhaustive augmenting-path
 // search (Kuhn's algorithm), used as a reference implementation.
 func bruteMax(g *Graph) int {
-	matchR := make([]int, g.Right())
+	matchR := make([]int, g.nRight)
 	for i := range matchR {
 		matchR[i] = -1
 	}
@@ -28,8 +28,8 @@ func bruteMax(g *Graph) int {
 		return false
 	}
 	size := 0
-	for l := 0; l < g.Left(); l++ {
-		if try(l, make([]bool, g.Right())) {
+	for l := 0; l < g.nLeft; l++ {
+		if try(l, make([]bool, g.nRight)) {
 			size++
 		}
 	}

@@ -90,24 +90,6 @@ func (d *Dense) Set(gi, gj int, v float64) {
 	d.Tile(gi/d.B, gj/d.B).Set(gi%d.B, gj%d.B, v)
 }
 
-// Clone returns a deep copy.
-func (d *Dense) Clone() *Dense {
-	c := &Dense{MT: d.MT, NT: d.NT, B: d.B, tiles: make([]*tile.Tile, len(d.tiles))}
-	for i, t := range d.tiles {
-		c.tiles[i] = t.Clone()
-	}
-	return c
-}
-
-// FillFunc sets every element from a generator function of global indices.
-func (d *Dense) FillFunc(f func(gi, gj int) float64) {
-	for gi := 0; gi < d.Rows(); gi++ {
-		for gj := 0; gj < d.Cols(); gj++ {
-			d.Set(gi, gj, f(gi, gj))
-		}
-	}
-}
-
 // FrobeniusNorm returns the Frobenius norm over all elements.
 func (d *Dense) FrobeniusNorm() float64 {
 	s := 0.0
@@ -194,34 +176,4 @@ func (s *SymmetricLower) Set(gi, gj int, v float64) {
 		gi, gj = gj, gi
 	}
 	s.Tile(gi/s.B, gj/s.B).Set(gi%s.B, gj%s.B, v)
-}
-
-// Clone returns a deep copy.
-func (s *SymmetricLower) Clone() *SymmetricLower {
-	c := &SymmetricLower{MT: s.MT, B: s.B, tiles: make([]*tile.Tile, len(s.tiles))}
-	for i, t := range s.tiles {
-		c.tiles[i] = t.Clone()
-	}
-	return c
-}
-
-// FillLowerFunc sets every stored element from a generator of global indices
-// (called only with gi ≥ gj).
-func (s *SymmetricLower) FillLowerFunc(f func(gi, gj int) float64) {
-	for ti := 0; ti < s.MT; ti++ {
-		for tj := 0; tj <= ti; tj++ {
-			t := s.Tile(ti, tj)
-			for i := 0; i < s.B; i++ {
-				for j := 0; j < s.B; j++ {
-					gi, gj := ti*s.B+i, tj*s.B+j
-					if gi >= gj {
-						t.Set(i, j, f(gi, gj))
-					} else {
-						// Upper part of a diagonal tile mirrors the lower.
-						t.Set(i, j, f(gj, gi))
-					}
-				}
-			}
-		}
-	}
 }

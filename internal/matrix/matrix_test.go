@@ -21,11 +21,6 @@ func TestDenseAccessors(t *testing.T) {
 	if d.Tile(1, 2).At(1, 1) != 3.5 {
 		t.Fatal("element landed in the wrong tile")
 	}
-	c := d.Clone()
-	c.Set(5, 9, -1)
-	if d.At(5, 9) != 3.5 {
-		t.Fatal("Clone shares storage")
-	}
 }
 
 func TestDensePanics(t *testing.T) {
@@ -111,27 +106,6 @@ func TestFromTilesAdoptsAndRejects(t *testing.T) {
 	}
 }
 
-func TestFillFunc(t *testing.T) {
-	d := NewDense(2, 2, 3)
-	d.FillFunc(func(i, j int) float64 { return float64(100*i + j) })
-	if d.At(4, 5) != 405 {
-		t.Fatalf("FillFunc: At(4,5) = %v", d.At(4, 5))
-	}
-}
-
-func TestFillLowerFuncMirrorsDiagonalTiles(t *testing.T) {
-	s := NewSymmetricLower(2, 3)
-	s.FillLowerFunc(func(i, j int) float64 { return float64(10*i + j) })
-	// Inside a diagonal tile, the upper part mirrors: element (0,1) of tile
-	// (0,0) equals f(1,0) = 10.
-	if got := s.Tile(0, 0).At(0, 1); got != 10 {
-		t.Fatalf("diagonal tile mirror = %v, want 10", got)
-	}
-	if s.At(1, 0) != 10 || s.At(0, 1) != 10 {
-		t.Fatal("symmetric read broken")
-	}
-}
-
 func TestGeneratorsDeterministic(t *testing.T) {
 	a := NewDiagDominant(3, 4, 7)
 	b := NewDiagDominant(3, 4, 7)
@@ -190,8 +164,7 @@ func TestSPDSymmetry(t *testing.T) {
 
 func TestFactorLUResidual(t *testing.T) {
 	for _, mt := range []int{1, 2, 4, 6} {
-		orig := NewDiagDominant(mt, 8, 42)
-		fact := orig.Clone()
+		orig, fact := NewDiagDominant(mt, 8, 42), NewDiagDominant(mt, 8, 42)
 		if err := FactorLU(fact); err != nil {
 			t.Fatalf("mt=%d: %v", mt, err)
 		}
@@ -203,8 +176,7 @@ func TestFactorLUResidual(t *testing.T) {
 
 func TestFactorCholeskyResidual(t *testing.T) {
 	for _, mt := range []int{1, 2, 4, 6} {
-		orig := NewSPD(mt, 8, 43)
-		fact := orig.Clone()
+		orig, fact := NewSPD(mt, 8, 43), NewSPD(mt, 8, 43)
 		if err := FactorCholesky(fact); err != nil {
 			t.Fatalf("mt=%d: %v", mt, err)
 		}
@@ -219,8 +191,7 @@ func TestFactorCholeskyResidual(t *testing.T) {
 func TestTiledMatchesScalarProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		mt, b := 3, 4
-		orig := NewDiagDominant(mt, b, seed)
-		fact := orig.Clone()
+		orig, fact := NewDiagDominant(mt, b, seed), NewDiagDominant(mt, b, seed)
 		if err := FactorLU(fact); err != nil {
 			return false
 		}

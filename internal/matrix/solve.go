@@ -23,15 +23,6 @@ func NewRHS(mt, b, nrhs int) RHS {
 	return r
 }
 
-// Clone returns a deep copy.
-func (r RHS) Clone() RHS {
-	c := make(RHS, len(r))
-	for i, t := range r {
-		c[i] = t.Clone()
-	}
-	return c
-}
-
 // FillFunc sets every element from a generator of (global row, rhs column).
 func (r RHS) FillFunc(f func(gi, k int) float64) {
 	for ti, t := range r {

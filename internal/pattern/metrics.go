@@ -2,8 +2,8 @@ package pattern
 
 import "fmt"
 
-// distinctInRow counts the distinct defined nodes on pattern row i,
-// using scratch as a seen-marker keyed by node id (reset lazily via epoch).
+// distinctCounter counts distinct defined nodes, using mark as a seen-marker
+// keyed by node id (reset lazily via epoch).
 type distinctCounter struct {
 	mark  []int
 	epoch int
@@ -24,54 +24,6 @@ func (d *distinctCounter) add(node int) bool {
 	}
 	d.mark[node] = d.epoch
 	return true
-}
-
-// RowDistinct returns x_i, the number of distinct nodes on pattern row i.
-func (p *Pattern) RowDistinct(i int) int {
-	d := newDistinctCounter(p.NumNodes())
-	d.epoch = 1
-	n := 0
-	for j := 0; j < p.cols; j++ {
-		if d.add(p.At(i, j)) {
-			n++
-		}
-	}
-	return n
-}
-
-// ColDistinct returns y_j, the number of distinct nodes on pattern column j.
-func (p *Pattern) ColDistinct(j int) int {
-	d := newDistinctCounter(p.NumNodes())
-	d.epoch = 1
-	n := 0
-	for i := 0; i < p.rows; i++ {
-		if d.add(p.At(i, j)) {
-			n++
-		}
-	}
-	return n
-}
-
-// ColrowDistinct returns z_i, the number of distinct nodes on colrow i (the
-// union of row i and column i, Definition 1). The pattern must be square.
-func (p *Pattern) ColrowDistinct(i int) int {
-	if !p.Square() {
-		panic("pattern: ColrowDistinct requires a square pattern")
-	}
-	d := newDistinctCounter(p.NumNodes())
-	d.epoch = 1
-	n := 0
-	for j := 0; j < p.cols; j++ {
-		if d.add(p.At(i, j)) {
-			n++
-		}
-	}
-	for k := 0; k < p.rows; k++ {
-		if d.add(p.At(k, i)) {
-			n++
-		}
-	}
-	return n
 }
 
 // RowDistincts returns all x_i in one pass.

@@ -13,12 +13,12 @@ func TestDistinctCountsSimple(t *testing.T) {
 	// 2x3 2DBC pattern: every row has 3 distinct nodes, every column 2.
 	p := MustFromRows([][]int{{0, 1, 2}, {3, 4, 5}})
 	for i := 0; i < 2; i++ {
-		if got := p.RowDistinct(i); got != 3 {
+		if got := p.RowDistincts()[i]; got != 3 {
 			t.Errorf("RowDistinct(%d) = %d, want 3", i, got)
 		}
 	}
 	for j := 0; j < 3; j++ {
-		if got := p.ColDistinct(j); got != 2 {
+		if got := p.ColDistincts()[j]; got != 2 {
 			t.Errorf("ColDistinct(%d) = %d, want 2", j, got)
 		}
 	}
@@ -36,13 +36,13 @@ func TestDistinctCountsSimple(t *testing.T) {
 
 func TestDistinctWithRepeats(t *testing.T) {
 	p := MustFromRows([][]int{{0, 0, 1}, {1, 2, 2}})
-	if got := p.RowDistinct(0); got != 2 {
+	if got := p.RowDistincts()[0]; got != 2 {
 		t.Errorf("RowDistinct(0) = %d, want 2", got)
 	}
-	if got := p.ColDistinct(0); got != 2 {
+	if got := p.ColDistincts()[0]; got != 2 {
 		t.Errorf("ColDistinct(0) = %d, want 2", got)
 	}
-	if got := p.ColDistinct(1); got != 2 {
+	if got := p.ColDistincts()[1]; got != 2 {
 		t.Errorf("ColDistinct(1) = %d, want 2", got)
 	}
 }
@@ -50,10 +50,10 @@ func TestDistinctWithRepeats(t *testing.T) {
 func TestColrowDistinct(t *testing.T) {
 	// 2x2 2DBC: colrow 0 = row 0 ∪ col 0 = {0,1} ∪ {0,2} = 3 nodes.
 	p := MustFromRows([][]int{{0, 1}, {2, 3}})
-	if got := p.ColrowDistinct(0); got != 3 {
+	if got := p.ColrowDistincts()[0]; got != 3 {
 		t.Errorf("ColrowDistinct(0) = %d, want 3", got)
 	}
-	if got := p.ColrowDistinct(1); got != 3 {
+	if got := p.ColrowDistincts()[1]; got != 3 {
 		t.Errorf("ColrowDistinct(1) = %d, want 3", got)
 	}
 	if !almostEqual(p.AvgColrowDistinct(), 3) {
@@ -74,7 +74,7 @@ func TestColrowIgnoresUndefinedDiagonal(t *testing.T) {
 		p.Set(d, d, Undefined)
 	}
 	for i := 0; i < 3; i++ {
-		if got := p.ColrowDistinct(i); got != 2 {
+		if got := p.ColrowDistincts()[i]; got != 2 {
 			t.Errorf("ColrowDistinct(%d) = %d, want 2", i, got)
 		}
 	}
@@ -87,10 +87,21 @@ func TestColrowPanicsOnRect(t *testing.T) {
 	p := MustFromRows([][]int{{0, 1, 2}, {3, 4, 5}})
 	defer func() {
 		if recover() == nil {
-			t.Error("ColrowDistinct on rectangular pattern did not panic")
+			t.Error("ColrowDistincts on rectangular pattern did not panic")
 		}
 	}()
-	p.ColrowDistinct(0)
+	p.ColrowDistincts()
+}
+
+// distinct counts the distinct defined nodes among cells.
+func distinct(cells ...int) int {
+	seen := map[int]bool{}
+	for _, v := range cells {
+		if v != Undefined {
+			seen[v] = true
+		}
+	}
+	return len(seen)
 }
 
 func TestBatchedDistinctsMatchSingle(t *testing.T) {
@@ -105,23 +116,34 @@ func TestBatchedDistinctsMatchSingle(t *testing.T) {
 				p.Set(i, j, rng.Intn(P))
 			}
 		}
-		rows := p.RowDistincts()
+		rows, cols := p.RowDistincts(), p.ColDistincts()
 		for i := 0; i < r; i++ {
-			if rows[i] != p.RowDistinct(i) {
-				t.Fatalf("RowDistincts[%d] = %d, RowDistinct = %d", i, rows[i], p.RowDistinct(i))
+			var row []int
+			for j := 0; j < c; j++ {
+				row = append(row, p.At(i, j))
+			}
+			if want := distinct(row...); rows[i] != want {
+				t.Fatalf("RowDistincts[%d] = %d, want %d", i, rows[i], want)
 			}
 		}
-		cols := p.ColDistincts()
 		for j := 0; j < c; j++ {
-			if cols[j] != p.ColDistinct(j) {
-				t.Fatalf("ColDistincts[%d] = %d, ColDistinct = %d", j, cols[j], p.ColDistinct(j))
+			var col []int
+			for i := 0; i < r; i++ {
+				col = append(col, p.At(i, j))
+			}
+			if want := distinct(col...); cols[j] != want {
+				t.Fatalf("ColDistincts[%d] = %d, want %d", j, cols[j], want)
 			}
 		}
 		if r == c {
 			zs := p.ColrowDistincts()
 			for i := 0; i < r; i++ {
-				if zs[i] != p.ColrowDistinct(i) {
-					t.Fatalf("ColrowDistincts[%d] = %d, ColrowDistinct = %d", i, zs[i], p.ColrowDistinct(i))
+				var colrow []int
+				for k := 0; k < r; k++ {
+					colrow = append(colrow, p.At(i, k), p.At(k, i))
+				}
+				if want := distinct(colrow...); zs[i] != want {
+					t.Fatalf("ColrowDistincts[%d] = %d, want %d", i, zs[i], want)
 				}
 			}
 		}

@@ -109,19 +109,6 @@ func (p *Pattern) Clone() *Pattern {
 	return q
 }
 
-// Equal reports whether two patterns have identical shape and cells.
-func (p *Pattern) Equal(q *Pattern) bool {
-	if p.rows != q.rows || p.cols != q.cols {
-		return false
-	}
-	for i, v := range p.cells {
-		if q.cells[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // NumNodes returns one more than the largest node id present, i.e. the node
 // count P under the convention that node ids are 0..P-1. Undefined cells are
 // ignored. It returns 0 for a fully undefined pattern.
@@ -156,13 +143,6 @@ func (p *Pattern) UndefinedCells() int {
 		}
 	}
 	return n
-}
-
-// IsBalanced reports whether every node in 0..P-1 appears the same number of
-// times among the defined cells (the paper's balance requirement for
-// fully defined patterns).
-func (p *Pattern) IsBalanced() bool {
-	return p.BalanceSpread() == 0
 }
 
 // BalanceSpread returns the difference between the largest and smallest

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -77,18 +78,18 @@ func TestOwnerReplication(t *testing.T) {
 func TestCloneEqual(t *testing.T) {
 	p := MustFromRows([][]int{{0, 1}, {2, 3}})
 	q := p.Clone()
-	if !p.Equal(q) {
+	if !reflect.DeepEqual(p, q) {
 		t.Fatal("clone not equal to original")
 	}
 	q.Set(0, 0, 3)
-	if p.Equal(q) {
+	if reflect.DeepEqual(p, q) {
 		t.Fatal("mutating clone affected equality unexpectedly")
 	}
 	if p.At(0, 0) != 0 {
 		t.Fatal("mutating clone changed original")
 	}
 	r := MustFromRows([][]int{{0, 1, 2}})
-	if p.Equal(r) {
+	if reflect.DeepEqual(p, r) {
 		t.Fatal("patterns with different shapes reported equal")
 	}
 }
@@ -99,11 +100,11 @@ func TestCountsAndBalance(t *testing.T) {
 	if counts[0] != 3 || counts[1] != 3 {
 		t.Fatalf("Counts = %v, want [3 3]", counts)
 	}
-	if !p.IsBalanced() {
+	if p.BalanceSpread() != 0 {
 		t.Fatal("balanced pattern reported unbalanced")
 	}
 	q := MustFromRows([][]int{{0, 0}, {0, 1}})
-	if q.IsBalanced() {
+	if q.BalanceSpread() == 0 {
 		t.Fatal("unbalanced pattern reported balanced")
 	}
 	if q.BalanceSpread() != 2 {

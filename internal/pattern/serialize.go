@@ -43,16 +43,6 @@ func (p *Pattern) Marshal(w io.Writer) error {
 	return bw.Flush()
 }
 
-// MarshalString returns the Marshal output as a string.
-func (p *Pattern) MarshalString() string {
-	var b strings.Builder
-	if err := p.Marshal(&b); err != nil {
-		// strings.Builder never errors; keep the API honest anyway.
-		panic(err)
-	}
-	return b.String()
-}
-
 // Unmarshal parses a pattern in the Marshal format.
 func Unmarshal(r io.Reader) (*Pattern, error) {
 	br := bufio.NewScanner(r)
@@ -89,9 +79,4 @@ func Unmarshal(r io.Reader) (*Pattern, error) {
 		}
 	}
 	return p, nil
-}
-
-// UnmarshalString parses a pattern from a string in the Marshal format.
-func UnmarshalString(s string) (*Pattern, error) {
-	return Unmarshal(strings.NewReader(s))
 }

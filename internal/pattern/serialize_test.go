@@ -2,20 +2,32 @@ package pattern
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// marshalString returns p in the Marshal format.
+func marshalString(p *Pattern) string {
+	var b strings.Builder
+	if err := p.Marshal(&b); err != nil {
+		panic(err)
+	}
+	return b.String()
+}
+
+func unmarshalString(s string) (*Pattern, error) { return Unmarshal(strings.NewReader(s)) }
+
 func TestMarshalRoundtrip(t *testing.T) {
 	p := MustFromRows([][]int{{0, 1, 2}, {3, 4, 5}})
 	p.Set(0, 0, 0)
-	s := p.MarshalString()
-	q, err := UnmarshalString(s)
+	s := marshalString(p)
+	q, err := unmarshalString(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Equal(q) {
+	if !reflect.DeepEqual(p, q) {
 		t.Fatalf("roundtrip mismatch:\n%s\nvs\n%s", p, q)
 	}
 }
@@ -23,11 +35,11 @@ func TestMarshalRoundtrip(t *testing.T) {
 func TestMarshalUndefined(t *testing.T) {
 	p := MustFromRows([][]int{{0, 1}, {1, 0}})
 	p.Set(0, 0, Undefined)
-	s := p.MarshalString()
+	s := marshalString(p)
 	if !strings.Contains(s, ".") {
 		t.Fatalf("marshal of undefined cell missing '.': %q", s)
 	}
-	q, err := UnmarshalString(s)
+	q, err := unmarshalString(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +59,8 @@ func TestUnmarshalErrors(t *testing.T) {
 		"-1 2\n",
 	}
 	for _, s := range bad {
-		if _, err := UnmarshalString(s); err == nil {
-			t.Errorf("UnmarshalString(%q): want error", s)
+		if _, err := unmarshalString(s); err == nil {
+			t.Errorf("Unmarshal(%q): want error", s)
 		}
 	}
 }
@@ -71,8 +83,8 @@ func TestMarshalRoundtripProperty(t *testing.T) {
 				}
 			}
 		}
-		q, err := UnmarshalString(p.MarshalString())
-		return err == nil && p.Equal(q)
+		q, err := unmarshalString(marshalString(p))
+		return err == nil && reflect.DeepEqual(p, q)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

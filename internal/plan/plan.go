@@ -89,9 +89,6 @@ func (p *Plan) Dist() dist.Distribution { return p.d }
 // Nodes returns the node count P.
 func (p *Plan) Nodes() int { return len(p.nodeOff) - 1 }
 
-// NumTasks returns the task count.
-func (p *Plan) NumTasks() int { return len(p.task) }
-
 // Tasks returns the range [lo, hi) of tasks node rank owns.
 func (p *Plan) Tasks(rank int) (lo, hi int32) { return p.nodeOff[rank], p.nodeOff[rank+1] }
 
@@ -133,9 +130,9 @@ func (p *Plan) Deps(t int32) []int32 { return p.dep[p.depOff[t]:p.depOff[t+1]] }
 func (p *Plan) Inputs(t int32) []int32 { return p.in[p.inOff[t]:p.inOff[t+1]] }
 
 // InputBase returns the position of task t's first input reference among
-// those of all tasks, for 0 <= t <= NumTasks: the layout of one flat
-// kernel-input buffer per node, InputBase(hi)-InputBase(lo) entries for the
-// tasks [lo, hi).
+// those of all tasks, for t up to and including the task count: the layout
+// of one flat kernel-input buffer per node, InputBase(hi)-InputBase(lo)
+// entries for the tasks [lo, hi).
 func (p *Plan) InputBase(t int32) int32 { return p.inOff[t] }
 
 // Succs returns the successors of task t on t's own node — the tasks its

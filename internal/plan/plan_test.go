@@ -20,8 +20,8 @@ func TestCompileLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumTasks() != g.NumTasks() || p.Nodes() != 4 {
-		t.Fatalf("%d tasks on %d nodes", p.NumTasks(), p.Nodes())
+	if p.Graph().NumTasks() != g.NumTasks() || p.Nodes() != 4 {
+		t.Fatalf("%d tasks on %d nodes", p.Graph().NumTasks(), p.Nodes())
 	}
 	for _, off := range [][]int32{p.nodeOff, p.tileOff, p.slotOff} {
 		if len(off) != 5 || off[0] != 0 {

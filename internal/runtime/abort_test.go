@@ -82,24 +82,35 @@ func TestKernelErrorAbortsRun(t *testing.T) {
 }
 
 // TestAbortReportsAllNodeErrors: when several nodes fail independently, Run
-// must report every failing node's error, not just the lowest rank's. All
-// GemmA/GemmB publication tasks are dependency-free, so every node dispatches
-// (and fails) its own root tasks before any peer's abort can reach it.
+// must report every failing node's error, not just the lowest rank's. The
+// graph is one dependency-free task per tile of a 2×2 matrix, and the 2×2
+// grid gives each tile its own node, so every node dispatches (and fails) its
+// own root task before any peer's abort can reach it.
 func TestAbortReportsAllNodeErrors(t *testing.T) {
-	const mt, nt, kt, b = 2, 2, 2, 3
-	g := dag.NewGEMMOp(mt, nt, kt)
-	gd := gemmDist{Distribution: dist.NewTwoDBC(2, 2), mt: mt, nt: nt}
+	const mt, b = 2, 3
+	d := dist.NewTwoDBC(2, 2)
+	g := dag.Build(dag.Program{
+		Name:  "roots",
+		Tiles: mt,
+		Tasks: func(submit func(dag.Task)) {
+			for i := int32(0); i < mt; i++ {
+				for j := int32(0); j < mt; j++ {
+					submit(dag.Task{Kind: dag.GETRF, I: i, J: j})
+				}
+			}
+		},
+		OutputTile: func(tk dag.Task) (int, int) { return int(tk.I), int(tk.J) },
+		InputTiles: func(dag.Task, func(i, j int)) {},
+		Flops:      func(dag.Task, int) float64 { return 0 },
+	})
 
 	kern := func(tk dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
-		if tk.Kind == dag.GemmA || tk.Kind == dag.GemmB {
-			return fmt.Errorf("injected: %w", errBoom)
-		}
-		return GEMMKernel(tk, out, inputs)
+		return fmt.Errorf("injected: %w", errBoom)
 	}
 	gen := func(i, j int) *tile.Tile { return tile.New(b, b) }
 
 	err := runWithDeadline(t, func() error {
-		_, err := Run(g, gd, b, gen, kern, Options{Workers: 1}, nil)
+		_, err := Run(g, d, b, gen, kern, Options{Workers: 1}, nil)
 		return err
 	})
 	if err == nil {
@@ -109,23 +120,9 @@ func TestAbortReportsAllNodeErrors(t *testing.T) {
 		t.Fatalf("error chain lost the kernel failure: %v", err)
 	}
 
-	// Every node owning an A or B tile fails its own root task and must
-	// appear in the joined error by rank.
-	failing := map[int]bool{}
-	for i := 0; i < mt; i++ {
-		for k := 0; k < kt; k++ {
-			failing[gd.Owner(i, nt+k)] = true // A tile (i,k)
-		}
-	}
-	for k := 0; k < kt; k++ {
-		for j := 0; j < nt; j++ {
-			failing[gd.Owner(mt+k, j)] = true // B tile (k,j)
-		}
-	}
-	if len(failing) < 2 {
-		t.Fatalf("test needs >= 2 failing nodes, distribution gives %d", len(failing))
-	}
-	for rank := range failing {
+	// Every node fails its own root task and must appear in the joined error
+	// by rank.
+	for rank := 0; rank < d.Nodes(); rank++ {
 		if !strings.Contains(err.Error(), fmt.Sprintf("node %d:", rank)) {
 			t.Fatalf("node %d failed but is missing from the joined error: %v", rank, err)
 		}

@@ -53,7 +53,7 @@ func TestRunAllocBudget(t *testing.T) {
 		})
 		if setup > perNode*P {
 			t.Errorf("mt=%d (%d tasks): set-up of %d engines allocates %.0f objects, want at most %d per node",
-				tiles, pl.NumTasks(), P, setup, perNode)
+				tiles, pl.Graph().NumTasks(), P, setup, perNode)
 		}
 	}
 }

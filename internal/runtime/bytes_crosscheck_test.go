@@ -9,6 +9,17 @@ import (
 	"anybc/internal/simulate"
 )
 
+// byDst sums counter c of st per receiving node.
+func byDst(st cluster.Stats, c cluster.Counter) []int64 {
+	out := make([]int64, st.P)
+	for src := 0; src < st.P; src++ {
+		for dst := range out {
+			out[dst] += st.At(c, src, dst)
+		}
+	}
+	return out
+}
+
 // graphAndDist pairs the graph and distribution the runtime factories build,
 // so the simulator runs the identical configuration. c = 0 is the plain
 // unreplicated LU.
@@ -78,7 +89,7 @@ func TestSimAndRealByteAccountingAgree(t *testing.T) {
 			if got, want := st.TotalHops(), res.Hops; got != want {
 				t.Errorf("hops: real %d, sim %d", got, want)
 			}
-			sent, recv := st.BySrc(cluster.WireBytes), st.ByDst(cluster.WireBytes)
+			sent, recv := st.BySrc(cluster.WireBytes), byDst(st, cluster.WireBytes)
 			for node := range sent {
 				if sent[node] != res.SentBytes[node] {
 					t.Errorf("node %d sent: real %d, sim %d", node, sent[node], res.SentBytes[node])

@@ -163,8 +163,8 @@ func TestSchedulerObservability(t *testing.T) {
 		t.Error("multi-node run recorded zero total stall time")
 	}
 	recStall := 0.0
-	for _, s := range rec.StallPerNode(d.Nodes()) {
-		recStall += s
+	for _, s := range rec.Stalls {
+		recStall += (s.End - s.Start) * s.Weight
 	}
 	if math.Abs(recStall-totalStall) > 1e-6 {
 		t.Errorf("recorder stall %v differs from report stall %v", recStall, totalStall)

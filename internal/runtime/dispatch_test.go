@@ -52,8 +52,8 @@ func TestStallAccountingIdleWeighted(t *testing.T) {
 	}
 	// The recorder's weighted events are the same account.
 	recSum := 0.0
-	for _, s := range rec.StallPerNode(1) {
-		recSum += s
+	for _, s := range rec.Stalls {
+		recSum += (s.End - s.Start) * s.Weight
 	}
 	if diff := recSum - stall; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("recorder weighted stalls %.9f != report StallSeconds %.9f", recSum, stall)

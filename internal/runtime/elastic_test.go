@@ -11,7 +11,6 @@ import (
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
-	"anybc/internal/tile"
 )
 
 // ownedTaskCount returns how many tasks of g the distribution assigns to
@@ -375,7 +374,7 @@ func TestReRequestBudgetExhausted(t *testing.T) {
 		!strings.Contains(tickErr.Error(), "tile (0,0) v0") {
 		t.Fatalf("error does not name the budget, owner, and tile: %v", tickErr)
 	}
-	if sent := cl.Stats().BySrc(cluster.Requests)[1]; sent != 3 {
+	if sent := cl.JobStats(0).BySrc(cluster.Requests)[1]; sent != 3 {
 		t.Fatalf("sent %d re-requests before giving up, want exactly the budget of 3", sent)
 	}
 }
@@ -448,14 +447,13 @@ func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
 	defer cl.Close()
 	e := testEngine(t, 1, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel)
 
-	pay := tile.New(3, 3)
-	pay.Fill(2.5)
+	pay := filled(3, 2.5)
 	tag := cluster.Tag{I: 0, J: 0, V: 0}
 	// A Resend-style heal lands first: no Forward list, marks the tag seen.
 	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay}); err != nil {
 		t.Fatal(err)
 	}
-	forwarded := func() int64 { return cl.Stats().BySrc(cluster.Forwards)[1] }
+	forwarded := func() int64 { return cl.JobStats(0).BySrc(cluster.Forwards)[1] }
 	if forwarded() != 0 {
 		t.Fatalf("heal with no forward list relayed %d hops", forwarded())
 	}

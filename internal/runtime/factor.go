@@ -48,32 +48,17 @@ func CholeskyKernel(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 	return nil
 }
 
-// GenDense adapts a global element generator to a tile generator: the
-// generic, one-call-per-element adapter. The two matrices the factorizations
-// are run on have row-at-a-time generators of their own below.
-func GenDense(b int, at func(gi, gj int) float64) func(i, j int) *tile.Tile {
-	return func(ti, tj int) *tile.Tile {
-		t := tile.New(b, b)
-		for i := 0; i < b; i++ {
-			for j := 0; j < b; j++ {
-				t.Set(i, j, at(ti*b+i, tj*b+j))
-			}
-		}
-		return t
-	}
-}
-
 // GenDiagDominant returns a tile generator for the diagonally dominant LU
-// test matrix of matrix.NewDiagDominant: GenDense over matrix.DiagDominantAt,
-// value for value.
+// test matrix of matrix.NewDiagDominant, value for value with
+// matrix.DiagDominantAt.
 func GenDiagDominant(mt, b int, seed int64) func(i, j int) *tile.Tile {
 	m := mt * b
 	return func(i, j int) *tile.Tile { return matrix.DiagDominantTile(seed, m, b, i, j) }
 }
 
 // GenSPD returns a tile generator for the SPD Cholesky test matrix of
-// matrix.NewSPD — GenDense over matrix.SPDAt, value for value: diagonal tiles
-// are full, tiles above the diagonal mirror the ones below.
+// matrix.NewSPD, value for value with matrix.SPDAt: diagonal tiles are full,
+// tiles above the diagonal mirror the ones below.
 func GenSPD(mt, b int, seed int64) func(i, j int) *tile.Tile {
 	m := mt * b
 	return func(i, j int) *tile.Tile { return matrix.SPDTile(seed, m, b, i, j) }
@@ -84,11 +69,11 @@ func GenSPD(mt, b int, seed int64) func(i, j int) *tile.Tile {
 // It returns the factored matrix (gathered from all nodes) and the execution
 // report.
 func FactorLU(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.Dense, *Report, error) {
-	return runDense(dag.NewLU(mt), d, mt, mt, b, gen, LUKernel, opt)
+	return runDense(dag.NewLU(mt), d, mt, b, gen, LUKernel, opt)
 }
 
 // gather executes pl and returns the final tiles slot selects, each at the
-// index slot gives it (negative: not wanted — an operand, an accumulator).
+// index slot gives it (negative: not wanted — an accumulator).
 // This is the one place a run's result is assembled, and it copies nothing:
 // RunPlan's collect hands every final tile over by ownership, so the result is
 // made of the very buffers the engines updated in place.
@@ -107,23 +92,23 @@ func gather(pl *plan.Plan, b int, gen func(i, j int) *tile.Tile, kern Kernel, op
 	return tiles, rep, nil
 }
 
-// RunPlanDense executes pl and returns the mt×nt leading block of its tile
+// RunPlanDense executes pl and returns the mt×mt leading block of its tile
 // index range as a dense matrix made of the run's own final tiles. Whatever
-// the graph stores past that block — operand tiles, layer accumulators — is
-// input or scratch and is not gathered.
-func RunPlanDense(pl *plan.Plan, mt, nt, b int,
+// the graph stores past that block — layer accumulators — is scratch and is
+// not gathered.
+func RunPlanDense(pl *plan.Plan, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
 
-	tiles, rep, err := gather(pl, b, gen, kern, opt, mt*nt, func(i, j int) int {
-		if i < mt && j < nt {
-			return i*nt + j
+	tiles, rep, err := gather(pl, b, gen, kern, opt, mt*mt, func(i, j int) int {
+		if i < mt && j < mt {
+			return i*mt + j
 		}
 		return -1
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return matrix.DenseFromTiles(mt, nt, b, tiles), rep, nil
+	return matrix.DenseFromTiles(mt, mt, b, tiles), rep, nil
 }
 
 // RunPlanLower is RunPlanDense for a lower-stored symmetric mt×mt result.
@@ -142,15 +127,15 @@ func RunPlanLower(pl *plan.Plan, mt, b int,
 	return matrix.SymmetricLowerFromTiles(mt, b, tiles), rep, nil
 }
 
-// runDense compiles (g, d) and gathers the run's mt×nt result.
-func runDense(g dag.Graph, d dist.Distribution, mt, nt, b int,
+// runDense compiles (g, d) and gathers the run's mt×mt result.
+func runDense(g dag.Graph, d dist.Distribution, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
 
 	pl, err := compile(g, d)
 	if err != nil {
 		return nil, nil, err
 	}
-	return RunPlanDense(pl, mt, nt, b, gen, kern, opt)
+	return RunPlanDense(pl, mt, b, gen, kern, opt)
 }
 
 // FactorLUReplicated runs the replicated (2.5D-style) distributed LU
@@ -166,20 +151,13 @@ func FactorLUReplicated(mt, b, c int, base dist.Distribution, gen func(i, j int)
 		}
 		return gen(i, j)
 	}
-	return runDense(dag.NewReplicatedLU(mt, c), dist.NewReplicated(base, c, mt), mt, mt, b, repGen, LUKernel, opt)
+	return runDense(dag.NewReplicatedLU(mt, c), dist.NewReplicated(base, c, mt), mt, b, repGen, LUKernel, opt)
 }
 
 // FactorCholesky runs the distributed tiled Cholesky factorization of the
 // lower-stored SPD matrix defined by gen.
 func FactorCholesky(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.SymmetricLower, *Report, error) {
 	return runLower(dag.NewCholesky(mt), d, mt, b, gen, CholeskyKernel, opt)
-}
-
-// FactorCholeskyLeft runs the left-looking Cholesky variant distributedly;
-// results are bitwise identical to FactorCholesky, only the schedule (and
-// hence the communication timing) differs.
-func FactorCholeskyLeft(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.SymmetricLower, *Report, error) {
-	return runLower(dag.NewCholeskyLeft(mt), d, mt, b, gen, CholeskyKernel, opt)
 }
 
 // runLower is runDense for a lower-stored symmetric mt×mt result.

@@ -187,6 +187,20 @@ func TestFactorCallByteBudget(t *testing.T) {
 	}
 }
 
+// genDense adapts a global element generator to a tile generator, one call
+// per element: the reference the row-at-a-time generators are held to.
+func genDense(b int, at func(gi, gj int) float64) func(i, j int) *tile.Tile {
+	return func(ti, tj int) *tile.Tile {
+		t := tile.New(b, b)
+		for i := 0; i < b; i++ {
+			for j := 0; j < b; j++ {
+				t.Set(i, j, at(ti*b+i, tj*b+j))
+			}
+		}
+		return t
+	}
+}
+
 // TestGeneratorsMatchTheElementFunctions: the row-at-a-time generators return,
 // element for element, the values the per-element definitions give — every
 // tile of both matrices, diagonal, below and (the SPD mirror) above — and
@@ -205,8 +219,8 @@ func TestGeneratorsMatchTheElementFunctions(t *testing.T) {
 		for _, shape := range [][2]int{{3, 5}, {4, 16}, {2, 33}} {
 			mt, b := shape[0], shape[1]
 			m := mt * b
-			refLU := GenDense(b, func(gi, gj int) float64 { return matrix.DiagDominantAt(seed, m, gi, gj) })
-			refSPD := GenDense(b, func(gi, gj int) float64 { return matrix.SPDAt(seed, m, gi, gj) })
+			refLU := genDense(b, func(gi, gj int) float64 { return matrix.DiagDominantAt(seed, m, gi, gj) })
+			refSPD := genDense(b, func(gi, gj int) float64 { return matrix.SPDAt(seed, m, gi, gj) })
 			genLU, genSPD := GenDiagDominant(mt, b, seed), GenSPD(mt, b, seed)
 			dense, lower := matrix.NewDiagDominant(mt, b, seed), matrix.NewSPD(mt, b, seed)
 			for i := 0; i < mt; i++ {

@@ -207,7 +207,7 @@ func BenchmarkFactorOverhead(b *testing.B) {
 			}
 			b.StopTimer()
 			goruntime.ReadMemStats(&after)
-			tasks := float64(b.N) * float64(pl.NumTasks())
+			tasks := float64(b.N) * float64(pl.Graph().NumTasks())
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tasks, "ns/task")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/tasks, "allocs/task")
 		})

@@ -324,11 +324,9 @@ func TestPrevalidateAcceptsBuiltinGraphs(t *testing.T) {
 	}{
 		{dag.NewLU(6), d},
 		{dag.NewCholesky(6), d},
-		{dag.NewCholeskyLeft(6), d},
+		{dag.NewReplicatedLU(6, 2), dist.NewReplicated(d, 2, 6)},
 		{dag.NewLUSolve(5, 2), solveDist{Distribution: d, mt: 5}},
 		{dag.NewCholeskySolve(5, 2), solveDist{Distribution: d, mt: 5}},
-		{dag.NewSYRKOp(5, 4), syrkDist{Distribution: d, mt: 5}},
-		{dag.NewGEMMOp(4, 4, 4), gemmDist{Distribution: d, mt: 4, nt: 4}},
 	}
 	for _, c := range cases {
 		if _, err := plan.Compile(c.g, c.d); err != nil {

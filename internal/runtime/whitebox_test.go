@@ -47,6 +47,15 @@ func (e *engine) unfedSlots() int {
 	return n
 }
 
+// filled returns an n×n tile with every element v.
+func filled(n int, v float64) *tile.Tile {
+	t := tile.New(n, n)
+	for i := range t.Data {
+		t.Data[i] = v
+	}
+	return t
+}
+
 // TestDuplicateArrivalIdempotent exercises the protocol guard: re-delivery
 // of a tile version the node already retains must be dropped idempotently —
 // no dependency count corrupted, no crash — and counted for the report.
@@ -63,8 +72,7 @@ func TestDuplicateArrivalIdempotent(t *testing.T) {
 	// Node 1 owns tile (0,1): its TRSMRow reads the GETRF output (0,0) at
 	// version 0, so the arrival is stored (readers > 0) and a repeat with the
 	// same payload is an identical re-delivery.
-	pay := tile.New(3, 3)
-	pay.Fill(2.5)
+	pay := filled(3, 2.5)
 	msg := cluster.Message{From: 0, To: 1, Tag: cluster.Tag{I: 0, J: 0, V: 0}, Payload: pay}
 	if err := e.onArrival(msg); err != nil {
 		t.Fatal(err)
@@ -101,14 +109,12 @@ func TestConflictingDuplicateArrivalErrors(t *testing.T) {
 	defer cl.Close()
 	e := testEngine(t, 1, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel)
 
-	pay := tile.New(3, 3)
-	pay.Fill(1)
+	pay := filled(3, 1)
 	tag := cluster.Tag{I: 0, J: 0, V: 0}
 	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay}); err != nil {
 		t.Fatal(err)
 	}
-	conflict := tile.New(3, 3)
-	conflict.Fill(-7)
+	conflict := filled(3, -7)
 	err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: conflict})
 	if err == nil {
 		t.Fatal("conflicting duplicate did not return an error")

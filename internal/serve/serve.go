@@ -478,7 +478,7 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	switch spec.Kind {
 	case KindLU:
 		gen := runtime.GenDiagDominant(spec.Mt, spec.B, spec.Seed)
-		out, rep, err := runtime.RunPlanDense(pl, spec.Mt, spec.Mt, spec.B, gen, runtime.LUKernel, opt)
+		out, rep, err := runtime.RunPlanDense(pl, spec.Mt, spec.B, gen, runtime.LUKernel, opt)
 		if err != nil {
 			return nil, nil, err
 		}

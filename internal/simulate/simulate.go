@@ -25,11 +25,14 @@ const (
 )
 
 // policy maps the simulator option onto the shared scheduling policy.
-func (s Scheduler) policy() sched.Policy {
-	if s == FIFOOrder {
-		return sched.FIFO
+func (s Scheduler) policy() (sched.Policy, error) {
+	switch s {
+	case IterationOrder:
+		return sched.CriticalPath, nil
+	case FIFOOrder:
+		return sched.FIFO, nil
 	}
-	return sched.CriticalPath
+	return 0, fmt.Errorf("simulate: unknown scheduler %d", int(s))
 }
 
 // Options configures a simulation run.
@@ -91,9 +94,9 @@ type sim struct {
 	tileBytes int
 	rate      []float64 // flop/s of one worker, by node
 
-	// By task id. Dependency counts are int32: wide fan-in tasks (solve and
-	// GEMM graphs) can exceed 127 predecessors, which an int8 would silently
-	// wrap into a bogus "dependency deadlock".
+	// By task id. Dependency counts are int32: wide fan-in tasks can exceed
+	// 127 predecessors, which an int8 would silently wrap into a bogus
+	// "dependency deadlock".
 	ownerOf   []int32
 	remaining []int32
 
@@ -123,9 +126,13 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	policy, err := opt.Scheduler.policy()
+	if err != nil {
+		return nil, err
+	}
 	P := d.Nodes()
 	n := g.NumTasks()
-	s := &sim{g: g, b: b, m: m, rec: opt.Recorder, policy: opt.Scheduler.policy(),
+	s := &sim{g: g, b: b, m: m, rec: opt.Recorder, policy: policy,
 		tree: opt.Broadcast == cluster.BroadcastTree, tileBytes: opt.TileBytes, res: &Result{}}
 	if s.tileBytes == 0 {
 		s.tileBytes = 8 * b * b

@@ -173,6 +173,9 @@ func TestSchedulerPolicies(t *testing.T) {
 			t.Fatalf("scheduler %d: non-positive makespan", s)
 		}
 	}
+	if _, err := Run(g, 8, d, testMachine(), Options{Scheduler: FIFOOrder + 1}); err == nil {
+		t.Fatal("an unknown scheduler was accepted")
+	}
 }
 
 // TestG2DBCBeats2DBCForPrimeP reproduces the paper's headline claim in the

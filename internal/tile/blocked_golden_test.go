@@ -217,7 +217,6 @@ func TestGoldenPotrfBlockedVsRef(t *testing.T) {
 func TestBlockedFactorErrorOffsets(t *testing.T) {
 	n := 129 // recursion several levels deep
 	a := New(n, n)
-	a.Eye()
 	for i := 0; i < n; i++ {
 		a.Set(i, i, 2)
 	}
@@ -231,7 +230,6 @@ func TestBlockedFactorErrorOffsets(t *testing.T) {
 	}
 
 	b := New(n, n)
-	b.Eye()
 	for i := 0; i < n; i++ {
 		b.Set(i, i, 2)
 	}

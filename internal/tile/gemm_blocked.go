@@ -55,11 +55,6 @@ func widestMicroKernel() microKernel {
 	panic("tile: no supported microkernel") // every table ends in a scalar entry
 }
 
-// MicroKernelName identifies the GEMM microkernel selected at start-up, for
-// benchmark metadata: results are only comparable across boxes that ran the
-// same kernel.
-func MicroKernelName() string { return micro.name }
-
 // opView is a read-only view of op(X) for a row-major operand X: plain
 // (i,j) ↦ data[i*ld+j] access, or the transposed view (i,j) ↦ data[j*ld+i].
 // Offsetting data lets SYRK carve sub-panels out of one operand.

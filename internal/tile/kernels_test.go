@@ -46,10 +46,10 @@ func TestMicroKernelProbe(t *testing.T) {
 			t.Errorf("%s is wider than %s before it", k.name, microKernels[i-1].name)
 		}
 	}
-	if got, want := MicroKernelName(), widestMicroKernel().name; got != want {
-		t.Fatalf("MicroKernelName() = %q, the widest supported entry is %q", got, want)
+	if got, want := micro.name, widestMicroKernel().name; got != want {
+		t.Fatalf("selected microkernel %q, the widest supported entry is %q", got, want)
 	}
-	t.Logf("selected microkernel: %s", MicroKernelName())
+	t.Logf("selected microkernel: %s", micro.name)
 	t.Logf("in-place path: updates with m, n, k ≤ %d read their operands in place (b=8 under %s, b=32 under %s), larger ones are packed",
 		gemmDirectMax, directKernel(8).name, directKernel(32).name)
 }

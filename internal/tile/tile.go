@@ -84,25 +84,6 @@ func (t *Tile) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tile) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
-// Eye overwrites t with the identity (1 on the main diagonal).
-func (t *Tile) Eye() {
-	t.Zero()
-	n := t.Rows
-	if t.Cols < n {
-		n = t.Cols
-	}
-	for i := 0; i < n; i++ {
-		t.Set(i, i, 1)
-	}
-}
-
 // Random fills the tile with uniform values in [-1, 1) drawn from rng.
 func (t *Tile) Random(rng *rand.Rand) {
 	for i := range t.Data {
@@ -141,17 +122,6 @@ func (t *Tile) FrobeniusNorm() float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// MaxAbs returns the largest absolute element value.
-func (t *Tile) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // Bytes returns the memory footprint of the tile payload, used by the

@@ -128,24 +128,6 @@ func (r *Recorder) BusyPerNode(p int) []float64 {
 	return out
 }
 
-// StallPerNode returns the summed weighted scheduler-starvation time per
-// node for a cluster of p nodes, with the same sizing rule as BusyPerNode:
-// idle nodes report zero, and the output grows beyond p only if some event
-// names a higher node. Each interval contributes (End-Start)·Weight, so the
-// totals agree with Report.Sched.StallSeconds under multi-worker nodes.
-func (r *Recorder) StallPerNode(p int) []float64 {
-	for _, e := range r.Stalls {
-		if e.Node >= p {
-			p = e.Node + 1
-		}
-	}
-	out := make([]float64, p)
-	for _, e := range r.Stalls {
-		out[e.Node] += (e.End - e.Start) * e.Weight
-	}
-	return out
-}
-
 // KindBreakdown returns total kernel time per task kind name.
 func (r *Recorder) KindBreakdown() map[string]float64 {
 	out := map[string]float64{}
@@ -167,36 +149,6 @@ func (r *Recorder) Utilization(workers, p int) []float64 {
 	}
 	for n, b := range busy {
 		out[n] = b / (mk * float64(workers))
-	}
-	return out
-}
-
-// Timeline bins the aggregate number of busy workers over time into `bins`
-// equal slices of the makespan — a quick activity profile.
-func (r *Recorder) Timeline(bins int) []float64 {
-	mk := r.Makespan()
-	out := make([]float64, bins)
-	if mk <= 0 || bins <= 0 {
-		return out
-	}
-	w := mk / float64(bins)
-	for _, e := range r.Tasks {
-		first := int(e.Start / w)
-		last := int(e.End / w)
-		for bin := first; bin <= last && bin < bins; bin++ {
-			lo := float64(bin) * w
-			hi := lo + w
-			s, t := e.Start, e.End
-			if s < lo {
-				s = lo
-			}
-			if t > hi {
-				t = hi
-			}
-			if t > s {
-				out[bin] += (t - s) / w
-			}
-		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,19 +73,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestTimeline(t *testing.T) {
-	r := &Recorder{}
-	r.RecordTask(0, 0, dag.Task{Kind: dag.GETRF}, 0, 2)
-	// Two bins over makespan 2: one worker busy in both.
-	tl := r.Timeline(2)
-	if math.Abs(tl[0]-1) > 1e-12 || math.Abs(tl[1]-1) > 1e-12 {
-		t.Fatalf("Timeline = %v", tl)
-	}
-	if out := (&Recorder{}).Timeline(3); len(out) != 3 {
-		t.Fatal("empty recorder timeline length wrong")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	r := sampleRecorder()
 	if err := r.Validate(); err != nil {
@@ -108,23 +96,16 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestStallRecording: stall intervals accumulate per node weighted by their
-// idle share, with the same sizing rule as BusyPerNode, and Validate rejects
-// negative-duration and out-of-range-weight stalls.
+// TestStallRecording: stall intervals are recorded as given, each weighted by
+// its idle share, and Validate rejects negative-duration and
+// out-of-range-weight stalls.
 func TestStallRecording(t *testing.T) {
 	r := &Recorder{}
 	r.RecordStall(1, 0, 0.5, 1)
-	r.RecordStall(1, 2, 2.25, 1)
 	r.RecordStall(3, 0, 1, 0.25) // 1 of 4 workers idle: quarter weight
-	st := r.StallPerNode(2)
-	if len(st) != 4 {
-		t.Fatalf("StallPerNode(2) length %d, want 4 (events beyond p extend)", len(st))
-	}
-	if st[0] != 0 || math.Abs(st[1]-0.75) > 1e-12 || st[2] != 0 || st[3] != 0.25 {
-		t.Fatalf("StallPerNode = %v", st)
-	}
-	if got := r.StallPerNode(6); len(got) != 6 || got[5] != 0 {
-		t.Fatalf("StallPerNode(6) = %v, want trailing zeros", got)
+	want := []StallEvent{{Node: 1, Start: 0, End: 0.5, Weight: 1}, {Node: 3, Start: 0, End: 1, Weight: 0.25}}
+	if !reflect.DeepEqual(r.Stalls, want) {
+		t.Fatalf("Stalls = %v, want %v", r.Stalls, want)
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatalf("valid stalls rejected: %v", err)
