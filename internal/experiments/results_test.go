@@ -11,13 +11,15 @@ import (
 	"testing"
 )
 
-// TestCommittedFiguresRegenerate re-simulates the N ≤ 50 000 rows of two
-// committed figure files — one LU sweep, one Cholesky sweep with its GCR&M
-// search — with the configuration `simfact -fig` uses, and compares them field
-// by field with the committed text: a change to the simulator, the scheduler,
-// a distribution or the pattern search that moves a paper number fails here
-// instead of leaving results/ quietly stale. (The larger rows are the same
-// code on more tasks; `simfact -fig N > results/figN.txt` rewrites a file.)
+// TestCommittedFiguresRegenerate re-simulates the N ≤ 50 000 rows of every
+// committed per-N figure file — the LU sweeps of Figures 1, 5 and 6, the
+// Cholesky sweeps of Figures 11 and 12 with their GCR&M searches — with the
+// configuration `simfact -fig` uses, and compares them field by field with the
+// committed text: a change to the simulator, the scheduler, a distribution or
+// the pattern search that moves a paper number fails here instead of leaving
+// results/ quietly stale. (The larger rows are the same code on more tasks;
+// `simfact -fig N > results/figN.txt` rewrites a file. Figures 7a and 7b hold
+// only N = 100 000 rows.)
 func TestCommittedFiguresRegenerate(t *testing.T) {
 	cfg := DefaultSimConfig()
 	cfg.Ns = []int{25000, 50000}
@@ -25,8 +27,11 @@ func TestCommittedFiguresRegenerate(t *testing.T) {
 		file string
 		gen  func(SimConfig) ([]PerfPoint, error)
 	}{
+		{"fig1.txt", Figure1},
 		{"fig5.txt", Figure5},
+		{"fig6.txt", Figure6},
 		{"fig11.txt", Figure11},
+		{"fig12.txt", Figure12},
 	} {
 		pts, err := fig.gen(cfg)
 		if err != nil {
