@@ -351,8 +351,6 @@ func TestDeadSurface(t *testing.T) {
 		"matrix.SymmetricLower.Set":      "the same test corrupts a Cholesky factor through it; ROADMAP item 8c",
 		"chaos.Plan.Fingerprint":         "the fault-schedule digest TestChaosSeedDeterminism and TestDecisionsIndependentOfFeedOrder compare across runs",
 		"trace.Recorder.Fingerprint":     "the timestamp-free trace digest TestChaosSeedDeterminism compares across runs; ROADMAP item 1a makes it a view of the event sink",
-		"dag.OutputVersions":             "the version oracle TestPlanEqualsGraph holds plan.Compile to; ROADMAP item 2 deletes it",
-		"dag.InputVersion":               "the other half of that oracle; ROADMAP item 2 deletes it",
 		"cluster.Stats.At":               "the per-link count TestChaosRegressionG2DBC23 and TestTreeBroadcastG2DBC23 compare against the fault-free run",
 		"dist.CostBound":                 "Lemma 2, which TestG2DBCLemma2 holds G-2DBC to; " + item5,
 		"gcrm.SearchRefined":             "GCR&M with its local-search post-pass (gcrm.Refine), which TestSearchRefined holds to the plain search; " + item5,

@@ -37,7 +37,7 @@ import (
 
 // Tag identifies a published tile version: tile coordinates plus the write
 // epoch V of the payload (0 for a tile's first writer, incremented by every
-// later in-place update; see dag.OutputVersions). In the right-looking
+// later in-place update; see plan.Plan.Version). In the right-looking
 // factorizations every tile is communicated only in its final factored state
 // (after the panel kernel of iteration min(i, j)), but graphs that consume a
 // tile remotely at several epochs are served too: each epoch travels under

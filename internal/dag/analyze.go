@@ -1,19 +1,25 @@
 package dag
 
-// ForEachTask visits every task of the graph in a valid topological order:
-// dependencies always point from earlier-visited tasks to later-visited
-// ones. A graph whose ids are not themselves such an order (the closed-form
-// LU and Cholesky, numbered kind by kind) supplies one through a ForEachTask
-// method; any other graph — every Built one, numbered in program order, and
-// external graphs, which must guarantee the same — is visited by increasing
-// id.
-func ForEachTask(g Graph, visit func(Task)) {
-	if o, ok := g.(interface{ ForEachTask(visit func(Task)) }); ok {
-		o.ForEachTask(visit)
-		return
+import "slices"
+
+// ForEachTask visits every task of the graph in submission order, a valid
+// topological order: dependencies always point from earlier-visited tasks to
+// later-visited ones. It runs the program and infers nothing.
+func ForEachTask(g Graph, visit func(Task)) { g.Program().forEach(visit) }
+
+// forEachSettled runs w to the end of its program, one iteration at a time,
+// and hands visit each task in submission order once it is settled; w
+// forgets the task after the visit. A program that breaks its own statement
+// panics, as the queries of Built do.
+func forEachSettled(w *Inference, visit func(pos int32)) {
+	for pos := int32(0); w.Next(); {
+		for ; pos < w.Settled(); pos++ {
+			visit(pos)
+			w.Done(pos)
+		}
 	}
-	for id := 0; id < g.NumTasks(); id++ {
-		visit(g.TaskOf(id))
+	if err := w.Err(); err != nil {
+		panic(err)
 	}
 }
 
@@ -21,20 +27,16 @@ func ForEachTask(g Graph, visit func(Task)) {
 // graph, with each task weighted by its flop count for tile size b. Dividing
 // TotalFlops by this value bounds the achievable parallel speedup.
 func CriticalPathFlops(g Graph, b int) float64 {
-	longest := make([]float64, g.NumTasks())
-	cp := 0.0
-	ForEachTask(g, func(t Task) {
-		best := 0.0
-		g.Dependencies(t, func(d Task) {
-			if v := longest[g.ID(d)]; v > best {
-				best = v
-			}
-		})
-		v := best + g.Flops(t, b)
-		longest[g.ID(t)] = v
-		if v > cp {
-			cp = v
-		}
+	w := Infer(g.Program(), nil)
+	var longest []float64 // by position
+	cp, best := 0.0, 0.0
+	longer := func(q int32) { best = max(best, longest[q]) }
+	forEachSettled(w, func(pos int32) {
+		best = 0
+		w.Preds(pos, longer)
+		v := best + g.Flops(w.Task(pos), b)
+		longest = append(longest, v)
+		cp = max(cp, v)
 	})
 	return cp
 }
@@ -45,22 +47,19 @@ func CriticalPathFlops(g Graph, b int) float64 {
 // is sent once per distinct remote consumer node. This is the measured
 // counterpart of the paper's Equations (1) and (2).
 func CommVolumeTiles(g Graph, owner func(i, j int) int) int64 {
+	w := Infer(g.Program(), owner)
 	var volume int64
-	seen := map[int]struct{}{}
-	ForEachTask(g, func(t Task) {
-		oi, oj := g.OutputTile(t)
-		src := owner(oi, oj)
-		for k := range seen {
-			delete(seen, k)
+	var src int
+	var dsts []int
+	consumer := func(_ int32, dst int) {
+		if dst != src && !slices.Contains(dsts, dst) {
+			dsts = append(dsts, dst)
 		}
-		g.Successors(t, func(s Task) {
-			si, sj := g.OutputTile(s)
-			dst := owner(si, sj)
-			if dst != src {
-				seen[dst] = struct{}{}
-			}
-		})
-		volume += int64(len(seen))
+	}
+	forEachSettled(w, func(pos int32) {
+		src, dsts = w.Owner(pos), dsts[:0]
+		w.Succs(pos, consumer)
+		volume += int64(len(dsts))
 	})
 	return volume
 }

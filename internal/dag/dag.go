@@ -1,17 +1,18 @@
 // Package dag describes the task graphs of the tiled factorizations — the
 // DAGs that Chameleon submits to StarPU. There are five: right-looking LU and
-// Cholesky, each of them followed by its triangular solves (LUSolve,
-// CholeskySolve), and the replicated 2.5D LU (ReplicatedLU). An algorithm is
+// Cholesky, each of them followed by its triangular solves (NewLUSolve,
+// NewCholeskySolve), and the replicated 2.5D LU (ReplicatedLU). An algorithm is
 // a Program: its tasks in sequential order, each naming the tile it writes
-// and the tiles it reads. Build infers every dependency from that order, the
-// way the runtime the paper ran on does at submission, and stores the edges.
+// and the tiles it reads. Every dependency is inferred from that order, the
+// way the runtime the paper ran on does at submission, in one place: Infer.
 //
-// The right-looking LU and Cholesky are Programs too, but the graphs the
-// simulator and the runtime execute for them are closed forms: tasks,
-// dependencies and successors computed from the task coordinates (kind,
-// iteration, row, column), nothing stored per edge, so a paper-scale graph
-// of hundreds of thousands of tasks occupies a few prefix-sum arrays. Their
-// algebra is checked against Build of their own programs.
+// A Program may state that it runs in iterations whose outputs are read only
+// in their own iteration and the next, as LU and Cholesky do. The inference
+// then hands the program out one iteration at a time, and a consumer that is
+// done with the early iterations lets it forget them: the simulator runs a
+// paper-scale graph of hundreds of thousands of tasks holding a few
+// iterations of it, and plan.Compile copies every task into its plan the same
+// way.
 //
 // Dependencies encode both data flow and the in-place owner-computes
 // serialization: the update of tile (i, j) at iteration ℓ must follow its
@@ -95,7 +96,11 @@ func (t Task) String() string {
 	}
 }
 
-// Graph is a structural task DAG over an mt×mt tile matrix.
+// Graph is a structural task DAG over an mt×mt tile matrix: a Program and
+// what its inference yields. The queries by Task value (ID, TaskOf,
+// Dependencies, Successors, NumDependencies) infer and keep the whole graph on
+// first use; the simulator, plan.Compile and the analyses of this package read
+// Program and run the inference themselves.
 type Graph interface {
 	// Name identifies the algorithm ("LU" or "Cholesky").
 	Name() string
@@ -103,7 +108,7 @@ type Graph interface {
 	Tiles() int
 	// NumTasks returns the total task count.
 	NumTasks() int
-	// ID maps a task to a dense identifier in [0, NumTasks()).
+	// ID maps a task to its position in the program, in [0, NumTasks()).
 	ID(t Task) int
 	// TaskOf inverts ID.
 	TaskOf(id int) Task
@@ -123,30 +128,6 @@ type Graph interface {
 	// TotalFlops returns the flop count of the whole factorization for tile
 	// size b.
 	TotalFlops(b int) float64
-}
-
-// SizedGraph is implemented by graphs whose tasks produce tiles of varying
-// sizes (e.g. the factor-and-solve graphs, whose RHS tiles are b×nrhs).
-// OutputBytes returns the wire size of the task's output tile for tile size
-// b. Graphs that do not implement it produce uniform 8·b² byte tiles.
-type SizedGraph interface {
-	Graph
-	OutputBytes(t Task, b int) int
-}
-
-// locate inverts a prefix-sum table, the step both closed forms' TaskOf share:
-// it returns the largest l with prefix[l] <= v — searched over
-// [0, len(prefix)-2], since the last entry is the grand total — and the
-// offset v - prefix[l] within that block.
-func locate(prefix []int, v int) (l, off int) {
-	lo, hi := 0, len(prefix)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if prefix[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, v - prefix[lo]
+	// Program returns the algorithm the graph is inferred from.
+	Program() Program
 }

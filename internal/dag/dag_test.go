@@ -31,8 +31,8 @@ func TestNumTasks(t *testing.T) {
 	}
 }
 
-// TestCholeskyTaskOfAtScale: the GEMM id is inverted through a square root;
-// hold it to ID over every row offset a paper-scale graph has.
+// TestCholeskyTaskOfAtScale: TaskOf and ID invert each other over every task
+// of a paper-scale graph.
 func TestCholeskyTaskOfAtScale(t *testing.T) {
 	g := NewCholesky(120)
 	for id := 0; id < g.NumTasks(); id++ {
@@ -169,9 +169,8 @@ func TestInputTilesAreProducedByDeps(t *testing.T) {
 // measures the longest path in tasks.
 type unitFlops struct{ Graph }
 
-func (u unitFlops) Flops(Task, int) float64        { return 1 }
-func (u unitFlops) ForEachTask(visit func(t Task)) { ForEachTask(u.Graph, visit) }
-func criticalPathTasks(g Graph) int                { return int(CriticalPathFlops(unitFlops{g}, 1)) }
+func (u unitFlops) Flops(Task, int) float64 { return 1 }
+func criticalPathTasks(g Graph) int         { return int(CriticalPathFlops(unitFlops{g}, 1)) }
 
 func TestCriticalPathLength(t *testing.T) {
 	// Right-looking LU and Cholesky both have the dependency spine

@@ -1,110 +1,94 @@
 package dag
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Program is a tile algorithm written the way Chameleon hands one to StarPU:
 // a sequential stream of tasks, each declaring the tile it writes and the
-// tiles it reads. Nothing in a Program names a dependency; Build infers all
+// tiles it reads. Nothing in a Program names a dependency; Infer derives all
 // of them from the submission order.
 type Program struct {
 	// Name identifies the algorithm (Graph.Name).
 	Name string
 	// Tiles is mt, the tile dimension of the matrix (Graph.Tiles).
 	Tiles int
-	// Tasks submits every task exactly once, in an order in which running
-	// them one after the other computes the algorithm.
-	Tasks func(submit func(Task))
+	// Iterations, when positive, states that the program runs in that many
+	// iterations, each after the first continuing the work of the one
+	// before: every task of a later iteration depends on an earlier task,
+	// and a task's output is read only by tasks of its own iteration and the
+	// next. Zero states nothing: the program is one iteration.
+	Iterations int
+	// Tasks submits the tasks of iteration l, each exactly once, in an order
+	// in which running the iterations one after the other, each task after
+	// the one submitted before it, computes the algorithm.
+	Tasks func(l int, submit func(Task))
 	// OutputTile returns the one tile t writes (and may also read).
 	OutputTile func(t Task) (i, j int)
 	// InputTiles visits the tiles t reads besides its output tile.
 	InputTiles func(t Task, visit func(i, j int))
 	// Flops returns the floating-point operations of t for tile size b.
 	Flops func(t Task, b int) float64
-	// OutputBytes, when set, gives the wire size of t's output tile
-	// (SizedGraph); nil means uniform 8·b² tiles.
+	// OutputBytes, when set, gives the wire size of t's output tile; nil
+	// means uniform 8·b² tiles.
 	OutputBytes func(t Task, b int) int
 	// ReducePartial, when set, marks the tasks whose output is a reduction
-	// partial (ReduceGraph); nil means none is.
+	// partial: a layer accumulator whose only possible remote consumer is
+	// the combine task folding it toward the canonical tile. Nil means none
+	// is.
 	ReducePartial func(t Task) bool
 }
 
-// Built is the task graph Build infers from a Program. Tasks are numbered in
-// submission order, so increasing ids are a topological order and
-// ForEachTask replays the program.
-type Built struct {
-	p     Program
-	tasks []Task
-	id    map[Task]int32
-	// Predecessors and successors of task id are pred[predOff[id]:predOff[id+1]]
-	// and succ[succOff[id]:succOff[id+1]].
-	predOff, pred []int32
-	succOff, succ []int32
+// forEach submits every task of p, iteration by iteration.
+func (p Program) forEach(submit func(Task)) {
+	for l := 0; l < max(p.Iterations, 1); l++ {
+		p.Tasks(l, submit)
+	}
 }
 
-// Build infers the dependency graph of p, as a sequential-task-flow runtime
-// does at submission: a task depends on the last task submitted before it
-// that wrote each tile it reads, then on the last one that wrote the tile it
-// writes. Successors are the inverse relation, each task's consumers listed
-// in submission order — the order that fixes a broadcast's destination list,
-// hence the shape of its tree.
-//
-// Only read-after-write and write-after-write orderings are inferred. A task
-// that overwrites a tile an earlier task still reads gets no edge from that
-// reader: the tile algorithms here only ever read a tile's final version, and
-// plan.Compile rejects a graph where that does not hold.
-//
-// A tile listed more than once among a task's inputs, or listed there
-// although it is the output tile, yields one edge, not two: every consumer of
-// Dependencies counts one release per visit. Submitting a task twice panics —
-// ID could not tell the two apart.
-func Build(p Program) *Built {
-	g := &Built{p: p, id: map[Task]int32{}}
-	p.Tasks(func(t Task) {
-		if _, dup := g.id[t]; dup {
-			panic(fmt.Sprintf("dag: program %s submits %v twice", p.Name, t))
-		}
-		g.id[t] = int32(len(g.tasks))
-		g.tasks = append(g.tasks, t)
-	})
-	n := len(g.tasks)
-	g.predOff = make([]int32, n+1)
-	g.succOff = make([]int32, n+1)
-	lastWriter := map[[2]int]int32{}
-	var start int
-	dependOn := func(i, j int) {
-		w, written := lastWriter[[2]int{i, j}]
-		if !written {
-			return
-		}
-		for _, q := range g.pred[start:] {
-			if q == w {
-				return
-			}
-		}
-		g.pred = append(g.pred, w)
-		g.succOff[w+1]++
-	}
-	for id, t := range g.tasks {
-		start = len(g.pred)
-		p.InputTiles(t, dependOn)
-		oi, oj := p.OutputTile(t)
-		dependOn(oi, oj)
-		lastWriter[[2]int{oi, oj}] = int32(id)
-		g.predOff[id+1] = int32(len(g.pred))
-	}
-	for id := 0; id < n; id++ {
-		g.succOff[id+1] += g.succOff[id]
-	}
-	g.succ = make([]int32, len(g.pred))
-	next := append([]int32(nil), g.succOff[:n]...)
-	for id := range g.tasks {
-		for _, w := range g.pred[g.predOff[id]:g.predOff[id+1]] {
-			g.succ[next[w]] = int32(id)
-			next[w]++
-		}
-	}
-	return g
+// Built is a Program as a Graph. Tasks are numbered in submission order, so
+// increasing ids are a topological order and ForEachTask replays the program.
+// Nothing is inferred until a query by Task value needs it; that first query
+// infers the whole graph and keeps it.
+type Built struct {
+	p     Program
+	count sync.Once // NumTasks
+	n     int
+	full  sync.Once // inferred
+	w     *Inference
+	id    map[Task]int32
 }
+
+// Build returns p as a Graph.
+func Build(p Program) *Built { return &Built{p: p} }
+
+// inferred returns the inference of every iteration, running it on first
+// use. Submitting a task twice panics — ID could not tell the two apart — and
+// so does a program that breaks its own statement.
+func (g *Built) inferred() *Inference {
+	g.full.Do(func() {
+		w := Infer(g.p, nil)
+		for w.Next() {
+		}
+		if err := w.Err(); err != nil {
+			panic(err)
+		}
+		g.id = make(map[Task]int32, w.End())
+		for pos := int32(0); pos < w.End(); pos++ {
+			t := w.Task(pos)
+			if _, dup := g.id[t]; dup {
+				panic(fmt.Sprintf("dag: program %s submits %v twice", g.p.Name, t))
+			}
+			g.id[t] = pos
+		}
+		g.w = w
+	})
+	return g.w
+}
+
+// Program implements Graph.
+func (g *Built) Program() Program { return g.p }
 
 // Name implements Graph.
 func (g *Built) Name() string { return g.p.Name }
@@ -112,12 +96,16 @@ func (g *Built) Name() string { return g.p.Name }
 // Tiles implements Graph.
 func (g *Built) Tiles() int { return g.p.Tiles }
 
-// NumTasks implements Graph.
-func (g *Built) NumTasks() int { return len(g.tasks) }
+// NumTasks implements Graph. It counts the submissions, inferring nothing.
+func (g *Built) NumTasks() int {
+	g.count.Do(func() { g.p.forEach(func(Task) { g.n++ }) })
+	return g.n
+}
 
-// ID implements Graph: the task's position in the program. All four fields
-// identify a task, so t must be spelled as the program submitted it.
+// ID implements Graph. All four fields identify a task, so t must be spelled
+// as the program submitted it.
 func (g *Built) ID(t Task) int {
+	g.inferred()
 	id, ok := g.id[t]
 	if !ok {
 		panic(fmt.Sprintf("dag: task %v is not a task of %s", t, g.p.Name))
@@ -126,29 +114,22 @@ func (g *Built) ID(t Task) int {
 }
 
 // TaskOf implements Graph.
-func (g *Built) TaskOf(id int) Task { return g.tasks[id] }
+func (g *Built) TaskOf(id int) Task { return g.inferred().Task(int32(id)) }
 
 // Dependencies implements Graph: the last writers of t's input tiles in
 // InputTiles order, then the previous writer of its output tile.
 func (g *Built) Dependencies(t Task, visit func(Task)) {
-	id := g.ID(t)
-	for _, q := range g.pred[g.predOff[id]:g.predOff[id+1]] {
-		visit(g.tasks[q])
-	}
+	w := g.inferred()
+	w.Preds(int32(g.ID(t)), func(q int32) { visit(w.Task(q)) })
 }
 
 // NumDependencies implements Graph.
-func (g *Built) NumDependencies(t Task) int {
-	id := g.ID(t)
-	return int(g.predOff[id+1] - g.predOff[id])
-}
+func (g *Built) NumDependencies(t Task) int { return g.inferred().NumPreds(int32(g.ID(t))) }
 
 // Successors implements Graph: t's consumers in submission order.
 func (g *Built) Successors(t Task, visit func(Task)) {
-	id := g.ID(t)
-	for _, q := range g.succ[g.succOff[id]:g.succOff[id+1]] {
-		visit(g.tasks[q])
-	}
+	w := g.inferred()
+	w.Succs(int32(g.ID(t)), func(q int32, _ int) { visit(w.Task(q)) })
 }
 
 // OutputTile implements Graph.
@@ -160,24 +141,9 @@ func (g *Built) InputTiles(t Task, visit func(i, j int)) { g.p.InputTiles(t, vis
 // Flops implements Graph.
 func (g *Built) Flops(t Task, b int) float64 { return g.p.Flops(t, b) }
 
-// TotalFlops implements Graph.
+// TotalFlops implements Graph: the per-task sum, in submission order.
 func (g *Built) TotalFlops(b int) float64 {
 	total := 0.0
-	for _, t := range g.tasks {
-		total += g.p.Flops(t, b)
-	}
+	g.p.forEach(func(t Task) { total += g.p.Flops(t, b) })
 	return total
-}
-
-// OutputBytes implements SizedGraph.
-func (g *Built) OutputBytes(t Task, b int) int {
-	if g.p.OutputBytes == nil {
-		return 8 * b * b
-	}
-	return g.p.OutputBytes(t, b)
-}
-
-// ReducePartial implements ReduceGraph.
-func (g *Built) ReducePartial(t Task) bool {
-	return g.p.ReducePartial != nil && g.p.ReducePartial(t)
 }

@@ -3,15 +3,16 @@ package dag
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// builtGraphs returns the three graphs Build derives from a Program, at sizes
-// covering every degenerate corner (one tile, fewer iterations than layers).
+// builtGraphs returns the five graphs of this package, at sizes covering
+// every degenerate corner (one tile, fewer iterations than layers).
 func builtGraphs() []Graph {
 	var gs []Graph
 	for mt := 1; mt <= 6; mt++ {
-		gs = append(gs, NewLUSolve(mt, 2), NewCholeskySolve(mt, 1))
+		gs = append(gs, NewLU(mt), NewCholesky(mt), NewLUSolve(mt, 2), NewCholeskySolve(mt, 1))
 		for c := 1; c <= 4; c++ {
 			gs = append(gs, NewReplicatedLU(mt, c))
 		}
@@ -29,36 +30,6 @@ func edgeLists(g Graph) (deps, succs map[Task][]Task) {
 		g.Successors(t, func(s Task) { succs[t] = append(succs[t], s) })
 	})
 	return deps, succs
-}
-
-// TestClosedFormsMatchInference checks the two hand-derived dependency
-// algebras that remain against the inference: Build of LU's and Cholesky's
-// own programs has the same tasks, the same Dependencies and the same
-// Successors in the same visit order — the order fixes plan.Dsts, hence the
-// tree shape of every broadcast.
-func TestClosedFormsMatchInference(t *testing.T) {
-	for _, mt := range []int{1, 2, 3, 7, 12} {
-		for _, closed := range []interface {
-			Graph
-			Program() Program
-		}{NewLU(mt), NewCholesky(mt)} {
-			name := fmt.Sprintf("%s mt=%d", closed.Name(), mt)
-			built := Build(closed.Program())
-			if built.NumTasks() != closed.NumTasks() {
-				t.Fatalf("%s: inferred %d tasks, closed form %d", name, built.NumTasks(), closed.NumTasks())
-			}
-			wantDeps, wantSuccs := edgeLists(closed)
-			gotDeps, gotSuccs := edgeLists(built)
-			for task, want := range wantDeps {
-				if got := gotDeps[task]; !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: Dependencies(%v) closed form %v, inferred %v", name, task, want, got)
-				}
-				if got, want := gotSuccs[task], wantSuccs[task]; !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: Successors(%v) closed form %v, inferred %v", name, task, want, got)
-				}
-			}
-		}
-	}
 }
 
 // TestBuiltGraphProperties runs the generic graph properties of dag_test.go
@@ -113,13 +84,13 @@ func TestBuiltGraphProperties(t *testing.T) {
 	}
 }
 
-// TestFlopsDependOnKindAlone holds all eight graphs to what runtime.RunPlan
+// TestFlopsDependOnKindAlone holds all five graphs to what runtime.RunPlan
 // relies on when it prices a node's work as (kernels dispatched per kind) ×
 // (flops of that kind): a task's flop count is a function of its kind and the
 // tile size, never of its indices.
 func TestFlopsDependOnKindAlone(t *testing.T) {
 	const b = 8
-	for _, g := range append(builtGraphs(), graphs(5)...) {
+	for _, g := range builtGraphs() {
 		ForEachTask(g, func(task Task) {
 			if got, want := g.Flops(Task{Kind: task.Kind}, b), g.Flops(task, b); got != want {
 				t.Fatalf("%s mt=%d: Flops(%v) = %g, but %g for its kind alone",
@@ -133,13 +104,14 @@ func TestFlopsDependOnKindAlone(t *testing.T) {
 // itself. A task reading the tile it also writes, or the same tile twice,
 // gets one edge per producer — every consumer of Dependencies counts one
 // release per visit, so a doubled edge would deadlock or double-release. A
-// task submitted twice is rejected: ID could not tell the two apart.
+// task submitted twice is rejected at the first query by Task value: ID could
+// not tell the two apart.
 func TestBuildDuplicates(t *testing.T) {
 	a, b, c := Task{Kind: GETRF}, Task{Kind: TRSMCol}, Task{Kind: GEMMLU}
 	p := Program{
 		Name:  "dup",
 		Tiles: 1,
-		Tasks: func(submit func(Task)) { submit(a); submit(b); submit(c) },
+		Tasks: func(_ int, submit func(Task)) { submit(a); submit(b); submit(c) },
 		// a and c write tile (0,0), b writes (1,0); c reads (1,0) twice and
 		// also lists its own output tile.
 		OutputTile: func(t Task) (int, int) {
@@ -166,11 +138,94 @@ func TestBuildDuplicates(t *testing.T) {
 		t.Errorf("Successors(a) = %v, Successors(b) = %v, want %v for both", succs[a], succs[b], want)
 	}
 
-	p.Tasks = func(submit func(Task)) { submit(a); submit(b); submit(a) }
+	p.Tasks = func(_ int, submit func(Task)) { submit(a); submit(b); submit(a) }
 	defer func() {
 		if recover() == nil {
 			t.Error("Build accepted a program that submits a task twice")
 		}
 	}()
-	Build(p)
+	Build(p).ID(a)
+}
+
+// chain is a program of n iterations, one task each: iteration l writes tile
+// (l, 0) and reads what reads(l) visits.
+func chain(n int, reads func(l int, visit func(i, j int))) Program {
+	return Program{
+		Name:       "chain",
+		Tiles:      n,
+		Iterations: n,
+		Tasks:      func(l int, submit func(Task)) { submit(Task{Kind: GETRF, L: int32(l)}) },
+		OutputTile: func(t Task) (int, int) { return int(t.L), 0 },
+		InputTiles: func(t Task, visit func(i, j int)) { reads(int(t.L), visit) },
+		Flops:      func(Task, int) float64 { return 1 },
+	}
+}
+
+// TestInferenceHoldsTheStatement: a program that states iterations is held
+// to the statement. A read of an output two iterations old, or a later
+// iteration's task that depends on nothing, stops the inference with an error
+// naming the task, and Build's queries panic with it.
+func TestInferenceHoldsTheStatement(t *testing.T) {
+	previous := func(l int, visit func(i, j int)) {
+		if l > 0 {
+			visit(l-1, 0)
+		}
+	}
+	if w := Infer(chain(4, previous), nil); !func() bool {
+		for w.Next() {
+		}
+		return w.Err() == nil && w.End() == 4
+	}() {
+		t.Fatalf("a chain that keeps the statement: %d tasks, error %v", w.End(), w.Err())
+	}
+	for _, c := range []struct {
+		reads func(l int, visit func(i, j int))
+		want  string
+	}{
+		{func(l int, visit func(i, j int)) {
+			previous(l, visit)
+			if l == 2 {
+				visit(0, 0)
+			}
+		}, "GETRF(2) of iteration 2 uses tile (0, 0), last written before iteration 1"},
+		{func(l int, visit func(i, j int)) {
+			if l != 2 {
+				previous(l, visit)
+			}
+		}, "GETRF(2) of iteration 2 depends on no earlier task"},
+	} {
+		w := Infer(chain(4, c.reads), nil)
+		for w.Next() {
+		}
+		if err := w.Err(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("inference error %v, want one containing %q", err, c.want)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Errorf("Build's query panicked with %v, want %q", r, c.want)
+				}
+			}()
+			Build(chain(4, c.reads)).NumDependencies(Task{Kind: GETRF})
+		}()
+	}
+}
+
+// TestInferenceForgetsDoneIterations: a consumer that marks each task done
+// once its successors are known holds two iterations of LU at most — the one
+// whose successors are being inferred and that next one — and nothing at the
+// end. Iteration l of LU(mt) has (mt−l)² tasks.
+func TestInferenceForgetsDoneIterations(t *testing.T) {
+	const mt = 30
+	w := Infer(NewLU(mt).Program(), nil)
+	peak := 0
+	for pos := int32(0); w.Next(); {
+		peak = max(peak, w.Live())
+		for ; pos < w.Settled(); pos++ {
+			w.Done(pos)
+		}
+	}
+	if want := mt*mt + (mt-1)*(mt-1); peak != want || w.Live() != 0 || w.Err() != nil {
+		t.Fatalf("held %d tasks at most and %d at the end (error %v), want %d and 0", peak, w.Live(), w.Err(), want)
+	}
 }

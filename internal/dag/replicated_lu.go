@@ -19,22 +19,10 @@ const (
 	// ReduceAdd combines two members of a tile's reduction group: it adds the
 	// child layer's accumulator into its binomial parent's buffer (the
 	// canonical tile itself when the parent is the group root). The combine
-	// schedule is forEachTask's; the runtime and the simulator only follow
-	// the edges it produces.
+	// schedule is program's; the runtime and the simulator only follow the
+	// edges it produces.
 	ReduceAdd
 )
-
-// ReduceGraph is implemented by graphs whose schedule includes reductions of
-// replicated partial results. The runtime and the simulator use it to route
-// (and count) accumulator shipments as reduction traffic rather than
-// ordinary owner→consumer broadcasts.
-type ReduceGraph interface {
-	Graph
-	// ReducePartial reports whether t's output tile is a reduction partial —
-	// a layer accumulator whose only possible remote consumer is the combine
-	// task folding it toward the canonical tile.
-	ReducePartial(t Task) bool
-}
 
 // ReplicatedLU is the task graph of the replicated (2.5D-style) right-looking
 // tiled LU factorization: the summation dimension (the update iterations ℓ)
@@ -78,7 +66,7 @@ func NewReplicatedLU(mt, c int) *ReplicatedLU {
 	g.Built = Build(Program{
 		Name:       fmt.Sprintf("LU/c=%d", c),
 		Tiles:      mt, // the canonical tile-matrix side
-		Tasks:      g.forEachTask,
+		Tasks:      g.program,
 		OutputTile: g.outputTile,
 		InputTiles: g.inputTiles,
 		Flops:      replicatedFlops,
@@ -123,15 +111,16 @@ func (g *ReplicatedLU) member(k, s int) int {
 	return q
 }
 
-// forEachTask is the sequential program. Per iteration: first the reductions
-// finalizing the panel's tiles (they consume earlier iterations' partial
-// updates), then the panel kernels, then the trailing updates — a canonical
-// GEMMLU when the iteration's layer is the tile's canonical layer, a partial
-// GEMMPart into the layer's accumulator otherwise. Within one tile's
-// reduction group, member s folds into its binomial parent s − lowbit(s),
-// deeper members before their parents
+// program is the sequential program, which states no iterations: a combine
+// reads accumulators written many iterations before. Per iteration ℓ: first
+// the reductions finalizing the panel's tiles (they consume earlier
+// iterations' partial updates), then the panel kernels, then the trailing
+// updates — a canonical GEMMLU when the iteration's layer is the tile's
+// canonical layer, a partial GEMMPart into the layer's accumulator
+// otherwise. Within one tile's reduction group, member s folds into its
+// binomial parent s − lowbit(s), deeper members before their parents
 // (depth = popcount of the member index) and siblings ascending.
-func (g *ReplicatedLU) forEachTask(submit func(Task)) {
+func (g *ReplicatedLU) program(_ int, submit func(Task)) {
 	mt := g.mt
 	for l := 0; l < mt; l++ {
 		l32 := int32(l)

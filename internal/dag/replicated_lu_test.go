@@ -138,28 +138,25 @@ func TestReplicatedC1MatchesLU(t *testing.T) {
 }
 
 // TestReplicatedVersionsLinear checks that every tile's writers form a single
-// serialized chain: versions of one tile are exactly 0..n-1 and appear in
-// topological visit order. This is what the runtime's versioned-tile protocol
-// (prevalidate) requires of any graph it executes.
+// serialized chain: each writer after a tile's first depends on the one
+// before it in topological visit order. This is what the runtime's
+// versioned-tile protocol requires of any graph it executes.
 func TestReplicatedVersionsLinear(t *testing.T) {
 	for _, tc := range replicatedCases() {
 		g := NewReplicatedLU(tc.mt, tc.c)
-		ver := OutputVersions(g)
-		last := map[[2]int]int32{}
+		last := map[[2]int]Task{}
 		ForEachTask(g, func(task Task) {
 			i, j := g.OutputTile(task)
 			key := [2]int{i, j}
-			want, ok := last[key]
-			if !ok {
-				want = 0
-			} else {
-				want++
+			if prev, ok := last[key]; ok {
+				ordered := false
+				g.Dependencies(task, func(d Task) { ordered = ordered || d == prev })
+				if !ordered {
+					t.Fatalf("%s mt=%d: %v writes (%d,%d) unordered after its previous writer %v",
+						g.Name(), tc.mt, task, i, j, prev)
+				}
 			}
-			if got := ver[g.ID(task)]; got != want {
-				t.Fatalf("%s mt=%d: %v writes (%d,%d) version %d, want %d",
-					g.Name(), tc.mt, task, i, j, got, want)
-			}
-			last[key] = want
+			last[key] = task
 		})
 	}
 }

@@ -40,10 +40,11 @@ func solveKindString(k Kind) (string, bool) {
 }
 
 // withSolve appends the forward and backward substitutions for nrhs
-// right-hand-side columns to the factorization program fact. Forward, row i
-// gathers its updates and is solved, by increasing i; backward, X is seeded
-// from Y, then each solved X[j], by decreasing j, is eliminated from the
-// rows above it — so row i absorbs columns mt-1 down to i+1, in that order.
+// right-hand-side columns to the factorization program fact, as one program
+// that states no iterations. Forward, row i gathers its updates and is
+// solved, by increasing i; backward, X is seeded from Y, then each solved
+// X[j], by decreasing j, is eliminated from the rows above it — so row i
+// absorbs columns mt-1 down to i+1, in that order.
 // panel maps the (row, column) of a backward update to the factor tile it
 // reads: (i, j) for LU's U, the transposed (j, i) for Cholesky's Lᵀ.
 func withSolve(fact Program, nrhs int, panel func(i, j int) (int, int)) Program {
@@ -55,8 +56,8 @@ func withSolve(fact Program, nrhs int, panel func(i, j int) (int, int)) Program 
 	return Program{
 		Name:  fact.Name + "+solve",
 		Tiles: mt,
-		Tasks: func(submit func(Task)) {
-			fact.Tasks(submit)
+		Tasks: func(_ int, submit func(Task)) {
+			fact.forEach(submit)
 			for i := 0; i < mt; i++ {
 				for j := 0; j < i; j++ {
 					submit(Task{Kind: FGEMM, L: int32(j), I: int32(i), J: int32(j)})
@@ -123,30 +124,20 @@ func withSolve(fact Program, nrhs int, panel func(i, j int) (int, int)) Program 
 	}
 }
 
-// LUSolve is the combined graph of an LU factorization followed by the
-// forward and backward substitutions for nrhs right-hand-side columns: the
-// full distributed solution of A·X = B under one owner-computes schedule.
-// RHS tile i is owned by the owner of diagonal tile (i, i); wrap the matrix
-// distribution accordingly (see runtime.SolveLU).
-type LUSolve struct{ *Built }
-
-// NewLUSolve builds the factor-and-solve graph for an mt×mt tile matrix and
-// nrhs right-hand-side columns.
-func NewLUSolve(mt, nrhs int) *LUSolve {
-	p := withSolve(NewLU(mt).Program(), nrhs, func(i, j int) (int, int) { return i, j })
-	return &LUSolve{Build(p)}
+// NewLUSolve builds the combined graph of the LU factorization of an mt×mt
+// tile matrix followed by the forward and backward substitutions for nrhs
+// right-hand-side columns: the full distributed solution of A·X = B under one
+// owner-computes schedule. RHS tile i is owned by the owner of diagonal tile
+// (i, i); wrap the matrix distribution accordingly (see runtime.SolveLU).
+func NewLUSolve(mt, nrhs int) *Built {
+	return Build(withSolve(NewLU(mt).Program(), nrhs, func(i, j int) (int, int) { return i, j }))
 }
 
-// CholeskySolve is the combined graph of a Cholesky factorization followed
-// by the two triangular substitutions (L·Y = B, then Lᵀ·X = Y) for nrhs
-// right-hand-side columns. The backward phase reads the transposed panel
-// tiles (j, i), so only the lower triangle is ever touched, as in the
-// factorization itself.
-type CholeskySolve struct{ *Built }
-
-// NewCholeskySolve builds the factor-and-solve graph for the lower triangle
-// of an mt×mt tile matrix and nrhs right-hand-side columns.
-func NewCholeskySolve(mt, nrhs int) *CholeskySolve {
-	p := withSolve(NewCholesky(mt).Program(), nrhs, func(i, j int) (int, int) { return j, i })
-	return &CholeskySolve{Build(p)}
+// NewCholeskySolve builds the combined graph of the Cholesky factorization of
+// the lower triangle of an mt×mt tile matrix followed by the two triangular
+// substitutions (L·Y = B, then Lᵀ·X = Y) for nrhs right-hand-side columns.
+// The backward phase reads the transposed panel tiles (j, i), so only the
+// lower triangle is ever touched, as in the factorization itself.
+func NewCholeskySolve(mt, nrhs int) *Built {
+	return Build(withSolve(NewCholesky(mt).Program(), nrhs, func(i, j int) (int, int) { return j, i }))
 }

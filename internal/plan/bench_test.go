@@ -1,0 +1,24 @@
+package plan
+
+import (
+	"testing"
+
+	"anybc/internal/dag"
+	"anybc/internal/dist"
+)
+
+// BenchmarkCompileLU24 times the compile every runtime.FactorLU call makes on
+// the benchmark's lu-overhead graph, LU(24) under G-2DBC(44): ns/task is the
+// compile's per-task cost, allocs/op what one compile allocates.
+func BenchmarkCompileLU24(b *testing.B) {
+	g, d := dag.NewLU(24), dist.NewG2DBC(44)
+	tasks := g.NumTasks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(g, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tasks), "ns/task")
+}

@@ -8,40 +8,31 @@ import (
 	"anybc/internal/sched"
 )
 
-// visit is one task as the enumeration pass met it.
-type visit struct {
-	t      dag.Task
-	id     int32 // Graph.ID
-	own    int32 // owner rank
-	oi, oj int32 // output tile coordinates
-	pos    int32 // index in the plan
-}
-
 // compiler is the state of one Compile call. Its three visitor methods are
-// handed to the graph once, as method values, and read the task the main pass
-// is at from the cur* fields — a closure per task would cost three heap
-// allocations per task, which is what compiling once is meant to end.
+// handed to the inference and the program once, as method values, and read
+// the task the main pass is at from the cur* fields — a closure per task would
+// cost three heap allocations per task, which is what compiling once is meant
+// to end.
 type compiler struct {
 	*Plan
 	err error
 
-	seq    []visit
-	posOf  []int32 // plan index by Graph.ID
+	posOf  []int32 // plan index by program position
 	nodeOf []int32 // owner rank by plan index
-	redg   dag.ReduceGraph
+	next   []int32 // per tile, where its next writer goes in writer
 
-	// The four per-task tables are appended in visit order, their per-task
+	// The four per-task tables are appended in program order, their per-task
 	// entry counts stored at cnt[task+1]; finish sums the counts into offsets
 	// and regroups the entries in plan order.
 	depCnt, inCnt, succCnt, dstCnt []int32
 	deps, ins, succs, dstSlots     []int32
 	dstRanks                       []int
 	dstAt                          []int32 // where a task's destinations start in dstRanks
-	stamp                          []int32 // visit+1 of the task that last listed the rank
+	stamp                          []int32 // position+1 of the task that last listed the rank
 
 	// Slots in creation order: consumer rank and index among that rank's
 	// slots (finish blocks them by rank), producer, reader count, and the
-	// (slot, waiting task) pairs in visit order.
+	// (slot, waiting task) pairs in program order.
 	slotNode, slotIdx, prods, readers []int32
 	slotCnt                           []int32
 	waitSlot, waitTask                []int32
@@ -51,40 +42,35 @@ type compiler struct {
 	reads []localRead
 
 	// The task the main pass is at.
-	curVisit, cur, curTile, lo, hi int32
-	curRank                        int
-	curVer                         int32
-	depStart                       int
-	depSlot                        []int32 // slot of each dependency of cur, -1 for local ones
+	curPos, cur, curTile int32
+	curRank, depStart    int
+	depSlot              []int32 // slot of each dependency of cur, -1 for local ones
 }
 
 type localRead struct{ reader, tile, ver int32 }
 
-// Compile builds the plan of graph g under distribution d in one topological
-// walk: Dependencies, Successors and InputTiles are each visited once per
-// task. It fails with a descriptive error — instead of letting a node panic
-// or hang deep inside its event loop — when:
+// Compile builds the plan of graph g under distribution d. One run of the
+// graph's program lays the tasks out; then each task is compiled from the
+// program's inference (dag.Infer) once it is settled — its predecessors and
+// successors read once, its InputTiles called once more — and the inference
+// forgets it, holding a few iterations. It fails with a descriptive error —
+// instead of letting a node panic or hang deep inside its event loop — when:
 //
+//   - the program breaks the iteration statement it makes (dag.Infer);
 //   - a tile used by the graph is mapped outside [0, P);
-//   - two tasks produce the same version of the same tile, i.e. the graph
-//     does not serialize the writers of a tile (the runs would race);
 //   - a task reads the initial contents of a tile owned by another node: the
 //     protocol only moves tiles on task completion, so initial contents never
 //     cross the network;
 //   - a task reads a local tile at an intermediate version without ordering
 //     itself before the tile's next writer, so the in-place update could
 //     overwrite the tile while it is being read;
-//   - a task reads a tile no task writes (no node materializes it), or
-//     depends on a remote task that does not list it as a successor (the
-//     output would never be sent): malformed graphs.
+//   - a task reads a tile no task writes: no node materializes it.
 func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 	c := &compiler{Plan: &Plan{g: g, d: d}}
-	c.redg, _ = g.(dag.ReduceGraph)
-	if err := c.enumerate(); err != nil {
+	if err := c.layout(); err != nil {
 		return nil, err
 	}
-	c.layout()
-	n := len(c.seq)
+	n := int32(len(c.posOf))
 	c.key, c.ver, c.reduce = make([]int64, n), make([]int32, n), make([]bool, n)
 	c.depCnt, c.inCnt = make([]int32, n+1), make([]int32, n+1)
 	c.succCnt, c.dstCnt = make([]int32, n+1), make([]int32, n+1)
@@ -92,44 +78,46 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 	c.dstAt = make([]int32, n)
 	c.stamp = make([]int32, c.Nodes())
 	c.slotCnt = make([]int32, c.Nodes()+1)
+	prog := g.Program()
+	w := dag.Infer(prog, nil) // the owners are the layout's
 	onDep, onInput, onSucc := c.onDep, c.onInput, c.onSucc
-	for v := range c.seq {
-		s := &c.seq[v]
-		c.curVisit, c.cur, c.curRank, c.curTile = int32(v), s.pos, int(s.own), c.out[s.pos]
-		c.lo, c.hi = c.Tasks(c.curRank)
+	for v := int32(0); w.Next(); {
+		for ; v < w.Settled(); v++ {
+			t := w.Task(v)
+			c.curPos, c.cur = v, c.posOf[v]
+			c.task[c.cur] = t
+			c.curRank, c.curTile = int(c.nodeOf[c.cur]), c.out[c.cur]
 
-		c.curVer, c.depStart, c.depSlot = 0, len(c.deps), c.depSlot[:0]
-		g.Dependencies(s.t, onDep)
-		c.ver[c.cur] = c.curVer
-		c.depCnt[c.cur+1] = int32(len(c.deps) - c.depStart)
-		// A writer of version v > 0 follows one of version v-1, so the
-		// versions met so far are dense and v indexes inside the tile's
-		// writer list until the first collision.
-		if w := &c.writer[c.wrOff[c.curTile]+c.curVer]; *w >= 0 && c.err == nil {
-			c.err = fmt.Errorf("plan: %v and %v both produce version %d of tile (%d, %d): "+
-				"the graph does not serialize the tile's writers", c.task[*w], s.t, c.curVer, s.oi, s.oj)
-		} else {
-			*w = c.cur
+			// The inference orders every writer of a tile after the one
+			// before it, so the writers come here in version order.
+			c.ver[c.cur] = c.next[c.curTile] - c.wrOff[c.curTile]
+			c.writer[c.next[c.curTile]] = c.cur
+			c.next[c.curTile]++
+
+			c.depStart, c.depSlot = len(c.deps), c.depSlot[:0]
+			w.Preds(v, onDep)
+			c.depCnt[c.cur+1] = int32(len(c.deps) - c.depStart)
+
+			inStart := len(c.ins)
+			prog.InputTiles(t, onInput)
+			c.inCnt[c.cur+1] = int32(len(c.ins) - inStart)
+			if c.err != nil {
+				return nil, c.err
+			}
+
+			succStart := len(c.succs)
+			c.dstAt[c.cur] = int32(len(c.dstRanks))
+			w.Succs(v, onSucc)
+			c.succCnt[c.cur+1] = int32(len(c.succs) - succStart)
+			c.dstCnt[c.cur+1] = int32(len(c.dstRanks)) - c.dstAt[c.cur]
+
+			c.key[c.cur] = sched.Key(t)
+			c.reduce[c.cur] = prog.ReducePartial != nil && prog.ReducePartial(t)
+			w.Done(v)
 		}
-		if c.err != nil {
-			return nil, c.err
-		}
-
-		inStart := len(c.ins)
-		g.InputTiles(s.t, onInput)
-		c.inCnt[c.cur+1] = int32(len(c.ins) - inStart)
-
-		succStart := len(c.succs)
-		c.dstAt[c.cur] = int32(len(c.dstRanks))
-		g.Successors(s.t, onSucc)
-		c.succCnt[c.cur+1] = int32(len(c.succs) - succStart)
-		c.dstCnt[c.cur+1] = int32(len(c.dstRanks)) - c.dstAt[c.cur]
-		if c.err != nil {
-			return nil, c.err
-		}
-
-		c.key[c.cur] = sched.Key(s.t)
-		c.reduce[c.cur] = c.redg != nil && c.redg.ReducePartial(s.t)
+	}
+	if err := w.Err(); err != nil {
+		return nil, err
 	}
 	if err := c.finish(); err != nil {
 		return nil, err
@@ -137,50 +125,49 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 	return c.Plan, nil
 }
 
-// enumerate lists every task with its owner and output tile, in the
-// topological order the main pass replays, and counts each node's tasks.
-func (c *compiler) enumerate() error {
-	g, d, P := c.g, c.d, c.d.Nodes()
-	c.seq = make([]visit, 0, g.NumTasks())
+// layout runs the program once to check every task's owner, assigns plan
+// positions (tasks blocked by owner) and tiles (blocked by owner in
+// first-write order), and sizes each tile's writer list.
+func (c *compiler) layout() error {
+	type placed struct{ owner, i, j int32 }
+	var tasks []placed // by program position
+	var err error
+	P := c.d.Nodes()
 	c.nodeOff = make([]int32, P+1)
-	dag.ForEachTask(g, func(t dag.Task) {
-		if c.err != nil {
-			return
-		}
-		oi, oj := g.OutputTile(t)
-		o := d.Owner(oi, oj)
+	dag.ForEachTask(c.g, func(t dag.Task) {
+		oi, oj := c.g.OutputTile(t)
+		o := c.d.Owner(oi, oj)
 		if o < 0 || o >= P {
-			c.err = fmt.Errorf("plan: %s maps tile (%d, %d) to node %d, outside 0..%d",
-				d.Name(), oi, oj, o, P-1)
+			if err == nil {
+				err = fmt.Errorf("plan: %s maps tile (%d, %d) to node %d, outside 0..%d",
+					c.d.Name(), oi, oj, o, P-1)
+			}
 			return
 		}
-		c.seq = append(c.seq, visit{t: t, id: int32(g.ID(t)), own: int32(o), oi: int32(oi), oj: int32(oj)})
 		c.nodeOff[o+1]++
 		c.rows, c.cols = max(c.rows, oi+1), max(c.cols, oj+1)
+		tasks = append(tasks, placed{int32(o), int32(oi), int32(oj)})
 	})
+	if err != nil {
+		return err
+	}
 	prefixSum(c.nodeOff)
-	return c.err
-}
-
-// layout assigns plan positions (tasks blocked by owner) and tiles (blocked
-// by owner in first-write order), and sizes each tile's writer list.
-func (c *compiler) layout() {
-	n, P := len(c.seq), c.Nodes()
+	n := len(tasks)
 	c.task = make([]dag.Task, n)
 	c.out = make([]int32, n)
-	c.posOf = make([]int32, c.g.NumTasks())
+	c.posOf = make([]int32, n)
 	c.nodeOf = make([]int32, n)
 	c.grid = make([]int32, c.rows*c.cols)
 	c.tileOff = make([]int32, P+1)
 	next := append([]int32(nil), c.nodeOff[:P]...)
-	for v := range c.seq {
-		s := &c.seq[v]
-		s.pos = next[s.own]
-		next[s.own]++
-		c.posOf[s.id], c.nodeOf[s.pos], c.task[s.pos] = s.pos, s.own, s.t
-		if cell := &c.grid[int(s.oi)*c.cols+int(s.oj)]; *cell == 0 {
-			*cell = -1 // first write seen; numbered below
-			c.tileOff[s.own+1]++
+	for v, tk := range tasks {
+		pos := next[tk.owner]
+		next[tk.owner]++
+		c.posOf[v], c.nodeOf[pos] = pos, tk.owner
+		c.out[pos] = tk.i*int32(c.cols) + tk.j // the grid cell, numbered below
+		if cell := &c.grid[c.out[pos]]; *cell == 0 {
+			*cell = -1 // first write seen
+			c.tileOff[tk.owner+1]++
 		}
 	}
 	prefixSum(c.tileOff)
@@ -188,68 +175,56 @@ func (c *compiler) layout() {
 	c.tileI, c.tileJ = make([]int32, tiles), make([]int32, tiles)
 	c.wrOff = make([]int32, tiles+1)
 	copy(next, c.tileOff[:P])
-	for v := range c.seq {
-		s := &c.seq[v]
-		cell := &c.grid[int(s.oi)*c.cols+int(s.oj)]
+	for _, pos := range c.posOf {
+		own, at := c.nodeOf[pos], c.out[pos]
+		cell := &c.grid[at]
 		if *cell < 0 {
-			tile := next[s.own]
-			next[s.own]++
-			c.tileI[tile], c.tileJ[tile] = s.oi, s.oj
+			tile := next[own]
+			next[own]++
+			c.tileI[tile], c.tileJ[tile] = at/int32(c.cols), at%int32(c.cols)
 			*cell = tile + 1
 		}
-		c.out[s.pos] = *cell - 1
+		c.out[pos] = *cell - 1
 		c.wrOff[*cell]++
 	}
 	prefixSum(c.wrOff)
 	c.writer = make([]int32, n)
-	for i := range c.writer {
-		c.writer[i] = -1
-	}
+	c.next = append([]int32(nil), c.wrOff[:tiles]...)
+	return nil
 }
 
-// onDep records one predecessor of the current task: it advances the version
-// the task produces past a predecessor writing the same tile, and gives a
-// remote predecessor's output a slot on the current node — found through the
-// producer's own destination list — with the current task waiting on it.
-func (c *compiler) onDep(dt dag.Task) {
-	q := c.posOf[c.g.ID(dt)]
+// onDep records one predecessor, at program position q, of the current task:
+// a remote predecessor's output gets a slot on the current node — found
+// through the producer's own destination list, which names the current node
+// since the predecessor lists the current task among its successors — with
+// the current task waiting on it.
+func (c *compiler) onDep(q int32) {
+	q = c.posOf[q]
 	c.deps = append(c.deps, q)
-	if c.out[q] == c.curTile && c.ver[q] >= c.curVer {
-		c.curVer = c.ver[q] + 1
-	}
 	slot := int32(-1)
-	if q < c.lo || q >= c.hi {
-		for e, end := c.dstAt[q], c.dstAt[q]+c.dstCnt[q+1]; e < end; e++ {
-			if c.dstRanks[e] != c.curRank {
-				continue
-			}
-			if c.dstSlots[e] < 0 {
-				c.dstSlots[e] = int32(len(c.prods))
-				c.prods = append(c.prods, q)
-				c.readers = append(c.readers, 0)
-				c.slotNode = append(c.slotNode, int32(c.curRank))
-				c.slotIdx = append(c.slotIdx, c.slotCnt[c.curRank+1])
-				c.slotCnt[c.curRank+1]++
-			}
-			slot = c.dstSlots[e]
-			break
+	if int(c.nodeOf[q]) != c.curRank {
+		e := c.dstAt[q]
+		for c.dstRanks[e] != c.curRank {
+			e++
 		}
-		if slot < 0 {
-			if c.err == nil {
-				c.err = fmt.Errorf("plan: %v on node %d depends on %v of node %d, which does not list it as a successor",
-					c.task[c.cur], c.curRank, dt, c.nodeOf[q])
-			}
-			return
+		if c.dstSlots[e] < 0 {
+			c.dstSlots[e] = int32(len(c.prods))
+			c.prods = append(c.prods, q)
+			c.readers = append(c.readers, 0)
+			c.slotNode = append(c.slotNode, int32(c.curRank))
+			c.slotIdx = append(c.slotIdx, c.slotCnt[c.curRank+1])
+			c.slotCnt[c.curRank+1]++
 		}
+		slot = c.dstSlots[e]
 		c.waitSlot, c.waitTask = append(c.waitSlot, slot), append(c.waitTask, c.cur)
 	}
 	c.depSlot = append(c.depSlot, slot)
 }
 
 // onInput resolves one input tile of the current task to a reference: the
-// version read is the latest one a dependency writes (the initial contents
-// when none does), held in the node's own buffer when the tile is local and
-// in the producer's slot otherwise.
+// version read is the one its last writer, a dependency, produced (the initial
+// contents when no task wrote it before), held in the node's own buffer when
+// the tile is local and in the producer's slot otherwise.
 func (c *compiler) onInput(i, j int) {
 	if c.err != nil {
 		return
@@ -260,11 +235,10 @@ func (c *compiler) onInput(i, j int) {
 	}
 	deps := c.deps[c.depStart:]
 	best := -1
-	if tile >= 0 {
-		for k, q := range deps {
-			if c.out[q] == tile && (best < 0 || c.ver[q] > c.ver[deps[best]]) {
-				best = k
-			}
+	for k, q := range deps {
+		if tile >= 0 && c.out[q] == tile {
+			best = k
+			break
 		}
 	}
 	t, rank := c.task[c.cur], c.curRank
@@ -289,17 +263,16 @@ func (c *compiler) onInput(i, j int) {
 	}
 }
 
-// onSucc records one successor of the current task: released directly when
-// it runs on the same node, otherwise its owner joins the task's destination
-// list on first visit (the slot there is filled in when that node's task is
-// compiled).
-func (c *compiler) onSucc(st dag.Task) {
-	q := c.posOf[c.g.ID(st)]
-	if q >= c.lo && q < c.hi {
-		c.succs = append(c.succs, q)
-	} else if o := c.nodeOf[q]; c.stamp[o] != c.curVisit+1 {
-		c.stamp[o] = c.curVisit + 1
-		c.dstRanks, c.dstSlots = append(c.dstRanks, int(o)), append(c.dstSlots, -1)
+// onSucc records one successor, at program position q, of the current task:
+// released directly when it runs on the same node, otherwise its owner joins
+// the task's destination list on first visit (the slot there is filled in
+// when that node's task is compiled).
+func (c *compiler) onSucc(q int32, _ int) {
+	if owner := int(c.nodeOf[c.posOf[q]]); owner == c.curRank {
+		c.succs = append(c.succs, c.posOf[q])
+	} else if c.stamp[owner] != c.curPos+1 {
+		c.stamp[owner] = c.curPos + 1
+		c.dstRanks, c.dstSlots = append(c.dstRanks, owner), append(c.dstSlots, -1)
 	}
 }
 
@@ -340,11 +313,11 @@ func (c *compiler) finish() error {
 	for _, cnt := range [][]int32{c.depCnt, c.inCnt, c.succCnt, c.dstCnt} {
 		prefixSum(cnt)
 	}
-	c.depOff, c.dep = c.depCnt, regroup(c.depCnt, c.deps, c.seq)
-	c.inOff, c.in = c.inCnt, regroup(c.inCnt, c.ins, c.seq)
-	c.succOff, c.succ = c.succCnt, regroup(c.succCnt, c.succs, c.seq)
+	c.depOff, c.dep = c.depCnt, regroup(c.depCnt, c.deps, c.posOf)
+	c.inOff, c.in = c.inCnt, regroup(c.inCnt, c.ins, c.posOf)
+	c.succOff, c.succ = c.succCnt, regroup(c.succCnt, c.succs, c.posOf)
 	c.dstOff = c.dstCnt
-	c.dstRank, c.dstSlot = regroup(c.dstCnt, c.dstRanks, c.seq), regroup(c.dstCnt, c.dstSlots, c.seq)
+	c.dstRank, c.dstSlot = regroup(c.dstCnt, c.dstRanks, c.posOf), regroup(c.dstCnt, c.dstSlots, c.posOf)
 
 	// A local read of an intermediate version: the next writer must be
 	// ordered after the reader or the in-place update races the read.
@@ -370,13 +343,13 @@ func prefixSum(off []int32) {
 	}
 }
 
-// regroup returns the entries of one per-task table, appended in visit
-// order, in plan order: off are the table's CSR offsets by plan task.
-func regroup[T any](off []int32, data []T, seq []visit) []T {
+// regroup returns the entries of one per-task table, appended in program
+// order, in plan order: off are the table's CSR offsets by plan task, posOf
+// the plan task at each program position.
+func regroup[T any](off []int32, data []T, posOf []int32) []T {
 	out := make([]T, len(data))
 	rd := int32(0)
-	for v := range seq {
-		t := seq[v].pos
+	for _, t := range posOf {
 		n := off[t+1] - off[t]
 		copy(out[off[t]:], data[rd:rd+n])
 		rd += n

@@ -6,9 +6,10 @@
 // are fixed ahead of time; only what a run decides (dispatch order, which
 // worker runs a task, fault recovery) stays dynamic.
 //
-// Compile walks the graph once. Everything it learns lands in a handful of
-// backing slices — no per-task slice, no map — so a plan can be shared,
-// read-only, by every engine of a run and by any number of concurrent runs.
+// Compile infers the graph's program once (dag.Infer) and copies every task
+// into the plan. Everything it learns lands in a handful of backing slices —
+// no per-task slice, no map — so a plan can be shared, read-only, by every
+// engine of a run and by any number of concurrent runs.
 //
 // # Index spaces
 //
@@ -54,7 +55,7 @@ type Plan struct {
 	key     []int64 // sched.Key
 	ver     []int32 // version of the output tile the task produces
 	out     []int32 // output tile
-	reduce  []bool  // dag.ReduceGraph.ReducePartial
+	reduce  []bool  // dag.Program.ReducePartial
 
 	depOff, dep   []int32 // predecessors, in Dependencies visit order
 	inOff, in     []int32 // input references, in InputTiles visit order
@@ -116,7 +117,8 @@ func (p *Plan) Version(t int32) int32 { return p.ver[t] }
 func (p *Plan) Out(t int32) int32 { return p.out[t] }
 
 // Reduce reports whether task t produces a reduction partial
-// (dag.ReduceGraph): shipped point-to-point when one remote node consumes it.
+// (dag.Program.ReducePartial): shipped point-to-point when one remote node
+// consumes it.
 func (p *Plan) Reduce(t int32) bool { return p.reduce[t] }
 
 // NumDeps returns the number of predecessors of task t.

@@ -92,7 +92,7 @@ func TestAbortReportsAllNodeErrors(t *testing.T) {
 	g := dag.Build(dag.Program{
 		Name:  "roots",
 		Tiles: mt,
-		Tasks: func(submit func(dag.Task)) {
+		Tasks: func(_ int, submit func(dag.Task)) {
 			for i := int32(0); i < mt; i++ {
 				for j := int32(0); j < mt; j++ {
 					submit(dag.Task{Kind: dag.GETRF, I: i, J: j})

@@ -68,7 +68,7 @@ func TestSimAndRealByteAccountingAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := simulate.Run(g, b, d, m, simulate.Options{
-				TileBytes: 8 * b * b, Broadcast: tc.broadcast,
+				Broadcast: tc.broadcast,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -23,7 +23,7 @@ func TestStallAccountingIdleWeighted(t *testing.T) {
 	tasks := make([]testTask, chain)
 	tasks[0] = testTask{out: [2]int{0, 0}}
 	for i := 1; i < chain; i++ {
-		tasks[i] = testTask{out: [2]int{0, 0}, deps: []int{i - 1}}
+		tasks[i] = testTask{out: [2]int{0, 0}}
 	}
 	g := newTestGraph(1, tasks)
 	d := testDist{p: 1, owner: func(i, j int) int { return 0 }}

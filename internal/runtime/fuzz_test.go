@@ -37,16 +37,8 @@ func chainScenario() protoScenario {
 	const chain = 12
 	var tasks []testTask
 	for k := 0; k < chain; k++ {
-		w := testTask{out: [2]int{0, 0}}
-		if k > 0 {
-			w.deps = []int{2 * (k - 1)}
-		}
-		tasks = append(tasks, w)
-		tasks = append(tasks, testTask{
-			out:  [2]int{k + 1, 0},
-			deps: []int{2 * k},
-			ins:  [][2]int{{0, 0}},
-		})
+		tasks = append(tasks, testTask{out: [2]int{0, 0}})
+		tasks = append(tasks, testTask{out: [2]int{k + 1, 0}, ins: [][2]int{{0, 0}}})
 	}
 	return protoScenario{
 		g: newTestGraph(chain+1, tasks),
@@ -104,7 +96,7 @@ func sequentialSnapshots(t testing.TB, sc protoScenario, ver []int32) (map[clust
 			// Readers consume the version their dependency produced, which an
 			// in-place sequential sweep may already have overwritten — resolve
 			// through the snapshots exactly like a remote consumer would.
-			if v, ok := dag.InputVersion(sc.g, ver, tk, i, j); ok {
+			if v := inputVersion(sc.g, ver, tk, i, j); v >= 0 {
 				if s := snaps[cluster.Tag{I: int32(i), J: int32(j), V: v}]; s != nil {
 					ins = append(ins, s)
 					return
@@ -142,7 +134,7 @@ func byteAt(data []byte, k int) byte {
 // payload (the pool's refcounts are live because the messages come from a
 // real Comm).
 func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
-	snaps, finals := sequentialSnapshots(t, sc, dag.OutputVersions(sc.g))
+	snaps, finals := sequentialSnapshots(t, sc, outputVersions(sc.g))
 
 	cl := cluster.New(sc.d.Nodes())
 	defer cl.Close()

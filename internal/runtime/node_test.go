@@ -30,11 +30,11 @@ func TestUrgentTaskOvertakesReadyWork(t *testing.T) {
 		holdB: {out: [2]int{1, 0}},
 		updA:  {out: [2]int{2, 0}, iter: 1},
 		updB:  {out: [2]int{3, 0}, iter: 1},
-		panel: {out: [2]int{4, 0}, deps: []int{holdA}, iter: 1, panel: true},
+		panel: {out: [2]int{4, 0}, ins: [][2]int{{0, 0}}, iter: 1, panel: true}, // reads holdA's tile
 	})
 	d := testDist{p: 1, owner: func(i, j int) int { return 0 }}
 
-	started := make(chan int, len(g.tasks)) // every kernel start, in order
+	started := make(chan int, g.NumTasks()) // every kernel start, in order
 	gates := map[int]chan struct{}{holdA: make(chan struct{}), holdB: make(chan struct{})}
 	kern := func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 		id := int(task.I)

@@ -14,65 +14,51 @@ import (
 	"anybc/internal/tile"
 )
 
-// countingGraph wraps a built-in graph and counts the structural visits per
-// task. It renumbers the tasks in dag.ForEachTask order, so the generic
-// ForEachTask fallback (increasing id) replays the inner graph's own
-// topological order and the plan compiled through the wrapper is the plan of
-// the inner graph.
-type countingGraph struct {
-	dag.Graph
-	order             []dag.Task
-	id                map[dag.Task]int
-	deps, succs, tins []int // visits per task id
+// callbacks counts the structural calls into a program: its iterations run
+// and the OutputTile and InputTiles visits of each task.
+type callbacks struct {
+	iterations   map[int]int
+	outputs, ins map[dag.Task]int
 }
 
-// countingReduceGraph keeps the wrapped graph's reduce routing visible.
-type countingReduceGraph struct {
-	*countingGraph
-	redg dag.ReduceGraph
+// counted returns g rebuilt from its program with every structural callback
+// counted.
+func counted(g dag.Graph) (dag.Graph, *callbacks) {
+	c := &callbacks{iterations: map[int]int{}, outputs: map[dag.Task]int{}, ins: map[dag.Task]int{}}
+	p := g.Program()
+	tasks, output, inputs := p.Tasks, p.OutputTile, p.InputTiles
+	p.Tasks = func(l int, submit func(dag.Task)) { c.iterations[l]++; tasks(l, submit) }
+	p.OutputTile = func(t dag.Task) (int, int) { c.outputs[t]++; return output(t) }
+	p.InputTiles = func(t dag.Task, visit func(i, j int)) { c.ins[t]++; inputs(t, visit) }
+	return dag.Build(p), c
 }
 
-func (g countingReduceGraph) ReducePartial(t dag.Task) bool { return g.redg.ReducePartial(t) }
-
-func newCountingGraph(inner dag.Graph) (dag.Graph, *countingGraph) {
-	c := &countingGraph{Graph: inner, id: map[dag.Task]int{}}
-	dag.ForEachTask(inner, func(t dag.Task) {
-		c.id[t] = len(c.order)
-		c.order = append(c.order, t)
-	})
-	n := len(c.order)
-	c.deps, c.succs, c.tins = make([]int, n), make([]int, n), make([]int, n)
-	if redg, ok := inner.(dag.ReduceGraph); ok {
-		return countingReduceGraph{c, redg}, c
+// most returns the largest count of each kind of call.
+func (c *callbacks) most() (iteration, output, inputs int) {
+	for _, n := range c.iterations {
+		iteration = max(iteration, n)
 	}
-	return c, c
+	for _, n := range c.outputs {
+		output = max(output, n)
+	}
+	for _, n := range c.ins {
+		inputs = max(inputs, n)
+	}
+	return iteration, output, inputs
 }
 
-func (c *countingGraph) ID(t dag.Task) int      { return c.id[t] }
-func (c *countingGraph) TaskOf(id int) dag.Task { return c.order[id] }
-func (c *countingGraph) Dependencies(t dag.Task, visit func(dag.Task)) {
-	c.deps[c.id[t]]++
-	c.Graph.Dependencies(t, visit)
-}
-func (c *countingGraph) Successors(t dag.Task, visit func(dag.Task)) {
-	c.succs[c.id[t]]++
-	c.Graph.Successors(t, visit)
-}
-func (c *countingGraph) InputTiles(t dag.Task, visit func(i, j int)) {
-	c.tins[c.id[t]]++
-	c.Graph.InputTiles(t, visit)
-}
-
-// visits returns the largest per-task count and the total over the three
-// structural walks.
-func (c *countingGraph) visits() (most, total int) {
-	for _, counts := range [][]int{c.deps, c.succs, c.tins} {
-		for _, n := range counts {
-			most = max(most, n)
-			total += n
+// total returns the number of calls counted.
+func (c *callbacks) total() int {
+	n := 0
+	for _, counts := range []map[dag.Task]int{c.outputs, c.ins} {
+		for _, k := range counts {
+			n += k
 		}
 	}
-	return most, total
+	for _, k := range c.iterations {
+		n += k
+	}
+	return n
 }
 
 // planCase is one (graph, distribution) pair the runtime executes, with the
@@ -111,29 +97,32 @@ func planCases(t *testing.T) []planCase {
 }
 
 // TestPlanEqualsGraph is the plan-equivalence property: task by task, the
-// compiled plan holds exactly what the Graph interface yields — owner,
+// compiled plan holds exactly what the materialized graph yields — owner,
 // version, dependency count and predecessors, input references in InputTiles
 // order, same-node successors and distinct remote destinations in Successors
 // first-visit order, the reduce flag, the scheduler key — and every slot its
-// producer, waiters and reader count. Compile visits Dependencies,
-// Successors and InputTiles at most once per task.
+// producer, waiters and reader count. Compile runs each iteration of the
+// program twice, once to lay the tasks out and once to infer them, and calls
+// each task's OutputTile and InputTiles twice: to infer its dependencies, then
+// to place it or to resolve its references.
 func TestPlanEqualsGraph(t *testing.T) {
 	for _, c := range planCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			g, d := c.g, c.d
-			counted, counts := newCountingGraph(g)
-			pl, err := plan.Compile(counted, d)
+			cg, calls := counted(g)
+			pl, err := plan.Compile(cg, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if most, _ := counts.visits(); most > 1 {
-				t.Fatalf("Compile visited one task's dependencies, successors or input tiles %d times", most)
+			if iteration, output, inputs := calls.most(); iteration > 2 || output > 2 || inputs > 2 {
+				t.Fatalf("Compile ran an iteration %d times, asked a task's output tile %d times and visited its input tiles %d times",
+					iteration, output, inputs)
 			}
 			if _, n := pl.Tasks(pl.Nodes() - 1); int(n) != g.NumTasks() || pl.Nodes() != d.Nodes() {
 				t.Fatalf("plan has %d tasks on %d nodes, graph %d on %d", n, pl.Nodes(), g.NumTasks(), d.Nodes())
 			}
-			ver := dag.OutputVersions(g)
-			redg, _ := g.(dag.ReduceGraph)
+			ver := outputVersions(g)
+			partial := g.Program().ReducePartial
 			ownerOf := func(tk dag.Task) int { return d.Owner(g.OutputTile(tk)) }
 
 			// Each node's tasks, in ForEachTask order.
@@ -166,12 +155,12 @@ func TestPlanEqualsGraph(t *testing.T) {
 					t.Fatalf("%v: output tile %d outside node %d's tiles [%d,%d)", tk, pl.Out(pt), rank, tlo, thi)
 				}
 				if pl.Version(pt) != ver[g.ID(tk)] {
-					t.Fatalf("%v: plan version %d, OutputVersions %d", tk, pl.Version(pt), ver[g.ID(tk)])
+					t.Fatalf("%v: plan version %d, the dependencies give %d", tk, pl.Version(pt), ver[g.ID(tk)])
 				}
 				if pl.Producer(int32(oi), int32(oj), pl.Version(pt)) != pt {
 					t.Fatalf("%v: Producer of its own output version is task %d", tk, pl.Producer(int32(oi), int32(oj), pl.Version(pt)))
 				}
-				if pl.Key(pt) != sched.Key(tk) || pl.Reduce(pt) != (redg != nil && redg.ReducePartial(tk)) {
+				if pl.Key(pt) != sched.Key(tk) || pl.Reduce(pt) != (partial != nil && partial(tk)) {
 					t.Fatalf("%v: key %d reduce %v", tk, pl.Key(pt), pl.Reduce(pt))
 				}
 
@@ -204,9 +193,9 @@ func TestPlanEqualsGraph(t *testing.T) {
 						}
 						return
 					}
-					v, produced := dag.InputVersion(g, ver, tk, i, j)
-					if ref >= 0 || !produced {
-						t.Fatalf("%v: remote input (%d,%d) compiled to ref %d (produced %v)", tk, i, j, ref, produced)
+					v := inputVersion(g, ver, tk, i, j)
+					if ref >= 0 || v < 0 {
+						t.Fatalf("%v: remote input (%d,%d) compiled to ref %d (version %d)", tk, i, j, ref, v)
 					}
 					if slo, shi := pl.Slots(rank); ^ref < slo || ^ref >= shi {
 						t.Fatalf("%v: slot %d outside node %d's slots [%d,%d)", tk, ^ref, rank, slo, shi)
@@ -271,8 +260,8 @@ func TestPlanEqualsGraph(t *testing.T) {
 }
 
 // TestRunPlanNeverWalksTheGraph: a fault-free RunPlan reads structure from
-// the plan alone — not one Dependencies, Successors or InputTiles visit —
-// and produces the factors Run does, bit for bit.
+// the plan alone — not one call into the program's structure — and produces
+// the factors Run does, bit for bit.
 func TestRunPlanNeverWalksTheGraph(t *testing.T) {
 	const mt, b = 8, 4
 	d := dist.NewG2DBC(5)
@@ -280,12 +269,12 @@ func TestRunPlanNeverWalksTheGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted, counts := newCountingGraph(dag.NewLU(mt))
-	pl, err := plan.Compile(counted, d)
+	cg, calls := counted(dag.NewLU(mt))
+	pl, err := plan.Compile(cg, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, compiled := counts.visits()
+	compiled := calls.total()
 	for run := 0; run < 2; run++ { // a plan serves any number of runs
 		got := matrix.NewDense(mt, mt, b)
 		rep, err := RunPlan(pl, b, GenDiagDominant(mt, b, 5), LUKernel, Options{Workers: 2},
@@ -293,8 +282,8 @@ func TestRunPlanNeverWalksTheGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, total := counts.visits(); total != compiled {
-			t.Fatalf("RunPlan made %d structural graph visits", total-compiled)
+		if total := calls.total(); total != compiled {
+			t.Fatalf("RunPlan made %d structural calls into the program", total-compiled)
 		}
 		identicalLU(t, fmt.Sprintf("RunPlan %d", run), want, got, mt)
 		if rep.Stats.TotalMessages() != wantRep.Stats.TotalMessages() || rep.Stats.TotalBytes() != wantRep.Stats.TotalBytes() {

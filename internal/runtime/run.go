@@ -72,17 +72,17 @@
 // # Versioned tile protocol
 //
 // Every published tile travels under a cluster.Tag carrying its write epoch
-// (dag.OutputVersions): version 0 is the tile's first write, and each later
+// (plan.Plan.Version): version 0 is the tile's first write, and each later
 // in-place update increments it. A tile that remote nodes consume at several
 // versions — legal in general task graphs, even though the right-looking
 // factorizations only ever ship final versions — is simply sent once per
 // (version, consumer node) pair, and receivers key their copies by the full
 // versioned tag. Run compiles the (graph, distribution) pair into a
-// plan.Plan first — one graph walk, shared read-only by every engine — and
-// compilation returns a descriptive error for anything the protocol cannot
-// serve: unserialized writers of one tile, remote reads of initial tile
-// contents, or local reads of an intermediate version that race the next
-// in-place update. RunPlan executes a plan compiled earlier.
+// plan.Plan first — one inference of the graph's program, shared read-only by
+// every engine — and compilation returns a descriptive error for anything the
+// protocol cannot serve: remote reads of initial tile contents, or local reads
+// of an intermediate version that race the next in-place update. RunPlan
+// executes a plan compiled earlier.
 //
 // # Tile lifetime
 //

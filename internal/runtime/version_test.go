@@ -16,76 +16,67 @@ import (
 
 const kTest dag.Kind = 200
 
-// testTask describes one task of a hand-built graph: its output tile, the
-// ids of its direct dependencies, and the tiles it reads. iter and panel place
-// it in the dispatch order (sched.Key): lower iterations first, and within one
-// a panel before everything else.
+// testTask describes one task of a hand-built program: its output tile and
+// the tiles it reads, from which its dependencies are inferred. iter and
+// panel place it in the dispatch order (sched.Key): lower iterations first,
+// and within one a panel before everything else.
 type testTask struct {
 	out   [2]int
-	deps  []int
 	ins   [][2]int
 	iter  int32
 	panel bool
 }
 
-// testGraph is a literal dag.Graph for protocol tests: ids are topological
-// (dependencies always point to lower ids, matching the generic ForEachTask
-// fallback).
-type testGraph struct {
-	tiles int
-	tasks []testTask
-	succ  [][]int
+// newTestGraph builds the program that submits tasks in order, task id as
+// dag.Task{I: id}, for protocol tests.
+func newTestGraph(tiles int, tasks []testTask) dag.Graph {
+	return dag.Build(dag.Program{
+		Name:  "test",
+		Tiles: tiles,
+		Tasks: func(_ int, submit func(dag.Task)) {
+			for id, tk := range tasks {
+				t := dag.Task{Kind: kTest, L: tk.iter, I: int32(id)}
+				if tk.panel {
+					t.Kind = dag.GETRF
+				}
+				submit(t)
+			}
+		},
+		OutputTile: func(t dag.Task) (int, int) { return tasks[t.I].out[0], tasks[t.I].out[1] },
+		InputTiles: func(t dag.Task, visit func(i, j int)) {
+			for _, in := range tasks[t.I].ins {
+				visit(in[0], in[1])
+			}
+		},
+		Flops: func(dag.Task, int) float64 { return 1 },
+	})
 }
 
-func newTestGraph(tiles int, tasks []testTask) *testGraph {
-	g := &testGraph{tiles: tiles, tasks: tasks, succ: make([][]int, len(tasks))}
-	for id, t := range tasks {
-		for _, d := range t.deps {
-			g.succ[d] = append(g.succ[d], id)
+// outputVersions returns, by task id, the version (write epoch) of the tile
+// each task of g writes, read from g's dependencies: 0 for a tile's first
+// writer, the previous writer's version plus one after. It is the oracle the
+// versions of plan.Compile are held to.
+func outputVersions(g dag.Graph) []int32 {
+	ver := make([]int32, g.NumTasks())
+	dag.ForEachTask(g, func(t dag.Task) {
+		i, j := g.OutputTile(t)
+		ver[g.ID(t)] = inputVersion(g, ver, t, i, j) + 1
+	})
+	return ver
+}
+
+// inputVersion returns the version of tile (i, j) that task t reads: the
+// largest output version among t's dependencies writing it, -1 — the initial
+// contents — when none does.
+func inputVersion(g dag.Graph, ver []int32, t dag.Task, i, j int) int32 {
+	v := int32(-1)
+	g.Dependencies(t, func(d dag.Task) {
+		if di, dj := g.OutputTile(d); di == i && dj == j {
+			v = max(v, ver[g.ID(d)])
 		}
-	}
-	return g
+	})
+	return v
 }
-
-func (g *testGraph) Name() string      { return "test" }
-func (g *testGraph) Tiles() int        { return g.tiles }
-func (g *testGraph) NumTasks() int     { return len(g.tasks) }
-func (g *testGraph) ID(t dag.Task) int { return int(t.I) }
-func (g *testGraph) TaskOf(id int) dag.Task {
-	t := dag.Task{Kind: kTest, L: g.tasks[id].iter, I: int32(id)}
-	if g.tasks[id].panel {
-		t.Kind = dag.GETRF
-	}
-	return t
-}
-
-func (g *testGraph) Dependencies(t dag.Task, visit func(dag.Task)) {
-	for _, d := range g.tasks[t.I].deps {
-		visit(g.TaskOf(d))
-	}
-}
-
-func (g *testGraph) Successors(t dag.Task, visit func(dag.Task)) {
-	for _, s := range g.succ[t.I] {
-		visit(g.TaskOf(s))
-	}
-}
-
-func (g *testGraph) NumDependencies(t dag.Task) int { return len(g.tasks[t.I].deps) }
-
-func (g *testGraph) OutputTile(t dag.Task) (int, int) {
-	o := g.tasks[t.I].out
-	return o[0], o[1]
-}
-
-func (g *testGraph) InputTiles(t dag.Task, visit func(i, j int)) {
-	for _, in := range g.tasks[t.I].ins {
-		visit(in[0], in[1])
-	}
-}
-
-func (g *testGraph) Flops(t dag.Task, b int) float64 { return 1 }
-func (g *testGraph) TotalFlops(b int) float64        { return float64(len(g.tasks)) }
 
 // testDist maps tiles to nodes through a literal function.
 type testDist struct {
@@ -111,9 +102,9 @@ func TestMultiVersionRemoteConsumption(t *testing.T) {
 	// id 3: R1 reads (0,0)@v1, writes (2,0) = v1 + 1000
 	g := newTestGraph(3, []testTask{
 		{out: [2]int{0, 0}},
-		{out: [2]int{1, 0}, deps: []int{0}, ins: [][2]int{{0, 0}}},
-		{out: [2]int{0, 0}, deps: []int{0}},
-		{out: [2]int{2, 0}, deps: []int{2}, ins: [][2]int{{0, 0}}},
+		{out: [2]int{1, 0}, ins: [][2]int{{0, 0}}},
+		{out: [2]int{0, 0}},
+		{out: [2]int{2, 0}, ins: [][2]int{{0, 0}}},
 	})
 	d := testDist{p: 2, owner: func(i, j int) int {
 		if i == 0 {
@@ -170,16 +161,8 @@ func TestMultiVersionChainRelease(t *testing.T) {
 	// k+1. Reader R_k on node 1 reads version k and writes (k+1, 0) = k+1.
 	var tasks []testTask
 	for k := 0; k < chain; k++ {
-		w := testTask{out: [2]int{0, 0}}
-		if k > 0 {
-			w.deps = []int{2 * (k - 1)}
-		}
-		tasks = append(tasks, w)
-		tasks = append(tasks, testTask{
-			out:  [2]int{k + 1, 0},
-			deps: []int{2 * k},
-			ins:  [][2]int{{0, 0}},
-		})
+		tasks = append(tasks, testTask{out: [2]int{0, 0}})
+		tasks = append(tasks, testTask{out: [2]int{k + 1, 0}, ins: [][2]int{{0, 0}}})
 	}
 	g := newTestGraph(chain+1, tasks)
 	d := testDist{p: 2, owner: func(i, j int) int {
@@ -240,29 +223,13 @@ func TestPrevalidateRemoteInitialRead(t *testing.T) {
 	}
 }
 
-func TestPrevalidateUnserializedWriters(t *testing.T) {
-	// Two independent tasks both write tile (0,0): their kernels would race
-	// and both would claim version 0.
-	g := newTestGraph(1, []testTask{
-		{out: [2]int{0, 0}},
-		{out: [2]int{0, 0}},
-	})
-	d := testDist{p: 1, owner: func(i, j int) int { return 0 }}
-	_, err := Run(g, d, 1, func(i, j int) *tile.Tile { return tile.New(1, 1) },
-		func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error { return nil },
-		Options{}, nil)
-	if err == nil || !strings.Contains(err.Error(), "serialize") {
-		t.Fatalf("expected unserialized-writers error, got %v", err)
-	}
-}
-
 func TestPrevalidateUnorderedIntermediateRead(t *testing.T) {
 	// A local reader of an intermediate version with no ordering against the
 	// next in-place writer: the read races the overwrite.
 	g := newTestGraph(2, []testTask{
-		{out: [2]int{0, 0}}, // W0
-		{out: [2]int{1, 0}, deps: []int{0}, ins: [][2]int{{0, 0}}}, // reader of v0
-		{out: [2]int{0, 0}, deps: []int{0}},                        // W1, unordered wrt reader
+		{out: [2]int{0, 0}},                        // W0
+		{out: [2]int{1, 0}, ins: [][2]int{{0, 0}}}, // reader of v0
+		{out: [2]int{0, 0}},                        // W1, unordered wrt reader
 	})
 	d := testDist{p: 1, owner: func(i, j int) int { return 0 }}
 	_, err := Run(g, d, 1, func(i, j int) *tile.Tile { return tile.New(1, 1) },
@@ -273,34 +240,19 @@ func TestPrevalidateUnorderedIntermediateRead(t *testing.T) {
 	}
 }
 
-// TestPrevalidateMalformedGraphs: the two graph defects the engines used to
-// meet mid-run — a panic on a missing input buffer, a wait for a tile nobody
-// sends — are compile errors now.
+// TestPrevalidateMalformedGraphs: the graph defect the engines used to meet
+// mid-run — a panic on a missing input buffer — is a compile error now.
 func TestPrevalidateMalformedGraphs(t *testing.T) {
-	run := func(g dag.Graph, d testDist) error {
-		_, err := Run(g, d, 1, func(i, j int) *tile.Tile { return tile.New(1, 1) },
-			func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error { return nil },
-			Options{}, nil)
-		return err
-	}
 	// A local read of a tile no task writes: no node materializes it.
 	unwritten := newTestGraph(2, []testTask{
 		{out: [2]int{0, 0}, ins: [][2]int{{0, 1}}},
 	})
-	err := run(unwritten, testDist{p: 1, owner: func(i, j int) int { return 0 }})
+	_, err := Run(unwritten, testDist{p: 1, owner: func(i, j int) int { return 0 }}, 1,
+		func(i, j int) *tile.Tile { return tile.New(1, 1) },
+		func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error { return nil },
+		Options{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "no task writes") {
 		t.Fatalf("expected unwritten-tile error, got %v", err)
-	}
-	// A remote dependency the producer does not list as a successor: its
-	// output would never be sent.
-	oneWay := newTestGraph(2, []testTask{
-		{out: [2]int{0, 0}},
-		{out: [2]int{1, 0}, deps: []int{0}, ins: [][2]int{{0, 0}}},
-	})
-	oneWay.succ[0] = nil
-	err = run(oneWay, testDist{p: 2, owner: func(i, j int) int { return i }})
-	if err == nil || !strings.Contains(err.Error(), "does not list it as a successor") {
-		t.Fatalf("expected one-way-dependency error, got %v", err)
 	}
 }
 

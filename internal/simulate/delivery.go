@@ -1,7 +1,5 @@
 package simulate
 
-import "anybc/internal/dag"
-
 // delivery is one output tile on its way to the remote nodes that consume
 // it: the destinations in the order the producer's successor walk first met
 // them, and under each the successors it owns, in walk order. It is filled by
@@ -27,14 +25,9 @@ type dest struct {
 	relayEnd   int32
 }
 
-// edge is one remote successor: its id, the ready-queue key computed while
-// the walk had the task in hand, and the next edge of the same destination
-// (-1 ends the list).
-type edge struct {
-	key  int64
-	id   int32
-	next int32
-}
+// edge is one remote successor: its position and the next edge of the same
+// destination (-1 ends the list).
+type edge struct{ pos, next int32 }
 
 // deliveries is the pool of delivery records and the state of the walk that
 // fills one.
@@ -49,17 +42,18 @@ type deliveries struct {
 	position []int32
 }
 
-// route is the routing rule, written once: walking t's successors a single
-// time, it satisfies the ones src owns itself and files every other under its
-// owner — the distinct remote owners, in first-visit order, are the
-// destinations of t's output tile, one logical message each (the Equation
-// (1)/(2) quantity, independent of the transport), and a reduction partial
-// with its single destination is counted as reduce traffic, the routing
-// Comm.SendReduce takes in the real runtime. It returns the filled delivery
-// record, or -1 when every consumer is local.
-func (s *sim) route(t dag.Task, src int32) int32 {
+// route is the routing rule, written once: walking the successors of the
+// task at pos a single time, in submission order, it satisfies the ones src
+// owns itself and files every other under its owner — the distinct remote
+// owners, in first-visit order, are the destinations of the task's output
+// tile, one logical message each (the Equation (1)/(2) quantity, independent
+// of the transport), and a reduction partial with its single destination is
+// counted as reduce traffic, the routing Comm.SendReduce takes in the real
+// runtime. It returns the filled delivery record, or -1 when every consumer
+// is local.
+func (s *sim) route(pos, src int32) int32 {
 	s.src, s.cur = src, -1
-	s.g.Successors(t, s.visit)
+	s.inf.Succs(pos, s.visit)
 	if s.cur < 0 {
 		return -1
 	}
@@ -69,26 +63,26 @@ func (s *sim) route(t dag.Task, src int32) int32 {
 	}
 	k := int64(len(r.dests))
 	r.pending = len(r.dests)
-	r.bytes = s.tileBytes
-	if s.sized != nil {
-		r.bytes = s.sized.OutputBytes(t, s.b)
+	t := s.inf.Task(pos)
+	r.bytes = 8 * s.b * s.b
+	if s.bytes != nil {
+		r.bytes = s.bytes(t, s.b)
 	}
 	s.res.Messages += k
 	s.res.Bytes += int64(r.bytes) * k
-	if s.redg != nil && k == 1 && s.redg.ReducePartial(t) {
+	if s.partial != nil && k == 1 && s.partial(t) {
 		s.res.Reduces++
 		s.res.ReduceBytes += int64(r.bytes)
 	}
 	return s.cur
 }
 
-// file is route's visit of one successor.
-func (s *sim) file(succ dag.Task) {
-	id := int32(s.g.ID(succ))
-	owner := s.ownerOf[id]
+// file is route's visit of the successor at position q.
+func (s *sim) file(q int32, dst int) {
+	owner := int32(dst)
 	if owner == s.src {
-		if s.remaining[id]--; s.remaining[id] == 0 {
-			s.release(id, s.policy.Key(succ))
+		if s.inf.Release(q) {
+			s.release(q)
 		}
 		return
 	}
@@ -109,7 +103,7 @@ func (s *sim) file(succ dag.Task) {
 		r.edges[r.dests[at].tail].next = e
 		r.dests[at].tail = e
 	}
-	r.edges = append(r.edges, edge{key: s.policy.Key(succ), id: id, next: -1})
+	r.edges = append(r.edges, edge{pos: q, next: -1})
 }
 
 // deliver satisfies the edges filed under position at of delivery d — in
@@ -119,9 +113,8 @@ func (s *sim) file(succ dag.Task) {
 func (s *sim) deliver(d int32, at int) {
 	r := &s.records[d]
 	for e := r.dests[at].head; e >= 0; e = r.edges[e].next {
-		id := r.edges[e].id
-		if s.remaining[id]--; s.remaining[id] == 0 {
-			s.release(id, r.edges[e].key)
+		if q := r.edges[e].pos; s.inf.Release(q) {
+			s.release(q)
 		}
 	}
 	if r.pending--; r.pending == 0 {

@@ -2,7 +2,7 @@ package simulate
 
 // event is one scheduled simulator event.
 //
-// node ≥ 0: a kernel completes on that node; at is its slot in sim.running.
+// node ≥ 0: a kernel completes on that node; at is its task's position.
 // node < 0: a hop lands. ^node is the delivery record it carries and at the
 // position, in the record's destination list, of the node it lands on.
 type event struct {

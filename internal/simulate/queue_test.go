@@ -45,8 +45,9 @@ func TestEventQueuePopsInTimeSeqOrder(t *testing.T) {
 }
 
 // TestPoolsDrainWhenRunReturns: delivery records (whose destination ranges
-// are the tree hops' relay lists) and running-kernel slots live only while
-// something is in flight, so a finished run holds every one on its free list.
+// are the tree hops' relay lists) live only while something is in flight, and
+// the inference holds a task only until it has run, so a finished run holds
+// every record on its free list and no task at all.
 func TestPoolsDrainWhenRunReturns(t *testing.T) {
 	for _, mode := range []cluster.BroadcastMode{cluster.BroadcastFlat, cluster.BroadcastTree} {
 		s, err := newSim(dag.NewLU(12), 16, dist.NewG2DBC(23), testMachine(), Options{Broadcast: mode})
@@ -64,8 +65,8 @@ func TestPoolsDrainWhenRunReturns(t *testing.T) {
 				t.Errorf("mode %v: record %d returned with pending=%d, %d dests, %d edges", mode, d, r.pending, len(r.dests), len(r.edges))
 			}
 		}
-		if len(s.running) == 0 || len(s.idleRunning) != len(s.running) {
-			t.Errorf("mode %v: %d of %d running slots on the free list", mode, len(s.idleRunning), len(s.running))
+		if s.live == 0 || s.inf.Live() != 0 {
+			t.Errorf("mode %v: the inference still holds %d tasks (at most %d)", mode, s.inf.Live(), s.live)
 		}
 		for node, at := range s.position {
 			if at != -1 {
@@ -75,34 +76,54 @@ func TestPoolsDrainWhenRunReturns(t *testing.T) {
 	}
 }
 
+// TestMemoryFollowsTheWindow: the simulator holds a window of iterations, not
+// the graph. Doubling mt multiplies an LU iteration by about 4 and the graph
+// by about 8; the most tasks the inference held at once must grow like the
+// former.
+func TestMemoryFollowsTheWindow(t *testing.T) {
+	held := func(mt int) (live, tasks int) {
+		g := dag.NewLU(mt)
+		s, err := newSim(g, 500, dist.NewG2DBC(23), PaperMachine(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.run(); err != nil {
+			t.Fatal(err)
+		}
+		return s.live, g.NumTasks()
+	}
+	small, smallTasks := held(40)
+	large, largeTasks := held(80)
+	t.Logf("LU(40) held %d of %d tasks, LU(80) %d of %d", small, smallTasks, large, largeTasks)
+	if ratio := float64(large) / float64(small); ratio > 5 || 4*large > largeTasks {
+		t.Errorf("LU(40) held %d tasks, LU(80) %d (×%.1f, of %d): the window grows like the graph", small, large, ratio, largeTasks)
+	}
+}
+
 // TestRouteFilesTheOwnerFilteredWalk: what route files under a destination is,
-// element for element, what walking the producer's successors and keeping the
-// ones that destination owns yields — the walk every arrival used to repeat —
-// and the destinations are the distinct remote owners in first-visit order.
+// element for element, what walking the producer's successors in the
+// materialized graph and keeping the ones that destination owns yields — the
+// walk every arrival used to repeat — and the destinations are the distinct
+// remote owners in first-visit order.
 func TestRouteFilesTheOwnerFilteredWalk(t *testing.T) {
 	g, d := dag.NewLU(12), dist.NewG2DBC(23)
 	s, err := newSim(g, 16, d, testMachine(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	owner := func(task dag.Task) int32 { return int32(d.Owner(g.OutputTile(task))) }
 	var messages int64
 	dag.ForEachTask(g, func(task dag.Task) {
-		src := s.ownerOf[g.ID(task)]
+		pos, src := int32(g.ID(task)), owner(task)
 		var wantDests []int32
 		g.Successors(task, func(succ dag.Task) {
-			owner := s.ownerOf[g.ID(succ)]
-			if owner == src {
-				return
+			if o := owner(succ); o != src && !slices.Contains(wantDests, o) {
+				wantDests = append(wantDests, o)
 			}
-			for _, seen := range wantDests {
-				if seen == owner {
-					return
-				}
-			}
-			wantDests = append(wantDests, owner)
 		})
 		messages += int64(len(wantDests))
-		rec := s.route(task, src)
+		s.infer(pos)
+		rec := s.route(pos, src)
 		if len(wantDests) == 0 {
 			if rec >= 0 {
 				t.Fatalf("%v: a record for a task with no remote consumer", task)
@@ -119,16 +140,13 @@ func TestRouteFilesTheOwnerFilteredWalk(t *testing.T) {
 			}
 			var want []int32
 			g.Successors(task, func(succ dag.Task) {
-				if id := int32(g.ID(succ)); s.ownerOf[id] == dst.node {
-					want = append(want, id)
+				if owner(succ) == dst.node {
+					want = append(want, int32(g.ID(succ)))
 				}
 			})
 			var got []int32
 			for e := dst.head; e >= 0; e = r.edges[e].next {
-				got = append(got, r.edges[e].id)
-				if key := s.policy.Key(g.TaskOf(int(r.edges[e].id))); r.edges[e].key != key {
-					t.Fatalf("%v → node %d: edge to task %d filed under key %d, its key is %d", task, dst.node, r.edges[e].id, r.edges[e].key, key)
-				}
+				got = append(got, r.edges[e].pos)
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%v → node %d: filed %v, the filtered walk gives %v", task, dst.node, got, want)

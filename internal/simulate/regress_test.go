@@ -12,57 +12,33 @@ import (
 const kRegress dag.Kind = 210
 
 // fanGraph is a reduction DAG for regression tests: `leaves` independent
-// tasks each write tile (id+1, 0), and one root task (the last id) depends on
-// all of them and writes tile (0, 0). Ids are topological, so the generic
-// dag.ForEachTask fallback applies.
-type fanGraph struct {
-	leaves int
+// tasks each write tile (id+1, 0), and one root task (the last id) reads all
+// of them and writes tile (0, 0).
+func fanGraph(leaves int) dag.Graph {
+	return dag.Build(dag.Program{
+		Name:  "fan",
+		Tiles: leaves + 1,
+		Tasks: func(_ int, submit func(dag.Task)) {
+			for id := 0; id <= leaves; id++ {
+				submit(dag.Task{Kind: kRegress, I: int32(id)})
+			}
+		},
+		OutputTile: func(t dag.Task) (int, int) {
+			if int(t.I) == leaves {
+				return 0, 0
+			}
+			return int(t.I) + 1, 0
+		},
+		InputTiles: func(t dag.Task, visit func(i, j int)) {
+			if int(t.I) == leaves {
+				for id := 0; id < leaves; id++ {
+					visit(id+1, 0)
+				}
+			}
+		},
+		Flops: func(dag.Task, int) float64 { return 1 },
+	})
 }
-
-func (g fanGraph) Name() string           { return "fan" }
-func (g fanGraph) Tiles() int             { return g.leaves + 1 }
-func (g fanGraph) NumTasks() int          { return g.leaves + 1 }
-func (g fanGraph) ID(t dag.Task) int      { return int(t.I) }
-func (g fanGraph) TaskOf(id int) dag.Task { return dag.Task{Kind: kRegress, I: int32(id)} }
-
-func (g fanGraph) Dependencies(t dag.Task, visit func(dag.Task)) {
-	if int(t.I) == g.leaves {
-		for id := 0; id < g.leaves; id++ {
-			visit(g.TaskOf(id))
-		}
-	}
-}
-
-func (g fanGraph) Successors(t dag.Task, visit func(dag.Task)) {
-	if int(t.I) < g.leaves {
-		visit(g.TaskOf(g.leaves))
-	}
-}
-
-func (g fanGraph) NumDependencies(t dag.Task) int {
-	if int(t.I) == g.leaves {
-		return g.leaves
-	}
-	return 0
-}
-
-func (g fanGraph) OutputTile(t dag.Task) (int, int) {
-	if int(t.I) == g.leaves {
-		return 0, 0
-	}
-	return int(t.I) + 1, 0
-}
-
-func (g fanGraph) InputTiles(t dag.Task, visit func(i, j int)) {
-	if int(t.I) == g.leaves {
-		for id := 0; id < g.leaves; id++ {
-			visit(id+1, 0)
-		}
-	}
-}
-
-func (g fanGraph) Flops(t dag.Task, b int) float64 { return 1 }
-func (g fanGraph) TotalFlops(b int) float64        { return float64(g.leaves + 1) }
 
 // litDist maps tiles to nodes through a literal function.
 type litDist struct {
@@ -74,14 +50,13 @@ func (d litDist) Name() string       { return "lit" }
 func (d litDist) Nodes() int         { return d.p }
 func (d litDist) Owner(i, j int) int { return d.owner(i, j) }
 
-var _ dag.Graph = fanGraph{}
 var _ dist.Distribution = litDist{}
 
 // TestWideFanIn: a task with more than 127 dependencies must execute. The
 // dependency counters were once int8, so 200 predecessors wrapped to -56 and
 // the root task never became ready — a spurious "dependency deadlock".
 func TestWideFanIn(t *testing.T) {
-	g := fanGraph{leaves: 200}
+	g := fanGraph(200)
 	d := litDist{p: 2, owner: func(i, j int) int {
 		if i == 0 {
 			return 0
@@ -111,7 +86,7 @@ func TestBisectionDepartTime(t *testing.T) {
 	// Two producers on nodes 0 and 1 finish at t=1 and both send one 8-byte
 	// tile to node 2. NICs transfer in 1s; the shared fabric adds 2s per
 	// message and serializes them.
-	g := fanGraph{leaves: 2}
+	g := fanGraph(2)
 	d := litDist{p: 3, owner: func(i, j int) int {
 		if i == 0 {
 			return 2

@@ -35,10 +35,9 @@ func (s Scheduler) policy() (sched.Policy, error) {
 	return 0, fmt.Errorf("simulate: unknown scheduler %d", int(s))
 }
 
-// Options configures a simulation run.
+// Options configures a simulation run. A message carries one output tile:
+// dag.Program.OutputBytes bytes, 8·b² when the program leaves that unset.
 type Options struct {
-	// TileBytes overrides the message size; 0 means 8·b² bytes.
-	TileBytes int
 	// Scheduler selects the ready-queue policy (default IterationOrder).
 	Scheduler Scheduler
 	// Recorder, when non-nil, receives every kernel interval and message of
@@ -75,30 +74,29 @@ func Run(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*Resu
 	return s.res, nil
 }
 
-// sim is the state of one run. Memory is the two per-task tables (owner and
-// outstanding dependencies), O(P) node state, and three pools that grow to
-// the peak of what is in flight and no further: queued events, running
-// kernels, and delivery records.
+// sim is the state of one run. Memory is the inference's window of the
+// graph, O(P) node state, and two pools that grow to the peak of what is in
+// flight and no further: queued events and delivery records.
+//
+// Tasks are named by their position in the program. The inference holds each
+// task's owner and count of outstanding dependencies from the moment it is
+// inferred until the task has run, and infers the next iteration only when a
+// finishing task needs its successors: a program that states its iterations
+// is held a few of them at a time.
 type sim struct {
-	g      dag.Graph
+	inf    *dag.Inference
 	b      int
 	m      Machine
 	rec    *trace.Recorder
 	policy sched.Policy
 	tree   bool
-	redg   dag.ReduceGraph // nil: the graph ships no reduction partials
-	// Message sizes: graphs with heterogeneous tile sizes (the
-	// factor-and-solve graphs) report them through SizedGraph unless an
-	// explicit uniform override is set; sized is nil otherwise.
-	sized     dag.SizedGraph
-	tileBytes int
-	rate      []float64 // flop/s of one worker, by node
-
-	// By task id. Dependency counts are int32: wide fan-in tasks can exceed
-	// 127 predecessors, which an int8 would silently wrap into a bogus
-	// "dependency deadlock".
-	ownerOf   []int32
-	remaining []int32
+	// From the program: a task's flops, the wire size of its output tile
+	// (nil: 8·b²) and whether it is a reduction partial (nil: none is).
+	flops   func(t dag.Task, b int) float64
+	bytes   func(t dag.Task, b int) int
+	partial func(t dag.Task) bool
+	rate    []float64 // flop/s of one worker, by node
+	live    int       // the most tasks the inference held at once
 
 	// By node.
 	ready       []sched.Heap
@@ -109,12 +107,8 @@ type sim struct {
 	fabricFree  float64     // shared-fabric serialization point (bisection cap)
 
 	events eventQueue
-	// running holds the task of every kernel in flight, so that its
-	// completion has the task in hand instead of inverting an id.
-	running     []dag.Task
-	idleRunning []int32
 	deliveries
-	visit func(dag.Task) // s.file, bound once: a method value allocates
+	visit func(q int32, owner int) // s.file, bound once: a method value allocates
 
 	done int
 	// res is its own allocation: a Result inside sim would keep the whole
@@ -131,14 +125,10 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 		return nil, err
 	}
 	P := d.Nodes()
-	n := g.NumTasks()
-	s := &sim{g: g, b: b, m: m, rec: opt.Recorder, policy: policy,
-		tree: opt.Broadcast == cluster.BroadcastTree, tileBytes: opt.TileBytes, res: &Result{}}
-	if s.tileBytes == 0 {
-		s.tileBytes = 8 * b * b
-		s.sized, _ = g.(dag.SizedGraph)
-	}
-	s.redg, _ = g.(dag.ReduceGraph)
+	p := g.Program()
+	s := &sim{inf: dag.Infer(p, d.Owner), b: b, m: m, rec: opt.Recorder, policy: policy,
+		tree: opt.Broadcast == cluster.BroadcastTree, flops: p.Flops, bytes: p.OutputBytes, partial: p.ReducePartial,
+		res: &Result{}}
 	s.visit = s.file
 
 	s.rate = make([]float64, P)
@@ -156,15 +146,6 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 			s.rate[node] = m.FlopsPerWorker * v
 		}
 	}
-
-	s.ownerOf = make([]int32, n)
-	s.remaining = make([]int32, n)
-	dag.ForEachTask(g, func(t dag.Task) {
-		id := g.ID(t)
-		oi, oj := g.OutputTile(t)
-		s.ownerOf[id] = int32(d.Owner(oi, oj))
-		s.remaining[id] = int32(g.NumDependencies(t))
-	})
 
 	s.ready = make([]sched.Heap, P)
 	s.freeWorkers = make([]int, P)
@@ -194,10 +175,12 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 }
 
 func (s *sim) run() error {
-	// Seed: tasks with no dependencies.
-	for id := range s.remaining {
-		if s.remaining[id] == 0 {
-			s.release(int32(id), s.policy.Key(s.g.TaskOf(id)))
+	// Seed: the tasks with no dependencies, all of them in the first
+	// iteration (dag.Program.Iterations).
+	s.infer(0)
+	for pos := int32(0); pos < s.inf.End(); pos++ {
+		if s.inf.NumPreds(pos) == 0 {
+			s.release(pos)
 		}
 	}
 	for node := range s.ready {
@@ -214,10 +197,20 @@ func (s *sim) run() error {
 			s.res.Makespan = ev.time
 		}
 	}
-	if n := len(s.remaining); s.done != n {
+	if err := s.inf.Err(); err != nil {
+		return err
+	}
+	if n := int(s.inf.End()); s.inf.Next() || s.done != n {
 		return fmt.Errorf("simulate: executed %d of %d tasks — dependency deadlock", s.done, n)
 	}
 	return nil
+}
+
+// infer runs the inference until the task at pos is settled.
+func (s *sim) infer(pos int32) {
+	for pos >= s.inf.Settled() && s.inf.Next() {
+		s.live = max(s.live, s.inf.Live())
+	}
 }
 
 // release queues a task whose last dependency was just met, without
@@ -225,16 +218,16 @@ func (s *sim) run() error {
 // the same instant, so the dispatch decision is made once over the full set —
 // priority picks among all of them, exactly as the real engine's dispatch
 // loop runs after its release sweep.
-func (s *sim) release(id int32, key int64) {
-	s.ready[s.ownerOf[id]].Push(key, id)
+func (s *sim) release(pos int32) {
+	s.ready[s.inf.Owner(pos)].Push(s.policy.Key(s.inf.Task(pos)), pos)
 }
 
 func (s *sim) dispatch(node int, now float64) {
 	for s.freeWorkers[node] > 0 && !s.ready[node].Empty() {
-		id := s.ready[node].Pop()
+		pos := s.ready[node].Pop()
 		s.freeWorkers[node]--
-		t := s.g.TaskOf(int(id))
-		dur := s.g.Flops(t, s.b) / s.rate[node]
+		t := s.inf.Task(pos)
+		dur := s.flops(t, s.b) / s.rate[node]
 		s.res.BusyTime[node] += dur
 		s.res.TasksPerNode[node]++
 		if s.rec != nil {
@@ -248,27 +241,20 @@ func (s *sim) dispatch(node int, now float64) {
 			s.slotFree[node][worker] = now + dur
 			s.rec.RecordTask(node, worker, t, now, now+dur)
 		}
-		var slot int32
-		if last := len(s.idleRunning) - 1; last >= 0 {
-			slot, s.idleRunning = s.idleRunning[last], s.idleRunning[:last]
-		} else {
-			slot = int32(len(s.running))
-			s.running = append(s.running, dag.Task{})
-		}
-		s.running[slot] = t
-		s.events.push(event{time: now + dur, node: int32(node), at: slot})
+		s.events.push(event{time: now + dur, node: int32(node), at: pos})
 	}
 }
 
-// complete ends the kernel in running[slot] on node: its local successors are
-// released, its output tile leaves for every remote consumer, and the freed
-// worker picks its next task.
-func (s *sim) complete(node int, slot int32, now float64) {
+// complete ends the kernel of the task at pos on node: its local successors
+// are released, its output tile leaves for every remote consumer, the
+// inference may forget the task, and the freed worker picks its next task.
+func (s *sim) complete(node int, pos int32, now float64) {
 	s.done++
 	s.freeWorkers[node]++
-	t := s.running[slot]
-	s.idleRunning = append(s.idleRunning, slot)
-	if d := s.route(t, int32(node)); d >= 0 {
+	s.infer(pos)
+	d := s.route(pos, int32(node))
+	s.inf.Done(pos)
+	if d >= 0 {
 		k := len(s.records[d].dests)
 		if s.tree && k > 1 {
 			s.fanout(node, d, 0, k, now)
@@ -321,16 +307,16 @@ func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
 	dst, msgBytes := int(r.dests[at].node), r.bytes
 	m := &s.m
 	transferTime := float64(msgBytes) / m.LinkBandwidth
-	depart := max64(now, s.nicOut[src])
+	depart := max(now, s.nicOut[src])
 	sendEnd := depart + transferTime
 	s.nicOut[src] = sendEnd
 	if m.BisectionBandwidth > 0 {
 		// The message also crosses the shared fabric.
-		fabricEnd := max64(sendEnd, s.fabricFree) + float64(msgBytes)/m.BisectionBandwidth
+		fabricEnd := max(sendEnd, s.fabricFree) + float64(msgBytes)/m.BisectionBandwidth
 		s.fabricFree = fabricEnd
 		sendEnd = fabricEnd
 	}
-	recvEnd := max64(sendEnd+m.Latency, s.nicIn[dst]) + transferTime
+	recvEnd := max(sendEnd+m.Latency, s.nicIn[dst]) + transferTime
 	s.nicIn[dst] = recvEnd
 	s.res.Hops++
 	s.res.SentBytes[src] += int64(msgBytes)
@@ -342,11 +328,4 @@ func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
 		s.rec.RecordMessage(src, dst, depart, recvEnd, msgBytes)
 	}
 	s.events.push(event{time: recvEnd, node: ^d, at: int32(at)})
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -70,17 +70,34 @@ func (s solveWrap) Owner(i, j int) int {
 	return s.Distribution.Owner(i, j)
 }
 
-func TestUniformOverrideBeatsSizing(t *testing.T) {
-	// An explicit TileBytes override must apply to every message even on a
-	// SizedGraph.
-	g := dag.NewLUSolve(6, 2)
-	d := solveWrap{Distribution: dist.NewTwoDBC(2, 2), mt: 6}
+// TestMessagesCarryTheProgramsTileSizes: every message is as large as the
+// program says the tile it carries is — 8·b² bytes for a matrix tile, 8·b·nrhs
+// for a right-hand-side tile of the factor-and-solve graph.
+func TestMessagesCarryTheProgramsTileSizes(t *testing.T) {
+	const mt, b, nrhs = 6, 10, 2
+	g := dag.NewLUSolve(mt, nrhs)
+	d := solveWrap{Distribution: dist.NewTwoDBC(2, 2), mt: mt}
 	m := Machine{Workers: 1, FlopsPerWorker: 1e9, LinkBandwidth: 1e9, Latency: 0}
-	res, err := Run(g, 10, d, m, Options{TileBytes: 100})
+	res, err := Run(g, b, d, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bytes != res.Messages*100 {
-		t.Errorf("override ignored: %d bytes for %d messages", res.Bytes, res.Messages)
+	var want int64
+	dag.ForEachTask(g, func(task dag.Task) {
+		src := d.Owner(g.OutputTile(task))
+		dsts := map[int]bool{}
+		g.Successors(task, func(s dag.Task) {
+			if o := d.Owner(g.OutputTile(s)); o != src {
+				dsts[o] = true
+			}
+		})
+		size := int64(8 * b * b)
+		if _, j := g.OutputTile(task); j >= mt {
+			size = 8 * b * nrhs
+		}
+		want += size * int64(len(dsts))
+	})
+	if res.Bytes != want {
+		t.Errorf("%d bytes on the wire for %d messages, the program's tile sizes give %d", res.Bytes, res.Messages, want)
 	}
 }

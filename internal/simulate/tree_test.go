@@ -14,49 +14,24 @@ const kTree dag.Kind = 211
 // starGraph is the broadcast stress DAG: task 0 writes tile (0, 0) and each
 // of `consumers` successor tasks (ids 1..consumers) reads it and writes its
 // own tile (id, 0) — one producer, every other node a consumer.
-type starGraph struct {
-	consumers int
+func starGraph(consumers int) dag.Graph {
+	return dag.Build(dag.Program{
+		Name:  "star",
+		Tiles: consumers + 1,
+		Tasks: func(_ int, submit func(dag.Task)) {
+			for id := 0; id <= consumers; id++ {
+				submit(dag.Task{Kind: kTree, I: int32(id)})
+			}
+		},
+		OutputTile: func(t dag.Task) (int, int) { return int(t.I), 0 },
+		InputTiles: func(t dag.Task, visit func(i, j int)) {
+			if t.I > 0 {
+				visit(0, 0)
+			}
+		},
+		Flops: func(dag.Task, int) float64 { return 1 },
+	})
 }
-
-func (g starGraph) Name() string           { return "star" }
-func (g starGraph) Tiles() int             { return g.consumers + 1 }
-func (g starGraph) NumTasks() int          { return g.consumers + 1 }
-func (g starGraph) ID(t dag.Task) int      { return int(t.I) }
-func (g starGraph) TaskOf(id int) dag.Task { return dag.Task{Kind: kTree, I: int32(id)} }
-
-func (g starGraph) Dependencies(t dag.Task, visit func(dag.Task)) {
-	if t.I > 0 {
-		visit(g.TaskOf(0))
-	}
-}
-
-func (g starGraph) Successors(t dag.Task, visit func(dag.Task)) {
-	if t.I == 0 {
-		for id := 1; id <= g.consumers; id++ {
-			visit(g.TaskOf(id))
-		}
-	}
-}
-
-func (g starGraph) NumDependencies(t dag.Task) int {
-	if t.I > 0 {
-		return 1
-	}
-	return 0
-}
-
-func (g starGraph) OutputTile(t dag.Task) (int, int) { return int(t.I), 0 }
-
-func (g starGraph) InputTiles(t dag.Task, visit func(i, j int)) {
-	if t.I > 0 {
-		visit(0, 0)
-	}
-}
-
-func (g starGraph) Flops(t dag.Task, b int) float64 { return 1 }
-func (g starGraph) TotalFlops(b int) float64        { return float64(g.consumers + 1) }
-
-var _ dag.Graph = starGraph{}
 
 // censusWireSplit predicts, from the graph and distribution alone, the
 // logical message count and the number of hops the owners transmit under
@@ -137,7 +112,7 @@ func TestTreeBroadcastAccounting(t *testing.T) {
 func TestTreePipelinesWideBroadcast(t *testing.T) {
 	// Star graph: task 0 on node 0 feeds one consumer task on each node.
 	const p = 16
-	g := starGraph{consumers: p - 1}
+	g := starGraph(p - 1)
 	d := litDist{p: p, owner: func(i, j int) int { return i }}
 	// Communication-bound: tiny flops, fat messages, zero latency.
 	m := Machine{Workers: 1, FlopsPerWorker: 1e12, LinkBandwidth: 1e9, Latency: 0}
