@@ -113,26 +113,45 @@ func TestHeapLIFOTie(t *testing.T) {
 	}
 }
 
-// TestHeapRandomizedAgainstSort: heap drain equals a stable sort by key for
-// random inputs of every size.
+// TestHeapRandomizedAgainstSort: under either tie mode, and however pushes
+// and pops interleave, each pop returns the first of the queued ids in a
+// stable sort on (key, push order), the push order negated under TieLIFO.
 func TestHeapRandomizedAgainstSort(t *testing.T) {
+	type item struct {
+		key int64
+		ord int
+		id  int32
+	}
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200)
-		type item struct {
-			key int64
-			id  int32
-		}
-		items := make([]item, n)
-		var h Heap
-		for i := range items {
-			items[i] = item{key: int64(rng.Intn(10)), id: int32(i)}
-			h.Push(items[i].key, items[i].id)
-		}
-		sort.SliceStable(items, func(a, b int) bool { return items[a].key < items[b].key })
-		for i, it := range items {
-			if got := h.Pop(); got != it.id {
-				t.Fatalf("trial %d pop %d = %d, want %d", trial, i, got, it.id)
+	for _, tie := range []Tie{TieFIFO, TieLIFO} {
+		for trial := 0; trial < 100; trial++ {
+			h := NewHeap(tie)
+			var queued []item
+			pushes := rng.Intn(200)
+			interleave := trial%2 == 1
+			for pushed := 0; pushed < pushes || len(queued) > 0; {
+				if pushed < pushes && (len(queued) == 0 || !interleave || rng.Intn(3) < 2) {
+					it := item{key: int64(rng.Intn(10)), ord: pushed, id: int32(pushed)}
+					if tie == TieLIFO {
+						it.ord = -pushed
+					}
+					h.Push(it.key, it.id)
+					queued = append(queued, it)
+					pushed++
+					continue
+				}
+				sort.SliceStable(queued, func(a, b int) bool {
+					x, y := queued[a], queued[b]
+					return x.key < y.key || x.key == y.key && x.ord < y.ord
+				})
+				want := queued[0]
+				queued = queued[1:]
+				if got := h.Pop(); got != want.id {
+					t.Fatalf("tie %d trial %d: popped %d, want %d", tie, trial, got, want.id)
+				}
+			}
+			if !h.Empty() {
+				t.Fatalf("tie %d trial %d: heap not empty after popping every push", tie, trial)
 			}
 		}
 	}

@@ -41,11 +41,13 @@ func BenchmarkSimulatePaperPair(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tasks), "ns/task")
 }
 
-// TestRunAllocationsDoNotScaleWithTasks: Run allocates its per-task tables
-// once and its per-message state from free lists, so LU(40)'s 19 270 tasks
-// more than LU(20)'s cost the slice growths of a deeper queue and some forty
-// more delivery records in flight — ≈ 630 allocations — where a closure per
-// event cost ≈ 1.1 per task, 24 000 on this pair.
+// TestRunAllocationsDoNotScaleWithTasks: Run allocates nothing per task or
+// per event. The inference's window rings double only when the window
+// outgrows them, delivery records come from a free list, and each event lane
+// reuses its buffer (restarted when it empties, compacted when it is full),
+// so LU(40)'s 19 270 tasks more than LU(20)'s cost wider rings, some forty
+// more records in flight and a few more lane doublings — ≈ 530 allocations —
+// where a closure per event cost ≈ 1.1 per task, 24 000 on this pair.
 func TestRunAllocationsDoNotScaleWithTasks(t *testing.T) {
 	d := dist.NewG2DBC(23)
 	m := PaperMachine()

@@ -1,5 +1,7 @@
 package simulate
 
+import "fmt"
+
 // event is one scheduled simulator event.
 //
 // node ≥ 0: a kernel completes on that node; at is its task's position.
@@ -12,84 +14,120 @@ type event struct {
 	at   int32
 }
 
-// earlier is the queue's order: 1 if e pops before o, else 0. The order is
-// total — no two events share a seq — so the pop sequence is a function of the
-// pushes alone, whatever the heap's shape: that is the contract every golden
-// makespan rests on. It is computed without a branch because the outcome is
-// close to random: as a branch it mispredicted at every level of a sift.
-func earlier(e, o *event) int {
-	var lt, eq, sl int
-	if e.time < o.time {
-		lt = 1
-	}
-	if e.time == o.time {
-		eq = 1
-	}
-	if e.seq < o.seq {
-		sl = 1
-	}
-	return lt | eq&sl
-}
-
-// eventQueue is a 4-ary min-heap on (time, seq). Both sifts move a hole and
-// write the travelling event once, where a swap would write it at every level.
-type eventQueue struct {
-	items []event
+// laneQueue is the event queue. It pops events in (time, seq) order, seq being
+// the push count: the order is total, so the pop sequence is a function of the
+// pushes alone — the contract every golden makespan rests on.
+//
+// It merges lanes, FIFOs whose pushes already come in that order:
+//   - lane dst, for dst < P, holds the hops landing on node dst. sendHop
+//     pushes them at recvEnd, which nicIn[dst] makes non-decreasing;
+//   - every other lane holds the completions of one kernel duration, opened
+//     the first time that exact duration is seen. dispatch pushes them at
+//     now + dur, and now never decreases.
+//
+// A binary heap orders the non-empty lanes by their head events: at most P
+// plus the number of durations, however many events are pending, and a push
+// onto a non-empty lane does not touch it. A push earlier than its lane's tail would pop out
+// of order, so it panics.
+type laneQueue struct {
 	seq   uint64
+	lanes []lane
+	heads []head    // the non-empty lanes, a heap on their head events
+	durs  []float64 // durs[i] is the duration of lane len(lanes)-len(durs)+i
 }
 
-func (q *eventQueue) push(e event) {
+// lane is a FIFO: items[next:] are pending. It reuses its array, restarting
+// at the front when it empties and moving its pending events there when the
+// array is full and at least half spent.
+type lane struct {
+	items []event
+	next  int
+}
+
+// head is a non-empty lane keyed by its head event's (time, seq).
+type head struct {
+	time float64
+	seq  uint64
+	lane int32
+}
+
+func (h *head) before(o *head) bool {
+	return h.time < o.time || h.time == o.time && h.seq < o.seq
+}
+
+// durLane returns the lane of the completions of kernels that run dur. A run
+// has a few distinct durations — one per kernel kind and node speed — so a
+// scan finds it faster than a map would.
+func (q *laneQueue) durLane(dur float64) int32 {
+	first := len(q.lanes) - len(q.durs)
+	for i, d := range q.durs {
+		if d == dur {
+			return int32(first + i)
+		}
+	}
+	q.durs = append(q.durs, dur)
+	q.lanes = append(q.lanes, lane{})
+	return int32(len(q.lanes) - 1)
+}
+
+// push stamps e with the next seq and appends it to lane l.
+func (q *laneQueue) push(l int32, e event) {
 	q.seq++
 	e.seq = q.seq
-	q.items = append(q.items, e)
-	items := q.items
-	i := len(items) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if earlier(&e, &items[parent]) == 0 {
-			break
+	ln := &q.lanes[l]
+	if n := len(ln.items); n > 0 {
+		if tail := ln.items[n-1].time; e.time < tail {
+			panic(fmt.Sprintf("simulate: event %+v pushed onto lane %d at %v, behind its tail at %v", e, l, e.time, tail))
 		}
-		items[i] = items[parent]
-		i = parent
+		if n == cap(ln.items) && 2*ln.next >= n {
+			ln.items, ln.next = ln.items[:copy(ln.items, ln.items[ln.next:])], 0
+		}
+		ln.items = append(ln.items, e)
+		return
 	}
-	items[i] = e
+	ln.items = append(ln.items, e)
+	h := head{e.time, e.seq, l}
+	q.heads = append(q.heads, h)
+	i := len(q.heads) - 1
+	for i > 0 && h.before(&q.heads[(i-1)/2]) {
+		q.heads[i], i = q.heads[(i-1)/2], (i-1)/2
+	}
+	q.heads[i] = h
 }
 
-func (q *eventQueue) pop() event {
-	top := q.items[0]
-	n := len(q.items) - 1
-	last := q.items[n]
-	q.items = q.items[:n]
-	items := q.items
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
+// pop removes and returns the least pending event. The queue must not be empty.
+func (q *laneQueue) pop() event {
+	l := q.heads[0].lane
+	ln := &q.lanes[l]
+	e := ln.items[ln.next]
+	ln.next++
+	var h head
+	if ln.next < len(ln.items) {
+		next := &ln.items[ln.next]
+		h = head{next.time, next.seq, l}
+	} else {
+		ln.items, ln.next = ln.items[:0], 0
+		last := len(q.heads) - 1
+		h, q.heads = q.heads[last], q.heads[:last]
+	}
+	// Sift a hole down from the root and write h where it stops.
+	heads, i := q.heads, 0
+	for c := 1; c < len(heads); c = 2*i + 1 {
+		if c+1 < len(heads) && heads[c+1].before(&heads[c]) {
+			c++
+		}
+		if !heads[c].before(&h) {
 			break
 		}
-		min := first
-		if first+4 <= n {
-			a := first + earlier(&items[first+1], &items[first])
-			b := first + 2 + earlier(&items[first+3], &items[first+2])
-			min = a + (b-a)*earlier(&items[b], &items[a])
-		} else {
-			for c := first + 1; c < n; c++ {
-				min += (c - min) * earlier(&items[c], &items[min])
-			}
-		}
-		if earlier(&items[min], &last) == 0 {
-			break
-		}
-		items[i] = items[min]
-		i = min
+		heads[i], i = heads[c], c
 	}
-	if n > 0 {
-		items[i] = last
+	if len(heads) > 0 {
+		heads[i] = h
 	}
-	return top
+	return e
 }
 
-func (q *eventQueue) empty() bool { return len(q.items) == 0 }
+func (q *laneQueue) empty() bool { return len(q.heads) == 0 }
 
 // The per-node ready queues are sched.Heap: the same deterministic priority
 // heap (and the same critical-path key) the real runtime dispatches with.

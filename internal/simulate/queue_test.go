@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"anybc/internal/cluster"
@@ -11,37 +12,72 @@ import (
 	"anybc/internal/dist"
 )
 
-// TestEventQueuePopsInTimeSeqOrder holds the queue to its contract against a
-// sorted reference: whatever is pushed — few distinct times, so most events
-// tie — and however pushes and pops interleave, pop returns the pending event
-// that is least on (time, seq).
+// TestEventQueuePopsInTimeSeqOrder holds the lanes to the queue's contract
+// against a sorted reference. Pushes go to random lanes the way the simulator
+// makes them: onto a node's arrival lane no earlier than its tail, onto a
+// duration's lane at the last pop's time plus the duration, so each lane is
+// monotone and nothing is earlier than the last pop. Times take few distinct
+// values, so most events tie across lanes and seq decides, and pushes and
+// pops interleave. Whatever the pushes, pop returns the pending event that is
+// least on (time, seq).
 func TestEventQueuePopsInTimeSeqOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 300; round++ {
-		var q eventQueue
+		nodes, durs := 1+rng.Intn(8), 1+rng.Intn(4)
+		q := laneQueue{lanes: make([]lane, nodes)}
+		tails := make([]float64, nodes)
 		var pending []event
+		now := 0.0
 		pushes := 1 + rng.Intn(400)
-		distinct := 1 + rng.Intn(12)
 		for pushed := 0; pushed < pushes || len(pending) > 0; {
 			if pushed < pushes && (len(pending) == 0 || rng.Intn(5) < 3) {
-				e := event{time: float64(rng.Intn(distinct)) / 4, node: int32(pushed), at: int32(round)}
-				q.push(e)
+				e := event{node: int32(pushed), at: int32(round)}
+				var l int32
+				if rng.Intn(2) == 0 {
+					l = int32(rng.Intn(nodes))
+					e.time = max(now, tails[l]) + float64(rng.Intn(3))/4
+					tails[l] = e.time
+				} else {
+					dur := float64(rng.Intn(durs)) / 4
+					l, e.time = q.durLane(dur), now+dur
+				}
+				q.push(l, e)
 				e.seq = q.seq
 				pending = append(pending, e)
 				pushed++
 				continue
 			}
-			sort.Slice(pending, func(a, b int) bool { return earlier(&pending[a], &pending[b]) == 1 })
+			sort.Slice(pending, func(a, b int) bool {
+				x, y := pending[a], pending[b]
+				return x.time < y.time || x.time == y.time && x.seq < y.seq
+			})
 			want := pending[0]
 			pending = pending[1:]
 			if got := q.pop(); got != want {
 				t.Fatalf("round %d: popped %+v, the least pending event is %+v", round, got, want)
 			}
+			now = want.time
 		}
 		if !q.empty() {
 			t.Fatalf("round %d: queue not empty after popping every push", round)
 		}
 	}
+}
+
+// TestEventQueueRejectsAnOutOfOrderPush: a push earlier than its lane's tail
+// would pop out of order, so it panics and names the lane; the same time on
+// another lane is fine.
+func TestEventQueueRejectsAnOutOfOrderPush(t *testing.T) {
+	q := laneQueue{lanes: make([]lane, 2)}
+	q.push(0, event{time: 2})
+	q.push(1, event{time: 1})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "lane 0 at 1, behind its tail at 2") {
+			t.Fatalf("out-of-order push: recovered %q", msg)
+		}
+	}()
+	q.push(0, event{time: 1})
 }
 
 // TestPoolsDrainWhenRunReturns: delivery records (whose destination ranges

@@ -106,7 +106,7 @@ type sim struct {
 	slotFree    [][]float64 // worker-slot bookkeeping for Gantt traces (only when recording)
 	fabricFree  float64     // shared-fabric serialization point (bisection cap)
 
-	events eventQueue
+	events laneQueue
 	deliveries
 	visit func(q int32, owner int) // s.file, bound once: a method value allocates
 
@@ -155,6 +155,7 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 	}
 	s.nicOut = make([]float64, P)
 	s.nicIn = make([]float64, P)
+	s.events = laneQueue{lanes: make([]lane, P)}
 	if s.rec != nil {
 		s.slotFree = make([][]float64, P)
 		for node := range s.slotFree {
@@ -241,7 +242,7 @@ func (s *sim) dispatch(node int, now float64) {
 			s.slotFree[node][worker] = now + dur
 			s.rec.RecordTask(node, worker, t, now, now+dur)
 		}
-		s.events.push(event{time: now + dur, node: int32(node), at: pos})
+		s.events.push(s.events.durLane(dur), event{time: now + dur, node: int32(node), at: pos})
 	}
 }
 
@@ -327,5 +328,5 @@ func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
 		// shift forward.
 		s.rec.RecordMessage(src, dst, depart, recvEnd, msgBytes)
 	}
-	s.events.push(event{time: recvEnd, node: ^d, at: int32(at)})
+	s.events.push(int32(dst), event{time: recvEnd, node: ^d, at: int32(at)})
 }
