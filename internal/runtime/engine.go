@@ -82,7 +82,7 @@ type engine struct {
 	inbuf   []*tile.Tile // one flat backing array for every task's kernel-input slice
 
 	// ready is the node's dispatch queue: the shared critical-path priority
-	// heap of package sched, keyed by the plan's per-task keys.
+	// queue of package sched, keyed by the plan's per-task keys.
 	ready sched.Heap
 
 	ownedTiles int
@@ -263,8 +263,8 @@ func (e *engine) drop(s int32) {
 // not the local count (see elastic.barrier).
 //
 // The node is its Workers worker goroutines plus one receiver: there is no
-// loop goroutine between them. run seeds the heap, starts them, takes the
-// resilience layer's ticks when it is armed, and waits.
+// loop goroutine between them. run seeds the ready queue, starts them, takes
+// the resilience layer's ticks when it is armed, and waits.
 func (e *engine) run() error {
 	// First, and even on a node with no task (the gather reads its tiles).
 	e.generate(e.rank)
@@ -427,13 +427,14 @@ func (e *engine) work(slot int, jb job, ok bool) {
 		e.mu.Unlock()
 	}
 	for ok {
-		start := time.Now()
+		// Offsets from the epoch read only the monotonic clock, not the wall
+		// clock time.Now also reads.
+		start := time.Since(e.epoch)
 		err := e.kern(jb.task, jb.out, jb.inputs)
-		end := time.Now()
-		e.busy[slot] += end.Sub(start).Nanoseconds()
+		end := time.Since(e.epoch)
+		e.busy[slot] += (end - start).Nanoseconds()
 		if e.rec != nil {
-			e.rec.RecordTask(e.rank, slot, jb.task,
-				start.Sub(e.epoch).Seconds(), end.Sub(e.epoch).Seconds())
+			e.rec.RecordTask(e.rank, slot, jb.task, start.Seconds(), end.Seconds())
 		}
 		e.mu.Lock()
 		e.finish(jb, err)
@@ -504,7 +505,7 @@ func (e *engine) wake() {
 	}
 }
 
-// pop takes the most urgent ready task off the heap and resolves it for the
+// pop takes the most urgent ready task off the queue and resolves it for the
 // caller to run; ok is false when nothing is ready or dispatch has stopped.
 // The crash injection is asked once per pop, and a death settles here, in
 // whichever goroutine saw it.

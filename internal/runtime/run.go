@@ -17,7 +17,7 @@
 // that finishes a kernel takes the lock and publishes the task itself: the
 // completion releases local successors, and an output some remote node
 // consumes goes to each distinct consumer node as one point-to-point message;
-// then it pops its next task off the priority heap and computes again. The
+// then it pops its next task off the priority queue and computes again. The
 // receiver delivers tile arrivals under the same lock — deduplicated against
 // the retained copy, their tree-broadcast relays forwarded once per tag —
 // which release the tasks waiting on them and wake a sleeping worker for
@@ -59,10 +59,10 @@
 //
 // # Scheduling
 //
-// Ready tasks dispatch through the critical-path priority heap of package
-// sched — the same policy and heap the discrete-event simulator uses — and a
+// Ready tasks dispatch through the critical-path priority queue of package
+// sched — the same policy and queue the discrete-event simulator uses — and a
 // free worker pops it directly, whatever Workers is: nothing is queued ahead
-// between the heap and a worker, so panel kernels (GETRF/POTRF) and triangular
+// between the queue and a worker, so panel kernels (GETRF/POTRF) and triangular
 // solves of low iterations never start behind trailing updates that were
 // merely ready earlier, and real makespans track what the simulator predicts.
 // Report.Sched exposes per-node scheduler observability: stall time (a free

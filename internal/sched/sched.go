@@ -1,7 +1,7 @@
 // Package sched is the single scheduling policy shared by the discrete-event
 // simulator (internal/simulate) and the real distributed runtime
 // (internal/runtime): a per-task priority key that favors the critical path
-// of the right-looking factorizations, and a deterministic priority heap for
+// of the right-looking factorizations, and a deterministic priority queue for
 // per-node ready queues.
 //
 // The paper's evaluation depends on the simulator predicting what the
@@ -15,7 +15,11 @@
 // while a delayed GEMM only delays itself.
 package sched
 
-import "anybc/internal/dag"
+import (
+	"slices"
+
+	"anybc/internal/dag"
+)
 
 // Policy selects how ready tasks are ordered.
 type Policy int
@@ -25,7 +29,7 @@ const (
 	// the lookahead-friendly policy both substrates use by default.
 	CriticalPath Policy = iota
 	// FIFO dispatches ready tasks in release order (all keys equal; the
-	// heap's insertion-order tie-break makes it a plain queue).
+	// ready queue's insertion-order tie-break makes it a plain queue).
 	FIFO
 )
 
@@ -74,7 +78,7 @@ const subBits = 20
 
 // Key returns the CriticalPath dispatch key of t: lower keys dispatch first.
 // Keys are totally ordered by (iteration, kind rank, urgency); remaining
-// ties are left to the heap's deterministic tie-break.
+// ties are left to the ready queue's deterministic tie-break.
 func Key(t dag.Task) int64 {
 	sub := subOrder(t)
 	if sub >= 1<<subBits {
@@ -125,88 +129,88 @@ func (p Policy) Tie() Tie {
 	return TieLIFO
 }
 
-// Heap is a deterministic min-heap of task identifiers ordered by (key,
-// tie-break on push recency): both orders are total, so a run's dispatch
-// sequence is reproducible. The zero value is an empty TieFIFO heap; use
-// NewHeap to select the tie-break.
+// Heap is a deterministic priority queue of task identifiers: the least key
+// pops first, and equal keys pop in push order under TieFIFO, most recent
+// first under TieLIFO. Both orders are total, so a run's dispatch sequence is
+// reproducible. The zero value is an empty TieFIFO queue; use NewHeap to
+// select the tie-break.
 //
-// It is binary (a 4-ary heap measured no faster) over one array of entries,
-// and both sifts move a hole and write the travelling entry once.
+// A ready set holds many ids under few keys, so it is a bucket per distinct
+// key: buckets is sorted by descending key, the least last, and each bucket's
+// ids are a list threaded through links. A pop takes the head of the last
+// bucket; a push binary-searches its key. Popped links go on a free list
+// (every link past the n live ones is free), so a warm queue allocates
+// nothing.
 type Heap struct {
-	items []entry
-	seq   uint64
-	flip  uint64 // 0 under TieFIFO, all ones under TieLIFO
+	buckets []bucket
+	links   []link
+	free    int32 // first free link, when len(links) > n
+	n       int
+	lifo    bool
 }
 
-// entry is one queued id. ord is its push count under TieFIFO and the
-// count's complement under TieLIFO, so (key, ord) ascending is the pop order
-// of either mode.
-type entry struct {
-	key int64
-	ord uint64
-	id  int32
+// bucket is the list of the ids queued under one key, popped from head.
+type bucket struct {
+	key        int64
+	head, tail int32
 }
 
-func (e *entry) before(o *entry) bool {
-	return e.key < o.key || e.key == o.key && e.ord < o.ord
-}
+// link holds one id and, in a list or on the free list, the next link.
+type link struct{ id, next int32 }
 
-// NewHeap returns an empty heap with the given tie-break mode.
+// NewHeap returns an empty queue with the given tie-break mode.
 func NewHeap(tie Tie) Heap {
-	if tie == TieLIFO {
-		return Heap{flip: ^uint64(0)}
-	}
-	return Heap{}
+	return Heap{buckets: make([]bucket, 0, 8), links: make([]link, 0, 32), lifo: tie == TieLIFO}
 }
 
 // Push inserts id with the given priority key.
 func (h *Heap) Push(key int64, id int32) {
-	h.seq++
-	e := entry{key: key, ord: h.seq ^ h.flip, id: id}
-	h.items = append(h.items, e)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(&h.items[parent]) {
-			break
-		}
-		h.items[i] = h.items[parent]
-		i = parent
+	l := int32(len(h.links))
+	if int(l) > h.n {
+		l, h.free = h.free, h.links[h.free].next
+		h.links[l].id = id
+	} else {
+		h.links = append(h.links, link{id: id})
 	}
-	h.items[i] = e
+	h.n++
+	lo, hi := 0, len(h.buckets) // find the first bucket whose key is <= key
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); h.buckets[m].key > key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(h.buckets) || h.buckets[lo].key != key {
+		h.buckets = slices.Insert(h.buckets, lo, bucket{key, l, l})
+		return
+	}
+	b := &h.buckets[lo]
+	if h.lifo {
+		h.links[l].next, b.head = b.head, l
+	} else {
+		h.links[b.tail].next, b.tail = l, l
+	}
 }
 
 // Pop removes and returns the id with the lowest key (tie broken by the
-// heap's Tie mode). It must not be called on an empty heap.
+// queue's Tie mode). It must not be called on an empty queue.
 func (h *Heap) Pop() int32 {
-	top := h.items[0].id
-	n := len(h.items) - 1
-	last := h.items[n]
-	h.items = h.items[:n]
-	items := h.items
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && items[c+1].before(&items[c]) {
-			c++
-		}
-		if !items[c].before(&last) {
-			break
-		}
-		items[i] = items[c]
-		i = c
+	last := len(h.buckets) - 1
+	b := &h.buckets[last]
+	l := b.head
+	if l == b.tail {
+		h.buckets = h.buckets[:last]
+	} else {
+		b.head = h.links[l].next
 	}
-	if n > 0 {
-		items[i] = last
-	}
-	return top
+	h.n--
+	h.links[l].next, h.free = h.free, l
+	return h.links[l].id
 }
 
 // Len returns the number of queued ids.
-func (h *Heap) Len() int { return len(h.items) }
+func (h *Heap) Len() int { return h.n }
 
-// Empty reports whether the heap holds no ids.
-func (h *Heap) Empty() bool { return len(h.items) == 0 }
+// Empty reports whether the queue holds no ids.
+func (h *Heap) Empty() bool { return h.n == 0 }

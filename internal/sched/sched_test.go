@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -113,46 +114,133 @@ func TestHeapLIFOTie(t *testing.T) {
 	}
 }
 
-// TestHeapRandomizedAgainstSort: under either tie mode, and however pushes
-// and pops interleave, each pop returns the first of the queued ids in a
-// stable sort on (key, push order), the push order negated under TieLIFO.
+// TestHeapRandomizedAgainstSort: under either tie mode — and the zero value,
+// which is TieFIFO — however pushes and pops interleave, each pop returns the
+// first of the queued ids in a stable sort on (key, push order), the push
+// order negated under TieLIFO. The key streams are the ones a bucket queue
+// can get wrong: heavy ties on one to three keys, monotone runs that open a
+// bucket at either end, and pops frequent enough to empty buckets and
+// re-create them.
 func TestHeapRandomizedAgainstSort(t *testing.T) {
 	type item struct {
 		key int64
 		ord int
 		id  int32
 	}
+	tenKeys := func(rng *rand.Rand) func(int) int64 {
+		return func(int) int64 { return int64(rng.Intn(10)) }
+	}
+	cases := []struct {
+		name string
+		keys func(rng *rand.Rand) func(i int) int64 // one trial's key stream
+		pops int                                    // chance in 6 that a step pops while pushes remain
+	}{
+		{"ten keys", tenKeys, 0},
+		{"ten keys interleaved", tenKeys, 2},
+		{"one to three keys", func(rng *rand.Rand) func(int) int64 {
+			k := 1 + rng.Intn(3)
+			return func(int) int64 { return int64(rng.Intn(k))*1000 - 1000 }
+		}, 1},
+		{"ascending runs", func(rng *rand.Rand) func(int) int64 {
+			run := 1 + rng.Intn(50)
+			return func(i int) int64 { return int64(i % run) }
+		}, 1},
+		{"descending runs", func(rng *rand.Rand) func(int) int64 {
+			run := 1 + rng.Intn(50)
+			return func(i int) int64 { return int64(run - i%run) }
+		}, 1},
+		{"buckets emptied and re-created", func(rng *rand.Rand) func(int) int64 {
+			return func(int) int64 { return int64(rng.Intn(4)) }
+		}, 3},
+	}
+	heaps := []struct {
+		name string
+		new  func() Heap
+		lifo bool
+	}{
+		{"TieFIFO", func() Heap { return NewHeap(TieFIFO) }, false},
+		{"TieLIFO", func() Heap { return NewHeap(TieLIFO) }, true},
+		{"zero value", func() Heap { return Heap{} }, false},
+	}
 	rng := rand.New(rand.NewSource(7))
-	for _, tie := range []Tie{TieFIFO, TieLIFO} {
-		for trial := 0; trial < 100; trial++ {
-			h := NewHeap(tie)
-			var queued []item
-			pushes := rng.Intn(200)
-			interleave := trial%2 == 1
-			for pushed := 0; pushed < pushes || len(queued) > 0; {
-				if pushed < pushes && (len(queued) == 0 || !interleave || rng.Intn(3) < 2) {
-					it := item{key: int64(rng.Intn(10)), ord: pushed, id: int32(pushed)}
-					if tie == TieLIFO {
-						it.ord = -pushed
+	for _, c := range cases {
+		for _, hc := range heaps {
+			for trial := 0; trial < 100; trial++ {
+				h := hc.new()
+				key := c.keys(rng)
+				var queued []item
+				pushes := rng.Intn(200)
+				for pushed := 0; pushed < pushes || len(queued) > 0; {
+					if pushed < pushes && (len(queued) == 0 || rng.Intn(6) >= c.pops) {
+						it := item{key: key(pushed), ord: pushed, id: int32(pushed)}
+						if hc.lifo {
+							it.ord = -pushed
+						}
+						h.Push(it.key, it.id)
+						queued = append(queued, it)
+						pushed++
+					} else {
+						sort.SliceStable(queued, func(a, b int) bool {
+							x, y := queued[a], queued[b]
+							return x.key < y.key || x.key == y.key && x.ord < y.ord
+						})
+						want := queued[0]
+						queued = queued[1:]
+						if got := h.Pop(); got != want.id {
+							t.Fatalf("%s, %s, trial %d: popped %d, want %d", c.name, hc.name, trial, got, want.id)
+						}
 					}
-					h.Push(it.key, it.id)
-					queued = append(queued, it)
-					pushed++
-					continue
+					if h.Len() != len(queued) || h.Empty() != (len(queued) == 0) {
+						t.Fatalf("%s, %s, trial %d: Len %d, Empty %v with %d queued",
+							c.name, hc.name, trial, h.Len(), h.Empty(), len(queued))
+					}
 				}
-				sort.SliceStable(queued, func(a, b int) bool {
-					x, y := queued[a], queued[b]
-					return x.key < y.key || x.key == y.key && x.ord < y.ord
-				})
-				want := queued[0]
-				queued = queued[1:]
-				if got := h.Pop(); got != want.id {
-					t.Fatalf("tie %d trial %d: popped %d, want %d", tie, trial, got, want.id)
-				}
-			}
-			if !h.Empty() {
-				t.Fatalf("tie %d trial %d: heap not empty after popping every push", tie, trial)
 			}
 		}
+	}
+}
+
+// TestHeapReusesStorage: a queue that was filled and drained once allocates
+// nothing to be filled and drained again the same way — the buckets and the
+// links are reused.
+func TestHeapReusesStorage(t *testing.T) {
+	for _, tie := range []Tie{TieFIFO, TieLIFO} {
+		h := NewHeap(tie)
+		cycle := func() {
+			for i := 0; i < 500; i++ {
+				h.Push(int64(i%37-i%5), int32(i))
+			}
+			for !h.Empty() {
+				h.Pop()
+			}
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+			t.Errorf("tie %d: a warm fill-and-drain allocated %.0f times", tie, allocs)
+		}
+	}
+}
+
+// BenchmarkHeapProgramOrder pushes every task key of an LU graph in program
+// order, then pops them all, as bench's sched.heap_ns_per_op probe does.
+// Program order is mostly ascending, so nearly every new key opens a bucket
+// at the far end of the descending bucket slice — the queue's worst insert.
+// ns/op is per push or pop.
+func BenchmarkHeapProgramOrder(b *testing.B) {
+	for _, mt := range []int{24, 100} {
+		var keys []int64
+		dag.ForEachTask(dag.NewLU(mt), func(t dag.Task) { keys = append(keys, Key(t)) })
+		b.Run(fmt.Sprintf("LU%d", mt), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				h := NewHeap(TieLIFO)
+				for id, k := range keys {
+					h.Push(k, int32(id))
+				}
+				for !h.Empty() {
+					h.Pop()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(keys)), "ns/op")
+		})
 	}
 }

@@ -43,10 +43,12 @@ func BenchmarkSimulatePaperPair(b *testing.B) {
 
 // TestRunAllocationsDoNotScaleWithTasks: Run allocates nothing per task or
 // per event. The inference's window rings double only when the window
-// outgrows them, delivery records come from a free list, and each event lane
+// outgrows them, delivery records come from a free list, each event lane
 // reuses its buffer (restarted when it empties, compacted when it is full),
-// so LU(40)'s 19 270 tasks more than LU(20)'s cost wider rings, some forty
-// more records in flight and a few more lane doublings — ≈ 530 allocations —
+// and each node's ready queue reuses its buckets and links (popped links go on
+// its free list), so LU(40)'s 19 270 tasks more than LU(20)'s cost wider
+// rings, some forty more records in flight and a few more lane, bucket and
+// link doublings — ≈ 490 allocations —
 // where a closure per event cost ≈ 1.1 per task, 24 000 on this pair.
 func TestRunAllocationsDoNotScaleWithTasks(t *testing.T) {
 	d := dist.NewG2DBC(23)

@@ -130,4 +130,5 @@ func (q *laneQueue) pop() event {
 func (q *laneQueue) empty() bool { return len(q.heads) == 0 }
 
 // The per-node ready queues are sched.Heap: the same deterministic priority
-// heap (and the same critical-path key) the real runtime dispatches with.
+// queue (key buckets, not a heap) and the same critical-path key the real
+// runtime dispatches with.
