@@ -42,10 +42,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("Communication validation on a %dx%d tile matrix (real execution):\n", *mt, *mt)
-		experiments.RenderValidation(os.Stdout, rows)
-		fmt.Println("\n'measured' counts actual tile messages; it must equal the structural")
-		fmt.Println("owner-computes count and approach the Eq. (1)/(2) predictions from below.")
+		experiments.RenderValidation(os.Stdout, *mt, rows)
 		return
 	}
 

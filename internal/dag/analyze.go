@@ -1,7 +1,5 @@
 package dag
 
-import "slices"
-
 // ForEachTask visits every task of the graph in submission order, a valid
 // topological order: dependencies always point from earlier-visited tasks to
 // later-visited ones. It runs the program and infers nothing.
@@ -44,22 +42,15 @@ func CriticalPathFlops(g Graph, b int) float64 {
 // CommVolumeTiles returns the exact number of tile transfers the
 // owner-computes rule induces for graph g under the tile→node map owner:
 // for every task output consumed by tasks on other nodes, the tile version
-// is sent once per distinct remote consumer node. This is the measured
-// counterpart of the paper's Equations (1) and (2).
+// is sent once per distinct remote consumer node (Inference.Route). This is
+// the measured counterpart of the paper's Equations (1) and (2).
 func CommVolumeTiles(g Graph, owner func(i, j int) int) int64 {
 	w := Infer(g.Program(), owner)
 	var volume int64
-	var src int
-	var dsts []int
-	consumer := func(_ int32, dst int) {
-		if dst != src && !slices.Contains(dsts, dst) {
-			dsts = append(dsts, dst)
-		}
-	}
+	var r Route
 	forEachSettled(w, func(pos int32) {
-		src, dsts = w.Owner(pos), dsts[:0]
-		w.Succs(pos, consumer)
-		volume += int64(len(dsts))
+		w.Route(pos, &r)
+		volume += int64(len(r.Dsts))
 	})
 	return volume
 }

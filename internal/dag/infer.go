@@ -1,6 +1,9 @@
 package dag
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Inference is the one dependency rule of this package at work on a Program,
 // as a sequential-task-flow runtime applies it at submission: a task depends
@@ -54,6 +57,11 @@ type Inference struct {
 	// before it, until that one settles; count is settle's, by producer.
 	back  []edge
 	count []int32
+
+	// Route's scratch: a node's index in Dsts (-1 outside a walk), and the
+	// remote successors met, a destination index in place of the owner.
+	dstOf  []int32
+	remote []succ
 
 	submit func(Task)     // w.add, bound once: a method value allocates
 	depend func(i, j int) // w.dependOn, likewise
@@ -177,17 +185,81 @@ func (w *Inference) Preds(pos int32, visit func(q int32)) {
 	}
 }
 
-// Succs visits the successors of the task at pos, which must be settled
-// (pos < Settled()), each with its owner, in submission order.
-func (w *Inference) Succs(pos int32, visit func(q int32, owner int)) {
-	lo, hi := w.node(pos).succ, w.send
+// succRange returns the range of the successors of the settled task at pos.
+func (w *Inference) succRange(pos int32) (lo, hi int32) {
+	lo, hi = w.node(pos).succ, w.send
 	if pos+1 < w.settled {
 		hi = w.node(pos + 1).succ
 	}
+	return lo, hi
+}
+
+// Succs visits the successors of the task at pos, which must be settled
+// (pos < Settled()), in submission order.
+func (w *Inference) Succs(pos int32, visit func(q int32)) {
+	lo, hi := w.succRange(pos)
 	for k := lo; k < hi; k++ {
-		s := w.succs.at(k)
-		visit(s.pos, int(s.owner))
+		visit(w.succs.at(k).pos)
 	}
+}
+
+// Route is where the output of a settled task goes under the owner-computes
+// rule. A caller keeps one and hands it to every Inference.Route call.
+type Route struct {
+	Local []int32 // the successors on the producer's node, in submission order
+	// Dsts are the distinct remote owners in first-visit order, one message
+	// each: the broadcast's destination list, which fixes the tree's shape.
+	Dsts []int
+	// Reduce: the output ships as a reduction partial
+	// (Program.ReducePartial with exactly one destination).
+	Reduce           bool
+	waitOff, waiters []int32 // Dsts[k] owns waiters[waitOff[k]:waitOff[k+1]]
+}
+
+// Waiters returns the successors destination k owns, in submission order.
+func (r *Route) Waiters(k int) []int32 { return r.waiters[r.waitOff[k]:r.waitOff[k+1]] }
+
+// Route fills r with the route of the settled task at pos in one walk over
+// its successors: the one place a task's consumers are split by owner.
+func (w *Inference) Route(pos int32, r *Route) {
+	src := w.node(pos).owner
+	r.Local, r.Dsts, r.waitOff = r.Local[:0], r.Dsts[:0], r.waitOff[:0]
+	remote := w.remote[:0]
+	lo, hi := w.succRange(pos)
+	for e := lo; e < hi; e++ {
+		s := *w.succs.at(e)
+		if s.owner == src {
+			r.Local = append(r.Local, s.pos)
+			continue
+		}
+		for int(s.owner) >= len(w.dstOf) {
+			w.dstOf = append(w.dstOf, -1)
+		}
+		if w.dstOf[s.owner] < 0 {
+			w.dstOf[s.owner] = int32(len(r.Dsts))
+			r.Dsts, r.waitOff = append(r.Dsts, int(s.owner)), append(r.waitOff, 0)
+		}
+		k := w.dstOf[s.owner]
+		r.waitOff[k]++
+		remote = append(remote, succ{s.pos, k})
+	}
+	// The waiters: a counting sort by destination, filled backwards, keeps
+	// each list in submission order. Counts become ends, and ends starts.
+	end := int32(0)
+	for k, dst := range r.Dsts {
+		w.dstOf[dst] = -1
+		end += r.waitOff[k]
+		r.waitOff[k] = end
+	}
+	r.waitOff = append(r.waitOff, end)
+	r.waiters = slices.Grow(r.waiters[:0], len(remote))[:len(remote)]
+	for i := len(remote) - 1; i >= 0; i-- {
+		k := remote[i].owner
+		r.waitOff[k]--
+		r.waiters[r.waitOff[k]] = remote[i].pos
+	}
+	w.remote = remote
+	r.Reduce = len(r.Dsts) == 1 && w.p.ReducePartial != nil && w.p.ReducePartial(w.node(pos).t)
 }
 
 // Release counts one met dependency of the task at pos and reports whether it

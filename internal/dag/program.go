@@ -129,7 +129,7 @@ func (g *Built) NumDependencies(t Task) int { return g.inferred().NumPreds(int32
 // Successors implements Graph: t's consumers in submission order.
 func (g *Built) Successors(t Task, visit func(Task)) {
 	w := g.inferred()
-	w.Succs(int32(g.ID(t)), func(q int32, _ int) { visit(w.Task(q)) })
+	w.Succs(int32(g.ID(t)), func(q int32) { visit(w.Task(q)) })
 }
 
 // OutputTile implements Graph.

@@ -285,7 +285,7 @@ func TestCommValidation(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	RenderValidation(&b, rows)
+	RenderValidation(&b, 16, rows)
 	if !strings.Contains(b.String(), "structural") {
 		t.Error("RenderValidation missing header")
 	}

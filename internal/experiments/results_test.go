@@ -1,14 +1,15 @@
 package experiments
 
 import (
-	"bufio"
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"anybc/internal/gcrm"
 )
 
 // TestCommittedFiguresRegenerate re-simulates the N ≤ 50 000 rows of every
@@ -39,41 +40,125 @@ func TestCommittedFiguresRegenerate(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		RenderPerf(&buf, "", pts)
-		got := perfRows(t, &buf, 50000)
-
-		f, err := os.Open(filepath.Join("..", "..", "results", fig.file))
-		if err != nil {
-			t.Fatal(err)
+		if len(rowsUpTo(buf.String(), 0, 50000)) != len(pts) {
+			t.Fatalf("%s: %d points simulated, not one row each", fig.file, len(pts))
 		}
-		want := perfRows(t, f, 50000)
-		f.Close()
+		sameRows(t, fig.file, buf.String(), 0, 50000)
+	}
+}
 
-		if len(want) != len(pts) || len(got) != len(want) {
-			t.Fatalf("%s: %d committed rows at N <= 50000, %d simulated", fig.file, len(want), len(got))
+// TestCommittedPatternArtifactsRegenerate recomputes the pattern mathematics
+// of results/ with the options of the command that writes each file
+// (`costplot -fig N`, `distgen -table1`, `distgen -verify -mt 30`) and
+// compares it with the committed text: Figures 4 and 9, Table Ia and the
+// Equation (1)/(2) validation whole — the validation factorizes real
+// matrices, so it also holds the compiled plans' destination lists to the
+// structural count — and Table Ib up to P = 24 and Figure 10 up to P = 20:
+// their GCR&M searches take seconds, and each larger P about one more.
+func TestCommittedPatternArtifactsRegenerate(t *testing.T) {
+	search := gcrm.DefaultSearchOptions() // costplot's and distgen's defaults
+	var buf bytes.Buffer
+	RenderCost(&buf, "Figure 4: total cost T, P=1..64", Figure4(64))
+	sameText(t, "fig4.txt", buf.String())
+
+	best, all, err := Figure9(23, search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	RenderCandidates(&buf, 23, best, all)
+	sameText(t, "fig9.txt", buf.String())
+
+	rows, err := CommValidation(30, 4, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	RenderValidation(&buf, 30, rows)
+	sameText(t, "verify.txt", buf.String())
+
+	const ibTitle = "\nTable Ib — Cholesky factorization\n"
+	ia, ib, ok := strings.Cut(committed(t, "table1.txt"), ibTitle)
+	buf.Reset()
+	buf.WriteString("Table Ia — LU factorization\n")
+	RenderTableIa(&buf, TableIa(TableIaPs))
+	if !ok || ia != buf.String() {
+		t.Errorf("table1.txt: Table Ia regenerates as\n%s", buf.String())
+	}
+	const maxIbP = 24
+	var ps []int
+	for _, p := range TableIbPs {
+		if p <= maxIbP {
+			ps = append(ps, p)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s row %d:\n simulated %s\n committed %s", fig.file, i, got[i], want[i])
-			}
+	}
+	ibRows, err := TableIb(ps, search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	RenderTableIb(&buf, ibRows)
+	if got, want := rowsUpTo(buf.String(), 0, maxIbP), rowsUpTo(ib, 0, maxIbP); !slices.Equal(got, want) {
+		t.Errorf("table1.txt: Table Ib rows up to P = %d regenerate as\n%s\ncommitted\n%s",
+			maxIbP, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	const maxFig10P = 20
+	pts, err := Figure10(maxFig10P, search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	RenderCost(&buf, "", pts)
+	sameRows(t, "fig10.txt", buf.String(), 1, maxFig10P)
+}
+
+// committed returns the text of a file of results/.
+func committed(t *testing.T, file string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "results", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// sameText fails t unless got is the committed file, byte for byte.
+func sameText(t *testing.T, file, got string) {
+	t.Helper()
+	if want := committed(t, file); got != want {
+		t.Errorf("%s regenerates as\n%s\ncommitted\n%s", file, got, want)
+	}
+}
+
+// sameRows fails t unless the rows of got are those of the committed file
+// whose number in column col is at most max.
+func sameRows(t *testing.T, file, got string, col, max int) {
+	t.Helper()
+	gotRows, want := rowsUpTo(got, col, max), rowsUpTo(committed(t, file), col, max)
+	if len(want) == 0 || len(gotRows) != len(want) {
+		t.Fatalf("%s: %d committed rows up to %d, %d regenerated", file, len(want), max, len(gotRows))
+	}
+	for i := range want {
+		if gotRows[i] != want[i] {
+			t.Errorf("%s row %d:\n regenerated %s\n committed   %s", file, i, gotRows[i], want[i])
 		}
 	}
 }
 
-// perfRows returns the data rows of a RenderPerf table with N ≤ maxN, each
-// with its column padding collapsed (the padding depends on the rows present).
-func perfRows(t *testing.T, r io.Reader, maxN int) []string {
-	t.Helper()
+// rowsUpTo returns the data rows of a rendered table whose number in column
+// col is at most max, each with its column padding collapsed (the padding
+// depends on the rows present). Titles and headers hold no number there.
+func rowsUpTo(text string, col, max int) []string {
 	var rows []string
-	for sc := bufio.NewScanner(r); sc.Scan(); {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
+	for _, line := range strings.Split(text, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) <= col {
 			continue
 		}
-		n, err := strconv.Atoi(fields[0])
-		if err != nil || n > maxN {
-			continue // title, header, or a larger matrix
+		if n, err := strconv.Atoi(fields[col]); err == nil && n <= max {
+			rows = append(rows, strings.Join(fields, " "))
 		}
-		rows = append(rows, strings.Join(fields, " "))
 	}
 	return rows
 }

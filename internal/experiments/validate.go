@@ -86,8 +86,10 @@ func CommValidation(mt, b int, searchSeeds int) ([]ValidationRow, error) {
 	return rows, nil
 }
 
-// RenderValidation prints the validation table.
-func RenderValidation(w io.Writer, rows []ValidationRow) {
+// RenderValidation prints the validation of an mt×mt tile matrix: a title,
+// the table and what it must show.
+func RenderValidation(w io.Writer, mt int, rows []ValidationRow) {
+	fmt.Fprintf(w, "Communication validation on a %dx%d tile matrix (real execution):\n", mt, mt)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "kernel\tscheme\tP\tmeasured\tstructural\tEq. prediction\tmeasured/pred\t")
 	for _, r := range rows {
@@ -95,4 +97,6 @@ func RenderValidation(w io.Writer, rows []ValidationRow) {
 			r.Kernel, r.Scheme, r.Nodes, r.Measured, r.Structural, r.Predicted, r.Ratio())
 	}
 	tw.Flush()
+	fmt.Fprintln(w, "\n'measured' counts actual tile messages; it must equal the structural")
+	fmt.Fprintln(w, "owner-computes count and approach the Eq. (1)/(2) predictions from below.")
 }

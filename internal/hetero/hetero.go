@@ -16,6 +16,7 @@ package hetero
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"anybc/internal/dist"
@@ -35,8 +36,8 @@ func Slots(speeds []float64, total int) ([]int, error) {
 	}
 	sum := 0.0
 	for n, v := range speeds {
-		if v <= 0 {
-			return nil, fmt.Errorf("hetero: node %d has non-positive speed %g", n, v)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("hetero: node %d has speed %g, not a positive finite number", n, v)
 		}
 		sum += v
 	}

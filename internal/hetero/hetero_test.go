@@ -74,6 +74,11 @@ func TestSlotsErrors(t *testing.T) {
 	if _, err := Slots([]float64{1, 1, 1}, 2); err == nil {
 		t.Error("fewer slots than nodes accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := Slots([]float64{1, v}, 4); err == nil {
+			t.Errorf("speed %g accepted", v)
+		}
+	}
 }
 
 func TestNewG2DBCStructure(t *testing.T) {
@@ -162,9 +167,11 @@ func TestSimulateNodeSpeedValidation(t *testing.T) {
 		simulate.Options{NodeSpeed: []float64{1, 1}}); err == nil {
 		t.Error("wrong NodeSpeed length accepted")
 	}
-	if _, err := simulate.Run(g, 8, dist.NewTwoDBC(2, 2), m,
-		simulate.Options{NodeSpeed: []float64{1, 1, 0, 1}}); err == nil {
-		t.Error("zero speed accepted")
+	for _, v := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := simulate.Run(g, 8, dist.NewTwoDBC(2, 2), m,
+			simulate.Options{NodeSpeed: []float64{1, 1, v, 1}}); err == nil {
+			t.Errorf("speed %g accepted", v)
+		}
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 	"anybc/internal/sched"
 )
 
-// compiler is the state of one Compile call. Its three visitor methods are
+// compiler is the state of one Compile call. Its two visitor methods are
 // handed to the inference and the program once, as method values, and read
 // the task the main pass is at from the cur* fields — a closure per task would
-// cost three heap allocations per task, which is what compiling once is meant
-// to end.
+// cost heap allocations per task, which is what compiling once is meant to
+// end.
 type compiler struct {
 	*Plan
 	err error
@@ -20,31 +20,28 @@ type compiler struct {
 	posOf  []int32 // plan index by program position
 	nodeOf []int32 // owner rank by plan index
 	next   []int32 // per tile, where its next writer goes in writer
+	route  dag.Route
 
 	// The four per-task tables are appended in program order, their per-task
 	// entry counts stored at cnt[task+1]; finish sums the counts into offsets
 	// and regroups the entries in plan order.
 	depCnt, inCnt, succCnt, dstCnt []int32
-	deps, ins, succs, dstSlots     []int32
+	deps, ins, succs               []int32
 	dstRanks                       []int
 	dstAt                          []int32 // where a task's destinations start in dstRanks
-	stamp                          []int32 // position+1 of the task that last listed the rank
-
-	// Slots in creation order: consumer rank and index among that rank's
-	// slots (finish blocks them by rank), producer, reader count, and the
-	// (slot, waiting task) pairs in program order.
-	slotNode, slotIdx, prods, readers []int32
-	slotCnt                           []int32
-	waitSlot, waitTask                []int32
+	// Each destination entry is a slot on its rank (finish blocks them by
+	// rank), numbered here by its index in dstRanks: its producer, and the
+	// tasks there waiting on the version, one run of waiters per entry.
+	prods, waitCnt, waiters []int32
 
 	// Local reads of an intermediate version, checked once every writer is
 	// known.
 	reads []localRead
 
 	// The task the main pass is at.
-	curPos, cur, curTile int32
-	curRank, depStart    int
-	depSlot              []int32 // slot of each dependency of cur, -1 for local ones
+	cur, curTile      int32
+	curRank, depStart int
+	depSlot           []int32 // entry of each dependency of cur, -1 for local ones
 }
 
 type localRead struct{ reader, tile, ver int32 }
@@ -76,15 +73,13 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 	c.succCnt, c.dstCnt = make([]int32, n+1), make([]int32, n+1)
 	c.deps, c.ins, c.succs = make([]int32, 0, 3*n), make([]int32, 0, 2*n), make([]int32, 0, 2*n)
 	c.dstAt = make([]int32, n)
-	c.stamp = make([]int32, c.Nodes())
-	c.slotCnt = make([]int32, c.Nodes()+1)
 	prog := g.Program()
-	w := dag.Infer(prog, nil) // the owners are the layout's
-	onDep, onInput, onSucc := c.onDep, c.onInput, c.onSucc
+	w := dag.Infer(prog, d.Owner) // layout has checked every owner's range
+	onDep, onInput := c.onDep, c.onInput
 	for v := int32(0); w.Next(); {
 		for ; v < w.Settled(); v++ {
 			t := w.Task(v)
-			c.curPos, c.cur = v, c.posOf[v]
+			c.cur = c.posOf[v]
 			c.task[c.cur] = t
 			c.curRank, c.curTile = int(c.nodeOf[c.cur]), c.out[c.cur]
 
@@ -105,11 +100,24 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 				return nil, c.err
 			}
 
-			succStart := len(c.succs)
+			// Routing: the same-node successors, released directly, and
+			// the destination ranks, each a slot with the tasks waiting there.
+			r := &c.route
+			w.Route(v, r)
+			for _, q := range r.Local {
+				c.succs = append(c.succs, c.posOf[q])
+			}
+			c.succCnt[c.cur+1] = int32(len(r.Local))
 			c.dstAt[c.cur] = int32(len(c.dstRanks))
-			w.Succs(v, onSucc)
-			c.succCnt[c.cur+1] = int32(len(c.succs) - succStart)
-			c.dstCnt[c.cur+1] = int32(len(c.dstRanks)) - c.dstAt[c.cur]
+			c.dstCnt[c.cur+1] = int32(len(r.Dsts))
+			for k, dst := range r.Dsts {
+				c.dstRanks, c.prods = append(c.dstRanks, dst), append(c.prods, c.cur)
+				waiters := r.Waiters(k)
+				for _, q := range waiters {
+					c.waiters = append(c.waiters, c.posOf[q])
+				}
+				c.waitCnt = append(c.waitCnt, int32(len(waiters)))
+			}
 
 			c.key[c.cur] = sched.Key(t)
 			c.reduce[c.cur] = prog.ReducePartial != nil && prog.ReducePartial(t)
@@ -194,31 +202,19 @@ func (c *compiler) layout() error {
 }
 
 // onDep records one predecessor, at program position q, of the current task:
-// a remote predecessor's output gets a slot on the current node — found
-// through the producer's own destination list, which names the current node
-// since the predecessor lists the current task among its successors — with
-// the current task waiting on it.
+// for a remote one, the slot on the current node its input references read —
+// the entry of the producer's destination list naming the current node,
+// which the list holds since the predecessor lists the current task among
+// its successors.
 func (c *compiler) onDep(q int32) {
 	q = c.posOf[q]
 	c.deps = append(c.deps, q)
-	slot := int32(-1)
+	e := int32(-1)
 	if int(c.nodeOf[q]) != c.curRank {
-		e := c.dstAt[q]
-		for c.dstRanks[e] != c.curRank {
-			e++
+		for e = c.dstAt[q]; c.dstRanks[e] != c.curRank; e++ {
 		}
-		if c.dstSlots[e] < 0 {
-			c.dstSlots[e] = int32(len(c.prods))
-			c.prods = append(c.prods, q)
-			c.readers = append(c.readers, 0)
-			c.slotNode = append(c.slotNode, int32(c.curRank))
-			c.slotIdx = append(c.slotIdx, c.slotCnt[c.curRank+1])
-			c.slotCnt[c.curRank+1]++
-		}
-		slot = c.dstSlots[e]
-		c.waitSlot, c.waitTask = append(c.waitSlot, slot), append(c.waitTask, c.cur)
 	}
-	c.depSlot = append(c.depSlot, slot)
+	c.depSlot = append(c.depSlot, e)
 }
 
 // onInput resolves one input tile of the current task to a reference: the
@@ -251,7 +247,6 @@ func (c *compiler) onInput(i, j int) {
 		c.err = fmt.Errorf("plan: %v on node %d reads tile (%d, %d), which no task writes: no node holds it",
 			t, rank, i, j)
 	case !local:
-		c.readers[c.depSlot[best]]++
 		c.ins = append(c.ins, ^c.depSlot[best])
 	default:
 		c.ins = append(c.ins, tile)
@@ -263,51 +258,31 @@ func (c *compiler) onInput(i, j int) {
 	}
 }
 
-// onSucc records one successor, at program position q, of the current task:
-// released directly when it runs on the same node, otherwise its owner joins
-// the task's destination list on first visit (the slot there is filled in
-// when that node's task is compiled).
-func (c *compiler) onSucc(q int32, _ int) {
-	if owner := int(c.nodeOf[c.posOf[q]]); owner == c.curRank {
-		c.succs = append(c.succs, c.posOf[q])
-	} else if c.stamp[owner] != c.curPos+1 {
-		c.stamp[owner] = c.curPos + 1
-		c.dstRanks, c.dstSlots = append(c.dstRanks, owner), append(c.dstSlots, -1)
-	}
-}
-
-// finish blocks the slots by consumer rank, puts every table in plan order,
-// and checks the local intermediate-version reads.
+// finish blocks the slots by consumer rank, in producer order, puts every
+// table in plan order, and checks the local intermediate-version reads.
 func (c *compiler) finish() error {
-	prefixSum(c.slotCnt)
-	c.slotOff = c.slotCnt
-	slotOf := func(created int32) int32 { return c.slotOff[c.slotNode[created]] + c.slotIdx[created] }
-	slots := len(c.prods)
+	slots := len(c.dstRanks)
+	c.slotOff = make([]int32, c.Nodes()+1)
+	for _, rank := range c.dstRanks {
+		c.slotOff[rank+1]++
+	}
+	prefixSum(c.slotOff)
+	slotOf := make([]int32, slots) // by destination entry
+	fill := append([]int32(nil), c.slotOff[:c.Nodes()]...)
 	c.slotProd, c.slotReaders = make([]int32, slots), make([]int32, slots)
-	for k := range c.prods {
-		c.slotProd[slotOf(int32(k))], c.slotReaders[slotOf(int32(k))] = c.prods[k], c.readers[k]
-	}
-	for e, s := range c.dstSlots {
-		if s >= 0 {
-			c.dstSlots[e] = slotOf(s)
-		}
-	}
-	for k, ref := range c.ins {
-		if ref < 0 {
-			c.ins[k] = ^slotOf(^ref)
-		}
-	}
 	c.waitOff = make([]int32, slots+1)
-	for k, s := range c.waitSlot {
-		c.waitSlot[k] = slotOf(s)
-		c.waitOff[c.waitSlot[k]+1]++
+	for e, rank := range c.dstRanks {
+		s := fill[rank]
+		fill[rank]++
+		slotOf[e], c.slotProd[s], c.waitOff[s+1] = s, c.prods[e], c.waitCnt[e]
 	}
 	prefixSum(c.waitOff)
-	c.wait = make([]int32, len(c.waitTask))
-	fill := append([]int32(nil), c.waitOff[:slots]...)
-	for k, s := range c.waitSlot {
-		c.wait[fill[s]] = c.waitTask[k]
-		fill[s]++
+	c.wait = regroup(c.waitOff, c.waiters, slotOf) // appended by entry, wanted by slot
+	for k, ref := range c.ins {
+		if ref < 0 {
+			c.ins[k] = ^slotOf[^ref]
+			c.slotReaders[slotOf[^ref]]++
+		}
 	}
 
 	for _, cnt := range [][]int32{c.depCnt, c.inCnt, c.succCnt, c.dstCnt} {
@@ -317,7 +292,7 @@ func (c *compiler) finish() error {
 	c.inOff, c.in = c.inCnt, regroup(c.inCnt, c.ins, c.posOf)
 	c.succOff, c.succ = c.succCnt, regroup(c.succCnt, c.succs, c.posOf)
 	c.dstOff = c.dstCnt
-	c.dstRank, c.dstSlot = regroup(c.dstCnt, c.dstRanks, c.posOf), regroup(c.dstCnt, c.dstSlots, c.posOf)
+	c.dstRank, c.dstSlot = regroup(c.dstCnt, c.dstRanks, c.posOf), regroup(c.dstCnt, slotOf, c.posOf)
 
 	// A local read of an intermediate version: the next writer must be
 	// ordered after the reader or the in-place update races the read.

@@ -22,10 +22,11 @@
 //   - tiles — every tile some task writes — are blocked by owner rank in
 //     first-write order (Tiles); a tile's writers are listed by version;
 //   - slots are the remote tile versions a node awaits, one per (consumer
-//     node, producer task), blocked by consumer rank in the order the node's
-//     tasks first need them (Slots). A slot knows its producer, the local
-//     tasks waiting on its arrival, and how many local input references read
-//     it (the received copy is released after that many consumers ran).
+//     node, producer task) — an entry of the producer's destination list —
+//     blocked by consumer rank in program order of the producers (Slots).
+//     A slot knows its producer, the local tasks waiting on its arrival, and
+//     how many local input references read it (the received copy is
+//     released after that many consumers ran).
 //
 // A task's input reference is either a tile index (ref >= 0: the in-place
 // buffer of a tile the task's own node owns) or the complement of a slot
@@ -60,9 +61,9 @@ type Plan struct {
 	depOff, dep   []int32 // predecessors, in Dependencies visit order
 	inOff, in     []int32 // input references, in InputTiles visit order
 	succOff, succ []int32 // successors on the task's own node, in Successors visit order
-	// Publish record: the distinct remote owner ranks of the task's
-	// successors in first-visit order and, for each, the slot on that rank
-	// awaiting this task's output (-1 if nothing there depends on it).
+	// Publish record (dag.Route): the distinct remote owner ranks of the
+	// task's successors in first-visit order and, for each, the slot on that
+	// rank awaiting this task's output.
 	dstOff  []int32
 	dstRank []int
 	dstSlot []int32

@@ -113,10 +113,7 @@ func (el *elastic) slotsOf(t int32) []int32 {
 	e, pl := el.e, el.e.pl
 	slots := el.slotScratch[:0]
 	for _, rank := range pl.Dsts(t) {
-		s := pl.SlotAt(t, rank)
-		if s < 0 {
-			continue
-		}
+		s := pl.SlotAt(t, rank) // every destination is a slot
 		if lo, _ := pl.Slots(rank); rank == e.rank {
 			slots = append(slots, s-lo)
 		} else if base := el.slotBase[rank]; base >= 0 {

@@ -9,7 +9,10 @@
 // captures.
 package simulate
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Machine describes the simulated platform, LogGP-style: every node has
 // Workers cores executing one kernel at a time, a full-duplex NIC pair
@@ -47,25 +50,29 @@ func PaperMachine() Machine {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: a rate that is not positive, a
+// latency or fabric cap that is negative, and any NaN or infinite field.
 func (m Machine) Validate() error {
 	if m.Workers <= 0 {
 		return fmt.Errorf("simulate: Workers = %d", m.Workers)
 	}
-	if m.FlopsPerWorker <= 0 {
+	if !positive(m.FlopsPerWorker) {
 		return fmt.Errorf("simulate: FlopsPerWorker = %g", m.FlopsPerWorker)
 	}
-	if m.LinkBandwidth <= 0 {
+	if !positive(m.LinkBandwidth) {
 		return fmt.Errorf("simulate: LinkBandwidth = %g", m.LinkBandwidth)
 	}
-	if m.Latency < 0 {
+	if m.Latency != 0 && !positive(m.Latency) {
 		return fmt.Errorf("simulate: Latency = %g", m.Latency)
 	}
-	if m.BisectionBandwidth < 0 {
+	if m.BisectionBandwidth != 0 && !positive(m.BisectionBandwidth) {
 		return fmt.Errorf("simulate: BisectionBandwidth = %g", m.BisectionBandwidth)
 	}
 	return nil
 }
+
+// positive reports whether v is positive and finite; NaN is not.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Result summarizes one simulated execution.
 type Result struct {

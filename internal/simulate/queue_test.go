@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -97,17 +96,12 @@ func TestPoolsDrainWhenRunReturns(t *testing.T) {
 			t.Errorf("mode %v: %d of %d delivery records on the free list", mode, len(s.idle), len(s.records))
 		}
 		for d, r := range s.records {
-			if r.pending != 0 || len(r.dests) != 0 || len(r.edges) != 0 {
-				t.Errorf("mode %v: record %d returned with pending=%d, %d dests, %d edges", mode, d, r.pending, len(r.dests), len(r.edges))
+			if r.pending != 0 || len(r.Dsts) != 0 {
+				t.Errorf("mode %v: record %d returned with pending=%d, %d destinations", mode, d, r.pending, len(r.Dsts))
 			}
 		}
 		if s.live == 0 || s.inf.Live() != 0 {
 			t.Errorf("mode %v: the inference still holds %d tasks (at most %d)", mode, s.inf.Live(), s.live)
-		}
-		for node, at := range s.position {
-			if at != -1 {
-				t.Errorf("mode %v: node %d still holds position %d of a finished walk", mode, node, at)
-			}
 		}
 	}
 }
@@ -133,69 +127,5 @@ func TestMemoryFollowsTheWindow(t *testing.T) {
 	t.Logf("LU(40) held %d of %d tasks, LU(80) %d of %d", small, smallTasks, large, largeTasks)
 	if ratio := float64(large) / float64(small); ratio > 5 || 4*large > largeTasks {
 		t.Errorf("LU(40) held %d tasks, LU(80) %d (×%.1f, of %d): the window grows like the graph", small, large, ratio, largeTasks)
-	}
-}
-
-// TestRouteFilesTheOwnerFilteredWalk: what route files under a destination is,
-// element for element, what walking the producer's successors in the
-// materialized graph and keeping the ones that destination owns yields — the
-// walk every arrival used to repeat — and the destinations are the distinct
-// remote owners in first-visit order.
-func TestRouteFilesTheOwnerFilteredWalk(t *testing.T) {
-	g, d := dag.NewLU(12), dist.NewG2DBC(23)
-	s, err := newSim(g, 16, d, testMachine(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := func(task dag.Task) int32 { return int32(d.Owner(g.OutputTile(task))) }
-	var messages int64
-	dag.ForEachTask(g, func(task dag.Task) {
-		pos, src := int32(g.ID(task)), owner(task)
-		var wantDests []int32
-		g.Successors(task, func(succ dag.Task) {
-			if o := owner(succ); o != src && !slices.Contains(wantDests, o) {
-				wantDests = append(wantDests, o)
-			}
-		})
-		messages += int64(len(wantDests))
-		s.infer(pos)
-		rec := s.route(pos, src)
-		if len(wantDests) == 0 {
-			if rec >= 0 {
-				t.Fatalf("%v: a record for a task with no remote consumer", task)
-			}
-			return
-		}
-		r := &s.records[rec]
-		if len(r.dests) != len(wantDests) || r.pending != len(wantDests) {
-			t.Fatalf("%v: %d destinations (pending %d), want %v", task, len(r.dests), r.pending, wantDests)
-		}
-		for at, dst := range r.dests {
-			if dst.node != wantDests[at] {
-				t.Fatalf("%v: destination %d is node %d, first-visit order gives %v", task, at, dst.node, wantDests)
-			}
-			var want []int32
-			g.Successors(task, func(succ dag.Task) {
-				if owner(succ) == dst.node {
-					want = append(want, int32(g.ID(succ)))
-				}
-			})
-			var got []int32
-			for e := dst.head; e >= 0; e = r.edges[e].next {
-				got = append(got, r.edges[e].pos)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%v → node %d: filed %v, the filtered walk gives %v", task, dst.node, got, want)
-			}
-		}
-		for at := range wantDests {
-			s.deliver(rec, at)
-		}
-	})
-	if s.res.Messages != messages || messages != dag.CommVolumeTiles(g, d.Owner) {
-		t.Fatalf("route counted %d messages, the walks %d, the structural count is %d", s.res.Messages, messages, dag.CommVolumeTiles(g, d.Owner))
-	}
-	if len(s.idle) != len(s.records) {
-		t.Fatalf("%d of %d records back after every delivery", len(s.idle), len(s.records))
 	}
 }

@@ -90,13 +90,12 @@ type sim struct {
 	rec    *trace.Recorder
 	policy sched.Policy
 	tree   bool
-	// From the program: a task's flops, the wire size of its output tile
-	// (nil: 8·b²) and whether it is a reduction partial (nil: none is).
-	flops   func(t dag.Task, b int) float64
-	bytes   func(t dag.Task, b int) int
-	partial func(t dag.Task) bool
-	rate    []float64 // flop/s of one worker, by node
-	live    int       // the most tasks the inference held at once
+	// From the program: a task's flops and the wire size of its output tile
+	// (nil: 8·b²).
+	flops func(t dag.Task, b int) float64
+	bytes func(t dag.Task, b int) int
+	rate  []float64 // flop/s of one worker, by node
+	live  int       // the most tasks the inference held at once
 
 	// By node.
 	ready       []sched.Heap
@@ -108,7 +107,6 @@ type sim struct {
 
 	events laneQueue
 	deliveries
-	visit func(q int32, owner int) // s.file, bound once: a method value allocates
 
 	done int
 	// res is its own allocation: a Result inside sim would keep the whole
@@ -127,9 +125,7 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 	P := d.Nodes()
 	p := g.Program()
 	s := &sim{inf: dag.Infer(p, d.Owner), b: b, m: m, rec: opt.Recorder, policy: policy,
-		tree: opt.Broadcast == cluster.BroadcastTree, flops: p.Flops, bytes: p.OutputBytes, partial: p.ReducePartial,
-		res: &Result{}}
-	s.visit = s.file
+		tree: opt.Broadcast == cluster.BroadcastTree, flops: p.Flops, bytes: p.OutputBytes, res: &Result{}}
 
 	s.rate = make([]float64, P)
 	for node := range s.rate {
@@ -140,7 +136,7 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 			return nil, fmt.Errorf("simulate: %d node speeds for %d nodes", len(opt.NodeSpeed), P)
 		}
 		for node, v := range opt.NodeSpeed {
-			if v <= 0 {
+			if !positive(v) {
 				return nil, fmt.Errorf("simulate: node %d speed %g", node, v)
 			}
 			s.rate[node] = m.FlopsPerWorker * v
@@ -162,11 +158,6 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 			s.slotFree[node] = make([]float64, m.Workers)
 		}
 	}
-	s.position = make([]int32, P)
-	for node := range s.position {
-		s.position[node] = -1
-	}
-
 	s.res.BusyTime = make([]float64, P)
 	s.res.TasksPerNode = make([]int, P)
 	s.res.TotalFlops = g.TotalFlops(b)
@@ -253,10 +244,10 @@ func (s *sim) complete(node int, pos int32, now float64) {
 	s.done++
 	s.freeWorkers[node]++
 	s.infer(pos)
-	d := s.route(pos, int32(node))
+	d := s.publish(pos)
 	s.inf.Done(pos)
 	if d >= 0 {
-		k := len(s.records[d].dests)
+		k := len(s.records[d].Dsts)
 		if s.tree && k > 1 {
 			s.fanout(node, d, 0, k, now)
 		} else {
@@ -269,14 +260,14 @@ func (s *sim) complete(node int, pos int32, now float64) {
 }
 
 // arrive lands a hop of delivery d on the node at position at of its
-// destination list: the tile it carries was the one remote input every task
-// filed under that destination was waiting on from this producer.
+// destination list: the tile it carries was the one remote input each of
+// that destination's waiters was waiting on from this producer.
 func (s *sim) arrive(d int32, at int, now float64) {
 	// A tree hop carries its subtree's relay obligation: the recipient's
 	// NIC starts forwarding the moment the tile lands, pipelining the rest
 	// of the broadcast behind this hop.
-	dst := s.records[d].dests[at]
-	node, end := int(dst.node), int(dst.relayEnd)
+	r := &s.records[d]
+	node, end := r.Dsts[at], int(r.relayEnd[at])
 	if end > at+1 {
 		s.res.Forwards += s.fanout(node, d, at+1, end, now)
 	}
@@ -304,8 +295,8 @@ func (s *sim) fanout(src int, d int32, lo, hi int, now float64) int64 {
 // is what the recipient must relay onward when the hop arrives.
 func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
 	r := &s.records[d]
-	r.dests[at].relayEnd = int32(end)
-	dst, msgBytes := int(r.dests[at].node), r.bytes
+	r.relayEnd[at] = int32(end)
+	dst, msgBytes := r.Dsts[at], r.bytes
 	m := &s.m
 	transferTime := float64(msgBytes) / m.LinkBandwidth
 	depart := max(now, s.nicOut[src])

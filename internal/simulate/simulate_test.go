@@ -204,11 +204,20 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(g, 4, dist.NewTwoDBC(1, 1), Machine{}, Options{}); err == nil {
 		t.Error("invalid machine accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Machine{
 		{Workers: 0, FlopsPerWorker: 1, LinkBandwidth: 1},
 		{Workers: 1, FlopsPerWorker: 0, LinkBandwidth: 1},
 		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 0},
 		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, Latency: -1},
+		{Workers: 1, FlopsPerWorker: nan, LinkBandwidth: 1},
+		{Workers: 1, FlopsPerWorker: inf, LinkBandwidth: 1},
+		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: nan},
+		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: inf},
+		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, Latency: nan},
+		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, Latency: inf},
+		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, BisectionBandwidth: nan},
+		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, BisectionBandwidth: inf},
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
