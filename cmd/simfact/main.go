@@ -218,7 +218,6 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 	}
 	rec := &trace.Recorder{}
 	opt := runtime.Options{Workers: workers, Recorder: rec, Broadcast: bc, Elastic: elastic}
-	var plan *chaos.Plan
 	var cfg chaos.Config
 	haveChaos := chaosSeed >= 0
 	if haveChaos {
@@ -234,10 +233,9 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 		haveChaos = true
 	}
 	if haveChaos {
-		if plan, err = chaos.New(cfg); err != nil {
+		if opt.Chaos, err = chaos.New(cfg); err != nil {
 			return err
 		}
-		opt.Chaos = plan
 	}
 	var rep *runtime.Report
 	var name string
@@ -269,19 +267,19 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 		name, d.Name(), rep.Elapsed, rep.Stats.TotalMessages(),
 		float64(rep.Stats.TotalBytes())/1e6)
 	fmt.Printf("broadcast %s: %d wire hops, %d relayed by recipients\n",
-		rep.Broadcast, rep.Stats.TotalHops(), rep.Stats.TotalForwards())
+		bc, rep.Stats.TotalHops(), rep.Stats.TotalForwards())
 	if repl > 1 {
 		fmt.Printf("replication c=%d: %d reduction shipments, %.2f MB of partials\n",
 			repl, rep.Stats.TotalReduces(), float64(rep.Stats.TotalReduceBytes())/1e6)
 	}
-	if rep.Broadcast == cluster.BroadcastTree {
+	if bc == cluster.BroadcastTree {
 		fmt.Printf("per-node outgoing hops:")
 		for _, h := range rep.Stats.BySrc(cluster.Hops) {
 			fmt.Printf(" %d", h)
 		}
 		fmt.Println()
 		fmt.Printf("per-node relay hops:")
-		for _, f := range rep.ForwardedPerNode {
+		for _, f := range rep.Stats.BySrc(cluster.Forwards) {
 			fmt.Printf(" %d", f)
 		}
 		fmt.Println()
@@ -328,20 +326,18 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 	}
 	fmt.Println()
 	fmt.Printf("kernel time breakdown: %v\n", rec.KindBreakdown())
-	if plan != nil {
-		if chaosSeed >= 0 {
-			fmt.Printf("chaos seed %d injected faults: %v\n", chaosSeed, plan.Counts())
-		} else {
-			fmt.Printf("injected faults: %v\n", plan.Counts())
+	if opt.Chaos != nil {
+		faults := map[string]int{}
+		for _, f := range rec.Faults {
+			faults[f.Kind]++
 		}
-		reReq, redelivered, recovered := 0, 0, 0
+		fmt.Printf("recorded faults: %v\n", faults)
+		recovered := 0
 		for _, rs := range rep.Resilience {
-			reReq += rs.ReRequests
-			redelivered += rs.Redelivered
 			recovered += rs.Recovered
 		}
 		fmt.Printf("healing: %d re-requests, %d redeliveries served, %d arrivals recovered\n",
-			reReq, redelivered, recovered)
+			rep.Stats.Total(cluster.Requests), rep.Stats.Total(cluster.Redeliveries), recovered)
 		for node, rs := range rep.Resilience {
 			if rs.Died {
 				fmt.Printf("node %d died mid-run\n", node)

@@ -349,8 +349,7 @@ func TestDeadSurface(t *testing.T) {
 		"matrix.SolveCholesky":           "the sequential solve TestCholeskySolveExecutesCorrectly compares the Cholesky solve graph against",
 		"matrix.Dense.Set":               "bench/'s TestFreivaldsCatchesACorruptedFactor corrupts an LU factor through it; ROADMAP item 8c moves that check into runtime",
 		"matrix.SymmetricLower.Set":      "the same test corrupts a Cholesky factor through it; ROADMAP item 8c",
-		"chaos.Plan.Fingerprint":         "the fault-schedule digest TestChaosSeedDeterminism and TestDecisionsIndependentOfFeedOrder compare across runs",
-		"trace.Recorder.Fingerprint":     "the timestamp-free trace digest TestChaosSeedDeterminism compares across runs; ROADMAP item 1a makes it a view of the event sink",
+		"trace.Recorder.Fingerprint":     "the timestamp-free trace digest — fault schedule included — TestChaosSeedDeterminism and TestDecisionsIndependentOfFeedOrder compare across runs; ROADMAP item 1a makes it a view of the event sink",
 		"cluster.Stats.At":               "the per-link count TestChaosRegressionG2DBC23 and TestTreeBroadcastG2DBC23 compare against the fault-free run",
 		"dist.CostBound":                 "Lemma 2, which TestG2DBCLemma2 holds G-2DBC to; " + item5,
 		"gcrm.SearchRefined":             "GCR&M with its local-search post-pass (gcrm.Refine), which TestSearchRefined holds to the plain search; " + item5,

@@ -17,13 +17,10 @@
 // counters are the plan's logical delivery clock: they advance per identity,
 // not per wall-clock arrival, so two runs of the same workload draw
 // identical verdicts for every message even though their wall-clock
-// interleavings differ. Events() exposes the canonical, identity-sorted
-// fault log and Fingerprint() hashes it, which is what the determinism
-// regression tests compare across runs.
+// interleavings differ.
 //
-// A Plan carries per-run state (attempt counters, reorder holds, the event
-// log): create a fresh Plan from the same Config for every run you want to
-// reproduce.
+// A Plan carries per-run state (attempt counters, reorder holds): create a
+// fresh Plan from the same Config for every run you want to reproduce.
 package chaos
 
 import (
@@ -31,7 +28,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -174,23 +170,6 @@ type identity struct {
 
 type pairKey struct{ from, to int }
 
-// Event is one canonical fault-log entry: the deterministic verdict for one
-// message identity. Sampled delays are recorded in microseconds so the log
-// captures the full delivery schedule, not just the fault class.
-type Event struct {
-	Kind     string // "delay", "reorder", "duplicate", "drop", "drop-redeliver", "crash"
-	From, To int
-	Tag      cluster.Tag
-	Ctrl     bool
-	Attempt  int
-	DelayUS  int64
-}
-
-func (e Event) String() string {
-	return fmt.Sprintf("%s %d->%d tag%v ctrl=%v attempt=%d delay=%dus",
-		e.Kind, e.From, e.To, e.Tag, e.Ctrl, e.Attempt, e.DelayUS)
-}
-
 // held is a message parked by a reorder fault, waiting for its swap partner.
 type held struct {
 	msg     cluster.Message
@@ -206,8 +185,6 @@ type Plan struct {
 	mu       sync.Mutex
 	attempts map[identity]int
 	holds    map[pairKey]*held
-	events   []Event
-	counts   map[string]int
 
 	rec   *trace.Recorder
 	epoch time.Time
@@ -223,16 +200,19 @@ func New(cfg Config) (*Plan, error) {
 		cfg:      cfg,
 		attempts: make(map[identity]int),
 		holds:    make(map[pairKey]*held),
-		counts:   make(map[string]int),
 	}, nil
 }
 
 // Config returns the plan's (default-filled) configuration.
 func (p *Plan) Config() Config { return p.cfg }
 
-// Bind attaches a trace recorder: every injected fault is recorded as a
-// timed trace.FaultEvent relative to epoch, next to the kernel and message
-// timelines, so simfact -gantt -real can show faults on the same axis.
+// Bind attaches a trace recorder, the one log of the plan's verdicts: every
+// injected fault is recorded as a trace.FaultEvent timed relative to epoch,
+// next to the kernel and message timelines. Its what-string names everything
+// the verdict was drawn for and drew — the tag (req-prefixed for a control
+// request), the attempt and any sampled delay — so the recorder's
+// timestamp-free Fingerprint is the plan's fault schedule. An unbound plan
+// records nothing.
 func (p *Plan) Bind(rec *trace.Recorder, epoch time.Time) {
 	p.mu.Lock()
 	p.rec = rec
@@ -247,12 +227,6 @@ func (p *Plan) CrashTask(rank int) int {
 		return -1
 	}
 	return n
-}
-
-// RecordCrash logs the injected crash of rank (called by the runtime at the
-// moment it stops dispatching).
-func (p *Plan) RecordCrash(rank, taskIndex int) {
-	p.note(Event{Kind: "crash", From: rank, To: rank, Attempt: taskIndex})
 }
 
 // rngFor derives the per-identity random stream: a 64-bit FNV-1a hash of
@@ -280,21 +254,24 @@ func (p *Plan) rngFor(id identity, attempt int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// note appends ev to the log, tallies it, and mirrors it into the bound
-// trace recorder.
-func (p *Plan) note(ev Event) {
+// note records one verdict — kind, drawn for attempt of id, with its sampled
+// delay if any — in the bound recorder.
+func (p *Plan) note(kind string, id identity, attempt int, delay time.Duration) {
 	p.mu.Lock()
-	p.events = append(p.events, ev)
-	p.counts[ev.Kind]++
 	rec, epoch := p.rec, p.epoch
 	p.mu.Unlock()
-	if rec != nil {
-		tagStr := ev.Tag.String()
-		if ev.Ctrl {
-			tagStr = "req" + tagStr
-		}
-		rec.RecordFault(ev.Kind, ev.From, ev.To, tagStr, time.Since(epoch).Seconds())
+	if rec == nil {
+		return
 	}
+	what := id.tag.String()
+	if id.ctrl {
+		what = "req" + what
+	}
+	what += " attempt " + strconv.Itoa(attempt)
+	if delay > 0 {
+		what += " delay " + delay.String()
+	}
+	rec.RecordFault(kind, id.from, id.to, what, time.Since(epoch).Seconds())
 }
 
 // Deliver implements cluster.Network: it draws the message's verdict from
@@ -318,30 +295,23 @@ func (p *Plan) Deliver(msg cluster.Message, deliver func(cluster.Message)) {
 	p.mu.Unlock()
 
 	r := p.rngFor(id, attempt)
-	ev := Event{From: msg.From, To: msg.To, Tag: msg.Tag, Ctrl: msg.Req, Attempt: attempt}
 
 	// Class draw: drop / transient drop / duplicate partition one uniform.
 	u := r.Float64()
 	switch {
 	case u < p.cfg.PDrop:
-		ev.Kind = "drop"
-		p.note(ev)
+		p.note("drop", id, attempt, 0)
 		msg.Release()
 		p.flush(prev)
 		return
 	case u < p.cfg.PDrop+p.cfg.PDropRedeliver:
-		ev.Kind = "drop-redeliver"
-		ev.DelayUS = p.cfg.RedeliverAfter.Microseconds()
-		p.note(ev)
+		p.note("drop-redeliver", id, attempt, p.cfg.RedeliverAfter)
 		time.AfterFunc(p.cfg.RedeliverAfter, func() { deliver(msg) })
 		p.flush(prev)
 		return
 	case u < p.cfg.PDrop+p.cfg.PDropRedeliver+p.cfg.PDuplicate:
 		d := p.sampleDelay(r)
-		ev2 := ev
-		ev2.Kind = "duplicate"
-		ev2.DelayUS = d.Microseconds()
-		p.note(ev2)
+		p.note("duplicate", id, attempt, d)
 		dup := msg.Dup()
 		time.AfterFunc(d, func() { deliver(dup) })
 		// The original still goes through the delay/reorder draws below.
@@ -350,9 +320,7 @@ func (p *Plan) Deliver(msg cluster.Message, deliver func(cluster.Message)) {
 	// Independent delay draw.
 	if r.Float64() < p.cfg.PDelay {
 		d := p.sampleDelay(r)
-		ev.Kind = "delay"
-		ev.DelayUS = d.Microseconds()
-		p.note(ev)
+		p.note("delay", id, attempt, d)
 		time.AfterFunc(d, func() { deliver(msg) })
 		p.flush(prev)
 		return
@@ -361,8 +329,7 @@ func (p *Plan) Deliver(msg cluster.Message, deliver func(cluster.Message)) {
 	// Reorder draw: park the message to swap with the pair's next send. If
 	// a partner is already parked the swap is in progress — deliver now.
 	if prev == nil && r.Float64() < p.cfg.PReorder {
-		ev.Kind = "reorder"
-		p.note(ev)
+		p.note("reorder", id, attempt, 0)
 		h := &held{msg: msg, deliver: deliver}
 		h.timer = time.AfterFunc(p.cfg.ReorderFlush, func() { p.flushHold(key, h) })
 		p.mu.Lock()
@@ -415,57 +382,4 @@ func (p *Plan) Flush() {
 	for _, h := range holds {
 		h.deliver(h.msg)
 	}
-}
-
-// Events returns the canonical fault log: a copy sorted by message identity
-// (not by arrival order), so two runs of the same seeded workload produce
-// identical logs regardless of goroutine interleaving.
-func (p *Plan) Events() []Event {
-	p.mu.Lock()
-	out := make([]Event, len(p.events))
-	copy(out, p.events)
-	p.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool {
-		x, y := out[a], out[b]
-		switch {
-		case x.From != y.From:
-			return x.From < y.From
-		case x.To != y.To:
-			return x.To < y.To
-		case x.Tag.I != y.Tag.I:
-			return x.Tag.I < y.Tag.I
-		case x.Tag.J != y.Tag.J:
-			return x.Tag.J < y.Tag.J
-		case x.Tag.V != y.Tag.V:
-			return x.Tag.V < y.Tag.V
-		case x.Ctrl != y.Ctrl:
-			return !x.Ctrl
-		case x.Attempt != y.Attempt:
-			return x.Attempt < y.Attempt
-		default:
-			return x.Kind < y.Kind
-		}
-	})
-	return out
-}
-
-// Counts returns the number of injected faults by kind.
-func (p *Plan) Counts() map[string]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]int, len(p.counts))
-	for k, v := range p.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Fingerprint hashes the canonical fault log: equal fingerprints mean the
-// two runs drew the identical fault schedule for the identical message set.
-func (p *Plan) Fingerprint() string {
-	h := fnv.New64a()
-	for _, ev := range p.Events() {
-		fmt.Fprintln(h, ev.String())
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -63,6 +63,56 @@ func mustPlan(t *testing.T, cfg Config) *Plan {
 	return p
 }
 
+// recorded builds a plan of cfg bound to a fresh recorder, its fault log.
+func recorded(t *testing.T, cfg Config) (*Plan, *trace.Recorder) {
+	t.Helper()
+	p, rec := mustPlan(t, cfg), &trace.Recorder{}
+	p.Bind(rec, time.Now())
+	return p, rec
+}
+
+// count returns how many faults of kind rec holds.
+func count(rec *trace.Recorder, kind string) int {
+	n := 0
+	for _, f := range rec.Faults {
+		if f.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// feedCfg is the all-faults mix the feed-order tests draw from.
+var feedCfg = Config{Seed: 42, PDelay: 0.4, PReorder: 0.2, PDuplicate: 0.1,
+	PDrop: 0.1, PDropRedeliver: 0.1,
+	MaxDelay: time.Millisecond, RedeliverAfter: time.Millisecond,
+	ReorderFlush: 5 * time.Millisecond}
+
+// feedLog feeds the messages of order to a fresh recorded plan of cfg and
+// returns its fault log. Index i is message i%40, msg(i%40%3, 3, i%40): an
+// index past 39 re-sends an identity, as its next attempt.
+func feedLog(t *testing.T, cfg Config, order []int) *trace.Recorder {
+	t.Helper()
+	p, rec := recorded(t, cfg)
+	var s sink
+	for _, i := range order {
+		i %= 40
+		p.Deliver(msg(i%3, 3, i), s.deliver)
+	}
+	p.Flush()
+	return rec
+}
+
+// fwdRev returns 0..n-1 and its reverse.
+func fwdRev(n int) (fwd, rev []int) {
+	fwd, rev = make([]int, n), make([]int, n)
+	for i := range fwd {
+		fwd[i] = i
+		rev[n-1-i] = i
+	}
+	return fwd, rev
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{PDelay: -0.1},
@@ -81,47 +131,53 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestDecisionsIndependentOfFeedOrder is the determinism core: the verdict
-// for each message is a pure function of (seed, identity), so feeding the
-// same message set in a different order yields the identical canonical log.
+// for each message is a pure function of (seed, identity, attempt), so
+// feeding the same message set in a different order yields the identical
+// fault log. The retry half sends every identity twice and requires each row
+// to name its verdict alone: a plan draws a kind at most once per attempt, so
+// two equal rows mean the log lost what tells the attempts apart. (It draws
+// no reorders: a reorder is drawn only while no hold is parked on the pair,
+// so the reorder rows depend on the pair's send order.)
 func TestDecisionsIndependentOfFeedOrder(t *testing.T) {
-	cfg := Config{Seed: 42, PDelay: 0.4, PReorder: 0.2, PDuplicate: 0.1,
-		PDrop: 0.1, PDropRedeliver: 0.1,
-		MaxDelay: time.Millisecond, RedeliverAfter: time.Millisecond,
-		ReorderFlush: 5 * time.Millisecond}
-
-	feed := func(order []int) *Plan {
-		p := mustPlan(t, cfg)
-		var s sink
-		for _, i := range order {
-			p.Deliver(msg(i%3, 3, i), s.deliver)
-		}
-		p.Flush()
-		return p
-	}
-	fwd := make([]int, 40)
-	rev := make([]int, 40)
-	for i := range fwd {
-		fwd[i] = i
-		rev[len(rev)-1-i] = i
-	}
-	a, b := feed(fwd), feed(rev)
+	fwd, rev := fwdRev(40)
+	a, b := feedLog(t, feedCfg, fwd), feedLog(t, feedCfg, rev)
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("fault schedule depends on feed order:\n%v\nvs\n%v", a.Events(), b.Events())
+		t.Fatalf("fault schedule depends on feed order:\n%v\nvs\n%v", a.Faults, b.Faults)
 	}
-	if len(a.Events()) == 0 {
+	if len(a.Faults) == 0 {
 		t.Fatal("no faults injected at these probabilities; test proves nothing")
+	}
+
+	retries := Config{Seed: 42, PDrop: 0.5, PDelay: 0.3, MaxDelay: time.Millisecond}
+	fwd, rev = fwdRev(80)
+	a, b = feedLog(t, retries, fwd), feedLog(t, retries, rev)
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("retry schedule depends on feed order:\n%v\nvs\n%v", a.Faults, b.Faults)
+	}
+	type row struct {
+		kind     string
+		src, dst int
+		what     string
+	}
+	seen := map[row]bool{}
+	for _, f := range a.Faults {
+		r := row{f.Kind, f.Src, f.Dst, f.Tag}
+		if seen[r] {
+			t.Fatalf("two faults recorded as %+v: the log does not tell their attempts apart", r)
+		}
+		seen[r] = true
 	}
 }
 
 func TestDifferentSeedsDifferentSchedules(t *testing.T) {
 	run := func(seed int64) string {
-		p := mustPlan(t, DefaultConfig(seed))
+		p, rec := recorded(t, DefaultConfig(seed))
 		var s sink
 		for i := 0; i < 60; i++ {
 			p.Deliver(msg(0, 1, i), s.deliver)
 		}
 		p.Flush()
-		return p.Fingerprint()
+		return rec.Fingerprint()
 	}
 	if run(1) == run(2) {
 		t.Fatal("two seeds produced the identical fault schedule over 60 messages")
@@ -135,7 +191,7 @@ func TestDifferentSeedsDifferentSchedules(t *testing.T) {
 // message 1 is held, message 2 is delivered first, then 1 (the swap), then 3
 // is held until the flush timer fires.
 func TestReorderSwapsPairOrder(t *testing.T) {
-	p := mustPlan(t, Config{Seed: 5, PReorder: 1, ReorderFlush: 10 * time.Millisecond})
+	p, rec := recorded(t, Config{Seed: 5, PReorder: 1, ReorderFlush: 10 * time.Millisecond})
 	var s sink
 	for i := 1; i <= 3; i++ {
 		p.Deliver(msg(0, 1, i), s.deliver)
@@ -148,13 +204,13 @@ func TestReorderSwapsPairOrder(t *testing.T) {
 			t.Fatalf("delivery order %v, want I-sequence %v", got, want)
 		}
 	}
-	if c := p.Counts()["reorder"]; c != 2 {
+	if c := count(rec, "reorder"); c != 2 {
 		t.Fatalf("reorder count = %d, want 2 (messages 1 and 3 held)", c)
 	}
 }
 
 func TestDropRedeliverArrivesLate(t *testing.T) {
-	p := mustPlan(t, Config{Seed: 1, PDropRedeliver: 1, RedeliverAfter: 5 * time.Millisecond})
+	p, rec := recorded(t, Config{Seed: 1, PDropRedeliver: 1, RedeliverAfter: 5 * time.Millisecond})
 	var s sink
 	start := time.Now()
 	p.Deliver(msg(0, 1, 1), s.deliver)
@@ -165,7 +221,7 @@ func TestDropRedeliverArrivesLate(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
 		t.Fatalf("redelivered after %v, want >= RedeliverAfter", elapsed)
 	}
-	if c := p.Counts()["drop-redeliver"]; c != 1 {
+	if c := count(rec, "drop-redeliver"); c != 1 {
 		t.Fatalf("drop-redeliver count = %d, want 1", c)
 	}
 }
@@ -184,12 +240,12 @@ func TestDuplicateDeliversTwice(t *testing.T) {
 func TestPermanentDropNeverDelivers(t *testing.T) {
 	// PDrop just under 1 with a fixed seed: find a message the seed drops
 	// and check it stays dropped.
-	p := mustPlan(t, Config{Seed: 3, PDrop: 0.99})
+	p, rec := recorded(t, Config{Seed: 3, PDrop: 0.99})
 	var s sink
 	for i := 0; i < 20; i++ {
 		p.Deliver(msg(0, 1, i), s.deliver)
 	}
-	drops := p.Counts()["drop"]
+	drops := count(rec, "drop")
 	if drops == 0 {
 		t.Fatal("seed 3 dropped nothing at PDrop=0.99")
 	}
@@ -199,17 +255,13 @@ func TestPermanentDropNeverDelivers(t *testing.T) {
 	}
 }
 
-func TestCrashLookupAndRecording(t *testing.T) {
+func TestCrashLookup(t *testing.T) {
 	p := mustPlan(t, Config{Seed: 1, CrashAtTask: map[int]int{2: 5}})
 	if got := p.CrashTask(2); got != 5 {
 		t.Fatalf("CrashTask(2) = %d, want 5", got)
 	}
 	if got := p.CrashTask(0); got != -1 {
 		t.Fatalf("CrashTask(0) = %d, want -1", got)
-	}
-	p.RecordCrash(2, 5)
-	if c := p.Counts()["crash"]; c != 1 {
-		t.Fatalf("crash count = %d, want 1", c)
 	}
 }
 
@@ -240,13 +292,14 @@ func TestParseCrash(t *testing.T) {
 }
 
 func TestBindMirrorsFaultsIntoRecorder(t *testing.T) {
-	p := mustPlan(t, Config{Seed: 1, PDelay: 1, MaxDelay: time.Millisecond})
-	var rec trace.Recorder
-	p.Bind(&rec, time.Now())
+	p, rec := recorded(t, Config{Seed: 1, PDelay: 1, MaxDelay: time.Millisecond})
 	var s sink
 	p.Deliver(msg(0, 1, 1), s.deliver)
 	waitFor(t, &s, 1)
 	if len(rec.Faults) != 1 || rec.Faults[0].Kind != "delay" {
 		t.Fatalf("recorder faults = %+v, want one delay", rec.Faults)
+	}
+	if what := rec.Faults[0].Tag; !strings.HasPrefix(what, "(1,0)v0 attempt 0 delay ") {
+		t.Fatalf("delay recorded as %q: want the tag, the attempt and the sampled delay", what)
 	}
 }

@@ -1,37 +1,18 @@
 package chaos
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// Probe: does the canonical log depend on feed order beyond fwd/rev?
+// TestProbePermutationIndependence holds the fault log to 200 random
+// permutations of one feed.
 func TestProbePermutationIndependence(t *testing.T) {
-	cfg := Config{Seed: 42, PDelay: 0.4, PReorder: 0.2, PDuplicate: 0.1,
-		PDrop: 0.1, PDropRedeliver: 0.1,
-		MaxDelay: time.Millisecond, RedeliverAfter: time.Millisecond,
-		ReorderFlush: 5 * time.Millisecond}
-
-	feed := func(order []int) *Plan {
-		p := mustPlan(t, cfg)
-		var s sink
-		for _, i := range order {
-			p.Deliver(msg(i%3, 3, i), s.deliver)
-		}
-		p.Flush()
-		return p
-	}
-	base := make([]int, 40)
-	for i := range base {
-		base[i] = i
-	}
-	ref := feed(base).Fingerprint()
+	base, _ := fwdRev(40)
+	ref := feedLog(t, feedCfg, base).Fingerprint()
 	// lcg permutations
 	seedp := int64(12345)
 	for trial := 0; trial < 200; trial++ {
-		perm := make([]int, 40)
+		perm := make([]int, len(base))
 		copy(perm, base)
-		for i := 39; i > 0; i-- {
+		for i := len(perm) - 1; i > 0; i-- {
 			seedp = seedp*6364136223846793005 + 1442695040888963407
 			j := int((seedp >> 33) % int64(i+1))
 			if j < 0 {
@@ -39,7 +20,7 @@ func TestProbePermutationIndependence(t *testing.T) {
 			}
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		if fp := feed(perm).Fingerprint(); fp != ref {
+		if fp := feedLog(t, feedCfg, perm).Fingerprint(); fp != ref {
 			t.Fatalf("trial %d: fingerprint %s != ref %s for perm %v", trial, fp, ref, perm)
 		}
 	}

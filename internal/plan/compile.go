@@ -15,6 +15,7 @@ import (
 // end.
 type compiler struct {
 	*Plan
+	g   dag.Graph
 	err error
 
 	posOf  []int32 // plan index by program position
@@ -63,7 +64,7 @@ type localRead struct{ reader, tile, ver int32 }
 //     overwrite the tile while it is being read;
 //   - a task reads a tile no task writes: no node materializes it.
 func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
-	c := &compiler{Plan: &Plan{g: g, d: d}}
+	c := &compiler{Plan: &Plan{d: d}, g: g}
 	if err := c.layout(); err != nil {
 		return nil, err
 	}

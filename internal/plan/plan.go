@@ -48,7 +48,6 @@ import (
 // immutable after Compile: every method only reads, and the slices methods
 // return alias the plan's backing arrays and must not be written.
 type Plan struct {
-	g dag.Graph
 	d dist.Distribution
 
 	nodeOff []int32 // P+1: node r owns tasks nodeOff[r] <= t < nodeOff[r+1]
@@ -79,11 +78,6 @@ type Plan struct {
 	slotReaders   []int32
 	waitOff, wait []int32 // per slot, the consumer node's tasks it releases
 }
-
-// Graph returns the compiled graph. No engine consults it; RunPlan asks it for
-// what depends on a run's tile size (Flops, once per task kind), never for
-// structure.
-func (p *Plan) Graph() dag.Graph { return p.g }
 
 // Dist returns the compiled distribution.
 func (p *Plan) Dist() dist.Distribution { return p.d }

@@ -20,8 +20,8 @@ func TestCompileLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Graph().NumTasks() != g.NumTasks() || p.Nodes() != 4 {
-		t.Fatalf("%d tasks on %d nodes", p.Graph().NumTasks(), p.Nodes())
+	if len(p.task) != g.NumTasks() || p.Nodes() != 4 {
+		t.Fatalf("%d tasks on %d nodes", len(p.task), p.Nodes())
 	}
 	for _, off := range [][]int32{p.nodeOff, p.tileOff, p.slotOff} {
 		if len(off) != 5 || off[0] != 0 {

@@ -42,7 +42,8 @@ func TestRunAllocBudget(t *testing.T) {
 	}
 	const perNode = 32
 	for _, tiles := range []int{mt / 2, mt} {
-		pl, err := plan.Compile(dag.NewLU(tiles), d)
+		g := dag.NewLU(tiles)
+		pl, err := plan.Compile(g, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestRunAllocBudget(t *testing.T) {
 		})
 		if setup > perNode*P {
 			t.Errorf("mt=%d (%d tasks): set-up of %d engines allocates %.0f objects, want at most %d per node",
-				tiles, pl.Graph().NumTasks(), P, setup, perNode)
+				tiles, g.NumTasks(), P, setup, perNode)
 		}
 	}
 }

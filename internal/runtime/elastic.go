@@ -183,15 +183,13 @@ func (el *elastic) barrier() bool {
 	return true
 }
 
-// die is this node's injected crash, just before its owned task at: announce
-// it out-of-band and fall silent — no more dispatch, no publications, no
-// request answering. The cluster is NOT poisoned; the survivors' adopter
-// replays our tasks and the run completes without us.
-func (el *elastic) die(at int) {
-	e := el.e
+// die is this node's injected crash: announce it out-of-band and fall silent
+// — no more dispatch, no publications, no request answering. The cluster is
+// NOT poisoned; the survivors' adopter replays our tasks and the run
+// completes without us.
+func (el *elastic) die() {
 	el.died = true
-	e.comm.Notify(cluster.NoteDown, e.rank)
-	e.fault("crash", e.rank, e.rank, fmt.Sprintf("task %d", at))
+	el.e.comm.Notify(cluster.NoteDown, el.e.rank)
 }
 
 // complete is the completion call point: it returns the live destination

@@ -104,10 +104,10 @@ func TestElasticCrashRecovery(t *testing.T) {
 					PDrop:       0.05,
 					CrashAtTask: map[int]int{victim: crashAt},
 				}
-				opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, 1)
+				opt, rec := chaosOpts(t, cfg, 30*time.Millisecond, 1)
 				opt.Broadcast = mode
 				opt.Elastic = true
-				dumpChaosArtifacts(t, fmt.Sprintf("elastic-%s-seed%d", mode, seed), rec, plan)
+				dumpChaosArtifacts(t, fmt.Sprintf("elastic-%s-seed%d", mode, seed), rec)
 				err := runWithDeadline(t, func() error {
 					fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 31), opt)
 					if err != nil {
@@ -143,10 +143,10 @@ func TestElasticCrashRecoveryWorkers4(t *testing.T) {
 	for _, mode := range broadcastModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := chaos.Config{Seed: 424242, CrashAtTask: map[int]int{victim: crashAt}}
-			opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, 4)
+			opt, rec := chaosOpts(t, cfg, 30*time.Millisecond, 4)
 			opt.Broadcast = mode
 			opt.Elastic = true
-			dumpChaosArtifacts(t, "elastic-workers4-"+mode.String(), rec, plan)
+			dumpChaosArtifacts(t, "elastic-workers4-"+mode.String(), rec)
 			err := runWithDeadline(t, func() error {
 				fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 31), opt)
 				if err != nil {
@@ -186,9 +186,9 @@ func TestElasticCrashAfterPublish(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := chaos.Config{Seed: seed, CrashAtTask: map[int]int{victim: crashAt}}
-			opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, 4)
+			opt, rec := chaosOpts(t, cfg, 30*time.Millisecond, 4)
 			opt.Elastic = true
-			dumpChaosArtifacts(t, fmt.Sprintf("crash-after-publish-seed%d", seed), rec, plan)
+			dumpChaosArtifacts(t, fmt.Sprintf("crash-after-publish-seed%d", seed), rec)
 			err := runWithDeadline(t, func() error {
 				fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 31), opt)
 				if err != nil {
@@ -222,10 +222,10 @@ func TestElasticCholeskyCrash(t *testing.T) {
 	for _, mode := range broadcastModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := chaos.Config{Seed: 1, CrashAtTask: map[int]int{victim: crashAt}}
-			opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, 2)
+			opt, rec := chaosOpts(t, cfg, 30*time.Millisecond, 2)
 			opt.Broadcast = mode
 			opt.Elastic = true
-			dumpChaosArtifacts(t, "elastic-cholesky-"+mode.String(), rec, plan)
+			dumpChaosArtifacts(t, "elastic-cholesky-"+mode.String(), rec)
 			err := runWithDeadline(t, func() error {
 				fact, rep, err := FactorCholesky(mt, b, d, GenSPD(mt, b, 32), opt)
 				if err != nil {
@@ -237,6 +237,52 @@ func TestElasticCholeskyCrash(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatalf("elastic Cholesky run failed: %v", err)
+			}
+		})
+	}
+}
+
+// TestElasticReplicatedLU pins elastic recovery under replication: a node of
+// the c = 2 replicated LU dies mid-run, rank 0 re-runs its whole share —
+// layer accumulators and reduction partials included — and the factors are
+// bit-identical to the crash-free c = 2 run (c > 1 is deterministic across
+// repeats), on both transports. The run shares a cluster so that its pool can
+// be seen to drain.
+func TestElasticReplicatedLU(t *testing.T) {
+	const mt, b, c, victim = 8, 4, 2, 3
+	base := dist.NewG2DBC(5)
+	g, d := dag.NewReplicatedLU(mt, c), dist.NewReplicated(base, c, mt)
+	crashAt := ownedTaskCount(g, d, victim) / 2
+	want, _, err := FactorLUReplicated(mt, b, c, base, GenDiagDominant(mt, b, 13), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range broadcastModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			cl := cluster.NewWithOptions(d.Nodes(), cluster.Options{Broadcast: mode})
+			defer cl.Close()
+			opt, rec := chaosOpts(t, chaos.Config{Seed: 1, CrashAtTask: map[int]int{victim: crashAt}}, 30*time.Millisecond, 1)
+			opt.Elastic, opt.Cluster, opt.Job = true, cl, 1
+			dumpChaosArtifacts(t, "elastic-replicated-"+mode.String(), rec)
+			err := runWithDeadline(t, func() error {
+				got, rep, err := FactorLUReplicated(mt, b, c, base, GenDiagDominant(mt, b, 13), opt)
+				if err != nil {
+					return err
+				}
+				identicalLU(t, "elastic replicated", want, got, mt)
+				checkAdoption(t, rep, g, d, 0, victim)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("elastic replicated run failed instead of recovering: %v", err)
+			}
+			// Late messages drain after the run returns; poll briefly.
+			deadline := time.Now().Add(10 * time.Second)
+			for cl.PoolOutstanding() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d pooled tiles outstanding after the run", cl.PoolOutstanding())
+				}
+				time.Sleep(time.Millisecond)
 			}
 		})
 	}
@@ -266,10 +312,10 @@ func TestElasticTwoDeathsOneAdopter(t *testing.T) {
 		for _, mode := range broadcastModes {
 			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
 				cfg := chaos.Config{Seed: 17, PDrop: 0.05, CrashAtTask: crashes}
-				opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, workers)
+				opt, rec := chaosOpts(t, cfg, 30*time.Millisecond, workers)
 				opt.Broadcast = mode
 				opt.Elastic = true
-				dumpChaosArtifacts(t, fmt.Sprintf("two-deaths-%s-workers%d", mode, workers), rec, plan)
+				dumpChaosArtifacts(t, fmt.Sprintf("two-deaths-%s-workers%d", mode, workers), rec)
 				err := runWithDeadline(t, func() error {
 					fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 35), opt)
 					if err != nil {
@@ -320,10 +366,10 @@ func TestElasticAdopterDies(t *testing.T) {
 				name := fmt.Sprintf("dead=%d,%d/%s/workers=%d", victims[0], victims[1], mode, workers)
 				t.Run(name, func(t *testing.T) {
 					cfg := chaos.Config{Seed: 19, PDrop: 0.05, CrashAtTask: crashes}
-					opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, workers)
+					opt, rec := chaosOpts(t, cfg, 30*time.Millisecond, workers)
 					opt.Broadcast = mode
 					opt.Elastic = true
-					dumpChaosArtifacts(t, fmt.Sprintf("adopter-dies-%d-%d-%s-workers%d", victims[0], victims[1], mode, workers), rec, plan)
+					dumpChaosArtifacts(t, fmt.Sprintf("adopter-dies-%d-%d-%s-workers%d", victims[0], victims[1], mode, workers), rec)
 					err := runWithDeadline(t, func() error {
 						fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 37), opt)
 						if err != nil {

@@ -25,7 +25,7 @@ type job struct {
 	inputs []*tile.Tile
 }
 
-// engine is one node's core; whatever reacts to faults lives in the three
+// engine is one node's core; whatever reacts to faults lives in the two
 // layers at the bottom of the struct (see the package comment).
 type engine struct {
 	rank    int
@@ -37,7 +37,7 @@ type engine struct {
 	rec     *trace.Recorder
 	epoch   time.Time
 
-	// mu is the node. Every field below it, and everything the three layers
+	// mu is the node. Every field below it, and everything the two layers
 	// hold, is touched only with it held, and whoever holds it — a worker
 	// publishing the task it just ran, the receiver delivering a message, run
 	// taking a resilience tick — is the node's event loop for that moment.
@@ -102,9 +102,12 @@ type engine struct {
 	dispatched [1 << 8]int32 // kernels dispatched, indexed by dag.Kind (a uint8)
 	hops       relayLedger   // tree-broadcast relays fire once per tag, on every engine
 
-	res   *resilience     // re-request protocol; nil unless ArrivalTimeout > 0
-	el    *elastic        // death tracking and adoption; nil unless Elastic
-	crash *crashInjection // nil unless the chaos plan kills this rank
+	// The chaos plan's crash injection: the node dies just before its pop
+	// number crashAt (-1: never), pops counting the tasks popped so far.
+	crashAt, pops int
+
+	res *resilience // re-request protocol; nil unless ArrivalTimeout > 0
+	el  *elastic    // death tracking and adoption; nil unless Elastic
 }
 
 // newEngine allocates rank's per-run mutable state, sized from its share of
@@ -140,6 +143,7 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 		ready:     sched.NewHeap(sched.CriticalPath.Tie()),
 		busy:      make([]int64, opt.Workers),
 		finished:  make(chan struct{}),
+		crashAt:   -1,
 	}
 	e.cond.L = &e.mu
 	for t := lo; t < hi; t++ {
@@ -156,9 +160,7 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 		e.el = newElastic(e)
 	}
 	if opt.Chaos != nil {
-		if at := opt.Chaos.CrashTask(rank); at >= 0 {
-			e.crash = &crashInjection{plan: opt.Chaos, at: at}
-		}
+		e.crashAt = opt.Chaos.CrashTask(rank)
 	}
 	return e
 }
@@ -507,24 +509,26 @@ func (e *engine) wake() {
 
 // pop takes the most urgent ready task off the queue and resolves it for the
 // caller to run; ok is false when nothing is ready or dispatch has stopped.
-// The crash injection is asked once per pop, and a death settles here, in
-// whichever goroutine saw it.
+// An injected crash fires here, before pop number crashAt, and is recorded
+// once: dispatch stops with it, in whichever goroutine saw it.
 func (e *engine) pop() (jb job, ok bool) {
 	if e.stopped || e.ready.Empty() {
 		return job{}, false
 	}
-	if e.crash != nil && e.crash.due(e.rank) {
+	if e.pops == e.crashAt {
+		e.fault("crash", e.rank, e.rank, fmt.Sprintf("task %d", e.crashAt))
 		if e.el != nil {
 			// Crashing is not an error under elastic recovery: the node falls
 			// silent and the survivors adopt its work.
-			e.el.die(e.crash.at)
+			e.el.die()
 			e.stopped = true
 		} else {
 			e.fail(fmt.Errorf("node %d died before its owned task %d: %w",
-				e.rank, e.crash.at, chaos.ErrInjectedCrash))
+				e.rank, e.crashAt, chaos.ErrInjectedCrash))
 		}
 		return job{}, false
 	}
+	e.pops++
 	e.running++
 	return e.resolve(int(e.ready.Pop())), true
 }

@@ -13,7 +13,18 @@ import (
 	"anybc/internal/gcrm"
 	"anybc/internal/matrix"
 	"anybc/internal/tile"
+	"anybc/internal/trace"
 )
+
+// flopsPerNode sums the flops of the kernels each of p nodes ran, from the
+// run's recorded task intervals.
+func flopsPerNode(rec *trace.Recorder, g dag.Graph, b, p int) []float64 {
+	out := make([]float64, p)
+	for _, e := range rec.Tasks {
+		out[e.Node] += g.Flops(e.Task, b)
+	}
+	return out
+}
 
 // luDistributions returns a varied set of distributions for LU tests.
 func luDistributions() []dist.Distribution {
@@ -269,16 +280,17 @@ func TestCommVolumeMatchesPaperFormula(t *testing.T) {
 func TestLoadBalance(t *testing.T) {
 	const mt, b = 24, 2
 	d := dist.NewG2DBC(6) // 2x3 pattern (c=0 degenerate case)
-	_, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 6), Options{})
-	if err != nil {
+	rec := &trace.Recorder{}
+	if _, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 6), Options{Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
+	flops := flopsPerNode(rec, dag.NewLU(mt), b, d.Nodes())
 	mean := 0.0
-	for _, f := range rep.FlopsPerNode {
+	for _, f := range flops {
 		mean += f
 	}
-	mean /= float64(len(rep.FlopsPerNode))
-	for n, f := range rep.FlopsPerNode {
+	mean /= float64(len(flops))
+	for n, f := range flops {
 		if f < 0.8*mean || f > 1.2*mean {
 			t.Errorf("node %d flops %v too far from mean %v", n, f, mean)
 		}

@@ -77,11 +77,11 @@ func FactorLU(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt
 // This is the one place a run's result is assembled, and it copies nothing:
 // RunPlan's collect hands every final tile over by ownership, so the result is
 // made of the very buffers the engines updated in place.
-func gather(pl *plan.Plan, b int, gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
+func gather(pl *plan.Plan, gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	n int, slot func(i, j int) int) ([]*tile.Tile, *Report, error) {
 
 	tiles := make([]*tile.Tile, n)
-	rep, err := RunPlan(pl, b, gen, kern, opt, func(i, j int, t *tile.Tile) {
+	rep, err := RunPlan(pl, gen, kern, opt, func(i, j int, t *tile.Tile) {
 		if k := slot(i, j); k >= 0 {
 			tiles[k] = t
 		}
@@ -99,7 +99,7 @@ func gather(pl *plan.Plan, b int, gen func(i, j int) *tile.Tile, kern Kernel, op
 func RunPlanDense(pl *plan.Plan, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
 
-	tiles, rep, err := gather(pl, b, gen, kern, opt, mt*mt, func(i, j int) int {
+	tiles, rep, err := gather(pl, gen, kern, opt, mt*mt, func(i, j int) int {
 		if i < mt && j < mt {
 			return i*mt + j
 		}
@@ -115,7 +115,7 @@ func RunPlanDense(pl *plan.Plan, mt, b int,
 func RunPlanLower(pl *plan.Plan, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.SymmetricLower, *Report, error) {
 
-	tiles, rep, err := gather(pl, b, gen, kern, opt, mt*(mt+1)/2, func(i, j int) int {
+	tiles, rep, err := gather(pl, gen, kern, opt, mt*(mt+1)/2, func(i, j int) int {
 		if j <= i && i < mt {
 			return i*(i+1)/2 + j
 		}

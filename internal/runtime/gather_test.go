@@ -115,7 +115,7 @@ func TestGatherFromTheAdopter(t *testing.T) {
 	}
 	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			opt, _, _ := chaosOpts(t, chaos.Config{Seed: seed, CrashAtTask: map[int]int{victim: crashAt}}, 30*time.Millisecond, 1)
+			opt, _ := chaosOpts(t, chaos.Config{Seed: seed, CrashAtTask: map[int]int{victim: crashAt}}, 30*time.Millisecond, 1)
 			opt.Elastic = true
 			var log genLog
 			gen := log.wrap(GenDiagDominant(mt, b, 31))

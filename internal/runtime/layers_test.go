@@ -15,7 +15,8 @@ import (
 
 // TestLayersArmedOnlyWhenAsked pins the core/layer cut from both sides:
 // newEngine builds exactly the components Options.normalize armed — none at
-// all for Options{} — and arming resilience and elastic on a fault-free run
+// all for Options{} — and sets a crash index on the rank a chaos plan names
+// only; and arming resilience and elastic on a fault-free run
 // changes nothing observable: bit-identical factors, the same kernels per
 // node, the same message count, not one re-request.
 func TestLayersArmedOnlyWhenAsked(t *testing.T) {
@@ -65,8 +66,8 @@ func TestLayersArmedOnlyWhenAsked(t *testing.T) {
 				if got := e.el != nil; got != tc.el {
 					t.Errorf("rank %d: elastic built = %v, want %v", rank, got, tc.el)
 				}
-				if got, want := e.crash != nil, tc.crash && rank == crashRank; got != want {
-					t.Errorf("rank %d: crash injection built = %v, want %v", rank, got, want)
+				if got, want := e.crashAt >= 0, tc.crash && rank == crashRank; got != want {
+					t.Errorf("rank %d: crash index %d set = %v, want %v", rank, e.crashAt, got, want)
 				}
 			}
 		})

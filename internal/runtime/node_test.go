@@ -140,7 +140,7 @@ func TestNodeGoroutineCensus(t *testing.T) {
 			}
 			done := make(chan error, 1)
 			go func() {
-				_, err := RunPlan(pl, b, GenDiagDominant(mt, b, 1), kern, tc.opt, nil)
+				_, err := RunPlan(pl, GenDiagDominant(mt, b, 1), kern, tc.opt, nil)
 				done <- err
 			}()
 			await("mid-run", P, P*(W+1))
@@ -190,7 +190,8 @@ func TestManySmallTasksOnFourWorkers(t *testing.T) {
 func BenchmarkFactorOverhead(b *testing.B) {
 	const mt, tb, P = 24, 8, 44
 	d := dist.NewG2DBC(P)
-	pl, err := plan.Compile(dag.NewLU(mt), d)
+	g := dag.NewLU(mt)
+	pl, err := plan.Compile(g, d)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -201,13 +202,13 @@ func BenchmarkFactorOverhead(b *testing.B) {
 			goruntime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunPlan(pl, tb, gen, LUKernel, Options{Workers: workers}, nil); err != nil {
+				if _, err := RunPlan(pl, gen, LUKernel, Options{Workers: workers}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
 			goruntime.ReadMemStats(&after)
-			tasks := float64(b.N) * float64(pl.Graph().NumTasks())
+			tasks := float64(b.N) * float64(g.NumTasks())
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tasks, "ns/task")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/tasks, "allocs/task")
 		})

@@ -277,7 +277,7 @@ func TestRunPlanNeverWalksTheGraph(t *testing.T) {
 	compiled := calls.total()
 	for run := 0; run < 2; run++ { // a plan serves any number of runs
 		got := matrix.NewDense(mt, mt, b)
-		rep, err := RunPlan(pl, b, GenDiagDominant(mt, b, 5), LUKernel, Options{Workers: 2},
+		rep, err := RunPlan(pl, GenDiagDominant(mt, b, 5), LUKernel, Options{Workers: 2},
 			func(i, j int, tl *tile.Tile) { got.SetTile(i, j, tl.Clone()) })
 		if err != nil {
 			t.Fatal(err)

@@ -113,14 +113,14 @@ func TestReplicatedChaos(t *testing.T) {
 			PDrop:      0.05,
 			MaxDelay:   300 * time.Microsecond,
 		}
-		opt, plan, rec := chaosOpts(t, cfg, 250*time.Millisecond, 2)
+		opt, rec := chaosOpts(t, cfg, 250*time.Millisecond, 2)
 		got, _, err := FactorLUReplicated(mt, b, c, base, GenDiagDominant(mt, b, 13), opt)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		dumpChaosArtifacts(t, "replicated", rec, plan)
+		dumpChaosArtifacts(t, "replicated", rec)
 		identicalLU(t, "chaos run", ref, got, mt)
-		if len(plan.Events()) == 0 {
+		if len(rec.Faults) == 0 {
 			t.Fatalf("seed %d: no faults injected; nothing was exercised", seed)
 		}
 	}

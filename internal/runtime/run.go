@@ -5,7 +5,7 @@
 // all inter-node communications, and executes the real numeric kernels on
 // every virtual node concurrently.
 //
-// # One core, three armed-only layers
+// # One core, two armed-only layers
 //
 // The package is cut along the static/dynamic line of hybrid scheduling
 // (Donfack–Grigori–Gropp–Kale): what a run can know before it starts is
@@ -39,8 +39,8 @@
 //     own run is over, since the receiver stays behind as the node's absorber,
 //     so a slow consumer can always heal; RunPlan joins the receivers before
 //     it snapshots Report.Stats. Arrivals dedupe by tag (admit). A permanently
-//     dropped delivery costs latency, never a hang; Report.Resilience counts
-//     re-requests, redeliveries and recoveries.
+//     dropped delivery costs latency, never a hang; Report.Stats counts the
+//     re-requests and redeliveries, Report.Resilience the recoveries.
 //   - elastic (elastic.go; Options.Elastic): a node that dies mid-run no
 //     longer aborts the factorization — a deterministically chosen survivor
 //     adopts its share of the plan and republishes the outputs under the
@@ -49,13 +49,13 @@
 //     filter), every arrival (deliver: a version may sit in several local
 //     slots), local indices past the plan's ranges (xtask, inputBase, feed)
 //     and the run's exit condition (barrier).
-//   - crashInjection (crash.go; a Chaos plan that names the rank): the
-//     pop count at which the node dies.
 //
-// Every method of the three is called with the node lock held.
+// Every method of the two is called with the node lock held.
 //
 // "Is this layer armed?" has one spelling, layer != nil, decided in one
-// place, Options.normalize. Under Options{} all three are nil.
+// place, Options.normalize. Under Options{} both are nil. A Chaos plan that
+// names the rank crashes it: the core's pop stops dispatch before the named
+// pop, as a node failure or, under elastic, as the node's silent death.
 //
 // # Scheduling
 //
@@ -264,8 +264,8 @@ const (
 // here, and a field that would otherwise be silently ignored — it needs another
 // one that is unset, or contradicts the shared cluster — is rejected by name.
 // It is also where a run's layers are decided, once: newEngine builds the
-// resilience layer iff the normalized ArrivalTimeout is positive, the elastic
-// layer iff Elastic is set, and crash injection iff Chaos names the rank.
+// resilience layer iff the normalized ArrivalTimeout is positive and the
+// elastic layer iff Elastic is set.
 func (opt *Options) normalize(d dist.Distribution) error {
 	P, cl := d.Nodes(), opt.Cluster
 	switch {
@@ -306,8 +306,6 @@ type Report struct {
 	Stats cluster.Stats
 	// TasksPerNode counts the kernels each node executed.
 	TasksPerNode []int
-	// FlopsPerNode sums the flops each node executed.
-	FlopsPerNode []float64
 	// OwnedTilesPerNode and ReceivedTilesPerNode describe each node's memory
 	// traffic: tiles it owns under the distribution, and remote tile versions
 	// delivered to it over the run. Received tiles are released after their
@@ -323,15 +321,10 @@ type Report struct {
 	// Sched holds each node's scheduler observability counters.
 	Sched []SchedStats
 	// Resilience holds each node's fault-healing counters. All zero unless
-	// the arrival-timeout re-request protocol was armed (Options.Chaos or
-	// Options.ArrivalTimeout).
+	// the arrival-timeout re-request protocol was armed (Options.Chaos,
+	// Options.Elastic or Options.ArrivalTimeout). The re-requests a node sent
+	// and answered are its rows of Stats' Requests and Redeliveries counters.
 	Resilience []ResilienceStats
-	// Broadcast is the transport mode the run used (flat fan-out or
-	// binomial tree); the wire-level consequences are in Stats (cluster.Hops,
-	// cluster.Forwards), and ForwardedPerNode is the latter per sender: the
-	// relay hops each node sent for other owners' broadcasts. Zero when flat.
-	Broadcast        cluster.BroadcastMode
-	ForwardedPerNode []int
 	// Elapsed is the wall-clock duration of the distributed run.
 	Elapsed time.Duration
 }
@@ -339,13 +332,6 @@ type Report struct {
 // ResilienceStats describes one node's participation in the arrival-timeout
 // re-request protocol over a run.
 type ResilienceStats struct {
-	// ReRequests counts the cluster.Request control messages this node sent
-	// after an awaited tile version missed its arrival deadline (retries
-	// under backoff count individually): its row of Stats' Requests counter.
-	ReRequests int
-	// Redelivered counts the re-requests this node answered from its
-	// published-version cache, each a cluster.Resend: its Redeliveries row.
-	Redelivered int
 	// Recovered counts the awaited tile versions that arrived only after
 	// this node re-requested them — deliveries the timeout path healed.
 	Recovered int
@@ -377,7 +363,7 @@ type SchedStats struct {
 	// StealsPerWorker is always nil: a node's workers pull from one shared
 	// queue, so there is no other worker's queue to take from. The field stays
 	// declared only because bench/factor.go ranges over it and the benchmark's
-	// files are frozen to a PR of their own (ROADMAP item 5).
+	// files are frozen to a PR of their own (ROADMAP item 7a).
 	StealsPerWorker []int
 	// ReadyPeak is the high-water mark of the node's ready queue: how much
 	// dispatchable work was queued behind the busy workers at the worst
@@ -411,6 +397,8 @@ type SchedStats struct {
 // else refers to the tile, and it is the buffer the last kernel wrote — after
 // an elastic crash, the adopter's. Keeping the pointer is the cheap way to
 // keep the result; a caller that wants a copy makes one.
+//
+// The run reads no tile size: b is the one gen produces, and goes unused.
 func Run(g dag.Graph, d dist.Distribution, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	collect func(i, j int, t *tile.Tile)) (*Report, error) {
@@ -419,7 +407,7 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 	if err != nil {
 		return nil, err
 	}
-	return RunPlan(pl, b, gen, kern, opt, collect)
+	return RunPlan(pl, gen, kern, opt, collect)
 }
 
 // compile is plan.Compile with the error every entry point of this package
@@ -437,7 +425,7 @@ func compile(g dag.Graph, d dist.Distribution) (*plan.Plan, error) {
 // plus the owned tiles gen creates, whatever the task count. pl is not
 // modified and may serve any number of concurrent runs. gen and collect are
 // called as Run describes.
-func RunPlan(pl *plan.Plan, b int,
+func RunPlan(pl *plan.Plan,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	collect func(i, j int, t *tile.Tile)) (*Report, error) {
 
@@ -546,28 +534,18 @@ func RunPlan(pl *plan.Plan, b int,
 		return nil, fmt.Errorf("runtime: %w", errors.Join(nodeErrs...))
 	}
 
-	// The job's ledger is the one count of its traffic: the per-node relay,
-	// re-request and redelivery figures below are its per-sender sums, not
-	// separate tallies kept by the engines.
-	stats := cl.JobStats(opt.Job)
-	forwards, requests, redeliveries := stats.BySrc(cluster.Forwards),
-		stats.BySrc(cluster.Requests), stats.BySrc(cluster.Redeliveries)
+	// The job's ledger is the one count of its traffic; the engines keep no
+	// tallies of their own.
 	rep := &Report{
-		Stats:                stats,
+		Stats:                cl.JobStats(opt.Job),
 		TasksPerNode:         make([]int, P),
-		FlopsPerNode:         make([]float64, P),
 		OwnedTilesPerNode:    make([]int, P),
 		ReceivedTilesPerNode: make([]int, P),
 		PeakTilesPerNode:     make([]int, P),
 		Sched:                make([]SchedStats, P),
 		Resilience:           make([]ResilienceStats, P),
-		Broadcast:            opt.Broadcast,
-		ForwardedPerNode:     make([]int, P),
 		Elapsed:              elapsed,
 	}
-	// Every graph's Flops depends on the task's kind alone (package dag holds
-	// all of them to it), so the graph is asked once per kind that ran.
-	kindFlops := make(map[dag.Kind]float64)
 	for rank, e := range engines {
 		rep.OwnedTilesPerNode[rank] = e.ownedTiles
 		rep.ReceivedTilesPerNode[rank] = e.recvTotal
@@ -580,13 +558,8 @@ func RunPlan(pl *plan.Plan, b int,
 			if n == 0 {
 				continue
 			}
-			kind := dag.Kind(k)
-			if _, asked := kindFlops[kind]; !asked {
-				kindFlops[kind] = pl.Graph().Flops(dag.Task{Kind: kind}, b)
-			}
-			byKind[kind.String()] = int(n)
+			byKind[dag.Kind(k).String()] = int(n)
 			rep.TasksPerNode[rank] += int(n)
-			rep.FlopsPerNode[rank] += float64(n) * kindFlops[kind]
 		}
 		busy := make([]float64, len(e.busy))
 		for w, ns := range e.busy {
@@ -600,14 +573,12 @@ func RunPlan(pl *plan.Plan, b int,
 			DispatchedByKind:  byKind,
 		}
 		rs := &rep.Resilience[rank]
-		rs.ReRequests, rs.Redelivered = int(requests[rank]), int(redeliveries[rank])
 		if e.res != nil {
 			rs.Recovered = e.res.recovered
 		}
 		if e.el != nil {
 			rs.Adopted, rs.Died = e.el.adopted, e.el.died
 		}
-		rep.ForwardedPerNode[rank] = int(forwards[rank])
 	}
 
 	if collect != nil {

@@ -3,9 +3,11 @@ package runtime
 import (
 	"testing"
 
+	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 	"anybc/internal/matrix"
+	"anybc/internal/trace"
 )
 
 // TestSoakPaperNodeCounts exercises the real runtime at the paper's flagship
@@ -39,7 +41,8 @@ func TestSoakPaperNodeCounts(t *testing.T) {
 	}
 	dCh := dist.NewDiagResolver("GCR&M(P=23)", res23.Pattern)
 	origCh := matrix.NewSPD(mt, b, 98)
-	factCh, repCh, err := FactorCholesky(mt, b, dCh, GenSPD(mt, b, 98), Options{Workers: 4})
+	recCh := &trace.Recorder{}
+	factCh, repCh, err := FactorCholesky(mt, b, dCh, GenSPD(mt, b, 98), Options{Workers: 4, Recorder: recCh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +63,13 @@ func TestSoakPaperNodeCounts(t *testing.T) {
 	// Load balance under GCR&M: every node executed work, flops within 2x of
 	// the mean (symmetric patterns are balanced in tiles, not exactly in
 	// flops, because tile cost varies by kernel).
+	flops := flopsPerNode(recCh, dag.NewCholesky(mt), b, dCh.Nodes())
 	mean := 0.0
-	for _, f := range repCh.FlopsPerNode {
+	for _, f := range flops {
 		mean += f
 	}
-	mean /= float64(len(repCh.FlopsPerNode))
-	for n, f := range repCh.FlopsPerNode {
+	mean /= float64(len(flops))
+	for n, f := range flops {
 		if f == 0 {
 			t.Errorf("node %d executed nothing", n)
 		}

@@ -108,7 +108,7 @@ func runSolve(g dag.Graph, mt, b, nrhs int, d dist.Distribution,
 		return nil, nil, err
 	}
 	// X is the run's own workspace column, handed over like any result.
-	x, rep, err := gather(pl, b, solveGen(mt, b, nrhs, genA, genB), kern, opt, mt, func(i, j int) int {
+	x, rep, err := gather(pl, solveGen(mt, b, nrhs, genA, genB), kern, opt, mt, func(i, j int) int {
 		if j == mt+1 {
 			return i
 		}

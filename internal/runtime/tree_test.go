@@ -78,9 +78,6 @@ func TestTreeBroadcastG2DBC23(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		identicalLU(t, "tree mode", flat, fact, mt)
-		if rep.Broadcast != cluster.BroadcastTree {
-			t.Fatalf("workers=%d: report says broadcast %s", workers, rep.Broadcast)
-		}
 		s := rep.Stats
 		// Logical accounting is transport-independent, per pair: the tree
 		// must not disturb the quantities the paper's Eq (1)/(2) predict.
@@ -106,14 +103,6 @@ func TestTreeBroadcastG2DBC23(t *testing.T) {
 		}
 		if s.TotalForwards() == 0 {
 			t.Fatalf("workers=%d: no relayed hops; tree mode did not engage", workers)
-		}
-		forwarded := int64(0)
-		for _, f := range rep.ForwardedPerNode {
-			forwarded += int64(f)
-		}
-		if forwarded != s.TotalForwards() {
-			t.Fatalf("workers=%d: engines report %d forwards, wire counted %d",
-				workers, forwarded, s.TotalForwards())
 		}
 	}
 }

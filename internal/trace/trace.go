@@ -51,7 +51,7 @@ type StallEvent struct {
 type FaultEvent struct {
 	Kind     string // e.g. "drop", "delay", "re-request", "redeliver", "crash"
 	Src, Dst int
-	Tag      string // the affected tile version, e.g. "(2,1)v0", or "req(2,1)v0"
+	Tag      string // what it hit: a tile version, "(2,1)v0" or "req(2,1)v0", with a chaos verdict's attempt and delay; or "task 3"
 	Time     float64
 }
 
