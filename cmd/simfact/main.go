@@ -270,7 +270,7 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 		bc, rep.Stats.TotalHops(), rep.Stats.TotalForwards())
 	if repl > 1 {
 		fmt.Printf("replication c=%d: %d reduction shipments, %.2f MB of partials\n",
-			repl, rep.Stats.TotalReduces(), float64(rep.Stats.TotalReduceBytes())/1e6)
+			repl, rep.Stats.Total(cluster.Reduces), float64(rep.Stats.Total(cluster.ReduceBytes))/1e6)
 	}
 	if bc == cluster.BroadcastTree {
 		fmt.Printf("per-node outgoing hops:")
@@ -296,14 +296,8 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 	}
 	fmt.Println()
 	fmt.Printf("per-node stall (idle-weighted capacity-seconds):")
-	dupDrops := 0
-	dispatched := map[string]int{}
 	for _, s := range rep.Sched {
 		fmt.Printf(" %.3fs", s.StallSeconds)
-		dupDrops += s.DuplicateDrops
-		for kind, cnt := range s.DispatchedByKind {
-			dispatched[kind] += cnt
-		}
 	}
 	fmt.Println()
 	fmt.Printf("per-node ready-queue peak:")
@@ -320,11 +314,11 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 		fmt.Printf(" %.3fs", busy)
 	}
 	fmt.Println()
-	fmt.Printf("dispatched by kind: %v", dispatched)
-	if dupDrops > 0 {
-		fmt.Printf(" (%d duplicate deliveries dropped)", dupDrops)
+	dispatched := map[string]int{}
+	for _, ev := range rec.Tasks {
+		dispatched[ev.Task.Kind.String()]++
 	}
-	fmt.Println()
+	fmt.Printf("dispatched by kind: %v\n", dispatched)
 	fmt.Printf("kernel time breakdown: %v\n", rec.KindBreakdown())
 	if opt.Chaos != nil {
 		faults := map[string]int{}
@@ -332,18 +326,14 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 			faults[f.Kind]++
 		}
 		fmt.Printf("recorded faults: %v\n", faults)
-		recovered := 0
-		for _, rs := range rep.Resilience {
-			recovered += rs.Recovered
-		}
 		fmt.Printf("healing: %d re-requests, %d redeliveries served, %d arrivals recovered\n",
-			rep.Stats.Total(cluster.Requests), rep.Stats.Total(cluster.Redeliveries), recovered)
-		for node, rs := range rep.Resilience {
-			if rs.Died {
-				fmt.Printf("node %d died mid-run\n", node)
-			}
-			if rs.Adopted > 0 {
-				fmt.Printf("node %d migration: adopted %d tasks\n", node, rs.Adopted)
+			rep.Stats.Total(cluster.Requests), rep.Stats.Total(cluster.Redeliveries), faults["recovered"])
+		for _, f := range rec.Faults {
+			switch f.Kind {
+			case "crash":
+				fmt.Printf("node %d died mid-run\n", f.Src)
+			case "adopt":
+				fmt.Printf("node %d migration: adopted %s\n", f.Src, f.Tag)
 			}
 		}
 		f, err := os.Create(prefix + "-faults.csv")

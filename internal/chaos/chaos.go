@@ -57,8 +57,10 @@ type Config struct {
 
 	// PReorder holds a message until the next message on the same
 	// (src, dst) pair is sent, then delivers the two in swapped order —
-	// a deterministic inversion of the pair's FIFO order. A held message
-	// with no successor is flushed after ReorderFlush.
+	// a deterministic inversion of the pair's FIFO order. A message drawn
+	// for a reorder while the pair already holds one is that swap's second
+	// half and goes at once. A held message with no successor is flushed
+	// after ReorderFlush.
 	PReorder     float64
 	ReorderFlush time.Duration // default 25ms
 
@@ -326,16 +328,20 @@ func (p *Plan) Deliver(msg cluster.Message, deliver func(cluster.Message)) {
 		return
 	}
 
-	// Reorder draw: park the message to swap with the pair's next send. If
-	// a partner is already parked the swap is in progress — deliver now.
-	if prev == nil && r.Float64() < p.cfg.PReorder {
+	// Reorder draw, made and recorded for every message that gets this far,
+	// so the verdict depends on the message alone, not on what the pair holds.
+	// With no partner parked the message is parked to swap with the pair's
+	// next send; with one parked it goes now, ahead of the partner.
+	if r.Float64() < p.cfg.PReorder {
 		p.note("reorder", id, attempt, 0)
-		h := &held{msg: msg, deliver: deliver}
-		h.timer = time.AfterFunc(p.cfg.ReorderFlush, func() { p.flushHold(key, h) })
-		p.mu.Lock()
-		p.holds[key] = h
-		p.mu.Unlock()
-		return
+		if prev == nil {
+			h := &held{msg: msg, deliver: deliver}
+			h.timer = time.AfterFunc(p.cfg.ReorderFlush, func() { p.flushHold(key, h) })
+			p.mu.Lock()
+			p.holds[key] = h
+			p.mu.Unlock()
+			return
+		}
 	}
 
 	deliver(msg)

@@ -135,9 +135,7 @@ func TestConfigValidation(t *testing.T) {
 // feeding the same message set in a different order yields the identical
 // fault log. The retry half sends every identity twice and requires each row
 // to name its verdict alone: a plan draws a kind at most once per attempt, so
-// two equal rows mean the log lost what tells the attempts apart. (It draws
-// no reorders: a reorder is drawn only while no hold is parked on the pair,
-// so the reorder rows depend on the pair's send order.)
+// two equal rows mean the log lost what tells the attempts apart.
 func TestDecisionsIndependentOfFeedOrder(t *testing.T) {
 	fwd, rev := fwdRev(40)
 	a, b := feedLog(t, feedCfg, fwd), feedLog(t, feedCfg, rev)
@@ -148,7 +146,7 @@ func TestDecisionsIndependentOfFeedOrder(t *testing.T) {
 		t.Fatal("no faults injected at these probabilities; test proves nothing")
 	}
 
-	retries := Config{Seed: 42, PDrop: 0.5, PDelay: 0.3, MaxDelay: time.Millisecond}
+	retries := Config{Seed: 42, PDrop: 0.5, PDelay: 0.3, PReorder: 0.3, MaxDelay: time.Millisecond}
 	fwd, rev = fwdRev(80)
 	a, b = feedLog(t, retries, fwd), feedLog(t, retries, rev)
 	if a.Fingerprint() != b.Fingerprint() {
@@ -204,8 +202,8 @@ func TestReorderSwapsPairOrder(t *testing.T) {
 			t.Fatalf("delivery order %v, want I-sequence %v", got, want)
 		}
 	}
-	if c := count(rec, "reorder"); c != 2 {
-		t.Fatalf("reorder count = %d, want 2 (messages 1 and 3 held)", c)
+	if c := count(rec, "reorder"); c != 3 {
+		t.Fatalf("reorder count = %d, want 3 (every message drawn; 1 and 3 held, 2 swapped ahead)", c)
 	}
 }
 

@@ -3,9 +3,9 @@ package chaos
 import "testing"
 
 // TestProbePermutationIndependence holds the fault log to 200 random
-// permutations of one feed.
+// permutations of one feed that sends every identity twice.
 func TestProbePermutationIndependence(t *testing.T) {
-	base, _ := fwdRev(40)
+	base, _ := fwdRev(80)
 	ref := feedLog(t, feedCfg, base).Fingerprint()
 	// lcg permutations
 	seedp := int64(12345)

@@ -43,14 +43,13 @@ import (
 // tile remotely at several epochs are served too: each epoch travels under
 // its own tag, so consumers can distinguish the versions.
 //
-// Job is the tile-namespace epoch of the multi-tenant service: every message
-// of one factorization job travels under that job's id, so two concurrent
-// jobs' tiles can never collide even when both factor the same coordinates
-// at the same versions. The field is a wire-protocol concern, not an
-// application one — job-scoped endpoints (JobComm) stamp it on every send and
-// strip it again on delivery, so engines keep working in plain (I, J, V)
-// coordinates while the cluster routes each message to its job's private
-// plane of mailboxes and counters.
+// Job is the tile-namespace epoch of one run (Cluster.OpenJob): every message
+// of the run travels under it, so two concurrent runs' tiles can never
+// collide even when both factor the same coordinates at the same versions.
+// The field is a wire-protocol concern, not an application one — job-scoped
+// endpoints (JobComm) stamp it on every send and strip it again on delivery,
+// so engines keep working in plain (I, J, V) coordinates while the cluster
+// routes each message to its job's private plane of mailboxes and counters.
 type Tag struct {
 	I, J int32
 	V    int32
@@ -367,9 +366,10 @@ func (pl *plane) close() {
 // and send-buffer pool.
 type Cluster struct {
 	p         int
-	planes    sync.Map    // int32 job id -> *plane, created lazily by JobComm
-	closed    atomic.Bool // set by Close; late-created planes are born closed
-	net       Network     // nil on a fault-free cluster
+	planes    sync.Map     // int32 job id -> *plane, created lazily by JobComm
+	lastJob   atomic.Int32 // the namespace OpenJob handed out last
+	closed    atomic.Bool  // set by Close; late-created planes are born closed
+	net       Network      // nil on a fault-free cluster
 	broadcast BroadcastMode
 	pool      tile.Pool // recycles send clones released by receivers
 }
@@ -468,11 +468,20 @@ func (c *Cluster) CloseJob(job int32) {
 	}
 }
 
+// OpenJob hands out a fresh tile namespace, one no earlier call returned and
+// not the default plane's, and creates its plane. One run uses it and drops
+// it (DropJob) once its Stats are taken, so two runs never share a plane.
+func (c *Cluster) OpenJob() int32 {
+	job := c.lastJob.Add(1)
+	c.plane(job)
+	return job
+}
+
 // DropJob removes a closed job's plane entirely, freeing its mailboxes and
 // counters; late deliveries addressed to a dropped job release their payload
-// shares back to the pool. Call only after the job's Stats have been
-// archived — a long-lived service that never dropped finished jobs would
-// leak one counter block per job served.
+// shares back to the pool. Call only after the job's Stats have been taken:
+// a long-lived cluster whose finished jobs were never dropped would leak one
+// counter block per job.
 func (c *Cluster) DropJob(job int32) {
 	c.CloseJob(job)
 	c.planes.Delete(job)
@@ -751,10 +760,8 @@ func (s Stats) BySrc(c Counter) []int64 {
 
 // Shorthands kept for the callers that predate Total/BySrc: commands,
 // examples, the service and the benchmark.
-func (s Stats) TotalMessages() int64    { return s.Total(Messages) }
-func (s Stats) TotalBytes() int64       { return s.Total(Bytes) }
-func (s Stats) TotalWireBytes() int64   { return s.Total(WireBytes) }
-func (s Stats) TotalHops() int64        { return s.Total(Hops) }
-func (s Stats) TotalForwards() int64    { return s.Total(Forwards) }
-func (s Stats) TotalReduces() int64     { return s.Total(Reduces) }
-func (s Stats) TotalReduceBytes() int64 { return s.Total(ReduceBytes) }
+func (s Stats) TotalMessages() int64  { return s.Total(Messages) }
+func (s Stats) TotalBytes() int64     { return s.Total(Bytes) }
+func (s Stats) TotalWireBytes() int64 { return s.Total(WireBytes) }
+func (s Stats) TotalHops() int64      { return s.Total(Hops) }
+func (s Stats) TotalForwards() int64  { return s.Total(Forwards) }

@@ -80,10 +80,10 @@ func TestSimAndRealByteAccountingAgree(t *testing.T) {
 			if got, want := st.TotalBytes(), res.Bytes; got != want {
 				t.Errorf("bytes: real %d, sim %d", got, want)
 			}
-			if got, want := st.TotalReduces(), res.Reduces; got != want {
+			if got, want := st.Total(cluster.Reduces), res.Reduces; got != want {
 				t.Errorf("reduces: real %d, sim %d", got, want)
 			}
-			if got, want := st.TotalReduceBytes(), res.ReduceBytes; got != want {
+			if got, want := st.Total(cluster.ReduceBytes), res.ReduceBytes; got != want {
 				t.Errorf("reduce bytes: real %d, sim %d", got, want)
 			}
 			if got, want := st.TotalHops(), res.Hops; got != want {

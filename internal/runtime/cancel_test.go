@@ -40,7 +40,7 @@ func TestCancelSharedCluster(t *testing.T) {
 		cancel(errors.New("tenant hit its deadline"))
 	}()
 	_, err := Run(dag.NewLU(mt), d, b, GenDiagDominant(mt, b, 31), slowLU,
-		Options{Cluster: cl, Job: 1, Context: ctx}, func(i, j int, tl *tile.Tile) {})
+		Options{Cluster: cl, Context: ctx}, func(i, j int, tl *tile.Tile) {})
 	if err == nil {
 		t.Fatal("cancelled run reported success")
 	}
@@ -58,19 +58,17 @@ func TestCancelSharedCluster(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cl.DropJob(1)
 
-	// The shared substrate is unpoisoned: job 2 on its own namespace
-	// produces factors bit-identical to a solo dedicated-cluster run.
+	// The shared substrate is unpoisoned: the next job, on a namespace of its
+	// own, produces factors bit-identical to a solo dedicated-cluster run.
 	got := matrix.NewDense(mt, mt, b)
 	_, err = Run(dag.NewLU(mt), d, b, GenDiagDominant(mt, b, 32), LUKernel,
-		Options{Cluster: cl, Job: 2}, func(i, j int, tl *tile.Tile) {
+		Options{Cluster: cl}, func(i, j int, tl *tile.Tile) {
 			got.SetTile(i, j, tl.Clone())
 		})
 	if err != nil {
 		t.Fatalf("job after a cancelled tenant failed: %v", err)
 	}
-	cl.DropJob(2)
 	want, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 32), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -96,9 +94,8 @@ func TestCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Run(dag.NewLU(mt), dist.NewG2DBC(P), b, GenDiagDominant(mt, b, 5), LUKernel,
-		Options{Cluster: cl, Job: 1, Context: ctx}, func(i, j int, tl *tile.Tile) {})
+		Options{Cluster: cl, Context: ctx}, func(i, j int, tl *tile.Tile) {})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-cancelled run returned %v, not ErrCanceled", err)
 	}
-	cl.DropJob(1)
 }

@@ -160,9 +160,10 @@ func chaosSeeds(t *testing.T) []int64 {
 //   - Hops decompose into owner sends + forwards + redeliveries, so the
 //     relayed and redelivered parts together never exceed the total.
 //   - Under permanent drops the shortfall TotalMessages − TotalHops is
-//     bounded by the arrivals the re-request protocol recovered: a lost
-//     interior forward strands a subtree of s consumers whose s recoveries
-//     replace the s−1 relay hops that never happened.
+//     bounded by the arrivals the re-request protocol recovered, the trace's
+//     recovered rows: a lost interior forward strands a subtree of s
+//     consumers whose s recoveries replace the s−1 relay hops that never
+//     happened.
 func checkConservation(t *testing.T, label string, rep *Report, rec *trace.Recorder) {
 	t.Helper()
 	s := rep.Stats
@@ -177,11 +178,7 @@ func checkConservation(t *testing.T, label string, rep *Report, rec *trace.Recor
 	if faultCount(rec, "drop", "drop-redeliver") == 0 && hops != msgs {
 		t.Errorf("%s: drop-free run must conserve hops: %d hops != %d messages", label, hops, msgs)
 	}
-	recovered := 0
-	for _, rs := range rep.Resilience {
-		recovered += rs.Recovered
-	}
-	if shortfall := msgs - hops; shortfall > int64(recovered) {
+	if shortfall, recovered := msgs-hops, faultCount(rec, "recovered"); shortfall > int64(recovered) {
 		t.Errorf("%s: hop shortfall %d exceeds the %d recovered arrivals that could explain it",
 			label, shortfall, recovered)
 	}
@@ -309,11 +306,7 @@ func TestChaosDropHealsViaReRequest(t *testing.T) {
 				if faultCount(rec, "drop") == 0 {
 					t.Error("seed 77 dropped nothing; the healing path was not exercised")
 				}
-				recovered := 0
-				for _, rs := range rep.Resilience {
-					recovered += rs.Recovered
-				}
-				if recovered == 0 {
+				if faultCount(rec, "recovered") == 0 {
 					t.Error("healing not accounted: no arrival recovered")
 				}
 				if rep.Stats.Total(cluster.Requests) == 0 || rep.Stats.Total(cluster.Redeliveries) == 0 {

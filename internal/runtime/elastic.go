@@ -48,7 +48,7 @@ type elastic struct {
 	adoptedBy []int
 	peerDone  []bool
 	doneSent  bool
-	died      bool   // this node crashed (Resilience.Died)
+	died      bool   // this node crashed (finalHolder gathers from its adopter)
 	completed []bool // per local task: it has finished here
 
 	// The adoption tables, filled only once this node adopted something. A
@@ -66,7 +66,6 @@ type elastic struct {
 
 	dstScratch  []int   // live destinations of one completion
 	slotScratch []int32 // local slots of one version
-	adopted     int     // Resilience.Adopted
 }
 
 func newElastic(e *engine) *elastic {
@@ -208,7 +207,6 @@ func (el *elastic) complete(idx int, pt int32, tag cluster.Tag, out *tile.Tile) 
 	dsts := pl.Dsts(pt)
 	hadRemote := len(dsts) > 0
 	if idx >= e.n {
-		el.adopted++
 		// An adopted task's remote consumers are every successor this node
 		// does not natively own: those on its original node included.
 		hadRemote = len(pl.Succs(pt)) > 0 || len(dsts) > 1 || (len(dsts) == 1 && dsts[0] != e.rank)

@@ -11,6 +11,7 @@ import (
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
+	"anybc/internal/trace"
 )
 
 // ownedTaskCount returns how many tasks of g the distribution assigns to
@@ -26,40 +27,49 @@ func ownedTaskCount(g dag.Graph, d dist.Distribution, rank int) int {
 	return n
 }
 
-// checkAdoption asserts the migration is visible in the report: every victim
-// is marked dead, the expected adopter re-ran exactly the victims' shares of
-// the plan, and no other survivor adopted anything (the deterministic rule
-// must not split the work; a victim may have adopted before it died in turn,
-// and then the adopter is the survivor at the end of that chain). The kernel
-// counts must balance too: a victim reports the kernels it ran before dying —
-// its dispatch count, not its ownership — and across the cluster every task
-// of g ran once natively, except those a victim never reached, plus once per
-// adoption.
-func checkAdoption(t *testing.T, rep *Report, g dag.Graph, d dist.Distribution, adopter int, victims ...int) {
+// checkAdoption asserts the migration is visible in the run's trace: every
+// victim has its crash row, the expected adopter ran exactly the victims'
+// shares of the plan for owners other than itself, and no other survivor ran
+// a task it does not own (the deterministic rule must not split the work; a
+// victim may have adopted before it died in turn, and then the adopter is the
+// survivor at the end of that chain). The kernel counts must balance too: a
+// victim reports the kernels it ran before dying — its recorded tasks, not its
+// ownership — and across the cluster every task of g ran once natively,
+// except those a victim never reached, plus once per adoption.
+func checkAdoption(t *testing.T, rep *Report, rec *trace.Recorder, g dag.Graph, d dist.Distribution, adopter int, victims ...int) {
 	t.Helper()
+	crashed := map[int]bool{}
+	for _, f := range rec.Faults {
+		if f.Kind == "crash" {
+			crashed[f.Src] = true
+		}
+	}
+	ran, foreign := make([]int, d.Nodes()), make([]int, d.Nodes())
+	for _, ev := range rec.Tasks {
+		ran[ev.Node]++
+		if i, j := g.OutputTile(ev.Task); d.Owner(i, j) != ev.Node {
+			foreign[ev.Node]++
+		}
+	}
 	shares, unreached := 0, 0
 	for _, victim := range victims {
-		if !rep.Resilience[victim].Died {
-			t.Errorf("victim %d not reported dead", victim)
-		}
-		dispatched := 0
-		for _, n := range rep.Sched[victim].DispatchedByKind {
-			dispatched += n
+		if !crashed[victim] {
+			t.Errorf("victim %d has no crash row", victim)
 		}
 		owned := ownedTaskCount(g, d, victim)
-		if ran := rep.TasksPerNode[victim]; ran != dispatched || ran >= owned {
-			t.Errorf("victim %d reports %d executed kernels; it dispatched %d of the %d it owned before dying",
-				victim, ran, dispatched, owned)
+		if n := rep.TasksPerNode[victim]; n != ran[victim] || n >= owned {
+			t.Errorf("victim %d reports %d executed kernels; it ran %d of the %d it owned before dying",
+				victim, n, ran[victim], owned)
 		}
 		shares += owned
 		unreached += owned - rep.TasksPerNode[victim]
 	}
-	for rank, rs := range rep.Resilience {
+	for rank, n := range foreign {
 		switch {
-		case rank == adopter && rs.Adopted != shares:
-			t.Errorf("adopter %d re-ran %d tasks, want the victims' whole shares: %d", adopter, rs.Adopted, shares)
-		case rank != adopter && !rs.Died && rs.Adopted != 0:
-			t.Errorf("node %d adopted %d tasks; only %d should adopt", rank, rs.Adopted, adopter)
+		case rank == adopter && n != shares:
+			t.Errorf("adopter %d re-ran %d tasks, want the victims' whole shares: %d", adopter, n, shares)
+		case rank != adopter && !crashed[rank] && n != 0:
+			t.Errorf("node %d ran %d tasks it does not own; only %d should adopt", rank, n, adopter)
 		}
 	}
 	total := 0
@@ -114,7 +124,7 @@ func TestElasticCrashRecovery(t *testing.T) {
 						return err
 					}
 					identicalLU(t, "elastic run", base, fact, mt)
-					checkAdoption(t, rep, g, d, 0, victim)
+					checkAdoption(t, rep, rec, g, d, 0, victim)
 					return nil
 				})
 				if err != nil {
@@ -153,7 +163,7 @@ func TestElasticCrashRecoveryWorkers4(t *testing.T) {
 					return err
 				}
 				identicalLU(t, "elastic workers=4", base, fact, mt)
-				checkAdoption(t, rep, g, d, 0, victim)
+				checkAdoption(t, rep, rec, g, d, 0, victim)
 				return nil
 			})
 			if err != nil {
@@ -195,7 +205,7 @@ func TestElasticCrashAfterPublish(t *testing.T) {
 					return err
 				}
 				identicalLU(t, "crash after publish", base, fact, mt)
-				checkAdoption(t, rep, g, d, 0, victim)
+				checkAdoption(t, rep, rec, g, d, 0, victim)
 				return nil
 			})
 			if err != nil {
@@ -232,7 +242,7 @@ func TestElasticCholeskyCrash(t *testing.T) {
 					return err
 				}
 				identicalCholesky(t, "elastic Cholesky", base, fact, mt)
-				checkAdoption(t, rep, g, d, 0, victim)
+				checkAdoption(t, rep, rec, g, d, 0, victim)
 				return nil
 			})
 			if err != nil {
@@ -262,7 +272,7 @@ func TestElasticReplicatedLU(t *testing.T) {
 			cl := cluster.NewWithOptions(d.Nodes(), cluster.Options{Broadcast: mode})
 			defer cl.Close()
 			opt, rec := chaosOpts(t, chaos.Config{Seed: 1, CrashAtTask: map[int]int{victim: crashAt}}, 30*time.Millisecond, 1)
-			opt.Elastic, opt.Cluster, opt.Job = true, cl, 1
+			opt.Elastic, opt.Cluster = true, cl
 			dumpChaosArtifacts(t, "elastic-replicated-"+mode.String(), rec)
 			err := runWithDeadline(t, func() error {
 				got, rep, err := FactorLUReplicated(mt, b, c, base, GenDiagDominant(mt, b, 13), opt)
@@ -270,7 +280,7 @@ func TestElasticReplicatedLU(t *testing.T) {
 					return err
 				}
 				identicalLU(t, "elastic replicated", want, got, mt)
-				checkAdoption(t, rep, g, d, 0, victim)
+				checkAdoption(t, rep, rec, g, d, 0, victim)
 				return nil
 			})
 			if err != nil {
@@ -322,7 +332,7 @@ func TestElasticTwoDeathsOneAdopter(t *testing.T) {
 						return err
 					}
 					identicalLU(t, "two deaths", base, fact, mt)
-					checkAdoption(t, rep, g, d, 0, victims...)
+					checkAdoption(t, rep, rec, g, d, 0, victims...)
 					return nil
 				})
 				if err != nil {
@@ -376,7 +386,7 @@ func TestElasticAdopterDies(t *testing.T) {
 							return err
 						}
 						identicalLU(t, "adopter dies", base, fact, mt)
-						checkAdoption(t, rep, g, d, tc.survivor, victims...)
+						checkAdoption(t, rep, rec, g, d, tc.survivor, victims...)
 						return nil
 					})
 					if err != nil {

@@ -98,12 +98,11 @@ type engine struct {
 	// idle-weighted StallSeconds.
 	stallNanos int64
 	readyPeak  int
-	dupDrops   int
-	dispatched [1 << 8]int32 // kernels dispatched, indexed by dag.Kind (a uint8)
-	hops       relayLedger   // tree-broadcast relays fire once per tag, on every engine
+	hops       relayLedger // tree-broadcast relays fire once per tag, on every engine
 
 	// The chaos plan's crash injection: the node dies just before its pop
-	// number crashAt (-1: never), pops counting the tasks popped so far.
+	// number crashAt (-1: never), pops counting the tasks popped so far —
+	// Report.TasksPerNode.
 	crashAt, pops int
 
 	res *resilience // re-request protocol; nil unless ArrivalTimeout > 0
@@ -537,7 +536,6 @@ func (e *engine) pop() (jb job, ok bool) {
 func (e *engine) resolve(idx int) job {
 	pt := e.task(idx)
 	t := e.pl.Task(pt)
-	e.dispatched[t.Kind]++
 	out := e.tileOf(e.pl.Out(pt))
 	if out == nil {
 		panic(fmt.Sprintf("runtime: node %d: output tile of %v missing", e.rank, t))
@@ -672,11 +670,10 @@ func (e *engine) onComplete(idx int) {
 //
 // The transport sends each tile version at most once per destination, but a
 // re-delivery must not crash the node: an arrival whose tag is already
-// retained is dropped idempotently when its payload matches the retained copy
-// (counted in Report.Sched.DuplicateDrops), and reported as a descriptive
-// error — surfaced through Run's joined node errors — when the payloads
-// genuinely conflict, since then one of the two writes is wrong and the run
-// cannot be trusted.
+// retained is dropped idempotently when its payload matches the retained copy,
+// and reported as a descriptive error — surfaced through Run's joined node
+// errors — when the payloads genuinely conflict, since then one of the two
+// writes is wrong and the run cannot be trusted.
 func (e *engine) onArrival(msg cluster.Message) error {
 	if msg.Note != cluster.NoteNone {
 		if e.el != nil {
@@ -703,14 +700,12 @@ func (e *engine) onArrival(msg cluster.Message) error {
 		identical := e.recv[slot].Payload.EqualApprox(msg.Payload, 0)
 		msg.Release()
 		if identical {
-			e.dupDrops++
 			return nil
 		}
 		return fmt.Errorf("conflicting duplicate of tile %v from node %d: payload differs from the retained copy", msg.Tag, msg.From)
 	}
 	if e.res != nil && !e.res.admit(msg.Tag, msg.From) {
 		msg.Release()
-		e.dupDrops++
 		return nil
 	}
 	e.recvTotal++

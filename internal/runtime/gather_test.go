@@ -115,21 +115,20 @@ func TestGatherFromTheAdopter(t *testing.T) {
 	}
 	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			opt, _ := chaosOpts(t, chaos.Config{Seed: seed, CrashAtTask: map[int]int{victim: crashAt}}, 30*time.Millisecond, 1)
+			opt, rec := chaosOpts(t, chaos.Config{Seed: seed, CrashAtTask: map[int]int{victim: crashAt}}, 30*time.Millisecond, 1)
 			opt.Elastic = true
 			var log genLog
 			gen := log.wrap(GenDiagDominant(mt, b, 31))
 			var fact *matrix.Dense
-			var rep *Report
 			err := runWithDeadline(t, func() (err error) {
-				fact, rep, err = FactorLU(mt, b, d, gen, opt)
+				fact, _, err = FactorLU(mt, b, d, gen, opt)
 				return err
 			})
 			if err != nil {
 				t.Fatalf("elastic run failed instead of recovering: %v", err)
 			}
 			identicalLU(t, "elastic run", want, fact, mt)
-			if !rep.Resilience[victim].Died {
+			if faultCount(rec, "crash") != 1 {
 				t.Error("the victim did not die: nothing was gathered from an adopter")
 			}
 			for i := 0; i < mt; i++ {

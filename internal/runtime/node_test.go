@@ -124,8 +124,8 @@ func TestNodeGoroutineCensus(t *testing.T) {
 	}{
 		{"private cluster", Options{Workers: W}},
 		{"resilience armed", Options{Workers: W, ArrivalTimeout: time.Minute}},
-		{"shared cluster", Options{Workers: W, Cluster: shared, Job: 1}},
-		{"shared cluster, elastic", Options{Workers: W, Cluster: shared, Job: 2, Elastic: true}},
+		{"shared cluster", Options{Workers: W, Cluster: shared}},
+		{"shared cluster, elastic", Options{Workers: W, Cluster: shared, Elastic: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

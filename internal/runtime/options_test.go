@@ -34,12 +34,11 @@ func TestOptionsRejectMeaninglessCombinations(t *testing.T) {
 		opt  Options
 		want string // substring of the error
 	}{
-		{"Job without Cluster", Options{Job: 3}, "Options.Cluster is nil"},
 		{"negative ArrivalTimeout", Options{ArrivalTimeout: -1}, "negative ArrivalTimeout"},
 		{"Broadcast against the shared cluster's mode",
-			Options{Cluster: flat, Job: 1, Broadcast: cluster.BroadcastTree}, "tree broadcast requested"},
+			Options{Cluster: flat, Broadcast: cluster.BroadcastTree}, "tree broadcast requested"},
 		{"delivery faults on a shared cluster",
-			Options{Cluster: flat, Job: 2, Chaos: lossy}, "delivery faults"},
+			Options{Cluster: flat, Chaos: lossy}, "delivery faults"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

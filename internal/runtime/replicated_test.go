@@ -27,7 +27,7 @@ func TestReplicatedC1BitIdenticalToLU(t *testing.T) {
 			t.Fatalf("%s: %v", base.Name(), err)
 		}
 		identicalLU(t, base.Name(), want, got, mt)
-		if n := rep.Stats.TotalReduces(); n != 0 {
+		if n := rep.Stats.Total(cluster.Reduces); n != 0 {
 			t.Fatalf("%s: c=1 run shipped %d reduction partials, want 0", base.Name(), n)
 		}
 	}
@@ -58,7 +58,7 @@ func TestReplicatedLUMatchesSequential(t *testing.T) {
 					}
 				}
 			}
-			if c > 1 && rep.Stats.TotalReduces() == 0 {
+			if c > 1 && rep.Stats.Total(cluster.Reduces) == 0 {
 				t.Fatalf("c=%d %s: no reduction partials shipped", c, base.Name())
 			}
 		}

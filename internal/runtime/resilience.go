@@ -26,8 +26,6 @@ type resilience struct {
 	seen    map[cluster.Tag]bool
 	pending map[cluster.Tag]*pendingWait
 
-	recovered int // Resilience.Recovered
-
 	// served closes once the receiver (engine.receive) has answered the last
 	// request its mailbox held; RunPlan waits on it before it snapshots the
 	// traffic ledger, which every answer charges.
@@ -120,11 +118,11 @@ func (r *resilience) await(tag cluster.Tag, now time.Time) {
 // redeliver, and a tag whose first copy was already consumed and released is
 // long gone from recv: every tag that ever arrived is remembered, and admit
 // reports false for the stragglers so they drop idempotently, like retained
-// duplicates. A first arrival ends the tag's wait, counted as recovered when
-// it came only after this node re-requested it: the timeout path healed a
-// lost delivery. from is the delivering rank, or -1 when an adoption replay
-// produced the version on this node — nothing crossed the wire, so nothing
-// goes on the trace.
+// duplicates. A first arrival ends the tag's wait, and goes on the trace as
+// a recovered row when it came over the wire only after this node
+// re-requested it: the timeout path healed a lost delivery. from is the
+// delivering rank, or -1 when an adoption replay produced the version on this
+// node — nothing crossed the wire, so nothing goes on the trace.
 func (r *resilience) admit(tag cluster.Tag, from int) bool {
 	if r.seen[tag] {
 		return false
@@ -132,11 +130,8 @@ func (r *resilience) admit(tag cluster.Tag, from int) bool {
 	r.seen[tag] = true
 	if p, ok := r.pending[tag]; ok {
 		delete(r.pending, tag)
-		if p.attempts > 0 {
-			r.recovered++
-			if from >= 0 {
-				r.e.fault("recovered", from, r.e.rank, tag.String())
-			}
+		if p.attempts > 0 && from >= 0 {
+			r.e.fault("recovered", from, r.e.rank, tag.String())
 		}
 	}
 	return true

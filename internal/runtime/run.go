@@ -40,7 +40,8 @@
 //     so a slow consumer can always heal; RunPlan joins the receivers before
 //     it snapshots Report.Stats. Arrivals dedupe by tag (admit). A permanently
 //     dropped delivery costs latency, never a hang; Report.Stats counts the
-//     re-requests and redeliveries, Report.Resilience the recoveries.
+//     re-requests and redeliveries, the trace's recovered rows the healed
+//     arrivals.
 //   - elastic (elastic.go; Options.Elastic): a node that dies mid-run no
 //     longer aborts the factorization — a deterministically chosen survivor
 //     adopts its share of the plan and republishes the outputs under the
@@ -66,8 +67,9 @@
 // solves of low iterations never start behind trailing updates that were
 // merely ready earlier, and real makespans track what the simulator predicts.
 // Report.Sched exposes per-node scheduler observability: stall time (a free
-// worker with nothing ready — waiting on communication or predecessors), the
-// ready-queue high-water mark, and dispatch counts by kernel kind.
+// worker with nothing ready — waiting on communication or predecessors), busy
+// time per worker and the ready-queue high-water mark. What ran where, and
+// every fault and recovery, is the trace's to say (see Tracing).
 //
 // # Versioned tile protocol
 //
@@ -227,21 +229,17 @@ type Options struct {
 	// semantics at two or three requests.
 	MaxReRequests int
 	// Cluster, when non-nil, runs the job over this existing shared cluster
-	// instead of creating a private one: the engines use the job-scoped
-	// endpoints of Job (cluster.JobComm), so many concurrent Runs multiplex
-	// one substrate — the multi-tenant service's mode. The cluster's node
-	// count must equal the distribution's. The run closes only its own job
-	// plane when it finishes (or aborts, or is cancelled); the shared
-	// cluster and its other tenants stay up. The broadcast mode and network
-	// seam are the shared cluster's: a Broadcast naming another mode, or a
-	// Chaos plan with delivery faults, is rejected — chaos crash injection
-	// (CrashTask) still applies per job. The caller is responsible for
-	// cluster.DropJob once it has archived the job's Report.
+	// instead of creating a private one: the run takes a fresh tile
+	// namespace of its own (cluster.OpenJob), so many concurrent Runs
+	// multiplex one substrate — the multi-tenant service's mode — and their
+	// identically-numbered tiles never collide. The cluster's node count must
+	// equal the distribution's. The run closes and drops only its own
+	// namespace before it returns, however it ends; the shared cluster and
+	// its other tenants stay up. The broadcast mode and network seam are the
+	// shared cluster's: a Broadcast naming another mode, or a Chaos plan
+	// with delivery faults, is rejected — chaos crash injection (CrashTask)
+	// still applies per job.
 	Cluster *cluster.Cluster
-	// Job is this run's tile-namespace epoch on the shared Cluster: every
-	// message travels under it, so concurrent jobs' identically-numbered
-	// tiles can never collide. Non-zero without Cluster is rejected.
-	Job int32
 	// Context, when non-nil, is the run's cancellation seam: once it is
 	// done, the run aborts — the job's cluster plane is poisoned exactly as
 	// by comm.Abort, every engine winds down promptly, all in-flight pooled
@@ -271,8 +269,6 @@ func (opt *Options) normalize(d dist.Distribution) error {
 	switch {
 	case opt.ArrivalTimeout < 0:
 		return fmt.Errorf("runtime: negative ArrivalTimeout %v; zero leaves the re-request protocol off", opt.ArrivalTimeout)
-	case cl == nil && opt.Job != 0:
-		return fmt.Errorf("runtime: job %d names a namespace of a shared cluster, but Options.Cluster is nil", opt.Job)
 	case cl != nil && cl.Nodes() != P:
 		return fmt.Errorf("runtime: distribution %s wants %d nodes but the shared cluster has %d", d.Name(), P, cl.Nodes())
 	case cl != nil && opt.Broadcast != cluster.BroadcastFlat && opt.Broadcast != cl.Broadcast():
@@ -304,7 +300,9 @@ func (opt *Options) normalize(d dist.Distribution) error {
 type Report struct {
 	// Stats holds the communication counters of the virtual network.
 	Stats cluster.Stats
-	// TasksPerNode counts the kernels each node executed.
+	// TasksPerNode counts the kernels each node executed: the tasks its
+	// workers popped, so a node that died mid-run reports what it ran, not
+	// what it owned.
 	TasksPerNode []int
 	// OwnedTilesPerNode and ReceivedTilesPerNode describe each node's memory
 	// traffic: tiles it owns under the distribution, and remote tile versions
@@ -320,27 +318,8 @@ type Report struct {
 	PeakTilesPerNode []int
 	// Sched holds each node's scheduler observability counters.
 	Sched []SchedStats
-	// Resilience holds each node's fault-healing counters. All zero unless
-	// the arrival-timeout re-request protocol was armed (Options.Chaos,
-	// Options.Elastic or Options.ArrivalTimeout). The re-requests a node sent
-	// and answered are its rows of Stats' Requests and Redeliveries counters.
-	Resilience []ResilienceStats
 	// Elapsed is the wall-clock duration of the distributed run.
 	Elapsed time.Duration
-}
-
-// ResilienceStats describes one node's participation in the arrival-timeout
-// re-request protocol over a run.
-type ResilienceStats struct {
-	// Recovered counts the awaited tile versions that arrived only after
-	// this node re-requested them — deliveries the timeout path healed.
-	Recovered int
-	// Adopted counts the dead-node tasks this node re-ran as the elastic
-	// adopter: the migration that let the run finish despite the crash.
-	Adopted int
-	// Died reports that this node crashed mid-run (injected or presumed);
-	// its unfinished work was adopted by a survivor.
-	Died bool
 }
 
 // SchedStats describes one node's scheduling behaviour over a run.
@@ -370,13 +349,6 @@ type SchedStats struct {
 	// instant. Persistently small peaks mean the node is starved; large
 	// peaks mean it is the bottleneck.
 	ReadyPeak int
-	// DuplicateDrops counts identical re-delivered tile versions that were
-	// dropped idempotently instead of crashing the node (see onArrival). Zero
-	// on a faithful network; chaos duplicates, redeliveries racing a late
-	// original and adoption replays all make it non-zero.
-	DuplicateDrops int
-	// DispatchedByKind counts dispatched kernels per task-kind name.
-	DispatchedByKind map[string]int
 }
 
 // Run executes graph g on a fresh virtual cluster with the given tile
@@ -441,6 +413,10 @@ func RunPlan(pl *plan.Plan,
 		}
 		cl = cluster.NewWithOptions(P, copt)
 	}
+	// The run's own namespace, dropped on every return path below: all of
+	// them come after the receivers drained and Report.Stats was taken.
+	job := cl.OpenJob()
+	defer cl.DropJob(job)
 
 	start := time.Now()
 	if opt.Chaos != nil && opt.Recorder != nil {
@@ -448,7 +424,7 @@ func RunPlan(pl *plan.Plan,
 	}
 	engines := make([]*engine, P)
 	for rank := 0; rank < P; rank++ {
-		engines[rank] = newEngine(rank, cl.JobComm(opt.Job, rank), pl, gen, kern, opt, start)
+		engines[rank] = newEngine(rank, cl.JobComm(job, rank), pl, gen, kern, opt, start)
 	}
 
 	// Cancellation seam: a context that ends before the run does poisons
@@ -462,7 +438,7 @@ func RunPlan(pl *plan.Plan,
 			select {
 			case <-opt.Context.Done():
 				cancelled.Store(true)
-				cl.CloseJob(opt.Job)
+				cl.CloseJob(job)
 			case <-runDone:
 			}
 		}()
@@ -486,7 +462,7 @@ func RunPlan(pl *plan.Plan,
 	}
 	// Closing the job's plane is all the teardown there is: on a private
 	// cluster it is the only plane, on a shared one the other tenants stay up.
-	cl.CloseJob(opt.Job)
+	cl.CloseJob(job)
 	elapsed := time.Since(start)
 	// Quiescence before the snapshot: with resilience armed each engine's
 	// receiver outlives run() and may still be answering queued re-requests
@@ -537,30 +513,19 @@ func RunPlan(pl *plan.Plan,
 	// The job's ledger is the one count of its traffic; the engines keep no
 	// tallies of their own.
 	rep := &Report{
-		Stats:                cl.JobStats(opt.Job),
+		Stats:                cl.JobStats(job),
 		TasksPerNode:         make([]int, P),
 		OwnedTilesPerNode:    make([]int, P),
 		ReceivedTilesPerNode: make([]int, P),
 		PeakTilesPerNode:     make([]int, P),
 		Sched:                make([]SchedStats, P),
-		Resilience:           make([]ResilienceStats, P),
 		Elapsed:              elapsed,
 	}
 	for rank, e := range engines {
+		rep.TasksPerNode[rank] = e.pops
 		rep.OwnedTilesPerNode[rank] = e.ownedTiles
 		rep.ReceivedTilesPerNode[rank] = e.recvTotal
 		rep.PeakTilesPerNode[rank] = e.peakTiles
-		// Kernels executed = kernels dispatched: a task is counted when a
-		// worker pops it to run it, so a node that died mid-run reports what
-		// it ran, not what it owned.
-		byKind := make(map[string]int)
-		for k, n := range e.dispatched {
-			if n == 0 {
-				continue
-			}
-			byKind[dag.Kind(k).String()] = int(n)
-			rep.TasksPerNode[rank] += int(n)
-		}
 		busy := make([]float64, len(e.busy))
 		for w, ns := range e.busy {
 			busy[w] = float64(ns) / 1e9
@@ -569,15 +534,6 @@ func RunPlan(pl *plan.Plan,
 			StallSeconds:      float64(e.stallNanos) / 1e9 / float64(e.workers),
 			WorkerBusySeconds: busy,
 			ReadyPeak:         e.readyPeak,
-			DuplicateDrops:    e.dupDrops,
-			DispatchedByKind:  byKind,
-		}
-		rs := &rep.Resilience[rank]
-		if e.res != nil {
-			rs.Recovered = e.res.recovered
-		}
-		if e.el != nil {
-			rs.Adopted, rs.Died = e.el.adopted, e.el.died
 		}
 	}
 

@@ -43,7 +43,7 @@ func FuzzSubmit(f *testing.F) {
 		id, err := srv.Submit(JobSpec{
 			Kind: kind, Scheme: scheme, Mt: mt, B: b, P: p,
 			Workers: workers, Priority: priority, Crash: crash,
-			Seed: int64(mt + b), ChaosSeed: int64(priority),
+			Seed: int64(mt + b),
 		})
 		if err != nil {
 			if !errors.Is(err, ErrRejected) {

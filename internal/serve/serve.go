@@ -2,7 +2,7 @@
 // promotion of the one-shot runtime.Run library the ROADMAP's
 // "millions of users" north star calls for. A Server owns one shared
 // cluster.Cluster and runs many factorization DAGs over it concurrently —
-// each job on its own tile-namespace plane (a job-ID epoch in every
+// each job on its own tile-namespace plane (cluster.OpenJob's epoch in every
 // cluster.Tag), so tenants can never read each other's tiles, a cancelled or
 // crashed job poisons only its own namespace, and every per-job
 // runtime.Report carries exactly the accounting a dedicated cluster would
@@ -58,9 +58,7 @@ var ErrRejected = errors.New("job rejected")
 // ErrNotFound is returned for operations on an unknown job id.
 var ErrNotFound = errors.New("no such job")
 
-// JobID identifies one submitted job. It doubles as the job's tile-namespace
-// epoch on the shared cluster (cluster.Tag.Job), so ids start at 1 — epoch 0
-// is the single-job default plane, never used by the service.
+// JobID identifies one submitted job; ids start at 1.
 type JobID int32
 
 // JobState is the lifecycle of a job.
@@ -115,9 +113,6 @@ type JobSpec struct {
 	// concurrency test harness. With Elastic the job still completes; without
 	// it the job fails, and either way no other tenant is disturbed.
 	Crash string `json:"crash,omitempty"`
-	// ChaosSeed seeds the crash plan's event log (only meaningful with
-	// Crash).
-	ChaosSeed int64 `json:"chaosSeed,omitempty"`
 }
 
 // Result is a finished job's output: exactly one of Dense (LU) or Chol
@@ -355,7 +350,7 @@ func (s *Server) Submit(spec JobSpec) (JobID, error) {
 	var plan *chaos.Plan
 	if spec.Crash != "" {
 		crashAt, _ := chaos.ParseCrash(spec.Crash, spec.P) // validate already accepted it
-		p, err := chaos.New(chaos.Config{Seed: spec.ChaosSeed, CrashAtTask: crashAt})
+		p, err := chaos.New(chaos.Config{CrashAtTask: crashAt})
 		if err != nil {
 			s.mu.Lock()
 			s.rejected++
@@ -452,15 +447,13 @@ func (s *Server) runJob(j *job, memReserved int64) {
 	s.schedule()
 	s.mu.Unlock()
 
-	// The plane's counters live in the report now; free the namespace.
-	s.cl.DropJob(int32(j.id))
 	j.cancel(nil)
 	close(j.done)
 }
 
 // execute runs the factorization itself: the cached execution plan of the
-// job's shape, the job's namespace on the shared cluster and the job's
-// cancellation context.
+// job's shape on the shared cluster — the run takes and drops a namespace of
+// its own — under the job's cancellation context.
 func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	spec := j.spec
 	pl, err := s.cache.Plan(spec.Kind, spec.Mt, spec.Scheme, spec.P)
@@ -470,7 +463,6 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	opt := runtime.Options{
 		Workers: spec.Workers,
 		Cluster: s.cl,
-		Job:     int32(j.id),
 		Context: j.ctx,
 		Elastic: spec.Elastic,
 		Chaos:   j.crash,

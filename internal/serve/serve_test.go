@@ -342,7 +342,7 @@ func TestChaosTenantCrash(t *testing.T) {
 	const mt, b, P = 6, 4, 4
 	srv := newTestServer(t, Config{P: P, B: b, MaxConcurrent: 4, Workers: 2})
 
-	chaotic, err := srv.Submit(JobSpec{Kind: KindLU, Mt: mt, Seed: 7, Elastic: true, Crash: "1@2", ChaosSeed: 11})
+	chaotic, err := srv.Submit(JobSpec{Kind: KindLU, Mt: mt, Seed: 7, Elastic: true, Crash: "1@2"})
 	if err != nil {
 		t.Fatal(err)
 	}
