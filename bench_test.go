@@ -13,6 +13,7 @@ package anybc
 import (
 	"testing"
 
+	"anybc/internal/core"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/experiments"
@@ -256,7 +257,7 @@ func BenchmarkAblationSizeCap(b *testing.B) {
 // load imbalance on a 64-tile-row matrix: the dynamic rule is what keeps
 // GCR&M patterns balanced.
 func BenchmarkAblationDiagonal(b *testing.B) {
-	res, err := experiments.GCRMPattern(23, benchSearchOpts())
+	res, err := core.SearchGCRM(23, benchSearchOpts())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"anybc/internal/core"
+	"anybc/internal/dist"
 	"anybc/internal/experiments"
 	"anybc/internal/gcrm"
 )
@@ -75,7 +76,8 @@ func main() {
 		}
 		fmt.Printf(" balanced=%v\n", r.Balanced)
 		if *showPat {
-			fmt.Println(core.Pattern(d))
+			pat, _ := dist.PatternOf(d)
+			fmt.Println(pat)
 		}
 	}
 }

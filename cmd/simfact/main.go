@@ -203,6 +203,12 @@ func runGantt(prefix string, p, n int, scheme, kernel string, bc cluster.Broadca
 // cluster with wall-clock tracing and writes the same CSV pair as the
 // simulated mode, plus working-set statistics from the release path.
 func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, chaosSeed int64, bc cluster.BroadcastMode, elastic bool, crash string, repl int) error {
+	if b < 1 {
+		return fmt.Errorf("-tb must be >= 1 (got %d)", b)
+	}
+	if workers < 1 {
+		return fmt.Errorf("-workers must be >= 1 (got %d)", workers)
+	}
 	mt := n / b
 	if mt < 2 {
 		return fmt.Errorf("matrix size %d below two %d-element tiles", n, b)

@@ -352,7 +352,6 @@ func TestDeadSurface(t *testing.T) {
 		"trace.Recorder.Fingerprint":     "the timestamp-free trace digest — fault schedule included — TestChaosSeedDeterminism and TestDecisionsIndependentOfFeedOrder compare across runs; ROADMAP item 1a makes it a view of the event sink",
 		"cluster.Stats.At":               "the per-link count TestChaosRegressionG2DBC23 and TestTreeBroadcastG2DBC23 compare against the fault-free run",
 		"dist.CostBound":                 "Lemma 2, which TestG2DBCLemma2 holds G-2DBC to; " + item5,
-		"gcrm.SearchRefined":             "GCR&M with its local-search post-pass (gcrm.Refine), which TestSearchRefined holds to the plain search; " + item5,
 		"lowerbound.LUSeq":               item5,
 		"lowerbound.CholeskySeq":         item5,
 		"lowerbound.PatternCostCholesky": item5,

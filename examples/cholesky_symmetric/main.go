@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"anybc/internal/core"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 	"anybc/internal/matrix"
@@ -36,12 +37,13 @@ func main() {
 	orig := matrix.NewSPD(*mt, *b, *seed)
 	gen := runtime.GenSPD(*mt, *b, *seed)
 
-	res, err := gcrm.Search(*p, gcrm.SearchOptions{Seeds: *seeds, SizeFactor: 5, BaseSeed: 1, Parallel: true})
+	gcrmD, err := core.New(core.GCRM, *p, core.Options{
+		GCRMSearch: gcrm.SearchOptions{Seeds: *seeds, SizeFactor: 5, BaseSeed: 1, Parallel: true},
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cholesky_symmetric:", err)
 		os.Exit(1)
 	}
-	gcrmD := dist.NewDiagResolver(fmt.Sprintf("GCR&M(%dx%d,P=%d)", res.R, res.R, *p), res.Pattern)
 
 	schemes := []dist.Distribution{
 		dist.Best2DBC(*p),

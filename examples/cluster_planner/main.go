@@ -16,6 +16,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"anybc/internal/core"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
@@ -51,7 +52,9 @@ func main() {
 		}
 	case "cholesky":
 		g = dag.NewCholesky(mt)
-		res, err := gcrm.Search(*p, gcrm.SearchOptions{Seeds: 50, SizeFactor: 5, BaseSeed: 1, Parallel: true})
+		gcrmD, err := core.New(core.GCRM, *p, core.Options{
+			GCRMSearch: gcrm.SearchOptions{Seeds: 50, SizeFactor: 5, BaseSeed: 1, Parallel: true},
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cluster_planner:", err)
 			os.Exit(1)
@@ -59,7 +62,7 @@ func main() {
 		candidates = []dist.Distribution{
 			dist.Best2DBCAtMost(*p),
 			dist.BestSBCAtMost(*p),
-			dist.NewDiagResolver(fmt.Sprintf("GCR&M(%dx%d,P=%d)", res.R, res.R, *p), res.Pattern),
+			gcrmD,
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "cluster_planner: unknown kernel %q\n", *kernel)

@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("  → GCR&M uses all %d nodes at an SBC-class communication cost.\n\n", *p)
 
 	// Show the (start of the) G-2DBC pattern itself.
-	pat := core.Pattern(g2)
+	pat := g2.Pattern()
 	fmt.Printf("G-2DBC pattern (%s); tile (i,j) is owned by cell (i mod %d, j mod %d):\n",
 		pat.Dims(), pat.Rows(), pat.Cols())
 	fmt.Print(pat)

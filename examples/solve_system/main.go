@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"anybc/internal/core"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 	"anybc/internal/matrix"
@@ -60,11 +61,12 @@ func main() {
 	xTrue2.FillFunc(func(gi, k int) float64 { return matrix.ElementAt(*seed+11, gi, k) })
 	rhs2 := spd.MulRHS(xTrue2)
 
-	res, err := gcrm.Search(*p, gcrm.SearchOptions{Seeds: 30, SizeFactor: 5, BaseSeed: 1, Parallel: true})
+	ds, err := core.New(core.GCRM, *p, core.Options{
+		GCRMSearch: gcrm.SearchOptions{Seeds: 30, SizeFactor: 5, BaseSeed: 1, Parallel: true},
+	})
 	if err != nil {
 		fail(err)
 	}
-	ds := dist.NewDiagResolver(fmt.Sprintf("GCR&M(%dx%d,P=%d)", res.R, res.R, *p), res.Pattern)
 	x2, rep2, err := runtime.SolveCholesky(*mt, *b, *nrhs, ds,
 		runtime.GenSPD(*mt, *b, *seed+10),
 		func(i int) *tile.Tile { return rhs2[i].Clone() },

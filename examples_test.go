@@ -1,6 +1,7 @@
 package anybc
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -59,6 +60,16 @@ func TestSimfactRealRun(t *testing.T) {
 	for _, suffix := range []string{"-gantt.csv", "-messages.csv", "-faults.csv"} {
 		if _, err := os.Stat(prefix + suffix); err != nil {
 			t.Error(err)
+		}
+	}
+
+	// A zero tile size or worker count is refused by name, with status 1 —
+	// not a divide-by-zero panic or an all-zero utilization line.
+	for flag, want := range map[string]string{"-tb": "-tb must be >= 1", "-workers": "-workers must be >= 1"} {
+		out, err := goRun(t, "./cmd/simfact", "-gantt", prefix, "-real", "-p", "7", "-n", "96", "-tb", "8", flag, "0")
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), want) {
+			t.Errorf("simfact -real %s 0: err %v, want exit status 1 saying %q:\n%s", flag, err, want, out)
 		}
 	}
 }

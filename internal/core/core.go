@@ -4,8 +4,9 @@
 // the entry point examples and command-line tools build on.
 //
 // The scheme implementations live in the focused packages: dist (2DBC,
-// G-2DBC, SBC, diagonal resolution), gcrm (the Greedy ColRow & Matching
-// heuristic), and pattern (the cost metric of Section III).
+// G-2DBC, SBC, STS, diagonal resolution), gcrm (the Greedy ColRow & Matching
+// heuristic), and pattern (the cost metric of Section III). New is the one
+// place a GCR&M search becomes a distribution.
 package core
 
 import (
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
@@ -71,7 +73,7 @@ func New(s Scheme, P int, opt Options) (dist.Distribution, error) {
 		if so.Seeds == 0 {
 			so = gcrm.DefaultSearchOptions()
 		}
-		res, err := gcrm.Search(P, so)
+		res, err := SearchGCRM(P, so)
 		if err != nil {
 			return nil, err
 		}
@@ -79,6 +81,33 @@ func New(s Scheme, P int, opt Options) (dist.Distribution, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %q (want one of %v)", s, Schemes())
 	}
+}
+
+// searches memoizes SearchGCRM: a GCR&M pattern depends only on P and the
+// search options, exactly the "database of patterns" the paper's conclusion
+// suggests.
+var searches sync.Map // searchKey -> *gcrm.Result
+
+type searchKey struct {
+	P    int
+	opts gcrm.SearchOptions
+}
+
+// SearchGCRM returns the best GCR&M pattern for P under opts, searching once
+// per process for each (P, options). The result is shared by every caller:
+// it and its pattern are read-only.
+func SearchGCRM(P int, opts gcrm.SearchOptions) (*gcrm.Result, error) {
+	key := searchKey{P, opts}
+	key.opts.Parallel = false // the result is the same either way
+	if v, ok := searches.Load(key); ok {
+		return v.(*gcrm.Result), nil
+	}
+	res, err := gcrm.Search(P, opts)
+	if err != nil {
+		return nil, err
+	}
+	searches.Store(key, res)
+	return res, nil
 }
 
 // Report summarizes a distribution for display.
@@ -109,14 +138,6 @@ func Describe(d dist.Distribution) Report {
 		r.CostCholesky = p.CostCholesky()
 	}
 	return r
-}
-
-// Pattern extracts the underlying pattern of a distribution, or nil.
-func Pattern(d dist.Distribution) *pattern.Pattern {
-	if p, ok := dist.PatternOf(d); ok {
-		return p
-	}
-	return nil
 }
 
 // LoadPatternFile reads a pattern stored in the pattern.Marshal text format

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 )
 
@@ -80,7 +81,7 @@ func TestLoadPatternFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Pattern(d).Marshal(f); err != nil {
+	if err := d.(dist.PatternDistribution).Pattern().Marshal(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -109,7 +110,7 @@ func TestLoadPatternFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Pattern(d2).Marshal(f2); err != nil {
+	if err := d2.(dist.PatternDistribution).Pattern().Marshal(f2); err != nil {
 		t.Fatal(err)
 	}
 	f2.Close()

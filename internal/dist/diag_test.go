@@ -142,7 +142,12 @@ func TestDiagResolverConcurrent(t *testing.T) {
 }
 
 func TestDiagResolverFullyDefinedPattern(t *testing.T) {
-	p := pattern.MustFromRows([][]int{{0, 1}, {1, 0}})
+	p := pattern.New(2, 2)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			p.Set(i, j, (i+j)%2)
+		}
+	}
 	res := NewDiagResolver("full", p)
 	if res.Owner(0, 0) != 0 || res.Owner(3, 3) != 0 || res.Owner(1, 0) != 1 {
 		t.Error("fully defined pattern resolved incorrectly")
@@ -150,7 +155,7 @@ func TestDiagResolverFullyDefinedPattern(t *testing.T) {
 }
 
 func TestDiagResolverPanics(t *testing.T) {
-	rect := pattern.MustFromRows([][]int{{0, 1, 2}, {2, 1, 0}})
+	rect := NewTwoDBC(2, 3).Pattern()
 	defer func() {
 		if recover() == nil {
 			t.Error("non-square pattern did not panic")

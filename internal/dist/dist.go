@@ -1,8 +1,14 @@
 // Package dist implements the data-distribution schemes studied in the paper:
 // the classical 2D Block-Cyclic distribution (2DBC), the paper's Generalized
 // 2DBC (G-2DBC, Section IV), the Symmetric Block Cyclic distribution (SBC,
-// from Beaumont et al., SC 2022, used as the symmetric baseline), and the
-// replication-time diagonal-cell resolver shared by SBC and GCR&M patterns.
+// from Beaumont et al., SC 2022, used as the symmetric baseline) and the
+// Steiner-triple-system distribution (STS).
+//
+// Every scheme is a named pattern replicated cyclically over the tile matrix
+// (Section III), so every constructor returns one of two types: a Cyclic for
+// a fully defined pattern (2DBC, G-2DBC) or a DiagResolver for a square
+// pattern whose undefined diagonal cells are resolved at replication time
+// (SBC, STS and GCR&M, Section V).
 //
 // A Distribution maps matrix tiles to node identifiers; the task-based
 // runtime and the performance simulator consume this interface and nothing
@@ -36,8 +42,9 @@ type PatternDistribution interface {
 }
 
 // Cyclic is a Distribution defined by cyclic replication of a fully defined
-// pattern. Patterns with undefined diagonal cells must be wrapped in a
-// DiagResolver instead.
+// pattern: 2DBC, G-2DBC, a heterogeneous pattern or one loaded from a file.
+// Patterns with undefined diagonal cells must be wrapped in a DiagResolver
+// instead.
 type Cyclic struct {
 	name string
 	p    *pattern.Pattern

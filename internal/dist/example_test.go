@@ -11,7 +11,7 @@ import (
 // whose last-row holes are filled row by row.
 func ExampleNewG2DBC() {
 	d := dist.NewG2DBC(10)
-	a, b, c := d.Params()
+	a, b, c := dist.G2DBCParams(10)
 	fmt.Printf("a=%d b=%d c=%d size=%s cost=%.3f\n", a, b, c, d.Pattern().Dims(), d.Pattern().CostLU())
 	fmt.Print(d.Pattern())
 	// Output:
@@ -28,9 +28,8 @@ func ExampleNewG2DBC() {
 // count: the only exact grid is degenerate.
 func ExampleBest2DBC() {
 	for _, p := range []int{20, 23} {
-		d := dist.Best2DBC(p)
-		r, c := d.Grid()
-		fmt.Printf("P=%d: grid %dx%d, cost %.0f\n", p, r, c, d.Pattern().CostLU())
+		pat := dist.Best2DBC(p).Pattern()
+		fmt.Printf("P=%d: grid %dx%d, cost %.0f\n", p, pat.Rows(), pat.Cols(), pat.CostLU())
 	}
 	// Output:
 	// P=20: grid 5x4, cost 9

@@ -7,27 +7,13 @@ import (
 	"anybc/internal/pattern"
 )
 
-// G2DBC is the paper's Generalized 2D Block-Cyclic distribution (Section IV).
-// For any node count P it builds a perfectly balanced pattern of size
-// b(b-1) × P in which every row holds exactly a = ⌈√P⌉ distinct nodes, where
-// b = ⌈P/a⌉. Its communication cost is bounded by 2√P + 2/√P (Lemma 2),
-// essentially matching the square 2DBC cost of 2√P that is only achievable
-// when P is a perfect square.
-//
-// When c = ab − P = 0 (P = p² or P = p(p+1)) the construction degenerates to
-// the standard b×a 2DBC pattern, as noted in the paper.
-type G2DBC struct {
-	p       int
-	a, b, c int
-	pat     *pattern.Pattern
-}
-
-// NewG2DBC builds the G-2DBC distribution for P nodes.
-func NewG2DBC(P int) *G2DBC {
+// G2DBCParams returns the construction parameters of Section IV-A for P
+// nodes: a = ⌈√P⌉, b = ⌈P/a⌉ and c = ab − P.
+func G2DBCParams(P int) (a, b, c int) {
 	if P <= 0 {
 		panic(fmt.Sprintf("dist: invalid node count %d", P))
 	}
-	a := int(math.Ceil(math.Sqrt(float64(P))))
+	a = int(math.Ceil(math.Sqrt(float64(P))))
 	// Guard against floating-point error on perfect squares.
 	for a*a >= P && (a-1)*(a-1) >= P {
 		a--
@@ -35,8 +21,21 @@ func NewG2DBC(P int) *G2DBC {
 	for a*a < P {
 		a++
 	}
-	b := (P + a - 1) / a
-	c := a*b - P
+	b = (P + a - 1) / a
+	return a, b, a*b - P
+}
+
+// NewG2DBC builds the paper's Generalized 2D Block-Cyclic distribution
+// (Section IV) for P nodes. For any P it is a perfectly balanced pattern of
+// size b(b-1) × P in which every row holds exactly a distinct nodes (see
+// G2DBCParams). Its communication cost is bounded by 2√P + 2/√P (Lemma 2),
+// essentially matching the square 2DBC cost of 2√P that is only achievable
+// when P is a perfect square.
+//
+// When c = 0 (P = p² or P = p(p+1)) the construction degenerates to the
+// standard b×a 2DBC pattern, as noted in the paper.
+func NewG2DBC(P int) *Cyclic {
+	a, b, c := G2DBCParams(P)
 
 	// Incomplete pattern IP: b×a, elements 0..P-1 row-major, the last c cells
 	// of the last row undefined.
@@ -78,24 +77,8 @@ func NewG2DBC(P int) *G2DBC {
 			}
 		}
 	}
-	return &G2DBC{p: P, a: a, b: b, c: c, pat: pat}
+	return &Cyclic{name: fmt.Sprintf("G-2DBC(P=%d)", P), p: pat, n: P}
 }
-
-// Name implements Distribution.
-func (d *G2DBC) Name() string { return fmt.Sprintf("G-2DBC(P=%d)", d.p) }
-
-// Nodes implements Distribution.
-func (d *G2DBC) Nodes() int { return d.p }
-
-// Owner implements Distribution.
-func (d *G2DBC) Owner(i, j int) int { return d.pat.Owner(i, j) }
-
-// Pattern implements PatternDistribution.
-func (d *G2DBC) Pattern() *pattern.Pattern { return d.pat }
-
-// Params returns the construction parameters (a, b, c) of Section IV-A:
-// a = ⌈√P⌉, b = ⌈P/a⌉, c = ab − P.
-func (d *G2DBC) Params() (a, b, c int) { return d.a, d.b, d.c }
 
 // CostBound returns the Lemma 2 upper bound 2√P + 2/√P on the LU
 // communication cost of the G-2DBC pattern for P nodes.

@@ -10,7 +10,7 @@ import (
 // a = 4, b = 3, c = 2 and a 6x10 pattern.
 func TestG2DBCPaperExample(t *testing.T) {
 	d := NewG2DBC(10)
-	a, b, c := d.Params()
+	a, b, c := G2DBCParams(10)
 	if a != 4 || b != 3 || c != 2 {
 		t.Fatalf("Params = (%d,%d,%d), want (4,3,2)", a, b, c)
 	}
@@ -48,7 +48,7 @@ func TestG2DBCPaperExample(t *testing.T) {
 func TestG2DBCLemma1(t *testing.T) {
 	for P := 1; P <= 300; P++ {
 		d := NewG2DBC(P)
-		_, b, c := d.Params()
+		_, b, c := G2DBCParams(P)
 		p := d.Pattern()
 		if err := p.Validate(); err != nil {
 			t.Fatalf("P=%d: invalid pattern: %v", P, err)
@@ -76,7 +76,7 @@ func TestG2DBCLemma1(t *testing.T) {
 func TestG2DBCRowColCounts(t *testing.T) {
 	for P := 1; P <= 300; P++ {
 		d := NewG2DBC(P)
-		a, b, c := d.Params()
+		a, b, c := G2DBCParams(P)
 		p := d.Pattern()
 		for i, x := range p.RowDistincts() {
 			if x != a {
@@ -114,7 +114,7 @@ func TestG2DBCLemma2(t *testing.T) {
 func TestG2DBCReducesTo2DBC(t *testing.T) {
 	for _, P := range []int{1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49} {
 		d := NewG2DBC(P)
-		a, b, c := d.Params()
+		a, b, c := G2DBCParams(P)
 		if c != 0 {
 			t.Fatalf("P=%d: expected c=0, got c=%d", P, c)
 		}

@@ -36,16 +36,6 @@ func (k SBCKind) String() string {
 	}
 }
 
-// SBC is the Symmetric Block Cyclic distribution: a square r×r pattern whose
-// off-diagonal cells pair up symmetric positions on shared nodes, and whose
-// diagonal cells are left undefined and resolved at replication time (the
-// extended-SBC diagonal rule). Valid only for P = r(r-1)/2 or P = r²/2.
-type SBC struct {
-	r    int
-	kind SBCKind
-	res  *DiagResolver
-}
-
 // pairIndex numbers the unordered pairs {i, j}, i < j, of {0..r-1}
 // lexicographically.
 func pairIndex(r, i, j int) int {
@@ -55,8 +45,16 @@ func pairIndex(r, i, j int) int {
 	return i*(2*r-i-1)/2 + (j - i - 1)
 }
 
+// sbc names a Symmetric Block Cyclic distribution: a square r×r pattern whose
+// off-diagonal cells pair up symmetric positions on shared nodes, and whose
+// diagonal cells are left undefined and resolved at replication time (the
+// extended-SBC diagonal rule).
+func sbc(r, P int, pat *pattern.Pattern) *DiagResolver {
+	return NewDiagResolver(fmt.Sprintf("SBC(%dx%d,P=%d)", r, r, P), pat)
+}
+
 // NewSBCPair builds the SBC distribution for P = r(r-1)/2 nodes, r ≥ 2.
-func NewSBCPair(r int) *SBC {
+func NewSBCPair(r int) *DiagResolver {
 	if r < 2 {
 		panic(fmt.Sprintf("dist: SBC pair construction needs r >= 2, got %d", r))
 	}
@@ -68,13 +66,11 @@ func NewSBCPair(r int) *SBC {
 			}
 		}
 	}
-	d := &SBC{r: r, kind: SBCPairKind}
-	d.res = NewDiagResolver(d.Name(), pat)
-	return d
+	return sbc(r, r*(r-1)/2, pat)
 }
 
 // NewSBCEven builds the SBC distribution for P = r²/2 nodes, r even, r ≥ 2.
-func NewSBCEven(r int) *SBC {
+func NewSBCEven(r int) *DiagResolver {
 	if r < 2 || r%2 != 0 {
 		panic(fmt.Sprintf("dist: SBC even construction needs even r >= 2, got %d", r))
 	}
@@ -98,15 +94,12 @@ func NewSBCEven(r int) *SBC {
 		next++
 		pat.Set(j, i, next)
 		next++
-		_ = i
 	}
 	for key, n := range id {
 		pat.Set(key[0], key[1], n)
 		pat.Set(key[1], key[0], n)
 	}
-	d := &SBC{r: r, kind: SBCEvenKind}
-	d.res = NewDiagResolver(d.Name(), pat)
-	return d
+	return sbc(r, r*r/2, pat)
 }
 
 // SBCValidP reports whether an SBC distribution exists for exactly P nodes,
@@ -127,7 +120,7 @@ func SBCValidP(P int) (r int, kind SBCKind, ok bool) {
 
 // NewSBC builds the SBC distribution for exactly P nodes, or reports that no
 // SBC exists for this P.
-func NewSBC(P int) (*SBC, error) {
+func NewSBC(P int) (*DiagResolver, error) {
 	r, kind, ok := SBCValidP(P)
 	if !ok {
 		return nil, fmt.Errorf("dist: no SBC distribution exists for P=%d (needs r(r-1)/2 or r²/2)", P)
@@ -141,50 +134,13 @@ func NewSBC(P int) (*SBC, error) {
 // BestSBCAtMost returns the SBC distribution with the largest node count
 // P' ≤ P — the choice the paper's experiments make when no SBC exists for the
 // available node count (e.g. P=31 → SBC on 28 nodes, P=35 → SBC on 32).
-func BestSBCAtMost(P int) *SBC {
+func BestSBCAtMost(P int) *DiagResolver {
 	if P < 1 {
 		panic(fmt.Sprintf("dist: invalid node count %d", P))
 	}
-	best := -1
-	var bestD *SBC
-	for q := P; q >= 1 && bestD == nil; q-- {
+	for q := P; ; q-- {
 		if d, err := NewSBC(q); err == nil {
-			best, bestD = q, d
+			return d // P = 1 is the r = 2 pair, so q never drops below 1
 		}
 	}
-	if bestD == nil {
-		// P = 1: a single node trivially owns everything; model it as the
-		// degenerate pair construction on r=2 collapsed to one node.
-		pat := pattern.MustFromRows([][]int{{0}})
-		d := &SBC{r: 1, kind: SBCPairKind}
-		d.res = NewDiagResolver("SBC(1x1,P=1)", pat)
-		return d
-	}
-	_ = best
-	return bestD
 }
-
-// Name implements Distribution.
-func (d *SBC) Name() string {
-	return fmt.Sprintf("SBC(%dx%d,P=%d)", d.r, d.r, d.nodesForKind())
-}
-
-func (d *SBC) nodesForKind() int {
-	if d.r == 1 {
-		return 1
-	}
-	if d.kind == SBCPairKind {
-		return d.r * (d.r - 1) / 2
-	}
-	return d.r * d.r / 2
-}
-
-// Nodes implements Distribution.
-func (d *SBC) Nodes() int { return d.nodesForKind() }
-
-// Owner implements Distribution. For symmetric kernels only the lower
-// triangle is stored; Owner mirrors upper-triangle queries.
-func (d *SBC) Owner(i, j int) int { return d.res.Owner(i, j) }
-
-// Pattern implements PatternDistribution; diagonal cells are Undefined.
-func (d *SBC) Pattern() *pattern.Pattern { return d.res.Pattern() }

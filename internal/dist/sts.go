@@ -6,7 +6,7 @@ import (
 	"anybc/internal/pattern"
 )
 
-// STS is an explicit symmetric distribution built from a Steiner triple
+// NewSTS builds an explicit symmetric distribution from a Steiner triple
 // system — a concrete answer, for specific node counts, to the question the
 // paper leaves open ("whether it is possible to find an explicit description
 // of an efficient pattern in the symmetric case").
@@ -29,25 +29,9 @@ import (
 // counts: STS(15) gives cost 7.0 against 7.48 for GCR&M and 8 for the SBC
 // fallback on 32 nodes. Diagonal cells are resolved at replication time like
 // every symmetric scheme here.
-type STS struct {
-	r   int
-	res *DiagResolver
-}
-
-// STSValidP reports whether a Bose STS distribution exists for exactly P
-// nodes and returns its pattern size r (r ≡ 3 mod 6, P = r(r−1)/6).
-func STSValidP(P int) (r int, ok bool) {
-	for r := 3; r*(r-1)/6 <= P; r += 6 {
-		if r*(r-1)/6 == P {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
-// NewSTS builds the Steiner-triple-system distribution with pattern size r,
-// which must satisfy r ≡ 3 (mod 6), r ≥ 3 (Bose construction).
-func NewSTS(r int) *STS {
+//
+// r must satisfy r ≡ 3 (mod 6), r ≥ 3 (Bose construction).
+func NewSTS(r int) *DiagResolver {
 	if r < 3 || r%6 != 3 {
 		panic(fmt.Sprintf("dist: Bose STS needs r ≡ 3 (mod 6), got %d", r))
 	}
@@ -83,31 +67,26 @@ func NewSTS(r int) *STS {
 	if want := r * (r - 1) / 6; node != want {
 		panic(fmt.Sprintf("dist: STS built %d triples, want %d", node, want))
 	}
-	d := &STS{r: r}
-	d.res = NewDiagResolver(d.Name(), pat)
-	return d
+	return NewDiagResolver(fmt.Sprintf("STS(%dx%d,P=%d)", r, r, node), pat)
+}
+
+// STSValidP reports whether a Bose STS distribution exists for exactly P
+// nodes and returns its pattern size r (r ≡ 3 mod 6, P = r(r−1)/6).
+func STSValidP(P int) (r int, ok bool) {
+	for r := 3; r*(r-1)/6 <= P; r += 6 {
+		if r*(r-1)/6 == P {
+			return r, true
+		}
+	}
+	return 0, false
 }
 
 // NewSTSForP builds the STS distribution for exactly P nodes, or reports
 // that none exists.
-func NewSTSForP(P int) (*STS, error) {
+func NewSTSForP(P int) (*DiagResolver, error) {
 	r, ok := STSValidP(P)
 	if !ok {
 		return nil, fmt.Errorf("dist: no Bose STS distribution for P=%d (needs P = r(r-1)/6, r ≡ 3 mod 6)", P)
 	}
 	return NewSTS(r), nil
 }
-
-// Name implements Distribution.
-func (d *STS) Name() string {
-	return fmt.Sprintf("STS(%dx%d,P=%d)", d.r, d.r, d.r*(d.r-1)/6)
-}
-
-// Nodes implements Distribution.
-func (d *STS) Nodes() int { return d.r * (d.r - 1) / 6 }
-
-// Owner implements Distribution (symmetric; upper-triangle queries mirror).
-func (d *STS) Owner(i, j int) int { return d.res.Owner(i, j) }
-
-// Pattern implements PatternDistribution; diagonal cells are Undefined.
-func (d *STS) Pattern() *pattern.Pattern { return d.res.Pattern() }

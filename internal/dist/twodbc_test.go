@@ -61,8 +61,8 @@ func TestBest2DBC(t *testing.T) {
 		{2, 2, 1},
 	}
 	for _, c := range cases {
-		d := Best2DBC(c.p)
-		r, cc := d.Grid()
+		p := Best2DBC(c.p).Pattern()
+		r, cc := p.Rows(), p.Cols()
 		if r != c.r || cc != c.c {
 			t.Errorf("Best2DBC(%d) = %dx%d, want %dx%d", c.p, r, cc, c.r, c.c)
 		}
@@ -93,14 +93,14 @@ func TestBest2DBCTableIa(t *testing.T) {
 func TestBest2DBCAtMost(t *testing.T) {
 	// For P=23 the best grid at most 23 nodes is the square 4x4; the paper's
 	// candidates were 23x1, 11x2, 7x3, 5x4, 4x4.
-	d := Best2DBCAtMost(23)
-	r, c := d.Grid()
+	p := Best2DBCAtMost(23).Pattern()
+	r, c := p.Rows(), p.Cols()
 	if r != 4 || c != 4 {
 		t.Errorf("Best2DBCAtMost(23) = %dx%d, want 4x4", r, c)
 	}
 	// For a perfect square it uses all nodes.
-	d = Best2DBCAtMost(36)
-	r, c = d.Grid()
+	p = Best2DBCAtMost(36).Pattern()
+	r, c = p.Rows(), p.Cols()
 	if r != 6 || c != 6 {
 		t.Errorf("Best2DBCAtMost(36) = %dx%d, want 6x6", r, c)
 	}

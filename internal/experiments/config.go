@@ -7,9 +7,6 @@
 package experiments
 
 import (
-	"fmt"
-	"sync"
-
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 	"anybc/internal/simulate"
@@ -66,40 +63,6 @@ func QuickSimConfig() SimConfig {
 		Machine:    simulate.PaperMachine(),
 		GCRMSearch: gcrm.SearchOptions{Seeds: 10, SizeFactor: 3, BaseSeed: 1, Parallel: true},
 	}
-}
-
-// gcrmCache memoizes pattern searches: patterns depend only on P (and the
-// search options), exactly the "database of patterns" the paper's conclusion
-// suggests.
-var gcrmCache sync.Map // key string -> *gcrm.Result
-
-func cacheKey(P int, o gcrm.SearchOptions) string {
-	return fmt.Sprintf("%d/%d/%g/%d/%d", P, o.Seeds, o.SizeFactor, o.MinSize, o.BaseSeed)
-}
-
-// GCRMPattern returns the best GCR&M pattern for P under the given search
-// options, caching results process-wide.
-func GCRMPattern(P int, opts gcrm.SearchOptions) (*gcrm.Result, error) {
-	key := cacheKey(P, opts)
-	if v, ok := gcrmCache.Load(key); ok {
-		return v.(*gcrm.Result), nil
-	}
-	res, err := gcrm.Search(P, opts)
-	if err != nil {
-		return nil, err
-	}
-	gcrmCache.Store(key, res)
-	return res, nil
-}
-
-// GCRMDistribution wraps the best GCR&M pattern for P as a Distribution.
-func GCRMDistribution(P int, opts gcrm.SearchOptions) (dist.Distribution, error) {
-	res, err := GCRMPattern(P, opts)
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("GCR&M(%dx%d,P=%d)", res.R, res.R, P)
-	return dist.NewDiagResolver(name, res.Pattern), nil
 }
 
 // freshSymmetric re-wraps a symmetric distribution with a fresh diagonal

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"anybc/internal/core"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 	"anybc/internal/lowerbound"
@@ -55,7 +56,7 @@ func Figure10(maxP int, opts gcrm.SearchOptions) ([]CostPoint, error) {
 			// on the √(3P/2) line the paper observes empirically.
 			out = append(out, CostPoint{P: p, Series: "STS", T: sts.Pattern().CostCholesky()})
 		}
-		res, err := GCRMPattern(p, opts)
+		res, err := core.SearchGCRM(p, opts)
 		if err != nil {
 			// GCR&M needs r(r-1) ≥ P within the size cap; for tiny P with a
 			// small cap there may be no feasible size — skip the point.

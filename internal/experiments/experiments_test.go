@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"anybc/internal/core"
+	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 )
 
@@ -348,16 +350,28 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
+// TestGCRMPatternCache: Table Ib, Figure 10 and the GCR&M distributions of
+// the performance figures share one search per (P, options), whether or not
+// it runs in parallel.
 func TestGCRMPatternCache(t *testing.T) {
-	a, err := GCRMPattern(23, quickSearch())
+	a, err := core.SearchGCRM(23, quickSearch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GCRMPattern(23, quickSearch())
+	serial := quickSearch()
+	serial.Parallel = false
+	b, err := core.SearchGCRM(23, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("cache miss for identical search")
+	}
+	d, err := core.New(core.GCRM, 23, core.Options{GCRMSearch: quickSearch()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := dist.PatternOf(d); p != a.Pattern {
+		t.Error("core.New searched again")
 	}
 }

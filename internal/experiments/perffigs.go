@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"anybc/internal/core"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/simulate"
@@ -164,7 +165,7 @@ func Figure7a(cfg SimConfig, ps []int) ([]PerfPoint, error) {
 func Figure7b(cfg SimConfig, ps []int) ([]PerfPoint, error) {
 	var pts []simPoint
 	for _, p := range ps {
-		gcrmD, err := GCRMDistribution(p, cfg.GCRMSearch)
+		gcrmD, err := core.New(core.GCRM, p, core.Options{GCRMSearch: cfg.GCRMSearch})
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +179,7 @@ func Figure7b(cfg SimConfig, ps []int) ([]PerfPoint, error) {
 // Figure11 reproduces Figure 11: Cholesky with at most P = 31 nodes — GCR&M
 // on all 31 versus the best SBC (8x8 pattern, 28 nodes).
 func Figure11(cfg SimConfig) ([]PerfPoint, error) {
-	gcrmD, err := GCRMDistribution(31, cfg.GCRMSearch)
+	gcrmD, err := core.New(core.GCRM, 31, core.Options{GCRMSearch: cfg.GCRMSearch})
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +189,7 @@ func Figure11(cfg SimConfig) ([]PerfPoint, error) {
 // Figure12 reproduces Figure 12: Cholesky with at most P = 35 nodes — GCR&M
 // on all 35 versus the best SBC (32 nodes).
 func Figure12(cfg SimConfig) ([]PerfPoint, error) {
-	gcrmD, err := GCRMDistribution(35, cfg.GCRMSearch)
+	gcrmD, err := core.New(core.GCRM, 35, core.Options{GCRMSearch: cfg.GCRMSearch})
 	if err != nil {
 		return nil, err
 	}

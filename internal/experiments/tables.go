@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"anybc/internal/core"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 )
@@ -26,7 +27,7 @@ func TableIa(ps []int) []TableIaRow {
 	for _, p := range ps {
 		dbc := dist.Best2DBC(p)
 		g := dist.NewG2DBC(p)
-		_, _, c := g.Params()
+		_, _, c := dist.G2DBCParams(p)
 		row := TableIaRow{
 			P:          p,
 			DBCDims:    dbc.Pattern().Dims(),
@@ -66,7 +67,7 @@ func TableIb(ps []int, opts gcrm.SearchOptions) ([]TableIbRow, error) {
 			SBCDims:  sbc.Pattern().Dims(),
 			SBCCost:  sbc.Pattern().CostCholesky(),
 		}
-		res, err := GCRMPattern(p, opts)
+		res, err := core.SearchGCRM(p, opts)
 		if err != nil {
 			return nil, err
 		}

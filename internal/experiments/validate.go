@@ -5,6 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"anybc/internal/core"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
@@ -57,7 +58,7 @@ func CommValidation(mt, b int, searchSeeds int) ([]ValidationRow, error) {
 	}
 
 	gCh := dag.NewCholesky(mt)
-	gcrmRes, err := GCRMPattern(10, gcrm.SearchOptions{
+	gcrmRes, err := core.SearchGCRM(10, gcrm.SearchOptions{
 		Seeds: searchSeeds, SizeFactor: 4, BaseSeed: 1, Parallel: true,
 	})
 	if err != nil {

@@ -73,19 +73,11 @@ func Slots(speeds []float64, total int) ([]int, error) {
 	return out, nil
 }
 
-// Mapped is a heterogeneous distribution: a homogeneous pattern over virtual
-// slots mapped back to physical nodes.
-type Mapped struct {
-	name string
-	pat  *pattern.Pattern
-	p    int
-}
-
 // NewG2DBC builds a heterogeneous G-2DBC distribution for nodes with the
 // given relative speeds. granularity controls the number of virtual slots
 // per node on average (≥ 1; larger values track the speed ratios more
 // precisely at the price of a larger pattern; 4 is a good default).
-func NewG2DBC(speeds []float64, granularity int) (*Mapped, error) {
+func NewG2DBC(speeds []float64, granularity int) (*dist.Cyclic, error) {
 	if granularity < 1 {
 		return nil, fmt.Errorf("hetero: granularity %d < 1", granularity)
 	}
@@ -116,27 +108,8 @@ func NewG2DBC(speeds []float64, granularity int) (*Mapped, error) {
 			pat.Set(i, j, slotOwner[virt.At(i, j)])
 		}
 	}
-	if err := pat.Validate(); err != nil {
-		return nil, fmt.Errorf("hetero: %w", err)
-	}
-	return &Mapped{
-		name: fmt.Sprintf("H-G2DBC(P=%d,V=%d)", P, V),
-		pat:  pat,
-		p:    P,
-	}, nil
+	return dist.NewCyclic(fmt.Sprintf("H-G2DBC(P=%d,V=%d)", P, V), pat)
 }
-
-// Name implements dist.Distribution.
-func (m *Mapped) Name() string { return m.name }
-
-// Nodes implements dist.Distribution.
-func (m *Mapped) Nodes() int { return m.p }
-
-// Owner implements dist.Distribution.
-func (m *Mapped) Owner(i, j int) int { return m.pat.Owner(i, j) }
-
-// Pattern implements dist.PatternDistribution.
-func (m *Mapped) Pattern() *pattern.Pattern { return m.pat }
 
 // Imbalance measures how far a pattern's per-node cell shares deviate from
 // the speed-proportional ideal: max_n share_n / idealShare_n − 1. Zero means
@@ -164,5 +137,3 @@ func Imbalance(p *pattern.Pattern, speeds []float64) float64 {
 	}
 	return worst
 }
-
-var _ dist.PatternDistribution = (*Mapped)(nil)

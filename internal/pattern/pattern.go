@@ -28,8 +28,8 @@ import (
 const Undefined = -1
 
 // Pattern is a rectangular grid of node identifiers in [0, P), with optional
-// Undefined diagonal cells. The zero value is an empty pattern; use New or
-// FromRows to build a usable one.
+// Undefined diagonal cells. The zero value is an empty pattern; use New to
+// build a usable one.
 type Pattern struct {
 	rows, cols int
 	cells      []int32 // row-major; Undefined or node id
@@ -45,33 +45,6 @@ func New(rows, cols int) *Pattern {
 		cells[i] = Undefined
 	}
 	return &Pattern{rows: rows, cols: cols, cells: cells}
-}
-
-// FromRows builds a pattern from a slice of equally sized rows.
-func FromRows(rows [][]int) (*Pattern, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("pattern: empty rows")
-	}
-	p := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != p.cols {
-			return nil, fmt.Errorf("pattern: row %d has %d cells, want %d", i, len(r), p.cols)
-		}
-		for j, v := range r {
-			p.Set(i, j, v)
-		}
-	}
-	return p, nil
-}
-
-// MustFromRows is FromRows that panics on error; intended for tests and
-// package-internal constructions with known-good shapes.
-func MustFromRows(rows [][]int) *Pattern {
-	p, err := FromRows(rows)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // Rows returns the number of pattern rows (r).

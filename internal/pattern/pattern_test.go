@@ -1,10 +1,38 @@
 package pattern
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// FromRows builds a pattern from a slice of equally sized rows.
+func FromRows(rows [][]int) (*Pattern, error) {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		return nil, errors.New("pattern: empty rows")
+	}
+	p := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != p.cols {
+			return nil, fmt.Errorf("pattern: row %d has %d cells, want %d", i, len(r), p.cols)
+		}
+		for j, v := range r {
+			p.Set(i, j, v)
+		}
+	}
+	return p, nil
+}
+
+// MustFromRows is FromRows that panics on error, for known-good shapes.
+func MustFromRows(rows [][]int) *Pattern {
+	p, err := FromRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
 
 func TestNewAllUndefined(t *testing.T) {
 	p := New(3, 4)

@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -61,6 +64,45 @@ func FuzzSubmit(f *testing.F) {
 		defer cancel()
 		if err := srv.Wait(ctx, id); err != nil && ctx.Err() != nil {
 			t.Fatalf("admitted job %d wedged: %v", id, err)
+		}
+	})
+}
+
+// FuzzHTTPSubmit throws raw request bodies at POST /jobs. Whatever the bytes,
+// the handler answers 202 (admitted), 400 (not a JobSpec: malformed, an
+// unknown field, over the size bound), 422 (a spec the service can never run)
+// or 429 (queue full) — never a panic and never a 5xx.
+func FuzzHTTPSubmit(f *testing.F) {
+	srv, err := New(Config{
+		P: 2, B: 4, MaxMt: 4, MaxConcurrent: 2, QueueCap: 8,
+		MemBudgetBytes: 1 << 20,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+
+	f.Add(`{"kind":"lu","mt":2,"seed":1}`)
+	f.Add(`{"kind":"cholesky","scheme":"2dbc","mt":3}`)
+	f.Add(`{"kind":"lu","mt":2,"sed":3}`)
+	f.Add(`{"kind":"lu","mt":2,"chaosSeed":7}`)
+	f.Add(`{"kind":"lu","mt":2,"crash":"0@0"}`)
+	f.Add(`{"kind":"lu","mt":-1}`)
+	f.Add(`{"kind":"lu","mt":1e99}`)
+	f.Add(`{"kind":"lu","mt":2}{"kind":"lu"}`)
+	f.Add(`null`)
+	f.Add(`[]`)
+	f.Add(`{`)
+	f.Add(``)
+
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("POST /jobs %q answered %d: %s", body, rec.Code, rec.Body)
 		}
 	})
 }

@@ -56,17 +56,24 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// jobID parses the {id} path segment. An id that does not fit a JobID is
+// unknown, never truncated onto another job's id.
 func jobID(r *http.Request) (JobID, error) {
-	n, err := strconv.Atoi(r.PathValue("id"))
+	n, err := strconv.ParseInt(r.PathValue("id"), 10, 32)
 	if err != nil {
 		return 0, fmt.Errorf("%w: bad job id %q", ErrNotFound, r.PathValue("id"))
 	}
 	return JobID(n), nil
 }
 
+// maxSubmitBytes bounds a POST /jobs body; a JobSpec is a few hundred bytes.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields() // a misspelt or retired field is an error, not a default
+	if err := dec.Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 		return
 	}

@@ -36,6 +36,22 @@ func TestHTTPSession(t *testing.T) {
 	if resp, _ := post("{"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON returned %d", resp.StatusCode)
 	}
+	// A field JobSpec does not have — a typo, or one the API retired — is
+	// named in a 400 instead of running the job with that field's default.
+	for _, field := range []string{"sed", "chaosSeed"} {
+		resp, m := post(`{"kind":"lu","mt":2,"` + field + `":3}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown field %q returned %d (%v)", field, resp.StatusCode, m)
+		}
+		if !strings.Contains(m["error"].(string), `"`+field+`"`) {
+			t.Fatalf("unknown-field error does not name %q: %v", field, m["error"])
+		}
+	}
+	// A body over the 1 MiB bound is refused.
+	huge := `{"kind":"lu","mt":2,"scheme":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	if resp, _ := post(huge); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body returned %d", resp.StatusCode)
+	}
 	if resp, m := post(`{"kind":"lu","mt":-1}`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("bad spec returned %d (%v)", resp.StatusCode, m)
 	} else if !strings.Contains(m["error"].(string), "positive tile dimension") {
@@ -83,8 +99,10 @@ func TestHTTPSession(t *testing.T) {
 		t.Fatalf("result body %+v", rb)
 	}
 
-	// Unknown ids are 404 on every per-job route.
-	for _, route := range []string{"/jobs/999", "/jobs/999/result", "/jobs/notanumber"} {
+	// Unknown ids are 404 on every per-job route, including ids past the
+	// int32 range, which must not wrap onto job 1 (4294967297 = 2³² + 1).
+	for _, route := range []string{"/jobs/999", "/jobs/999/result", "/jobs/notanumber",
+		"/jobs/4294967297", "/jobs/4294967297/result"} {
 		resp, err := http.Get(ts.URL + route)
 		if err != nil {
 			t.Fatal(err)
@@ -94,13 +112,15 @@ func TestHTTPSession(t *testing.T) {
 			t.Fatalf("GET %s returned %d", route, resp.StatusCode)
 		}
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/999", nil)
-	if resp, err := http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	} else {
+	for _, route := range []string{"/jobs/999", "/jobs/4294967297"} {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+route, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("DELETE unknown job returned %d", resp.StatusCode)
+			t.Fatalf("DELETE %s returned %d", route, resp.StatusCode)
 		}
 	}
 
