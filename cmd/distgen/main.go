@@ -63,12 +63,14 @@ func main() {
 	if *scheme != "" {
 		schemes = []core.Scheme{core.Scheme(*scheme)}
 	}
+	built := 0
 	for _, s := range schemes {
 		d, err := core.New(s, *p, opts)
 		if err != nil {
 			fmt.Printf("%-6s P=%d: %v\n", s, *p, err)
 			continue
 		}
+		built++
 		r := core.Describe(d)
 		fmt.Printf("%-6s %-20s pattern %-8s T_LU=%-8.3f", s, r.Name, r.Dims, r.CostLU)
 		if r.CostCholesky > 0 {
@@ -79,6 +81,9 @@ func main() {
 			pat, _ := dist.PatternOf(d)
 			fmt.Println(pat)
 		}
+	}
+	if built == 0 {
+		fatal(fmt.Errorf("no scheme serves P=%d", *p))
 	}
 }
 

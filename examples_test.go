@@ -73,3 +73,22 @@ func TestSimfactRealRun(t *testing.T) {
 		}
 	}
 }
+
+// TestDistgenExitCodes: a size distgen cannot serve exits with status 1 and a
+// named error — -verify at zero tiles, not a panic in the graph constructor;
+// a node count no scheme builds, not status 0 under a list of errors.
+func TestDistgenExitCodes(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-verify", "-mt", "0"}, "mt = 0 tiles"},
+		{[]string{"-p", "0"}, "no scheme serves P=0"},
+	} {
+		out, err := goRun(t, append([]string{"./cmd/distgen"}, c.args...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), c.want) {
+			t.Errorf("distgen %s: err %v, want exit status 1 saying %q:\n%s", strings.Join(c.args, " "), err, c.want, out)
+		}
+	}
+}

@@ -38,6 +38,9 @@ func (r ValidationRow) Ratio() float64 {
 // estimates ignoring trailing-matrix shrinking). mt controls the matrix size
 // in tiles; tiles are small because only message counts matter here.
 func CommValidation(mt, b int, searchSeeds int) ([]ValidationRow, error) {
+	if mt < 1 {
+		return nil, fmt.Errorf("experiments: mt = %d tiles, want at least 1", mt)
+	}
 	var rows []ValidationRow
 
 	gLU := dag.NewLU(mt)

@@ -7,9 +7,10 @@ import (
 	"anybc/internal/dist"
 )
 
-// BenchmarkCompileLU24 times the compile every runtime.FactorLU call makes on
-// the benchmark's lu-overhead graph, LU(24) under G-2DBC(44): ns/task is the
-// compile's per-task cost, allocs/op what one compile allocates.
+// BenchmarkCompileLU24 times one compile of the benchmark's lu-overhead
+// graph, LU(24) under G-2DBC(44) — the compile runtime.FactorLU makes on the
+// first call of a shape, before its plan cache serves the later ones: ns/task
+// is the compile's per-task cost, allocs/op what one compile allocates.
 func BenchmarkCompileLU24(b *testing.B) {
 	g, d := dag.NewLU(24), dist.NewG2DBC(44)
 	tasks := g.NumTasks()

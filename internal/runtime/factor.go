@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 
 	"anybc/internal/dag"
@@ -69,7 +70,23 @@ func GenSPD(mt, b int, seed int64) func(i, j int) *tile.Tile {
 // It returns the factored matrix (gathered from all nodes) and the execution
 // report.
 func FactorLU(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.Dense, *Report, error) {
-	return runDense(dag.NewLU(mt), d, mt, b, gen, LUKernel, opt)
+	if err := cmp.Or(atLeastOne("mt", mt), atLeastOne("b", b)); err != nil {
+		return nil, nil, err
+	}
+	pl, err := plans.get(shape{graph: graphLU, mt: mt}, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return RunPlanDense(pl, mt, b, gen, LUKernel, opt)
+}
+
+// atLeastOne returns the error of a Factor or Solve size below 1, which no
+// graph constructor or tile generator takes, and nil otherwise.
+func atLeastOne(name string, v int) error {
+	if v >= 1 {
+		return nil
+	}
+	return fmt.Errorf("runtime: %s = %d, want at least 1", name, v)
 }
 
 // gather executes pl and returns the final tiles slot selects, each at the
@@ -127,17 +144,6 @@ func RunPlanLower(pl *plan.Plan, mt, b int,
 	return matrix.SymmetricLowerFromTiles(mt, b, tiles), rep, nil
 }
 
-// runDense compiles (g, d) and gathers the run's mt×mt result.
-func runDense(g dag.Graph, d dist.Distribution, mt, b int,
-	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
-
-	pl, err := compile(g, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunPlanDense(pl, mt, b, gen, kern, opt)
-}
-
 // FactorLUReplicated runs the replicated (2.5D-style) distributed LU
 // factorization: c layers of the base distribution's grid split the trailing
 // updates round-robin by iteration, layer accumulators are combined by
@@ -151,22 +157,25 @@ func FactorLUReplicated(mt, b, c int, base dist.Distribution, gen func(i, j int)
 		}
 		return gen(i, j)
 	}
-	return runDense(dag.NewReplicatedLU(mt, c), dist.NewReplicated(base, c, mt), mt, b, repGen, LUKernel, opt)
+	if err := cmp.Or(atLeastOne("mt", mt), atLeastOne("b", b), atLeastOne("c", c)); err != nil {
+		return nil, nil, err
+	}
+	pl, err := plans.get(shape{graph: graphReplicatedLU, mt: mt, c: c}, dist.NewReplicated(base, c, mt))
+	if err != nil {
+		return nil, nil, err
+	}
+	return RunPlanDense(pl, mt, b, repGen, LUKernel, opt)
 }
 
 // FactorCholesky runs the distributed tiled Cholesky factorization of the
 // lower-stored SPD matrix defined by gen.
 func FactorCholesky(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.SymmetricLower, *Report, error) {
-	return runLower(dag.NewCholesky(mt), d, mt, b, gen, CholeskyKernel, opt)
-}
-
-// runLower is runDense for a lower-stored symmetric mt×mt result.
-func runLower(g dag.Graph, d dist.Distribution, mt, b int,
-	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.SymmetricLower, *Report, error) {
-
-	pl, err := compile(g, d)
+	if err := cmp.Or(atLeastOne("mt", mt), atLeastOne("b", b)); err != nil {
+		return nil, nil, err
+	}
+	pl, err := plans.get(shape{graph: graphCholesky, mt: mt}, d)
 	if err != nil {
 		return nil, nil, err
 	}
-	return RunPlanLower(pl, mt, b, gen, kern, opt)
+	return RunPlanLower(pl, mt, b, gen, CholeskyKernel, opt)
 }

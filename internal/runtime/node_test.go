@@ -214,3 +214,33 @@ func BenchmarkFactorOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFactorLU24 is FactorLU at the lu-overhead workload's shape — mt=24,
+// b=8 on G-2DBC(44), two workers — as a caller makes it: cold empties the
+// plan cache before every call, so each call compiles as a fresh process's
+// first call does; warm runs on the cached plan, as every later call of the
+// shape does. The difference of the two is the compile the cache saves.
+func BenchmarkFactorLU24(b *testing.B) {
+	const mt, tb, P = 24, 8, 44
+	d := dist.NewG2DBC(P)
+	gen := GenDiagDominant(mt, tb, 3)
+	for _, cold := range []bool{true, false} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					plans.reset()
+					b.StartTimer()
+				}
+				if _, _, err := FactorLU(mt, tb, d, gen, Options{Workers: 2}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

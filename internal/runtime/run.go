@@ -79,12 +79,16 @@
 // versions — legal in general task graphs, even though the right-looking
 // factorizations only ever ship final versions — is simply sent once per
 // (version, consumer node) pair, and receivers key their copies by the full
-// versioned tag. Run compiles the (graph, distribution) pair into a
-// plan.Plan first — one inference of the graph's program, shared read-only by
-// every engine — and compilation returns a descriptive error for anything the
-// protocol cannot serve: remote reads of initial tile contents, or local reads
-// of an intermediate version that race the next in-place update. RunPlan
-// executes a plan compiled earlier.
+// versioned tag. A run executes a plan.Plan — one inference of the graph's
+// program under the distribution, shared read-only by every engine — and
+// compilation returns a descriptive error for anything the protocol cannot
+// serve: remote reads of initial tile contents, or local reads of an
+// intermediate version that race the next in-place update. The Factor and
+// Solve entry points, which build their own graphs, take the plan from one
+// process-wide cache (plancache.go): a shape is compiled on its first call
+// and reused by every later call whose distribution places the plan's tiles
+// alike, up to a fixed budget of kept tasks. Run, handed an arbitrary graph,
+// compiles it on every call; RunPlan executes a plan compiled earlier.
 //
 // # Tile lifetime
 //

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 
 	"anybc/internal/dag"
@@ -86,8 +87,7 @@ func solveGen(mt, b, nrhs int, genA func(i, j int) *tile.Tile, genB func(i int) 
 func SolveLU(mt, b, nrhs int, d dist.Distribution, genA func(i, j int) *tile.Tile,
 	genB func(i int) *tile.Tile, opt Options) (matrix.RHS, *Report, error) {
 
-	g := dag.NewLUSolve(mt, nrhs)
-	return runSolve(g, mt, b, nrhs, d, genA, genB, LUSolveKernel, opt)
+	return runSolve(shape{graph: graphLUSolve, mt: mt, nrhs: nrhs}, b, d, genA, genB, LUSolveKernel, opt)
 }
 
 // SolveCholesky distributedly factorizes the SPD matrix defined by genA and
@@ -95,15 +95,20 @@ func SolveLU(mt, b, nrhs int, d dist.Distribution, genA func(i, j int) *tile.Til
 func SolveCholesky(mt, b, nrhs int, d dist.Distribution, genA func(i, j int) *tile.Tile,
 	genB func(i int) *tile.Tile, opt Options) (matrix.RHS, *Report, error) {
 
-	g := dag.NewCholeskySolve(mt, nrhs)
-	return runSolve(g, mt, b, nrhs, d, genA, genB, CholeskySolveKernel, opt)
+	return runSolve(shape{graph: graphCholeskySolve, mt: mt, nrhs: nrhs}, b, d, genA, genB, CholeskySolveKernel, opt)
 }
 
-func runSolve(g dag.Graph, mt, b, nrhs int, d dist.Distribution,
+// runSolve runs the factor-and-solve graph k names, whose mt and nrhs are the
+// call's, from the plan cache.
+func runSolve(k shape, b int, d dist.Distribution,
 	genA func(i, j int) *tile.Tile, genB func(i int) *tile.Tile,
 	kern Kernel, opt Options) (matrix.RHS, *Report, error) {
 
-	pl, err := compile(g, solveDist{Distribution: d, mt: mt})
+	mt, nrhs := k.mt, k.nrhs
+	if err := cmp.Or(atLeastOne("mt", mt), atLeastOne("b", b), atLeastOne("nrhs", nrhs)); err != nil {
+		return nil, nil, err
+	}
+	pl, err := plans.get(k, solveDist{Distribution: d, mt: mt})
 	if err != nil {
 		return nil, nil, err
 	}

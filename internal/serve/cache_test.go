@@ -9,8 +9,8 @@ import (
 )
 
 // TestCacheConstructionIsPerKey: a hit on key B returns while key A's
-// construction is parked — the cache mutex guards the maps, not a GCR&M
-// search or a plan compile — and a second caller of A waits for A's one
+// construction is parked — the cache mutex guards the map, not a GCR&M
+// search — and a second caller of A waits for A's one
 // construction instead of starting another.
 func TestCacheConstructionIsPerKey(t *testing.T) {
 	var c PatternCache
@@ -18,7 +18,7 @@ func TestCacheConstructionIsPerKey(t *testing.T) {
 	build := func(d dist.Distribution, err error) func() (dist.Distribution, error) {
 		return func() (dist.Distribution, error) { return d, err }
 	}
-	if _, err := lookup(&c, &c.dists, "b", build(b, nil)); err != nil {
+	if _, err := c.lookup("b", build(b, nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -26,7 +26,7 @@ func TestCacheConstructionIsPerKey(t *testing.T) {
 	got := make(chan dist.Distribution, 2) // both callers of key "a" report here
 	a := dist.NewTwoDBC(2, 1)
 	go func() {
-		d, _ := lookup(&c, &c.dists, "a", func() (dist.Distribution, error) {
+		d, _ := c.lookup("a", func() (dist.Distribution, error) {
 			close(parked)
 			<-release
 			return a, nil
@@ -35,13 +35,13 @@ func TestCacheConstructionIsPerKey(t *testing.T) {
 	}()
 	<-parked
 	go func() {
-		d, _ := lookup(&c, &c.dists, "a", build(nil, errors.New("key a was constructed twice")))
+		d, _ := c.lookup("a", build(nil, errors.New("key a was constructed twice")))
 		got <- d
 	}()
 
 	hit := make(chan dist.Distribution, 1)
 	go func() {
-		d, _ := lookup(&c, &c.dists, "b", build(nil, errors.New("key b was constructed twice")))
+		d, _ := c.lookup("b", build(nil, errors.New("key b was constructed twice")))
 		hit <- d
 	}()
 	select {
@@ -73,18 +73,15 @@ func TestCacheConstructionIsPerKey(t *testing.T) {
 func TestCacheErrorsAreNotCached(t *testing.T) {
 	var c PatternCache
 	boom := errors.New("transient")
-	if _, err := lookup(&c, &c.dists, "k", func() (dist.Distribution, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.lookup("k", func() (dist.Distribution, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("error not returned verbatim: %v", err)
 	}
 	want := dist.NewTwoDBC(1, 1)
-	d, err := lookup(&c, &c.dists, "k", func() (dist.Distribution, error) { return want, nil })
+	d, err := c.lookup("k", func() (dist.Distribution, error) { return want, nil })
 	if err != nil || d != dist.Distribution(want) {
 		t.Fatalf("retry after a failed construction: %v, %v", d, err)
 	}
-	if _, err := c.Plan("qr", 4, "2dbc", 4); err == nil {
-		t.Fatal("unknown kind compiled")
-	}
-	if _, err := c.Plan(KindLU, 4, "nope", 4); err == nil {
-		t.Fatal("unknown scheme compiled")
+	if _, err := c.Dist("nope", 4); err == nil {
+		t.Fatal("unknown scheme constructed")
 	}
 }

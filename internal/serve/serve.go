@@ -18,10 +18,10 @@
 // descriptively and immediately: backpressure is an error the client sees,
 // never a silent wedge.
 //
-// Repeated shapes skip their precomputation through a PatternCache of
-// distributions, keyed (scheme, P), and compiled execution plans, keyed
-// (kind, mt, scheme, P) — the cmd/patterndb idea promoted into the serving
-// path.
+// Repeated shapes skip their precomputation: a PatternCache keeps the
+// distribution of each (scheme, P) — the cmd/patterndb idea promoted into
+// the serving path — and the runtime's process-wide plan cache the compiled
+// plan of each job shape.
 package serve
 
 import (
@@ -451,12 +451,13 @@ func (s *Server) runJob(j *job, memReserved int64) {
 	close(j.done)
 }
 
-// execute runs the factorization itself: the cached execution plan of the
-// job's shape on the shared cluster — the run takes and drops a namespace of
-// its own — under the job's cancellation context.
+// execute runs the factorization itself: the job's shape under the cached
+// distribution on the shared cluster — the run takes and drops a namespace of
+// its own, and its plan comes from the runtime's plan cache — under the job's
+// cancellation context.
 func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	spec := j.spec
-	pl, err := s.cache.Plan(spec.Kind, spec.Mt, spec.Scheme, spec.P)
+	d, err := s.cache.Dist(spec.Scheme, spec.P)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -470,14 +471,14 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	switch spec.Kind {
 	case KindLU:
 		gen := runtime.GenDiagDominant(spec.Mt, spec.B, spec.Seed)
-		out, rep, err := runtime.RunPlanDense(pl, spec.Mt, spec.B, gen, runtime.LUKernel, opt)
+		out, rep, err := runtime.FactorLU(spec.Mt, spec.B, d, gen, opt)
 		if err != nil {
 			return nil, nil, err
 		}
 		return &Result{Dense: out}, rep, nil
 	case KindCholesky:
 		gen := runtime.GenSPD(spec.Mt, spec.B, spec.Seed)
-		out, rep, err := runtime.RunPlanLower(pl, spec.Mt, spec.B, gen, runtime.CholeskyKernel, opt)
+		out, rep, err := runtime.FactorCholesky(spec.Mt, spec.B, d, gen, opt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -620,7 +621,7 @@ type ServiceStats struct {
 	QueueWaitSecs  float64 `json:"queueWaitSeconds"` // summed over started jobs
 	MemInUseBytes  int64   `json:"memInUseBytes"`
 	MemBudgetBytes int64   `json:"memBudgetBytes"`
-	CacheHits      int64   `json:"cacheHits"`
+	CacheHits      int64   `json:"cacheHits"` // distribution lookups (PatternCache), not plans
 	CacheMisses    int64   `json:"cacheMisses"`
 	PoolHeld       int64   `json:"poolHeldTiles"` // send-buffer tiles currently in flight
 }
