@@ -38,16 +38,15 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8344", "HTTP listen address")
-		p          = flag.Int("p", 8, "shared cluster node count (every job spans all nodes)")
-		b          = flag.Int("b", 16, "tile side (every job uses it)")
-		maxJobs    = flag.Int("max", 4, "concurrent running-jobs budget")
-		queueCap   = flag.Int("queue", 64, "admission queue capacity")
-		memMB      = flag.Int64("mem", 0, "memory budget for running jobs, in MiB (0 = unlimited)")
-		maxMt      = flag.Int("max-mt", 64, "largest accepted tile dimension mt")
-		workers    = flag.Int("workers", 1, "default per-node worker count")
-		tree       = flag.Bool("tree", false, "binomial-tree broadcast transport instead of flat fan-out")
-		patternDir = flag.String("pattern-dir", "", "optional patterndb directory for GCR&M patterns")
+		addr     = flag.String("addr", ":8344", "HTTP listen address")
+		p        = flag.Int("p", 8, "shared cluster node count (every job spans all nodes)")
+		b        = flag.Int("b", 16, "tile side (every job uses it)")
+		maxJobs  = flag.Int("max", 4, "concurrent running-jobs budget")
+		queueCap = flag.Int("queue", 64, "admission queue capacity")
+		memMB    = flag.Int64("mem", 0, "memory budget for running jobs, in MiB (0 = unlimited)")
+		maxMt    = flag.Int("max-mt", 64, "largest accepted tile dimension mt")
+		workers  = flag.Int("workers", 1, "default per-node worker count")
+		tree     = flag.Bool("tree", false, "binomial-tree broadcast transport instead of flat fan-out")
 	)
 	flag.Parse()
 
@@ -59,7 +58,6 @@ func main() {
 		MemBudgetBytes: *memMB << 20,
 		MaxMt:          *maxMt,
 		Workers:        *workers,
-		PatternDir:     *patternDir,
 	}
 	if *tree {
 		cfg.Broadcast = cluster.BroadcastTree

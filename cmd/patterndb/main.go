@@ -1,81 +1,48 @@
-// Command patterndb builds and queries an on-disk database of the best
-// GCR&M pattern per node count — the "database containing, for each possible
-// value of P, a very efficient pattern" proposed in the paper's conclusion.
-// Patterns depend only on P, so they are computed once and reused by every
-// factorization.
+// Command patterndb regenerates the database of GCR&M patterns that
+// internal/core embeds — the "database containing, for each possible value of
+// P, a very efficient pattern" proposed in the paper's conclusion. For every
+// P = 2..64 it runs the paper's search (gcrm.DefaultSearchOptions) and writes
+// one entry, a "P <P> seed <seed>" line followed by the pattern in the
+// pattern.Marshal format, to stdout.
 //
 // Usage:
 //
-//	patterndb -build -min 2 -max 64 -dir patterns/   # search and store
-//	patterndb -get 23 -dir patterns/                 # print a stored pattern
+//	go run ./cmd/patterndb > internal/core/gcrm_patterns.txt
+//
+// The search is deterministic, so CI diffs a fresh run against the committed
+// file.
 package main
 
 import (
-	"flag"
+	"bufio"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"anybc/internal/gcrm"
-	"anybc/internal/pattern"
 )
 
-func main() {
-	var (
-		build  = flag.Bool("build", false, "build the database for P in [min, max]")
-		get    = flag.Int("get", 0, "print the stored pattern for this P")
-		minP   = flag.Int("min", 2, "smallest node count")
-		maxP   = flag.Int("max", 64, "largest node count")
-		dir    = flag.String("dir", "patterns", "database directory")
-		seeds  = flag.Int("seeds", 100, "search seeds per pattern size")
-		factor = flag.Float64("factor", 6, "pattern size cap factor")
-	)
-	flag.Parse()
+// maxP is the largest node count the database covers.
+const maxP = 64
 
-	switch {
-	case *build:
-		if err := os.MkdirAll(*dir, 0o755); err != nil {
-			fatal(err)
-		}
-		opts := gcrm.SearchOptions{Seeds: *seeds, SizeFactor: *factor, BaseSeed: 1, Parallel: true}
-		for p := *minP; p <= *maxP; p++ {
-			res, err := gcrm.Search(p, opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "patterndb: P=%d: %v (skipped)\n", p, err)
-				continue
-			}
-			f, err := os.Create(dbPath(*dir, p))
-			if err != nil {
-				fatal(err)
-			}
-			if err := res.Pattern.Marshal(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("P=%-4d r=%-4d T=%.3f  -> %s\n", p, res.R, res.Cost, dbPath(*dir, p))
-		}
-	case *get > 0:
-		f, err := os.Open(dbPath(*dir, *get))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		pat, err := pattern.Unmarshal(f)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("P=%d pattern %s, Cholesky cost T=%.3f\n", *get, pat.Dims(), pat.CostCholesky())
-		fmt.Print(pat)
-	default:
-		flag.Usage()
+func main() {
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: patterndb > internal/core/gcrm_patterns.txt (it takes no arguments)")
 		os.Exit(2)
 	}
-}
-
-func dbPath(dir string, p int) string {
-	return filepath.Join(dir, fmt.Sprintf("gcrm-%04d.pattern", p))
+	w := bufio.NewWriter(os.Stdout)
+	for p := 2; p <= maxP; p++ {
+		res, err := gcrm.Search(p, gcrm.DefaultSearchOptions())
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(w, "P %d seed %d\n", p, res.Seed)
+		if err := res.Pattern.Marshal(w); err != nil {
+			fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {

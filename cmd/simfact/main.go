@@ -40,7 +40,6 @@ import (
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/experiments"
-	"anybc/internal/gcrm"
 	"anybc/internal/runtime"
 	"anybc/internal/simulate"
 	"anybc/internal/trace"
@@ -150,9 +149,7 @@ func runGantt(prefix string, p, n int, scheme, kernel string, bc cluster.Broadca
 	if mt < 1 {
 		return fmt.Errorf("matrix size %d below one tile", n)
 	}
-	d, err := core.New(core.Scheme(scheme), p, core.Options{
-		GCRMSearch: gcrm.SearchOptions{Seeds: 30, SizeFactor: 5, BaseSeed: 1, Parallel: true},
-	})
+	d, err := core.New(core.Scheme(scheme), p, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -216,9 +213,7 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 	if repl > 1 && kernel != "lu" {
 		return fmt.Errorf("-repl is LU-only (got kernel %q)", kernel)
 	}
-	d, err := core.New(core.Scheme(scheme), p, core.Options{
-		GCRMSearch: gcrm.SearchOptions{Seeds: 30, SizeFactor: 5, BaseSeed: 1, Parallel: true},
-	})
+	d, err := core.New(core.Scheme(scheme), p, core.Options{})
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 
 	"anybc/internal/core"
 	"anybc/internal/dist"
-	"anybc/internal/gcrm"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
 )
@@ -27,7 +26,6 @@ func main() {
 		b       = flag.Int("b", 16, "tile size in elements")
 		workers = flag.Int("workers", 2, "worker goroutines per node")
 		seed    = flag.Int64("seed", 7, "matrix generator seed")
-		seeds   = flag.Int("seeds", 50, "GCR&M search seeds")
 	)
 	flag.Parse()
 
@@ -37,9 +35,7 @@ func main() {
 	orig := matrix.NewSPD(*mt, *b, *seed)
 	gen := runtime.GenSPD(*mt, *b, *seed)
 
-	gcrmD, err := core.New(core.GCRM, *p, core.Options{
-		GCRMSearch: gcrm.SearchOptions{Seeds: *seeds, SizeFactor: 5, BaseSeed: 1, Parallel: true},
-	})
+	gcrmD, err := core.New(core.GCRM, *p, core.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cholesky_symmetric:", err)
 		os.Exit(1)

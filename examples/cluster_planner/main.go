@@ -19,7 +19,6 @@ import (
 	"anybc/internal/core"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
-	"anybc/internal/gcrm"
 	"anybc/internal/simulate"
 )
 
@@ -52,9 +51,7 @@ func main() {
 		}
 	case "cholesky":
 		g = dag.NewCholesky(mt)
-		gcrmD, err := core.New(core.GCRM, *p, core.Options{
-			GCRMSearch: gcrm.SearchOptions{Seeds: 50, SizeFactor: 5, BaseSeed: 1, Parallel: true},
-		})
+		gcrmD, err := core.New(core.GCRM, *p, core.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cluster_planner:", err)
 			os.Exit(1)

@@ -16,7 +16,6 @@ import (
 
 	"anybc/internal/core"
 	"anybc/internal/dist"
-	"anybc/internal/gcrm"
 )
 
 func main() {
@@ -24,7 +23,6 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("Distribution schemes for P = %d nodes\n\n", *p)
-	opts := core.Options{GCRMSearch: gcrm.SearchOptions{Seeds: 50, SizeFactor: 5, BaseSeed: 1, Parallel: true}}
 
 	// Non-symmetric factorizations (LU): 2DBC vs the paper's G-2DBC.
 	fmt.Println("LU factorization (cost T = x̄ + ȳ; communication ∝ T − 2):")
@@ -47,7 +45,7 @@ func main() {
 		fmt.Printf("  SBC: no distribution for P=%d; best fallback uses %d nodes (%s, T = %.0f)\n",
 			*p, fallback.Nodes(), fallback.Pattern().Dims(), fallback.Pattern().CostCholesky())
 	}
-	gcrmD, err := core.New(core.GCRM, *p, opts)
+	gcrmD, err := core.New(core.GCRM, *p, core.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)

@@ -17,7 +17,6 @@ import (
 
 	"anybc/internal/core"
 	"anybc/internal/dist"
-	"anybc/internal/gcrm"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
 	"anybc/internal/tile"
@@ -61,9 +60,7 @@ func main() {
 	xTrue2.FillFunc(func(gi, k int) float64 { return matrix.ElementAt(*seed+11, gi, k) })
 	rhs2 := spd.MulRHS(xTrue2)
 
-	ds, err := core.New(core.GCRM, *p, core.Options{
-		GCRMSearch: gcrm.SearchOptions{Seeds: 30, SizeFactor: 5, BaseSeed: 1, Parallel: true},
-	})
+	ds, err := core.New(core.GCRM, *p, core.Options{})
 	if err != nil {
 		fail(err)
 	}

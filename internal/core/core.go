@@ -6,13 +6,15 @@
 // The scheme implementations live in the focused packages: dist (2DBC,
 // G-2DBC, SBC, STS, diagonal resolution), gcrm (the Greedy ColRow & Matching
 // heuristic), and pattern (the cost metric of Section III). New is the one
-// place a GCR&M search becomes a distribution.
+// place a GCR&M search becomes a distribution; the paper-protocol pattern of
+// every P = 2..64 is committed in gcrm_patterns.txt and embedded, so those
+// cost no search.
 package core
 
 import (
+	"bufio"
+	_ "embed"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
@@ -47,8 +49,9 @@ func Schemes() []Scheme { return []Scheme{TwoDBC, G2DBC, SBC, GCRM, STSScheme} }
 
 // Options tunes scheme construction.
 type Options struct {
-	// GCRMSearch configures the GCR&M pattern search; zero value uses the
-	// paper's protocol (100 seeds, sizes up to 6√P).
+	// GCRMSearch configures the GCR&M pattern search. The zero value
+	// (Parallel aside) is the paper's protocol, gcrm.DefaultSearchOptions:
+	// 100 seeds, sizes up to 6√P.
 	GCRMSearch gcrm.SearchOptions
 }
 
@@ -70,7 +73,7 @@ func New(s Scheme, P int, opt Options) (dist.Distribution, error) {
 		return dist.NewSTSForP(P)
 	case GCRM:
 		so := opt.GCRMSearch
-		if so.Seeds == 0 {
+		if withoutParallel(so) == (gcrm.SearchOptions{}) {
 			so = gcrm.DefaultSearchOptions()
 		}
 		res, err := SearchGCRM(P, so)
@@ -84,8 +87,8 @@ func New(s Scheme, P int, opt Options) (dist.Distribution, error) {
 }
 
 // searches memoizes SearchGCRM: a GCR&M pattern depends only on P and the
-// search options, exactly the "database of patterns" the paper's conclusion
-// suggests.
+// search options, so each (P, options) is resolved once per process — from
+// the embedded database or by a search — and every caller shares the result.
 var searches sync.Map // searchKey -> *gcrm.Result
 
 type searchKey struct {
@@ -93,21 +96,76 @@ type searchKey struct {
 	opts gcrm.SearchOptions
 }
 
+// withoutParallel drops the one search option that cannot change the result.
+func withoutParallel(o gcrm.SearchOptions) gcrm.SearchOptions {
+	o.Parallel = false
+	return o
+}
+
 // SearchGCRM returns the best GCR&M pattern for P under opts, searching once
-// per process for each (P, options). The result is shared by every caller:
-// it and its pattern are read-only.
+// per process for each (P, options). Under the paper's protocol
+// (gcrm.DefaultSearchOptions) a P the embedded database covers is read from
+// it instead. The result is shared by every caller: it and its pattern are
+// read-only.
 func SearchGCRM(P int, opts gcrm.SearchOptions) (*gcrm.Result, error) {
-	key := searchKey{P, opts}
-	key.opts.Parallel = false // the result is the same either way
+	key := searchKey{P, withoutParallel(opts)}
 	if v, ok := searches.Load(key); ok {
 		return v.(*gcrm.Result), nil
 	}
-	res, err := gcrm.Search(P, opts)
-	if err != nil {
-		return nil, err
+	var res *gcrm.Result
+	if key.opts == withoutParallel(gcrm.DefaultSearchOptions()) {
+		db, err := storedPatterns()
+		if err != nil {
+			return nil, err
+		}
+		res = db[P]
 	}
-	searches.Store(key, res)
-	return res, nil
+	if res == nil {
+		var err error
+		if res, err = gcrm.Search(P, opts); err != nil {
+			return nil, err
+		}
+	}
+	v, _ := searches.LoadOrStore(key, res)
+	return v.(*gcrm.Result), nil
+}
+
+// patternDB is the output of cmd/patterndb: the paper-protocol search result
+// for every P = 2..64.
+//
+//go:embed gcrm_patterns.txt
+var patternDB string
+
+// storedPatterns parses patternDB on first use.
+var storedPatterns = sync.OnceValues(func() (map[int]*gcrm.Result, error) {
+	return parsePatterns(patternDB)
+})
+
+// parsePatterns reads the format cmd/patterndb writes: per node count a
+// "P <P> seed <seed>" line, then the pattern in the pattern.Marshal format.
+// R and Cost are recomputed from the pattern, exactly as the search sets them.
+func parsePatterns(text string) (map[int]*gcrm.Result, error) {
+	db := make(map[int]*gcrm.Result)
+	sc := bufio.NewScanner(strings.NewReader(text))
+	for sc.Scan() {
+		var P int
+		var seed int64
+		if _, err := fmt.Sscanf(sc.Text(), "P %d seed %d", &P, &seed); err != nil {
+			return nil, fmt.Errorf("core: pattern database: bad entry header %q: %w", sc.Text(), err)
+		}
+		if db[P] != nil {
+			return nil, fmt.Errorf("core: pattern database: second entry for P=%d", P)
+		}
+		p, err := pattern.Unmarshal(sc)
+		if err != nil {
+			return nil, fmt.Errorf("core: pattern database entry P=%d: %w", P, err)
+		}
+		if !p.Square() || p.NumNodes() != P {
+			return nil, fmt.Errorf("core: pattern database entry P=%d holds a %s pattern of %d nodes", P, p.Dims(), p.NumNodes())
+		}
+		db[P] = &gcrm.Result{Pattern: p, R: p.Rows(), Seed: seed, Cost: p.CostCholesky()}
+	}
+	return db, sc.Err()
 }
 
 // Report summarizes a distribution for display.
@@ -138,35 +196,4 @@ func Describe(d dist.Distribution) Report {
 		r.CostCholesky = p.CostCholesky()
 	}
 	return r
-}
-
-// LoadPatternFile reads a pattern stored in the pattern.Marshal text format
-// (as written by cmd/patterndb) and wraps it as a distribution: square
-// patterns with undefined diagonal cells get the replication-time diagonal
-// resolver; fully defined patterns become plain cyclic distributions.
-func LoadPatternFile(path string) (dist.Distribution, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	p, err := pattern.Unmarshal(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", path, err)
-	}
-	name := fmt.Sprintf("pattern(%s,%s,P=%d)",
-		filepath.Base(path), p.Dims(), p.NumNodes())
-	if p.UndefinedCells() > 0 {
-		if !p.Square() {
-			return nil, fmt.Errorf("core: %s: undefined cells in a non-square pattern", path)
-		}
-		return dist.NewDiagResolver(name, p), nil
-	}
-	return dist.NewCyclic(name, p)
-}
-
-// FromDB returns the stored GCR&M pattern for P from a cmd/patterndb
-// directory, matching its gcrm-%04d.pattern layout.
-func FromDB(dir string, P int) (dist.Distribution, error) {
-	return LoadPatternFile(filepath.Join(dir, fmt.Sprintf("gcrm-%04d.pattern", P)))
 }

@@ -2,15 +2,10 @@ package core
 
 import (
 	"math"
-	"os"
 	"testing"
 
-	"anybc/internal/dist"
 	"anybc/internal/gcrm"
 )
-
-// osCreate is a seam for the pattern-file tests.
-var osCreate = os.Create
 
 func quickOpts() Options {
 	return Options{GCRMSearch: gcrm.SearchOptions{Seeds: 10, SizeFactor: 3, BaseSeed: 1, Parallel: true}}
@@ -67,63 +62,5 @@ func TestDescribe(t *testing.T) {
 	}
 	if math.Abs(r.CostLU-9.652) > 0.001 {
 		t.Errorf("CostLU = %v", r.CostLU)
-	}
-}
-
-func TestLoadPatternFile(t *testing.T) {
-	dir := t.TempDir()
-	d, err := New(GCRM, 10, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := dir + "/gcrm-0010.pattern"
-	f, err := osCreate(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.(dist.PatternDistribution).Pattern().Marshal(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := FromDB(dir, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Nodes() != 10 {
-		t.Fatalf("loaded distribution has %d nodes", got.Nodes())
-	}
-	// Same pattern → same owners under the deterministic diagonal resolver.
-	for i := 0; i < 12; i++ {
-		for j := 0; j <= i; j++ {
-			if got.Owner(i, j) != d.Owner(i, j) {
-				t.Fatalf("owner mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-
-	// Fully defined pattern loads as cyclic.
-	d2, _ := New(G2DBC, 6, quickOpts())
-	path2 := dir + "/g2dbc.pattern"
-	f2, err := osCreate(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.(dist.PatternDistribution).Pattern().Marshal(f2); err != nil {
-		t.Fatal(err)
-	}
-	f2.Close()
-	got2, err := LoadPatternFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Owner(3, 4) != d2.Owner(3, 4) {
-		t.Fatal("cyclic load owner mismatch")
-	}
-
-	// Missing file errors.
-	if _, err := FromDB(dir, 99); err == nil {
-		t.Error("missing pattern file accepted")
 	}
 }

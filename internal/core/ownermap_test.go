@@ -51,6 +51,8 @@ func TestSchemeOwnerMaps(t *testing.T) {
 		{"NewSTS(15)", dist.NewSTS(15), "a3459beb643e71e1"},
 		{"hetero.NewG2DBC(1,1,2,4)", must(hetero.NewG2DBC([]float64{1, 1, 2, 4}, 4)), "45030e9ec36c055e"},
 		{"New(GCRM,23)", must(New(GCRM, 23, quickOpts())), "de42f1b402461e50"},
+		{"New(GCRM,23,Options{})", must(New(GCRM, 23, Options{})), "d68db2c3aee1f106"},
+		{"New(GCRM,64,Options{})", must(New(GCRM, 64, Options{})), "6b46acaab8f5f54c"},
 	}
 	for _, c := range cases {
 		if got := ownerMapDigest(c.d); got != c.want {

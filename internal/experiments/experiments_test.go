@@ -49,9 +49,8 @@ func TestTableIaValues(t *testing.T) {
 
 func TestTableIbValues(t *testing.T) {
 	// The best known P=23 pattern is 22x22 (paper Figure 9), so the size cap
-	// must allow r ≈ 5√P here.
-	rows, err := TableIb([]int{21, 23, 28, 31, 32, 35, 36},
-		gcrm.SearchOptions{Seeds: 40, SizeFactor: 5, BaseSeed: 1, Parallel: true})
+	// must allow r ≈ 5√P: the paper's protocol allows 6√P.
+	rows, err := TableIb([]int{21, 23, 28, 31, 32, 35, 36}, gcrm.DefaultSearchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,6 +78,13 @@ func Sample(P int, opts SearchOptions) (*Result, []Candidate, error) {
 	return search(P, opts, true)
 }
 
+// BuildSeeded runs Algorithm 1 for one (r, seed) candidate of the search, so
+// a stored search result can be rebuilt from its R and Seed alone.
+func BuildSeeded(P, r int, seed int64) (*pattern.Pattern, error) {
+	// Each (r, seed) pair gets an independent deterministic stream.
+	return Build(P, r, rand.New(rand.NewSource(seed*1_000_003+int64(r))))
+}
+
 func search(P int, opts SearchOptions, keepAll bool) (*Result, []Candidate, error) {
 	if P <= 0 {
 		return nil, nil, fmt.Errorf("gcrm: invalid node count %d", P)
@@ -111,9 +118,7 @@ func search(P int, opts SearchOptions, keepAll bool) (*Result, []Candidate, erro
 	evals := make([]eval, len(jobs))
 	run := func(i int) {
 		j := jobs[i]
-		// Each (r, seed) pair gets an independent deterministic stream.
-		rng := rand.New(rand.NewSource(j.seed*1_000_003 + int64(j.r)))
-		pat, err := Build(P, j.r, rng)
+		pat, err := BuildSeeded(P, j.r, j.seed)
 		if err != nil {
 			evals[i] = eval{Candidate: Candidate{R: j.r, Seed: j.seed, Cost: math.Inf(1)}}
 			return

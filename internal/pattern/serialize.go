@@ -14,7 +14,8 @@ import (
 //	<row 0 cells separated by spaces, "." for Undefined>
 //	...
 //
-// The format is stable and used by cmd/patterndb for the on-disk database.
+// The format is stable: each entry of the GCR&M pattern database that
+// cmd/patterndb writes and internal/core embeds is one such block.
 func (p *Pattern) Marshal(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "%d %d\n", p.rows, p.cols); err != nil {
@@ -43,26 +44,25 @@ func (p *Pattern) Marshal(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Unmarshal parses a pattern in the Marshal format.
-func Unmarshal(r io.Reader) (*Pattern, error) {
-	br := bufio.NewScanner(r)
-	br.Buffer(make([]byte, 1<<20), 1<<24)
-	if !br.Scan() {
-		return nil, fmt.Errorf("pattern: missing header: %w", br.Err())
+// Unmarshal reads one pattern in the Marshal format from sc and leaves sc on
+// its last row, so a stream of patterns reads as successive calls.
+func Unmarshal(sc *bufio.Scanner) (*Pattern, error) {
+	if !sc.Scan() {
+		return nil, fmt.Errorf("pattern: missing header: %w", sc.Err())
 	}
 	var rows, cols int
-	if _, err := fmt.Sscanf(br.Text(), "%d %d", &rows, &cols); err != nil {
-		return nil, fmt.Errorf("pattern: bad header %q: %w", br.Text(), err)
+	if _, err := fmt.Sscanf(sc.Text(), "%d %d", &rows, &cols); err != nil {
+		return nil, fmt.Errorf("pattern: bad header %q: %w", sc.Text(), err)
 	}
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("pattern: bad dimensions %dx%d", rows, cols)
 	}
 	p := New(rows, cols)
 	for i := 0; i < rows; i++ {
-		if !br.Scan() {
-			return nil, fmt.Errorf("pattern: missing row %d: %w", i, br.Err())
+		if !sc.Scan() {
+			return nil, fmt.Errorf("pattern: missing row %d: %w", i, sc.Err())
 		}
-		fields := strings.Fields(br.Text())
+		fields := strings.Fields(sc.Text())
 		if len(fields) != cols {
 			return nil, fmt.Errorf("pattern: row %d has %d cells, want %d", i, len(fields), cols)
 		}
@@ -71,11 +71,14 @@ func Unmarshal(r io.Reader) (*Pattern, error) {
 				p.Set(i, j, Undefined)
 				continue
 			}
-			v, err := strconv.Atoi(f)
+			v, err := strconv.ParseInt(f, 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("pattern: row %d cell %d: %w", i, j, err)
 			}
-			p.Set(i, j, v)
+			if v < 0 {
+				return nil, fmt.Errorf("pattern: row %d cell %d: negative node %d", i, j, v)
+			}
+			p.Set(i, j, int(v))
 		}
 	}
 	return p, nil

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"bufio"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -17,7 +18,9 @@ func marshalString(p *Pattern) string {
 	return b.String()
 }
 
-func unmarshalString(s string) (*Pattern, error) { return Unmarshal(strings.NewReader(s)) }
+func unmarshalString(s string) (*Pattern, error) {
+	return Unmarshal(bufio.NewScanner(strings.NewReader(s)))
+}
 
 func TestMarshalRoundtrip(t *testing.T) {
 	p := MustFromRows([][]int{{0, 1, 2}, {3, 4, 5}})
@@ -55,6 +58,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		"2 2\n0 1\n",
 		"2 2\n0 1 2\n1 0\n",
 		"2 2\n0 x\n1 0\n",
+		"2 2\n0 -2\n1 0\n",
 		"0 0\n",
 		"-1 2\n",
 	}

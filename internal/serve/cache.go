@@ -10,23 +10,17 @@ import (
 	"anybc/internal/dist"
 )
 
-// PatternCache memoizes the distribution of each (scheme, P) — for GCR&M a
-// full pattern search, the patterndb workload. A distribution is immutable
-// after construction, so one instance serves any number of concurrent jobs.
-// Compiled plans are not kept here: the runtime's Factor entry points keep
-// one process-wide plan cache for every caller. With Dir set, GCR&M patterns
-// are first looked up in a cmd/patterndb database directory
-// (gcrm-%04d.pattern files) before falling back to an in-process search, so a
-// service pointed at a prebuilt database never pays the search even on a cold
-// cache.
+// PatternCache memoizes the distribution of each (scheme, P), built by
+// core.New: for GCR&M the pattern core embeds for P ≤ 64 and a search above
+// it. A distribution is immutable after construction, so one instance serves
+// any number of concurrent jobs. Compiled plans are not kept here: the
+// runtime's Factor entry points keep one process-wide plan cache for every
+// caller.
 //
 // Construction is per key: the cache's mutex guards only the map, never a
 // pattern search, so one tenant's cold key does not block another tenant's
 // hit. Callers of a key under construction wait for that one construction.
 type PatternCache struct {
-	// Dir is an optional cmd/patterndb database directory for GCR&M.
-	Dir string
-
 	mu     sync.Mutex
 	dists  map[string]*entry
 	hits   atomic.Int64
@@ -43,8 +37,8 @@ type entry struct {
 // lookup returns the distribution of key, building it on first use. The call
 // that creates the entry counts as the miss and every other as a hit, whether
 // or not it has to wait for the build. Build errors are returned verbatim and
-// not cached: the failed entry is dropped, so a transient failure (a
-// patterndb read error) does not poison the key.
+// not cached: the failed entry is dropped, so a failed build is retried on
+// the next lookup rather than pinned to the key.
 func (c *PatternCache) lookup(key string, build func() (dist.Distribution, error)) (dist.Distribution, error) {
 	c.mu.Lock()
 	e, ok := c.dists[key]
@@ -76,11 +70,6 @@ func (c *PatternCache) lookup(key string, build func() (dist.Distribution, error
 func (c *PatternCache) Dist(scheme string, P int) (dist.Distribution, error) {
 	scheme = strings.ToLower(scheme)
 	return c.lookup(fmt.Sprintf("%s|%d", scheme, P), func() (dist.Distribution, error) {
-		if c.Dir != "" && core.Scheme(scheme) == core.GCRM {
-			if d, err := core.FromDB(c.Dir, P); err == nil {
-				return d, nil
-			}
-		}
 		return core.New(core.Scheme(scheme), P, core.Options{})
 	})
 }

@@ -19,9 +19,9 @@
 // never a silent wedge.
 //
 // Repeated shapes skip their precomputation: a PatternCache keeps the
-// distribution of each (scheme, P) — the cmd/patterndb idea promoted into
-// the serving path — and the runtime's process-wide plan cache the compiled
-// plan of each job shape.
+// distribution of each (scheme, P) and the runtime's process-wide plan cache
+// the compiled plan of each job shape. A cold GCR&M key costs no search up to
+// P = 64, where core reads the pattern from its embedded database.
 package serve
 
 import (
@@ -167,9 +167,6 @@ type Config struct {
 	Broadcast cluster.BroadcastMode
 	// Net is the shared cluster's fault-injection seam (nil = faithful).
 	Net cluster.Network
-	// PatternDir is an optional cmd/patterndb database directory consulted
-	// for GCR&M patterns before searching in-process.
-	PatternDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -261,7 +258,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:   cfg,
 		cl:    cluster.NewWithOptions(cfg.P, cluster.Options{Net: cfg.Net, Broadcast: cfg.Broadcast}),
-		cache: &PatternCache{Dir: cfg.PatternDir},
+		cache: &PatternCache{},
 		jobs:  make(map[JobID]*job),
 	}, nil
 }
