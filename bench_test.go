@@ -1,16 +1,15 @@
 package anybc
 
-// One benchmark per table and figure of the paper's evaluation section, plus
-// ablation benchmarks for the design choices called out in DESIGN.md.
+// One benchmark per committed results/ file, plus the pattern-construction
+// and ablation benchmarks for the design choices called out in DESIGN.md.
 // Run them all with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
-// Custom metrics attached to each benchmark report the headline quantity of
-// the corresponding artifact (a communication cost T or a simulated GFlop/s
-// value), so the benchmark log doubles as a summary of the reproduction.
+// or one file's regeneration with -bench 'Artifacts/fig5.txt'.
 
 import (
+	"io"
 	"testing"
 
 	"anybc/internal/core"
@@ -25,169 +24,19 @@ func benchSearchOpts() gcrm.SearchOptions {
 	return gcrm.SearchOptions{Seeds: 10, SizeFactor: 4, BaseSeed: 1, Parallel: true}
 }
 
-// BenchmarkTableIa regenerates Table Ia (LU pattern dimensions and costs).
-func BenchmarkTableIa(b *testing.B) {
-	var rows []experiments.TableIaRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.TableIa(experiments.TableIaPs)
+// BenchmarkArtifacts renders each file of results/ whole, one sub-benchmark
+// per experiments.Artifacts row: what `simfact -regen FILE` spends. The two
+// _paper rows take 15–35 s and 1–3 min an iteration on 2 vCPUs.
+func BenchmarkArtifacts(b *testing.B) {
+	for _, a := range experiments.Artifacts {
+		b.Run(a.File, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := a.Render(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	for _, r := range rows {
-		if r.P == 23 {
-			b.ReportMetric(r.G2DBCCost, "T(G-2DBC,P=23)")
-			b.ReportMetric(r.DBCCost, "T(2DBC,P=23)")
-		}
-	}
-}
-
-// BenchmarkTableIb regenerates Table Ib (Cholesky pattern costs).
-func BenchmarkTableIb(b *testing.B) {
-	var rows []experiments.TableIbRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.TableIb(experiments.TableIbPs, benchSearchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.P == 35 {
-			b.ReportMetric(r.GCRMCost, "T(GCR&M,P=35)")
-			b.ReportMetric(r.SBCCost, "T(SBC,P=35)")
-		}
-	}
-}
-
-// perfBench runs a simulated performance figure and reports the GFlop/s of
-// the paper's headline series at the largest N.
-func perfBench(b *testing.B, run func(experiments.SimConfig) ([]experiments.PerfPoint, error), series string) {
-	b.Helper()
-	cfg := experiments.QuickSimConfig()
-	cfg.GCRMSearch = benchSearchOpts()
-	var pts []experiments.PerfPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	maxN := 0
-	for _, p := range pts {
-		if p.N > maxN {
-			maxN = p.N
-		}
-	}
-	for _, p := range pts {
-		if p.N == maxN && p.Series == series {
-			b.ReportMetric(p.GFlops, "GF/s("+series+")")
-		}
-	}
-}
-
-// BenchmarkFigure1 regenerates Figure 1 (2DBC grid shapes for LU).
-func BenchmarkFigure1(b *testing.B) {
-	perfBench(b, experiments.Figure1, "2DBC(4x4)")
-}
-
-// BenchmarkFigure4 regenerates Figure 4 (cost of G-2DBC vs best 2DBC).
-func BenchmarkFigure4(b *testing.B) {
-	var pts []experiments.CostPoint
-	for i := 0; i < b.N; i++ {
-		pts = experiments.Figure4(64)
-	}
-	for _, p := range pts {
-		if p.P == 23 && p.Series == "G-2DBC" {
-			b.ReportMetric(p.T, "T(G-2DBC,P=23)")
-		}
-	}
-}
-
-// BenchmarkFigure5 regenerates Figure 5 (LU, P=23).
-func BenchmarkFigure5(b *testing.B) {
-	perfBench(b, experiments.Figure5, "G-2DBC(P=23)")
-}
-
-// BenchmarkFigure6 regenerates Figure 6 (LU, P=39).
-func BenchmarkFigure6(b *testing.B) {
-	perfBench(b, experiments.Figure6, "G-2DBC(P=39)")
-}
-
-// BenchmarkFigure7a regenerates Figure 7a (LU strong scaling).
-func BenchmarkFigure7a(b *testing.B) {
-	cfg := experiments.QuickSimConfig()
-	var pts []experiments.PerfPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure7a(cfg, []int{16, 20, 23, 31, 36, 39})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		if p.P == 23 && p.Series == "G-2DBC(P=23)" {
-			b.ReportMetric(p.GFlops, "GF/s(G-2DBC,P=23)")
-		}
-	}
-}
-
-// BenchmarkFigure7b regenerates Figure 7b (Cholesky strong scaling).
-func BenchmarkFigure7b(b *testing.B) {
-	cfg := experiments.QuickSimConfig()
-	cfg.GCRMSearch = benchSearchOpts()
-	var pts []experiments.PerfPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure7b(cfg, []int{21, 23, 31, 35})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		if p.P == 31 && p.Series != "" && p.Messages > 0 && p.N == cfg.ScalingN {
-			b.ReportMetric(p.GFlops, "GF/s(P=31,"+p.Series+")")
-		}
-	}
-}
-
-// BenchmarkFigure9 regenerates Figure 9 (GCR&M pattern-size/seed study).
-func BenchmarkFigure9(b *testing.B) {
-	var best *gcrm.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		best, _, err = experiments.Figure9(23, benchSearchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(best.Cost, "T(best,P=23)")
-	b.ReportMetric(float64(best.R), "r(best,P=23)")
-}
-
-// BenchmarkFigure10 regenerates Figure 10 (symmetric pattern costs).
-func BenchmarkFigure10(b *testing.B) {
-	var pts []experiments.CostPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure10(48, benchSearchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		if p.P == 28 && p.Series == "GCR&M" {
-			b.ReportMetric(p.T, "T(GCR&M,P=28)")
-		}
-	}
-}
-
-// BenchmarkFigure11 regenerates Figure 11 (Cholesky, P=31).
-func BenchmarkFigure11(b *testing.B) {
-	perfBench(b, experiments.Figure11, "SBC(8x8,P=28)")
-}
-
-// BenchmarkFigure12 regenerates Figure 12 (Cholesky, P=35).
-func BenchmarkFigure12(b *testing.B) {
-	perfBench(b, experiments.Figure12, "SBC(8x8,P=32)")
 }
 
 // BenchmarkConstructionG2DBC measures pattern-construction cost: building

@@ -1,14 +1,14 @@
-// Command simfact runs the simulated performance experiments: Figures 1, 5,
-// 6, 7a, 7b, 11 and 12 of the paper, on the calibrated machine model.
+// Command simfact rewrites the committed results of the paper's evaluation,
+// and traces single runs of the simulator or of the real runtime.
 //
-// Usage:
+// With -regen, it renders one file of results/ (or all of them) from its
+// row of experiments.Artifacts, with the fixed configuration that row
+// records; run it from the repository root.
 //
-//	simfact -fig 5                 # LU, P=23 (scaled default sizes)
-//	simfact -fig 7a -paper         # strong scaling at the paper's N=200,000
-//	simfact -fig 11 -csv           # Cholesky P=31, CSV output
-//	simfact -fig 1 -quick          # fastest configuration
+//	simfact -regen fig5.txt        # one file
+//	simfact -regen all             # every file (2–4 min on 2 vCPUs)
 //
-// The -gantt mode traces one run instead: simulated by default, or a real
+// The -gantt mode traces one run: simulated by default, or a real
 // numeric execution on the virtual cluster with -real (use a small -n).
 //
 //	simfact -gantt out -p 23 -n 25000            # simulated trace
@@ -28,11 +28,14 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
+	"time"
 
 	"anybc/internal/chaos"
 	"anybc/internal/cluster"
@@ -47,11 +50,8 @@ import (
 
 func main() {
 	var (
-		fig    = flag.String("fig", "1", "figure to regenerate: 1, 5, 6, 7a, 7b, 11 or 12")
-		paper  = flag.Bool("paper", false, "use the paper's matrix sizes (slow: tens of millions of simulated tasks)")
-		quick  = flag.Bool("quick", false, "use the quick configuration (smallest sizes)")
-		csv    = flag.Bool("csv", false, "emit CSV instead of a table")
-		gantt  = flag.String("gantt", "", "instead of a figure, trace one run and write <prefix>-gantt.csv and <prefix>-messages.csv")
+		regen  = flag.String("regen", "", "rewrite results/FILE, or every file for \"all\", from its experiments.Artifacts row (run from the repository root)")
+		gantt  = flag.String("gantt", "", "trace one run and write <prefix>-gantt.csv and <prefix>-messages.csv")
 		p      = flag.Int("p", 23, "gantt mode: node count")
 		n      = flag.Int("n", 25000, "gantt mode: matrix size")
 		scheme = flag.String("scheme", "g2dbc", "gantt mode: distribution scheme")
@@ -64,12 +64,11 @@ func main() {
 		elast  = flag.Bool("elastic", false, "gantt -real mode: survive node deaths by migrating their tasks to survivors")
 		crash  = flag.String("crash", "", "gantt -real mode: kill one node mid-run, as rank@task (0-based owned-task index)")
 		repl   = flag.Int("repl", 1, "gantt mode (LU only): replication factor c — stack c layers of the base grid, 2.5D-style")
-		sweep  = flag.String("commsweep", "", "run the pinned replication comm-volume sweep, write the points as JSON to this file, and exit nonzero if c=2 fails the volume-reduction gate")
 	)
 	flag.Parse()
 
-	if *sweep != "" {
-		if err := runCommSweep(*sweep); err != nil {
+	if *regen != "" {
+		if err := regenerate(*regen); err != nil {
 			fatal(err)
 		}
 		return
@@ -94,51 +93,36 @@ func main() {
 		}
 		return
 	}
+	flag.Usage()
+	os.Exit(2)
+}
 
-	cfg := experiments.DefaultSimConfig()
-	if *paper {
-		cfg = experiments.PaperSimConfig()
+// regenerate rewrites results/<name> — every file for "all" — from its
+// experiments.Artifacts row. A file is written only once it rendered whole.
+func regenerate(name string) error {
+	var files []string
+	found := false
+	for _, a := range experiments.Artifacts {
+		files = append(files, a.File)
+		if name != "all" && name != a.File {
+			continue
+		}
+		found = true
+		start := time.Now()
+		var buf bytes.Buffer
+		if err := a.Render(&buf); err != nil {
+			return fmt.Errorf("%s: %w", a.File, err)
+		}
+		path := filepath.Join("results", a.File)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%.1f s)\n", path, time.Since(start).Seconds())
 	}
-	if *quick {
-		cfg = experiments.QuickSimConfig()
+	if !found {
+		return fmt.Errorf("unknown artifact %q (want all or one of %s)", name, strings.Join(files, ", "))
 	}
-
-	type genFn func(experiments.SimConfig) ([]experiments.PerfPoint, error)
-	titles := map[string]string{
-		"1":  "Figure 1: LU, 2DBC grid shapes (P<=23)",
-		"5":  "Figure 5: LU, P=23 (G-2DBC vs 2DBC)",
-		"6":  "Figure 6: LU, P=39 (G-2DBC vs 2DBC)",
-		"7a": "Figure 7a: LU strong scaling",
-		"7b": "Figure 7b: Cholesky strong scaling",
-		"11": "Figure 11: Cholesky, P=31 (GCR&M vs SBC)",
-		"12": "Figure 12: Cholesky, P=35 (GCR&M vs SBC)",
-	}
-	gens := map[string]genFn{
-		"1": experiments.Figure1,
-		"5": experiments.Figure5,
-		"6": experiments.Figure6,
-		"7a": func(c experiments.SimConfig) ([]experiments.PerfPoint, error) {
-			return experiments.Figure7a(c, experiments.ScalingPs)
-		},
-		"7b": func(c experiments.SimConfig) ([]experiments.PerfPoint, error) {
-			return experiments.Figure7b(c, experiments.ScalingPs)
-		},
-		"11": experiments.Figure11,
-		"12": experiments.Figure12,
-	}
-	gen, ok := gens[*fig]
-	if !ok {
-		fatal(fmt.Errorf("unknown figure %q (want 1, 5, 6, 7a, 7b, 11 or 12)", *fig))
-	}
-	pts, err := gen(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if *csv {
-		experiments.PerfCSV(os.Stdout, pts)
-		return
-	}
-	experiments.RenderPerf(os.Stdout, titles[*fig], pts)
+	return nil
 }
 
 // runGantt simulates one (scheme, P, N) point with tracing enabled and
@@ -352,39 +336,6 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 		return nil
 	}
 	fmt.Printf("wrote %s-gantt.csv and %s-messages.csv\n", prefix, prefix)
-	return nil
-}
-
-// runCommSweep runs the pinned replication comm-volume sweep (the CI gate),
-// writes the points as JSON, prints a summary table, and fails when
-// replicated c=2 LU does not cut per-node received volume by at least 25%
-// against the c=1 G-2DBC baseline.
-func runCommSweep(out string) error {
-	cfg, baseP, mt, cs := experiments.PinnedReplicationCase()
-	pts, err := experiments.ReplicationSweep(cfg, baseP, mt, cs)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(pts, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("replication sweep: N=%d, tile %d, base G-2DBC(%d)\n", mt*cfg.B, cfg.B, baseP)
-	fmt.Printf("%4s %6s %14s %14s %14s %8s\n", "c", "nodes", "recv/node (MB)", "reduce (MB)", "bound (MB)", "ratio")
-	for _, p := range pts {
-		fmt.Printf("%4d %6d %14.1f %14.1f %14.1f %8.3f\n",
-			p.C, p.Nodes, p.RecvMean/1e6, float64(p.ReduceBytes)/1e6, p.BoundBytes/1e6, p.RatioToBound)
-	}
-	base, c2 := pts[0], pts[1]
-	saving := 1 - c2.RecvMean/base.RecvMean
-	fmt.Printf("c=2 per-node received volume: %.1f%% below the c=1 baseline (gate: >= 25%%)\n", 100*saving)
-	fmt.Printf("wrote %s\n", out)
-	if saving < 0.25 {
-		return fmt.Errorf("comm-volume regression: c=2 saving %.1f%% below the 25%% gate", 100*saving)
-	}
 	return nil
 }
 

@@ -74,21 +74,39 @@ func TestSimfactRealRun(t *testing.T) {
 	}
 }
 
-// TestDistgenExitCodes: a size distgen cannot serve exits with status 1 and a
-// named error — -verify at zero tiles, not a panic in the graph constructor;
-// a node count no scheme builds, not status 0 under a list of errors.
+// TestSimfactRegenUnknownFile: -regen of a file no experiments.Artifacts row
+// writes exits with status 1, names the file and lists the known ones.
+func TestSimfactRegenUnknownFile(t *testing.T) {
+	out, err := goRun(t, "./cmd/simfact", "-regen", "nosuch.txt")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("simfact -regen nosuch.txt: err %v, want exit status 1:\n%s", err, out)
+	}
+	for _, want := range []string{`"nosuch.txt"`, "fig5.txt", "fig7a_paper.txt", "replication.txt"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("simfact -regen nosuch.txt does not say %s:\n%s", want, out)
+		}
+	}
+}
+
+// TestDistgenExitCodes: a request distgen cannot serve exits with status 1
+// and a named error — a node count no scheme builds, not status 0 under a
+// list of errors; an explicit scheme that fails, with core's error alone.
 func TestDistgenExitCodes(t *testing.T) {
 	for _, c := range []struct {
-		args []string
-		want string
+		args         []string
+		want, absent string
 	}{
-		{[]string{"-verify", "-mt", "0"}, "mt = 0 tiles"},
-		{[]string{"-p", "0"}, "no scheme serves P=0"},
+		{[]string{"-p", "0"}, "no scheme serves P=0", ""},
+		{[]string{"-scheme", "bogus", "-p", "23"}, `unknown scheme "bogus"`, "no scheme serves"},
 	} {
 		out, err := goRun(t, append([]string{"./cmd/distgen"}, c.args...)...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), c.want) {
 			t.Errorf("distgen %s: err %v, want exit status 1 saying %q:\n%s", strings.Join(c.args, " "), err, c.want, out)
+		}
+		if c.absent != "" && strings.Contains(string(out), c.absent) {
+			t.Errorf("distgen %s says %q:\n%s", strings.Join(c.args, " "), c.absent, out)
 		}
 	}
 }

@@ -3,7 +3,9 @@
 // straight from the pattern mathematics, and the performance studies
 // (Figures 1, 5, 6, 7, 11, 12) run the discrete-event simulator standing in
 // for the paper's 44-node cluster. Each generator returns typed rows; the
-// render helpers print the same series the paper plots.
+// render helpers print the same series the paper plots, and Artifacts binds
+// each committed file of results/ to the generator and configuration that
+// write it.
 package experiments
 
 import (
@@ -50,18 +52,6 @@ func DefaultSimConfig() SimConfig {
 		ScalingN:   100000,
 		Machine:    simulate.PaperMachine(),
 		GCRMSearch: gcrm.SearchOptions{Seeds: 40, SizeFactor: 4, BaseSeed: 1, Parallel: true},
-	}
-}
-
-// QuickSimConfig is the benchmark-friendly configuration: small sweeps that
-// finish in seconds.
-func QuickSimConfig() SimConfig {
-	return SimConfig{
-		B:          500,
-		Ns:         []int{12500, 25000, 50000},
-		ScalingN:   50000,
-		Machine:    simulate.PaperMachine(),
-		GCRMSearch: gcrm.SearchOptions{Seeds: 10, SizeFactor: 3, BaseSeed: 1, Parallel: true},
 	}
 }
 

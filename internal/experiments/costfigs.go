@@ -38,7 +38,8 @@ func Figure9(P int, opts gcrm.SearchOptions) (best *gcrm.Result, all []gcrm.Cand
 
 // Figure10 reproduces Figure 10: the symmetric (colrow) cost of every
 // pattern family for P = 2..maxP — 2DBC and G-2DBC (cost−1 rule), SBC at its
-// valid node counts, GCR&M everywhere, and the √(2P) and √(3P/2) laws.
+// valid node counts, GCR&M everywhere, and the √(2P) and √(3P/2) laws. It
+// fails if opts cannot build a GCR&M pattern for some P.
 func Figure10(maxP int, opts gcrm.SearchOptions) ([]CostPoint, error) {
 	var out []CostPoint
 	for p := 2; p <= maxP; p++ {
@@ -58,9 +59,7 @@ func Figure10(maxP int, opts gcrm.SearchOptions) ([]CostPoint, error) {
 		}
 		res, err := core.SearchGCRM(p, opts)
 		if err != nil {
-			// GCR&M needs r(r-1) ≥ P within the size cap; for tiny P with a
-			// small cap there may be no feasible size — skip the point.
-			continue
+			return nil, err
 		}
 		out = append(out, CostPoint{P: p, Series: "GCR&M", T: res.Cost})
 	}

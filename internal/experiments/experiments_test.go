@@ -8,10 +8,23 @@ import (
 	"anybc/internal/core"
 	"anybc/internal/dist"
 	"anybc/internal/gcrm"
+	"anybc/internal/simulate"
 )
 
 func quickSearch() gcrm.SearchOptions {
 	return gcrm.SearchOptions{Seeds: 10, SizeFactor: 3, BaseSeed: 1, Parallel: true}
+}
+
+// quickSimConfig is the small configuration of the shape tests: sweeps that
+// finish in seconds.
+func quickSimConfig() SimConfig {
+	return SimConfig{
+		B:          500,
+		Ns:         []int{12500, 25000, 50000},
+		ScalingN:   50000,
+		Machine:    simulate.PaperMachine(),
+		GCRMSearch: quickSearch(),
+	}
 }
 
 func TestTableIaValues(t *testing.T) {
@@ -185,8 +198,18 @@ func TestFigure10Shape(t *testing.T) {
 	}
 }
 
+// TestFigure10ReportsFailedSearch: a search that cannot build some P fails
+// the figure instead of dropping that P's GCR&M point.
+func TestFigure10ReportsFailedSearch(t *testing.T) {
+	// A size cap of 1·√P leaves P = 2 no feasible pattern size.
+	_, err := Figure10(4, gcrm.SearchOptions{Seeds: 1, SizeFactor: 1, BaseSeed: 1})
+	if err == nil || !strings.Contains(err.Error(), "P=2") {
+		t.Errorf("Figure10 with an infeasible size cap: err %v, want the failed search", err)
+	}
+}
+
 func TestFigure1And5Shapes(t *testing.T) {
-	cfg := QuickSimConfig()
+	cfg := quickSimConfig()
 	cfg.Ns = []int{25000, 50000}
 	pts1, err := Figure1(cfg)
 	if err != nil {
@@ -223,7 +246,7 @@ func TestFigure1And5Shapes(t *testing.T) {
 }
 
 func TestFigure7aShape(t *testing.T) {
-	cfg := QuickSimConfig()
+	cfg := quickSimConfig()
 	pts, err := Figure7a(cfg, []int{16, 23, 25})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +271,7 @@ func TestFigure7aShape(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	cfg := QuickSimConfig()
+	cfg := quickSimConfig()
 	cfg.Ns = []int{50000}
 	pts, err := Figure11(cfg)
 	if err != nil {
@@ -270,6 +293,9 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestCommValidation(t *testing.T) {
+	if _, err := CommValidation(0, 3, 8); err == nil || !strings.Contains(err.Error(), "mt = 0 tiles") {
+		t.Errorf("CommValidation at mt = 0: err %v, want one naming the size", err)
+	}
 	rows, err := CommValidation(16, 3, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -312,11 +338,6 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(b.String(), "G-2DBC") {
 		t.Error("RenderCost missing series")
 	}
-	b.Reset()
-	CostCSV(&b, Figure4(3))
-	if !strings.Contains(b.String(), "p,series,t") {
-		t.Error("CostCSV missing header")
-	}
 	best, all, err := Figure9(23, quickSearch())
 	if err != nil {
 		t.Fatal(err)
@@ -326,12 +347,7 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(b.String(), "Figure 9") {
 		t.Error("RenderCandidates missing title")
 	}
-	b.Reset()
-	CandidateCSV(&b, all)
-	if !strings.Contains(b.String(), "r,seed,t") {
-		t.Error("CandidateCSV missing header")
-	}
-	cfg := QuickSimConfig()
+	cfg := quickSimConfig()
 	cfg.Ns = []int{12500}
 	pts, err := Figure6(cfg)
 	if err != nil {
@@ -341,11 +357,6 @@ func TestRenderers(t *testing.T) {
 	RenderPerf(&b, "fig6", pts)
 	if !strings.Contains(b.String(), "GFlop/s") {
 		t.Error("RenderPerf missing header")
-	}
-	b.Reset()
-	PerfCSV(&b, pts)
-	if !strings.Contains(b.String(), "gflops") {
-		t.Error("PerfCSV missing header")
 	}
 }
 

@@ -48,15 +48,6 @@ func RenderPerf(w io.Writer, title string, pts []PerfPoint) {
 	tw.Flush()
 }
 
-// PerfCSV writes performance points as CSV.
-func PerfCSV(w io.Writer, pts []PerfPoint) {
-	fmt.Fprintln(w, "n,series,p,gflops,gflops_per_node,messages,makespan_s")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d,%q,%d,%.3f,%.3f,%d,%.6f\n",
-			p.N, p.Series, p.P, p.GFlops, p.PerNode, p.Messages, p.Makespan)
-	}
-}
-
 // RenderCost prints cost points grouped by series.
 func RenderCost(w io.Writer, title string, pts []CostPoint) {
 	fmt.Fprintf(w, "== %s ==\n", title)
@@ -77,14 +68,6 @@ func RenderCost(w io.Writer, title string, pts []CostPoint) {
 		}
 	}
 	tw.Flush()
-}
-
-// CostCSV writes cost points as CSV.
-func CostCSV(w io.Writer, pts []CostPoint) {
-	fmt.Fprintln(w, "p,series,t")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d,%q,%.6f\n", p.P, p.Series, p.T)
-	}
 }
 
 // RenderCandidates prints the Figure 9 scatter: cost per pattern size and
@@ -118,12 +101,4 @@ func RenderCandidates(w io.Writer, P int, best *gcrm.Result, all []gcrm.Candidat
 		fmt.Fprintf(tw, "%d\t%.3f\t%.3f\t%.3f\t%d\t\n", r, min, sum/float64(len(costs)), max, len(costs))
 	}
 	tw.Flush()
-}
-
-// CandidateCSV writes Figure 9 candidates as CSV.
-func CandidateCSV(w io.Writer, all []gcrm.Candidate) {
-	fmt.Fprintln(w, "r,seed,t")
-	for _, c := range all {
-		fmt.Fprintf(w, "%d,%d,%.6f\n", c.R, c.Seed, c.Cost)
-	}
 }

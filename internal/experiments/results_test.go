@@ -4,103 +4,96 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-
-	"anybc/internal/gcrm"
 )
 
-// TestCommittedFiguresRegenerate re-simulates the N ≤ 50 000 rows of every
-// committed per-N figure file — the LU sweeps of Figures 1, 5 and 6, the
-// Cholesky sweeps of Figures 11 and 12 with their GCR&M searches — with the
-// configuration `simfact -fig` uses, and compares them field by field with the
-// committed text: a change to the simulator, the scheduler, a distribution or
-// the pattern search that moves a paper number fails here instead of leaving
-// results/ quietly stale. (The larger rows are the same code on more tasks;
-// `simfact -fig N > results/figN.txt` rewrites a file. Figures 7a and 7b hold
-// only N = 100 000 rows.)
-func TestCommittedFiguresRegenerate(t *testing.T) {
-	cfg := DefaultSimConfig()
-	cfg.Ns = []int{25000, 50000}
-	for _, fig := range []struct {
-		file string
-		gen  func(SimConfig) ([]PerfPoint, error)
-	}{
-		{"fig1.txt", Figure1},
-		{"fig5.txt", Figure5},
-		{"fig6.txt", Figure6},
-		{"fig11.txt", Figure11},
-		{"fig12.txt", Figure12},
-	} {
-		pts, err := fig.gen(cfg)
-		if err != nil {
-			t.Fatal(err)
+// TestArtifactsCoverResults holds results/ to Artifacts: every committed
+// file is one row and every row one file. `go run ./cmd/simfact -regen all`
+// rewrites every file whole.
+func TestArtifactsCoverResults(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "results", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, a := range Artifacts {
+		if rows[a.File] {
+			t.Errorf("two rows write %s", a.File)
 		}
-		var buf bytes.Buffer
-		RenderPerf(&buf, "", pts)
-		if len(rowsUpTo(buf.String(), 0, 50000)) != len(pts) {
-			t.Fatalf("%s: %d points simulated, not one row each", fig.file, len(pts))
+		rows[a.File] = true
+	}
+	for _, f := range files {
+		if !rows[filepath.Base(f)] {
+			t.Errorf("results/%s has no Artifacts row", filepath.Base(f))
 		}
-		sameRows(t, fig.file, buf.String(), 0, 50000)
+	}
+	for file := range rows {
+		if _, err := os.Stat(filepath.Join("..", "..", "results", file)); err != nil {
+			t.Errorf("Artifacts row %s has no committed file: %v", file, err)
+		}
 	}
 }
 
-// TestCommittedPatternArtifactsRegenerate recomputes the pattern mathematics
-// of results/ with the options of the command that writes each file
-// (`costplot -fig N`, `distgen -table1`, `distgen -verify -mt 30`) and
-// compares it with the committed text, whole: Figures 4, 9 and 10, Tables Ia
-// and Ib and the Equation (1)/(2) validation — the validation factorizes real
-// matrices, so it also holds the compiled plans' destination lists to the
-// structural count. Figure 10 and Table Ib read their GCR&M patterns from
-// core's embedded database; Figure 9 runs the P = 23 search it plots.
+// TestCommittedFiguresRegenerate recomputes the Artifacts rows tier-1
+// compares in part — the per-N and strong-scaling performance figures — and
+// holds the rows each one's Keep selects to the committed text, field by
+// field. A row with no Sample (a file too large to simulate here) is a
+// skipped subtest, left to a full regeneration.
+func TestCommittedFiguresRegenerate(t *testing.T) {
+	regenerate(t, func(a Artifact) bool { return a.Sample == nil || a.Keep != nil })
+}
+
+// TestCommittedPatternArtifactsRegenerate recomputes the Artifacts rows
+// tier-1 compares whole — the pattern mathematics of Figures 4, 9 and 10,
+// Tables Ia and Ib, the Equation (1)/(2) validation and the replication
+// table — and holds each to the committed text byte for byte.
 func TestCommittedPatternArtifactsRegenerate(t *testing.T) {
-	search := gcrm.DefaultSearchOptions() // costplot's and distgen's defaults
-	var buf bytes.Buffer
-	RenderCost(&buf, "Figure 4: total cost T, P=1..64", Figure4(64))
-	sameText(t, "fig4.txt", buf.String())
+	regenerate(t, func(a Artifact) bool { return a.Sample != nil && a.Keep == nil })
+}
 
-	best, all, err := Figure9(23, search)
-	if err != nil {
-		t.Fatal(err)
+// regenerate runs the Sample of every Artifacts row that pick selects as a
+// subtest and compares it with the committed file: whole when the row has
+// no Keep, otherwise the rows Keep selects. A change to the simulator, a
+// distribution, the pattern search or the runtime's message accounting that
+// moves a paper number fails here instead of leaving results/ quietly stale.
+func regenerate(t *testing.T, pick func(Artifact) bool) {
+	t.Helper()
+	ran := 0
+	for _, a := range Artifacts {
+		if !pick(a) {
+			continue
+		}
+		ran++
+		t.Run(a.File, func(t *testing.T) {
+			want := committed(t, a.File)
+			if a.Sample == nil {
+				t.Skipf("compared only when regenerated whole (%s)", a.Cost)
+			}
+			var buf bytes.Buffer
+			if err := a.Sample(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if a.Keep == nil {
+				if got := buf.String(); got != want {
+					t.Errorf("regenerates as\n%s\ncommitted\n%s", got, want)
+				}
+				return
+			}
+			got, kept := keptRows(buf.String(), a.Keep), keptRows(want, a.Keep)
+			if len(kept) == 0 || len(got) != len(kept) {
+				t.Fatalf("%d committed rows kept, %d regenerated", len(kept), len(got))
+			}
+			for i := range kept {
+				if got[i] != kept[i] {
+					t.Errorf("row %d:\n regenerated %s\n committed   %s", i, got[i], kept[i])
+				}
+			}
+		})
 	}
-	buf.Reset()
-	RenderCandidates(&buf, 23, best, all)
-	sameText(t, "fig9.txt", buf.String())
-
-	rows, err := CommValidation(30, 4, 20)
-	if err != nil {
-		t.Fatal(err)
+	if ran == 0 {
+		t.Fatal("no Artifacts row selected")
 	}
-	buf.Reset()
-	RenderValidation(&buf, 30, rows)
-	sameText(t, "verify.txt", buf.String())
-
-	const ibTitle = "\nTable Ib — Cholesky factorization\n"
-	ia, ib, ok := strings.Cut(committed(t, "table1.txt"), ibTitle)
-	buf.Reset()
-	buf.WriteString("Table Ia — LU factorization\n")
-	RenderTableIa(&buf, TableIa(TableIaPs))
-	if !ok || ia != buf.String() {
-		t.Errorf("table1.txt: Table Ia regenerates as\n%s", buf.String())
-	}
-	ibRows, err := TableIb(TableIbPs, search)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	RenderTableIb(&buf, ibRows)
-	if buf.String() != ib {
-		t.Errorf("table1.txt: Table Ib regenerates as\n%s\ncommitted\n%s", buf.String(), ib)
-	}
-
-	pts, err := Figure10(64, search)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	RenderCost(&buf, "Figure 10: symmetric cost T, P=2..64", pts)
-	sameText(t, "fig10.txt", buf.String())
 }
 
 // committed returns the text of a file of results/.
@@ -113,40 +106,12 @@ func committed(t *testing.T, file string) string {
 	return string(b)
 }
 
-// sameText fails t unless got is the committed file, byte for byte.
-func sameText(t *testing.T, file, got string) {
-	t.Helper()
-	if want := committed(t, file); got != want {
-		t.Errorf("%s regenerates as\n%s\ncommitted\n%s", file, got, want)
-	}
-}
-
-// sameRows fails t unless the rows of got are those of the committed file
-// whose number in column col is at most max.
-func sameRows(t *testing.T, file, got string, col, max int) {
-	t.Helper()
-	gotRows, want := rowsUpTo(got, col, max), rowsUpTo(committed(t, file), col, max)
-	if len(want) == 0 || len(gotRows) != len(want) {
-		t.Fatalf("%s: %d committed rows up to %d, %d regenerated", file, len(want), max, len(gotRows))
-	}
-	for i := range want {
-		if gotRows[i] != want[i] {
-			t.Errorf("%s row %d:\n regenerated %s\n committed   %s", file, i, gotRows[i], want[i])
-		}
-	}
-}
-
-// rowsUpTo returns the data rows of a rendered table whose number in column
-// col is at most max, each with its column padding collapsed (the padding
-// depends on the rows present). Titles and headers hold no number there.
-func rowsUpTo(text string, col, max int) []string {
+// keptRows returns the lines of text that keep selects, each with its column
+// padding collapsed (the padding depends on the rows present).
+func keptRows(text string, keep func([]string) bool) []string {
 	var rows []string
 	for _, line := range strings.Split(text, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) <= col {
-			continue
-		}
-		if n, err := strconv.Atoi(fields[col]); err == nil && n <= max {
+		if fields := strings.Fields(line); len(fields) > 0 && keep(fields) {
 			rows = append(rows, strings.Join(fields, " "))
 		}
 	}
