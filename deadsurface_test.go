@@ -95,18 +95,15 @@ func surfaceKey(o types.Object) string {
 	return o.Pkg().Name() + "." + o.Name()
 }
 
-// reachFromMains type-checks pkgs and walks from their main packages. A
-// declaration reaches what its source mentions, so a name mentioned only
-// inside its own declaration (recursion, a type's own methods) or only by
-// unreached code is unreached. A reached type also reaches each of its
-// methods that some interface the program can see requires: an interface
-// call reaches a method without naming it. The allow-listed names are walked
-// from last, so what only they use is kept with them.
-func reachFromMains(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, allow map[string]string) (*surface, error) {
+// typeCheck type-checks every package of pkgs from source and returns what
+// the checker recorded, the importer holding each checked package, and the
+// import paths in order.
+func typeCheck(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer) (*types.Info, *moduleImporter, []string, error) {
 	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	imp := &moduleImporter{fset: fset, pkgs: pkgs, done: map[string]*types.Package{}, std: std, info: info}
 	paths := make([]string, 0, len(pkgs))
@@ -116,8 +113,23 @@ func reachFromMains(fset *token.FileSet, pkgs map[string][]*ast.File, std types.
 	sort.Strings(paths)
 	for _, path := range paths {
 		if _, err := imp.Import(path); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
+	}
+	return info, imp, paths, nil
+}
+
+// reachFromMains type-checks pkgs and walks from their main packages. A
+// declaration reaches what its source mentions, so a name mentioned only
+// inside its own declaration (recursion, a type's own methods) or only by
+// unreached code is unreached. A reached type also reaches each of its
+// methods that some interface the program can see requires: an interface
+// call reaches a method without naming it. The allow-listed names are walked
+// from last, so what only they use is kept with them.
+func reachFromMains(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, allow map[string]string) (*surface, error) {
+	info, imp, paths, err := typeCheck(fset, pkgs, std)
+	if err != nil {
+		return nil, err
 	}
 
 	// Every top-level declaration, with the objects its source mentions.

@@ -76,7 +76,7 @@ var Artifacts = []Artifact{
 	sweepArtifact("fig12.txt", "Figure 12: Cholesky, P=35 (GCR&M vs SBC)", "≈ 0.5 s", DefaultSimConfig(), Figure12),
 	whole("verify.txt", "≈ 0.1 s", func(w io.Writer) error {
 		const mt = 30
-		rows, err := CommValidation(mt, 4, 20)
+		rows, err := CommValidation(mt, 4)
 		if err != nil {
 			return err
 		}

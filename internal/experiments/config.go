@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"anybc/internal/dist"
-	"anybc/internal/gcrm"
 	"anybc/internal/simulate"
 )
 
@@ -24,8 +23,6 @@ type SimConfig struct {
 	ScalingN int
 	// Machine is the simulated platform.
 	Machine simulate.Machine
-	// GCRMSearch configures pattern searches for the symmetric experiments.
-	GCRMSearch gcrm.SearchOptions
 }
 
 // PaperSimConfig reproduces the paper's experimental scales: matrices from
@@ -34,11 +31,10 @@ type SimConfig struct {
 // DefaultSimConfig for quicker runs with the same shapes.
 func PaperSimConfig() SimConfig {
 	return SimConfig{
-		B:          500,
-		Ns:         []int{50000, 100000, 150000, 200000},
-		ScalingN:   200000,
-		Machine:    simulate.PaperMachine(),
-		GCRMSearch: gcrm.DefaultSearchOptions(),
+		B:        500,
+		Ns:       []int{50000, 100000, 150000, 200000},
+		ScalingN: 200000,
+		Machine:  simulate.PaperMachine(),
 	}
 }
 
@@ -47,11 +43,10 @@ func PaperSimConfig() SimConfig {
 // are preserved.
 func DefaultSimConfig() SimConfig {
 	return SimConfig{
-		B:          500,
-		Ns:         []int{25000, 50000, 75000, 100000},
-		ScalingN:   100000,
-		Machine:    simulate.PaperMachine(),
-		GCRMSearch: gcrm.SearchOptions{Seeds: 40, SizeFactor: 4, BaseSeed: 1, Parallel: true},
+		B:        500,
+		Ns:       []int{25000, 50000, 75000, 100000},
+		ScalingN: 100000,
+		Machine:  simulate.PaperMachine(),
 	}
 }
 

@@ -19,11 +19,10 @@ func quickSearch() gcrm.SearchOptions {
 // finish in seconds.
 func quickSimConfig() SimConfig {
 	return SimConfig{
-		B:          500,
-		Ns:         []int{12500, 25000, 50000},
-		ScalingN:   50000,
-		Machine:    simulate.PaperMachine(),
-		GCRMSearch: quickSearch(),
+		B:        500,
+		Ns:       []int{12500, 25000, 50000},
+		ScalingN: 50000,
+		Machine:  simulate.PaperMachine(),
 	}
 }
 
@@ -293,10 +292,10 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestCommValidation(t *testing.T) {
-	if _, err := CommValidation(0, 3, 8); err == nil || !strings.Contains(err.Error(), "mt = 0 tiles") {
+	if _, err := CommValidation(0, 3); err == nil || !strings.Contains(err.Error(), "mt = 0 tiles") {
 		t.Errorf("CommValidation at mt = 0: err %v, want one naming the size", err)
 	}
-	rows, err := CommValidation(16, 3, 8)
+	rows, err := CommValidation(16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

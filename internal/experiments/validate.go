@@ -8,7 +8,6 @@ import (
 	"anybc/internal/core"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
-	"anybc/internal/gcrm"
 	"anybc/internal/runtime"
 )
 
@@ -37,7 +36,7 @@ func (r ValidationRow) Ratio() float64 {
 // structural count (must match exactly) and the paper's formulas (upper
 // estimates ignoring trailing-matrix shrinking). mt controls the matrix size
 // in tiles; tiles are small because only message counts matter here.
-func CommValidation(mt, b int, searchSeeds int) ([]ValidationRow, error) {
+func CommValidation(mt, b int) ([]ValidationRow, error) {
 	if mt < 1 {
 		return nil, fmt.Errorf("experiments: mt = %d tiles, want at least 1", mt)
 	}
@@ -61,16 +60,14 @@ func CommValidation(mt, b int, searchSeeds int) ([]ValidationRow, error) {
 	}
 
 	gCh := dag.NewCholesky(mt)
-	gcrmRes, err := core.SearchGCRM(10, gcrm.SearchOptions{
-		Seeds: searchSeeds, SizeFactor: 4, BaseSeed: 1, Parallel: true,
-	})
+	gcrmD, err := core.New(core.GCRM, 10, core.Options{})
 	if err != nil {
 		return nil, err
 	}
 	chDists := []dist.Distribution{
-		dist.Distribution(dist.NewSBCPair(5)), // P = 10
-		dist.NewDiagResolver("GCR&M(P=10)", gcrmRes.Pattern.Clone()),
-		dist.Distribution(dist.NewSTS(9)), // P = 12
+		dist.NewSBCPair(5), // P = 10
+		gcrmD,
+		dist.NewSTS(9), // P = 12
 	}
 	for _, d := range chDists {
 		pd := d.(dist.PatternDistribution)

@@ -43,7 +43,7 @@ func TestFeasible(t *testing.T) {
 func TestBuildValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, P := range []int{1, 2, 3, 5, 8, 13, 21, 23, 31, 35, 39} {
-		for _, r := range FeasibleSizes(P, 3, 2) {
+		for _, r := range FeasibleSizes(P, 3) {
 			pat, err := Build(P, r, rand.New(rand.NewSource(rng.Int63())))
 			if err != nil {
 				t.Fatalf("Build(%d,%d): %v", P, r, err)
@@ -201,7 +201,7 @@ func TestSearchErrors(t *testing.T) {
 }
 
 func TestFeasibleSizes(t *testing.T) {
-	sizes := FeasibleSizes(23, 6, 2)
+	sizes := FeasibleSizes(23, 6)
 	if len(sizes) == 0 {
 		t.Fatal("no feasible sizes for P=23")
 	}

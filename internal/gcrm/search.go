@@ -18,8 +18,6 @@ type SearchOptions struct {
 	Seeds int
 	// SizeFactor bounds the pattern size to SizeFactor·√P (paper: 6).
 	SizeFactor float64
-	// MinSize optionally raises the smallest pattern size tried.
-	MinSize int
 	// BaseSeed makes the whole search deterministic; runs use seeds
 	// BaseSeed, BaseSeed+1, ...
 	BaseSeed int64
@@ -51,14 +49,11 @@ type Candidate struct {
 }
 
 // FeasibleSizes lists the pattern sizes r ∈ [2, factor·√P] that satisfy
-// Equation (3), with at least MinSize if set.
-func FeasibleSizes(P int, factor float64, minSize int) []int {
-	if minSize < 2 {
-		minSize = 2
-	}
+// Equation (3).
+func FeasibleSizes(P int, factor float64) []int {
 	max := int(factor * math.Sqrt(float64(P)))
 	var out []int
-	for r := minSize; r <= max; r++ {
+	for r := 2; r <= max; r++ {
 		if Feasible(P, r) {
 			out = append(out, r)
 		}
@@ -95,7 +90,7 @@ func search(P int, opts SearchOptions, keepAll bool) (*Result, []Candidate, erro
 	if opts.SizeFactor <= 0 {
 		opts.SizeFactor = 6
 	}
-	sizes := FeasibleSizes(P, opts.SizeFactor, opts.MinSize)
+	sizes := FeasibleSizes(P, opts.SizeFactor)
 	if len(sizes) == 0 {
 		return nil, nil, fmt.Errorf("gcrm: no feasible pattern size for P=%d with factor %.1f", P, opts.SizeFactor)
 	}

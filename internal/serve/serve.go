@@ -165,8 +165,6 @@ type Config struct {
 	Workers int
 	// Broadcast selects the shared cluster's transport.
 	Broadcast cluster.BroadcastMode
-	// Net is the shared cluster's fault-injection seam (nil = faithful).
-	Net cluster.Network
 }
 
 func (c Config) withDefaults() Config {
@@ -257,7 +255,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:   cfg,
-		cl:    cluster.NewWithOptions(cfg.P, cluster.Options{Net: cfg.Net, Broadcast: cfg.Broadcast}),
+		cl:    cluster.NewWithOptions(cfg.P, cluster.Options{Broadcast: cfg.Broadcast}),
 		cache: &PatternCache{},
 		jobs:  make(map[JobID]*job),
 	}, nil

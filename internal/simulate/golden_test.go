@@ -21,7 +21,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from this build's simulator")
 
 // goldenGraph is one (graph, distribution, machine) row family of the pinned
-// table; every family is run under all 16 option combinations.
+// table; every family is run under all 8 option combinations.
 type goldenGraph struct {
 	name    string
 	graph   dag.Graph
@@ -48,10 +48,9 @@ func goldenGraphs() []goldenGraph {
 
 // goldenRun simulates one table cell twice — recorder on and off must be the
 // same run — and renders everything the table holds as one text line.
-func goldenRun(t *testing.T, gg goldenGraph, tree, skew, bisect bool, s Scheduler) string {
+func goldenRun(t *testing.T, gg goldenGraph, tree, skew bool, s Scheduler) string {
 	t.Helper()
 	d := gg.dist()
-	m := gg.machine
 	opt := Options{Scheduler: s}
 	if tree {
 		opt.Broadcast = cluster.BroadcastTree
@@ -62,16 +61,13 @@ func goldenRun(t *testing.T, gg goldenGraph, tree, skew, bisect bool, s Schedule
 			opt.NodeSpeed[n] = 0.5 + 0.375*float64(n%4)
 		}
 	}
-	if bisect {
-		m.BisectionBandwidth = 3 * m.LinkBandwidth
-	}
-	plain, err := Run(gg.graph, gg.b, d, m, opt)
+	plain, err := Run(gg.graph, gg.b, d, gg.machine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &trace.Recorder{}
 	opt.Recorder = rec
-	res, err := Run(gg.graph, gg.b, gg.dist(), m, opt)
+	res, err := Run(gg.graph, gg.b, gg.dist(), gg.machine, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +113,21 @@ func hashU64(h hash.Hash64, vs ...uint64) {
 // TestGoldenTimelines pins the simulator's output exactly: makespan bits,
 // every traffic counter, the per-node vectors and the full ordered timeline
 // with its timestamps, over graphs × {flat, tree} × {homogeneous, skewed
-// speeds} × {open, capped fabric} × both schedulers. testdata/golden.txt was
-// generated before the event loop was rebuilt; `go test -run GoldenTimelines
-// -update` rewrites it and is only right after a deliberate model change.
+// speeds} × both schedulers. testdata/golden.txt was generated before the
+// event loop was rebuilt; `go test -run GoldenTimelines -update` rewrites it
+// and is only right after a deliberate model change.
 func TestGoldenTimelines(t *testing.T) {
 	path := filepath.Join("testdata", "golden.txt")
 	var got []string
 	for _, gg := range goldenGraphs() {
-		for mask := 0; mask < 16; mask++ {
-			tree, skew, bisect, fifo := mask&1 != 0, mask&2 != 0, mask&4 != 0, mask&8 != 0
+		for mask := 0; mask < 8; mask++ {
+			tree, skew, fifo := mask&1 != 0, mask&2 != 0, mask&4 != 0
 			s := IterationOrder
 			if fifo {
 				s = FIFOOrder
 			}
-			name := fmt.Sprintf("%s/tree=%t/skew=%t/bisect=%t/fifo=%t", gg.name, tree, skew, bisect, fifo)
-			got = append(got, name+" "+goldenRun(t, gg, tree, skew, bisect, s))
+			name := fmt.Sprintf("%s/tree=%t/skew=%t/fifo=%t", gg.name, tree, skew, fifo)
+			got = append(got, name+" "+goldenRun(t, gg, tree, skew, s))
 		}
 	}
 	if *updateGolden {

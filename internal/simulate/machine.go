@@ -28,13 +28,6 @@ type Machine struct {
 	LinkBandwidth float64
 	// Latency is the per-message latency in seconds.
 	Latency float64
-	// BisectionBandwidth optionally caps the aggregate network throughput in
-	// bytes/s (0 = non-blocking fabric, as the paper's OmniPath cluster is
-	// modeled). When set, every message also serializes on this shared
-	// resource, modeling oversubscribed fabrics where total communication
-	// volume — the quantity the paper's schemes minimize — matters even
-	// more.
-	BisectionBandwidth float64
 }
 
 // PaperMachine models the paper's testbed: 36-core Intel Xeon Skylake Gold
@@ -51,7 +44,7 @@ func PaperMachine() Machine {
 }
 
 // Validate reports configuration errors: a rate that is not positive, a
-// latency or fabric cap that is negative, and any NaN or infinite field.
+// latency that is negative, and any NaN or infinite field.
 func (m Machine) Validate() error {
 	if m.Workers <= 0 {
 		return fmt.Errorf("simulate: Workers = %d", m.Workers)
@@ -64,9 +57,6 @@ func (m Machine) Validate() error {
 	}
 	if m.Latency != 0 && !positive(m.Latency) {
 		return fmt.Errorf("simulate: Latency = %g", m.Latency)
-	}
-	if m.BisectionBandwidth != 0 && !positive(m.BisectionBandwidth) {
-		return fmt.Errorf("simulate: BisectionBandwidth = %g", m.BisectionBandwidth)
 	}
 	return nil
 }

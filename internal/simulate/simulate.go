@@ -103,7 +103,6 @@ type sim struct {
 	nicOut      []float64
 	nicIn       []float64
 	slotFree    [][]float64 // worker-slot bookkeeping for Gantt traces (only when recording)
-	fabricFree  float64     // shared-fabric serialization point (bisection cap)
 
 	events laneQueue
 	deliveries
@@ -291,8 +290,8 @@ func (s *sim) fanout(src int, d int32, lo, hi int, now float64) int64 {
 
 // sendHop models one physical transmission of delivery d from src to the
 // record's destination at: sender NIC serialization, then latency, then
-// receiver NIC, with the optional shared-fabric cap in between. [at+1, end)
-// is what the recipient must relay onward when the hop arrives.
+// receiver NIC. [at+1, end) is what the recipient must relay onward when the
+// hop arrives.
 func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
 	r := &s.records[d]
 	r.relayEnd[at] = int32(end)
@@ -302,21 +301,12 @@ func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
 	depart := max(now, s.nicOut[src])
 	sendEnd := depart + transferTime
 	s.nicOut[src] = sendEnd
-	if m.BisectionBandwidth > 0 {
-		// The message also crosses the shared fabric.
-		fabricEnd := max(sendEnd, s.fabricFree) + float64(msgBytes)/m.BisectionBandwidth
-		s.fabricFree = fabricEnd
-		sendEnd = fabricEnd
-	}
 	recvEnd := max(sendEnd+m.Latency, s.nicIn[dst]) + transferTime
 	s.nicIn[dst] = recvEnd
 	s.res.Hops++
 	s.res.SentBytes[src] += int64(msgBytes)
 	s.res.RecvBytes[dst] += int64(msgBytes)
 	if s.rec != nil {
-		// depart is the instant the message starts leaving the sender NIC
-		// — not sendEnd-transferTime, which the fabric serialization would
-		// shift forward.
 		s.rec.RecordMessage(src, dst, depart, recvEnd, msgBytes)
 	}
 	s.events.push(int32(dst), event{time: recvEnd, node: ^d, at: int32(at)})

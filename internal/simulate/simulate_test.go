@@ -111,39 +111,6 @@ func TestCommBoundRegime(t *testing.T) {
 	}
 }
 
-// TestBisectionBandwidth: capping the shared fabric slows runs down, never
-// speeds them up, and amplifies the advantage of low-volume distributions.
-func TestBisectionBandwidth(t *testing.T) {
-	g := dag.NewLU(20)
-	m := testMachine()
-	open, err := Run(g, 32, dist.NewG2DBC(9), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.BisectionBandwidth = 2e9
-	capped, err := Run(g, 32, dist.NewG2DBC(9), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.Makespan < open.Makespan-1e-12 {
-		t.Errorf("capped fabric faster: %v vs %v", capped.Makespan, open.Makespan)
-	}
-	m.BisectionBandwidth = 1e6 // pathological
-	choked, err := Run(g, 32, dist.NewG2DBC(9), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := float64(choked.Bytes) / 1e6
-	if choked.Makespan < bound {
-		t.Errorf("choked makespan %v below fabric bound %v", choked.Makespan, bound)
-	}
-	// Negative cap rejected.
-	m.BisectionBandwidth = -1
-	if err := m.Validate(); err == nil {
-		t.Error("negative bisection bandwidth accepted")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	g := dag.NewCholesky(12)
 	d := dist.NewSBCPair(5)
@@ -216,8 +183,6 @@ func TestValidation(t *testing.T) {
 		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: inf},
 		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, Latency: nan},
 		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, Latency: inf},
-		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, BisectionBandwidth: nan},
-		{Workers: 1, FlopsPerWorker: 1, LinkBandwidth: 1, BisectionBandwidth: inf},
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
