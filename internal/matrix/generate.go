@@ -62,37 +62,37 @@ func SPDAt(seed int64, m, i, j int) float64 {
 	return ElementAt(seed, i, j)
 }
 
-// randomTile returns a fresh b×b tile holding ElementAt over tile (ti, tj),
-// filled a row at a time.
-func randomTile(seed int64, b, ti, tj int) *tile.Tile {
-	t := tile.New(b, b)
+// fillRandom fills the b×b tile t with ElementAt over tile (ti, tj), a row
+// at a time.
+func fillRandom(t *tile.Tile, seed int64, ti, tj int) {
+	b := t.Rows
 	for r := 0; r < b; r++ {
 		fillRow(t.Row(r), seed, ti*b+r, tj*b)
 	}
-	return t
 }
 
-// DiagDominantTile returns a fresh b×b tile (ti, tj) of the matrix
-// DiagDominantAt defines, element for element the same values.
-func DiagDominantTile(seed int64, m, b, ti, tj int) *tile.Tile {
-	t := randomTile(seed, b, ti, tj)
+// DiagDominantTile fills the b×b tile t with tile (ti, tj) of the matrix
+// DiagDominantAt defines, element for element the same values. Every element
+// is written, so t may come in holding anything.
+func DiagDominantTile(t *tile.Tile, seed int64, m, ti, tj int) {
+	fillRandom(t, seed, ti, tj)
 	if ti == tj {
-		for r := 0; r < b; r++ {
+		for r := 0; r < t.Rows; r++ {
 			t.Set(r, r, dominantDiag(m, t.At(r, r)))
 		}
 	}
-	return t
 }
 
 // SPDTile is DiagDominantTile for the matrix SPDAt defines. A diagonal tile
 // is full, its upper part the mirror of the lower; a tile above the diagonal
-// is the transpose of the one below.
-func SPDTile(seed int64, m, b, ti, tj int) *tile.Tile {
-	if ti > tj {
-		return randomTile(seed, b, ti, tj)
-	}
-	t := tile.New(b, b)
-	if ti == tj {
+// is the transpose of the one below, filled a column at a time from that
+// tile's rows.
+func SPDTile(t *tile.Tile, seed int64, m, ti, tj int) {
+	b := t.Rows
+	switch {
+	case ti > tj:
+		fillRandom(t, seed, ti, tj)
+	case ti == tj:
 		for r := 0; r < b; r++ {
 			row := t.Row(r)
 			fillRow(row[:r+1], seed, ti*b+r, tj*b)
@@ -101,15 +101,14 @@ func SPDTile(seed int64, m, b, ti, tj int) *tile.Tile {
 				t.Set(c, r, row[c])
 			}
 		}
-		return t
-	}
-	below := randomTile(seed, b, tj, ti)
-	for r := 0; r < b; r++ {
+	default:
 		for c := 0; c < b; c++ {
-			t.Set(r, c, below.At(c, r))
+			key := elementKey(seed, tj*b+c, ti*b)
+			for r := 0; r < b; r++ {
+				t.Set(r, c, unit(splitmix64(key+uint64(r))))
+			}
 		}
 	}
-	return t
 }
 
 // NewDiagDominant builds an mt×mt tiled diagonally dominant matrix with b×b
@@ -118,7 +117,9 @@ func NewDiagDominant(mt, b int, seed int64) *Dense {
 	tiles := make([]*tile.Tile, 0, mt*mt)
 	for i := 0; i < mt; i++ {
 		for j := 0; j < mt; j++ {
-			tiles = append(tiles, DiagDominantTile(seed, mt*b, b, i, j))
+			t := tile.New(b, b)
+			DiagDominantTile(t, seed, mt*b, i, j)
+			tiles = append(tiles, t)
 		}
 	}
 	return DenseFromTiles(mt, mt, b, tiles)
@@ -130,7 +131,9 @@ func NewSPD(mt, b int, seed int64) *SymmetricLower {
 	tiles := make([]*tile.Tile, 0, mt*(mt+1)/2)
 	for i := 0; i < mt; i++ {
 		for j := 0; j <= i; j++ {
-			tiles = append(tiles, SPDTile(seed, mt*b, b, i, j))
+			t := tile.New(b, b)
+			SPDTile(t, seed, mt*b, i, j)
+			tiles = append(tiles, t)
 		}
 	}
 	return SymmetricLowerFromTiles(mt, b, tiles)

@@ -3,8 +3,9 @@
 package runtime
 
 // factorAllocBudget is TestRunAllocBudget's threshold on one FactorLU call of
-// the lu-overhead shape: the ≈ 4.1k objects the call makes (1152 of them the
-// matrix's 576 tiles, which the result is then built from), plus a quarter.
-const factorAllocBudget = 5100
+// the lu-overhead shape: the ≈ 2.1k objects the call makes (nine of them the
+// matrix's 576 tiles, three slab chunks the result is then built from; 3.3k
+// when each tile was two objects of its own), plus a quarter.
+const factorAllocBudget = 2650
 
 const raceBuild = false

@@ -51,18 +51,28 @@ func CholeskyKernel(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 
 // GenDiagDominant returns a tile generator for the diagonally dominant LU
 // test matrix of matrix.NewDiagDominant, value for value with
-// matrix.DiagDominantAt.
+// matrix.DiagDominantAt. Its tiles are carved from a slab sized to the run's
+// mt² tiles, so the P nodes may call it side by side.
 func GenDiagDominant(mt, b int, seed int64) func(i, j int) *tile.Tile {
-	m := mt * b
-	return func(i, j int) *tile.Tile { return matrix.DiagDominantTile(seed, m, b, i, j) }
+	m, s := mt*b, newSlab(b, mt*mt)
+	return func(i, j int) *tile.Tile {
+		t := s.tile()
+		matrix.DiagDominantTile(t, seed, m, i, j)
+		return t
+	}
 }
 
 // GenSPD returns a tile generator for the SPD Cholesky test matrix of
 // matrix.NewSPD, value for value with matrix.SPDAt: diagonal tiles are full,
-// tiles above the diagonal mirror the ones below.
+// tiles above the diagonal mirror the ones below. Its slab is sized to the
+// mt(mt+1)/2 tiles of a Cholesky run.
 func GenSPD(mt, b int, seed int64) func(i, j int) *tile.Tile {
-	m := mt * b
-	return func(i, j int) *tile.Tile { return matrix.SPDTile(seed, m, b, i, j) }
+	m, s := mt*b, newSlab(b, mt*(mt+1)/2)
+	return func(i, j int) *tile.Tile {
+		t := s.tile()
+		matrix.SPDTile(t, seed, m, i, j)
+		return t
+	}
 }
 
 // FactorLU runs the distributed tiled unpivoted LU factorization of the

@@ -15,6 +15,7 @@ import (
 //	GET    /jobs            list known job ids
 //	GET    /jobs/{id}       job status snapshot
 //	GET    /jobs/{id}/result norm + per-node accounting of a finished job
+//	                        (410 once the fetch window has dropped it)
 //	DELETE /jobs/{id}       cancel a queued or running job
 //	GET    /stats           service counters (?format=text for the summary)
 //
@@ -52,6 +53,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		}
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
+	case errors.Is(err, ErrExpired):
+		code = http.StatusGone
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -58,6 +58,11 @@ var ErrRejected = errors.New("job rejected")
 // ErrNotFound is returned for operations on an unknown job id.
 var ErrNotFound = errors.New("no such job")
 
+// ErrExpired is returned by Result for a finished job whose factors the
+// server has dropped: it keeps a fetched result only while it is among the
+// Config.QueueCap fetched most recently. The job's Status stays.
+var ErrExpired = errors.New("result expired")
+
 // JobID identifies one submitted job; ids start at 1.
 type JobID int32
 
@@ -151,7 +156,8 @@ type Config struct {
 	// MaxConcurrent is the running-jobs slot budget (default 4).
 	MaxConcurrent int
 	// QueueCap bounds the admission queue; a submission that finds the
-	// queue full is rejected descriptively (default 64).
+	// queue full is rejected descriptively (default 64). It also bounds the
+	// window of fetched results the server keeps (see Result).
 	QueueCap int
 	// MemBudgetBytes caps the summed matrix footprint (2·mt²·b²·8 bytes per
 	// job: tiles plus gathered result) of running jobs; queued jobs wait
@@ -183,15 +189,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is the server-side record of one submission.
+// job is the server-side record of one submission. A done job holds its
+// result and report until the fetch window drops them (see Result); the
+// counts its Status reports are copied out of the report when it finishes,
+// so they outlive the drop.
 type job struct {
 	id       JobID
 	spec     JobSpec
 	crash    *chaos.Plan
 	state    JobState
 	err      error
-	result   *Result
+	result   *Result // nil once the window dropped it
 	report   *runtime.Report
+	fetched  bool // Result has returned the factors at least once
 	submit   time.Time
 	started  time.Time
 	finished time.Time
@@ -199,6 +209,10 @@ type job struct {
 	ctx      context.Context
 	cancel   context.CancelCauseFunc
 	done     chan struct{} // closed on any terminal state
+
+	// The report's figures Status shows.
+	peakTiles          []int
+	messages, msgBytes int64
 }
 
 // jobQueue is the admission priority queue: higher Spec.Priority first,
@@ -239,6 +253,15 @@ type Server struct {
 	closed   bool
 	wg       sync.WaitGroup
 
+	// window holds the fetched results still kept (under mu), a ring of
+	// QueueCap slots in first-fetch order; next is the slot the next first
+	// fetch takes, dropping the result there. Unfetched results are held
+	// outside it.
+	window    []*job
+	next      int
+	held      int   // done jobs whose result is still held, fetched or not
+	heldBytes int64 // their matrix bytes
+
 	// service counters (under mu)
 	submitted, completed, failed, canceled, rejected int64
 	queueWait                                        time.Duration
@@ -254,10 +277,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: invalid tile size %d", cfg.B)
 	}
 	return &Server{
-		cfg:   cfg,
-		cl:    cluster.NewWithOptions(cfg.P, cluster.Options{Broadcast: cfg.Broadcast}),
-		cache: &PatternCache{},
-		jobs:  make(map[JobID]*job),
+		cfg:    cfg,
+		cl:     cluster.NewWithOptions(cfg.P, cluster.Options{Broadcast: cfg.Broadcast}),
+		cache:  &PatternCache{},
+		jobs:   make(map[JobID]*job),
+		window: make([]*job, cfg.QueueCap),
 	}, nil
 }
 
@@ -423,10 +447,16 @@ func (s *Server) runJob(j *job, memReserved int64) {
 
 	s.mu.Lock()
 	j.finished = time.Now()
-	j.result, j.report = res, rep
+	if rep != nil {
+		j.peakTiles = rep.PeakTilesPerNode
+		j.messages, j.msgBytes = rep.Stats.TotalMessages(), rep.Stats.TotalBytes()
+	}
 	switch {
 	case err == nil:
 		j.state = StateDone
+		j.result, j.report = res, rep
+		s.held++
+		s.heldBytes += resultBytes(j.spec)
 		s.completed++
 	case errors.Is(err, runtime.ErrCanceled):
 		j.state = StateCanceled
@@ -518,16 +548,19 @@ func (s *Server) Status(id JobID) (Status, error) {
 			st.RunSeconds = j.finished.Sub(j.started).Seconds()
 		}
 	}
-	if j.report != nil {
-		st.PeakTilesPerNode = append([]int(nil), j.report.PeakTilesPerNode...)
-		st.Messages = j.report.Stats.TotalMessages()
-		st.Bytes = j.report.Stats.TotalBytes()
-	}
+	st.PeakTilesPerNode = append([]int(nil), j.peakTiles...)
+	st.Messages, st.Bytes = j.messages, j.msgBytes
 	return st, nil
 }
 
 // Result returns a finished job's factors and report. Jobs that are not done
 // (still queued/running, failed, or cancelled) return an error saying so.
+//
+// A done job holds its factors until they are first fetched. From then on
+// the server keeps at most Config.QueueCap fetched results and drops the one
+// first fetched longest ago to make room; fetching a result again neither
+// takes a second slot nor moves it in line. Result on a dropped job returns
+// an error wrapping ErrExpired, while its Status stays.
 func (s *Server) Result(id JobID) (*Result, *runtime.Report, error) {
 	j, err := s.get(id)
 	if err != nil {
@@ -537,6 +570,20 @@ func (s *Server) Result(id JobID) (*Result, *runtime.Report, error) {
 	defer s.mu.Unlock()
 	switch j.state {
 	case StateDone:
+		if j.result == nil {
+			return nil, nil, fmt.Errorf("serve: job %d: %w: the server keeps the last %d fetched results",
+				id, ErrExpired, len(s.window))
+		}
+		if !j.fetched {
+			j.fetched = true
+			if old := s.window[s.next]; old != nil {
+				s.held--
+				s.heldBytes -= resultBytes(old.spec)
+				old.result, old.report = nil, nil
+			}
+			s.window[s.next] = j
+			s.next = (s.next + 1) % len(s.window)
+		}
 		return j.result, j.report, nil
 	case StateFailed:
 		return nil, nil, fmt.Errorf("serve: job %d failed: %w", id, j.err)
@@ -545,6 +592,17 @@ func (s *Server) Result(id JobID) (*Result, *runtime.Report, error) {
 	default:
 		return nil, nil, fmt.Errorf("serve: job %d is %s; result not ready", id, j.state)
 	}
+}
+
+// resultBytes is the matrix footprint of a done job's factors: mt² tiles of
+// b² float64s for LU, the mt(mt+1)/2 lower tiles for Cholesky.
+func resultBytes(spec JobSpec) int64 {
+	mt := int64(spec.Mt)
+	tiles := mt * mt
+	if spec.Kind == KindCholesky {
+		tiles = mt * (mt + 1) / 2
+	}
+	return tiles * int64(spec.B) * int64(spec.B) * 8
 }
 
 // Wait blocks until the job reaches a terminal state (or ctx ends) and
@@ -619,6 +677,11 @@ type ServiceStats struct {
 	CacheHits      int64   `json:"cacheHits"` // distribution lookups (PatternCache), not plans
 	CacheMisses    int64   `json:"cacheMisses"`
 	PoolHeld       int64   `json:"poolHeldTiles"` // send-buffer tiles currently in flight
+	// ResultsHeld counts the done jobs whose factors the server still holds:
+	// the unfetched ones and the window of fetched ones. ResultBytesHeld is
+	// their matrix bytes.
+	ResultsHeld     int   `json:"resultsHeld"`
+	ResultBytesHeld int64 `json:"resultBytesHeld"`
 }
 
 // Stats snapshots the service counters.
@@ -626,21 +689,23 @@ func (s *Server) Stats() ServiceStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return ServiceStats{
-		P:              s.cfg.P,
-		B:              s.cfg.B,
-		Queued:         len(s.queue),
-		Running:        s.running,
-		Submitted:      s.submitted,
-		Completed:      s.completed,
-		Failed:         s.failed,
-		Canceled:       s.canceled,
-		Rejected:       s.rejected,
-		QueueWaitSecs:  s.queueWait.Seconds(),
-		MemInUseBytes:  s.memInUse,
-		MemBudgetBytes: s.cfg.MemBudgetBytes,
-		CacheHits:      s.cache.Hits(),
-		CacheMisses:    s.cache.Misses(),
-		PoolHeld:       s.cl.PoolOutstanding(),
+		P:               s.cfg.P,
+		B:               s.cfg.B,
+		Queued:          len(s.queue),
+		Running:         s.running,
+		Submitted:       s.submitted,
+		Completed:       s.completed,
+		Failed:          s.failed,
+		Canceled:        s.canceled,
+		Rejected:        s.rejected,
+		QueueWaitSecs:   s.queueWait.Seconds(),
+		MemInUseBytes:   s.memInUse,
+		MemBudgetBytes:  s.cfg.MemBudgetBytes,
+		CacheHits:       s.cache.Hits(),
+		CacheMisses:     s.cache.Misses(),
+		PoolHeld:        s.cl.PoolOutstanding(),
+		ResultsHeld:     s.held,
+		ResultBytesHeld: s.heldBytes,
 	}
 }
 
@@ -661,6 +726,8 @@ func (s *Server) Summary() string {
 	}
 	fmt.Fprintf(&b, "  cache:  %d hits, %d misses | pool: %d tiles in flight\n",
 		st.CacheHits, st.CacheMisses, st.PoolHeld)
+	fmt.Fprintf(&b, "  held:   %d results, %d bytes (unfetched + the last %d fetched)\n",
+		st.ResultsHeld, st.ResultBytesHeld, s.cfg.QueueCap)
 	return b.String()
 }
 
