@@ -14,7 +14,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,9 +77,18 @@ var (
 	benchCountKeys  = []string{"workload", "metric", "parent", "change", "must_equal"}
 )
 
+// firstBenchPR is the first PR whose CHANGES.md entry must come with its
+// BENCH file when it reports a claim met. The claims of PRs 21–35 predate
+// the schema and are exempt until ROADMAP item 10 transcribes them.
+const firstBenchPR = 40
+
+// changesEntry matches a CHANGES.md entry's opening "- PR <n>".
+var changesEntry = regexp.MustCompile(`^- PR (\d+)\b`)
+
 // TestBenchFiles parses every BENCH_*.json and fails on a missing or unknown
 // key, a win count, median or interquartile range that disagrees with the
-// pairs, or a must-equal traced count that moved.
+// pairs, or a must-equal traced count that moved; and on a CHANGES.md entry
+// from firstBenchPR on that reports "claim met" with no BENCH_<pr>.json.
 func TestBenchFiles(t *testing.T) {
 	files, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
@@ -85,6 +96,21 @@ func TestBenchFiles(t *testing.T) {
 	}
 	if len(files) == 0 {
 		t.Fatal("no BENCH_*.json at the repository root")
+	}
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(changes), "\n") {
+		m := changesEntry.FindStringSubmatch(line)
+		if m == nil || !strings.Contains(line, "claim met") {
+			continue
+		}
+		if pr, _ := strconv.Atoi(m[1]); pr >= firstBenchPR { // \d+ parses
+			if _, err := os.Stat(fmt.Sprintf("BENCH_%d.json", pr)); err != nil {
+				t.Errorf("CHANGES.md: PR %d reports a claim met but has no BENCH file: %v", pr, err)
+			}
+		}
 	}
 	for _, name := range files {
 		t.Run(name, func(t *testing.T) {

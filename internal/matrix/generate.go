@@ -2,21 +2,10 @@ package matrix
 
 import "anybc/internal/tile"
 
-// splitmix64 is a tiny, high-quality mixing function; the generators below
-// use it to derive element values from (seed, i, j) without any shared state,
-// so distributed nodes can materialize their tiles independently.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// unit maps a hash to [-1, 1).
-func unit(h uint64) float64 { return float64(h>>11)/float64(1<<53)*2 - 1 }
-
-// elementKey is the hash input of global element (i, j): consecutive along a
-// row, so a row of elements is one key and a counter.
+// elementKey is the hash input of global element (i, j) under tile.Uniform
+// (splitmix64, mapped to [-1, 1)), so distributed nodes can materialize
+// their tiles without any shared state. It is consecutive along a row, so a
+// row of elements is one key and a counter.
 func elementKey(seed int64, i, j int) uint64 {
 	return uint64(seed)*0x9e3779b97f4a7c15 + uint64(i)*0x1000003 + uint64(j)
 }
@@ -24,15 +13,12 @@ func elementKey(seed int64, i, j int) uint64 {
 // ElementAt returns a deterministic pseudo-random value in [-1, 1) for global
 // element (i, j) under the given seed.
 func ElementAt(seed int64, i, j int) float64 {
-	return unit(splitmix64(elementKey(seed, i, j)))
+	return tile.Uniform(elementKey(seed, i, j))
 }
 
 // fillRow sets row[c] = ElementAt(seed, i, j+c).
 func fillRow(row []float64, seed int64, i, j int) {
-	key := elementKey(seed, i, j)
-	for c := range row {
-		row[c] = unit(splitmix64(key + uint64(c)))
-	}
+	tile.FillUniform(row, elementKey(seed, i, j))
 }
 
 // dominantDiag is the diagonal entry both generators put over the random
@@ -105,7 +91,7 @@ func SPDTile(t *tile.Tile, seed int64, m, ti, tj int) {
 		for c := 0; c < b; c++ {
 			key := elementKey(seed, tj*b+c, ti*b)
 			for r := 0; r < b; r++ {
-				t.Set(r, c, unit(splitmix64(key+uint64(r))))
+				t.Set(r, c, tile.Uniform(key+uint64(r)))
 			}
 		}
 	}

@@ -10,7 +10,6 @@ package matrix
 
 import (
 	"fmt"
-	"math"
 
 	"anybc/internal/tile"
 )
@@ -91,14 +90,7 @@ func (d *Dense) Set(gi, gj int, v float64) {
 }
 
 // FrobeniusNorm returns the Frobenius norm over all elements.
-func (d *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, t := range d.tiles {
-		n := t.FrobeniusNorm()
-		s += n * n
-	}
-	return math.Sqrt(s)
-}
+func (d *Dense) FrobeniusNorm() float64 { return tile.FrobeniusNorm(d.tiles...) }
 
 // SymmetricLower is an mt×mt tiled symmetric matrix storing only tiles
 // (i, j) with i ≥ j. Element reads above the diagonal are mirrored.
@@ -152,14 +144,7 @@ func (s *SymmetricLower) Rows() int { return s.MT * s.B }
 
 // FrobeniusNorm returns the Frobenius norm over the stored lower-triangle
 // elements (the factor L's norm, not the mirrored full matrix's).
-func (s *SymmetricLower) FrobeniusNorm() float64 {
-	sum := 0.0
-	for _, t := range s.tiles {
-		n := t.FrobeniusNorm()
-		sum += n * n
-	}
-	return math.Sqrt(sum)
-}
+func (s *SymmetricLower) FrobeniusNorm() float64 { return tile.FrobeniusNorm(s.tiles...) }
 
 // At returns global element (gi, gj), mirroring the upper triangle.
 func (s *SymmetricLower) At(gi, gj int) float64 {

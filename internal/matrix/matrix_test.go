@@ -219,3 +219,55 @@ func TestFrobeniusNorm(t *testing.T) {
 		t.Errorf("FrobeniusNorm = %v, want 5", got)
 	}
 }
+
+// TestFrobeniusNormAtExtremeScales: a matrix whose every tile norm is finite
+// and non-zero has a finite, non-zero norm, however large or small its
+// entries — the tiles' sums of squares are added, not their squared norms.
+func TestFrobeniusNormAtExtremeScales(t *testing.T) {
+	for _, v := range []float64{1e200, -1e200, 1e-200} {
+		d, s := NewDense(3, 3, 4), NewSymmetricLower(3, 4)
+		for i := 0; i < d.Rows(); i++ {
+			for j := 0; j < d.Cols(); j++ {
+				d.Set(i, j, v)
+				if j <= i {
+					s.Set(i, j, v)
+				}
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"Dense", d.FrobeniusNorm(), math.Abs(v) * 12},
+			{"SymmetricLower", s.FrobeniusNorm(), math.Abs(v) * math.Sqrt(12*13/2)}, // the entries on or below the diagonal
+		} {
+			if math.Abs(c.got-c.want) > 1e-14*c.want {
+				t.Errorf("%s of %g entries: norm %v, want %v", c.name, v, c.got, c.want)
+			}
+		}
+	}
+}
+
+// TestFillRowMatchesElementAt: the vector fill a generated tile's rows come
+// from returns ElementAt bit for bit, at every row length through 40 and
+// either side of 256, from a start column whose key wraps around 2⁶⁴ inside
+// the row and from ordinary ones.
+func TestFillRowMatchesElementAt(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 255, 256, 257)
+	for _, n := range lengths {
+		for _, at := range [][3]int{{0, 0, -5}, {0, 0, -130}, {7, 3, 0}, {1, 257, 96}} {
+			seed, i, j := int64(at[0]), at[1], at[2]
+			row := make([]float64, n)
+			fillRow(row, seed, i, j)
+			for c, v := range row {
+				if want := ElementAt(seed, i, j+c); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("n=%d seed=%d row %d from column %d: element %d is %v, ElementAt says %v", n, seed, i, j, c, v, want)
+				}
+			}
+		}
+	}
+}

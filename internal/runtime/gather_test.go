@@ -215,7 +215,7 @@ func TestGeneratorsMatchTheElementFunctions(t *testing.T) {
 		}
 	}
 	for _, seed := range []int64{1, 7} {
-		for _, shape := range [][2]int{{3, 5}, {4, 16}, {2, 33}} {
+		for _, shape := range [][2]int{{3, 1}, {3, 5}, {3, 7}, {3, 8}, {4, 16}, {2, 32}, {2, 33}} {
 			mt, b := shape[0], shape[1]
 			m := mt * b
 			refLU := genDense(b, func(gi, gj int) float64 { return matrix.DiagDominantAt(seed, m, gi, gj) })

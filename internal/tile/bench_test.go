@@ -171,3 +171,41 @@ func benchGetrf(b *testing.B, n int) {
 
 func BenchmarkKernelGetrf256(b *testing.B) { benchGetrf(b, 256) }
 func BenchmarkKernelGetrf500(b *testing.B) { benchGetrf(b, 500) }
+
+// The O(n²) passes around a factorization — the generator's fill and the
+// Frobenius norm of a result — at serve-mix's b = 32 and lu-compute's b = 256,
+// one b×b tile per call, under every kernel this CPU runs: the AVX-512 entry
+// runs the vector routines, the others the Go loops. ns/element is the rate
+// DESIGN.md §6 quotes.
+func benchPasses(b *testing.B, pass func(t *Tile)) {
+	was := micro
+	defer func() { micro = was }()
+	for _, n := range []int{32, 256} {
+		for _, mk := range microKernels {
+			if !mk.supported {
+				continue
+			}
+			b.Run(fmt.Sprintf("b=%d/%s", n, mk.name), func(b *testing.B) {
+				micro = mk
+				t := New(n, n)
+				t.Random(rand.New(rand.NewSource(5)))
+				b.SetBytes(int64(8 * n * n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass(t)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*n), "ns/element")
+			})
+		}
+	}
+}
+
+var normSink float64
+
+func BenchmarkKernelFillUniform(b *testing.B) {
+	benchPasses(b, func(t *Tile) { FillUniform(t.Data, 0x5eed) })
+}
+
+func BenchmarkKernelFrobeniusNorm(b *testing.B) {
+	benchPasses(b, func(t *Tile) { normSink = t.FrobeniusNorm() })
+}

@@ -84,6 +84,38 @@ func TestPrefetchNeverLoads(t *testing.T) {
 	}
 }
 
+// TestPassesStayInsideTheirOperands: the fill stores and the sum of squares
+// loads its last elements under a mask, and neither may touch the float64
+// after its slice, here the first byte of a page that faults. Each runs at
+// every length of passLengths on a slice that ends at the guard, under every
+// kernel, and must return what it returns on ordinary memory.
+func TestPassesStayInsideTheirOperands(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("an O(n²) pass touched memory past its operand: %v", r)
+		}
+	}()
+	const key = 0xfeedface
+	for _, mk := range testKernels(t) {
+		micro = mk
+		for _, n := range passLengths() {
+			want := make([]float64, n)
+			fillUniformGo(want, key)
+			x := guardedFloats(t, n)
+			FillUniform(x, key)
+			for i, v := range x {
+				if v != want[i] {
+					t.Fatalf("[%s] n=%d: filled element %d is %v next to the guard page, %v away from it", mk.name, n, i, v, want[i])
+				}
+			}
+			if got, want := sumSquares(x), sumSquaresGo(want); got != want {
+				t.Fatalf("[%s] n=%d: sum of squares %v next to the guard page, %v away from it", mk.name, n, got, want)
+			}
+		}
+	}
+}
+
 // guardedTile is a copy of src whose last element is the last float64 before
 // the guard page.
 func guardedTile(t *testing.T, src *Tile) *Tile {

@@ -10,7 +10,7 @@ package tile
 // and fold alpha in with one more FMA, so they produce identical bits; the
 // scalar block rounds each product and sum separately and does not.
 var microKernels = []microKernel{
-	{name: "avx512 8x16", kind: kernelAVX512, mr: 8, nr: 16, supported: cpuHasAVX512F() && cpuHasAVX2FMA(), vector: true},
+	{name: "avx512 8x16", kind: kernelAVX512, mr: 8, nr: 16, supported: cpuHasAVX512(avx512F) && cpuHasAVX2FMA(), vector: true},
 	{name: "avx2+fma 4x8", kind: kernelAVX2, mr: 4, nr: 8, supported: cpuHasAVX2FMA(), vector: true},
 	{name: "scalar 4x8", kind: kernelScalar, mr: scalarMR, nr: scalarNR, supported: true},
 }
@@ -43,10 +43,24 @@ const microMRMax, microNRMax = 8, 16
 // CPUID/XGETBV (implemented in kernel_amd64.s).
 func cpuHasAVX2FMA() bool
 
-// cpuHasAVX512F reports whether the CPU supports AVX-512 Foundation and the
-// OS saves the opmask and ZMM state (XCR0 & 0xE6), by CPUID/XGETBV
-// (implemented in kernel_amd64.s).
-func cpuHasAVX512F() bool
+// cpuHasAVX512 reports whether the CPU supports every AVX-512 feature whose
+// CPUID leaf 7 EBX bit is set in ebx and the OS saves the opmask and ZMM
+// state (XCR0 & 0xE6), by CPUID/XGETBV (implemented in kernel_amd64.s).
+func cpuHasAVX512(ebx uint32) bool
+
+// The leaf 7 EBX bits of the AVX-512 subsets the routines here use:
+// Foundation for the microkernel and the sum of squares, DQ for the
+// counter-hash fill's 64-bit multiply (VPMULLQ) and unsigned convert
+// (VCVTUQQ2PD).
+const (
+	avx512F  = 1 << 16
+	avx512DQ = 1 << 17
+)
+
+// hasAVX512DQ is probed once, beside the kernel table: the fill runs its
+// AVX-512 routine when the AVX-512 microkernel is the one in use and the
+// CPU also has DQ.
+var hasAVX512DQ = cpuHasAVX512(avx512F | avx512DQ)
 
 // fmaMicro4x8 computes C[r][0:8] += alpha·Σ_l a[r·rsA+l·csA]·b[l·ldb+0:8]
 // for r = 0..3, where C starts at c with leading dimension ldc (all strides
@@ -80,6 +94,38 @@ func transposeBlocks(dst *float64, ldd int, src *float64, lds int, rows, cols in
 //
 //go:noescape
 func dealRuns(dst *float64, stride int, src *float64, w, n, ahead int)
+
+// fillUniform512 writes dst[c] = Uniform(key + c) for c < n. Implemented in
+// kernel_amd64.s; requires AVX-512F+DQ and n > 0.
+//
+//go:noescape
+func fillUniform512(dst *float64, n int, key uint64)
+
+// sumSquares512 returns sumSquaresGo of the n elements at x, bit for bit.
+// Implemented in kernel_amd64.s; requires AVX-512F and n > 0.
+//
+//go:noescape
+func sumSquares512(x *float64, n int) float64
+
+// fillUniform is FillUniform's body: the AVX-512 routine under the AVX-512
+// microkernel on a CPU with DQ, the Go loop otherwise. An AVX2 variant was
+// not written: nothing measured one.
+func fillUniform(dst []float64, key uint64) {
+	if micro.kind == kernelAVX512 && hasAVX512DQ && len(dst) > 0 {
+		fillUniform512(&dst[0], len(dst), key)
+		return
+	}
+	fillUniformGo(dst, key)
+}
+
+// sumSquares is the sixteen-lane Σ x[i]² (see sumSquaresGo): the AVX-512
+// routine under the AVX-512 microkernel, the Go loop otherwise.
+func sumSquares(x []float64) float64 {
+	if micro.kind == kernelAVX512 && len(x) > 0 {
+		return sumSquares512(&x[0], len(x))
+	}
+	return sumSquaresGo(x)
+}
 
 // solveRow is one row of a substitution (see solveRowScalar): the AVX2+FMA
 // kernel takes the columns it can, four at a time, the Go loop the rest.

@@ -139,12 +139,12 @@ writeback:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX512F() bool
+// func cpuHasAVX512(ebx uint32) bool
 //
-// AVX-512 Foundation (leaf 7 EBX bit 16) with the OS saving opmask and
-// ZMM state: OSXSAVE and XCR0 bits 1:2 (XMM, YMM) and 5:7 (opmask, ZMM
-// high halves, ZMM16-31), mask 0xE6.
-TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
+// Every AVX-512 feature bit of ebx (leaf 7 EBX: bit 16 Foundation, bit 17
+// DQ, …) with the OS saving opmask and ZMM state: OSXSAVE and XCR0 bits 1:2
+// (XMM, YMM) and 5:7 (opmask, ZMM high halves, ZMM16-31), mask 0xE6.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-9
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
@@ -158,13 +158,15 @@ TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	ANDL $(1<<16), BX // AVX512F
-	JZ   no512
-	MOVB $1, ret+0(FP)
+	MOVL ebx+0(FP), DX
+	ANDL DX, BX
+	CMPL BX, DX
+	JNE  no512
+	MOVB $1, ret+8(FP)
 	RET
 
 no512:
-	MOVB $0, ret+0(FP)
+	MOVB $0, ret+8(FP)
 	RET
 
 // One depth step of the 8×16 kernel: depth row l of op(B)'s 16 columns in
@@ -509,5 +511,154 @@ line:
 	DECQ       R10
 	JNZ        run
 
+	VZEROUPPER
+	RET
+
+// The lane offsets 0..7 of a counter vector.
+DATA uniformLanes<>+0(SB)/8, $0
+DATA uniformLanes<>+8(SB)/8, $1
+DATA uniformLanes<>+16(SB)/8, $2
+DATA uniformLanes<>+24(SB)/8, $3
+DATA uniformLanes<>+32(SB)/8, $4
+DATA uniformLanes<>+40(SB)/8, $5
+DATA uniformLanes<>+48(SB)/8, $6
+DATA uniformLanes<>+56(SB)/8, $7
+GLOBL uniformLanes<>(SB), RODATA|NOPTR, $64
+
+// Eight elements of the element law in place: x holds the splitmix64 inputs
+// with the golden-ratio increment already added, and leaves holding
+// unit(splitmix64(·)). Both multipliers sit in Z2 and Z3, 2⁻⁵² in Z4 and 1.0
+// in Z5; t is scratch. Every step is exact: the mix is integer arithmetic
+// mod 2⁶⁴, the top 53 bits convert without rounding, and the scale by 2⁻⁵²
+// and the subtraction of 1 land on representable values.
+#define UNIFORM8(x, t) \
+	VPSRLQ     $30, x, t; \
+	VPXORQ     t, x, x; \
+	VPMULLQ    Z2, x, x; \
+	VPSRLQ     $27, x, t; \
+	VPXORQ     t, x, x; \
+	VPMULLQ    Z3, x, x; \
+	VPSRLQ     $31, x, t; \
+	VPXORQ     t, x, x; \
+	VPSRLQ     $11, x, x; \
+	VCVTUQQ2PD x, x; \
+	VMULPD     Z4, x, x; \
+	VSUBPD     Z5, x, x
+
+// func fillUniform512(dst *float64, n int, key uint64)
+//
+// dst[c] = unit(splitmix64(key + c)) for c < n, n > 0, AVX-512F+DQ
+// (VPMULLQ, VCVTUQQ2PD): sixteen counters per pass in Z0 and Z0+8, then one
+// pass of eight, then the last 1–7 under a store mask, which writes nothing
+// past dst[n-1].
+TEXT ·fillUniform512(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         n+8(FP), CX
+	MOVQ         key+16(FP), AX
+	MOVQ         $0x9e3779b97f4a7c15, BX
+	ADDQ         BX, AX // splitmix64's increment, folded into the base
+	VPBROADCASTQ AX, Z0
+	VPADDQ       uniformLanes<>(SB), Z0, Z0
+	MOVQ         $8, AX
+	VPBROADCASTQ AX, Z1
+	MOVQ         $0xbf58476d1ce4e5b9, AX
+	VPBROADCASTQ AX, Z2
+	MOVQ         $0x94d049bb133111eb, AX
+	VPBROADCASTQ AX, Z3
+	MOVQ         $0x3cb0000000000000, AX // 2⁻⁵²
+	VPBROADCASTQ AX, Z4
+	MOVQ         $0x3ff0000000000000, AX // 1.0
+	VPBROADCASTQ AX, Z5
+
+fill16:
+	CMPQ      CX, $16
+	JLT       fill8
+	VMOVDQA64 Z0, Z6
+	VPADDQ    Z1, Z0, Z7
+	VPADDQ    Z1, Z7, Z0
+	UNIFORM8(Z6, Z8)
+	UNIFORM8(Z7, Z9)
+	VMOVUPD   Z6, (DI)
+	VMOVUPD   Z7, 64(DI)
+	ADDQ      $128, DI
+	SUBQ      $16, CX
+	JMP       fill16
+
+fill8:
+	CMPQ      CX, $8
+	JLT       fillmask
+	VMOVDQA64 Z0, Z6
+	VPADDQ    Z1, Z0, Z0
+	UNIFORM8(Z6, Z8)
+	VMOVUPD   Z6, (DI)
+	ADDQ      $64, DI
+	SUBQ      $8, CX
+
+fillmask:
+	TESTQ   CX, CX
+	JZ      filled
+	MOVQ    $1, AX
+	SHLQ    CX, AX
+	DECQ    AX
+	KMOVW   AX, K1
+	UNIFORM8(Z0, Z8)
+	VMOVUPD Z0, K1, (DI)
+
+filled:
+	VZEROUPPER
+	RET
+
+// func sumSquares512(x *float64, n int) float64
+//
+// Σ x[i]² over i < n, n > 0, AVX-512F, in sixteen lanes: lane k (Z0 lanes
+// 0–7, Z1 lanes 8–15) adds x[i]·x[i], rounded, for every i ≡ k mod 16 in
+// order, with no FMA; the last 1–15 elements are loaded under masks, which
+// read nothing past x[n-1] and add +0 to the lanes they leave out. The lanes
+// then fold in halves — k with k+8, k with k+4, k with k+2, 0 with 1 — which
+// is sumSquaresGo's order, so the two return the same bits.
+TEXT ·sumSquares512(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), SI
+	MOVQ   n+8(FP), CX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+
+sum16:
+	CMPQ    CX, $16
+	JLT     summask
+	VMOVUPD (SI), Z2
+	VMOVUPD 64(SI), Z3
+	VMULPD  Z2, Z2, Z2
+	VMULPD  Z3, Z3, Z3
+	VADDPD  Z2, Z0, Z0
+	VADDPD  Z3, Z1, Z1
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     sum16
+
+summask:
+	TESTQ     CX, CX
+	JZ        fold
+	MOVQ      $1, AX
+	SHLQ      CX, AX
+	DECQ      AX
+	KMOVW     AX, K1 // lanes 0–7
+	SHRQ      $8, AX
+	KMOVW     AX, K2 // lanes 8–15
+	VMOVUPD.Z (SI), K1, Z2
+	VMOVUPD.Z 64(SI), K2, Z3
+	VMULPD    Z2, Z2, Z2
+	VMULPD    Z3, Z3, Z3
+	VADDPD    Z2, Z0, Z0
+	VADDPD    Z3, Z1, Z1
+
+fold:
+	VADDPD        Z1, Z0, Z0
+	VEXTRACTF64X4 $1, Z0, Y1
+	VADDPD        Y1, Y0, Y0
+	VEXTRACTF128  $1, Y0, X1
+	VADDPD        X1, X0, X0
+	VPERMILPD     $1, X0, X1
+	VADDSD        X1, X0, X0
+	VMOVSD        X0, ret+16(FP)
 	VZEROUPPER
 	RET

@@ -29,7 +29,10 @@ func TestMicroKernelProbeMatchesCpuinfo(t *testing.T) {
 	if got, want := cpuHasAVX2FMA(), flags["avx2"] && flags["fma"]; got != want {
 		t.Errorf("cpuHasAVX2FMA() = %v, /proc/cpuinfo says %v", got, want)
 	}
-	if got, want := cpuHasAVX512F(), flags["avx512f"]; got != want {
-		t.Errorf("cpuHasAVX512F() = %v, /proc/cpuinfo says %v", got, want)
+	if got, want := cpuHasAVX512(avx512F), flags["avx512f"]; got != want {
+		t.Errorf("cpuHasAVX512(avx512F) = %v, /proc/cpuinfo says %v", got, want)
+	}
+	if got, want := hasAVX512DQ, flags["avx512f"] && flags["avx512dq"]; got != want {
+		t.Errorf("hasAVX512DQ = %v, /proc/cpuinfo says %v", got, want)
 	}
 }

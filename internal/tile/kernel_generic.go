@@ -13,8 +13,8 @@ func (k *microKernel) run(a []float64, rsA, csA int, b []float64, ldb, kb int, a
 	microScalar2x4(a, rsA, csA, b, ldb, kb, alpha, c, ldc)
 }
 
-// No vector helpers off amd64: a substitution row and a transpose are the
-// plain loops.
+// No vector helpers off amd64: a substitution row, a transpose, the fill and
+// the sum of squares are the plain loops.
 func solveRow(y, a, x []float64, ldx int, s float64) { solveRowScalar(y, a, x, ldx, s) }
 
 func transposeVec(dst []float64, ldd int, src []float64, lds, rows, cols int) (r4, c4 int) {
@@ -24,6 +24,10 @@ func transposeVec(dst []float64, ldd int, src []float64, lds, rows, cols int) (r
 func dealRow(dst []float64, stride int, row []float64, w, ld int) {
 	dealRowScalar(dst, stride, row, w)
 }
+
+func fillUniform(dst []float64, key uint64) { fillUniformGo(dst, key) }
+
+func sumSquares(x []float64) float64 { return sumSquaresGo(x) }
 
 // microMRMax and microNRMax are the largest mr and nr in the table: they
 // size the GEMM's edge-tile scratch block and the in-place path's buffers.

@@ -106,10 +106,57 @@ func (t *Tile) EqualApprox(u *Tile, eps float64) bool {
 }
 
 // FrobeniusNorm returns the Frobenius norm of the tile.
-func (t *Tile) FrobeniusNorm() float64 {
-	// Scaled accumulation to avoid overflow for large entries.
+func (t *Tile) FrobeniusNorm() float64 { return FrobeniusNorm(t) }
+
+// FrobeniusNorm returns the Frobenius norm over every element of the tiles:
+// the square root of one plain sum of squares when that sum is finite and at
+// least 2⁻⁹⁰⁰, so that what underflow takes from the squares cannot show.
+// Otherwise — the sum overflowed (an entry near 1e154 or larger), every
+// entry is below about 1e-136, or there is a NaN or an infinity — it runs
+// the scaled loop, which squares nothing that could overflow or underflow.
+func FrobeniusNorm(ts ...*Tile) float64 {
+	s := 0.0
+	for _, t := range ts {
+		s += sumSquares(t.Data)
+	}
+	if s >= 0x1p-900 && s <= math.MaxFloat64 {
+		return math.Sqrt(s)
+	}
 	scale, ssq := 0.0, 1.0
-	for _, v := range t.Data {
+	for _, t := range ts {
+		scale, ssq = scaledSumSquares(t.Data, scale, ssq)
+	}
+	return scale * math.Sqrt(ssq)
+}
+
+// sumSquaresGo returns Σ x[i]² in sixteen lanes: lane k adds x[i]·x[i],
+// rounded before the add, for every i ≡ k mod 16 in order, and the lanes
+// fold in halves (k with k+8, k with k+4, k with k+2, 0 with 1). The
+// conversion keeps the compiler from fusing a multiply into the add on an
+// architecture that would, so this is sumSquares512's arithmetic exactly.
+func sumSquaresGo(x []float64) float64 {
+	var acc [16]float64
+	for ; len(x) >= 16; x = x[16:] {
+		v := (*[16]float64)(x) // one bounds check per sixteen elements
+		for k := range acc {
+			acc[k] += float64(v[k] * v[k])
+		}
+	}
+	for k, v := range x {
+		acc[k] += float64(v * v)
+	}
+	for w := 8; w > 0; w /= 2 {
+		for k := 0; k < w; k++ {
+			acc[k] += acc[k+w]
+		}
+	}
+	return acc[0]
+}
+
+// scaledSumSquares folds x into the running scaled sum of squares
+// scale²·ssq, rescaling whenever an entry exceeds scale.
+func scaledSumSquares(x []float64, scale, ssq float64) (float64, float64) {
+	for _, v := range x {
 		if v == 0 {
 			continue
 		}
@@ -121,7 +168,7 @@ func (t *Tile) FrobeniusNorm() float64 {
 			ssq += (a / scale) * (a / scale)
 		}
 	}
-	return scale * math.Sqrt(ssq)
+	return scale, ssq
 }
 
 // Bytes returns the memory footprint of the tile payload, used by the

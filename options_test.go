@@ -147,7 +147,7 @@ func TestOptionsAreSetByProductCode(t *testing.T) {
 		"chaos.Config.MaxDelay":          chaosSpeed,
 		"chaos.Config.ReorderFlush":      chaosSpeed,
 		"chaos.Config.RedeliverAfter":    chaosSpeed,
-		"simulate.Options.Scheduler":     "ROADMAP item 4d and BenchmarkAblationScheduler compare both ready-queue policies",
+		"simulate.Options.Scheduler":     "BenchmarkAblationScheduler compares both ready-queue policies until ROADMAP item 15a deletes the second",
 	}
 	if len(allow) > 6 {
 		t.Errorf("allow-list has %d entries: it is meant to stay at 6 or fewer", len(allow))
