@@ -13,11 +13,9 @@ import (
 	"testing"
 
 	"anybc/internal/core"
-	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/experiments"
 	"anybc/internal/gcrm"
-	"anybc/internal/simulate"
 )
 
 func benchSearchOpts() gcrm.SearchOptions {
@@ -56,29 +54,6 @@ func BenchmarkConstructionGCRMSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationScheduler compares the simulator's two ready-queue
-// policies on the paper's P=23 LU case: the conclusions must not hinge on
-// the local scheduling heuristic.
-func BenchmarkAblationScheduler(b *testing.B) {
-	g := dag.NewLU(50)
-	d := dist.NewG2DBC(23)
-	m := simulate.PaperMachine()
-	var iter, fifo float64
-	for i := 0; i < b.N; i++ {
-		r1, err := simulate.Run(g, 500, d, m, simulate.Options{Scheduler: simulate.IterationOrder})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err := simulate.Run(g, 500, d, m, simulate.Options{Scheduler: simulate.FIFOOrder})
-		if err != nil {
-			b.Fatal(err)
-		}
-		iter, fifo = r1.GFlops(), r2.GFlops()
-	}
-	b.ReportMetric(iter, "GF/s(iteration)")
-	b.ReportMetric(fifo, "GF/s(fifo)")
 }
 
 // BenchmarkAblationSizeCap sweeps the GCR&M pattern-size cap (the paper's

@@ -139,7 +139,7 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 		fed:       make([]bool, slotHi-slotLo),
 		nslot:     int(slotHi - slotLo),
 		inbuf:     make([]*tile.Tile, pl.InputBase(hi)-pl.InputBase(lo)),
-		ready:     sched.NewHeap(sched.CriticalPath.Tie()),
+		ready:     sched.NewHeap(sched.TieLIFO),
 		busy:      make([]int64, opt.Workers),
 		finished:  make(chan struct{}),
 		crashAt:   -1,

@@ -66,6 +66,9 @@
 // between the queue and a worker, so panel kernels (GETRF/POTRF) and triangular
 // solves of low iterations never start behind trailing updates that were
 // merely ready earlier, and real makespans track what the simulator predicts.
+// TestSimulatorMatchesRuntime (GOEXPERIMENT=synctest) holds them to it: run in
+// virtual time, with kernels that sleep their modelled durations, the
+// runtime's makespan matches simulate.Run's within its bands.
 // Report.Sched exposes per-node scheduler observability: stall time (a free
 // worker with nothing ready — waiting on communication or predecessors), busy
 // time per worker and the ready-queue high-water mark. What ran where, and

@@ -1,12 +1,14 @@
-// Package sched is the single scheduling policy shared by the discrete-event
-// simulator (internal/simulate) and the real distributed runtime
-// (internal/runtime): a per-task priority key that favors the critical path
-// of the right-looking factorizations, and a deterministic priority queue for
-// per-node ready queues.
+// Package sched is the one scheduling policy of the discrete-event simulator
+// (internal/simulate) and the real distributed runtime (internal/runtime): a
+// per-task priority key that favors the critical path of the right-looking
+// factorizations, and the per-node ready queue both substrates pop it from —
+// least key first, the most recently pushed of equal keys first.
 //
 // The paper's evaluation depends on the simulator predicting what the
 // Chameleon/StarPU-style runtime does; keeping both halves on one policy is
-// what makes the prediction honest. The policy itself is the
+// what makes the prediction honest, and the runtime's
+// TestSimulatorMatchesRuntime holds the simulator's makespan to the runtime's
+// own, run in virtual time on the same graph. The policy itself is the
 // critical-path-first heuristic dynamic runtimes converge to (Donfack et al.,
 // hybrid static/dynamic scheduling; Kwasniewski et al., arXiv:2010.05975):
 // lower iterations first, and within an iteration the panel factorization
@@ -19,18 +21,6 @@ import (
 	"slices"
 
 	"anybc/internal/dag"
-)
-
-// Policy selects how ready tasks are ordered.
-type Policy int
-
-const (
-	// CriticalPath orders by iteration, then panel < TRSM < SYRK < update —
-	// the lookahead-friendly policy both substrates use by default.
-	CriticalPath Policy = iota
-	// FIFO dispatches ready tasks in release order (all keys equal; the
-	// ready queue's insertion-order tie-break makes it a plain queue).
-	FIFO
 )
 
 // kindOrder ranks task kinds within one iteration: the diagonal panel
@@ -76,7 +66,7 @@ func subOrder(t dag.Task) int64 {
 // saturate it (the class order still holds).
 const subBits = 20
 
-// Key returns the CriticalPath dispatch key of t: lower keys dispatch first.
+// Key returns the critical-path dispatch key of t: lower keys dispatch first.
 // Keys are totally ordered by (iteration, kind rank, urgency); remaining
 // ties are left to the ready queue's deterministic tie-break.
 func Key(t dag.Task) int64 {
@@ -97,47 +87,25 @@ func Key(t dag.Task) int64 {
 	return (iter*4+kindOrder(t.Kind))<<subBits | sub
 }
 
-// Key returns the dispatch key of t under policy p.
-func (p Policy) Key(t dag.Task) int64 {
-	if p == FIFO {
-		return 0
-	}
-	return Key(t)
-}
-
-// Tie selects how a Heap orders ids whose keys compare equal.
+// Tie names a Heap's order among equal keys. TieLIFO is the only one: a
+// queue pops the most recently pushed of equal keys first.
 type Tie int
 
-const (
-	// TieFIFO pops equal keys in push order — a fair queue, and what makes
-	// the FIFO policy (all keys zero) a plain release-order queue.
-	TieFIFO Tie = iota
-	// TieLIFO pops the most recently pushed of equal keys first. This is the
-	// cache-affinity order of StarPU/Chameleon-style local task stacks: the
-	// trailing update released last reads the tile a worker just wrote, so
-	// popping it first keeps the operand hot. CriticalPath uses it — the key
-	// still dictates cross-class order; recency only breaks ties among
-	// same-iteration same-kind updates.
-	TieLIFO
-)
-
-// Tie returns the tie-break mode policy p pairs with.
-func (p Policy) Tie() Tie {
-	if p == FIFO {
-		return TieFIFO
-	}
-	return TieLIFO
-}
+// TieLIFO is the cache-affinity order of StarPU/Chameleon-style local task
+// stacks: the trailing update released last reads the tile a worker just
+// wrote, so popping it first keeps the operand hot. The key still dictates
+// cross-class order; recency only breaks ties among same-iteration same-kind
+// updates.
+const TieLIFO Tie = 0
 
 // Heap is a deterministic priority queue of task identifiers: the least key
-// pops first, and equal keys pop in push order under TieFIFO, most recent
-// first under TieLIFO. Both orders are total, so a run's dispatch sequence is
-// reproducible. The zero value is an empty TieFIFO queue; use NewHeap to
-// select the tie-break.
+// pops first, and equal keys pop most recently pushed first. The order is
+// total, so a run's dispatch sequence is reproducible. The zero value is an
+// empty queue.
 //
 // A ready set holds many ids under few keys, so it is a bucket per distinct
 // key: buckets is sorted by descending key, the least last, and each bucket's
-// ids are a list threaded through links. A pop takes the head of the last
+// ids are a stack threaded through links. A pop takes the head of the last
 // bucket; a push binary-searches its key. Popped links go on a free list
 // (every link past the n live ones is free), so a warm queue allocates
 // nothing.
@@ -146,10 +114,10 @@ type Heap struct {
 	links   []link
 	free    int32 // first free link, when len(links) > n
 	n       int
-	lifo    bool
 }
 
-// bucket is the list of the ids queued under one key, popped from head.
+// bucket is the stack of the ids queued under one key: pushed at head,
+// popped from head, tail its oldest id.
 type bucket struct {
 	key        int64
 	head, tail int32
@@ -158,9 +126,10 @@ type bucket struct {
 // link holds one id and, in a list or on the free list, the next link.
 type link struct{ id, next int32 }
 
-// NewHeap returns an empty queue with the given tie-break mode.
-func NewHeap(tie Tie) Heap {
-	return Heap{buckets: make([]bucket, 0, 8), links: make([]link, 0, 32), lifo: tie == TieLIFO}
+// NewHeap returns an empty queue with room for a few keys and ids. Its
+// argument can only be TieLIFO, the one tie order.
+func NewHeap(Tie) Heap {
+	return Heap{buckets: make([]bucket, 0, 8), links: make([]link, 0, 32)}
 }
 
 // Push inserts id with the given priority key.
@@ -186,15 +155,11 @@ func (h *Heap) Push(key int64, id int32) {
 		return
 	}
 	b := &h.buckets[lo]
-	if h.lifo {
-		h.links[l].next, b.head = b.head, l
-	} else {
-		h.links[b.tail].next, b.tail = l, l
-	}
+	h.links[l].next, b.head = b.head, l
 }
 
-// Pop removes and returns the id with the lowest key (tie broken by the
-// queue's Tie mode). It must not be called on an empty queue.
+// Pop removes and returns the id with the lowest key, the most recently
+// pushed of several. It must not be called on an empty queue.
 func (h *Heap) Pop() int32 {
 	last := len(h.buckets) - 1
 	b := &h.buckets[last]

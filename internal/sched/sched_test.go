@@ -56,25 +56,9 @@ func TestKeyOrdersCriticalPathFirst(t *testing.T) {
 	}
 }
 
-// TestFIFOKeyIsConstant: under FIFO every task keys to 0 so the heap's
-// insertion-order tie-break turns it into a queue.
-func TestFIFOKeyIsConstant(t *testing.T) {
-	tasks := []dag.Task{
-		{Kind: dag.GEMMLU, L: 5, I: 6, J: 7},
-		{Kind: dag.GETRF, L: 0},
-	}
-	for _, tk := range tasks {
-		if FIFO.Key(tk) != 0 {
-			t.Errorf("FIFO.Key(%v) = %d, want 0", tk, FIFO.Key(tk))
-		}
-	}
-	if CriticalPath.Key(tasks[1]) != Key(tasks[1]) {
-		t.Error("CriticalPath.Key must agree with Key")
-	}
-}
-
-// TestHeapPopsByKeyThenInsertion: pops ascend by key, and equal keys pop in
-// push order — the determinism both substrates rely on.
+// TestHeapPopsByKeyThenInsertion: pops ascend by key, and equal keys pop
+// most recently pushed first — the determinism both substrates rely on. The
+// zero value is such a queue.
 func TestHeapPopsByKeyThenInsertion(t *testing.T) {
 	var h Heap
 	h.Push(3, 30)
@@ -82,7 +66,7 @@ func TestHeapPopsByKeyThenInsertion(t *testing.T) {
 	h.Push(2, 20)
 	h.Push(1, 11)
 	h.Push(1, 12)
-	want := []int32{10, 11, 12, 20, 30}
+	want := []int32{12, 11, 10, 20, 30}
 	for i, w := range want {
 		if got := h.Pop(); got != w {
 			t.Fatalf("pop %d = %d, want %d", i, got, w)
@@ -93,9 +77,9 @@ func TestHeapPopsByKeyThenInsertion(t *testing.T) {
 	}
 }
 
-// TestHeapLIFOTie: with TieLIFO the key still dictates cross-class order,
+// TestHeapLIFOTie: from NewHeap the key still dictates cross-class order,
 // but equal keys pop most-recently-pushed first — the cache-affinity order
-// CriticalPath pairs with.
+// the critical-path key pairs with.
 func TestHeapLIFOTie(t *testing.T) {
 	h := NewHeap(TieLIFO)
 	h.Push(3, 30)
@@ -109,15 +93,11 @@ func TestHeapLIFOTie(t *testing.T) {
 			t.Fatalf("pop %d = %d, want %d", i, got, w)
 		}
 	}
-	if CriticalPath.Tie() != TieLIFO || FIFO.Tie() != TieFIFO {
-		t.Fatal("policy tie-break pairing wrong")
-	}
 }
 
-// TestHeapRandomizedAgainstSort: under either tie mode — and the zero value,
-// which is TieFIFO — however pushes and pops interleave, each pop returns the
-// first of the queued ids in a stable sort on (key, push order), the push
-// order negated under TieLIFO. The key streams are the ones a bucket queue
+// TestHeapRandomizedAgainstSort: from NewHeap and from the zero value,
+// however pushes and pops interleave, each pop returns the first of the
+// queued ids in a stable sort on (key, negated push order). The key streams are the ones a bucket queue
 // can get wrong: heavy ties on one to three keys, monotone runs that open a
 // bucket at either end, and pops frequent enough to empty buckets and
 // re-create them.
@@ -156,11 +136,9 @@ func TestHeapRandomizedAgainstSort(t *testing.T) {
 	heaps := []struct {
 		name string
 		new  func() Heap
-		lifo bool
 	}{
-		{"TieFIFO", func() Heap { return NewHeap(TieFIFO) }, false},
-		{"TieLIFO", func() Heap { return NewHeap(TieLIFO) }, true},
-		{"zero value", func() Heap { return Heap{} }, false},
+		{"NewHeap", func() Heap { return NewHeap(TieLIFO) }},
+		{"zero value", func() Heap { return Heap{} }},
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range cases {
@@ -172,10 +150,7 @@ func TestHeapRandomizedAgainstSort(t *testing.T) {
 				pushes := rng.Intn(200)
 				for pushed := 0; pushed < pushes || len(queued) > 0; {
 					if pushed < pushes && (len(queued) == 0 || rng.Intn(6) >= c.pops) {
-						it := item{key: key(pushed), ord: pushed, id: int32(pushed)}
-						if hc.lifo {
-							it.ord = -pushed
-						}
+						it := item{key: key(pushed), ord: -pushed, id: int32(pushed)}
 						h.Push(it.key, it.id)
 						queued = append(queued, it)
 						pushed++
@@ -204,20 +179,18 @@ func TestHeapRandomizedAgainstSort(t *testing.T) {
 // nothing to be filled and drained again the same way — the buckets and the
 // links are reused.
 func TestHeapReusesStorage(t *testing.T) {
-	for _, tie := range []Tie{TieFIFO, TieLIFO} {
-		h := NewHeap(tie)
-		cycle := func() {
-			for i := 0; i < 500; i++ {
-				h.Push(int64(i%37-i%5), int32(i))
-			}
-			for !h.Empty() {
-				h.Pop()
-			}
+	h := NewHeap(TieLIFO)
+	cycle := func() {
+		for i := 0; i < 500; i++ {
+			h.Push(int64(i%37-i%5), int32(i))
 		}
-		cycle()
-		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-			t.Errorf("tie %d: a warm fill-and-drain allocated %.0f times", tie, allocs)
+		for !h.Empty() {
+			h.Pop()
 		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("a warm fill-and-drain allocated %.0f times", allocs)
 	}
 }
 

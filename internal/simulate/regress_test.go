@@ -62,7 +62,7 @@ func TestWideFanIn(t *testing.T) {
 		return (i - 1) % 2
 	}}
 	m := Machine{Workers: 4, FlopsPerWorker: 1e9, LinkBandwidth: 1e9, Latency: 1e-6}
-	res, err := Run(g, 8, d, m, Options{Scheduler: FIFOOrder})
+	res, err := Run(g, 8, d, m, Options{})
 	if err != nil {
 		t.Fatalf("wide fan-in graph failed: %v", err)
 	}

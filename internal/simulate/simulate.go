@@ -10,36 +10,9 @@ import (
 	"anybc/internal/trace"
 )
 
-// Scheduler selects which ready task a free worker picks next.
-type Scheduler int
-
-// Scheduling policies for the per-node ready queues. Both map onto the
-// policies of package sched, which the real runtime shares.
-const (
-	// IterationOrder prioritizes lower iterations and panel kernels before
-	// updates (sched.CriticalPath) — the lookahead-friendly policy dynamic
-	// runtimes converge to, and the one the real runtime dispatches with.
-	IterationOrder Scheduler = iota
-	// FIFOOrder executes ready tasks in release order (sched.FIFO).
-	FIFOOrder
-)
-
-// policy maps the simulator option onto the shared scheduling policy.
-func (s Scheduler) policy() (sched.Policy, error) {
-	switch s {
-	case IterationOrder:
-		return sched.CriticalPath, nil
-	case FIFOOrder:
-		return sched.FIFO, nil
-	}
-	return 0, fmt.Errorf("simulate: unknown scheduler %d", int(s))
-}
-
 // Options configures a simulation run. A message carries one output tile:
 // dag.Program.OutputBytes bytes, 8·b² when the program leaves that unset.
 type Options struct {
-	// Scheduler selects the ready-queue policy (default IterationOrder).
-	Scheduler Scheduler
 	// Recorder, when non-nil, receives every kernel interval and message of
 	// the run for Gantt/utilization analysis (package trace).
 	Recorder *trace.Recorder
@@ -84,12 +57,11 @@ func Run(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*Resu
 // finishing task needs its successors: a program that states its iterations
 // is held a few of them at a time.
 type sim struct {
-	inf    *dag.Inference
-	b      int
-	m      Machine
-	rec    *trace.Recorder
-	policy sched.Policy
-	tree   bool
+	inf  *dag.Inference
+	b    int
+	m    Machine
+	rec  *trace.Recorder
+	tree bool
 	// From the program: a task's flops and the wire size of its output tile
 	// (nil: 8·b²).
 	flops func(t dag.Task, b int) float64
@@ -117,13 +89,9 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	policy, err := opt.Scheduler.policy()
-	if err != nil {
-		return nil, err
-	}
 	P := d.Nodes()
 	p := g.Program()
-	s := &sim{inf: dag.Infer(p, d.Owner), b: b, m: m, rec: opt.Recorder, policy: policy,
+	s := &sim{inf: dag.Infer(p, d.Owner), b: b, m: m, rec: opt.Recorder,
 		tree: opt.Broadcast == cluster.BroadcastTree, flops: p.Flops, bytes: p.OutputBytes, res: &Result{}}
 
 	s.rate = make([]float64, P)
@@ -145,7 +113,7 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 	s.ready = make([]sched.Heap, P)
 	s.freeWorkers = make([]int, P)
 	for node := range s.ready {
-		s.ready[node] = sched.NewHeap(s.policy.Tie())
+		s.ready[node] = sched.NewHeap(sched.TieLIFO)
 		s.freeWorkers[node] = m.Workers
 	}
 	s.nicOut = make([]float64, P)
@@ -210,7 +178,7 @@ func (s *sim) infer(pos int32) {
 // priority picks among all of them, exactly as the real engine's dispatch
 // loop runs after its release sweep.
 func (s *sim) release(pos int32) {
-	s.ready[s.inf.Owner(pos)].Push(s.policy.Key(s.inf.Task(pos)), pos)
+	s.ready[s.inf.Owner(pos)].Push(sched.Key(s.inf.Task(pos)), pos)
 }
 
 func (s *sim) dispatch(node int, now float64) {

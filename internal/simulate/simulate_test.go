@@ -128,23 +128,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSchedulerPolicies(t *testing.T) {
-	g := dag.NewLU(10)
-	d := dist.NewTwoDBC(2, 3)
-	for _, s := range []Scheduler{IterationOrder, FIFOOrder} {
-		res, err := Run(g, 8, d, testMachine(), Options{Scheduler: s})
-		if err != nil {
-			t.Fatalf("scheduler %d: %v", s, err)
-		}
-		if res.Makespan <= 0 {
-			t.Fatalf("scheduler %d: non-positive makespan", s)
-		}
-	}
-	if _, err := Run(g, 8, d, testMachine(), Options{Scheduler: FIFOOrder + 1}); err == nil {
-		t.Fatal("an unknown scheduler was accepted")
-	}
-}
-
 // TestG2DBCBeats2DBCForPrimeP reproduces the paper's headline claim in the
 // simulator: for P = 23 at a reasonable matrix size, G-2DBC on all 23 nodes
 // outperforms the degenerate 23x1 2DBC grid.

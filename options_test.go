@@ -138,7 +138,7 @@ func auditOptions(fields map[string]token.Position, set map[string]bool, allow m
 // no non-test file of the module — cmd/, examples/, internal/, bench/ — gives
 // a value is a knob nobody can turn, and fails here unless it is on the
 // allow-list below with the reason it stays. A struct's own defaulting
-// method is not a caller. The list is meant to stay at six or fewer.
+// method is not a caller. The list is meant to stay at five or fewer.
 func TestOptionsAreSetByProductCode(t *testing.T) {
 	const chaosSpeed = "tests pin it a few milliseconds or less so fault schedules run fast; product runs use the default"
 	allow := map[string]string{
@@ -147,10 +147,9 @@ func TestOptionsAreSetByProductCode(t *testing.T) {
 		"chaos.Config.MaxDelay":          chaosSpeed,
 		"chaos.Config.ReorderFlush":      chaosSpeed,
 		"chaos.Config.RedeliverAfter":    chaosSpeed,
-		"simulate.Options.Scheduler":     "BenchmarkAblationScheduler compares both ready-queue policies until ROADMAP item 15a deletes the second",
 	}
-	if len(allow) > 6 {
-		t.Errorf("allow-list has %d entries: it is meant to stay at 6 or fewer", len(allow))
+	if len(allow) > 5 {
+		t.Errorf("allow-list has %d entries: it is meant to stay at 5 or fewer", len(allow))
 	}
 	std := stdImporter(t)
 	fset := token.NewFileSet()
