@@ -89,31 +89,30 @@ func TestEngineReadyQueueIsNotLIFO(t *testing.T) {
 	defer cl.Close()
 	e := testEngine(t, 0, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel)
 
-	// One node owns everything, so a task's local index is its position in
-	// the plan.
-	localIdx := map[dag.Task]int{}
-	for idx := 0; idx < e.n; idx++ {
-		localIdx[e.pl.Task(e.task(idx))] = idx
+	// One node owns everything, so its tasks are the whole plan.
+	planIdx := map[dag.Task]int32{}
+	for pt := int32(0); pt < int32(len(e.remaining)); pt++ {
+		planIdx[e.pl.Task(pt)] = pt
 	}
-	trsm := localIdx[dag.Task{Kind: dag.TRSMRow, L: 0, I: 1}]
-	gemm := localIdx[dag.Task{Kind: dag.GEMMLU, L: 0, I: 1, J: 1}]
-	getrf1 := localIdx[dag.Task{Kind: dag.GETRF, L: 1, I: 1, J: 1}]
+	trsm := planIdx[dag.Task{Kind: dag.TRSMRow, L: 0, I: 1}]
+	gemm := planIdx[dag.Task{Kind: dag.GEMMLU, L: 0, I: 1, J: 1}]
+	getrf1 := planIdx[dag.Task{Kind: dag.GETRF, L: 1, I: 1, J: 1}]
 
 	// Push in an order LIFO would invert: the last push is the lowest
 	// priority, the first push the highest.
 	e.pushReady(trsm)
 	e.pushReady(getrf1)
 	e.pushReady(gemm)
-	want := []int{trsm, gemm, getrf1}
+	want := []int32{trsm, gemm, getrf1}
 	for i, w := range want {
-		if got := int(e.ready.Pop()); got != w {
-			t.Fatalf("pop %d = task %v, want %v", i, e.pl.Task(e.task(got)), e.pl.Task(e.task(w)))
+		if got := e.ready.Pop(); got != w {
+			t.Fatalf("pop %d = task %v, want %v", i, e.pl.Task(got), e.pl.Task(w))
 		}
 	}
 	// The engine's precomputed keys must be the shared policy's keys — the
 	// same numbers the simulator orders by.
-	for idx := 0; idx < e.n; idx++ {
-		if task, key := e.pl.Task(e.task(idx)), e.pl.Key(e.task(idx)); key != sched.Key(task) {
+	for pt := int32(0); pt < int32(len(e.remaining)); pt++ {
+		if task, key := e.pl.Task(pt), e.pl.Key(pt); key != sched.Key(task) {
 			t.Fatalf("engine key for %v = %d, sched.Key = %d", task, key, sched.Key(task))
 		}
 	}

@@ -26,6 +26,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"anybc/internal/cluster"
@@ -48,24 +49,15 @@ type elastic struct {
 	adoptedBy []int
 	peerDone  []bool
 	doneSent  bool
-	died      bool   // this node crashed (finalHolder gathers from its adopter)
-	completed []bool // per local task: it has finished here
+	died      bool // this node crashed (finalHolder gathers from its adopter)
 
-	// The adoption tables, filled only once this node adopted something. A
-	// dead rank's share of the plan is appended to the core's tables whole and
-	// in plan order — its tasks from local task taskBase[rank], its slots from
-	// local slot slotBase[rank] (-1: not adopted here) — so an adopted task
-	// keeps the plan's dependency counts, waiter lists and input references,
-	// only relative to other bases. xtask and xslot are the way back: local
-	// task n+k is plan task xtask[k], local slot nslot+k plan slot xslot[k].
-	// (Tiles need no base: newElastic stretches the core's tile table over the
-	// whole plan, and a replay buffer sits at its tile's plan index.)
-	taskBase     []int
-	slotBase     []int32
-	xtask, xslot []int32
+	// shares holds, per dead rank this node adopted, that rank's share of the
+	// plan, built by the same constructor as the node's own; adopted counts
+	// their tasks, which raise the completion target.
+	shares  []*share
+	adopted int
 
-	dstScratch  []int   // live destinations of one completion
-	slotScratch []int32 // local slots of one version
+	dstScratch []int // live destinations of one completion
 }
 
 func newElastic(e *engine) *elastic {
@@ -75,100 +67,28 @@ func newElastic(e *engine) *elastic {
 		dead:       make([]bool, P),
 		adoptedBy:  make([]int, P),
 		peerDone:   make([]bool, P),
-		completed:  make([]bool, e.n),
+		shares:     make([]*share, P),
 		dstScratch: make([]int, 0, P),
-		taskBase:   make([]int, P),
-		slotBase:   make([]int32, P),
 	}
 	for n := range el.adoptedBy {
-		el.adoptedBy[n], el.taskBase[n], el.slotBase[n] = -1, -1, -1
+		el.adoptedBy[n] = -1
 	}
-	// Stretch the (still empty — run generates it) tile table over the whole
-	// plan, so an adopted tile's replay buffer sits at its plan index.
-	_, tiles := e.pl.Tiles(P - 1)
-	e.tiles, e.tileLo = make([]*tile.Tile, tiles), 0
 	return el
 }
 
-// local returns the local index of plan task t, if it runs here: natively,
-// or because this node adopted it.
-func (el *elastic) local(t int32) (int, bool) {
-	e := el.e
-	if t >= e.lo && t < e.lo+int32(e.n) {
-		return int(t - e.lo), true
-	}
-	owner := e.pl.Owner(t)
-	if base := el.taskBase[owner]; base >= 0 {
-		lo, _ := e.pl.Tasks(owner)
-		return base + int(t-lo), true
-	}
-	return 0, false
-}
-
-// slotsOf lists the local slots of plan task t's output version: the one the
-// plan gives this node, and the dead rank's own in every share adopted here —
-// adoption does not merge them, so a version may sit in several.
-func (el *elastic) slotsOf(t int32) []int32 {
-	e, pl := el.e, el.e.pl
-	slots := el.slotScratch[:0]
-	for _, rank := range pl.Dsts(t) {
-		s := pl.SlotAt(t, rank) // every destination is a slot
-		if lo, _ := pl.Slots(rank); rank == e.rank {
-			slots = append(slots, s-lo)
-		} else if base := el.slotBase[rank]; base >= 0 {
-			slots = append(slots, base+s-lo)
-		}
-	}
-	el.slotScratch = slots
-	return slots
-}
-
-// deliver hands msg — plan task t's output version, arrived over the wire or
-// produced here — to every local slot still awaiting it: a copy is retained
-// where input references read it, and the slot's waiters are released. Fed
-// slots are skipped, so a version delivered twice releases nothing twice.
-func (el *elastic) deliver(t int32, msg cluster.Message) {
-	e := el.e
-	for _, s := range el.slotsOf(t) {
-		if e.fed[s] {
-			continue
-		}
-		if e.readers[s] > 0 {
-			e.retain(s, msg.Dup())
-		}
-		e.feed(s)
-	}
-	msg.Release()
-}
-
-// feed releases the adopted tasks waiting on local slot s >= nslot.
-func (el *elastic) feed(s int32) {
-	e := el.e
-	for _, t := range e.pl.Waiters(el.xslot[int(s)-e.nslot]) {
-		idx, _ := el.local(t)
-		e.release(idx)
-	}
-}
-
-// inputBase returns the base adopted plan task pt's slot references are
-// relative to: its dead owner's first plan slot, moved to where this engine
-// keeps that share's slots.
-func (el *elastic) inputBase(pt int32) int32 {
-	owner := el.e.pl.Owner(pt)
-	lo, _ := el.e.pl.Slots(owner)
-	return lo - el.slotBase[owner]
-}
-
 // barrier is the elastic exit condition, asked once this node has finished
-// everything it owns or adopted. It is a barrier, not a local count: the node
-// broadcasts cluster.NoteDone (once — adoption may raise the completion
-// target again, and a stale NoteDone is harmless because no node's run is
-// over until the whole cluster settles) and keeps its workers alive — asleep,
-// while the receiver answers re-requests and relays tree hops, but above all
-// remaining adoptable work-capacity — until every peer is done or dead. That
-// is what guarantees a death always finds its deterministic adopter with
-// workers to wake, never already exited.
+// everything it owns. It first waits for the adopted tasks; then it is a
+// barrier, not a local count: the node broadcasts cluster.NoteDone (once —
+// adoption may raise the completion target again, and a stale NoteDone is
+// harmless because no node's run is over until the whole cluster settles) and
+// keeps its workers alive — asleep, while the receiver answers re-requests and
+// relays tree hops, but above all remaining adoptable work-capacity — until
+// every peer is done or dead. That is what guarantees a death always finds its
+// deterministic adopter with workers to wake, never already exited.
 func (el *elastic) barrier() bool {
+	if el.e.done < len(el.e.remaining)+el.adopted {
+		return false
+	}
 	if !el.doneSent {
 		el.doneSent = true
 		el.peerDone[el.e.rank] = true
@@ -195,31 +115,30 @@ func (el *elastic) die() {
 // list and whether any remote consumer exists at all.
 //
 // The node may host both halves of a dependency edge that used to cross the
-// wire. The core has released the producer's same-node successors (native, or
-// adopted alongside it: they read its in-place buffer exactly as on the
-// original owner); a consumer here that belongs to another node's share of
-// the plan waits on that share's slot for the version, and is fed a snapshot
-// exactly as if the tag had arrived over the network — one release path per
-// edge, so a racing stale arrival can never double-decrement a dependency
-// count.
-func (el *elastic) complete(idx int, pt int32, tag cluster.Tag, out *tile.Tile) ([]int, bool) {
+// wire. The core has released the producer's successors in its own share
+// (they read its in-place buffer exactly as on the original owner); a
+// consumer here in another share waits on that share's slot for the version,
+// and is fed a snapshot exactly as if the tag had arrived over the network —
+// one release path per edge, so a racing stale arrival can never
+// double-decrement a dependency count.
+func (el *elastic) complete(sh *share, t int32, tag cluster.Tag, out *tile.Tile) ([]int, bool) {
 	e, pl := el.e, el.e.pl
-	dsts := pl.Dsts(pt)
+	dsts := pl.Dsts(t)
 	hadRemote := len(dsts) > 0
-	if idx >= e.n {
+	if sh != &e.share {
 		// An adopted task's remote consumers are every successor this node
 		// does not natively own: those on its original node included.
-		hadRemote = len(pl.Succs(pt)) > 0 || len(dsts) > 1 || (len(dsts) == 1 && dsts[0] != e.rank)
+		hadRemote = len(pl.Succs(t)) > 0 || len(dsts) > 1 || (len(dsts) == 1 && dsts[0] != e.rank)
 	}
-	el.completed[idx] = true
-	// The synthetic arrival. A version that came over the wire first (a
-	// pre-crash copy racing the replay) fed its slots then and is not admitted
-	// again; out is advanced in place by the tile's later writers, hence the
-	// snapshot.
-	if len(el.slotsOf(pt)) > 0 && e.res.admit(tag, -1) {
-		el.deliver(pt, cluster.Message{From: e.rank, To: e.rank, Tag: tag, Payload: out.Clone()})
+	// The synthetic arrival, when a share here awaits the version. One that
+	// came over the wire first (a pre-crash copy racing the replay) fed its
+	// slots then and is not admitted again; out is advanced in place by the
+	// tile's later writers, hence the snapshot.
+	awaited := slices.ContainsFunc(dsts, func(rank int) bool { return e.shareFor(rank) != nil })
+	if awaited && e.res.admit(tag, -1) {
+		e.deliver(t, e.slotOf(t), cluster.Message{From: e.rank, To: e.rank, Tag: tag, Payload: out.Clone()})
 	}
-	return el.liveDsts(pt), hadRemote
+	return el.liveDsts(t), hadRemote
 }
 
 // onNote handles a membership notice from the out-of-band plane.
@@ -317,77 +236,69 @@ next:
 	return live
 }
 
-// adoptTasks wires dead rank from's whole share of the plan into this engine
-// and returns how many tasks that is. The whole share, not just tasks with
+// adoptTasks builds dead rank from's whole share of the plan on this node and
+// returns how many tasks that is. The whole share, not just tasks with
 // unreceived outputs, because this node cannot know which outputs other
 // consumers are still missing; replaying everything is always safe
 // (duplicates drop idempotently) and keeps the migration decision local.
 //
-// The share's tasks and slots are appended to the core's tables as the plan
-// lists them and its tiles regenerated as replay buffers, so from here on the
-// tasks run like native ones: a predecessor of the same share releases its
-// successor directly, any other is awaited in the share's slot for its
-// version. What is left is to say where each of those versions comes from:
+// The share is built by the node's own constructor and its tiles regenerated
+// as replay buffers, so from here on its tasks run like native ones: a
+// predecessor of the same share releases its successor directly, any other is
+// awaited in the share's slot for its version. What is left is to say where
+// each of those versions comes from:
 //
-//   - one a local slot still holds is shared with it;
+//   - one a slot here still holds is shared with it;
 //   - one this node already produced — natively, or in another adopted share —
-//     comes from its published cache (a consumer on another node existed, so
-//     it was broadcast, and every broadcast is snapshotted);
+//     comes from its published cache (the dead rank consumed it, so it was
+//     broadcast, and every broadcast is snapshotted);
 //   - one this node will produce is delivered at that completion;
 //   - anything else is awaited exactly like a network arrival, with an
 //     immediate Request because the version may never have been addressed to
 //     this node in the original schedule.
 func (el *elastic) adoptTasks(from int) int {
 	e, pl := el.e, el.e.pl
-	lo, hi := pl.Tasks(from)
-	slotLo, slotHi := pl.Slots(from)
-	el.taskBase[from], el.slotBase[from] = len(e.remaining), int32(len(e.recv))
-	for s := slotLo; s < slotHi; s++ {
-		el.xslot = append(el.xslot, s)
-	}
-	e.recv = append(e.recv, make([]cluster.Message, slotHi-slotLo)...)
-	e.readers = append(e.readers, pl.SlotReaders(slotLo, slotHi)...)
-	e.fed = append(e.fed, make([]bool, slotHi-slotLo)...)
-	e.generate(from)
-	for pt := lo; pt < hi; pt++ {
-		el.xtask = append(el.xtask, pt)
-		e.remaining = append(e.remaining, pl.NumDeps(pt)) // raises the core's completion target
-		el.completed = append(el.completed, false)
-		if pl.NumDeps(pt) == 0 {
-			e.pushReady(len(e.remaining) - 1)
+	sh := newShare(pl, from)
+	el.shares[from] = &sh
+	e.generate(&sh)
+	e.hold(len(sh.tiles))
+	for k, rem := range sh.remaining {
+		if rem == 0 {
+			e.pushReady(sh.lo + int32(k))
 		}
 	}
+	el.adopted += len(sh.remaining)
 
 	now := time.Now()
+	slotLo, slotHi := pl.Slots(from)
 	for s := slotLo; s < slotHi; s++ {
 		producer := pl.SlotProducer(s)
 		vtag := e.tagOf(producer)
 		msg := cluster.Message{From: e.rank, To: e.rank, Tag: vtag}
-		for _, have := range el.slotsOf(producer) {
-			if e.recv[have].Payload != nil {
-				msg = e.recv[have].Dup()
-				break
+		for _, rank := range pl.Dsts(producer) {
+			if have := e.shareFor(rank); have != nil {
+				if held := have.recv[pl.SlotAt(producer, rank)-have.slotLo]; held.Payload != nil {
+					msg = held.Dup()
+					break
+				}
 			}
 		}
-		li, here := el.local(producer)
-		switch {
-		case msg.Payload != nil:
-		case here && el.completed[li]:
-			if msg.Payload = e.res.cached(vtag); msg.Payload == nil {
-				panic(fmt.Sprintf("runtime: node %d: adopted task needs local version %v that was never published", e.rank, vtag))
-			}
-		default:
+		if msg.Payload == nil {
+			msg.Payload = e.res.cached(vtag)
+		}
+		if msg.Payload == nil {
 			e.res.readmit(vtag) // let the version in again after its first copy was consumed
-			if !here && e.res.expect(vtag, now) {
-				if target := el.liveOwner(pl.Owner(producer)); target >= 0 && target != e.rank {
+			owner := pl.Owner(producer)
+			if e.shareFor(owner) == nil && e.res.expect(vtag, now) {
+				if target := el.liveOwner(owner); target >= 0 && target != e.rank {
 					e.comm.Request(target, vtag)
 				}
 			}
 			continue
 		}
-		el.deliver(producer, msg)
+		e.deliver(producer, e.slotOf(producer), msg)
 	}
-	return int(hi - lo)
+	return len(sh.remaining)
 }
 
 // finalHolder returns the rank whose engine holds rank's tiles when the run

@@ -298,48 +298,102 @@ func TestElasticReplicatedLU(t *testing.T) {
 	}
 }
 
+// deathsCell is one cell of the tests that kill two nodes of an LU(12) on
+// G-2DBC(23), a third and two thirds of the way through their owned tasks,
+// under a light permanent-drop mix.
+type deathsCell struct {
+	name, artifact string
+	victims        []int
+	survivor       int   // the rank that must end up re-running every victim's share
+	seed, gen      int64 // the chaos plan's seed, the generator's
+	workers        int
+	mode           cluster.BroadcastMode
+}
+
+// check runs the cell crash-free and then with its deaths, and holds the
+// second run to the first's factors, bit for bit, and to the adoption the
+// trace must show (checkAdoption). It returns the error of a run that failed
+// instead of recovering.
+func (c deathsCell) check(t *testing.T) error {
+	const mt, b = 12, 4
+	d := dist.NewG2DBC(23)
+	g := dag.NewLU(mt)
+	base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, c.gen), Options{Workers: c.workers})
+	if err != nil {
+		return err
+	}
+	crashes := map[int]int{
+		c.victims[0]: ownedTaskCount(g, d, c.victims[0]) / 3,
+		c.victims[1]: 2 * ownedTaskCount(g, d, c.victims[1]) / 3,
+	}
+	opt, rec := chaosOpts(t, chaos.Config{Seed: c.seed, PDrop: 0.05, CrashAtTask: crashes}, 30*time.Millisecond, c.workers)
+	opt.Broadcast = c.mode
+	opt.Elastic = true
+	dumpChaosArtifacts(t, c.artifact, rec)
+	fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, c.gen), opt)
+	if err != nil {
+		return err
+	}
+	identicalLU(t, c.artifact, base, fact, mt)
+	checkAdoption(t, rep, rec, g, d, c.survivor, c.victims...)
+	return nil
+}
+
+// twoDeathsCells are TestElasticTwoDeathsOneAdopter's cells: ranks 5 and 9
+// die, and rank 0 adopts both.
+func twoDeathsCells() []deathsCell {
+	var cells []deathsCell
+	for _, workers := range []int{1, 4} {
+		for _, mode := range broadcastModes {
+			cells = append(cells, deathsCell{
+				name:     fmt.Sprintf("%s/workers=%d", mode, workers),
+				artifact: fmt.Sprintf("two-deaths-%s-workers%d", mode, workers),
+				victims:  []int{5, 9}, survivor: 0, seed: 17, gen: 35, workers: workers, mode: mode,
+			})
+		}
+	}
+	return cells
+}
+
+// adopterDiesCells are TestElasticAdopterDies's cells: ranks 5 and 0 die,
+// and rank 1 survives them; then ranks 0 and 1, and rank 2 survives.
+func adopterDiesCells() []deathsCell {
+	var cells []deathsCell
+	for _, tc := range []struct {
+		victims  []int
+		survivor int
+	}{
+		{[]int{5, 0}, 1},
+		{[]int{0, 1}, 2},
+	} {
+		v := tc.victims
+		for _, workers := range []int{1, 4} {
+			for _, mode := range broadcastModes {
+				cells = append(cells, deathsCell{
+					name:     fmt.Sprintf("dead=%d,%d/%s/workers=%d", v[0], v[1], mode, workers),
+					artifact: fmt.Sprintf("adopter-dies-%d-%d-%s-workers%d", v[0], v[1], mode, workers),
+					victims:  v, survivor: tc.survivor, seed: 19, gen: 37, workers: workers, mode: mode,
+				})
+			}
+		}
+	}
+	return cells
+}
+
 // TestElasticTwoDeathsOneAdopter pins two dead owners: ranks 5 and 9 die a
 // third and two thirds of the way through their owned tasks, so rank 0 adopts
-// two whole shares side by side — two per-rank bases in its adoption tables,
-// and a version one share produces for the other is a snapshot delivered to
-// the consumer share's own slot, never a direct release ("adopted from the
+// two whole shares side by side — two shares of the plan built next to its
+// own, and a version one share produces for the other is a snapshot delivered
+// to the consumer share's own slot, never a direct release ("adopted from the
 // same node" is what releases directly, not "adopted"). A light
 // permanent-drop mix rides along.
 func TestElasticTwoDeathsOneAdopter(t *testing.T) {
-	const mt, b = 12, 4
-	victims := []int{5, 9}
-	d := dist.NewG2DBC(23)
-	g := dag.NewLU(mt)
-	crashes := map[int]int{
-		victims[0]: ownedTaskCount(g, d, victims[0]) / 3,
-		victims[1]: 2 * ownedTaskCount(g, d, victims[1]) / 3,
-	}
-	for _, workers := range []int{1, 4} {
-		base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 35), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range broadcastModes {
-			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
-				cfg := chaos.Config{Seed: 17, PDrop: 0.05, CrashAtTask: crashes}
-				opt, rec := chaosOpts(t, cfg, 30*time.Millisecond, workers)
-				opt.Broadcast = mode
-				opt.Elastic = true
-				dumpChaosArtifacts(t, fmt.Sprintf("two-deaths-%s-workers%d", mode, workers), rec)
-				err := runWithDeadline(t, func() error {
-					fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 35), opt)
-					if err != nil {
-						return err
-					}
-					identicalLU(t, "two deaths", base, fact, mt)
-					checkAdoption(t, rep, rec, g, d, 0, victims...)
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("run with two dead owners failed instead of recovering: %v", err)
-				}
-			})
-		}
+	for _, c := range twoDeathsCells() {
+		t.Run(c.name, func(t *testing.T) {
+			if err := runWithDeadline(t, func() error { return c.check(t) }); err != nil {
+				t.Fatalf("run with two dead owners failed instead of recovering: %v", err)
+			}
+		})
 	}
 }
 
@@ -352,49 +406,57 @@ func TestElasticTwoDeathsOneAdopter(t *testing.T) {
 // every request for a ward's versions went to a new adopter that had taken
 // the dead adopter's plan share only, and the run hung.
 func TestElasticAdopterDies(t *testing.T) {
-	const mt, b = 12, 4
-	d := dist.NewG2DBC(23)
+	for _, c := range adopterDiesCells() {
+		t.Run(c.name, func(t *testing.T) {
+			if err := runWithDeadline(t, func() error { return c.check(t) }); err != nil {
+				t.Fatalf("run whose adopter died failed instead of recovering: %v", err)
+			}
+		})
+	}
+}
+
+// TestElasticAdopterPeakCountsReplayTiles pins the adopter's working-set
+// peak: an adopted share's replay buffers are tiles the adopter holds, next
+// to its own, from the adoption on. Rank 2 of G-2DBC(4) dies before its
+// fourth pop, so rank 0's peak is at least its owned tiles plus rank 2's.
+// Every node that adopted nothing — in that run, and in every run without
+// elastic recovery — peaks between its owned tiles and its owned plus
+// received ones.
+func TestElasticAdopterPeakCountsReplayTiles(t *testing.T) {
+	const mt, b, victim = 8, 4, 2
+	d := dist.NewG2DBC(4)
 	g := dag.NewLU(mt)
-	for _, tc := range []struct {
-		victims  []int
-		survivor int
-	}{
-		{[]int{5, 0}, 1},
-		{[]int{0, 1}, 2},
-	} {
-		victims := tc.victims
-		crashes := map[int]int{
-			victims[0]: ownedTaskCount(g, d, victims[0]) / 3,
-			victims[1]: 2 * ownedTaskCount(g, d, victims[1]) / 3,
+	within := func(rep *Report, rank int) {
+		t.Helper()
+		peak, owned := rep.PeakTilesPerNode[rank], rep.OwnedTilesPerNode[rank]
+		if foot := owned + rep.ReceivedTilesPerNode[rank]; peak < owned || peak > foot {
+			t.Errorf("node %d peak %d outside [owned %d, owned + received %d]", rank, peak, owned, foot)
 		}
-		for _, workers := range []int{1, 4} {
-			base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 37), Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range broadcastModes {
-				name := fmt.Sprintf("dead=%d,%d/%s/workers=%d", victims[0], victims[1], mode, workers)
-				t.Run(name, func(t *testing.T) {
-					cfg := chaos.Config{Seed: 19, PDrop: 0.05, CrashAtTask: crashes}
-					opt, rec := chaosOpts(t, cfg, 30*time.Millisecond, workers)
-					opt.Broadcast = mode
-					opt.Elastic = true
-					dumpChaosArtifacts(t, fmt.Sprintf("adopter-dies-%d-%d-%s-workers%d", victims[0], victims[1], mode, workers), rec)
-					err := runWithDeadline(t, func() error {
-						fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 37), opt)
-						if err != nil {
-							return err
-						}
-						identicalLU(t, "adopter dies", base, fact, mt)
-						checkAdoption(t, rep, rec, g, d, tc.survivor, victims...)
-						return nil
-					})
-					if err != nil {
-						t.Fatalf("run whose adopter died failed instead of recovering: %v", err)
-					}
-				})
-			}
-		}
+	}
+	_, plain, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 41), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := range d.Nodes() {
+		within(plain, rank)
+	}
+
+	opt, rec := chaosOpts(t, chaos.Config{Seed: 1, CrashAtTask: map[int]int{victim: 3}}, 30*time.Millisecond, 1)
+	opt.Elastic = true
+	var rep *Report
+	err = runWithDeadline(t, func() error {
+		_, rep, err = FactorLU(mt, b, d, GenDiagDominant(mt, b, 41), opt)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("elastic run failed instead of recovering: %v", err)
+	}
+	checkAdoption(t, rep, rec, g, d, 0, victim)
+	if want := rep.OwnedTilesPerNode[0] + rep.OwnedTilesPerNode[victim]; rep.PeakTilesPerNode[0] < want {
+		t.Errorf("adopter peak %d below its owned tiles plus the victim's: %d", rep.PeakTilesPerNode[0], want)
+	}
+	for rank := 1; rank < d.Nodes(); rank++ {
+		within(rep, rank)
 	}
 }
 
@@ -464,7 +526,7 @@ func TestReRequestBudgetEscalatesWhenElastic(t *testing.T) {
 	if e.el.adoptedBy[0] != 1 {
 		t.Fatalf("adopter of the presumed-dead owner = %d, want 1 (lowest alive rank)", e.el.adoptedBy[0])
 	}
-	if len(e.el.xtask) == 0 {
+	if e.el.shares[0] == nil || e.el.adopted == 0 {
 		t.Fatal("no tasks migrated off the presumed-dead owner")
 	}
 	if p := e.res.pending[tag]; p != nil && p.attempts != 0 {

@@ -19,10 +19,67 @@ import (
 // and input tiles up under the node lock, so the kernel — which runs outside
 // it — reads no engine state.
 type job struct {
-	idx    int
+	t      int32  // plan task
+	sh     *share // the share t runs in
 	task   dag.Task
 	out    *tile.Tile
 	inputs []*tile.Tile
+}
+
+// share is one rank's per-run tables of the plan: the state a node needs to
+// run that rank's static share of the graph. Each table is a flat slice
+// indexed by (plan index − start of the rank's range): tasks from lo, tiles
+// from tileLo, slots from slotLo, kernel inputs from inLo. A node runs its own
+// share and, under elastic recovery, one per dead rank it adopted.
+type share struct {
+	lo, tileLo, slotLo, inLo int32
+	remaining                []int32
+	// tiles holds the rank's tiles: the in-place buffers its writer chains
+	// update. recv holds the received remote version of each slot,
+	// retained (and its message released back to the cluster pool) until
+	// readers[slot] consumers have run; fed marks slots whose plan waiters
+	// were released, so a re-delivery never releases them twice.
+	tiles   []*tile.Tile
+	recv    []cluster.Message
+	readers []int32
+	fed     []bool
+	inbuf   []*tile.Tile // one flat backing array for every task's kernel-input slice
+}
+
+// newShare allocates rank's per-run tables, sized from its share of the plan;
+// the tiles are left for generate. Nothing here walks the graph.
+func newShare(pl *plan.Plan, rank int) share {
+	lo, hi := pl.Tasks(rank)
+	tileLo, tileHi := pl.Tiles(rank)
+	slotLo, slotHi := pl.Slots(rank)
+	sh := share{
+		lo:        lo,
+		tileLo:    tileLo,
+		slotLo:    slotLo,
+		inLo:      pl.InputBase(lo),
+		remaining: make([]int32, hi-lo),
+		tiles:     make([]*tile.Tile, tileHi-tileLo),
+		recv:      make([]cluster.Message, slotHi-slotLo),
+		readers:   append([]int32(nil), pl.SlotReaders(slotLo, slotHi)...),
+		fed:       make([]bool, slotHi-slotLo),
+		inbuf:     make([]*tile.Tile, pl.InputBase(hi)-pl.InputBase(lo)),
+	}
+	for t := lo; t < hi; t++ {
+		sh.remaining[t-lo] = pl.NumDeps(t)
+	}
+	return sh
+}
+
+// tile returns the share's buffer of plan tile tl.
+func (sh *share) tile(tl int32) *tile.Tile { return sh.tiles[tl-sh.tileLo] }
+
+// release resolves one dependency of the share's plan task t — a same-share
+// predecessor's completion or an awaited version's arrival — and reports
+// whether none remain: the task is ready.
+func (sh *share) release(t int32) bool {
+	rem := &sh.remaining[t-sh.lo]
+	*rem--
+	return *rem == 0
 }
 
 // engine is one node's core; whatever reacts to faults lives in the two
@@ -57,35 +114,19 @@ type engine struct {
 	overAt        time.Time
 	finished      chan struct{}
 
-	// This node's share of the plan: tasks [lo, lo+n), tiles from tileLo,
-	// slots from slotLo. Every per-run table below is a flat slice indexed by
-	// (plan index − range start); local task indices >= n and slot indices
-	// past the plan's ranges belong to the elastic layer, which appends to the
-	// same slices — and stretches tiles over the whole plan (tileLo = 0), so
-	// an adopted tile keeps its plan index.
-	lo, tileLo, slotLo int32
-	inLo               int32 // plan.InputBase(lo): where this node's share of inbuf starts
-	n                  int
-	remaining          []int32
-	// tiles holds the owned tiles: the in-place buffers the owner's writer
-	// chain updates. recv holds the received remote version of each slot,
-	// retained (and its message released back to the cluster pool) until
-	// readers[slot] consumers have run; fed marks slots whose plan waiters
-	// were released, so a re-delivery never releases them twice. held counts
-	// the retained slots.
-	tiles   []*tile.Tile
-	recv    []cluster.Message
-	readers []int32
-	fed     []bool
-	nslot   int // slots the plan gives this node
-	held    int
-	inbuf   []*tile.Tile // one flat backing array for every task's kernel-input slice
+	// This node's own share of the plan, held by value.
+	share
 
 	// ready is the node's dispatch queue: the shared critical-path priority
-	// queue of package sched, keyed by the plan's per-task keys.
+	// queue of package sched, keyed by the plan's per-task keys, holding plan
+	// task indices.
 	ready sched.Heap
 
+	// ownedTiles counts the own share's tiles, held holds the tiles beyond
+	// them — retained received copies and, under elastic, adopted shares'
+	// replay buffers — and peakTiles is the high-water mark of the sum.
 	ownedTiles int
+	held       int
 	recvTotal  int
 	peakTiles  int
 
@@ -109,45 +150,27 @@ type engine struct {
 	el  *elastic    // death tracking and adoption; nil unless Elastic
 }
 
-// newEngine allocates rank's per-run mutable state, sized from its share of
-// the plan, and builds exactly the layers the options arm; opt must be
-// normalized. Nothing here walks the graph.
+// newEngine allocates rank's per-run mutable state and builds exactly the
+// layers the options arm; opt must be normalized.
 func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options, epoch time.Time) *engine {
 
-	lo, hi := pl.Tasks(rank)
-	tileLo, tileHi := pl.Tiles(rank)
-	slotLo, slotHi := pl.Slots(rank)
 	e := &engine{
-		rank:      rank,
-		comm:      comm,
-		pl:        pl,
-		gen:       gen,
-		kern:      kern,
-		workers:   opt.Workers,
-		rec:       opt.Recorder,
-		epoch:     epoch,
-		lo:        lo,
-		tileLo:    tileLo,
-		slotLo:    slotLo,
-		inLo:      pl.InputBase(lo),
-		n:         int(hi - lo),
-		remaining: make([]int32, hi-lo),
-		tiles:     make([]*tile.Tile, tileHi-tileLo),
-		recv:      make([]cluster.Message, slotHi-slotLo),
-		readers:   append([]int32(nil), pl.SlotReaders(slotLo, slotHi)...),
-		fed:       make([]bool, slotHi-slotLo),
-		nslot:     int(slotHi - slotLo),
-		inbuf:     make([]*tile.Tile, pl.InputBase(hi)-pl.InputBase(lo)),
-		ready:     sched.NewHeap(sched.TieLIFO),
-		busy:      make([]int64, opt.Workers),
-		finished:  make(chan struct{}),
-		crashAt:   -1,
+		rank:     rank,
+		comm:     comm,
+		pl:       pl,
+		gen:      gen,
+		kern:     kern,
+		workers:  opt.Workers,
+		rec:      opt.Recorder,
+		epoch:    epoch,
+		share:    newShare(pl, rank),
+		ready:    sched.NewHeap(sched.TieLIFO),
+		busy:     make([]int64, opt.Workers),
+		finished: make(chan struct{}),
+		crashAt:  -1,
 	}
 	e.cond.L = &e.mu
-	for t := lo; t < hi; t++ {
-		e.remaining[t-lo] = pl.NumDeps(t)
-	}
 	// The owned tiles themselves are generated by run, on the node's own
 	// goroutine; they count as held from the start.
 	e.ownedTiles = len(e.tiles)
@@ -164,25 +187,38 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 	return e
 }
 
-// generate fills rank's tiles: the node's own or, for the elastic layer, a
-// dead node's replay buffers. run calls it on the node's own goroutine rather
-// than newEngine on the caller's: the P nodes generate their shares side by
-// side, and a node that is done starts on its ready tasks while the others
-// still generate — a tile version sent to one of those waits in its mailbox.
-func (e *engine) generate(rank int) {
-	lo, hi := e.pl.Tiles(rank)
-	for tl := lo; tl < hi; tl++ {
-		e.tiles[tl-e.tileLo] = e.gen(e.pl.TileCoords(tl))
+// generate fills share sh's tiles: the node's own or, for the elastic layer,
+// a dead node's replay buffers. run calls it on the node's own goroutine
+// rather than newEngine on the caller's: the P nodes generate their shares
+// side by side, and a node that is done starts on its ready tasks while the
+// others still generate — a tile version sent to one of those waits in its
+// mailbox.
+func (e *engine) generate(sh *share) {
+	for k := range sh.tiles {
+		sh.tiles[k] = e.gen(e.pl.TileCoords(sh.tileLo + int32(k)))
 	}
 }
 
-// task returns the plan task behind local task idx: one of this node's own,
-// or one it adopted.
-func (e *engine) task(idx int) int32 {
-	if idx < e.n {
-		return e.lo + int32(idx)
+// shareOf returns the share plan task t runs in: this node's own, unless t
+// lies outside its range — then the dead owner's, which the elastic layer
+// adopted.
+func (e *engine) shareOf(t int32) *share {
+	if uint32(t-e.lo) < uint32(len(e.remaining)) {
+		return &e.share
 	}
-	return e.el.xtask[idx-e.n]
+	return e.el.shares[e.pl.Owner(t)]
+}
+
+// shareFor returns the share of rank's tasks this node holds: its own, one
+// the elastic layer adopted, or nil.
+func (e *engine) shareFor(rank int) *share {
+	switch {
+	case rank == e.rank:
+		return &e.share
+	case e.el != nil:
+		return e.el.shares[rank]
+	}
+	return nil
 }
 
 // tagOf returns the versioned wire tag of plan task t's output.
@@ -191,18 +227,8 @@ func (e *engine) tagOf(t int32) cluster.Tag {
 	return cluster.Tag{I: int32(i), J: int32(j), V: e.pl.Version(t)}
 }
 
-// tileOf returns this node's buffer of a plan tile — one it owns, or a
-// replay buffer of a tile it adopted (the elastic layer stretches the tile
-// table over the whole plan) — or nil when it holds none.
-func (e *engine) tileOf(tl int32) *tile.Tile {
-	if k := tl - e.tileLo; k >= 0 && int(k) < len(e.tiles) {
-		return e.tiles[k]
-	}
-	return nil
-}
-
-// slotOf returns the local slot in which the plan has this node await plan
-// task t's output version, or -1 when it gives the node none.
+// slotOf returns the slot of its own share in which the plan has this node
+// await plan task t's output version, or -1 when it gives the node none.
 func (e *engine) slotOf(t int32) int32 {
 	if s := e.pl.SlotAt(t, e.rank); s >= 0 {
 		return s - e.slotLo
@@ -210,48 +236,20 @@ func (e *engine) slotOf(t int32) int32 {
 	return -1
 }
 
-// inputs returns the input references of local task idx — the plan's — and
-// the bases its tile (ref >= 0) and slot (^ref) indices are relative to: this
-// node's ranges for a native task, where the elastic layer put the dead
-// owner's for an adopted one.
-func (e *engine) inputs(idx int) (refs []int32, tileBase, slotBase int32) {
-	pt := e.task(idx)
-	if idx < e.n {
-		return e.pl.Inputs(pt), e.tileLo, e.slotLo
-	}
-	return e.pl.Inputs(pt), 0, e.el.inputBase(pt)
-}
-
-// feed releases, once, the tasks the plan lists as waiting on local slot s: a
-// slot of this node's, or of a share the elastic layer adopted.
-func (e *engine) feed(s int32) {
-	if e.fed[s] {
-		return
-	}
-	e.fed[s] = true
-	if int(s) >= e.nslot {
-		e.el.feed(s)
-		return
-	}
-	for _, t := range e.pl.Waiters(e.slotLo + s) {
-		e.release(int(t - e.lo))
-	}
-}
-
-// retain stores msg as local slot s's received copy.
-func (e *engine) retain(s int32, msg cluster.Message) {
-	e.recv[s] = msg
-	e.held++
+// hold counts n more tiles held beyond the owned ones into the working-set
+// peak.
+func (e *engine) hold(n int) {
+	e.held += n
 	if held := e.ownedTiles + e.held; held > e.peakTiles {
 		e.peakTiles = held
 	}
 }
 
-// drop releases local slot s's received copy, if one is retained.
-func (e *engine) drop(s int32) {
-	if e.recv[s].Payload != nil {
-		e.recv[s].Release()
-		e.recv[s] = cluster.Message{}
+// drop releases share sh's received copy in slot s, if one is retained.
+func (e *engine) drop(sh *share, s int32) {
+	if sh.recv[s].Payload != nil {
+		sh.recv[s].Release()
+		sh.recv[s] = cluster.Message{}
 		e.held--
 	}
 }
@@ -268,17 +266,17 @@ func (e *engine) drop(s int32) {
 // the resilience layer's ticks when it is armed, and waits.
 func (e *engine) run() error {
 	// First, and even on a node with no task (the gather reads its tiles).
-	e.generate(e.rank)
-	if e.n == 0 && e.res == nil {
+	e.generate(&e.share)
+	if len(e.remaining) == 0 && e.res == nil {
 		// Nothing to run. (An armed node still starts: its late-request server
 		// and, under elastic, its adoptable capacity must exist.)
 		return nil
 	}
 
 	e.mu.Lock()
-	for idx, rem := range e.remaining {
+	for k, rem := range e.remaining {
 		if rem == 0 {
-			e.pushReady(idx)
+			e.pushReady(e.lo + int32(k))
 		}
 	}
 	// The tick channel stays nil — and its select case dead — unless the
@@ -335,14 +333,14 @@ func (e *engine) fail(err error) {
 	e.stopped, e.err = true, err
 }
 
-// settle ends the run once its exit condition holds: every task — owned, or
-// adopted since; len(remaining) counts both — has finished and, under elastic,
-// the completion barrier is open; or dispatch has stopped and the last running
-// kernel is back. No kernel runs at that instant, so the received tiles an
-// aborted run still retains — their consumers will never execute — are
-// released here, or their pooled buffers leak; on a shared cluster,
-// permanently. (A completed run's last-reader releases already emptied every
-// slot.) Whoever changed the state calls it, before giving up the lock.
+// settle ends the run once its exit condition holds: every owned task has
+// finished and, under elastic, so has every adopted one and the completion
+// barrier is open; or dispatch has stopped and the last running kernel is
+// back. No kernel runs at that instant, so the received tiles an aborted run
+// still retains — their consumers will never execute — are released here, or
+// their pooled buffers leak; on a shared cluster, permanently. (A completed
+// run's last-reader releases already emptied every slot.) Whoever changed the
+// state calls it, before giving up the lock.
 func (e *engine) settle() {
 	switch {
 	case e.over:
@@ -355,8 +353,12 @@ func (e *engine) settle() {
 		return
 	}
 	e.over, e.overAt = true, time.Now()
-	for s := range e.recv {
-		e.drop(int32(s))
+	for rank := range e.pl.Nodes() {
+		if sh := e.shareFor(rank); sh != nil {
+			for s := range sh.recv {
+				e.drop(sh, int32(s))
+			}
+		}
 	}
 	close(e.finished)
 	e.idle = 0
@@ -464,7 +466,7 @@ func (e *engine) finish(jb job, err error) {
 			e.err = err
 		}
 	case !e.stopped:
-		e.onComplete(jb.idx)
+		e.onComplete(jb.sh, jb.t)
 	}
 }
 
@@ -529,38 +531,30 @@ func (e *engine) pop() (jb job, ok bool) {
 	}
 	e.pops++
 	e.running++
-	return e.resolve(int(e.ready.Pop())), true
+	return e.resolve(e.ready.Pop()), true
 }
 
-// resolve looks up the tiles local task idx's kernel reads and writes.
-func (e *engine) resolve(idx int) job {
-	pt := e.task(idx)
-	t := e.pl.Task(pt)
-	out := e.tileOf(e.pl.Out(pt))
-	if out == nil {
-		panic(fmt.Sprintf("runtime: node %d: output tile of %v missing", e.rank, t))
-	}
-	refs, tileBase, slotBase := e.inputs(idx)
-	var inputs []*tile.Tile
-	if idx < e.n {
-		at := int(e.pl.InputBase(pt) - e.inLo)
-		inputs = e.inbuf[at : at+len(refs) : at+len(refs)]
-	} else {
-		inputs = make([]*tile.Tile, len(refs))
-	}
+// resolve looks up the tiles plan task t's kernel reads and writes, in t's
+// share.
+func (e *engine) resolve(t int32) job {
+	pl, sh := e.pl, e.shareOf(t)
+	task := pl.Task(t)
+	refs := pl.Inputs(t)
+	at := int(pl.InputBase(t) - sh.inLo)
+	inputs := sh.inbuf[at : at+len(refs) : at+len(refs)]
 	for k, ref := range refs {
 		var in *tile.Tile
 		if ref < 0 {
-			in = e.recv[^ref-slotBase].Payload
+			in = sh.recv[^ref-sh.slotLo].Payload
 		} else {
-			in = e.tiles[ref-tileBase]
+			in = sh.tiles[ref-sh.tileLo]
 		}
 		if in == nil {
-			panic(fmt.Sprintf("runtime: node %d: input %d of %v missing", e.rank, k, t))
+			panic(fmt.Sprintf("runtime: node %d: input %d of %v missing", e.rank, k, task))
 		}
 		inputs[k] = in
 	}
-	return job{idx: idx, task: t, out: out, inputs: inputs}
+	return job{t: t, sh: sh, task: task, out: sh.tile(pl.Out(t)), inputs: inputs}
 }
 
 // fault puts one injected fault or recovery action on the run's trace, when
@@ -594,46 +588,38 @@ func (e *engine) relay(msg cluster.Message) {
 	}
 }
 
-// release resolves one dependency of local task idx — a local predecessor's
-// completion or an awaited version's arrival — and queues the task once none
-// remain.
-func (e *engine) release(idx int) {
-	if e.remaining[idx]--; e.remaining[idx] == 0 {
-		e.pushReady(idx)
-	}
-}
-
-// pushReady queues local task idx for dispatch under its critical-path key
-// and tracks the ready-queue high-water mark.
-func (e *engine) pushReady(idx int) {
-	e.ready.Push(e.pl.Key(e.task(idx)), int32(idx))
+// pushReady queues plan task t for dispatch under its critical-path key and
+// tracks the ready-queue high-water mark.
+func (e *engine) pushReady(t int32) {
+	e.ready.Push(e.pl.Key(t), t)
 	if n := e.ready.Len(); n > e.readyPeak {
 		e.readyPeak = n
 	}
 }
 
-// onComplete publishes a finished task: releases local successors, sends the
-// output tile version once to every distinct remote consumer node — the
-// plan's static destination list, passed to the cluster as is unless the
-// elastic layer filters it through what only the run knows — and releases
-// received tiles whose last local consumer just ran.
-func (e *engine) onComplete(idx int) {
-	pl, pt := e.pl, e.task(idx)
-	out := e.tileOf(pl.Out(pt))
-	netTag := e.tagOf(pt)
+// onComplete publishes plan task t, finished in share sh: releases its
+// successors in the share, sends the output tile version once to every
+// distinct remote consumer node — the plan's static destination list, passed
+// to the cluster as is unless the elastic layer filters it through what only
+// the run knows — and releases received tiles whose last consumer in the share
+// just ran.
+func (e *engine) onComplete(sh *share, t int32) {
+	pl := e.pl
+	out := sh.tile(pl.Out(t))
+	netTag := e.tagOf(t)
 
-	dsts := pl.Dsts(pt)
+	dsts := pl.Dsts(t)
 	hadRemote := len(dsts) > 0
-	// Same-node successors sit at the same offset from the task locally as in
-	// the plan, native or adopted.
-	for _, s := range pl.Succs(pt) {
-		e.release(idx + int(s-pt))
+	for _, s := range pl.Succs(t) {
+		if sh.release(s) {
+			e.pushReady(s)
+		}
 	}
 	if e.el != nil {
-		dsts, hadRemote = e.el.complete(idx, pt, netTag, out)
+		dsts, hadRemote = e.el.complete(sh, t, netTag, out)
 	}
 	if len(dsts) > 0 {
-		if len(dsts) == 1 && pl.Reduce(pt) {
+		if len(dsts) == 1 && pl.Reduce(t) {
 			// Reduction partial: the accumulator's only remote consumer is the
 			// combine on its binomial parent's node, a point-to-point shipment
 			// counted as reduction traffic rather than a broadcast.
@@ -649,16 +635,15 @@ func (e *engine) onComplete(idx int) {
 	}
 
 	// Last-reader release: drop received copies this task consumed once no
-	// other local task still needs them, returning their buffers to the
+	// other task of the share still needs them, returning their buffers to the
 	// cluster pool.
-	refs, _, slotBase := e.inputs(idx)
-	for _, ref := range refs {
+	for _, ref := range pl.Inputs(t) {
 		if ref >= 0 {
 			continue
 		}
-		s := ^ref - slotBase
-		if e.readers[s]--; e.readers[s] <= 0 {
-			e.drop(s)
+		s := ^ref - sh.slotLo
+		if sh.readers[s]--; sh.readers[s] <= 0 {
+			e.drop(sh, s)
 		}
 	}
 }
@@ -714,18 +699,49 @@ func (e *engine) onArrival(msg cluster.Message) error {
 			msg.SentAt.Sub(e.epoch).Seconds(), time.Since(e.epoch).Seconds(),
 			msg.Payload.Bytes())
 	}
-	if e.el != nil && pt >= 0 {
-		// Shares adopted here may await the version in slots of their own.
-		e.el.deliver(pt, msg)
+	if pt < 0 {
+		msg.Release()
 		return nil
 	}
-	if slot >= 0 && e.readers[slot] > 0 {
-		e.retain(slot, msg)
+	e.deliver(pt, slot, msg)
+	return nil
+}
+
+// deliver hands msg — plan task t's output version, arrived over the wire or
+// produced here — to every share on this node that awaits it: the node's own
+// in its slot s (-1: none), adopted ones only under elastic, in theirs.
+func (e *engine) deliver(t, s int32, msg cluster.Message) {
+	if e.el == nil {
+		e.offer(&e.share, s, msg)
+		return
+	}
+	e.offer(&e.share, s, msg.Dup())
+	for _, rank := range e.pl.Dsts(t) {
+		if sh := e.el.shares[rank]; sh != nil {
+			e.offer(sh, e.pl.SlotAt(t, rank)-sh.slotLo, msg.Dup())
+		}
+	}
+	msg.Release()
+}
+
+// offer gives share sh's slot s (-1: none) its copy of a version. A slot
+// takes one: the first is retained if the share's inputs read it, and it
+// releases the slot's waiters; every other copy is released at once.
+func (e *engine) offer(sh *share, s int32, msg cluster.Message) {
+	if s < 0 || sh.fed[s] {
+		msg.Release()
+		return
+	}
+	sh.fed[s] = true
+	if sh.readers[s] > 0 {
+		sh.recv[s] = msg
+		e.hold(1)
 	} else {
 		msg.Release()
 	}
-	if slot >= 0 {
-		e.feed(slot)
+	for _, t := range e.pl.Waiters(sh.slotLo + s) {
+		if sh.release(t) {
+			e.pushReady(t)
+		}
 	}
-	return nil
 }

@@ -139,14 +139,14 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 	cl := cluster.New(sc.d.Nodes())
 	defer cl.Close()
 	e := testEngine(t, rank, cl, sc.g, sc.d, sc.b, sc.gen, sc.kern)
-	if e.n == 0 {
+	if len(e.remaining) == 0 {
 		t.Fatalf("rank %d owns nothing; scenario proves nothing", rank)
 	}
 
 	// Deterministic base order of awaited arrivals, then a fuzz-driven
 	// Fisher–Yates shuffle.
 	var tags []cluster.Tag
-	for s := 0; s < e.nslot; s++ {
+	for s := range e.recv {
 		tags = append(tags, e.tagOf(e.pl.SlotProducer(e.slotLo+int32(s))))
 	}
 	sort.Slice(tags, func(a, b int) bool {
@@ -167,23 +167,12 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 	popped := 0
 	pump := func() {
 		for !e.ready.Empty() {
-			idx := int(e.ready.Pop())
+			jb := e.resolve(e.ready.Pop())
 			popped++
-			tk := e.pl.Task(e.task(idx))
-			out := e.tileOf(e.pl.Out(e.task(idx)))
-			var inputs []*tile.Tile
-			refs, tileBase, slotBase := e.inputs(idx)
-			for _, ref := range refs {
-				if ref < 0 {
-					inputs = append(inputs, e.recv[^ref-slotBase].Payload)
-				} else {
-					inputs = append(inputs, e.tiles[ref-tileBase])
-				}
+			if err := sc.kern(jb.task, jb.out, jb.inputs); err != nil {
+				t.Fatalf("kernel %v: %v", jb.task, err)
 			}
-			if err := sc.kern(tk, out, inputs); err != nil {
-				t.Fatalf("kernel %v: %v", tk, err)
-			}
-			e.onComplete(idx)
+			e.onComplete(jb.sh, jb.t)
 		}
 	}
 	feed := func(msg cluster.Message) {
@@ -192,9 +181,9 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 		}
 	}
 
-	for idx, rem := range e.remaining {
+	for k, rem := range e.remaining {
 		if rem == 0 {
-			e.pushReady(idx)
+			e.pushReady(e.lo + int32(k))
 		}
 	}
 	pump()
@@ -241,12 +230,12 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 		pump()
 	}
 
-	if popped != e.n {
-		t.Fatalf("completed %d of %d owned tasks after all deliveries", popped, e.n)
+	if popped != len(e.remaining) {
+		t.Fatalf("completed %d of %d owned tasks after all deliveries", popped, len(e.remaining))
 	}
-	for idx, rem := range e.remaining {
+	for k, rem := range e.remaining {
 		if rem != 0 {
-			t.Fatalf("task %v still has %d unresolved deps", e.pl.Task(e.task(idx)), rem)
+			t.Fatalf("task %v still has %d unresolved deps", e.pl.Task(e.lo+int32(k)), rem)
 		}
 	}
 	openReaders := 0

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,63 @@ func TestLayersArmedOnlyWhenAsked(t *testing.T) {
 	}
 	if n := armedRep.Stats.Total(cluster.Requests); n != 0 {
 		t.Errorf("fault-free armed run sent %d re-requests", n)
+	}
+}
+
+// TestElasticEngineHoldsOnlyItsOwnShare pins what arming Elastic costs before
+// any death: an engine's per-run tables are its own share's, sized from its
+// rank's ranges of the plan and equal to the constructor's, exactly as without
+// the layer; the layer holds P-sized membership tables and no share. Nothing
+// is sized to the whole plan until a dead rank's share is built, at adoption.
+func TestElasticEngineHoldsOnlyItsOwnShare(t *testing.T) {
+	const mt, b = 6, 4
+	d := dist.NewTwoDBC(2, 2)
+	pl, err := plan.Compile(dag.NewLU(mt), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Elastic: true}
+	if err := opt.normalize(d); err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(d.Nodes())
+	defer cl.Close()
+	P := d.Nodes()
+	for rank := range P {
+		e := newEngine(rank, cl.Comm(rank), pl, GenDiagDominant(mt, b, 5), LUKernel, opt, time.Now())
+		if !reflect.DeepEqual(e.share, newShare(pl, rank)) {
+			t.Errorf("rank %d: the engine's tables are not its share's", rank)
+		}
+		lo, hi := pl.Tasks(rank)
+		tileLo, tileHi := pl.Tiles(rank)
+		slotLo, slotHi := pl.Slots(rank)
+		for _, c := range []struct {
+			table     string
+			got, want int
+		}{
+			{"remaining", len(e.remaining), int(hi - lo)},
+			{"tiles", len(e.tiles), int(tileHi - tileLo)},
+			{"recv", len(e.recv), int(slotHi - slotLo)},
+			{"readers", len(e.readers), int(slotHi - slotLo)},
+			{"fed", len(e.fed), int(slotHi - slotLo)},
+			{"inbuf", len(e.inbuf), int(pl.InputBase(hi) - pl.InputBase(lo))},
+			{"dead", len(e.el.dead), P},
+			{"adoptedBy", len(e.el.adoptedBy), P},
+			{"peerDone", len(e.el.peerDone), P},
+			{"shares", len(e.el.shares), P},
+		} {
+			if c.got != c.want {
+				t.Errorf("rank %d: %s holds %d entries, want %d", rank, c.table, c.got, c.want)
+			}
+		}
+		for dead, sh := range e.el.shares {
+			if sh != nil {
+				t.Errorf("rank %d holds rank %d's share before any death", rank, dead)
+			}
+		}
+		if e.el.adopted != 0 {
+			t.Errorf("rank %d counts %d adopted tasks before any death", rank, e.el.adopted)
+		}
 	}
 }
 

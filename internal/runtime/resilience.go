@@ -88,11 +88,11 @@ func newResilience(e *engine, opt Options) *resilience {
 // used to truncate to a zero ticker period and panic.
 func (r *resilience) start() *time.Ticker {
 	e := r.e
-	if e.nslot == 0 && e.el == nil {
+	if len(e.recv) == 0 && e.el == nil {
 		return nil
 	}
 	now := time.Now()
-	for s := 0; s < e.nslot; s++ {
+	for s := range e.recv {
 		r.await(e.tagOf(e.pl.SlotProducer(e.slotLo+int32(s))), now)
 	}
 	period := r.arrival / 2

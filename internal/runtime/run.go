@@ -10,7 +10,9 @@
 // The package is cut along the static/dynamic line of hybrid scheduling
 // (Donfack–Grigori–Gropp–Kale): what a run can know before it starts is
 // compile-time data in a plan.Plan, and the core engine (engine.go) only
-// indexes flat slices by it. The core is the whole fault-free path, the one
+// indexes flat slices by it: a node runs its rank's share of the plan, one
+// set of per-run tables (share) that newShare builds. The core is the whole
+// fault-free path, the one
 // the paper's evaluation exercises. A node is what it is under StarPU: Workers
 // worker goroutines and one communication goroutine, around one lock that
 // guards the node's state — there is no loop goroutine between them. A worker
@@ -44,12 +46,14 @@
 //     arrivals.
 //   - elastic (elastic.go; Options.Elastic): a node that dies mid-run no
 //     longer aborts the factorization — a deterministically chosen survivor
-//     adopts its share of the plan and republishes the outputs under the
+//     adopts its share of the plan — built by newShare, like the node's own,
+//     and kept in the layer's shares — and republishes the outputs under the
 //     original versioned tags. Call points: membership notices (onNote),
 //     every completion (complete: same-node fulfilment and the destination
-//     filter), every arrival (deliver: a version may sit in several local
-//     slots), local indices past the plan's ranges (xtask, inputBase, feed)
-//     and the run's exit condition (barrier).
+//     filter), the run's exit condition (barrier), the crash (die) and the
+//     gather (finalHolder). A task outside the node's own range names an
+//     adopted share (shareOf), and an arrival goes to every share that awaits
+//     it (deliver), adopted ones only when the layer is armed.
 //
 // Every method of the two is called with the node lock held.
 //
@@ -318,10 +322,12 @@ type Report struct {
 	OwnedTilesPerNode    []int
 	ReceivedTilesPerNode []int
 	// PeakTilesPerNode is each node's working-set high-water mark: the
-	// maximum number of tiles (owned + received-and-not-yet-released) the
-	// node held at any instant. It is at most OwnedTilesPerNode +
-	// ReceivedTilesPerNode, and strictly below it whenever tile release
-	// reclaimed memory mid-run.
+	// maximum number of tiles (owned + received-and-not-yet-released, plus
+	// the regenerated tiles of every share it adopted under Options.Elastic)
+	// the node held at any instant. For a node that adopted nothing it is at
+	// most OwnedTilesPerNode + ReceivedTilesPerNode, and strictly below it
+	// whenever tile release reclaimed memory mid-run; an adopter's peak is
+	// at least its owned tiles plus those of the shares it adopted.
 	PeakTilesPerNode []int
 	// Sched holds each node's scheduler observability counters.
 	Sched []SchedStats
@@ -550,17 +556,17 @@ func RunPlan(pl *plan.Plan,
 			if engines[rank].el != nil {
 				holder = finalHolder(engines, rank)
 			}
+			sh := engines[holder].shareFor(rank)
 			lo, hi := pl.Tiles(rank)
 			for tl := lo; tl < hi; tl++ {
 				i, j := pl.TileCoords(tl)
-				final := engines[holder].tileOf(tl)
-				if final == nil {
+				if sh == nil {
 					// Backstop: a dead node's work was never adopted — the
 					// run cannot produce complete factors.
 					return nil, fmt.Errorf("runtime: tile (%d,%d) lost: owner %d died and no survivor adopted its tasks",
 						i, j, rank)
 				}
-				collect(i, j, final)
+				collect(i, j, sh.tile(tl))
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func testEngineOpt(t testing.TB, rank int, cl *cluster.Cluster, g dag.Graph,
 		t.Fatal(err)
 	}
 	e := newEngine(rank, cl.Comm(rank), pl, gen, kern, opt, time.Now())
-	e.generate(rank)
+	e.generate(&e.share)
 	return e
 }
 
@@ -155,30 +155,29 @@ func TestEngineOwnedDiscovery(t *testing.T) {
 	total := 0
 	for rank := 0; rank < d.Nodes(); rank++ {
 		e := testEngine(t, rank, cl, g, d, 4, gen, CholeskyKernel)
-		total += e.n
-		for idx := 0; idx < e.n; idx++ {
-			task := e.pl.Task(e.task(idx))
+		total += len(e.remaining)
+		for k := range e.remaining {
+			task := e.pl.Task(e.lo + int32(k))
 			oi, oj := g.OutputTile(task)
 			if d.Owner(oi, oj) != rank {
 				t.Fatalf("engine %d owns task %v with owner %d", rank, task, d.Owner(oi, oj))
 			}
-			if e.tileOf(e.pl.Out(e.task(idx))) == nil {
+			if e.tile(e.pl.Out(e.lo+int32(k))) == nil {
 				t.Fatalf("engine %d did not materialize tile (%d,%d)", rank, oi, oj)
 			}
 		}
 		// Remaining counts must equal NumDependencies.
-		for idx := 0; idx < e.n; idx++ {
-			task := e.pl.Task(e.task(idx))
-			if int(e.remaining[idx]) != g.NumDependencies(task) {
+		for k, rem := range e.remaining {
+			task := e.pl.Task(e.lo + int32(k))
+			if int(rem) != g.NumDependencies(task) {
 				t.Fatalf("engine %d task %v remaining %d != deps %d",
-					rank, task, e.remaining[idx], g.NumDependencies(task))
+					rank, task, rem, g.NumDependencies(task))
 			}
 		}
 		// Reader counts cover exactly the remote input references.
 		remoteRefs := 0
-		for idx := 0; idx < e.n; idx++ {
-			refs, _, _ := e.inputs(idx)
-			for _, ref := range refs {
+		for k := range e.remaining {
+			for _, ref := range e.pl.Inputs(e.lo + int32(k)) {
 				if ref < 0 {
 					remoteRefs++
 				}
@@ -208,7 +207,7 @@ func TestEmptyEngineRuns(t *testing.T) {
 	if err := e.run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.n != 0 {
+	if len(e.remaining) != 0 {
 		t.Fatal("node 2 owns tasks under a single-node distribution")
 	}
 }

@@ -139,8 +139,10 @@ type Status struct {
 	// RunSeconds is the wall-clock of the run so far (final once terminal).
 	RunSeconds float64 `json:"runSeconds"`
 	// PeakTilesPerNode is the per-namespace working-set high-water mark of
-	// the finished run — the leakage witness: a tenant's peak reflects only
-	// its own tiles, whatever its neighbours did.
+	// the finished run (runtime.Report.PeakTilesPerNode: owned, received and,
+	// on a node that adopted a dead rank's share, that share's tiles) — the
+	// leakage witness: a tenant's peak reflects only its own tiles, whatever
+	// its neighbours did.
 	PeakTilesPerNode []int `json:"peakTilesPerNode,omitempty"`
 	// Messages and Bytes are the finished run's logical traffic totals.
 	Messages int64 `json:"messages,omitempty"`
