@@ -87,7 +87,7 @@ func FactorLU(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt
 	if err != nil {
 		return nil, nil, err
 	}
-	return RunPlanDense(pl, mt, b, gen, LUKernel, opt)
+	return runPlanDense(pl, mt, b, gen, LUKernel, opt)
 }
 
 // atLeastOne returns the error of a Factor or Solve size below 1, which no
@@ -119,11 +119,11 @@ func gather(pl *plan.Plan, gen func(i, j int) *tile.Tile, kern Kernel, opt Optio
 	return tiles, rep, nil
 }
 
-// RunPlanDense executes pl and returns the mt×mt leading block of its tile
+// runPlanDense executes pl and returns the mt×mt leading block of its tile
 // index range as a dense matrix made of the run's own final tiles. Whatever
 // the graph stores past that block — layer accumulators — is scratch and is
 // not gathered.
-func RunPlanDense(pl *plan.Plan, mt, b int,
+func runPlanDense(pl *plan.Plan, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
 
 	tiles, rep, err := gather(pl, gen, kern, opt, mt*mt, func(i, j int) int {
@@ -138,8 +138,8 @@ func RunPlanDense(pl *plan.Plan, mt, b int,
 	return matrix.DenseFromTiles(mt, mt, b, tiles), rep, nil
 }
 
-// RunPlanLower is RunPlanDense for a lower-stored symmetric mt×mt result.
-func RunPlanLower(pl *plan.Plan, mt, b int,
+// runPlanLower is runPlanDense for a lower-stored symmetric mt×mt result.
+func runPlanLower(pl *plan.Plan, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.SymmetricLower, *Report, error) {
 
 	tiles, rep, err := gather(pl, gen, kern, opt, mt*(mt+1)/2, func(i, j int) int {
@@ -174,7 +174,7 @@ func FactorLUReplicated(mt, b, c int, base dist.Distribution, gen func(i, j int)
 	if err != nil {
 		return nil, nil, err
 	}
-	return RunPlanDense(pl, mt, b, repGen, LUKernel, opt)
+	return runPlanDense(pl, mt, b, repGen, LUKernel, opt)
 }
 
 // FactorCholesky runs the distributed tiled Cholesky factorization of the
@@ -187,5 +187,5 @@ func FactorCholesky(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Til
 	if err != nil {
 		return nil, nil, err
 	}
-	return RunPlanLower(pl, mt, b, gen, CholeskyKernel, opt)
+	return runPlanLower(pl, mt, b, gen, CholeskyKernel, opt)
 }

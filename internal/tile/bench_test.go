@@ -126,6 +126,30 @@ func BenchmarkKernelTrsmLUCol256(b *testing.B)    { benchTrsm(b, 256, Right, Upp
 func BenchmarkKernelTrsmCholesky128(b *testing.B) { benchTrsm(b, 128, Right, Lower, TransT, NonUnit) }
 func BenchmarkKernelTrsmCholesky256(b *testing.B) { benchTrsm(b, 256, Right, Lower, TransT, NonUnit) }
 
+// BenchmarkKernelTrsmSmall times the same three variants at the small tile
+// sizes (lu-overhead runs b=8; b=24 is trsmNB, the largest tile solved by one
+// substitution): each is one vectorised substitution.
+func BenchmarkKernelTrsmSmall(b *testing.B) {
+	variants := []struct {
+		name  string
+		side  Side
+		uplo  Uplo
+		trans Trans
+		diag  Diag
+	}{
+		{"LURow", Left, Lower, NoTrans, Unit},
+		{"LUCol", Right, Upper, NoTrans, NonUnit},
+		{"Cholesky", Right, Lower, TransT, NonUnit},
+	}
+	for _, n := range []int{4, 8, 16, 24} {
+		for _, v := range variants {
+			b.Run(fmt.Sprintf("b=%d/%s", n, v.name), func(b *testing.B) {
+				benchTrsm(b, n, v.side, v.uplo, v.trans, v.diag)
+			})
+		}
+	}
+}
+
 func benchPotrf(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(3))
 	src := New(n, n)
@@ -146,6 +170,15 @@ func benchPotrf(b *testing.B, n int) {
 		}
 	}
 	b.ReportMetric(FlopsPotrf(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
+// BenchmarkKernelPotrfSmall times serve-mix's b=32, the smallest tile whose
+// recursion splits (one 16-row TRSM and SYRK between two scalar bases), and
+// b=64.
+func BenchmarkKernelPotrfSmall(b *testing.B) {
+	for _, n := range []int{32, 64} {
+		b.Run(fmt.Sprintf("b=%d", n), func(b *testing.B) { benchPotrf(b, n) })
+	}
 }
 
 func BenchmarkKernelPotrf128(b *testing.B) { benchPotrf(b, 128) }

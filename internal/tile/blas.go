@@ -77,19 +77,17 @@ func Gemm(transA, transB Trans, alpha float64, a, b *Tile, beta float64, c *Tile
 }
 
 // syrkBlock is the column-block width of the SYRK driver: off-diagonal
-// column panels go through the blocked GEMM kernel, and diagonal blocks with
-// enough depth run as a full square microkernel GEMM into a scratch block
-// (folding only the triangle into C); only shallow or narrow diagonal blocks
-// fall back to scalar dot loops.
+// column panels go through the blocked GEMM kernel, and each diagonal block
+// runs as a full square microkernel GEMM into a scratch block, folding only
+// the triangle into C.
 const syrkBlock = 64
 
 // Syrk computes the symmetric rank-k update C = alpha·op(A)·op(A)ᵀ + beta·C,
 // writing only the uplo triangle of C (including the diagonal). With
 // trans == NoTrans, op(A) = A; with TransT, op(A) = Aᵀ.
 //
-// The rows of op(A) are accessed as direct contiguous slices: for TransT the
-// transpose is packed once into a pooled buffer (the transposed fast path),
-// so no per-element accessors run in the inner loops.
+// syrkView reads op(A) as contiguous rows: for TransT the transpose is
+// packed once into a pooled buffer first.
 func Syrk(uplo Uplo, trans Trans, alpha float64, a *Tile, beta float64, c *Tile) {
 	n, k := opDims(trans, a)
 	if c.Rows != n || c.Cols != n {
@@ -131,14 +129,6 @@ func Syrk(uplo Uplo, trans Trans, alpha float64, a *Tile, beta float64, c *Tile)
 	syrkView(uplo, alpha, ad, lda, n, k, c.Data, c.Cols)
 }
 
-// syrkDiagMinDepth/syrkDiagMinWidth gate the scratch-GEMM diagonal path: a
-// diagonal block only pays the ~2× flop overhead of computing its full
-// square when the microkernel's rate more than wins it back.
-const (
-	syrkDiagMinDepth = 32
-	syrkDiagMinWidth = 8
-)
-
 // syrkView accumulates C(triangle) += alpha · A·Aᵀ over the dense row-major
 // view ad/lda holding n rows of depth k, writing only the uplo triangle of
 // cdata/ldc (beta and transposes have been handled by the caller). Also the
@@ -164,54 +154,32 @@ func syrkView(uplo Uplo, alpha float64, ad []float64, lda, n, k int, cdata []flo
 				rows,
 				j0, j1-j0, k, cdata[j0:], ldc)
 		}
+		// Diagonal block: the full bw×bw square through the microkernel into
+		// a zeroed scratch block, then only the triangle folds into C.
 		bw := j1 - j0
-		if k >= syrkDiagMinDepth && bw >= syrkDiagMinWidth {
-			// Diagonal block: full bw×bw square through the microkernel into
-			// a zeroed scratch block, then fold only the triangle into C.
-			buf := getPack(bw * bw)
-			s := buf.Data
-			for i := range s {
-				s[i] = 0
-			}
-			gemmView(alpha,
-				opView{data: ad[j0*lda:], ld: lda},
-				rows,
-				bw, bw, k, s, bw)
-			for i := 0; i < bw; i++ {
-				crow := cdata[(j0+i)*ldc : (j0+i)*ldc+n]
-				srow := s[i*bw : i*bw+bw]
-				if uplo == Lower {
-					for j := 0; j <= i; j++ {
-						crow[j0+j] += srow[j]
-					}
-				} else {
-					for j := i; j < bw; j++ {
-						crow[j0+j] += srow[j]
-					}
-				}
-			}
-			putPack(buf)
-			continue
+		buf := getPack(bw * bw)
+		s := buf.Data
+		for i := range s {
+			s[i] = 0
 		}
-		// Shallow diagonal triangle: scalar dot products over contiguous rows.
-		for i := j0; i < j1; i++ {
-			ri := ad[i*lda : i*lda+k]
-			crow := cdata[i*ldc : i*ldc+n]
-			var lo, hi int
+		gemmView(alpha,
+			opView{data: ad[j0*lda:], ld: lda},
+			rows,
+			bw, bw, k, s, bw)
+		for i := 0; i < bw; i++ {
+			crow := cdata[(j0+i)*ldc : (j0+i)*ldc+n]
+			srow := s[i*bw : i*bw+bw]
 			if uplo == Lower {
-				lo, hi = j0, i
-			} else {
-				lo, hi = i, j1-1
-			}
-			for j := lo; j <= hi; j++ {
-				rj := ad[j*lda : j*lda+k]
-				s := 0.0
-				for l, v := range ri {
-					s += v * rj[l]
+				for j := 0; j <= i; j++ {
+					crow[j0+j] += srow[j]
 				}
-				crow[j] += alpha * s
+			} else {
+				for j := i; j < bw; j++ {
+					crow[j0+j] += srow[j]
+				}
 			}
 		}
+		putPack(buf)
 	}
 }
 
@@ -223,12 +191,12 @@ func syrkView(uplo Uplo, alpha float64, ad []float64, lda, n, k int, cdata []flo
 // where A is triangular per uplo/diag. This is the panel-solve kernel: LU
 // uses (Left, Lower, NoTrans, Unit) for row panels and (Right, Upper,
 // NoTrans, NonUnit) for column panels; Cholesky uses (Right, Lower, TransT,
-// NonUnit). Tiles past trsmNB are solved by recursive halving
-// (trsm_blocked.go): substitution runs only on diagonal blocks of at most
-// trsmNB rows and the remaining O(n²·rhs) work is packed GEMM; the diagonal
-// scales by its reciprocal there, where a small tile's plain substitution
-// divides. With alpha == 0, B is zero-filled and returned without reading A
-// (matching Gemm's beta == 0 contract).
+// NonUnit). Every tile is solved by recursive halving (trsm_blocked.go):
+// vectorised substitution runs only on diagonal blocks of at most trsmNB rows
+// (a tile that small is one such block), scaling by the reciprocal of the
+// diagonal, and the remaining O(n²·rhs) work is GEMM. With alpha == 0, B is
+// zero-filled and returned without reading A (matching Gemm's beta == 0
+// contract).
 func Trsm(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b *Tile) {
 	if a.Rows != a.Cols {
 		panic("tile: Trsm needs a square triangular tile")
@@ -251,26 +219,6 @@ func Trsm(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b *Til
 	if trans == TransT {
 		effUplo = uplo.flipped()
 	}
-	if n > trsmNB {
-		trsmBlockedView(side, effUplo, diag, opView{data: a.Data, ld: a.Cols, trans: trans == TransT},
-			n, b.Data, b.Cols, b.Rows, b.Cols)
-		return
-	}
-	// A small tile: plain substitution over op(A) as a dense row-major
-	// matrix — for TransT the transpose, packed once into a pooled buffer so
-	// every inner loop runs over contiguous rows.
-	ad, lda := a.Data, a.Cols
-	if trans == TransT {
-		buf := getPack(n * n)
-		t := buf.Data
-		for i := 0; i < n; i++ {
-			src := a.Row(i)
-			for j, v := range src {
-				t[j*n+i] = v
-			}
-		}
-		ad, lda = t, n
-		defer putPack(buf)
-	}
-	trsmScalarView(side, effUplo, diag, ad, lda, n, b.Data, b.Cols, b.Rows, b.Cols)
+	trsmBlockedView(side, effUplo, diag, opView{data: a.Data, ld: a.Cols, trans: trans == TransT},
+		n, b.Data, b.Cols, b.Rows, b.Cols)
 }

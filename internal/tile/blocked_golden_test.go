@@ -11,18 +11,20 @@ import (
 // Golden tests for the blocked kernel rewrites against the retained scalar
 // reference kernels (ref_test.go): every side/uplo/trans/diag combination on
 // odd, non-multiple-of-nb sizes that straddle all the blocking boundaries
-// (trsmNB, factorRecCut, syrkBlock, syrkDiagMinDepth, gemmKC), so interior
-// blocks, edge blocks and the scalar fallbacks are all exercised, under every
-// microkernel this CPU runs (testKernels). The references are the exact
-// implementations the blocked code replaced; golden_test.go separately checks
-// both against naive triple loops.
+// (trsmNB, factorRecCut, syrkBlock, gemmDirectMax, gemmKC), so interior
+// blocks, edge blocks and the scalar factorization bases are all exercised,
+// under every microkernel this CPU runs (testKernels). The references are
+// the exact implementations the blocked code replaced; golden_test.go
+// separately checks both against naive triple loops.
 
-// blockedSizes cross every blocking boundary: 1 and 7 purely scalar; 25 is
-// the first size past trsmNB=24 and splits oddly (16 + 9); 40 splits into
-// two halves that are both substitution bases (24 + 16); 63/65 straddle
-// syrkBlock=64; 129 and 257 recurse several levels and are no multiple of
-// any kernel's nr; 500 is the paper's tile size (past gemmKC=240 in depth).
-var blockedSizes = []int{1, 7, 25, 40, 63, 65, 129, 257, 500}
+// blockedSizes cross every blocking boundary: 1, 7, 8 (lu-overhead's b), 16
+// (factorRecCut, a scalar factorization base) and 24 (trsmNB) are one
+// substitution block each; 25 is the first size past trsmNB and splits
+// oddly (16 + 9); 40 splits into two halves that are both substitution bases
+// (24 + 16); 63/65 straddle syrkBlock=64; 129 and 257 recurse several levels
+// and are no multiple of any kernel's nr; 500 is the paper's tile size (past
+// gemmKC=240 in depth).
+var blockedSizes = []int{1, 7, 8, 16, 24, 25, 40, 63, 65, 129, 257, 500}
 
 func TestGoldenTrsmBlockedVsRef(t *testing.T) {
 	kernels := testKernels(t)
@@ -125,8 +127,9 @@ func TestGoldenSyrkBlockedVsRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	// SYRK's blocking is syrkBlock and gemmKC alone: the sizes blockedSizes
 	// adds for the recursive solves and factorizations buy nothing here.
-	for _, n := range []int{1, 7, 63, 65, 129, 500} {
-		for _, k := range []int{1, 31, 65, 241} {
+	// n = k = 16 is the diagonal block POTRF's recursion hands SYRK at b = 32.
+	for _, n := range []int{1, 7, 16, 63, 65, 129, 500} {
+		for _, k := range []int{1, 16, 31, 65, 241} {
 			for _, uplo := range []Uplo{Lower, Upper} {
 				for _, trans := range []Trans{NoTrans, TransT} {
 					for _, coef := range [][2]float64{{-1, 1}, {0.5, 0}, {0, 1}} {

@@ -10,7 +10,7 @@ import (
 // on non-square and odd-sized tiles, compared element-wise against the
 // straightforward triple-loop references below. The sizes deliberately cross
 // the blocking boundaries (every microkernel's mr/nr strips, gemmMC row
-// panels, gemmKC depth panels, syrkBlock columns, trsmRB rows) so edge and
+// panels, gemmKC depth panels, syrkBlock columns, trsmNB solves) so edge and
 // interior paths are both exercised — the blocked implementations cannot
 // silently change numerics without failing here. Each case is computed under
 // every microkernel this CPU runs (testKernels), not only the one start-up
@@ -275,8 +275,8 @@ func TestGoldenSyrk(t *testing.T) {
 }
 
 // TestGoldenTrsm: all 16 (side, uplo, trans, diag) combinations on odd
-// non-square B, against the substitution reference, including row counts
-// around the trsmRB blocking.
+// non-square B, against the substitution reference, on both sides of
+// trsmNB and with B dimensions that are no multiple of any block.
 func TestGoldenTrsm(t *testing.T) {
 	kernels := testKernels(t)
 	rng := rand.New(rand.NewSource(14))

@@ -12,8 +12,9 @@ import (
 // production code bottoms out in the view-based scalar cores instead.
 
 // trsmRef is the original substitution-only Trsm: row-sliced forward/backward
-// substitution on the left, trsmRB-row-blocked substitution on the right.
+// substitution on the left, rb-row-blocked substitution on the right.
 func trsmRef(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b *Tile) {
+	const rb = 8 // rows of B per right-side block
 	if a.Rows != a.Cols {
 		panic("tile: Trsm needs a square triangular tile")
 	}
@@ -91,8 +92,8 @@ func trsmRef(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b *
 			}
 		}
 	case side == Right && effUplo == Lower:
-		for r0 := 0; r0 < b.Rows; r0 += trsmRB {
-			r1 := r0 + trsmRB
+		for r0 := 0; r0 < b.Rows; r0 += rb {
+			r1 := r0 + rb
 			if r1 > b.Rows {
 				r1 = b.Rows
 			}
@@ -117,8 +118,8 @@ func trsmRef(side Side, uplo Uplo, trans Trans, diag Diag, alpha float64, a, b *
 			}
 		}
 	default: // side == Right && effUplo == Upper
-		for r0 := 0; r0 < b.Rows; r0 += trsmRB {
-			r1 := r0 + trsmRB
+		for r0 := 0; r0 < b.Rows; r0 += rb {
+			r1 := r0 + rb
 			if r1 > b.Rows {
 				r1 = b.Rows
 			}

@@ -15,16 +15,12 @@ package tile
 // flag into the packing) and transposes back — the rows the substitution
 // vectorises over are then B's long columns.
 
-// trsmNB bounds the diagonal blocks solved by substitution. Whole tiles this
-// small never reach the blocked driver (Trsm); inside it the recursion stops
-// splitting here: small enough that the substitution's share (~nb/n of the
-// flops, at about half the packed GEMM's rate) stays minor at the paper's
-// tile sizes, large enough that the smallest GEMM still amortizes packing.
+// trsmNB bounds the diagonal blocks solved by substitution: the recursion
+// stops splitting here, small enough that the substitution's share (~nb/n of
+// the flops, at about half the packed GEMM's rate) stays minor at the
+// paper's tile sizes, large enough that the smallest GEMM still amortizes
+// packing. A whole tile this small is one substitution.
 const trsmNB = 24
-
-// trsmRB is the row-block width of the right-side scalar substitution: each
-// row of the triangular operand streams once per block of B rows.
-const trsmRB = 8
 
 // trsmBlockedView solves a triangular system in place over dense views:
 //
@@ -114,112 +110,6 @@ func solveRowScalar(y, a, x []float64, ldx int, s float64) {
 	if s != 1 {
 		for j := range y {
 			y[j] *= s
-		}
-	}
-}
-
-// trsmScalarView is the plain-Go substitution solve of whole small tiles
-// (n ≤ trsmNB, which Trsm keeps away from the blocked driver), over a dense
-// row-major effective triangle ad/lda. The left side streams B rows; the
-// right side runs trsmRB row blocks so every triangular row loads once per
-// block of B rows.
-func trsmScalarView(side Side, effUplo Uplo, diag Diag, ad []float64, lda, n int, bd []float64, ldb, brows, bcols int) {
-	switch {
-	case side == Left && effUplo == Lower:
-		for i := 0; i < n; i++ {
-			bi := bd[i*ldb : i*ldb+bcols]
-			ai := ad[i*lda : i*lda+n]
-			for k := 0; k < i; k++ {
-				f := ai[k]
-				if f == 0 {
-					continue
-				}
-				bk := bd[k*ldb : k*ldb+bcols]
-				for j := range bi {
-					bi[j] -= f * bk[j]
-				}
-			}
-			if diag == NonUnit {
-				d := ai[i]
-				for j := range bi {
-					bi[j] /= d
-				}
-			}
-		}
-	case side == Left && effUplo == Upper:
-		for i := n - 1; i >= 0; i-- {
-			bi := bd[i*ldb : i*ldb+bcols]
-			ai := ad[i*lda : i*lda+n]
-			for k := i + 1; k < n; k++ {
-				f := ai[k]
-				if f == 0 {
-					continue
-				}
-				bk := bd[k*ldb : k*ldb+bcols]
-				for j := range bi {
-					bi[j] -= f * bk[j]
-				}
-			}
-			if diag == NonUnit {
-				d := ai[i]
-				for j := range bi {
-					bi[j] /= d
-				}
-			}
-		}
-	case side == Right && effUplo == Lower:
-		// X·A = B with A lower: each B row solves independently, columns
-		// right to left.
-		for r0 := 0; r0 < brows; r0 += trsmRB {
-			r1 := r0 + trsmRB
-			if r1 > brows {
-				r1 = brows
-			}
-			for j := n - 1; j >= 0; j-- {
-				aj := ad[j*lda : j*lda+n]
-				d := aj[j]
-				for r := r0; r < r1; r++ {
-					br := bd[r*ldb : r*ldb+bcols]
-					if diag == NonUnit {
-						br[j] /= d
-					}
-					f := br[j]
-					if f == 0 {
-						continue
-					}
-					head := br[:j]
-					ah := aj[:j]
-					for idx := range head {
-						head[idx] -= f * ah[idx]
-					}
-				}
-			}
-		}
-	default: // side == Right && effUplo == Upper
-		for r0 := 0; r0 < brows; r0 += trsmRB {
-			r1 := r0 + trsmRB
-			if r1 > brows {
-				r1 = brows
-			}
-			for j := 0; j < n; j++ {
-				aj := ad[j*lda : j*lda+n]
-				d := aj[j]
-				for r := r0; r < r1; r++ {
-					br := bd[r*ldb : r*ldb+bcols]
-					if diag == NonUnit {
-						br[j] /= d
-					}
-					f := br[j]
-					if f == 0 {
-						continue
-					}
-					tail := br[j+1 : n]
-					at := aj[j+1 : n]
-					for idx := range tail {
-						tail[idx] -= f * at[idx]
-					}
-				}
-			}
 		}
 	}
 }
