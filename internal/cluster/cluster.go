@@ -64,10 +64,12 @@ func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 // published it, so receivers can attribute transfer intervals in real-run
 // traces.
 //
-// A broadcast (SendAll) delivers the same immutable payload tile to every
-// destination: receivers must treat Payload as read-only and call Release
-// when done with it, which returns the buffer to the cluster's pool after
-// the last recipient lets go.
+// A broadcast delivers the same immutable payload tile to every destination:
+// the cluster's pooled clone of the sender's tile, or, for a final payload
+// its sender never writes again, that tile itself (see Broadcast).
+// Receivers must treat Payload as read-only and call Release when done with
+// it. After the last recipient lets go, a clone returns to the cluster's pool
+// and a final tile stops counting as in flight (Cluster.PoolOutstanding).
 //
 // Under tree broadcast a non-empty Forward names the binomial subtree this
 // recipient must relay the payload to: the recipient passes the message to
@@ -110,31 +112,37 @@ const (
 	NoteDone
 )
 
-// sharedPayload reference-counts one broadcast payload across its
-// recipients.
+// sharedPayload reference-counts one payload in flight across its
+// recipients: a pooled clone, or a final tile its sender lent.
 type sharedPayload struct {
-	pool *tile.Pool
-	t    *tile.Tile
-	refs atomic.Int32
+	cl     *Cluster
+	t      *tile.Tile
+	pooled bool // t is the cluster's clone, put back in its pool by the last Release
+	refs   atomic.Int32
 }
 
 // Release declares this recipient done with the message payload. Once every
-// recipient of the broadcast has released it, the buffer returns to the
-// cluster's tile pool for reuse by later sends. The payload must not be
-// touched after Release; calling Release more than once per received message
-// corrupts the refcount. No-op on hand-built messages.
+// recipient of the payload has released it, a pooled clone returns to the
+// cluster's tile pool for reuse by later sends, and a lent final tile stops
+// counting as in flight. The payload must not be touched after Release;
+// calling Release more than once per received message corrupts the refcount.
+// No-op on hand-built messages.
 func (m *Message) Release() {
 	if m.shared == nil {
 		return
 	}
-	if m.shared.refs.Add(-1) == 0 {
-		m.shared.pool.Put(m.shared.t)
+	if sp := m.shared; sp.refs.Add(-1) == 0 {
+		if sp.pooled {
+			sp.cl.pool.Put(sp.t)
+		} else {
+			sp.cl.lent.Add(-1)
+		}
 	}
 	m.shared = nil
 }
 
 // Dup returns a second delivery of the same message sharing the payload
-// buffer: the reference count grows by one, so the copy must be Released by
+// tile: the reference count grows by one, so the copy must be Released by
 // its recipient exactly like the original. Fault-injecting networks use it
 // to model duplicate delivery without corrupting the pool. Hand-built
 // messages (no shared payload) are returned unchanged.
@@ -250,7 +258,7 @@ type Network interface {
 	Deliver(msg Message, deliver func(Message))
 }
 
-// BroadcastMode selects how SendAll moves one published tile to its k
+// BroadcastMode selects how Broadcast moves one published tile to its k
 // consumer nodes.
 type BroadcastMode int
 
@@ -277,7 +285,7 @@ func (m BroadcastMode) String() string {
 type Options struct {
 	// Net is the fault-injection seam; nil is the faithful network.
 	Net Network
-	// Broadcast selects the SendAll transport (default BroadcastFlat).
+	// Broadcast selects the Comm.Broadcast transport (default BroadcastFlat).
 	Broadcast BroadcastMode
 }
 
@@ -307,7 +315,7 @@ var byteValued = [numCounters]bool{Bytes: true, WireBytes: true, ReduceBytes: tr
 type kind uint8
 
 const (
-	kindData    kind = iota // SendAll: a published tile version
+	kindData    kind = iota // Broadcast: a published tile version
 	kindReduce              // SendReduce: a reduction partial
 	kindResend              // Resend: a redelivery answering a Request
 	kindForward             // Forward: a tree relay of someone else's broadcast
@@ -371,7 +379,8 @@ type Cluster struct {
 	closed    atomic.Bool  // set by Close; late-created planes are born closed
 	net       Network      // nil on a fault-free cluster
 	broadcast BroadcastMode
-	pool      tile.Pool // recycles send clones released by receivers
+	pool      tile.Pool    // recycles send clones released by receivers
+	lent      atomic.Int64 // final payloads sent by reference and not yet released by every recipient
 }
 
 // New creates a cluster of p nodes with a faithful (fault-free) network and
@@ -487,13 +496,14 @@ func (c *Cluster) DropJob(job int32) {
 	c.planes.Delete(job)
 }
 
-// PoolOutstanding returns the number of send-buffer tiles currently drawn
-// from the cluster's pool and not yet released (see tile.Pool.Outstanding).
+// PoolOutstanding returns the number of payloads in flight: the send-buffer
+// clones drawn from the cluster's pool (see tile.Pool.Outstanding) and the
+// final tiles sent by reference, each until its last recipient released it.
 // After every job on the cluster has finished or been cancelled and its
 // receivers drained, the balance returns to zero; a persistent residue is a
-// leaked payload share.
+// leaked payload share, cloned or lent alike.
 func (c *Cluster) PoolOutstanding() int64 {
-	return c.pool.Outstanding()
+	return c.pool.Outstanding() + c.lent.Load()
 }
 
 // Comm is one node's endpoint: its rank, its job's tag namespace, and its
@@ -508,34 +518,46 @@ type Comm struct {
 // Size returns the cluster's node count.
 func (c *Comm) Size() int { return c.cluster.p }
 
-// SendAll publishes one tile version to every listed destination, cloning
-// the payload once for the whole broadcast instead of once per destination:
-// kernel inputs are read-only, so all recipients share the same immutable
-// buffer, which returns to the cluster's pool after the last Release. The
-// wire hops follow the cluster's BroadcastMode — flat fan-out from the owner,
-// or a binomial tree whose recipients relay the shared payload onward via
+// Broadcast publishes one tile version to every listed destination as one
+// payload all recipients share: kernel inputs are read-only, so the payload
+// is never copied per destination. A final payload, one the caller never
+// writes again, is shared as the caller's own tile by every hop, relay and
+// Dup; any other is cloned once from the cluster's pool, so the caller may go
+// on to update its tile in place, and the clone returns to the pool after the
+// last Release. Either way the ledger charges the same bytes, and the payload
+// counts as in flight (PoolOutstanding) until its last Release. The wire hops
+// follow the cluster's BroadcastMode — flat fan-out from the owner, or a
+// binomial tree whose recipients relay the shared payload onward via
 // Comm.Forward — while the logical counters name every destination either
 // way, so the communication-volume semantics the integration tests check do
 // not depend on the mode. Destinations must be distinct and exclude the
 // sender: the runtime must short-circuit local data.
+func (c *Comm) Broadcast(dsts []int, tag Tag, payload *tile.Tile, final bool) {
+	c.transmit(kindData, dsts, Message{Tag: tag}, payload, final)
+}
+
+// SendAll broadcasts a clone of payload (Broadcast with final false): the
+// form for a caller that may go on to write its tile, such as bench/'s
+// transport probe.
 func (c *Comm) SendAll(dsts []int, tag Tag, payload *tile.Tile) {
-	c.transmit(kindData, dsts, Message{Tag: tag}, payload)
+	c.Broadcast(dsts, tag, payload, false)
 }
 
 // transmit is the cluster's one send path: every tile, relay hop, control
 // request and membership notice leaves a node through it. It checks the whole
 // destination list before a buffer is cloned or a hop dispatched — a panic
-// must leave no pooled clone with a refcount the receivers can never drain,
-// and no partially delivered broadcast — then stamps the sender's rank and
-// job epoch (receivers strip it in Recv), charges the ledger exactly what
+// must leave no payload in flight with a refcount the receivers can never
+// drain, and no partially delivered broadcast — then stamps the sender's rank
+// and job epoch (receivers strip it in Recv), charges the ledger exactly what
 // ledgerOf lists for the kind, and hands every hop to the network seam;
 // notices alone go straight to the mailboxes.
 //
 // msg carries the tag and the kind's control fields. A non-nil payload is
-// cloned once and shared by every hop; a relay passes nil and msg already
-// holds the in-flight broadcast's shared payload, of which each hop takes one
-// more share (what Dup does) while the caller keeps its own.
-func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile) {
+// shared by every hop: cloned once into the pool, or — when final says the
+// caller never writes it again — lent as it is. A relay passes nil and msg
+// already holds the in-flight broadcast's shared payload, of which each hop
+// takes one more share (what Dup does) while the caller keeps its own.
+func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile, final bool) {
 	cl := c.cluster
 	if len(dsts) == 0 {
 		return
@@ -566,15 +588,21 @@ func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile) {
 		hops, subtrees = TreeFanout(append([]int(nil), dsts...))
 	}
 	if payload != nil {
-		msg.Payload = cl.pool.Clone(payload)
-		msg.shared = &sharedPayload{pool: &cl.pool, t: msg.Payload}
+		sp := &sharedPayload{cl: cl, t: payload}
+		if final {
+			cl.lent.Add(1)
+		} else {
+			sp.t, sp.pooled = cl.pool.Clone(payload), true
+		}
+		msg.Payload, msg.shared = sp.t, sp
 	}
 	if msg.shared != nil {
 		msg.shared.refs.Add(int32(len(hops)))
 	}
 	// Count what is actually on the wire: a fresh payload is the transport's
-	// private clone, so the ledger cannot diverge from the shipped bytes even
-	// if the caller mutates or resizes its original concurrently.
+	// private clone or a final tile nobody writes again, so the ledger cannot
+	// diverge from the shipped bytes even if the caller goes on to update its
+	// original in place.
 	var size int64
 	if msg.Payload != nil {
 		size = int64(msg.Payload.Bytes())
@@ -613,13 +641,14 @@ func (c *Comm) charge(counters []Counter, dst int, size int64) {
 
 // SendReduce ships one reduction partial — a layer's accumulator tile — to
 // the single node that combines it. Partials always flow up exactly one edge
-// of the binomial combine schedule (dag.ReplicatedLU's), so unlike SendAll
+// of the binomial combine schedule (dag.ReplicatedLU's), so unlike Broadcast
 // there is no fan-out and no relay in either broadcast mode; their own
 // counters let measurements split a replicated run's volume into
-// panel-broadcast and reduction traffic. A lost partial heals through the
-// ordinary re-request path (Request/Resend from the publisher's version cache).
-func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile) {
-	c.transmit(kindReduce, []int{dst}, Message{Tag: tag}, payload)
+// panel-broadcast and reduction traffic. final means what it means to
+// Broadcast. A lost partial heals through the ordinary re-request path
+// (Request/Resend from the publisher's version cache).
+func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile, final bool) {
+	c.transmit(kindReduce, []int{dst}, Message{Tag: tag}, payload, final)
 }
 
 // Forward relays a tree-broadcast message onward: the caller received msg
@@ -631,7 +660,7 @@ func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile) {
 // caller still owns its payload share and releases it through the usual
 // Message.Release path.
 func (c *Comm) Forward(msg Message) {
-	c.transmit(kindForward, msg.Forward, msg, nil)
+	c.transmit(kindForward, msg.Forward, msg, nil, false)
 }
 
 // Request sends the control message of the arrival-timeout protocol: it asks
@@ -639,7 +668,7 @@ func (c *Comm) Forward(msg Message) {
 // delivery it passes through the fault seam, so a lost request is healed by
 // the requester's exponential backoff, not by the transport.
 func (c *Comm) Request(owner int, tag Tag) {
-	c.transmit(kindRequest, []int{owner}, Message{Tag: tag, Req: true}, nil)
+	c.transmit(kindRequest, []int{owner}, Message{Tag: tag, Req: true}, nil, false)
 }
 
 // Notify broadcasts a membership notice about subject to every other node.
@@ -658,15 +687,16 @@ func (c *Comm) Notify(note NoteKind, subject int) {
 			peers = append(peers, dst)
 		}
 	}
-	c.transmit(kindNote, peers, Message{Note: note, NoteRank: subject}, nil)
+	c.transmit(kindNote, peers, Message{Note: note, NoteRank: subject}, nil, false)
 }
 
 // Resend re-sends one published tile version to a single destination in
 // answer to a Request. Redeliveries are always direct, even under tree
 // broadcast: the healing path must not depend on relays that may themselves
-// be faulty.
+// be faulty. A published version is never written again, so the payload is
+// shared by reference, as Broadcast shares a final one.
 func (c *Comm) Resend(dst int, tag Tag, payload *tile.Tile) {
-	c.transmit(kindResend, []int{dst}, Message{Tag: tag}, payload)
+	c.transmit(kindResend, []int{dst}, Message{Tag: tag}, payload, true)
 }
 
 // Abort poisons this endpoint's job: every mailbox of the job's plane

@@ -3,9 +3,10 @@
 // The design rests on three invariants the normal protocol already provides:
 //
 //  1. Every tile version a dead node consumed remotely was broadcast by its
-//     owner, and resilient owners snapshot every broadcast version into their
-//     published cache — so all remote inputs of the dead node's tasks remain
-//     reconstructible via the Request/Resend protocol.
+//     owner, and resilient owners keep every broadcast version in their
+//     published cache — a final one by reference, any other as a snapshot —
+//     so all remote inputs of the dead node's tasks remain reconstructible
+//     via the Request/Resend protocol.
 //  2. Initial tile contents are deterministic (the gen generator), so the
 //     dead node's own tiles can be regenerated from scratch and its entire
 //     writer chains replayed in place, in the original dependency order.
@@ -118,7 +119,7 @@ func (el *elastic) die() {
 // wire. The core has released the producer's successors in its own share
 // (they read its in-place buffer exactly as on the original owner); a
 // consumer here in another share waits on that share's slot for the version,
-// and is fed a snapshot exactly as if the tag had arrived over the network —
+// and is fed the version exactly as if the tag had arrived over the network —
 // one release path per edge, so a racing stale arrival can never
 // double-decrement a dependency count.
 func (el *elastic) complete(sh *share, t int32, tag cluster.Tag, out *tile.Tile) ([]int, bool) {
@@ -132,11 +133,15 @@ func (el *elastic) complete(sh *share, t int32, tag cluster.Tag, out *tile.Tile)
 	}
 	// The synthetic arrival, when a share here awaits the version. One that
 	// came over the wire first (a pre-crash copy racing the replay) fed its
-	// slots then and is not admitted again; out is advanced in place by the
-	// tile's later writers, hence the snapshot.
+	// slots then and is not admitted again. A final version is delivered by
+	// reference; any other is snapshotted, as out is advanced in place by the
+	// tile's later writers.
 	awaited := slices.ContainsFunc(dsts, func(rank int) bool { return e.shareFor(rank) != nil })
 	if awaited && e.res.admit(tag, -1) {
-		e.deliver(t, e.slotOf(t), cluster.Message{From: e.rank, To: e.rank, Tag: tag, Payload: out.Clone()})
+		if !pl.Final(t) {
+			out = out.Clone()
+		}
+		e.deliver(t, e.slotOf(t), cluster.Message{From: e.rank, To: e.rank, Tag: tag, Payload: out})
 	}
 	return el.liveDsts(t), hadRemote
 }
@@ -251,7 +256,7 @@ next:
 //   - one a slot here still holds is shared with it;
 //   - one this node already produced — natively, or in another adopted share —
 //     comes from its published cache (the dead rank consumed it, so it was
-//     broadcast, and every broadcast is snapshotted);
+//     broadcast, and every broadcast is cached);
 //   - one this node will produce is delivered at that completion;
 //   - anything else is awaited exactly like a network arrival, with an
 //     immediate Request because the version may never have been addressed to

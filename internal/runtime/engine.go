@@ -619,24 +619,27 @@ func (e *engine) onComplete(sh *share, t int32) {
 		dsts, hadRemote = e.el.complete(sh, t, netTag, out)
 	}
 	if len(dsts) > 0 {
+		// One payload every consumer node shares: a final version by
+		// reference — no task writes its tile again — and any other as the
+		// cluster's snapshot, since the tile's next writer updates out in
+		// place (see cluster.Broadcast).
 		if len(dsts) == 1 && pl.Reduce(t) {
 			// Reduction partial: the accumulator's only remote consumer is the
 			// combine on its binomial parent's node, a point-to-point shipment
 			// counted as reduction traffic rather than a broadcast.
-			e.comm.SendReduce(dsts[0], netTag, out)
+			e.comm.SendReduce(dsts[0], netTag, out, pl.Final(t))
 		} else {
-			// One broadcast, one clone: every consumer node shares the same
-			// immutable payload (see cluster.SendAll).
-			e.comm.SendAll(dsts, netTag, out)
+			e.comm.Broadcast(dsts, netTag, out, pl.Final(t))
 		}
 	}
 	if e.res != nil && hadRemote {
-		e.res.publish(netTag, out)
+		e.res.publish(netTag, out, pl.Final(t))
 	}
 
-	// Last-reader release: drop received copies this task consumed once no
-	// other task of the share still needs them, returning their buffers to the
-	// cluster pool.
+	// Last-reader release: drop received versions this task consumed once no
+	// other task of the share still needs them, releasing the payload share: a
+	// pooled clone goes back to the pool, and a lent final tile stops counting
+	// as in flight.
 	for _, ref := range pl.Inputs(t) {
 		if ref >= 0 {
 			continue

@@ -1,0 +1,132 @@
+package runtime
+
+import (
+	"sync"
+	"testing"
+
+	"anybc/internal/cluster"
+	"anybc/internal/core"
+	"anybc/internal/dag"
+	"anybc/internal/dist"
+	"anybc/internal/plan"
+	"anybc/internal/tile"
+)
+
+// payloadSpy is a faithful network that records every payload it carries,
+// and the tag it carries it under.
+type payloadSpy struct {
+	mu   sync.Mutex
+	sent []*tile.Tile
+	tags []cluster.Tag
+}
+
+func (s *payloadSpy) Deliver(msg cluster.Message, deliver func(cluster.Message)) {
+	if msg.Payload != nil {
+		s.mu.Lock()
+		s.sent, s.tags = append(s.sent, msg.Payload), append(s.tags, msg.Tag)
+		s.mu.Unlock()
+	}
+	deliver(msg)
+}
+
+// snapshots counts the payloads the spy carried that are not one of the
+// run's own final tiles: the copies the cluster took.
+func (s *payloadSpy) snapshots(final map[*tile.Tile]bool) int {
+	n := 0
+	for _, p := range s.sent {
+		if !final[p] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestProductGraphsSendOnlyFinalVersions holds the by-reference send path to
+// the graphs the product runs: every task of LU, Cholesky, the replicated LU
+// (c = 2) and the two solves that sends its output writes its tile's last
+// version, at P = 4, 6 and 23; and a factorization on a cluster of its own
+// ships only the owners' final tiles, never a snapshot.
+func TestProductGraphsSendOnlyFinalVersions(t *testing.T) {
+	const mt = 12
+	for _, p := range []int{4, 6, 23} {
+		gcrm, err := core.New(core.GCRM, p, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2dbc := dist.NewG2DBC(p)
+		for _, c := range []struct {
+			name string
+			g    dag.Graph
+			d    dist.Distribution
+		}{
+			{"LU", dag.NewLU(mt), g2dbc},
+			{"Cholesky", dag.NewCholesky(mt), gcrm},
+			{"ReplicatedLU", dag.NewReplicatedLU(mt, 2), dist.NewReplicated(g2dbc, 2, mt)},
+			{"LUSolve", dag.NewLUSolve(mt, 2), solveDist{Distribution: g2dbc, mt: mt}},
+			{"CholeskySolve", dag.NewCholeskySolve(mt, 2), solveDist{Distribution: gcrm, mt: mt}},
+		} {
+			pl, err := plan.Compile(c.g, c.d)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", c.name, p, err)
+			}
+			senders := 0
+			for tk := int32(0); tk < int32(c.g.NumTasks()); tk++ {
+				if len(pl.Dsts(tk)) == 0 {
+					continue
+				}
+				senders++
+				if !pl.Final(tk) {
+					t.Errorf("%s P=%d: %v sends version %d of its tile, not the last",
+						c.name, p, pl.Task(tk), pl.Version(tk))
+				}
+			}
+			if senders == 0 {
+				t.Errorf("%s P=%d: no task sends anything", c.name, p)
+			}
+		}
+	}
+
+	// The factorizations, on a cluster of their own whose network records
+	// every payload: each must be one of the returned factors' tiles.
+	const b = 8
+	gcrm, err := core.New(core.GCRM, 6, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		mode   cluster.BroadcastMode
+		factor func(Options) (map[*tile.Tile]bool, error)
+	}{
+		{"FactorLU", cluster.BroadcastFlat, func(opt Options) (map[*tile.Tile]bool, error) {
+			lu, _, err := FactorLU(mt, b, dist.NewG2DBC(6), GenDiagDominant(mt, b, 1), opt)
+			final := map[*tile.Tile]bool{}
+			for i := 0; err == nil && i < mt*mt; i++ {
+				final[lu.Tile(i/mt, i%mt)] = true
+			}
+			return final, err
+		}},
+		{"FactorCholesky", cluster.BroadcastTree, func(opt Options) (map[*tile.Tile]bool, error) {
+			l, _, err := FactorCholesky(mt, b, gcrm, GenSPD(mt, b, 1), opt)
+			final := map[*tile.Tile]bool{}
+			for i := 0; err == nil && i < mt*mt; i++ {
+				if i%mt <= i/mt {
+					final[l.Tile(i/mt, i%mt)] = true
+				}
+			}
+			return final, err
+		}},
+	} {
+		spy := &payloadSpy{}
+		cl := cluster.NewWithOptions(6, cluster.Options{Net: spy, Broadcast: c.mode})
+		final, err := c.factor(Options{Cluster: cl})
+		cl.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(spy.sent) == 0 || spy.snapshots(final) != 0 || cl.PoolOutstanding() != 0 {
+			t.Errorf("%s: %d payloads sent, %d of them snapshots, %d still in flight",
+				c.name, len(spy.sent), spy.snapshots(final), cl.PoolOutstanding())
+		}
+	}
+}

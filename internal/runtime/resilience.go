@@ -18,7 +18,8 @@ type resilience struct {
 
 	// published caches the tile versions this node broadcast, so re-requests
 	// can be answered even after the publishing task's buffer was updated in
-	// place — or after this node's run is over (engine.receive).
+	// place — or after this node's run is over (engine.receive). A final
+	// version is the owner's own tile, any other a private snapshot.
 	published map[cluster.Tag]*tile.Tile
 	// seen marks tags that already arrived once, so duplicates landing after
 	// the last-reader release still drop idempotently. pending carries the
@@ -168,16 +169,21 @@ func (r *resilience) restart(owner int) {
 	}
 }
 
-// publish snapshots a version this node just broadcast: out is updated in
-// place by the tile's later writers, so the broadcast content must be
-// preserved separately. The core calls it whenever any remote consumer
-// exists — even one whose death emptied today's destination list — because
-// that consumer's adopter may still re-request the version.
-func (r *resilience) publish(tag cluster.Tag, out *tile.Tile) {
-	r.published[tag] = out.Clone()
+// publish caches a version this node just broadcast. A final version is
+// cached by reference: no task writes its tile again. Any other is
+// snapshotted, since out is updated in place by the tile's later writers and
+// the broadcast content must be preserved separately. The core calls it
+// whenever any remote consumer exists — even one whose death emptied today's
+// destination list — because that consumer's adopter may still re-request
+// the version.
+func (r *resilience) publish(tag cluster.Tag, out *tile.Tile, final bool) {
+	if !final {
+		out = out.Clone()
+	}
+	r.published[tag] = out
 }
 
-// cached returns the published snapshot of tag, or nil.
+// cached returns the published version of tag, or nil.
 func (r *resilience) cached(tag cluster.Tag) *tile.Tile { return r.published[tag] }
 
 // answer serves one version re-request from the published cache. A request

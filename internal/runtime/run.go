@@ -105,12 +105,17 @@
 // growing with the whole run's traffic (the block-lifetime discipline of
 // DBCSR-style runtimes). Report.PeakTilesPerNode exposes the high-water mark.
 //
-// Communication allocates once per published tile version, not once per
-// destination: a completion broadcasts its output through cluster.SendAll,
-// every consumer node shares the same immutable clone, and the buffer
-// returns to the cluster's shape-keyed pool (tile.Pool) when the last
-// consumer releases it — so steady-state runs recycle a small set of
-// message buffers instead of churning one allocation per message.
+// Communication copies nothing a product graph sends: every sending task
+// writes its tile's last version (plan.Plan.Final), which the owner never
+// touches again, so a completion hands that tile itself to the cluster
+// (cluster.Broadcast, final) and every consumer node reads the owner's buffer —
+// the resilience layer's published cache and the elastic layer's same-node
+// delivery keep a reference too. Only an intermediate version, one the
+// tile's next writer updates in place, travels as a copy: one
+// pooled clone per broadcast, shared by every consumer node and
+// returned to the cluster's shape-keyed pool (tile.Pool) when the last
+// consumer releases it. Either way the cluster counts the payload as in
+// flight until its last Release.
 //
 // Owned tiles are never pooled and never copied: gen allocates each one, the
 // owner's kernels update it in place for the whole run, and it leaves with the
@@ -324,7 +329,10 @@ type Report struct {
 	// PeakTilesPerNode is each node's working-set high-water mark: the
 	// maximum number of tiles (owned + received-and-not-yet-released, plus
 	// the regenerated tiles of every share it adopted under Options.Elastic)
-	// the node held at any instant. For a node that adopted nothing it is at
+	// the node held at any instant. A received version counts as held even
+	// when it arrived by reference to its owner's buffer and no copy exists:
+	// the count models the working set of a distributed node, which would
+	// hold the tile in its own memory. For a node that adopted nothing it is at
 	// most OwnedTilesPerNode + ReceivedTilesPerNode, and strictly below it
 	// whenever tile release reclaimed memory mid-run; an adopter's peak is
 	// at least its owned tiles plus those of the shares it adopted.

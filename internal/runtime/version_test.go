@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
@@ -129,10 +130,29 @@ func TestMultiVersionRemoteConsumption(t *testing.T) {
 
 	for _, workers := range []int{1, 3} {
 		got := map[[2]int]float64{}
-		rep, err := Run(g, d, 1, gen, kern, Options{Workers: workers},
-			func(i, j int, tl *tile.Tile) { got[[2]int{i, j}] = tl.At(0, 0) })
+		var owned *tile.Tile // node 0's buffer of (0,0)
+		spy := &payloadSpy{}
+		cl := cluster.NewWithOptions(2, cluster.Options{Net: spy})
+		rep, err := Run(g, d, 1, gen, kern, Options{Workers: workers, Cluster: cl},
+			func(i, j int, tl *tile.Tile) {
+				got[[2]int{i, j}] = tl.At(0, 0)
+				if i == 0 && j == 0 {
+					owned = tl
+				}
+			})
+		cl.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		// The intermediate version went as a snapshot, since W1 updates the
+		// buffer in place; the final one as the owner's buffer itself.
+		if len(spy.tags) != 2 {
+			t.Errorf("workers=%d: the network carried %d payloads, want 2", workers, len(spy.tags))
+		}
+		for k, tag := range spy.tags {
+			if snapshot := spy.sent[k] != owned; snapshot != (tag.V == 0) {
+				t.Errorf("workers=%d: %v sent as a snapshot: %v, want %v", workers, tag, snapshot, tag.V == 0)
+			}
 		}
 		want := map[[2]int]float64{{0, 0}: 15, {1, 0}: 110, {2, 0}: 1015}
 		for k, w := range want {

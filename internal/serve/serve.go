@@ -678,7 +678,7 @@ type ServiceStats struct {
 	MemBudgetBytes int64   `json:"memBudgetBytes"`
 	CacheHits      int64   `json:"cacheHits"` // distribution lookups (PatternCache), not plans
 	CacheMisses    int64   `json:"cacheMisses"`
-	PoolHeld       int64   `json:"poolHeldTiles"` // send-buffer tiles currently in flight
+	PoolHeld       int64   `json:"poolHeldTiles"` // payloads in flight, pooled clones and final tiles sent by reference
 	// ResultsHeld counts the done jobs whose factors the server still holds:
 	// the unfetched ones and the window of fetched ones. ResultBytesHeld is
 	// their matrix bytes.
