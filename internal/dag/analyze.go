@@ -13,7 +13,7 @@ func forEachSettled(w *Inference, visit func(pos int32)) {
 	for pos := int32(0); w.Next(); {
 		for ; pos < w.Settled(); pos++ {
 			visit(pos)
-			w.Done(pos)
+			w.DoneBefore(pos + 1)
 		}
 	}
 	if err := w.Err(); err != nil {

@@ -22,11 +22,12 @@ import (
 // Next infers one iteration of the program; a task is named by its position,
 // its index in submission order. A task is settled, its successors listed,
 // once every iteration that may read it has been inferred. A consumer marks
-// each task Done when it has no more use for it, and the inference forgets a
-// task once the task and every one before it are done and no iteration still
-// to come may read it. plan.Compile and the simulator both mark each task
-// done once they have read what they need of it, so each holds a window of a
-// few iterations of a program that states them.
+// the settled tasks before a position done (DoneBefore) when it has no more
+// use for them, and the inference forgets a done task once no iteration still
+// to come may read it. plan.Compile and the simulator's producer both mark
+// settled tasks done, in submission order, once they have read what they need
+// of them, so each holds a window of a few iterations of a program that
+// states them.
 type Inference struct {
 	p     Program
 	owner func(i, j int) int
@@ -67,14 +68,13 @@ type Inference struct {
 	depend func(i, j int) // w.dependOn, likewise
 }
 
-// node is one task in the window, 32 bytes: its owner, where its
-// predecessors start (the next task's start ends the list), until it is
+// node is one task in the window, 28 bytes: its owner, where its
+// predecessors start (the next task's start ends the list), and until it is
 // settled how many successors it has so far, then where they start
-// (likewise), and the count of its dependencies not yet released (-1 once it
-// is done).
+// (likewise).
 type node struct {
-	t                       Task
-	owner, pred, succ, wait int32
+	t                 Task
+	owner, pred, succ int32
 }
 
 // succ is one successor of a settled task, with its owner.
@@ -157,8 +157,13 @@ func (w *Inference) node(pos int32) *node { return w.nodes.at(pos) }
 // Task returns the task at pos.
 func (w *Inference) Task(pos int32) Task { return w.node(pos).t }
 
-// Owner returns the node the task at pos is placed on.
-func (w *Inference) Owner(pos int32) int { return int(w.node(pos).owner) }
+// At returns the task at pos, the node it is placed on and its number of
+// predecessors, in one lookup.
+func (w *Inference) At(pos int32) (t Task, owner, preds int32) {
+	lo, hi := w.predRange(pos)
+	n := w.node(pos)
+	return n.t, n.owner, hi - lo
+}
 
 // predRange returns the range of the predecessors of the task at pos.
 func (w *Inference) predRange(pos int32) (lo, hi int32) {
@@ -192,6 +197,14 @@ func (w *Inference) succRange(pos int32) (lo, hi int32) {
 		hi = w.node(pos + 1).succ
 	}
 	return lo, hi
+}
+
+// NumSuccs returns the number of successors of the settled tasks [lo, hi),
+// whose lists lie end to end.
+func (w *Inference) NumSuccs(lo, hi int32) int {
+	start, _ := w.succRange(lo)
+	_, end := w.succRange(hi - 1)
+	return int(end - start)
 }
 
 // Succs visits the successors of the task at pos, which must be settled
@@ -262,20 +275,10 @@ func (w *Inference) Route(pos int32, r *Route) {
 	r.Reduce = len(r.Dsts) == 1 && w.p.ReducePartial != nil && w.p.ReducePartial(w.node(pos).t)
 }
 
-// Release counts one met dependency of the task at pos and reports whether it
-// was the last.
-func (w *Inference) Release(pos int32) bool {
-	n := w.node(pos)
-	n.wait--
-	return n.wait == 0
-}
-
-// Done marks the task at pos as one the consumer has no more use for.
-func (w *Inference) Done(pos int32) {
-	w.node(pos).wait = -1
-	for w.low < w.end && w.node(w.low).wait < 0 {
-		w.low++
-	}
+// DoneBefore marks every task before pos, which must be settled, as one the
+// consumer has no more use for.
+func (w *Inference) DoneBefore(pos int32) {
+	w.low = max(w.low, pos)
 	w.forget()
 }
 
@@ -351,7 +354,7 @@ func (w *Inference) add(t Task) {
 	n.t, n.owner, n.pred, n.succ = t, int32(owner), w.pend, 0
 	w.p.InputTiles(t, w.depend)
 	w.dependOn(oi, oj)
-	if n.wait = w.pend - n.pred; n.wait == 0 && w.next > 0 && w.err == nil {
+	if w.pend == n.pred && w.next > 0 && w.err == nil {
 		w.err = fmt.Errorf("dag: %s states iterations, but %v of iteration %d depends on no earlier task",
 			w.p.Name, t, w.next)
 	}

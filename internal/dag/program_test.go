@@ -222,7 +222,7 @@ func TestInferenceForgetsDoneIterations(t *testing.T) {
 	for pos := int32(0); w.Next(); {
 		peak = max(peak, w.Live())
 		for ; pos < w.Settled(); pos++ {
-			w.Done(pos)
+			w.DoneBefore(pos + 1)
 		}
 	}
 	if want := mt*mt + (mt-1)*(mt-1); peak != want || w.Live() != 0 || w.Err() != nil {

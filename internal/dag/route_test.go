@@ -74,15 +74,26 @@ func checkRoutes(t *testing.T, g dag.Graph, d dist.Distribution) (messages int64
 	w := dag.Infer(g.Program(), d.Owner)
 	var r dag.Route
 	for pos := int32(0); w.Next(); {
-		for ; pos < w.Settled(); pos++ {
+		first, settled := pos, w.Settled()
+		succs, inBlock := 0, 0
+		if pos < settled {
+			inBlock = w.NumSuccs(pos, settled)
+		}
+		for ; pos < settled; pos++ {
 			task := w.Task(pos)
 			src := owner(task)
 			var wantDsts []int
+			n := 0
 			g.Successors(task, func(succ dag.Task) {
+				n++
 				if o := owner(succ); o != src && !slices.Contains(wantDsts, o) {
 					wantDsts = append(wantDsts, o)
 				}
 			})
+			if got := w.NumSuccs(pos, pos+1); got != n {
+				t.Fatalf("%s %v: NumSuccs %d, %d successors", g.Name(), task, got, n)
+			}
+			succs += n
 			w.Route(pos, &r)
 			if want := owned(task, src); !slices.Equal(r.Local, want) {
 				t.Fatalf("%s %v: local successors %v, the filtered walk gives %v", g.Name(), task, r.Local, want)
@@ -99,7 +110,10 @@ func checkRoutes(t *testing.T, g dag.Graph, d dist.Distribution) (messages int64
 				t.Fatalf("%s %v: reduce %v with %d destinations", g.Name(), task, r.Reduce, len(wantDsts))
 			}
 			messages += int64(len(wantDsts))
-			w.Done(pos)
+			w.DoneBefore(pos + 1)
+		}
+		if inBlock != succs {
+			t.Fatalf("%s: NumSuccs(%d, %d) = %d, the tasks have %d successors", g.Name(), first, settled, inBlock, succs)
 		}
 	}
 	if err := w.Err(); err != nil {

@@ -63,9 +63,11 @@ type simPoint struct {
 // simulateAll runs the points on at most GOMAXPROCS goroutines — each point
 // builds its own graph, diagonal resolver and simulator state, so they share
 // nothing that is written — and returns their results in the order given; of
-// several failures, the first in that order. Points are started from the
-// back: sweeps list the largest matrix last, and the longest job should not
-// be the one left running alone.
+// several failures, the first in that order. Each point is two goroutines
+// while it runs: simulate.Run infers on a producer of its own alongside its
+// event loop, so a sweep can have up to twice GOMAXPROCS runnable. Points are
+// started from the back: sweeps list the largest matrix last, and the longest
+// job should not be the one left running alone.
 func simulateAll(cfg SimConfig, symmetric bool, pts []simPoint) ([]PerfPoint, error) {
 	out := make([]PerfPoint, len(pts))
 	errs := make([]error, len(pts))

@@ -122,7 +122,7 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 
 			c.key[c.cur] = sched.Key(t)
 			c.reduce[c.cur] = prog.ReducePartial != nil && prog.ReducePartial(t)
-			w.Done(v)
+			w.DoneBefore(v + 1)
 		}
 	}
 	if err := w.Err(); err != nil {

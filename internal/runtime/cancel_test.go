@@ -3,7 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,12 +25,16 @@ func TestCancelSharedCluster(t *testing.T) {
 	cl := cluster.NewWithOptions(P, cluster.Options{})
 	defer cl.Close()
 
-	// Job 1: a kernel that announces its first task, then runs slowly enough
-	// that the cancellation always lands mid-factorization.
+	// Job 1: a kernel that announces its 20th task, then runs slowly enough
+	// that the cancellation always lands mid-factorization. By then job 1
+	// has sent panels and holds received copies, so the cancel must release
+	// messages that are in flight and retained, not an empty ledger.
 	started := make(chan struct{})
-	var once sync.Once
+	var calls atomic.Int32
 	slowLU := func(task dag.Task, out *tile.Tile, in []*tile.Tile) error {
-		once.Do(func() { close(started) })
+		if calls.Add(1) == 20 {
+			close(started)
+		}
 		time.Sleep(2 * time.Millisecond)
 		return LUKernel(task, out, in)
 	}

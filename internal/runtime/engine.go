@@ -35,10 +35,11 @@ type share struct {
 	lo, tileLo, slotLo, inLo int32
 	remaining                []int32
 	// tiles holds the rank's tiles: the in-place buffers its writer chains
-	// update. recv holds the received remote version of each slot,
-	// retained (and its message released back to the cluster pool) until
-	// readers[slot] consumers have run; fed marks slots whose plan waiters
-	// were released, so a re-delivery never releases them twice.
+	// update. recv holds the received remote version of each slot, retained
+	// until readers[slot] consumers have run and then released: the last
+	// Release of a pooled clone returns it to the cluster pool, and that of a
+	// lent final tile stops counting it as in flight. fed marks slots whose
+	// plan waiters were released, so a re-delivery never releases them twice.
 	tiles   []*tile.Tile
 	recv    []cluster.Message
 	readers []int32

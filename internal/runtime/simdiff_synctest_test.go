@@ -111,14 +111,26 @@ func virtualMakespan(t *testing.T, s diffCell, mode cluster.BroadcastMode, net f
 }
 
 // simulatedMakespan is simulate.Run's prediction for s on the same machine.
+// It runs in a bubble of its own: synctest.Run returns only once every
+// goroutine started in the bubble has exited, so a simulator producer that
+// outlived Run would deadlock it.
 func simulatedMakespan(t *testing.T, s diffCell, mode cluster.BroadcastMode, bw, lat float64) float64 {
 	t.Helper()
 	m := simulate.Machine{Workers: s.workers, FlopsPerWorker: diffFlops, LinkBandwidth: bw, Latency: lat}
-	res, err := simulate.Run(s.g, diffB, s.d, m, simulate.Options{Broadcast: mode})
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		res *simulate.Result
+		err error
 	}
-	return res.Makespan
+	done := make(chan outcome, 1) // made outside the bubble, as in virtualMakespan
+	synctest.Run(func() {
+		res, err := simulate.Run(s.g, diffB, s.d, m, simulate.Options{Broadcast: mode})
+		done <- outcome{res, err}
+	})
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	return o.res.Makespan
 }
 
 // TestSimulatorMatchesRuntime holds the simulator to the runtime's own

@@ -1,22 +1,23 @@
 package simulate
 
-import (
-	"slices"
-
-	"anybc/internal/dag"
-)
+import "slices"
 
 // delivery is one output tile on its way to the remote nodes that consume
-// it: its route (destinations, and the waiters of each), wire size and count
-// of destinations not reached yet. Destination at forwards the tile on arrival
+// it: the page and offset of the task that produced it, whose route lists the
+// destinations and the waiters of each, its wire size and its count of
+// destinations not reached yet. Destination at forwards the tile on arrival
 // to the destinations [at+1, relayEnd[at]) — none on a flat send and at a
 // tree's leaves — so no hop carries a copy of a relay list. A record lives
-// while hops that carry its tile are queued.
+// while hops that carry its tile are queued, and keeps its page held.
 type delivery struct {
-	dag.Route
+	p              *page
+	o              int32
 	bytes, pending int
 	relayEnd       []int32
 }
+
+// dst returns the node at position at of the record's destination list.
+func (r *delivery) dst(at int) int { return int(r.p.dst[int(r.p.r[r.o].dst)+at].node) }
 
 // deliveries is the pool of delivery records.
 type deliveries struct {
@@ -24,13 +25,12 @@ type deliveries struct {
 	idle    []int32 // free list: indices into records
 }
 
-// publish routes the output of the task at pos, which just completed: it
-// releases the successors on the producer's node and returns the delivery
-// record of the others, or -1 when every consumer is local. Each destination
-// is one logical message (the Equation (1)/(2) quantity, whatever the
-// transport); a reduction partial is also reduce traffic, the routing
-// Comm.SendReduce takes in the real runtime.
-func (s *sim) publish(pos int32) int32 {
+// publish returns a delivery record for the output of task o of page p,
+// which just completed and has k remote destinations. Each destination is one
+// logical message (the Equation (1)/(2) quantity, whatever the transport); a
+// reduction partial is also reduce traffic, the routing Comm.SendReduce takes
+// in the real runtime.
+func (s *sim) publish(p *page, o int32, k int) int32 {
 	var d int32
 	if last := len(s.idle) - 1; last >= 0 {
 		d, s.idle = s.idle[last], s.idle[:last]
@@ -39,26 +39,17 @@ func (s *sim) publish(pos int32) int32 {
 		s.records = append(s.records, delivery{})
 	}
 	r := &s.records[d]
-	s.inf.Route(pos, &r.Route)
-	for _, q := range r.Local {
-		if s.inf.Release(q) {
-			s.release(q)
-		}
-	}
-	k := len(r.Dsts)
-	if k == 0 {
-		s.idle = append(s.idle, d)
-		return -1
-	}
+	r.p, r.o = p, o
+	p.left++
 	r.bytes = 8 * s.b * s.b
 	if s.bytes != nil {
-		r.bytes = s.bytes(s.inf.Task(pos), s.b)
+		r.bytes = s.bytes(p.e[o].t, s.b)
 	}
 	r.pending = k
 	r.relayEnd = slices.Grow(r.relayEnd[:0], k)[:k]
 	s.res.Messages += int64(k)
 	s.res.Bytes += int64(r.bytes) * int64(k)
-	if r.Reduce {
+	if p.reduce[o] {
 		s.res.Reduces++
 		s.res.ReduceBytes += int64(r.bytes)
 	}
@@ -71,13 +62,13 @@ func (s *sim) publish(pos int32) int32 {
 // destination has been served.
 func (s *sim) deliver(d int32, at int) {
 	r := &s.records[d]
-	for _, q := range r.Waiters(at) {
-		if s.inf.Release(q) {
-			s.release(q)
-		}
+	for _, q := range r.p.waiters(r.o, int32(at)) {
+		s.release(q)
 	}
 	if r.pending--; r.pending == 0 {
-		r.Dsts = r.Dsts[:0]
+		p := r.p
+		r.p = nil
 		s.idle = append(s.idle, d)
+		s.ran(p)
 	}
 }

@@ -80,9 +80,10 @@ func TestEventQueueRejectsAnOutOfOrderPush(t *testing.T) {
 }
 
 // TestPoolsDrainWhenRunReturns: delivery records (whose destination ranges
-// are the tree hops' relay lists) live only while something is in flight, and
-// the inference holds a task only until it has run, so a finished run holds
-// every record on its free list and no task at all.
+// are the tree hops' relay lists) live only while something is in flight, a
+// page only until its tasks have run and their tiles have landed, and the
+// inference holds a task only until its route is on its page, so a finished
+// run holds every record and every page on its free list, and no task at all.
 func TestPoolsDrainWhenRunReturns(t *testing.T) {
 	for _, mode := range []cluster.BroadcastMode{cluster.BroadcastFlat, cluster.BroadcastTree} {
 		s, err := newSim(dag.NewLU(12), 16, dist.NewG2DBC(23), testMachine(), Options{Broadcast: mode})
@@ -96,22 +97,41 @@ func TestPoolsDrainWhenRunReturns(t *testing.T) {
 			t.Errorf("mode %v: %d of %d delivery records on the free list", mode, len(s.idle), len(s.records))
 		}
 		for d, r := range s.records {
-			if r.pending != 0 || len(r.Dsts) != 0 {
-				t.Errorf("mode %v: record %d returned with pending=%d, %d destinations", mode, d, r.pending, len(r.Dsts))
+			if r.pending != 0 || r.p != nil {
+				t.Errorf("mode %v: record %d returned with pending=%d, holding a page", mode, d, r.pending)
 			}
 		}
-		if s.live == 0 || s.inf.Live() != 0 {
-			t.Errorf("mode %v: the inference still holds %d tasks (at most %d)", mode, s.inf.Live(), s.live)
+		for _, p := range s.pages.slots {
+			if p != nil {
+				t.Errorf("mode %v: the event loop still holds page %d (%d of its tasks or deliveries left)", mode, p.seq, p.left)
+			}
+		}
+		if s.window == 0 || s.held != 0 {
+			t.Errorf("mode %v: the event loop still counts %d tasks on its pages (at most %d)", mode, s.held, s.window)
+		}
+		f := s.feed
+		if f.peak == 0 || f.held.Load() != 0 || len(f.stock.pages) == 0 {
+			t.Errorf("mode %v: %d tasks still on pages (at most %d), %d pages idle", mode, f.held.Load(), f.peak, len(f.stock.pages))
+		}
+		if f.live == 0 || f.inf.Live() != 0 {
+			t.Errorf("mode %v: the inference still holds %d tasks (at most %d)", mode, f.inf.Live(), f.live)
 		}
 	}
 }
 
 // TestMemoryFollowsTheWindow: the simulator holds a window of iterations, not
 // the graph. Doubling mt multiplies an LU iteration by about 4 and the graph
-// by about 8; the most tasks the inference held at once must grow like the
-// former.
+// by about 8; the event loop's window — the tasks on the pages it holds, a
+// function of the event order alone — must grow like the former, and stay
+// within a page of the window the inference held when the event loop drove
+// it (4 234 and 14 097 tasks). The producer runs ahead of it by up to two
+// iterations, one paged and waiting to be taken and one inferred while it
+// waits, so the most tasks held at once on pages and unpaged, which depends
+// on the two goroutines' timing, is at most the window plus two iterations.
+// With the producer one iteration ahead it would be one, but the overlap is
+// lost.
 func TestMemoryFollowsTheWindow(t *testing.T) {
-	held := func(mt int) (live, tasks int) {
+	held := func(mt int) (window, held, inferred, tasks int) {
 		g := dag.NewLU(mt)
 		s, err := newSim(g, 500, dist.NewG2DBC(23), PaperMachine(), Options{})
 		if err != nil {
@@ -120,12 +140,22 @@ func TestMemoryFollowsTheWindow(t *testing.T) {
 		if err := s.run(); err != nil {
 			t.Fatal(err)
 		}
-		return s.live, g.NumTasks()
+		return s.window, int(s.feed.peak), s.feed.live, g.NumTasks()
 	}
-	small, smallTasks := held(40)
-	large, largeTasks := held(80)
-	t.Logf("LU(40) held %d of %d tasks, LU(80) %d of %d", small, smallTasks, large, largeTasks)
+	small, smallHeld, smallInf, smallTasks := held(40)
+	large, largeHeld, largeInf, largeTasks := held(80)
+	t.Logf("LU(40) window %d of %d tasks, %d held on pages and unpaged, %d in the inference; LU(80) %d of %d, %d, %d",
+		small, smallTasks, smallHeld, smallInf, large, largeTasks, largeHeld, largeInf)
 	if ratio := float64(large) / float64(small); ratio > 5 || 4*large > largeTasks {
-		t.Errorf("LU(40) held %d tasks, LU(80) %d (×%.1f, of %d): the window grows like the graph", small, large, ratio, largeTasks)
+		t.Errorf("LU(40) window %d tasks, LU(80) %d (×%.1f, of %d): the window grows like the graph", small, large, ratio, largeTasks)
+	}
+	for _, c := range []struct{ mt, window, held, single int }{{40, small, smallHeld, 4234}, {80, large, largeHeld, 14097}} {
+		if c.window > c.single+pageSize {
+			t.Errorf("LU(%d): the event loop's window is %d tasks, over the single loop's %d by more than a page", c.mt, c.window, c.single)
+		}
+		if iter := c.mt * c.mt; c.held > c.window+2*iter { // LU's first iteration, its largest
+			t.Errorf("LU(%d) held %d tasks on pages and unpaged: over the %d-task window and two %d-task iterations",
+				c.mt, c.held, c.window, iter)
+		}
 	}
 }

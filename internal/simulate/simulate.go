@@ -47,17 +47,21 @@ func Run(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*Resu
 	return s.res, nil
 }
 
-// sim is the state of one run. Memory is the inference's window of the
-// graph, O(P) node state, and two pools that grow to the peak of what is in
-// flight and no further: queued events and delivery records.
-//
-// Tasks are named by their position in the program. The inference holds each
-// task's owner and count of outstanding dependencies from the moment it is
-// inferred until the task has run, and infers the next iteration only when a
-// finishing task needs its successors: a program that states its iterations
-// is held a few of them at a time.
+// sim is the state of one run: the producer's feed, and the event loop's
+// O(P) node state, the pages it holds and two pools that grow to the peak of
+// what is in flight and no further: queued events and delivery records.
+// Memory is the window of iterations the run is working on, the pages of at
+// most one iteration ahead of it, and the inference's iterations (feed.go).
 type sim struct {
-	inf  *dag.Inference
+	feed  *feed
+	iters int32 // the program's iterations, at least 1
+	recvd int32 // iterations taken from the producer
+	tasks int   // the tasks on them
+	pages pageRing
+	// The tasks on the pages held, and the most at once: the event loop's
+	// window, a function of the event order alone.
+	held, window int
+
 	b    int
 	m    Machine
 	rec  *trace.Recorder
@@ -67,7 +71,6 @@ type sim struct {
 	flops func(t dag.Task, b int) float64
 	bytes func(t dag.Task, b int) int
 	rate  []float64 // flop/s of one worker, by node
-	live  int       // the most tasks the inference held at once
 
 	// By node.
 	ready       []sched.Heap
@@ -91,7 +94,7 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 	}
 	P := d.Nodes()
 	p := g.Program()
-	s := &sim{inf: dag.Infer(p, d.Owner), b: b, m: m, rec: opt.Recorder,
+	s := &sim{iters: int32(max(p.Iterations, 1)), b: b, m: m, rec: opt.Recorder,
 		tree: opt.Broadcast == cluster.BroadcastTree, flops: p.Flops, bytes: p.OutputBytes, res: &Result{}}
 
 	s.rate = make([]float64, P)
@@ -130,17 +133,21 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 	s.res.TotalFlops = g.TotalFlops(b)
 	s.res.SentBytes = make([]int64, P)
 	s.res.RecvBytes = make([]int64, P)
+	s.feed = &feed{inf: dag.Infer(p, d.Owner), pages: make(chan *page, 1), room: make(chan struct{}, 1),
+		quit: make(chan struct{}), exit: make(chan struct{})}
+	s.feed.room <- struct{}{}
 	return s, nil
 }
 
+// run starts the producer, simulates, and stops the producer before it
+// returns, whatever it returns.
 func (s *sim) run() error {
+	go s.feed.produce()
+	defer s.stop()
 	// Seed: the tasks with no dependencies, all of them in the first
 	// iteration (dag.Program.Iterations).
-	s.infer(0)
-	for pos := int32(0); pos < s.inf.End(); pos++ {
-		if s.inf.NumPreds(pos) == 0 {
-			s.release(pos)
-		}
+	if !s.take() {
+		return s.feed.err
 	}
 	for node := range s.ready {
 		s.dispatch(node, 0)
@@ -148,7 +155,9 @@ func (s *sim) run() error {
 	for !s.events.empty() {
 		ev := s.events.pop()
 		if ev.node >= 0 {
-			s.complete(int(ev.node), ev.at, ev.time)
+			if err := s.complete(int(ev.node), ev.at, ev.time); err != nil {
+				return err
+			}
 		} else {
 			s.arrive(^ev.node, int(ev.at), ev.time)
 		}
@@ -156,36 +165,86 @@ func (s *sim) run() error {
 			s.res.Makespan = ev.time
 		}
 	}
-	if err := s.inf.Err(); err != nil {
-		return err
+	// Nothing is left to happen: the run is over if the program is.
+	more := s.recvd < s.iters
+	if more {
+		if more = s.take(); !more && s.feed.err != nil {
+			return s.feed.err
+		}
 	}
-	if n := int(s.inf.End()); s.inf.Next() || s.done != n {
-		return fmt.Errorf("simulate: executed %d of %d tasks — dependency deadlock", s.done, n)
+	if more || s.done != s.tasks {
+		return fmt.Errorf("simulate: executed %d of %d tasks — dependency deadlock", s.done, s.tasks)
 	}
 	return nil
 }
 
-// infer runs the inference until the task at pos is settled.
-func (s *sim) infer(pos int32) {
-	for pos >= s.inf.Settled() && s.inf.Next() {
-		s.live = max(s.live, s.inf.Live())
-	}
+// stop ends the producer and waits until it has returned.
+func (s *sim) stop() {
+	close(s.feed.quit)
+	<-s.feed.exit
 }
 
-// release queues a task whose last dependency was just met, without
+// take receives the next iteration from the producer, holds its pages, sets
+// each task's count of unmet dependencies and queues the tasks that wait on
+// nothing — only the first iteration has any. That walk reads the new
+// entries in order, so they reach this core's cache as one stream rather
+// than one miss at each task's first release. It returns false once the
+// producer has closed the feed: at the end of the program, or on an
+// inference error.
+func (s *sim) take() bool {
+	first, ok := <-s.feed.pages
+	if !ok {
+		return false
+	}
+	s.feed.room <- struct{}{} // the producer took the token to page this one: room is empty
+	for p := first; p != nil; p = p.next {
+		s.pages.put(p)
+		s.tasks += int(p.n)
+		s.held += int(p.n)
+		for o := int32(0); o < p.n; o++ {
+			if p.wait[o] = p.e[o].preds; p.wait[o] == 0 {
+				s.enqueue(&p.e[o], int32(p.seq)<<pageBits|o)
+			}
+		}
+	}
+	s.recvd++
+	s.window = max(s.window, s.held)
+	return true
+}
+
+// enqueue queues task h, entry e, whose dependencies are all met, without
 // dispatching: successors of one completion (or one arrival) become ready at
 // the same instant, so the dispatch decision is made once over the full set —
 // priority picks among all of them, exactly as the real engine's dispatch
 // loop runs after its release sweep.
-func (s *sim) release(pos int32) {
-	s.ready[s.inf.Owner(pos)].Push(sched.Key(s.inf.Task(pos)), pos)
+func (s *sim) enqueue(e *entry, h int32) {
+	s.ready[e.owner].Push(sched.Key(e.t), h)
+}
+
+// release counts one met dependency of task h and queues it if that was the
+// last.
+func (s *sim) release(h int32) {
+	p, o := s.pages.at(h), h&offMask
+	if p.wait[o]--; p.wait[o] == 0 {
+		s.enqueue(&p.e[o], h)
+	}
+}
+
+// ran counts one task or delivery of page p as finished and returns the page
+// to the producer when nothing on it is left.
+func (s *sim) ran(p *page) {
+	if p.left--; p.left == 0 {
+		s.held -= int(p.n)
+		s.pages.drop(p)
+		s.feed.give(p)
+	}
 }
 
 func (s *sim) dispatch(node int, now float64) {
 	for s.freeWorkers[node] > 0 && !s.ready[node].Empty() {
-		pos := s.ready[node].Pop()
+		h := s.ready[node].Pop()
 		s.freeWorkers[node]--
-		t := s.inf.Task(pos)
+		t := s.pages.at(h).e[h&offMask].t
 		dur := s.flops(t, s.b) / s.rate[node]
 		s.res.BusyTime[node] += dur
 		s.res.TasksPerNode[node]++
@@ -200,21 +259,28 @@ func (s *sim) dispatch(node int, now float64) {
 			s.slotFree[node][worker] = now + dur
 			s.rec.RecordTask(node, worker, t, now, now+dur)
 		}
-		s.events.push(s.events.durLane(dur), event{time: now + dur, node: int32(node), at: pos})
+		s.events.push(s.events.durLane(dur), event{time: now + dur, node: int32(node), at: h})
 	}
 }
 
-// complete ends the kernel of the task at pos on node: its local successors
-// are released, its output tile leaves for every remote consumer, the
-// inference may forget the task, and the freed worker picks its next task.
-func (s *sim) complete(node int, pos int32, now float64) {
+// complete ends the kernel of task h on node: its local successors are
+// released, its output tile leaves for every remote consumer, and the freed
+// worker picks its next task. The task's route is on its page once the
+// producer has inferred the next iteration (the last one settles itself).
+func (s *sim) complete(node int, h int32, now float64) error {
 	s.done++
 	s.freeWorkers[node]++
-	s.infer(pos)
-	d := s.publish(pos)
-	s.inf.Done(pos)
-	if d >= 0 {
-		k := len(s.records[d].Dsts)
+	p, o := s.pages.at(h), h&offMask
+	for p.iter+1 >= s.recvd && s.recvd < s.iters {
+		if !s.take() {
+			return s.feed.err
+		}
+	}
+	for _, q := range p.locals(o) {
+		s.release(q)
+	}
+	if k := int(p.r[o+1].dst - p.r[o].dst); k > 0 {
+		d := s.publish(p, o, k)
 		if s.tree && k > 1 {
 			s.fanout(node, d, 0, k, now)
 		} else {
@@ -223,7 +289,9 @@ func (s *sim) complete(node int, pos int32, now float64) {
 			}
 		}
 	}
+	s.ran(p)
 	s.dispatch(node, now)
+	return nil
 }
 
 // arrive lands a hop of delivery d on the node at position at of its
@@ -234,7 +302,7 @@ func (s *sim) arrive(d int32, at int, now float64) {
 	// NIC starts forwarding the moment the tile lands, pipelining the rest
 	// of the broadcast behind this hop.
 	r := &s.records[d]
-	node, end := r.Dsts[at], int(r.relayEnd[at])
+	node, end := r.dst(at), int(r.relayEnd[at])
 	if end > at+1 {
 		s.res.Forwards += s.fanout(node, d, at+1, end, now)
 	}
@@ -263,7 +331,7 @@ func (s *sim) fanout(src int, d int32, lo, hi int, now float64) int64 {
 func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
 	r := &s.records[d]
 	r.relayEnd[at] = int32(end)
-	dst, msgBytes := r.Dsts[at], r.bytes
+	dst, msgBytes := r.dst(at), r.bytes
 	m := &s.m
 	transferTime := float64(msgBytes) / m.LinkBandwidth
 	depart := max(now, s.nicOut[src])
