@@ -355,10 +355,8 @@ func stdImporter(t *testing.T) types.Importer {
 func TestDeadSurface(t *testing.T) {
 	const item5 = "ROADMAP item 5 makes it a column of the per-P bounds table, or deletes it"
 	allow := map[string]string{
-		"matrix.FactorLU":                "the sequential reference TestDistributedLUMatchesSequential and TestLUSolveExecutesCorrectly compare distributed factors against",
-		"matrix.FactorCholesky":          "the sequential reference TestDistributedCholeskyMatchesSequential and TestCholeskySolveExecutesCorrectly compare against",
-		"matrix.SolveLU":                 "the sequential solve TestSolveMatchesSequential compares the distributed LU solve against",
-		"matrix.SolveCholesky":           "the sequential solve TestCholeskySolveExecutesCorrectly compares the Cholesky solve graph against",
+		"matrix.FactorLU":                "the sequential reference TestDistributedLUMatchesSequential compares distributed factors against",
+		"matrix.FactorCholesky":          "the sequential reference TestDistributedCholeskyMatchesSequential compares distributed factors against",
 		"matrix.Dense.Set":               "bench/'s TestFreivaldsCatchesACorruptedFactor corrupts an LU factor through it; ROADMAP item 8c moves that check into runtime",
 		"matrix.SymmetricLower.Set":      "the same test corrupts a Cholesky factor through it; ROADMAP item 8c",
 		"trace.Recorder.Fingerprint":     "the timestamp-free trace digest — fault schedule included — TestChaosSeedDeterminism and TestDecisionsIndependentOfFeedOrder compare across runs; ROADMAP item 1a makes it a view of the event sink",

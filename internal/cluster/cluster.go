@@ -65,11 +65,11 @@ func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 // traces.
 //
 // A broadcast delivers the same immutable payload tile to every destination:
-// the cluster's pooled clone of the sender's tile, or, for a final payload
-// its sender never writes again, that tile itself (see Broadcast).
-// Receivers must treat Payload as read-only and call Release when done with
-// it. After the last recipient lets go, a clone returns to the cluster's pool
-// and a final tile stops counting as in flight (Cluster.PoolOutstanding).
+// a clone of the sender's tile, or, for a final payload its sender never
+// writes again, that tile itself (see Broadcast). Receivers must treat
+// Payload as read-only and call Release when done with it. After the last
+// recipient lets go, the payload stops counting as in flight
+// (Cluster.PoolOutstanding).
 //
 // Under tree broadcast a non-empty Forward names the binomial subtree this
 // recipient must relay the payload to: the recipient passes the message to
@@ -113,30 +113,23 @@ const (
 )
 
 // sharedPayload reference-counts one payload in flight across its
-// recipients: a pooled clone, or a final tile its sender lent.
+// recipients: a clone, or a final tile its sender lent.
 type sharedPayload struct {
-	cl     *Cluster
-	t      *tile.Tile
-	pooled bool // t is the cluster's clone, put back in its pool by the last Release
-	refs   atomic.Int32
+	cl   *Cluster
+	refs atomic.Int32
 }
 
 // Release declares this recipient done with the message payload. Once every
-// recipient of the payload has released it, a pooled clone returns to the
-// cluster's tile pool for reuse by later sends, and a lent final tile stops
-// counting as in flight. The payload must not be touched after Release;
-// calling Release more than once per received message corrupts the refcount.
-// No-op on hand-built messages.
+// recipient of the payload has released it, the payload — clone or lent final
+// tile — stops counting as in flight. The payload must not be touched after
+// Release; calling Release more than once per received message corrupts the
+// refcount. No-op on hand-built messages.
 func (m *Message) Release() {
 	if m.shared == nil {
 		return
 	}
-	if sp := m.shared; sp.refs.Add(-1) == 0 {
-		if sp.pooled {
-			sp.cl.pool.Put(sp.t)
-		} else {
-			sp.cl.lent.Add(-1)
-		}
+	if m.shared.refs.Add(-1) == 0 {
+		m.shared.cl.inFlight.Add(-1)
 	}
 	m.shared = nil
 }
@@ -144,7 +137,7 @@ func (m *Message) Release() {
 // Dup returns a second delivery of the same message sharing the payload
 // tile: the reference count grows by one, so the copy must be Released by
 // its recipient exactly like the original. Fault-injecting networks use it
-// to model duplicate delivery without corrupting the pool. Hand-built
+// to model duplicate delivery without corrupting the count. Hand-built
 // messages (no shared payload) are returned unchanged.
 func (m Message) Dup() Message {
 	if m.shared != nil {
@@ -370,8 +363,8 @@ func (pl *plane) close() {
 // hosts one or more tag-namespace planes: single-job callers use the default
 // plane (job 0) through Comm and never see the distinction, while the
 // multi-tenant service opens one plane per factorization job through JobComm
-// and multiplexes many concurrent DAGs over the same P nodes, network seam,
-// and send-buffer pool.
+// and multiplexes many concurrent DAGs over the same P nodes and network
+// seam.
 type Cluster struct {
 	p         int
 	planes    sync.Map     // int32 job id -> *plane, created lazily by JobComm
@@ -379,8 +372,7 @@ type Cluster struct {
 	closed    atomic.Bool  // set by Close; late-created planes are born closed
 	net       Network      // nil on a fault-free cluster
 	broadcast BroadcastMode
-	pool      tile.Pool    // recycles send clones released by receivers
-	lent      atomic.Int64 // final payloads sent by reference and not yet released by every recipient
+	inFlight  atomic.Int64 // payloads sent and not yet released by every recipient
 }
 
 // New creates a cluster of p nodes with a faithful (fault-free) network and
@@ -488,7 +480,7 @@ func (c *Cluster) OpenJob() int32 {
 
 // DropJob removes a closed job's plane entirely, freeing its mailboxes and
 // counters; late deliveries addressed to a dropped job release their payload
-// shares back to the pool. Call only after the job's Stats have been taken:
+// shares. Call only after the job's Stats have been taken:
 // a long-lived cluster whose finished jobs were never dropped would leak one
 // counter block per job.
 func (c *Cluster) DropJob(job int32) {
@@ -496,14 +488,13 @@ func (c *Cluster) DropJob(job int32) {
 	c.planes.Delete(job)
 }
 
-// PoolOutstanding returns the number of payloads in flight: the send-buffer
-// clones drawn from the cluster's pool (see tile.Pool.Outstanding) and the
-// final tiles sent by reference, each until its last recipient released it.
-// After every job on the cluster has finished or been cancelled and its
-// receivers drained, the balance returns to zero; a persistent residue is a
-// leaked payload share, cloned or lent alike.
+// PoolOutstanding returns the number of payloads in flight: the send clones
+// and the final tiles sent by reference, each until its last recipient
+// released it. After every job on the cluster has finished or been cancelled
+// and its receivers drained, the balance returns to zero; a persistent
+// residue is a leaked payload share, cloned or lent alike.
 func (c *Cluster) PoolOutstanding() int64 {
-	return c.pool.Outstanding() + c.lent.Load()
+	return c.inFlight.Load()
 }
 
 // Comm is one node's endpoint: its rank, its job's tag namespace, and its
@@ -522,9 +513,8 @@ func (c *Comm) Size() int { return c.cluster.p }
 // payload all recipients share: kernel inputs are read-only, so the payload
 // is never copied per destination. A final payload, one the caller never
 // writes again, is shared as the caller's own tile by every hop, relay and
-// Dup; any other is cloned once from the cluster's pool, so the caller may go
-// on to update its tile in place, and the clone returns to the pool after the
-// last Release. Either way the ledger charges the same bytes, and the payload
+// Dup; any other is cloned once, so the caller may go on to update its tile
+// in place. Either way the ledger charges the same bytes, and the payload
 // counts as in flight (PoolOutstanding) until its last Release. The wire hops
 // follow the cluster's BroadcastMode — flat fan-out from the owner, or a
 // binomial tree whose recipients relay the shared payload onward via
@@ -553,8 +543,8 @@ func (c *Comm) SendAll(dsts []int, tag Tag, payload *tile.Tile) {
 // notices alone go straight to the mailboxes.
 //
 // msg carries the tag and the kind's control fields. A non-nil payload is
-// shared by every hop: cloned once into the pool, or — when final says the
-// caller never writes it again — lent as it is. A relay passes nil and msg
+// shared by every hop: cloned once, or — when final says the caller never
+// writes it again — lent as it is. A relay passes nil and msg
 // already holds the in-flight broadcast's shared payload, of which each hop
 // takes one more share (what Dup does) while the caller keeps its own.
 func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile, final bool) {
@@ -588,13 +578,11 @@ func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile, fin
 		hops, subtrees = TreeFanout(append([]int(nil), dsts...))
 	}
 	if payload != nil {
-		sp := &sharedPayload{cl: cl, t: payload}
-		if final {
-			cl.lent.Add(1)
-		} else {
-			sp.t, sp.pooled = cl.pool.Clone(payload), true
+		if !final {
+			payload = payload.Clone()
 		}
-		msg.Payload, msg.shared = sp.t, sp
+		cl.inFlight.Add(1)
+		msg.Payload, msg.shared = payload, &sharedPayload{cl: cl}
 	}
 	if msg.shared != nil {
 		msg.shared.refs.Add(int32(len(hops)))

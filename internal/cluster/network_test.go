@@ -123,7 +123,7 @@ func TestNetworkDropCountsButNeverArrives(t *testing.T) {
 	if got := c.JobStats(0).TotalMessages(); got != 1 {
 		t.Fatalf("dropped message not counted at send time: %d", got)
 	}
-	<-released // the drop must Release the payload back toward the pool
+	<-released // the drop must Release its payload share
 	c.Close()
 	if _, ok := c.Comm(1).Recv(); ok {
 		t.Fatal("dropped message was delivered")

@@ -197,7 +197,7 @@ func TestSendAllForwardSurvivesCallerScratchReuse(t *testing.T) {
 
 // TestSendAllValidatesBeforeDispatch pins the satellite fixes: a malformed
 // destination list (self-send, out-of-range, or duplicate) must panic before
-// any clone is taken or any message dispatched — no pooled buffer with an
+// any clone is taken or any message dispatched — no payload in flight with an
 // undrainable refcount, no half-delivered broadcast.
 func TestSendAllValidatesBeforeDispatch(t *testing.T) {
 	cases := []struct {
@@ -240,7 +240,7 @@ func TestSendAllValidatesBeforeDispatch(t *testing.T) {
 // network that duplicates a broadcast delivery and then drops one of the
 // copies must leave the refcount balanced — each delivered copy released once
 // by its recipient, the dropped copy released once by the network, and the
-// buffer returned to the pool exactly when the count hits zero.
+// payload counted out of flight exactly when the count hits zero.
 func TestDuplicateThenDropReleasesExactlyOnce(t *testing.T) {
 	net := &dupDropNet{}
 	c := NewWithOptions(3, Options{Net: net, Broadcast: BroadcastTree})

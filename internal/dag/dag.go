@@ -1,7 +1,6 @@
 // Package dag describes the task graphs of the tiled factorizations — the
-// DAGs that Chameleon submits to StarPU. There are five: right-looking LU and
-// Cholesky, each of them followed by its triangular solves (NewLUSolve,
-// NewCholeskySolve), and the replicated 2.5D LU (ReplicatedLU). An algorithm is
+// DAGs that Chameleon submits to StarPU. There are three: right-looking LU
+// and Cholesky, and the replicated 2.5D LU (ReplicatedLU). An algorithm is
 // a Program: its tasks in sequential order, each naming the tile it writes
 // and the tiles it reads. Every dependency is inferred from that order, the
 // way the runtime the paper ran on does at submission, in one place: Infer.
@@ -69,9 +68,6 @@ func (k Kind) String() string {
 	case ReduceAdd:
 		return "REDUCE"
 	default:
-		if s, ok := solveKindString(k); ok {
-			return s
-		}
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }

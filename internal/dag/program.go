@@ -30,9 +30,6 @@ type Program struct {
 	InputTiles func(t Task, visit func(i, j int))
 	// Flops returns the floating-point operations of t for tile size b.
 	Flops func(t Task, b int) float64
-	// OutputBytes, when set, gives the wire size of t's output tile; nil
-	// means uniform 8·b² tiles.
-	OutputBytes func(t Task, b int) int
 	// ReducePartial, when set, marks the tasks whose output is a reduction
 	// partial: a layer accumulator whose only possible remote consumer is
 	// the combine task folding it toward the canonical tile. Nil means none

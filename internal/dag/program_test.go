@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// builtGraphs returns the five graphs of this package, at sizes covering
+// builtGraphs returns the three graphs of this package, at sizes covering
 // every degenerate corner (one tile, fewer iterations than layers).
 func builtGraphs() []Graph {
 	var gs []Graph
 	for mt := 1; mt <= 6; mt++ {
-		gs = append(gs, NewLU(mt), NewCholesky(mt), NewLUSolve(mt, 2), NewCholeskySolve(mt, 1))
+		gs = append(gs, NewLU(mt), NewCholesky(mt))
 		for c := 1; c <= 4; c++ {
 			gs = append(gs, NewReplicatedLU(mt, c))
 		}
@@ -84,7 +84,7 @@ func TestBuiltGraphProperties(t *testing.T) {
 	}
 }
 
-// TestFlopsDependOnKindAlone holds all five graphs to what runtime.RunPlan
+// TestFlopsDependOnKindAlone holds all three graphs to what runtime.RunPlan
 // relies on when it prices a node's work as (kernels dispatched per kind) ×
 // (flops of that kind): a task's flop count is a function of its kind and the
 // tile size, never of its indices.

@@ -27,8 +27,6 @@ func TestRouteFilesTheOwnerFilteredWalk(t *testing.T) {
 			{dag.NewLU(mt), base},
 			{dag.NewCholesky(mt), base},
 			{dag.NewReplicatedLU(mt, 2), dist.NewReplicated(base, 2, mt)},
-			{dag.NewLUSolve(mt, 2), base},
-			{dag.NewCholeskySolve(mt, 2), base},
 		} {
 			g, d := gd.g, gd.d
 			messages := checkRoutes(t, g, d)

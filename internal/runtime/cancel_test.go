@@ -15,8 +15,8 @@ import (
 )
 
 // TestCancelSharedCluster is the regression test for the cancellation seam:
-// cancelling one job's Context mid-run must return ErrCanceled, drain every
-// pooled tile back to the shared cluster's pool (no tile.Pool leak), and
+// cancelling one job's Context mid-run must return ErrCanceled, release every
+// payload it had in flight on the shared cluster (PoolOutstanding drains), and
 // leave the cluster perfectly usable — a subsequent job on a fresh namespace
 // factors bit-identically to a solo run.
 func TestCancelSharedCluster(t *testing.T) {
@@ -52,13 +52,13 @@ func TestCancelSharedCluster(t *testing.T) {
 		t.Fatalf("cancelled run returned %v, not ErrCanceled", err)
 	}
 
-	// No pool leak: every in-flight payload the aborted engines abandoned
-	// must drain back to the shared pool. The absorbers release late
+	// No leak: every in-flight payload the aborted engines abandoned must
+	// be released. The absorbers release late
 	// messages asynchronously after Run returns, so poll briefly.
 	deadline := time.Now().Add(10 * time.Second)
 	for cl.PoolOutstanding() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("cancelled job leaked %d pooled tiles", cl.PoolOutstanding())
+			t.Fatalf("cancelled job leaked %d payloads", cl.PoolOutstanding())
 		}
 		time.Sleep(time.Millisecond)
 	}

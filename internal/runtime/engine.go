@@ -37,9 +37,9 @@ type share struct {
 	// tiles holds the rank's tiles: the in-place buffers its writer chains
 	// update. recv holds the received remote version of each slot, retained
 	// until readers[slot] consumers have run and then released: the last
-	// Release of a pooled clone returns it to the cluster pool, and that of a
-	// lent final tile stops counting it as in flight. fed marks slots whose
-	// plan waiters were released, so a re-delivery never releases them twice.
+	// Release of a clone or a lent final tile stops counting it as in
+	// flight. fed marks slots whose plan waiters were released, so a
+	// re-delivery never releases them twice.
 	tiles   []*tile.Tile
 	recv    []cluster.Message
 	readers []int32
@@ -339,7 +339,7 @@ func (e *engine) fail(err error) {
 // barrier is open; or dispatch has stopped and the last running kernel is
 // back. No kernel runs at that instant, so the received tiles an aborted run
 // still retains — their consumers will never execute — are released here, or
-// their pooled buffers leak; on a shared cluster, permanently. (A completed
+// they stay counted in flight; on a shared cluster, permanently. (A completed
 // run's last-reader releases already emptied every slot.) Whoever changed the
 // state calls it, before giving up the lock.
 func (e *engine) settle() {
@@ -638,9 +638,8 @@ func (e *engine) onComplete(sh *share, t int32) {
 	}
 
 	// Last-reader release: drop received versions this task consumed once no
-	// other task of the share still needs them, releasing the payload share: a
-	// pooled clone goes back to the pool, and a lent final tile stops counting
-	// as in flight.
+	// other task of the share still needs them, releasing the payload share,
+	// clone or lent final tile, which then stops counting as in flight.
 	for _, ref := range pl.Inputs(t) {
 		if ref >= 0 {
 			continue

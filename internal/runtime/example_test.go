@@ -6,7 +6,6 @@ import (
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
-	"anybc/internal/tile"
 )
 
 // ExampleFactorLU runs a real distributed LU factorization on a 10-node
@@ -25,27 +24,4 @@ func ExampleFactorLU() {
 	// Output:
 	// residual small: true
 	// messages: 338
-}
-
-// ExampleSolveLU solves A·X = B end to end on the virtual cluster: the
-// factorization and both triangular substitutions run as one distributed
-// schedule.
-func ExampleSolveLU() {
-	const mt, b, nrhs = 8, 6, 2
-	a := matrix.NewDiagDominant(mt, b, 2)
-	xTrue := matrix.NewRHS(mt, b, nrhs)
-	xTrue.FillFunc(func(gi, k int) float64 { return matrix.ElementAt(3, gi, k) })
-	rhs := a.MulRHS(xTrue)
-
-	x, _, err := runtime.SolveLU(mt, b, nrhs, dist.NewG2DBC(5),
-		runtime.GenDiagDominant(mt, b, 2),
-		func(i int) *tile.Tile { return rhs[i].Clone() },
-		runtime.Options{})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("solution recovered: %v\n", x.MaxAbsDiff(xTrue) < 1e-10)
-	// Output:
-	// solution recovered: true
 }

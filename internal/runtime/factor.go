@@ -90,7 +90,7 @@ func FactorLU(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt
 	return runPlanDense(pl, mt, b, gen, LUKernel, opt)
 }
 
-// atLeastOne returns the error of a Factor or Solve size below 1, which no
+// atLeastOne returns the error of a Factor size below 1, which no
 // graph constructor or tile generator takes, and nil otherwise.
 func atLeastOne(name string, v int) error {
 	if v >= 1 {

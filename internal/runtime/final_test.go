@@ -42,9 +42,8 @@ func (s *payloadSpy) snapshots(final map[*tile.Tile]bool) int {
 }
 
 // TestProductGraphsSendOnlyFinalVersions holds the by-reference send path to
-// the graphs the product runs: every task of LU, Cholesky, the replicated LU
-// (c = 2) and the two solves that sends its output writes its tile's last
-// version, at P = 4, 6 and 23; and a factorization on a cluster of its own
+// the graphs the product runs: every task of LU, Cholesky and the replicated
+// LU (c = 2) that sends its output writes its tile's last version, at P = 4, 6 and 23; and a factorization on a cluster of its own
 // ships only the owners' final tiles, never a snapshot.
 func TestProductGraphsSendOnlyFinalVersions(t *testing.T) {
 	const mt = 12
@@ -62,8 +61,6 @@ func TestProductGraphsSendOnlyFinalVersions(t *testing.T) {
 			{"LU", dag.NewLU(mt), g2dbc},
 			{"Cholesky", dag.NewCholesky(mt), gcrm},
 			{"ReplicatedLU", dag.NewReplicatedLU(mt, 2), dist.NewReplicated(g2dbc, 2, mt)},
-			{"LUSolve", dag.NewLUSolve(mt, 2), solveDist{Distribution: g2dbc, mt: mt}},
-			{"CholeskySolve", dag.NewCholeskySolve(mt, 2), solveDist{Distribution: gcrm, mt: mt}},
 		} {
 			pl, err := plan.Compile(c.g, c.d)
 			if err != nil {

@@ -127,12 +127,12 @@ func byteAt(data []byte, k int) byte {
 }
 
 // driveEngine feeds one node's awaited arrivals in a fuzz-chosen order, with
-// fuzz-chosen duplicates, through real pooled cluster messages, pumping the
+// fuzz-chosen duplicates, through real cluster messages, pumping the
 // engine's ready queue synchronously after each delivery. Whatever the
 // schedule, the node must finish all owned tasks and produce exactly the
-// sequential factorization — and never panic or double-release a pooled
-// payload (the pool's refcounts are live because the messages come from a
-// real Comm).
+// sequential factorization — and never panic or double-release a shared
+// payload (its refcounts are live because the messages come from a real
+// Comm).
 func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 	snaps, finals := sequentialSnapshots(t, sc, outputVersions(sc.g))
 
@@ -188,14 +188,14 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 	}
 	pump()
 
-	// Deliveries travel through a real Comm so payloads are pooled clones
+	// Deliveries travel through a real Comm so payloads are shared clones
 	// with live refcounts; a high bit in the fuzz input duplicates that
 	// delivery (sharing the refcount, like a faulty transport would), and
 	// the 0x40 bit duplicates it and then drops one copy the way a faulty
 	// network does — Release without delivery — in a fuzz-chosen order
 	// relative to the real delivery. A broadcast buffer must survive every
 	// interleaving with its refcount balanced (the chaos × shared-payload
-	// property: duplicated-then-dropped never double-Releases into the pool).
+	// property: duplicated-then-dropped never double-Releases a payload).
 	sender := cl.Comm((rank + 1) % sc.d.Nodes())
 	for k, tag := range tags {
 		pay := snaps[tag]
@@ -258,7 +258,7 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 
 // FuzzVersionProtocol is the property-based attack on the Tag/version
 // protocol: arbitrary interleavings of reordered, duplicated, and
-// multi-epoch deliveries must never panic, never double-release a pooled
+// multi-epoch deliveries must never panic, never double-release a shared
 // payload, and always converge to the sequential factorization.
 func FuzzVersionProtocol(f *testing.F) {
 	f.Add([]byte{})

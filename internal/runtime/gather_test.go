@@ -158,7 +158,7 @@ func TestGatherFromTheAdopter(t *testing.T) {
 // the engines and the pack buffers of a b=64 kernel.
 func TestFactorCallByteBudget(t *testing.T) {
 	if raceBuild {
-		t.Skip("the pack and message pools recycle nothing under the race detector")
+		t.Skip("the pack pool recycles nothing under the race detector")
 	}
 	const mt, b = 8, 64
 	d := dist.NewG2DBC(4)

@@ -89,8 +89,6 @@ func planCases(t *testing.T) []planCase {
 			for _, c := range []int{1, 2} {
 				add(dag.NewReplicatedLU(mt, c), dist.NewReplicated(base, c, mt))
 			}
-			add(dag.NewLUSolve(mt, 2), solveDist{Distribution: base, mt: mt})
-			add(dag.NewCholeskySolve(mt, 2), solveDist{Distribution: base, mt: mt})
 		}
 	}
 	return cases

@@ -21,8 +21,6 @@ const (
 	graphLU graphKind = iota
 	graphCholesky
 	graphReplicatedLU
-	graphLUSolve
-	graphCholeskySolve
 )
 
 // shape is the key of a cached plan: the graph's constructor with its integer
@@ -31,10 +29,10 @@ const (
 // differently (GCR&M patterns searched under other options), so a key alone
 // never decides a hit; planCache.get also compares owner maps.
 type shape struct {
-	graph       graphKind
-	mt, c, nrhs int
-	dist        string
-	nodes       int
+	graph graphKind
+	mt, c int
+	dist  string
+	nodes int
 }
 
 // newGraph builds the task graph of s.
@@ -46,10 +44,6 @@ func (s shape) newGraph() dag.Graph {
 		return dag.NewCholesky(s.mt)
 	case graphReplicatedLU:
 		return dag.NewReplicatedLU(s.mt, s.c)
-	case graphLUSolve:
-		return dag.NewLUSolve(s.mt, s.nrhs)
-	case graphCholeskySolve:
-		return dag.NewCholeskySolve(s.mt, s.nrhs)
 	}
 	panic(fmt.Sprintf("runtime: unknown graph kind %d", s.graph))
 }
@@ -68,7 +62,7 @@ type planEntry struct {
 }
 
 // planCache is the process-wide cache of compiled plans behind the Factor
-// and Solve entry points: the paper's "computed once and for all" for the
+// entry points: the paper's "computed once and for all" for the
 // static half of a run. Plans are immutable, so one serves any number of
 // concurrent runs. The cache keeps plans of at most budget tasks in total and
 // evicts the least recently used; a plan larger than the budget is compiled

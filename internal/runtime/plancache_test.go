@@ -9,7 +9,6 @@ import (
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
 	"anybc/internal/plan"
-	"anybc/internal/tile"
 )
 
 // reset empties c, as a fresh process finds it.
@@ -208,23 +207,15 @@ func TestPlanCacheBudget(t *testing.T) {
 	}
 }
 
-// TestPlanCacheWarmEqualsCold: every cached entry point returns on a warm
-// call exactly what it returned cold, and a warm factorization sends the
+// TestPlanCacheWarmEqualsCold: FactorLU and FactorCholesky return on a warm
+// call exactly what they returned cold, and a warm factorization sends the
 // graph's structural message count.
 func TestPlanCacheWarmEqualsCold(t *testing.T) {
 	plans.reset()
-	const mt, b, nrhs = 7, 4, 3
+	const mt, b = 7, 4
 	d := dist.NewG2DBC(5)
-	genB := func(i int) *tile.Tile {
-		x := tile.New(b, nrhs)
-		for k := range x.Data {
-			x.Data[k] = float64(i*b+k) / 7
-		}
-		return x
-	}
 	var lu [2]*matrix.Dense
 	var chol [2]*matrix.SymmetricLower
-	var xs [2][2]matrix.RHS
 	for pass := 0; pass < 2; pass++ {
 		var rep *Report
 		var err error
@@ -242,24 +233,11 @@ func TestPlanCacheWarmEqualsCold(t *testing.T) {
 		if got, want := rep.Stats.TotalMessages(), dag.CommVolumeTiles(dag.NewCholesky(mt), d.Owner); got != want {
 			t.Errorf("Cholesky pass %d: %d messages, Eq. (2) structure %d", pass, got, want)
 		}
-		if xs[pass][0], _, err = SolveLU(mt, b, nrhs, d, GenDiagDominant(mt, b, 1), genB, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if xs[pass][1], _, err = SolveCholesky(mt, b, nrhs, d, GenSPD(mt, b, 1), genB, Options{}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	identicalLU(t, "warm LU", lu[0], lu[1], mt)
 	identicalCholesky(t, "warm Cholesky", chol[0], chol[1], mt)
-	for k, name := range []string{"LU solve", "Cholesky solve"} {
-		for i := 0; i < mt; i++ {
-			if !xs[0][k][i].EqualApprox(xs[1][k][i], 0) {
-				t.Fatalf("warm %s: block %d differs from the cold one", name, i)
-			}
-		}
-	}
-	if keys, _, compiles := plans.counts(); keys != 4 || compiles != 4 {
-		t.Errorf("%d keys, %d compiles for four shapes called twice; want 4 and 4", keys, compiles)
+	if keys, _, compiles := plans.counts(); keys != 2 || compiles != 2 {
+		t.Errorf("%d keys, %d compiles for two shapes called twice; want 2 and 2", keys, compiles)
 	}
 }
 
@@ -292,12 +270,11 @@ func (o outOfRange) Owner(i, j int) int {
 	return o.Distribution.Owner(i, j)
 }
 
-// TestFactorRejectsBadSizes: every Factor and Solve entry point returns a
+// TestFactorRejectsBadSizes: every Factor entry point returns a
 // named error for a size below 1 instead of panicking in a graph
 // constructor, a tile generator or a node goroutine.
 func TestFactorRejectsBadSizes(t *testing.T) {
 	d := dist.NewTwoDBC(2, 2)
-	genB := func(int) *tile.Tile { return tile.New(4, 1) }
 	for _, c := range []struct {
 		name, want string
 		call       func() error
@@ -320,14 +297,6 @@ func TestFactorRejectsBadSizes(t *testing.T) {
 		}},
 		{"FactorLUReplicated mt=0", "mt = 0", func() error {
 			_, _, err := FactorLUReplicated(0, 4, 2, d, GenDiagDominant(1, 4, 1), Options{})
-			return err
-		}},
-		{"SolveLU nrhs=0", "nrhs = 0", func() error {
-			_, _, err := SolveLU(4, 4, 0, d, GenDiagDominant(4, 4, 1), genB, Options{})
-			return err
-		}},
-		{"SolveCholesky b=-2", "b = -2", func() error {
-			_, _, err := SolveCholesky(4, -2, 1, d, GenSPD(4, 1, 1), genB, Options{})
 			return err
 		}},
 	} {

@@ -90,11 +90,11 @@
 // program under the distribution, shared read-only by every engine — and
 // compilation returns a descriptive error for anything the protocol cannot
 // serve: remote reads of initial tile contents, or local reads of an
-// intermediate version that race the next in-place update. The Factor and
-// Solve entry points, which build their own graphs, take the plan from one
-// process-wide cache (plancache.go): a shape is compiled on its first call
-// and reused by every later call whose distribution places the plan's tiles
-// alike, up to a fixed budget of kept tasks. Run, handed an arbitrary graph,
+// intermediate version that race the next in-place update. The Factor entry
+// points, which build their own graphs, take the plan from one process-wide
+// cache (plancache.go): a shape is compiled on its first call and reused by
+// every later call whose distribution places the plan's tiles alike, up to a
+// fixed budget of kept tasks. Run, handed an arbitrary graph,
 // compiles it on every call; RunPlan executes a plan compiled earlier.
 //
 // # Tile lifetime
@@ -111,13 +111,11 @@
 // (cluster.Broadcast, final) and every consumer node reads the owner's buffer —
 // the resilience layer's published cache and the elastic layer's same-node
 // delivery keep a reference too. Only an intermediate version, one the
-// tile's next writer updates in place, travels as a copy: one
-// pooled clone per broadcast, shared by every consumer node and
-// returned to the cluster's shape-keyed pool (tile.Pool) when the last
-// consumer releases it. Either way the cluster counts the payload as in
-// flight until its last Release.
+// tile's next writer updates in place, travels as a copy: one clone per
+// broadcast, shared by every consumer node. Either way the cluster counts the
+// payload as in flight until its last Release.
 //
-// Owned tiles are never pooled and never copied: gen allocates each one, the
+// Owned tiles are never copied: gen allocates each one, the
 // owner's kernels update it in place for the whole run, and it leaves with the
 // result — collect is handed the buffer itself, and FactorLU, FactorCholesky
 // and the service build the matrix they return out of those buffers (gather,
@@ -258,8 +256,8 @@ type Options struct {
 	Cluster *cluster.Cluster
 	// Context, when non-nil, is the run's cancellation seam: once it is
 	// done, the run aborts — the job's cluster plane is poisoned exactly as
-	// by comm.Abort, every engine winds down promptly, all in-flight pooled
-	// payloads drain back to the cluster pool, and Run returns ErrCanceled.
+	// by comm.Abort, every engine winds down promptly, every in-flight
+	// payload is released, and Run returns ErrCanceled.
 	// On a shared cluster only this job's namespace is poisoned; other
 	// tenants are untouched.
 	Context context.Context
@@ -478,7 +476,7 @@ func RunPlan(pl *plan.Plan,
 	close(runDone)
 	if opt.Chaos != nil {
 		// Release any reorder holds still parked in the fault plan so their
-		// payload shares drain before the pool is abandoned.
+		// payload shares drain before the run returns.
 		opt.Chaos.Flush()
 	}
 	// Closing the job's plane is all the teardown there is: on a private

@@ -297,8 +297,6 @@ func TestPrevalidateAcceptsBuiltinGraphs(t *testing.T) {
 		{dag.NewLU(6), d},
 		{dag.NewCholesky(6), d},
 		{dag.NewReplicatedLU(6, 2), dist.NewReplicated(d, 2, 6)},
-		{dag.NewLUSolve(5, 2), solveDist{Distribution: d, mt: 5}},
-		{dag.NewCholeskySolve(5, 2), solveDist{Distribution: d, mt: 5}},
 	}
 	for _, c := range cases {
 		if _, err := plan.Compile(c.g, c.d); err != nil {

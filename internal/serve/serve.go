@@ -92,8 +92,8 @@ type JobSpec struct {
 	// most the service's MaxMt.
 	Mt int `json:"mt"`
 	// B is the tile side. Zero means the service's configured tile size;
-	// any other value must match it exactly (the shared send-buffer pool
-	// and the memory budget are calibrated to one tile shape).
+	// any other value must match it exactly (the memory budget is
+	// calibrated to one tile shape).
 	B int `json:"b,omitempty"`
 	// P is the node count the client expects. Zero means the service's
 	// cluster size; any other value must match it exactly — jobs always
@@ -287,7 +287,8 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Cluster exposes the shared substrate (tests assert on its pool balance).
+// Cluster exposes the shared substrate (tests assert that its in-flight
+// payloads drain).
 func (s *Server) Cluster() *cluster.Cluster { return s.cl }
 
 // jobBytes estimates a job's resident matrix footprint: the owned tiles plus
@@ -627,8 +628,8 @@ func (s *Server) Wait(ctx context.Context, id JobID) error {
 
 // Cancel aborts the job: a queued job leaves the queue immediately; a
 // running job's namespace plane is poisoned through the runtime's
-// cancellation seam, its engines wind down, and its pooled tiles drain back
-// to the shared pool — no other tenant notices. Terminal jobs return an
+// cancellation seam, its engines wind down, and its in-flight payloads are
+// released — no other tenant notices. Terminal jobs return an
 // error naming their state.
 func (s *Server) Cancel(id JobID) error {
 	j, err := s.get(id)
@@ -678,7 +679,7 @@ type ServiceStats struct {
 	MemBudgetBytes int64   `json:"memBudgetBytes"`
 	CacheHits      int64   `json:"cacheHits"` // distribution lookups (PatternCache), not plans
 	CacheMisses    int64   `json:"cacheMisses"`
-	PoolHeld       int64   `json:"poolHeldTiles"` // payloads in flight, pooled clones and final tiles sent by reference
+	PoolHeld       int64   `json:"poolHeldTiles"` // payloads in flight, clones and final tiles sent by reference
 	// ResultsHeld counts the done jobs whose factors the server still holds:
 	// the unfetched ones and the window of fetched ones. ResultBytesHeld is
 	// their matrix bytes.

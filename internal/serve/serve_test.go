@@ -33,15 +33,16 @@ func waitDone(t testing.TB, srv *Server, id JobID) {
 	}
 }
 
-// drainPool fails the test if the shared send-buffer pool does not return to
-// balance — the cross-job leakage witness at the memory level. Absorbers
+// drainPool fails the test if the shared cluster's in-flight payloads
+// (PoolOutstanding) do not drain to zero — the cross-job leakage witness at
+// the memory level. Absorbers
 // drain late messages asynchronously, so poll.
 func drainPool(t testing.TB, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.Cluster().PoolOutstanding() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("shared pool still holds %d tiles", srv.Cluster().PoolOutstanding())
+			t.Fatalf("shared cluster still holds %d payloads in flight", srv.Cluster().PoolOutstanding())
 		}
 		time.Sleep(time.Millisecond)
 	}

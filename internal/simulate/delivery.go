@@ -4,16 +4,16 @@ import "slices"
 
 // delivery is one output tile on its way to the remote nodes that consume
 // it: the page and offset of the task that produced it, whose route lists the
-// destinations and the waiters of each, its wire size and its count of
-// destinations not reached yet. Destination at forwards the tile on arrival
+// destinations and the waiters of each, and its count of destinations not
+// reached yet. Destination at forwards the tile on arrival
 // to the destinations [at+1, relayEnd[at]) — none on a flat send and at a
 // tree's leaves — so no hop carries a copy of a relay list. A record lives
 // while hops that carry its tile are queued, and keeps its page held.
 type delivery struct {
-	p              *page
-	o              int32
-	bytes, pending int
-	relayEnd       []int32
+	p        *page
+	o        int32
+	pending  int
+	relayEnd []int32
 }
 
 // dst returns the node at position at of the record's destination list.
@@ -41,17 +41,13 @@ func (s *sim) publish(p *page, o int32, k int) int32 {
 	r := &s.records[d]
 	r.p, r.o = p, o
 	p.left++
-	r.bytes = 8 * s.b * s.b
-	if s.bytes != nil {
-		r.bytes = s.bytes(p.e[o].t, s.b)
-	}
 	r.pending = k
 	r.relayEnd = slices.Grow(r.relayEnd[:0], k)[:k]
 	s.res.Messages += int64(k)
-	s.res.Bytes += int64(r.bytes) * int64(k)
+	s.res.Bytes += int64(s.tileBytes) * int64(k)
 	if p.reduce[o] {
 		s.res.Reduces++
-		s.res.ReduceBytes += int64(r.bytes)
+		s.res.ReduceBytes += int64(s.tileBytes)
 	}
 	return d
 }

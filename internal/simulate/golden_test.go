@@ -40,9 +40,6 @@ func goldenGraphs() []goldenGraph {
 		{"replu12c2-g2dbc7", dag.NewReplicatedLU(12, 2),
 			func() dist.Distribution { return dist.NewReplicated(dist.NewG2DBC(7), 2, 12) }, 16,
 			Machine{Workers: 3, FlopsPerWorker: 1e9, LinkBandwidth: 5e8, Latency: 2e-6}},
-		{"lusolve12-2dbc2x3", dag.NewLUSolve(12, 4),
-			func() dist.Distribution { return solveWrap{Distribution: dist.NewTwoDBC(2, 3), mt: 12} }, 24,
-			Machine{Workers: 2, FlopsPerWorker: 1e9, LinkBandwidth: 1e9, Latency: 1e-6}},
 	}
 }
 

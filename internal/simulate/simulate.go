@@ -10,8 +10,8 @@ import (
 	"anybc/internal/trace"
 )
 
-// Options configures a simulation run. A message carries one output tile:
-// dag.Program.OutputBytes bytes, 8·b² when the program leaves that unset.
+// Options configures a simulation run. A message carries one output tile of
+// 8·b² bytes.
 type Options struct {
 	// Recorder, when non-nil, receives every kernel interval and message of
 	// the run for Gantt/utilization analysis (package trace).
@@ -66,11 +66,10 @@ type sim struct {
 	m    Machine
 	rec  *trace.Recorder
 	tree bool
-	// From the program: a task's flops and the wire size of its output tile
-	// (nil: 8·b²).
-	flops func(t dag.Task, b int) float64
-	bytes func(t dag.Task, b int) int
-	rate  []float64 // flop/s of one worker, by node
+	// From the program: a task's flops.
+	flops     func(t dag.Task, b int) float64
+	tileBytes int       // 8·b², the wire size of every message
+	rate      []float64 // flop/s of one worker, by node
 
 	// By node.
 	ready       []sched.Heap
@@ -95,7 +94,7 @@ func newSim(g dag.Graph, b int, d dist.Distribution, m Machine, opt Options) (*s
 	P := d.Nodes()
 	p := g.Program()
 	s := &sim{iters: int32(max(p.Iterations, 1)), b: b, m: m, rec: opt.Recorder,
-		tree: opt.Broadcast == cluster.BroadcastTree, flops: p.Flops, bytes: p.OutputBytes, res: &Result{}}
+		tree: opt.Broadcast == cluster.BroadcastTree, flops: p.Flops, tileBytes: 8 * b * b, res: &Result{}}
 
 	s.rate = make([]float64, P)
 	for node := range s.rate {
@@ -331,7 +330,7 @@ func (s *sim) fanout(src int, d int32, lo, hi int, now float64) int64 {
 func (s *sim) sendHop(src int, d int32, at, end int, now float64) {
 	r := &s.records[d]
 	r.relayEnd[at] = int32(end)
-	dst, msgBytes := r.dst(at), r.bytes
+	dst, msgBytes := r.dst(at), s.tileBytes
 	m := &s.m
 	transferTime := float64(msgBytes) / m.LinkBandwidth
 	depart := max(now, s.nicOut[src])

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 )
@@ -67,6 +68,38 @@ func TestMessagesMatchStructuralCount(t *testing.T) {
 		}
 		if res.Bytes != want*8*8*8 {
 			t.Errorf("%s: %d bytes, want %d", d.Name(), res.Bytes, want*8*64)
+		}
+	}
+}
+
+// TestMessagesCarryTheProgramsTileSizes: every message carries one b×b tile,
+// 8·b² bytes, on the logical ledger and on the wire — Bytes is 8·b² per
+// message, and every node's sent and received bytes add up to 8·b² per hop —
+// for the Cholesky and replicated LU graphs under tree broadcast, where hops
+// and messages differ.
+func TestMessagesCarryTheProgramsTileSizes(t *testing.T) {
+	const mt, b = 8, 10
+	base := dist.NewTwoDBC(2, 3)
+	for _, c := range []struct {
+		g dag.Graph
+		d dist.Distribution
+	}{
+		{dag.NewCholesky(mt), base},
+		{dag.NewReplicatedLU(mt, 2), dist.NewReplicated(base, 2, mt)},
+	} {
+		res, err := Run(c.g, b, c.d, testMachine(), Options{Broadcast: cluster.BroadcastTree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent, recv int64
+		for n := range res.SentBytes {
+			sent, recv = sent+res.SentBytes[n], recv+res.RecvBytes[n]
+		}
+		if want := int64(8*b*b) * res.Messages; res.Bytes != want {
+			t.Errorf("%s: %d bytes for %d messages, want %d", c.g.Name(), res.Bytes, res.Messages, want)
+		}
+		if want := int64(8*b*b) * res.Hops; sent != want || recv != want {
+			t.Errorf("%s: %d bytes sent, %d received over %d hops, want %d", c.g.Name(), sent, recv, res.Hops, want)
 		}
 	}
 }

@@ -1,5 +1,10 @@
 package tile
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // Cache blocking parameters of the panel-blocked GEMM. One packed B panel is
 // gemmKC×n (streamed once per k-panel), one packed A panel is gemmMC×gemmKC
 // and stays L2-resident while the microkernel sweeps the B panel. The
@@ -82,17 +87,39 @@ func (v opView) transposed() opView {
 	return opView{data: v.data, ld: v.ld, trans: !v.trans}
 }
 
-// packPool recycles pack/transpose scratch through the shape-keyed tile pool
-// the communication layer also uses. Buffers are 1×n tiles, so each distinct
-// scratch size keeps its own free list and concurrent kernel workers draw
-// disjoint buffers instead of fighting over one shared growable slice.
-var packPool Pool
+// packPool recycles pack/transpose scratch: one sync.Pool of 1×n tiles per
+// scratch size n, so each size keeps its own free list and concurrent kernel
+// workers draw disjoint buffers instead of fighting over one shared growable
+// slice. packGets counts getPack calls, for the tests that hold a path to
+// none.
+var (
+	packPool sync.Map // uint64(n) -> *sync.Pool of *Tile
+	packGets atomic.Int64
+)
 
 // getPack returns an n-element scratch buffer as a pooled 1×n tile; contents
 // are unspecified. Release with putPack.
-func getPack(n int) *Tile { return packPool.Get(1, n) }
+func getPack(n int) *Tile {
+	packGets.Add(1)
+	if e, ok := packPool.Load(uint64(n)); ok {
+		if t, ok := e.(*sync.Pool).Get().(*Tile); ok && t != nil {
+			return t
+		}
+	}
+	return New(1, n)
+}
 
-func putPack(t *Tile) { packPool.Put(t) }
+// putPack releases a getPack buffer; the caller must not use it afterwards.
+func putPack(t *Tile) {
+	// Load first: LoadOrStore's argument is built — allocated — on every
+	// call, needed or not, and a size's free list is new only once.
+	key := uint64(t.Cols)
+	e, ok := packPool.Load(key)
+	if !ok {
+		e, _ = packPool.LoadOrStore(key, &sync.Pool{})
+	}
+	e.(*sync.Pool).Put(t)
+}
 
 // packStrips writes rows [i0, i0+cnt) × depth [kk, kk+kb) of op(X) into dst
 // as w-row strips interleaved by depth: strip s holds rows i0+s·w ..,

@@ -65,12 +65,12 @@ func TestSmallGemmAllocatesNothing(t *testing.T) {
 		for _, b := range []int{8, 32} {
 			x, y, z := randomTile(rng, b, b), randomTile(rng, b, b), randomTile(rng, b, b)
 			for _, tb := range []Trans{NoTrans, TransT} {
-				gets := packPool.gets.Load()
+				gets := packGets.Load()
 				if allocs := testing.AllocsPerRun(100, func() { Gemm(NoTrans, tb, -1e-3, x, y, 1, z) }); allocs != 0 {
 					t.Errorf("[%s] Gemm(NoTrans, %v) at b=%d: %g allocations per call", mk.name, tb, b, allocs)
 				}
-				if n := packPool.gets.Load() - gets; n != 0 {
-					t.Errorf("[%s] Gemm(NoTrans, %v) at b=%d: %d packPool.Get calls", mk.name, tb, b, n)
+				if n := packGets.Load() - gets; n != 0 {
+					t.Errorf("[%s] Gemm(NoTrans, %v) at b=%d: %d getPack calls", mk.name, tb, b, n)
 				}
 			}
 		}
