@@ -66,10 +66,11 @@ func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 //
 // A broadcast delivers the same immutable payload tile to every destination:
 // a clone of the sender's tile, or, for a final payload its sender never
-// writes again, that tile itself (see Broadcast). Receivers must treat
-// Payload as read-only and call Release when done with it. After the last
-// recipient lets go, the payload stops counting as in flight
-// (Cluster.PoolOutstanding).
+// writes again, that tile itself (see Broadcast). The message's Lease holds
+// Payload and the recipient's share of it: receivers must treat Payload as
+// read-only and call Release when done with it. A receiver that keeps the
+// payload past the message — until its last reader has run — keeps the Lease
+// alone, not the envelope.
 //
 // Under tree broadcast a non-empty Forward names the binomial subtree this
 // recipient must relay the payload to: the recipient passes the message to
@@ -88,13 +89,12 @@ func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 type Message struct {
 	From, To int
 	Tag      Tag
-	Payload  *tile.Tile
+	Lease
 	SentAt   time.Time
-	Req      bool           // version re-request control message (Payload is nil)
-	Note     NoteKind       // membership notice (Payload is nil); zero for data/requests
-	NoteRank int            // subject rank of a Note (the dead or finished node)
-	Forward  []int          // tree broadcast: destinations this recipient relays to
-	shared   *sharedPayload // nil for hand-built messages (tests)
+	Req      bool     // version re-request control message (Payload is nil)
+	Note     NoteKind // membership notice (Payload is nil); zero for data/requests
+	NoteRank int      // subject rank of a Note (the dead or finished node)
+	Forward  []int    // tree broadcast: destinations this recipient relays to
 }
 
 // NoteKind classifies membership notices.
@@ -119,19 +119,32 @@ type sharedPayload struct {
 	refs atomic.Int32
 }
 
-// Release declares this recipient done with the message payload. Once every
-// recipient of the payload has released it, the payload — clone or lent final
-// tile — stops counting as in flight. The payload must not be touched after
-// Release; calling Release more than once per received message corrupts the
-// refcount. No-op on hand-built messages.
-func (m *Message) Release() {
-	if m.shared == nil {
-		return
+// Lease is one recipient's hold on a payload: the tile and its share of the
+// in-flight count.
+type Lease struct {
+	Payload *tile.Tile
+	shared  *sharedPayload // nil for hand-built messages (tests)
+}
+
+// Release declares this recipient done with the payload and zeroes the lease.
+// Once every recipient of the payload has released it, the payload — clone or
+// lent final tile — stops counting as in flight (Cluster.PoolOutstanding).
+// The payload must not be touched after Release; calling Release more than
+// once per received message corrupts the refcount. No-op on hand-built
+// messages.
+func (l *Lease) Release() {
+	if l.shared != nil && l.shared.refs.Add(-1) == 0 {
+		l.shared.cl.inFlight.Add(-1)
 	}
-	if m.shared.refs.Add(-1) == 0 {
-		m.shared.cl.inFlight.Add(-1)
+	*l = Lease{}
+}
+
+// Dup returns a second hold on the same tile, released on its own.
+func (l Lease) Dup() Lease {
+	if l.shared != nil {
+		l.shared.refs.Add(1)
 	}
-	m.shared = nil
+	return l
 }
 
 // Dup returns a second delivery of the same message sharing the payload
@@ -140,9 +153,7 @@ func (m *Message) Release() {
 // to model duplicate delivery without corrupting the count. Hand-built
 // messages (no shared payload) are returned unchanged.
 func (m Message) Dup() Message {
-	if m.shared != nil {
-		m.shared.refs.Add(1)
-	}
+	m.Lease = m.Lease.Dup()
 	return m
 }
 
@@ -150,6 +161,8 @@ func (m Message) Dup() Message {
 // with the acyclicity of the task graph) makes the runtime deadlock-free.
 // Because the queue is unbounded, backpressure is invisible unless measured:
 // peak tracks the high-water mark of queued messages for Stats.MailboxPeak.
+// It counts nothing per sender: which peers a node has heard from is the
+// runtime's resilience layer's to count, on what its receiver takes in.
 //
 // Locking discipline: state changes happen under mu, and the condition
 // variable is notified after unlock — the same order in put and close, so
@@ -161,12 +174,11 @@ type mailbox struct {
 	queue  []Message // queue[head:] is waiting; the consumed prefix is zeroed
 	head   int
 	peak   int
-	from   []int // messages ever queued, by sender rank (Comm.Heard)
 	closed bool
 }
 
-func newMailbox(p int) *mailbox {
-	m := &mailbox{from: make([]int, p)}
+func newMailbox() *mailbox {
+	m := &mailbox{}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -185,7 +197,6 @@ func (m *mailbox) put(msg Message) bool {
 			m.queue, m.head = m.queue[:n], 0
 		}
 		m.queue = append(m.queue, msg)
-		m.from[msg.From]++
 		if n := len(m.queue) - m.head; n > m.peak {
 			m.peak = n
 		}
@@ -200,13 +211,6 @@ func (m *mailbox) highWater() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.peak
-}
-
-// heard returns how many messages sender src has had queued here so far.
-func (m *mailbox) heard(src int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.from[src]
 }
 
 // get blocks until a message is available or the mailbox is closed.
@@ -348,7 +352,7 @@ func newPlane(p int) *plane {
 		ledger:  make([]atomic.Int64, int(numCounters)*p*p),
 	}
 	for i := range pl.inboxes {
-		pl.inboxes[i] = newMailbox(p)
+		pl.inboxes[i] = newMailbox()
 	}
 	return pl
 }
@@ -462,7 +466,7 @@ func (c *Cluster) Close() {
 // CloseJob shuts down one job's plane: its mailboxes close, so that job's
 // blocked receivers wake up while every other tenant keeps running
 // untouched. Idempotent; a job that was never opened is a no-op. The plane's
-// counters survive for JobStats until DropJob.
+// counters stay with JobStats' caller after DropJob.
 func (c *Cluster) CloseJob(job int32) {
 	if pl := c.planeIfExists(job); pl != nil {
 		pl.close()
@@ -478,11 +482,11 @@ func (c *Cluster) OpenJob() int32 {
 	return job
 }
 
-// DropJob removes a closed job's plane entirely, freeing its mailboxes and
-// counters; late deliveries addressed to a dropped job release their payload
-// shares. Call only after the job's Stats have been taken:
-// a long-lived cluster whose finished jobs were never dropped would leak one
-// counter block per job.
+// DropJob removes a closed job's plane entirely, freeing its mailboxes and —
+// unless JobStats handed them over — its counters; late deliveries addressed
+// to a dropped job release their payload shares. Call only after the job's
+// Stats have been taken: a long-lived cluster whose finished jobs were never
+// dropped would leak one counter block per job.
 func (c *Cluster) DropJob(job int32) {
 	c.CloseJob(job)
 	c.planes.Delete(job)
@@ -697,13 +701,6 @@ func (c *Comm) Abort() {
 	c.pl.close()
 }
 
-// Heard returns how many messages of any kind — data, relays, requests,
-// notices — sender src has had delivered to this endpoint's mailbox so far,
-// read or not: the liveness evidence a failure detector weighs silence
-// against. It counts deliveries, not sends, so what the fault seam drops or
-// still delays is not heard.
-func (c *Comm) Heard(src int) int { return c.pl.inboxes[c.rank].heard(src) }
-
 // Recv blocks until a message of this endpoint's job arrives; ok is false
 // once the job's plane is closed and the mailbox drained. The job epoch is
 // stripped from the delivered tag: receivers work in the job-local (I, J, V)
@@ -714,52 +711,51 @@ func (c *Comm) Recv() (Message, bool) {
 	return msg, ok
 }
 
-// Stats is a snapshot of one plane's traffic ledger (see Counter for the
-// columns and the package comment for how they relate) plus MailboxPeak, each
-// node's inbound queue high-water mark — the backpressure an unbounded
-// mailbox would otherwise hide.
+// Stats is one plane's traffic ledger (see Counter for the columns and the
+// package comment for how they relate) plus MailboxPeak, each node's inbound
+// queue high-water mark — the backpressure an unbounded mailbox would
+// otherwise hide.
 type Stats struct {
 	P           int
 	MailboxPeak []int
-	table       []int64 // the plane's ledger at snapshot time, same layout
+	table       []atomic.Int64 // the plane's ledger itself, not a copy
 }
 
-// JobStats snapshots the traffic ledger of one job's plane: the exact
+// JobStats hands over the traffic ledger of one job's plane: the exact
 // accounting a dedicated cluster would have produced for that job, unpolluted
-// by its co-tenants. A job that was never opened returns zeroed counters.
+// by its co-tenants. The counters are the plane's own, not a copy, so what
+// the job's endpoints send after the call still shows in them: read them once
+// nothing of the job sends any more, as the runtime does after its receivers
+// have drained. A job that was never opened returns zeroed counters.
 func (c *Cluster) JobStats(job int32) Stats {
-	s := Stats{
-		P:           c.p,
-		MailboxPeak: make([]int, c.p),
-		table:       make([]int64, int(numCounters)*c.p*c.p),
+	pl := c.planeIfExists(job)
+	if pl == nil {
+		pl = newPlane(c.p)
 	}
-	if pl := c.planeIfExists(job); pl != nil {
-		for i, m := range pl.inboxes {
-			s.MailboxPeak[i] = m.highWater()
-		}
-		for i := range pl.ledger {
-			s.table[i] = pl.ledger[i].Load()
-		}
+	s := Stats{P: c.p, MailboxPeak: make([]int, c.p), table: pl.ledger}
+	for i, m := range pl.inboxes {
+		s.MailboxPeak[i] = m.highWater()
 	}
 	return s
 }
 
 // matrix returns counter c's P×P block of the table, row-major [src][dst].
-func (s Stats) matrix(c Counter) []int64 {
+func (s Stats) matrix(c Counter) []atomic.Int64 {
 	n := s.P * s.P
 	return s.table[int(c)*n : int(c)*n+n]
 }
 
 // At returns counter c on the (src, dst) link.
 func (s Stats) At(c Counter, src, dst int) int64 {
-	return s.matrix(c)[src*s.P+dst]
+	return s.matrix(c)[src*s.P+dst].Load()
 }
 
 // Total returns counter c summed over every link.
 func (s Stats) Total(c Counter) int64 {
 	var t int64
-	for _, v := range s.matrix(c) {
-		t += v
+	m := s.matrix(c)
+	for i := range m {
+		t += m[i].Load()
 	}
 	return t
 }
@@ -770,8 +766,9 @@ func (s Stats) Total(c Counter) int64 {
 // re-served (Redeliveries).
 func (s Stats) BySrc(c Counter) []int64 {
 	out := make([]int64, s.P)
-	for i, v := range s.matrix(c) {
-		out[i/s.P] += v
+	m := s.matrix(c)
+	for i := range m {
+		out[i/s.P] += m[i].Load()
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"anybc/internal/tile"
@@ -241,7 +242,7 @@ func TestLedger(t *testing.T) {
 			if tc.setup != nil {
 				m = tc.setup(c)
 			}
-			before, q0 := c.JobStats(jobA), queued(c)
+			before, q0 := snapshot(c.JobStats(jobA)), queued(c)
 			tc.act(c, m)
 			after := c.JobStats(jobA)
 			if got := queued(c) - q0; got != tc.lands {
@@ -264,6 +265,16 @@ func TestLedger(t *testing.T) {
 	}
 }
 
+// snapshot copies the counters JobStats hands over, which keep counting.
+func snapshot(s Stats) Stats {
+	table := make([]atomic.Int64, len(s.table))
+	for i := range s.table {
+		table[i].Store(s.table[i].Load())
+	}
+	s.table = table
+	return s
+}
+
 // TestMailboxReusesItsArray: a mailbox whose receiver keeps up rewinds to the
 // start of its array whenever it drains, so put never re-grows it (get used to
 // re-slice the front away for good, and append reallocated over and over:
@@ -271,7 +282,7 @@ func TestLedger(t *testing.T) {
 // one that never drains slides its backlog down instead of growing without
 // bound.
 func TestMailboxReusesItsArray(t *testing.T) {
-	m := newMailbox(2)
+	m := newMailbox()
 	round := func(burst int) {
 		for k := 0; k < burst; k++ {
 			m.put(Message{From: 1, Tag: Tag{I: int32(k)}})

@@ -258,7 +258,7 @@ func TestDuplicateThenDropReleasesExactlyOnce(t *testing.T) {
 			c.Comm(node).Forward(msg)
 			sh := msg.shared
 			msg.Release()
-			last = Message{shared: sh}
+			last = Message{Lease: Lease{shared: sh}}
 		}
 	}
 	// k=2 → root degree ⌈log₂3⌉ = 2, so both hops leave the root directly.

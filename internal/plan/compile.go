@@ -24,12 +24,13 @@ type compiler struct {
 	route  dag.Route
 
 	// The four per-task tables are appended in program order, their per-task
-	// entry counts stored at cnt[task+1]; finish sums the counts into offsets
-	// and regroups the entries in plan order.
+	// entry counts stored at cnt[task+1]; finish regroups the last three in
+	// plan order. The plan keeps only the dependencies' count; finish's
+	// ordering check reads them in program order.
 	depCnt, inCnt, succCnt, dstCnt []int32
 	deps, ins, succs               []int32
 	dstRanks                       []int
-	dstAt                          []int32 // where a task's destinations start in dstRanks
+	depAt, dstAt                   []int32 // where a task's dependencies start in deps, its destinations in dstRanks
 	// Each destination entry is a slot on its rank (finish blocks them by
 	// rank), numbered here by its index in dstRanks: its producer, and the
 	// tasks there waiting on the version, one run of waiters per entry.
@@ -73,7 +74,7 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 	c.depCnt, c.inCnt = make([]int32, n+1), make([]int32, n+1)
 	c.succCnt, c.dstCnt = make([]int32, n+1), make([]int32, n+1)
 	c.deps, c.ins, c.succs = make([]int32, 0, 3*n), make([]int32, 0, 2*n), make([]int32, 0, 2*n)
-	c.dstAt = make([]int32, n)
+	c.depAt, c.dstAt = make([]int32, n), make([]int32, n)
 	prog := g.Program()
 	w := dag.Infer(prog, d.Owner) // layout has checked every owner's range
 	onDep, onInput := c.onDep, c.onInput
@@ -91,6 +92,7 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 			c.next[c.curTile]++
 
 			c.depStart, c.depSlot = len(c.deps), c.depSlot[:0]
+			c.depAt[c.cur] = int32(c.depStart)
 			w.Preds(v, onDep)
 			c.depCnt[c.cur+1] = int32(len(c.deps) - c.depStart)
 
@@ -286,10 +288,10 @@ func (c *compiler) finish() error {
 		}
 	}
 
-	for _, cnt := range [][]int32{c.depCnt, c.inCnt, c.succCnt, c.dstCnt} {
+	for _, cnt := range [][]int32{c.inCnt, c.succCnt, c.dstCnt} {
 		prefixSum(cnt)
 	}
-	c.depOff, c.dep = c.depCnt, regroup(c.depCnt, c.deps, c.posOf)
+	c.numDeps = c.depCnt[1:]
 	c.inOff, c.in = c.inCnt, regroup(c.inCnt, c.ins, c.posOf)
 	c.succOff, c.succ = c.succCnt, regroup(c.succCnt, c.succs, c.posOf)
 	c.dstOff = c.dstCnt
@@ -300,7 +302,7 @@ func (c *compiler) finish() error {
 	for _, r := range c.reads {
 		next := c.writer[c.wrOff[r.tile]+r.ver+1]
 		ordered := false
-		for _, q := range c.Deps(next) {
+		for _, q := range c.deps[c.depAt[next]:][:c.numDeps[next]] {
 			ordered = ordered || q == r.reader
 		}
 		if !ordered {

@@ -57,7 +57,7 @@ type Plan struct {
 	out     []int32 // output tile
 	reduce  []bool  // dag.Program.ReducePartial
 
-	depOff, dep   []int32 // predecessors, in Dependencies visit order
+	numDeps       []int32 // predecessor count: what a task waits for, not whom
 	inOff, in     []int32 // input references, in InputTiles visit order
 	succOff, succ []int32 // successors on the task's own node, in Successors visit order
 	// Publish record (dag.Route): the distinct remote owner ranks of the
@@ -124,11 +124,9 @@ func (p *Plan) Out(t int32) int32 { return p.out[t] }
 // consumes it.
 func (p *Plan) Reduce(t int32) bool { return p.reduce[t] }
 
-// NumDeps returns the number of predecessors of task t.
-func (p *Plan) NumDeps(t int32) int32 { return p.depOff[t+1] - p.depOff[t] }
-
-// Deps returns the predecessors of task t, in Dependencies visit order.
-func (p *Plan) Deps(t int32) []int32 { return p.dep[p.depOff[t]:p.depOff[t+1]] }
+// NumDeps returns the number of predecessors of task t: the releases it
+// waits for, through a same-node predecessor's Succs or a slot's Waiters.
+func (p *Plan) NumDeps(t int32) int32 { return p.numDeps[t] }
 
 // Inputs returns the input references of task t in InputTiles visit order:
 // a tile index of t's own node, or the complement of one of its slots.

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	gort "runtime"
 	"testing"
 	"time"
 
@@ -14,8 +15,9 @@ import (
 // TestRunAllocBudget pins what compiling once bought on the overhead-bound
 // shape (mt=24, b=8, G-2DBC(44), Workers=2 — the lu-overhead workload's): a
 // whole FactorLU call, plan compile included, stays under factorAllocBudget
-// allocations (118 697 before the plan), and the engines' set-up allocates
-// per node, not per task.
+// allocations (118 697 before the plan) and a warm one under
+// factorByteBudget bytes, and the engines' set-up allocates per node, not per
+// task.
 func TestRunAllocBudget(t *testing.T) {
 	const mt, b, P = 24, 8, 44
 	d := dist.NewG2DBC(P)
@@ -28,6 +30,20 @@ func TestRunAllocBudget(t *testing.T) {
 	t.Logf("FactorLU allocates %.0f objects per call", perCall)
 	if perCall > factorAllocBudget {
 		t.Errorf("FactorLU allocates %.0f objects per call, budget %d", perCall, factorAllocBudget)
+	}
+	const calls = 4
+	var before, after gort.MemStats
+	gort.ReadMemStats(&before)
+	for range calls {
+		if _, _, err := FactorLU(mt, b, d, gen, Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gort.ReadMemStats(&after)
+	perCallBytes := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("a warm FactorLU call allocates %d bytes", perCallBytes)
+	if perCallBytes > factorByteBudget {
+		t.Errorf("a warm FactorLU call allocates %d bytes, budget %d", perCallBytes, factorByteBudget)
 	}
 
 	// Set-up on a compiled plan: with a generator that allocates nothing,

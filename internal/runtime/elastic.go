@@ -27,7 +27,6 @@ package runtime
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"anybc/internal/cluster"
@@ -122,7 +121,7 @@ func (el *elastic) die() {
 // and is fed the version exactly as if the tag had arrived over the network —
 // one release path per edge, so a racing stale arrival can never
 // double-decrement a dependency count.
-func (el *elastic) complete(sh *share, t int32, tag cluster.Tag, out *tile.Tile) ([]int, bool) {
+func (el *elastic) complete(sh *share, t int32, out *tile.Tile) ([]int, bool) {
 	e, pl := el.e, el.e.pl
 	dsts := pl.Dsts(t)
 	hadRemote := len(dsts) > 0
@@ -131,17 +130,15 @@ func (el *elastic) complete(sh *share, t int32, tag cluster.Tag, out *tile.Tile)
 		// does not natively own: those on its original node included.
 		hadRemote = len(pl.Succs(t)) > 0 || len(dsts) > 1 || (len(dsts) == 1 && dsts[0] != e.rank)
 	}
-	// The synthetic arrival, when a share here awaits the version. One that
-	// came over the wire first (a pre-crash copy racing the replay) fed its
-	// slots then and is not admitted again. A final version is delivered by
-	// reference; any other is snapshotted, as out is advanced in place by the
-	// tile's later writers.
-	awaited := slices.ContainsFunc(dsts, func(rank int) bool { return e.shareFor(rank) != nil })
-	if awaited && e.res.admit(tag, -1) {
+	// The synthetic arrival, by the wire's rule: when a share here awaits the
+	// version in an unfed slot (a pre-crash copy racing the replay may have
+	// fed them). A final version is delivered by reference; any other is
+	// snapshotted, as out is advanced in place by the tile's later writers.
+	if s := e.slotOf(t); e.awaits(t, s) {
 		if !pl.Final(t) {
 			out = out.Clone()
 		}
-		e.deliver(t, e.slotOf(t), cluster.Message{From: e.rank, To: e.rank, Tag: tag, Payload: out})
+		e.deliver(t, s, -1, cluster.Lease{Payload: out})
 	}
 	return el.liveDsts(t), hadRemote
 }
@@ -279,20 +276,20 @@ func (el *elastic) adoptTasks(from int) int {
 	for s := slotLo; s < slotHi; s++ {
 		producer := pl.SlotProducer(s)
 		vtag := e.tagOf(producer)
-		msg := cluster.Message{From: e.rank, To: e.rank, Tag: vtag}
+		var l cluster.Lease
 		for _, rank := range pl.Dsts(producer) {
 			if have := e.shareFor(rank); have != nil {
 				if held := have.recv[pl.SlotAt(producer, rank)-have.slotLo]; held.Payload != nil {
-					msg = held.Dup()
+					l = held.Dup()
 					break
 				}
 			}
 		}
-		if msg.Payload == nil {
-			msg.Payload = e.res.cached(vtag)
+		if l.Payload == nil {
+			l.Payload = e.res.cached(vtag)
 		}
-		if msg.Payload == nil {
-			e.res.readmit(vtag) // let the version in again after its first copy was consumed
+		if l.Payload == nil {
+			// The new share's slot is unfed: the next copy is taken in.
 			owner := pl.Owner(producer)
 			if e.shareFor(owner) == nil && e.res.expect(vtag, now) {
 				if target := el.liveOwner(owner); target >= 0 && target != e.rank {
@@ -301,7 +298,7 @@ func (el *elastic) adoptTasks(from int) int {
 			}
 			continue
 		}
-		e.deliver(producer, e.slotOf(producer), msg)
+		e.deliver(producer, e.slotOf(producer), -1, l)
 	}
 	return len(sh.remaining)
 }

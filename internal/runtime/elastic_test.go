@@ -554,10 +554,10 @@ func TestArrivalTimeoutTickerClamp(t *testing.T) {
 	identicalLU(t, "clamped ticker", base, fact, mt)
 }
 
-// TestTreeRelayAfterHealedRedelivery pins the relay-dedup fix: a tag healed
-// into the seen set by a Resend redelivery (which carries no Forward list)
-// must NOT swallow the late original copy's forward obligation — the relay
-// dedup is keyed on a separate per-tag ledger, and fires exactly once.
+// TestTreeRelayAfterHealedRedelivery pins the relay-dedup fix: a slot fed by
+// a Resend redelivery (which carries no Forward list) must NOT swallow the
+// late original copy's forward obligation — the relay dedup is keyed on a
+// separate per-tag ledger, and fires exactly once.
 func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
 	g := dag.NewLU(4)
 	d := dist.NewTwoDBC(2, 2)
@@ -567,8 +567,8 @@ func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
 
 	pay := filled(3, 2.5)
 	tag := cluster.Tag{I: 0, J: 0, V: 0}
-	// A Resend-style heal lands first: no Forward list, marks the tag seen.
-	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay}); err != nil {
+	// A Resend-style heal lands first: no Forward list, feeds the slot.
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay}}); err != nil {
 		t.Fatal(err)
 	}
 	forwarded := func() int64 { return cl.JobStats(0).BySrc(cluster.Forwards)[1] }
@@ -577,7 +577,7 @@ func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
 	}
 	// The delayed original arrives with its subtree: it is a payload
 	// duplicate, but its Forward obligation is fresh and must be honored.
-	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay.Clone(), Forward: []int{3}}); err != nil {
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay.Clone()}, Forward: []int{3}}); err != nil {
 		t.Fatal(err)
 	}
 	if forwarded() != 1 {
@@ -587,7 +587,7 @@ func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
 		t.Fatal("relay ledger did not record the forwarded tag")
 	}
 	// A further duplicate carrying a forward list must not relay again.
-	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay.Clone(), Forward: []int{2}}); err != nil {
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay.Clone()}, Forward: []int{2}}); err != nil {
 		t.Fatal(err)
 	}
 	if forwarded() != 1 {

@@ -35,13 +35,13 @@ type share struct {
 	lo, tileLo, slotLo, inLo int32
 	remaining                []int32
 	// tiles holds the rank's tiles: the in-place buffers its writer chains
-	// update. recv holds the received remote version of each slot, retained
-	// until readers[slot] consumers have run and then released: the last
-	// Release of a clone or a lent final tile stops counting it as in
-	// flight. fed marks slots whose plan waiters were released, so a
-	// re-delivery never releases them twice.
+	// update. recv holds the received remote version of each slot — its
+	// Lease, not the message — retained until readers[slot] consumers have
+	// run and then released: the last Release of a clone or a lent final tile
+	// stops counting it as in flight. fed marks slots whose version was taken
+	// in: the unfed ones are what the share still awaits (engine.awaits).
 	tiles   []*tile.Tile
-	recv    []cluster.Message
+	recv    []cluster.Lease
 	readers []int32
 	fed     []bool
 	inbuf   []*tile.Tile // one flat backing array for every task's kernel-input slice
@@ -60,7 +60,7 @@ func newShare(pl *plan.Plan, rank int) share {
 		inLo:      pl.InputBase(lo),
 		remaining: make([]int32, hi-lo),
 		tiles:     make([]*tile.Tile, tileHi-tileLo),
-		recv:      make([]cluster.Message, slotHi-slotLo),
+		recv:      make([]cluster.Lease, slotHi-slotLo),
 		readers:   append([]int32(nil), pl.SlotReaders(slotLo, slotHi)...),
 		fed:       make([]bool, slotHi-slotLo),
 		inbuf:     make([]*tile.Tile, pl.InputBase(hi)-pl.InputBase(lo)),
@@ -114,6 +114,7 @@ type engine struct {
 	err           error
 	overAt        time.Time
 	finished      chan struct{}
+	drained       sync.WaitGroup // the receiver's: done once the closed mailbox is empty
 
 	// This node's own share of the plan, held by value.
 	share
@@ -250,7 +251,6 @@ func (e *engine) hold(n int) {
 func (e *engine) drop(sh *share, s int32) {
 	if sh.recv[s].Payload != nil {
 		sh.recv[s].Release()
-		sh.recv[s] = cluster.Message{}
 		e.held--
 	}
 }
@@ -303,6 +303,7 @@ func (e *engine) run() error {
 	}
 	e.settle()
 	e.mu.Unlock()
+	e.drained.Add(1)
 	go e.receive()
 
 	for {
@@ -370,20 +371,21 @@ func (e *engine) settle() {
 // the lock and delivers each message under it, so a tree relay or a re-request
 // never waits behind a kernel. It outlives the run as its absorber — remote
 // senders can always make progress — until the job's plane closes and the
-// mailbox is drained, which is what RunPlan waits for (resilience.served)
-// before it snapshots the ledger every late answer charges. After the run it
-// touches only the published cache, the relay ledger and the cluster, never
-// the recorder or the engine fields the report reads meanwhile. A plane that
-// closes while work is still outstanding means a peer failed: dispatch stops,
-// running kernels finish, and a kernel error of our own that surfaces after
-// all still replaces the bystander sentinel (finish).
+// mailbox is drained, which is what RunPlan waits for (drained), armed or
+// not, before it reads the ledger every late relay or answer charges. After
+// the run it touches only the published cache, the relay ledger and the
+// cluster, never the recorder or the engine fields the report reads
+// meanwhile. A plane that closes while work is still outstanding means a peer
+// failed: dispatch stops, running kernels finish, and a kernel error of our
+// own that surfaces after all still replaces the bystander sentinel (finish).
 func (e *engine) receive() {
-	if e.res != nil {
-		defer close(e.res.served)
-	}
+	defer e.drained.Done()
 	for {
 		msg, open := e.comm.Recv()
 		e.mu.Lock()
+		if open && e.res != nil {
+			e.res.heard[msg.From]++
+		}
 		switch {
 		case !open:
 			if !e.stopped && !e.over {
@@ -617,7 +619,7 @@ func (e *engine) onComplete(sh *share, t int32) {
 		}
 	}
 	if e.el != nil {
-		dsts, hadRemote = e.el.complete(sh, t, netTag, out)
+		dsts, hadRemote = e.el.complete(sh, t, out)
 	}
 	if len(dsts) > 0 {
 		// One payload every consumer node shares: a final version by
@@ -651,13 +653,13 @@ func (e *engine) onComplete(sh *share, t int32) {
 	}
 }
 
-// onArrival stores a received tile version and releases the tasks waiting on
-// it. Versions no local task consumes (pure ordering dependencies) are
-// dropped immediately; everything else is retained until its last consumer
-// runs.
+// onArrival applies the one arrival rule, armed or not: a received version is
+// taken in — counted, traced and delivered — while some share on the node
+// awaits it in an unfed slot (awaits); a duplicate or a straggler is dropped
+// uncounted and untraced.
 //
 // The transport sends each tile version at most once per destination, but a
-// re-delivery must not crash the node: an arrival whose tag is already
+// re-delivery must not crash the node: an arrival whose tag is still
 // retained is dropped idempotently when its payload matches the retained copy,
 // and reported as a descriptive error — surfaced through Run's joined node
 // errors — when the payloads genuinely conflict, since then one of the two
@@ -692,7 +694,7 @@ func (e *engine) onArrival(msg cluster.Message) error {
 		}
 		return fmt.Errorf("conflicting duplicate of tile %v from node %d: payload differs from the retained copy", msg.Tag, msg.From)
 	}
-	if e.res != nil && !e.res.admit(msg.Tag, msg.From) {
+	if pt < 0 || !e.awaits(pt, slot) {
 		msg.Release()
 		return nil
 	}
@@ -702,45 +704,62 @@ func (e *engine) onArrival(msg cluster.Message) error {
 			msg.SentAt.Sub(e.epoch).Seconds(), time.Since(e.epoch).Seconds(),
 			msg.Payload.Bytes())
 	}
-	if pt < 0 {
-		msg.Release()
-		return nil
-	}
-	e.deliver(pt, slot, msg)
+	e.deliver(pt, slot, msg.From, msg.Lease)
 	return nil
 }
 
-// deliver hands msg — plan task t's output version, arrived over the wire or
-// produced here — to every share on this node that awaits it: the node's own
-// in its slot s (-1: none), adopted ones only under elastic, in theirs.
-func (e *engine) deliver(t, s int32, msg cluster.Message) {
-	if e.el == nil {
-		e.offer(&e.share, s, msg)
-		return
+// awaits reports whether some share on this node still awaits plan task t's
+// output version in an unfed slot: the node's own in its slot s (-1: none),
+// adopted ones only under elastic.
+func (e *engine) awaits(t, s int32) bool {
+	if s >= 0 && !e.fed[s] {
+		return true
 	}
-	e.offer(&e.share, s, msg.Dup())
-	for _, rank := range e.pl.Dsts(t) {
-		if sh := e.el.shares[rank]; sh != nil {
-			e.offer(sh, e.pl.SlotAt(t, rank)-sh.slotLo, msg.Dup())
+	if e.el != nil {
+		for _, rank := range e.pl.Dsts(t) {
+			if sh := e.el.shares[rank]; sh != nil && !sh.fed[e.pl.SlotAt(t, rank)-sh.slotLo] {
+				return true
+			}
 		}
 	}
-	msg.Release()
+	return false
+}
+
+// deliver takes in l, plan task t's output version, from rank from (-1: the
+// elastic layer produced it here): its wait ends, and every share on this
+// node that awaits it gets it — the node's own in its slot s (-1: none),
+// adopted ones only under elastic, in theirs.
+func (e *engine) deliver(t, s int32, from int, l cluster.Lease) {
+	if e.res != nil {
+		e.res.arrived(e.tagOf(t), from)
+	}
+	if e.el == nil {
+		e.offer(&e.share, s, l)
+		return
+	}
+	e.offer(&e.share, s, l.Dup())
+	for _, rank := range e.pl.Dsts(t) {
+		if sh := e.el.shares[rank]; sh != nil {
+			e.offer(sh, e.pl.SlotAt(t, rank)-sh.slotLo, l.Dup())
+		}
+	}
+	l.Release()
 }
 
 // offer gives share sh's slot s (-1: none) its copy of a version. A slot
 // takes one: the first is retained if the share's inputs read it, and it
 // releases the slot's waiters; every other copy is released at once.
-func (e *engine) offer(sh *share, s int32, msg cluster.Message) {
+func (e *engine) offer(sh *share, s int32, l cluster.Lease) {
 	if s < 0 || sh.fed[s] {
-		msg.Release()
+		l.Release()
 		return
 	}
 	sh.fed[s] = true
 	if sh.readers[s] > 0 {
-		sh.recv[s] = msg
+		sh.recv[s] = l
 		e.hold(1)
 	} else {
-		msg.Release()
+		l.Release()
 	}
 	for _, t := range e.pl.Waiters(sh.slotLo + s) {
 		if sh.release(t) {

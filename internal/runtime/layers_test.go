@@ -12,12 +12,13 @@ import (
 	"anybc/internal/dist"
 	"anybc/internal/plan"
 	"anybc/internal/tile"
+	"anybc/internal/trace"
 )
 
 // TestLayersArmedOnlyWhenAsked pins the core/layer cut from both sides:
 // newEngine builds exactly the components Options.normalize armed — none at
-// all for Options{} — and sets a crash index on the rank a chaos plan names
-// only; and arming resilience and elastic on a fault-free run
+// all for Options{} or a crash-only chaos plan — and sets a crash index on the
+// rank a chaos plan names only; and arming resilience and elastic on a fault-free run
 // changes nothing observable: bit-identical factors, the same kernels per
 // node, the same message count, not one re-request.
 func TestLayersArmedOnlyWhenAsked(t *testing.T) {
@@ -39,8 +40,10 @@ func TestLayersArmedOnlyWhenAsked(t *testing.T) {
 		{name: "zero Options"},
 		{name: "ArrivalTimeout", opt: Options{ArrivalTimeout: time.Second}, res: true},
 		{name: "Elastic", opt: Options{Elastic: true}, res: true, el: true, arrivalDefaults: true},
+		// A crash-only plan loses no delivery: it arms the crash and nothing
+		// else — no network seam, no re-request clocks.
 		{name: "Chaos crash-only", opt: Options{Chaos: mustChaos(chaos.Config{Seed: 1, CrashAtTask: map[int]int{crashRank: 3}})},
-			res: true, crash: true, arrivalDefaults: true},
+			crash: true},
 		{name: "Chaos lossy", opt: Options{Chaos: mustChaos(chaos.Config{Seed: 1, PDrop: 0.1})},
 			res: true, arrivalDefaults: true},
 	}
@@ -284,6 +287,79 @@ func TestUnarmedTreeRelayFiresOncePerTag(t *testing.T) {
 			if g, w := rep.Stats.Total(c), base.Stats.Total(c); g != w {
 				t.Errorf("ArrivalTimeout %v: counter %d = %d under duplication, %d on a faithful network", opt.ArrivalTimeout, c, g, w)
 			}
+		}
+	}
+}
+
+// lateCopy is a network that delivers every payload message at once and a
+// second time after a delay.
+type lateCopy struct {
+	after time.Duration
+	late  sync.WaitGroup // the second copies still to deliver
+}
+
+func (n *lateCopy) Deliver(msg cluster.Message, deliver func(cluster.Message)) {
+	if msg.Payload != nil {
+		dup := msg.Dup()
+		n.late.Add(1)
+		time.AfterFunc(n.after, func() {
+			defer n.late.Done()
+			deliver(dup)
+		})
+	}
+	deliver(msg)
+}
+
+// TestLateDuplicatesTakenInOnce pins the one arrival rule: a version is taken
+// in — counted in ReceivedTilesPerNode, put on the trace — only while a slot
+// of the node still awaits it, armed or not. The seam of a shared cluster
+// delivers every payload again 20 ms later, when the first copy's last
+// reader has long run and released it, and the sleeping kernels keep the run
+// going past the late copies: neither the bare core nor the resilience layer
+// may count them.
+func TestLateDuplicatesTakenInOnce(t *testing.T) {
+	const mt, b = 8, 4
+	d := dist.NewG2DBC(7)
+	gen := GenDiagDominant(mt, b, 3)
+	pl, err := plans.get(shape{graph: graphLU, mt: mt}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sleepy := func(task dag.Task, out *tile.Tile, in []*tile.Tile) error {
+		time.Sleep(300 * time.Microsecond)
+		return LUKernel(task, out, in)
+	}
+	received := func(rep *Report) (n int) {
+		for _, r := range rep.ReceivedTilesPerNode {
+			n += r
+		}
+		return n
+	}
+	baseRec := &trace.Recorder{}
+	want, base, err := runPlanDense(pl, mt, b, gen, sleepy, Options{Recorder: baseRec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []Options{{}, {ArrivalTimeout: time.Minute}} {
+		net := &lateCopy{after: 20 * time.Millisecond}
+		cl := cluster.NewWithOptions(d.Nodes(), cluster.Options{Net: net})
+		rec := &trace.Recorder{}
+		opt.Cluster, opt.Recorder = cl, rec
+		got, rep, err := runPlanDense(pl, mt, b, gen, sleepy, opt)
+		net.late.Wait()
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalLU(t, "late duplicates", want, got, mt)
+		if g, w := received(rep), received(base); g != w {
+			t.Errorf("ArrivalTimeout %v: %d versions taken in under late duplicates, %d on a faithful network", opt.ArrivalTimeout, g, w)
+		}
+		if g, w := len(rec.Messages), len(baseRec.Messages); g != w {
+			t.Errorf("ArrivalTimeout %v: %d message rows under late duplicates, %d on a faithful network", opt.ArrivalTimeout, g, w)
+		}
+		if n := cl.PoolOutstanding(); n != 0 {
+			t.Errorf("ArrivalTimeout %v: %d payloads still in flight", opt.ArrivalTimeout, n)
 		}
 	}
 }

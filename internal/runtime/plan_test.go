@@ -96,10 +96,11 @@ func planCases(t *testing.T) []planCase {
 
 // TestPlanEqualsGraph is the plan-equivalence property: task by task, the
 // compiled plan holds exactly what the materialized graph yields — owner,
-// version, dependency count and predecessors, input references in InputTiles
-// order, same-node successors and distinct remote destinations in Successors
-// first-visit order, the reduce flag, the scheduler key — and every slot its
-// producer, waiters and reader count. Compile runs each iteration of the
+// version, dependency count, input references in InputTiles order, same-node
+// successors and distinct remote destinations in Successors first-visit
+// order, the reduce flag, the scheduler key — and every slot its producer,
+// waiters and reader count; the Succs and Waiters that release a task add up
+// to its dependency count. Compile runs each iteration of the
 // program twice, once to lay the tasks out and once to infer them, and calls
 // each task's OutputTile and InputTiles twice: to infer its dependencies, then
 // to place it or to resolve its references.
@@ -165,12 +166,7 @@ func TestPlanEqualsGraph(t *testing.T) {
 				if int(pl.NumDeps(pt)) != g.NumDependencies(tk) {
 					t.Fatalf("%v: %d dependencies in the plan, NumDependencies %d", tk, pl.NumDeps(pt), g.NumDependencies(tk))
 				}
-				k := 0
 				g.Dependencies(tk, func(dep dag.Task) {
-					if pl.Deps(pt)[k] != planOf[dep] {
-						t.Fatalf("%v: dependency %d is %v, graph gives %v", tk, k, pl.Task(pl.Deps(pt)[k]), dep)
-					}
-					k++
 					if ownerOf(dep) != rank {
 						slot := pl.SlotAt(planOf[dep], rank)
 						waiters[slot] = append(waiters[slot], pt)
@@ -178,7 +174,7 @@ func TestPlanEqualsGraph(t *testing.T) {
 				})
 
 				refs := pl.Inputs(pt)
-				k = 0
+				k := 0
 				g.InputTiles(tk, func(i, j int) {
 					if k >= len(refs) {
 						t.Fatalf("%v: %d input references, graph visits more", tk, len(refs))
@@ -237,11 +233,24 @@ func TestPlanEqualsGraph(t *testing.T) {
 				}
 			})
 
+			// The edges a run releases a task through — a same-node
+			// predecessor's Succs, an awaited version's slot Waiters — must
+			// add up to its dependency count, over all its predecessors.
+			released := make([]int, g.NumTasks())
 			slots := 0
 			for rank := 0; rank < d.Nodes(); rank++ {
-				lo, hi := pl.Slots(rank)
+				lo, hi := pl.Tasks(rank)
+				for q := lo; q < hi; q++ {
+					for _, s := range pl.Succs(q) {
+						released[s]++
+					}
+				}
+				lo, hi = pl.Slots(rank)
 				slots += int(hi - lo)
 				for s := lo; s < hi; s++ {
+					for _, w := range pl.Waiters(s) {
+						released[w]++
+					}
 					if !slices.Equal(pl.Waiters(s), waiters[s]) {
 						t.Fatalf("slot %d: waiters %v, the dependencies give %v", s, pl.Waiters(s), waiters[s])
 					}
@@ -252,6 +261,11 @@ func TestPlanEqualsGraph(t *testing.T) {
 			}
 			if slots != len(waiters) {
 				t.Fatalf("%d slots, %d awaited (node, producer) pairs", slots, len(waiters))
+			}
+			for pt, n := range released {
+				if n != int(pl.NumDeps(int32(pt))) {
+					t.Fatalf("%v: released %d times through Succs and Waiters, NumDeps %d", pl.Task(int32(pt)), n, pl.NumDeps(int32(pt)))
+				}
 			}
 		})
 	}

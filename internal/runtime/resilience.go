@@ -21,16 +21,11 @@ type resilience struct {
 	// place — or after this node's run is over (engine.receive). A final
 	// version is the owner's own tile, any other a private snapshot.
 	published map[cluster.Tag]*tile.Tile
-	// seen marks tags that already arrived once, so duplicates landing after
-	// the last-reader release still drop idempotently. pending carries the
-	// re-request state of each awaited tag.
-	seen    map[cluster.Tag]bool
+	// pending carries the re-request state of each awaited tag. heard counts,
+	// by sender, the messages of any kind the receiver took in: the liveness
+	// evidence the silence budget weighs (onTick).
 	pending map[cluster.Tag]*pendingWait
-
-	// served closes once the receiver (engine.receive) has answered the last
-	// request its mailbox held; RunPlan waits on it before it snapshots the
-	// traffic ledger, which every answer charges.
-	served chan struct{}
+	heard   []int
 }
 
 // pendingWait is the re-request state of one awaited remote tile version.
@@ -39,20 +34,19 @@ type pendingWait struct {
 	backoff  time.Duration
 	attempts int
 	silent   int // requests in a row the target stayed silent through: what the budget caps
-	heardAt  int // Comm.Heard of the target when the tag was last found overdue
+	heardAt  int // heard[target] when the tag was last found overdue
 }
 
 // relayLedger marks the tree-broadcast tags whose Forward obligation a node
-// has honored. It is the one piece of duplicate tolerance every engine
-// carries, armed or not — a shared cluster's network seam may duplicate hops
-// under a job that armed nothing — so the core holds it by value; the map
-// appears with the first Forward-carrying message, and flat runs never
-// allocate it. It is deliberately separate from resilience.seen: when an
-// interior relay hop dropped the original copy and a Resend heal (no Forward
-// list) landed first, the tag is seen, but the late original is a payload
-// duplicate that still carries the subtree and must be relayed exactly once —
-// keying the relay dedup on seen used to swallow it and strand the subtree
-// behind its members' own re-request timeouts.
+// has honored. Every engine carries it, armed or not — a shared cluster's
+// network seam may duplicate hops under a job that armed nothing — so the
+// core holds it by value; the map appears with the first Forward-carrying
+// message, and flat runs never allocate it. It is deliberately kept apart
+// from the slots' fed marks: when an interior relay hop dropped the original
+// copy and a Resend heal (no Forward list) landed first, the slot is fed, but
+// the late original still carries the subtree and must be relayed exactly
+// once — keying the relay dedup on fed would strand the subtree behind its
+// members' own re-request timeouts.
 type relayLedger struct{ relayed map[cluster.Tag]bool }
 
 // first reports whether tag's Forward obligation is still owed, and marks it
@@ -74,9 +68,8 @@ func newResilience(e *engine, opt Options) *resilience {
 		arrival:   opt.ArrivalTimeout,
 		maxReq:    opt.MaxReRequests,
 		published: make(map[cluster.Tag]*tile.Tile),
-		seen:      make(map[cluster.Tag]bool),
 		pending:   make(map[cluster.Tag]*pendingWait),
-		served:    make(chan struct{}),
+		heard:     make([]int, e.pl.Nodes()),
 	}
 }
 
@@ -115,36 +108,22 @@ func (r *resilience) await(tag cluster.Tag, now time.Time) {
 	p.backoff, p.deadline = r.arrival, now.Add(r.arrival)
 }
 
-// admit is the arrival call point. Resilient transports may duplicate or
-// redeliver, and a tag whose first copy was already consumed and released is
-// long gone from recv: every tag that ever arrived is remembered, and admit
-// reports false for the stragglers so they drop idempotently, like retained
-// duplicates. A first arrival ends the tag's wait, and goes on the trace as
-// a recovered row when it came over the wire only after this node
-// re-requested it: the timeout path healed a lost delivery. from is the
-// delivering rank, or -1 when an adoption replay produced the version on this
-// node — nothing crossed the wire, so nothing goes on the trace.
-func (r *resilience) admit(tag cluster.Tag, from int) bool {
-	if r.seen[tag] {
-		return false
-	}
-	r.seen[tag] = true
+// arrived is the take-in call point (engine.deliver): the awaited version tag
+// was taken in, so its wait ends — on the trace as a recovered row when it
+// came over the wire only after this node re-requested it: the timeout path
+// healed a lost delivery. from is the delivering rank, or -1 when an adoption
+// replay produced the version on this node — nothing crossed the wire.
+func (r *resilience) arrived(tag cluster.Tag, from int) {
 	if p, ok := r.pending[tag]; ok {
 		delete(r.pending, tag)
 		if p.attempts > 0 && from >= 0 {
 			r.e.fault("recovered", from, r.e.rank, tag.String())
 		}
 	}
-	return true
 }
 
-// The three methods below, with admit and cached, are the elastic layer's
-// whole access: adoption changes what this node awaits, and from whom.
-
-// readmit forgets that tag ever arrived: an adopted consumer needs the
-// version again after its first copy was consumed and released, so the next
-// copy must be taken in, not dropped as a straggler.
-func (r *resilience) readmit(tag cluster.Tag) { delete(r.seen, tag) }
+// The two methods below, with cached, are the elastic layer's whole access:
+// adoption changes what this node awaits, and from whom.
 
 // expect starts tag's arrival clock unless it already runs, and reports
 // whether it started one.
@@ -230,7 +209,7 @@ func (r *resilience) onTick() error {
 			p.deadline = now.Add(p.backoff)
 			continue
 		}
-		if heard := e.comm.Heard(target); heard != p.heardAt {
+		if heard := r.heard[target]; heard != p.heardAt {
 			// Something from the target has reached this node since this
 			// version was last found overdue: the target is alive and
 			// reachable, so the version is late, not lost for good — every

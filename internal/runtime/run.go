@@ -20,11 +20,12 @@
 // completion releases local successors, and an output some remote node
 // consumes goes to each distinct consumer node as one point-to-point message;
 // then it pops its next task off the priority queue and computes again. The
-// receiver delivers tile arrivals under the same lock — deduplicated against
-// the retained copy, their tree-broadcast relays forwarded once per tag —
-// which release the tasks waiting on them and wake a sleeping worker for
-// each. Local and peer aborts and context cancellation wind the node down;
-// RunPlan gathers the result. Kernels and the blocking receive run outside
+// receiver delivers tile arrivals under the same lock — a version is taken in
+// only while a slot on the node awaits it, armed or not; tree-broadcast
+// relays go out once per tag — which release the tasks waiting on them and
+// wake a sleeping worker for each. Local and peer aborts and context
+// cancellation wind the node down; once every receiver has drained, RunPlan
+// reads the job's ledger and gathers the result. Kernels and the blocking receive run outside
 // the lock, mailboxes are unbounded and the graph is acyclic, so execution is
 // deadlock-free.
 //
@@ -39,8 +40,8 @@
 //     backoff (onTick). Owners cache the versions they published (publish) and
 //     answer from the cache with cluster.Resend (answer) — also after their
 //     own run is over, since the receiver stays behind as the node's absorber,
-//     so a slow consumer can always heal; RunPlan joins the receivers before
-//     it snapshots Report.Stats. Arrivals dedupe by tag (admit). A permanently
+//     so a slow consumer can always heal. Taking a version in ends its wait
+//     (arrived). A permanently
 //     dropped delivery costs latency, never a hang; Report.Stats counts the
 //     re-requests and redeliveries, the trace's recovered rows the healed
 //     arrivals.
@@ -58,9 +59,10 @@
 // Every method of the two is called with the node lock held.
 //
 // "Is this layer armed?" has one spelling, layer != nil, decided in one
-// place, Options.normalize. Under Options{} both are nil. A Chaos plan that
-// names the rank crashes it: the core's pop stops dispatch before the named
-// pop, as a node failure or, under elastic, as the node's silent death.
+// place, Options.normalize. Under Options{} both are nil, and so under a
+// crash-only Chaos plan: a plan that names the rank crashes it — the core's
+// pop stops dispatch before the named pop, as a node failure or, under
+// elastic, as the node's silent death.
 //
 // # Scheduling
 //
@@ -197,7 +199,8 @@ type Options struct {
 	// the run (wall-clock seconds since the run started) for the
 	// Gantt/utilization analyses of package trace.
 	Recorder *trace.Recorder
-	// Chaos, when non-nil, installs the plan as the cluster's network layer:
+	// Chaos, when non-nil, crashes the ranks the plan names and, if it has
+	// delivery faults, installs the plan as the cluster's network layer:
 	// every delivery (tiles, requests, redeliveries) passes through its
 	// seeded fault decisions. A plan drives exactly one run; build a fresh
 	// plan from the same chaos.Config to reproduce it.
@@ -205,8 +208,8 @@ type Options struct {
 	// ArrivalTimeout arms the re-request protocol (the resilience layer): an
 	// awaited remote tile version not delivered within this duration is
 	// re-requested from its owner, with exponential backoff between retries.
-	// Zero leaves the protocol off unless Chaos or Elastic is set (then it
-	// defaults to 250ms); negative is rejected. No product caller sets it —
+	// Zero leaves the protocol off unless Elastic or a delivery-fault Chaos
+	// plan is set (then it defaults to 250ms); negative is rejected. No product caller sets it —
 	// it stays a field because, with MaxReRequests, it sizes a fault budget
 	// that tests pin at 1ms: the default would turn them into minutes.
 	ArrivalTimeout time.Duration
@@ -232,7 +235,7 @@ type Options struct {
 	Elastic bool
 	// MaxReRequests caps how many times in a row one awaited tile version is
 	// re-requested from an owner that stays silent — no message of any kind
-	// from it reaching this node in between (cluster.Comm.Heard) — before
+	// from it taken in by this node's receiver in between — before
 	// the node gives up on that owner: zero means the default (50), negative
 	// means unlimited (the pre-cap behavior). An owner that is heard from is
 	// merely late and is asked again on a fresh budget. On an exhausted
@@ -287,7 +290,7 @@ func (opt *Options) normalize(d dist.Distribution) error {
 		return fmt.Errorf("runtime: distribution %s wants %d nodes but the shared cluster has %d", d.Name(), P, cl.Nodes())
 	case cl != nil && opt.Broadcast != cluster.BroadcastFlat && opt.Broadcast != cl.Broadcast():
 		return fmt.Errorf("runtime: %s broadcast requested on a shared cluster built for %s broadcast", opt.Broadcast, cl.Broadcast())
-	case cl != nil && opt.Chaos != nil && opt.Chaos.Config().DeliveryFaults():
+	case cl != nil && opt.faultyNet():
 		return errors.New("runtime: a chaos plan with delivery faults needs the network seam, which belongs to the shared cluster; only crash injection (CrashAtTask) applies per job")
 	}
 	if opt.Workers <= 0 {
@@ -301,13 +304,19 @@ func (opt *Options) normalize(d dist.Distribution) error {
 		// network seam apply to every tenant.
 		opt.Broadcast = cl.Broadcast()
 	}
-	if opt.ArrivalTimeout == 0 && (opt.Chaos != nil || opt.Elastic) {
-		// Under chaos, so drops heal instead of hanging; under Elastic because
-		// recovery is built on the re-request protocol (published caches,
-		// arrival deadlines, escalation) and cannot run without it.
+	if opt.ArrivalTimeout == 0 && (opt.faultyNet() || opt.Elastic) {
+		// Under delivery faults, so drops heal instead of hanging (a
+		// crash-only plan loses nothing); under Elastic because recovery is
+		// built on the re-request protocol (published caches, arrival
+		// deadlines, escalation) and cannot run without it.
 		opt.ArrivalTimeout = defaultArrivalTimeout
 	}
 	return nil
+}
+
+// faultyNet reports whether the chaos plan has delivery faults: the seam's.
+func (opt *Options) faultyNet() bool {
+	return opt.Chaos != nil && opt.Chaos.Config().DeliveryFaults()
 }
 
 // Report summarizes one distributed execution.
@@ -320,8 +329,9 @@ type Report struct {
 	TasksPerNode []int
 	// OwnedTilesPerNode and ReceivedTilesPerNode describe each node's memory
 	// traffic: tiles it owns under the distribution, and remote tile versions
-	// delivered to it over the run. Received tiles are released after their
-	// last local consumer runs, so their count bounds traffic, not residency.
+	// it took in over the run (duplicates not counted). Received tiles are
+	// released after their last local consumer runs, so their count bounds
+	// traffic, not residency.
 	OwnedTilesPerNode    []int
 	ReceivedTilesPerNode []int
 	// PeakTilesPerNode is each node's working-set high-water mark: the
@@ -427,13 +437,13 @@ func RunPlan(pl *plan.Plan,
 	cl := opt.Cluster
 	if cl == nil {
 		copt := cluster.Options{Broadcast: opt.Broadcast}
-		if opt.Chaos != nil {
+		if opt.faultyNet() {
 			copt.Net = opt.Chaos
 		}
 		cl = cluster.NewWithOptions(P, copt)
 	}
 	// The run's own namespace, dropped on every return path below: all of
-	// them come after the receivers drained and Report.Stats was taken.
+	// them come after the receivers drained and Report.Stats took the ledger.
 	job := cl.OpenJob()
 	defer cl.DropJob(job)
 
@@ -474,7 +484,7 @@ func RunPlan(pl *plan.Plan,
 	}
 	wg.Wait()
 	close(runDone)
-	if opt.Chaos != nil {
+	if opt.faultyNet() {
 		// Release any reorder holds still parked in the fault plan so their
 		// payload shares drain before the run returns.
 		opt.Chaos.Flush()
@@ -483,15 +493,12 @@ func RunPlan(pl *plan.Plan,
 	// cluster it is the only plane, on a shared one the other tenants stay up.
 	cl.CloseJob(job)
 	elapsed := time.Since(start)
-	// Quiescence before the snapshot: with resilience armed each engine's
-	// receiver outlives run() and may still be answering queued re-requests
-	// (cluster.Resend charges the ledger). The plane is closed, so every
-	// receiver drains what its mailbox holds and exits; only then is the
-	// ledger final.
+	// Quiescence before the ledger is read, armed or not: a receiver outlives
+	// run() and may still relay late tree hops or answer queued re-requests,
+	// which charge the ledger. The plane is closed, so every receiver drains
+	// what its mailbox holds and exits; only then is the ledger final.
 	for _, e := range engines {
-		if e.res != nil {
-			<-e.res.served
-		}
+		e.drained.Wait()
 	}
 
 	// Report every node's failure, not just the lowest rank's. Nodes that
@@ -529,8 +536,8 @@ func RunPlan(pl *plan.Plan,
 		return nil, fmt.Errorf("runtime: %w", errors.Join(nodeErrs...))
 	}
 
-	// The job's ledger is the one count of its traffic; the engines keep no
-	// tallies of their own.
+	// The job's ledger is the one count of its traffic, handed over rather
+	// than copied; the engines keep no tallies of their own.
 	rep := &Report{
 		Stats:                cl.JobStats(job),
 		TasksPerNode:         make([]int, P),

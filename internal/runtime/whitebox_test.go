@@ -73,13 +73,13 @@ func TestDuplicateArrivalIdempotent(t *testing.T) {
 	// version 0, so the arrival is stored (readers > 0) and a repeat with the
 	// same payload is an identical re-delivery.
 	pay := filled(3, 2.5)
-	msg := cluster.Message{From: 0, To: 1, Tag: cluster.Tag{I: 0, J: 0, V: 0}, Payload: pay}
+	msg := cluster.Message{From: 0, To: 1, Tag: cluster.Tag{I: 0, J: 0, V: 0}, Lease: cluster.Lease{Payload: pay}}
 	if err := e.onArrival(msg); err != nil {
 		t.Fatal(err)
 	}
 	waitersBefore := e.unfedSlots()
 	remainingBefore := append([]int32(nil), e.remaining...)
-	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: msg.Tag, Payload: pay.Clone()}); err != nil {
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: msg.Tag, Lease: cluster.Lease{Payload: pay.Clone()}}); err != nil {
 		t.Fatalf("identical re-delivery returned error: %v", err)
 	}
 	if e.held != 1 {
@@ -111,18 +111,18 @@ func TestConflictingDuplicateArrivalErrors(t *testing.T) {
 
 	pay := filled(3, 1)
 	tag := cluster.Tag{I: 0, J: 0, V: 0}
-	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: pay}); err != nil {
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay}}); err != nil {
 		t.Fatal(err)
 	}
 	conflict := filled(3, -7)
-	err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Payload: conflict})
+	err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: conflict}})
 	if err == nil {
 		t.Fatal("conflicting duplicate did not return an error")
 	}
 }
 
-// TestUnconsumedArrivalDropped: a version no local task reads (a pure
-// ordering dependency) must be released immediately instead of retained.
+// TestUnconsumedArrivalDropped: a version no slot of the node awaits must be
+// released immediately — neither retained nor counted as taken in.
 func TestUnconsumedArrivalDropped(t *testing.T) {
 	g := dag.NewLU(4)
 	d := dist.NewTwoDBC(2, 2)
@@ -131,15 +131,15 @@ func TestUnconsumedArrivalDropped(t *testing.T) {
 	e := testEngine(t, 1, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel)
 
 	// Version 99 of tile (0,0) has no registered reader on node 1.
-	msg := cluster.Message{From: 0, To: 1, Tag: cluster.Tag{I: 0, J: 0, V: 99}, Payload: tile.New(3, 3)}
+	msg := cluster.Message{From: 0, To: 1, Tag: cluster.Tag{I: 0, J: 0, V: 99}, Lease: cluster.Lease{Payload: tile.New(3, 3)}}
 	if err := e.onArrival(msg); err != nil {
 		t.Fatal(err)
 	}
 	if e.held != 0 {
 		t.Fatalf("unconsumed arrival retained: %d tiles", e.held)
 	}
-	if e.recvTotal != 1 {
-		t.Fatalf("recvTotal = %d, want 1", e.recvTotal)
+	if e.recvTotal != 0 {
+		t.Fatalf("recvTotal = %d, want 0: nothing here awaited the version", e.recvTotal)
 	}
 }
 
