@@ -62,7 +62,7 @@ func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 
 // Message is one tile in flight. SentAt is the wall-clock instant the sender
 // published it, so receivers can attribute transfer intervals in real-run
-// traces.
+// traces; it is zero unless the sender's endpoint stamps (Comm.Timestamp).
 //
 // A broadcast delivers the same immutable payload tile to every destination:
 // a clone of the sender's tile, or, for a final payload its sender never
@@ -162,7 +162,11 @@ func (m Message) Dup() Message {
 // Because the queue is unbounded, backpressure is invisible unless measured:
 // peak tracks the high-water mark of queued messages for Stats.MailboxPeak.
 // It counts nothing per sender: which peers a node has heard from is the
-// runtime's resilience layer's to count, on what its receiver takes in.
+// runtime's resilience layer's to count, on what its node takes in.
+//
+// A node with a Taker holds only what its taker declined: the taker takes
+// the queue in with TryRecv and reads n and closed without the lock to learn
+// whether anything is left to take in.
 //
 // Locking discipline: state changes happen under mu, and the condition
 // variable is notified after unlock — the same order in put and close, so
@@ -170,16 +174,17 @@ func (m Message) Dup() Message {
 // lock.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond
 	queue  []Message // queue[head:] is waiting; the consumed prefix is zeroed
 	head   int
 	peak   int
-	closed bool
+	n      atomic.Int32 // len(queue) - head, written under mu
+	closed atomic.Bool  // written under mu
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
+// init readies a zero mailbox and returns it.
+func (m *mailbox) init() *mailbox {
+	m.cond.L = &m.mu
 	return m
 }
 
@@ -187,7 +192,7 @@ func newMailbox() *mailbox {
 // (normal shutdown or abort) drops messages.
 func (m *mailbox) put(msg Message) bool {
 	m.mu.Lock()
-	ok := !m.closed
+	ok := !m.closed.Load()
 	if ok {
 		if len(m.queue) == cap(m.queue) && m.head > len(m.queue)/2 {
 			// Full, and mostly consumed: slide the waiting messages down
@@ -197,7 +202,9 @@ func (m *mailbox) put(msg Message) bool {
 			m.queue, m.head = m.queue[:n], 0
 		}
 		m.queue = append(m.queue, msg)
-		if n := len(m.queue) - m.head; n > m.peak {
+		n := len(m.queue) - m.head
+		m.n.Store(int32(n))
+		if n > m.peak {
 			m.peak = n
 		}
 	}
@@ -217,9 +224,21 @@ func (m *mailbox) highWater() int {
 func (m *mailbox) get() (Message, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.head == len(m.queue) && !m.closed {
+	for m.head == len(m.queue) && !m.closed.Load() {
 		m.cond.Wait()
 	}
+	return m.pop()
+}
+
+// take is get without the wait: ok is false while nothing is queued.
+func (m *mailbox) take() (Message, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.pop()
+}
+
+// pop dequeues the oldest message, if any; mu is held.
+func (m *mailbox) pop() (Message, bool) {
 	if m.head == len(m.queue) {
 		return Message{}, false
 	}
@@ -231,14 +250,33 @@ func (m *mailbox) get() (Message, bool) {
 		// one small array for the whole run instead of re-growing it.
 		m.queue, m.head = m.queue[:0], 0
 	}
+	m.n.Store(int32(len(m.queue) - m.head))
 	return msg, true
 }
 
-func (m *mailbox) close() {
+// close closes the mailbox and reports whether this call did.
+func (m *mailbox) close() bool {
 	m.mu.Lock()
-	m.closed = true
+	first := !m.closed.Swap(true)
 	m.mu.Unlock()
 	m.cond.Broadcast()
+	return first
+}
+
+// Taker takes a node's messages in on the goroutines that deliver them, so a
+// node needs no goroutine of its own to receive: the runtime registers each
+// node's engine (Comm.SetTaker). Both methods run on whatever goroutine
+// sends, relays or closes, possibly under locks of that goroutine's own node,
+// so neither may block on a lock another sender could hold.
+type Taker interface {
+	// Take is offered every message bound for the node before it is queued
+	// and reports whether it took the message in; one it declines is queued
+	// for Comm.TryRecv.
+	Take(msg Message) bool
+	// Wake is called after a declined message was queued and when the
+	// mailbox closes: the taker takes in what it can now, or sees to it that
+	// whoever keeps it from doing so does.
+	Wake()
 }
 
 // Network is the fault-injection seam. When a cluster is created with
@@ -287,8 +325,8 @@ type Options struct {
 }
 
 // Counter names one column of the traffic ledger. Each plane keeps a P×P
-// (sender, destination) matrix per counter; what a transmission adds to which
-// of them is defined once, in ledgerOf.
+// (sender, destination) matrix per counter, from its first charge on; what a
+// transmission adds to which of them is defined once, in ledgerOf.
 type Counter uint8
 
 const (
@@ -336,30 +374,58 @@ var ledgerOf = [...]struct{ perDst, perHop []Counter }{
 	kindNote:    {},
 }
 
-// plane is one job's private slice of the cluster: its own mailboxes and its
-// own traffic ledger. Every concurrent factorization job runs on its own
-// plane over the shared node set, so jobs can never read each other's tiles,
-// aborting one job poisons only its plane, and every per-job Report keeps the
-// exact Equation (1)/(2) accounting a dedicated cluster would have produced.
+// plane is one job's private slice of the cluster: its own mailboxes, their
+// takers and its own traffic ledger. Every concurrent factorization job runs
+// on its own plane over the shared node set, so jobs can never read each
+// other's tiles, aborting one job poisons only its plane, and every per-job
+// Report keeps the exact Equation (1)/(2) accounting a dedicated cluster
+// would have produced.
 type plane struct {
 	inboxes []*mailbox
-	ledger  []atomic.Int64 // numCounters P×P matrices, (counter*p+src)*p+dst
+	takers  []Taker // per rank; set before the job's first send
+	ledger  ledger
+}
+
+// ledger holds one P×P (src, dst) block per counter, allocated by the block's
+// first charge: a fault-free flat run charges four of the nine.
+type ledger [numCounters]atomic.Pointer[[]atomic.Int64]
+
+// block returns counter c's block, allocating it when grow is set and it does
+// not exist yet; otherwise nil stands for a block of zeros.
+func (l *ledger) block(c Counter, p int, grow bool) []atomic.Int64 {
+	b := l[c].Load()
+	if b == nil && grow {
+		fresh := make([]atomic.Int64, p*p)
+		if !l[c].CompareAndSwap(nil, &fresh) {
+			return *l[c].Load() // a concurrent first charge won
+		}
+		b = &fresh
+	}
+	if b == nil {
+		return nil
+	}
+	return *b
 }
 
 func newPlane(p int) *plane {
 	pl := &plane{
 		inboxes: make([]*mailbox, p),
-		ledger:  make([]atomic.Int64, int(numCounters)*p*p),
+		takers:  make([]Taker, p),
 	}
+	boxes := make([]mailbox, p)
 	for i := range pl.inboxes {
-		pl.inboxes[i] = newMailbox()
+		pl.inboxes[i] = boxes[i].init()
 	}
 	return pl
 }
 
+// close closes every mailbox of the plane and wakes the takers of those it
+// closed.
 func (pl *plane) close() {
-	for _, m := range pl.inboxes {
-		m.close()
+	for i, m := range pl.inboxes {
+		if m.close() && pl.takers[i] != nil {
+			pl.takers[i].Wake()
+		}
 	}
 }
 
@@ -422,13 +488,25 @@ func (c *Cluster) planeIfExists(job int32) *plane {
 	return nil
 }
 
-// deliver enqueues msg at its destination — the mailbox of rank msg.To on
-// the plane named by the tag's job epoch — releasing the payload share when
-// the plane is gone or the mailbox already closed (shutdown or abort).
+// deliver hands msg to its destination — rank msg.To on the plane named by
+// the tag's job epoch, which is stripped here — offering it to the rank's
+// taker first and queueing it in the rank's mailbox when the taker declines
+// or there is none; the payload share is released when the plane is gone or
+// the mailbox already closed (shutdown or abort).
 func (c *Cluster) deliver(msg Message) {
 	pl := c.planeIfExists(msg.Tag.Job)
-	if pl == nil || !pl.inboxes[msg.To].put(msg) {
+	if pl == nil {
 		msg.Release()
+		return
+	}
+	msg.Tag.Job = 0
+	t := pl.takers[msg.To]
+	switch {
+	case t != nil && t.Take(msg):
+	case !pl.inboxes[msg.To].put(msg):
+		msg.Release()
+	case t != nil:
+		t.Wake()
 	}
 }
 
@@ -495,7 +573,7 @@ func (c *Cluster) DropJob(job int32) {
 // PoolOutstanding returns the number of payloads in flight: the send clones
 // and the final tiles sent by reference, each until its last recipient
 // released it. After every job on the cluster has finished or been cancelled
-// and its receivers drained, the balance returns to zero; a persistent
+// and its mailboxes drained, the balance returns to zero; a persistent
 // residue is a leaked payload share, cloned or lent alike.
 func (c *Cluster) PoolOutstanding() int64 {
 	return c.inFlight.Load()
@@ -508,7 +586,18 @@ type Comm struct {
 	rank    int
 	job     int32
 	pl      *plane
+	stamp   bool // sends carry SentAt (Timestamp)
 }
+
+// SetTaker registers t as this node's taker on the endpoint's job plane (see
+// Taker). Call it before any message of the job is sent: from then on every
+// message bound for the node is offered to t first.
+func (c *Comm) SetTaker(t Taker) { c.pl.takers[c.rank] = t }
+
+// Timestamp makes every later send of this endpoint stamp Message.SentAt, for
+// a receiver that traces transfer intervals; an unstamped message reads the
+// clock not at all.
+func (c *Comm) Timestamp() { c.stamp = true }
 
 // Size returns the cluster's node count.
 func (c *Comm) Size() int { return c.cluster.p }
@@ -542,7 +631,7 @@ func (c *Comm) SendAll(dsts []int, tag Tag, payload *tile.Tile) {
 // destination list before a buffer is cloned or a hop dispatched — a panic
 // must leave no payload in flight with a refcount the receivers can never
 // drain, and no partially delivered broadcast — then stamps the sender's rank
-// and job epoch (receivers strip it in Recv), charges the ledger exactly what
+// and job epoch (deliver strips it again), charges the ledger exactly what
 // ledgerOf lists for the kind, and hands every hop to the network seam;
 // notices alone go straight to the mailboxes.
 //
@@ -599,7 +688,10 @@ func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile, fin
 	if msg.Payload != nil {
 		size = int64(msg.Payload.Bytes())
 	}
-	msg.From, msg.Tag.Job, msg.SentAt = c.rank, c.job, time.Now()
+	msg.From, msg.Tag.Job = c.rank, c.job
+	if c.stamp {
+		msg.SentAt = time.Now()
+	}
 	for _, dst := range dsts {
 		c.charge(ledgerOf[k].perDst, dst, size)
 	}
@@ -627,7 +719,7 @@ func (c *Comm) charge(counters []Counter, dst int, size int64) {
 		if byteValued[ctr] {
 			n = size
 		}
-		c.pl.ledger[(int(ctr)*p+c.rank)*p+dst].Add(n)
+		c.pl.ledger.block(ctr, p, true)[c.rank*p+dst].Add(n)
 	}
 }
 
@@ -706,10 +798,23 @@ func (c *Comm) Abort() {
 // stripped from the delivered tag: receivers work in the job-local (I, J, V)
 // namespace, and only the wire carries the job id.
 func (c *Comm) Recv() (Message, bool) {
-	msg, ok := c.pl.inboxes[c.rank].get()
-	msg.Tag.Job = 0
-	return msg, ok
+	return c.pl.inboxes[c.rank].get()
 }
+
+// TryRecv is Recv without the wait, for a taker: ok is false while nothing
+// is queued.
+func (c *Comm) TryRecv() (Message, bool) {
+	return c.pl.inboxes[c.rank].take()
+}
+
+// Queued returns how many messages wait in this node's mailbox, without
+// taking its lock.
+func (c *Comm) Queued() int { return int(c.pl.inboxes[c.rank].n.Load()) }
+
+// Closed reports, without taking the mailbox's lock, whether this node's
+// mailbox is closed: its job ended or was aborted, and nothing is queued for
+// it any more.
+func (c *Comm) Closed() bool { return c.pl.inboxes[c.rank].closed.Load() }
 
 // Stats is one plane's traffic ledger (see Counter for the columns and the
 // package comment for how they relate) plus MailboxPeak, each node's inbound
@@ -718,36 +823,40 @@ func (c *Comm) Recv() (Message, bool) {
 type Stats struct {
 	P           int
 	MailboxPeak []int
-	table       []atomic.Int64 // the plane's ledger itself, not a copy
+	table       *ledger // the plane's ledger itself, not a copy
 }
 
 // JobStats hands over the traffic ledger of one job's plane: the exact
 // accounting a dedicated cluster would have produced for that job, unpolluted
 // by its co-tenants. The counters are the plane's own, not a copy, so what
 // the job's endpoints send after the call still shows in them: read them once
-// nothing of the job sends any more, as the runtime does after its receivers
-// have drained. A job that was never opened returns zeroed counters.
+// nothing of the job sends any more, as the runtime does once its nodes have
+// taken in what the closed plane's mailboxes held. A job that was never
+// opened returns zeroed counters.
 func (c *Cluster) JobStats(job int32) Stats {
 	pl := c.planeIfExists(job)
 	if pl == nil {
 		pl = newPlane(c.p)
 	}
-	s := Stats{P: c.p, MailboxPeak: make([]int, c.p), table: pl.ledger}
+	s := Stats{P: c.p, MailboxPeak: make([]int, c.p), table: &pl.ledger}
 	for i, m := range pl.inboxes {
 		s.MailboxPeak[i] = m.highWater()
 	}
 	return s
 }
 
-// matrix returns counter c's P×P block of the table, row-major [src][dst].
+// matrix returns counter c's P×P block of the table, row-major [src][dst];
+// nil when nothing charged the counter yet, which reads as zeros.
 func (s Stats) matrix(c Counter) []atomic.Int64 {
-	n := s.P * s.P
-	return s.table[int(c)*n : int(c)*n+n]
+	return s.table.block(c, s.P, false)
 }
 
 // At returns counter c on the (src, dst) link.
 func (s Stats) At(c Counter, src, dst int) int64 {
-	return s.matrix(c)[src*s.P+dst].Load()
+	if m := s.matrix(c); m != nil {
+		return m[src*s.P+dst].Load()
+	}
+	return 0
 }
 
 // Total returns counter c summed over every link.

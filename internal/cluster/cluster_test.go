@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"anybc/internal/tile"
@@ -267,9 +266,14 @@ func TestLedger(t *testing.T) {
 
 // snapshot copies the counters JobStats hands over, which keep counting.
 func snapshot(s Stats) Stats {
-	table := make([]atomic.Int64, len(s.table))
-	for i := range s.table {
-		table[i].Store(s.table[i].Load())
+	table := new(ledger)
+	for c := range table {
+		if from := s.matrix(Counter(c)); from != nil {
+			to := table.block(Counter(c), s.P, true)
+			for i := range from {
+				to[i].Store(from[i].Load())
+			}
+		}
 	}
 	s.table = table
 	return s
@@ -282,7 +286,7 @@ func snapshot(s Stats) Stats {
 // one that never drains slides its backlog down instead of growing without
 // bound.
 func TestMailboxReusesItsArray(t *testing.T) {
-	m := newMailbox()
+	m := new(mailbox).init()
 	round := func(burst int) {
 		for k := 0; k < burst; k++ {
 			m.put(Message{From: 1, Tag: Tag{I: int32(k)}})

@@ -293,6 +293,9 @@ func (c *compiler) finish() error {
 	}
 	c.numDeps = c.depCnt[1:]
 	c.inOff, c.in = c.inCnt, regroup(c.inCnt, c.ins, c.posOf)
+	for t := range len(c.inOff) - 1 {
+		c.maxIn = max(c.maxIn, int(c.inOff[t+1]-c.inOff[t]))
+	}
 	c.succOff, c.succ = c.succCnt, regroup(c.succCnt, c.succs, c.posOf)
 	c.dstOff = c.dstCnt
 	c.dstRank, c.dstSlot = regroup(c.dstCnt, c.dstRanks, c.posOf), regroup(c.dstCnt, slotOf, c.posOf)

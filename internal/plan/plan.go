@@ -59,6 +59,7 @@ type Plan struct {
 
 	numDeps       []int32 // predecessor count: what a task waits for, not whom
 	inOff, in     []int32 // input references, in InputTiles visit order
+	maxIn         int     // the most input references of any task
 	succOff, succ []int32 // successors on the task's own node, in Successors visit order
 	// Publish record (dag.Route): the distinct remote owner ranks of the
 	// task's successors in first-visit order and, for each, the slot on that
@@ -132,11 +133,9 @@ func (p *Plan) NumDeps(t int32) int32 { return p.numDeps[t] }
 // a tile index of t's own node, or the complement of one of its slots.
 func (p *Plan) Inputs(t int32) []int32 { return p.in[p.inOff[t]:p.inOff[t+1]] }
 
-// InputBase returns the position of task t's first input reference among
-// those of all tasks, for t up to and including the task count: the layout
-// of one flat kernel-input buffer per node, InputBase(hi)-InputBase(lo)
-// entries for the tasks [lo, hi).
-func (p *Plan) InputBase(t int32) int32 { return p.inOff[t] }
+// MaxInputs returns the most input references any task of the plan has: the
+// size of a kernel-input buffer that serves every task.
+func (p *Plan) MaxInputs() int { return p.maxIn }
 
 // Succs returns the successors of task t on t's own node — the tasks its
 // completion releases directly — in Successors visit order.

@@ -53,8 +53,9 @@ func TestCancelSharedCluster(t *testing.T) {
 	}
 
 	// No leak: every in-flight payload the aborted engines abandoned must
-	// be released. The absorbers release late
-	// messages asynchronously after Run returns, so poll briefly.
+	// be released. A late message may still be in its sender's hands when
+	// Run returns, and is released as it finds the plane gone, so poll
+	// briefly.
 	deadline := time.Now().Add(10 * time.Second)
 	for cl.PoolOutstanding() != 0 {
 		if time.Now().After(deadline) {

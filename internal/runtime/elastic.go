@@ -81,8 +81,9 @@ func newElastic(e *engine) *elastic {
 // barrier, not a local count: the node broadcasts cluster.NoteDone (once —
 // adoption may raise the completion target again, and a stale NoteDone is
 // harmless because no node's run is over until the whole cluster settles) and
-// keeps its workers alive — asleep, while the receiver answers re-requests and
-// relays tree hops, but above all remaining adoptable work-capacity — until
+// keeps its workers alive — asleep, while the senders of re-requests and tree
+// hops have them answered and relayed under its lock, but above all remaining
+// adoptable work-capacity — until
 // every peer is done or dead. That is what guarantees a death always finds its
 // deterministic adopter with workers to wake, never already exited.
 func (el *elastic) barrier() bool {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anybc/internal/chaos"
@@ -17,7 +18,8 @@ import (
 
 // job is one resolved kernel execution: whoever pops a task looks its output
 // and input tiles up under the node lock, so the kernel — which runs outside
-// it — reads no engine state.
+// it — reads no engine state. inputs is the popping worker slot's own buffer,
+// rewritten by that slot's next pop.
 type job struct {
 	t      int32  // plan task
 	sh     *share // the share t runs in
@@ -29,11 +31,11 @@ type job struct {
 // share is one rank's per-run tables of the plan: the state a node needs to
 // run that rank's static share of the graph. Each table is a flat slice
 // indexed by (plan index − start of the rank's range): tasks from lo, tiles
-// from tileLo, slots from slotLo, kernel inputs from inLo. A node runs its own
-// share and, under elastic recovery, one per dead rank it adopted.
+// from tileLo, slots from slotLo. A node runs its own share and, under
+// elastic recovery, one per dead rank it adopted.
 type share struct {
-	lo, tileLo, slotLo, inLo int32
-	remaining                []int32
+	lo, tileLo, slotLo int32
+	remaining          []int32
 	// tiles holds the rank's tiles: the in-place buffers its writer chains
 	// update. recv holds the received remote version of each slot — its
 	// Lease, not the message — retained until readers[slot] consumers have
@@ -44,7 +46,6 @@ type share struct {
 	recv    []cluster.Lease
 	readers []int32
 	fed     []bool
-	inbuf   []*tile.Tile // one flat backing array for every task's kernel-input slice
 }
 
 // newShare allocates rank's per-run tables, sized from its share of the plan;
@@ -57,13 +58,11 @@ func newShare(pl *plan.Plan, rank int) share {
 		lo:        lo,
 		tileLo:    tileLo,
 		slotLo:    slotLo,
-		inLo:      pl.InputBase(lo),
 		remaining: make([]int32, hi-lo),
 		tiles:     make([]*tile.Tile, tileHi-tileLo),
 		recv:      make([]cluster.Lease, slotHi-slotLo),
 		readers:   append([]int32(nil), pl.SlotReaders(slotLo, slotHi)...),
 		fed:       make([]bool, slotHi-slotLo),
-		inbuf:     make([]*tile.Tile, pl.InputBase(hi)-pl.InputBase(lo)),
 	}
 	for t := lo; t < hi; t++ {
 		sh.remaining[t-lo] = pl.NumDeps(t)
@@ -97,24 +96,34 @@ type engine struct {
 
 	// mu is the node. Every field below it, and everything the two layers
 	// hold, is touched only with it held, and whoever holds it — a worker
-	// publishing the task it just ran, the receiver delivering a message, run
+	// publishing the task it just ran, a sender taking a message in, run
 	// taking a resilience tick — is the node's event loop for that moment.
-	// Kernels and comm.Recv run outside it; the one lock ever taken under it is
-	// a destination mailbox's (a send), never the other way round.
+	// Kernels run outside it. It is released only through unlock, which first
+	// takes in what queued meanwhile. Under it, other nodes' locks are only
+	// ever tried (a send that takes its message in), never waited for, so no
+	// two nodes can wait on each other; the mailbox locks a send or a drain
+	// takes under it are leaves.
 	mu sync.Mutex
 	// Workers that found nothing ready sleep on cond; idle counts the sleepers
 	// nobody has signalled yet. running counts kernels executing now, done the
 	// tasks finished. stopped ends dispatch for good — this node failed or
 	// died, or a peer did — with err what run reports. over is the end of the
 	// run itself (see settle), stamped overAt; finished closes with it.
+	// launched is set once run has popped every worker's first job; closeSeen
+	// once the node took its mailbox's closure in (drain).
 	cond          sync.Cond
 	idle          int
 	running, done int
 	stopped, over bool
 	err           error
-	overAt        time.Time
+	overAt        time.Duration // since epoch
 	finished      chan struct{}
-	drained       sync.WaitGroup // the receiver's: done once the closed mailbox is empty
+	launched      bool
+	closeSeen     atomic.Bool
+
+	// inbuf holds one kernel-input buffer per worker slot, MaxInputs entries
+	// each: a popped job's inputs live in its worker's buffer (resolve).
+	inbuf []*tile.Tile
 
 	// This node's own share of the plan, held by value.
 	share
@@ -132,8 +141,11 @@ type engine struct {
 	recvTotal  int
 	peakTiles  int
 
-	// busy accumulates per-slot kernel nanoseconds: each worker writes only its
-	// own entry, outside the lock, and it is read after the workers join.
+	// busy accumulates per-slot nanoseconds up to each kernel's end, from
+	// the slot's previous clock read — the kernel with the publication and
+	// pop before it — or, in a traced run, from the kernel's start (see
+	// work): each worker writes only its own entry, outside the lock, and it
+	// is read after the workers join.
 	busy []int64
 
 	// Scheduler observability (Report.Sched). stallNanos accumulates the
@@ -170,9 +182,13 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 		ready:    sched.NewHeap(sched.TieLIFO),
 		busy:     make([]int64, opt.Workers),
 		finished: make(chan struct{}),
+		inbuf:    make([]*tile.Tile, opt.Workers*pl.MaxInputs()),
 		crashAt:  -1,
 	}
-	e.cond.L = &e.mu
+	e.cond.L = (*nodeLock)(e)
+	if opt.Recorder != nil {
+		comm.Timestamp() // SentAt has one reader: the message rows of a trace
+	}
 	// The owned tiles themselves are generated by run, on the node's own
 	// goroutine; they count as held from the start.
 	e.ownedTiles = len(e.tiles)
@@ -193,8 +209,8 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 // a dead node's replay buffers. run calls it on the node's own goroutine
 // rather than newEngine on the caller's: the P nodes generate their shares
 // side by side, and a node that is done starts on its ready tasks while the
-// others still generate — a tile version sent to one of those waits in its
-// mailbox.
+// others still generate — a tile version sent to one of those is taken in
+// all the same (open), since taking in touches no tile.
 func (e *engine) generate(sh *share) {
 	for k := range sh.tiles {
 		sh.tiles[k] = e.gen(e.pl.TileCoords(sh.tileLo + int32(k)))
@@ -255,6 +271,18 @@ func (e *engine) drop(sh *share, s int32) {
 	}
 }
 
+// open makes the node ready to take messages in, before any node runs: its
+// root tasks are queued and it becomes its mailbox's taker, so a version that
+// lands before the node's run starts is taken in at once rather than queued.
+func (e *engine) open() {
+	for k, rem := range e.remaining {
+		if rem == 0 {
+			e.pushReady(e.lo + int32(k))
+		}
+	}
+	e.comm.SetTaker(e)
+}
+
 // run executes this node's share of the graph and returns when every owned
 // task has completed, or promptly once the run aborts: a local kernel error
 // poisons the cluster and is returned; a poisoned cluster observed while work
@@ -262,9 +290,10 @@ func (e *engine) drop(sh *share, s int32) {
 // With the elastic layer armed the exit condition is its completion barrier,
 // not the local count (see elastic.barrier).
 //
-// The node is its Workers worker goroutines plus one receiver: there is no
-// loop goroutine between them. run seeds the ready queue, starts them, takes
-// the resilience layer's ticks when it is armed, and waits.
+// The node is its Workers worker goroutines and nothing else: messages are
+// taken in by the goroutines that send them (Take), and run's own goroutine
+// is the last worker — unless the resilience layer has arrival clocks to
+// sweep, when it takes the ticks instead and the node is Workers + 1.
 func (e *engine) run() error {
 	// First, and even on a node with no task (the gather reads its tiles).
 	e.generate(&e.share)
@@ -275,13 +304,8 @@ func (e *engine) run() error {
 	}
 
 	e.mu.Lock()
-	for k, rem := range e.remaining {
-		if rem == 0 {
-			e.pushReady(e.lo + int32(k))
-		}
-	}
-	// The tick channel stays nil — and its select case dead — unless the
-	// resilience layer has arrival clocks to sweep.
+	// The tick channel stays nil — and run a worker — unless the resilience
+	// layer has arrival clocks to sweep.
 	var tick <-chan time.Time
 	if e.res != nil {
 		if ticker := e.res.start(); ticker != nil {
@@ -289,23 +313,41 @@ func (e *engine) run() error {
 			tick = ticker.C
 		}
 	}
-	// Every worker's first job is popped here, before the receiver exists to
-	// bring in a peer's abort: a node about to fail on a root task of its own
-	// then reports that error, however much faster the peer failed.
+	// Every worker's first job is popped here, before the node acts on a
+	// peer's abort: a node about to fail on a root task of its own then
+	// reports that error, however much faster the peer failed. The clock read
+	// is every worker's first: busy and stall are counted from it.
+	born := time.Since(e.epoch)
+	spawn := e.workers
+	if tick == nil {
+		spawn--
+	}
 	var workers sync.WaitGroup
-	for slot := 0; slot < e.workers; slot++ {
-		jb, ok := e.pop()
+	for slot := 0; slot < spawn; slot++ {
+		jb, ok := e.pop(slot)
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			e.work(slot, jb, ok)
+			e.work(slot, born, jb, ok)
 		}()
 	}
+	var own job
+	ownOK := false
+	if tick == nil {
+		own, ownOK = e.pop(spawn)
+	}
+	e.launched = true
+	if e.closeSeen.Load() {
+		e.peerAbort()
+	}
 	e.settle()
-	e.mu.Unlock()
-	e.drained.Add(1)
-	go e.receive()
+	e.unlock()
 
+	if tick == nil {
+		e.work(spawn, born, own, ownOK)
+		workers.Wait()
+		return e.err
+	}
 	for {
 		select {
 		case <-tick:
@@ -318,7 +360,7 @@ func (e *engine) run() error {
 				e.wake() // an escalation may have adopted ready tasks
 				e.settle()
 			}
-			e.mu.Unlock()
+			e.unlock()
 		case <-e.finished:
 			workers.Wait()
 			return e.err
@@ -354,7 +396,7 @@ func (e *engine) settle() {
 	case e.done < len(e.remaining) || (e.el != nil && !e.el.barrier()):
 		return
 	}
-	e.over, e.overAt = true, time.Now()
+	e.over, e.overAt = true, time.Since(e.epoch)
 	for rank := range e.pl.Nodes() {
 		if sh := e.shareFor(rank); sh != nil {
 			for s := range sh.recv {
@@ -367,85 +409,169 @@ func (e *engine) settle() {
 	e.cond.Broadcast()
 }
 
-// receive is the node's one communication goroutine: it blocks in Recv outside
-// the lock and delivers each message under it, so a tree relay or a re-request
-// never waits behind a kernel. It outlives the run as its absorber — remote
-// senders can always make progress — until the job's plane closes and the
-// mailbox is drained, which is what RunPlan waits for (drained), armed or
-// not, before it reads the ledger every late relay or answer charges. After
-// the run it touches only the published cache, the relay ledger and the
-// cluster, never the recorder or the engine fields the report reads
-// meanwhile. A plane that closes while work is still outstanding means a peer
-// failed: dispatch stops, running kernels finish, and a kernel error of our
-// own that surfaces after all still replaces the bystander sentinel (finish).
-func (e *engine) receive() {
-	defer e.drained.Done()
+// nodeLock is the node lock as cond sees it: a worker that goes to sleep
+// releases it the way every holder does (unlock).
+type nodeLock engine
+
+func (l *nodeLock) Lock()   { l.mu.Lock() }
+func (l *nodeLock) Unlock() { (*engine)(l).unlock() }
+
+// Take is the node's cluster.Taker: the sending goroutine takes msg in itself,
+// under the node lock, if it gets that lock without waiting and the job's
+// plane is still open — after whatever queued before it, so messages from
+// one sender stay in order. A message it declines is queued, and Wake sees to
+// it. Taking in never waits on a lock: a send from under another node's lock
+// only tries this one, so no two nodes can wait on each other.
+func (e *engine) Take(msg cluster.Message) bool {
+	if !e.mu.TryLock() {
+		return false
+	}
+	if e.comm.Closed() {
+		// After the closure nothing more is taken in: RunPlan reads the
+		// ledger once it has drained every node after closing the plane.
+		e.unlock()
+		return false
+	}
+	e.drain()
+	e.absorb(msg)
+	e.unlock()
+	return true
+}
+
+// Wake is the node's cluster.Taker half that follows a queued message or the
+// mailbox's closure: take it in now, or leave it to whoever holds the lock,
+// who takes it in as it releases the lock.
+func (e *engine) Wake() {
+	if e.mu.TryLock() {
+		e.unlock()
+	}
+}
+
+// unlock releases the node lock the one way every holder does: it first
+// takes in what queued while the lock was held; once released, it looks
+// again — a sender that failed to get the lock meanwhile queued its message
+// and left it to the holder — and goes round again if it gets the lock back.
+// When it does not, the goroutine that has it does the same, so no message
+// and no closure is stranded in the mailbox.
+func (e *engine) unlock() {
 	for {
-		msg, open := e.comm.Recv()
-		e.mu.Lock()
-		if open && e.res != nil {
-			e.res.heard[msg.From]++
-		}
-		switch {
-		case !open:
-			if !e.stopped && !e.over {
-				e.stopped, e.err = true, ErrPeerAborted
-			}
-		case e.stopped:
-			// Aborted, or dead under elastic recovery: a dead node answers no
-			// requests and relays nothing — that silence is exactly what the
-			// survivors' escalation and adoption must overcome.
-			msg.Release()
-		case !e.over:
-			if err := e.onArrival(msg); err != nil {
-				// Protocol violation (conflicting duplicate delivery): fail
-				// this node descriptively instead of panicking.
-				e.fail(err)
-			}
-			e.wake()
-		case msg.Req:
-			// A consumer slower than us may still re-request what we published.
-			if e.res != nil {
-				e.res.answer(msg)
-			}
-		case msg.Note == cluster.NoteNone:
-			// A tree-broadcast hop that lands late still carries its subtree's
-			// deliveries: relay it before releasing our own share, so a fast
-			// consumer never strands the slow subtree behind it.
-			e.relay(msg)
-			msg.Release()
-		}
-		e.settle()
+		e.drain()
 		e.mu.Unlock()
-		if !open {
+		if !e.pending() || !e.mu.TryLock() {
 			return
 		}
 	}
 }
 
+// pending reports, without the lock, whether the mailbox holds something the
+// node has not taken in: a queued message, or its closure.
+func (e *engine) pending() bool {
+	return e.comm.Queued() > 0 || (!e.closeSeen.Load() && e.comm.Closed())
+}
+
+// drain takes in every queued message, oldest first, and then the mailbox's
+// closure — once — if it had closed before the queue was read: a message
+// queued before the closure is then taken in ahead of it, and none can be
+// queued after it. The lock is held.
+func (e *engine) drain() {
+	if !e.pending() {
+		return
+	}
+	closed := e.comm.Closed()
+	for {
+		msg, ok := e.comm.TryRecv()
+		if !ok {
+			break
+		}
+		e.absorb(msg)
+	}
+	if closed && !e.closeSeen.Load() {
+		e.closeSeen.Store(true)
+		e.peerAbort()
+		e.settle()
+	}
+}
+
+// peerAbort acts on the plane's closure: a plane that closes while a launched
+// node's run is not over means a peer failed, or the run was cancelled.
+// Dispatch stops, running kernels finish, and a kernel error of our own that
+// surfaces after all still replaces the bystander sentinel (finish). A node
+// that sees the closure before it launched acts on it as it launches.
+func (e *engine) peerAbort() {
+	if e.launched && !e.stopped && !e.over {
+		e.stopped, e.err = true, ErrPeerAborted
+	}
+}
+
+// absorb takes one message in, in whichever goroutine holds the lock. A node
+// whose run is over still answers re-requests and relays late tree hops — so
+// remote senders can always make progress — but touches only the published
+// cache, the relay ledger and the cluster, never the recorder or the engine
+// fields the report reads.
+func (e *engine) absorb(msg cluster.Message) {
+	if e.res != nil {
+		e.res.heard[msg.From]++
+	}
+	switch {
+	case e.stopped:
+		// Aborted, or dead under elastic recovery: a dead node answers no
+		// requests and relays nothing — that silence is exactly what the
+		// survivors' escalation and adoption must overcome.
+		msg.Release()
+	case !e.over:
+		if err := e.onArrival(msg); err != nil {
+			// Protocol violation (conflicting duplicate delivery): fail
+			// this node descriptively instead of panicking.
+			e.fail(err)
+		}
+		e.wake()
+	case msg.Req:
+		// A consumer slower than us may still re-request what we published.
+		if e.res != nil {
+			e.res.answer(msg)
+		}
+	case msg.Note == cluster.NoteNone:
+		// A tree-broadcast hop that lands late still carries its subtree's
+		// deliveries: relay it before releasing our own share, so a fast
+		// consumer never strands the slow subtree behind it.
+		e.relay(msg)
+		msg.Release()
+	}
+	e.settle()
+}
+
 // work is one worker slot's life: run a kernel outside the lock, then — as the
 // node's event loop for that moment — publish the task and pop the next one
 // itself. While work is ready a task costs no hand-off to another goroutine.
-func (e *engine) work(slot int, jb job, ok bool) {
+//
+// A kernel costs one clock read, at its end: last is the slot's latest read —
+// born, its lifetime's start, then every kernel's end and every wake from a
+// sleep — so busy (to a kernel's end) and stall (to a wake, or to the run's
+// end) add up to the slot's lifetime. Only a traced run reads the clock at a
+// kernel's start too, for an exact Gantt row, and then counts busy from it:
+// the publication and pop before the kernel are then neither busy nor stall.
+func (e *engine) work(slot int, last time.Duration, jb job, ok bool) {
 	if !ok {
 		e.mu.Lock()
-		jb, ok = e.next()
-		e.mu.Unlock()
+		jb, ok = e.next(slot, &last)
+		e.unlock()
 	}
 	for ok {
-		// Offsets from the epoch read only the monotonic clock, not the wall
-		// clock time.Now also reads.
-		start := time.Since(e.epoch)
+		start := last
+		if e.rec != nil {
+			start = time.Since(e.epoch)
+		}
 		err := e.kern(jb.task, jb.out, jb.inputs)
 		end := time.Since(e.epoch)
-		e.busy[slot] += (end - start).Nanoseconds()
+		e.busy[slot] += int64(end - start)
 		if e.rec != nil {
 			e.rec.RecordTask(e.rank, slot, jb.task, start.Seconds(), end.Seconds())
 		}
+		last = end
 		e.mu.Lock()
 		e.finish(jb, err)
-		jb, ok = e.next()
-		e.mu.Unlock()
+		jb, ok = e.next(slot, &last)
+		e.unlock()
 	}
 }
 
@@ -473,29 +599,30 @@ func (e *engine) finish(jb job, err error) {
 	}
 }
 
-// next hands the calling worker its next job, putting it to sleep while
-// nothing is ready; ok is false once the run is over. The sleep is the node's
-// stall account, whether it ends in a job or at the run's last instant (a
-// worker a serial chain never reaches sleeps through the whole of it).
-func (e *engine) next() (jb job, ok bool) {
-	var since time.Time // when this worker went idle
+// next hands worker slot its next job, putting it to sleep while nothing is
+// ready; ok is false once the run is over. The time from the slot's last
+// clock read to a wake that brings a job, or to the run's end, is the node's
+// stall account (a worker a serial chain never reaches sleeps through the
+// whole of it); last moves to the wake.
+func (e *engine) next(slot int, last *time.Duration) (jb job, ok bool) {
+	slept := false
 	for {
-		if jb, ok = e.pop(); ok {
-			if !since.IsZero() {
-				e.noteStall(since, time.Now())
+		if jb, ok = e.pop(slot); ok {
+			if slept {
+				now := time.Since(e.epoch)
+				e.noteStall(*last, now)
+				*last = now
 			}
 			e.wake() // the completion may have released more than this worker takes
 			return jb, true
 		}
 		if e.settle(); e.over {
-			if !since.IsZero() {
-				e.noteStall(since, e.overAt)
+			if e.overAt > *last {
+				e.noteStall(*last, e.overAt)
 			}
 			return job{}, false
 		}
-		if since.IsZero() {
-			since = time.Now()
-		}
+		slept = true
 		e.idle++
 		e.cond.Wait()
 	}
@@ -511,11 +638,12 @@ func (e *engine) wake() {
 	}
 }
 
-// pop takes the most urgent ready task off the queue and resolves it for the
-// caller to run; ok is false when nothing is ready or dispatch has stopped.
+// pop takes the most urgent ready task off the queue and resolves it for
+// worker slot to run; ok is false when nothing is ready or dispatch has
+// stopped.
 // An injected crash fires here, before pop number crashAt, and is recorded
 // once: dispatch stops with it, in whichever goroutine saw it.
-func (e *engine) pop() (jb job, ok bool) {
+func (e *engine) pop(slot int) (jb job, ok bool) {
 	if e.stopped || e.ready.Empty() {
 		return job{}, false
 	}
@@ -534,17 +662,17 @@ func (e *engine) pop() (jb job, ok bool) {
 	}
 	e.pops++
 	e.running++
-	return e.resolve(e.ready.Pop()), true
+	return e.resolve(slot, e.ready.Pop()), true
 }
 
 // resolve looks up the tiles plan task t's kernel reads and writes, in t's
-// share.
-func (e *engine) resolve(t int32) job {
+// share, into worker slot's input buffer.
+func (e *engine) resolve(slot int, t int32) job {
 	pl, sh := e.pl, e.shareOf(t)
 	task := pl.Task(t)
 	refs := pl.Inputs(t)
-	at := int(pl.InputBase(t) - sh.inLo)
-	inputs := sh.inbuf[at : at+len(refs) : at+len(refs)]
+	at := slot * pl.MaxInputs()
+	inputs := e.inbuf[at : at+len(refs) : at+len(refs)]
 	for k, ref := range refs {
 		var in *tile.Tile
 		if ref < 0 {
@@ -561,24 +689,23 @@ func (e *engine) resolve(t int32) job {
 }
 
 // fault puts one injected fault or recovery action on the run's trace, when
-// one is being recorded — while the run lasts: what the receiver does after it
-// must not touch the recorder.
+// one is being recorded — while the run lasts: what the node takes in after
+// it must not touch the recorder.
 func (e *engine) fault(kind string, from, to int, what string) {
 	if e.rec != nil {
 		e.rec.RecordFault(kind, from, to, what, time.Since(e.epoch).Seconds())
 	}
 }
 
-// noteStall charges one worker's idle interval to the node's stall account:
-// StallSeconds integrates idle-worker-time weighted by 1/workers, so a node
-// with one of four workers idle accrues a quarter of what a fully idle node
-// does. The report and the recorder are the same account.
-func (e *engine) noteStall(start, end time.Time) {
-	e.stallNanos += end.Sub(start).Nanoseconds()
+// noteStall charges one worker's idle interval, as offsets from the epoch, to
+// the node's stall account: StallSeconds integrates idle-worker-time weighted
+// by 1/workers, so a node with one of four workers idle accrues a quarter of
+// what a fully idle node does. The report and the recorder are the same
+// account.
+func (e *engine) noteStall(start, end time.Duration) {
+	e.stallNanos += int64(end - start)
 	if e.rec != nil {
-		e.rec.RecordStall(e.rank,
-			start.Sub(e.epoch).Seconds(), end.Sub(e.epoch).Seconds(),
-			1/float64(e.workers))
+		e.rec.RecordStall(e.rank, start.Seconds(), end.Seconds(), 1/float64(e.workers))
 	}
 }
 

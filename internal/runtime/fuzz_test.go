@@ -167,7 +167,7 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 	popped := 0
 	pump := func() {
 		for !e.ready.Empty() {
-			jb := e.resolve(e.ready.Pop())
+			jb := e.resolve(0, e.ready.Pop())
 			popped++
 			if err := sc.kern(jb.task, jb.out, jb.inputs); err != nil {
 				t.Fatalf("kernel %v: %v", jb.task, err)

@@ -138,7 +138,7 @@ func TestElasticEngineHoldsOnlyItsOwnShare(t *testing.T) {
 			{"recv", len(e.recv), int(slotHi - slotLo)},
 			{"readers", len(e.readers), int(slotHi - slotLo)},
 			{"fed", len(e.fed), int(slotHi - slotLo)},
-			{"inbuf", len(e.inbuf), int(pl.InputBase(hi) - pl.InputBase(lo))},
+			{"inbuf", len(e.inbuf), opt.Workers * pl.MaxInputs()},
 			{"dead", len(e.el.dead), P},
 			{"adoptedBy", len(e.el.adoptedBy), P},
 			{"peerDone", len(e.el.peerDone), P},

@@ -86,11 +86,13 @@ func engineGoroutines() (runs, others int) {
 	return runs, others
 }
 
-// TestNodeGoroutineCensus: a node is its W workers and one receiver. Mid-run a
-// P-node job holds, besides each node's run call, exactly P·(W+1) engine
-// goroutines — no loop goroutine, and none more with resilience armed, whose
-// ticks run takes itself; once RunPlan has returned, on a private cluster or a
-// shared one, every one of them is gone.
+// TestNodeGoroutineCensus: a node is its W workers and nothing else — no
+// receiver, no loop goroutine: senders take messages in themselves, and each
+// node's run call is one of its workers. Mid-run a P-node job holds P
+// goroutines in run and P·(W−1) more in the engine; with resilience armed run
+// takes the ticks instead of a worker slot, and there are P·W more. Once
+// RunPlan has returned, on a private cluster or a shared one, every one of
+// them is gone.
 func TestNodeGoroutineCensus(t *testing.T) {
 	const mt, b, W = 6, 4, 2
 	d := dist.NewTwoDBC(2, 2)
@@ -119,13 +121,14 @@ func TestNodeGoroutineCensus(t *testing.T) {
 	shared := cluster.New(P)
 	defer shared.Close()
 	cases := []struct {
-		name string
-		opt  Options
+		name   string
+		opt    Options
+		others int // engine goroutines outside run, per node
 	}{
-		{"private cluster", Options{Workers: W}},
-		{"resilience armed", Options{Workers: W, ArrivalTimeout: time.Minute}},
-		{"shared cluster", Options{Workers: W, Cluster: shared}},
-		{"shared cluster, elastic", Options{Workers: W, Cluster: shared, Elastic: true}},
+		{"private cluster", Options{Workers: W}, W - 1},
+		{"resilience armed", Options{Workers: W, ArrivalTimeout: time.Minute}, W},
+		{"shared cluster", Options{Workers: W, Cluster: shared}, W - 1},
+		{"shared cluster, elastic", Options{Workers: W, Cluster: shared, Elastic: true}, W},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,7 +146,7 @@ func TestNodeGoroutineCensus(t *testing.T) {
 				_, err := RunPlan(pl, GenDiagDominant(mt, b, 1), kern, tc.opt, nil)
 				done <- err
 			}()
-			await("mid-run", P, P*(W+1))
+			await("mid-run", P, P*tc.others)
 			close(gate)
 			if err := <-done; err != nil {
 				t.Fatal(err)
@@ -154,9 +157,9 @@ func TestNodeGoroutineCensus(t *testing.T) {
 }
 
 // TestManySmallTasksOnFourWorkers drives the node lock hard: tiny tiles, four
-// workers a node all publishing and popping through it while the receiver
-// delivers, flat and tree transports, LU and Cholesky. The factors must be the
-// sequential ones, bit for bit. CI runs it under -race -count=10.
+// workers a node all publishing and popping through it while senders take
+// their messages in, flat and tree transports, LU and Cholesky. The factors
+// must be the sequential ones, bit for bit. CI runs it under -race -count=10.
 func TestManySmallTasksOnFourWorkers(t *testing.T) {
 	const mt, b = 14, 2
 	wantLU := matrix.NewDiagDominant(mt, b, 11)
@@ -179,6 +182,77 @@ func TestManySmallTasksOnFourWorkers(t *testing.T) {
 			t.Fatalf("Cholesky %s: %v", mode, err)
 		}
 		identicalCholesky(t, fmt.Sprintf("Cholesky %s", mode), wantChol, gotChol, mt)
+	}
+}
+
+// TestNoMessageStrands: a node has no goroutine of its own to receive with.
+// The sender takes its message in when it gets the node's lock without
+// waiting; otherwise the message queues, and whoever holds the lock takes it
+// in as it lets go. A message queued on a busy lock must never be left
+// behind. Tree-broadcast LU on G-2DBC(7), two workers a node and kernels that
+// sleep ≈ 100 µs keep many senders — workers publishing, nodes relaying hops —
+// delivering to nodes whose own workers hold the lock. The second case adds a
+// seam that delivers every payload again 1 ms later, mid-run, from timer
+// goroutines of its own. Every run must give the sequential factors bit for
+// bit, take in exactly the faithful run's versions, and leave no payload in
+// flight.
+func TestNoMessageStrands(t *testing.T) {
+	const mt, b, W, rounds = 12, 4, 2, 3
+	d := dist.NewG2DBC(7)
+	gen := GenDiagDominant(mt, b, 5)
+	want := matrix.NewDiagDominant(mt, b, 5)
+	if err := matrix.FactorLU(want); err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plans.get(shape{graph: graphLU, mt: mt}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sleepy := func(task dag.Task, out *tile.Tile, in []*tile.Tile) error {
+		time.Sleep(100 * time.Microsecond)
+		return LUKernel(task, out, in)
+	}
+	received := func(rep *Report) (n int64) {
+		for _, r := range rep.ReceivedTilesPerNode {
+			n += int64(r)
+		}
+		return n
+	}
+	_, base, err := runPlanDense(pl, mt, b, gen, LUKernel, Options{Broadcast: cluster.BroadcastTree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faithful := received(base)
+	if faithful != base.Stats.TotalMessages() || base.Stats.TotalForwards() == 0 {
+		t.Fatalf("faithful run took in %d versions of %d messages with %d relays: the shape pins nothing",
+			faithful, base.Stats.TotalMessages(), base.Stats.TotalForwards())
+	}
+	for _, late := range []bool{false, true} {
+		for round := range rounds {
+			copt := cluster.Options{Broadcast: cluster.BroadcastTree}
+			var net *lateCopy
+			if late {
+				net = &lateCopy{after: time.Millisecond}
+				copt.Net = net
+			}
+			cl := cluster.NewWithOptions(d.Nodes(), copt)
+			got, rep, err := runPlanDense(pl, mt, b, gen, sleepy, Options{Workers: W, Cluster: cl})
+			if net != nil {
+				net.late.Wait()
+			}
+			cl.Close()
+			label := fmt.Sprintf("late duplicates %v, round %d", late, round)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			identicalLU(t, label, want, got, mt)
+			if n := received(rep); n != faithful {
+				t.Errorf("%s: %d versions taken in, %d on a faithful network", label, n, faithful)
+			}
+			if n := cl.PoolOutstanding(); n != 0 {
+				t.Errorf("%s: %d payloads still in flight", label, n)
+			}
+		}
 	}
 }
 

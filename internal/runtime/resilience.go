@@ -18,11 +18,12 @@ type resilience struct {
 
 	// published caches the tile versions this node broadcast, so re-requests
 	// can be answered even after the publishing task's buffer was updated in
-	// place — or after this node's run is over (engine.receive). A final
-	// version is the owner's own tile, any other a private snapshot.
+	// place — or after this node's run is over, by whichever goroutine
+	// delivers the request (engine.absorb). A final version is the owner's
+	// own tile, any other a private snapshot.
 	published map[cluster.Tag]*tile.Tile
 	// pending carries the re-request state of each awaited tag. heard counts,
-	// by sender, the messages of any kind the receiver took in: the liveness
+	// by sender, the messages of any kind the node took in: the liveness
 	// evidence the silence budget weighs (onTick).
 	pending map[cluster.Tag]*pendingWait
 	heard   []int
@@ -50,7 +51,8 @@ type pendingWait struct {
 type relayLedger struct{ relayed map[cluster.Tag]bool }
 
 // first reports whether tag's Forward obligation is still owed, and marks it
-// honored. Only the receiver goroutine relays, during the run and after it.
+// honored. It is asked under the node lock, by whichever goroutine takes the
+// message in — during the run and after it — so one tag is relayed once.
 func (l *relayLedger) first(tag cluster.Tag) bool {
 	if l.relayed[tag] {
 		return false
@@ -73,9 +75,9 @@ func newResilience(e *engine, opt Options) *resilience {
 	}
 }
 
-// start arms the protocol as the run starts: every awaited remote
-// tile version gets an arrival clock, and the returned ticker — half the
-// timeout — drives the overdue sweep. It returns nil when nothing is awaited
+// start arms the protocol as the run starts: every awaited remote tile
+// version not taken in yet gets an arrival clock, and the returned ticker —
+// half the timeout — drives the overdue sweep. It returns nil when nothing is awaited
 // and nothing ever will be; elastic nodes always get a ticker, because
 // adoption registers new awaited tags mid-run even on a node that started
 // with none. The sweep period is floored at 1ms: a sub-2ns ArrivalTimeout
@@ -87,7 +89,9 @@ func (r *resilience) start() *time.Ticker {
 	}
 	now := time.Now()
 	for s := range e.recv {
-		r.await(e.tagOf(e.pl.SlotProducer(e.slotLo+int32(s))), now)
+		if !e.fed[s] {
+			r.await(e.tagOf(e.pl.SlotProducer(e.slotLo+int32(s))), now)
+		}
 	}
 	period := r.arrival / 2
 	if period < time.Millisecond {

@@ -13,21 +13,25 @@
 // indexes flat slices by it: a node runs its rank's share of the plan, one
 // set of per-run tables (share) that newShare builds. The core is the whole
 // fault-free path, the one
-// the paper's evaluation exercises. A node is what it is under StarPU: Workers
-// worker goroutines and one communication goroutine, around one lock that
-// guards the node's state — there is no loop goroutine between them. A worker
-// that finishes a kernel takes the lock and publishes the task itself: the
+// the paper's evaluation exercises. A node is what it is under StarPU, one
+// worker per core that also drives communication: Workers worker goroutines
+// around one lock that guards the node's state — no loop goroutine, no
+// receiver; the node's run call is itself one of the workers. A worker that
+// finishes a kernel takes the lock and publishes the task itself: the
 // completion releases local successors, and an output some remote node
 // consumes goes to each distinct consumer node as one point-to-point message;
-// then it pops its next task off the priority queue and computes again. The
-// receiver delivers tile arrivals under the same lock — a version is taken in
-// only while a slot on the node awaits it, armed or not; tree-broadcast
-// relays go out once per tag — which release the tasks waiting on them and
-// wake a sleeping worker for each. Local and peer aborts and context
-// cancellation wind the node down; once every receiver has drained, RunPlan
-// reads the job's ledger and gathers the result. Kernels and the blocking receive run outside
-// the lock, mailboxes are unbounded and the graph is acyclic, so execution is
-// deadlock-free.
+// then it pops its next task off the priority queue and computes again. A
+// message is taken in by the goroutine that sends it, under the destination's
+// lock when it gets that lock without waiting — a version is taken in only
+// while a slot on the node awaits it, armed or not; tree-broadcast relays go
+// out once per tag — releasing the tasks waiting on it and waking a sleeping
+// worker for each. A message that finds the lock busy is queued, and whoever
+// holds the lock takes the queue in before releasing it (engine.unlock).
+// Local and peer aborts and context cancellation wind the node down; RunPlan
+// closes the job's plane, takes in what each mailbox still holds, then reads
+// the job's ledger and gathers the result. Kernels run outside the lock, a
+// node lock is only ever tried, never waited for, under another, mailboxes
+// are unbounded and the graph is acyclic, so execution is deadlock-free.
 //
 // Whatever reacts to faults is a concrete component the core holds as a
 // nil-able pointer, built by newEngine only when the normalized Options arm
@@ -39,8 +43,8 @@
 //     re-requested from its owner with a cluster.Request under exponential
 //     backoff (onTick). Owners cache the versions they published (publish) and
 //     answer from the cache with cluster.Resend (answer) — also after their
-//     own run is over, since the receiver stays behind as the node's absorber,
-//     so a slow consumer can always heal. Taking a version in ends its wait
+//     own run is over, in whichever goroutine delivers the request, so a slow
+//     consumer can always heal. Taking a version in ends its wait
 //     (arrived). A permanently
 //     dropped delivery costs latency, never a hang; Report.Stats counts the
 //     re-requests and redeliveries, the trace's recovered rows the healed
@@ -235,7 +239,7 @@ type Options struct {
 	Elastic bool
 	// MaxReRequests caps how many times in a row one awaited tile version is
 	// re-requested from an owner that stays silent — no message of any kind
-	// from it taken in by this node's receiver in between — before
+	// from it taken in by this node in between — before
 	// the node gives up on that owner: zero means the default (50), negative
 	// means unlimited (the pre-cap behavior). An owner that is heard from is
 	// merely late and is asked again on a fresh budget. On an exhausted
@@ -355,18 +359,24 @@ type Report struct {
 type SchedStats struct {
 	// StallSeconds is idle-worker time while the node's run is not over,
 	// divided by Workers: each worker that finds nothing ready contributes the
-	// wall-clock until it gets a task — or until the instant the node's own run
-	// is over (its last task finished; under Elastic, the completion barrier
-	// open), for a worker that gets none: on a serial chain the finishing
-	// worker keeps the chain, and the other W−1 sleep through all of it. One
-	// idle worker out of four accrues a quarter of what a fully idle node
-	// does. It is time lost waiting on remote tile arrivals or local
-	// predecessor completions rather than on compute; a node whose stall time
-	// dominates its kernel time is communication-bound. Nothing after the
-	// node's own run is counted, however long its peers still compute.
+	// wall-clock from the end of its last kernel (or from its start) until it
+	// wakes with a task — or until the instant the node's own run is over
+	// (its last task finished; under Elastic, the completion barrier open),
+	// for a worker that gets none: on a serial chain the finishing worker
+	// keeps the chain, and the other W−1 sleep through all of it. One idle
+	// worker out of four accrues a quarter of what a fully idle node does. It
+	// is time lost waiting on remote tile arrivals or local predecessor
+	// completions rather than on compute; a node whose stall time dominates
+	// its kernel time is communication-bound. Nothing after the node's own run
+	// is counted, however long its peers still compute.
 	StallSeconds float64
-	// WorkerBusySeconds is the wall-clock each worker slot spent inside
-	// kernels — the per-worker utilization behind StallSeconds.
+	// WorkerBusySeconds is the wall-clock each worker slot spent running its
+	// tasks — the per-worker utilization behind StallSeconds. A worker reads
+	// the clock once per kernel, at its end, so a task's busy time is its
+	// kernel plus the publication and pop between it and the slot's previous
+	// clock read; busy and stall then add up to the worker's lifetime. With a
+	// Recorder set each kernel's start is read as well, and busy is the
+	// kernels alone: the recorded task intervals, summed.
 	WorkerBusySeconds []float64
 	// StealsPerWorker is always nil: a node's workers pull from one shared
 	// queue, so there is no other worker's queue to take from. The field stays
@@ -443,7 +453,7 @@ func RunPlan(pl *plan.Plan,
 		cl = cluster.NewWithOptions(P, copt)
 	}
 	// The run's own namespace, dropped on every return path below: all of
-	// them come after the receivers drained and Report.Stats took the ledger.
+	// them come after every node drained and Report.Stats took the ledger.
 	job := cl.OpenJob()
 	defer cl.DropJob(job)
 
@@ -455,15 +465,23 @@ func RunPlan(pl *plan.Plan,
 	for rank := 0; rank < P; rank++ {
 		engines[rank] = newEngine(rank, cl.JobComm(job, rank), pl, gen, kern, opt, start)
 	}
+	for _, e := range engines {
+		e.open()
+	}
 
 	// Cancellation seam: a context that ends before the run does poisons
 	// this job's plane — exactly comm.Abort's failure surface, so every
 	// engine winds down through the ordinary abort path and, on a shared
 	// cluster, no other tenant notices.
+	// Closing the plane wakes every node on the closing goroutine, so the
+	// watcher is joined before the ledger is read.
 	runDone := make(chan struct{})
 	var cancelled atomic.Bool
+	var watcher sync.WaitGroup
 	if opt.Context != nil {
+		watcher.Add(1)
 		go func() {
+			defer watcher.Done()
 			select {
 			case <-opt.Context.Done():
 				cancelled.Store(true)
@@ -484,6 +502,7 @@ func RunPlan(pl *plan.Plan,
 	}
 	wg.Wait()
 	close(runDone)
+	watcher.Wait()
 	if opt.faultyNet() {
 		// Release any reorder holds still parked in the fault plan so their
 		// payload shares drain before the run returns.
@@ -493,12 +512,14 @@ func RunPlan(pl *plan.Plan,
 	// cluster it is the only plane, on a shared one the other tenants stay up.
 	cl.CloseJob(job)
 	elapsed := time.Since(start)
-	// Quiescence before the ledger is read, armed or not: a receiver outlives
-	// run() and may still relay late tree hops or answer queued re-requests,
-	// which charge the ledger. The plane is closed, so every receiver drains
-	// what its mailbox holds and exits; only then is the ledger final.
+	// Quiescence before the ledger is read, armed or not: a node whose run
+	// is over still relays late tree hops and answers re-requests, which
+	// charge the ledger, in whichever goroutine delivers them. The plane is
+	// closed, so nothing is taken in or queued any more: once each node has
+	// taken in what its mailbox still holds, the ledger is final.
 	for _, e := range engines {
-		e.drained.Wait()
+		e.mu.Lock()
+		e.unlock()
 	}
 
 	// Report every node's failure, not just the lowest rank's. Nodes that

@@ -35,8 +35,8 @@ func waitDone(t testing.TB, srv *Server, id JobID) {
 
 // drainPool fails the test if the shared cluster's in-flight payloads
 // (PoolOutstanding) do not drain to zero — the cross-job leakage witness at
-// the memory level. Absorbers
-// drain late messages asynchronously, so poll.
+// the memory level. A late message is released by its sender as it finds
+// its job's plane gone, which may follow the job's end, so poll.
 func drainPool(t testing.TB, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
