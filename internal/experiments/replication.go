@@ -28,7 +28,7 @@ type ReplicationPoint struct {
 	// lowerbound.LUPerNodeRepl for this configuration, in bytes.
 	BoundBytes float64
 	// RatioToBound is RecvMean/BoundBytes — how far the measured volume sits
-	// above the coded bound (≥ 1 up to lower-order terms).
+	// above the bound (≥ 1: no scheme beats a lower bound).
 	RatioToBound float64
 	// Makespan is the simulated wall-clock seconds.
 	Makespan float64
@@ -38,9 +38,9 @@ type ReplicationPoint struct {
 // matrix on c layers of a G-2DBC(baseP) grid for each c in cs, measured with
 // the simulator's exact accounting under the flat (point-to-point) transport.
 // Every point's per-node received volume is compared to the
-// memory-parameterized COnfLUX bound m²/√(c·Ptotal) = m²/(c·√baseP): each
-// doubling of memory should buy ~√2 less traffic per node until the grid is
-// too small to amortize the reduction shipments.
+// memory-parameterized COnfLUX bound (2/3)·m²/√(c·Ptotal) − m²/Ptotal, with
+// Ptotal = c·baseP: each doubling of memory should buy ~√2 less traffic per
+// node until the grid is too small to amortize the reduction shipments.
 func ReplicationSweep(cfg SimConfig, baseP, mt int, cs []int) ([]ReplicationPoint, error) {
 	base := dist.NewG2DBC(baseP)
 	m := float64(mt * cfg.B)

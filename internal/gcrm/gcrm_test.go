@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"anybc/internal/lowerbound"
 	"anybc/internal/pattern"
 )
 
@@ -118,7 +117,7 @@ func TestSearchBeatsOrMatchesSBC(t *testing.T) {
 		if res.Cost > sbcLaw+0.6 {
 			t.Errorf("P=%d: GCR&M cost %.3f too far above SBC law %.3f", P, res.Cost, sbcLaw)
 		}
-		if limit := lowerbound.GCRMEmpiricalLaw(P); res.Cost < limit-0.5 {
+		if limit := math.Sqrt(1.5 * float64(P)); res.Cost < limit-0.5 {
 			t.Errorf("P=%d: GCR&M cost %.3f below the empirical limit %.3f — metric bug?",
 				P, res.Cost, limit)
 		}
@@ -214,10 +213,16 @@ func TestFeasibleSizes(t *testing.T) {
 }
 
 // TestEmpiricalLowerLimit: the limit GCR&M costs are held to above is
-// √(3P/2), the value the paper observes for regular patterns.
+// √(3P/2), the value the paper observes for regular patterns. A regular
+// pattern of r colrows puts each node on v = 3 of them and covers the
+// r(r−1) off-diagonal cells with 6 per node, so P = r(r−1)/6 and z̄ = 3P/r =
+// (r−1)/2: within the 0.5 that TestSearchBeatsOrMatchesSBC allows.
 func TestEmpiricalLowerLimit(t *testing.T) {
-	if got := lowerbound.GCRMEmpiricalLaw(6); math.Abs(got-3) > 1e-12 {
-		t.Errorf("GCRMEmpiricalLaw(6) = %v, want 3", got)
+	for r := 9; r < 100; r += 6 {
+		P := r * (r - 1) / 6
+		if z, limit := float64(3*P)/float64(r), math.Sqrt(1.5*float64(P)); math.Abs(z-limit) >= 0.5 {
+			t.Errorf("r=%d, P=%d: regular cost %.3f, law %.3f", r, P, z, limit)
+		}
 	}
 }
 

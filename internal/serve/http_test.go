@@ -161,13 +161,14 @@ func TestHTTPQueueFull(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	// Fill the slot and the queue in-process (microseconds apart, so the
-	// runner cannot drain them first), then watch the backpressure surface
-	// over the wire.
-	if _, err := srv.Submit(JobSpec{Kind: KindLU, Mt: 32}); err != nil { // runs
-		t.Fatal(err)
-	}
-	if _, err := srv.Submit(JobSpec{Kind: KindLU, Mt: 32}); err != nil { // queues
+	// Hold the one slot through the server's own count, so no job can start
+	// however fast a warm plan would finish it; then fill the queue and
+	// watch the backpressure surface over the wire. Close cancels the queued
+	// job.
+	srv.mu.Lock()
+	srv.running = srv.cfg.MaxConcurrent
+	srv.mu.Unlock()
+	if _, err := srv.Submit(JobSpec{Kind: KindLU, Mt: 12}); err != nil { // queues
 		t.Fatal(err)
 	}
 	resp, err := http.Post(ts.URL+"/jobs", "application/json",
