@@ -311,8 +311,12 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 			faults[f.Kind]++
 		}
 		fmt.Printf("recorded faults: %v\n", faults)
-		fmt.Printf("healing: %d re-requests, %d redeliveries served, %d arrivals recovered\n",
-			rep.Stats.Total(cluster.Requests), rep.Stats.Total(cluster.Redeliveries), faults["recovered"])
+		requests, losses, perLoss := rep.Stats.Total(cluster.Requests), faults["drop"]+faults["drop-redeliver"], ""
+		if losses > 0 {
+			perLoss = fmt.Sprintf(" (%.2f per loss)", float64(requests)/float64(losses))
+		}
+		fmt.Printf("healing: %d re-requests for %d injected losses%s, %d redeliveries served, %d arrivals recovered\n",
+			requests, losses, perLoss, rep.Stats.Total(cluster.Redeliveries), faults["recovered"])
 		for _, f := range rec.Faults {
 			switch f.Kind {
 			case "crash":

@@ -488,17 +488,20 @@ func (c *Cluster) planeIfExists(job int32) *plane {
 	return nil
 }
 
-// deliver hands msg to its destination — rank msg.To on the plane named by
-// the tag's job epoch, which is stripped here — offering it to the rank's
-// taker first and queueing it in the rank's mailbox when the taker declines
-// or there is none; the payload share is released when the plane is gone or
-// the mailbox already closed (shutdown or abort).
+// deliver hands msg, back from the network seam, to the plane of its tag's
+// job epoch, and releases its payload share when that plane is gone.
 func (c *Cluster) deliver(msg Message) {
-	pl := c.planeIfExists(msg.Tag.Job)
-	if pl == nil {
+	if pl := c.planeIfExists(msg.Tag.Job); pl != nil {
+		pl.deliver(msg)
+	} else {
 		msg.Release()
-		return
 	}
+}
+
+// deliver strips msg's job epoch and offers it to rank msg.To's taker, else
+// queues it in the rank's mailbox, or releases its payload share when that
+// mailbox already closed (shutdown, abort, a dropped job).
+func (pl *plane) deliver(msg Message) {
 	msg.Tag.Job = 0
 	t := pl.takers[msg.To]
 	switch {
@@ -704,7 +707,7 @@ func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile, fin
 		if cl.net != nil && k != kindNote {
 			cl.net.Deliver(msg, cl.deliver)
 		} else {
-			cl.deliver(msg)
+			c.pl.deliver(msg)
 		}
 	}
 }

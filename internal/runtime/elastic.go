@@ -27,7 +27,6 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"anybc/internal/cluster"
 	"anybc/internal/tile"
@@ -201,7 +200,6 @@ func (el *elastic) markDead(rank int, gossip bool) {
 		}
 		// rank itself, or a share whose adopter rank was until it died.
 		el.adoptedBy[ward] = adopter
-		e.res.restart(ward)
 		if adopter == e.rank && !el.peerDone[ward] {
 			// A rank that announced completion before being presumed dead left a
 			// complete published cache behind; only an incomplete rank's tasks
@@ -256,9 +254,11 @@ next:
 //     comes from its published cache (the dead rank consumed it, so it was
 //     broadcast, and every broadcast is cached);
 //   - one this node will produce is delivered at that completion;
-//   - anything else is awaited exactly like a network arrival, with an
-//     immediate Request because the version may never have been addressed to
-//     this node in the original schedule.
+//   - anything else is awaited exactly like a network arrival, its clock
+//     armed once a task of the share blocks on it; one not on its way to
+//     this node's own share is asked for at once, since the original
+//     schedule may never have addressed it here — the owner answers when it
+//     publishes, the way a posted receive is matched.
 func (el *elastic) adoptTasks(from int) int {
 	e, pl := el.e, el.e.pl
 	sh := newShare(pl, from)
@@ -272,7 +272,6 @@ func (el *elastic) adoptTasks(from int) int {
 	}
 	el.adopted += len(sh.remaining)
 
-	now := time.Now()
 	slotLo, slotHi := pl.Slots(from)
 	for s := slotLo; s < slotHi; s++ {
 		producer := pl.SlotProducer(s)
@@ -291,16 +290,16 @@ func (el *elastic) adoptTasks(from int) int {
 		}
 		if l.Payload == nil {
 			// The new share's slot is unfed: the next copy is taken in.
-			owner := pl.Owner(producer)
-			if e.shareFor(owner) == nil && e.res.expect(vtag, now) {
-				if target := el.liveOwner(owner); target >= 0 && target != e.rank {
-					e.comm.Request(target, vtag)
-				}
+			owner, own := pl.Owner(producer), e.slotOf(producer)
+			if target := el.liveOwner(owner); e.shareFor(owner) == nil && (own < 0 || e.fed[own]) &&
+				target >= 0 && target != e.rank {
+				e.comm.Request(target, vtag)
 			}
 			continue
 		}
 		e.deliver(producer, e.slotOf(producer), -1, l)
 	}
+	e.res.arm(&sh)
 	return len(sh.remaining)
 }
 

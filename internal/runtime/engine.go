@@ -510,7 +510,7 @@ func (e *engine) peerAbort() {
 // fields the report reads.
 func (e *engine) absorb(msg cluster.Message) {
 	if e.res != nil {
-		e.res.heard[msg.From]++
+		e.res.heard[msg.From] = true
 	}
 	switch {
 	case e.stopped:
@@ -743,6 +743,8 @@ func (e *engine) onComplete(sh *share, t int32) {
 	for _, s := range pl.Succs(t) {
 		if sh.release(s) {
 			e.pushReady(s)
+		} else if e.res != nil {
+			e.res.blocked(sh, s)
 		}
 	}
 	if e.el != nil {
@@ -763,7 +765,7 @@ func (e *engine) onComplete(sh *share, t int32) {
 		}
 	}
 	if e.res != nil && hadRemote {
-		e.res.publish(netTag, out, pl.Final(t))
+		e.res.publish(netTag, out, pl.Final(t), dsts)
 	}
 
 	// Last-reader release: drop received versions this task consumed once no
@@ -891,6 +893,8 @@ func (e *engine) offer(sh *share, s int32, l cluster.Lease) {
 	for _, t := range e.pl.Waiters(sh.slotLo + s) {
 		if sh.release(t) {
 			e.pushReady(t)
+		} else if e.res != nil {
+			e.res.blocked(sh, t)
 		}
 	}
 }

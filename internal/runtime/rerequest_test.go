@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -8,15 +10,18 @@ import (
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
+	"anybc/internal/plan"
 	"anybc/internal/tile"
+	"anybc/internal/trace"
 )
 
 // TestReRequestBudgetSparesHealthyOwner is the regression for a fault-free
-// run dying of its own re-request protocol. Every awaited version's clock
-// starts at run start, so a version whose producer has simply not run yet
-// goes overdue and is re-requested; the retry budget must not be held against
-// an owner that keeps being heard from. The run here lasts far longer than
-// the ≈15 ms it takes to spend three requests at a 1 ms timeout, on a healthy
+// run dying of its own re-request protocol. A version's clock starts once a
+// task waits for nothing else, however far its producer still is from
+// running, and the owner holds the request until it publishes: a late owner
+// is silent to the requester until then. The retry budget must not be held
+// against an owner the node has heard from. The run here lasts far longer than the
+// ≈15 ms it takes to spend three requests at a 1 ms timeout, on a healthy
 // network — it used to fail with ErrUndelivered naming a live owner (and
 // under Elastic would have presumed that owner dead).
 //
@@ -48,6 +53,175 @@ func TestReRequestBudgetSparesHealthyOwner(t *testing.T) {
 		identicalLU(t, "armed fault-free run", base, fact, mt)
 		if rep.Elapsed < 60*time.Millisecond {
 			t.Errorf("%v: run took %v, too short to outlast a three-request budget several times over", mode, rep.Elapsed)
+		}
+	}
+}
+
+// TestEarlyRequestAnsweredAtPublication pins the answering rule: an owner
+// asked for a version it has not published holds the request — once per
+// requester, however often it is asked — and answers at publication: a
+// requester among the version's destinations through the publication itself,
+// any other through a Resend. A request after publication is answered from
+// the cache at once.
+func TestEarlyRequestAnsweredAtPublication(t *testing.T) {
+	g := dag.NewLU(4)
+	d := dist.NewTwoDBC(2, 2)
+	cl := cluster.New(4)
+	defer cl.Close()
+	e := testEngineOpt(t, 0, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel,
+		Options{Workers: 1, ArrivalTimeout: time.Minute})
+	e.open()
+	tag := cluster.Tag{I: 0, J: 0, V: 0} // GETRF(0), node 0's one root task
+	dsts := e.pl.Dsts(e.pl.Producer(0, 0, 0))
+	consumer, stranger := dsts[0], -1
+	for rank := 1; rank < d.Nodes(); rank++ {
+		if !slices.Contains(dsts, rank) {
+			stranger = rank
+		}
+	}
+	if stranger < 0 {
+		t.Fatal("every node consumes GETRF(0); the test needs one that does not")
+	}
+	ask := func(from int) {
+		t.Helper()
+		if err := e.onArrival(cluster.Message{From: from, To: 0, Tag: tag, Req: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask(consumer)
+	ask(stranger)
+	ask(stranger)
+	stats := func(c cluster.Counter, dst int) int64 { return cl.JobStats(0).At(c, 0, dst) }
+	if n := stats(cluster.Redeliveries, stranger) + stats(cluster.Redeliveries, consumer); n != 0 {
+		t.Fatalf("%d redeliveries of a version not published yet", n)
+	}
+	if held := e.res.held[tag]; len(held) != 2 {
+		t.Fatalf("held requesters %v, want the consumer and the stranger once each", held)
+	}
+
+	jb, ok := e.pop(0)
+	if !ok || jb.task.Kind != dag.GETRF {
+		t.Fatalf("popped %v (ok %v), want GETRF(0)", jb.task, ok)
+	}
+	e.finish(jb, e.kern(jb.task, jb.out, jb.inputs))
+	if n := stats(cluster.Redeliveries, stranger); n != 1 {
+		t.Errorf("stranger got %d redeliveries at publication, want 1", n)
+	}
+	if n, m := stats(cluster.Redeliveries, consumer), stats(cluster.Messages, consumer); n != 0 || m != 1 {
+		t.Errorf("consumer got %d messages, %d of them redeliveries: want the publication alone", m, n)
+	}
+	if len(e.res.held) != 0 {
+		t.Errorf("requests still held after publication: %v", e.res.held)
+	}
+	got, ok := cl.Comm(stranger).TryRecv()
+	if !ok || got.Tag != tag || !got.Payload.EqualApprox(jb.out, 0) {
+		t.Fatalf("stranger's mailbox holds %v (ok %v), want the published GETRF(0)", got.Tag, ok)
+	}
+	got.Release()
+
+	ask(stranger)
+	if n := stats(cluster.Redeliveries, stranger); n != 2 {
+		t.Errorf("a request after publication got %d redeliveries in all, want 2", n-1)
+	}
+}
+
+// lossy is a network that loses the first copy of each listed tag bound for
+// node to, and delivers everything else.
+type lossy struct {
+	mu   sync.Mutex
+	to   int
+	lose map[cluster.Tag]bool // job-local tags, until lost
+}
+
+func (n *lossy) Deliver(msg cluster.Message, deliver func(cluster.Message)) {
+	tag := msg.Tag
+	tag.Job = 0
+	n.mu.Lock()
+	lost := msg.To == n.to && msg.Payload != nil && n.lose[tag]
+	if lost {
+		delete(n.lose, tag)
+	}
+	n.mu.Unlock()
+	if lost {
+		msg.Release()
+		return
+	}
+	deliver(msg)
+}
+
+// TestTaskShortTwoLostVersionsArmsBoth pins the arming rule on tasks short
+// two lost versions. On the node owning tile (2, 2) of a 2×2 grid, every
+// GEMM(l=1) reads two remote panel tiles and waits for a local predecessor
+// too, and every panel tile read there is lost on its way to the node: no
+// task on it is ever short one version. Once a task's predecessor is done it waits for nothing
+// but its two, and both clocks start at once: each version is re-requested,
+// and the run completes with the fault-free factors. A rule that armed only a
+// task's last missing version would arm nothing, and the run would hang.
+func TestTaskShortTwoLostVersionsArmsBoth(t *testing.T) {
+	const mt, b = 6, 4
+	d := dist.NewTwoDBC(2, 2)
+	g := dag.NewLU(mt)
+	gen := GenDiagDominant(mt, b, 5)
+	want, _, err := FactorLU(mt, b, d, gen, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plan.Compile(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := d.Owner(2, 2)
+	net := &lossy{to: node, lose: map[cluster.Tag]bool{}}
+	lo, hi := pl.Tasks(node)
+	for task := lo; task < hi; task++ {
+		if tk := pl.Task(task); tk.Kind != dag.GEMMLU || tk.L != 1 {
+			continue
+		}
+		remote := 0
+		for _, ref := range pl.Inputs(task) {
+			if ref < 0 {
+				p := pl.SlotProducer(^ref)
+				i, j := pl.TileCoords(pl.Out(p))
+				net.lose[cluster.Tag{I: int32(i), J: int32(j), V: pl.Version(p)}] = true
+				remote++
+			}
+		}
+		if remote != 2 || pl.NumDeps(task) != 3 {
+			t.Fatalf("%v reads %d remote versions and waits for %d tasks, want 2 and 3", pl.Task(task), remote, pl.NumDeps(task))
+		}
+	}
+	if len(net.lose) != 4 {
+		t.Fatalf("GEMM(l=1) on node %d read %d remote versions, want 4", node, len(net.lose))
+	}
+	lost := make(map[string]int)
+	for tag := range net.lose {
+		lost[tag.String()] = 0
+	}
+
+	cl := cluster.NewWithOptions(d.Nodes(), cluster.Options{Net: net})
+	defer cl.Close()
+	rec := &trace.Recorder{}
+	var got *matrix.Dense
+	err = runWithDeadline(t, func() error {
+		var err error
+		got, _, err = FactorLU(mt, b, d, gen, Options{Cluster: cl, Recorder: rec, ArrivalTimeout: 20 * time.Millisecond})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalLU(t, "two lost versions", want, got, mt)
+	if len(net.lose) != 0 {
+		t.Fatalf("versions %v were never sent to node %d", net.lose, node)
+	}
+	for _, f := range rec.Faults {
+		if _, ok := lost[f.Tag]; ok && f.Kind == "re-request" && f.Src == node {
+			lost[f.Tag]++
+		}
+	}
+	for tag, n := range lost {
+		if n == 0 {
+			t.Errorf("lost version %s was never re-requested", tag)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"anybc/internal/cluster"
@@ -9,33 +10,35 @@ import (
 )
 
 // resilience is the re-request layer's state, built only when the normalized
-// Options.ArrivalTimeout is positive (see the package comment). The elastic
-// layer reaches it through its methods alone.
+// Options.ArrivalTimeout is positive (see the package comment). Two rules
+// make it, each decided in one place: a version's arrival clock starts when a
+// task blocks on it (blocked), and an owner asked for a version before it
+// publishes it answers at publication (answer, publish). The elastic layer
+// reaches it through its methods alone.
 type resilience struct {
 	e       *engine
 	arrival time.Duration
 	maxReq  int // Options.MaxReRequests
 
-	// published caches the tile versions this node broadcast, so re-requests
-	// can be answered even after the publishing task's buffer was updated in
-	// place — or after this node's run is over, by whichever goroutine
-	// delivers the request (engine.absorb). A final version is the owner's
-	// own tile, any other a private snapshot.
+	// published caches the versions this node broadcast — a final one as the
+	// owner's own tile, any other as a snapshot — to answer requests after
+	// the tile moved on, or after the run (engine.absorb). held lists, each
+	// once, the ranks that asked for a version not published yet: its plan
+	// readers or their adopters. pending is each armed tag's re-request
+	// state, heard the ranks this node took any message from.
 	published map[cluster.Tag]*tile.Tile
-	// pending carries the re-request state of each awaited tag. heard counts,
-	// by sender, the messages of any kind the node took in: the liveness
-	// evidence the silence budget weighs (onTick).
-	pending map[cluster.Tag]*pendingWait
-	heard   []int
+	held      map[cluster.Tag][]int
+	pending   map[cluster.Tag]*pendingWait
+	heard     []bool
 }
 
-// pendingWait is the re-request state of one awaited remote tile version.
+// pendingWait is the re-request state of one armed remote tile version.
 type pendingWait struct {
 	deadline time.Time
 	backoff  time.Duration
 	attempts int
-	silent   int // requests in a row the target stayed silent through: what the budget caps
-	heardAt  int // heard[target] when the tag was last found overdue
+	asked    int // requests to target, the rank asked last: what the budget caps
+	target   int
 }
 
 // relayLedger marks the tree-broadcast tags whose Forward obligation a node
@@ -70,46 +73,67 @@ func newResilience(e *engine, opt Options) *resilience {
 		arrival:   opt.ArrivalTimeout,
 		maxReq:    opt.MaxReRequests,
 		published: make(map[cluster.Tag]*tile.Tile),
+		held:      make(map[cluster.Tag][]int),
 		pending:   make(map[cluster.Tag]*pendingWait),
-		heard:     make([]int, e.pl.Nodes()),
+		heard:     make([]bool, e.pl.Nodes()),
 	}
 }
 
-// start arms the protocol as the run starts: every awaited remote tile
-// version not taken in yet gets an arrival clock, and the returned ticker —
-// half the timeout — drives the overdue sweep. It returns nil when nothing is awaited
-// and nothing ever will be; elastic nodes always get a ticker, because
-// adoption registers new awaited tags mid-run even on a node that started
-// with none. The sweep period is floored at 1ms: a sub-2ns ArrivalTimeout
-// used to truncate to a zero ticker period and panic.
+// start arms the node's own share as the run starts and returns the ticker
+// of the overdue sweep, or nil when nothing is awaited and nothing ever will
+// be; elastic nodes always get one, as an adopted share may await versions.
+// The sweep runs every sixteenth of the timeout, floored at 1ms: a coarser
+// one sends together the requests of every clock that ran out within its
+// period — a node stalled on a lost version, and consumers that blocked a
+// little later on what it is about to publish: versions late, not lost.
 func (r *resilience) start() *time.Ticker {
 	e := r.e
 	if len(e.recv) == 0 && e.el == nil {
 		return nil
 	}
-	now := time.Now()
-	for s := range e.recv {
-		if !e.fed[s] {
-			r.await(e.tagOf(e.pl.SlotProducer(e.slotLo+int32(s))), now)
-		}
-	}
-	period := r.arrival / 2
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	return time.NewTicker(period)
+	r.arm(&e.share)
+	return time.NewTicker(max(r.arrival/16, time.Millisecond))
 }
 
-// await starts — or, for a tag already awaited, restarts — tag's arrival
-// clock on a fresh retry budget.
-func (r *resilience) await(tag cluster.Tag, now time.Time) {
-	p := r.pending[tag]
-	if p == nil {
-		p = &pendingWait{}
-		r.pending[tag] = p
+// arm applies the arming rule to every waiting task of share sh: the node's
+// own at run start, an adopted one at adoption.
+func (r *resilience) arm(sh *share) {
+	for k, rem := range sh.remaining {
+		if rem > 0 {
+			r.blocked(sh, sh.lo+int32(k))
+		}
 	}
-	p.attempts, p.silent = 0, 0
-	p.backoff, p.deadline = r.arrival, now.Add(r.arrival)
+}
+
+// blocked is the arming rule, asked whenever a dependency of share sh's task
+// t resolves and others remain: once t waits for nothing but remote versions,
+// the clock of each starts unless it runs already — all at once, so a task
+// short two lost versions asks for both. A version some share of this node
+// produces is delivered here, never asked for. A task's remote dependencies
+// are inputs it reads (dag.Inference infers only read-after-write edges
+// across nodes), so its unfed input slots are the versions it waits for.
+func (r *resilience) blocked(sh *share, t int32) {
+	e, pl := r.e, r.e.pl
+	refs := pl.Inputs(t)
+	unfed := int32(0)
+	for k, ref := range refs {
+		if ref < 0 && !sh.fed[^ref-sh.slotLo] && !slices.Contains(refs[:k], ref) {
+			unfed++
+		}
+	}
+	if unfed != sh.remaining[t-sh.lo] {
+		return
+	}
+	now := time.Now()
+	for _, ref := range refs {
+		if ref >= 0 || sh.fed[^ref-sh.slotLo] {
+			continue
+		}
+		producer := pl.SlotProducer(^ref)
+		if tag := e.tagOf(producer); r.pending[tag] == nil && e.shareFor(pl.Owner(producer)) == nil {
+			r.pending[tag] = &pendingWait{deadline: now.Add(r.arrival), backoff: r.arrival}
+		}
+	}
 }
 
 // arrived is the take-in call point (engine.deliver): the awaited version tag
@@ -126,74 +150,54 @@ func (r *resilience) arrived(tag cluster.Tag, from int) {
 	}
 }
 
-// The two methods below, with cached, are the elastic layer's whole access:
-// adoption changes what this node awaits, and from whom.
-
-// expect starts tag's arrival clock unless it already runs, and reports
-// whether it started one.
-func (r *resilience) expect(tag cluster.Tag, now time.Time) bool {
-	if r.pending[tag] != nil {
-		return false
-	}
-	r.await(tag, now)
-	return true
-}
-
-// restart transfers a dead owner's delivery debts to its adopter: the retry
-// budget of every version owner owed this node starts afresh, so the
-// countdown that condemned the corpse is not held against the heir while it
-// replays.
-func (r *resilience) restart(owner int) {
-	now := time.Now()
-	for tag := range r.pending {
-		if r.e.pl.Dist().Owner(int(tag.I), int(tag.J)) == owner {
-			r.await(tag, now)
-		}
-	}
-}
-
-// publish caches a version this node just broadcast. A final version is
-// cached by reference: no task writes its tile again. Any other is
-// snapshotted, since out is updated in place by the tile's later writers and
-// the broadcast content must be preserved separately. The core calls it
-// whenever any remote consumer exists — even one whose death emptied today's
-// destination list — because that consumer's adopter may still re-request
-// the version.
-func (r *resilience) publish(tag cluster.Tag, out *tile.Tile, final bool) {
+// publish caches a version this node just sent to dsts — a final one by
+// reference, any other as a snapshot, as later writers update out in place —
+// and answers the requests held for it: a requester in dsts through that
+// send, any other (an adopter) with a Resend. The core calls it whenever a
+// remote consumer exists, even one whose death emptied dsts: its adopter may
+// still ask.
+func (r *resilience) publish(tag cluster.Tag, out *tile.Tile, final bool, dsts []int) {
 	if !final {
 		out = out.Clone()
 	}
 	r.published[tag] = out
+	for _, from := range r.held[tag] {
+		if !slices.Contains(dsts, from) {
+			r.resend(from, tag, out)
+		}
+	}
+	delete(r.held, tag)
 }
 
 // cached returns the published version of tag, or nil.
 func (r *resilience) cached(tag cluster.Tag) *tile.Tile { return r.published[tag] }
 
-// answer serves one version re-request from the published cache. A request
-// for a version not yet published is dropped: the normal broadcast at
-// completion covers it, and the requester's backoff retries if that
-// broadcast is the delivery that gets lost. Only a node whose run is not over
-// records the redelivery: after it, the recorder is the caller's.
+// answer serves one request: from the cache, or at publication.
 func (r *resilience) answer(msg cluster.Message) {
-	cached := r.cached(msg.Tag)
-	if cached == nil {
-		return
-	}
-	r.e.comm.Resend(msg.From, msg.Tag, cached)
-	if !r.e.over {
-		r.e.fault("redeliver", r.e.rank, msg.From, msg.Tag.String())
+	if cached := r.cached(msg.Tag); cached != nil {
+		r.resend(msg.From, msg.Tag, cached)
+	} else if !slices.Contains(r.held[msg.Tag], msg.From) {
+		r.held[msg.Tag] = append(r.held[msg.Tag], msg.From)
 	}
 }
 
-// onTick sweeps the awaited remote tile versions and re-requests every one
-// past its deadline from its owner (or, once the owner is dead, from its
-// adopter), doubling the deadline each retry (capped) so a genuinely slow
-// producer is not hammered. The sweep is also the failure detector of last
-// resort: a tag whose retry budget (Options.MaxReRequests) runs dry — that
-// many requests in a row with its owner never heard from — fails
-// the node with ErrUndelivered on a plain resilient run, or — under elastic
-// recovery — presumes the silent owner dead, gossips cluster.NoteDown, and
-// restarts the budget against the adopter.
+// resend redelivers a published version. Only a node whose run is not over
+// records the redelivery: after it, the recorder is the caller's.
+func (r *resilience) resend(to int, tag cluster.Tag, v *tile.Tile) {
+	r.e.comm.Resend(to, tag, v)
+	if !r.e.over {
+		r.e.fault("redeliver", r.e.rank, to, tag.String())
+	}
+}
+
+// onTick re-requests every armed tag past its deadline from its owner — or
+// its adopter, once the owner is dead — doubling the deadline each retry,
+// capped. It is also the failure detector of last resort: a tag whose budget
+// (Options.MaxReRequests) of requests to one target this node never heard
+// from runs dry fails the node with ErrUndelivered or, under elastic
+// recovery, has the target presumed dead. Silence from a rank once heard from
+// is no evidence: an owner says nothing before it publishes, and a rank that
+// stops for good says so (cluster.NoteDown) or closes the plane.
 func (r *resilience) onTick() error {
 	e, el := r.e, r.e.el
 	now := time.Now()
@@ -201,49 +205,32 @@ func (r *resilience) onTick() error {
 		if now.Before(p.deadline) {
 			continue
 		}
-		origOwner := e.pl.Dist().Owner(int(tag.I), int(tag.J))
-		target := origOwner
+		target := e.pl.Dist().Owner(int(tag.I), int(tag.J))
 		if el != nil {
-			target = el.liveOwner(origOwner)
+			target = el.liveOwner(target)
 		}
-		if target == e.rank || target < 0 {
-			// We are the adopter ourselves (the replay will fulfill this tag
-			// locally), or the dead owner has no adopter to ask: requesting
-			// is pointless, just keep the deadline moving.
-			p.deadline = now.Add(p.backoff)
-			continue
-		}
-		if heard := r.heard[target]; heard != p.heardAt {
-			// Something from the target has reached this node since this
-			// version was last found overdue: the target is alive and
-			// reachable, so the version is late, not lost for good — every
-			// awaited version's clock starts at run start, long before most
-			// producers run. Keep asking (a dropped delivery heals no other
-			// way), but only requests into unbroken silence count against
-			// the budget.
-			p.silent, p.heardAt = 0, heard
-		}
-		if p.silent >= r.maxReq && r.maxReq > 0 {
+		if target == p.target && !r.heard[target] && p.asked >= r.maxReq && r.maxReq > 0 {
 			if el == nil {
 				return fmt.Errorf("node %d: tile (%d,%d) v%d from node %d undelivered after %d re-requests: %w",
-					e.rank, tag.I, tag.J, tag.V, target, p.silent, ErrUndelivered)
+					e.rank, tag.I, tag.J, tag.V, target, p.asked, ErrUndelivered)
 			}
-			// Elastic escalation: the target has ignored the whole budget —
-			// presume it dead, tell everyone, and start a fresh budget
-			// against whoever adopts it (markDead restarts every wait the
-			// dead node owed us).
 			el.markDead(target, true)
-			if target = el.liveOwner(origOwner); target == e.rank || target < 0 {
-				continue
-			}
+			target = el.liveOwner(target)
+		}
+		switch {
+		case target == e.rank: // this node adopted the owner: its replay delivers the version
+			delete(r.pending, tag)
+			continue
+		case target < 0: // the dead owner has no adopter to ask yet
+			p.deadline = now.Add(p.backoff)
+			continue
+		case target != p.target: // a first target, or the owner's adopter: a new budget
+			p.target, p.asked = target, 0
 		}
 		e.comm.Request(target, tag)
 		p.attempts++
-		p.silent++
-		p.backoff *= 2
-		if maxB := 8 * r.arrival; p.backoff > maxB {
-			p.backoff = maxB
-		}
+		p.asked++
+		p.backoff = min(2*p.backoff, 8*r.arrival)
 		p.deadline = now.Add(p.backoff)
 		e.fault("re-request", e.rank, target, tag.String())
 	}

@@ -38,17 +38,17 @@
 // it and called at a few named points:
 //
 //   - resilience (resilience.go; ArrivalTimeout > 0, which Chaos and Elastic
-//     default): the engine stops assuming the network delivers. Each awaited
-//     remote tile version carries a deadline, and one that misses it is
-//     re-requested from its owner with a cluster.Request under exponential
-//     backoff (onTick). Owners cache the versions they published (publish) and
-//     answer from the cache with cluster.Resend (answer) — also after their
-//     own run is over, in whichever goroutine delivers the request, so a slow
-//     consumer can always heal. Taking a version in ends its wait
-//     (arrived). A permanently
-//     dropped delivery costs latency, never a hang; Report.Stats counts the
-//     re-requests and redeliveries, the trace's recovered rows the healed
-//     arrivals.
+//     default): the engine stops assuming the network delivers. A remote
+//     tile version's clock starts once a task waits for nothing else
+//     (blocked, from the core's release path); one that misses its deadline
+//     is re-requested from its owner under exponential backoff (onTick). An
+//     owner holds a request until it publishes the version and answers
+//     through the publication, or a cluster.Resend to a non-destination
+//     (publish); later requests it answers from its cache (answer) — also
+//     after its own run is over, so a slow consumer can always heal. Taking a
+//     version in ends its wait (arrived). A permanently dropped delivery
+//     costs latency, never a hang; Report.Stats counts the re-requests and
+//     redeliveries, the trace's recovered rows the healed arrivals.
 //   - elastic (elastic.go; Options.Elastic): a node that dies mid-run no
 //     longer aborts the factorization — a deterministically chosen survivor
 //     adopts its share of the plan — built by newShare, like the node's own,
@@ -209,13 +209,14 @@ type Options struct {
 	// seeded fault decisions. A plan drives exactly one run; build a fresh
 	// plan from the same chaos.Config to reproduce it.
 	Chaos *chaos.Plan
-	// ArrivalTimeout arms the re-request protocol (the resilience layer): an
-	// awaited remote tile version not delivered within this duration is
-	// re-requested from its owner, with exponential backoff between retries.
-	// Zero leaves the protocol off unless Elastic or a delivery-fault Chaos
-	// plan is set (then it defaults to 250ms); negative is rejected. No product caller sets it —
-	// it stays a field because, with MaxReRequests, it sizes a fault budget
-	// that tests pin at 1ms: the default would turn them into minutes.
+	// ArrivalTimeout arms the re-request protocol (the resilience layer): a
+	// remote tile version not delivered within this duration of a task
+	// coming to wait for nothing else is re-requested from its owner, with
+	// exponential backoff between retries. Zero leaves the protocol off
+	// unless Elastic or a delivery-fault Chaos plan is set (then it defaults
+	// to 250ms); negative is rejected. No product caller sets it — it stays a
+	// field because, with MaxReRequests, it sizes a fault budget that tests
+	// pin at 1ms: the default would turn them into minutes.
 	ArrivalTimeout time.Duration
 	// Broadcast selects the transport for published tiles:
 	// cluster.BroadcastFlat (default, the paper's point-to-point model) or
@@ -237,17 +238,16 @@ type Options struct {
 	// publications drop idempotently and final factors stay bit-identical to
 	// a crash-free run.
 	Elastic bool
-	// MaxReRequests caps how many times in a row one awaited tile version is
-	// re-requested from an owner that stays silent — no message of any kind
-	// from it taken in by this node in between — before
-	// the node gives up on that owner: zero means the default (50), negative
-	// means unlimited (the pre-cap behavior). An owner that is heard from is
-	// merely late and is asked again on a fresh budget. On an exhausted
-	// budget a non-elastic node fails with ErrUndelivered naming the owner,
-	// tag, and retry count; an elastic node instead presumes the owner dead,
-	// gossips cluster.NoteDown, and adopts its work. Like ArrivalTimeout it
-	// has no product caller and stays for the tests that pin the budget's
-	// semantics at two or three requests.
+	// MaxReRequests caps how many times one awaited tile version is
+	// re-requested from an owner this node never took a message from, before
+	// it gives up on that owner: zero means the default (50), negative means
+	// unlimited. A late owner is as silent as a dead one — it answers once it
+	// publishes — so one heard from is alive until it says otherwise
+	// (cluster.NoteDown). On an exhausted budget a non-elastic node fails
+	// with ErrUndelivered naming the owner, tag, and retry count; an elastic
+	// node presumes the owner dead, gossips cluster.NoteDown, and adopts its
+	// work. Like ArrivalTimeout it has no product caller and stays for the
+	// tests that pin the budget at two or three requests.
 	MaxReRequests int
 	// Cluster, when non-nil, runs the job over this existing shared cluster
 	// instead of creating a private one: the run takes a fresh tile
