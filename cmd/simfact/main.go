@@ -311,12 +311,15 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 			faults[f.Kind]++
 		}
 		fmt.Printf("recorded faults: %v\n", faults)
-		requests, losses, perLoss := rep.Stats.Total(cluster.Requests), faults["drop"]+faults["drop-redeliver"], ""
+		// The Requests counter also holds the asks an adopter posts for its
+		// wards' inputs; the re-requests are the trace's re-request rows.
+		reRequests, losses, perLoss := faults["re-request"], faults["drop"]+faults["drop-redeliver"], ""
 		if losses > 0 {
-			perLoss = fmt.Sprintf(" (%.2f per loss)", float64(requests)/float64(losses))
+			perLoss = fmt.Sprintf(" (%.2f per loss)", float64(reRequests)/float64(losses))
 		}
-		fmt.Printf("healing: %d re-requests for %d injected losses%s, %d redeliveries served, %d arrivals recovered\n",
-			requests, losses, perLoss, rep.Stats.Total(cluster.Redeliveries), faults["recovered"])
+		fmt.Printf("healing: %d re-requests for %d injected losses%s, %d adopter requests, %d redeliveries served, %d arrivals recovered\n",
+			reRequests, losses, perLoss, rep.Stats.Total(cluster.Requests)-int64(reRequests),
+			rep.Stats.Total(cluster.Redeliveries), faults["recovered"])
 		for _, f := range rec.Faults {
 			switch f.Kind {
 			case "crash":

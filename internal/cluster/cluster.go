@@ -37,11 +37,10 @@ import (
 
 // Tag identifies a published tile version: tile coordinates plus the write
 // epoch V of the payload (0 for a tile's first writer, incremented by every
-// later in-place update; see plan.Plan.Version). In the right-looking
-// factorizations every tile is communicated only in its final factored state
-// (after the panel kernel of iteration min(i, j)), but graphs that consume a
-// tile remotely at several epochs are served too: each epoch travels under
-// its own tag, so consumers can distinguish the versions.
+// later in-place update; see plan.Plan.Version). Only a tile's last version
+// is ever sent — plan.Compile rejects a graph that reads an earlier one on
+// another node — so in the factorizations V is the epoch of a tile's final
+// factored state (after the panel kernel of iteration min(i, j)).
 //
 // Job is the tile-namespace epoch of one run (Cluster.OpenJob): every message
 // of the run travels under it, so two concurrent runs' tiles can never
@@ -65,12 +64,11 @@ func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 // traces; it is zero unless the sender's endpoint stamps (Comm.Timestamp).
 //
 // A broadcast delivers the same immutable payload tile to every destination:
-// a clone of the sender's tile, or, for a final payload its sender never
-// writes again, that tile itself (see Broadcast). The message's Lease holds
-// Payload and the recipient's share of it: receivers must treat Payload as
-// read-only and call Release when done with it. A receiver that keeps the
-// payload past the message — until its last reader has run — keeps the Lease
-// alone, not the envelope.
+// the sender's own tile, which it never writes again (see Broadcast). The
+// message's Lease holds Payload and the recipient's share of it: receivers
+// must treat Payload as read-only and call Release when done with it. A
+// receiver that keeps the payload past the message — until its last reader
+// has run — keeps the Lease alone, not the envelope.
 //
 // Under tree broadcast a non-empty Forward names the binomial subtree this
 // recipient must relay the payload to: the recipient passes the message to
@@ -113,7 +111,7 @@ const (
 )
 
 // sharedPayload reference-counts one payload in flight across its
-// recipients: a clone, or a final tile its sender lent.
+// recipients.
 type sharedPayload struct {
 	cl   *Cluster
 	refs atomic.Int32
@@ -127,8 +125,8 @@ type Lease struct {
 }
 
 // Release declares this recipient done with the payload and zeroes the lease.
-// Once every recipient of the payload has released it, the payload — clone or
-// lent final tile — stops counting as in flight (Cluster.PoolOutstanding).
+// Once every recipient of the payload has released it, the payload stops
+// counting as in flight (Cluster.PoolOutstanding).
 // The payload must not be touched after Release; calling Release more than
 // once per received message corrupts the refcount. No-op on hand-built
 // messages.
@@ -573,11 +571,10 @@ func (c *Cluster) DropJob(job int32) {
 	c.planes.Delete(job)
 }
 
-// PoolOutstanding returns the number of payloads in flight: the send clones
-// and the final tiles sent by reference, each until its last recipient
-// released it. After every job on the cluster has finished or been cancelled
-// and its mailboxes drained, the balance returns to zero; a persistent
-// residue is a leaked payload share, cloned or lent alike.
+// PoolOutstanding returns the number of payloads in flight, each until its
+// last recipient released it. After every job on the cluster has finished or
+// been cancelled and its mailboxes drained, the balance returns to zero; a
+// persistent residue is a leaked payload share.
 func (c *Cluster) PoolOutstanding() int64 {
 	return c.inFlight.Load()
 }
@@ -606,11 +603,9 @@ func (c *Comm) Timestamp() { c.stamp = true }
 func (c *Comm) Size() int { return c.cluster.p }
 
 // Broadcast publishes one tile version to every listed destination as one
-// payload all recipients share: kernel inputs are read-only, so the payload
-// is never copied per destination. A final payload, one the caller never
-// writes again, is shared as the caller's own tile by every hop, relay and
-// Dup; any other is cloned once, so the caller may go on to update its tile
-// in place. Either way the ledger charges the same bytes, and the payload
+// payload all recipients share: the caller's own tile, lent to every hop,
+// relay and Dup, so the caller must never write it again — kernel inputs are
+// read-only, and the plan sends only a tile's last version. The payload
 // counts as in flight (PoolOutstanding) until its last Release. The wire hops
 // follow the cluster's BroadcastMode — flat fan-out from the owner, or a
 // binomial tree whose recipients relay the shared payload onward via
@@ -618,20 +613,19 @@ func (c *Comm) Size() int { return c.cluster.p }
 // way, so the communication-volume semantics the integration tests check do
 // not depend on the mode. Destinations must be distinct and exclude the
 // sender: the runtime must short-circuit local data.
-func (c *Comm) Broadcast(dsts []int, tag Tag, payload *tile.Tile, final bool) {
-	c.transmit(kindData, dsts, Message{Tag: tag}, payload, final)
+func (c *Comm) Broadcast(dsts []int, tag Tag, payload *tile.Tile) {
+	c.transmit(kindData, dsts, Message{Tag: tag}, payload)
 }
 
-// SendAll broadcasts a clone of payload (Broadcast with final false): the
-// form for a caller that may go on to write its tile, such as bench/'s
-// transport probe.
+// SendAll broadcasts a clone of payload: the form for a caller that may go on
+// to write its tile, such as bench/'s transport probe.
 func (c *Comm) SendAll(dsts []int, tag Tag, payload *tile.Tile) {
-	c.Broadcast(dsts, tag, payload, false)
+	c.Broadcast(dsts, tag, payload.Clone())
 }
 
 // transmit is the cluster's one send path: every tile, relay hop, control
 // request and membership notice leaves a node through it. It checks the whole
-// destination list before a buffer is cloned or a hop dispatched — a panic
+// destination list before a payload is counted or a hop dispatched — a panic
 // must leave no payload in flight with a refcount the receivers can never
 // drain, and no partially delivered broadcast — then stamps the sender's rank
 // and job epoch (deliver strips it again), charges the ledger exactly what
@@ -639,11 +633,10 @@ func (c *Comm) SendAll(dsts []int, tag Tag, payload *tile.Tile) {
 // notices alone go straight to the mailboxes.
 //
 // msg carries the tag and the kind's control fields. A non-nil payload is
-// shared by every hop: cloned once, or — when final says the caller never
-// writes it again — lent as it is. A relay passes nil and msg
-// already holds the in-flight broadcast's shared payload, of which each hop
+// the caller's tile, lent to every hop. A relay passes nil and msg already
+// holds the in-flight broadcast's shared payload, of which each hop
 // takes one more share (what Dup does) while the caller keeps its own.
-func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile, final bool) {
+func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile) {
 	cl := c.cluster
 	if len(dsts) == 0 {
 		return
@@ -674,19 +667,12 @@ func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile, fin
 		hops, subtrees = TreeFanout(append([]int(nil), dsts...))
 	}
 	if payload != nil {
-		if !final {
-			payload = payload.Clone()
-		}
 		cl.inFlight.Add(1)
 		msg.Payload, msg.shared = payload, &sharedPayload{cl: cl}
 	}
 	if msg.shared != nil {
 		msg.shared.refs.Add(int32(len(hops)))
 	}
-	// Count what is actually on the wire: a fresh payload is the transport's
-	// private clone or a final tile nobody writes again, so the ledger cannot
-	// diverge from the shipped bytes even if the caller goes on to update its
-	// original in place.
 	var size int64
 	if msg.Payload != nil {
 		size = int64(msg.Payload.Bytes())
@@ -731,11 +717,11 @@ func (c *Comm) charge(counters []Counter, dst int, size int64) {
 // of the binomial combine schedule (dag.ReplicatedLU's), so unlike Broadcast
 // there is no fan-out and no relay in either broadcast mode; their own
 // counters let measurements split a replicated run's volume into
-// panel-broadcast and reduction traffic. final means what it means to
-// Broadcast. A lost partial heals through the ordinary re-request path
+// panel-broadcast and reduction traffic. The payload is lent, as Broadcast
+// lends it. A lost partial heals through the ordinary re-request path
 // (Request/Resend from the publisher's version cache).
-func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile, final bool) {
-	c.transmit(kindReduce, []int{dst}, Message{Tag: tag}, payload, final)
+func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile) {
+	c.transmit(kindReduce, []int{dst}, Message{Tag: tag}, payload)
 }
 
 // Forward relays a tree-broadcast message onward: the caller received msg
@@ -747,7 +733,7 @@ func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile, final bool) {
 // caller still owns its payload share and releases it through the usual
 // Message.Release path.
 func (c *Comm) Forward(msg Message) {
-	c.transmit(kindForward, msg.Forward, msg, nil, false)
+	c.transmit(kindForward, msg.Forward, msg, nil)
 }
 
 // Request sends the control message of the arrival-timeout protocol: it asks
@@ -755,7 +741,7 @@ func (c *Comm) Forward(msg Message) {
 // delivery it passes through the fault seam, so a lost request is healed by
 // the requester's exponential backoff, not by the transport.
 func (c *Comm) Request(owner int, tag Tag) {
-	c.transmit(kindRequest, []int{owner}, Message{Tag: tag, Req: true}, nil, false)
+	c.transmit(kindRequest, []int{owner}, Message{Tag: tag, Req: true}, nil)
 }
 
 // Notify broadcasts a membership notice about subject to every other node.
@@ -774,16 +760,15 @@ func (c *Comm) Notify(note NoteKind, subject int) {
 			peers = append(peers, dst)
 		}
 	}
-	c.transmit(kindNote, peers, Message{Note: note, NoteRank: subject}, nil, false)
+	c.transmit(kindNote, peers, Message{Note: note, NoteRank: subject}, nil)
 }
 
 // Resend re-sends one published tile version to a single destination in
 // answer to a Request. Redeliveries are always direct, even under tree
 // broadcast: the healing path must not depend on relays that may themselves
-// be faulty. A published version is never written again, so the payload is
-// shared by reference, as Broadcast shares a final one.
+// be faulty. The payload is lent, as Broadcast lends it.
 func (c *Comm) Resend(dst int, tag Tag, payload *tile.Tile) {
-	c.transmit(kindResend, []int{dst}, Message{Tag: tag}, payload, true)
+	c.transmit(kindResend, []int{dst}, Message{Tag: tag}, payload)
 }
 
 // Abort poisons this endpoint's job: every mailbox of the job's plane

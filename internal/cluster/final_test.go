@@ -33,11 +33,11 @@ func drainBroadcast(t *testing.T, c *Cluster, dsts []int) []Message {
 	return msgs
 }
 
-// TestSendAllByReferenceSharesTheSendersTile holds a final Broadcast to a cloned one
-// under both broadcast modes: every destination's payload is the sender's own
-// tile, the ledger reads exactly what a cloned broadcast of the same shape
-// reads, and the payload counts as one in flight until its last share — a
-// Dup included — is released.
+// TestSendAllByReferenceSharesTheSendersTile holds Broadcast to SendAll, its
+// cloning form, under both broadcast modes: every destination's payload is the
+// sender's own tile, the ledger reads exactly what SendAll of the same shape
+// reads, and the payload counts as one in flight until its last share — a Dup
+// included — is released.
 func TestSendAllByReferenceSharesTheSendersTile(t *testing.T) {
 	const p = 8
 	dsts := []int{3, 1, 7, 2, 6, 4, 5}
@@ -53,7 +53,7 @@ func TestSendAllByReferenceSharesTheSendersTile(t *testing.T) {
 			c := NewWithOptions(p, Options{Broadcast: mode})
 			defer c.Close()
 			src := payload(5)
-			c.Comm(0).Broadcast(dsts, Tag{I: 2, J: 1}, src, true)
+			c.Comm(0).Broadcast(dsts, Tag{I: 2, J: 1}, src)
 			msgs := drainBroadcast(t, c, dsts)
 			for _, msg := range msgs {
 				if msg.Payload != src {

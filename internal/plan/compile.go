@@ -60,6 +60,9 @@ type localRead struct{ reader, tile, ver int32 }
 //   - a task reads the initial contents of a tile owned by another node: the
 //     protocol only moves tiles on task completion, so initial contents never
 //     cross the network;
+//   - a task reads a tile owned by another node at any version but its last:
+//     the protocol sends a tile once its last writer ran, so an earlier
+//     version never crosses the network either;
 //   - a task reads a local tile at an intermediate version without ordering
 //     itself before the tile's next writer, so the in-place update could
 //     overwrite the tile while it is being read;
@@ -242,6 +245,11 @@ func (c *compiler) onInput(i, j int) {
 	}
 	t, rank := c.task[c.cur], c.curRank
 	local := tile >= c.tileOff[rank] && tile < c.tileOff[rank+1]
+	v := int32(-1) // the initial contents
+	if best >= 0 {
+		v = c.ver[deps[best]]
+	}
+	earlier := tile >= 0 && v+1 < c.wrOff[tile+1]-c.wrOff[tile] // a later task writes the tile
 	switch {
 	case best < 0 && !local && (tile >= 0 || c.d.Owner(i, j) != rank):
 		c.err = fmt.Errorf("plan: %v on node %d reads the initial contents of "+
@@ -249,14 +257,15 @@ func (c *compiler) onInput(i, j int) {
 	case tile < 0:
 		c.err = fmt.Errorf("plan: %v on node %d reads tile (%d, %d), which no task writes: no node holds it",
 			t, rank, i, j)
+	case !local && earlier:
+		c.err = fmt.Errorf("plan: %v on node %d reads remote tile (%d, %d) at version %d, not its last: "+
+			"the protocol only delivers a tile's last version", t, rank, i, j, v)
 	case !local:
 		c.ins = append(c.ins, ^c.depSlot[best])
 	default:
 		c.ins = append(c.ins, tile)
-		if best >= 0 {
-			if v := c.ver[deps[best]]; v+1 < c.wrOff[tile+1]-c.wrOff[tile] {
-				c.reads = append(c.reads, localRead{c.cur, tile, v})
-			}
+		if best >= 0 && earlier {
+			c.reads = append(c.reads, localRead{c.cur, tile, v})
 		}
 	}
 }

@@ -109,14 +109,6 @@ func (p *Plan) Key(t int32) int64 { return p.key[t] }
 // Version returns the version of its output tile that task t produces.
 func (p *Plan) Version(t int32) int32 { return p.ver[t] }
 
-// Final reports whether task t writes the last version of its tile: no later
-// task updates the tile in place, so the owner's buffer holds that version
-// unchanged for the rest of the run.
-func (p *Plan) Final(t int32) bool {
-	tile := p.out[t]
-	return p.ver[t]+1 == p.wrOff[tile+1]-p.wrOff[tile]
-}
-
 // Out returns the tile task t writes.
 func (p *Plan) Out(t int32) int32 { return p.out[t] }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"anybc/internal/core"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 )
@@ -62,6 +63,53 @@ func TestCompileLayout(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestProductPlansSendOnlyLastVersions is the census behind the send path's
+// one rule: every plan the product can build — LU and Cholesky under every
+// scheme that constructs at P = 2…64, mt 12 and 24, and replicated LU at c = 2
+// and 3 over G-2DBC — compiles, so none reads a remote tile at an earlier
+// version, and every task with a remote consumer writes its tile's last
+// version.
+func TestProductPlansSendOnlyLastVersions(t *testing.T) {
+	plans, senders := 0, 0
+	check := func(g dag.Graph, d dist.Distribution) {
+		p, err := Compile(g, d)
+		if err != nil {
+			t.Fatalf("%s under %s: %v", g.Name(), d.Name(), err)
+		}
+		plans++
+		for tk := int32(0); tk < int32(len(p.task)); tk++ {
+			if len(p.Dsts(tk)) == 0 {
+				continue
+			}
+			senders++
+			if i, j := p.TileCoords(p.Out(tk)); p.Producer(int32(i), int32(j), p.Version(tk)+1) >= 0 {
+				t.Fatalf("%s under %s: %v sends version %d of tile (%d, %d), not its last",
+					g.Name(), d.Name(), p.Task(tk), p.Version(tk), i, j)
+			}
+		}
+	}
+	for P := 2; P <= 64; P++ {
+		for _, s := range core.Schemes() {
+			d, err := core.New(s, P, core.Options{})
+			if err != nil && (s == core.SBC || s == core.STSScheme) {
+				continue // they exist at some P only
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			for _, mt := range []int{12, 24} {
+				check(dag.NewLU(mt), d)
+				check(dag.NewCholesky(mt), d)
+			}
+		}
+		for _, c := range []int{2, 3} {
+			for _, mt := range []int{12, 24} {
+				check(dag.NewReplicatedLU(mt, c), dist.NewReplicated(dist.NewG2DBC(P), c, mt))
+			}
+		}
+	}
+	t.Logf("%d plans, %d sending tasks, all of them of a last version", plans, senders)
 }
 
 func TestCompileRejectsOwnerOutOfRange(t *testing.T) {

@@ -4,7 +4,7 @@
 //
 //  1. Every tile version a dead node consumed remotely was broadcast by its
 //     owner, and resilient owners keep every broadcast version in their
-//     published cache — a final one by reference, any other as a snapshot —
+//     published cache by reference — only a tile's last version is sent —
 //     so all remote inputs of the dead node's tasks remain reconstructible
 //     via the Request/Resend protocol.
 //  2. Initial tile contents are deterministic (the gen generator), so the
@@ -132,12 +132,8 @@ func (el *elastic) complete(sh *share, t int32, out *tile.Tile) ([]int, bool) {
 	}
 	// The synthetic arrival, by the wire's rule: when a share here awaits the
 	// version in an unfed slot (a pre-crash copy racing the replay may have
-	// fed them). A final version is delivered by reference; any other is
-	// snapshotted, as out is advanced in place by the tile's later writers.
+	// fed them). It is delivered by reference, as the wire lends it.
 	if s := e.slotOf(t); e.awaits(t, s) {
-		if !pl.Final(t) {
-			out = out.Clone()
-		}
 		e.deliver(t, s, -1, cluster.Lease{Payload: out})
 	}
 	return el.liveDsts(t), hadRemote

@@ -39,9 +39,9 @@ type share struct {
 	// tiles holds the rank's tiles: the in-place buffers its writer chains
 	// update. recv holds the received remote version of each slot — its
 	// Lease, not the message — retained until readers[slot] consumers have
-	// run and then released: the last Release of a clone or a lent final tile
-	// stops counting it as in flight. fed marks slots whose version was taken
-	// in: the unfed ones are what the share still awaits (engine.awaits).
+	// run and then released: the last Release of a lent tile stops counting
+	// it as in flight. fed marks slots whose version was taken in: the unfed
+	// ones are what the share still awaits (engine.awaits).
 	tiles   []*tile.Tile
 	recv    []cluster.Lease
 	readers []int32
@@ -751,26 +751,24 @@ func (e *engine) onComplete(sh *share, t int32) {
 		dsts, hadRemote = e.el.complete(sh, t, out)
 	}
 	if len(dsts) > 0 {
-		// One payload every consumer node shares: a final version by
-		// reference — no task writes its tile again — and any other as the
-		// cluster's snapshot, since the tile's next writer updates out in
-		// place (see cluster.Broadcast).
+		// One payload every consumer node shares: out itself, which no task
+		// writes again — the plan sends only a tile's last version.
 		if len(dsts) == 1 && pl.Reduce(t) {
 			// Reduction partial: the accumulator's only remote consumer is the
 			// combine on its binomial parent's node, a point-to-point shipment
 			// counted as reduction traffic rather than a broadcast.
-			e.comm.SendReduce(dsts[0], netTag, out, pl.Final(t))
+			e.comm.SendReduce(dsts[0], netTag, out)
 		} else {
-			e.comm.Broadcast(dsts, netTag, out, pl.Final(t))
+			e.comm.Broadcast(dsts, netTag, out)
 		}
 	}
 	if e.res != nil && hadRemote {
-		e.res.publish(netTag, out, pl.Final(t), dsts)
+		e.res.publish(netTag, out, dsts)
 	}
 
 	// Last-reader release: drop received versions this task consumed once no
 	// other task of the share still needs them, releasing the payload share,
-	// clone or lent final tile, which then stops counting as in flight.
+	// which then stops counting as in flight.
 	for _, ref := range pl.Inputs(t) {
 		if ref >= 0 {
 			continue

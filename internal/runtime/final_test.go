@@ -6,9 +6,7 @@ import (
 
 	"anybc/internal/cluster"
 	"anybc/internal/core"
-	"anybc/internal/dag"
 	"anybc/internal/dist"
-	"anybc/internal/plan"
 	"anybc/internal/tile"
 )
 
@@ -30,7 +28,7 @@ func (s *payloadSpy) Deliver(msg cluster.Message, deliver func(cluster.Message))
 }
 
 // snapshots counts the payloads the spy carried that are not one of the
-// run's own final tiles: the copies the cluster took.
+// run's own final tiles: copies someone took.
 func (s *payloadSpy) snapshots(final map[*tile.Tile]bool) int {
 	n := 0
 	for _, p := range s.sent {
@@ -42,50 +40,12 @@ func (s *payloadSpy) snapshots(final map[*tile.Tile]bool) int {
 }
 
 // TestProductGraphsSendOnlyFinalVersions holds the by-reference send path to
-// the graphs the product runs: every task of LU, Cholesky and the replicated
-// LU (c = 2) that sends its output writes its tile's last version, at P = 4, 6 and 23; and a factorization on a cluster of its own
-// ships only the owners' final tiles, never a snapshot.
+// the factorizations: on a cluster of its own whose network records every
+// payload, a run ships only the owners' final tiles, never a copy. (That every
+// product plan sends only last versions is plan's
+// TestProductPlansSendOnlyLastVersions.)
 func TestProductGraphsSendOnlyFinalVersions(t *testing.T) {
-	const mt = 12
-	for _, p := range []int{4, 6, 23} {
-		gcrm, err := core.New(core.GCRM, p, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2dbc := dist.NewG2DBC(p)
-		for _, c := range []struct {
-			name string
-			g    dag.Graph
-			d    dist.Distribution
-		}{
-			{"LU", dag.NewLU(mt), g2dbc},
-			{"Cholesky", dag.NewCholesky(mt), gcrm},
-			{"ReplicatedLU", dag.NewReplicatedLU(mt, 2), dist.NewReplicated(g2dbc, 2, mt)},
-		} {
-			pl, err := plan.Compile(c.g, c.d)
-			if err != nil {
-				t.Fatalf("%s P=%d: %v", c.name, p, err)
-			}
-			senders := 0
-			for tk := int32(0); tk < int32(c.g.NumTasks()); tk++ {
-				if len(pl.Dsts(tk)) == 0 {
-					continue
-				}
-				senders++
-				if !pl.Final(tk) {
-					t.Errorf("%s P=%d: %v sends version %d of its tile, not the last",
-						c.name, p, pl.Task(tk), pl.Version(tk))
-				}
-			}
-			if senders == 0 {
-				t.Errorf("%s P=%d: no task sends anything", c.name, p)
-			}
-		}
-	}
-
-	// The factorizations, on a cluster of their own whose network records
-	// every payload: each must be one of the returned factors' tiles.
-	const b = 8
+	const mt, b = 12, 8
 	gcrm, err := core.New(core.GCRM, 6, core.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -20,9 +20,9 @@ type resilience struct {
 	arrival time.Duration
 	maxReq  int // Options.MaxReRequests
 
-	// published caches the versions this node broadcast — a final one as the
-	// owner's own tile, any other as a snapshot — to answer requests after
-	// the tile moved on, or after the run (engine.absorb). held lists, each
+	// published caches the versions this node broadcast — the owner's own
+	// tile, which no task writes again — to answer requests after the
+	// broadcast, or after the run (engine.absorb). held lists, each
 	// once, the ranks that asked for a version not published yet: its plan
 	// readers or their adopters. pending is each armed tag's re-request
 	// state, heard the ranks this node took any message from.
@@ -150,16 +150,12 @@ func (r *resilience) arrived(tag cluster.Tag, from int) {
 	}
 }
 
-// publish caches a version this node just sent to dsts — a final one by
-// reference, any other as a snapshot, as later writers update out in place —
-// and answers the requests held for it: a requester in dsts through that
+// publish caches a version this node just sent to dsts — by reference, as no
+// task writes a sent version again — and answers the requests held for it: a requester in dsts through that
 // send, any other (an adopter) with a Resend. The core calls it whenever a
 // remote consumer exists, even one whose death emptied dsts: its adopter may
 // still ask.
-func (r *resilience) publish(tag cluster.Tag, out *tile.Tile, final bool, dsts []int) {
-	if !final {
-		out = out.Clone()
-	}
+func (r *resilience) publish(tag cluster.Tag, out *tile.Tile, dsts []int) {
 	r.published[tag] = out
 	for _, from := range r.held[tag] {
 		if !slices.Contains(dsts, from) {

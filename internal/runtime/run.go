@@ -88,20 +88,19 @@
 //
 // Every published tile travels under a cluster.Tag carrying its write epoch
 // (plan.Plan.Version): version 0 is the tile's first write, and each later
-// in-place update increments it. A tile that remote nodes consume at several
-// versions — legal in general task graphs, even though the right-looking
-// factorizations only ever ship final versions — is simply sent once per
-// (version, consumer node) pair, and receivers key their copies by the full
-// versioned tag. A run executes a plan.Plan — one inference of the graph's
-// program under the distribution, shared read-only by every engine — and
-// compilation returns a descriptive error for anything the protocol cannot
-// serve: remote reads of initial tile contents, or local reads of an
-// intermediate version that race the next in-place update. The Factor entry
-// points, which build their own graphs, take the plan from one process-wide
-// cache (plancache.go): a shape is compiled on its first call and reused by
-// every later call whose distribution places the plan's tiles alike, up to a
-// fixed budget of kept tasks. Run, handed an arbitrary graph,
-// compiles it on every call; RunPlan executes a plan compiled earlier.
+// in-place update increments it. A tile is sent once its last writer ran, to
+// each distinct consumer node once, and receivers key their copies by the
+// full versioned tag. A run executes a plan.Plan — one inference of the
+// graph's program under the distribution, shared read-only by every engine —
+// and compilation returns a descriptive error for anything the protocol
+// cannot serve: remote reads of initial tile contents or of any version but a
+// tile's last, and local reads of an intermediate version that race the next
+// in-place update. The Factor entry points, which build their own graphs,
+// take the plan from one process-wide cache (plancache.go): a shape is
+// compiled on its first call and reused by every later call whose
+// distribution places the plan's tiles alike, up to a fixed budget of kept
+// tasks. Run, handed an arbitrary graph, compiles it on every call; RunPlan
+// executes a plan compiled earlier.
 //
 // # Tile lifetime
 //
@@ -111,15 +110,12 @@
 // growing with the whole run's traffic (the block-lifetime discipline of
 // DBCSR-style runtimes). Report.PeakTilesPerNode exposes the high-water mark.
 //
-// Communication copies nothing a product graph sends: every sending task
-// writes its tile's last version (plan.Plan.Final), which the owner never
-// touches again, so a completion hands that tile itself to the cluster
-// (cluster.Broadcast, final) and every consumer node reads the owner's buffer —
-// the resilience layer's published cache and the elastic layer's same-node
-// delivery keep a reference too. Only an intermediate version, one the
-// tile's next writer updates in place, travels as a copy: one clone per
-// broadcast, shared by every consumer node. Either way the cluster counts the
-// payload as in flight until its last Release.
+// Communication copies nothing: a sent version is its tile's last, which the
+// owner never touches again, so a completion lends that tile itself to the
+// cluster (cluster.Broadcast) and every consumer node reads the owner's
+// buffer — the resilience layer's published cache and the elastic layer's
+// same-node delivery keep a reference too. The cluster counts the payload as
+// in flight until its last Release.
 //
 // Owned tiles are never copied: gen allocates each one, the
 // owner's kernels update it in place for the whole run, and it leaves with the

@@ -1,10 +1,10 @@
 package runtime
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
@@ -89,142 +89,6 @@ func (d testDist) Name() string       { return "testdist" }
 func (d testDist) Nodes() int         { return d.p }
 func (d testDist) Owner(i, j int) int { return d.owner(i, j) }
 
-// ---- versioned delivery -------------------------------------------------
-
-// TestMultiVersionRemoteConsumption is the protocol change end-to-end: tile
-// (0,0) is written twice on node 0 and each version is consumed remotely on
-// node 1. The pre-versioned runtime panicked on the second arrival
-// ("duplicate tile"); the versioned protocol must deliver both states and
-// give each consumer the version its dependency produced.
-func TestMultiVersionRemoteConsumption(t *testing.T) {
-	// id 0: W0 writes (0,0)            = 10
-	// id 1: R0 reads (0,0)@v0, writes (1,0) = v0 + 100
-	// id 2: W1 rewrites (0,0) in place = v0 + 5
-	// id 3: R1 reads (0,0)@v1, writes (2,0) = v1 + 1000
-	g := newTestGraph(3, []testTask{
-		{out: [2]int{0, 0}},
-		{out: [2]int{1, 0}, ins: [][2]int{{0, 0}}},
-		{out: [2]int{0, 0}},
-		{out: [2]int{2, 0}, ins: [][2]int{{0, 0}}},
-	})
-	d := testDist{p: 2, owner: func(i, j int) int {
-		if i == 0 {
-			return 0
-		}
-		return 1
-	}}
-	kern := func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
-		switch task.I {
-		case 0:
-			out.Set(0, 0, 10)
-		case 1:
-			out.Set(0, 0, inputs[0].At(0, 0)+100)
-		case 2:
-			out.Set(0, 0, out.At(0, 0)+5)
-		case 3:
-			out.Set(0, 0, inputs[0].At(0, 0)+1000)
-		}
-		return nil
-	}
-	gen := func(i, j int) *tile.Tile { return tile.New(1, 1) }
-
-	for _, workers := range []int{1, 3} {
-		got := map[[2]int]float64{}
-		var owned *tile.Tile // node 0's buffer of (0,0)
-		spy := &payloadSpy{}
-		cl := cluster.NewWithOptions(2, cluster.Options{Net: spy})
-		rep, err := Run(g, d, 1, gen, kern, Options{Workers: workers, Cluster: cl},
-			func(i, j int, tl *tile.Tile) {
-				got[[2]int{i, j}] = tl.At(0, 0)
-				if i == 0 && j == 0 {
-					owned = tl
-				}
-			})
-		cl.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		// The intermediate version went as a snapshot, since W1 updates the
-		// buffer in place; the final one as the owner's buffer itself.
-		if len(spy.tags) != 2 {
-			t.Errorf("workers=%d: the network carried %d payloads, want 2", workers, len(spy.tags))
-		}
-		for k, tag := range spy.tags {
-			if snapshot := spy.sent[k] != owned; snapshot != (tag.V == 0) {
-				t.Errorf("workers=%d: %v sent as a snapshot: %v, want %v", workers, tag, snapshot, tag.V == 0)
-			}
-		}
-		want := map[[2]int]float64{{0, 0}: 15, {1, 0}: 110, {2, 0}: 1015}
-		for k, w := range want {
-			if got[k] != w {
-				t.Errorf("workers=%d: tile %v = %v, want %v (wrong version consumed)",
-					workers, k, got[k], w)
-			}
-		}
-		// Two versions of (0,0) crossed the network to node 1.
-		if n := rep.Stats.TotalMessages(); n != 2 {
-			t.Errorf("workers=%d: %d messages, want 2", workers, n)
-		}
-		if rep.ReceivedTilesPerNode[1] != 2 {
-			t.Errorf("workers=%d: node 1 received %d tiles, want 2",
-				workers, rep.ReceivedTilesPerNode[1])
-		}
-	}
-}
-
-// TestMultiVersionChainRelease stresses a longer write chain with interleaved
-// remote consumers of every version, checking values and that released
-// copies keep the peak below the whole-run footprint.
-func TestMultiVersionChainRelease(t *testing.T) {
-	const chain = 12
-	// Writers W_k (k = 0..chain-1) rewrite tile (0,0): value after W_k is
-	// k+1. Reader R_k on node 1 reads version k and writes (k+1, 0) = k+1.
-	var tasks []testTask
-	for k := 0; k < chain; k++ {
-		tasks = append(tasks, testTask{out: [2]int{0, 0}})
-		tasks = append(tasks, testTask{out: [2]int{k + 1, 0}, ins: [][2]int{{0, 0}}})
-	}
-	g := newTestGraph(chain+1, tasks)
-	d := testDist{p: 2, owner: func(i, j int) int {
-		if i == 0 {
-			return 0
-		}
-		return 1
-	}}
-	kern := func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
-		if int(task.I)%2 == 0 {
-			out.Set(0, 0, out.At(0, 0)+1)
-		} else {
-			out.Set(0, 0, inputs[0].At(0, 0))
-		}
-		return nil
-	}
-	gen := func(i, j int) *tile.Tile { return tile.New(1, 1) }
-
-	got := map[int]float64{}
-	rep, err := Run(g, d, 1, gen, kern, Options{Workers: 2},
-		func(i, j int, tl *tile.Tile) {
-			if i > 0 {
-				got[i] = tl.At(0, 0)
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= chain; k++ {
-		if got[k] != float64(k) {
-			t.Errorf("reader %d saw %v, want %v", k, got[k], float64(k))
-		}
-	}
-	if rep.ReceivedTilesPerNode[1] != chain {
-		t.Errorf("node 1 received %d versions, want %d", rep.ReceivedTilesPerNode[1], chain)
-	}
-	foot := rep.OwnedTilesPerNode[1] + rep.ReceivedTilesPerNode[1]
-	if rep.PeakTilesPerNode[1] > foot {
-		t.Errorf("node 1 peak %d above footprint %d", rep.PeakTilesPerNode[1], foot)
-	}
-}
-
 // ---- prevalidation ------------------------------------------------------
 
 func TestPrevalidateRemoteInitialRead(t *testing.T) {
@@ -240,6 +104,26 @@ func TestPrevalidateRemoteInitialRead(t *testing.T) {
 		Options{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "initial contents") {
 		t.Fatalf("expected initial-contents error, got %v", err)
+	}
+}
+
+func TestPrevalidateRemoteIntermediateRead(t *testing.T) {
+	// Tile (0,0) is written twice on node 0 and each version is read on node
+	// 1: the protocol sends a tile only after its last writer ran, so the read
+	// of version 0 must fail up front, naming task, node, tile and version.
+	g := newTestGraph(3, []testTask{
+		{out: [2]int{0, 0}},                        // W0
+		{out: [2]int{1, 0}, ins: [][2]int{{0, 0}}}, // reader of v0
+		{out: [2]int{0, 0}},                        // W1
+		{out: [2]int{2, 0}, ins: [][2]int{{0, 0}}}, // reader of v1
+	})
+	d := testDist{p: 2, owner: func(i, j int) int { return min(i, 1) }}
+	_, err := Run(g, d, 1, func(i, j int) *tile.Tile { return tile.New(1, 1) },
+		func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error { return nil },
+		Options{}, nil)
+	want := fmt.Sprintf("%v on node 1 reads remote tile (0, 0) at version 0, not its last", g.TaskOf(1))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("expected %q, got %v", want, err)
 	}
 }
 
