@@ -80,35 +80,14 @@ func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 // A message with Req set carries no payload: it is a control message asking
 // the destination (the owner of the tagged tile) to re-send the published
 // version Tag, the healing half of the runtime's arrival-timeout protocol.
-//
-// A message with a non-zero Note is a membership notice (no payload, no tag):
-// NoteDown announces that NoteRank has died, NoteDone that NoteRank finished
-// its share of the run. Notes travel out-of-band — see Comm.Notify.
 type Message struct {
 	From, To int
 	Tag      Tag
 	Lease
-	SentAt   time.Time
-	Req      bool     // version re-request control message (Payload is nil)
-	Note     NoteKind // membership notice (Payload is nil); zero for data/requests
-	NoteRank int      // subject rank of a Note (the dead or finished node)
-	Forward  []int    // tree broadcast: destinations this recipient relays to
+	SentAt  time.Time
+	Req     bool  // version re-request control message (Payload is nil)
+	Forward []int // tree broadcast: destinations this recipient relays to
 }
-
-// NoteKind classifies membership notices.
-type NoteKind uint8
-
-const (
-	// NoteNone marks an ordinary data or request message.
-	NoteNone NoteKind = iota
-	// NoteDown announces that NoteRank has crashed: it will execute no more
-	// tasks, publish no more tiles, and answer no more re-requests. Sent by
-	// the dying node itself or gossiped by a peer that presumed it dead.
-	NoteDown
-	// NoteDone announces that NoteRank has completed every task it owns (or
-	// has adopted): the completion barrier of elastic runs.
-	NoteDone
-)
 
 // sharedPayload reference-counts one payload in flight across its
 // recipients.
@@ -353,7 +332,6 @@ const (
 	kindResend              // Resend: a redelivery answering a Request
 	kindForward             // Forward: a tree relay of someone else's broadcast
 	kindRequest             // Request: a payload-free control message
-	kindNote                // Notify: out-of-band membership notice
 )
 
 // ledgerOf is the single definition of what each kind of transmission adds
@@ -362,14 +340,13 @@ const (
 // physically transmits to. The two lists differ only under tree broadcast,
 // where the owner's hops reach just its binomial children while the logical
 // deliveries still name every consumer — and a relay's hops serve deliveries
-// the owner was already charged for. Notices touch nothing.
+// the owner was already charged for.
 var ledgerOf = [...]struct{ perDst, perHop []Counter }{
 	kindData:    {perDst: []Counter{Messages, Bytes}, perHop: []Counter{Hops, WireBytes}},
 	kindReduce:  {perDst: []Counter{Messages, Bytes, Reduces, ReduceBytes}, perHop: []Counter{Hops, WireBytes}},
 	kindResend:  {perDst: []Counter{Messages, Bytes, Redeliveries}, perHop: []Counter{Hops, WireBytes}},
 	kindForward: {perHop: []Counter{Hops, WireBytes, Forwards}},
 	kindRequest: {perDst: []Counter{Requests}},
-	kindNote:    {},
 }
 
 // plane is one job's private slice of the cluster: its own mailboxes, their
@@ -599,9 +576,6 @@ func (c *Comm) SetTaker(t Taker) { c.pl.takers[c.rank] = t }
 // clock not at all.
 func (c *Comm) Timestamp() { c.stamp = true }
 
-// Size returns the cluster's node count.
-func (c *Comm) Size() int { return c.cluster.p }
-
 // Broadcast publishes one tile version to every listed destination as one
 // payload all recipients share: the caller's own tile, lent to every hop,
 // relay and Dup, so the caller must never write it again — kernel inputs are
@@ -623,14 +597,13 @@ func (c *Comm) SendAll(dsts []int, tag Tag, payload *tile.Tile) {
 	c.Broadcast(dsts, tag, payload.Clone())
 }
 
-// transmit is the cluster's one send path: every tile, relay hop, control
-// request and membership notice leaves a node through it. It checks the whole
+// transmit is the cluster's one send path: every tile, relay hop and control
+// request leaves a node through it. It checks the whole
 // destination list before a payload is counted or a hop dispatched — a panic
 // must leave no payload in flight with a refcount the receivers can never
 // drain, and no partially delivered broadcast — then stamps the sender's rank
 // and job epoch (deliver strips it again), charges the ledger exactly what
-// ledgerOf lists for the kind, and hands every hop to the network seam;
-// notices alone go straight to the mailboxes.
+// ledgerOf lists for the kind, and hands every hop to the network seam.
 //
 // msg carries the tag and the kind's control fields. A non-nil payload is
 // the caller's tile, lent to every hop. A relay passes nil and msg already
@@ -690,7 +663,7 @@ func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile) {
 		if subtrees != nil {
 			msg.Forward = subtrees[i]
 		}
-		if cl.net != nil && k != kindNote {
+		if cl.net != nil {
 			cl.net.Deliver(msg, cl.deliver)
 		} else {
 			c.pl.deliver(msg)
@@ -742,25 +715,6 @@ func (c *Comm) Forward(msg Message) {
 // the requester's exponential backoff, not by the transport.
 func (c *Comm) Request(owner int, tag Tag) {
 	c.transmit(kindRequest, []int{owner}, Message{Tag: tag, Req: true}, nil)
-}
-
-// Notify broadcasts a membership notice about subject to every other node.
-// Notices model the out-of-band failure-detector / completion service of a
-// real cluster (MPI's runtime layer, not its data plane): they bypass the
-// fault-injection seam and go straight to the destination mailboxes, so a
-// chaotic network can delay or lose tiles but never the fact of a death —
-// the arrival-timeout escalation path covers detectors that do lose it.
-func (c *Comm) Notify(note NoteKind, subject int) {
-	if note == NoteNone {
-		panic("cluster: Notify with NoteNone")
-	}
-	peers := make([]int, 0, c.cluster.p-1)
-	for dst := 0; dst < c.cluster.p; dst++ {
-		if dst != c.rank {
-			peers = append(peers, dst)
-		}
-	}
-	c.transmit(kindNote, peers, Message{Note: note, NoteRank: subject}, nil)
 }
 
 // Resend re-sends one published tile version to a single destination in

@@ -166,9 +166,8 @@ func TestPanics(t *testing.T) {
 
 // TestLedger pins the whole ledger for every kind of transmission: the exact
 // delta of every counter on every link, zeros included — so a relay that
-// started counting logical messages, a request that started counting hops, or
-// a notice that touched anything at all fails here — and that traffic on one
-// job's plane never shows in another's.
+// started counting logical messages or a request that started counting hops
+// fails here — and that traffic on one job's plane never shows in another's.
 func TestLedger(t *testing.T) {
 	const (
 		p          = 4
@@ -219,9 +218,6 @@ func TestLedger(t *testing.T) {
 		{"Request", BroadcastFlat, nil,
 			func(c *Cluster, _ Message) { c.JobComm(jobA, 1).Request(0, Tag{I: 1}) },
 			delta{Requests: on(1, link{1, 0})}, 1},
-		{"Notify", BroadcastFlat, nil,
-			func(c *Cluster, _ Message) { c.JobComm(jobA, 0).Notify(NoteDown, 2) },
-			delta{}, 3},
 	}
 	queued := func(c *Cluster) int {
 		n := 0

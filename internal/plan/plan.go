@@ -38,8 +38,6 @@
 package plan
 
 import (
-	"sort"
-
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 )
@@ -94,11 +92,6 @@ func (p *Plan) Tiles(rank int) (lo, hi int32) { return p.tileOff[rank], p.tileOf
 
 // Slots returns the range [lo, hi) of slots node rank awaits.
 func (p *Plan) Slots(rank int) (lo, hi int32) { return p.slotOff[rank], p.slotOff[rank+1] }
-
-// Owner returns the rank owning task t.
-func (p *Plan) Owner(t int32) int {
-	return sort.Search(p.Nodes(), func(r int) bool { return p.nodeOff[r+1] > t })
-}
 
 // Task returns task t of the graph.
 func (p *Plan) Task(t int32) dag.Task { return p.task[t] }

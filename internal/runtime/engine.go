@@ -21,69 +21,14 @@ import (
 // it — reads no engine state. inputs is the popping worker slot's own buffer,
 // rewritten by that slot's next pop.
 type job struct {
-	t      int32  // plan task
-	sh     *share // the share t runs in
+	t      int32 // plan task
 	task   dag.Task
 	out    *tile.Tile
 	inputs []*tile.Tile
 }
 
-// share is one rank's per-run tables of the plan: the state a node needs to
-// run that rank's static share of the graph. Each table is a flat slice
-// indexed by (plan index − start of the rank's range): tasks from lo, tiles
-// from tileLo, slots from slotLo. A node runs its own share and, under
-// elastic recovery, one per dead rank it adopted.
-type share struct {
-	lo, tileLo, slotLo int32
-	remaining          []int32
-	// tiles holds the rank's tiles: the in-place buffers its writer chains
-	// update. recv holds the received remote version of each slot — its
-	// Lease, not the message — retained until readers[slot] consumers have
-	// run and then released: the last Release of a lent tile stops counting
-	// it as in flight. fed marks slots whose version was taken in: the unfed
-	// ones are what the share still awaits (engine.awaits).
-	tiles   []*tile.Tile
-	recv    []cluster.Lease
-	readers []int32
-	fed     []bool
-}
-
-// newShare allocates rank's per-run tables, sized from its share of the plan;
-// the tiles are left for generate. Nothing here walks the graph.
-func newShare(pl *plan.Plan, rank int) share {
-	lo, hi := pl.Tasks(rank)
-	tileLo, tileHi := pl.Tiles(rank)
-	slotLo, slotHi := pl.Slots(rank)
-	sh := share{
-		lo:        lo,
-		tileLo:    tileLo,
-		slotLo:    slotLo,
-		remaining: make([]int32, hi-lo),
-		tiles:     make([]*tile.Tile, tileHi-tileLo),
-		recv:      make([]cluster.Lease, slotHi-slotLo),
-		readers:   append([]int32(nil), pl.SlotReaders(slotLo, slotHi)...),
-		fed:       make([]bool, slotHi-slotLo),
-	}
-	for t := lo; t < hi; t++ {
-		sh.remaining[t-lo] = pl.NumDeps(t)
-	}
-	return sh
-}
-
-// tile returns the share's buffer of plan tile tl.
-func (sh *share) tile(tl int32) *tile.Tile { return sh.tiles[tl-sh.tileLo] }
-
-// release resolves one dependency of the share's plan task t — a same-share
-// predecessor's completion or an awaited version's arrival — and reports
-// whether none remain: the task is ready.
-func (sh *share) release(t int32) bool {
-	rem := &sh.remaining[t-sh.lo]
-	*rem--
-	return *rem == 0
-}
-
-// engine is one node's core; whatever reacts to faults lives in the two
-// layers at the bottom of the struct (see the package comment).
+// engine is one node's core; whatever reacts to faults lives in the layer at
+// the bottom of the struct (see the package comment).
 type engine struct {
 	rank    int
 	comm    *cluster.Comm
@@ -94,10 +39,10 @@ type engine struct {
 	rec     *trace.Recorder
 	epoch   time.Time
 
-	// mu is the node. Every field below it, and everything the two layers
-	// hold, is touched only with it held, and whoever holds it — a worker
-	// publishing the task it just ran, a sender taking a message in, run
-	// taking a resilience tick — is the node's event loop for that moment.
+	// mu is the node. Every field below it, and everything the resilience
+	// layer holds, is touched only with it held, and whoever holds it — a
+	// worker publishing the task it just ran, a sender taking a message in,
+	// run taking a resilience tick — is the node's event loop for that moment.
 	// Kernels run outside it. It is released only through unlock, which first
 	// takes in what queued meanwhile. Under it, other nodes' locks are only
 	// ever tried (a send that takes its message in), never waited for, so no
@@ -107,8 +52,8 @@ type engine struct {
 	// Workers that found nothing ready sleep on cond; idle counts the sleepers
 	// nobody has signalled yet. running counts kernels executing now, done the
 	// tasks finished. stopped ends dispatch for good — this node failed or
-	// died, or a peer did — with err what run reports. over is the end of the
-	// run itself (see settle), stamped overAt; finished closes with it.
+	// crashed, or a peer did — with err what run reports. over is the end of
+	// the run itself (see settle), stamped overAt; finished closes with it.
 	// launched is set once run has popped every worker's first job; closeSeen
 	// once the node took its mailbox's closure in (drain).
 	cond          sync.Cond
@@ -125,17 +70,29 @@ type engine struct {
 	// each: a popped job's inputs live in its worker's buffer (resolve).
 	inbuf []*tile.Tile
 
-	// This node's own share of the plan, held by value.
-	share
+	// The node's share of the plan: its per-run tables, each a flat slice
+	// indexed by (plan index − start of the rank's range): tasks from lo,
+	// tiles from tileLo, slots from slotLo. remaining counts each task's
+	// unresolved dependencies. tiles holds the rank's tiles: the in-place
+	// buffers its writer chains update. recv holds the received remote version
+	// of each slot — its Lease, not the message — retained until readers[slot]
+	// consumers have run and then released: the last Release of a lent tile
+	// stops counting it as in flight. fed marks slots whose version was taken
+	// in: the unfed ones are what the node still awaits.
+	lo, tileLo, slotLo int32
+	remaining          []int32
+	tiles              []*tile.Tile
+	recv               []cluster.Lease
+	readers            []int32
+	fed                []bool
 
 	// ready is the node's dispatch queue: the shared critical-path priority
 	// queue of package sched, keyed by the plan's per-task keys, holding plan
 	// task indices.
 	ready sched.Heap
 
-	// ownedTiles counts the own share's tiles, held holds the tiles beyond
-	// them — retained received copies and, under elastic, adopted shares'
-	// replay buffers — and peakTiles is the high-water mark of the sum.
+	// ownedTiles counts the node's tiles, held the retained received copies
+	// beyond them, and peakTiles is the high-water mark of the sum.
 	ownedTiles int
 	held       int
 	recvTotal  int
@@ -161,29 +118,42 @@ type engine struct {
 	crashAt, pops int
 
 	res *resilience // re-request protocol; nil unless ArrivalTimeout > 0
-	el  *elastic    // death tracking and adoption; nil unless Elastic
 }
 
-// newEngine allocates rank's per-run mutable state and builds exactly the
-// layers the options arm; opt must be normalized.
+// newEngine allocates rank's per-run mutable state, sized from its share of
+// the plan, and builds the resilience layer when the options arm it; opt must
+// be normalized. The tiles are left for generate. Nothing here walks the graph.
 func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options, epoch time.Time) *engine {
 
+	lo, hi := pl.Tasks(rank)
+	tileLo, tileHi := pl.Tiles(rank)
+	slotLo, slotHi := pl.Slots(rank)
 	e := &engine{
-		rank:     rank,
-		comm:     comm,
-		pl:       pl,
-		gen:      gen,
-		kern:     kern,
-		workers:  opt.Workers,
-		rec:      opt.Recorder,
-		epoch:    epoch,
-		share:    newShare(pl, rank),
-		ready:    sched.NewHeap(sched.TieLIFO),
-		busy:     make([]int64, opt.Workers),
-		finished: make(chan struct{}),
-		inbuf:    make([]*tile.Tile, opt.Workers*pl.MaxInputs()),
-		crashAt:  -1,
+		rank:      rank,
+		comm:      comm,
+		pl:        pl,
+		gen:       gen,
+		kern:      kern,
+		workers:   opt.Workers,
+		rec:       opt.Recorder,
+		epoch:     epoch,
+		lo:        lo,
+		tileLo:    tileLo,
+		slotLo:    slotLo,
+		remaining: make([]int32, hi-lo),
+		tiles:     make([]*tile.Tile, tileHi-tileLo),
+		recv:      make([]cluster.Lease, slotHi-slotLo),
+		readers:   append([]int32(nil), pl.SlotReaders(slotLo, slotHi)...),
+		fed:       make([]bool, slotHi-slotLo),
+		ready:     sched.NewHeap(sched.TieLIFO),
+		busy:      make([]int64, opt.Workers),
+		finished:  make(chan struct{}),
+		inbuf:     make([]*tile.Tile, opt.Workers*pl.MaxInputs()),
+		crashAt:   -1,
+	}
+	for t := lo; t < hi; t++ {
+		e.remaining[t-lo] = pl.NumDeps(t)
 	}
 	e.cond.L = (*nodeLock)(e)
 	if opt.Recorder != nil {
@@ -196,47 +166,33 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 	if opt.ArrivalTimeout > 0 {
 		e.res = newResilience(e, opt)
 	}
-	if opt.Elastic {
-		e.el = newElastic(e)
-	}
 	if opt.Chaos != nil {
 		e.crashAt = opt.Chaos.CrashTask(rank)
 	}
 	return e
 }
 
-// generate fills share sh's tiles: the node's own or, for the elastic layer,
-// a dead node's replay buffers. run calls it on the node's own goroutine
-// rather than newEngine on the caller's: the P nodes generate their shares
+// generate fills the node's tiles. run calls it on the node's own goroutine
+// rather than newEngine on the caller's: the P nodes generate their tiles
 // side by side, and a node that is done starts on its ready tasks while the
 // others still generate — a tile version sent to one of those is taken in
 // all the same (open), since taking in touches no tile.
-func (e *engine) generate(sh *share) {
-	for k := range sh.tiles {
-		sh.tiles[k] = e.gen(e.pl.TileCoords(sh.tileLo + int32(k)))
+func (e *engine) generate() {
+	for k := range e.tiles {
+		e.tiles[k] = e.gen(e.pl.TileCoords(e.tileLo + int32(k)))
 	}
 }
 
-// shareOf returns the share plan task t runs in: this node's own, unless t
-// lies outside its range — then the dead owner's, which the elastic layer
-// adopted.
-func (e *engine) shareOf(t int32) *share {
-	if uint32(t-e.lo) < uint32(len(e.remaining)) {
-		return &e.share
-	}
-	return e.el.shares[e.pl.Owner(t)]
-}
+// tile returns the node's buffer of plan tile tl.
+func (e *engine) tile(tl int32) *tile.Tile { return e.tiles[tl-e.tileLo] }
 
-// shareFor returns the share of rank's tasks this node holds: its own, one
-// the elastic layer adopted, or nil.
-func (e *engine) shareFor(rank int) *share {
-	switch {
-	case rank == e.rank:
-		return &e.share
-	case e.el != nil:
-		return e.el.shares[rank]
-	}
-	return nil
+// release resolves one dependency of the node's plan task t — a local
+// predecessor's completion or an awaited version's arrival — and reports
+// whether none remain: the task is ready.
+func (e *engine) release(t int32) bool {
+	rem := &e.remaining[t-e.lo]
+	*rem--
+	return *rem == 0
 }
 
 // tagOf returns the versioned wire tag of plan task t's output.
@@ -245,8 +201,8 @@ func (e *engine) tagOf(t int32) cluster.Tag {
 	return cluster.Tag{I: int32(i), J: int32(j), V: e.pl.Version(t)}
 }
 
-// slotOf returns the slot of its own share in which the plan has this node
-// await plan task t's output version, or -1 when it gives the node none.
+// slotOf returns the slot in which the plan has this node await plan task t's
+// output version, or -1 when it gives the node none.
 func (e *engine) slotOf(t int32) int32 {
 	if s := e.pl.SlotAt(t, e.rank); s >= 0 {
 		return s - e.slotLo
@@ -254,19 +210,19 @@ func (e *engine) slotOf(t int32) int32 {
 	return -1
 }
 
-// hold counts n more tiles held beyond the owned ones into the working-set
+// hold counts one more tile held beyond the owned ones into the working-set
 // peak.
-func (e *engine) hold(n int) {
-	e.held += n
+func (e *engine) hold() {
+	e.held++
 	if held := e.ownedTiles + e.held; held > e.peakTiles {
 		e.peakTiles = held
 	}
 }
 
-// drop releases share sh's received copy in slot s, if one is retained.
-func (e *engine) drop(sh *share, s int32) {
-	if sh.recv[s].Payload != nil {
-		sh.recv[s].Release()
+// drop releases the received copy in slot s, if one is retained.
+func (e *engine) drop(s int32) {
+	if e.recv[s].Payload != nil {
+		e.recv[s].Release()
 		e.held--
 	}
 }
@@ -287,8 +243,6 @@ func (e *engine) open() {
 // task has completed, or promptly once the run aborts: a local kernel error
 // poisons the cluster and is returned; a poisoned cluster observed while work
 // is still outstanding means a peer failed, and ErrPeerAborted is returned.
-// With the elastic layer armed the exit condition is its completion barrier,
-// not the local count (see elastic.barrier).
 //
 // The node is its Workers worker goroutines and nothing else: messages are
 // taken in by the goroutines that send them (Take), and run's own goroutine
@@ -296,11 +250,9 @@ func (e *engine) open() {
 // sweep, when it takes the ticks instead and the node is Workers + 1.
 func (e *engine) run() error {
 	// First, and even on a node with no task (the gather reads its tiles).
-	e.generate(&e.share)
-	if len(e.remaining) == 0 && e.res == nil {
-		// Nothing to run. (An armed node still starts: its late-request server
-		// and, under elastic, its adoptable capacity must exist.)
-		return nil
+	e.generate()
+	if len(e.remaining) == 0 {
+		return nil // nothing to run, and nothing it publishes to be asked for
 	}
 
 	e.mu.Lock()
@@ -354,10 +306,8 @@ func (e *engine) run() error {
 			e.mu.Lock()
 			if !e.stopped && !e.over {
 				if err := e.res.onTick(); err != nil {
-					// Retry budget exhausted on a non-elastic run.
-					e.fail(err)
+					e.fail(err) // retry budget exhausted
 				}
-				e.wake() // an escalation may have adopted ready tasks
 				e.settle()
 			}
 			e.unlock()
@@ -369,20 +319,19 @@ func (e *engine) run() error {
 }
 
 // fail is a node failure the whole run must see — a kernel error, a protocol
-// violation, an exhausted retry budget, an injected crash without elastic
-// recovery: poison the cluster so peers blocked on tiles we will never produce
-// wake up, and stop dispatching (running kernels are awaited: settle).
+// violation, an exhausted retry budget, an injected crash: poison the cluster
+// so peers blocked on tiles we will never produce wake up, and stop
+// dispatching (running kernels are awaited: settle).
 func (e *engine) fail(err error) {
 	e.comm.Abort()
 	e.stopped, e.err = true, err
 }
 
 // settle ends the run once its exit condition holds: every owned task has
-// finished and, under elastic, so has every adopted one and the completion
-// barrier is open; or dispatch has stopped and the last running kernel is
-// back. No kernel runs at that instant, so the received tiles an aborted run
-// still retains — their consumers will never execute — are released here, or
-// they stay counted in flight; on a shared cluster, permanently. (A completed
+// finished, or dispatch has stopped and the last running kernel is back. No
+// kernel runs at that instant, so the received tiles an aborted run still
+// retains — their consumers will never execute — are released here, or they
+// stay counted in flight; on a shared cluster, permanently. (A completed
 // run's last-reader releases already emptied every slot.) Whoever changed the
 // state calls it, before giving up the lock.
 func (e *engine) settle() {
@@ -393,16 +342,12 @@ func (e *engine) settle() {
 		if e.running > 0 {
 			return
 		}
-	case e.done < len(e.remaining) || (e.el != nil && !e.el.barrier()):
+	case e.done < len(e.remaining):
 		return
 	}
 	e.over, e.overAt = true, time.Since(e.epoch)
-	for rank := range e.pl.Nodes() {
-		if sh := e.shareFor(rank); sh != nil {
-			for s := range sh.recv {
-				e.drop(sh, int32(s))
-			}
-		}
+	for s := range e.recv {
+		e.drop(int32(s))
 	}
 	close(e.finished)
 	e.idle = 0
@@ -514,9 +459,8 @@ func (e *engine) absorb(msg cluster.Message) {
 	}
 	switch {
 	case e.stopped:
-		// Aborted, or dead under elastic recovery: a dead node answers no
-		// requests and relays nothing — that silence is exactly what the
-		// survivors' escalation and adoption must overcome.
+		// Aborted or crashed: the job's plane is closing, and the node
+		// answers no requests and relays nothing.
 		msg.Release()
 	case !e.over:
 		if err := e.onArrival(msg); err != nil {
@@ -530,7 +474,7 @@ func (e *engine) absorb(msg cluster.Message) {
 		if e.res != nil {
 			e.res.answer(msg)
 		}
-	case msg.Note == cluster.NoteNone:
+	default:
 		// A tree-broadcast hop that lands late still carries its subtree's
 		// deliveries: relay it before releasing our own share, so a fast
 		// consumer never strands the slow subtree behind it.
@@ -585,8 +529,7 @@ func (e *engine) finish(jb job, err error) {
 		err = fmt.Errorf("%v: %w", jb.task, err)
 		if !e.stopped {
 			// First local kernel failure: the root cause. The failed task's
-			// output is never published. A kernel error is a correctness
-			// failure, not a crash — elastic recovery never masks it.
+			// output is never published.
 			e.fail(err)
 		} else if errors.Is(e.err, ErrPeerAborted) {
 			// This node failed too, it just noticed the peer's poison first:
@@ -595,7 +538,7 @@ func (e *engine) finish(jb job, err error) {
 			e.err = err
 		}
 	case !e.stopped:
-		e.onComplete(jb.sh, jb.t)
+		e.onComplete(jb.t)
 	}
 }
 
@@ -649,15 +592,8 @@ func (e *engine) pop(slot int) (jb job, ok bool) {
 	}
 	if e.pops == e.crashAt {
 		e.fault("crash", e.rank, e.rank, fmt.Sprintf("task %d", e.crashAt))
-		if e.el != nil {
-			// Crashing is not an error under elastic recovery: the node falls
-			// silent and the survivors adopt its work.
-			e.el.die()
-			e.stopped = true
-		} else {
-			e.fail(fmt.Errorf("node %d died before its owned task %d: %w",
-				e.rank, e.crashAt, chaos.ErrInjectedCrash))
-		}
+		e.fail(fmt.Errorf("node %d died before its owned task %d: %w",
+			e.rank, e.crashAt, chaos.ErrInjectedCrash))
 		return job{}, false
 	}
 	e.pops++
@@ -665,10 +601,10 @@ func (e *engine) pop(slot int) (jb job, ok bool) {
 	return e.resolve(slot, e.ready.Pop()), true
 }
 
-// resolve looks up the tiles plan task t's kernel reads and writes, in t's
-// share, into worker slot's input buffer.
+// resolve looks up the tiles plan task t's kernel reads and writes into
+// worker slot's input buffer.
 func (e *engine) resolve(slot int, t int32) job {
-	pl, sh := e.pl, e.shareOf(t)
+	pl := e.pl
 	task := pl.Task(t)
 	refs := pl.Inputs(t)
 	at := slot * pl.MaxInputs()
@@ -676,16 +612,16 @@ func (e *engine) resolve(slot int, t int32) job {
 	for k, ref := range refs {
 		var in *tile.Tile
 		if ref < 0 {
-			in = sh.recv[^ref-sh.slotLo].Payload
+			in = e.recv[^ref-e.slotLo].Payload
 		} else {
-			in = sh.tiles[ref-sh.tileLo]
+			in = e.tile(ref)
 		}
 		if in == nil {
 			panic(fmt.Sprintf("runtime: node %d: input %d of %v missing", e.rank, k, task))
 		}
 		inputs[k] = in
 	}
-	return job{t: t, sh: sh, task: task, out: sh.tile(pl.Out(t)), inputs: inputs}
+	return job{t: t, task: task, out: e.tile(pl.Out(t)), inputs: inputs}
 }
 
 // fault puts one injected fault or recovery action on the run's trace, when
@@ -727,30 +663,23 @@ func (e *engine) pushReady(t int32) {
 	}
 }
 
-// onComplete publishes plan task t, finished in share sh: releases its
-// successors in the share, sends the output tile version once to every
-// distinct remote consumer node — the plan's static destination list, passed
-// to the cluster as is unless the elastic layer filters it through what only
-// the run knows — and releases received tiles whose last consumer in the share
-// just ran.
-func (e *engine) onComplete(sh *share, t int32) {
+// onComplete publishes plan task t: releases its local successors, sends the
+// output tile version once to every distinct remote consumer node — the
+// plan's static destination list, passed to the cluster as is — and releases
+// received tiles whose last local consumer just ran.
+func (e *engine) onComplete(t int32) {
 	pl := e.pl
-	out := sh.tile(pl.Out(t))
+	out := e.tile(pl.Out(t))
 	netTag := e.tagOf(t)
 
-	dsts := pl.Dsts(t)
-	hadRemote := len(dsts) > 0
 	for _, s := range pl.Succs(t) {
-		if sh.release(s) {
+		if e.release(s) {
 			e.pushReady(s)
 		} else if e.res != nil {
-			e.res.blocked(sh, s)
+			e.res.blocked(s)
 		}
 	}
-	if e.el != nil {
-		dsts, hadRemote = e.el.complete(sh, t, out)
-	}
-	if len(dsts) > 0 {
+	if dsts := pl.Dsts(t); len(dsts) > 0 {
 		// One payload every consumer node shares: out itself, which no task
 		// writes again — the plan sends only a tile's last version.
 		if len(dsts) == 1 && pl.Reduce(t) {
@@ -761,29 +690,28 @@ func (e *engine) onComplete(sh *share, t int32) {
 		} else {
 			e.comm.Broadcast(dsts, netTag, out)
 		}
-	}
-	if e.res != nil && hadRemote {
-		e.res.publish(netTag, out, dsts)
+		if e.res != nil {
+			e.res.publish(netTag, out, dsts)
+		}
 	}
 
 	// Last-reader release: drop received versions this task consumed once no
-	// other task of the share still needs them, releasing the payload share,
-	// which then stops counting as in flight.
+	// other local task still needs them, releasing the payload share, which
+	// then stops counting as in flight.
 	for _, ref := range pl.Inputs(t) {
 		if ref >= 0 {
 			continue
 		}
-		s := ^ref - sh.slotLo
-		if sh.readers[s]--; sh.readers[s] <= 0 {
-			e.drop(sh, s)
+		s := ^ref - e.slotLo
+		if e.readers[s]--; e.readers[s] <= 0 {
+			e.drop(s)
 		}
 	}
 }
 
 // onArrival applies the one arrival rule, armed or not: a received version is
-// taken in — counted, traced and delivered — while some share on the node
-// awaits it in an unfed slot (awaits); a duplicate or a straggler is dropped
-// uncounted and untraced.
+// taken in — counted, traced and delivered — while the node awaits it in an
+// unfed slot; a duplicate or a straggler is dropped uncounted and untraced.
 //
 // The transport sends each tile version at most once per destination, but a
 // re-delivery must not crash the node: an arrival whose tag is still
@@ -792,12 +720,6 @@ func (e *engine) onComplete(sh *share, t int32) {
 // errors — when the payloads genuinely conflict, since then one of the two
 // writes is wrong and the run cannot be trusted.
 func (e *engine) onArrival(msg cluster.Message) error {
-	if msg.Note != cluster.NoteNone {
-		if e.el != nil {
-			e.el.onNote(msg)
-		}
-		return nil
-	}
 	if msg.Req {
 		// A consumer's re-request for a version we published (no payload).
 		if e.res != nil {
@@ -821,7 +743,7 @@ func (e *engine) onArrival(msg cluster.Message) error {
 		}
 		return fmt.Errorf("conflicting duplicate of tile %v from node %d: payload differs from the retained copy", msg.Tag, msg.From)
 	}
-	if pt < 0 || !e.awaits(pt, slot) {
+	if slot < 0 || e.fed[slot] {
 		msg.Release()
 		return nil
 	}
@@ -831,68 +753,28 @@ func (e *engine) onArrival(msg cluster.Message) error {
 			msg.SentAt.Sub(e.epoch).Seconds(), time.Since(e.epoch).Seconds(),
 			msg.Payload.Bytes())
 	}
-	e.deliver(pt, slot, msg.From, msg.Lease)
+	if e.res != nil {
+		e.res.arrived(msg.Tag, msg.From)
+	}
+	e.deliver(slot, msg.Lease)
 	return nil
 }
 
-// awaits reports whether some share on this node still awaits plan task t's
-// output version in an unfed slot: the node's own in its slot s (-1: none),
-// adopted ones only under elastic.
-func (e *engine) awaits(t, s int32) bool {
-	if s >= 0 && !e.fed[s] {
-		return true
-	}
-	if e.el != nil {
-		for _, rank := range e.pl.Dsts(t) {
-			if sh := e.el.shares[rank]; sh != nil && !sh.fed[e.pl.SlotAt(t, rank)-sh.slotLo] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// deliver takes in l, plan task t's output version, from rank from (-1: the
-// elastic layer produced it here): its wait ends, and every share on this
-// node that awaits it gets it — the node's own in its slot s (-1: none),
-// adopted ones only under elastic, in theirs.
-func (e *engine) deliver(t, s int32, from int, l cluster.Lease) {
-	if e.res != nil {
-		e.res.arrived(e.tagOf(t), from)
-	}
-	if e.el == nil {
-		e.offer(&e.share, s, l)
-		return
-	}
-	e.offer(&e.share, s, l.Dup())
-	for _, rank := range e.pl.Dsts(t) {
-		if sh := e.el.shares[rank]; sh != nil {
-			e.offer(sh, e.pl.SlotAt(t, rank)-sh.slotLo, l.Dup())
-		}
-	}
-	l.Release()
-}
-
-// offer gives share sh's slot s (-1: none) its copy of a version. A slot
-// takes one: the first is retained if the share's inputs read it, and it
-// releases the slot's waiters; every other copy is released at once.
-func (e *engine) offer(sh *share, s int32, l cluster.Lease) {
-	if s < 0 || sh.fed[s] {
-		l.Release()
-		return
-	}
-	sh.fed[s] = true
-	if sh.readers[s] > 0 {
-		sh.recv[s] = l
-		e.hold(1)
+// deliver feeds unfed slot s the version l: it is retained if the node's
+// tasks read it, and its waiters are released.
+func (e *engine) deliver(s int32, l cluster.Lease) {
+	e.fed[s] = true
+	if e.readers[s] > 0 {
+		e.recv[s] = l
+		e.hold()
 	} else {
 		l.Release()
 	}
-	for _, t := range e.pl.Waiters(sh.slotLo + s) {
-		if sh.release(t) {
+	for _, t := range e.pl.Waiters(e.slotLo + s) {
+		if e.release(t) {
 			e.pushReady(t)
 		} else if e.res != nil {
-			e.res.blocked(sh, t)
+			e.res.blocked(t)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 			if err := sc.kern(jb.task, jb.out, jb.inputs); err != nil {
 				t.Fatalf("kernel %v: %v", jb.task, err)
 			}
-			e.onComplete(jb.sh, jb.t)
+			e.onComplete(jb.t)
 		}
 	}
 	feed := func(msg cluster.Message) {

@@ -1,13 +1,10 @@
 package runtime
 
 import (
-	"fmt"
 	gort "runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"anybc/internal/chaos"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
@@ -96,57 +93,6 @@ func TestCollectOwnsTheEnginesTiles(t *testing.T) {
 				t.Fatalf("FactorCholesky's tile (%d,%d) is a copy of the engine's, not the engine's", i, j)
 			}
 		}
-	}
-}
-
-// TestGatherFromTheAdopter: after an elastic crash the dead node's tiles are
-// handed over by the survivor that replayed them — the buffers its
-// regeneration made, not the ones the victim left half updated — and the
-// factors still match the sequential factorization bit for bit.
-func TestGatherFromTheAdopter(t *testing.T) {
-	const mt, b = 12, 4
-	const victim = 5
-	d := dist.NewG2DBC(23)
-	crashAt := ownedTaskCount(dag.NewLU(mt), d, victim) / 2
-
-	want := matrix.NewDiagDominant(mt, b, 31)
-	if err := matrix.FactorLU(want); err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range chaosSeeds(t) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			opt, rec := chaosOpts(t, chaos.Config{Seed: seed, CrashAtTask: map[int]int{victim: crashAt}}, 30*time.Millisecond, 1)
-			opt.Elastic = true
-			var log genLog
-			gen := log.wrap(GenDiagDominant(mt, b, 31))
-			var fact *matrix.Dense
-			err := runWithDeadline(t, func() (err error) {
-				fact, _, err = FactorLU(mt, b, d, gen, opt)
-				return err
-			})
-			if err != nil {
-				t.Fatalf("elastic run failed instead of recovering: %v", err)
-			}
-			identicalLU(t, "elastic run", want, fact, mt)
-			if faultCount(rec, "crash") != 1 {
-				t.Error("the victim did not die: nothing was gathered from an adopter")
-			}
-			for i := 0; i < mt; i++ {
-				for j := 0; j < mt; j++ {
-					made := log.made[[2]int{i, j}]
-					wantMade := 1
-					if d.Owner(i, j) == victim {
-						wantMade = 2 // once by the victim, once by its adopter
-					}
-					if len(made) != wantMade {
-						t.Fatalf("tile (%d,%d) was generated %d times, want %d", i, j, len(made), wantMade)
-					}
-					if fact.Tile(i, j) != made[len(made)-1] {
-						t.Fatalf("tile (%d,%d) of the result is not the last holder's buffer", i, j)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +17,7 @@ import (
 // TestLayersArmedOnlyWhenAsked pins the core/layer cut from both sides:
 // newEngine builds exactly the components Options.normalize armed — none at
 // all for Options{} or a crash-only chaos plan — and sets a crash index on the
-// rank a chaos plan names only; and arming resilience and elastic on a fault-free run
+// rank a chaos plan names only; and arming resilience on a fault-free run
 // changes nothing observable: bit-identical factors, the same kernels per
 // node, the same message count, not one re-request.
 func TestLayersArmedOnlyWhenAsked(t *testing.T) {
@@ -34,12 +33,11 @@ func TestLayersArmedOnlyWhenAsked(t *testing.T) {
 	cases := []struct {
 		name            string
 		opt             Options
-		res, el, crash  bool // crash: on crashRank only
+		res, crash      bool // crash: on crashRank only
 		arrivalDefaults bool
 	}{
 		{name: "zero Options"},
 		{name: "ArrivalTimeout", opt: Options{ArrivalTimeout: time.Second}, res: true},
-		{name: "Elastic", opt: Options{Elastic: true}, res: true, el: true, arrivalDefaults: true},
 		// A crash-only plan loses no delivery: it arms the crash and nothing
 		// else — no network seam, no re-request clocks.
 		{name: "Chaos crash-only", opt: Options{Chaos: mustChaos(chaos.Config{Seed: 1, CrashAtTask: map[int]int{crashRank: 3}})},
@@ -67,9 +65,6 @@ func TestLayersArmedOnlyWhenAsked(t *testing.T) {
 				if got := e.res != nil; got != tc.res {
 					t.Errorf("rank %d: resilience built = %v, want %v", rank, got, tc.res)
 				}
-				if got := e.el != nil; got != tc.el {
-					t.Errorf("rank %d: elastic built = %v, want %v", rank, got, tc.el)
-				}
 				if got, want := e.crashAt >= 0, tc.crash && rank == crashRank; got != want {
 					t.Errorf("rank %d: crash index %d set = %v, want %v", rank, e.crashAt, got, want)
 				}
@@ -84,7 +79,7 @@ func TestLayersArmedOnlyWhenAsked(t *testing.T) {
 	}
 	// A timeout no healthy delivery approaches: the layers are built and
 	// called at every point, and have nothing to do.
-	armed, armedRep, err := FactorLU(mt, b, d, gen, Options{Elastic: true, ArrivalTimeout: time.Minute})
+	armed, armedRep, err := FactorLU(mt, b, d, gen, Options{ArrivalTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,63 +94,6 @@ func TestLayersArmedOnlyWhenAsked(t *testing.T) {
 	}
 	if n := armedRep.Stats.Total(cluster.Requests); n != 0 {
 		t.Errorf("fault-free armed run sent %d re-requests", n)
-	}
-}
-
-// TestElasticEngineHoldsOnlyItsOwnShare pins what arming Elastic costs before
-// any death: an engine's per-run tables are its own share's, sized from its
-// rank's ranges of the plan and equal to the constructor's, exactly as without
-// the layer; the layer holds P-sized membership tables and no share. Nothing
-// is sized to the whole plan until a dead rank's share is built, at adoption.
-func TestElasticEngineHoldsOnlyItsOwnShare(t *testing.T) {
-	const mt, b = 6, 4
-	d := dist.NewTwoDBC(2, 2)
-	pl, err := plan.Compile(dag.NewLU(mt), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Elastic: true}
-	if err := opt.normalize(d); err != nil {
-		t.Fatal(err)
-	}
-	cl := cluster.New(d.Nodes())
-	defer cl.Close()
-	P := d.Nodes()
-	for rank := range P {
-		e := newEngine(rank, cl.Comm(rank), pl, GenDiagDominant(mt, b, 5), LUKernel, opt, time.Now())
-		if !reflect.DeepEqual(e.share, newShare(pl, rank)) {
-			t.Errorf("rank %d: the engine's tables are not its share's", rank)
-		}
-		lo, hi := pl.Tasks(rank)
-		tileLo, tileHi := pl.Tiles(rank)
-		slotLo, slotHi := pl.Slots(rank)
-		for _, c := range []struct {
-			table     string
-			got, want int
-		}{
-			{"remaining", len(e.remaining), int(hi - lo)},
-			{"tiles", len(e.tiles), int(tileHi - tileLo)},
-			{"recv", len(e.recv), int(slotHi - slotLo)},
-			{"readers", len(e.readers), int(slotHi - slotLo)},
-			{"fed", len(e.fed), int(slotHi - slotLo)},
-			{"inbuf", len(e.inbuf), opt.Workers * pl.MaxInputs()},
-			{"dead", len(e.el.dead), P},
-			{"adoptedBy", len(e.el.adoptedBy), P},
-			{"peerDone", len(e.el.peerDone), P},
-			{"shares", len(e.el.shares), P},
-		} {
-			if c.got != c.want {
-				t.Errorf("rank %d: %s holds %d entries, want %d", rank, c.table, c.got, c.want)
-			}
-		}
-		for dead, sh := range e.el.shares {
-			if sh != nil {
-				t.Errorf("rank %d holds rank %d's share before any death", rank, dead)
-			}
-		}
-		if e.el.adopted != 0 {
-			t.Errorf("rank %d counts %d adopted tasks before any death", rank, e.el.adopted)
-		}
 	}
 }
 

@@ -128,7 +128,6 @@ func TestNodeGoroutineCensus(t *testing.T) {
 		{"private cluster", Options{Workers: W}, W - 1},
 		{"resilience armed", Options{Workers: W, ArrivalTimeout: time.Minute}, W},
 		{"shared cluster", Options{Workers: W, Cluster: shared}, W - 1},
-		{"shared cluster, elastic", Options{Workers: W, Cluster: shared, Elastic: true}, W},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -147,8 +147,8 @@ func TestPlanEqualsGraph(t *testing.T) {
 			dag.ForEachTask(g, func(tk dag.Task) {
 				pt, rank := planOf[tk], ownerOf(tk)
 				oi, oj := g.OutputTile(tk)
-				if pl.Owner(pt) != rank || coords(pl.Out(pt)) != [2]int{oi, oj} {
-					t.Fatalf("%v: plan owner %d tile %v, graph owner %d tile (%d,%d)", tk, pl.Owner(pt), coords(pl.Out(pt)), rank, oi, oj)
+				if lo, hi := pl.Tasks(rank); pt < lo || pt >= hi || coords(pl.Out(pt)) != [2]int{oi, oj} {
+					t.Fatalf("%v: plan task %d tile %v, graph owner %d's tasks [%d,%d) tile (%d,%d)", tk, pt, coords(pl.Out(pt)), rank, lo, hi, oi, oj)
 				}
 				if tlo, thi := pl.Tiles(rank); pl.Out(pt) < tlo || pl.Out(pt) >= thi {
 					t.Fatalf("%v: output tile %d outside node %d's tiles [%d,%d)", tk, pl.Out(pt), rank, tlo, thi)

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,8 +24,7 @@ import (
 // is silent to the requester until then. The retry budget must not be held
 // against an owner the node has heard from. The run here lasts far longer than the
 // ≈15 ms it takes to spend three requests at a 1 ms timeout, on a healthy
-// network — it used to fail with ErrUndelivered naming a live owner (and
-// under Elastic would have presumed that owner dead).
+// network — it used to fail with ErrUndelivered naming a live owner.
 //
 // The kernels sleep rather than compute for that time: CPU-bound workers
 // outnumbering the cores (the race detector's CI job has two) stall a peer's
@@ -223,5 +224,103 @@ func TestTaskShortTwoLostVersionsArmsBoth(t *testing.T) {
 		if n == 0 {
 			t.Errorf("lost version %s was never re-requested", tag)
 		}
+	}
+}
+
+// TestReRequestBudgetExhausted pins the retry cap: a version that stays
+// undelivered through MaxReRequests re-requests must fail the run with a
+// descriptive ErrUndelivered naming the tile, its owner, and the budget —
+// not loop forever. A total blackout is not constructible through the chaos
+// seam (PDrop < 1 by design, so retries can always heal), so the test drives
+// the sweep directly: an expired pending wait whose owner never answers.
+func TestReRequestBudgetExhausted(t *testing.T) {
+	g := dag.NewLU(4)
+	d := dist.NewTwoDBC(2, 2)
+	cl := cluster.New(4)
+	defer cl.Close()
+	e := testEngineOpt(t, 1, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel,
+		Options{Workers: 1, ArrivalTimeout: time.Millisecond, MaxReRequests: 3})
+
+	tag := cluster.Tag{I: 0, J: 0, V: 0} // owned by rank 0, never delivered
+	e.res.pending[tag] = &pendingWait{backoff: time.Millisecond}
+	var tickErr error
+	for i := 0; i < 10 && tickErr == nil; i++ {
+		e.res.pending[tag].deadline = time.Now().Add(-time.Second)
+		tickErr = e.res.onTick()
+	}
+	if tickErr == nil {
+		t.Fatal("an owner ignoring a finite retry budget did not fail the sweep")
+	}
+	if !errors.Is(tickErr, ErrUndelivered) {
+		t.Fatalf("error lost the ErrUndelivered root cause: %v", tickErr)
+	}
+	if !strings.Contains(tickErr.Error(), "after 3 re-requests") ||
+		!strings.Contains(tickErr.Error(), "from node 0") ||
+		!strings.Contains(tickErr.Error(), "tile (0,0) v0") {
+		t.Fatalf("error does not name the budget, owner, and tile: %v", tickErr)
+	}
+	if sent := cl.JobStats(0).BySrc(cluster.Requests)[1]; sent != 3 {
+		t.Fatalf("sent %d re-requests before giving up, want exactly the budget of 3", sent)
+	}
+}
+
+// TestArrivalTimeoutTickerClamp is the regression for the re-request ticker
+// period: ArrivalTimeout of a single nanosecond halves to zero, which
+// time.NewTicker rejects with a panic — the engine must clamp the sweep
+// period instead of crashing, and the (furiously re-requesting) run must
+// still complete correctly on a fault-free network.
+func TestArrivalTimeoutTickerClamp(t *testing.T) {
+	const mt, b = 6, 4
+	d := dist.NewTwoDBC(2, 2)
+	base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 36), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 36),
+		Options{Workers: 1, ArrivalTimeout: 1})
+	if err != nil {
+		t.Fatalf("1ns arrival timeout failed the run: %v", err)
+	}
+	identicalLU(t, "clamped ticker", base, fact, mt)
+}
+
+// TestTreeRelayAfterHealedRedelivery pins the relay-dedup fix: a slot fed by
+// a Resend redelivery (which carries no Forward list) must NOT swallow the
+// late original copy's forward obligation — the relay dedup is keyed on a
+// separate per-tag ledger, and fires exactly once.
+func TestTreeRelayAfterHealedRedelivery(t *testing.T) {
+	g := dag.NewLU(4)
+	d := dist.NewTwoDBC(2, 2)
+	cl := cluster.New(4)
+	defer cl.Close()
+	e := testEngine(t, 1, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel)
+
+	pay := filled(3, 2.5)
+	tag := cluster.Tag{I: 0, J: 0, V: 0}
+	// A Resend-style heal lands first: no Forward list, feeds the slot.
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay}}); err != nil {
+		t.Fatal(err)
+	}
+	forwarded := func() int64 { return cl.JobStats(0).BySrc(cluster.Forwards)[1] }
+	if forwarded() != 0 {
+		t.Fatalf("heal with no forward list relayed %d hops", forwarded())
+	}
+	// The delayed original arrives with its subtree: it is a payload
+	// duplicate, but its Forward obligation is fresh and must be honored.
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay.Clone()}, Forward: []int{3}}); err != nil {
+		t.Fatal(err)
+	}
+	if forwarded() != 1 {
+		t.Fatalf("late original's forward obligation not honored: forwarded = %d, want 1", forwarded())
+	}
+	if !e.hops.relayed[tag] {
+		t.Fatal("relay ledger did not record the forwarded tag")
+	}
+	// A further duplicate carrying a forward list must not relay again.
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay.Clone()}, Forward: []int{2}}); err != nil {
+		t.Fatal(err)
+	}
+	if forwarded() != 1 {
+		t.Fatalf("duplicate re-relayed: forwarded = %d, want 1", forwarded())
 	}
 }

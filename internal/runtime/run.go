@@ -5,13 +5,13 @@
 // all inter-node communications, and executes the real numeric kernels on
 // every virtual node concurrently.
 //
-// # One core, two armed-only layers
+// # One core, one armed-only layer
 //
 // The package is cut along the static/dynamic line of hybrid scheduling
 // (Donfack–Grigori–Gropp–Kale): what a run can know before it starts is
 // compile-time data in a plan.Plan, and the core engine (engine.go) only
 // indexes flat slices by it: a node runs its rank's share of the plan, one
-// set of per-run tables (share) that newShare builds. The core is the whole
+// set of per-run tables that newEngine builds. The core is the whole
 // fault-free path, the one
 // the paper's evaluation exercises. A node is what it is under StarPU, one
 // worker per core that also drives communication: Workers worker goroutines
@@ -33,40 +33,30 @@
 // node lock is only ever tried, never waited for, under another, mailboxes
 // are unbounded and the graph is acyclic, so execution is deadlock-free.
 //
-// Whatever reacts to faults is a concrete component the core holds as a
-// nil-able pointer, built by newEngine only when the normalized Options arm
-// it and called at a few named points:
+// Whatever reacts to lost deliveries is one concrete component the core
+// holds as a nil-able pointer, built by newEngine only when the normalized
+// Options arm it and called at a few named points: resilience
+// (resilience.go; ArrivalTimeout > 0, which a delivery-fault Chaos plan
+// defaults), where the engine stops assuming the network delivers. A remote
+// tile version's clock starts once a task waits for nothing else (blocked,
+// from the core's release path); one that misses its deadline is
+// re-requested from its owner under exponential backoff (onTick). An owner
+// holds a request until it publishes the version and answers through the
+// publication, or a cluster.Resend to a non-destination (publish); later
+// requests it answers from its cache (answer) — also after its own run is
+// over, so a slow consumer can always heal. Taking a version in ends its wait
+// (arrived). A permanently dropped delivery costs latency, never a hang;
+// Report.Stats counts the re-requests and redeliveries, the trace's recovered
+// rows the healed arrivals. Every method of the layer is called with the node
+// lock held.
 //
-//   - resilience (resilience.go; ArrivalTimeout > 0, which Chaos and Elastic
-//     default): the engine stops assuming the network delivers. A remote
-//     tile version's clock starts once a task waits for nothing else
-//     (blocked, from the core's release path); one that misses its deadline
-//     is re-requested from its owner under exponential backoff (onTick). An
-//     owner holds a request until it publishes the version and answers
-//     through the publication, or a cluster.Resend to a non-destination
-//     (publish); later requests it answers from its cache (answer) — also
-//     after its own run is over, so a slow consumer can always heal. Taking a
-//     version in ends its wait (arrived). A permanently dropped delivery
-//     costs latency, never a hang; Report.Stats counts the re-requests and
-//     redeliveries, the trace's recovered rows the healed arrivals.
-//   - elastic (elastic.go; Options.Elastic): a node that dies mid-run no
-//     longer aborts the factorization — a deterministically chosen survivor
-//     adopts its share of the plan — built by newShare, like the node's own,
-//     and kept in the layer's shares — and republishes the outputs under the
-//     original versioned tags. Call points: membership notices (onNote),
-//     every completion (complete: same-node fulfilment and the destination
-//     filter), the run's exit condition (barrier), the crash (die) and the
-//     gather (finalHolder). A task outside the node's own range names an
-//     adopted share (shareOf), and an arrival goes to every share that awaits
-//     it (deliver), adopted ones only when the layer is armed.
-//
-// Every method of the two is called with the node lock held.
-//
-// "Is this layer armed?" has one spelling, layer != nil, decided in one
-// place, Options.normalize. Under Options{} both are nil, and so under a
+// "Is the layer armed?" has one spelling, e.res != nil, decided in one
+// place, Options.normalize. Under Options{} it is nil, and so under a
 // crash-only Chaos plan: a plan that names the rank crashes it — the core's
-// pop stops dispatch before the named pop, as a node failure or, under
-// elastic, as the node's silent death.
+// pop stops dispatch before the named pop and fails the run with
+// chaos.ErrInjectedCrash. Nothing recovers from a crash: the paper's
+// distributions assume a fault-free cluster, and a node that dies fails its
+// run as a kernel error does.
 //
 // # Scheduling
 //
@@ -113,9 +103,8 @@
 // Communication copies nothing: a sent version is its tile's last, which the
 // owner never touches again, so a completion lends that tile itself to the
 // cluster (cluster.Broadcast) and every consumer node reads the owner's
-// buffer — the resilience layer's published cache and the elastic layer's
-// same-node delivery keep a reference too. The cluster counts the payload as
-// in flight until its last Release.
+// buffer — the resilience layer's published cache keeps a reference too. The
+// cluster counts the payload as in flight until its last Release.
 //
 // Owned tiles are never copied: gen allocates each one, the
 // owner's kernels update it in place for the whole run, and it leaves with the
@@ -173,8 +162,7 @@ var ErrPeerAborted = errors.New("aborted: a peer node failed")
 // (Options.MaxReRequests): the owner is unreachable or permanently silent.
 // Without a retry cap a crashed owner used to produce an endless Request
 // storm that only an external watchdog could end; with the cap the node
-// fails descriptively instead — or, under Options.Elastic, presumes the
-// owner dead and adopts its work rather than failing at all.
+// fails descriptively instead.
 var ErrUndelivered = errors.New("tile version undelivered: re-request retry budget exhausted")
 
 // ErrCanceled is the error Run returns when Options.Context was cancelled
@@ -209,8 +197,7 @@ type Options struct {
 	// remote tile version not delivered within this duration of a task
 	// coming to wait for nothing else is re-requested from its owner, with
 	// exponential backoff between retries. Zero leaves the protocol off
-	// unless Elastic or a delivery-fault Chaos plan is set (then it defaults
-	// to 250ms); negative is rejected. No product caller sets it — it stays a
+	// unless a delivery-fault Chaos plan is set (then it defaults to 250ms); negative is rejected. No product caller sets it — it stays a
 	// field because, with MaxReRequests, it sizes a fault budget that tests
 	// pin at 1ms: the default would turn them into minutes.
 	ArrivalTimeout time.Duration
@@ -221,28 +208,13 @@ type Options struct {
 	// Final factors are bit-identical across modes; only the wire routing
 	// (the cluster.Hops and cluster.Forwards counters of Report.Stats) changes.
 	Broadcast cluster.BroadcastMode
-	// Elastic arms ownership migration: a node that crashes mid-run no
-	// longer aborts the whole factorization. The dying node announces
-	// itself (cluster.NoteDown), a deterministically chosen survivor — the
-	// lowest alive rank — adopts the dead node's whole share of the plan by
-	// replaying its tasks from the initial tile generator and the
-	// published-version caches of the surviving owners, and republishes the
-	// results under the original versioned tags, so downstream consumers
-	// cannot tell the migration happened. Elastic implies the re-request
-	// protocol; ArrivalTimeout is defaulted when unset. Exactly-once delivery
-	// is not required: replayed kernels are deterministic, so duplicate
-	// publications drop idempotently and final factors stay bit-identical to
-	// a crash-free run.
-	Elastic bool
 	// MaxReRequests caps how many times one awaited tile version is
 	// re-requested from an owner this node never took a message from, before
 	// it gives up on that owner: zero means the default (50), negative means
 	// unlimited. A late owner is as silent as a dead one — it answers once it
-	// publishes — so one heard from is alive until it says otherwise
-	// (cluster.NoteDown). On an exhausted budget a non-elastic node fails
-	// with ErrUndelivered naming the owner, tag, and retry count; an elastic
-	// node presumes the owner dead, gossips cluster.NoteDown, and adopts its
-	// work. Like ArrivalTimeout it has no product caller and stays for the
+	// publishes — so one heard from is alive until its job's plane closes. On
+	// an exhausted budget the node fails with ErrUndelivered naming the owner,
+	// tag, and retry count. Like ArrivalTimeout it has no product caller and stays for the
 	// tests that pin the budget at two or three requests.
 	MaxReRequests int
 	// Cluster, when non-nil, runs the job over this existing shared cluster
@@ -267,7 +239,7 @@ type Options struct {
 }
 
 // defaultArrivalTimeout arms the re-request protocol for runs that need it
-// (Chaos, Elastic) but did not choose a timeout; defaultMaxReRequests is the
+// (a delivery-fault Chaos plan) but did not choose a timeout; defaultMaxReRequests is the
 // retry budget of one awaited tile version when Options.MaxReRequests is zero.
 const (
 	defaultArrivalTimeout = 250 * time.Millisecond
@@ -279,8 +251,7 @@ const (
 // here, and a field that would otherwise be silently ignored — it needs another
 // one that is unset, or contradicts the shared cluster — is rejected by name.
 // It is also where a run's layers are decided, once: newEngine builds the
-// resilience layer iff the normalized ArrivalTimeout is positive and the
-// elastic layer iff Elastic is set.
+// resilience layer iff the normalized ArrivalTimeout is positive.
 func (opt *Options) normalize(d dist.Distribution) error {
 	P, cl := d.Nodes(), opt.Cluster
 	switch {
@@ -304,11 +275,9 @@ func (opt *Options) normalize(d dist.Distribution) error {
 		// network seam apply to every tenant.
 		opt.Broadcast = cl.Broadcast()
 	}
-	if opt.ArrivalTimeout == 0 && (opt.faultyNet() || opt.Elastic) {
+	if opt.ArrivalTimeout == 0 && opt.faultyNet() {
 		// Under delivery faults, so drops heal instead of hanging (a
-		// crash-only plan loses nothing); under Elastic because recovery is
-		// built on the re-request protocol (published caches, arrival
-		// deadlines, escalation) and cannot run without it.
+		// crash-only plan loses nothing).
 		opt.ArrivalTimeout = defaultArrivalTimeout
 	}
 	return nil
@@ -335,15 +304,13 @@ type Report struct {
 	OwnedTilesPerNode    []int
 	ReceivedTilesPerNode []int
 	// PeakTilesPerNode is each node's working-set high-water mark: the
-	// maximum number of tiles (owned + received-and-not-yet-released, plus
-	// the regenerated tiles of every share it adopted under Options.Elastic)
-	// the node held at any instant. A received version counts as held even
+	// maximum number of tiles (owned + received-and-not-yet-released) the
+	// node held at any instant. A received version counts as held even
 	// when it arrived by reference to its owner's buffer and no copy exists:
 	// the count models the working set of a distributed node, which would
-	// hold the tile in its own memory. For a node that adopted nothing it is at
-	// most OwnedTilesPerNode + ReceivedTilesPerNode, and strictly below it
-	// whenever tile release reclaimed memory mid-run; an adopter's peak is
-	// at least its owned tiles plus those of the shares it adopted.
+	// hold the tile in its own memory. It is at most OwnedTilesPerNode +
+	// ReceivedTilesPerNode, and strictly below it whenever tile release
+	// reclaimed memory mid-run.
 	PeakTilesPerNode []int
 	// Sched holds each node's scheduler observability counters.
 	Sched []SchedStats
@@ -357,7 +324,7 @@ type SchedStats struct {
 	// divided by Workers: each worker that finds nothing ready contributes the
 	// wall-clock from the end of its last kernel (or from its start) until it
 	// wakes with a task — or until the instant the node's own run is over
-	// (its last task finished; under Elastic, the completion barrier open),
+	// (its last task finished),
 	// for a worker that gets none: on a serial chain the finishing worker
 	// keeps the chain, and the other W−1 sleep through all of it. One idle
 	// worker out of four accrues a quarter of what a fully idle node does. It
@@ -394,15 +361,14 @@ type SchedStats struct {
 // call RunPlan.
 //
 // gen is called concurrently — each node generates the tiles it owns on its
-// own goroutine, and under Options.Elastic a survivor regenerates a dead
-// node's — and must be a pure function of (i, j) that returns a fresh tile
+// own goroutine — and must be a pure function of (i, j) that returns a fresh tile
 // per call: the engine takes the tile as the owner's storage and its kernels
 // update it in place.
 //
 // collect is called from the calling goroutine, one tile at a time, exactly
 // once per tile, and owns what it receives: the engines are finished, nothing
-// else refers to the tile, and it is the buffer the last kernel wrote — after
-// an elastic crash, the adopter's. Keeping the pointer is the cheap way to
+// else refers to the tile, and it is the buffer the last kernel wrote.
+// Keeping the pointer is the cheap way to
 // keep the result; a caller that wants a copy makes one.
 //
 // The run reads no tile size: b is the one gen produces, and goes unused.
@@ -581,22 +547,11 @@ func RunPlan(pl *plan.Plan,
 	}
 
 	if collect != nil {
-		for rank := range engines {
-			holder := rank
-			if engines[rank].el != nil {
-				holder = finalHolder(engines, rank)
-			}
-			sh := engines[holder].shareFor(rank)
+		for rank, e := range engines {
 			lo, hi := pl.Tiles(rank)
 			for tl := lo; tl < hi; tl++ {
 				i, j := pl.TileCoords(tl)
-				if sh == nil {
-					// Backstop: a dead node's work was never adopted — the
-					// run cannot produce complete factors.
-					return nil, fmt.Errorf("runtime: tile (%d,%d) lost: owner %d died and no survivor adopted its tasks",
-						i, j, rank)
-				}
-				collect(i, j, sh.tile(tl))
+				collect(i, j, e.tile(tl))
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func testEngineOpt(t testing.TB, rank int, cl *cluster.Cluster, g dag.Graph,
 		t.Fatal(err)
 	}
 	e := newEngine(rank, cl.Comm(rank), pl, gen, kern, opt, time.Now())
-	e.generate(&e.share)
+	e.generate()
 	return e
 }
 

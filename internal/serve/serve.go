@@ -110,13 +110,10 @@ type JobSpec struct {
 	Priority int `json:"priority,omitempty"`
 	// Workers is the per-node worker count; zero means the service default.
 	Workers int `json:"workers,omitempty"`
-	// Elastic arms ownership migration for this job: a node that crashes
-	// mid-run migrates its tasks to a survivor instead of failing the job.
-	Elastic bool `json:"elastic,omitempty"`
 	// Crash injects a deterministic node crash, as "rank@task" (the 0-based
 	// owned-task index before which the rank dies) — the chaos seam of the
-	// concurrency test harness. With Elastic the job still completes; without
-	// it the job fails, and either way no other tenant is disturbed.
+	// concurrency test harness. The job fails with chaos.ErrInjectedCrash,
+	// and no other tenant is disturbed.
 	Crash string `json:"crash,omitempty"`
 }
 
@@ -139,9 +136,8 @@ type Status struct {
 	// RunSeconds is the wall-clock of the run so far (final once terminal).
 	RunSeconds float64 `json:"runSeconds"`
 	// PeakTilesPerNode is the per-namespace working-set high-water mark of
-	// the finished run (runtime.Report.PeakTilesPerNode: owned, received and,
-	// on a node that adopted a dead rank's share, that share's tiles) — the
-	// leakage witness: a tenant's peak reflects only its own tiles, whatever
+	// the finished run (runtime.Report.PeakTilesPerNode: owned and received
+	// tiles) — the leakage witness: a tenant's peak reflects only its own tiles, whatever
 	// its neighbours did.
 	PeakTilesPerNode []int `json:"peakTilesPerNode,omitempty"`
 	// Messages and Bytes are the finished run's logical traffic totals.
@@ -493,7 +489,6 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 		Workers: spec.Workers,
 		Cluster: s.cl,
 		Context: j.ctx,
-		Elastic: spec.Elastic,
 		Chaos:   j.crash,
 	}
 	switch spec.Kind {

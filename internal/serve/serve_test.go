@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"anybc/internal/chaos"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
@@ -337,14 +338,14 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestChaosTenantCrash: a tenant whose node crashes mid-run recovers through
-// elastic adoption — bit-identical to a crash-free solo run — while
-// co-tenants never notice; without Elastic the crash fails only that job.
+// TestChaosTenantCrash: a tenant whose node crashes mid-run fails, and only
+// that job: its co-tenants never notice — an LU tenant's factors stay
+// bit-identical to a crash-free solo run, a Cholesky tenant's residual tiny.
 func TestChaosTenantCrash(t *testing.T) {
 	const mt, b, P = 6, 4, 4
 	srv := newTestServer(t, Config{P: P, B: b, MaxConcurrent: 4, Workers: 2})
 
-	chaotic, err := srv.Submit(JobSpec{Kind: KindLU, Mt: mt, Seed: 7, Elastic: true, Crash: "1@2"})
+	bystander, err := srv.Submit(JobSpec{Kind: KindLU, Mt: mt, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,24 +358,24 @@ func TestChaosTenantCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitDone(t, srv, chaotic)
+	waitDone(t, srv, bystander)
 	waitDone(t, srv, quiet)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := srv.Wait(ctx, doomed); err == nil {
-		t.Fatal("non-elastic crashed job reported success")
+		t.Fatal("crashed job reported success")
 	} else if ctx.Err() != nil {
-		t.Fatal("non-elastic crashed job wedged")
+		t.Fatal("crashed job wedged")
 	}
-	if st, _ := srv.Status(doomed); st.State != StateFailed {
-		t.Fatalf("crashed job state %s", st.State)
+	if st, _ := srv.Status(doomed); st.State != StateFailed || !strings.Contains(st.Error, chaos.ErrInjectedCrash.Error()) {
+		t.Fatalf("crashed job state %s, error %q: want failed with the injected crash", st.State, st.Error)
 	}
 
-	res, _, err := srv.Result(chaotic)
+	res, _, err := srv.Result(bystander)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireDenseIdentical(t, res.Dense, soloLU(t, mt, b, P, 7, 2), mt, "elastic chaotic job")
+	requireDenseIdentical(t, res.Dense, soloLU(t, mt, b, P, 7, 2), mt, "LU co-tenant of a crash")
 	resQ, _, err := srv.Result(quiet)
 	if err != nil {
 		t.Fatal(err)
