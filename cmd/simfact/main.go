@@ -18,13 +18,6 @@
 // paper's flat point-to-point fan-out to a binomial tree (the root sends
 // ⌈log₂(k+1)⌉ hops and recipients relay onward); the run reports wire hops
 // and relay counts alongside the mode-independent logical message counts.
-//
-// With -real, -chaos-seed N additionally injects the deterministic fault
-// plan chaos.DefaultConfig(N) (delays, reorders, duplicates, drops healed by
-// re-requests) and writes the injected faults to <prefix>-faults.csv; the
-// same seed reproduces the same faults.
-//
-//	simfact -gantt out -real -chaos-seed 7 -p 23 -n 512 -tb 16
 package main
 
 import (
@@ -37,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"anybc/internal/chaos"
 	"anybc/internal/cluster"
 	"anybc/internal/core"
 	"anybc/internal/dag"
@@ -59,9 +51,7 @@ func main() {
 		real   = flag.Bool("real", false, "gantt mode: trace a real numeric run on the virtual cluster instead of a simulation")
 		tb     = flag.Int("tb", 16, "gantt -real mode: tile size in elements")
 		work   = flag.Int("workers", 2, "gantt -real mode: worker goroutines per node")
-		cseed  = flag.Int64("chaos-seed", -1, "gantt -real mode: inject the deterministic fault plan of this seed (-1 disables)")
 		tree   = flag.Bool("tree", false, "gantt mode: binomial-tree broadcast transport instead of flat fan-out")
-		crash  = flag.String("crash", "", "gantt -real mode: kill one node mid-run, as rank@task (0-based owned-task index); the run fails")
 		repl   = flag.Int("repl", 1, "gantt mode (LU only): replication factor c — stack c layers of the base grid, 2.5D-style")
 	)
 	flag.Parse()
@@ -83,7 +73,7 @@ func main() {
 		}
 		var err error
 		if *real {
-			err = runGanttReal(*gantt, *p, *n, *tb, *work, *scheme, *kernel, *cseed, bc, *crash, *repl)
+			err = runGanttReal(*gantt, *p, *n, *tb, *work, *scheme, *kernel, bc, *repl)
 		} else {
 			err = runGantt(*gantt, *p, *n, *scheme, *kernel, bc, *repl)
 		}
@@ -182,7 +172,7 @@ func runGantt(prefix string, p, n int, scheme, kernel string, bc cluster.Broadca
 // runGanttReal executes one real (numeric) factorization on the virtual
 // cluster with wall-clock tracing and writes the same CSV pair as the
 // simulated mode, plus working-set statistics from the release path.
-func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, chaosSeed int64, bc cluster.BroadcastMode, crash string, repl int) error {
+func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, bc cluster.BroadcastMode, repl int) error {
 	if b < 1 {
 		return fmt.Errorf("-tb must be >= 1 (got %d)", b)
 	}
@@ -202,25 +192,6 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 	}
 	rec := &trace.Recorder{}
 	opt := runtime.Options{Workers: workers, Recorder: rec, Broadcast: bc}
-	var cfg chaos.Config
-	haveChaos := chaosSeed >= 0
-	if haveChaos {
-		cfg = chaos.DefaultConfig(chaosSeed)
-	}
-	if crash != "" {
-		// A crash directive without -chaos-seed gets a fault-free plan that
-		// only injects the crash itself.
-		cfg.CrashAtTask, err = chaos.ParseCrash(crash, repl*d.Nodes())
-		if err != nil {
-			return err
-		}
-		haveChaos = true
-	}
-	if haveChaos {
-		if opt.Chaos, err = chaos.New(cfg); err != nil {
-			return err
-		}
-	}
 	var rep *runtime.Report
 	var name string
 	switch kernel {
@@ -304,37 +275,6 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, ch
 	}
 	fmt.Printf("dispatched by kind: %v\n", dispatched)
 	fmt.Printf("kernel time breakdown: %v\n", rec.KindBreakdown())
-	if opt.Chaos != nil {
-		faults := map[string]int{}
-		for _, f := range rec.Faults {
-			faults[f.Kind]++
-		}
-		fmt.Printf("recorded faults: %v\n", faults)
-		// Every count is the faults CSV's rows of its kind. The Redeliveries
-		// counter holds more: an owner whose run is over still answers a late
-		// request, off the trace, and those answers are printed apart.
-		reRequests, losses, perLoss := faults["re-request"], faults["drop"]+faults["drop-redeliver"], ""
-		if losses > 0 {
-			perLoss = fmt.Sprintf(" (%.2f per loss)", float64(reRequests)/float64(losses))
-		}
-		served := faults["redeliver"]
-		fmt.Printf("healing: %d re-requests for %d injected losses%s, %d redeliveries served, %d arrivals recovered, %d late answers\n",
-			reRequests, losses, perLoss, served, faults["recovered"],
-			rep.Stats.Total(cluster.Redeliveries)-int64(served))
-		f, err := os.Create(prefix + "-faults.csv")
-		if err != nil {
-			return err
-		}
-		if err := rec.FaultsCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s-gantt.csv, %s-messages.csv and %s-faults.csv\n", prefix, prefix, prefix)
-		return nil
-	}
 	fmt.Printf("wrote %s-gantt.csv and %s-messages.csv\n", prefix, prefix)
 	return nil
 }

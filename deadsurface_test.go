@@ -358,8 +358,9 @@ func TestDeadSurface(t *testing.T) {
 		"matrix.FactorCholesky":      "the sequential reference TestDistributedCholeskyMatchesSequential compares distributed factors against",
 		"matrix.Dense.Set":           "bench/'s TestFreivaldsCatchesACorruptedFactor corrupts an LU factor through it; ROADMAP item 8c moves that check into runtime",
 		"matrix.SymmetricLower.Set":  "the same test corrupts a Cholesky factor through it; ROADMAP item 8c",
-		"trace.Recorder.Fingerprint": "the timestamp-free trace digest — fault schedule included — TestChaosSeedDeterminism and TestDecisionsIndependentOfFeedOrder compare across runs; ROADMAP item 1a makes it a view of the event sink",
-		"cluster.Stats.At":           "the per-link count TestChaosRegressionG2DBC23 and TestTreeBroadcastG2DBC23 compare against the fault-free run",
+		"trace.Recorder.Fingerprint": "the timestamp-free trace digest TestChaosRegressionG2DBC23 compares between a reordered run and the in-order one; ROADMAP item 1a makes it a view of the event sink",
+		"cluster.Stats.At":           "the per-link count TestChaosRegressionG2DBC23 and TestTreeBroadcastG2DBC23 compare between a reordered or tree run and the in-order flat one",
+		"tile.Tile.EqualApprox":      "the tile comparison the bit-identity tests (tolerance 0) and the kernel tests (a tolerance) use; the engine compared a repeated delivery with it until a repeat became an error",
 		"dist.CostBound":             "Lemma 2, which TestG2DBCLemma2 holds G-2DBC to; ROADMAP item 5 makes it a column of the per-P bounds table, or deletes it",
 	}
 	if len(allow) > 20 {

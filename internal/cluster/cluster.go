@@ -19,11 +19,15 @@
 // onward (Comm.Forward), so the logical counters — and with them every
 // Equation (1)/(2) check — are untouched while the owner's NIC serialization
 // shrinks from k sends to ⌈log₂(k+1)⌉. Conservation: each wire hop serves
-// exactly one logical delivery (or one redelivery), so in a fault-free run
-// Total(Hops) = Total(Messages), decomposed as root sends + forwards +
-// redeliveries; a fault-injecting network can only lose hops (a dropped
-// interior forward strands its subtree until re-request healing resends
-// directly), never mint them.
+// exactly one logical delivery, so Total(Hops) = Total(Messages), decomposed
+// as root sends + forwards.
+//
+// # The network is reliable
+//
+// As MPI's point-to-point layer does, the cluster delivers every message
+// exactly once. The one seam, Network, may delay and reorder deliveries —
+// the tests plug a reordering network and a NIC model into it — but never
+// lose or repeat one; the runtime treats a repeat as an internal error.
 package cluster
 
 import (
@@ -55,8 +59,8 @@ type Tag struct {
 	Job  int32
 }
 
-// String renders the job-local tile version as "(i,j)vV", the label fault
-// traces and error messages share.
+// String renders the job-local tile version as "(i,j)vV", the label error
+// messages use.
 func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 
 // Message is one tile in flight. SentAt is the wall-clock instant the sender
@@ -72,20 +76,14 @@ func (t Tag) String() string { return fmt.Sprintf("(%d,%d)v%d", t.I, t.J, t.V) }
 //
 // Under tree broadcast a non-empty Forward names the binomial subtree this
 // recipient must relay the payload to: the recipient passes the message to
-// Comm.Forward exactly once (on its first delivery of the tag — duplicates
-// must not re-forward) and then consumes and Releases its own share as
-// usual. Forward slices are read-only to recipients and shared between the
-// hops of one broadcast.
-//
-// A message with Req set carries no payload: it is a control message asking
-// the destination (the owner of the tagged tile) to re-send the published
-// version Tag, the healing half of the runtime's arrival-timeout protocol.
+// Comm.Forward once and then consumes and Releases its own share as usual.
+// Forward slices are read-only to recipients and shared between the hops of
+// one broadcast.
 type Message struct {
 	From, To int
 	Tag      Tag
 	Lease
 	SentAt  time.Time
-	Req     bool  // version re-request control message (Payload is nil)
 	Forward []int // tree broadcast: destinations this recipient relays to
 }
 
@@ -116,30 +114,10 @@ func (l *Lease) Release() {
 	*l = Lease{}
 }
 
-// Dup returns a second hold on the same tile, released on its own.
-func (l Lease) Dup() Lease {
-	if l.shared != nil {
-		l.shared.refs.Add(1)
-	}
-	return l
-}
-
-// Dup returns a second delivery of the same message sharing the payload
-// tile: the reference count grows by one, so the copy must be Released by
-// its recipient exactly like the original. Fault-injecting networks use it
-// to model duplicate delivery without corrupting the count. Hand-built
-// messages (no shared payload) are returned unchanged.
-func (m Message) Dup() Message {
-	m.Lease = m.Lease.Dup()
-	return m
-}
-
 // mailbox is an unbounded FIFO queue; Send never blocks, which (together
 // with the acyclicity of the task graph) makes the runtime deadlock-free.
 // Because the queue is unbounded, backpressure is invisible unless measured:
 // peak tracks the high-water mark of queued messages for Stats.MailboxPeak.
-// It counts nothing per sender: which peers a node has heard from is the
-// runtime's resilience layer's to count, on what its node takes in.
 //
 // A node with a Taker holds only what its taker declined: the taker takes
 // the queue in with TryRecv and reads n and closed without the lock to learn
@@ -256,16 +234,14 @@ type Taker interface {
 	Wake()
 }
 
-// Network is the fault-injection seam. When a cluster is created with
-// Options.Net set, every point-to-point delivery — payload sends, control
-// requests and redeliveries alike — is routed through Deliver on its way to
-// the destination mailbox. The implementation decides the message's fate by
-// calling deliver zero or more times, immediately or later, from any
-// goroutine: calling it once models a faithful link, zero times models a
-// drop (the implementation must then Release the message itself), and
-// calling it with msg.Dup() copies models duplicate delivery. The traffic
-// counters are incremented at send time, before Deliver runs, so injected
-// faults never disturb the quantities Equations (1)/(2) predict.
+// Network is the cluster's one seam, a test seam. When a cluster is created
+// with Options.Net set, every wire hop — broadcast, reduction and relay
+// alike — is routed through Deliver on its way to the destination mailbox.
+// The implementation must call deliver exactly once per message, at once or
+// later, from any goroutine: it may delay and reorder deliveries, as a model
+// of a real network's timing does, but never lose or repeat one. The traffic
+// counters are incremented at send time, before Deliver runs, so delivery
+// timing never disturbs the quantities Equations (1)/(2) predict.
 type Network interface {
 	Deliver(msg Message, deliver func(Message))
 }
@@ -295,7 +271,7 @@ func (m BroadcastMode) String() string {
 
 // Options configures a cluster beyond its node count.
 type Options struct {
-	// Net is the fault-injection seam; nil is the faithful network.
+	// Net is the network seam; nil delivers every hop at once.
 	Net Network
 	// Broadcast selects the Comm.Broadcast transport (default BroadcastFlat).
 	Broadcast BroadcastMode
@@ -307,15 +283,13 @@ type Options struct {
 type Counter uint8
 
 const (
-	Messages     Counter = iota // logical owner→consumer tile messages: what Equations (1)/(2) predict
-	Bytes                       // payload bytes of Messages
-	Hops                        // physical transmissions on the link
-	WireBytes                   // payload bytes of Hops (every hop carries one tile)
-	Forwards                    // the Hops sent by tree relays
-	Requests                    // payload-free re-request control messages
-	Redeliveries                // the Messages re-sent to answer a Request; Messages − Redeliveries is the fault-free volume
-	Reduces                     // the Messages that carried reduction partials
-	ReduceBytes                 // the Bytes that carried reduction partials
+	Messages    Counter = iota // logical owner→consumer tile messages: what Equations (1)/(2) predict
+	Bytes                      // payload bytes of Messages
+	Hops                       // physical transmissions on the link
+	WireBytes                  // payload bytes of Hops (every hop carries one tile)
+	Forwards                   // the Hops sent by tree relays
+	Reduces                    // the Messages that carried reduction partials
+	ReduceBytes                // the Bytes that carried reduction partials
 	numCounters
 )
 
@@ -329,9 +303,7 @@ type kind uint8
 const (
 	kindData    kind = iota // Broadcast: a published tile version
 	kindReduce              // SendReduce: a reduction partial
-	kindResend              // Resend: a redelivery answering a Request
 	kindForward             // Forward: a tree relay of someone else's broadcast
-	kindRequest             // Request: a payload-free control message
 )
 
 // ledgerOf is the single definition of what each kind of transmission adds
@@ -344,9 +316,7 @@ const (
 var ledgerOf = [...]struct{ perDst, perHop []Counter }{
 	kindData:    {perDst: []Counter{Messages, Bytes}, perHop: []Counter{Hops, WireBytes}},
 	kindReduce:  {perDst: []Counter{Messages, Bytes, Reduces, ReduceBytes}, perHop: []Counter{Hops, WireBytes}},
-	kindResend:  {perDst: []Counter{Messages, Bytes, Redeliveries}, perHop: []Counter{Hops, WireBytes}},
 	kindForward: {perHop: []Counter{Hops, WireBytes, Forwards}},
-	kindRequest: {perDst: []Counter{Requests}},
 }
 
 // plane is one job's private slice of the cluster: its own mailboxes, their
@@ -362,7 +332,7 @@ type plane struct {
 }
 
 // ledger holds one P×P (src, dst) block per counter, allocated by the block's
-// first charge: a fault-free flat run charges four of the nine.
+// first charge: a flat run without reductions charges four of the seven.
 type ledger [numCounters]atomic.Pointer[[]atomic.Int64]
 
 // block returns counter c's block, allocating it when grow is set and it does
@@ -408,20 +378,18 @@ func (pl *plane) close() {
 // hosts one or more tag-namespace planes: single-job callers use the default
 // plane (job 0) through Comm and never see the distinction, while the
 // multi-tenant service opens one plane per factorization job through JobComm
-// and multiplexes many concurrent DAGs over the same P nodes and network
-// seam.
+// and multiplexes many concurrent DAGs over the same P nodes and network.
 type Cluster struct {
 	p         int
 	planes    sync.Map     // int32 job id -> *plane, created lazily by JobComm
 	lastJob   atomic.Int32 // the namespace OpenJob handed out last
 	closed    atomic.Bool  // set by Close; late-created planes are born closed
-	net       Network      // nil on a fault-free cluster
+	net       Network      // nil delivers every hop at once
 	broadcast BroadcastMode
 	inFlight  atomic.Int64 // payloads sent and not yet released by every recipient
 }
 
-// New creates a cluster of p nodes with a faithful (fault-free) network and
-// flat broadcast.
+// New creates a cluster of p nodes with no network seam and flat broadcast.
 func New(p int) *Cluster {
 	return NewWithOptions(p, Options{})
 }
@@ -578,7 +546,7 @@ func (c *Comm) Timestamp() { c.stamp = true }
 
 // Broadcast publishes one tile version to every listed destination as one
 // payload all recipients share: the caller's own tile, lent to every hop,
-// relay and Dup, so the caller must never write it again — kernel inputs are
+// and relay, so the caller must never write it again — kernel inputs are
 // read-only, and the plan sends only a tile's last version. The payload
 // counts as in flight (PoolOutstanding) until its last Release. The wire hops
 // follow the cluster's BroadcastMode — flat fan-out from the owner, or a
@@ -597,18 +565,18 @@ func (c *Comm) SendAll(dsts []int, tag Tag, payload *tile.Tile) {
 	c.Broadcast(dsts, tag, payload.Clone())
 }
 
-// transmit is the cluster's one send path: every tile, relay hop and control
-// request leaves a node through it. It checks the whole
+// transmit is the cluster's one send path: every tile and relay hop leaves a
+// node through it. It checks the whole
 // destination list before a payload is counted or a hop dispatched — a panic
 // must leave no payload in flight with a refcount the receivers can never
 // drain, and no partially delivered broadcast — then stamps the sender's rank
 // and job epoch (deliver strips it again), charges the ledger exactly what
 // ledgerOf lists for the kind, and hands every hop to the network seam.
 //
-// msg carries the tag and the kind's control fields. A non-nil payload is
-// the caller's tile, lent to every hop. A relay passes nil and msg already
-// holds the in-flight broadcast's shared payload, of which each hop
-// takes one more share (what Dup does) while the caller keeps its own.
+// msg carries the tag. A non-nil payload is the caller's tile, lent to every
+// hop. A relay passes nil and msg already holds the in-flight broadcast's
+// shared payload, of which each hop takes one more share while the caller
+// keeps its own.
 func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile) {
 	cl := c.cluster
 	if len(dsts) == 0 {
@@ -646,10 +614,7 @@ func (c *Comm) transmit(k kind, dsts []int, msg Message, payload *tile.Tile) {
 	if msg.shared != nil {
 		msg.shared.refs.Add(int32(len(hops)))
 	}
-	var size int64
-	if msg.Payload != nil {
-		size = int64(msg.Payload.Bytes())
-	}
+	size := int64(msg.Payload.Bytes())
 	msg.From, msg.Tag.Job = c.rank, c.job
 	if c.stamp {
 		msg.SentAt = time.Now()
@@ -691,38 +656,19 @@ func (c *Comm) charge(counters []Counter, dst int, size int64) {
 // there is no fan-out and no relay in either broadcast mode; their own
 // counters let measurements split a replicated run's volume into
 // panel-broadcast and reduction traffic. The payload is lent, as Broadcast
-// lends it. A lost partial heals through the ordinary re-request path
-// (Request/Resend from the publisher's version cache).
+// lends it.
 func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile) {
 	c.transmit(kindReduce, []int{dst}, Message{Tag: tag}, payload)
 }
 
 // Forward relays a tree-broadcast message onward: the caller received msg
-// with a non-empty Forward list and passes it here exactly once, on the
-// first delivery of the tag (re-forwarding a duplicate would double-count
-// the subtree's hops and deliveries). The subtree is split binomially again
+// with a non-empty Forward list and passes it here once. The subtree is split binomially again
 // — this node plays root for its Forward list — so the whole broadcast
 // completes in ⌈log₂(k+1)⌉ serial hops on every participant's NIC. The
 // caller still owns its payload share and releases it through the usual
 // Message.Release path.
 func (c *Comm) Forward(msg Message) {
 	c.transmit(kindForward, msg.Forward, msg, nil)
-}
-
-// Request sends the control message of the arrival-timeout protocol: it asks
-// owner to re-send the published tile version tag to this node. Like every
-// delivery it passes through the fault seam, so a lost request is healed by
-// the requester's exponential backoff, not by the transport.
-func (c *Comm) Request(owner int, tag Tag) {
-	c.transmit(kindRequest, []int{owner}, Message{Tag: tag, Req: true}, nil)
-}
-
-// Resend re-sends one published tile version to a single destination in
-// answer to a Request. Redeliveries are always direct, even under tree
-// broadcast: the healing path must not depend on relays that may themselves
-// be faulty. The payload is lent, as Broadcast lends it.
-func (c *Comm) Resend(dst int, tag Tag, payload *tile.Tile) {
-	c.transmit(kindResend, []int{dst}, Message{Tag: tag}, payload)
 }
 
 // Abort poisons this endpoint's job: every mailbox of the job's plane
@@ -813,8 +759,7 @@ func (s Stats) Total(c Counter) int64 {
 
 // BySrc returns counter c summed per sending node: what each node's outgoing
 // NIC carried (Hops, WireBytes — the quantity tree broadcast shrinks at the
-// roots), published (Messages), relayed (Forwards), asked for (Requests) or
-// re-served (Redeliveries).
+// roots), published (Messages) or relayed (Forwards).
 func (s Stats) BySrc(c Counter) []int64 {
 	out := make([]int64, s.P)
 	m := s.matrix(c)

@@ -211,13 +211,6 @@ func TestLedger(t *testing.T) {
 			func(c *Cluster, _ Message) { c.JobComm(jobA, 1).SendReduce(0, Tag{I: 1}, payload(1)) },
 			delta{Messages: on(1, link{1, 0}), Bytes: on(sz, link{1, 0}), Hops: on(1, link{1, 0}),
 				WireBytes: on(sz, link{1, 0}), Reduces: on(1, link{1, 0}), ReduceBytes: on(sz, link{1, 0})}, 1},
-		{"Resend", BroadcastTree, nil,
-			func(c *Cluster, _ Message) { c.JobComm(jobA, 0).Resend(1, Tag{I: 1}, payload(1)) },
-			delta{Messages: on(1, link{0, 1}), Bytes: on(sz, link{0, 1}), Hops: on(1, link{0, 1}),
-				WireBytes: on(sz, link{0, 1}), Redeliveries: on(1, link{0, 1})}, 1},
-		{"Request", BroadcastFlat, nil,
-			func(c *Cluster, _ Message) { c.JobComm(jobA, 1).Request(0, Tag{I: 1}) },
-			delta{Requests: on(1, link{1, 0})}, 1},
 	}
 	queued := func(c *Cluster) int {
 		n := 0

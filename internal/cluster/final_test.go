@@ -36,8 +36,8 @@ func drainBroadcast(t *testing.T, c *Cluster, dsts []int) []Message {
 // TestSendAllByReferenceSharesTheSendersTile holds Broadcast to SendAll, its
 // cloning form, under both broadcast modes: every destination's payload is the
 // sender's own tile, the ledger reads exactly what SendAll of the same shape
-// reads, and the payload counts as one in flight until its last share — a Dup
-// included — is released.
+// reads, and the payload counts as one in flight until its last share is
+// released.
 func TestSendAllByReferenceSharesTheSendersTile(t *testing.T) {
 	const p = 8
 	dsts := []int{3, 1, 7, 2, 6, 4, 5}
@@ -67,17 +67,12 @@ func TestSendAllByReferenceSharesTheSendersTile(t *testing.T) {
 				}
 			}
 
-			dup := msgs[0].Dup()
 			for _, msg := range msgs {
 				if n := c.PoolOutstanding(); n != 1 {
 					t.Fatalf("%d payloads in flight before the last Release, want 1", n)
 				}
 				msg.Release()
 			}
-			if n := c.PoolOutstanding(); n != 1 {
-				t.Fatalf("%d payloads in flight while a Dup still holds a share, want 1", n)
-			}
-			dup.Release()
 			if n := c.PoolOutstanding(); n != 0 {
 				t.Fatalf("%d payloads in flight after the last Release, want 0", n)
 			}

@@ -236,58 +236,6 @@ func TestSendAllValidatesBeforeDispatch(t *testing.T) {
 	}
 }
 
-// TestDuplicateThenDropReleasesExactlyOnce covers chaos × shared payloads: a
-// network that duplicates a broadcast delivery and then drops one of the
-// copies must leave the refcount balanced — each delivered copy released once
-// by its recipient, the dropped copy released once by the network, and the
-// payload counted out of flight exactly when the count hits zero.
-func TestDuplicateThenDropReleasesExactlyOnce(t *testing.T) {
-	net := &dupDropNet{}
-	c := NewWithOptions(3, Options{Net: net, Broadcast: BroadcastTree})
-	defer c.Close()
-	c.Comm(0).SendAll([]int{1, 2}, Tag{I: 3}, payload(7))
-	var last Message
-	delivered := 0
-	for node := 1; node <= 2; node++ {
-		for {
-			msg, ok := tryRecv(c, node)
-			if !ok {
-				break
-			}
-			delivered++
-			c.Comm(node).Forward(msg)
-			sh := msg.shared
-			msg.Release()
-			last = Message{Lease: Lease{shared: sh}}
-		}
-	}
-	// k=2 → root degree ⌈log₂3⌉ = 2, so both hops leave the root directly.
-	// The seam duplicated each and dropped every second copy: 2+1 = 3
-	// deliveries reached the mailboxes.
-	if delivered != 3 {
-		t.Fatalf("delivered %d copies, want 3 (2 hops duplicated, 1 dup dropped)", delivered)
-	}
-	if refs := last.shared.refs.Load(); refs != 0 {
-		t.Fatalf("refcount %d after all releases, want exactly 0 (double- or under-release)", refs)
-	}
-}
-
-// dupDropNet duplicates every delivery and drops every second copy: the
-// duplicated-then-dropped pattern that must not double-Release one shared
-// broadcast buffer.
-type dupDropNet struct{ n int }
-
-func (d *dupDropNet) Deliver(msg Message, deliver func(Message)) {
-	dup := msg.Dup()
-	deliver(msg)
-	d.n++
-	if d.n%2 == 1 {
-		deliver(dup)
-	} else {
-		dup.Release()
-	}
-}
-
 // TestForwardCountsHopsNotMessages verifies the accounting split: relayed
 // hops increment Hops and Forwards on the relay's row but never the logical
 // Messages/Bytes matrices the Eq (1)/(2) checks read.

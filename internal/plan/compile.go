@@ -32,9 +32,9 @@ type compiler struct {
 	dstRanks                       []int
 	depAt, dstAt                   []int32 // where a task's dependencies start in deps, its destinations in dstRanks
 	// Each destination entry is a slot on its rank (finish blocks them by
-	// rank), numbered here by its index in dstRanks: its producer, and the
-	// tasks there waiting on the version, one run of waiters per entry.
-	prods, waitCnt, waiters []int32
+	// rank), numbered here by its index in dstRanks: the tasks there waiting
+	// on the version, one run of waiters per entry.
+	waitCnt, waiters []int32
 
 	// Local reads of an intermediate version, checked once every writer is
 	// known.
@@ -117,7 +117,7 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 			c.dstAt[c.cur] = int32(len(c.dstRanks))
 			c.dstCnt[c.cur+1] = int32(len(r.Dsts))
 			for k, dst := range r.Dsts {
-				c.dstRanks, c.prods = append(c.dstRanks, dst), append(c.prods, c.cur)
+				c.dstRanks = append(c.dstRanks, dst)
 				waiters := r.Waiters(k)
 				for _, q := range waiters {
 					c.waiters = append(c.waiters, c.posOf[q])
@@ -281,12 +281,12 @@ func (c *compiler) finish() error {
 	prefixSum(c.slotOff)
 	slotOf := make([]int32, slots) // by destination entry
 	fill := append([]int32(nil), c.slotOff[:c.Nodes()]...)
-	c.slotProd, c.slotReaders = make([]int32, slots), make([]int32, slots)
+	c.slotReaders = make([]int32, slots)
 	c.waitOff = make([]int32, slots+1)
 	for e, rank := range c.dstRanks {
 		s := fill[rank]
 		fill[rank]++
-		slotOf[e], c.slotProd[s], c.waitOff[s+1] = s, c.prods[e], c.waitCnt[e]
+		slotOf[e], c.waitOff[s+1] = s, c.waitCnt[e]
 	}
 	prefixSum(c.waitOff)
 	c.wait = regroup(c.waitOff, c.waiters, slotOf) // appended by entry, wanted by slot

@@ -4,7 +4,7 @@
 // static half of the hybrid static/dynamic split of Donfack–Grigori–Gropp–
 // Kale: placement, dependency counts, input resolution and message routing
 // are fixed ahead of time; only what a run decides (dispatch order, which
-// worker runs a task, fault recovery) stays dynamic.
+// worker runs a task) stays dynamic.
 //
 // Compile infers the graph's program once (dag.Infer) and copies every task
 // into the plan. Everything it learns lands in a handful of backing slices —
@@ -73,7 +73,6 @@ type Plan struct {
 	grid          []int32 // rows×cols, tile index + 1; 0 where no task writes
 
 	slotOff       []int32 // P+1
-	slotProd      []int32 // producer task
 	slotReaders   []int32
 	waitOff, wait []int32 // per slot, the consumer node's tasks it releases
 }
@@ -156,9 +155,6 @@ func (p *Plan) Producer(i, j, v int32) int32 {
 	}
 	return p.writer[p.wrOff[tile]+v]
 }
-
-// SlotProducer returns the task whose output version a slot awaits.
-func (p *Plan) SlotProducer(slot int32) int32 { return p.slotProd[slot] }
 
 // SlotReaders returns, for the slots [lo, hi), how many input references of
 // the consumer node's tasks read each.

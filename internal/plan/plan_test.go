@@ -29,7 +29,7 @@ func TestCompileLayout(t *testing.T) {
 			t.Fatalf("range table %v does not start at 0 with one range per node", off)
 		}
 	}
-	if int(p.nodeOff[4]) != len(p.task) || int(p.tileOff[4]) != len(p.tileI) || int(p.slotOff[4]) != len(p.slotProd) {
+	if int(p.nodeOff[4]) != len(p.task) || int(p.tileOff[4]) != len(p.tileI) || int(p.slotOff[4]) != len(p.slotReaders) {
 		t.Fatal("per-node ranges do not cover the tables")
 	}
 	if len(p.tileI) != 25 {
@@ -49,14 +49,31 @@ func TestCompileLayout(t *testing.T) {
 	if p.Producer(0, 0, 9) != -1 || p.Producer(7, 0, 0) != -1 || p.Producer(-1, 0, 0) != -1 {
 		t.Fatal("Producer invented a task for a version or tile nobody writes")
 	}
+	// Every slot is one (producer, consumer node) pair: a task of another
+	// node names it, and no other task does.
+	producer := make([]int32, len(p.slotReaders))
+	for s := range producer {
+		producer[s] = -1
+	}
+	for prod := int32(0); prod < int32(len(p.task)); prod++ {
+		for _, rank := range p.Dsts(prod) {
+			s := p.SlotAt(prod, rank)
+			if lo, hi := p.Slots(rank); s < lo || s >= hi || producer[s] >= 0 {
+				t.Fatalf("task %d names slot %d of node %d, outside [%d,%d) or named by task %d too", prod, s, rank, lo, hi, producer[s])
+			}
+			if lo, hi := p.Tasks(rank); lo <= prod && prod < hi {
+				t.Fatalf("task %d of node %d sends itself its output", prod, rank)
+			}
+			producer[s] = prod
+		}
+	}
 	for rank := 0; rank < 4; rank++ {
 		taskLo, taskHi := p.Tasks(rank)
 		own := func(task int32) bool { return taskLo <= task && task < taskHi }
 		lo, hi := p.Slots(rank)
 		for s := lo; s < hi; s++ {
-			prod := p.SlotProducer(s)
-			if own(prod) || p.SlotAt(prod, rank) != s {
-				t.Fatalf("slot %d of node %d: producer %d (own %v) names slot %d", s, rank, prod, own(prod), p.SlotAt(prod, rank))
+			if producer[s] < 0 {
+				t.Fatalf("slot %d of node %d awaits no task's output", s, rank)
 			}
 			for _, w := range p.Waiters(s) {
 				if !own(w) {

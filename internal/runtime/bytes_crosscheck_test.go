@@ -35,7 +35,7 @@ func graphAndDist(mt, c int, base dist.Distribution) (dag.Graph, dist.Distributi
 // the simulator's accounting must agree *exactly* — logical messages and
 // bytes, per-node wire traffic, and the reduction-partial subset — across
 // the flat, tree-broadcast and replicated transports. One worker per node
-// and no chaos, so both substrates run the identical schedule; the simulator
+// and no network seam, so both substrates run the identical schedule; the simulator
 // message size is pinned to the runtime's 8·b² tile payload.
 func TestSimAndRealByteAccountingAgree(t *testing.T) {
 	const mt, b = 12, 4

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anybc/internal/chaos"
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/plan"
@@ -27,8 +26,8 @@ type job struct {
 	inputs []*tile.Tile
 }
 
-// engine is one node's core; whatever reacts to faults lives in the layer at
-// the bottom of the struct (see the package comment).
+// engine is one node: its share of the plan and the per-run state its
+// workers share (see the package comment).
 type engine struct {
 	rank    int
 	comm    *cluster.Comm
@@ -39,10 +38,9 @@ type engine struct {
 	rec     *trace.Recorder
 	epoch   time.Time
 
-	// mu is the node. Every field below it, and everything the resilience
-	// layer holds, is touched only with it held, and whoever holds it — a
-	// worker publishing the task it just ran, a sender taking a message in,
-	// run taking a resilience tick — is the node's event loop for that moment.
+	// mu is the node. Every field below it is touched only with it held, and
+	// whoever holds it — a worker publishing the task it just ran, a sender
+	// taking a message in — is the node's event loop for that moment.
 	// Kernels run outside it. It is released only through unlock, which first
 	// takes in what queued meanwhile. Under it, other nodes' locks are only
 	// ever tried (a send that takes its message in), never waited for, so no
@@ -51,18 +49,17 @@ type engine struct {
 	mu sync.Mutex
 	// Workers that found nothing ready sleep on cond; idle counts the sleepers
 	// nobody has signalled yet. running counts kernels executing now, done the
-	// tasks finished. stopped ends dispatch for good — this node failed or
-	// crashed, or a peer did — with err what run reports. over is the end of
-	// the run itself (see settle), stamped overAt; finished closes with it.
-	// launched is set once run has popped every worker's first job; closeSeen
-	// once the node took its mailbox's closure in (drain).
+	// tasks finished. stopped ends dispatch for good — this node failed, or a
+	// peer did — with err what the node reports. over is the end of the run
+	// itself (see settle), stamped overAt. launched is set once run has popped
+	// every worker's first job; closeSeen once the node took its mailbox's
+	// closure in (drain).
 	cond          sync.Cond
 	idle          int
 	running, done int
 	stopped, over bool
 	err           error
 	overAt        time.Duration // since epoch
-	finished      chan struct{}
 	launched      bool
 	closeSeen     atomic.Bool
 
@@ -110,19 +107,11 @@ type engine struct {
 	// idle-weighted StallSeconds.
 	stallNanos int64
 	readyPeak  int
-	hops       relayLedger // tree-broadcast relays fire once per tag, on every engine
-
-	// The chaos plan's crash injection: the node dies just before its pop
-	// number crashAt (-1: never), pops counting the tasks popped so far —
-	// Report.TasksPerNode.
-	crashAt, pops int
-
-	res *resilience // re-request protocol; nil unless ArrivalTimeout > 0
 }
 
 // newEngine allocates rank's per-run mutable state, sized from its share of
-// the plan, and builds the resilience layer when the options arm it; opt must
-// be normalized. The tiles are left for generate. Nothing here walks the graph.
+// the plan; opt must be normalized. The tiles are left for generate. Nothing
+// here walks the graph.
 func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options, epoch time.Time) *engine {
 
@@ -148,9 +137,7 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 		fed:       make([]bool, slotHi-slotLo),
 		ready:     sched.NewHeap(sched.TieLIFO),
 		busy:      make([]int64, opt.Workers),
-		finished:  make(chan struct{}),
 		inbuf:     make([]*tile.Tile, opt.Workers*pl.MaxInputs()),
-		crashAt:   -1,
 	}
 	for t := lo; t < hi; t++ {
 		e.remaining[t-lo] = pl.NumDeps(t)
@@ -163,12 +150,6 @@ func newEngine(rank int, comm *cluster.Comm, pl *plan.Plan,
 	// goroutine; they count as held from the start.
 	e.ownedTiles = len(e.tiles)
 	e.peakTiles = e.ownedTiles
-	if opt.ArrivalTimeout > 0 {
-		e.res = newResilience(e, opt)
-	}
-	if opt.Chaos != nil {
-		e.crashAt = opt.Chaos.CrashTask(rank)
-	}
 	return e
 }
 
@@ -241,41 +222,30 @@ func (e *engine) open() {
 
 // run executes this node's share of the graph and returns when every owned
 // task has completed, or promptly once the run aborts: a local kernel error
-// poisons the cluster and is returned; a poisoned cluster observed while work
-// is still outstanding means a peer failed, and ErrPeerAborted is returned.
+// poisons the cluster and becomes the node's err; a poisoned cluster observed
+// while work is still outstanding means a peer failed, and err is
+// ErrPeerAborted. RunPlan reads err once every node has returned and taken in
+// what its mailbox still held.
 //
 // The node is its Workers worker goroutines and nothing else: messages are
 // taken in by the goroutines that send them (Take), and run's own goroutine
-// is the last worker — unless the resilience layer has arrival clocks to
-// sweep, when it takes the ticks instead and the node is Workers + 1.
-func (e *engine) run() error {
+// is the last worker.
+func (e *engine) run() {
 	// First, and even on a node with no task (the gather reads its tiles).
 	e.generate()
 	if len(e.remaining) == 0 {
-		return nil // nothing to run, and nothing it publishes to be asked for
+		return
 	}
 
 	e.mu.Lock()
-	// The tick channel stays nil — and run a worker — unless the resilience
-	// layer has arrival clocks to sweep.
-	var tick <-chan time.Time
-	if e.res != nil {
-		if ticker := e.res.start(); ticker != nil {
-			defer ticker.Stop()
-			tick = ticker.C
-		}
-	}
 	// Every worker's first job is popped here, before the node acts on a
 	// peer's abort: a node about to fail on a root task of its own then
 	// reports that error, however much faster the peer failed. The clock read
 	// is every worker's first: busy and stall are counted from it.
 	born := time.Since(e.epoch)
-	spawn := e.workers
-	if tick == nil {
-		spawn--
-	}
+	last := e.workers - 1
 	var workers sync.WaitGroup
-	for slot := 0; slot < spawn; slot++ {
+	for slot := 0; slot < last; slot++ {
 		jb, ok := e.pop(slot)
 		workers.Add(1)
 		go func() {
@@ -283,11 +253,7 @@ func (e *engine) run() error {
 			e.work(slot, born, jb, ok)
 		}()
 	}
-	var own job
-	ownOK := false
-	if tick == nil {
-		own, ownOK = e.pop(spawn)
-	}
+	own, ownOK := e.pop(last)
 	e.launched = true
 	if e.closeSeen.Load() {
 		e.peerAbort()
@@ -295,33 +261,14 @@ func (e *engine) run() error {
 	e.settle()
 	e.unlock()
 
-	if tick == nil {
-		e.work(spawn, born, own, ownOK)
-		workers.Wait()
-		return e.err
-	}
-	for {
-		select {
-		case <-tick:
-			e.mu.Lock()
-			if !e.stopped && !e.over {
-				if err := e.res.onTick(); err != nil {
-					e.fail(err) // retry budget exhausted
-				}
-				e.settle()
-			}
-			e.unlock()
-		case <-e.finished:
-			workers.Wait()
-			return e.err
-		}
-	}
+	e.work(last, born, own, ownOK)
+	workers.Wait()
 }
 
-// fail is a node failure the whole run must see — a kernel error, a protocol
-// violation, an exhausted retry budget, an injected crash: poison the cluster
-// so peers blocked on tiles we will never produce wake up, and stop
-// dispatching (running kernels are awaited: settle).
+// fail is a node failure the whole run must see — a kernel error or a
+// protocol violation: poison the cluster so peers blocked on tiles we will
+// never produce wake up, and stop dispatching (running kernels are awaited:
+// settle).
 func (e *engine) fail(err error) {
 	e.comm.Abort()
 	e.stopped, e.err = true, err
@@ -349,7 +296,6 @@ func (e *engine) settle() {
 	for s := range e.recv {
 		e.drop(int32(s))
 	}
-	close(e.finished)
 	e.idle = 0
 	e.cond.Broadcast()
 }
@@ -448,39 +394,19 @@ func (e *engine) peerAbort() {
 	}
 }
 
-// absorb takes one message in, in whichever goroutine holds the lock. A node
-// whose run is over still answers re-requests and relays late tree hops — so
-// remote senders can always make progress — but touches only the published
-// cache, the relay ledger and the cluster, never the recorder or the engine
-// fields the report reads.
+// absorb takes one message in, in whichever goroutine holds the lock. An
+// aborted node relays nothing: the job's plane is closing. Any other node
+// applies the arrival rule, even once its run is over — a finished node
+// awaits nothing, so what reaches it then is a repeat, and fails the run.
 func (e *engine) absorb(msg cluster.Message) {
-	if e.res != nil {
-		e.res.heard[msg.From] = true
-	}
-	switch {
-	case e.stopped:
-		// Aborted or crashed: the job's plane is closing, and the node
-		// answers no requests and relays nothing.
+	if e.stopped {
 		msg.Release()
-	case !e.over:
-		if err := e.onArrival(msg); err != nil {
-			// Protocol violation (conflicting duplicate delivery): fail
-			// this node descriptively instead of panicking.
-			e.fail(err)
-		}
-		e.wake()
-	case msg.Req:
-		// A consumer slower than us may still re-request what we published.
-		if e.res != nil {
-			e.res.answer(msg)
-		}
-	default:
-		// A tree-broadcast hop that lands late still carries its subtree's
-		// deliveries: relay it before releasing our own share, so a fast
-		// consumer never strands the slow subtree behind it.
-		e.relay(msg)
-		msg.Release()
+		return
 	}
+	if err := e.onArrival(msg); err != nil {
+		e.fail(err)
+	}
+	e.wake()
 	e.settle()
 }
 
@@ -584,19 +510,10 @@ func (e *engine) wake() {
 // pop takes the most urgent ready task off the queue and resolves it for
 // worker slot to run; ok is false when nothing is ready or dispatch has
 // stopped.
-// An injected crash fires here, before pop number crashAt, and is recorded
-// once: dispatch stops with it, in whichever goroutine saw it.
 func (e *engine) pop(slot int) (jb job, ok bool) {
 	if e.stopped || e.ready.Empty() {
 		return job{}, false
 	}
-	if e.pops == e.crashAt {
-		e.fault("crash", e.rank, e.rank, fmt.Sprintf("task %d", e.crashAt))
-		e.fail(fmt.Errorf("node %d died before its owned task %d: %w",
-			e.rank, e.crashAt, chaos.ErrInjectedCrash))
-		return job{}, false
-	}
-	e.pops++
 	e.running++
 	return e.resolve(slot, e.ready.Pop()), true
 }
@@ -624,15 +541,6 @@ func (e *engine) resolve(slot int, t int32) job {
 	return job{t: t, task: task, out: e.tile(pl.Out(t)), inputs: inputs}
 }
 
-// fault puts one injected fault or recovery action on the run's trace, when
-// one is being recorded — while the run lasts: what the node takes in after
-// it must not touch the recorder.
-func (e *engine) fault(kind string, from, to int, what string) {
-	if e.rec != nil {
-		e.rec.RecordFault(kind, from, to, what, time.Since(e.epoch).Seconds())
-	}
-}
-
 // noteStall charges one worker's idle interval, as offsets from the epoch, to
 // the node's stall account: StallSeconds integrates idle-worker-time weighted
 // by 1/workers, so a node with one of four workers idle accrues a quarter of
@@ -642,15 +550,6 @@ func (e *engine) noteStall(start, end time.Duration) {
 	e.stallNanos += int64(end - start)
 	if e.rec != nil {
 		e.rec.RecordStall(e.rank, start.Seconds(), end.Seconds(), 1/float64(e.workers))
-	}
-}
-
-// relay honors msg's tree-broadcast Forward obligation, exactly once per tag
-// however often the network repeats the hop (see relayLedger for why this is
-// not the payload dedup).
-func (e *engine) relay(msg cluster.Message) {
-	if len(msg.Forward) > 0 && e.hops.first(msg.Tag) {
-		e.comm.Forward(msg)
 	}
 }
 
@@ -675,8 +574,6 @@ func (e *engine) onComplete(t int32) {
 	for _, s := range pl.Succs(t) {
 		if e.release(s) {
 			e.pushReady(s)
-		} else if e.res != nil {
-			e.res.blocked(s)
 		}
 	}
 	if dsts := pl.Dsts(t); len(dsts) > 0 {
@@ -689,9 +586,6 @@ func (e *engine) onComplete(t int32) {
 			e.comm.SendReduce(dsts[0], netTag, out)
 		} else {
 			e.comm.Broadcast(dsts, netTag, out)
-		}
-		if e.res != nil {
-			e.res.publish(netTag, out, dsts)
 		}
 	}
 
@@ -709,52 +603,35 @@ func (e *engine) onComplete(t int32) {
 	}
 }
 
-// onArrival applies the one arrival rule, armed or not: a received version is
-// taken in — counted, traced and delivered — while the node awaits it in an
-// unfed slot; a duplicate or a straggler is dropped uncounted and untraced.
-//
-// The transport sends each tile version at most once per destination, but a
-// re-delivery must not crash the node: an arrival whose tag is still
-// retained is dropped idempotently when its payload matches the retained copy,
-// and reported as a descriptive error — surfaced through Run's joined node
-// errors — when the payloads genuinely conflict, since then one of the two
-// writes is wrong and the run cannot be trusted.
+// onArrival applies the one arrival rule: a received version is taken in —
+// relayed down its tree, counted, traced and delivered — only into the unfed
+// slot that awaits it. The network delivers every message exactly once and
+// the plan sends each version once to each consumer node, so a version no
+// slot awaits, or one whose slot is already fed, is an internal error naming
+// the node and the tag; the message is released and nothing is relayed.
 func (e *engine) onArrival(msg cluster.Message) error {
-	if msg.Req {
-		// A consumer's re-request for a version we published (no payload).
-		if e.res != nil {
-			e.res.answer(msg)
-		}
-		return nil
-	}
-	// Relay before any payload dedup, so the subtree's arrivals pipeline
-	// behind ours instead of behind our kernel work — and because a payload
-	// duplicate may still owe its subtree a relay (see relayLedger).
-	e.relay(msg)
 	pt, slot := e.pl.Producer(msg.Tag.I, msg.Tag.J, msg.Tag.V), int32(-1)
 	if pt >= 0 {
 		slot = e.slotOf(pt)
 	}
-	if slot >= 0 && e.recv[slot].Payload != nil {
-		identical := e.recv[slot].Payload.EqualApprox(msg.Payload, 0)
+	switch {
+	case slot < 0:
 		msg.Release()
-		if identical {
-			return nil
-		}
-		return fmt.Errorf("conflicting duplicate of tile %v from node %d: payload differs from the retained copy", msg.Tag, msg.From)
+		return fmt.Errorf("internal error: node %d awaits no tile %v, yet node %d sent it", e.rank, msg.Tag, msg.From)
+	case e.fed[slot]:
+		msg.Release()
+		return fmt.Errorf("internal error: tile %v from node %d reached node %d twice", msg.Tag, msg.From, e.rank)
 	}
-	if slot < 0 || e.fed[slot] {
-		msg.Release()
-		return nil
+	// Relay first, so the subtree's arrivals pipeline behind ours instead of
+	// behind our kernel work.
+	if len(msg.Forward) > 0 {
+		e.comm.Forward(msg)
 	}
 	e.recvTotal++
 	if e.rec != nil {
 		e.rec.RecordMessage(msg.From, e.rank,
 			msg.SentAt.Sub(e.epoch).Seconds(), time.Since(e.epoch).Seconds(),
 			msg.Payload.Bytes())
-	}
-	if e.res != nil {
-		e.res.arrived(msg.Tag, msg.From)
 	}
 	e.deliver(slot, msg.Lease)
 	return nil
@@ -773,8 +650,6 @@ func (e *engine) deliver(s int32, l cluster.Lease) {
 	for _, t := range e.pl.Waiters(e.slotLo + s) {
 		if e.release(t) {
 			e.pushReady(t)
-		} else if e.res != nil {
-			e.res.blocked(t)
 		}
 	}
 }

@@ -95,13 +95,12 @@ func byteAt(data []byte, k int) byte {
 	return data[k%len(data)]
 }
 
-// driveEngine feeds one node's awaited arrivals in a fuzz-chosen order, with
-// fuzz-chosen duplicates, through real cluster messages, pumping the
-// engine's ready queue synchronously after each delivery. Whatever the
-// schedule, the node must finish all owned tasks and produce exactly the
-// sequential factorization — and never panic or double-release a shared
-// payload (its refcounts are live because the messages come from a real
-// Comm).
+// driveEngine feeds one node's awaited arrivals in a fuzz-chosen order
+// through real cluster messages, pumping the engine's ready queue
+// synchronously after each delivery. Whatever the order, the node must
+// finish all owned tasks, produce exactly the sequential factorization and
+// release every received payload — never panic, never double-release (its
+// refcounts are live because the messages come from a real Comm).
 func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 	snaps, finals := sequentialSnapshots(t, sc, outputVersions(sc.g))
 
@@ -115,8 +114,11 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 	// Deterministic base order of awaited arrivals, then a fuzz-driven
 	// Fisher–Yates shuffle.
 	var tags []cluster.Tag
-	for s := range e.recv {
-		tags = append(tags, e.tagOf(e.pl.SlotProducer(e.slotLo+int32(s))))
+	_, last := e.pl.Tasks(sc.d.Nodes() - 1)
+	for pt := int32(0); pt < last; pt++ {
+		if e.slotOf(pt) >= 0 {
+			tags = append(tags, e.tagOf(pt))
+		}
 	}
 	sort.Slice(tags, func(a, b int) bool {
 		x, y := tags[a], tags[b]
@@ -144,12 +146,6 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 			e.onComplete(jb.t)
 		}
 	}
-	feed := func(msg cluster.Message) {
-		if err := e.onArrival(msg); err != nil {
-			t.Fatalf("arrival %v rejected: %v", msg.Tag, err)
-		}
-	}
-
 	for k, rem := range e.remaining {
 		if rem == 0 {
 			e.pushReady(e.lo + int32(k))
@@ -157,16 +153,10 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 	}
 	pump()
 
-	// Deliveries travel through a real Comm so payloads are shared clones
-	// with live refcounts; a high bit in the fuzz input duplicates that
-	// delivery (sharing the refcount, like a faulty transport would), and
-	// the 0x40 bit duplicates it and then drops one copy the way a faulty
-	// network does — Release without delivery — in a fuzz-chosen order
-	// relative to the real delivery. A broadcast buffer must survive every
-	// interleaving with its refcount balanced (the chaos × shared-payload
-	// property: duplicated-then-dropped never double-Releases a payload).
+	// Deliveries travel through a real Comm, so payloads are shared clones
+	// with live refcounts, each released exactly once by its last reader.
 	sender := cl.Comm((rank + 1) % sc.d.Nodes())
-	for k, tag := range tags {
+	for _, tag := range tags {
 		pay := snaps[tag]
 		if pay == nil {
 			t.Fatalf("no published snapshot for awaited tag %v", tag)
@@ -176,25 +166,8 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 		if !ok {
 			t.Fatal("mailbox closed mid-test")
 		}
-		ctl := byteAt(data, len(tags)+k)
-		switch {
-		case ctl&0x40 != 0:
-			dup := msg.Dup()
-			if ctl&0x20 != 0 {
-				dup.Release() // network drops the duplicate before delivery
-				feed(msg)
-			} else {
-				feed(msg)
-				pump()
-				dup.Release() // ... or after the original was consumed
-			}
-		case ctl&0x80 != 0:
-			dup := msg.Dup()
-			feed(msg)
-			pump()
-			feed(dup)
-		default:
-			feed(msg)
+		if err := e.onArrival(msg); err != nil {
+			t.Fatalf("arrival %v rejected: %v", msg.Tag, err)
 		}
 		pump()
 	}
@@ -226,9 +199,10 @@ func driveEngine(t *testing.T, sc protoScenario, rank int, data []byte) {
 }
 
 // FuzzVersionProtocol is the property-based attack on the Tag/version
-// protocol: arbitrary interleavings of reordered and duplicated deliveries
-// must never panic, never double-release a shared payload, and always
-// converge to the sequential factorization.
+// protocol: any order of one node's deliveries must never panic, never
+// double-release a shared payload, and always converge to the sequential
+// factorization. (Its seeds date from when the input also chose duplicates;
+// each now picks one order.)
 func FuzzVersionProtocol(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80})

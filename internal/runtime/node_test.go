@@ -89,10 +89,9 @@ func engineGoroutines() (runs, others int) {
 // TestNodeGoroutineCensus: a node is its W workers and nothing else — no
 // receiver, no loop goroutine: senders take messages in themselves, and each
 // node's run call is one of its workers. Mid-run a P-node job holds P
-// goroutines in run and P·(W−1) more in the engine; with resilience armed run
-// takes the ticks instead of a worker slot, and there are P·W more. Once
-// RunPlan has returned, on a private cluster or a shared one, every one of
-// them is gone.
+// goroutines in run and P·(W−1) more in the engine. Once RunPlan has
+// returned, on a private cluster or a shared one, every one of them is
+// gone.
 func TestNodeGoroutineCensus(t *testing.T) {
 	const mt, b, W = 6, 4, 2
 	d := dist.NewTwoDBC(2, 2)
@@ -126,7 +125,6 @@ func TestNodeGoroutineCensus(t *testing.T) {
 		others int // engine goroutines outside run, per node
 	}{
 		{"private cluster", Options{Workers: W}, W - 1},
-		{"resilience armed", Options{Workers: W, ArrivalTimeout: time.Minute}, W},
 		{"shared cluster", Options{Workers: W, Cluster: shared}, W - 1},
 	}
 	for _, tc := range cases {
@@ -191,9 +189,9 @@ func TestManySmallTasksOnFourWorkers(t *testing.T) {
 // behind. Tree-broadcast LU on G-2DBC(7), two workers a node and kernels that
 // sleep ≈ 100 µs keep many senders — workers publishing, nodes relaying hops —
 // delivering to nodes whose own workers hold the lock. The second case adds a
-// seam that delivers every payload again 1 ms later, mid-run, from timer
-// goroutines of its own. Every run must give the sequential factors bit for
-// bit, take in exactly the faithful run's versions, and leave no payload in
+// seam that delays every hop by up to 200 µs, from timer goroutines of its
+// own, reordering them. Every run must give the sequential factors bit for
+// bit, take in exactly the in-order run's versions, and leave no payload in
 // flight.
 func TestNoMessageStrands(t *testing.T) {
 	const mt, b, W, rounds = 12, 4, 2, 3
@@ -226,27 +224,22 @@ func TestNoMessageStrands(t *testing.T) {
 		t.Fatalf("faithful run took in %d versions of %d messages with %d relays: the shape pins nothing",
 			faithful, base.Stats.TotalMessages(), base.Stats.TotalForwards())
 	}
-	for _, late := range []bool{false, true} {
+	for _, reorder := range []bool{false, true} {
 		for round := range rounds {
 			copt := cluster.Options{Broadcast: cluster.BroadcastTree}
-			var net *lateCopy
-			if late {
-				net = &lateCopy{after: time.Millisecond}
-				copt.Net = net
+			if reorder {
+				copt.Net = newReorderNet(int64(round), 200*time.Microsecond)
 			}
 			cl := cluster.NewWithOptions(d.Nodes(), copt)
 			got, rep, err := runPlanDense(pl, mt, b, gen, sleepy, Options{Workers: W, Cluster: cl})
-			if net != nil {
-				net.late.Wait()
-			}
 			cl.Close()
-			label := fmt.Sprintf("late duplicates %v, round %d", late, round)
+			label := fmt.Sprintf("reordered %v, round %d", reorder, round)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			identicalLU(t, label, want, got, mt)
 			if n := received(rep); n != faithful {
-				t.Errorf("%s: %d versions taken in, %d on a faithful network", label, n, faithful)
+				t.Errorf("%s: %d versions taken in, %d in order", label, n, faithful)
 			}
 			if n := cl.PoolOutstanding(); n != 0 {
 				t.Errorf("%s: %d payloads still in flight", label, n)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"anybc/internal/chaos"
 	"anybc/internal/cluster"
 	"anybc/internal/dist"
 )
@@ -18,20 +17,13 @@ func TestOptionsRejectMeaninglessCombinations(t *testing.T) {
 	d := dist.NewTwoDBC(2, 2)
 	flat := cluster.New(d.Nodes())
 	defer flat.Close()
-	lossy, err := chaos.New(chaos.Config{Seed: 1, PDrop: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		opt  Options
 		want string // substring of the error
 	}{
-		{"negative ArrivalTimeout", Options{ArrivalTimeout: -1}, "negative ArrivalTimeout"},
 		{"Broadcast against the shared cluster's mode",
 			Options{Cluster: flat, Broadcast: cluster.BroadcastTree}, "tree broadcast requested"},
-		{"delivery faults on a shared cluster",
-			Options{Cluster: flat, Chaos: lossy}, "delivery faults"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

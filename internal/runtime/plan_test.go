@@ -143,6 +143,7 @@ func TestPlanEqualsGraph(t *testing.T) {
 			coords := func(tl int32) [2]int { i, j := pl.TileCoords(tl); return [2]int{i, j} }
 			waiters := map[int32][]int32{} // slot -> expected waiters
 			readers := map[int32]int32{}
+			slotOwner := map[int32]int32{} // slot -> 1 + the task it awaits
 
 			dag.ForEachTask(g, func(tk dag.Task) {
 				pt, rank := planOf[tk], ownerOf(tk)
@@ -194,9 +195,8 @@ func TestPlanEqualsGraph(t *testing.T) {
 					if slo, shi := pl.Slots(rank); ^ref < slo || ^ref >= shi {
 						t.Fatalf("%v: slot %d outside node %d's slots [%d,%d)", tk, ^ref, rank, slo, shi)
 					}
-					producer := pl.SlotProducer(^ref)
-					if coords(pl.Out(producer)) != [2]int{i, j} || pl.Version(producer) != v {
-						t.Fatalf("%v: remote input (%d,%d)v%d compiled to the output of %v", tk, i, j, v, pl.Task(producer))
+					if producer := pl.Producer(int32(i), int32(j), v); producer < 0 || pl.SlotAt(producer, rank) != ^ref {
+						t.Fatalf("%v: remote input (%d,%d)v%d compiled to slot %d, not its producer's", tk, i, j, v, ^ref)
 					}
 					readers[^ref]++
 				})
@@ -227,9 +227,10 @@ func TestPlanEqualsGraph(t *testing.T) {
 				}
 				for _, dst := range dsts {
 					slot := pl.SlotAt(pt, dst)
-					if slo, shi := pl.Slots(dst); slot < slo || slot >= shi || pl.SlotProducer(slot) != pt {
-						t.Fatalf("%v: node %d awaits it in slot %d (its slots [%d,%d))", tk, dst, slot, slo, shi)
+					if slo, shi := pl.Slots(dst); slot < slo || slot >= shi || slotOwner[slot] != 0 {
+						t.Fatalf("%v: node %d awaits it in slot %d (its slots [%d,%d), named before by task %d)", tk, dst, slot, slo, shi, slotOwner[slot]-1)
 					}
+					slotOwner[slot] = pt + 1
 				}
 			})
 

@@ -1,10 +1,9 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
-	"time"
 
-	"anybc/internal/chaos"
 	"anybc/internal/cluster"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
@@ -93,35 +92,25 @@ func TestReplicatedDeterminism(t *testing.T) {
 	}
 }
 
-// TestReplicatedChaos runs the replicated factorization under the full fault
-// mix — delays, reorders, duplicates and dropped deliveries healed by
-// re-requests — and requires bit-identical factors to the fault-free
-// replicated run: reduction shipments must heal exactly like broadcasts.
+// TestReplicatedChaos runs the replicated factorization on a reordering
+// network and requires bit-identical factors to the in-order replicated run
+// and the same per-pair message counts: reduction shipments may overtake
+// broadcasts, and each other, with no effect.
 func TestReplicatedChaos(t *testing.T) {
 	const mt, b, c = 8, 4, 2
 	base := dist.NewG2DBC(5)
-	ref, _, err := FactorLUReplicated(mt, b, c, base, GenDiagDominant(mt, b, 13), Options{Workers: 2})
+	ref, refRep, err := FactorLUReplicated(mt, b, c, base, GenDiagDominant(mt, b, 13), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{20260808, 424242} {
-		cfg := chaos.Config{
-			Seed:       seed,
-			PDelay:     0.25,
-			PReorder:   0.10,
-			PDuplicate: 0.10,
-			PDrop:      0.05,
-			MaxDelay:   300 * time.Microsecond,
-		}
-		opt, rec := chaosOpts(t, cfg, 250*time.Millisecond, 2)
-		got, _, err := FactorLUReplicated(mt, b, c, base, GenDiagDominant(mt, b, 13), opt)
+		opt, net := reordered(t, c*base.Nodes(), cluster.BroadcastFlat, seed, 2)
+		got, rep, err := FactorLUReplicated(mt, b, c, base, GenDiagDominant(mt, b, 13), opt)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		dumpChaosArtifacts(t, "replicated", rec)
-		identicalLU(t, "chaos run", ref, got, mt)
-		if len(rec.Faults) == 0 {
-			t.Fatalf("seed %d: no faults injected; nothing was exercised", seed)
-		}
+		checkReordered(t, net)
+		identicalLU(t, "reordered run", ref, got, mt)
+		sameLinks(t, fmt.Sprintf("seed %d", seed), refRep, rep)
 	}
 }

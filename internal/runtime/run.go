@@ -5,15 +5,13 @@
 // all inter-node communications, and executes the real numeric kernels on
 // every virtual node concurrently.
 //
-// # One core, one armed-only layer
+// # One core
 //
 // The package is cut along the static/dynamic line of hybrid scheduling
 // (Donfack–Grigori–Gropp–Kale): what a run can know before it starts is
-// compile-time data in a plan.Plan, and the core engine (engine.go) only
-// indexes flat slices by it: a node runs its rank's share of the plan, one
-// set of per-run tables that newEngine builds. The core is the whole
-// fault-free path, the one
-// the paper's evaluation exercises. A node is what it is under StarPU, one
+// compile-time data in a plan.Plan, and the engine (engine.go) only indexes
+// flat slices by it: a node runs its rank's share of the plan, one set of
+// per-run tables that newEngine builds. A node is what it is under StarPU, one
 // worker per core that also drives communication: Workers worker goroutines
 // around one lock that guards the node's state — no loop goroutine, no
 // receiver; the node's run call is itself one of the workers. A worker that
@@ -22,10 +20,10 @@
 // consumes goes to each distinct consumer node as one point-to-point message;
 // then it pops its next task off the priority queue and computes again. A
 // message is taken in by the goroutine that sends it, under the destination's
-// lock when it gets that lock without waiting — a version is taken in only
-// while a slot on the node awaits it, armed or not; tree-broadcast relays go
-// out once per tag — releasing the tasks waiting on it and waking a sleeping
-// worker for each. A message that finds the lock busy is queued, and whoever
+// lock when it gets that lock without waiting — into the slot that awaits it,
+// relaying it down its broadcast tree first — releasing the tasks waiting on
+// it and waking a sleeping worker for each. A message that finds the lock
+// busy is queued, and whoever
 // holds the lock takes the queue in before releasing it (engine.unlock).
 // Local and peer aborts and context cancellation wind the node down; RunPlan
 // closes the job's plane, takes in what each mailbox still holds, then reads
@@ -33,30 +31,12 @@
 // node lock is only ever tried, never waited for, under another, mailboxes
 // are unbounded and the graph is acyclic, so execution is deadlock-free.
 //
-// Whatever reacts to lost deliveries is one concrete component the core
-// holds as a nil-able pointer, built by newEngine only when the normalized
-// Options arm it and called at a few named points: resilience
-// (resilience.go; ArrivalTimeout > 0, which a delivery-fault Chaos plan
-// defaults), where the engine stops assuming the network delivers. A remote
-// tile version's clock starts once a task waits for nothing else (blocked,
-// from the core's release path); one that misses its deadline is
-// re-requested from its owner under exponential backoff (onTick). An owner
-// holds a request until it publishes the version and answers through the
-// publication, or a cluster.Resend to a non-destination (publish); later
-// requests it answers from its cache (answer) — also after its own run is
-// over, so a slow consumer can always heal. Taking a version in ends its wait
-// (arrived). A permanently dropped delivery costs latency, never a hang;
-// Report.Stats counts the re-requests and redeliveries, the trace's recovered
-// rows the healed arrivals. Every method of the layer is called with the node
-// lock held.
-//
-// "Is the layer armed?" has one spelling, e.res != nil, decided in one
-// place, Options.normalize. Under Options{} it is nil, and so under a
-// crash-only Chaos plan: a plan that names the rank crashes it — the core's
-// pop stops dispatch before the named pop and fails the run with
-// chaos.ErrInjectedCrash. Nothing recovers from a crash: the paper's
-// distributions assume a fault-free cluster, and a node that dies fails its
-// run as a kernel error does.
+// The network is reliable, as MPI's is (see package cluster): every message
+// arrives exactly once, in any order. The engine assumes it and re-requests
+// nothing; a version that reaches a node twice, or one no slot of the node
+// awaits, fails the run with an internal error naming the node and the tag.
+// Nothing recovers from a failure: the paper's distributions assume a
+// fault-free cluster, and a node whose kernel fails fails its run.
 //
 // # Scheduling
 //
@@ -71,8 +51,8 @@
 // runtime's makespan matches simulate.Run's within its bands.
 // Report.Sched exposes per-node scheduler observability: stall time (a free
 // worker with nothing ready — waiting on communication or predecessors), busy
-// time per worker and the ready-queue high-water mark. What ran where, and
-// every fault and recovery, is the trace's to say (see Tracing).
+// time per worker and the ready-queue high-water mark. What ran where is the
+// trace's to say (see Tracing).
 //
 // # Versioned tile protocol
 //
@@ -103,8 +83,9 @@
 // Communication copies nothing: a sent version is its tile's last, which the
 // owner never touches again, so a completion lends that tile itself to the
 // cluster (cluster.Broadcast) and every consumer node reads the owner's
-// buffer — the resilience layer's published cache keeps a reference too. The
-// cluster counts the payload as in flight until its last Release.
+// buffer. The cluster counts the payload as in flight until its last Release;
+// on the private cluster RunPlan builds, a payload still lent once the run is
+// torn down is an internal error.
 //
 // Owned tiles are never copied: gen allocates each one, the
 // owner's kernels update it in place for the whole run, and it leaves with the
@@ -126,8 +107,7 @@
 // When Options.Recorder is set, the run records wall-clock kernel intervals
 // (per node and worker slot) and message departure/arrival times into a
 // trace.Recorder, so real executions feed the same Gantt, utilization and
-// CSV machinery as the simulator. Injected faults and the recovery actions
-// they trigger are recorded alongside as trace.FaultEvents.
+// CSV machinery as the simulator.
 package runtime
 
 import (
@@ -138,7 +118,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anybc/internal/chaos"
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
 	"anybc/internal/dist"
@@ -156,14 +135,6 @@ type Kernel func(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error
 // Run folds these into the failing nodes' root-cause errors rather than
 // repeating one line per bystander rank.
 var ErrPeerAborted = errors.New("aborted: a peer node failed")
-
-// ErrUndelivered is the error a node reports when an awaited remote tile
-// version stayed undelivered through the full re-request retry budget
-// (Options.MaxReRequests): the owner is unreachable or permanently silent.
-// Without a retry cap a crashed owner used to produce an endless Request
-// storm that only an external watchdog could end; with the cap the node
-// fails descriptively instead.
-var ErrUndelivered = errors.New("tile version undelivered: re-request retry budget exhausted")
 
 // ErrCanceled is the error Run returns when Options.Context was cancelled
 // before the run completed: the job's cluster plane was poisoned, every
@@ -187,20 +158,6 @@ type Options struct {
 	// the run (wall-clock seconds since the run started) for the
 	// Gantt/utilization analyses of package trace.
 	Recorder *trace.Recorder
-	// Chaos, when non-nil, crashes the ranks the plan names and, if it has
-	// delivery faults, installs the plan as the cluster's network layer:
-	// every delivery (tiles, requests, redeliveries) passes through its
-	// seeded fault decisions. A plan drives exactly one run; build a fresh
-	// plan from the same chaos.Config to reproduce it.
-	Chaos *chaos.Plan
-	// ArrivalTimeout arms the re-request protocol (the resilience layer): a
-	// remote tile version not delivered within this duration of a task
-	// coming to wait for nothing else is re-requested from its owner, with
-	// exponential backoff between retries. Zero leaves the protocol off
-	// unless a delivery-fault Chaos plan is set (then it defaults to 250ms); negative is rejected. No product caller sets it — it stays a
-	// field because, with MaxReRequests, it sizes a fault budget that tests
-	// pin at 1ms: the default would turn them into minutes.
-	ArrivalTimeout time.Duration
 	// Broadcast selects the transport for published tiles:
 	// cluster.BroadcastFlat (default, the paper's point-to-point model) or
 	// cluster.BroadcastTree, which relays each broadcast down a binomial
@@ -208,15 +165,6 @@ type Options struct {
 	// Final factors are bit-identical across modes; only the wire routing
 	// (the cluster.Hops and cluster.Forwards counters of Report.Stats) changes.
 	Broadcast cluster.BroadcastMode
-	// MaxReRequests caps how many times one awaited tile version is
-	// re-requested from an owner this node never took a message from, before
-	// it gives up on that owner: zero means the default (50), negative means
-	// unlimited. A late owner is as silent as a dead one — it answers once it
-	// publishes — so one heard from is alive until its job's plane closes. On
-	// an exhausted budget the node fails with ErrUndelivered naming the owner,
-	// tag, and retry count. Like ArrivalTimeout it has no product caller and stays for the
-	// tests that pin the budget at two or three requests.
-	MaxReRequests int
 	// Cluster, when non-nil, runs the job over this existing shared cluster
 	// instead of creating a private one: the run takes a fresh tile
 	// namespace of its own (cluster.OpenJob), so many concurrent Runs
@@ -225,9 +173,7 @@ type Options struct {
 	// equal the distribution's. The run closes and drops only its own
 	// namespace before it returns, however it ends; the shared cluster and
 	// its other tenants stay up. The broadcast mode and network seam are the
-	// shared cluster's: a Broadcast naming another mode, or a Chaos plan
-	// with delivery faults, is rejected — chaos crash injection (CrashTask)
-	// still applies per job.
+	// shared cluster's: a Broadcast naming another mode is rejected.
 	Cluster *cluster.Cluster
 	// Context, when non-nil, is the run's cancellation seam: once it is
 	// done, the run aborts — the job's cluster plane is poisoned exactly as
@@ -238,67 +184,38 @@ type Options struct {
 	Context context.Context
 }
 
-// defaultArrivalTimeout arms the re-request protocol for runs that need it
-// (a delivery-fault Chaos plan) but did not choose a timeout; defaultMaxReRequests is the
-// retry budget of one awaited tile version when Options.MaxReRequests is zero.
-const (
-	defaultArrivalTimeout = 250 * time.Millisecond
-	defaultMaxReRequests  = 50
-)
-
 // normalize is the single point where Options are defaulted and cross-checked
 // for a run under distribution d: every default the engines rely on is applied
 // here, and a field that would otherwise be silently ignored — it needs another
 // one that is unset, or contradicts the shared cluster — is rejected by name.
-// It is also where a run's layers are decided, once: newEngine builds the
-// resilience layer iff the normalized ArrivalTimeout is positive.
 func (opt *Options) normalize(d dist.Distribution) error {
 	P, cl := d.Nodes(), opt.Cluster
 	switch {
-	case opt.ArrivalTimeout < 0:
-		return fmt.Errorf("runtime: negative ArrivalTimeout %v; zero leaves the re-request protocol off", opt.ArrivalTimeout)
 	case cl != nil && cl.Nodes() != P:
 		return fmt.Errorf("runtime: distribution %s wants %d nodes but the shared cluster has %d", d.Name(), P, cl.Nodes())
 	case cl != nil && opt.Broadcast != cluster.BroadcastFlat && opt.Broadcast != cl.Broadcast():
 		return fmt.Errorf("runtime: %s broadcast requested on a shared cluster built for %s broadcast", opt.Broadcast, cl.Broadcast())
-	case cl != nil && opt.faultyNet():
-		return errors.New("runtime: a chaos plan with delivery faults needs the network seam, which belongs to the shared cluster; only crash injection (CrashAtTask) applies per job")
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
-	}
-	if opt.MaxReRequests == 0 {
-		opt.MaxReRequests = defaultMaxReRequests
 	}
 	if cl != nil {
 		// The substrate is the shared cluster's: its broadcast transport and
 		// network seam apply to every tenant.
 		opt.Broadcast = cl.Broadcast()
 	}
-	if opt.ArrivalTimeout == 0 && opt.faultyNet() {
-		// Under delivery faults, so drops heal instead of hanging (a
-		// crash-only plan loses nothing).
-		opt.ArrivalTimeout = defaultArrivalTimeout
-	}
 	return nil
-}
-
-// faultyNet reports whether the chaos plan has delivery faults: the seam's.
-func (opt *Options) faultyNet() bool {
-	return opt.Chaos != nil && opt.Chaos.Config().DeliveryFaults()
 }
 
 // Report summarizes one distributed execution.
 type Report struct {
 	// Stats holds the communication counters of the virtual network.
 	Stats cluster.Stats
-	// TasksPerNode counts the kernels each node executed: the tasks its
-	// workers popped, so a node that died mid-run reports what it ran, not
-	// what it owned.
+	// TasksPerNode counts the kernels each node executed.
 	TasksPerNode []int
 	// OwnedTilesPerNode and ReceivedTilesPerNode describe each node's memory
 	// traffic: tiles it owns under the distribution, and remote tile versions
-	// it took in over the run (duplicates not counted). Received tiles are
+	// it took in over the run. Received tiles are
 	// released after their last local consumer runs, so their count bounds
 	// traffic, not residency.
 	OwnedTilesPerNode    []int
@@ -408,11 +325,7 @@ func RunPlan(pl *plan.Plan,
 	}
 	cl := opt.Cluster
 	if cl == nil {
-		copt := cluster.Options{Broadcast: opt.Broadcast}
-		if opt.faultyNet() {
-			copt.Net = opt.Chaos
-		}
-		cl = cluster.NewWithOptions(P, copt)
+		cl = cluster.NewWithOptions(P, cluster.Options{Broadcast: opt.Broadcast})
 	}
 	// The run's own namespace, dropped on every return path below: all of
 	// them come after every node drained and Report.Stats took the ledger.
@@ -420,9 +333,6 @@ func RunPlan(pl *plan.Plan,
 	defer cl.DropJob(job)
 
 	start := time.Now()
-	if opt.Chaos != nil && opt.Recorder != nil {
-		opt.Chaos.Bind(opt.Recorder, start)
-	}
 	engines := make([]*engine, P)
 	for rank := 0; rank < P; rank++ {
 		engines[rank] = newEngine(rank, cl.JobComm(job, rank), pl, gen, kern, opt, start)
@@ -454,34 +364,34 @@ func RunPlan(pl *plan.Plan,
 	}
 
 	var wg sync.WaitGroup
-	errs := make([]error, P)
-	for rank := 0; rank < P; rank++ {
+	for _, e := range engines {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
-			errs[rank] = engines[rank].run()
-		}(rank)
+			e.run()
+		}()
 	}
 	wg.Wait()
 	close(runDone)
 	watcher.Wait()
-	if opt.faultyNet() {
-		// Release any reorder holds still parked in the fault plan so their
-		// payload shares drain before the run returns.
-		opt.Chaos.Flush()
-	}
 	// Closing the job's plane is all the teardown there is: on a private
 	// cluster it is the only plane, on a shared one the other tenants stay up.
 	cl.CloseJob(job)
 	elapsed := time.Since(start)
-	// Quiescence before the ledger is read, armed or not: a node whose run
-	// is over still relays late tree hops and answers re-requests, which
-	// charge the ledger, in whichever goroutine delivers them. The plane is
-	// closed, so nothing is taken in or queued any more: once each node has
-	// taken in what its mailbox still holds, the ledger is final.
-	for _, e := range engines {
+	// The plane is closed, so nothing is taken in or queued any more: once
+	// each node has taken in what its mailbox still holds — a repeat that
+	// lands there fails its node, after its run is over — the errors and the
+	// ledger are final.
+	errs := make([]error, P)
+	for rank, e := range engines {
 		e.mu.Lock()
 		e.unlock()
+		errs[rank] = e.err
+	}
+	if n := cl.PoolOutstanding(); opt.Cluster == nil && n != 0 {
+		// Every payload of a private cluster is this run's, and every share
+		// was taken in or released above.
+		return nil, fmt.Errorf("runtime: internal error: %d payloads still lent after the run's cluster was torn down", n)
 	}
 
 	// Report every node's failure, not just the lowest rank's. Nodes that
@@ -531,7 +441,7 @@ func RunPlan(pl *plan.Plan,
 		Elapsed:              elapsed,
 	}
 	for rank, e := range engines {
-		rep.TasksPerNode[rank] = e.pops
+		rep.TasksPerNode[rank] = e.done
 		rep.OwnedTilesPerNode[rank] = e.ownedTiles
 		rep.ReceivedTilesPerNode[rank] = e.recvTotal
 		rep.PeakTilesPerNode[rank] = e.peakTiles

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -56,52 +57,47 @@ func filled(n int, v float64) *tile.Tile {
 	return t
 }
 
-// TestDuplicateArrivalIdempotent exercises the protocol guard: re-delivery
-// of a tile version the node already retains must be dropped idempotently —
-// no dependency count corrupted, no crash, no second copy retained.
-// Distinct versions of the same tile are legal under the versioned protocol;
-// only an exact tag repeat is a re-delivery.
-func TestDuplicateArrivalIdempotent(t *testing.T) {
+// TestDuplicateArrivalIsAnError: the network delivers every message once, so
+// a second arrival of a version the node already took in, even an identical
+// one, is an internal error naming the node and the tag. The repeat is
+// released and changes nothing: no dependency count, no second retained
+// copy, no second delivery counted.
+func TestDuplicateArrivalIsAnError(t *testing.T) {
 	g := dag.NewLU(4)
 	d := dist.NewTwoDBC(2, 2)
 	cl := cluster.New(4)
 	defer cl.Close()
-	gen := GenDiagDominant(4, 3, 1)
-	e := testEngine(t, 1, cl, g, d, 3, gen, LUKernel)
+	e := testEngine(t, 1, cl, g, d, 3, GenDiagDominant(4, 3, 1), LUKernel)
 
 	// Node 1 owns tile (0,1): its TRSMRow reads the GETRF output (0,0) at
-	// version 0, so the arrival is stored (readers > 0) and a repeat with the
-	// same payload is an identical re-delivery.
+	// version 0, so the arrival is retained (readers > 0).
 	pay := filled(3, 2.5)
-	msg := cluster.Message{From: 0, To: 1, Tag: cluster.Tag{I: 0, J: 0, V: 0}, Lease: cluster.Lease{Payload: pay}}
-	if err := e.onArrival(msg); err != nil {
+	tag := cluster.Tag{I: 0, J: 0, V: 0}
+	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay}}); err != nil {
 		t.Fatal(err)
 	}
-	waitersBefore := e.unfedSlots()
-	remainingBefore := append([]int32(nil), e.remaining...)
-	if err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: msg.Tag, Lease: cluster.Lease{Payload: pay.Clone()}}); err != nil {
-		t.Fatalf("identical re-delivery returned error: %v", err)
+	unfed := e.unfedSlots()
+	remaining := append([]int32(nil), e.remaining...)
+	err := e.onArrival(cluster.Message{From: 0, To: 1, Tag: tag, Lease: cluster.Lease{Payload: pay.Clone()}})
+	if want := "tile (0,0)v0 from node 0 reached node 1 twice"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("second arrival returned %v, want an error naming %q", err, want)
 	}
-	if e.held != 1 {
-		t.Fatalf("held = %d, want 1 (the duplicate must not be retained)", e.held)
+	if e.held != 1 || e.recvTotal != 1 || e.recv[0].Payload != pay {
+		t.Fatalf("held = %d, recvTotal = %d: the repeat must not be taken in", e.held, e.recvTotal)
 	}
-	if e.recvTotal != 1 {
-		t.Fatalf("recvTotal = %d, want 1 (duplicate must not count as a delivery)", e.recvTotal)
+	if e.unfedSlots() != unfed {
+		t.Fatalf("unfed slots changed on a repeat: %d -> %d", unfed, e.unfedSlots())
 	}
-	if e.unfedSlots() != waitersBefore {
-		t.Fatalf("waiters changed on duplicate: %d -> %d", waitersBefore, e.unfedSlots())
-	}
-	for idx, rem := range e.remaining {
-		if rem != remainingBefore[idx] {
-			t.Fatalf("remaining[%d] changed on duplicate: %d -> %d", idx, remainingBefore[idx], rem)
+	for k, rem := range e.remaining {
+		if rem != remaining[k] {
+			t.Fatalf("remaining[%d] changed on a repeat: %d -> %d", k, remaining[k], rem)
 		}
 	}
 }
 
 // TestConflictingDuplicateArrivalErrors: a re-delivered tag whose payload
-// differs from the retained copy is a genuine protocol violation and must
-// surface as a descriptive error (joined into Run's node errors), not a
-// process panic.
+// differs from the retained copy surfaces as a descriptive error (joined
+// into Run's node errors), not a process panic — as every repeat does.
 func TestConflictingDuplicateArrivalErrors(t *testing.T) {
 	g := dag.NewLU(4)
 	d := dist.NewTwoDBC(2, 2)
@@ -121,8 +117,9 @@ func TestConflictingDuplicateArrivalErrors(t *testing.T) {
 	}
 }
 
-// TestUnconsumedArrivalDropped: a version no slot of the node awaits must be
-// released immediately — neither retained nor counted as taken in.
+// TestUnconsumedArrivalDropped: a version no slot of the node awaits is
+// dropped — released, neither retained nor counted as taken in — and
+// reported as an internal error naming the node and the tag.
 func TestUnconsumedArrivalDropped(t *testing.T) {
 	g := dag.NewLU(4)
 	d := dist.NewTwoDBC(2, 2)
@@ -132,14 +129,12 @@ func TestUnconsumedArrivalDropped(t *testing.T) {
 
 	// Version 99 of tile (0,0) has no registered reader on node 1.
 	msg := cluster.Message{From: 0, To: 1, Tag: cluster.Tag{I: 0, J: 0, V: 99}, Lease: cluster.Lease{Payload: tile.New(3, 3)}}
-	if err := e.onArrival(msg); err != nil {
-		t.Fatal(err)
+	err := e.onArrival(msg)
+	if want := "node 1 awaits no tile (0,0)v99"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("unawaited arrival returned %v, want an error naming %q", err, want)
 	}
-	if e.held != 0 {
-		t.Fatalf("unconsumed arrival retained: %d tiles", e.held)
-	}
-	if e.recvTotal != 0 {
-		t.Fatalf("recvTotal = %d, want 0: nothing here awaited the version", e.recvTotal)
+	if e.held != 0 || e.recvTotal != 0 {
+		t.Fatalf("unawaited arrival taken in: held %d, recvTotal %d", e.held, e.recvTotal)
 	}
 }
 
@@ -204,8 +199,9 @@ func TestEmptyEngineRuns(t *testing.T) {
 	cl := cluster.New(3)
 	defer cl.Close()
 	e := testEngine(t, 2, cl, g, d, 3, GenDiagDominant(2, 3, 1), LUKernel)
-	if err := e.run(); err != nil {
-		t.Fatal(err)
+	e.run()
+	if e.err != nil {
+		t.Fatal(e.err)
 	}
 	if len(e.remaining) != 0 {
 		t.Fatal("node 2 owns tasks under a single-node distribution")

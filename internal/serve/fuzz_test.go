@@ -13,9 +13,8 @@ import (
 // FuzzSubmit throws arbitrary job specs at one long-lived service. The
 // contract under fuzzing: Submit never panics and never wedges — a spec is
 // either rejected immediately with a descriptive ErrRejected, or admitted
-// and then driven to a terminal state (crash-injected tenants may fail; they
-// must still terminate, and must not disturb the service for the following
-// iterations).
+// and then driven to a terminal state, without disturbing the service for the
+// following iterations.
 func FuzzSubmit(f *testing.F) {
 	srv, err := New(Config{
 		P: 2, B: 4, MaxMt: 4, MaxConcurrent: 2, QueueCap: 8,
@@ -27,25 +26,22 @@ func FuzzSubmit(f *testing.F) {
 	f.Cleanup(srv.Close)
 
 	// The rejection surface the spec names, plus healthy baselines.
-	f.Add("lu", "g2dbc", 2, 4, 2, 1, 0, "")           // valid LU
-	f.Add("cholesky", "2dbc", 3, 0, 0, 2, 3, "")      // valid Cholesky, defaults
-	f.Add("", "", 0, 0, 0, 0, 0, "")                  // empty everything
-	f.Add("lu", "bogus", 2, 4, 2, 1, 0, "")           // unknown scheme
-	f.Add("lu", "g2dbc", -5, 4, 2, 1, 0, "")          // mt <= 0
-	f.Add("lu", "g2dbc", 64, 4, 2, 1, 0, "")          // mt over cap (→ budget/cap reject)
-	f.Add("lu", "g2dbc", 2, 8, 2, 1, 0, "")           // b mismatch
-	f.Add("lu", "g2dbc", 2, 4, 4096, 1, 0, "")        // oversized P
-	f.Add("qr", "g2dbc", 2, 4, 2, 1, 0, "")           // unknown kind
-	f.Add("lu", "sts", 2, 4, 2, 1, -9, "")            // scheme invalid for P=2
-	f.Add("lu", "g2dbc", 2, 4, 2, 1, 0, "0@0")        // crash injection, rank 0
-	f.Add("lu", "g2dbc", 3, 4, 2, 1, 0, "1@1")        // crash injection, rank 1
-	f.Add("lu", "g2dbc", 2, 4, 2, 1, 0, "not@a@spec") // malformed crash
-	f.Add("lu", "g2dbc", 2, 4, 2, -3, 0, "")          // negative workers
+	f.Add("lu", "g2dbc", 2, 4, 2, 1, 0)      // valid LU
+	f.Add("cholesky", "2dbc", 3, 0, 0, 2, 3) // valid Cholesky, defaults
+	f.Add("", "", 0, 0, 0, 0, 0)             // empty everything
+	f.Add("lu", "bogus", 2, 4, 2, 1, 0)      // unknown scheme
+	f.Add("lu", "g2dbc", -5, 4, 2, 1, 0)     // mt <= 0
+	f.Add("lu", "g2dbc", 64, 4, 2, 1, 0)     // mt over cap (→ budget/cap reject)
+	f.Add("lu", "g2dbc", 2, 8, 2, 1, 0)      // b mismatch
+	f.Add("lu", "g2dbc", 2, 4, 4096, 1, 0)   // oversized P
+	f.Add("qr", "g2dbc", 2, 4, 2, 1, 0)      // unknown kind
+	f.Add("lu", "sts", 2, 4, 2, 1, -9)       // scheme invalid for P=2
+	f.Add("lu", "g2dbc", 2, 4, 2, -3, 0)     // negative workers
 
-	f.Fuzz(func(t *testing.T, kind, scheme string, mt, b, p, workers, priority int, crash string) {
+	f.Fuzz(func(t *testing.T, kind, scheme string, mt, b, p, workers, priority int) {
 		id, err := srv.Submit(JobSpec{
 			Kind: kind, Scheme: scheme, Mt: mt, B: b, P: p,
-			Workers: workers, Priority: priority, Crash: crash,
+			Workers: workers, Priority: priority,
 			Seed: int64(mt + b),
 		})
 		if err != nil {
@@ -57,9 +53,9 @@ func FuzzSubmit(f *testing.F) {
 			}
 			return
 		}
-		// Admitted: the job must reach a terminal state. Crash-injected
-		// tenants legitimately fail — Wait's error is fine — but a wedge
-		// (timeout) means a stuck namespace and fails the fuzz.
+		// Admitted: the job must reach a terminal state. A job may fail —
+		// Wait's error is fine — but a wedge (timeout) means a stuck
+		// namespace and fails the fuzz.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		if err := srv.Wait(ctx, id); err != nil && ctx.Err() != nil {
@@ -87,7 +83,6 @@ func FuzzHTTPSubmit(f *testing.F) {
 	f.Add(`{"kind":"cholesky","scheme":"2dbc","mt":3}`)
 	f.Add(`{"kind":"lu","mt":2,"sed":3}`)
 	f.Add(`{"kind":"lu","mt":2,"chaosSeed":7}`)
-	f.Add(`{"kind":"lu","mt":2,"crash":"0@0"}`)
 	f.Add(`{"kind":"lu","mt":-1}`)
 	f.Add(`{"kind":"lu","mt":1e99}`)
 	f.Add(`{"kind":"lu","mt":2}{"kind":"lu"}`)

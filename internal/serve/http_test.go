@@ -38,7 +38,7 @@ func TestHTTPSession(t *testing.T) {
 	}
 	// A field JobSpec does not have — a typo, or one the API retired — is
 	// named in a 400 instead of running the job with that field's default.
-	for _, field := range []string{"sed", "chaosSeed", "elastic"} {
+	for _, field := range []string{"sed", "chaosSeed", "elastic", "crash"} {
 		resp, m := post(`{"kind":"lu","mt":2,"` + field + `":3}`)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("unknown field %q returned %d (%v)", field, resp.StatusCode, m)

@@ -4,7 +4,7 @@
 // cluster.Cluster and runs many factorization DAGs over it concurrently —
 // each job on its own tile-namespace plane (cluster.OpenJob's epoch in every
 // cluster.Tag), so tenants can never read each other's tiles, a cancelled or
-// crashed job poisons only its own namespace, and every per-job
+// failed job poisons only its own namespace, and every per-job
 // runtime.Report carries exactly the accounting a dedicated cluster would
 // have produced.
 //
@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"anybc/internal/chaos"
 	"anybc/internal/cluster"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
@@ -110,11 +109,6 @@ type JobSpec struct {
 	Priority int `json:"priority,omitempty"`
 	// Workers is the per-node worker count; zero means the service default.
 	Workers int `json:"workers,omitempty"`
-	// Crash injects a deterministic node crash, as "rank@task" (the 0-based
-	// owned-task index before which the rank dies) — the chaos seam of the
-	// concurrency test harness. The job fails with chaos.ErrInjectedCrash,
-	// and no other tenant is disturbed.
-	Crash string `json:"crash,omitempty"`
 }
 
 // Result is a finished job's output: exactly one of Dense (LU) or Chol
@@ -194,7 +188,6 @@ func (c Config) withDefaults() Config {
 type job struct {
 	id       JobID
 	spec     JobSpec
-	crash    *chaos.Plan
 	state    JobState
 	err      error
 	result   *Result // nil once the window dropped it
@@ -345,11 +338,6 @@ func (s *Server) validate(spec *JobSpec) error {
 	if _, err := s.cache.Dist(spec.Scheme, spec.P); err != nil {
 		return fmt.Errorf("%w: scheme %q unusable for P=%d: %v", ErrRejected, spec.Scheme, spec.P, err)
 	}
-	if spec.Crash != "" {
-		if _, err := chaos.ParseCrash(spec.Crash, spec.P); err != nil {
-			return fmt.Errorf("%w: %v", ErrRejected, err)
-		}
-	}
 	return nil
 }
 
@@ -365,19 +353,6 @@ func (s *Server) Submit(spec JobSpec) (JobID, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	var plan *chaos.Plan
-	if spec.Crash != "" {
-		crashAt, _ := chaos.ParseCrash(spec.Crash, spec.P) // validate already accepted it
-		p, err := chaos.New(chaos.Config{CrashAtTask: crashAt})
-		if err != nil {
-			s.mu.Lock()
-			s.rejected++
-			s.mu.Unlock()
-			return 0, fmt.Errorf("%w: %v", ErrRejected, err)
-		}
-		plan = p
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -396,7 +371,6 @@ func (s *Server) Submit(spec JobSpec) (JobID, error) {
 	j := &job{
 		id:     s.nextID,
 		spec:   spec,
-		crash:  plan,
 		state:  StateQueued,
 		submit: time.Now(),
 		seq:    s.seq,
@@ -489,12 +463,11 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 		Workers: spec.Workers,
 		Cluster: s.cl,
 		Context: j.ctx,
-		Chaos:   j.crash,
 	}
 	switch spec.Kind {
 	case KindLU:
 		gen := runtime.GenDiagDominant(spec.Mt, spec.B, spec.Seed)
-		out, rep, err := runtime.FactorLU(spec.Mt, spec.B, d, gen, opt)
+		out, rep, err := factorLU(spec.Mt, spec.B, d, gen, opt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -510,6 +483,10 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 		return nil, nil, fmt.Errorf("serve: unknown job kind %q", spec.Kind)
 	}
 }
+
+// factorLU is the LU a job runs: runtime.FactorLU, which a test replaces to
+// fail one tenant mid-run.
+var factorLU = runtime.FactorLU
 
 // get looks a job up under mu.
 func (s *Server) get(id JobID) (*job, error) {

@@ -9,10 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"anybc/internal/chaos"
+	"anybc/internal/dag"
 	"anybc/internal/dist"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
+	"anybc/internal/tile"
 )
 
 func newTestServer(t testing.TB, cfg Config) *Server {
@@ -311,13 +312,6 @@ func TestSubmitValidation(t *testing.T) {
 		{"sbc bad P", JobSpec{Kind: KindCholesky, Mt: 4, Scheme: "sbc"}, "unusable for P=4"},
 		{"workers negative", JobSpec{Kind: KindLU, Mt: 4, Workers: -1}, "workers"},
 		{"workers huge", JobSpec{Kind: KindLU, Mt: 4, Workers: 999}, "workers"},
-		{"crash junk", JobSpec{Kind: KindLU, Mt: 4, Crash: "junk"}, "crash spec"},
-		{"crash two directives", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@2,3@4"}, "crash spec"},
-		{"crash trailing text", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@2xyz"}, "crash spec"},
-		{"crash third field", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@2@3"}, "crash spec"},
-		{"crash trailing space", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@2 "}, "crash spec"},
-		{"crash bad rank", JobSpec{Kind: KindLU, Mt: 4, Crash: "9@1"}, "rank outside"},
-		{"crash negative task", JobSpec{Kind: KindLU, Mt: 4, Crash: "1@-2"}, "negative task"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -338,18 +332,36 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestChaosTenantCrash: a tenant whose node crashes mid-run fails, and only
+// TestChaosTenantCrash: a tenant whose kernel fails mid-run fails, and only
 // that job: its co-tenants never notice — an LU tenant's factors stay
-// bit-identical to a crash-free solo run, a Cholesky tenant's residual tiny.
+// bit-identical to a solo run, a Cholesky tenant's residual tiny. The
+// doomed job is the one LU of size 5: the test's factorLU runs it with a
+// kernel that fails on its second panel. (The name predates the failing
+// kernel: the job's node used to be crashed by fault injection.)
 func TestChaosTenantCrash(t *testing.T) {
-	const mt, b, P = 6, 4, 4
+	const mt, b, P, doomedMt = 6, 4, 4, 5
+	errBoom := errors.New("injected kernel failure")
+	t.Cleanup(func() { factorLU = runtime.FactorLU })
+	factorLU = func(mt, b int, d dist.Distribution, gen func(i, j int) *tile.Tile, opt runtime.Options) (*matrix.Dense, *runtime.Report, error) {
+		if mt != doomedMt {
+			return runtime.FactorLU(mt, b, d, gen, opt)
+		}
+		kern := func(task dag.Task, out *tile.Tile, in []*tile.Tile) error {
+			if task == (dag.Task{Kind: dag.GETRF, I: 1, J: 1, L: 1}) {
+				return errBoom
+			}
+			return runtime.LUKernel(task, out, in)
+		}
+		_, err := runtime.Run(dag.NewLU(mt), d, b, gen, kern, opt, nil)
+		return nil, nil, err
+	}
 	srv := newTestServer(t, Config{P: P, B: b, MaxConcurrent: 4, Workers: 2})
 
 	bystander, err := srv.Submit(JobSpec{Kind: KindLU, Mt: mt, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doomed, err := srv.Submit(JobSpec{Kind: KindLU, Mt: mt, Seed: 8, Crash: "2@1"})
+	doomed, err := srv.Submit(JobSpec{Kind: KindLU, Mt: doomedMt, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,25 +375,25 @@ func TestChaosTenantCrash(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := srv.Wait(ctx, doomed); err == nil {
-		t.Fatal("crashed job reported success")
+		t.Fatal("failed job reported success")
 	} else if ctx.Err() != nil {
-		t.Fatal("crashed job wedged")
+		t.Fatal("failed job wedged")
 	}
-	if st, _ := srv.Status(doomed); st.State != StateFailed || !strings.Contains(st.Error, chaos.ErrInjectedCrash.Error()) {
-		t.Fatalf("crashed job state %s, error %q: want failed with the injected crash", st.State, st.Error)
+	if st, _ := srv.Status(doomed); st.State != StateFailed || !strings.Contains(st.Error, errBoom.Error()) {
+		t.Fatalf("failed job state %s, error %q: want failed with the kernel's error", st.State, st.Error)
 	}
 
 	res, _, err := srv.Result(bystander)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireDenseIdentical(t, res.Dense, soloLU(t, mt, b, P, 7, 2), mt, "LU co-tenant of a crash")
+	requireDenseIdentical(t, res.Dense, soloLU(t, mt, b, P, 7, 2), mt, "LU co-tenant of a failed job")
 	resQ, _, err := srv.Result(quiet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := matrix.ResidualCholesky(matrix.NewSPD(mt, b, 9), resQ.Chol); r > 1e-10 {
-		t.Errorf("co-tenant residual %g beside a crash", r)
+		t.Errorf("co-tenant residual %g beside a failed job", r)
 	}
 	drainPool(t, srv)
 }

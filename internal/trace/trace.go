@@ -44,17 +44,6 @@ type StallEvent struct {
 	Weight     float64
 }
 
-// FaultEvent is one injected fault or recovery action: chaos-injected
-// delays/reorders/duplicates/drops/crashes and the runtime's healing moves
-// (re-requests, redeliveries), each stamped with the instant it happened so
-// faults render on the same time axis as kernels and messages.
-type FaultEvent struct {
-	Kind     string // e.g. "drop", "delay", "re-request", "redeliver", "crash"
-	Src, Dst int
-	Tag      string // what it hit: a tile version, "(2,1)v0" or "req(2,1)v0", with a chaos verdict's attempt and delay; or "task 3"
-	Time     float64
-}
-
 // Recorder accumulates events during one run. Recording is safe for
 // concurrent use — the real runtime records from every node's goroutines —
 // while the analysis methods expect recording to have finished.
@@ -63,7 +52,6 @@ type Recorder struct {
 	Tasks    []TaskEvent
 	Messages []MessageEvent
 	Stalls   []StallEvent
-	Faults   []FaultEvent
 }
 
 // RecordTask appends a kernel execution interval.
@@ -85,13 +73,6 @@ func (r *Recorder) RecordMessage(src, dst int, depart, arrive float64, bytes int
 func (r *Recorder) RecordStall(node int, start, end, weight float64) {
 	r.mu.Lock()
 	r.Stalls = append(r.Stalls, StallEvent{Node: node, Start: start, End: end, Weight: weight})
-	r.mu.Unlock()
-}
-
-// RecordFault appends an injected fault or recovery action.
-func (r *Recorder) RecordFault(kind string, src, dst int, tag string, at float64) {
-	r.mu.Lock()
-	r.Faults = append(r.Faults, FaultEvent{Kind: kind, Src: src, Dst: dst, Tag: tag, Time: at})
 	r.mu.Unlock()
 }
 
@@ -219,26 +200,11 @@ func (r *Recorder) MessagesCSV(w io.Writer) error {
 	return nil
 }
 
-// FaultsCSV writes the injected faults and recovery actions as CSV.
-func (r *Recorder) FaultsCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "kind,src,dst,tag,time"); err != nil {
-		return err
-	}
-	for _, f := range r.Faults {
-		if _, err := fmt.Fprintf(w, "%q,%d,%d,%q,%.9f\n",
-			f.Kind, f.Src, f.Dst, f.Tag, f.Time); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Fingerprint hashes the structural content of the trace — which tasks ran
-// where, the per-(src,dst) message counts and byte volumes, and the sorted
-// fault log — excluding every wall-clock timestamp. Two runs of the same
-// seeded workload must produce equal fingerprints even though their kernel
-// and message timings differ; any divergence in what happened (an extra
-// message, a missing fault, a task migrating nodes) changes the hash.
+// where, and the per-(src,dst) message counts and byte volumes — excluding
+// every wall-clock timestamp. Two runs of one workload that differ only in
+// timing and delivery order produce equal fingerprints; any divergence in
+// what happened (an extra message, a task migrating nodes) changes the hash.
 func (r *Recorder) Fingerprint() string {
 	tasks := make([]string, len(r.Tasks))
 	for i, e := range r.Tasks {
@@ -265,21 +231,12 @@ func (r *Recorder) Fingerprint() string {
 		return pairs[i].dst < pairs[j].dst
 	})
 
-	faults := make([]string, len(r.Faults))
-	for i, f := range r.Faults {
-		faults[i] = fmt.Sprintf("fault %s %d->%d %s", f.Kind, f.Src, f.Dst, f.Tag)
-	}
-	sort.Strings(faults)
-
 	h := fnv.New64a()
 	for _, s := range tasks {
 		fmt.Fprintln(h, s)
 	}
 	for _, k := range pairs {
 		fmt.Fprintf(h, "msg %d->%d n=%d bytes=%d\n", k.src, k.dst, counts[k], bytes[k])
-	}
-	for _, s := range faults {
-		fmt.Fprintln(h, s)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

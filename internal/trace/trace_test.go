@@ -141,26 +141,6 @@ func TestCSVExports(t *testing.T) {
 	}
 }
 
-func TestFaultRecordingAndCSV(t *testing.T) {
-	r := sampleRecorder()
-	r.RecordFault("drop", 0, 1, "(2,1)v0", 0.7)
-	r.RecordFault("re-request", 1, 0, "(2,1)v0", 1.2)
-	if len(r.Faults) != 2 || r.Faults[0].Kind != "drop" || r.Faults[1].Dst != 0 {
-		t.Fatalf("faults recorded wrong: %+v", r.Faults)
-	}
-	var sb strings.Builder
-	if err := r.FaultsCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	csv := sb.String()
-	if !strings.HasPrefix(csv, "kind,src,dst,tag,time\n") {
-		t.Fatalf("faults CSV missing header: %q", csv)
-	}
-	if !strings.Contains(csv, `"re-request",1,0,"(2,1)v0"`) {
-		t.Fatalf("faults CSV missing row: %q", csv)
-	}
-}
-
 // TestFingerprintStructural: the fingerprint must ignore wall-clock jitter
 // and recording order but change on any structural difference.
 func TestFingerprintStructural(t *testing.T) {
@@ -171,11 +151,9 @@ func TestFingerprintStructural(t *testing.T) {
 	a.RecordTask(0, 0, t1, 0, 1)
 	a.RecordTask(1, 0, t2, 0.5, 2)
 	a.RecordMessage(0, 1, 1, 1.5, 64)
-	a.RecordFault("delay", 0, 1, "(1,0)v0", 0.3)
 
 	// Same structure: different timings, different event order, different slot.
 	b := &Recorder{}
-	b.RecordFault("delay", 0, 1, "(1,0)v0", 0.9)
 	b.RecordMessage(0, 1, 2, 2.5, 64)
 	b.RecordTask(1, 1, t2, 1.5, 3)
 	b.RecordTask(0, 0, t1, 1, 2)
@@ -189,19 +167,8 @@ func TestFingerprintStructural(t *testing.T) {
 	c.RecordTask(1, 0, t2, 0.5, 2)
 	c.RecordMessage(0, 1, 1, 1.5, 64)
 	c.RecordMessage(0, 1, 1, 1.5, 64)
-	c.RecordFault("delay", 0, 1, "(1,0)v0", 0.3)
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("fingerprint missed an extra message")
-	}
-
-	// A different fault kind changes it.
-	d := &Recorder{}
-	d.RecordTask(0, 0, t1, 0, 1)
-	d.RecordTask(1, 0, t2, 0.5, 2)
-	d.RecordMessage(0, 1, 1, 1.5, 64)
-	d.RecordFault("drop", 0, 1, "(1,0)v0", 0.3)
-	if a.Fingerprint() == d.Fingerprint() {
-		t.Fatal("fingerprint missed a fault difference")
 	}
 
 	// A task migrating nodes changes it.
@@ -209,7 +176,6 @@ func TestFingerprintStructural(t *testing.T) {
 	e.RecordTask(0, 0, t1, 0, 1)
 	e.RecordTask(0, 0, t2, 0.5, 2) // t2 on node 0 instead of 1
 	e.RecordMessage(0, 1, 1, 1.5, 64)
-	e.RecordFault("delay", 0, 1, "(1,0)v0", 0.3)
 	if a.Fingerprint() == e.Fingerprint() {
 		t.Fatal("fingerprint missed a task moving nodes")
 	}

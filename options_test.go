@@ -20,7 +20,6 @@ var auditedOptions = []string{
 	"anybc/internal/cluster.Options",
 	"anybc/internal/simulate.Options",
 	"anybc/internal/simulate.Machine",
-	"anybc/internal/chaos.Config",
 	"anybc/internal/core.Options",
 	"anybc/internal/gcrm.SearchOptions",
 	"anybc/internal/experiments.SimConfig",
@@ -138,18 +137,13 @@ func auditOptions(fields map[string]token.Position, set map[string]bool, allow m
 // no non-test file of the module — cmd/, examples/, internal/, bench/ — gives
 // a value is a knob nobody can turn, and fails here unless it is on the
 // allow-list below with the reason it stays. A struct's own defaulting
-// method is not a caller. The list is meant to stay at five or fewer.
+// method is not a caller. The list is meant to stay at one entry or none.
 func TestOptionsAreSetByProductCode(t *testing.T) {
-	const chaosSpeed = "tests pin it a few milliseconds or less so fault schedules run fast; product runs use the default"
 	allow := map[string]string{
-		"runtime.Options.ArrivalTimeout": "sizes the re-request fault budget; TestReRequestBudget* and TestLayersArmedOnlyWhenAsked pin it at 1ms, the 250ms default would take minutes",
-		"runtime.Options.MaxReRequests":  "the other half of that budget; the same tests pin its semantics at 2-3 requests, not the default 50",
-		"chaos.Config.MaxDelay":          chaosSpeed,
-		"chaos.Config.ReorderFlush":      chaosSpeed,
-		"chaos.Config.RedeliverAfter":    chaosSpeed,
+		"cluster.Options.Net": "the test seam nicNet and the reorder network plug into",
 	}
-	if len(allow) > 5 {
-		t.Errorf("allow-list has %d entries: it is meant to stay at 5 or fewer", len(allow))
+	if len(allow) > 1 {
+		t.Errorf("allow-list has %d entries: it is meant to stay at 1 or fewer", len(allow))
 	}
 	std := stdImporter(t)
 	fset := token.NewFileSet()
