@@ -52,7 +52,7 @@ func main() {
 		tb     = flag.Int("tb", 16, "gantt -real mode: tile size in elements")
 		work   = flag.Int("workers", 2, "gantt -real mode: worker goroutines per node")
 		tree   = flag.Bool("tree", false, "gantt mode: binomial-tree broadcast transport instead of flat fan-out")
-		repl   = flag.Int("repl", 1, "gantt mode (LU only): replication factor c — stack c layers of the base grid, 2.5D-style")
+		repl   = flag.Int("repl", 1, "gantt mode (LU only, simulator only): replication factor c — c layers of a -p-node base grid, 2.5D-style, so a run uses c·p nodes")
 	)
 	flag.Parse()
 
@@ -73,7 +73,10 @@ func main() {
 		}
 		var err error
 		if *real {
-			err = runGanttReal(*gantt, *p, *n, *tb, *work, *scheme, *kernel, bc, *repl)
+			if *repl > 1 {
+				fatal(fmt.Errorf("-repl is simulator-only (got -real -repl %d)", *repl))
+			}
+			err = runGanttReal(*gantt, *p, *n, *tb, *work, *scheme, *kernel, bc)
 		} else {
 			err = runGantt(*gantt, *p, *n, *scheme, *kernel, bc, *repl)
 		}
@@ -155,10 +158,6 @@ func runGantt(prefix string, p, n int, scheme, kernel string, bc cluster.Broadca
 		g.Name(), d.Name(), res.GFlops(), res.Makespan, res.Messages)
 	fmt.Printf("broadcast %s: %d wire hops (%d relayed by recipients)\n",
 		bc, res.Hops, res.Forwards)
-	if repl > 1 {
-		fmt.Printf("replication c=%d: %d reduction shipments, %.2f MB of partials\n",
-			repl, res.Reduces, float64(res.ReduceBytes)/1e6)
-	}
 	fmt.Printf("per-node utilization:")
 	for _, u := range rec.Utilization(m.Workers, d.Nodes()) {
 		fmt.Printf(" %.2f", u)
@@ -172,7 +171,7 @@ func runGantt(prefix string, p, n int, scheme, kernel string, bc cluster.Broadca
 // runGanttReal executes one real (numeric) factorization on the virtual
 // cluster with wall-clock tracing and writes the same CSV pair as the
 // simulated mode, plus working-set statistics from the release path.
-func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, bc cluster.BroadcastMode, repl int) error {
+func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, bc cluster.BroadcastMode) error {
 	if b < 1 {
 		return fmt.Errorf("-tb must be >= 1 (got %d)", b)
 	}
@@ -182,9 +181,6 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, bc
 	mt := n / b
 	if mt < 2 {
 		return fmt.Errorf("matrix size %d below two %d-element tiles", n, b)
-	}
-	if repl > 1 && kernel != "lu" {
-		return fmt.Errorf("-repl is LU-only (got kernel %q)", kernel)
 	}
 	d, err := core.New(core.Scheme(scheme), p, core.Options{})
 	if err != nil {
@@ -197,12 +193,7 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, bc
 	switch kernel {
 	case "lu":
 		name = "LU"
-		if repl > 1 {
-			name = fmt.Sprintf("LU/c=%d", repl)
-			_, rep, err = runtime.FactorLUReplicated(mt, b, repl, d, runtime.GenDiagDominant(mt, b, 1), opt)
-		} else {
-			_, rep, err = runtime.FactorLU(mt, b, d, runtime.GenDiagDominant(mt, b, 1), opt)
-		}
+		_, rep, err = runtime.FactorLU(mt, b, d, runtime.GenDiagDominant(mt, b, 1), opt)
 	case "cholesky":
 		name = "Cholesky"
 		_, rep, err = runtime.FactorCholesky(mt, b, d, runtime.GenSPD(mt, b, 1), opt)
@@ -223,10 +214,6 @@ func runGanttReal(prefix string, p, n, b, workers int, scheme, kernel string, bc
 		float64(rep.Stats.TotalBytes())/1e6)
 	fmt.Printf("broadcast %s: %d wire hops, %d relayed by recipients\n",
 		bc, rep.Stats.TotalHops(), rep.Stats.TotalForwards())
-	if repl > 1 {
-		fmt.Printf("replication c=%d: %d reduction shipments, %.2f MB of partials\n",
-			repl, rep.Stats.Total(cluster.Reduces), float64(rep.Stats.Total(cluster.ReduceBytes))/1e6)
-	}
 	if bc == cluster.BroadcastTree {
 		fmt.Printf("per-node outgoing hops:")
 		for _, h := range rep.Stats.BySrc(cluster.Hops) {

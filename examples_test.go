@@ -43,7 +43,8 @@ func TestExamplesRun(t *testing.T) {
 
 // TestSimfactRealRun drives simfact's real-run path end to end: an LU on
 // seven nodes writes the two trace CSVs. The retired fault flags, -crash and
-// -chaos-seed, are refused as flags the command does not define.
+// -chaos-seed, are refused as flags the command does not define, and a
+// replicated run, which only the simulator models, by name.
 func TestSimfactRealRun(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "x")
 	shape := []string{"./cmd/simfact", "-gantt", prefix, "-real", "-p", "7", "-n", "96", "-tb", "8", "-workers", "1"}
@@ -64,11 +65,16 @@ func TestSimfactRealRun(t *testing.T) {
 	}
 
 	// A zero tile size or worker count is refused by name, with status 1 —
-	// not a divide-by-zero panic or an all-zero utilization line.
-	for flag, want := range map[string]string{"-tb": "-tb must be >= 1", "-workers": "-workers must be >= 1"} {
-		out, err := goRun(t, "./cmd/simfact", "-gantt", prefix, "-real", "-p", "7", "-n", "96", "-tb", "8", flag, "0")
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), want) {
-			t.Errorf("simfact -real %s 0: err %v, want exit status 1 saying %q:\n%s", flag, err, want, out)
+	// not a divide-by-zero panic or an all-zero utilization line — and so is
+	// a replication factor, which only the simulator runs.
+	for _, c := range []struct{ flag, value, want string }{
+		{"-tb", "0", "-tb must be >= 1"},
+		{"-workers", "0", "-workers must be >= 1"},
+		{"-repl", "2", "-repl is simulator-only"},
+	} {
+		out, err := goRun(t, append(shape, c.flag, c.value)...)
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), c.want) {
+			t.Errorf("simfact -real %s %s: err %v, want exit status 1 saying %q:\n%s", c.flag, c.value, err, c.want, out)
 		}
 	}
 }

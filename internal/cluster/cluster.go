@@ -235,8 +235,8 @@ type Taker interface {
 }
 
 // Network is the cluster's one seam, a test seam. When a cluster is created
-// with Options.Net set, every wire hop — broadcast, reduction and relay
-// alike — is routed through Deliver on its way to the destination mailbox.
+// with Options.Net set, every wire hop — the owner's and a relay's alike —
+// is routed through Deliver on its way to the destination mailbox.
 // The implementation must call deliver exactly once per message, at once or
 // later, from any goroutine: it may delay and reorder deliveries, as a model
 // of a real network's timing does, but never lose or repeat one. The traffic
@@ -283,26 +283,23 @@ type Options struct {
 type Counter uint8
 
 const (
-	Messages    Counter = iota // logical owner→consumer tile messages: what Equations (1)/(2) predict
-	Bytes                      // payload bytes of Messages
-	Hops                       // physical transmissions on the link
-	WireBytes                  // payload bytes of Hops (every hop carries one tile)
-	Forwards                   // the Hops sent by tree relays
-	Reduces                    // the Messages that carried reduction partials
-	ReduceBytes                // the Bytes that carried reduction partials
+	Messages  Counter = iota // logical owner→consumer tile messages: what Equations (1)/(2) predict
+	Bytes                    // payload bytes of Messages
+	Hops                     // physical transmissions on the link
+	WireBytes                // payload bytes of Hops (every hop carries one tile)
+	Forwards                 // the Hops sent by tree relays
 	numCounters
 )
 
 // byteValued marks the counters that grow by the payload's size rather than
 // by one.
-var byteValued = [numCounters]bool{Bytes: true, WireBytes: true, ReduceBytes: true}
+var byteValued = [numCounters]bool{Bytes: true, WireBytes: true}
 
 // kind classifies a transmission for the ledger.
 type kind uint8
 
 const (
 	kindData    kind = iota // Broadcast: a published tile version
-	kindReduce              // SendReduce: a reduction partial
 	kindForward             // Forward: a tree relay of someone else's broadcast
 )
 
@@ -315,7 +312,6 @@ const (
 // the owner was already charged for.
 var ledgerOf = [...]struct{ perDst, perHop []Counter }{
 	kindData:    {perDst: []Counter{Messages, Bytes}, perHop: []Counter{Hops, WireBytes}},
-	kindReduce:  {perDst: []Counter{Messages, Bytes, Reduces, ReduceBytes}, perHop: []Counter{Hops, WireBytes}},
 	kindForward: {perHop: []Counter{Hops, WireBytes, Forwards}},
 }
 
@@ -332,7 +328,7 @@ type plane struct {
 }
 
 // ledger holds one P×P (src, dst) block per counter, allocated by the block's
-// first charge: a flat run without reductions charges four of the seven.
+// first charge: a flat run charges four of the five.
 type ledger [numCounters]atomic.Pointer[[]atomic.Int64]
 
 // block returns counter c's block, allocating it when grow is set and it does
@@ -648,17 +644,6 @@ func (c *Comm) charge(counters []Counter, dst int, size int64) {
 		}
 		c.pl.ledger.block(ctr, p, true)[c.rank*p+dst].Add(n)
 	}
-}
-
-// SendReduce ships one reduction partial — a layer's accumulator tile — to
-// the single node that combines it. Partials always flow up exactly one edge
-// of the binomial combine schedule (dag.ReplicatedLU's), so unlike Broadcast
-// there is no fan-out and no relay in either broadcast mode; their own
-// counters let measurements split a replicated run's volume into
-// panel-broadcast and reduction traffic. The payload is lent, as Broadcast
-// lends it.
-func (c *Comm) SendReduce(dst int, tag Tag, payload *tile.Tile) {
-	c.transmit(kindReduce, []int{dst}, Message{Tag: tag}, payload)
 }
 
 // Forward relays a tree-broadcast message onward: the caller received msg

@@ -207,10 +207,11 @@ func TestLedger(t *testing.T) {
 			},
 			func(c *Cluster, m Message) { c.JobComm(jobA, 2).Forward(m); m.Release() },
 			delta{Hops: on(1, link{2, 3}), WireBytes: on(sz, link{2, 3}), Forwards: on(1, link{2, 3})}, 1},
-		{"SendReduce", BroadcastTree, nil,
-			func(c *Cluster, _ Message) { c.JobComm(jobA, 1).SendReduce(0, Tag{I: 1}, payload(1)) },
+		{"SendAll tree one destination", BroadcastTree, nil,
+			// One consumer: the tree is the owner's one hop, and nothing relays.
+			func(c *Cluster, _ Message) { c.JobComm(jobA, 1).SendAll([]int{0}, Tag{I: 1}, payload(1)) },
 			delta{Messages: on(1, link{1, 0}), Bytes: on(sz, link{1, 0}), Hops: on(1, link{1, 0}),
-				WireBytes: on(sz, link{1, 0}), Reduces: on(1, link{1, 0}), ReduceBytes: on(sz, link{1, 0})}, 1},
+				WireBytes: on(sz, link{1, 0})}, 1},
 	}
 	queued := func(c *Cluster) int {
 		n := 0

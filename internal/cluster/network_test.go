@@ -37,8 +37,8 @@ func (n *heldNet) Deliver(msg Message, deliver func(Message)) {
 	n.mu.Unlock()
 }
 
-// TestNetworkSeamSeesEveryDelivery: every wire hop, broadcast and reduction
-// alike, passes through the seam, and the ledger is charged at send time,
+// TestNetworkSeamSeesEveryDelivery: every wire hop, of a fan-out or to a
+// single consumer, passes through the seam, and the ledger is charged at send time,
 // before the seam delivers — delivery timing never moves the counts
 // Equations (1)/(2) predict.
 func TestNetworkSeamSeesEveryDelivery(t *testing.T) {
@@ -46,9 +46,9 @@ func TestNetworkSeamSeesEveryDelivery(t *testing.T) {
 	c := NewWithOptions(3, Options{Net: net})
 	defer c.Close()
 	c.Comm(0).SendAll([]int{1, 2}, Tag{}, payload(1))
-	c.Comm(1).SendReduce(0, Tag{I: 1}, payload(2))
+	c.Comm(1).SendAll([]int{0}, Tag{I: 1}, payload(2))
 	if len(net.held) != 3 {
-		t.Fatalf("network saw %d deliveries, want 3 (two broadcast hops, one reduction)", len(net.held))
+		t.Fatalf("network saw %d deliveries, want 3 (two broadcast hops, one point-to-point)", len(net.held))
 	}
 	if got := c.JobStats(0).TotalMessages(); got != 3 {
 		t.Fatalf("%d messages counted before delivery, want 3", got)

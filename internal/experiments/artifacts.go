@@ -83,7 +83,20 @@ var Artifacts = []Artifact{
 		RenderValidation(w, mt, rows)
 		return nil
 	}),
-	whole("replication.txt", "< 0.1 s", renderReplication),
+	{
+		File:   "replication.txt",
+		Render: renderReplication(func(int, int) bool { return true }),
+		Sample: renderReplication(replicationSampled),
+		Keep: func(row []string) bool {
+			if len(row) < 2 {
+				return false
+			}
+			p, errP := strconv.Atoi(row[0])
+			mt, errMT := strconv.Atoi(row[1])
+			return errP == nil && errMT == nil && replicationSampled(p, mt)
+		},
+		Cost: "≈ 0.6 s",
+	},
 }
 
 const (

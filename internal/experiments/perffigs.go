@@ -60,42 +60,50 @@ type simPoint struct {
 	p int
 }
 
-// simulateAll runs the points on at most GOMAXPROCS goroutines — each point
-// builds its own graph, diagonal resolver and simulator state, so they share
-// nothing that is written — and returns their results in the order given; of
-// several failures, the first in that order. Each point is two goroutines
-// while it runs: simulate.Run infers on a producer of its own alongside its
-// event loop, so a sweep can have up to twice GOMAXPROCS runnable. Points are
-// started from the back: sweeps list the largest matrix last, and the longest
-// job should not be the one left running alone.
+// simulateAll runs the points through inParallel — each point builds its own
+// graph, diagonal resolver and simulator state, so they share nothing that
+// is written — and returns their results in the order given; of several
+// failures, the first in that order.
 func simulateAll(cfg SimConfig, symmetric bool, pts []simPoint) ([]PerfPoint, error) {
 	out := make([]PerfPoint, len(pts))
 	errs := make([]error, len(pts))
-	var started atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(pts)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := len(pts) - int(started.Add(1))
-				if i < 0 {
-					return
-				}
-				out[i], errs[i] = simulateOne(cfg, symmetric, pts[i].n, pts[i].d)
-				if pts[i].p != 0 {
-					out[i].P = pts[i].p
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	inParallel(len(pts), func(i int) {
+		out[i], errs[i] = simulateOne(cfg, symmetric, pts[i].n, pts[i].d)
+		if pts[i].p != 0 {
+			out[i].P = pts[i].p
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// inParallel calls run(i) for every i < n on at most GOMAXPROCS goroutines.
+// Each simulation is two goroutines while it runs: simulate.Run infers on a
+// producer of its own alongside its event loop, so a sweep can have up to
+// twice GOMAXPROCS runnable. Indices are handed out from the back: sweeps
+// list their largest point last, and the longest job should not be the one
+// left running alone.
+func inParallel(n int, run func(i int)) {
+	var started atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := n - int(started.Add(1))
+				if i < 0 {
+					return
+				}
+				run(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // sweep simulates each distribution at every N of the config.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -11,14 +12,17 @@ import (
 )
 
 // ReplicationPoint is one row of the replication (2.5D) memory-for-
-// communication sweep: a replicated LU run at one replication factor c,
-// measured by the simulator's exact byte accounting and compared against the
-// memory-parameterized COnfLUX lower bound.
+// communication study: a replicated LU run on a fixed total of P nodes at
+// one replication factor c, measured by the simulator's exact byte
+// accounting and compared against the memory-parameterized COnfLUX lower
+// bound.
 type ReplicationPoint struct {
-	// C is the replication factor (1 = the unreplicated G-2DBC baseline).
+	// P is the total node count, c layers × the G-2DBC(P/c) base grid.
+	P int
+	// MT is the matrix side in tiles.
+	MT int
+	// C is the replication factor (1 = the unreplicated G-2DBC(P) baseline).
 	C int
-	// Nodes is the total node count, c layers × the base grid.
-	Nodes int
 	// ReduceBytes is the volume shipping reduction partials between layers.
 	ReduceBytes int64
 	// RecvMean is the mean per-node received bytes — the paper-facing
@@ -34,23 +38,23 @@ type ReplicationPoint struct {
 	Makespan float64
 }
 
-// ReplicationSweep runs the replicated LU communication study: an mt×mt tile
-// matrix on c layers of a G-2DBC(baseP) grid for each c in cs, measured with
-// the simulator's exact accounting under the flat (point-to-point) transport.
-// Every point's per-node received volume is compared to the
-// memory-parameterized COnfLUX bound (2/3)·m²/√(c·Ptotal) − m²/Ptotal, with
-// Ptotal = c·baseP: each doubling of memory should buy ~√2 less traffic per
-// node until the grid is too small to amortize the reduction shipments.
-func ReplicationSweep(cfg SimConfig, baseP, mt int, cs []int) ([]ReplicationPoint, error) {
-	base := dist.NewG2DBC(baseP)
+// ReplicationSweep runs the replicated LU communication study at a fixed
+// total of P nodes: an mt×mt tile matrix on c layers of a G-2DBC(P/c) grid
+// for each c in cs (each must divide P), measured with the simulator's exact
+// accounting under the flat (point-to-point) transport. Every point's
+// per-node received volume is compared to the memory-parameterized COnfLUX
+// bound (2/3)·m²/√(c·P) − m²/P: replication spends the c-fold memory on
+// less traffic per node, and pays for it in reduction shipments and in a
+// base grid c times smaller.
+func ReplicationSweep(cfg SimConfig, P, mt int, cs []int) ([]ReplicationPoint, error) {
 	m := float64(mt * cfg.B)
 	var out []ReplicationPoint
 	for _, c := range cs {
-		if c < 1 {
-			return nil, fmt.Errorf("experiments: invalid replication factor %d", c)
+		if c < 1 || P%c != 0 {
+			return nil, fmt.Errorf("experiments: replication factor %d does not divide P = %d", c, P)
 		}
 		g := dag.NewReplicatedLU(mt, c)
-		d := dist.NewReplicated(base, c, mt)
+		d := dist.NewReplicated(dist.NewG2DBC(P/c), c, mt)
 		res, err := simulate.Run(g, cfg.B, d, cfg.Machine, simulate.Options{})
 		if err != nil {
 			return nil, err
@@ -59,41 +63,61 @@ func ReplicationSweep(cfg SimConfig, baseP, mt int, cs []int) ([]ReplicationPoin
 		for _, v := range res.RecvBytes {
 			sum += v
 		}
-		mean := float64(sum) / float64(d.Nodes())
-		bound := 8 * lowerbound.LUPerNodeRepl(m, d.Nodes(), c)
+		mean := float64(sum) / float64(P)
+		bound := 8 * lowerbound.LUPerNodeRepl(m, P, c)
 		out = append(out, ReplicationPoint{
-			C: c, Nodes: d.Nodes(), ReduceBytes: res.ReduceBytes, RecvMean: mean,
+			P: P, MT: mt, C: c, ReduceBytes: res.ReduceBytes, RecvMean: mean,
 			BoundBytes: bound, RatioToBound: mean / bound, Makespan: res.Makespan,
 		})
 	}
 	return out, nil
 }
 
-// PinnedReplicationCase is the regression-pinned configuration of the
-// replication study (results/replication.txt, and the 25 % gate of
-// TestReplicationReducesPerNodeVolume): a 16,000×16,000 matrix
-// (32×32 tiles of 500) on a G-2DBC(16) base grid — the same 16-node scale as
-// the paper-pinned studies — swept over c ∈ {1, 2, 4}.
-func PinnedReplicationCase() (cfg SimConfig, baseP, mt int, cs []int) {
-	cfg = SimConfig{B: 500, Machine: simulate.PaperMachine()}
-	return cfg, 16, 32, []int{1, 2, 4}
-}
+// replicationCases are the (P, mt) pairs of results/replication.txt, each
+// swept over c ∈ replicationCs: from 64 nodes, past the paper's 44, to 1024,
+// where c = 2 first shortens the makespan.
+var (
+	replicationCases = []struct{ p, mt int }{
+		{64, 32}, {64, 64}, {256, 64}, {256, 128}, {1024, 64}, {1024, 128}, {1024, 256},
+	}
+	replicationCs = []int{1, 2, 4}
+)
 
-// renderReplication writes results/replication.txt: the pinned sweep, one row
-// per replication factor, and the c = 2 saving the test gates.
-func renderReplication(w io.Writer) error {
-	cfg, baseP, mt, cs := PinnedReplicationCase()
-	pts, err := ReplicationSweep(cfg, baseP, mt, cs)
-	if err != nil {
-		return err
+// replicationSampled reports whether tier-1 recomputes the (P, mt) pair: every
+// P ≤ 256 pair, where c = 2 loses on makespan, and (1024, 128), the smallest
+// where it wins (the sample takes ≈ 0.6 s on a 2-vCPU box, the file ≈ 4.3 s).
+func replicationSampled(p, mt int) bool { return p <= 256 || (p == 1024 && mt == 128) }
+
+// renderReplication returns the renderer of results/replication.txt, one row
+// per (P, mt, c), restricted to the (P, mt) pairs keep selects. The pairs
+// run through inParallel, each its sweep over c in turn.
+func renderReplication(keep func(p, mt int) bool) func(io.Writer) error {
+	return func(w io.Writer) error {
+		cfg := SimConfig{B: 500, Machine: simulate.PaperMachine()}
+		var cases []struct{ p, mt int }
+		for _, rc := range replicationCases {
+			if keep(rc.p, rc.mt) {
+				cases = append(cases, rc)
+			}
+		}
+		rows := make([][]ReplicationPoint, len(cases))
+		errs := make([]error, len(cases))
+		inParallel(len(cases), func(i int) {
+			rows[i], errs[i] = ReplicationSweep(cfg, cases[i].p, cases[i].mt, replicationCs)
+		})
+		if err := errors.Join(errs...); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "replication at a fixed node count: P nodes as c layers of G-2DBC(P/c), tile %d\n", cfg.B)
+		fmt.Fprintf(w, "%5s %4s %2s %5s %14s %16s %10s %6s %12s\n",
+			"P", "mt", "c", "base", "recv/node (MB)", "reduce/node (MB)", "bound (MB)", "ratio", "makespan (s)")
+		for _, pts := range rows {
+			for _, p := range pts {
+				fmt.Fprintf(w, "%5d %4d %2d %5d %14.1f %16.1f %10.1f %6.3f %12.3f\n",
+					p.P, p.MT, p.C, p.P/p.C, p.RecvMean/1e6, float64(p.ReduceBytes)/float64(p.P)/1e6,
+					p.BoundBytes/1e6, p.RatioToBound, p.Makespan)
+			}
+		}
+		return nil
 	}
-	fmt.Fprintf(w, "replication sweep: N=%d, tile %d, base G-2DBC(%d)\n", mt*cfg.B, cfg.B, baseP)
-	fmt.Fprintf(w, "%4s %6s %14s %14s %14s %8s %12s\n", "c", "nodes", "recv/node (MB)", "reduce (MB)", "bound (MB)", "ratio", "makespan (s)")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%4d %6d %14.1f %14.1f %14.1f %8.3f %12.3f\n",
-			p.C, p.Nodes, p.RecvMean/1e6, float64(p.ReduceBytes)/1e6, p.BoundBytes/1e6, p.RatioToBound, p.Makespan)
-	}
-	saving := 1 - pts[1].RecvMean/pts[0].RecvMean
-	fmt.Fprintf(w, "c=2 per-node received volume: %.1f%% below the c=1 baseline (gate: >= 25%%)\n", 100*saving)
-	return nil
 }

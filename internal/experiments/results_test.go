@@ -36,7 +36,8 @@ func TestArtifactsCoverResults(t *testing.T) {
 }
 
 // TestCommittedFiguresRegenerate recomputes the Artifacts rows tier-1
-// compares in part — the per-N and strong-scaling performance figures — and
+// compares in part — the per-N and strong-scaling performance figures and
+// the replication table — and
 // holds the rows each one's Keep selects to the committed text, field by
 // field. A row with no Sample (a file too large to simulate here) is a
 // skipped subtest, left to a full regeneration.
@@ -46,8 +47,8 @@ func TestCommittedFiguresRegenerate(t *testing.T) {
 
 // TestCommittedPatternArtifactsRegenerate recomputes the Artifacts rows
 // tier-1 compares whole — the pattern mathematics of Figures 4, 9 and 10,
-// Tables Ia and Ib, the Equation (1)/(2) validation and the replication
-// table — and holds each to the committed text byte for byte.
+// Tables Ia and Ib and the Equation (1)/(2) validation — and holds each to
+// the committed text byte for byte.
 func TestCommittedPatternArtifactsRegenerate(t *testing.T) {
 	regenerate(t, func(a Artifact) bool { return a.Sample != nil && a.Keep == nil })
 }

@@ -73,7 +73,7 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 		return nil, err
 	}
 	n := int32(len(c.posOf))
-	c.key, c.ver, c.reduce = make([]int64, n), make([]int32, n), make([]bool, n)
+	c.key, c.ver = make([]int64, n), make([]int32, n)
 	c.depCnt, c.inCnt = make([]int32, n+1), make([]int32, n+1)
 	c.succCnt, c.dstCnt = make([]int32, n+1), make([]int32, n+1)
 	c.deps, c.ins, c.succs = make([]int32, 0, 3*n), make([]int32, 0, 2*n), make([]int32, 0, 2*n)
@@ -126,7 +126,6 @@ func Compile(g dag.Graph, d dist.Distribution) (*Plan, error) {
 			}
 
 			c.key[c.cur] = sched.Key(t)
-			c.reduce[c.cur] = prog.ReducePartial != nil && prog.ReducePartial(t)
 			w.DoneBefore(v + 1)
 		}
 	}

@@ -53,7 +53,6 @@ type Plan struct {
 	key     []int64 // sched.Key
 	ver     []int32 // version of the output tile the task produces
 	out     []int32 // output tile
-	reduce  []bool  // dag.Program.ReducePartial
 
 	numDeps       []int32 // predecessor count: what a task waits for, not whom
 	inOff, in     []int32 // input references, in InputTiles visit order
@@ -103,11 +102,6 @@ func (p *Plan) Version(t int32) int32 { return p.ver[t] }
 
 // Out returns the tile task t writes.
 func (p *Plan) Out(t int32) int32 { return p.out[t] }
-
-// Reduce reports whether task t produces a reduction partial
-// (dag.Program.ReducePartial): shipped point-to-point when one remote node
-// consumes it.
-func (p *Plan) Reduce(t int32) bool { return p.reduce[t] }
 
 // NumDeps returns the number of predecessors of task t: the releases it
 // waits for, through a same-node predecessor's Succs or a slot's Waiters.

@@ -568,25 +568,16 @@ func (e *engine) pushReady(t int32) {
 // received tiles whose last local consumer just ran.
 func (e *engine) onComplete(t int32) {
 	pl := e.pl
-	out := e.tile(pl.Out(t))
-	netTag := e.tagOf(t)
-
 	for _, s := range pl.Succs(t) {
 		if e.release(s) {
 			e.pushReady(s)
 		}
 	}
 	if dsts := pl.Dsts(t); len(dsts) > 0 {
-		// One payload every consumer node shares: out itself, which no task
-		// writes again — the plan sends only a tile's last version.
-		if len(dsts) == 1 && pl.Reduce(t) {
-			// Reduction partial: the accumulator's only remote consumer is the
-			// combine on its binomial parent's node, a point-to-point shipment
-			// counted as reduction traffic rather than a broadcast.
-			e.comm.SendReduce(dsts[0], netTag, out)
-		} else {
-			e.comm.Broadcast(dsts, netTag, out)
-		}
+		// One payload every consumer node shares: the output tile itself,
+		// which no task writes again — the plan sends only a tile's last
+		// version.
+		e.comm.Broadcast(dsts, e.tagOf(t), e.tile(pl.Out(t)))
 	}
 
 	// Last-reader release: drop received versions this task consumed once no

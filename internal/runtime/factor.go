@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 
 	"anybc/internal/dag"
@@ -20,14 +21,10 @@ func LUKernel(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 		tile.Trsm(tile.Right, tile.Upper, tile.NoTrans, tile.NonUnit, 1, inputs[0], out)
 	case dag.TRSMRow:
 		tile.Trsm(tile.Left, tile.Lower, tile.NoTrans, tile.Unit, 1, inputs[0], out)
-	case dag.GEMMLU, dag.GEMMPart:
+	case dag.GEMMLU:
 		tile.Gemm(tile.NoTrans, tile.NoTrans, -1, inputs[0], inputs[1], 1, out)
-	case dag.ReduceAdd:
-		// Combine one reduction-group member: the child layer's accumulator
-		// (holding a negated partial sum) folds into this buffer by addition.
-		out.AddFrom(inputs[0])
 	default:
-		return fmt.Errorf("runtime: %v is not an LU task", t)
+		return errors.New("runtime: not an LU task") // the engine names the task
 	}
 	return nil
 }
@@ -44,7 +41,7 @@ func CholeskyKernel(t dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 	case dag.GEMMChol:
 		tile.Gemm(tile.NoTrans, tile.TransT, -1, inputs[0], inputs[1], 1, out)
 	default:
-		return fmt.Errorf("runtime: %v is not a Cholesky task", t)
+		return errors.New("runtime: not a Cholesky task")
 	}
 	return nil
 }
@@ -99,19 +96,16 @@ func atLeastOne(name string, v int) error {
 	return fmt.Errorf("runtime: %s = %d, want at least 1", name, v)
 }
 
-// gather executes pl and returns the final tiles slot selects, each at the
-// index slot gives it (negative: not wanted — an accumulator).
-// This is the one place a run's result is assembled, and it copies nothing:
-// RunPlan's collect hands every final tile over by ownership, so the result is
-// made of the very buffers the engines updated in place.
+// gather executes pl and returns its final tiles, each at the index slot
+// gives it. This is the one place a run's result is assembled, and it copies
+// nothing: RunPlan's collect hands every final tile over by ownership, so the
+// result is made of the very buffers the engines updated in place.
 func gather(pl *plan.Plan, gen func(i, j int) *tile.Tile, kern Kernel, opt Options,
 	n int, slot func(i, j int) int) ([]*tile.Tile, *Report, error) {
 
 	tiles := make([]*tile.Tile, n)
 	rep, err := RunPlan(pl, gen, kern, opt, func(i, j int, t *tile.Tile) {
-		if k := slot(i, j); k >= 0 {
-			tiles[k] = t
-		}
+		tiles[slot(i, j)] = t
 	})
 	if err != nil {
 		return nil, nil, err
@@ -119,19 +113,12 @@ func gather(pl *plan.Plan, gen func(i, j int) *tile.Tile, kern Kernel, opt Optio
 	return tiles, rep, nil
 }
 
-// runPlanDense executes pl and returns the mt×mt leading block of its tile
-// index range as a dense matrix made of the run's own final tiles. Whatever
-// the graph stores past that block — layer accumulators — is scratch and is
-// not gathered.
+// runPlanDense executes an LU plan of mt×mt tiles and returns its result as
+// a dense matrix made of the run's own final tiles.
 func runPlanDense(pl *plan.Plan, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.Dense, *Report, error) {
 
-	tiles, rep, err := gather(pl, gen, kern, opt, mt*mt, func(i, j int) int {
-		if i < mt && j < mt {
-			return i*mt + j
-		}
-		return -1
-	})
+	tiles, rep, err := gather(pl, gen, kern, opt, mt*mt, func(i, j int) int { return i*mt + j })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,39 +129,11 @@ func runPlanDense(pl *plan.Plan, mt, b int,
 func runPlanLower(pl *plan.Plan, mt, b int,
 	gen func(i, j int) *tile.Tile, kern Kernel, opt Options) (*matrix.SymmetricLower, *Report, error) {
 
-	tiles, rep, err := gather(pl, gen, kern, opt, mt*(mt+1)/2, func(i, j int) int {
-		if j <= i && i < mt {
-			return i*(i+1)/2 + j
-		}
-		return -1
-	})
+	tiles, rep, err := gather(pl, gen, kern, opt, mt*(mt+1)/2, func(i, j int) int { return i*(i+1)/2 + j })
 	if err != nil {
 		return nil, nil, err
 	}
 	return matrix.SymmetricLowerFromTiles(mt, b, tiles), rep, nil
-}
-
-// FactorLUReplicated runs the replicated (2.5D-style) distributed LU
-// factorization: c layers of the base distribution's grid split the trailing
-// updates round-robin by iteration, layer accumulators are combined by
-// binomial reduction before each tile's panel kernel, and only the canonical
-// tiles are gathered into the result. With c = 1 the schedule — and hence the
-// factored matrix, bit for bit — is that of FactorLU on base.
-func FactorLUReplicated(mt, b, c int, base dist.Distribution, gen func(i, j int) *tile.Tile, opt Options) (*matrix.Dense, *Report, error) {
-	repGen := func(i, j int) *tile.Tile {
-		if j >= mt {
-			return tile.New(b, b) // layer accumulator: starts at zero
-		}
-		return gen(i, j)
-	}
-	if err := cmp.Or(atLeastOne("mt", mt), atLeastOne("b", b), atLeastOne("c", c)); err != nil {
-		return nil, nil, err
-	}
-	pl, err := plans.get(shape{graph: graphReplicatedLU, mt: mt, c: c}, dist.NewReplicated(base, c, mt))
-	if err != nil {
-		return nil, nil, err
-	}
-	return runPlanDense(pl, mt, b, repGen, LUKernel, opt)
 }
 
 // FactorCholesky runs the distributed tiled Cholesky factorization of the

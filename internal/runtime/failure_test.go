@@ -48,7 +48,8 @@ func awaitQuiet(t *testing.T, cl *cluster.Cluster) {
 // error is the proof its payloads drained; on the shared cluster the test
 // reads the in-flight count itself. No engine goroutine outlives the run, and
 // on the shared cluster a co-tenant runs beside the failing job and its
-// factors stay the solo run's, bit for bit.
+// factors stay the solo run's, bit for bit. One more cell runs the
+// replicated LU graph, whose partial updates LUKernel refuses.
 func TestCrashFailsEveryCell(t *testing.T) {
 	const mt, b, victim = 10, 4, 3
 	d := dist.NewG2DBC(7)
@@ -112,6 +113,42 @@ func TestCrashFailsEveryCell(t *testing.T) {
 			}
 		}
 	}
+
+	// The replicated LU graph compiles and runs, but no kernel of this
+	// package computes its partial updates: at mt = 2 and c = 2 its one
+	// GEMM-part task is the first that fails, every later task depends on
+	// it, and the panel tiles that reached its node before it failed are all
+	// released.
+	t.Run("replicated/workers=1/shared", func(t *testing.T) {
+		const mt = 2
+		g, d := dag.NewReplicatedLU(mt, 2), dist.NewReplicated(dist.NewG2DBC(4), 2, mt)
+		var parts []dag.Task
+		dag.ForEachTask(g, func(tk dag.Task) {
+			if tk.Kind == dag.GEMMPart {
+				parts = append(parts, tk)
+			}
+		})
+		if len(parts) != 1 {
+			t.Fatalf("%d GEMM-part tasks, want 1", len(parts))
+		}
+		cl := cluster.New(d.Nodes())
+		defer cl.Close()
+		gen := GenDiagDominant(mt, b, 17)
+		err := runWithDeadline(t, func() error {
+			_, err := Run(g, d, b, func(i, j int) *tile.Tile {
+				if j >= mt {
+					return tile.New(b, b) // a layer's accumulator
+				}
+				return gen(i, j)
+			}, LUKernel, Options{Cluster: cl}, nil)
+			return err
+		})
+		root := fmt.Sprintf("node %d: %v: runtime: not an LU task", d.Owner(g.OutputTile(parts[0])), parts[0])
+		if err == nil || strings.Count(err.Error(), parts[0].String()) != 1 || !strings.Contains(err.Error(), root) {
+			t.Fatalf("run returned %v, want one error %q", err, root)
+		}
+		awaitQuiet(t, cl)
+	})
 }
 
 // TestChaosCrashRecordedOnce: a failing kernel fails the run with one error

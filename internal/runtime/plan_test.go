@@ -61,16 +61,16 @@ func (c *callbacks) total() int {
 	return n
 }
 
-// planCase is one (graph, distribution) pair the runtime executes, with the
-// distribution wrapper of its public entry point.
+// planCase is one (graph, distribution) pair Compile takes.
 type planCase struct {
 	name string
 	g    dag.Graph
 	d    dist.Distribution
 }
 
-// planCases: every graph constructor of internal/dag the runtime executes ×
-// the four scheme families, at two sizes.
+// planCases: every graph constructor of internal/dag × the four scheme
+// families, at two sizes. The replicated LU is no Factor entry point's graph,
+// but Compile takes any graph, and Run any plan.
 func planCases(t *testing.T) []planCase {
 	t.Helper()
 	gcrm, err := core.New(core.GCRM, 7, core.Options{})
@@ -98,7 +98,7 @@ func planCases(t *testing.T) []planCase {
 // compiled plan holds exactly what the materialized graph yields — owner,
 // version, dependency count, input references in InputTiles order, same-node
 // successors and distinct remote destinations in Successors first-visit
-// order, the reduce flag, the scheduler key — and every slot its producer,
+// order, the scheduler key — and every slot its producer,
 // waiters and reader count; the Succs and Waiters that release a task add up
 // to its dependency count. Compile runs each iteration of the
 // program twice, once to lay the tasks out and once to infer them, and calls
@@ -121,7 +121,6 @@ func TestPlanEqualsGraph(t *testing.T) {
 				t.Fatalf("plan has %d tasks on %d nodes, graph %d on %d", n, pl.Nodes(), g.NumTasks(), d.Nodes())
 			}
 			ver := outputVersions(g)
-			partial := g.Program().ReducePartial
 			ownerOf := func(tk dag.Task) int { return d.Owner(g.OutputTile(tk)) }
 
 			// Each node's tasks, in ForEachTask order.
@@ -160,8 +159,8 @@ func TestPlanEqualsGraph(t *testing.T) {
 				if pl.Producer(int32(oi), int32(oj), pl.Version(pt)) != pt {
 					t.Fatalf("%v: Producer of its own output version is task %d", tk, pl.Producer(int32(oi), int32(oj), pl.Version(pt)))
 				}
-				if pl.Key(pt) != sched.Key(tk) || pl.Reduce(pt) != (partial != nil && partial(tk)) {
-					t.Fatalf("%v: key %d reduce %v", tk, pl.Key(pt), pl.Reduce(pt))
+				if pl.Key(pt) != sched.Key(tk) {
+					t.Fatalf("%v: key %d, want %d", tk, pl.Key(pt), sched.Key(tk))
 				}
 
 				if int(pl.NumDeps(pt)) != g.NumDependencies(tk) {

@@ -20,17 +20,16 @@ type graphKind uint8
 const (
 	graphLU graphKind = iota
 	graphCholesky
-	graphReplicatedLU
 )
 
-// shape is the key of a cached plan: the graph's constructor with its integer
-// parameters, and the name and node count of the distribution it was compiled
+// shape is the key of a cached plan: the graph's constructor with its tile
+// count, and the name and node count of the distribution it was compiled
 // under. Two distributions with the same name and size may still place tiles
 // differently (GCR&M patterns searched under other options), so a key alone
 // never decides a hit; planCache.get also compares owner maps.
 type shape struct {
 	graph graphKind
-	mt, c int
+	mt    int
 	dist  string
 	nodes int
 }
@@ -42,8 +41,6 @@ func (s shape) newGraph() dag.Graph {
 		return dag.NewLU(s.mt)
 	case graphCholesky:
 		return dag.NewCholesky(s.mt)
-	case graphReplicatedLU:
-		return dag.NewReplicatedLU(s.mt, s.c)
 	}
 	panic(fmt.Sprintf("runtime: unknown graph kind %d", s.graph))
 }

@@ -109,28 +109,6 @@ func TestPlanCacheOwnerMapDecides(t *testing.T) {
 	}
 }
 
-// TestPlanCacheFreshReplicatedHits: FactorLUReplicated builds its layered
-// distribution afresh on every call, and every call after the first hits.
-func TestPlanCacheFreshReplicatedHits(t *testing.T) {
-	plans.reset()
-	const mt, b = 6, 4
-	var first *matrix.Dense
-	for call := 0; call < 3; call++ {
-		got, _, err := FactorLUReplicated(mt, b, 2, dist.NewG2DBC(3), GenDiagDominant(mt, b, 7), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = got
-			continue
-		}
-		identicalLU(t, "warm replicated call", first, got, mt)
-	}
-	if _, _, compiles := plans.counts(); compiles != 1 {
-		t.Errorf("%d compiles for three calls of one shape, want 1", compiles)
-	}
-}
-
 // TestPlanCacheConcurrentColdCompilesOnce: eight FactorLU calls of one shape
 // on an empty cache compile it once — the others wait for that compile — and
 // all return the same factors.
@@ -289,14 +267,6 @@ func TestFactorRejectsBadSizes(t *testing.T) {
 		}},
 		{"FactorCholesky mt=-1", "mt = -1", func() error {
 			_, _, err := FactorCholesky(-1, 4, d, GenSPD(1, 4, 1), Options{})
-			return err
-		}},
-		{"FactorLUReplicated c=0", "c = 0", func() error {
-			_, _, err := FactorLUReplicated(4, 4, 0, d, GenDiagDominant(4, 4, 1), Options{})
-			return err
-		}},
-		{"FactorLUReplicated mt=0", "mt = 0", func() error {
-			_, _, err := FactorLUReplicated(0, 4, 2, d, GenDiagDominant(1, 4, 1), Options{})
 			return err
 		}},
 	} {

@@ -140,8 +140,8 @@ func simulatedMakespan(t *testing.T, s diffCell, mode cluster.BroadcastMode, bw,
 // worker count and message timing, with no host noise. Each cell compares
 // it with simulate.Run on the same graph and distribution:
 //
-//   - compute-only (free communication): within 0.5 %, but for the three
-//     cells named below;
+//   - compute-only (free communication): within 0.5 %, but for the one
+//     cell named below;
 //   - the paper's network, 12.5 GB/s and 2 µs, flat and tree broadcast:
 //     within ±3 %, but for the one cell named below;
 //   - a comm-bound network, 1.25 GB/s: logged, not gated.
@@ -150,11 +150,10 @@ func simulatedMakespan(t *testing.T, s diffCell, mode cluster.BroadcastMode, bw,
 // W workers finishing equal kernels together, tiles from several senders
 // landing together: the runtime orders them by goroutine scheduling, the
 // simulator by event sequence, and the two then break equal-key ties in the
-// ready queue differently. Replicated LU's layers make such instants common,
-// so its W = 2 cells are banded at ±5 %, and Cholesky on GCR&M(35) at W = 4
-// at ±2 % compute-only and ±4 % on the network: each band covers the spread
-// measured over at least 400 runs (EXPERIMENTS.md, "Simulator vs runtime",
-// has every cell's).
+// ready queue differently. Cholesky on GCR&M(35) at W = 4 is banded at ±2 %
+// compute-only and ±4 % on the network: each band covers the spread measured
+// over at least 400 runs (EXPERIMENTS.md, "Simulator vs runtime", has every
+// cell's).
 func TestSimulatorMatchesRuntime(t *testing.T) {
 	gcrmDist := func(P int) dist.Distribution {
 		d, err := core.New(core.GCRM, P, core.Options{})
@@ -174,14 +173,7 @@ func TestSimulatorMatchesRuntime(t *testing.T) {
 		{dag.NewLU(24), dist.Best2DBC(23), 2, 0.005, 0.03},
 		{dag.NewCholesky(28), dist.NewSBCPair(8), 2, 0.005, 0.03},
 	}
-	replicated := []diffCell{
-		{dag.NewReplicatedLU(16, 2), dist.NewReplicated(dist.NewG2DBC(7), 2, 16), 1, 0.005, 0},
-		{dag.NewReplicatedLU(16, 2), dist.NewReplicated(dist.NewG2DBC(7), 2, 16), 2, 0.05, 0},
-		{dag.NewReplicatedLU(24, 2), dist.NewReplicated(dist.NewG2DBC(11), 2, 24), 1, 0.005, 0},
-		{dag.NewReplicatedLU(24, 2), dist.NewReplicated(dist.NewG2DBC(11), 2, 24), 2, 0.05, 0},
-	}
 	// check logs one cell's gap and gates it at ±band; band 0 only logs.
-	// The replicated cells run compute-only, so their netBand is unused.
 	check := func(t *testing.T, real, sim, band float64) {
 		gap := (real - sim) / sim
 		t.Logf("runtime %.6f s, simulator %.6f s, gap %+.3f %%", real, sim, 100*gap)
@@ -189,7 +181,7 @@ func TestSimulatorMatchesRuntime(t *testing.T) {
 			t.Errorf("gap %+.3f %% outside ±%.1f %%", 100*gap, 100*band)
 		}
 	}
-	for _, c := range append(shapes, replicated...) {
+	for _, c := range shapes {
 		t.Run("compute/"+c.String(), func(t *testing.T) {
 			check(t, virtualMakespan(t, c, cluster.BroadcastFlat, nil),
 				simulatedMakespan(t, c, cluster.BroadcastFlat, 1e18, 0), c.band)

@@ -63,20 +63,6 @@ func (t *Tile) CopyFrom(src *Tile) {
 	copy(t.Data, src.Data)
 }
 
-// AddFrom adds src into t element-wise (t += src); dimensions must match.
-// This is the combine kernel of the replicated distributions' reductions:
-// layer accumulators hold the negated partial update sums, so folding them
-// toward the canonical tile is a plain addition.
-func (t *Tile) AddFrom(src *Tile) {
-	if t.Rows != src.Rows || t.Cols != src.Cols {
-		panic(fmt.Sprintf("tile: AddFrom shape mismatch %dx%d vs %dx%d",
-			t.Rows, t.Cols, src.Rows, src.Cols))
-	}
-	for i, v := range src.Data {
-		t.Data[i] += v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tile) Zero() {
 	for i := range t.Data {
