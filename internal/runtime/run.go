@@ -91,7 +91,14 @@
 // owner's kernels update it in place for the whole run, and it leaves with the
 // result — collect is handed the buffer itself, and FactorLU, FactorCholesky
 // and the service build the matrix they return out of those buffers (gather,
-// factor.go). A call therefore allocates its matrix exactly once.
+// factor.go). A call therefore allocates its matrix exactly once, and it
+// holds that matrix plus the live heap, never a dead predecessor above
+// collectFirstBytes (16 MiB): for such a matrix gather forces one collection
+// before the run generates its tiles, so the factors of earlier calls that
+// nobody holds are freed and their memory reused, where Go's default pacing
+// would let repeated calls peak at two matrices. Below that size the
+// collection's fixed cost (0.15–0.6 ms) would be a visible share of a call
+// for a few MB saved, so the pacing is left alone.
 //
 // # Failure propagation
 //

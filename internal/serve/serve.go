@@ -152,9 +152,9 @@ type Config struct {
 	// window of fetched results the server keeps (see Result).
 	QueueCap int
 	// MemBudgetBytes caps the summed matrix footprint (2·mt²·b²·8 bytes per
-	// job: tiles plus gathered result) of running jobs; queued jobs wait
-	// until they fit, and a job that could never fit is rejected at
-	// submission. Zero means unlimited.
+	// job: its matrix plus garbage room, see jobBytes) of running jobs;
+	// queued jobs wait until they fit, and a job that could never fit is
+	// rejected at submission. Zero means unlimited.
 	MemBudgetBytes int64
 	// MaxMt caps the accepted tile dimension (default 64).
 	MaxMt int
@@ -280,8 +280,13 @@ func New(cfg Config) (*Server, error) {
 // payloads drain).
 func (s *Server) Cluster() *cluster.Cluster { return s.cl }
 
-// jobBytes estimates a job's resident matrix footprint: the owned tiles plus
-// the gathered result, each mt²·b² float64s.
+// jobBytes estimates a job's resident matrix footprint as two matrices of
+// mt²·b² float64s. One is the job's matrix: the tiles its engines update in
+// place, which become the result without a copy. The other is garbage room:
+// below the runtime's collect-first size (16 MiB) Go's default pacing lets
+// the heap grow to twice its live size, so the matrix can sit beside dead
+// factors of earlier jobs; from that size on a Factor call collects first,
+// and the second matrix is slack.
 func jobBytes(mt, b int) int64 {
 	return 2 * int64(mt) * int64(mt) * int64(b) * int64(b) * 8
 }

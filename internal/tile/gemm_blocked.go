@@ -1,9 +1,6 @@
 package tile
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Cache blocking parameters of the panel-blocked GEMM. One packed B panel is
 // gemmKC×n (streamed once per k-panel), one packed A panel is gemmMC×gemmKC
@@ -90,17 +87,12 @@ func (v opView) transposed() opView {
 // packPool recycles pack/transpose scratch: one sync.Pool of 1×n tiles per
 // scratch size n, so each size keeps its own free list and concurrent kernel
 // workers draw disjoint buffers instead of fighting over one shared growable
-// slice. packGets counts getPack calls, for the tests that hold a path to
-// none.
-var (
-	packPool sync.Map // uint64(n) -> *sync.Pool of *Tile
-	packGets atomic.Int64
-)
+// slice.
+var packPool sync.Map // uint64(n) -> *sync.Pool of *Tile
 
 // getPack returns an n-element scratch buffer as a pooled 1×n tile; contents
 // are unspecified. Release with putPack.
 func getPack(n int) *Tile {
-	packGets.Add(1)
 	if e, ok := packPool.Load(uint64(n)); ok {
 		if t, ok := e.(*sync.Pool).Get().(*Tile); ok && t != nil {
 			return t
