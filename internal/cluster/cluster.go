@@ -320,11 +320,13 @@ var ledgerOf = [...]struct{ perDst, perHop []Counter }{
 // on its own plane over the shared node set, so jobs can never read each
 // other's tiles, aborting one job poisons only its plane, and every per-job
 // Report keeps the exact Equation (1)/(2) accounting a dedicated cluster
-// would have produced.
+// would have produced. The ledger is allocated apart from the plane, so the
+// Stats JobStats hands out keep the counters alive without the mailboxes and
+// the takers (a run's engines) once the plane is dropped.
 type plane struct {
 	inboxes []*mailbox
 	takers  []Taker // per rank; set before the job's first send
-	ledger  ledger
+	ledger  *ledger
 }
 
 // ledger holds one P×P (src, dst) block per counter, allocated by the block's
@@ -352,6 +354,7 @@ func newPlane(p int) *plane {
 	pl := &plane{
 		inboxes: make([]*mailbox, p),
 		takers:  make([]Taker, p),
+		ledger:  new(ledger),
 	}
 	boxes := make([]mailbox, p)
 	for i := range pl.inboxes {
@@ -502,8 +505,9 @@ func (c *Cluster) OpenJob() int32 {
 	return job
 }
 
-// DropJob removes a closed job's plane entirely, freeing its mailboxes and —
-// unless JobStats handed them over — its counters; late deliveries addressed
+// DropJob removes a closed job's plane entirely, freeing its mailboxes and
+// takers, even while JobStats' caller holds the job's counters, and — unless
+// JobStats handed them over — the counters too; late deliveries addressed
 // to a dropped job release their payload shares. Call only after the job's
 // Stats have been taken: a long-lived cluster whose finished jobs were never
 // dropped would leak one counter block per job.
@@ -696,7 +700,7 @@ func (c *Comm) Closed() bool { return c.pl.inboxes[c.rank].closed.Load() }
 type Stats struct {
 	P           int
 	MailboxPeak []int
-	table       *ledger // the plane's ledger itself, not a copy
+	table       *ledger // the plane's ledger itself, not a copy; not the plane
 }
 
 // JobStats hands over the traffic ledger of one job's plane: the exact
@@ -711,7 +715,7 @@ func (c *Cluster) JobStats(job int32) Stats {
 	if pl == nil {
 		pl = newPlane(c.p)
 	}
-	s := Stats{P: c.p, MailboxPeak: make([]int, c.p), table: &pl.ledger}
+	s := Stats{P: c.p, MailboxPeak: make([]int, c.p), table: pl.ledger}
 	for i, m := range pl.inboxes {
 		s.MailboxPeak[i] = m.highWater()
 	}

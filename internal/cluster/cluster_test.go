@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"anybc/internal/tile"
 )
@@ -78,6 +80,59 @@ func TestCounters(t *testing.T) {
 	if sent[0] != 2 || sent[1] != 0 || sent[2] != 1 {
 		t.Fatalf("BySrc(Messages) = %v", sent)
 	}
+}
+
+// collectedTaker takes in and releases every message, and closes collected
+// when the collector finalizes it.
+type collectedTaker struct{ collected chan struct{} }
+
+func (k *collectedTaker) Take(msg Message) bool { msg.Release(); return true }
+func (k *collectedTaker) Wake()                 {}
+
+// TestHeldStatsDoNotPinThePlane: the Stats JobStats hands out hold the job's
+// counters, not its plane. Once the job is dropped, its taker (in a run, a
+// node's engine and its per-run tables) is collected while the Stats are still
+// held, and they still read every send, the one made after the call too.
+func TestHeldStatsDoNotPinThePlane(t *testing.T) {
+	c := New(2)
+	defer c.Close()
+	collected := make(chan struct{})
+	s := sendOnDroppedJob(c, collected)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("the taker of a dropped job is still reachable while its Stats are held")
+			}
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		break
+	}
+	if s.At(Messages, 0, 1) != 2 || s.TotalMessages() != 2 || s.TotalBytes() != 2*32 {
+		t.Fatalf("held Stats read %d messages, %d bytes; want 2 and 64", s.TotalMessages(), s.TotalBytes())
+	}
+	if n := c.PoolOutstanding(); n != 0 {
+		t.Fatalf("%d payloads still in flight", n)
+	}
+}
+
+// sendOnDroppedJob opens a job whose node 1 has a collectedTaker, sends node
+// 1 a tile before and after taking the job's Stats, drops the job and returns
+// the Stats: nothing else of the job stays reachable from the caller.
+func sendOnDroppedJob(c *Cluster, collected chan struct{}) Stats {
+	job := c.OpenJob()
+	k := &collectedTaker{collected: collected}
+	runtime.SetFinalizer(k, func(k *collectedTaker) { close(k.collected) })
+	c.JobComm(job, 1).SetTaker(k)
+	from := c.JobComm(job, 0)
+	from.SendAll([]int{1}, Tag{}, payload(1))
+	s := c.JobStats(job)
+	from.SendAll([]int{1}, Tag{}, payload(2))
+	c.DropJob(job)
+	return s
 }
 
 func TestCloseReleasesReceivers(t *testing.T) {

@@ -48,6 +48,12 @@ const (
 // maxWorkers caps a job's per-node worker request.
 const maxWorkers = 16
 
+// fetchWindowBytes bounds the factor bytes (resultBytes) of the fetched
+// results the server keeps. Go's pacer doubles whatever is kept, and a live
+// heap of a few MB already keeps the collector's CPU in the noise; a smaller
+// window makes it show (DESIGN.md, "Job lifecycle and the result window").
+const fetchWindowBytes = 8 << 20
+
 // ErrRejected marks a submission the admission controller turned away —
 // malformed spec, a shape the service can never run, or a full queue. The
 // wrapping error says which; errors.Is(err, ErrRejected) identifies the
@@ -58,8 +64,9 @@ var ErrRejected = errors.New("job rejected")
 var ErrNotFound = errors.New("no such job")
 
 // ErrExpired is returned by Result for a finished job whose factors the
-// server has dropped: it keeps a fetched result only while it is among the
-// Config.QueueCap fetched most recently. The job's Status stays.
+// server has dropped: it keeps a fetched result only while the results
+// fetched since, itself included, number at most Config.QueueCap and hold at
+// most fetchWindowBytes of factors (see Result). The job's Status stays.
 var ErrExpired = errors.New("result expired")
 
 // JobID identifies one submitted job; ids start at 1.
@@ -149,7 +156,8 @@ type Config struct {
 	MaxConcurrent int
 	// QueueCap bounds the admission queue; a submission that finds the
 	// queue full is rejected descriptively (default 64). It also bounds the
-	// window of fetched results the server keeps (see Result).
+	// number of fetched results the server keeps, beside their bytes (see
+	// Result).
 	QueueCap int
 	// MemBudgetBytes caps the summed matrix footprint (2·mt²·b²·8 bytes per
 	// job: its matrix plus garbage room, see jobBytes) of running jobs;
@@ -244,14 +252,13 @@ type Server struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	// window holds the fetched results still kept (under mu), a ring of
-	// QueueCap slots in first-fetch order; next is the slot the next first
-	// fetch takes, dropping the result there. Unfetched results are held
-	// outside it.
-	window    []*job
-	next      int
-	held      int   // done jobs whose result is still held, fetched or not
-	heldBytes int64 // their matrix bytes
+	// window holds the fetched results still kept (under mu), oldest first
+	// fetch first, and windowBytes their resultBytes; see Result for what
+	// it keeps. Unfetched results are held outside it.
+	window      []*job
+	windowBytes int64
+	held        int   // done jobs whose result is still held, fetched or not
+	heldBytes   int64 // their matrix bytes
 
 	// service counters (under mu)
 	submitted, completed, failed, canceled, rejected int64
@@ -268,11 +275,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: invalid tile size %d", cfg.B)
 	}
 	return &Server{
-		cfg:    cfg,
-		cl:     cluster.NewWithOptions(cfg.P, cluster.Options{Broadcast: cfg.Broadcast}),
-		cache:  &PatternCache{},
-		jobs:   make(map[JobID]*job),
-		window: make([]*job, cfg.QueueCap),
+		cfg:   cfg,
+		cl:    cluster.NewWithOptions(cfg.P, cluster.Options{Broadcast: cfg.Broadcast}),
+		cache: &PatternCache{},
+		jobs:  make(map[JobID]*job),
 	}, nil
 }
 
@@ -537,10 +543,12 @@ func (s *Server) Status(id JobID) (Status, error) {
 // (still queued/running, failed, or cancelled) return an error saying so.
 //
 // A done job holds its factors until they are first fetched. From then on
-// the server keeps at most Config.QueueCap fetched results and drops the one
-// first fetched longest ago to make room; fetching a result again neither
-// takes a second slot nor moves it in line. Result on a dropped job returns
-// an error wrapping ErrExpired, while its Status stays.
+// the server keeps at most Config.QueueCap fetched results holding at most
+// fetchWindowBytes of factors between them, and drops the ones first fetched
+// longest ago to stay within both; the result fetched last is kept whatever
+// its size, so a client can fetch it again at once. Fetching a result again
+// neither counts it twice nor moves it in line. Result on a dropped job
+// returns an error wrapping ErrExpired, while its Status stays.
 func (s *Server) Result(id JobID) (*Result, *runtime.Report, error) {
 	j, err := s.get(id)
 	if err != nil {
@@ -551,18 +559,14 @@ func (s *Server) Result(id JobID) (*Result, *runtime.Report, error) {
 	switch j.state {
 	case StateDone:
 		if j.result == nil {
-			return nil, nil, fmt.Errorf("serve: job %d: %w: the server keeps the last %d fetched results",
-				id, ErrExpired, len(s.window))
+			return nil, nil, fmt.Errorf("serve: job %d: %w: the server keeps the last %d fetched results "+
+				"within %d bytes of factors, the latest whatever its size", id, ErrExpired, s.cfg.QueueCap, fetchWindowBytes)
 		}
 		if !j.fetched {
 			j.fetched = true
-			if old := s.window[s.next]; old != nil {
-				s.held--
-				s.heldBytes -= resultBytes(old.spec)
-				old.result, old.report = nil, nil
-			}
-			s.window[s.next] = j
-			s.next = (s.next + 1) % len(s.window)
+			s.window = append(s.window, j)
+			s.windowBytes += resultBytes(j.spec)
+			s.trimWindow()
 		}
 		return j.result, j.report, nil
 	case StateFailed:
@@ -571,6 +575,22 @@ func (s *Server) Result(id JobID) (*Result, *runtime.Report, error) {
 		return nil, nil, fmt.Errorf("serve: job %d was canceled", id)
 	default:
 		return nil, nil, fmt.Errorf("serve: job %d is %s; result not ready", id, j.state)
+	}
+}
+
+// trimWindow drops the results first fetched longest ago until the window
+// holds at most QueueCap of them and fetchWindowBytes of factors, keeping the
+// latest whatever its size. Called under mu.
+func (s *Server) trimWindow() {
+	for len(s.window) > 1 && (len(s.window) > s.cfg.QueueCap || s.windowBytes > fetchWindowBytes) {
+		old := s.window[0]
+		s.window[0] = nil
+		s.window = s.window[1:]
+		n := resultBytes(old.spec)
+		s.windowBytes -= n
+		s.held--
+		s.heldBytes -= n
+		old.result, old.report = nil, nil
 	}
 }
 
@@ -659,7 +679,8 @@ type ServiceStats struct {
 	PoolHeld       int64   `json:"poolHeldTiles"` // payloads in flight, clones and final tiles sent by reference
 	// ResultsHeld counts the done jobs whose factors the server still holds:
 	// the unfetched ones and the window of fetched ones. ResultBytesHeld is
-	// their matrix bytes.
+	// the bytes of their factors (resultBytes), not of their reports or
+	// records.
 	ResultsHeld     int   `json:"resultsHeld"`
 	ResultBytesHeld int64 `json:"resultBytesHeld"`
 }
@@ -706,8 +727,8 @@ func (s *Server) Summary() string {
 	}
 	fmt.Fprintf(&b, "  cache:  %d hits, %d misses | pool: %d tiles in flight\n",
 		st.CacheHits, st.CacheMisses, st.PoolHeld)
-	fmt.Fprintf(&b, "  held:   %d results, %d bytes (unfetched + the last %d fetched)\n",
-		st.ResultsHeld, st.ResultBytesHeld, s.cfg.QueueCap)
+	fmt.Fprintf(&b, "  held:   %d results, %d bytes (unfetched + the last %d fetched within %d bytes)\n",
+		st.ResultsHeld, st.ResultBytesHeld, s.cfg.QueueCap, fetchWindowBytes)
 	return b.String()
 }
 

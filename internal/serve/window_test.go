@@ -134,3 +134,104 @@ func TestServerHoldsBoundedResults(t *testing.T) {
 	}
 	drainPool(t, srv)
 }
+
+// TestFetchWindowIsBoundedInBytes: fetched results a sizeable share of
+// fetchWindowBytes each are kept only while the ones fetched since fit the
+// byte bound, and one larger than the bound is kept while it is the latest
+// fetch. Every job finishes before the first fetch; after every fetch the
+// results held are exactly the unfetched ones plus the longest suffix of the
+// fetch order that fits, the jobs before that suffix answer ErrExpired (HTTP
+// 410) with their Status intact, the ones inside it return the very factors
+// of their first fetch, and no unfetched result is ever dropped.
+func TestFetchWindowIsBoundedInBytes(t *testing.T) {
+	const P, b = 4, 64
+	lu := func(mt int, seed int64) JobSpec { return JobSpec{Kind: KindLU, Mt: mt, B: b, Seed: seed} }
+	chol := func(mt int, seed int64) JobSpec {
+		return JobSpec{Kind: KindCholesky, Scheme: "2dbc", Mt: mt, B: b, Seed: seed}
+	}
+	// LU mt = 10 is 3.125 MiB of factors, Cholesky mt = 12 is 2.4375 MiB: two
+	// or three fit in the window, one LU and two Cholesky exactly. LU mt = 17,
+	// 9.0 MiB, is larger than the window on its own.
+	specs := []JobSpec{lu(10, 1), chol(12, 2), chol(12, 3), lu(10, 4), chol(12, 5),
+		lu(17, 6), chol(12, 7), lu(10, 8), lu(10, 9), chol(12, 10)}
+	const oversized = 5
+	if r := resultBytes(specs[oversized]); r <= fetchWindowBytes {
+		t.Fatalf("the oversized job holds %d bytes, not more than the window's %d", r, fetchWindowBytes)
+	}
+	for k, spec := range specs {
+		if r := resultBytes(spec); k != oversized && (2*r > fetchWindowBytes || 4*r <= fetchWindowBytes) {
+			t.Fatalf("job %d holds %d bytes: want a quarter to a half of the window's %d", k, r, fetchWindowBytes)
+		}
+	}
+	srv := newTestServer(t, Config{P: P, B: b, MaxConcurrent: 2, QueueCap: 2 * len(specs)})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	ids := make([]JobID, len(specs))
+	for k, spec := range specs {
+		id, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[k] = id
+	}
+	for _, id := range ids {
+		waitDone(t, srv, id)
+	}
+
+	first := make([]*Result, len(specs))
+	for n := 1; n <= len(specs); n++ {
+		res, _, err := srv.Result(ids[n-1])
+		if err != nil {
+			t.Fatalf("first fetch of job %d: %v", n-1, err)
+		}
+		first[n-1] = res
+
+		// keep is where the longest suffix of the n fetches that fits the
+		// window starts; the latest fetch is kept whatever its size.
+		keep, bytes := n-1, resultBytes(specs[n-1])
+		for keep > 0 && bytes+resultBytes(specs[keep-1]) <= fetchWindowBytes {
+			keep--
+			bytes += resultBytes(specs[keep])
+		}
+		wantHeld, wantBytes := len(specs)-keep, bytes // the window and every unfetched result
+		for _, spec := range specs[n:] {
+			wantBytes += resultBytes(spec)
+		}
+		if st := srv.Stats(); st.ResultsHeld != wantHeld || st.ResultBytesHeld != wantBytes {
+			t.Fatalf("after %d fetches the server holds %d results of %d bytes, want %d of %d",
+				n, st.ResultsHeld, st.ResultBytesHeld, wantHeld, wantBytes)
+		}
+		for k := 0; k < n; k++ {
+			res, _, err := srv.Result(ids[k])
+			resp, herr := http.Get(ts.URL + "/jobs/" + strconv.Itoa(int(ids[k])) + "/result")
+			if herr != nil {
+				t.Fatal(herr)
+			}
+			resp.Body.Close()
+			if k >= keep {
+				if err != nil || res != first[k] {
+					t.Fatalf("after %d fetches job %d is inside the window: err %v, same factors %v", n, k, err, res == first[k])
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("after %d fetches GET /jobs/%d/result inside the window returned %d", n, ids[k], resp.StatusCode)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrExpired) {
+				t.Fatalf("after %d fetches job %d left the window but returned %v; want ErrExpired", n, k, err)
+			}
+			if resp.StatusCode != http.StatusGone {
+				t.Fatalf("after %d fetches GET /jobs/%d/result returned %d, want 410", n, ids[k], resp.StatusCode)
+			}
+			st, err := srv.Status(ids[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateDone || st.Messages <= 0 || st.Bytes <= 0 || len(st.PeakTilesPerNode) != P || st.RunSeconds <= 0 {
+				t.Fatalf("job %d status lost its record: %+v", k, st)
+			}
+		}
+	}
+	drainPool(t, srv)
+}
