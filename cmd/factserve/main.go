@@ -42,7 +42,7 @@ func main() {
 		p        = flag.Int("p", 8, "shared cluster node count (every job spans all nodes)")
 		b        = flag.Int("b", 16, "tile side (every job uses it)")
 		maxJobs  = flag.Int("max", 4, "concurrent running-jobs budget")
-		queueCap = flag.Int("queue", 64, "admission queue capacity, and the most fetched results kept (within 8 MiB of factors, the latest whatever its size)")
+		queueCap = flag.Int("queue", 64, "admission queue capacity")
 		memMB    = flag.Int64("mem", 0, "memory budget for running jobs, in MiB (0 = unlimited)")
 		maxMt    = flag.Int("max-mt", 64, "largest accepted tile dimension mt")
 		workers  = flag.Int("workers", 1, "default per-node worker count")

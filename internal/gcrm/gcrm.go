@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"anybc/internal/matching"
 	"anybc/internal/pattern"
@@ -66,15 +67,27 @@ func Build(P, r int, rng *rand.Rand) (*pattern.Pattern, error) {
 	return pat, nil
 }
 
-// assignment holds, for each node, the set of colrows it may appear on.
+// assignment holds, for each node, the set of colrows it may appear on: one
+// node-major table of P×r cells, where cell p·r+cr is set once node p holds
+// colrow cr. Every loop over it runs in node and colrow order, so no random
+// draw depends on how the sets are stored.
 type assignment struct {
-	sets  []map[int]bool // per node
-	usage []int          // per colrow: number of nodes holding it
+	r     int
+	cells []bool // node-major, P×r
+	size  []int  // per node: number of colrows it holds
+	usage []int  // per colrow: number of nodes holding it
 }
 
+func newAssignment(P, r int) *assignment {
+	return &assignment{r: r, cells: make([]bool, P*r), size: make([]int, P), usage: make([]int, r)}
+}
+
+func (a *assignment) has(p, cr int) bool { return a.cells[p*a.r+cr] }
+
 func (a *assignment) add(p, cr int) {
-	if !a.sets[p][cr] {
-		a.sets[p][cr] = true
+	if !a.has(p, cr) {
+		a.cells[p*a.r+cr] = true
+		a.size[p]++
 		a.usage[cr]++
 	}
 }
@@ -84,10 +97,7 @@ func (a *assignment) add(p, cr int) {
 // ever stalls with uncovered cells, which the feasibility precondition rules
 // out but library code must not bet the process on.
 func phase1(P, r int, rng *rand.Rand) (*assignment, error) {
-	a := &assignment{sets: make([]map[int]bool, P), usage: make([]int, r)}
-	for p := 0; p < P; p++ {
-		a.sets[p] = make(map[int]bool)
-	}
+	a := newAssignment(P, r)
 	// Line 2-3: one node per colrow, round robin.
 	for i := 0; i < r; i++ {
 		a.add(i%P, i)
@@ -107,24 +117,23 @@ func phase1(P, r int, rng *rand.Rand) (*assignment, error) {
 		}
 	}
 	// Initial coverage: a node holding colrows i and j covers (i,j) and (j,i).
-	// After round-robin initialization a node holds colrows {i, i+P, ...}.
-	for p := 0; p < P; p++ {
-		crs := sortedKeys(a.sets[p])
-		for x := 0; x < len(crs); x++ {
-			for y := x + 1; y < len(crs); y++ {
-				markCovered(crs[x], crs[y])
-			}
+	// After round-robin initialization a node holds colrows {i, i+P, ...}, so
+	// (i,j) is covered exactly when j ≡ i (mod P).
+	for i := 0; i < r; i++ {
+		for j := i + P; j < r; j += P {
+			markCovered(i, j)
 		}
 	}
 
 	newCells := make([]int, r)
+	nodes := make([]int, 0, P)
 	candidates := make([]int, 0, r)
 	for uncovered > 0 {
 		// Line 5: least-loaded node (fewest colrows), ties broken randomly.
-		p := leastLoaded(a, rng)
+		p := leastLoaded(a, nodes, rng)
 
 		// Lines 6-8: pick the colrow covering the most new cells.
-		best := bestColrow(a, covered, newCells, p, r)
+		best := bestColrow(a, covered, newCells, p)
 		if best == -1 {
 			// Unreachable for feasible (P, r): if the least-loaded node holds
 			// every colrow, all nodes do, and then every cell is covered. Fail
@@ -134,7 +143,7 @@ func phase1(P, r int, rng *rand.Rand) (*assignment, error) {
 		// Tie-break: lowest usage, then random.
 		candidates = candidates[:0]
 		for q := 0; q < r; q++ {
-			if !a.sets[p][q] && newCells[q] == newCells[best] {
+			if !a.has(p, q) && newCells[q] == newCells[best] {
 				candidates = append(candidates, q)
 			}
 		}
@@ -153,8 +162,10 @@ func phase1(P, r int, rng *rand.Rand) (*assignment, error) {
 		b := finalists[rng.Intn(len(finalists))]
 
 		// Lines 9-10.
-		for cr := range a.sets[p] {
-			markCovered(b, cr)
+		for cr := 0; cr < r; cr++ {
+			if a.has(p, cr) {
+				markCovered(b, cr)
+			}
 		}
 		a.add(p, b)
 	}
@@ -165,14 +176,19 @@ func phase1(P, r int, rng *rand.Rand) (*assignment, error) {
 // most still-uncovered cells (scratch newCells must have length r), or -1 if
 // p already holds every colrow — the stall condition phase1 reports as an
 // error.
-func bestColrow(a *assignment, covered []bool, newCells []int, p, r int) int {
+func bestColrow(a *assignment, covered []bool, newCells []int, p int) int {
+	r := a.r
+	held := a.cells[p*r : (p+1)*r]
 	best := -1
-	for q := 0; q < r; q++ {
+	for q, hq := range held {
 		newCells[q] = 0
-		if a.sets[p][q] {
+		if hq {
 			continue
 		}
-		for cr := range a.sets[p] {
+		for cr, h := range held {
+			if !h {
+				continue
+			}
 			if !covered[q*r+cr] {
 				newCells[q]++
 			}
@@ -187,30 +203,13 @@ func bestColrow(a *assignment, covered []bool, newCells []int, p, r int) int {
 	return best
 }
 
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	// Insertion sort: sets are tiny and this keeps iteration deterministic.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func leastLoaded(a *assignment, rng *rand.Rand) int {
-	min := math.MaxInt
-	for _, s := range a.sets {
-		if len(s) < min {
-			min = len(s)
-		}
-	}
-	var cands []int
-	for p, s := range a.sets {
-		if len(s) == min {
+// leastLoaded draws one of the nodes holding the fewest colrows, listing
+// them in scratch cands (capacity P) in node order.
+func leastLoaded(a *assignment, cands []int, rng *rand.Rand) int {
+	min := slices.Min(a.size)
+	cands = cands[:0]
+	for p, n := range a.size {
+		if n == min {
 			cands = append(cands, p)
 		}
 	}
@@ -239,7 +238,7 @@ func phase2(P, r int, a *assignment, rng *rand.Rand) *pattern.Pattern {
 	covering := func(i, j int) []int {
 		var out []int
 		for p := 0; p < P; p++ {
-			if a.sets[p][i] && a.sets[p][j] {
+			if a.has(p, i) && a.has(p, j) {
 				out = append(out, p)
 			}
 		}
@@ -309,7 +308,7 @@ func phase2(P, r int, a *assignment, rng *rand.Rand) *pattern.Pattern {
 		i, j := cells[id][0], cells[id][1]
 		best := -1
 		for q := 0; q < P; q++ {
-			if a.sets[q][i] || a.sets[q][j] {
+			if a.has(q, i) || a.has(q, j) {
 				if best == -1 || loads[q] < loads[best] {
 					best = q
 				}
@@ -367,10 +366,10 @@ func rebalance(P, r int, pat *pattern.Pattern, a *assignment, loads []int) {
 					continue
 				}
 				newCR := 0
-				if !a.sets[pMin][i] {
+				if !a.has(pMin, i) {
 					newCR++
 				}
-				if !a.sets[pMin][j] {
+				if !a.has(pMin, j) {
 					newCR++
 				}
 				score := loads[q]*4 + (2 - newCR)

@@ -242,7 +242,7 @@ func TestPhase1ReturnsAssignmentWithoutError(t *testing.T) {
 				}
 				coveredBySome := false
 				for p := 0; p < c.p && !coveredBySome; p++ {
-					coveredBySome = a.sets[p][i] && a.sets[p][j]
+					coveredBySome = a.has(p, i) && a.has(p, j)
 				}
 				if !coveredBySome {
 					t.Fatalf("phase1(%d,%d): cell (%d,%d) uncovered", c.p, c.r, i, j)
@@ -257,21 +257,21 @@ func TestPhase1ReturnsAssignmentWithoutError(t *testing.T) {
 // -1 rather than picking a bogus colrow (the old code panicked here).
 func TestBestColrowDetectsStall(t *testing.T) {
 	const r = 4
-	a := &assignment{sets: []map[int]bool{{}}, usage: make([]int, r)}
+	a := newAssignment(1, r)
 	for q := 0; q < r; q++ {
 		a.add(0, q)
 	}
 	covered := make([]bool, r*r)
 	newCells := make([]int, r)
-	if got := bestColrow(a, covered, newCells, 0, r); got != -1 {
+	if got := bestColrow(a, covered, newCells, 0); got != -1 {
 		t.Fatalf("bestColrow on a saturated node = %d, want -1", got)
 	}
 	// Sanity: with one colrow missing it must pick exactly that one.
-	b := &assignment{sets: []map[int]bool{{}}, usage: make([]int, r)}
+	b := newAssignment(1, r)
 	for q := 0; q < r-1; q++ {
 		b.add(0, q)
 	}
-	if got := bestColrow(b, covered, newCells, 0, r); got != r-1 {
+	if got := bestColrow(b, covered, newCells, 0); got != r-1 {
 		t.Fatalf("bestColrow with colrow %d missing = %d", r-1, got)
 	}
 }

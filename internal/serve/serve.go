@@ -54,6 +54,12 @@ const maxWorkers = 16
 // window makes it show (DESIGN.md, "Job lifecycle and the result window").
 const fetchWindowBytes = 8 << 20
 
+// fetchWindowResults bounds the number of fetched results the server keeps,
+// beside fetchWindowBytes. The byte bound alone is not enough: a held
+// Report pins its P×P ledger blocks, which resultBytes does not count, so a
+// window of many tiny jobs must stop at a count.
+const fetchWindowResults = 64
+
 // ErrRejected marks a submission the admission controller turned away —
 // malformed spec, a shape the service can never run, or a full queue. The
 // wrapping error says which; errors.Is(err, ErrRejected) identifies the
@@ -65,8 +71,8 @@ var ErrNotFound = errors.New("no such job")
 
 // ErrExpired is returned by Result for a finished job whose factors the
 // server has dropped: it keeps a fetched result only while the results
-// fetched since, itself included, number at most Config.QueueCap and hold at
-// most fetchWindowBytes of factors (see Result). The job's Status stays.
+// fetched since, itself included, number at most fetchWindowResults and hold
+// at most fetchWindowBytes of factors (see Result). The job's Status stays.
 var ErrExpired = errors.New("result expired")
 
 // JobID identifies one submitted job; ids start at 1.
@@ -119,7 +125,9 @@ type JobSpec struct {
 }
 
 // Result is a finished job's output: exactly one of Dense (LU) or Chol
-// (Cholesky) is set.
+// (Cholesky) is set. The server holds it until it leaves the fetch window
+// (fetchWindowResults results, fetchWindowBytes of factors; see
+// Server.Result).
 type Result struct {
 	Dense *matrix.Dense
 	Chol  *matrix.SymmetricLower
@@ -155,9 +163,9 @@ type Config struct {
 	// MaxConcurrent is the running-jobs slot budget (default 4).
 	MaxConcurrent int
 	// QueueCap bounds the admission queue; a submission that finds the
-	// queue full is rejected descriptively (default 64). It also bounds the
-	// number of fetched results the server keeps, beside their bytes (see
-	// Result).
+	// queue full is rejected descriptively (default 64). It bounds nothing
+	// else: the fetched results kept are bounded by fetchWindowResults and
+	// fetchWindowBytes (see Result).
 	QueueCap int
 	// MemBudgetBytes caps the summed matrix footprint (2·mt²·b²·8 bytes per
 	// job: its matrix plus garbage room, see jobBytes) of running jobs;
@@ -543,7 +551,7 @@ func (s *Server) Status(id JobID) (Status, error) {
 // (still queued/running, failed, or cancelled) return an error saying so.
 //
 // A done job holds its factors until they are first fetched. From then on
-// the server keeps at most Config.QueueCap fetched results holding at most
+// the server keeps at most fetchWindowResults fetched results holding at most
 // fetchWindowBytes of factors between them, and drops the ones first fetched
 // longest ago to stay within both; the result fetched last is kept whatever
 // its size, so a client can fetch it again at once. Fetching a result again
@@ -560,7 +568,7 @@ func (s *Server) Result(id JobID) (*Result, *runtime.Report, error) {
 	case StateDone:
 		if j.result == nil {
 			return nil, nil, fmt.Errorf("serve: job %d: %w: the server keeps the last %d fetched results "+
-				"within %d bytes of factors, the latest whatever its size", id, ErrExpired, s.cfg.QueueCap, fetchWindowBytes)
+				"within %d bytes of factors, the latest whatever its size", id, ErrExpired, fetchWindowResults, fetchWindowBytes)
 		}
 		if !j.fetched {
 			j.fetched = true
@@ -579,10 +587,10 @@ func (s *Server) Result(id JobID) (*Result, *runtime.Report, error) {
 }
 
 // trimWindow drops the results first fetched longest ago until the window
-// holds at most QueueCap of them and fetchWindowBytes of factors, keeping the
-// latest whatever its size. Called under mu.
+// holds at most fetchWindowResults of them and fetchWindowBytes of factors,
+// keeping the latest whatever its size. Called under mu.
 func (s *Server) trimWindow() {
-	for len(s.window) > 1 && (len(s.window) > s.cfg.QueueCap || s.windowBytes > fetchWindowBytes) {
+	for len(s.window) > 1 && (len(s.window) > fetchWindowResults || s.windowBytes > fetchWindowBytes) {
 		old := s.window[0]
 		s.window[0] = nil
 		s.window = s.window[1:]
@@ -728,7 +736,7 @@ func (s *Server) Summary() string {
 	fmt.Fprintf(&b, "  cache:  %d hits, %d misses | pool: %d tiles in flight\n",
 		st.CacheHits, st.CacheMisses, st.PoolHeld)
 	fmt.Fprintf(&b, "  held:   %d results, %d bytes (unfetched + the last %d fetched within %d bytes)\n",
-		st.ResultsHeld, st.ResultBytesHeld, s.cfg.QueueCap, fetchWindowBytes)
+		st.ResultsHeld, st.ResultBytesHeld, fetchWindowResults, fetchWindowBytes)
 	return b.String()
 }
 

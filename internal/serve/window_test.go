@@ -12,15 +12,16 @@ import (
 )
 
 // TestServerHoldsBoundedResults: a long-running service holds the factors of
-// at most QueueCap fetched jobs. 10 × QueueCap jobs are fetched as they
-// finish while re-fetchers hammer the ones already fetched; after every batch
-// the results held are exactly the window, the jobs that left it answer
-// ErrExpired (HTTP 410) with their Status intact, the ones inside it return
-// the very factors of their first fetch, and the shared pool drains.
+// at most fetchWindowResults fetched jobs, whatever its QueueCap. 3 ×
+// fetchWindowResults jobs are fetched as they finish while re-fetchers hammer
+// the ones already fetched; after every batch the results held are exactly
+// the window, the jobs that left it answer ErrExpired (HTTP 410) with their
+// Status intact, the ones inside it return the very factors of their first
+// fetch, and the shared pool drains.
 func TestServerHoldsBoundedResults(t *testing.T) {
-	const queueCap, mt, b, P, batch, refetchers = 8, 3, 4, 4, 4, 3
-	const jobs = 10 * queueCap
-	srv := newTestServer(t, Config{P: P, B: b, MaxConcurrent: batch, QueueCap: queueCap})
+	const window, mt, b, P, batch, refetchers = fetchWindowResults, 3, 4, 4, 4, 3
+	const jobs = 3 * window
+	srv := newTestServer(t, Config{P: P, B: b, MaxConcurrent: batch, QueueCap: batch})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	specOf := func(k int) JobSpec {
@@ -90,7 +91,7 @@ func TestServerHoldsBoundedResults(t *testing.T) {
 			first[id] = res
 			mu.Unlock()
 		}
-		if st, want := srv.Stats(), min(len(fetched), queueCap); st.ResultsHeld != want {
+		if st, want := srv.Stats(), min(len(fetched), window); st.ResultsHeld != want {
 			t.Fatalf("after %d fetched jobs the server holds %d results, want %d", len(fetched), st.ResultsHeld, want)
 		}
 	}
@@ -112,7 +113,7 @@ func TestServerHoldsBoundedResults(t *testing.T) {
 			t.Fatal(herr)
 		}
 		resp.Body.Close()
-		if k < jobs-queueCap {
+		if k < jobs-window {
 			if !errors.Is(err, ErrExpired) {
 				t.Errorf("job %d, fetched %d results before the last, returned %v; want ErrExpired", id, jobs-1-k, err)
 			}
@@ -129,8 +130,8 @@ func TestServerHoldsBoundedResults(t *testing.T) {
 		}
 		wantBytes += resultBytes(specs[k])
 	}
-	if st := srv.Stats(); st.ResultsHeld != queueCap || st.ResultBytesHeld != wantBytes {
-		t.Errorf("stats hold %d results of %d bytes, want %d of %d", st.ResultsHeld, st.ResultBytesHeld, queueCap, wantBytes)
+	if st := srv.Stats(); st.ResultsHeld != window || st.ResultBytesHeld != wantBytes {
+		t.Errorf("stats hold %d results of %d bytes, want %d of %d", st.ResultsHeld, st.ResultBytesHeld, window, wantBytes)
 	}
 	drainPool(t, srv)
 }

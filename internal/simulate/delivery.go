@@ -28,9 +28,9 @@ type deliveries struct {
 // publish returns a delivery record for the output of task o of page p,
 // which just completed and has k remote destinations. Each destination is one
 // logical message (the Equation (1)/(2) quantity, whatever the transport); a
-// reduction partial is also counted as reduce traffic. Only the simulator
-// runs the replicated LU whose partials these are: the runtime's kernels
-// compute no partial update.
+// reduction partial's bytes are also counted as reduce traffic. Only the
+// simulator runs the replicated LU whose partials these are: the runtime's
+// kernels compute no partial update.
 func (s *sim) publish(p *page, o int32, k int) int32 {
 	var d int32
 	if last := len(s.idle) - 1; last >= 0 {
@@ -47,7 +47,6 @@ func (s *sim) publish(p *page, o int32, k int) int32 {
 	s.res.Messages += int64(k)
 	s.res.Bytes += int64(s.tileBytes) * int64(k)
 	if p.reduce[o] {
-		s.res.Reduces++
 		s.res.ReduceBytes += int64(s.tileBytes)
 	}
 	return d

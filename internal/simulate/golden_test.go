@@ -81,8 +81,8 @@ func resultLine(r *Result) string {
 	for n := range r.BusyTime {
 		hashU64(h, uint64(r.SentBytes[n]), uint64(r.RecvBytes[n]), math.Float64bits(r.BusyTime[n]), uint64(r.TasksPerNode[n]))
 	}
-	return fmt.Sprintf("makespan=%016x messages=%d bytes=%d hops=%d forwards=%d reduces=%d nodes=%016x",
-		math.Float64bits(r.Makespan), r.Messages, r.Bytes, r.Hops, r.Forwards, r.Reduces, h.Sum64())
+	return fmt.Sprintf("makespan=%016x messages=%d bytes=%d hops=%d forwards=%d reduceBytes=%d nodes=%016x",
+		math.Float64bits(r.Makespan), r.Messages, r.Bytes, r.Hops, r.Forwards, r.ReduceBytes, h.Sum64())
 }
 
 // timelineHash folds every recorded kernel interval and message, in recorded

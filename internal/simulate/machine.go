@@ -90,10 +90,9 @@ type Result struct {
 	// SentBytes and RecvBytes give per-node traffic, exposing NIC hot spots.
 	SentBytes []int64
 	RecvBytes []int64
-	// Reduces and ReduceBytes are the subset of Messages/Bytes that ship
-	// reduction partials — layer accumulators of a replicated (2.5D-style)
-	// run flowing up the binomial combine tree. Zero for ordinary graphs.
-	Reduces     int64
+	// ReduceBytes is the subset of Bytes that ships reduction partials —
+	// layer accumulators of a replicated (2.5D-style) run flowing up the
+	// binomial combine tree. Zero for ordinary graphs.
 	ReduceBytes int64
 }
 

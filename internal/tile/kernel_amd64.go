@@ -5,14 +5,16 @@ package tile
 // The amd64 microkernels, widest first. The AVX-512 kernel holds an 8×16
 // block of C in sixteen ZMM registers, the AVX2+FMA kernel a 4×8 block in
 // eight YMM registers (both in kernel_amd64.s); CPUs with neither (or an OS
-// that masks the vector state) run the scalar 4×8 block. Both assembly
-// kernels compute every C element as one FMA chain over the depth in order
-// and fold alpha in with one more FMA, so they produce identical bits; the
-// scalar block rounds each product and sum separately and does not.
+// that masks the vector state) run the scalar 2×4 block every architecture
+// shares (kernel_scalar.go). Both assembly kernels compute every C element as
+// one FMA chain over the depth in order and fold alpha in with one more FMA,
+// so they produce identical bits; the scalar block does not, since at
+// GOAMD64=v1/v2 it rounds each product and sum separately (at v3 the compiler
+// may fuse them into FMAs).
 var microKernels = []microKernel{
 	{name: "avx512 8x16", kind: kernelAVX512, mr: 8, nr: 16, supported: cpuHasAVX512(avx512F) && cpuHasAVX2FMA(), vector: true},
 	{name: "avx2+fma 4x8", kind: kernelAVX2, mr: 4, nr: 8, supported: cpuHasAVX2FMA(), vector: true},
-	{name: "scalar 4x8", kind: kernelScalar, mr: scalarMR, nr: scalarNR, supported: true},
+	{name: "scalar 2x4", kind: kernelScalar, mr: 2, nr: 4, supported: true},
 }
 
 const (
@@ -31,7 +33,7 @@ func (k *microKernel) run(a []float64, rsA, csA int, b []float64, ldb, kb int, a
 	case kernelAVX2:
 		fmaMicro4x8(&a[0], rsA, csA, &b[0], ldb, kb, alpha, &c[0], ldc)
 	default:
-		microScalar(a, rsA, csA, b, ldb, kb, alpha, c, ldc)
+		microScalar2x4(a, rsA, csA, b, ldb, kb, alpha, c, ldc)
 	}
 }
 
@@ -183,31 +185,3 @@ func dealRow(dst []float64, stride int, row []float64, w, ld int) {
 // 0 and 16 a third slower), near enough that a 240-step panel misses only on
 // its first few rows.
 const packAhead = 4
-
-const (
-	scalarMR = 4
-	scalarNR = 8
-)
-
-// microScalar is the plain-Go 4×8 register block over strided operands (see
-// microKernel).
-func microScalar(a []float64, rsA, csA int, b []float64, ldb, kb int, alpha float64, c []float64, ldc int) {
-	var acc [scalarMR * scalarNR]float64
-	for l := 0; l < kb; l++ {
-		bs := b[l*ldb : l*ldb+scalarNR : l*ldb+scalarNR]
-		for r := 0; r < scalarMR; r++ {
-			ar := a[r*rsA+l*csA]
-			row := acc[r*scalarNR : r*scalarNR+scalarNR : r*scalarNR+scalarNR]
-			for j := 0; j < scalarNR; j++ {
-				row[j] += ar * bs[j]
-			}
-		}
-	}
-	for r := 0; r < scalarMR; r++ {
-		crow := c[r*ldc : r*ldc+scalarNR : r*ldc+scalarNR]
-		row := acc[r*scalarNR : r*scalarNR+scalarNR : r*scalarNR+scalarNR]
-		for j := 0; j < scalarNR; j++ {
-			crow[j] += alpha * row[j]
-		}
-	}
-}
