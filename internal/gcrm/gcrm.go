@@ -84,6 +84,17 @@ func newAssignment(P, r int) *assignment {
 
 func (a *assignment) has(p, cr int) bool { return a.cells[p*a.r+cr] }
 
+// colrows lists the colrows node p holds, in order, into dst[:0].
+func (a *assignment) colrows(p int, dst []int) []int {
+	dst = dst[:0]
+	for cr, h := range a.cells[p*a.r : (p+1)*a.r] {
+		if h {
+			dst = append(dst, cr)
+		}
+	}
+	return dst
+}
+
 func (a *assignment) add(p, cr int) {
 	if !a.has(p, cr) {
 		a.cells[p*a.r+cr] = true
@@ -128,12 +139,14 @@ func phase1(P, r int, rng *rand.Rand) (*assignment, error) {
 	newCells := make([]int, r)
 	nodes := make([]int, 0, P)
 	candidates := make([]int, 0, r)
+	held := make([]int, 0, r)
 	for uncovered > 0 {
 		// Line 5: least-loaded node (fewest colrows), ties broken randomly.
 		p := leastLoaded(a, nodes, rng)
 
 		// Lines 6-8: pick the colrow covering the most new cells.
-		best := bestColrow(a, covered, newCells, p)
+		held = a.colrows(p, held)
+		best := bestColrow(a, covered, newCells, p, held)
 		if best == -1 {
 			// Unreachable for feasible (P, r): if the least-loaded node holds
 			// every colrow, all nodes do, and then every cell is covered. Fail
@@ -162,10 +175,8 @@ func phase1(P, r int, rng *rand.Rand) (*assignment, error) {
 		b := finalists[rng.Intn(len(finalists))]
 
 		// Lines 9-10.
-		for cr := 0; cr < r; cr++ {
-			if a.has(p, cr) {
-				markCovered(b, cr)
-			}
+		for _, cr := range held {
+			markCovered(b, cr)
 		}
 		a.add(p, b)
 	}
@@ -173,22 +184,18 @@ func phase1(P, r int, rng *rand.Rand) (*assignment, error) {
 }
 
 // bestColrow returns the colrow node p does not yet hold that covers the
-// most still-uncovered cells (scratch newCells must have length r), or -1 if
-// p already holds every colrow — the stall condition phase1 reports as an
-// error.
-func bestColrow(a *assignment, covered []bool, newCells []int, p int) int {
+// most still-uncovered cells together with the colrows p holds, listed in
+// held (scratch newCells must have length r), or -1 if p already holds every
+// colrow — the stall condition phase1 reports as an error.
+func bestColrow(a *assignment, covered []bool, newCells []int, p int, held []int) int {
 	r := a.r
-	held := a.cells[p*r : (p+1)*r]
 	best := -1
-	for q, hq := range held {
+	for q := range newCells {
 		newCells[q] = 0
-		if hq {
+		if a.has(p, q) {
 			continue
 		}
-		for cr, h := range held {
-			if !h {
-				continue
-			}
+		for _, cr := range held {
 			if !covered[q*r+cr] {
 				newCells[q]++
 			}
@@ -221,32 +228,28 @@ func leastLoaded(a *assignment, cands []int, rng *rand.Rand) int {
 func phase2(P, r int, a *assignment, rng *rand.Rand) *pattern.Pattern {
 	pat := pattern.New(r, r)
 
-	// Dense indexing of off-diagonal cells.
-	cellID := make([]int, r*r)
-	var cells [][2]int
+	// The off-diagonal cells in row-major order, and the nodes covering
+	// each, in node order: cell id's coverers are adj[off[id]:off[id+1]].
+	edges := 0
+	for _, n := range a.size {
+		edges += n * (n - 1)
+	}
+	cells := make([][2]int, 0, r*(r-1))
+	off := make([]int32, 1, r*(r-1)+1)
+	adj := make([]int32, 0, edges)
 	for i := 0; i < r; i++ {
 		for j := 0; j < r; j++ {
 			if i == j {
-				cellID[i*r+j] = -1
 				continue
 			}
-			cellID[i*r+j] = len(cells)
 			cells = append(cells, [2]int{i, j})
-		}
-	}
-
-	covering := func(i, j int) []int {
-		var out []int
-		for p := 0; p < P; p++ {
-			if a.has(p, i) && a.has(p, j) {
-				out = append(out, p)
+			for p := 0; p < P; p++ {
+				if a.has(p, i) && a.has(p, j) {
+					adj = append(adj, int32(p))
+				}
 			}
+			off = append(off, int32(len(adj)))
 		}
-		return out
-	}
-	coverers := make([][]int, len(cells))
-	for id, c := range cells {
-		coverers[id] = covering(c[0], c[1])
 	}
 
 	assignedTo := make([]int, len(cells))
@@ -256,20 +259,11 @@ func phase2(P, r int, a *assignment, rng *rand.Rand) *pattern.Pattern {
 	loads := make([]int, P)
 
 	// First matching: k = ⌊r(r−1)/P⌋ duplicates per node.
-	k := r * (r - 1) / P
-	if k > 0 {
-		g := matching.NewGraph(len(cells), P*k)
-		for id := range cells {
-			for _, p := range coverers[id] {
-				for d := 0; d < k; d++ {
-					g.AddEdge(id, p*k+d)
-				}
-			}
-		}
-		m, _ := g.MaxMatching()
+	if k := r * (r - 1) / P; k > 0 {
+		m := matching.Match(off, adj, nil, P, k)
 		for id, dup := range m {
 			if dup >= 0 {
-				p := dup / k
+				p := int(dup) / k
 				assignedTo[id] = p
 				loads[p]++
 			}
@@ -277,23 +271,17 @@ func phase2(P, r int, a *assignment, rng *rand.Rand) *pattern.Pattern {
 	}
 
 	// Second matching: unassigned cells vs one duplicate per node.
-	var unassigned []int
+	var unassigned []int32
 	for id, p := range assignedTo {
 		if p == -1 {
-			unassigned = append(unassigned, id)
+			unassigned = append(unassigned, int32(id))
 		}
 	}
 	if len(unassigned) > 0 {
-		g := matching.NewGraph(len(unassigned), P)
-		for li, id := range unassigned {
-			for _, p := range coverers[id] {
-				g.AddEdge(li, p)
-			}
-		}
-		m, _ := g.MaxMatching()
-		for li, p := range m {
-			if p >= 0 {
-				assignedTo[unassigned[li]] = p
+		m := matching.Match(off, adj, unassigned, P, 1)
+		for _, id := range unassigned {
+			if p := int(m[id]); p >= 0 {
+				assignedTo[id] = p
 				loads[p]++
 			}
 		}

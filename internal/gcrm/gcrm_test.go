@@ -105,15 +105,18 @@ func TestBuildErrors(t *testing.T) {
 
 // TestSearchBeatsOrMatchesSBC verifies the paper's headline claim for the
 // symmetric case: GCR&M patterns on all P nodes achieve costs comparable to
-// or better than the SBC cost laws, and always well below 2DBC.
+// or better than the SBC cost laws, and always well below 2DBC. Past the
+// embedded database (P ≤ 64) it runs every P in 65…128 that SBC itself
+// can serve (P = r(r−1)/2 or r²/2), where a GCR&M job searches cold.
 func TestSearchBeatsOrMatchesSBC(t *testing.T) {
 	opts := SearchOptions{Seeds: 30, SizeFactor: 4, BaseSeed: 1, Parallel: true}
-	for _, P := range []int{21, 23, 28, 31, 35} {
+	for _, P := range []int{21, 23, 28, 31, 35, 66, 72, 78, 91, 98, 105, 120, 128} {
 		res, err := Search(P, opts)
 		if err != nil {
 			t.Fatalf("Search(%d): %v", P, err)
 		}
 		sbcLaw := math.Sqrt(2 * float64(P))
+		t.Logf("P=%d: cost %.3f, SBC law %.3f", P, res.Cost, sbcLaw)
 		if res.Cost > sbcLaw+0.6 {
 			t.Errorf("P=%d: GCR&M cost %.3f too far above SBC law %.3f", P, res.Cost, sbcLaw)
 		}
@@ -263,7 +266,7 @@ func TestBestColrowDetectsStall(t *testing.T) {
 	}
 	covered := make([]bool, r*r)
 	newCells := make([]int, r)
-	if got := bestColrow(a, covered, newCells, 0); got != -1 {
+	if got := bestColrow(a, covered, newCells, 0, a.colrows(0, nil)); got != -1 {
 		t.Fatalf("bestColrow on a saturated node = %d, want -1", got)
 	}
 	// Sanity: with one colrow missing it must pick exactly that one.
@@ -271,7 +274,7 @@ func TestBestColrowDetectsStall(t *testing.T) {
 	for q := 0; q < r-1; q++ {
 		b.add(0, q)
 	}
-	if got := bestColrow(b, covered, newCells, 0); got != r-1 {
+	if got := bestColrow(b, covered, newCells, 0, b.colrows(0, nil)); got != r-1 {
 		t.Fatalf("bestColrow with colrow %d missing = %d", r-1, got)
 	}
 }

@@ -106,21 +106,14 @@ func search(P int, opts SearchOptions, keepAll bool) (*Result, []Candidate, erro
 		}
 	}
 
-	type eval struct {
-		Candidate
-		pat *pattern.Pattern
-	}
-	evals := make([]eval, len(jobs))
+	// Each candidate keeps only its cost; the winner is rebuilt from its
+	// (r, seed) at the end, so no loser's pattern outlives its evaluation.
+	cands := make([]Candidate, len(jobs))
 	run := func(i int) {
 		j := jobs[i]
-		pat, err := BuildSeeded(P, j.r, j.seed)
-		if err != nil {
-			evals[i] = eval{Candidate: Candidate{R: j.r, Seed: j.seed, Cost: math.Inf(1)}}
-			return
-		}
-		evals[i] = eval{
-			Candidate: Candidate{R: j.r, Seed: j.seed, Cost: pat.CostCholesky()},
-			pat:       pat,
+		cands[i] = Candidate{R: j.r, Seed: j.seed, Cost: math.Inf(1)}
+		if pat, err := BuildSeeded(P, j.r, j.seed); err == nil {
+			cands[i].Cost = pat.CostCholesky()
 		}
 	}
 
@@ -149,31 +142,31 @@ func search(P int, opts SearchOptions, keepAll bool) (*Result, []Candidate, erro
 	}
 
 	best := -1
-	for i, e := range evals {
-		if e.pat == nil {
+	for i, c := range cands {
+		if math.IsInf(c.Cost, 1) {
 			continue
 		}
-		if best == -1 || e.Cost < evals[best].Cost-1e-12 ||
-			(math.Abs(e.Cost-evals[best].Cost) <= 1e-12 && e.R < evals[best].R) {
+		if best == -1 || c.Cost < cands[best].Cost-1e-12 ||
+			(math.Abs(c.Cost-cands[best].Cost) <= 1e-12 && c.R < cands[best].R) {
 			best = i
 		}
 	}
 	if best == -1 {
 		return nil, nil, fmt.Errorf("gcrm: all candidate builds failed for P=%d", P)
 	}
+	win := cands[best]
+	pat, err := BuildSeeded(P, win.R, win.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
 	var all []Candidate
 	if keepAll {
-		all = make([]Candidate, 0, len(evals))
-		for _, e := range evals {
-			if !math.IsInf(e.Cost, 1) {
-				all = append(all, e.Candidate)
+		all = make([]Candidate, 0, len(cands))
+		for _, c := range cands {
+			if !math.IsInf(c.Cost, 1) {
+				all = append(all, c)
 			}
 		}
 	}
-	return &Result{
-		Pattern: evals[best].pat,
-		R:       evals[best].R,
-		Seed:    evals[best].Seed,
-		Cost:    evals[best].Cost,
-	}, all, nil
+	return &Result{Pattern: pat, R: win.R, Seed: win.Seed, Cost: win.Cost}, all, nil
 }

@@ -4,52 +4,66 @@
 // assigns pattern cells to node duplicates through two matching rounds.
 package matching
 
-import "fmt"
-
-// Graph is a bipartite graph with nLeft left vertices and nRight right
-// vertices, identified by dense indices.
-type Graph struct {
-	nLeft, nRight int
-	adj           [][]int32 // adj[l] lists right neighbours of left vertex l
-}
-
-// NewGraph returns an empty bipartite graph.
-func NewGraph(nLeft, nRight int) *Graph {
-	if nLeft < 0 || nRight < 0 {
-		panic(fmt.Sprintf("matching: invalid sizes %d, %d", nLeft, nRight))
-	}
-	return &Graph{nLeft: nLeft, nRight: nRight, adj: make([][]int32, nLeft)}
-}
-
-// AddEdge connects left vertex l to right vertex r.
-func (g *Graph) AddEdge(l, r int) {
-	if l < 0 || l >= g.nLeft || r < 0 || r >= g.nRight {
-		panic(fmt.Sprintf("matching: edge (%d,%d) out of range %dx%d", l, r, g.nLeft, g.nRight))
-	}
-	g.adj[l] = append(g.adj[l], int32(r))
-}
+import (
+	"fmt"
+	"math"
+)
 
 const none = int32(-1)
 
-// MaxMatching computes a maximum matching and returns, for each left vertex,
-// the matched right vertex or -1. The second return value is the matching
-// size. Runs in O(E√V) (Hopcroft–Karp).
-func (g *Graph) MaxMatching() ([]int, int) {
-	matchL := make([]int32, g.nLeft)
-	matchR := make([]int32, g.nRight)
+// Match computes a maximum matching of the left vertices listed in left
+// (nil: every left vertex) against nBase·copies right vertices, in
+// O(E√V) (Hopcroft–Karp). The graph is one flat adjacency: left vertex l
+// reaches the base vertices adj[off[l]:off[l+1]], and each base vertex b
+// stands for copies interchangeable right vertices b·copies+c, c = 0 …
+// copies−1, listed in that order after one another — the graph an explicit
+// edge to every copy would build, never built. It returns, for each left
+// vertex, the matched right vertex b·copies+c or -1.
+// A malformed adjacency (an offset that decreases or overruns adj, a base
+// vertex outside [0, nBase), a left vertex outside the table) panics.
+func Match(off, adj, left []int32, nBase, copies int) []int32 {
+	if len(off) == 0 || nBase < 0 || copies < 1 || int64(nBase)*int64(copies) > math.MaxInt32 {
+		panic(fmt.Sprintf("matching: invalid sizes %d offsets, %d base vertices, %d copies", len(off), nBase, copies))
+	}
+	nLeft := int32(len(off) - 1)
+	for l := int32(0); l < nLeft; l++ {
+		if off[l] < 0 || off[l] > off[l+1] || int(off[l+1]) > len(adj) {
+			panic(fmt.Sprintf("matching: offsets %d, %d of left vertex %d out of order or past %d edges", off[l], off[l+1], l, len(adj)))
+		}
+	}
+	for i, b := range adj {
+		if b < 0 || int(b) >= nBase {
+			panic(fmt.Sprintf("matching: edge %d reaches base vertex %d outside [0, %d)", i, b, nBase))
+		}
+	}
+	if left == nil {
+		left = make([]int32, nLeft)
+		for l := range left {
+			left[l] = int32(l)
+		}
+	}
+	for _, l := range left {
+		if l < 0 || l >= nLeft {
+			panic(fmt.Sprintf("matching: left vertex %d outside [0, %d)", l, nLeft))
+		}
+	}
+
+	k := int32(copies)
+	matchL := make([]int32, nLeft)
+	matchR := make([]int32, nBase*copies)
 	for i := range matchL {
 		matchL[i] = none
 	}
 	for i := range matchR {
 		matchR[i] = none
 	}
-	dist := make([]int32, g.nLeft)
-	queue := make([]int32, 0, g.nLeft)
+	dist := make([]int32, nLeft)
+	queue := make([]int32, 0, len(left))
 
 	const inf = int32(1) << 30
 	bfs := func() bool {
 		queue = queue[:0]
-		for l := int32(0); l < int32(g.nLeft); l++ {
+		for _, l := range left {
 			if matchL[l] == none {
 				dist[l] = 0
 				queue = append(queue, l)
@@ -60,13 +74,15 @@ func (g *Graph) MaxMatching() ([]int, int) {
 		found := false
 		for head := 0; head < len(queue); head++ {
 			l := queue[head]
-			for _, r := range g.adj[l] {
-				l2 := matchR[r]
-				if l2 == none {
-					found = true
-				} else if dist[l2] == inf {
-					dist[l2] = dist[l] + 1
-					queue = append(queue, l2)
+			for _, b := range adj[off[l]:off[l+1]] {
+				for r := b * k; r < (b+1)*k; r++ {
+					l2 := matchR[r]
+					if l2 == none {
+						found = true
+					} else if dist[l2] == inf {
+						dist[l2] = dist[l] + 1
+						queue = append(queue, l2)
+					}
 				}
 			}
 		}
@@ -75,29 +91,26 @@ func (g *Graph) MaxMatching() ([]int, int) {
 
 	var dfs func(l int32) bool
 	dfs = func(l int32) bool {
-		for _, r := range g.adj[l] {
-			l2 := matchR[r]
-			if l2 == none || (dist[l2] == dist[l]+1 && dfs(l2)) {
-				matchL[l] = r
-				matchR[r] = l
-				return true
+		for _, b := range adj[off[l]:off[l+1]] {
+			for r := b * k; r < (b+1)*k; r++ {
+				l2 := matchR[r]
+				if l2 == none || (dist[l2] == dist[l]+1 && dfs(l2)) {
+					matchL[l] = r
+					matchR[r] = l
+					return true
+				}
 			}
 		}
 		dist[l] = inf
 		return false
 	}
 
-	size := 0
 	for bfs() {
-		for l := int32(0); l < int32(g.nLeft); l++ {
-			if matchL[l] == none && dfs(l) {
-				size++
+		for _, l := range left {
+			if matchL[l] == none {
+				dfs(l)
 			}
 		}
 	}
-	out := make([]int, g.nLeft)
-	for i, r := range matchL {
-		out[i] = int(r)
-	}
-	return out, size
+	return matchL
 }
